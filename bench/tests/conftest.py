@@ -1,0 +1,9 @@
+"""Put ``src/`` and ``bench/`` on the path (run: ``python -m pytest bench/tests``)."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for entry in (ROOT / "bench", ROOT / "src"):
+    if str(entry) not in sys.path:
+        sys.path.insert(0, str(entry))
