@@ -363,9 +363,6 @@ def scenario_specs(draw, max_cells: int = 4) -> ScenarioSpec:
         cells=cells,
         slots=draw(st.integers(min_value=1, max_value=100)),
         seed=draw(st.integers(min_value=0, max_value=2**31 - 1)),
-        batch_slots=draw(
-            st.one_of(st.none(), st.integers(min_value=1, max_value=20))
-        ),
         epoch_slots=draw(
             st.one_of(st.none(), st.integers(min_value=1, max_value=20))
         ),

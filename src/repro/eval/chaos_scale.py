@@ -41,7 +41,8 @@ from repro.eval.report import format_table
 from repro.faults.process import ProcessChaosSpec, seeded_chaos_sweep
 from repro.obs.live import deterministic_exposition
 from repro.scale import ScenarioSpec, run_scenario
-from repro.scale.supervisor import ShardRecoveryExhausted, SupervisedWorkerPool
+from repro.scale.pool import WorkerPool
+from repro.scale.supervisor import ShardRecoveryExhausted
 
 DEFAULT_SLOTS = 8
 DEFAULT_WORKERS = (2, 4)
@@ -306,7 +307,7 @@ def _run_exhaustion(spec: ScenarioSpec) -> Dict[str, Any]:
     ]
     data["supervisor"] = dict(SUPERVISOR, max_restarts_per_worker=budget)
     doomed = ScenarioSpec.from_dict(data)
-    pool = SupervisedWorkerPool(doomed, workers=2)
+    pool = WorkerPool(doomed, workers=2)
     pool.start()
     segment = pool.arena_name
     started = time.monotonic()

@@ -11,7 +11,7 @@ switch.  ``SequenceTracker`` (seq_id gap/dup/reorder detection with
 Process-level chaos (:mod:`repro.faults.process`) extends the same
 discipline to the scale-out control plane: declarative, seeded worker
 kills/stalls/poisoned replies/frame corruption, recovered exactly by
-:class:`repro.scale.supervisor.SupervisedWorkerPool`.
+:class:`repro.scale.pool.WorkerPool` under a supervision policy.
 """
 
 from repro.faults.injector import (

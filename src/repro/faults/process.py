@@ -4,8 +4,8 @@ PR 3's :class:`~repro.faults.injector.FaultInjector` chaos-hardens the
 *datapath* — loss, corruption and reordering on the fronthaul wire.
 This module does the same for the *control plane* of the sharded worker
 pool: it describes, as plain spec data, the ways a pool worker process
-itself can fail, so the supervised pool
-(:class:`~repro.scale.supervisor.SupervisedWorkerPool`) can be driven
+itself can fail, so the pool's supervision policy
+(:mod:`repro.scale.supervisor`) can be driven
 through every failure class deterministically and proven to recover
 *exactly* (byte-identical digests against an unfaulted run).
 

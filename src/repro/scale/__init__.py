@@ -41,7 +41,6 @@ from repro.scale.registry import (
 from repro.scale.runner import (
     GroupResult,
     ScenarioResult,
-    run_groups_inline,
     run_scenario,
 )
 from repro.scale.shard import ShardPlan, plan_shards
@@ -56,10 +55,7 @@ from repro.scale.spec import (
     SupervisorSpec,
     UeSpec,
 )
-from repro.scale.supervisor import (
-    ShardRecoveryExhausted,
-    SupervisedWorkerPool,
-)
+from repro.scale.supervisor import ShardRecoveryExhausted
 
 
 class Scenario:
@@ -153,7 +149,6 @@ __all__ = [
     "ShardRecoveryExhausted",
     "StageBuildContext",
     "StageSpec",
-    "SupervisedWorkerPool",
     "SupervisorSpec",
     "UeSpec",
     "WorkerPool",
@@ -163,7 +158,6 @@ __all__ = [
     "read_payload",
     "register_stage",
     "run",
-    "run_groups_inline",
     "run_scenario",
     "stage_names",
     "validate_descriptor",

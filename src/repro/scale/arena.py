@@ -1,16 +1,10 @@
 """Shared-memory IQ/result transport for the persistent worker pool.
 
-The fork-per-run runner of PR 4 moved every result over a pipe as one
-big pickle: the worker serialized into a private buffer, the kernel
-copied it through the pipe in 64 KiB chunks, and the coordinator copied
-it again into a bytes object before unpickling.  For timeline- and
-report-heavy scenarios that triple copy dominated the useful work
-(BENCH_4.json: 8 workers at 0.59x the single-process rate).
-
-This module replaces the bulk path with a preallocated **arena**: one
-``multiprocessing.shared_memory`` segment partitioned into per-worker
-:class:`RingBuffer` regions.  Workers write payload bytes straight into
-their ring and send only a tiny ``(offset, nbytes, watermark)``
+The bulk path between a forked worker and the coordinator is a
+preallocated **arena**: one ``multiprocessing.shared_memory`` segment
+partitioned into per-worker :class:`RingBuffer` regions.  Workers write
+payload bytes straight into their ring and send only a tiny
+``(offset, nbytes, watermark)``
 descriptor over the control pipe; the coordinator reads the bytes as a
 ``memoryview`` of the same physical pages — zero copies on the read
 side, one on the write side.

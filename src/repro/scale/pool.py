@@ -1,18 +1,21 @@
-"""The persistent shared-memory worker pool behind sharded execution.
+"""The persistent worker pool: the one coordinator of every scenario run.
 
-PR 4's runner forked a fresh set of workers for every run, synchronized
-them every ``batch_slots`` batch, and shipped all results back as one
-pipe pickle — which BENCH_4.json showed *losing* to single-process.
-This pool keeps the same sharding contract (byte-identical digests at
-any worker count) while removing all three overheads:
+One :class:`WorkerPool` drives one :class:`~repro.scale.runner.
+ShardEngine` per shard of the :func:`~repro.scale.shard.plan_shards`
+plan through ``begin → advance_epoch → (mutate) → collect``; batch
+``run()`` is a loop over those, the live control plane
+(:mod:`repro.serve`) interleaves them with deltas.  The sharding
+contract is byte-identical digests at any worker count:
 
-1. **Workers outlive a run.**  ``start()`` forks one worker per shard of
-   the :func:`~repro.scale.shard.plan_shards` plan; each builds its
-   coupling groups once and then serves commands.  A later ``run()``
-   rebuilds worker-side state with a ``reset`` command instead of
-   re-forking, so a service, a benchmark sweep, or a parameter study
-   amortizes process creation and module state across runs.
-2. **Barrier epochs, not batch slots.**  The coordinator barriers every
+1. **Workers outlive a run.**  ``start()`` forks one worker per shard;
+   each builds its coupling groups once and then serves commands.  A
+   later ``run()`` rebuilds worker-side state with a ``reset`` command
+   instead of re-forking, so a service, a benchmark sweep, or a
+   parameter study amortizes process creation and module state across
+   runs.  ``workers=0`` forks nothing: the single shard's engine lives
+   in the calling process behind the same exchange (no shared memory,
+   no pickling) — what ``run_scenario(workers<=1)`` uses.
+2. **Barrier epochs.**  The coordinator barriers every
    :meth:`~repro.scale.spec.ScenarioSpec.effective_epoch_slots` slots
    (default: the whole horizon — the coarsest epoch) and each ack
    carries only ``(slots, events, telemetry-payload descriptor)``.
@@ -27,6 +30,12 @@ any worker count) while removing all three overheads:
    per worker; only tiny ``(offset, nbytes, watermark)`` tuples cross
    the control pipe.  A payload that outgrows its ring falls back to
    the pipe for that payload — slower, never wrong.
+4. **One exchange, one policy.**  Every barrier (``epoch``, ``collect``,
+   ``mutate``, ``reset``) is the same issue → await → check-reply →
+   read-bulk → recover routine.  What a failed step means is the pool's
+   supervision policy (:mod:`repro.scale.supervisor`): with a
+   :class:`~repro.scale.spec.SupervisorSpec` the worker is respawned
+   and replayed, without one the first failure ends the run.
 
 Teardown is unconditional: normal exit, a coordinator exception mid-run
 and a crashed worker all funnel through :meth:`WorkerPool.close`, which
@@ -44,8 +53,10 @@ import traceback
 import weakref
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.stream import GroupStreamSource, TelemetryStream
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.stream import TelemetryStream
 from repro.scale.arena import (
+    ArenaFrameError,
     ArenaFullError,
     SharedArena,
     payload_nbytes,
@@ -55,9 +66,20 @@ from repro.scale.arena import (
     validate_descriptor,
     write_payload,
 )
-from repro.scale.build import BuiltGroup, build_groups
+from repro.scale.build import build_groups
+from repro.scale.runner import ScenarioResult, ShardEngine
 from repro.scale.shard import plan_shards, rebalance_plan
-from repro.scale.spec import ScenarioSpec, assert_same_run_shape
+from repro.scale.spec import (
+    ScenarioSpec,
+    SupervisorSpec,
+    assert_same_run_shape,
+)
+from repro.scale.supervisor import (
+    REPLAYED_SLOTS_METRIC,
+    RESTARTS_METRIC,
+    ShardRecoveryExhausted,
+    WorkerFailure,
+)
 
 #: Default ring size per worker; collected results that outgrow it fall
 #: back to the control pipe, so this trades speed, not correctness.
@@ -67,46 +89,61 @@ DEFAULT_ARENA_BYTES = 4 * 1024 * 1024
 #: because its ring was full.
 _INLINE = "inline"
 
-
-def _env_join_timeout(default: float = 10.0) -> float:
-    """Worker join allowance from ``REPRO_SCALE_JOIN_TIMEOUT`` (seconds)."""
-    raw = os.environ.get("REPRO_SCALE_JOIN_TIMEOUT")
-    if raw is None:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        return default
-    return value if value > 0 else default
-
-
 #: How long any teardown path waits for a worker to exit before
 #: escalating (graceful join -> SIGTERM -> SIGKILL, each bounded).
-#: Override with REPRO_SCALE_JOIN_TIMEOUT for slow CI machines.
-JOIN_TIMEOUT_S = _env_join_timeout()
+JOIN_TIMEOUT_S = 10.0
 
 
-def _stop_process(process, graceful: bool = True) -> None:
-    """Bounded-time stop: join, escalate to terminate, escalate to kill.
+def _serve(engine: ShardEngine, command: Tuple, ship) -> Tuple:
+    """Run one pool command on a shard engine and build its reply.
 
-    ``graceful=True`` first gives the worker ``JOIN_TIMEOUT_S`` to exit
-    on its own (it was sent ``exit``); crash/finalizer paths skip
-    straight to SIGTERM.  A worker that ignores SIGTERM gets SIGKILL —
-    teardown never hangs on an unkillable child.
+    Commands and their ``(tag, slots, events, bulk, heartbeat)`` replies:
+
+    - ``("epoch", n_slots, final)`` advances every local group
+      ``n_slots`` and replies ``("ok", n_slots, events, bulk|None, hb)``
+      where the bulk is the list of the local groups' telemetry epoch
+      payloads (:meth:`~repro.obs.stream.GroupStreamSource.
+      epoch_payload`) — metric deltas always, plus spans/deadline/
+      conformance lanes when the spec streams.  ``final`` marks the
+      horizon's last epoch, whose payloads carry cumulative snapshots.
+    - ``("collect",)`` summarizes the groups and replies
+      ``("result", 0, 0, bulk, hb)``.
+    - ``("reset",)`` rebuilds the groups from the spec (fresh state,
+      same bytes as a new fork) and replies ``("ok", 0, 0, None, hb)``.
+    - ``("mutate", spec, shards, rebuild, replay_slots)`` rebases the
+      engine onto its row of the mutated plan's ``shards``
+      (:meth:`~repro.scale.runner.ShardEngine.rebase`) and replies
+      ``("ok", 0, 0, None, hb)``.
+
+    ``ship`` frames a bulk payload for the way back (arena descriptor,
+    inline tuple, or the object itself in-process).  The trailing
+    heartbeat (``{"pid", "clock"}``) lets the coordinator reject replies
+    that cannot have come from the process it is barriering on.
     """
-    if graceful:
-        process.join(timeout=JOIN_TIMEOUT_S)
-    if process.is_alive():
-        process.terminate()
-        process.join(timeout=JOIN_TIMEOUT_S / 2)
-    if process.is_alive():
-        process.kill()
-        process.join(timeout=JOIN_TIMEOUT_S / 2)
+    op = command[0]
+    tag, slots, events, bulk = "ok", 0, 0, None
+    if op == "epoch":
+        slots = command[1]
+        events, payloads = engine.step(slots, command[2])
+        if payloads:
+            bulk = ship(payloads)
+    elif op == "collect":
+        tag, bulk = "result", ship(engine.summarize())
+    elif op == "reset":
+        engine.rebase(engine.spec, engine.names, engine.names, 0)
+    elif op == "mutate":
+        engine.rebase(
+            command[1], command[2][engine.shard], command[3], command[4]
+        )
+    else:
+        raise ValueError(f"unknown command {command!r}")
+    heartbeat = {"pid": os.getpid(), "clock": time.monotonic()}
+    return (tag, slots, events, bulk, heartbeat)
 
 
 def _worker_loop(
     conn,
-    spec_dict: Dict[str, Any],
+    spec: ScenarioSpec,
     names: List[str],
     arena_name: str,
     region: int,
@@ -115,110 +152,48 @@ def _worker_loop(
     replay_slots: int = 0,
     chaos_armed: bool = True,
 ) -> None:
-    """Serve pool commands until ``exit``; control pipe carries tuples only.
+    """Serve :func:`_serve` commands over the control pipe until ``exit``.
 
-    Protocol (coordinator -> worker; every command but ``exit`` ends
-    with the coordinator's ack watermark, releasing ring space):
-
-    - ``("epoch", n_slots, final, ack)`` advances every local group
-      ``n_slots`` and replies ``("ok", n_slots, events,
-      payload_descriptor|None, heartbeat)`` where the payload is the
-      list of the local groups' telemetry epoch payloads
-      (:meth:`~repro.obs.stream.GroupStreamSource.epoch_payload`) —
-      metric deltas always, plus spans/deadline/conformance lanes when
-      the spec streams.  ``final`` marks the horizon's last epoch, whose
-      payloads carry cumulative snapshots.
-    - ``("collect", ack)`` summarizes the groups and replies
-      ``("result", descriptor, heartbeat)`` — descriptor is
-      ``(_INLINE, results)`` when the payload cannot fit the ring.
-    - ``("reset", ack)`` rebuilds the groups from the spec (fresh state,
-      same bytes as a new fork) and replies ``("ok", 0, 0, None,
-      heartbeat)``.
-    - ``("mutate", spec_dict, names, rebuild, replay_slots, ack)``
-      rebases the worker onto a mutated spec mid-run: groups named in
-      ``rebuild`` (plus any newly assigned to this shard) are built
-      fresh from the new spec and deterministically fast-forwarded over
-      the ``replay_slots`` confirmed prefix (payloads discarded, exactly
-      like a respawn), while every other local group keeps its warm
-      state untouched.  Replies ``("ok", 0, 0, None, heartbeat)``.
-      Nothing is rebound until the new groups are built, so a build
-      failure answers ``error`` and leaves the run as it was.
-    - ``("exit",)`` leaves the loop; the worker closes its mapping.
-
-    The trailing heartbeat (``{"pid", "clock"}``) lets the supervised
-    pool reject replies that cannot have come from the process it is
-    barriering on.
+    The pipe carries tuples only.  Every command but ``("exit",)``
+    arrives with the coordinator's ack watermark appended, releasing
+    ring space; bulk replies go out through this worker's arena ring,
+    inline over the pipe (``(_INLINE, obj)``) when the ring is full.
 
     ``replay_slots`` is the respawn fast-forward: a worker replacing a
-    failed one replays that many already-completed slots *before*
-    serving — stepping its groups and generating-then-discarding each
-    epoch's telemetry payloads, so determinism leaves it in exactly the
-    state its predecessor confirmed at the last successful barrier (the
-    coordinator folded those payloads already; regenerating advances the
-    delta baselines without double-counting).  ``chaos_armed=False``
-    (the respawn default) disarms one-shot fault injections so recovery
-    converges; ``rearm`` injections stay live.
+    failed one replays that many confirmed slots *before* serving
+    (:meth:`~repro.scale.runner.ShardEngine.rebase`).
+    ``chaos_armed=False`` (the respawn default) disarms one-shot fault
+    injections so recovery converges; ``rearm`` injections stay live.
 
     A build failure is remembered and answered to every command instead
     of closing the pipe, so the coordinator surfaces the traceback
     rather than a BrokenPipeError.
     """
     from repro.faults.process import ProcessChaosAgent, corrupt_descriptor
-    from repro.scale.runner import _attach_engines, _step_groups, _summarize_group
 
     failure: Optional[str] = None
-    groups: List[BuiltGroup] = []
-    sources: List[GroupStreamSource] = []
-    spec: Optional[ScenarioSpec] = None
+    engine: Optional[ShardEngine] = None
     arena: Optional[SharedArena] = None
     ring = None
     chaos_agent: Optional[ProcessChaosAgent] = None
     epoch_index = 0
-
-    def _make_sources() -> List[GroupStreamSource]:
-        if not spec.obs.enabled:
-            return []
-        return [
-            GroupStreamSource(group, shard=region, stream=spec.obs.stream)
-            for group in groups
-        ]
-
-    def _heartbeat() -> Dict[str, float]:
-        return {"pid": os.getpid(), "clock": time.monotonic()}
-
     try:
-        spec = ScenarioSpec.from_dict(spec_dict)
-        groups = build_groups(spec, names)
-        _attach_engines(groups)
-        sources = _make_sources()
+        engine = ShardEngine(spec, names, region, replay_slots)
         chaos_agent = ProcessChaosAgent(
             spec.chaos_specs(), region, names, armed=chaos_armed
         )
-        # Respawn fast-forward: replay the confirmed prefix of the
-        # horizon at the run's epoch cadence.  Payloads are discarded —
-        # the coordinator already folded the originals.
-        cadence = spec.effective_epoch_slots()
-        replayed = 0
-        while replayed < replay_slots:
-            step = min(cadence, replay_slots - replayed)
-            _step_groups(groups, step)
-            replayed += step
-            for source in sources:
-                source.epoch_payload(final=replayed >= spec.slots)
-            epoch_index += 1
+        # The replayed prefix counts toward the chaos epoch clock.
+        epoch_index = -(-replay_slots // spec.effective_epoch_slots())
         arena = SharedArena.attach(arena_name, regions, bytes_per_worker)
         ring = arena.ring(region)
     except Exception:
         failure = traceback.format_exc()
 
     def ship(obj) -> Any:
-        """Frame a bulk payload via the ring, inline over the pipe if full."""
-        if ring is not None:
-            try:
-                return write_payload(ring, obj)
-            except ArenaFullError:
-                pass
-        return (_INLINE, obj)
+        try:
+            return write_payload(ring, obj)
+        except ArenaFullError:
+            return (_INLINE, obj)
 
     while True:
         try:
@@ -232,114 +207,39 @@ def _worker_loop(
             if failure is not None:
                 conn.send(("error", failure))
                 continue
-            if ring is not None:
-                ring.release_until(command[-1])
+            ring.release_until(command[-1])
+            kind = None
             if op == "epoch":
                 chaos = chaos_agent.take(epoch_index)
                 epoch_index += 1
-                if chaos is not None and chaos.kind == "kill":
+                kind = chaos.kind if chaos is not None else None
+                if kind == "kill":
                     # Crash mid-epoch: half the slots stepped, no reply,
                     # no cleanup — the harshest failure shape.
-                    _step_groups(groups, command[1] // 2)
+                    engine.step(command[1] // 2, False)
                     os.kill(os.getpid(), signal.SIGKILL)
-                if chaos is not None and chaos.kind == "stall":
+                if kind == "stall":
                     # Hang through the barrier deadline; if the
                     # supervisor has not killed us by the time the nap
                     # ends we proceed as a merely slow worker.
                     time.sleep(chaos.stall_s)
-                if chaos is not None and chaos.kind == "poison":
+                if kind == "poison":
                     # Protocol-violating reply: alien heartbeat, wrong
                     # slot count, no work done.
                     conn.send(
                         ("ok", command[1], -1, None, {"pid": -1, "clock": 0.0})
                     )
                     continue
-                events = _step_groups(groups, command[1])
-                descriptor = None
-                if sources:
-                    descriptor = ship(
-                        [
-                            source.epoch_payload(final=command[2])
-                            for source in sources
-                        ]
-                    )
-                if chaos is not None and chaos.kind == "corrupt_frame":
-                    descriptor = corrupt_descriptor(descriptor)
-                conn.send(("ok", command[1], events, descriptor, _heartbeat()))
-            elif op == "collect":
-                results = [_summarize_group(group) for group in groups]
-                conn.send(("result", ship(results), _heartbeat()))
-            elif op == "reset":
-                groups = build_groups(spec, names)
-                _attach_engines(groups)
-                sources = _make_sources()
+            reply = _serve(engine, command[:-1], ship)
+            if kind == "corrupt_frame":
+                reply = reply[:3] + (corrupt_descriptor(reply[3]),) + reply[4:]
+            if op == "reset":
                 chaos_agent = ProcessChaosAgent(
-                    spec.chaos_specs(), region, names, armed=True
+                    engine.spec.chaos_specs(), region, engine.names, armed=True
                 )
                 epoch_index = 0
-                if ring is not None:
-                    ring.reset()
-                conn.send(("ok", 0, 0, None, _heartbeat()))
-            elif op == "mutate":
-                new_spec = ScenarioSpec.from_dict(command[1])
-                new_names = list(command[2])
-                rebuild = set(command[3])
-                replay = command[4]
-                kept = {
-                    group.name: (group, source)
-                    for group, source in zip(
-                        groups, sources or [None] * len(groups)
-                    )
-                    if group.name in new_names and group.name not in rebuild
-                }
-                fresh_names = [
-                    name for name in new_names if name not in kept
-                ]
-                fresh = build_groups(new_spec, fresh_names)
-                _attach_engines(fresh)
-                fresh_sources = (
-                    [
-                        GroupStreamSource(
-                            group, shard=region, stream=new_spec.obs.stream
-                        )
-                        for group in fresh
-                    ]
-                    if new_spec.obs.enabled
-                    else [None] * len(fresh)
-                )
-                # Fast-forward only the rebuilt groups over the
-                # confirmed prefix, at the run's epoch cadence; the
-                # generated payloads are discarded — they describe
-                # epochs the coordinator already folded.
-                cadence = new_spec.effective_epoch_slots()
-                replayed = 0
-                while replayed < replay:
-                    step_slots = min(cadence, replay - replayed)
-                    _step_groups(fresh, step_slots)
-                    replayed += step_slots
-                    for source in fresh_sources:
-                        if source is not None:
-                            source.epoch_payload(
-                                final=replayed >= new_spec.slots
-                            )
-                by_name = dict(kept)
-                by_name.update(
-                    {
-                        group.name: (group, source)
-                        for group, source in zip(fresh, fresh_sources)
-                    }
-                )
-                spec = new_spec
-                names = new_names
-                groups = [by_name[name][0] for name in new_names]
-                sources = (
-                    [by_name[name][1] for name in new_names]
-                    if spec.obs.enabled
-                    else []
-                )
-                conn.send(("ok", 0, 0, None, _heartbeat()))
-            else:
-                conn.send(("error", f"unknown command {command!r}"))
+                ring.reset()
+            conn.send(reply)
         except Exception:
             conn.send(("error", traceback.format_exc()))
     if arena is not None:
@@ -347,11 +247,187 @@ def _worker_loop(
     conn.close()
 
 
-def _finalize_pool(arena: SharedArena, processes: List) -> None:
-    """Last-resort cleanup for a pool dropped without ``close()``."""
-    for process in processes:
+class _LocalShard:
+    """The zero-process transport: the shard's engine in this process.
+
+    ``send`` executes the command on the spot and ``recv`` hands back
+    its reply — no fork, no shared memory, no pickling; bulk payloads
+    are the live objects.  Nothing here can crash, hang or garble
+    independently of the caller, so engine errors propagate as
+    themselves.
+    """
+
+    def __init__(self, spec: ScenarioSpec, names: List[str]):
+        self.pid = os.getpid()
+        self._engine = ShardEngine(spec, names, shard=0)
+        self._reply: Optional[Tuple] = None
+
+    def send(self, command: Tuple) -> None:
+        self._reply = _serve(self._engine, command, ship=lambda obj: obj)
+
+    def recv(
+        self, timeout: Optional[float], poll_s: Optional[float]
+    ) -> Tuple:
+        return self._reply
+
+    def read(self, bulk: Any, transport: Dict[str, int]) -> Any:
+        return bulk
+
+
+class _ForkedShard:
+    """The pipe + arena transport: one forked worker process.
+
+    Holds the coordinator's ends — control pipe, the ring twin it reads
+    bulk payloads from, and the ack watermark that releases ring space
+    on the next command.  Every way the worker can let the coordinator
+    down surfaces as a typed :class:`WorkerFailure`.
+    """
+
+    def __init__(
+        self,
+        spec: ScenarioSpec,
+        names: List[str],
+        arena: SharedArena,
+        index: int,
+        replay_slots: int = 0,
+        chaos_armed: bool = True,
+    ):
+        context = _mp_context()
+        self.index = index
+        self.ring = arena.ring(index)
+        self.acked = 0
+        self.conn, child = context.Pipe()
+        self.process = context.Process(
+            target=_worker_loop,
+            args=(
+                child,
+                spec,
+                names,
+                arena.name,
+                index,
+                arena.workers,
+                arena.bytes_per_worker,
+                replay_slots,
+                chaos_armed,
+            ),
+            daemon=True,
+        )
+        self.process.start()
+        child.close()
+
+    @property
+    def pid(self) -> int:
+        return self.process.pid
+
+    def send(self, command: Tuple) -> None:
+        try:
+            self.conn.send(command + (self.acked,))
+        except (BrokenPipeError, OSError) as exc:
+            raise WorkerFailure(
+                "crash", self.index, f"control-pipe send failed: {exc}"
+            )
+        if command[0] == "reset":
+            # The worker rewinds its ring on reset; so does our twin.
+            self.acked = 0
+
+    def recv(
+        self, timeout: Optional[float], poll_s: Optional[float]
+    ) -> Tuple:
+        """Await one reply; classify silence as crash or hang.
+
+        ``timeout=None`` waits as long as the worker lives (the
+        fail-fast policy): a dead worker's closed pipe wakes the poll
+        just as data does.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            wait = poll_s
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise WorkerFailure(
+                        "hang",
+                        self.index,
+                        f"no barrier reply within {timeout:.1f}s "
+                        f"(pid {self.pid} still alive)",
+                    )
+                wait = min(poll_s, remaining)
+            try:
+                if self.conn.poll(wait):
+                    return self.conn.recv()
+            except (EOFError, OSError) as exc:
+                raise WorkerFailure(
+                    "crash",
+                    self.index,
+                    f"control pipe broke mid-reply "
+                    f"(exitcode {self.process.exitcode}): {exc}",
+                )
+            if not self.process.is_alive() and not self.conn.poll(0):
+                raise WorkerFailure(
+                    "crash",
+                    self.index,
+                    f"worker exited (exitcode {self.process.exitcode}) "
+                    f"with no reply in flight",
+                )
+
+    def read(self, bulk: Any, transport: Dict[str, int]) -> Any:
+        """Decode one shipped payload: arena descriptor or inline tuple.
+
+        The descriptor is bounds-checked before any byte it points at is
+        unpickled; a bad one is a ``frame`` failure, never a wild read.
+        """
+        if isinstance(bulk, tuple) and len(bulk) == 2 and bulk[0] == _INLINE:
+            transport["pipe_fallback_payloads"] += 1
+            return bulk[1]
+        try:
+            validate_descriptor(self.ring, bulk, released=self.acked)
+        except ArenaFrameError as exc:
+            raise WorkerFailure("frame", self.index, str(exc))
+        payload = read_payload(self.ring, bulk)
+        self.acked = payload_watermark(bulk)
+        transport["arena_payloads"] += 1
+        transport["arena_bytes"] += payload_nbytes(bulk)
+        return payload
+
+    def alive(self) -> bool:
+        return self.process.is_alive()
+
+    def dismiss(self) -> None:
+        """Teardown phase one: ask the worker to exit, hang up."""
+        try:
+            self.conn.send(("exit",))
+        except (OSError, ValueError):
+            pass
+        try:
+            self.conn.close()
+        except OSError:  # pragma: no cover - already closed
+            pass
+
+    def stop(self, graceful: bool = True) -> None:
+        """Bounded-time stop: join, escalate to terminate, then to kill.
+
+        ``graceful=True`` first gives the worker ``JOIN_TIMEOUT_S`` to
+        exit on its own (it was sent ``exit``); crash/finalizer paths
+        skip straight to SIGTERM.  A worker that ignores SIGTERM gets
+        SIGKILL — teardown never hangs on an unkillable child.
+        """
+        process = self.process
+        if graceful:
+            process.join(timeout=JOIN_TIMEOUT_S)
         if process.is_alive():
-            _stop_process(process, graceful=False)
+            process.terminate()
+            process.join(timeout=JOIN_TIMEOUT_S / 2)
+        if process.is_alive():
+            process.kill()
+            process.join(timeout=JOIN_TIMEOUT_S / 2)
+
+
+def _finalize_pool(arena: SharedArena, shards: List) -> None:
+    """Kill stragglers, free the segment: ``close()``'s last step, and
+    all of the cleanup for a pool dropped without it."""
+    for shard in shards:
+        if shard.alive():
+            shard.stop(graceful=False)
     name = arena.name
     arena.close()
     arena.unlink()
@@ -368,7 +444,7 @@ def _mp_context():
 
 
 class WorkerPool:
-    """Persistent sharded executor for one :class:`ScenarioSpec`.
+    """Persistent executor for one :class:`ScenarioSpec`, any width.
 
     Use as a context manager (or call :meth:`close` yourself)::
 
@@ -377,10 +453,16 @@ class WorkerPool:
             second = pool.run()    # reuses live workers (reset + rerun)
             assert first.digest == second.digest
 
+    ``workers >= 1`` forks that many processes (capped at the group
+    count); ``workers=0`` keeps the single shard in the calling process.
     ``run()`` returns the same :class:`~repro.scale.runner.
-    ScenarioResult` the single-process path produces, with
-    ``result.transport`` describing how many bytes moved through shared
-    memory versus pipe fallbacks.
+    ScenarioResult` either way, with ``result.transport`` describing how
+    many bytes moved through shared memory versus pipe fallbacks.
+
+    ``supervisor`` is the failure policy (:mod:`repro.scale.supervisor`):
+    by default the spec's own whenever it is
+    :meth:`~repro.scale.spec.ScenarioSpec.supervised`, else ``None``
+    (fail-fast).  ``result.recovery`` describes any self-healing.
     """
 
     def __init__(
@@ -390,56 +472,76 @@ class WorkerPool:
         arena_bytes_per_worker: Optional[int] = None,
         bus=None,
         tail=None,
+        supervisor: Optional[SupervisorSpec] = None,
     ):
+        if workers < 0:
+            raise ValueError("workers must be >= 0")
         self.spec = spec
-        self.plan = plan_shards(spec, workers)
+        self.plan = plan_shards(spec, max(workers, 1))
         self.workers = self.plan.workers
+        self._forks = workers > 0
         self.arena_bytes = (
             arena_bytes_per_worker
             or spec.arena_bytes_per_worker
             or DEFAULT_ARENA_BYTES
         )
+        if supervisor is None and spec.supervised():
+            supervisor = spec.supervisor or SupervisorSpec()
+        self.supervisor = supervisor
         self.bus = bus
         self.tail = tail
-        #: The live coordinator fold of every epoch's telemetry payloads
-        #: (fresh per run; see :mod:`repro.obs.stream`).
-        self.telemetry: TelemetryStream = self._new_stream()
+        #: Coordinator-side recovery metrics (NOT the stream registry,
+        #: which the final cumulative fold rebuilds from worker
+        #: snapshots — restarts are coordinator events and live here).
+        self.metrics = MetricsRegistry()
         self._arena: Optional[SharedArena] = None
-        self._spec_dict: Dict[str, Any] = {}
-        self._connections: List = []
-        self._processes: List = []
-        self._rings: List = []
-        self._acked: List[int] = []
+        self._shards: List = []
         self._finalizer = None
         self._started = False
         self._closed = False
-        self._dirty = False
-        self._transport: Dict[str, int] = {}
-        self._done = 0
+        self._begun = False
         self._run_started = 0.0
+        self._fresh_run()
 
     # -- lifecycle -----------------------------------------------------------
 
-    def _new_stream(self) -> TelemetryStream:
+    def _fresh_run(self) -> None:
+        """Per-run coordinator state (set at construction and ``begin``)."""
         obs = self.spec.obs
-        return TelemetryStream(
+        #: The live coordinator fold of every epoch's telemetry payloads
+        #: (see :mod:`repro.obs.stream`).
+        self.telemetry = TelemetryStream(
             bus=self.bus,
             slo_specs=obs.slo_specs(),
             max_spans=obs.max_spans if obs.max_spans is not None else 4096,
             sketch_accuracy=obs.sketch_accuracy,
             tail=self.tail,
-            source=f"pool:{self.spec.name}",
+            source=f"{'pool' if self._forks else 'inline'}:{self.spec.name}",
         )
-
-    @property
-    def live_metrics(self):
-        """The live metric fold (the telemetry stream's registry)."""
-        return self.telemetry.registry
+        #: Recovery state: respawns per worker, the failure log,
+        #: group-slots replayed into replacements.
+        self.restarts: List[int] = [0] * self.workers
+        self.failures: List[Dict[str, Any]] = []
+        self.replayed_slots = 0
+        #: Slots confirmed by every shard so far in the current run.
+        self.done = 0
+        self._transport: Dict[str, int] = {
+            "arena_payloads": 0,
+            "arena_bytes": 0,
+            "pipe_fallback_payloads": 0,
+            "epochs": 0,
+        }
 
     @property
     def arena_name(self) -> Optional[str]:
-        """The shared segment's name (``None`` before start/after close)."""
+        """The shared segment's name (``None`` before start/after close,
+        and always for the in-process shard)."""
         return self._arena.name if self._arena is not None else None
+
+    @property
+    def _processes(self) -> List:
+        """The live worker processes (none for the in-process shard)."""
+        return [shard.process for shard in self._shards if self._forks]
 
     def start(self) -> "WorkerPool":
         """Fork the workers and let them build their groups (idempotent)."""
@@ -448,50 +550,22 @@ class WorkerPool:
                 raise RuntimeError("worker pool is closed")
             return self
         self._started = True
+        if not self._forks:
+            self._shards.append(_LocalShard(self.spec, self.plan.shards[0]))
+            return self
         self._arena = SharedArena.create(self.workers, self.arena_bytes)
         self._finalizer = weakref.finalize(
-            self, _finalize_pool, self._arena, self._processes
+            self, _finalize_pool, self._arena, self._shards
         )
-        self._spec_dict = self.spec.to_dict()
         try:
             for index, names in enumerate(self.plan.shards):
-                parent, process = self._spawn_worker(index)
-                self._connections.append(parent)
-                self._processes.append(process)
-                self._rings.append(self._arena.ring(index))
-                self._acked.append(0)
+                self._shards.append(
+                    _ForkedShard(self.spec, names, self._arena, index)
+                )
         except Exception:
             self.close()
             raise
         return self
-
-    def _spawn_worker(
-        self,
-        index: int,
-        replay_slots: int = 0,
-        chaos_armed: bool = True,
-    ) -> Tuple[Any, Any]:
-        """Fork one worker for shard ``index``; return (pipe, process)."""
-        context = _mp_context()
-        parent, child = context.Pipe()
-        process = context.Process(
-            target=_worker_loop,
-            args=(
-                child,
-                self._spec_dict,
-                self.plan.shards[index],
-                self._arena.name,
-                index,
-                self.workers,
-                self.arena_bytes,
-                replay_slots,
-                chaos_armed,
-            ),
-            daemon=True,
-        )
-        process.start()
-        child.close()
-        return parent, process
 
     def __enter__(self) -> "WorkerPool":
         return self.start()
@@ -504,137 +578,222 @@ class WorkerPool:
         if self._closed:
             return
         self._closed = True
-        for conn in self._connections:
-            try:
-                conn.send(("exit",))
-            except (OSError, ValueError, BrokenPipeError):
-                pass
-        for conn in self._connections:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-        for process in self._processes:
-            _stop_process(process, graceful=True)
-        if self._arena is not None:
-            self._arena.close()
-            self._arena.unlink()
-        if self._finalizer is not None:
-            self._finalizer.detach()
+        if self._arena is None:  # in-process shard, or never started
+            self._shards.clear()
+            return
+        for shard in self._shards:
+            shard.dismiss()
+        for shard in self._shards:
+            shard.stop(graceful=True)
+        self._finalizer()  # runs once: segment closed and unlinked
 
-    # -- protocol helpers ----------------------------------------------------
+    # -- the barrier exchange ------------------------------------------------
 
-    def _recv(self, index: int):
-        try:
-            reply = self._connections[index].recv()
-        except (EOFError, OSError) as exc:
-            code = self._processes[index].exitcode
-            raise RuntimeError(
-                f"scale worker {index} died mid-command "
-                f"(exitcode {code}); shard groups: "
-                f"{self.plan.shards[index]}"
-            ) from exc
-        if reply[0] == "error":
-            raise RuntimeError(f"scale worker failed:\n{reply[1]}")
-        return reply
+    def _exchange(
+        self,
+        command: Tuple,
+        expect: str,
+        slots: int = 0,
+        reissue: bool = True,
+    ) -> List[Any]:
+        """One barrier: every shard gets ``command``, every reply awaited.
 
-    def _read_bulk(self, index: int, descriptor) -> Any:
-        """Decode one shipped payload: arena descriptor or inline tuple."""
-        if (
-            isinstance(descriptor, tuple)
-            and len(descriptor) == 2
-            and descriptor[0] == _INLINE
-        ):
-            self._transport["pipe_fallback_payloads"] += 1
-            return descriptor[1]
-        validate_descriptor(
-            self._rings[index], descriptor, released=self._acked[index]
-        )
-        payload = read_payload(self._rings[index], descriptor)
-        self._acked[index] = payload_watermark(descriptor)
-        self._transport["arena_payloads"] += 1
-        self._transport["arena_bytes"] += payload_nbytes(descriptor)
-        return payload
-
-    def _reset(self) -> None:
-        for index, conn in enumerate(self._connections):
-            conn.send(("reset", self._acked[index]))
-        for index in range(len(self._connections)):
-            self._recv(index)
-            self._acked[index] = 0
-
-    # -- execution -----------------------------------------------------------
-
-    def _begin_run(self) -> None:
-        """Per-run state reset (the supervised pool adds its budgets)."""
-        if self._dirty:
-            self._reset()
-        self._dirty = True
-        self.telemetry = self._new_stream()
-        self._transport = {
-            "arena_payloads": 0,
-            "arena_bytes": 0,
-            "pipe_fallback_payloads": 0,
-            "epochs": 0,
-        }
-
-    def _epoch_barrier(self, step: int, final: bool, done: int) -> List[Any]:
-        """One barrier: every shard runs ``step`` slots, acks collected.
-
-        ``done`` is the count of slots already confirmed before this
-        epoch — the fast-forward point a supervised recovery would
-        replay to.  Returns the epoch's telemetry payloads flattened in
-        worker-index order.
+        Issue → await → check-reply → read-bulk, per shard, with
+        :meth:`_recover` between any failed step and its retry.  A
+        respawned worker replays the confirmed prefix and then runs the
+        re-issued command, so whatever finally comes back is what the
+        lost worker would have sent.  ``reissue=False`` is for commands a
+        respawn makes moot (``mutate``: the replacement builds from the
+        already-committed spec).  Returns the shards' decoded bulk
+        payloads concatenated in worker-index order.
         """
-        for index, conn in enumerate(self._connections):
-            conn.send(("epoch", step, final, self._acked[index]))
-        # Barrier: every shard finishes the epoch before any proceeds;
-        # acks are tiny (slots, events, payload descriptor, heartbeat).
-        payloads = []
-        for index in range(len(self._connections)):
-            reply = self._recv(index)
-            if reply[0] != "ok":
-                raise RuntimeError(
-                    f"scale worker protocol error: {reply!r}"
-                )
-            if reply[3] is not None:
-                payloads.extend(self._read_bulk(index, reply[3]))
-        return payloads
+        timeout = poll_s = None  # fail-fast: wait as long as the worker lives
+        if self.supervisor is not None:
+            # A replacement worker replays the confirmed slots before it
+            # can answer the re-issued command, so the allowance grows
+            # with the prefix — one base timeout per completed epoch.
+            epochs_done = self.done // self.spec.effective_epoch_slots()
+            timeout = self.supervisor.barrier_timeout_s * (1 + epochs_done)
+            poll_s = self.supervisor.poll_interval_s
+        for index in range(len(self._shards)):
+            self._issue(index, command)
+        bulk: List[Any] = []
+        for index in range(len(self._shards)):
+            while True:
+                try:
+                    reply = self._shards[index].recv(timeout, poll_s)
+                    self._check_reply(index, reply, expect, slots)
+                    if reply[3] is not None:
+                        bulk.extend(
+                            self._shards[index].read(
+                                reply[3], self._transport
+                            )
+                        )
+                    break
+                except WorkerFailure as failure:
+                    self._recover(index, failure)
+                    if not reissue:
+                        break
+                    self._issue(index, command)
+        return bulk
 
-    def _collect_results(self) -> Dict[str, Any]:
-        """Gather every group's summary after the horizon completes."""
-        groups = {}
-        for index, conn in enumerate(self._connections):
-            conn.send(("collect", self._acked[index]))
-        for index in range(len(self._connections)):
-            reply = self._recv(index)
-            if reply[0] != "result":
-                raise RuntimeError(
-                    f"scale worker protocol error: {reply!r}"
-                )
-            for result in self._read_bulk(index, reply[1]):
-                groups[result.name] = result
-        return groups
+    def _issue(self, index: int, command: Tuple) -> None:
+        """Send a command, recovering (then resending) on a dead pipe."""
+        while True:
+            try:
+                self._shards[index].send(command)
+                return
+            except WorkerFailure as failure:
+                self._recover(index, failure)
 
-    def _result(self, wall: float, groups: Dict[str, Any], epoch: int):
-        from repro.scale.runner import ScenarioResult
+    def _check_reply(
+        self, index: int, reply: Any, expect: str, slots: int
+    ) -> None:
+        """Reject replies the live worker cannot have produced.
 
-        return ScenarioResult(
-            name=self.spec.name,
-            workers=self.plan.workers,
-            wall_seconds=wall,
-            groups=groups,
-            plan=self.plan,
-            transport=dict(self._transport, epoch_slots=epoch),
-            telemetry=self.telemetry if self.spec.obs.enabled else None,
+        A worker-side ``("error", traceback)`` reply is a deterministic
+        application error: replaying it would fail identically, so it
+        propagates under either policy — recovery is for *process*
+        faults, not for bugs.
+        """
+        if (
+            isinstance(reply, tuple)
+            and len(reply) == 2
+            and reply[0] == "error"
+        ):
+            raise RuntimeError(f"scale worker failed:\n{reply[1]}")
+        if (
+            not isinstance(reply, tuple)
+            or len(reply) != 5
+            or reply[0] != expect
+        ):
+            raise WorkerFailure(
+                "poisoned", index, f"protocol-violating reply: {reply!r}"
+            )
+        if reply[1] != slots:
+            raise WorkerFailure(
+                "poisoned",
+                index,
+                f"acked {reply[1]} slots for a {slots}-slot command",
+            )
+        heartbeat = reply[-1]
+        pid = self._shards[index].pid
+        if not isinstance(heartbeat, dict) or heartbeat.get("pid") != pid:
+            raise WorkerFailure(
+                "poisoned",
+                index,
+                f"heartbeat {heartbeat!r} does not match worker pid {pid}",
+            )
+
+    # -- recovery ------------------------------------------------------------
+
+    def _recover(self, index: int, failure: WorkerFailure) -> None:
+        """Kill, back off, respawn, fast-forward — or end the run.
+
+        Fail-fast policy: the failure *is* the end of the run.
+        """
+        policy = self.supervisor
+        if policy is None:
+            what = (
+                "died mid-command"
+                if failure.kind == "crash"
+                else "protocol error"
+            )
+            raise RuntimeError(
+                f"scale worker {index} {what} ({failure.detail}); "
+                f"shard groups: {self.plan.shards[index]}"
+            ) from failure
+        self.failures.append(
+            {
+                "worker": index,
+                "kind": failure.kind,
+                "confirmed_slots": self.done,
+                "detail": failure.detail,
+            }
         )
+        if self.restarts[index] >= policy.max_restarts_per_worker:
+            raise ShardRecoveryExhausted(
+                worker=index,
+                shard_groups=list(self.plan.shards[index]),
+                restarts=self.restarts[index],
+                failures=[
+                    entry for entry in self.failures if entry["worker"] == index
+                ],
+                partial=self._partial_collect(exclude=index),
+            )
+        backoff = (
+            policy.backoff_base_s
+            * policy.backoff_factor ** self.restarts[index]
+        )
+        if backoff:
+            time.sleep(backoff)
+        self._respawn(index)
+
+    def _respawn(self, index: int) -> None:
+        """Replace worker ``index`` with a twin fast-forwarded to ``done``."""
+        self._shards[index].dismiss()
+        self._shards[index].stop(graceful=False)
+        # In-place replacement: the weakref finalizer holds this very
+        # list, so the backstop always sees the current processes.
+        self._shards[index] = _ForkedShard(
+            self.spec,
+            self.plan.shards[index],
+            self._arena,
+            index,
+            replay_slots=self.done,
+            chaos_armed=False,
+        )
+        self.restarts[index] += 1
+        replayed = self.done * len(self.plan.shards[index])
+        self.replayed_slots += replayed
+        worker_label = str(index)
+        self.metrics.counter(
+            RESTARTS_METRIC,
+            "pool workers respawned by the scale-out supervisor",
+            labels=("worker",),
+        ).labels(worker_label).inc()
+        if replayed:
+            self.metrics.counter(
+                REPLAYED_SLOTS_METRIC,
+                "group-slots replayed to fast-forward replacement workers",
+                labels=("worker",),
+            ).labels(worker_label).inc(replayed)
+        self.telemetry.note_worker_restart(index)
+
+    def _partial_collect(self, exclude: int) -> Dict[str, Any]:
+        """Scavenge group results from the still-healthy workers.
+
+        Best-effort and bounded: survivors may have an in-flight epoch
+        reply queued ahead of the collect answer (they may even be a
+        partial epoch *ahead* of the last confirmed barrier — stated
+        as-is in the result's ``slots``); anything that fails or times
+        out is simply skipped.
+        """
+        partial: Dict[str, Any] = {}
+        for index, shard in enumerate(self._shards):
+            if index == exclude or not shard.alive():
+                continue
+            try:
+                shard.send(("collect",))
+                deadline = (
+                    time.monotonic() + self.supervisor.barrier_timeout_s
+                )
+                while (remaining := deadline - time.monotonic()) > 0:
+                    reply = shard.recv(
+                        remaining, self.supervisor.poll_interval_s
+                    )
+                    if isinstance(reply, tuple) and reply[:1] == ("result",):
+                        self._check_reply(index, reply, "result", 0)
+                        for result in shard.read(reply[3], self._transport):
+                            partial[result.name] = result
+                        break
+                    # Anything else is a stale in-flight epoch reply;
+                    # drop it and keep waiting for the collect answer.
+            except (WorkerFailure, RuntimeError, OSError):
+                continue
+        return partial
 
     # -- incremental drive (the live control plane's view of a run) ----------
-
-    @property
-    def done(self) -> int:
-        """Slots confirmed by every shard so far in the current run."""
-        return self._done
 
     def begin(self) -> "WorkerPool":
         """Open an incrementally-driven run (fork/reset, fresh stream).
@@ -645,8 +804,10 @@ class WorkerPool:
         :meth:`mutate` between epochs, :meth:`collect` mid-run.
         """
         self.start()
-        self._begin_run()
-        self._done = 0
+        self._fresh_run()
+        if self._begun:
+            self._exchange(("reset",), "ok")
+        self._begun = True
         self._run_started = time.perf_counter()
         return self
 
@@ -657,51 +818,60 @@ class WorkerPool:
         batch run — an incrementally-driven, unmutated run is
         byte-identical to ``run()``.
         """
-        if self._done >= self.spec.slots:
+        if not self._begun:
+            raise RuntimeError("begin() first")
+        if self.done >= self.spec.slots:
             return True
         epoch = self.spec.effective_epoch_slots()
-        step = min(epoch, self.spec.slots - self._done)
-        final = self._done + step >= self.spec.slots
-        payloads = self._epoch_barrier(step, final, self._done)
+        step = min(epoch, self.spec.slots - self.done)
+        final = self.done + step >= self.spec.slots
+        # Barrier: every shard finishes the epoch before any proceeds;
+        # acks are tiny (slots, events, payload descriptor, heartbeat).
+        payloads = self._exchange(("epoch", step, final), "ok", slots=step)
         if payloads:
             self.telemetry.fold_epoch(payloads)
-        self._done += step
+        self.done += step
         self._transport["epochs"] += 1
-        return self._done >= self.spec.slots
+        return self.done >= self.spec.slots
 
-    def collect(self):
+    def collect(self) -> ScenarioResult:
         """Summarize every group as of the last barrier (mid-run safe).
 
         Workers summarize without disturbing state, so a mid-run
         collect observes the confirmed prefix — its digest matches a
         from-scratch run of the same spec truncated to :attr:`done`
-        slots — and the run then continues to the horizon.
+        slots — and the run then continues to the horizon.  (A recovery
+        here replays :attr:`done`, not the horizon: a mid-run collect
+        must not make a respawn run slots nobody has confirmed.)
         """
-        groups = self._collect_results()
-        wall = time.perf_counter() - self._run_started
-        return self._result(wall, groups, self.spec.effective_epoch_slots())
-
-    # -- live mutation -------------------------------------------------------
-
-    def _mutate_command(self, index: int, rebuild: List[str]) -> Tuple:
-        return (
-            "mutate",
-            self._spec_dict,
-            list(self.plan.shards[index]),
-            list(rebuild),
-            self._done,
-            self._acked[index],
+        if not self._begun:
+            raise RuntimeError("begin() first")
+        results = self._exchange(("collect",), "result")
+        recovery: Dict[str, Any] = {}
+        if self.supervisor is not None:
+            recovery = {
+                "restarts": {
+                    str(i): n for i, n in enumerate(self.restarts) if n
+                },
+                "total_restarts": sum(self.restarts),
+                "replayed_slots": self.replayed_slots,
+                "failures": list(self.failures),
+            }
+        return ScenarioResult(
+            name=self.spec.name,
+            workers=self.plan.workers,
+            wall_seconds=time.perf_counter() - self._run_started,
+            groups={result.name: result for result in results},
+            plan=self.plan,
+            transport=dict(
+                self._transport,
+                epoch_slots=self.spec.effective_epoch_slots(),
+            ),
+            telemetry=self.telemetry if self.spec.obs.enabled else None,
+            recovery=recovery,
         )
 
-    def _mutate_exchange(self, rebuild: List[str]) -> None:
-        for index, conn in enumerate(self._connections):
-            conn.send(self._mutate_command(index, rebuild))
-        for index in range(len(self._connections)):
-            reply = self._recv(index)
-            if reply[0] != "ok":
-                raise RuntimeError(
-                    f"scale worker protocol error: {reply!r}"
-                )
+    # -- live mutation -------------------------------------------------------
 
     def mutate(self, new_spec: ScenarioSpec) -> Dict[str, Any]:
         """Rebase the live run onto a mutated spec (rebase semantics).
@@ -717,8 +887,12 @@ class WorkerPool:
         All validation (run-shape equality, a coordinator-side trial
         build of every disturbed group) happens *before* any worker is
         told anything, so a rejected mutation raises with the run
-        untouched.  Call between epochs only — the mutation lands at
-        the next barrier.
+        untouched.  The mutated spec and plan are committed *before*
+        the exchange, so a worker that fails in it is simply recovered:
+        the respawn rebuilds every local group from the already-mutated
+        spec and fast-forwards the confirmed prefix — it needs no
+        mutate command of its own.  Call between epochs only — the
+        mutation lands at the next barrier.
         """
         if not self._started or self._closed:
             raise RuntimeError("mutate() needs a started, open pool")
@@ -729,29 +903,28 @@ class WorkerPool:
             name for name, fp in new_fp.items() if old_fp.get(name) != fp
         ]
         removed = [name for name in old_fp if name not in new_fp]
-        outcome = {
-            "rebuilt": list(rebuild),
-            "removed": list(removed),
-            "replayed_slots": self._done if rebuild else 0,
-        }
         if rebuild:
             # Trial build: user-level build errors (a stage factory
             # rejecting its params, say) surface here as a clean
             # rejection instead of as a poisoned shard mid-run.
             build_groups(new_spec, rebuild)
-        if not rebuild and not removed:
-            self.spec = new_spec
-            self._spec_dict = new_spec.to_dict()
-            return outcome
-        self.plan = rebalance_plan(self.plan, new_spec)
         self.spec = new_spec
-        self._spec_dict = new_spec.to_dict()
-        self._mutate_exchange(rebuild)
-        return outcome
+        if rebuild or removed:
+            self.plan = rebalance_plan(self.plan, new_spec)
+            self._exchange(
+                ("mutate", new_spec, self.plan.shards, rebuild, self.done),
+                "ok",
+                reissue=False,
+            )
+        return {
+            "rebuilt": rebuild,
+            "removed": removed,
+            "replayed_slots": self.done if rebuild else 0,
+        }
 
     # -- batch execution -----------------------------------------------------
 
-    def run(self):
+    def run(self) -> ScenarioResult:
         """Execute the spec's horizon once; see module docstring.
 
         Any error — a worker crash, a protocol violation, a coordinator
@@ -762,11 +935,10 @@ class WorkerPool:
             self.begin()
             while not self.advance_epoch():
                 pass
-            result = self.collect()
+            return self.collect()
         except Exception:
             self.close()
             raise
-        return result
 
 
 __all__ = ["DEFAULT_ARENA_BYTES", "JOIN_TIMEOUT_S", "WorkerPool"]

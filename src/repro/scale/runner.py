@@ -1,24 +1,27 @@
-"""Scenario execution: one process or a sharded worker pool, same results.
+"""Scenario execution: one shard engine, one driver, same results.
 
-Both execution modes funnel through :func:`run_groups_inline`: each
-coupling group is built fresh from the spec (never pickled live), driven
-by its own :class:`~repro.sim.engine.EventEngine` whose ``shard`` id is
-the *group name* — so merged timelines sort identically no matter which
-worker ran which group — and summarized into a :class:`GroupResult` of
-plain data: slot reports, DU/RU counters, middlebox stats, uplink IQ
-hashes, and a canonical-JSON sha256 digest over all of it.
+Every way of running a scenario executes its coupling groups through
+one :class:`ShardEngine`: each group is built fresh from the spec (never
+pickled live), driven by its own :class:`~repro.sim.engine.EventEngine`
+whose ``shard`` id is the *group name* — so merged timelines sort
+identically no matter which worker ran which group — and summarized
+into a :class:`GroupResult` of plain data: slot reports, DU/RU
+counters, middlebox stats, uplink IQ hashes, and a canonical-JSON
+sha256 digest over all of it.
 
-The sharded path runs on the persistent shared-memory worker pool
-(:class:`~repro.scale.pool.WorkerPool`): one long-lived worker per shard
-of the :func:`~repro.scale.shard.plan_shards` plan, barrier *epochs* of
-:meth:`~repro.scale.spec.ScenarioSpec.effective_epoch_slots` slots
-instead of per-batch-slot round-trips, and bulk results moving through a
-preallocated :class:`~repro.scale.arena.SharedArena` ring with only tiny
-descriptors on the control pipe — sound because coupling groups are
-atomic, so no packet ever crosses a shard boundary.  Workers ship back
-GroupResults (plain data) which merge into one :class:`ScenarioResult`:
-digests combine order-independently, metrics snapshots fold additively
-via :meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot`, timelines
+One coordinator drives the engines, whatever the worker count:
+:class:`~repro.scale.pool.WorkerPool` barriers *epochs* of
+:meth:`~repro.scale.spec.ScenarioSpec.effective_epoch_slots` slots over
+one engine per shard of the :func:`~repro.scale.shard.plan_shards` plan.
+``workers <= 1`` keeps the single engine in the calling process (no
+fork, no shared memory, no pickling); more workers put each engine in a
+long-lived process, with bulk results moving through a preallocated
+:class:`~repro.scale.arena.SharedArena` ring and only tiny descriptors
+on the control pipe — sound because coupling groups are atomic, so no
+packet ever crosses a shard boundary.  Engines hand back GroupResults
+(plain data) which merge into one :class:`ScenarioResult`: digests
+combine order-independently, metrics snapshots fold additively via
+:meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot`, timelines
 merge deterministically via :func:`~repro.sim.engine.merge_timelines`.
 
 Wall-clock-dependent series (``middlebox_wall_ns`` etc.) stay out of the
@@ -92,9 +95,9 @@ class ScenarioResult:
     wall_seconds: float
     groups: Dict[str, GroupResult] = field(default_factory=dict)
     plan: Optional[ShardPlan] = None
-    #: Sharded-run IPC accounting from the worker pool: epochs run,
-    #: bytes moved through the shared-memory arena, pipe fallbacks.
-    #: Empty for single-process runs; never part of the digest.
+    #: The run's barrier and IPC accounting: epochs run, bytes moved
+    #: through the shared-memory arena, pipe fallbacks (the last two
+    #: stay zero on an in-process run).  Never part of the digest.
     transport: Dict[str, int] = field(default_factory=dict)
     #: The run's live :class:`~repro.obs.stream.TelemetryStream` fold
     #: (``None`` when the spec's obs is disabled).  After the final
@@ -102,9 +105,9 @@ class ScenarioResult:
     #: for bit — ``collect()`` is a consumer of the stream, not a second
     #: source of truth.  Never part of the digest.
     telemetry: Optional[TelemetryStream] = None
-    #: Supervised-pool recovery accounting: worker restart counts,
-    #: replayed slots, and the failure log (empty for unsupervised or
-    #: healthy runs).  Wall-clock territory — never part of the digest.
+    #: Recovery accounting under a supervision policy: worker restart
+    #: counts, replayed slots, and the failure log (empty for fail-fast
+    #: runs).  Wall-clock territory — never part of the digest.
     recovery: Dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -168,7 +171,7 @@ class ScenarioResult:
         return merged
 
 
-# -- single-group execution (both modes call this) ---------------------------
+# -- shard execution ----------------------------------------------------------
 
 
 def _uplink_sha256(du) -> str:
@@ -232,14 +235,6 @@ def _summarize_group(group: BuiltGroup) -> GroupResult:
     )
 
 
-def _attach_engines(groups: List[BuiltGroup]) -> None:
-    """Give every group an engine keyed by its *group name* (not worker)."""
-    for group in groups:
-        group.engine = EventEngine(
-            obs=group.obs, shard=group.name, record_timeline=True
-        )
-
-
 def _step_groups(groups: List[BuiltGroup], n_slots: int) -> int:
     """Advance every group ``n_slots`` slots through its event engine.
 
@@ -256,13 +251,9 @@ def _step_groups(groups: List[BuiltGroup], n_slots: int) -> int:
         group_events = 0
         for offset in range(n_slots):
             slot_index = first + offset
-
-            def _run_slot(network=group.network):
-                network.run_slot()
-
             engine.schedule_at(
                 max(slot_index * slot_ns, engine.now_ns),
-                _run_slot,
+                group.network.run_slot,
                 label=f"{group.name}/slot{slot_index}",
             )
             group_events += engine.run()
@@ -272,98 +263,127 @@ def _step_groups(groups: List[BuiltGroup], n_slots: int) -> int:
     return events
 
 
-def run_groups_inline(
-    spec: ScenarioSpec,
-    names: Optional[List[str]] = None,
-    telemetry: Optional[TelemetryStream] = None,
-) -> List[GroupResult]:
-    """Build and run a subset of groups to completion in this process.
+class ShardEngine:
+    """One shard's groups, built and stepped in whichever process holds it.
 
-    With a ``telemetry`` stream the single-process path folds exactly
-    what a pool coordinator folds: every group's epoch payload at every
-    barrier, cumulative snapshots at the final one.  (Pool *workers*
-    pass ``None`` — their payloads cross the arena to the coordinator's
-    stream instead.)
+    The only place groups are built, given engines and stream sources,
+    and the only replay loop: construction, respawn fast-forward, reset
+    and live mutation are all :meth:`rebase`.  The worker command loop
+    and the pool's in-process shard both drive this object; neither
+    knows how a group is made.
     """
-    groups = build_groups(spec, names)
-    _attach_engines(groups)
-    sources: List[GroupStreamSource] = []
-    if telemetry is not None and spec.obs.enabled:
-        sources = [
-            GroupStreamSource(group, shard=0, stream=spec.obs.stream)
-            for group in groups
-        ]
-    epoch = spec.effective_epoch_slots()
-    done = 0
-    while done < spec.slots:
-        step = min(epoch, spec.slots - done)
-        _step_groups(groups, step)
-        done += step
-        if sources:
-            telemetry.fold_epoch(
-                [
-                    source.epoch_payload(final=done >= spec.slots)
-                    for source in sources
-                ]
+
+    def __init__(
+        self,
+        spec: ScenarioSpec,
+        names: List[str],
+        shard: int,
+        replay_slots: int = 0,
+    ):
+        self.shard = shard
+        #: group name -> (group, its stream source or None), run order.
+        self._live: Dict[str, Any] = {}
+        self.rebase(spec, names, names, replay_slots)
+
+    def rebase(
+        self,
+        new_spec: ScenarioSpec,
+        names: List[str],
+        rebuild: List[str],
+        replay_slots: int,
+    ) -> None:
+        """Move onto ``new_spec`` hosting ``names``, keeping warm state.
+
+        Groups in ``rebuild`` (plus any in ``names`` this engine does
+        not host yet) are built fresh from ``new_spec`` and
+        deterministically fast-forwarded over the ``replay_slots``
+        confirmed prefix at the run's epoch cadence; every other hosted
+        group keeps its state untouched.  The replayed epochs' telemetry
+        payloads are generated and *discarded*: the coordinator already
+        folded the originals, so regenerating only advances the delta
+        baselines — nothing double-counts.  Nothing is rebound until the
+        new groups are built and replayed, so a build failure raises
+        with the engine as it was.
+        """
+        fresh = []
+        for group in build_groups(
+            new_spec,
+            [n for n in names if n in rebuild or n not in self._live],
+        ):
+            # Keyed by *group name*, not worker: see the module docstring.
+            group.engine = EventEngine(
+                obs=group.obs, shard=group.name, record_timeline=True
             )
-    return [_summarize_group(group) for group in groups]
+            source = None
+            if new_spec.obs.enabled:
+                source = GroupStreamSource(
+                    group, shard=self.shard, stream=new_spec.obs.stream
+                )
+            fresh.append((group, source))
+        cadence = new_spec.effective_epoch_slots()
+        replayed = 0
+        while replayed < replay_slots:
+            step = min(cadence, replay_slots - replayed)
+            _step_groups([group for group, _ in fresh], step)
+            replayed += step
+            for _, source in fresh:
+                if source is not None:
+                    source.epoch_payload(final=replayed >= new_spec.slots)
+        live = {**self._live, **{pair[0].name: pair for pair in fresh}}
+        self.spec = new_spec
+        self.names = list(names)
+        self._live = {name: live[name] for name in names}
 
+    def step(self, n_slots: int, final: bool):
+        """Advance every group one epoch: ``(events, telemetry payloads)``.
 
-# -- sharded execution --------------------------------------------------------
+        ``final`` marks the horizon's last epoch, whose payloads carry
+        cumulative snapshots.  No payloads when obs is disabled.
+        """
+        events = _step_groups(
+            [group for group, _ in self._live.values()], n_slots
+        )
+        payloads = [
+            source.epoch_payload(final=final)
+            for _, source in self._live.values()
+            if source is not None
+        ]
+        return events, payloads
+
+    def summarize(self) -> List[GroupResult]:
+        """Freeze every group as of now, without disturbing its state."""
+        return [
+            _summarize_group(group) for group, _ in self._live.values()
+        ]
 
 
 def run_scenario(
     spec: ScenarioSpec, workers: int = 1, bus=None, tail=None
 ) -> ScenarioResult:
-    """Run a scenario single-process (``workers=1``) or sharded.
+    """Run a scenario single-process (``workers<=1``) or sharded.
 
     Identical results either way: same builds, same seeds, same per-group
-    engines.  Only wall time differs.
+    engines, same ``begin → advance_epoch → collect`` drive of a one-shot
+    :class:`~repro.scale.pool.WorkerPool`.  Only wall time differs:
+    ``workers<=1`` keeps the single shard in this process, more workers
+    fork one process per shard.
 
     ``bus``/``tail`` feed the run's live telemetry stream (epoch
     summaries and SLO alerts on the
     :class:`~repro.core.telemetry.TelemetryBus`, one JSON line per epoch
     to the ``tail`` file); both are optional and obs-gated.
 
-    The sharded path spins up a one-shot persistent pool
-    (:class:`~repro.scale.pool.WorkerPool`); ``wall_seconds`` covers the
-    whole thing — fork, parallel worker-side builds, epochs, collect —
-    so single-shot numbers stay comparable with earlier benchmarks.
-    Keep a pool of your own when running the same spec repeatedly; that
-    is what it is for.
+    ``wall_seconds`` covers the whole thing — fork, parallel worker-side
+    builds, epochs, collect — so single-shot numbers stay comparable
+    with earlier benchmarks.  Keep a pool of your own when running the
+    same spec repeatedly; that is what it is for.
     """
-    if workers <= 1:
-        telemetry = None
-        if spec.obs.enabled:
-            obs = spec.obs
-            telemetry = TelemetryStream(
-                bus=bus,
-                slo_specs=obs.slo_specs(),
-                max_spans=(
-                    obs.max_spans if obs.max_spans is not None else 4096
-                ),
-                sketch_accuracy=obs.sketch_accuracy,
-                tail=tail,
-                source=f"inline:{spec.name}",
-            )
-        started = time.perf_counter()
-        results = run_groups_inline(spec, telemetry=telemetry)
-        wall = time.perf_counter() - started
-        return ScenarioResult(
-            name=spec.name,
-            workers=1,
-            wall_seconds=wall,
-            groups={result.name: result for result in results},
-            telemetry=telemetry,
-        )
-
-    if spec.supervised():
-        from repro.scale.supervisor import SupervisedWorkerPool as pool_cls
-    else:
-        from repro.scale.pool import WorkerPool as pool_cls
+    from repro.scale.pool import WorkerPool
 
     started = time.perf_counter()
-    with pool_cls(spec, workers, bus=bus, tail=tail) as pool:
+    with WorkerPool(
+        spec, workers if workers > 1 else 0, bus=bus, tail=tail
+    ) as pool:
         result = pool.run()
     result.wall_seconds = time.perf_counter() - started
     return result

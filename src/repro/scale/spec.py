@@ -242,7 +242,7 @@ class ObsSpec:
 
 @dataclass(frozen=True)
 class SupervisorSpec:
-    """Self-healing policy for the supervised worker pool.
+    """Self-healing policy for the worker pool.
 
     ``barrier_timeout_s`` bounds how long the coordinator waits on any
     one worker's barrier reply before declaring it hung (the poll loop
@@ -310,17 +310,12 @@ class ScenarioSpec:
     cells: Tuple[CellSpec, ...]
     slots: int = 20
     seed: int = 0
-    #: Barrier cadence for sharded runs: workers synchronize with the
-    #: coordinator every ``batch_slots`` slots.  ``None`` lets shards
-    #: free-run the whole horizon — sound because coupled cells are
-    #: always co-scheduled, so there are no cross-shard touchpoints.
-    batch_slots: Optional[int] = None
-    #: Barrier-epoch length for the persistent worker pool: workers
-    #: free-run ``epoch_slots`` slots between coordinator barriers,
-    #: shipping only tiny per-epoch deltas at each boundary.  Takes
-    #: precedence over ``batch_slots``; ``None`` falls back to
-    #: ``batch_slots``, and with both unset shards free-run the whole
-    #: horizon (the coarsest — and fastest — epoch).
+    #: Barrier-epoch length: shards free-run ``epoch_slots`` slots
+    #: between coordinator barriers, shipping only tiny per-epoch deltas
+    #: at each boundary.  ``None`` lets shards free-run the whole horizon
+    #: (the coarsest — and fastest — epoch), which is sound because
+    #: coupled cells are always co-scheduled, so there are no cross-shard
+    #: touchpoints.
     epoch_slots: Optional[int] = None
     #: Shared-memory ring bytes preallocated per pool worker for epoch
     #: deltas and collected results.  ``None`` uses the pool default
@@ -328,12 +323,12 @@ class ScenarioSpec:
     #: pipe, so undersizing costs speed, never correctness.
     arena_bytes_per_worker: Optional[int] = None
     obs: ObsSpec = field(default_factory=ObsSpec)
-    #: Self-healing policy for sharded runs; ``None`` keeps the plain
-    #: fail-fast pool unless ``process_chaos`` forces supervision.
+    #: Self-healing policy for sharded runs; ``None`` keeps the pool
+    #: fail-fast unless ``process_chaos`` forces supervision.
     supervisor: Optional[SupervisorSpec] = None
     #: Declarative process-level failure injections (plain dicts, see
     #: :class:`repro.faults.process.ProcessChaosSpec`).  Ignored by the
-    #: inline (workers <= 1) path — there is no process to kill.
+    #: in-process (workers <= 1) shard — there is no process to kill.
     process_chaos: Tuple[Dict[str, Any], ...] = ()
     version: int = SPEC_VERSION
 
@@ -342,8 +337,6 @@ class ScenarioSpec:
             raise ValueError("a scenario needs at least one cell")
         if self.slots < 1:
             raise ValueError("slots must be >= 1")
-        if self.batch_slots is not None and self.batch_slots < 1:
-            raise ValueError("batch_slots must be >= 1 when set")
         if self.epoch_slots is not None and self.epoch_slots < 1:
             raise ValueError("epoch_slots must be >= 1 when set")
         if (
@@ -385,8 +378,8 @@ class ScenarioSpec:
 
     def effective_epoch_slots(self) -> int:
         """The barrier cadence a run actually uses: ``epoch_slots``,
-        else ``batch_slots``, else the whole horizon (free-run)."""
-        return self.epoch_slots or self.batch_slots or self.slots
+        else the whole horizon (free-run)."""
+        return self.epoch_slots or self.slots
 
     def ru_id_base(self, cell_name: str) -> int:
         """Global 1-based RU id of the cell's first RU (spec-order stable)."""
@@ -436,7 +429,7 @@ class ScenarioSpec:
         )
 
     def supervised(self) -> bool:
-        """Should a sharded run use the self-healing pool?  Explicitly
+        """Should the pool run under a self-healing policy?  Explicitly
         configured supervision, or any chaos injection (an unsupervised
         chaos run would just crash)."""
         return self.supervisor is not None or bool(self.process_chaos)

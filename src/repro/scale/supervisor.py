@@ -1,14 +1,12 @@
-"""Self-healing worker pool: deadline barriers, respawn, exact replay.
+"""Supervision policy for the worker pool: failure taxonomy and contract.
 
-The plain :class:`~repro.scale.pool.WorkerPool` is fail-fast: a worker
-that crashes, hangs or talks garbage closes the whole pool and the run
-dies — and before this module, a *hung* worker was worse, blocking the
-coordinator's ``recv`` forever.  A middlebox-as-a-service deployment
+:class:`~repro.scale.pool.WorkerPool` holds an optional
+:class:`~repro.scale.spec.SupervisorSpec`.  Without one it is fail-fast:
+a worker that crashes or talks garbage closes the whole pool and the
+run dies with a ``RuntimeError``.  A middlebox-as-a-service deployment
 (ROADMAP north star) cannot ship that: a process serving dozens of
-cells must survive the failure of any one shard.
-
-:class:`SupervisedWorkerPool` keeps the pool's protocol and digest
-contract and adds three guarantees:
+cells must survive the failure of any one shard.  With a policy, the
+same barrier exchange gives three guarantees:
 
 **No barrier blocks forever.**  Every reply is awaited with a poll
 loop bounded by :attr:`~repro.scale.spec.SupervisorSpec.
@@ -16,14 +14,18 @@ barrier_timeout_s`, interleaved with ``Process.is_alive()`` checks, and
 every accepted reply must carry a heartbeat whose pid matches the
 process being barriered on.  Crash, hang, protocol violation and arena
 frame corruption each become a typed :class:`WorkerFailure` instead of
-a deadlock or an unpickled lie.
+a deadlock or an unpickled lie.  (The reply-shape, heartbeat and
+descriptor checks run under both policies; fail-fast just turns the
+first :class:`WorkerFailure` into the ``RuntimeError`` that ends the
+run.)
 
-**Recovery is exact, not approximate.**  On failure the supervisor
-kills only the affected worker, resets its arena ring, and respawns it
-with ``replay_slots`` = the number of slots every shard had confirmed
-at the last successful barrier.  The replacement rebuilds its coupling
-groups from the deterministic :class:`~repro.scale.spec.ScenarioSpec`
-and replays the confirmed prefix epoch by epoch — generating and
+**Recovery is exact, not approximate.**  On failure the pool kills only
+the affected worker, resets its arena ring, and respawns it with
+``replay_slots`` = the number of slots every shard had confirmed at the
+last successful barrier.  The replacement rebuilds its coupling groups
+from the deterministic :class:`~repro.scale.spec.ScenarioSpec` and
+replays the confirmed prefix epoch by epoch
+(:meth:`~repro.scale.runner.ShardEngine.rebase`) — generating and
 *discarding* the telemetry payloads the coordinator already folded, so
 the per-group delta baselines advance without double counting.
 Determinism makes the replayed state bit-identical to the lost one:
@@ -41,8 +43,8 @@ the normal teardown path has joined every process and unlinked the
 shared-memory segment.  No hang, no leak.
 
 Recovery events surface in the obs plane: the coordinator-side
-:attr:`SupervisedWorkerPool.metrics` registry counts
-``scale_worker_restarts_total`` and
+:attr:`WorkerPool.metrics <repro.scale.pool.WorkerPool.metrics>`
+registry counts ``scale_worker_restarts_total`` and
 ``scale_recovery_replayed_slots_total`` per worker (kept out of the
 telemetry stream's registry on purpose — the final cumulative rebuild
 would wipe them and break live == collect), and each restart rides the
@@ -52,31 +54,26 @@ an SLO objective can window and alert on it.
 
 from __future__ import annotations
 
-import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List
 
-from repro.obs.metrics import MetricsRegistry
-from repro.scale.arena import ArenaFrameError
-from repro.scale.pool import WorkerPool, _stop_process
-from repro.scale.spec import ScenarioSpec, SupervisorSpec
-
-#: Respawns performed by the supervisor, labelled by worker index.
+#: Respawns performed by the pool, labelled by worker index.
 RESTARTS_METRIC = "scale_worker_restarts_total"
 
 #: Group-slots replayed to fast-forward replacement workers (slots x
 #: groups on the respawned shard), labelled by worker index.
 REPLAYED_SLOTS_METRIC = "scale_recovery_replayed_slots_total"
 
-#: The failure classes the supervisor distinguishes.
+#: The failure classes the barrier exchange distinguishes.
 FAILURE_KINDS = ("crash", "hang", "poisoned", "frame")
 
 
 class WorkerFailure(Exception):
     """One recoverable worker fault, classified.
 
-    Internal to the supervision loop: every instance is either consumed
-    by a successful respawn or folded into the
-    :class:`ShardRecoveryExhausted` that ends the run.
+    Internal to the barrier exchange: every instance is either consumed
+    by a successful respawn or folded into the error that ends the run
+    (:class:`ShardRecoveryExhausted`, or the fail-fast policy's
+    ``RuntimeError``).
     """
 
     def __init__(self, kind: str, worker: int, detail: str):
@@ -120,397 +117,10 @@ class ShardRecoveryExhausted(RuntimeError):
         self.partial = partial
 
 
-class SupervisedWorkerPool(WorkerPool):
-    """A :class:`WorkerPool` that survives worker failure.
-
-    Drop-in: same constructor plus an optional ``supervisor`` policy
-    (defaulting to the spec's, then to :class:`SupervisorSpec`'s
-    defaults), same ``run()`` result — with ``result.recovery``
-    describing any self-healing that happened (empty when none did).
-    """
-
-    def __init__(
-        self,
-        spec: ScenarioSpec,
-        workers: int,
-        arena_bytes_per_worker: Optional[int] = None,
-        bus=None,
-        tail=None,
-        supervisor: Optional[SupervisorSpec] = None,
-    ):
-        super().__init__(
-            spec,
-            workers,
-            arena_bytes_per_worker=arena_bytes_per_worker,
-            bus=bus,
-            tail=tail,
-        )
-        self.supervisor = supervisor or spec.supervisor or SupervisorSpec()
-        #: Coordinator-side recovery metrics (NOT the stream registry,
-        #: which the final cumulative fold rebuilds from worker
-        #: snapshots — restarts are coordinator events and live here).
-        self.metrics = MetricsRegistry()
-        self.restarts: List[int] = []
-        self.recovery: Dict[str, Any] = self._fresh_recovery()
-
-    @staticmethod
-    def _fresh_recovery() -> Dict[str, Any]:
-        return {"restarts": {}, "replayed_slots": 0, "failures": []}
-
-    # -- supervision primitives ---------------------------------------------
-
-    def _begin_run(self) -> None:
-        super()._begin_run()
-        self.restarts = [0] * len(self._connections)
-        self.recovery = self._fresh_recovery()
-
-    def _barrier_timeout(self, done: int) -> float:
-        """The reply deadline, scaled for post-respawn replay time.
-
-        A replacement worker replays ``done`` confirmed slots before it
-        can answer the re-issued command, so the allowance grows with
-        the confirmed prefix — one base timeout per completed epoch.
-        """
-        epochs_done = done // self.spec.effective_epoch_slots()
-        return self.supervisor.barrier_timeout_s * (1 + epochs_done)
-
-    def _issue(
-        self,
-        index: int,
-        make_command: Callable[[int], Tuple],
-        done: int,
-    ) -> None:
-        """Send a command, recovering (then resending) on a dead pipe.
-
-        ``make_command`` rebuilds the tuple from current state so a
-        post-respawn resend carries the reset ack watermark.
-        """
-        while True:
-            try:
-                self._connections[index].send(make_command(index))
-                return
-            except (BrokenPipeError, OSError) as exc:
-                self._recover(
-                    index,
-                    WorkerFailure(
-                        "crash", index, f"control-pipe send failed: {exc}"
-                    ),
-                    done,
-                )
-
-    def _recv_deadline(self, index: int, timeout: float) -> Tuple:
-        """Await one reply; classify silence as crash or hang, bounded."""
-        conn = self._connections[index]
-        process = self._processes[index]
-        deadline = time.monotonic() + timeout
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise WorkerFailure(
-                    "hang",
-                    index,
-                    f"no barrier reply within {timeout:.1f}s "
-                    f"(pid {process.pid} still alive)",
-                )
-            try:
-                ready = conn.poll(
-                    min(self.supervisor.poll_interval_s, remaining)
-                )
-            except (OSError, EOFError) as exc:
-                raise WorkerFailure(
-                    "crash", index, f"control pipe broke: {exc}"
-                )
-            if ready:
-                try:
-                    return conn.recv()
-                except (EOFError, OSError) as exc:
-                    raise WorkerFailure(
-                        "crash",
-                        index,
-                        f"worker died mid-reply "
-                        f"(exitcode {process.exitcode}): {exc}",
-                    )
-            if not process.is_alive() and not conn.poll(0):
-                raise WorkerFailure(
-                    "crash",
-                    index,
-                    f"worker exited (exitcode {process.exitcode}) "
-                    f"with no reply in flight",
-                )
-
-    def _check_reply(
-        self, index: int, reply: Any, expect: str, length: int
-    ) -> None:
-        """Reject replies the live worker cannot have produced.
-
-        A worker-side ``("error", traceback)`` reply is a deterministic
-        application error: replaying it would fail identically, so it
-        propagates like the plain pool's — recovery is for *process*
-        faults, not for bugs.
-        """
-        if (
-            isinstance(reply, tuple)
-            and len(reply) == 2
-            and reply[0] == "error"
-        ):
-            raise RuntimeError(f"scale worker failed:\n{reply[1]}")
-        if (
-            not isinstance(reply, tuple)
-            or len(reply) != length
-            or reply[0] != expect
-        ):
-            raise WorkerFailure(
-                "poisoned", index, f"protocol-violating reply: {reply!r}"
-            )
-        heartbeat = reply[-1]
-        if (
-            not isinstance(heartbeat, dict)
-            or heartbeat.get("pid") != self._processes[index].pid
-        ):
-            raise WorkerFailure(
-                "poisoned",
-                index,
-                f"heartbeat {heartbeat!r} does not match worker "
-                f"pid {self._processes[index].pid}",
-            )
-
-    def _read_bulk_guarded(self, index: int, descriptor: Any) -> Any:
-        try:
-            return self._read_bulk(index, descriptor)
-        except ArenaFrameError as exc:
-            raise WorkerFailure("frame", index, str(exc))
-
-    # -- recovery ------------------------------------------------------------
-
-    def _recover(
-        self, index: int, failure: WorkerFailure, done: int
-    ) -> None:
-        """Kill, back off, respawn, fast-forward — or declare exhaustion."""
-        self.recovery["failures"].append(
-            {
-                "worker": index,
-                "kind": failure.kind,
-                "confirmed_slots": done,
-                "detail": failure.detail,
-            }
-        )
-        budget = self.supervisor.max_restarts_per_worker
-        if self.restarts[index] >= budget:
-            self._exhausted(index)
-        backoff = (
-            self.supervisor.backoff_base_s
-            * self.supervisor.backoff_factor ** self.restarts[index]
-        )
-        if backoff:
-            time.sleep(backoff)
-        self._respawn(index, replay_slots=done)
-
-    def _respawn(self, index: int, replay_slots: int) -> None:
-        """Replace worker ``index`` with a fast-forwarded twin."""
-        try:
-            self._connections[index].close()
-        except OSError:  # pragma: no cover - already broken
-            pass
-        _stop_process(self._processes[index], graceful=False)
-        self._rings[index].reset()
-        self._acked[index] = 0
-        parent, process = self._spawn_worker(
-            index, replay_slots=replay_slots, chaos_armed=False
-        )
-        # In-place replacement: the weakref finalizer holds this very
-        # list, so the backstop always sees the current processes.
-        self._connections[index] = parent
-        self._processes[index] = process
-        self.restarts[index] += 1
-        replayed = replay_slots * len(self.plan.shards[index])
-        self.recovery["restarts"][str(index)] = self.restarts[index]
-        self.recovery["replayed_slots"] += replayed
-        worker_label = str(index)
-        self.metrics.counter(
-            RESTARTS_METRIC,
-            "pool workers respawned by the scale-out supervisor",
-            labels=("worker",),
-        ).labels(worker_label).inc()
-        if replayed:
-            self.metrics.counter(
-                REPLAYED_SLOTS_METRIC,
-                "group-slots replayed to fast-forward replacement workers",
-                labels=("worker",),
-            ).labels(worker_label).inc(replayed)
-        self.telemetry.note_worker_restart(index)
-
-    def _exhausted(self, index: int) -> None:
-        partial = self._partial_collect(exclude=index)
-        failures = [
-            entry
-            for entry in self.recovery["failures"]
-            if entry["worker"] == index
-        ]
-        error = ShardRecoveryExhausted(
-            worker=index,
-            shard_groups=list(self.plan.shards[index]),
-            restarts=self.restarts[index],
-            failures=failures,
-            partial=partial,
-        )
-        raise error
-
-    def _partial_collect(self, exclude: int) -> Dict[str, Any]:
-        """Scavenge group results from the still-healthy workers.
-
-        Best-effort and bounded: survivors may have an in-flight epoch
-        reply queued ahead of the collect answer (they may even be a
-        partial epoch *ahead* of the last confirmed barrier — stated
-        as-is in the result's ``slots``); anything that fails or times
-        out is simply skipped.
-        """
-        partial: Dict[str, Any] = {}
-        for index in range(len(self._connections)):
-            if index == exclude or not self._processes[index].is_alive():
-                continue
-            try:
-                self._connections[index].send(
-                    ("collect", self._acked[index])
-                )
-                deadline = (
-                    time.monotonic() + self.supervisor.barrier_timeout_s
-                )
-                while True:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    reply = self._recv_deadline(index, remaining)
-                    if (
-                        isinstance(reply, tuple)
-                        and len(reply) == 3
-                        and reply[0] == "result"
-                    ):
-                        for result in self._read_bulk_guarded(
-                            index, reply[1]
-                        ):
-                            partial[result.name] = result
-                        break
-                    # Anything else is a stale in-flight epoch reply;
-                    # drop it and keep waiting for the collect answer.
-            except (WorkerFailure, RuntimeError, OSError, BrokenPipeError):
-                continue
-        return partial
-
-    # -- supervised execution hooks -----------------------------------------
-
-    def _epoch_barrier(self, step: int, final: bool, done: int) -> List[Any]:
-        for index in range(len(self._connections)):
-            self._issue(
-                index,
-                lambda i: ("epoch", step, final, self._acked[i]),
-                done,
-            )
-        payloads: List[Any] = []
-        for index in range(len(self._connections)):
-            payloads.extend(self._await_epoch(index, step, final, done))
-        return payloads
-
-    def _await_epoch(
-        self, index: int, step: int, final: bool, done: int
-    ) -> List[Any]:
-        """One worker's barrier reply, retried across recoveries.
-
-        A respawned worker replays the confirmed prefix and then runs
-        this same epoch from the re-issued command, so whatever payload
-        finally comes back is the one the lost worker would have sent.
-        """
-        while True:
-            try:
-                reply = self._recv_deadline(
-                    index, self._barrier_timeout(done)
-                )
-                self._check_reply(index, reply, expect="ok", length=5)
-                if reply[1] != step:
-                    raise WorkerFailure(
-                        "poisoned",
-                        index,
-                        f"acked {reply[1]} slots for a {step}-slot epoch",
-                    )
-                if reply[3] is None:
-                    return []
-                return self._read_bulk_guarded(index, reply[3])
-            except WorkerFailure as failure:
-                self._recover(index, failure, done)
-                self._issue(
-                    index,
-                    lambda i: ("epoch", step, final, self._acked[i]),
-                    done,
-                )
-
-    def _collect_results(self) -> Dict[str, Any]:
-        # The confirmed prefix, not the horizon: a mid-run collect from
-        # the live control plane must not make a recovery replay slots
-        # nobody has run yet.
-        done = self._done
-        for index in range(len(self._connections)):
-            self._issue(
-                index, lambda i: ("collect", self._acked[i]), done
-            )
-        groups: Dict[str, Any] = {}
-        for index in range(len(self._connections)):
-            groups.update(self._await_collect(index, done))
-        return groups
-
-    def _await_collect(self, index: int, done: int) -> Dict[str, Any]:
-        while True:
-            try:
-                reply = self._recv_deadline(
-                    index, self._barrier_timeout(done)
-                )
-                self._check_reply(index, reply, expect="result", length=3)
-                results = self._read_bulk_guarded(index, reply[1])
-                return {result.name: result for result in results}
-            except WorkerFailure as failure:
-                # Collect-phase recovery replays the whole horizon.
-                self._recover(index, failure, done)
-                self._issue(
-                    index, lambda i: ("collect", self._acked[i]), done
-                )
-
-    def _mutate_exchange(self, rebuild: List[str]) -> None:
-        """Deadline-guarded mutate barrier.
-
-        The coordinator commits the mutated spec and plan *before* this
-        exchange, so a worker that fails here is simply recovered: the
-        respawn rebuilds every local group from the already-mutated
-        spec and fast-forwards the confirmed prefix — it needs no
-        mutate command of its own.
-        """
-        done = self._done
-        for index in range(len(self._connections)):
-            self._issue(
-                index, lambda i: self._mutate_command(i, rebuild), done
-            )
-        for index in range(len(self._connections)):
-            try:
-                reply = self._recv_deadline(
-                    index, self._barrier_timeout(done)
-                )
-                self._check_reply(index, reply, expect="ok", length=5)
-            except WorkerFailure as failure:
-                self._recover(index, failure, done)
-
-    def _result(self, wall: float, groups: Dict[str, Any], epoch: int):
-        result = super()._result(wall, groups, epoch)
-        result.recovery = {
-            "restarts": dict(self.recovery["restarts"]),
-            "total_restarts": sum(self.restarts),
-            "replayed_slots": self.recovery["replayed_slots"],
-            "failures": list(self.recovery["failures"]),
-        }
-        return result
-
-
 __all__ = [
     "FAILURE_KINDS",
     "REPLAYED_SLOTS_METRIC",
     "RESTARTS_METRIC",
     "ShardRecoveryExhausted",
-    "SupervisedWorkerPool",
     "WorkerFailure",
 ]

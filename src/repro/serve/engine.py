@@ -31,7 +31,6 @@ from repro.core.telemetry import TelemetryBus, TelemetryRecord
 from repro.obs.slo import ALERT_TOPIC
 from repro.obs.stream import EPOCH_TOPIC
 from repro.scale.pool import WorkerPool
-from repro.scale.supervisor import SupervisedWorkerPool
 from repro.scale.spec import ScenarioSpec
 from repro.serve.delta import SpecDelta
 from repro.serve.routing import RoutingTable
@@ -43,19 +42,17 @@ TOPICS = ("epochs", "alerts", "conformance", "deltas")
 class LiveRun:
     """One scenario, running, mutable, observable.
 
-    ``workers`` picks the pool width; the spec's ``supervised()``
-    policy picks the plain or self-healing pool exactly as the batch
-    path does.  All driving methods are synchronous and must be called
-    from one thread at a time (the service serializes them behind a
-    lock).
+    ``workers`` picks the pool width; the pool takes its fail-fast or
+    self-healing policy from the spec's ``supervised()`` exactly as the
+    batch path does.  All driving methods are synchronous and must be
+    called from one thread at a time (the service serializes them
+    behind a lock).
     """
 
     def __init__(self, spec: ScenarioSpec, workers: int = 1):
         self.spec = spec
-        self.workers = workers
         self.bus = TelemetryBus()
-        pool_cls = SupervisedWorkerPool if spec.supervised() else WorkerPool
-        self.pool = pool_cls(spec, workers=workers, bus=self.bus)
+        self.pool = WorkerPool(spec, workers=workers, bus=self.bus)
         self.routes = RoutingTable.from_spec(spec, self.pool.plan)
         self.deltas_applied: List[Dict[str, Any]] = []
         self.finished = False
@@ -161,7 +158,6 @@ class LiveRun:
 
     def status(self) -> Dict[str, Any]:
         telemetry = self.pool.telemetry
-        restarts = getattr(self.pool, "restarts", None)
         return {
             "scenario": self.spec.name,
             "workers": self.pool.plan.workers,
@@ -172,7 +168,7 @@ class LiveRun:
             "routing_version": self.routes.version,
             "deltas_applied": len(self.deltas_applied),
             "alerts_firing": telemetry.slo.firing(),
-            "worker_restarts": sum(restarts) if restarts else 0,
+            "worker_restarts": sum(self.pool.restarts),
             "worker_pids": [p.pid for p in self.pool._processes],
         }
 

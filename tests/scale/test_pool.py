@@ -12,6 +12,7 @@ from repro.scale import (
     WorkerPool,
     register_stage,
 )
+from repro.scale.pool import _ForkedShard
 from repro.scale.registry import STAGE_REGISTRY
 
 
@@ -111,6 +112,22 @@ def test_pool_reuses_live_workers_across_runs():
     assert pids_before == pids_after
 
 
+@pytest.mark.parametrize("workers", [0, 2])
+def test_driving_before_begin_is_refused_before_any_worker_hears(workers):
+    """Regression: advance_epoch()/collect() on a started-but-not-begun
+    pool used to step the workers and then die on a KeyError, leaving
+    them an epoch ahead of the coordinator."""
+    spec = _spec()
+    with WorkerPool(spec, workers=workers) as pool:
+        with pytest.raises(RuntimeError, match=r"begin\(\) first"):
+            pool.advance_epoch()
+        with pytest.raises(RuntimeError, match=r"begin\(\) first"):
+            pool.collect()
+        assert pool.done == 0
+        # Nothing was stepped behind the coordinator's back.
+        assert pool.run().digest == Scenario(spec).run(workers=1).digest
+
+
 def test_sharded_group_results_report_executed_slots():
     """Regression: the old collect path reported the report-list length
     instead of the slots the worker actually stepped."""
@@ -204,15 +221,15 @@ def test_coordinator_exception_mid_run_still_tears_down(monkeypatch):
     name = pool.arena_name
     processes = list(pool._processes)
     calls = {"n": 0}
-    original = WorkerPool._read_bulk
+    original = _ForkedShard.read
 
-    def explode(self, index, descriptor):
+    def explode(self, bulk, transport):
         calls["n"] += 1
         if calls["n"] >= 2:
             raise OSError("synthetic coordinator fault")
-        return original(self, index, descriptor)
+        return original(self, bulk, transport)
 
-    monkeypatch.setattr(WorkerPool, "_read_bulk", explode)
+    monkeypatch.setattr(_ForkedShard, "read", explode)
     with pytest.raises(OSError, match="synthetic coordinator fault"):
         pool.run()
     assert all(not process.is_alive() for process in processes)

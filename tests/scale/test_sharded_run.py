@@ -11,13 +11,13 @@ FIXTURE = os.path.join(
 )
 
 
-def _smoke_spec(slots=3, batch_slots=None):
+def _smoke_spec(slots=3, epoch_slots=None):
     return ScenarioSpec.from_dict(
         {
             "name": "smoke",
             "slots": slots,
             "seed": 9,
-            "batch_slots": batch_slots,
+            "epoch_slots": epoch_slots,
             "cells": [
                 {
                     "name": "left",
@@ -73,7 +73,7 @@ def test_two_worker_run_matches_single_process():
 
 def test_batch_barrier_does_not_change_results():
     free_run = Scenario(_smoke_spec()).run(workers=2)
-    batched = Scenario(_smoke_spec(batch_slots=1)).run(workers=2)
+    batched = Scenario(_smoke_spec(epoch_slots=1)).run(workers=2)
     assert batched.digest == free_run.digest
 
 

@@ -10,11 +10,10 @@ from multiprocessing import shared_memory
 from repro.obs.slo import OBJECTIVES
 from repro.scale import (
     ScenarioSpec,
-    SupervisedWorkerPool,
     SupervisorSpec,
+    WorkerPool,
     run_scenario,
 )
-from repro.scale.pool import _env_join_timeout
 from repro.scale.supervisor import (
     RESTARTS_METRIC,
     ShardRecoveryExhausted,
@@ -130,7 +129,7 @@ def test_external_sigkill_mid_run_recovers():
     detected at the next barrier and replaced."""
     spec = _spec(chaos=())
     reference = _reference()
-    with SupervisedWorkerPool(spec, workers=2) as pool:
+    with WorkerPool(spec, workers=2) as pool:
         os.kill(pool._processes[0].pid, signal.SIGKILL)
         result = pool.run()
     assert result.digest == reference.digest
@@ -141,7 +140,7 @@ def test_external_sigkill_mid_run_recovers():
 def test_pool_reuse_after_recovery():
     """A pool that healed once serves later runs with clean state."""
     spec = _spec(chaos=())
-    with SupervisedWorkerPool(spec, workers=2) as pool:
+    with WorkerPool(spec, workers=2) as pool:
         os.kill(pool._processes[1].pid, signal.SIGKILL)
         first = pool.run()
         second = pool.run()
@@ -158,7 +157,7 @@ def test_recovery_surfaces_in_obs_plane():
     slo = [{"name": "restart-burn", "objective": "worker_restarts",
             "threshold": 1.0, "window_epochs": 4}]
     spec = _spec(chaos=chaos, slo=slo)
-    with SupervisedWorkerPool(spec, workers=2) as pool:
+    with WorkerPool(spec, workers=2) as pool:
         result = pool.run()
         snapshot = pool.metrics.snapshot()
     assert RESTARTS_METRIC in snapshot
@@ -174,7 +173,7 @@ def test_budget_exhaustion_fails_typed_bounded_and_clean():
     chaos = [{"kind": "kill", "epoch": 1, "group": "left", "rearm": True}]
     supervisor = dict(FAST_SUPERVISOR, max_restarts_per_worker=1)
     spec = _spec(chaos=chaos, supervisor=supervisor, obs=False)
-    pool = SupervisedWorkerPool(spec, workers=2)
+    pool = WorkerPool(spec, workers=2)
     pool.start()
     segment = pool.arena_name
     started = time.monotonic()
@@ -195,8 +194,6 @@ def test_sigkill_mid_epoch_cleanup_without_supervision():
     """The plain fail-fast path still tears down inside the deadline: a
     SIGKILLed worker surfaces as an error (no indefinite hang) and the
     segment is unlinked."""
-    from repro.scale.pool import WorkerPool
-
     spec = _spec(chaos=(), supervisor=None, obs=False)
     pool = WorkerPool(spec, workers=2)
     pool.start()
@@ -232,14 +229,3 @@ def test_supervisor_spec_round_trip_and_validation():
         SupervisorSpec(backoff_factor=0.5)
     with pytest.raises(KeyError):
         SupervisorSpec.from_dict({"barrier_timeout_s": 1.0, "nope": 2})
-
-
-def test_join_timeout_env_parsing(monkeypatch):
-    monkeypatch.delenv("REPRO_SCALE_JOIN_TIMEOUT", raising=False)
-    assert _env_join_timeout(7.0) == 7.0
-    monkeypatch.setenv("REPRO_SCALE_JOIN_TIMEOUT", "2.5")
-    assert _env_join_timeout(7.0) == 2.5
-    monkeypatch.setenv("REPRO_SCALE_JOIN_TIMEOUT", "not-a-number")
-    assert _env_join_timeout(7.0) == 7.0
-    monkeypatch.setenv("REPRO_SCALE_JOIN_TIMEOUT", "-3")
-    assert _env_join_timeout(7.0) == 7.0

@@ -6,7 +6,9 @@ must be byte-identical to a batch run of the mutated spec that never
 saw a mutation at all.  Hypothesis draws the deltas from the same
 generators the wire-form suite uses, so every op kind (admission,
 eviction, rechain, fault inject/clear) and every op *ordering* gets
-replayed through the real worker-pool machinery, not a model of it.
+replayed through the real worker-pool machinery, not a model of it —
+over both transports: the in-process shard (``workers=0``, what the
+from-scratch reference itself runs on) and a forked worker.
 
 Each example spawns real worker processes; the horizon is kept tiny and
 ``max_examples`` low — digest equality over 9 slots proves exactly as
@@ -51,11 +53,12 @@ def mutate_mid_run(spec, delta, workers=1, mutate_after=1):
 def test_drawn_delta_digest_equals_from_scratch_run(data):
     spec = make_spec(slots=SLOTS, epoch_slots=EPOCH)
     delta = data.draw(spec_deltas(spec, max_ops=3))
-    digest, outcome, mutated = mutate_mid_run(spec, delta)
-    reference = run_scenario(mutated, workers=1)
-    assert digest == reference.digest
-    if outcome["rebuilt"]:
-        assert outcome["replayed_slots"] == EPOCH
+    reference = run_scenario(delta.apply(spec), workers=1)
+    for workers in (0, 1):
+        digest, outcome, _ = mutate_mid_run(spec, delta, workers=workers)
+        assert digest == reference.digest, f"workers={workers}"
+        if outcome["rebuilt"]:
+            assert outcome["replayed_slots"] == EPOCH
 
 
 def test_admission_oracle_across_worker_counts():
@@ -66,9 +69,11 @@ def test_admission_oracle_across_worker_counts():
         DeltaOp(op="inject_fault", target="tenant",
                 fault={"kind": "duplicate", "rate": 0.5}),
     ))
+    digest_0, _, _ = mutate_mid_run(spec, delta, workers=0)
     digest_1, outcome, mutated = mutate_mid_run(spec, delta, workers=1)
     digest_2, _, _ = mutate_mid_run(spec, delta, workers=2)
     reference = run_scenario(mutated, workers=1)
+    assert digest_0 == reference.digest
     assert digest_1 == reference.digest
     assert digest_2 == reference.digest
     assert outcome["rebuilt"] == ["tenant"]
