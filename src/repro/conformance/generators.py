@@ -366,11 +366,6 @@ def scenario_specs(draw, max_cells: int = 4) -> ScenarioSpec:
         epoch_slots=draw(
             st.one_of(st.none(), st.integers(min_value=1, max_value=20))
         ),
-        arena_bytes_per_worker=draw(
-            st.one_of(
-                st.none(), st.integers(min_value=4096, max_value=1 << 20)
-            )
-        ),
         obs=draw(
             st.builds(
                 ObsSpec,

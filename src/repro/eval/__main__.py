@@ -4,16 +4,23 @@ Runs the full experiment set (the same runners the benchmarks wrap) and
 prints each result table.  Pass experiment ids to run a subset, e.g.::
 
     python -m repro.eval fig10a table2 fig15
+
+``--slots`` / ``--workers`` resize the experiments that take a horizon
+or a worker count (CI smoke runs), e.g.::
+
+    python -m repro.eval chaos-scale --slots 8 --workers 2
 """
 
 from __future__ import annotations
 
-import sys
+import argparse
 import time
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 
-def _runners() -> "Dict[str, Callable[[], str]]":
+def _runners(
+    slots: Optional[int], workers: Optional[int]
+) -> "Dict[str, Callable[[], str]]":
     from repro.eval.appendix import run_cost_analysis, run_sharing_math
     from repro.eval.chaos import run_chaos
     from repro.eval.chaos_scale import run as run_chaos_scale
@@ -32,13 +39,17 @@ def _runners() -> "Dict[str, Callable[[], str]]":
     from repro.eval.serve import run as run_serve_eval
     from repro.eval.table2 import run_table2
 
+    # Only the flags given are forwarded: each runner keeps its defaults.
+    sized = {"slots": slots} if slots else {}
+    sharded = dict(sized, workers=workers) if workers else sized
+
     def _scale() -> str:
-        result = run_scale()
+        result = run_scale(**sized)
         write_bench(result)
         return result.format()
 
     def _codec() -> str:
-        result = run_codec()
+        result = run_codec(**sized)
         write_codec_bench(result)
         return result.format()
 
@@ -57,20 +68,28 @@ def _runners() -> "Dict[str, Callable[[], str]]":
         "fig16": lambda: run_fig16().format(),
         "appendix_a1": lambda: run_sharing_math().format(),
         "appendix_a2": lambda: run_cost_analysis().format(),
-        "chaos": lambda: run_chaos().format(),
-        "chaos-scale": lambda: run_chaos_scale().format(),
+        "chaos": lambda: run_chaos(**sized).format(),
+        "chaos-scale": lambda: run_chaos_scale(**sharded).format(),
         "codec": _codec,
-        "conformance": lambda: run_conformance().format(),
-        "obs-top": lambda: run_obs_top().format(),
+        "conformance": lambda: run_conformance(**sized).format(),
+        "obs-top": lambda: run_obs_top(**sharded).format(),
         "scale": _scale,
-        "serve": lambda: run_serve_eval().format(),
+        "serve": lambda: run_serve_eval(**sharded).format(),
     }
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    runners = _runners()
-    selected = argv or list(runners)
+    parser = argparse.ArgumentParser(prog="python -m repro.eval")
+    parser.add_argument("experiments", nargs="*", help="ids (default: all)")
+    parser.add_argument(
+        "--slots", type=int, help="horizon for the experiments that take one"
+    )
+    parser.add_argument(
+        "--workers", type=int, help="worker count for the sharded experiments"
+    )
+    args = parser.parse_args(argv)
+    runners = _runners(args.slots, args.workers)
+    selected = args.experiments or list(runners)
     unknown = [name for name in selected if name not in runners]
     if unknown:
         print(f"unknown experiments: {', '.join(unknown)}")

@@ -14,13 +14,12 @@ Three measurements, all driven by the seeded fault injector
 3. **Failover-time CDF** — :class:`ResilienceMiddlebox` detection delay
    under injected DU silence across trials with varying failure phase.
 
-Run via ``PYTHONPATH=src python -m repro.eval chaos``; shrink with the
-``REPRO_CHAOS_SLOTS`` environment variable for CI smoke runs.
+Run via ``PYTHONPATH=src python -m repro.eval chaos``; shrink with
+``--slots`` for CI smoke runs.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -627,7 +626,7 @@ def _run_slo_chaos(seed: int, slots: int) -> SloChaosOutcome:
 
 def run_chaos(seed: int = 7, slots: Optional[int] = None) -> ChaosResult:
     if slots is None:
-        slots = int(os.environ.get("REPRO_CHAOS_SLOTS", str(DEFAULT_SLOTS)))
+        slots = DEFAULT_SLOTS
     slots = max(slots, 12)
     scenarios = [
         _run_sweep_scenario(name, config, seed, slots)

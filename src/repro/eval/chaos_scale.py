@@ -10,7 +10,7 @@ This eval sweeps that claim across the failure classes:
 
 1. **Seeded injection sweep** — one :func:`~repro.faults.process.
    seeded_chaos_sweep` injection per kind (kill -9 mid-epoch, stalled
-   worker, poisoned reply, corrupted arena frame) plus explicit kill
+   worker, poisoned reply, corrupted reply bulk) plus explicit kill
    points at the first and last barrier epoch, each run at 2 and 4
    workers under a supervised pool.  Asserts, per run: digest equality
    with the unfaulted reference, identical merged timelines, identical
@@ -20,22 +20,18 @@ This eval sweeps that claim across the failure classes:
 2. **Restart-budget exhaustion** — a re-arming kill that outlives its
    budget must end in :class:`~repro.scale.supervisor.
    ShardRecoveryExhausted` in bounded wall time, with partial results
-   from the surviving workers, every worker process dead, and the
-   shared-memory segment unlinked.
+   from the surviving workers and every worker process dead.
 
 Run via ``PYTHONPATH=src python -m repro.eval chaos-scale``; shrink
-with ``REPRO_CHAOS_SCALE_SLOTS`` / ``REPRO_CHAOS_SCALE_WORKERS`` for CI
-smoke runs.
+with ``--slots`` / ``--workers`` for CI smoke runs.
 """
 
 from __future__ import annotations
 
-import os
+import multiprocessing
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
-
-from multiprocessing import shared_memory
 
 from repro.eval.report import format_table
 from repro.faults.process import ProcessChaosSpec, seeded_chaos_sweep
@@ -187,7 +183,6 @@ class ChaosScaleResult:
         ex = self.exhaustion
         assert ex.get("raised"), "budget exhaustion did not raise"
         assert ex.get("partial_groups"), "exhaustion carried no partial results"
-        assert ex.get("no_leak"), "exhaustion leaked the shm segment"
         assert ex.get("workers_dead"), "exhaustion left live workers"
 
     def format(self) -> str:
@@ -229,8 +224,7 @@ class ChaosScaleResult:
             f"  raised ShardRecoveryExhausted: {ex.get('raised')}"
             f" in {ex.get('elapsed_s', 0.0):.2f}s",
             f"  partial results from survivors: {ex.get('partial_groups')}",
-            f"  shm segment unlinked: {ex.get('no_leak')}; "
-            f"all workers dead: {ex.get('workers_dead')}",
+            f"  all workers dead: {ex.get('workers_dead')}",
         ]
         return "\n".join(lines)
 
@@ -309,7 +303,6 @@ def _run_exhaustion(spec: ScenarioSpec) -> Dict[str, Any]:
     doomed = ScenarioSpec.from_dict(data)
     pool = WorkerPool(doomed, workers=2)
     pool.start()
-    segment = pool.arena_name
     started = time.monotonic()
     outcome: Dict[str, Any] = {"budget": budget, "raised": False}
     try:
@@ -320,27 +313,18 @@ def _run_exhaustion(spec: ScenarioSpec) -> Dict[str, Any]:
         outcome["failed_worker"] = exc.worker
         outcome["restarts"] = exc.restarts
     outcome["elapsed_s"] = time.monotonic() - started
-    try:
-        shared_memory.SharedMemory(name=segment)
-        outcome["no_leak"] = False
-    except FileNotFoundError:
-        outcome["no_leak"] = True
-    outcome["workers_dead"] = not any(
-        process.is_alive() for process in pool._processes
-    )
+    # Every child, not just the pool's current handles: a respawn must
+    # not leave the process it replaced behind either.
+    outcome["workers_dead"] = not multiprocessing.active_children()
     return outcome
 
 
-def run() -> ChaosScaleResult:
-    slots = int(os.environ.get("REPRO_CHAOS_SCALE_SLOTS", str(DEFAULT_SLOTS)))
-    workers_env = os.environ.get("REPRO_CHAOS_SCALE_WORKERS", "")
-    if workers_env:
-        worker_counts = tuple(
-            int(token) for token in workers_env.split(",") if token
-        )
-    else:
-        worker_counts = DEFAULT_WORKERS
-    result = run_chaos_scale(slots=slots, worker_counts=worker_counts)
+def run(slots: int = DEFAULT_SLOTS, workers: int = 0) -> ChaosScaleResult:
+    """``workers`` narrows the sweep to that one worker count."""
+    result = run_chaos_scale(
+        slots=slots,
+        worker_counts=(workers,) if workers else DEFAULT_WORKERS,
+    )
     result.assert_healthy()
     return result
 

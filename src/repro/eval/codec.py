@@ -20,13 +20,12 @@ Two measurements, both recorded into ``BENCH_10.json``:
    deterministic wire bytes, never on the delta.
 
 Run via ``PYTHONPATH=src python -m repro.eval codec``; shrink with
-``REPRO_CODEC_SLOTS`` for CI smoke runs.
+``--slots`` for CI smoke runs.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -220,7 +219,7 @@ def _modcomp_bench_spec(slots: int) -> ScenarioSpec:
 
 
 def run_codec(slots: int = 0, seed: int = 10) -> CodecResult:
-    slots = slots or int(os.environ.get("REPRO_CODEC_SLOTS", DEFAULT_SLOTS))
+    slots = slots or DEFAULT_SLOTS
     result = CodecResult(slots=slots)
     for profile in ALL_PROFILES:
         per_codec: Dict[str, WireRow] = {}

@@ -20,12 +20,11 @@ where the profile carries a modcomp config), so a codec regression in
 either direction of the dispatch layer fails the gate.
 
 Run via ``PYTHONPATH=src python -m repro.eval conformance``; shrink with
-``REPRO_CONFORMANCE_SLOTS`` for CI smoke runs.
+``--slots`` for CI smoke runs.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -441,9 +440,7 @@ def run_conformance(
     seed: int = 20, slots: Optional[int] = None
 ) -> ConformanceResult:
     if slots is None:
-        slots = int(
-            os.environ.get("REPRO_CONFORMANCE_SLOTS", str(DEFAULT_SLOTS))
-        )
+        slots = DEFAULT_SLOTS
     slots = max(slots, 8)
     result = ConformanceResult(
         seed=seed,

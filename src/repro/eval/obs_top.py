@@ -18,14 +18,12 @@ plane's contract, so this eval doubles as the CI smoke):
 :func:`ObsTopResult.golden_exposition` is the deterministic subset of
 the Prometheus exposition (wall-clock families filtered); CI pins its
 bytes.  Run via ``PYTHONPATH=src python -m repro.eval obs-top``; shrink
-with ``REPRO_OBS_TOP_SLOTS`` / force a worker count with
-``REPRO_OBS_TOP_WORKERS``.
+with ``--slots`` / force a worker count with ``--workers``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
@@ -108,12 +106,8 @@ class ObsTopResult:
 
 def run_obs_top(slots: int = 0, workers: int = 0) -> ObsTopResult:
     """Run the streamed 8-cell scenario and fold it into one screen."""
-    slots = slots or int(
-        os.environ.get("REPRO_OBS_TOP_SLOTS", DEFAULT_SLOTS)
-    )
-    workers = workers or int(
-        os.environ.get("REPRO_OBS_TOP_WORKERS", DEFAULT_WORKERS)
-    )
+    slots = slots or DEFAULT_SLOTS
+    workers = workers or DEFAULT_WORKERS
     spec = obs_top_spec(slots)
     # Reference: observability fully off — streaming must not perturb it.
     reference = Scenario(

@@ -24,8 +24,8 @@ physically impossible bar.  Set ``REPRO_SCALE_REQUIRE_FLOOR=1`` (the
 multicore CI job does) to *fail* instead of skipping when the gate
 cannot be enforced — the floor is never silently waved through.
 
-Run via ``PYTHONPATH=src python -m repro.eval scale``; shrink with the
-``REPRO_SCALE_SLOTS`` environment variable for CI smoke runs.
+Run via ``PYTHONPATH=src python -m repro.eval scale``; shrink with
+``--slots`` for CI smoke runs.
 """
 
 from __future__ import annotations
@@ -175,8 +175,6 @@ class ScaleResult:
     warm_throughput: Dict[int, float] = field(default_factory=dict)
     #: workers -> warm wall seconds.
     warm_wall: Dict[int, float] = field(default_factory=dict)
-    #: workers -> IPC accounting of the warm run (arena bytes, fallbacks).
-    transport: Dict[int, Dict[str, int]] = field(default_factory=dict)
     floor_enforced: bool = False
 
     @property
@@ -250,7 +248,6 @@ class ScaleResult:
                     self.warm_throughput
                 ),
                 "warm_wall_seconds": by_workers(self.warm_wall),
-                "transport": by_workers(self.transport),
                 "speedup_8_vs_1": self.speedup_at_floor,
                 "floor": SPEEDUP_FLOOR,
                 "floor_enforced": self.floor_enforced,
@@ -273,7 +270,7 @@ def _assert_matches(outcome, reference, workers: int) -> None:
 
 def run_scale(slots: int = 0) -> ScaleResult:
     """Sweep worker counts; assert byte-identical results throughout."""
-    slots = slots or int(os.environ.get("REPRO_SCALE_SLOTS", DEFAULT_SLOTS))
+    slots = slots or DEFAULT_SLOTS
     scenario = Scenario(bench_spec(slots))
     cpu_count = os.cpu_count() or 1
     result = ScaleResult(
@@ -308,7 +305,6 @@ def run_scale(slots: int = 0) -> ScaleResult:
         result.wall[workers] = cold_wall
         result.warm_throughput[workers] = warm.cell_slots_per_second
         result.warm_wall[workers] = warm.wall_seconds
-        result.transport[workers] = dict(warm.transport)
     # The >=3x warm floor needs real parallelism AND a full-size run
     # (smoke horizons finish before the pool can amortize anything);
     # enforce only where the bar is meaningful, record honestly always.

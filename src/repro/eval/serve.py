@@ -25,13 +25,12 @@ script end to end over a real asyncio service and TCP sockets:
    truncated to the confirmed slots (rebase semantics, checked live).
 
 Run via ``PYTHONPATH=src python -m repro.eval serve``; shrink with
-``REPRO_SERVE_SLOTS`` / ``REPRO_SERVE_WORKERS`` for CI smoke runs.
+``--slots`` / ``--workers`` for CI smoke runs.
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
@@ -384,11 +383,9 @@ def run_serve(
     return result
 
 
-def run() -> ServeEvalResult:
-    slots = int(os.environ.get("REPRO_SERVE_SLOTS", str(DEFAULT_SLOTS)))
-    workers = int(
-        os.environ.get("REPRO_SERVE_WORKERS", str(DEFAULT_WORKERS))
-    )
+def run(
+    slots: int = DEFAULT_SLOTS, workers: int = DEFAULT_WORKERS
+) -> ServeEvalResult:
     result = run_serve(slots=slots, workers=workers)
     result.assert_healthy()
     return result

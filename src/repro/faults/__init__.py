@@ -32,7 +32,7 @@ from repro.faults.process import (
     CHAOS_KINDS,
     ProcessChaosAgent,
     ProcessChaosSpec,
-    corrupt_descriptor,
+    corrupt_bulk,
     seeded_chaos_sweep,
 )
 from repro.faults.registry import (
@@ -62,7 +62,7 @@ __all__ = [
     "SeqVerdict",
     "SequenceTracker",
     "SilenceWindow",
-    "corrupt_descriptor",
+    "corrupt_bulk",
     "fault_config_from_spec",
     "fault_kinds",
     "injector_from_spec",

@@ -17,10 +17,9 @@ Failure classes (:data:`CHAOS_KINDS`):
   path, detected by the coordinator's barrier deadline.
 - ``poison`` — the worker answers the barrier with a protocol-violating
   reply (wrong slot count, alien heartbeat): the byzantine-reply path.
-- ``corrupt_frame`` — the worker ships an arena payload descriptor with
-  mangled watermark/length bounds: the corrupted-shared-memory path,
-  caught by descriptor validation as a typed
-  :class:`~repro.scale.arena.ArenaFrameError`.
+- ``corrupt_frame`` — the worker ships a mangled bulk payload: the
+  corrupted-reply path, caught by the coordinator's check of the bulk
+  against the shard's plan row as a typed ``frame`` failure.
 
 Injections are declarative (:class:`ProcessChaosSpec`, JSON-safe) and
 ride :class:`~repro.scale.spec.ScenarioSpec.process_chaos`, so the same
@@ -134,26 +133,17 @@ class ProcessChaosAgent:
         return tuple(self._pending)
 
 
-def corrupt_descriptor(descriptor: Any) -> Tuple:
-    """Mangle a payload descriptor's bounds (the ``corrupt_frame`` kind).
+def corrupt_bulk(
+    bulk: Optional[List[Dict[str, Any]]],
+) -> List[Dict[str, Any]]:
+    """Mangle an epoch reply's bulk (the ``corrupt_frame`` kind).
 
-    The returned descriptor keeps the two-element framing shape but
-    carries a length and watermark far outside any ring, so coordinator-
-    side validation (:func:`~repro.scale.arena.validate_descriptor`)
-    rejects it as an :class:`~repro.scale.arena.ArenaFrameError` instead
-    of unpickling garbage.  Works on a real descriptor, an inline
-    fallback tuple, or ``None`` (an epoch that shipped no payload).
+    The first telemetry payload is replaced by one stamped with a shard
+    and group no plan row holds, so the coordinator rejects the reply as
+    a ``frame`` failure instead of folding it.  Works on ``None`` too
+    (an epoch that shipped no payload).
     """
-    bogus = 1 << 40
-    if (
-        isinstance(descriptor, tuple)
-        and len(descriptor) == 2
-        and isinstance(descriptor[0], tuple)
-        and len(descriptor[0]) == 3
-    ):
-        (offset, nbytes, mark), extents = descriptor
-        return ((offset, nbytes + bogus, mark + bogus), tuple(extents))
-    return ((bogus, bogus, 4 * bogus), ())
+    return [{"group": None, "shard": -1}, *(bulk or ())[1:]]
 
 
 def seeded_chaos_sweep(
@@ -191,6 +181,6 @@ __all__ = [
     "CHAOS_KINDS",
     "ProcessChaosAgent",
     "ProcessChaosSpec",
-    "corrupt_descriptor",
+    "corrupt_bulk",
     "seeded_chaos_sweep",
 ]

@@ -9,8 +9,8 @@ ends a first-class object:
   delta, its freshly recorded spans (drained from the flight recorder
   and stamped with ``(group, shard)``), the deadline accounts of the
   epoch's slots, and the conformance-count delta.  Payloads are pure
-  picklable data, so they travel the shared-memory arena ring with the
-  pipe fallback exactly like every other pool payload.
+  picklable data, so they ride the worker's epoch reply over the
+  control pipe like every other pool payload.
 - :class:`TelemetryStream` (coordinator side) folds payloads as they
   arrive: metric deltas merge into a live registry, spans land in a
   bounded coordinator recorder (cross-shard packet journeys reassemble

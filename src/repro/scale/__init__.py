@@ -20,17 +20,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.scale.arena import (
-    ArenaFrameError,
-    ArenaFullError,
-    RingBuffer,
-    SharedArena,
-    read_payload,
-    validate_descriptor,
-    write_payload,
-)
 from repro.scale.build import BuiltCell, BuiltGroup, build_groups
-from repro.scale.pool import DEFAULT_ARENA_BYTES, JOIN_TIMEOUT_S, WorkerPool
+from repro.scale.pool import JOIN_TIMEOUT_S, WorkerPool
 from repro.scale.registry import (
     STAGE_REGISTRY,
     StageBuildContext,
@@ -127,24 +118,19 @@ def run(scenario, workers: int = 1) -> ScenarioResult:
 
 
 __all__ = [
-    "DEFAULT_ARENA_BYTES",
     "JOIN_TIMEOUT_S",
     "SPEC_VERSION",
     "STAGE_REGISTRY",
-    "ArenaFrameError",
-    "ArenaFullError",
     "BuiltCell",
     "BuiltGroup",
     "CellSpec",
     "FlowSpec",
     "GroupResult",
     "ObsSpec",
-    "RingBuffer",
     "RuSpec",
     "Scenario",
     "ScenarioResult",
     "ScenarioSpec",
-    "SharedArena",
     "ShardPlan",
     "ShardRecoveryExhausted",
     "StageBuildContext",
@@ -155,11 +141,8 @@ __all__ = [
     "build_groups",
     "build_stage",
     "plan_shards",
-    "read_payload",
     "register_stage",
     "run",
     "run_scenario",
     "stage_names",
-    "validate_descriptor",
-    "write_payload",
 ]

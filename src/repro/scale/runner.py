@@ -14,13 +14,12 @@ One coordinator drives the engines, whatever the worker count:
 :meth:`~repro.scale.spec.ScenarioSpec.effective_epoch_slots` slots over
 one engine per shard of the :func:`~repro.scale.shard.plan_shards` plan.
 ``workers <= 1`` keeps the single engine in the calling process (no
-fork, no shared memory, no pickling); more workers put each engine in a
-long-lived process, with bulk results moving through a preallocated
-:class:`~repro.scale.arena.SharedArena` ring and only tiny descriptors
-on the control pipe — sound because coupling groups are atomic, so no
-packet ever crosses a shard boundary.  Engines hand back GroupResults
-(plain data) which merge into one :class:`ScenarioResult`: digests
-combine order-independently, metrics snapshots fold additively via
+fork, no pickling); more workers put each engine in a long-lived
+process that answers over its control pipe — sound because coupling
+groups are atomic, so no packet ever crosses a shard boundary.  Engines
+hand back GroupResults (plain data) which merge into one
+:class:`ScenarioResult`: digests combine order-independently, metrics
+snapshots fold additively via
 :meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot`, timelines
 merge deterministically via :func:`~repro.sim.engine.merge_timelines`.
 
@@ -95,9 +94,10 @@ class ScenarioResult:
     wall_seconds: float
     groups: Dict[str, GroupResult] = field(default_factory=dict)
     plan: Optional[ShardPlan] = None
-    #: The run's barrier and IPC accounting: epochs run, bytes moved
-    #: through the shared-memory arena, pipe fallbacks (the last two
-    #: stay zero on an in-process run).  Never part of the digest.
+    #: The run's barrier accounting: ``epochs`` run and their
+    #: ``epoch_slots`` length (plus two constant-zero keys the frozen
+    #: benchmark still reads, see :meth:`~repro.scale.pool.WorkerPool.
+    #: collect`).  Never part of the digest.
     transport: Dict[str, int] = field(default_factory=dict)
     #: The run's live :class:`~repro.obs.stream.TelemetryStream` fold
     #: (``None`` when the spec's obs is disabled).  After the final

@@ -198,8 +198,8 @@ class ObsSpec:
     #: ingress; per-shard reports merge in the ScenarioResult.
     conformance: bool = False
     #: Stream the full telemetry plane at every barrier epoch: sampled
-    #: spans, deadline accounts and conformance deltas ride the arena
-    #: lane beside the metric deltas, and the coordinator folds them
+    #: spans, deadline accounts and conformance deltas ride each epoch
+    #: reply beside the metric deltas, and the coordinator folds them
     #: live (see :mod:`repro.obs.stream`).  Implies nothing when
     #: ``enabled`` is False.
     stream: bool = False
@@ -317,11 +317,6 @@ class ScenarioSpec:
     #: coupled cells are always co-scheduled, so there are no cross-shard
     #: touchpoints.
     epoch_slots: Optional[int] = None
-    #: Shared-memory ring bytes preallocated per pool worker for epoch
-    #: deltas and collected results.  ``None`` uses the pool default
-    #: (4 MiB); payloads that outgrow the ring fall back to the control
-    #: pipe, so undersizing costs speed, never correctness.
-    arena_bytes_per_worker: Optional[int] = None
     obs: ObsSpec = field(default_factory=ObsSpec)
     #: Self-healing policy for sharded runs; ``None`` keeps the pool
     #: fail-fast unless ``process_chaos`` forces supervision.
@@ -339,11 +334,6 @@ class ScenarioSpec:
             raise ValueError("slots must be >= 1")
         if self.epoch_slots is not None and self.epoch_slots < 1:
             raise ValueError("epoch_slots must be >= 1 when set")
-        if (
-            self.arena_bytes_per_worker is not None
-            and self.arena_bytes_per_worker < 4096
-        ):
-            raise ValueError("arena_bytes_per_worker must be >= 4096 when set")
         names = [cell.name for cell in self.cells]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate cell names: {names}")

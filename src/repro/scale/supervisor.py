@@ -12,19 +12,19 @@ same barrier exchange gives three guarantees:
 loop bounded by :attr:`~repro.scale.spec.SupervisorSpec.
 barrier_timeout_s`, interleaved with ``Process.is_alive()`` checks, and
 every accepted reply must carry a heartbeat whose pid matches the
-process being barriered on.  Crash, hang, protocol violation and arena
-frame corruption each become a typed :class:`WorkerFailure` instead of
-a deadlock or an unpickled lie.  (The reply-shape, heartbeat and
-descriptor checks run under both policies; fail-fast just turns the
-first :class:`WorkerFailure` into the ``RuntimeError`` that ends the
-run.)
+process being barriered on.  Crash, hang, protocol violation and bulk
+that fails the plan-row check (``frame``) each become a typed
+:class:`WorkerFailure` instead of a deadlock or a folded lie.  (The
+reply-shape, heartbeat and bulk checks run under both policies;
+fail-fast just turns the first :class:`WorkerFailure` into the
+``RuntimeError`` that ends the run.)
 
 **Recovery is exact, not approximate.**  On failure the pool kills only
-the affected worker, resets its arena ring, and respawns it with
-``replay_slots`` = the number of slots every shard had confirmed at the
-last successful barrier.  The replacement rebuilds its coupling groups
-from the deterministic :class:`~repro.scale.spec.ScenarioSpec` and
-replays the confirmed prefix epoch by epoch
+the affected worker and respawns it with ``replay_slots`` = the number
+of slots every shard had confirmed at the last successful barrier.  The
+replacement rebuilds its coupling groups from the deterministic
+:class:`~repro.scale.spec.ScenarioSpec` and replays the confirmed
+prefix epoch by epoch
 (:meth:`~repro.scale.runner.ShardEngine.rebase`) — generating and
 *discarding* the telemetry payloads the coordinator already folded, so
 the per-group delta baselines advance without double counting.
@@ -39,8 +39,7 @@ and each worker has a restart budget
 (:attr:`~repro.scale.spec.SupervisorSpec.max_restarts_per_worker`).
 Exhausting it raises :class:`ShardRecoveryExhausted` — carrying the
 partial per-group results scavenged from the surviving workers — after
-the normal teardown path has joined every process and unlinked the
-shared-memory segment.  No hang, no leak.
+the normal teardown path has joined every process.  No hang, no leak.
 
 Recovery events surface in the obs plane: the coordinator-side
 :attr:`WorkerPool.metrics <repro.scale.pool.WorkerPool.metrics>`
@@ -92,8 +91,7 @@ class ShardRecoveryExhausted(RuntimeError):
     its failure log, and ``partial`` — the per-group results scavenged
     best-effort from the workers that were still healthy, so a
     majority-healthy run's data is not thrown away with the error.
-    Raised only after full pool teardown (processes joined, segment
-    unlinked).
+    Raised only after full pool teardown (processes joined).
     """
 
     def __init__(

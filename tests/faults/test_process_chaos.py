@@ -6,7 +6,7 @@ from repro.faults.process import (
     CHAOS_KINDS,
     ProcessChaosAgent,
     ProcessChaosSpec,
-    corrupt_descriptor,
+    corrupt_bulk,
     seeded_chaos_sweep,
 )
 
@@ -89,10 +89,11 @@ def test_seeded_sweep_validates_inputs():
         seeded_chaos_sweep(0, epochs=2, groups=[])
 
 
-def test_corrupt_descriptor_mangles_real_and_degenerate_shapes():
-    real = ((0, 64, 64), ((64, 128, 192),))
-    corrupted = corrupt_descriptor(real)
-    assert corrupted[0][1] > 1 << 39  # nbytes blown out of any ring
-    assert corrupted[0][2] > 1 << 39
-    assert corrupt_descriptor(None)[0][0] >= 1 << 40
-    assert corrupt_descriptor(("inline", [1, 2]))[1] == ()
+def test_corrupt_bulk_mangles_real_and_empty_bulk():
+    real = [{"group": "left", "shard": 0}, {"group": "right", "shard": 0}]
+    corrupted = corrupt_bulk(real)
+    # One payload no plan row can own; the rest ship untouched.
+    assert corrupted[0]["shard"] < 0 and corrupted[0]["group"] is None
+    assert corrupted[1:] == real[1:]
+    assert real[0] == {"group": "left", "shard": 0}  # input not mutated
+    assert corrupt_bulk(None) == corrupted[:1]

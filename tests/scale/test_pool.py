@@ -1,9 +1,13 @@
 """The persistent worker pool: reuse, accounting, and cleanup guarantees."""
 
+import json
+import multiprocessing
 import os
+import pickle
+import subprocess
+import sys
 
 import pytest
-from multiprocessing import shared_memory
 
 from repro.core.middlebox import Middlebox
 from repro.scale import (
@@ -12,7 +16,6 @@ from repro.scale import (
     WorkerPool,
     register_stage,
 )
-from repro.scale.pool import _ForkedShard
 from repro.scale.registry import STAGE_REGISTRY
 
 
@@ -66,10 +69,8 @@ def _spec(slots=4, **overrides):
     return ScenarioSpec.from_dict(_spec_dict(slots=slots, **overrides))
 
 
-def _assert_no_segment(name):
-    assert name is not None
-    with pytest.raises(FileNotFoundError):
-        shared_memory.SharedMemory(name=name)
+def _assert_no_live_children():
+    assert not multiprocessing.active_children()
 
 
 class CrashingMiddlebox(Middlebox):
@@ -155,34 +156,56 @@ def test_epoch_barriers_preserve_digest_at_every_cadence():
         assert sharded.transport["epochs"] == -(-4 // expected)
 
 
-def test_transport_moves_results_through_the_arena():
-    result = Scenario(_spec()).run(workers=2)
-    assert result.transport["arena_payloads"] >= 2  # one collect per worker
-    assert result.transport["arena_bytes"] > 0
-    assert result.transport["pipe_fallback_payloads"] == 0
+@pytest.mark.parametrize("workers", [1, 2])
+def test_bulk_larger_than_the_pipe_buffer_arrives_intact(workers):
+    """A reply that outgrows the 64 KiB pipe buffer blocks the worker's
+    send until the coordinator drains it — and must still fold exactly."""
+    obs = {"enabled": True, "stream": True, "conformance": True}
+    spec = _spec(slots=160, obs=obs)  # epoch = horizon: one fat payload
+    reference = WorkerPool(spec, workers=0).run()
+    with WorkerPool(spec, workers=workers) as pool:
+        shipped = []
+        check = pool._check_reply
+
+        def measuring(index, reply, expect, slots):
+            shipped.append(len(pickle.dumps(reply)))
+            return check(index, reply, expect, slots)
+
+        pool._check_reply = measuring
+        result = pool.run()
+    assert max(shipped) > 64 * 1024
+    assert result.digest == reference.digest
+    assert result.timeline() == reference.timeline()
+    assert result.telemetry.live_snapshot() == result.metrics().snapshot()
 
 
-def test_undersized_arena_falls_back_to_pipe_without_corruption():
-    # Obs + conformance fatten the collect payload past a 4 KiB ring.
-    obs = {"enabled": True, "conformance": True}
-    reference = Scenario(_spec(slots=6, obs=obs)).run(workers=1)
-    starved = Scenario(
-        _spec(slots=6, obs=obs, arena_bytes_per_worker=4096)
-    ).run(workers=2)
-    assert starved.digest == reference.digest
-    assert starved.transport["pipe_fallback_payloads"] >= 1
-    for name, group in reference.groups.items():
-        assert starved.groups[name].digest == group.digest
+def test_forked_run_loads_no_shared_memory_and_no_resource_tracker():
+    # A fresh interpreter: what this session imported must not count.
+    probe = (
+        "import json, sys\n"
+        "from multiprocessing import resource_tracker\n"
+        "from repro.scale import Scenario, ScenarioSpec\n"
+        "spec = ScenarioSpec.from_dict(json.load(sys.stdin))\n"
+        "Scenario(spec).run(workers=2)\n"
+        "assert 'multiprocessing.shared_memory' not in sys.modules\n"
+        "assert resource_tracker._resource_tracker._pid is None\n"
+    )
+    subprocess.run(
+        [sys.executable, "-c", probe],
+        input=json.dumps(_spec_dict()),
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
 
 
 def test_normal_exit_leaves_no_workers_or_segments():
     pool = WorkerPool(_spec(), workers=2).start()
-    name = pool.arena_name
     processes = list(pool._processes)
     pool.run()
     pool.close()
     assert all(not process.is_alive() for process in processes)
-    _assert_no_segment(name)
+    _assert_no_live_children()
 
 
 def test_close_is_idempotent_and_start_after_close_refuses():
@@ -195,7 +218,7 @@ def test_close_is_idempotent_and_start_after_close_refuses():
 
 def test_worker_crash_mid_run_cleans_up_processes_and_segment():
     """A fault-injected worker death surfaces as an error AND still tears
-    down every process, pipe, and shared-memory segment."""
+    down every process and pipe."""
     data = _spec_dict(slots=6, epoch_slots=1)
     data["cells"][1]["chain"] = [
         {"stage": "crashbox", "params": {"crash_after": 2}}
@@ -205,35 +228,33 @@ def test_worker_crash_mid_run_cleans_up_processes_and_segment():
         {"kind": "cbr", "rate_mbps": 20, "direction": "ul"}
     )
     pool = WorkerPool(ScenarioSpec.from_dict(data), workers=2).start()
-    name = pool.arena_name
     processes = list(pool._processes)
     with pytest.raises(RuntimeError, match="died mid-command"):
         pool.run()
     # run() closed the pool on the error path: nothing left behind.
     assert all(not process.is_alive() for process in processes)
-    _assert_no_segment(name)
+    _assert_no_live_children()
 
 
 def test_coordinator_exception_mid_run_still_tears_down(monkeypatch):
     """An error on the coordinator side (not in any worker) must also
-    exit workers and unlink the segment."""
+    exit the workers."""
     pool = WorkerPool(_spec(slots=4, epoch_slots=1), workers=2).start()
-    name = pool.arena_name
     processes = list(pool._processes)
     calls = {"n": 0}
-    original = _ForkedShard.read
+    original = WorkerPool._check_reply
 
-    def explode(self, bulk, transport):
+    def explode(self, index, reply, expect, slots):
         calls["n"] += 1
         if calls["n"] >= 2:
             raise OSError("synthetic coordinator fault")
-        return original(self, bulk, transport)
+        return original(self, index, reply, expect, slots)
 
-    monkeypatch.setattr(_ForkedShard, "read", explode)
+    monkeypatch.setattr(WorkerPool, "_check_reply", explode)
     with pytest.raises(OSError, match="synthetic coordinator fault"):
         pool.run()
     assert all(not process.is_alive() for process in processes)
-    _assert_no_segment(name)
+    _assert_no_live_children()
 
 
 def test_build_failure_in_worker_propagates_with_traceback():
@@ -242,20 +263,17 @@ def test_build_failure_in_worker_propagates_with_traceback():
         {"stage": "resilience", "params": {"standby": "missing"}}
     ]
     pool = WorkerPool(ScenarioSpec.from_dict(data), workers=2)
-    name_holder = {}
     with pytest.raises(RuntimeError, match="scale worker failed"):
         with pool:
-            name_holder["name"] = pool.arena_name
             pool.run()
-    _assert_no_segment(name_holder["name"])
+    _assert_no_live_children()
 
 
 def test_dropped_pool_is_reaped_by_finalizer():
     pool = WorkerPool(_spec(), workers=2).start()
-    name = pool.arena_name
     processes = list(pool._processes)
     pool._finalizer()  # what gc would invoke for an abandoned pool
-    _assert_no_segment(name)
     for process in processes:
         process.join(timeout=10)
         assert not process.is_alive()
+    _assert_no_live_children()

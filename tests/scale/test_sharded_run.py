@@ -139,18 +139,16 @@ def test_epoch_slots_does_not_change_results():
         assert result.transport["epoch_slots"] == epoch_slots
 
 
-def test_epoch_and_arena_knobs_round_trip_json():
-    data = {
-        **_smoke_spec().to_dict(),
-        "epoch_slots": 7,
-        "arena_bytes_per_worker": 65536,
-    }
+def test_epoch_slots_round_trips_json():
+    data = {**_smoke_spec().to_dict(), "epoch_slots": 7}
     spec = ScenarioSpec.from_dict(data)
     rebuilt = ScenarioSpec.from_json(spec.to_json())
     assert rebuilt.epoch_slots == 7
-    assert rebuilt.arena_bytes_per_worker == 65536
     assert rebuilt.to_dict() == spec.to_dict()
     assert rebuilt.effective_epoch_slots() == 7
+    # A retired knob is an unknown key, not a silently ignored one.
+    with pytest.raises(KeyError, match="arena_bytes_per_worker"):
+        ScenarioSpec.from_dict({**data, "arena_bytes_per_worker": 65536})
 
 
 def test_golden_fixture_digest_identical_at_all_worker_counts():
@@ -167,7 +165,6 @@ def test_golden_fixture_digest_identical_at_all_worker_counts():
         # Coarse default epoch: the whole horizon in one barrier.
         assert sharded.transport["epochs"] == 1
         assert sharded.transport["epoch_slots"] == scenario.spec.slots
-        assert sharded.transport["pipe_fallback_payloads"] == 0
 
 
 def test_plan_is_deterministic_lpt():

@@ -1,11 +1,11 @@
 """The self-healing pool: exact recovery, bounded failure, no leaks."""
 
+import multiprocessing
 import os
 import signal
 import time
 
 import pytest
-from multiprocessing import shared_memory
 
 from repro.obs.slo import OBJECTIVES
 from repro.scale import (
@@ -97,31 +97,36 @@ def _reference(slots=6):
     )
 
 
-def _assert_no_segment(name):
-    assert name is not None
-    with pytest.raises(FileNotFoundError):
-        shared_memory.SharedMemory(name=name)
-
-
 @pytest.mark.parametrize(
-    "kind,epoch",
-    [("kill", 1), ("stall", 0), ("poison", 2), ("corrupt_frame", 1)],
+    "kind,epoch,obs",
+    [
+        pytest.param("kill", 1, True, id="kill-1"),
+        pytest.param("stall", 0, True, id="stall-0"),
+        pytest.param("poison", 2, True, id="poison-2"),
+        pytest.param("corrupt_frame", 1, True, id="corrupt_frame-1"),
+        # Obs off: the epoch ships no bulk, so the mangled one is all
+        # there is to catch.
+        pytest.param("corrupt_frame", 1, False, id="corrupt_frame-1-no-obs"),
+    ],
 )
-def test_recovery_is_exact_for_every_failure_class(kind, epoch):
+def test_recovery_is_exact_for_every_failure_class(kind, epoch, obs):
     """Digest oracle: the recovered run equals the unfaulted one, and the
     reconciled telemetry still satisfies live == collect bit for bit."""
     reference = _reference()
     chaos = [{"kind": kind, "epoch": epoch, "group": "left",
               "stall_s": 30.0}]
-    recovered = run_scenario(_spec(chaos=chaos), workers=2)
+    recovered = run_scenario(_spec(chaos=chaos, obs=obs), workers=2)
     assert recovered.digest == reference.digest
     assert recovered.timeline() == reference.timeline()
     assert recovered.recovery["total_restarts"] >= 1
-    assert recovered.recovery["failures"], "failure log must not be empty"
-    assert (
-        recovered.telemetry.live_snapshot()
-        == recovered.metrics().snapshot()
-    )
+    expected = {"kill": "crash", "stall": "hang", "poison": "poisoned",
+                "corrupt_frame": "frame"}[kind]
+    assert recovered.recovery["failures"][0]["kind"] == expected
+    if obs:
+        assert (
+            recovered.telemetry.live_snapshot()
+            == recovered.metrics().snapshot()
+        )
 
 
 def test_external_sigkill_mid_run_recovers():
@@ -169,13 +174,12 @@ def test_recovery_surfaces_in_obs_plane():
 
 def test_budget_exhaustion_fails_typed_bounded_and_clean():
     """A re-arming kill outlives its budget: typed error with partial
-    results, in bounded time, zero leaked segments, no live workers."""
+    results, in bounded time, no live workers."""
     chaos = [{"kind": "kill", "epoch": 1, "group": "left", "rearm": True}]
     supervisor = dict(FAST_SUPERVISOR, max_restarts_per_worker=1)
     spec = _spec(chaos=chaos, supervisor=supervisor, obs=False)
     pool = WorkerPool(spec, workers=2)
     pool.start()
-    segment = pool.arena_name
     started = time.monotonic()
     with pytest.raises(ShardRecoveryExhausted) as excinfo:
         pool.run()
@@ -186,24 +190,22 @@ def test_budget_exhaustion_fails_typed_bounded_and_clean():
     assert len(error.failures) == 2  # original + the re-armed recurrence
     assert "right" in error.partial  # the healthy shard's data survives
     assert elapsed < 30.0
-    _assert_no_segment(segment)
-    assert not any(process.is_alive() for process in pool._processes)
+    assert not multiprocessing.active_children()
 
 
 def test_sigkill_mid_epoch_cleanup_without_supervision():
     """The plain fail-fast path still tears down inside the deadline: a
-    SIGKILLed worker surfaces as an error (no indefinite hang) and the
-    segment is unlinked."""
+    SIGKILLed worker surfaces as an error (no indefinite hang) and no
+    worker outlives it."""
     spec = _spec(chaos=(), supervisor=None, obs=False)
     pool = WorkerPool(spec, workers=2)
     pool.start()
-    segment = pool.arena_name
     os.kill(pool._processes[0].pid, signal.SIGKILL)
     started = time.monotonic()
     with pytest.raises(RuntimeError, match="died mid-command"):
         pool.run()
     assert time.monotonic() - started < 30.0
-    _assert_no_segment(segment)
+    assert not multiprocessing.active_children()
 
 
 def test_unsupervised_spec_with_chaos_routes_to_supervised_pool():
