@@ -20,19 +20,43 @@ import pytest
 from _harness import record_bench
 
 from repro.core.actions import ActionContext, PacketCache
-from repro.fronthaul.compression import (
-    BfpCompressor,
-    _pack_bits,
-    _sign_extend,
-    _unpack_bits,
-    clear_codec_memo,
-)
+from repro.fronthaul.compression import BfpCompressor, clear_codec_memo
 from repro.fronthaul.uplane import UPlaneSection
 
 N_PRB = 273  # one full-band 100 MHz symbol
 
 
 # -- seed reference implementation (per-PRB loops), the speedup baseline ----
+
+
+def _bit_shifts(width: int) -> np.ndarray:
+    """MSB-first bit positions of an ``width``-bit mantissa."""
+    return np.arange(width - 1, -1, -1, dtype=np.uint32)
+
+
+def _pack_bits(values: np.ndarray, width: int) -> bytes:
+    """Pack unsigned integers < 2**width into a big-endian bitstream."""
+    shifts = _bit_shifts(width)
+    # Each row holds the bits of one value, MSB first.
+    bits = ((values[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+    return np.packbits(bits.reshape(-1)).tobytes()
+
+
+def _unpack_bits(data: bytes, count: int, width: int) -> np.ndarray:
+    """Inverse of :func:`_pack_bits`; returns unsigned integers."""
+    needed_bits = count * width
+    raw = np.frombuffer(data, dtype=np.uint8)
+    bits = np.unpackbits(raw)[:needed_bits]
+    bits = bits.reshape(count, width).astype(np.uint32)
+    shifts = _bit_shifts(width)
+    return (bits << shifts[None, :]).sum(axis=1)
+
+
+def _sign_extend(values: np.ndarray, width: int) -> np.ndarray:
+    sign_bit = np.uint32(1) << np.uint32(width - 1)
+    signed = values.astype(np.int64)
+    signed -= (values & sign_bit).astype(np.int64) << 1
+    return signed
 
 
 def _reference_compress(compressor: BfpCompressor, samples: np.ndarray) -> bytes:

@@ -252,6 +252,16 @@ class CPlaneMessage:
             )
         return message
 
+    def wire_size(self) -> int:
+        """``len(self.pack())`` from the fixed struct sizes alone."""
+        if self.section_type is SectionType.DATA:
+            tail, section = self._HDR_TYPE1_TAIL, CPlaneSection._TYPE1
+        else:
+            tail, section = self._HDR_TYPE3_TAIL, CPlaneSection._TYPE3
+        return (
+            self._HDR_COMMON.size + tail.size + len(self.sections) * section.size
+        )
+
     def total_prbs(self) -> int:
         """Total PRBs requested across all sections."""
         return sum(section.num_prb for section in self.sections)

@@ -14,16 +14,16 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, replace
-from typing import Tuple
+from typing import Optional, Tuple
 
 from repro.fronthaul.errors import MalformedFrame, TruncatedFrame
 
 ECPRI_VERSION = 1
 
-_COMMON = struct.Struct("!BBH")
-_IDS = struct.Struct("!HH")
+#: Common header (version byte, type, payloadSize) + eAxC id + seq id.
+_HEADER = struct.Struct("!BBHHH")
 
-ECPRI_HEADER_SIZE = _COMMON.size + _IDS.size
+ECPRI_HEADER_SIZE = _HEADER.size
 
 
 class EcpriMessageType(enum.IntEnum):
@@ -104,11 +104,17 @@ class EcpriHeader:
     e_bit: bool = True
     sub_seq_id: int = 0
 
-    def pack(self) -> bytes:
+    def pack(self, payload_size: Optional[int] = None) -> bytes:
+        """Serialize; ``payload_size`` overrides the stored field (the
+        packet layer knows the body length only when it packs)."""
         first = (ECPRI_VERSION << 4) & 0xF0  # reserved and C bits zero
         seq_byte = (int(self.e_bit) << 7) | (self.sub_seq_id & 0x7F)
-        return _COMMON.pack(first, int(self.message_type), self.payload_size) + _IDS.pack(
-            self.eaxc.to_int(), ((self.seq_id & 0xFF) << 8) | seq_byte
+        return _HEADER.pack(
+            first,
+            int(self.message_type),
+            self.payload_size if payload_size is None else payload_size,
+            self.eaxc.to_int(),
+            ((self.seq_id & 0xFF) << 8) | seq_byte,
         )
 
     @classmethod
@@ -117,7 +123,9 @@ class EcpriHeader:
     ) -> Tuple["EcpriHeader", int]:
         if len(data) < ECPRI_HEADER_SIZE:
             raise TruncatedFrame("truncated eCPRI header")
-        first, msg_type, payload_size = _COMMON.unpack_from(data)
+        first, msg_type, payload_size, eaxc_raw, seq_raw = _HEADER.unpack_from(
+            data
+        )
         version = (first >> 4) & 0xF
         if version != ECPRI_VERSION:
             raise MalformedFrame(f"unsupported eCPRI version: {version}")
@@ -127,7 +135,6 @@ class EcpriHeader:
             raise MalformedFrame(
                 f"unknown eCPRI message type: {msg_type}"
             ) from None
-        eaxc_raw, seq_raw = _IDS.unpack_from(data, _COMMON.size)
         header = cls(
             message_type=message_type,
             payload_size=payload_size,

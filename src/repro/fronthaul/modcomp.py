@@ -26,10 +26,12 @@ step ``2**s``, and re-compressing a decompressed payload reproduces the
 wire bytes exactly — the "lossy once, stable forever" property the DAS
 merge and the differential harness rely on.
 
-The codec is vectorized with the same bit-tensor technique as the BFP
-fast path: one ``np.packbits``/``np.unpackbits`` pass over a
-``(n_prbs, 24, width)`` tensor, one strided store per payload, and the
-shared LRU memos for the DAS-replicate / RU-sharing-demux patterns.
+The codec is the BFP fast path with a different parameter: it shares
+:class:`~repro.fronthaul.compression._PrbCodec` — the int16 shift search,
+the one ``pack_mantissas``/``unpack_mantissas`` bit-tensor pair, the
+blocked slot pass and the LRU memos for the DAS-replicate /
+RU-sharing-demux patterns — and adds only the csf/scaler halfword and the
+mid-rise reconstruction.
 """
 
 from __future__ import annotations
@@ -40,14 +42,10 @@ import numpy as np
 
 from repro.fronthaul.compression import (
     MOD_COMP_METH,
-    SAMPLES_PER_PRB,
     CompressionConfig,
-    _bit_shifts,
-    _COMPRESS_MEMO,
-    _exact_bits_needed,
-    _freeze,
-    _PARSE_MEMO,
+    _PrbCodec,
 )
+
 
 def max_scaler(iq_width: int) -> int:
     """Largest legal scaler for a mantissa width.
@@ -59,7 +57,7 @@ def max_scaler(iq_width: int) -> int:
     return max(0, 16 - iq_width)
 
 
-class ModCompressor:
+class ModCompressor(_PrbCodec):
     """Modulation-compression codec over int16 IQ samples.
 
     Mirrors :class:`~repro.fronthaul.compression.BfpCompressor` exactly:
@@ -70,6 +68,9 @@ class ModCompressor:
     from BFP exponents, so the PRB-monitoring path is codec-agnostic.
     """
 
+    _param_bytes = 2
+    _shift_dtype = np.uint16
+
     def __init__(self, config: CompressionConfig):
         if config.comp_meth != MOD_COMP_METH:
             raise ValueError(
@@ -78,8 +79,6 @@ class ModCompressor:
             )
         self.config = config
 
-    # -- array-level API ---------------------------------------------------
-
     def scalers_for(self, samples: np.ndarray) -> np.ndarray:
         """Per-PRB scalers for int16 samples of shape (n_prbs, 24).
 
@@ -87,34 +86,23 @@ class ModCompressor:
         the PRB fits a signed ``iq_width``-bit mantissa.  Idle PRBs get
         scaler 0.
         """
-        samples = np.asarray(samples, dtype=np.int64)
-        if samples.ndim != 2 or samples.shape[1] != 2 * SAMPLES_PER_PRB:
-            raise ValueError(f"expected shape (n, 24), got {samples.shape}")
-        width = self.config.iq_width
-        bits_needed = _exact_bits_needed(samples)
-        return np.maximum(bits_needed - width, 0).astype(np.uint16)
+        return self._shifts_for(samples)
 
-    def compress_array(self, samples: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Compress to (scalers, mantissas) arrays.
-
-        Returns scalers of shape (n_prbs,) and mantissas of shape
-        (n_prbs, 24) as signed integers already shifted.  Raises
-        :class:`ValueError` when a PRB would need a scaler above the
-        legal ``16 - width`` bound — int16 input can never trigger this,
-        but callers feeding wider accumulators must saturate first.
-        """
-        samples = np.asarray(samples, dtype=np.int64)
-        scalers = self.scalers_for(samples).astype(np.int64)
-        overflow = int(scalers.max(initial=0))
+    def _check_shifts(self, largest: int) -> None:
         legal = max_scaler(self.config.iq_width)
-        if overflow > legal:
+        if largest > legal:
             raise ValueError(
-                f"modcomp scaler {overflow} exceeds the legal bound "
+                f"modcomp scaler {largest} exceeds the legal bound "
                 f"{legal} for width {self.config.iq_width}; saturate "
                 "samples to int16 before compressing"
             )
-        mantissas = samples >> scalers[:, None]
-        return scalers.astype(np.uint16), mantissas
+
+    def _store_params(self, out: np.ndarray, shifts: np.ndarray) -> None:
+        out[:, 0] = (shifts > 0) << 7  # csf bit; legal scalers fit a byte
+        out[:, 1] = shifts
+
+    def _load_params(self, grid: np.ndarray) -> np.ndarray:
+        return ((grid[:, 0].astype(np.uint16) << 8) | grid[:, 1]) & 0x7FFF
 
     def decompress_array(
         self, scalers: np.ndarray, mantissas: np.ndarray
@@ -125,105 +113,15 @@ class ModCompressor:
         quantization cell, ``(m << s) + 2**(s-1)``, so the error is at
         most half a step and the scaler-0 path is exact.
         """
-        # Clamp the shift so illegal wire scalers (the validator's
-        # problem) cannot overflow the int64 accumulator here.
-        shifts = np.minimum(np.asarray(scalers, dtype=np.int64), 32)
-        mants = np.asarray(mantissas, dtype=np.int64)
-        half = (np.int64(1) << shifts) >> 1
-        restored = (mants << shifts[:, None]) + half[:, None]
+        # Illegal wire scalers are the validator's problem; clamped to 16
+        # they saturate exactly as any larger shift would (m >= 0 clips
+        # to 32767, m < 0 to -32768) and a 14-bit mantissa stays in int32.
+        shifts = np.minimum(scalers, 16).astype(np.int32)
+        half = (np.int32(1) << shifts) >> 1
+        restored = (
+            np.asarray(mantissas, dtype=np.int32) << shifts[:, None]
+        ) + half[:, None]
         return np.clip(restored, -32768, 32767).astype(np.int16)
-
-    # -- wire-level API ----------------------------------------------------
-
-    def compress(self, samples: np.ndarray) -> bytes:
-        """Serialize samples of shape (n_prbs, 24) to the wire format.
-
-        Each PRB is emitted as ``csf/scaler halfword || packed
-        mantissas``; all PRBs are packed in one ``np.packbits`` call over
-        the ``(n_prbs, 24, width)`` bit tensor and written with a single
-        strided store.
-        """
-        samples = np.ascontiguousarray(samples, dtype=np.int64)
-        memo_key = (self.config.to_byte(), samples.tobytes())
-        cached = _COMPRESS_MEMO.get(memo_key)
-        if cached is not None:
-            return cached
-        scalers, mantissas = self.compress_array(samples)
-        width = self.config.iq_width
-        n_prbs = len(scalers)
-        mask = np.int64((1 << width) - 1)
-        unsigned = (mantissas & mask).astype(np.uint32)
-        shifts = _bit_shifts(width)
-        bits = ((unsigned[:, :, None] >> shifts[None, None, :]) & 1).astype(
-            np.uint8
-        )
-        blocks = np.packbits(bits.reshape(n_prbs, 24 * width), axis=1)
-        params = scalers.astype(np.uint16)
-        params |= (scalers > 0).astype(np.uint16) << 15  # csf bit
-        out = np.empty((n_prbs, 2 + 3 * width), dtype=np.uint8)
-        out[:, 0] = (params >> 8).astype(np.uint8)
-        out[:, 1] = (params & 0xFF).astype(np.uint8)
-        out[:, 2:] = blocks
-        wire = out.tobytes()
-        _COMPRESS_MEMO.put(memo_key, wire)
-        return wire
-
-    def decompress(self, payload: bytes, n_prbs: int) -> np.ndarray:
-        """Parse a wire payload back to int16 samples of shape (n_prbs, 24)."""
-        scalers, mantissas = self.parse_wire(payload, n_prbs)
-        return self.decompress_array(scalers, mantissas)
-
-    def decompress_stack(self, payloads, n_prbs: int) -> np.ndarray:
-        """Decompress N equal-length payloads in one codec pass.
-
-        Returns int16 samples of shape ``(len(payloads), n_prbs, 24)`` —
-        the batched substrate of the DAS uplink merge, identical in shape
-        and contract to the BFP fast path.
-        """
-        n_ops = len(payloads)
-        if n_ops == 0:
-            return np.zeros((0, n_prbs, 2 * SAMPLES_PER_PRB), dtype=np.int16)
-        per_payload = n_prbs * self.config.prb_payload_bytes()
-        for payload in payloads:
-            if len(payload) < per_payload:
-                raise ValueError("truncated payload in decompress_stack")
-        combined = b"".join(bytes(p[:per_payload]) for p in payloads)
-        stacked = self.decompress(combined, n_ops * n_prbs)
-        return stacked.reshape(n_ops, n_prbs, 2 * SAMPLES_PER_PRB)
-
-    def parse_wire(self, payload: bytes, n_prbs: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Parse wire payload to (scalers, signed mantissas).
-
-        Returned arrays are read-only: identical payloads share one memo
-        entry, so callers that mutate must ``.copy()`` first.
-        """
-        width = self.config.iq_width
-        prb_bytes = self.config.prb_payload_bytes()
-        if len(payload) < n_prbs * prb_bytes:
-            raise ValueError(
-                f"truncated modcomp payload: need {n_prbs * prb_bytes}, "
-                f"got {len(payload)}"
-            )
-        payload_bytes = bytes(payload[: n_prbs * prb_bytes])
-        memo_key = (self.config.to_byte(), payload_bytes)
-        cached = _PARSE_MEMO.get(memo_key)
-        if cached is not None:
-            return cached
-        grid = np.frombuffer(payload_bytes, dtype=np.uint8).reshape(
-            n_prbs, prb_bytes
-        )
-        params = (grid[:, 0].astype(np.uint16) << 8) | grid[:, 1]
-        scalers = (params & 0x7FFF).astype(np.uint16)
-        bits = np.unpackbits(
-            np.ascontiguousarray(grid[:, 2:]), axis=1
-        ).reshape(n_prbs, 2 * SAMPLES_PER_PRB, width)
-        weights = (np.int64(1) << _bit_shifts(width).astype(np.int64))
-        unsigned = bits.astype(np.int64) @ weights
-        sign_bit = np.int64(1) << np.int64(width - 1)
-        mantissas = unsigned - ((unsigned & sign_bit) << 1)
-        result = (_freeze(scalers), _freeze(mantissas))
-        _PARSE_MEMO.put(memo_key, result)
-        return result
 
     def read_params(self, payload: bytes, n_prbs: int) -> Tuple[np.ndarray, np.ndarray]:
         """Per-PRB (csf, scaler) arrays without unpacking mantissas.
@@ -231,24 +129,8 @@ class ModCompressor:
         A pure strided view over the param halfwords — the validator's
         legality fast path.
         """
-        prb_bytes = self.config.prb_payload_bytes()
-        if len(payload) < n_prbs * prb_bytes:
-            raise ValueError("truncated modcomp payload")
-        raw = np.frombuffer(payload, dtype=np.uint8, count=n_prbs * prb_bytes)
-        hi = raw[0::prb_bytes].astype(np.uint16)
-        lo = raw[1::prb_bytes].astype(np.uint16)
-        params = (hi << 8) | lo
-        return (params >> 15).astype(np.uint8), (params & 0x7FFF)
-
-    def read_exponents(self, payload: bytes, n_prbs: int) -> np.ndarray:
-        """Per-PRB scalers, the modcomp analogue of BFP exponents.
-
-        Idle PRBs carry scaler 0 and loaded PRBs a positive scaler —
-        exactly the utilization signal Algorithm 1 thresholds on, so the
-        PRB monitor works unmodified over either codec.
-        """
-        _csf, scalers = self.read_params(payload, n_prbs)
-        return scalers
+        grid = self._grid(payload, n_prbs)
+        return grid[:, 0] >> 7, self._load_params(grid)
 
 
 __all__ = ["ModCompressor", "max_scaler"]

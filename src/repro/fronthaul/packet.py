@@ -8,13 +8,13 @@ byte-exact round trips.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from repro.fronthaul.cplane import CPlaneMessage, Direction
 from repro.fronthaul.ecpri import (
     ECPRI_HEADER_SIZE,
+    EAxCId,
     EcpriHeader,
     EcpriMessageType,
 )
@@ -23,6 +23,13 @@ from repro.fronthaul.ethernet import ETHERTYPE_ECPRI, EthernetHeader, MacAddress
 from repro.fronthaul.uplane import UPlaneMessage
 
 Message = Union[CPlaneMessage, UPlaneMessage]
+
+
+def _fresh(obj):
+    """A new object of ``obj``'s class holding the same field values."""
+    twin = object.__new__(type(obj))
+    twin.__dict__.update(obj.__dict__)
+    return twin
 
 
 @dataclass
@@ -63,25 +70,33 @@ class FronthaulPacket:
         return (self.message.time, self.message.direction, self.ecpri.eaxc.ru_port)
 
     def clone(self) -> "FronthaulPacket":
-        """Deep copy — the substrate of the A2 (replicate) action."""
-        return copy.deepcopy(self)
+        """Independent copy — the substrate of the A2 (replicate) action.
+
+        Structural, not deep: everything a middlebox may rewrite (the
+        Ethernet and eCPRI headers, the message, its section list and
+        every section) is a fresh object, while the leaves no one can
+        mutate are shared — ``MacAddress``, ``VlanTag``, ``EAxCId``,
+        ``SymbolTime``, ``CompressionConfig`` (frozen), payload bytes or
+        read-only frame views, and a section's read-only ``_iq_cache``.
+        """
+        message = _fresh(self.message)
+        message.sections = [_fresh(section) for section in message.sections]
+        return FronthaulPacket(_fresh(self.eth), _fresh(self.ecpri), message)
 
     def pack(self) -> bytes:
         body = self.message.pack()
-        ecpri = EcpriHeader(
-            message_type=self.ecpri.message_type,
-            payload_size=len(body) + 4,  # eAxC id + seq id count as payload
-            eaxc=self.ecpri.eaxc,
-            seq_id=self.ecpri.seq_id,
-            e_bit=self.ecpri.e_bit,
-            sub_seq_id=self.ecpri.sub_seq_id,
-        )
-        return self.eth.pack() + ecpri.pack() + body
+        # payloadSize counts the eAxC id + seq id words (4 bytes) + body.
+        header = self.ecpri.pack(payload_size=len(body) + 4)
+        return b"".join((self.eth.pack(), header, body))
 
     @property
     def wire_size(self) -> int:
-        """Serialized frame length in bytes (used for bandwidth accounting)."""
-        return len(self.pack())
+        """Serialized frame length in bytes (used for bandwidth accounting).
+
+        Header arithmetic, never a serialisation: Ethernet (14, 18 with a
+        VLAN tag) + the 8-byte eCPRI header + the message's own size.
+        """
+        return self.eth.size + ECPRI_HEADER_SIZE + self.message.wire_size()
 
 
 def make_packet(
@@ -93,8 +108,6 @@ def make_packet(
     vlan=None,
 ) -> FronthaulPacket:
     """Convenience constructor used by the DU/RU models."""
-    from repro.fronthaul.ecpri import EAxCId
-
     if eaxc is None:
         eaxc = EAxCId(du_port=0)
     message_type = (

@@ -26,6 +26,11 @@ class SlotType(enum.Enum):
     SPECIAL = "S"
 
 
+#: Pattern letter -> member, so a symbol-direction query is a dict read
+#: instead of an ``Enum.__call__`` per symbol.
+_SLOT_TYPES = {member.value: member for member in SlotType}
+
+
 @dataclass(frozen=True)
 class Numerology:
     """3GPP numerology mu: subcarrier spacing 15 * 2**mu kHz."""
@@ -137,7 +142,7 @@ class TddPattern:
             raise ValueError(f"special slot symbols must sum to 14, got {total}")
 
     def slot_type(self, absolute_slot: int) -> SlotType:
-        return SlotType(self.pattern[absolute_slot % len(self.pattern)])
+        return _SLOT_TYPES[self.pattern[absolute_slot % len(self.pattern)]]
 
     def is_downlink_symbol(self, absolute_slot: int, symbol: int) -> bool:
         kind = self.slot_type(absolute_slot)

@@ -16,7 +16,7 @@ cached per section, so a pass-through middlebox never touches the codec.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -69,15 +69,7 @@ class UPlaneSection:
 
     def __deepcopy__(self, memo) -> "UPlaneSection":
         # memoryview payloads cannot be deep-copied; materialize to bytes.
-        clone = UPlaneSection(
-            section_id=self.section_id,
-            start_prb=self.start_prb,
-            num_prb=self.num_prb,
-            payload=self.payload_bytes(),
-            compression=self.compression,
-            rb=self.rb,
-            sym_inc=self.sym_inc,
-        )
+        clone = replace(self, payload=self.payload_bytes())
         clone._iq_cache = self._iq_cache  # read-only, safe to share
         return clone
 
@@ -166,15 +158,7 @@ class UPlaneSection:
             payload: PayloadBytes = self.payload
         else:
             payload = codec_for(self.compression).compress(samples)
-        return UPlaneSection(
-            section_id=self.section_id,
-            start_prb=self.start_prb,
-            num_prb=self.num_prb,
-            payload=payload,
-            compression=self.compression,
-            rb=self.rb,
-            sym_inc=self.sym_inc,
-        )
+        return replace(self, payload=payload)
 
     @classmethod
     def from_samples(
@@ -287,6 +271,13 @@ class UPlaneMessage:
             section, offset = UPlaneSection.unpack(data, offset, carrier_num_prb)
             message.sections.append(section)
         return message
+
+    def wire_size(self) -> int:
+        """``len(self.pack())`` without packing: headers + payload lengths."""
+        size = _HDR.size
+        for section in self.sections:
+            size += _SECTION_HDR.size + len(section.payload)
+        return size
 
     def total_prbs(self) -> int:
         return sum(section.num_prb for section in self.sections)

@@ -13,12 +13,12 @@ port only (the property the dMIMO middlebox's SSB replication fixes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.fronthaul.compression import SAMPLES_PER_PRB
+from repro.fronthaul.compression import SAMPLES_PER_PRB, codec_for
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction, SectionType
 from repro.fronthaul.ecpri import EAxCId
 from repro.fronthaul.ethernet import MacAddress
@@ -196,9 +196,6 @@ class DistributedUnit:
         absolute_slot: int,
         allocations: List[PrbAllocation],
     ) -> List[FronthaulPacket]:
-        symbols = self._dl_symbols(absolute_slot)
-        if not symbols:
-            return []
         if not allocations and not self.cell.is_ssb_slot(absolute_slot):
             # Nothing to transmit this slot: no C-plane, no U-plane.  The
             # fronthaul goes quiet on idle cells, which is what makes the
@@ -209,26 +206,9 @@ class DistributedUnit:
         # near-zero samples on idle PRBs.  Which PRBs hold user data is
         # *not* visible from the C-plane — the property that makes
         # Algorithm 1's exponent-based utilization estimate necessary.
-        packets = []
-        for port in range(self.cell.n_antennas):
-            message = CPlaneMessage(
-                direction=Direction.DOWNLINK,
-                time=SymbolTime(
-                    slot_time.frame, slot_time.subframe, slot_time.slot, symbols[0]
-                ),
-                sections=[
-                    CPlaneSection(
-                        section_id=(self.du_id * 256) % 4096,
-                        start_prb=0,
-                        num_prb=self.cell.num_prb,
-                        num_symbols=len(symbols),
-                    )
-                ],
-                compression=self.compression,
-            )
-            eaxc = EAxCId(du_port=self.du_id, ru_port=port)
-            packets.append(self._emit(message, eaxc))
-        return packets
+        return self._fullband_cplane(
+            Direction.DOWNLINK, slot_time, self._dl_symbols(absolute_slot)
+        )
 
     def _build_ul_cplane(
         self,
@@ -236,19 +216,26 @@ class DistributedUnit:
         absolute_slot: int,
         allocations: List[PrbAllocation],
     ) -> List[FronthaulPacket]:
-        symbols = self._ul_symbols(absolute_slot)
-        if not symbols or not allocations:
+        if not allocations:
             # No uplink grants, no C-plane: a DU with no traffic stays
             # silent — the uncertainty the RU-sharing middlebox's numPrb
             # widening works around (Section 4.3).
             return []
+        return self._fullband_cplane(
+            Direction.UPLINK, slot_time, self._ul_symbols(absolute_slot)
+        )
+
+    def _fullband_cplane(
+        self, direction: Direction, slot_time: SymbolTime, symbols: List[int]
+    ) -> List[FronthaulPacket]:
+        """One full-carrier type-1 request per port covering ``symbols``."""
+        if not symbols:
+            return []
         packets = []
         for port in range(self.cell.n_antennas):
             message = CPlaneMessage(
-                direction=Direction.UPLINK,
-                time=SymbolTime(
-                    slot_time.frame, slot_time.subframe, slot_time.slot, symbols[0]
-                ),
+                direction=direction,
+                time=replace(slot_time, symbol=symbols[0]),
                 sections=[
                     CPlaneSection(
                         section_id=(self.du_id * 256) % 4096,
@@ -280,9 +267,7 @@ class DistributedUnit:
         )
         message = CPlaneMessage(
             direction=Direction.UPLINK,
-            time=SymbolTime(
-                slot_time.frame, slot_time.subframe, slot_time.slot, symbols[0]
-            ),
+            time=replace(slot_time, symbol=symbols[0]),
             sections=[section],
             section_type=SectionType.PRACH,
             compression=self.compression,
@@ -314,27 +299,35 @@ class DistributedUnit:
                 symbols = symbols[: self.symbols_per_slot]
         if not allocations and not is_ssb_slot:
             return []
+        # Grids are generated per (symbol, port) — the RNG streams and the
+        # float stage stay per symbol — then the slot's int16 goes through
+        # the codec in one blocked pass.
+        keys = [
+            (replace(slot_time, symbol=symbol), port)
+            for symbol in symbols
+            for port in range(self.cell.n_antennas)
+        ]
+        grids = [
+            self._symbol_grid(allocations, port, time.symbol, is_ssb_slot)
+            for time, port in keys
+        ]
+        payloads = codec_for(self.compression).compress_ranges(grids)
         packets = []
-        for symbol in symbols:
-            time = SymbolTime(
-                slot_time.frame, slot_time.subframe, slot_time.slot, symbol
+        for (time, port), grid, payload in zip(keys, grids, payloads):
+            section = UPlaneSection(
+                section_id=self.du_id % 4096,
+                start_prb=0,
+                num_prb=len(grid),
+                payload=payload,
+                compression=self.compression,
             )
-            for port in range(self.cell.n_antennas):
-                grid = self._symbol_grid(allocations, port, symbol, is_ssb_slot)
-                section = UPlaneSection.from_samples(
-                    section_id=self.du_id % 4096,
-                    start_prb=0,
-                    samples=grid,
-                    compression=self.compression,
-                )
-                message = UPlaneMessage(
-                    direction=Direction.DOWNLINK, time=time, sections=[section]
-                )
-                eaxc = EAxCId(du_port=self.du_id, ru_port=port)
-                packet = self._emit(message, eaxc, uplane=True)
-                if self.record_reference:
-                    self.dl_reference[(time, port)] = grid
-                packets.append(packet)
+            message = UPlaneMessage(
+                direction=Direction.DOWNLINK, time=time, sections=[section]
+            )
+            eaxc = EAxCId(du_port=self.du_id, ru_port=port)
+            packets.append(self._emit(message, eaxc, uplane=True))
+            if self.record_reference:
+                self.dl_reference[(time, port)] = grid
         return packets
 
     def _symbol_grid(

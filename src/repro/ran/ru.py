@@ -10,11 +10,11 @@ the full-spectrum requests the RU-sharing middlebox widens ``numPrb`` to.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.fronthaul.compression import SAMPLES_PER_PRB, CompressionConfig
+from repro.fronthaul.compression import SAMPLES_PER_PRB, CompressionConfig, codec_for
 from repro.fronthaul.cplane import CPlaneMessage, Direction, SectionType
 from repro.fronthaul.ecpri import EAxCId
 from repro.fronthaul.ethernet import MacAddress
@@ -66,8 +66,9 @@ class RadioUnit:
     fill the transmit grid (only PRBs covered by a C-plane section are
     accepted — unsolicited data is dropped, as real RUs do).
 
-    Uplink: ``build_uplink(time, port, air_iq)`` converts received air
-    samples into U-plane packets answering the recorded C-plane requests.
+    Uplink: ``build_uplink(items)`` converts one slot's received air
+    samples — ``(time, port, air_iq)`` per owed symbol — into U-plane
+    packets answering the recorded C-plane requests.
     """
 
     def __init__(
@@ -169,60 +170,72 @@ class RadioUnit:
 
     def build_uplink(
         self,
-        time: SymbolTime,
-        port: int,
-        air_iq: Optional[np.ndarray] = None,
+        items: Iterable[Tuple[SymbolTime, int, Optional[np.ndarray]]],
         noise_amplitude: float = 2.0e-4,
     ) -> List[FronthaulPacket]:
-        """Digitize air samples into U-plane packets for one symbol/port.
+        """Digitize one slot's air samples into U-plane packets.
 
-        ``air_iq`` is the complex full-band signal arriving at this
+        ``items`` yields ``(time, port, air_iq)`` per owed symbol/port;
+        ``air_iq`` is the complex full-band signal arriving at that
         antenna (None means only receiver noise).  Only PRB ranges with a
         recorded C-plane request are emitted, honoring O-RAN semantics.
+        Noise is drawn and the grid quantised per item — one symbol of
+        floats alive at a time, every RNG stream in per-symbol order —
+        and only the slot's int16 ranges go through the codec together.
         """
-        requests = [
-            request
-            for is_prach in (False, True)
-            if (request := self._ul_requests.get(
-                (time.slot_key(), port, is_prach)
-            )) is not None
-            and request.start_symbol
-            <= time.symbol
-            < request.start_symbol + request.num_symbols
-        ]
-        if not requests:
-            return []
         n_sc = self.config.num_prb * SAMPLES_PER_PRB
-        signal = np.zeros(n_sc, dtype=np.complex128)
-        if air_iq is not None:
-            if len(air_iq) != n_sc:
-                raise ValueError(
-                    f"air IQ has {len(air_iq)} subcarriers, RU grid has {n_sc}"
-                )
-            signal += air_iq
-        signal += self.rng.normal(0, noise_amplitude, n_sc) + 1j * self.rng.normal(
-            0, noise_amplitude, n_sc
-        )
-        full_grid = iq_to_int16(signal)
-        packets = []
-        for request in requests:
-            sections = []
-            for section_id, start_prb, num_prb in request.sections:
-                end = min(start_prb + num_prb, self.config.num_prb)
-                samples = full_grid[start_prb:end]
-                sections.append(
-                    UPlaneSection.from_samples(
-                        section_id=section_id,
-                        start_prb=start_prb,
-                        samples=samples,
-                        compression=self.config.compression,
+        answered = []  # (time, port, is_prach, [(section_id, start_prb, rows)])
+        for time, port, air_iq in items:
+            slot_key = time.slot_key()
+            requests = [
+                request
+                for is_prach in (False, True)
+                if (request := self._ul_requests.get((slot_key, port, is_prach)))
+                and 0 <= time.symbol - request.start_symbol < request.num_symbols
+            ]
+            if not requests:
+                continue
+            signal = np.zeros(n_sc, dtype=np.complex128)
+            if air_iq is not None:
+                if len(air_iq) != n_sc:
+                    raise ValueError(
+                        f"air IQ has {len(air_iq)} subcarriers, RU grid has {n_sc}"
                     )
+                signal += air_iq
+            signal += self.rng.normal(0, noise_amplitude, n_sc) + 1j * self.rng.normal(
+                0, noise_amplitude, n_sc
+            )
+            full_grid = iq_to_int16(signal)
+            for request in requests:
+                # Slicing clips a request that overruns the carrier edge.
+                parts = [
+                    (section_id, start_prb, full_grid[start_prb : start_prb + num_prb])
+                    for section_id, start_prb, num_prb in request.sections
+                ]
+                answered.append((time, port, request.is_prach, parts))
+        compression = self.config.compression
+        payloads = iter(
+            codec_for(compression).compress_ranges(
+                [rows for *_, parts in answered for _, _, rows in parts]
+            )
+        )
+        packets = []
+        for time, port, is_prach, parts in answered:
+            sections = [
+                UPlaneSection(
+                    section_id=section_id,
+                    start_prb=start_prb,
+                    num_prb=len(rows),
+                    payload=next(payloads),
+                    compression=compression,
                 )
+                for section_id, start_prb, rows in parts
+            ]
             message = UPlaneMessage(
                 direction=Direction.UPLINK,
                 time=time,
                 sections=sections,
-                filter_index=1 if request.is_prach else 0,
+                filter_index=1 if is_prach else 0,
             )
             packets.append(
                 make_packet(
@@ -239,8 +252,8 @@ class RadioUnit:
     def pending_uplink_symbols(self) -> List[Tuple[SymbolTime, int]]:
         """(time, port) pairs the RU owes uplink U-plane packets for.
 
-        One entry per requested symbol; the sim layer feeds each to
-        :meth:`build_uplink` with the corresponding air samples.
+        One entry per requested symbol; the sim layer pairs each with
+        its air samples and hands the slot's list to :meth:`build_uplink`.
         """
         result = set()
         for (slot_key, port, _), request in self._ul_requests.items():

@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.core.chain import MiddleboxChain
 from repro.core.middlebox import Middlebox
-from repro.fronthaul.compression import SAMPLES_PER_PRB
 from repro.fronthaul.packet import FronthaulPacket
 from repro.fronthaul.timing import SymbolTime
 from repro.phy.channel import ChannelModel, db_to_linear
@@ -264,13 +263,15 @@ class FronthaulNetwork:
             report.dl_packets += 1
 
         uplink: List[FronthaulPacket] = []
+        air_of = uplink_signal_fn or (lambda *_: None)
         for ru, position in self._rus.values():
-            n_sc = ru.config.num_prb * SAMPLES_PER_PRB
-            for time, port in ru.pending_uplink_symbols():
-                air = None
-                if uplink_signal_fn is not None:
-                    air = uplink_signal_fn(ru, position, time, port)
-                uplink.extend(ru.build_uplink(time, port, air_iq=air))
+            # A generator: each symbol's air signal lives only while the
+            # RU digitizes it; the slot's int16 is compressed in one pass.
+            items = (
+                (time, port, air_of(ru, position, time, port))
+                for time, port in ru.pending_uplink_symbols()
+            )
+            uplink.extend(ru.build_uplink(items))
             ru._ul_requests.clear()
         uplink = self._carry(uplink, report)
         for packet in self._through_chain(uplink, uplink=True):

@@ -116,21 +116,24 @@ class TestChainedDeployment:
             # Uplink: RUs answer, sharing demuxes to virtual MACs, DAS
             # merges back to the DUs.
             for ru, sharing in zip(rus, sharing_boxes):
-                for time, port in ru.pending_uplink_symbols():
-                    for packet in ru.build_uplink(time, port):
-                        for emission in sharing.process(packet).emissions:
-                            out = emission.packet
-                            # Demuxed frames address the virtual DU MACs;
-                            # map them into the right DAS group.
-                            for du, das in zip(dus, das_boxes):
-                                vmacs = {
-                                    vru_macs[(du.du_id, r.ru_id)].to_int()
-                                    for r in rus
-                                }
-                                if out.eth.dst.to_int() in vmacs:
-                                    out.eth.src = out.eth.dst
-                                    for final in das.process(out).emissions:
-                                        du.receive(final.packet)
+                owed = [
+                    (time, port, None)
+                    for time, port in ru.pending_uplink_symbols()
+                ]
+                for packet in ru.build_uplink(owed):
+                    for emission in sharing.process(packet).emissions:
+                        out = emission.packet
+                        # Demuxed frames address the virtual DU MACs;
+                        # map them into the right DAS group.
+                        for du, das in zip(dus, das_boxes):
+                            vmacs = {
+                                vru_macs[(du.du_id, r.ru_id)].to_int()
+                                for r in rus
+                            }
+                            if out.eth.dst.to_int() in vmacs:
+                                out.eth.src = out.eth.dst
+                                for final in das.process(out).emissions:
+                                    du.receive(final.packet)
                 ru._ul_requests.clear()
         return dus, rus, das_boxes, sharing_boxes
 

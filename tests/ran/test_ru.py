@@ -88,7 +88,7 @@ class TestUplink:
         du, ru = pair
         run_downlink(du, ru, n_slots=5)
         time, port = ru.pending_uplink_symbols()[0]
-        packets = ru.build_uplink(time, port)
+        packets = ru.build_uplink([(time, port, None)])
         assert len(packets) == 1
         message = packets[0].message
         assert message.direction is Direction.UPLINK
@@ -100,7 +100,7 @@ class TestUplink:
         _, ru = pair
         from repro.fronthaul.timing import SymbolTime
 
-        assert ru.build_uplink(SymbolTime(0, 0, 0, 10), 0) == []
+        assert ru.build_uplink([(SymbolTime(0, 0, 0, 10), 0, None)]) == []
 
     def test_uplink_digitizes_air_signal(self, pair, rng):
         du, ru = pair
@@ -108,7 +108,7 @@ class TestUplink:
         time, port = ru.pending_uplink_symbols()[0]
         n_sc = ru.config.num_prb * 12
         air = np.ones(n_sc, dtype=complex) * 0.3
-        packet = ru.build_uplink(time, port, air_iq=air)[0]
+        packet = ru.build_uplink([(time, port, air)])[0]
         samples = packet.message.sections[0].iq_samples()
         # 0.3 amplitude * 0.25 backoff * 32767 ~= 2457 on the I rail.
         assert abs(samples[:, 0].mean() - 2457) < 100
@@ -117,7 +117,7 @@ class TestUplink:
         du, ru = pair
         run_downlink(du, ru, n_slots=5)
         time, port = ru.pending_uplink_symbols()[0]
-        packet = ru.build_uplink(time, port, air_iq=None)[0]
+        packet = ru.build_uplink([(time, port, None)])[0]
         exponents = packet.message.sections[0].exponents()
         assert exponents.max() <= 2  # below the Algorithm 1 UL threshold
 
@@ -126,7 +126,7 @@ class TestUplink:
         run_downlink(du, ru, n_slots=5)
         time, port = ru.pending_uplink_symbols()[0]
         with pytest.raises(ValueError):
-            ru.build_uplink(time, port, air_iq=np.ones(10, dtype=complex))
+            ru.build_uplink([(time, port, np.ones(10, dtype=complex))])
 
     def test_clear_uplink_requests(self, pair):
         du, ru = pair
