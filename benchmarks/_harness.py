@@ -3,23 +3,15 @@
 Each benchmark regenerates one table/figure of the paper and both prints
 the rows (visible with ``pytest -s``) and writes them under
 ``benchmarks/output/`` so EXPERIMENTS.md can reference stable artifacts.
-
-Micro-benchmarks additionally record machine-readable numbers into
-``BENCH_<n>.json`` at the repo root via :func:`record_bench`, so the perf
-trajectory across PRs stays comparable.
+Performance numbers are not written here: ``bench/`` is the repo's one
+perf record, and the timing benches in this directory only assert floors.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
-from typing import Any, Dict
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
-REPO_ROOT = pathlib.Path(__file__).parent.parent
-
-#: Perf-trajectory file for this PR (bumped each perf-focused PR).
-BENCH_JSON = REPO_ROOT / "BENCH_1.json"
 
 
 def report(name: str, text: str) -> None:
@@ -28,25 +20,3 @@ def report(name: str, text: str) -> None:
     print(text)
     OUTPUT_DIR.mkdir(exist_ok=True)
     (OUTPUT_DIR / f"{name}.txt").write_text(text + "\n")
-
-
-def record_bench(
-    name: str, payload: Dict[str, Any], path: pathlib.Path = None
-) -> None:
-    """Merge one benchmark's numbers into a repo-root BENCH json.
-
-    The file accumulates entries across the whole benchmark run (each
-    entry keyed by benchmark name), so a single ``pytest benchmarks``
-    invocation produces one complete, machine-readable perf snapshot.
-    ``path`` overrides the default trajectory file for benchmarks that
-    belong to a later PR's snapshot (e.g. ``BENCH_6.json``).
-    """
-    target = path or BENCH_JSON
-    data: Dict[str, Any] = {}
-    if target.exists():
-        try:
-            data = json.loads(target.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data[name] = payload
-    target.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")

@@ -8,16 +8,13 @@ this Python implementation and verify the model's *relative* ordering
 Since the vectorization PR, the wire codec is array-at-a-time; the
 ``test_speedup_*`` benches here compare it against the seed's per-PRB
 reference implementation (kept below, verbatim) and assert the speedup
-floor (>=5x codec, >=3x merge).  Results are recorded machine-readably in
-``BENCH_1.json`` via :func:`_harness.record_bench`.
+floor (>=5x codec, >=3x merge).
 """
 
 import time
 
 import numpy as np
 import pytest
-
-from _harness import record_bench
 
 from repro.core.actions import ActionContext, PacketCache
 from repro.fronthaul.compression import BfpCompressor, clear_codec_memo
@@ -247,7 +244,7 @@ def test_replicate_to_5_rus(benchmark, samples):
     benchmark(fan_out)
 
 
-# -- speedup floors vs the seed implementation (recorded in BENCH_1.json) ---
+# -- speedup floors vs the seed implementation --------------------------------
 
 
 def test_speedup_full_band_compress(samples):
@@ -259,16 +256,6 @@ def test_speedup_full_band_compress(samples):
         samples
     ), "optimized compress must be byte-identical to the seed"
     speedup = reference / optimized
-    record_bench(
-        "bfp_compress_full_band",
-        {
-            "n_prbs": N_PRB,
-            "reference_s": reference,
-            "optimized_s": optimized,
-            "speedup": speedup,
-            "floor": 5.0,
-        },
-    )
     assert speedup >= 5.0, f"compress speedup {speedup:.1f}x below 5x floor"
 
 
@@ -281,16 +268,6 @@ def test_speedup_full_band_parse(samples, wire):
     opt_exp, opt_mant = compressor.parse_wire(wire, N_PRB)
     assert (ref_exp == opt_exp).all() and (ref_mant == opt_mant).all()
     speedup = reference / optimized
-    record_bench(
-        "bfp_parse_full_band",
-        {
-            "n_prbs": N_PRB,
-            "reference_s": reference,
-            "optimized_s": optimized,
-            "speedup": speedup,
-            "floor": 5.0,
-        },
-    )
     assert speedup >= 5.0, f"parse speedup {speedup:.1f}x below 5x floor"
 
 
@@ -315,46 +292,4 @@ def test_speedup_iq_merge_4_operands(samples):
         == optimized_merge().payload_bytes()
     ), "batched merge must be byte-identical to the seed merge"
     speedup = reference / optimized
-    record_bench(
-        "iq_merge_4_operands",
-        {
-            "n_prbs": N_PRB,
-            "n_operands": 4,
-            "reference_s": reference,
-            "optimized_s": optimized,
-            "speedup": speedup,
-            "floor": 3.0,
-        },
-    )
     assert speedup >= 3.0, f"merge speedup {speedup:.1f}x below 3x floor"
-
-
-def test_record_replicate_bench(samples):
-    """Record the replicate-to-5 fan-out cost (no floor; trajectory only)."""
-    from repro.fronthaul.cplane import Direction
-    from repro.fronthaul.ethernet import MacAddress
-    from repro.fronthaul.packet import make_packet, parse_packet
-    from repro.fronthaul.timing import SymbolTime
-    from repro.fronthaul.uplane import UPlaneMessage
-
-    section = UPlaneSection.from_samples(0, 0, samples)
-    packet = make_packet(
-        MacAddress.from_int(1), MacAddress.from_int(2),
-        UPlaneMessage(direction=Direction.DOWNLINK,
-                      time=SymbolTime(0, 0, 0, 0), sections=[section]),
-    )
-    wire_bytes = packet.pack()
-
-    def fan_out():
-        ctx = ActionContext(PacketCache())
-        copies = ctx.replicate(packet, 4)
-        return [p.pack() for p in [packet] + copies]
-
-    record_bench(
-        "replicate_to_5_rus",
-        {
-            "n_prbs": N_PRB,
-            "fan_out_s": _best_of(fan_out),
-            "parse_full_packet_s": _best_of(parse_packet, wire_bytes, N_PRB),
-        },
-    )

@@ -26,6 +26,34 @@ from repro.fronthaul.cplane import Direction
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import FronthaulPacket
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
+from repro.obs.metrics import declare
+
+_MERGE_FANIN = declare(
+    "histogram", "das_merge_fanin",
+    "RU packets combined per uplink merge",
+    ("middlebox",),
+    buckets=(1, 2, 3, 4, 6, 8, 12, 16),
+)
+_MERGED_SYMBOLS = declare(
+    "counter", "das_merged_symbols_total",
+    "completed uplink IQ merges",
+    ("middlebox",),
+)
+_MISSED_DEADLINES = declare(
+    "counter", "das_missed_merge_deadlines_total",
+    "uplink merges abandoned at the slot deadline",
+    ("middlebox",),
+)
+_DEGRADED_MERGES = declare(
+    "counter", "das_degraded_merges_total",
+    "deadline merges completed from a partial RU subset",
+    ("middlebox",),
+)
+_PENDING_MERGES = declare(
+    "gauge", "das_pending_merges",
+    "uplink symbols still waiting for RU packets",
+    ("middlebox",),
+)
 
 
 class DasMiddlebox(Middlebox):
@@ -77,9 +105,6 @@ class DasMiddlebox(Middlebox):
             name=f"{self.name}-seq", obs=self.obs
         )
         self.merged_uplink_symbols = 0
-        #: (registry, (fanin histogram child, merged counter child)) —
-        #: the per-merge export site resolves these once per registry.
-        self._merge_children: tuple = (None, ())
         #: Symbols whose merge never completed before the deadline flush
         #: (an RU's packet was lost or late — Section 2.2's strict windows).
         self.missed_merge_deadlines = 0
@@ -174,27 +199,8 @@ class DasMiddlebox(Middlebox):
             return
         cached = ctx.cache_pop_all(key)
         if self.obs.enabled:
-            # Resolved once per registry: this branch runs on every
-            # completed symbol merge.
-            registry = self.obs.registry
-            cached_registry, children = self._merge_children
-            if cached_registry is not registry:
-                children = (
-                    registry.histogram(
-                        "das_merge_fanin",
-                        "RU packets combined per uplink merge",
-                        labels=("middlebox",),
-                        buckets=(1, 2, 3, 4, 6, 8, 12, 16),
-                    ).labels(self.name),
-                    registry.counter(
-                        "das_merged_symbols_total",
-                        "completed uplink IQ merges",
-                        labels=("middlebox",),
-                    ).labels(self.name),
-                )
-                self._merge_children = (registry, children)
-            children[0].observe(len(cached))
-            children[1].inc()
+            self.obs.children(_MERGE_FANIN, self.name).observe(len(cached))
+            self.obs.children(_MERGED_SYMBOLS, self.name).inc()
         merged_sections = self._merge_sections(ctx, [p for _, p in cached])
         merged = UPlaneMessage(
             direction=Direction.UPLINK,
@@ -239,47 +245,18 @@ class DasMiddlebox(Middlebox):
 
     # -- deadline handling -------------------------------------------------
 
-    def flush_stale(self, before_slot_key) -> int:
-        """Drop cached uplink packets older than a slot boundary.
-
-        Fronthaul messages must arrive within strict receive windows; a
-        merge still waiting once its slot has passed will never complete
-        (some RU's packet was lost).  Returns the number of symbols whose
-        merge was abandoned; the DU simply never receives those symbols,
-        exactly as when packets miss the window on a real fronthaul.
-        """
-        stale = [
-            key
-            for key in self.cache.keys()
-            if key[0].slot_key() < before_slot_key
-        ]
-        for key in stale:
-            self.cache.discard(key)
-        self.missed_merge_deadlines += len(stale)
-        if self.obs.enabled:
-            registry = self.obs.registry
-            if stale:
-                registry.counter(
-                    "das_missed_merge_deadlines_total",
-                    "uplink merges abandoned at the slot deadline",
-                    labels=("middlebox",),
-                ).labels(self.name).inc(len(stale))
-            registry.gauge(
-                "das_pending_merges",
-                "uplink symbols still waiting for RU packets",
-                labels=("middlebox",),
-            ).labels(self.name).set(len(self.cache.keys()))
-        return len(stale)
-
     def flush_deadline(
         self, before_slot_key
     ) -> Tuple[List[FronthaulPacket], int]:
         """Deadline sweep with graceful degradation.
 
-        Like :meth:`flush_stale`, but when the ``partial_merge`` knob is
-        on, each stale symbol is merged from whatever RU subset arrived
-        in time and the degraded packet is returned for delivery to the
-        DU (reduced combining gain beats a silent hole in the slot).
+        A merge still waiting once its slot has passed will never
+        complete (an RU's packet missed the receive window).  The symbol
+        is abandoned — the DU never receives it, as on a real fronthaul —
+        unless the ``partial_merge`` knob is on: then it is merged from
+        whatever RU subset arrived in time and the degraded packet is
+        returned for delivery to the DU (reduced combining gain beats a
+        silent hole in the slot).
         Returns ``(degraded packets, abandoned symbol count)``.
         """
         stale = [
@@ -302,25 +279,15 @@ class DasMiddlebox(Middlebox):
             emitted.append(merged)
             self._remember_merged(key)
         self.missed_merge_deadlines += abandoned
-        if self.obs.enabled:
-            registry = self.obs.registry
+        obs = self.obs
+        if obs.enabled:
             if abandoned:
-                registry.counter(
-                    "das_missed_merge_deadlines_total",
-                    "uplink merges abandoned at the slot deadline",
-                    labels=("middlebox",),
-                ).labels(self.name).inc(abandoned)
+                obs.children(_MISSED_DEADLINES, self.name).inc(abandoned)
             if emitted:
-                registry.counter(
-                    "das_degraded_merges_total",
-                    "deadline merges completed from a partial RU subset",
-                    labels=("middlebox",),
-                ).labels(self.name).inc(len(emitted))
-            registry.gauge(
-                "das_pending_merges",
-                "uplink symbols still waiting for RU packets",
-                labels=("middlebox",),
-            ).labels(self.name).set(len(self.cache.keys()))
+                obs.children(_DEGRADED_MERGES, self.name).inc(len(emitted))
+            obs.children(_PENDING_MERGES, self.name).set(
+                len(self.cache.keys())
+            )
         return emitted, abandoned
 
     def _degraded_merge(
@@ -348,10 +315,5 @@ class DasMiddlebox(Middlebox):
         self.stats.account_tx(ctx.emissions)
         self.degraded_merges += 1
         if self.obs.enabled:
-            self.obs.registry.histogram(
-                "das_merge_fanin",
-                "RU packets combined per uplink merge",
-                labels=("middlebox",),
-                buckets=(1, 2, 3, 4, 6, 8, 12, 16),
-            ).labels(self.name).observe(len(packets))
+            self.obs.children(_MERGE_FANIN, self.name).observe(len(packets))
         return out

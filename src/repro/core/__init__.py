@@ -17,7 +17,7 @@
 """
 
 from repro.core.actions import ActionContext, ActionKind, ActionTrace, PacketCache
-from repro.core.middlebox import Emission, Middlebox, MiddleboxStats
+from repro.core.middlebox import Middlebox, MiddleboxStats
 from repro.core.chain import FronthaulSwitch, MiddleboxChain, PortRole
 from repro.core.telemetry import TelemetryBus, TelemetryRecord
 from repro.core.management import ManagementInterface
@@ -34,7 +34,6 @@ __all__ = [
     "ActionKind",
     "ActionTrace",
     "PacketCache",
-    "Emission",
     "Middlebox",
     "MiddleboxStats",
     "FronthaulSwitch",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -86,11 +86,20 @@ class ActionEvent:
     location: ExecLocation
 
 
-@dataclass
 class ActionTrace:
-    """Per-packet record of the actions applied to it."""
+    """The per-packet record: the actions applied to one packet, plus its
+    wire size and Figure 15b traffic class once a middlebox processed it.
 
-    events: List[ActionEvent] = field(default_factory=list)
+    The only per-packet object a middlebox retains, hence slotted (by
+    hand: ``dataclass(slots=True)`` needs Python 3.10).
+    """
+
+    __slots__ = ("events", "wire_bytes", "traffic_class")
+
+    def __init__(self) -> None:
+        self.events: List[ActionEvent] = []
+        self.wire_bytes = 0
+        self.traffic_class = "other"
 
     def record(self, kind: ActionKind, cost_ns: float) -> None:
         self.events.append(ActionEvent(kind, cost_ns, ACTION_LOCATION[kind]))
@@ -145,19 +154,13 @@ class PacketCache:
         return sum(len(v) for v in self._store.values())
 
 
-@dataclass
-class Emission:
-    """A packet leaving the middlebox (after A1 resolution)."""
-
-    packet: FronthaulPacket
-
-
 class ActionContext:
     """The per-packet action API handed to middlebox handlers.
 
-    Collects emissions and records an :class:`ActionTrace`.  Handlers call
-    these methods instead of mutating packets ad hoc, which is what makes
-    the latency/datapath accounting of Figures 15-16 possible.
+    Collects emissions (the packets leaving the middlebox, after A1
+    resolution) and records an :class:`ActionTrace`.  Handlers call these
+    methods instead of mutating packets ad hoc, which is what makes the
+    latency/datapath accounting of Figures 15-16 possible.
     """
 
     def __init__(
@@ -168,7 +171,11 @@ class ActionContext:
         self.cache_store = cache
         self.cost = cost_model
         self.trace = ActionTrace()
-        self.emissions: List[Emission] = []
+        self.emissions: List[FronthaulPacket] = []
+
+    @property
+    def traffic_class(self) -> str:
+        return self.trace.traffic_class
 
     # -- A1: redirection and drop -------------------------------------------
 
@@ -184,7 +191,7 @@ class ActionContext:
         if src is not None:
             packet.eth.src = src
         self.trace.record(ActionKind.ROUTE, self.cost.forward_ns)
-        self.emissions.append(Emission(packet))
+        self.emissions.append(packet)
 
     def drop(self, packet: FronthaulPacket) -> None:
         self.trace.record(ActionKind.DROP, self.cost.drop_ns)

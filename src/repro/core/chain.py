@@ -23,6 +23,81 @@ from repro.core.middlebox import Middlebox
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import FronthaulPacket
 from repro.obs import Observability
+from repro.obs.metrics import declare
+
+_PORT_BYTES = declare(
+    "counter", "switch_port_bytes_total",
+    "wire bytes per switch port and direction",
+    ("switch", "port", "direction"),
+)
+_PORT_PACKETS = declare(
+    "counter", "switch_port_packets_total",
+    "frames per switch port and direction",
+    ("switch", "port", "direction"),
+)
+_SWITCH_DROPS = declare(
+    "counter", "switch_drops_total",
+    "frames that died in the switch fabric per injecting port",
+    ("switch", "port"),
+)
+_SWITCH_LOOPS = declare(
+    "counter", "switch_loop_errors_total",
+    "frames killed by the hop-count loop guard",
+    ("switch",),
+)
+_SWITCH_IMPAIRED = declare(
+    "counter", "switch_impaired_total",
+    "frames absorbed by the fault injector on a port",
+    ("switch", "port"),
+)
+_SWITCH_MALFORMED = declare(
+    "counter", "switch_malformed_total",
+    "frames rejected by the receiving device's parser",
+    ("switch", "port"),
+)
+_BREAKER_TRANSITIONS = declare(
+    "counter", "chain_breaker_transitions_total",
+    "circuit-breaker state transitions per stage",
+    ("chain", "stage", "to"),
+)
+_BREAKER_STATE = declare(
+    "gauge", "chain_breaker_state",
+    "breaker state per stage (0 closed, 1 open, 2 half-open)",
+    ("chain", "stage"),
+)
+_STAGE_BYPASSED = declare(
+    "counter", "chain_stage_bypassed_total",
+    "packets that skipped a stage with an open breaker",
+    ("chain", "stage"),
+)
+_STAGE_FAULTS = declare(
+    "counter", "chain_stage_faults_total",
+    "exceptions raised by a stage, absorbed as drops",
+    ("chain", "stage", "direction"),
+)
+_STAGE_BURST_NS = declare(
+    "histogram", "chain_stage_burst_ns",
+    "modelled processing added by each chain stage per burst",
+    ("chain", "stage", "direction"),
+)
+_CUMULATIVE_BURST_NS = declare(
+    "histogram", "chain_cumulative_burst_ns",
+    "modelled latency accumulated through the chain per burst",
+    ("chain", "stage", "direction"),
+)
+_CHAIN_PACKETS = declare(
+    "counter", "chain_packets_total",
+    "packets entering the chain per direction",
+    ("chain", "direction"),
+)
+
+
+def _port_counters(registry, switch: str, port: str, direction: str) -> tuple:
+    """The (bytes, packets) counters of one switch port direction."""
+    return (
+        _PORT_BYTES(registry, switch, port, direction),
+        _PORT_PACKETS(registry, switch, port, direction),
+    )
 
 
 class PortRole(enum.Enum):
@@ -163,10 +238,6 @@ class FronthaulSwitch:
         #: Per-port fault injectors (repro.faults.FaultInjector) applied
         #: to frames on their way into the port's device.
         self._impairments: Dict[str, object] = {}
-        #: Resolved per-(port, direction) byte/packet counter children,
-        #: keyed by the registry they came from (streaming runs swap
-        #: registries) — this path runs once per delivered frame.
-        self._port_children: tuple = (None, {})
 
     def attach(
         self,
@@ -221,43 +292,10 @@ class FronthaulSwitch:
         self._impairments[port] = injector
         return injector
 
-    def _port_counters(self, port: str, direction: str) -> tuple:
-        """The (bytes, packets) counter children for one port direction.
-
-        Cached per registry: ``inject`` runs this once per delivered
-        frame, and re-resolving families and label children there is
-        measurably slower than a dict hit.
-        """
-        registry = self.obs.registry
-        cached_registry, children = self._port_children
-        if cached_registry is not registry:
-            children = {}
-            self._port_children = (registry, children)
-        pair = children.get((port, direction))
-        if pair is None:
-            pair = (
-                registry.counter(
-                    "switch_port_bytes_total",
-                    "wire bytes per switch port and direction",
-                    labels=("switch", "port", "direction"),
-                ).labels(self.name, port, direction),
-                registry.counter(
-                    "switch_port_packets_total",
-                    "frames per switch port and direction",
-                    labels=("switch", "port", "direction"),
-                ).labels(self.name, port, direction),
-            )
-            children[(port, direction)] = pair
-        return pair
-
     def _count_drop(self, from_port: str) -> None:
         self._ports[from_port].dropped_frames += 1
         if self.obs.enabled:
-            self.obs.registry.counter(
-                "switch_drops_total",
-                "frames that died in the switch fabric per injecting port",
-                labels=("switch", "port"),
-            ).labels(self.name, from_port).inc()
+            self.obs.children(_SWITCH_DROPS, self.name, from_port).inc()
 
     def inject(
         self,
@@ -270,11 +308,7 @@ class FronthaulSwitch:
         endpoint owning the destination MAC."""
         if _hops > self.MAX_HOPS:
             if self.obs.enabled:
-                self.obs.registry.counter(
-                    "switch_loop_errors_total",
-                    "frames killed by the hop-count loop guard",
-                    labels=("switch",),
-                ).labels(self.name).inc()
+                self.obs.children(_SWITCH_LOOPS, self.name).inc()
             raise SwitchLoopError(f"frame exceeded {self.MAX_HOPS} hops")
         dst = packet.eth.dst.to_int()
         chain = self._interpositions.get(dst, [])
@@ -303,17 +337,19 @@ class FronthaulSwitch:
             if absorbed:
                 target.impaired_frames += absorbed
                 if self.obs.enabled:
-                    self.obs.registry.counter(
-                        "switch_impaired_total",
-                        "frames absorbed by the fault injector on a port",
-                        labels=("switch", "port"),
-                    ).labels(self.name, target.name).inc(absorbed)
+                    self.obs.children(
+                        _SWITCH_IMPAIRED, self.name, target.name
+                    ).inc(absorbed)
             if not deliveries:
                 return
         source = self._ports[from_port]
         if self.obs.enabled:
-            tx_children = self._port_counters(from_port, "tx")
-            rx_children = self._port_counters(target.name, "rx")
+            tx_children = self.obs.children(
+                _port_counters, self.name, from_port, "tx"
+            )
+            rx_children = self.obs.children(
+                _port_counters, self.name, target.name, "rx"
+            )
         else:
             tx_children = rx_children = None
         for frame in deliveries:
@@ -335,11 +371,9 @@ class FronthaulSwitch:
                 # letting it unwind the whole slot.
                 target.malformed_frames += 1
                 if tx_children is not None:
-                    self.obs.registry.counter(
-                        "switch_malformed_total",
-                        "frames rejected by the receiving device's parser",
-                        labels=("switch", "port"),
-                    ).labels(self.name, target.name).inc()
+                    self.obs.children(
+                        _SWITCH_MALFORMED, self.name, target.name
+                    ).inc()
 
     def port(self, name: str) -> SwitchPort:
         return self._ports[name]
@@ -355,15 +389,16 @@ class MiddleboxChain:
     the RUs); ``process_uplink`` through the reverse order (towards the
     DUs), matching Figure 8's bidirectional chain over one NIC.
 
-    When observability is enabled, every burst records per-stage latency
-    propagation: the modelled time each stage added and the cumulative
-    latency a packet has accumulated when it leaves that stage.
-
-    With ``isolate_faults`` (the default), a stage that raises becomes a
+    The chain owns dispatch: :meth:`_run_stage` is the only loop that
+    calls :meth:`Middlebox.process`.  A stage that raises becomes a
     counted drop instead of crashing the chain, and every stage gets a
     :class:`CircuitBreaker`: after ``breaker_threshold`` consecutive
     faults the stage is bypassed (packets pass through unprocessed) for
     ``breaker_probation`` packets, then probed half-open.
+
+    When observability is enabled, every burst records per-stage latency
+    propagation: the modelled time each stage added and the cumulative
+    latency a packet has accumulated when it leaves that stage.
     """
 
     def __init__(
@@ -371,7 +406,6 @@ class MiddleboxChain:
         middleboxes: Sequence[Middlebox],
         name: str = "chain",
         obs: Optional[Observability] = None,
-        isolate_faults: bool = True,
         breaker_threshold: int = 5,
         breaker_probation: int = 16,
     ):
@@ -380,7 +414,6 @@ class MiddleboxChain:
         self.middleboxes = list(middleboxes)
         self.name = name
         self.obs = obs if obs is not None else obs_module.DEFAULT_OBSERVABILITY
-        self.isolate_faults = isolate_faults
         self.stage_faults = [0] * len(self.middleboxes)
         self.stage_bypassed = [0] * len(self.middleboxes)
         #: Packets that skipped a hold-capable stage because the caller
@@ -390,37 +423,33 @@ class MiddleboxChain:
         self.fault_log: Deque[Tuple[int, str, str]] = deque(maxlen=64)
         self.breaker_events: List[Tuple[int, str, str]] = []
         self.breakers: List[CircuitBreaker] = []
+        #: The ``stage`` metric label of each stage: ``"<index>:<name>"``.
+        self._stage_labels: List[str] = []
         for stage, middlebox in enumerate(self.middleboxes):
             middlebox.chain_stage = stage
+            self._stage_labels.append(f"{stage}:{middlebox.name}")
             self.breakers.append(
                 CircuitBreaker(
                     failure_threshold=breaker_threshold,
                     probation_packets=breaker_probation,
-                    on_transition=self._breaker_observer(stage, middlebox),
+                    on_transition=self._breaker_observer(stage),
                 )
             )
 
     def _breaker_observer(
-        self, stage: int, middlebox: Middlebox
+        self, stage: int
     ) -> Callable[[BreakerState, BreakerState], None]:
-        stage_label = f"{stage}:{middlebox.name}"
-
         def observe(previous: BreakerState, state: BreakerState) -> None:
             self.breaker_events.append(
                 (stage, previous.value, state.value)
             )
-            if self.obs.enabled:
-                registry = self.obs.registry
-                registry.counter(
-                    "chain_breaker_transitions_total",
-                    "circuit-breaker state transitions per stage",
-                    labels=("chain", "stage", "to"),
-                ).labels(self.name, stage_label, state.value).inc()
-                registry.gauge(
-                    "chain_breaker_state",
-                    "breaker state per stage (0 closed, 1 open, 2 half-open)",
-                    labels=("chain", "stage"),
-                ).labels(self.name, stage_label).set(
+            obs = self.obs
+            if obs.enabled:
+                label = self._stage_labels[stage]
+                obs.children(
+                    _BREAKER_TRANSITIONS, self.name, label, state.value
+                ).inc()
+                obs.children(_BREAKER_STATE, self.name, label).set(
                     BREAKER_STATE_VALUE[state]
                 )
 
@@ -434,37 +463,31 @@ class MiddleboxChain:
     ) -> List[FronthaulPacket]:
         """Run one stage with per-packet fault isolation + breaker."""
         stage = middlebox.chain_stage
+        label = self._stage_labels[stage]
         breaker = self.breakers[stage]
+        obs = self.obs
         out: List[FronthaulPacket] = []
         for packet in packets:
             if not breaker.admit():
                 # Breaker open: fail open — the packet skips the stage.
                 self.stage_bypassed[stage] += 1
-                if self.obs.enabled:
-                    self.obs.registry.counter(
-                        "chain_stage_bypassed_total",
-                        "packets that skipped a stage with an open breaker",
-                        labels=("chain", "stage"),
-                    ).labels(self.name, f"{stage}:{middlebox.name}").inc()
+                if obs.enabled:
+                    obs.children(_STAGE_BYPASSED, self.name, label).inc()
                 out.append(packet)
                 continue
             try:
-                processed = middlebox.process(packet)
+                ctx = middlebox.process(packet)
             except Exception as exc:  # noqa: BLE001 — isolation boundary
                 breaker.record_failure()
                 self.stage_faults[stage] += 1
                 self.fault_log.append((stage, middlebox.name, repr(exc)))
-                if self.obs.enabled:
-                    self.obs.registry.counter(
-                        "chain_stage_faults_total",
-                        "exceptions raised by a stage, absorbed as drops",
-                        labels=("chain", "stage", "direction"),
-                    ).labels(
-                        self.name, f"{stage}:{middlebox.name}", direction
+                if obs.enabled:
+                    obs.children(
+                        _STAGE_FAULTS, self.name, label, direction
                     ).inc()
                 continue
             breaker.record_success()
-            out.extend(e.packet for e in processed.emissions)
+            out.extend(ctx.emissions)
         return out
 
     @property
@@ -476,42 +499,23 @@ class MiddleboxChain:
         direction: str,
     ) -> List[FronthaulPacket]:
         current = list(packets)
-        if not self.obs.enabled:
-            for middlebox in boxes:
-                if self.isolate_faults:
-                    current = self._run_stage(middlebox, current, direction)
-                else:
-                    current = middlebox.process_burst(current)
-            return current
-        registry = self.obs.registry
-        stage_ns = registry.histogram(
-            "chain_stage_burst_ns",
-            "modelled processing added by each chain stage per burst",
-            labels=("chain", "stage", "direction"),
-        )
-        cumulative_ns = registry.histogram(
-            "chain_cumulative_burst_ns",
-            "modelled latency accumulated through the chain per burst",
-            labels=("chain", "stage", "direction"),
-        )
-        packets_total = registry.counter(
-            "chain_packets_total",
-            "packets entering the chain per direction",
-            labels=("chain", "direction"),
-        )
-        packets_total.labels(self.name, direction).inc(len(current))
+        obs = self.obs
+        recording = obs.enabled
+        if recording:
+            obs.children(_CHAIN_PACKETS, self.name, direction).inc(len(current))
         cumulative = 0.0
         for middlebox in boxes:
             before_ns = middlebox.stats.processing_ns_total
-            if self.isolate_faults:
-                current = self._run_stage(middlebox, current, direction)
-            else:
-                current = middlebox.process_burst(current)
-            added = middlebox.stats.processing_ns_total - before_ns
-            cumulative += added
-            stage = f"{middlebox.chain_stage}:{middlebox.name}"
-            stage_ns.labels(self.name, stage, direction).observe(added)
-            cumulative_ns.labels(self.name, stage, direction).observe(cumulative)
+            current = self._run_stage(middlebox, current, direction)
+            if recording:
+                added = middlebox.stats.processing_ns_total - before_ns
+                cumulative += added
+                labels = (
+                    self.name, self._stage_labels[middlebox.chain_stage],
+                    direction,
+                )
+                obs.children(_STAGE_BURST_NS, *labels).observe(added)
+                obs.children(_CUMULATIVE_BURST_NS, *labels).observe(cumulative)
         return current
 
     def _resolve_stage(self, source: Union[int, str, Middlebox]) -> int:

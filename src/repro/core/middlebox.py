@@ -12,22 +12,70 @@ are built from this one template.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Deque, List, Optional
 
 from repro import obs as obs_module
-from repro.core.actions import (
-    ActionContext,
-    ActionTrace,
-    Emission,
-    PacketCache,
-)
+from repro.core.actions import ActionContext, ActionTrace, PacketCache
 from repro.core.latency import DEFAULT_COST_MODEL, ActionCostModel
 from repro.core.management import ManagementInterface
 from repro.core.telemetry import TelemetryBus
 from repro.fronthaul.cplane import Direction
 from repro.fronthaul.packet import FronthaulPacket
 from repro.obs import Observability, PacketSpan, SpanEvent, SpanKey
+from repro.obs.metrics import declare
+
+#: Traces each middlebox retains (newest win).  Private, not a knob: the
+#: largest reader, Figure 16, needs 1,449 records per box (DESIGN.md).
+_TRACE_RING = 4096
+
+#: Figure 15b's four traffic classes, indexed ``[downlink][cplane]``.
+_TRAFFIC_CLASSES = (
+    ("UL U-Plane", "UL C-Plane"),
+    ("DL U-Plane", "DL C-Plane"),
+)
+
+_PACKETS = declare(
+    "counter", "middlebox_packets_total",
+    "packets processed per middlebox and traffic class",
+    ("middlebox", "class"),
+)
+_BYTES = declare(
+    "counter", "middlebox_bytes_total",
+    "wire bytes through each middlebox by direction",
+    ("middlebox", "direction"),
+)
+_DROPS = declare(
+    "counter", "middlebox_drops_total",
+    "packets absorbed (no emission) per middlebox",
+    ("middlebox",),
+)
+_MODELED_NS = declare(
+    "histogram", "middlebox_modeled_ns",
+    "modelled per-packet processing time (ActionCostModel)",
+    ("middlebox", "class"),
+)
+_WALL_NS = declare(
+    "histogram", "middlebox_wall_ns",
+    "measured per-packet wall time of this Python implementation",
+    ("middlebox", "class"),
+)
+
+
+def _packet_children(
+    registry, name: str, traffic_class: str, emitted: bool
+) -> tuple:
+    """What one packet updates, by class and outcome.  The last child is
+    the ``tx`` byte counter for a packet that emitted and the drop counter
+    for one that did not, so either series appears only once it happens."""
+    return (
+        _PACKETS(registry, name, traffic_class),
+        _BYTES(registry, name, "rx"),
+        _MODELED_NS(registry, name, traffic_class),
+        _WALL_NS(registry, name, traffic_class),
+        _BYTES(registry, name, "tx") if emitted else _DROPS(registry, name),
+    )
 
 
 @dataclass
@@ -48,21 +96,12 @@ class MiddleboxStats:
         self.rx_bytes += wire_bytes
         return wire_bytes
 
-    def account_tx(self, emissions: List[Emission]) -> int:
+    def account_tx(self, emissions: List[FronthaulPacket]) -> int:
         """Count emitted packets; returns the emitted wire bytes."""
-        tx_bytes = sum(e.packet.wire_size for e in emissions)
+        tx_bytes = sum(packet.wire_size for packet in emissions)
         self.tx_packets += len(emissions)
         self.tx_bytes += tx_bytes
         return tx_bytes
-
-
-@dataclass
-class ProcessedPacket:
-    """Result of running one packet through a middlebox."""
-
-    emissions: List[Emission]
-    trace: ActionTrace
-    traffic_class: str = "other"
 
 
 class Middlebox:
@@ -105,16 +144,12 @@ class Middlebox:
         self.cache = PacketCache()
         self.management = ManagementInterface(owner=self.name)
         self.stats = MiddleboxStats()
-        self.traces: List[ActionTrace] = []
-        #: Wire size (bytes) of the packet behind each entry of ``traces``.
-        self.trace_wire_bytes: List[int] = []
-        #: Per-traffic-class traces for the Figure 15b breakdown.
-        self.traces_by_class: Dict[str, List[ActionTrace]] = {}
+        #: The per-packet record (actions, wire bytes, traffic class) of
+        #: the most recent packets: a bounded ring, so a long run holds a
+        #: constant amount.  Figures read it via :meth:`complete_traces`.
+        self.traces: Deque[ActionTrace] = deque(maxlen=_TRACE_RING)
         #: Position in an enclosing chain (set by MiddleboxChain).
         self.chain_stage: int = 0
-        #: Resolved metric children per traffic class, keyed by the
-        #: registry they came from (streaming runs swap registries).
-        self._obs_children: tuple = (None, {})
 
     # -- handler hooks ---------------------------------------------------------
 
@@ -126,42 +161,54 @@ class Middlebox:
 
     # -- engine ------------------------------------------------------------------
 
-    def process(self, packet: FronthaulPacket) -> ProcessedPacket:
-        """Run one packet through the handler; returns emissions + trace."""
+    def process(self, packet: FronthaulPacket) -> ActionContext:
+        """Run one packet through the handler; returns the context it ran
+        (``emissions``, ``trace``, ``traffic_class``).
+
+        Allocates the context, its trace (the record ``traces`` keeps)
+        and one event per action — nothing else per packet.
+        """
         obs = self.obs
         recording = obs.enabled
         start_ns = obs.clock() if recording else 0
-        wire_bytes = self.stats.account_rx(packet)
+        stats = self.stats
         ctx = ActionContext(self.cache, self.cost_model)
+        trace = ctx.trace
+        trace.wire_bytes = stats.account_rx(packet)
         if packet.is_cplane:
             self.on_cplane(ctx, packet)
         else:
             self.on_uplane(ctx, packet)
+        trace.traffic_class = classify(packet)
         if not ctx.emissions:
-            self.stats.dropped_packets += 1
-        tx_bytes = self.stats.account_tx(ctx.emissions)
-        modeled_ns = ctx.trace.total_ns()
-        self.stats.processing_ns_total += modeled_ns
-        traffic_class = classify(packet)
-        self.traces.append(ctx.trace)
-        self.trace_wire_bytes.append(wire_bytes)
-        self.traces_by_class.setdefault(traffic_class, []).append(ctx.trace)
+            stats.dropped_packets += 1
+        tx_bytes = stats.account_tx(ctx.emissions)
+        modeled_ns = trace.total_ns()
+        stats.processing_ns_total += modeled_ns
+        self.traces.append(trace)
         if recording:
-            self._observe(
-                obs, packet, ctx, traffic_class, wire_bytes, tx_bytes,
-                modeled_ns, start_ns,
+            self._observe(obs, packet, ctx, tx_bytes, modeled_ns, start_ns)
+        return ctx
+
+    def complete_traces(self) -> List[ActionTrace]:
+        """The trace of every packet received so far, oldest first.
+
+        Raises if the ring no longer holds them all (evicted, or a
+        handler raised before its trace was kept): a figure must never
+        be computed from a partial record.
+        """
+        if len(self.traces) != self.stats.rx_packets:
+            raise RuntimeError(
+                f"{self.name}: {len(self.traces)} traces retained for "
+                f"{self.stats.rx_packets} packets (ring of {_TRACE_RING})"
             )
-        return ProcessedPacket(
-            emissions=ctx.emissions, trace=ctx.trace, traffic_class=traffic_class
-        )
+        return list(self.traces)
 
     def _observe(
         self,
         obs: Observability,
         packet: FronthaulPacket,
         ctx: ActionContext,
-        traffic_class: str,
-        wire_bytes: int,
         tx_bytes: int,
         modeled_ns: float,
         start_ns: int,
@@ -169,63 +216,17 @@ class Middlebox:
         """Account one processed packet in the metrics registry and, when
         sampled, leave a span in the flight recorder."""
         wall_ns = obs.clock() - start_ns
-        registry = obs.registry
-        cached_registry, by_class = self._obs_children
-        if cached_registry is not registry:
-            by_class = {}
-            self._obs_children = (registry, by_class)
-        children = by_class.get(traffic_class)
-        if children is None:
-            # tx and drops slots stay lazy (None) so their series still
-            # appear in the registry only on first actual use.
-            children = [
-                registry.counter(
-                    "middlebox_packets_total",
-                    "packets processed per middlebox and traffic class",
-                    labels=("middlebox", "class"),
-                ).labels(self.name, traffic_class),
-                registry.counter(
-                    "middlebox_bytes_total",
-                    "wire bytes through each middlebox by direction",
-                    labels=("middlebox", "direction"),
-                ).labels(self.name, "rx"),
-                None,
-                None,
-                registry.histogram(
-                    "middlebox_modeled_ns",
-                    "modelled per-packet processing time (ActionCostModel)",
-                    labels=("middlebox", "class"),
-                ).labels(self.name, traffic_class),
-                registry.histogram(
-                    "middlebox_wall_ns",
-                    "measured per-packet wall time of this Python "
-                    "implementation",
-                    labels=("middlebox", "class"),
-                ).labels(self.name, traffic_class),
-            ]
-            by_class[traffic_class] = children
-        children[0].inc()
-        children[1].inc(wire_bytes)
-        if tx_bytes:
-            tx = children[2]
-            if tx is None:
-                tx = children[2] = registry.counter(
-                    "middlebox_bytes_total",
-                    "wire bytes through each middlebox by direction",
-                    labels=("middlebox", "direction"),
-                ).labels(self.name, "tx")
-            tx.inc(tx_bytes)
-        if not ctx.emissions:
-            drops = children[3]
-            if drops is None:
-                drops = children[3] = registry.counter(
-                    "middlebox_drops_total",
-                    "packets absorbed (no emission) per middlebox",
-                    labels=("middlebox",),
-                ).labels(self.name)
-            drops.inc()
-        children[4].observe(modeled_ns)
-        children[5].observe(wall_ns)
+        trace = ctx.trace
+        traffic_class = trace.traffic_class
+        emitted = bool(ctx.emissions)
+        packets, rx_bytes, modeled, wall, outcome = obs.children(
+            _packet_children, self.name, traffic_class, emitted
+        )
+        packets.inc()
+        rx_bytes.inc(trace.wire_bytes)
+        outcome.inc(tx_bytes if emitted else 1)
+        modeled.observe(modeled_ns)
+        wall.observe(wall_ns)
         if obs.should_sample():
             # Positional construction: this runs per sampled packet and
             # keyword dataclass calls are measurably slower.
@@ -255,7 +256,7 @@ class Middlebox:
                                 event.cost_ns,
                                 event.location.value,
                             )
-                            for event in ctx.trace.events
+                            for event in trace.events
                         ]
                     ),
                     len(ctx.emissions),
@@ -264,24 +265,9 @@ class Middlebox:
                 )
             )
 
-    def process_burst(
-        self, packets: List[FronthaulPacket]
-    ) -> List[FronthaulPacket]:
-        """Convenience: process packets in order, return all emissions."""
-        out: List[FronthaulPacket] = []
-        for packet in packets:
-            out.extend(e.packet for e in self.process(packet).emissions)
-        return out
-
-    def reset_traces(self) -> None:
-        self.traces.clear()
-        self.trace_wire_bytes.clear()
-        self.traces_by_class.clear()
-        self.stats.processing_ns_total = 0.0
-
 
 def classify(packet: FronthaulPacket) -> str:
     """Traffic class labels used by Figure 15b."""
-    plane = "C-Plane" if packet.is_cplane else "U-Plane"
-    direction = "DL" if packet.direction is Direction.DOWNLINK else "UL"
-    return f"{direction} {plane}"
+    return _TRAFFIC_CLASSES[packet.direction is Direction.DOWNLINK][
+        packet.is_cplane
+    ]

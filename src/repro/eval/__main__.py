@@ -25,7 +25,6 @@ def _runners(
     from repro.eval.chaos import run_chaos
     from repro.eval.chaos_scale import run as run_chaos_scale
     from repro.eval.codec import run_codec
-    from repro.eval.codec import write_bench as write_codec_bench
     from repro.eval.conformance import run_conformance
     from repro.eval.fig10 import run_fig10a, run_fig10b, run_fig10c
     from repro.eval.fig11 import run_fig11
@@ -35,23 +34,13 @@ def _runners(
     from repro.eval.fig15 import run_fig15a, run_fig15a_measured, run_fig15b
     from repro.eval.fig16 import run_fig16
     from repro.eval.obs_top import run_obs_top
-    from repro.eval.scale import run_scale, write_bench
+    from repro.eval.scale import run_scale
     from repro.eval.serve import run as run_serve_eval
     from repro.eval.table2 import run_table2
 
     # Only the flags given are forwarded: each runner keeps its defaults.
     sized = {"slots": slots} if slots else {}
     sharded = dict(sized, workers=workers) if workers else sized
-
-    def _scale() -> str:
-        result = run_scale(**sized)
-        write_bench(result)
-        return result.format()
-
-    def _codec() -> str:
-        result = run_codec(**sized)
-        write_codec_bench(result)
-        return result.format()
 
     return {
         "fig10a": lambda: run_fig10a().format(),
@@ -70,10 +59,10 @@ def _runners(
         "appendix_a2": lambda: run_cost_analysis().format(),
         "chaos": lambda: run_chaos(**sized).format(),
         "chaos-scale": lambda: run_chaos_scale(**sharded).format(),
-        "codec": _codec,
+        "codec": lambda: run_codec(**sized).format(),
         "conformance": lambda: run_conformance(**sized).format(),
         "obs-top": lambda: run_obs_top(**sharded).format(),
-        "scale": _scale,
+        "scale": lambda: run_scale(**sized).format(),
         "serve": lambda: run_serve_eval(**sharded).format(),
     }
 

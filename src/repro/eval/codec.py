@@ -1,6 +1,6 @@
 """Codec benchmark: modcomp vs BFP wire bytes and scenario throughput.
 
-Two measurements, both recorded into ``BENCH_10.json``:
+Two measurements:
 
 1. **Wire bytes** — for every vendor profile, real U-plane frames are
    packed under both negotiated codecs (same seeded samples, headers
@@ -13,7 +13,7 @@ Two measurements, both recorded into ``BENCH_10.json``:
    :func:`repro.eval.scale.bench_spec`) run single-process twice: once
    with every cell on its profile default (BFP) and once with every
    cell pinned to ``codec: modcomp`` through per-stream negotiation.
-   The recorded cell-slots/s delta is the compute price (or win) of the
+   The reported cell-slots/s delta is the compute price (or win) of the
    denser codec across the full DU->switch->RU datapath.  It is
    informational only — run-to-run timing noise at this scenario size
    exceeds the real per-codec difference, so health gates on the
@@ -25,7 +25,6 @@ Run via ``PYTHONPATH=src python -m repro.eval codec``; shrink with
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -144,35 +143,6 @@ class CodecResult:
         ]
         return "\n".join(lines)
 
-    def to_bench(self) -> Dict[str, object]:
-        return {
-            "codec_8cell": {
-                "slots": self.slots,
-                "num_prb": NUM_PRB,
-                "frames_per_cell": FRAMES,
-                "wire_bytes": {
-                    row.profile: {
-                        **{
-                            other.codec: other.total_bytes
-                            for other in self.wire
-                            if other.profile == row.profile
-                        },
-                    }
-                    for row in self.wire
-                },
-                "wire_reduction": dict(self.reduction),
-                "reduction_floor": REDUCTION_FLOOR,
-                "bfp_cell_slots_per_second": (
-                    self.bfp_cell_slots_per_second
-                ),
-                "modcomp_cell_slots_per_second": (
-                    self.modcomp_cell_slots_per_second
-                ),
-                "throughput_delta_pct": self.throughput_delta_pct,
-                "bfp_digest_sha256": self.bfp_digest,
-                "modcomp_digest_sha256": self.modcomp_digest,
-            }
-        }
 
 
 def _measure_wire(profile, codec: str, seed: int) -> WireRow:
@@ -242,19 +212,3 @@ def run_codec(slots: int = 0, seed: int = 10) -> CodecResult:
     result.modcomp_digest = modcomp_run.digest
     result.assert_healthy()
     return result
-
-
-def write_bench(result: CodecResult, path: str = "BENCH_10.json") -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(result.to_bench(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def main() -> str:
-    result = run_codec()
-    write_bench(result)
-    return result.format()
-
-
-if __name__ == "__main__":
-    print(main())

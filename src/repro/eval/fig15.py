@@ -281,7 +281,9 @@ def run_fig15b(
             network.add_ru(ru)
         network.run(n_slots)
         by_class: Dict[str, List[float]] = {}
-        for traffic_class, traces in das.traces_by_class.items():
-            by_class[traffic_class] = [trace.total_ns() for trace in traces]
+        for trace in das.complete_traces():
+            by_class.setdefault(trace.traffic_class, []).append(
+                trace.total_ns()
+            )
         breakdowns.append(LatencyBreakdown(n_rus=n_rus, by_class=by_class))
     return Fig15bResult(breakdowns=breakdowns)

@@ -134,10 +134,8 @@ def run_fig16(
             network.run(n_slots)
             interval_ns = n_slots * cell.numerology.slot_duration_ns
             works = [
-                PacketWork(trace=trace, wire_bytes=size)
-                for trace, size in zip(
-                    middlebox.traces, middlebox.trace_wire_bytes
-                )
+                PacketWork(trace, trace.wire_bytes)
+                for trace in middlebox.complete_traces()
             ]
             dpdk[app][condition] = dpdk_model.cpu_utilization(
                 works, interval_ns

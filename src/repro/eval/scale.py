@@ -5,8 +5,7 @@ coupled group: a cross-DU shared RU, exercising the atomic-placement
 rule) through the persistent worker pool at 1, 2, 4 and 8 workers,
 asserting after every sharded run that the result digest is
 **byte-identical** to the single-process run — the sharding contract —
-and recording throughput (cell-slots simulated per wall second) into
-``BENCH_6.json``.
+and reporting throughput (cell-slots simulated per wall second).
 
 Every sharded worker count is measured twice through one
 :class:`~repro.scale.pool.WorkerPool`:
@@ -18,8 +17,8 @@ Every sharded worker count is measured twice through one
 
 The ≥3x warm-speedup floor at 8 workers only holds where the workers
 can actually run in parallel: the assertion is gated on
-``os.cpu_count() >= 4`` and the recorded JSON carries the host's cpu
-count so a 1-core CI box records honest numbers without failing a
+``os.cpu_count() >= 4`` and the printed table carries the host's cpu
+count so a 1-core CI box reports honest numbers without failing a
 physically impossible bar.  Set ``REPRO_SCALE_REQUIRE_FLOOR=1`` (the
 multicore CI job does) to *fail* instead of skipping when the gate
 cannot be enforced — the floor is never silently waved through.
@@ -30,7 +29,6 @@ Run via ``PYTHONPATH=src python -m repro.eval scale``; shrink with
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -228,34 +226,6 @@ class ScaleResult:
         )
         return table + "\n" + floor + "\n" + target
 
-    def to_bench(self) -> Dict[str, object]:
-        def by_workers(mapping: Dict[int, object]) -> Dict[str, object]:
-            return {
-                str(workers): value
-                for workers, value in sorted(mapping.items())
-            }
-
-        return {
-            "scale_out_8cell": {
-                "cells": self.cells,
-                "slots": self.slots,
-                "epoch_slots": self.epoch_slots,
-                "cpu_count": self.cpu_count,
-                "digest_sha256": self.digest,
-                "cell_slots_per_second": by_workers(self.throughput),
-                "wall_seconds": by_workers(self.wall),
-                "warm_cell_slots_per_second": by_workers(
-                    self.warm_throughput
-                ),
-                "warm_wall_seconds": by_workers(self.warm_wall),
-                "speedup_8_vs_1": self.speedup_at_floor,
-                "floor": SPEEDUP_FLOOR,
-                "floor_enforced": self.floor_enforced,
-                "target_cell_slots_per_second": TARGET_CELL_SLOTS_PER_S,
-                "best_cell_slots_per_second": self.best_throughput,
-            }
-        }
-
 
 def _assert_matches(outcome, reference, workers: int) -> None:
     # The sharding contract: any worker count, the same bytes.
@@ -324,19 +294,3 @@ def run_scale(slots: int = 0) -> ScaleResult:
             f"the {SPEEDUP_FLOOR:.0f}x floor"
         )
     return result
-
-
-def write_bench(result: ScaleResult, path: str = "BENCH_6.json") -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(result.to_bench(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def main() -> str:
-    result = run_scale()
-    write_bench(result)
-    return result.format()
-
-
-if __name__ == "__main__":
-    print(main())

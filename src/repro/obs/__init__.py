@@ -97,6 +97,8 @@ class Observability:
         "sketch_accuracy",
         "clock",
         "_ticket",
+        "_children",
+        "_children_epoch",
     )
 
     def __init__(
@@ -127,6 +129,8 @@ class Observability:
         self.sketch_accuracy = sketch_accuracy
         self.clock = clock
         self._ticket = 0
+        self._children: dict = {}
+        self._children_epoch = None
 
     def enable(self) -> "Observability":
         self.enabled = True
@@ -142,6 +146,26 @@ class Observability:
         if self.sample_every == 1:
             return True
         return self._ticket % self.sample_every == 1
+
+    def children(self, resolve, *labels):
+        """``resolve(registry, *labels)``, memoised: the datapath's one
+        cached-children lookup.
+
+        ``resolve`` is a :func:`repro.obs.metrics.declare` result (one
+        child) or a module-level function returning the children one
+        site updates together.  The memo is dropped whole when
+        ``registry`` is swapped, cleared or loses a family: a cached
+        child would otherwise count into a family nothing exports.
+        """
+        registry = self.registry
+        if self._children_epoch is not registry.epoch:
+            self._children = {}
+            self._children_epoch = registry.epoch
+        key = (resolve, labels)
+        found = self._children.get(key)
+        if found is None:
+            found = self._children[key] = resolve(registry, *labels)
+        return found
 
     def reset(self) -> None:
         """Drop all collected series and spans (between experiment runs)."""

@@ -287,12 +287,36 @@ class MetricFamily:
         return self._require_default().value
 
 
+def declare(
+    kind: str, name: str, help_text: str, labels: Sequence[str] = (), **options
+):
+    """Declare one metric family, once, in the module that updates it.
+
+    ``kind`` names the :class:`MetricsRegistry` factory (``"counter"``,
+    ``"gauge"``, ...).  Returns ``resolve(registry, *label_values)``,
+    which registers the family on first use — never at declaration —
+    and is meant to be called through
+    :meth:`repro.obs.Observability.children`.
+    """
+    labels = tuple(labels)
+
+    def resolve(registry: "MetricsRegistry", *values: str):
+        family = getattr(registry, kind)(name, help_text, labels, **options)
+        return family.labels(*values)
+
+    return resolve
+
+
 class MetricsRegistry:
     """Get-or-create metric families plus an atomic snapshot."""
 
     def __init__(self):
         self._families: Dict[str, MetricFamily] = {}
         self._lock = threading.Lock()
+        #: Replaced whenever families are dropped: a child resolved under
+        #: an older token may belong to a family no longer registered
+        #: (see :meth:`repro.obs.Observability.children`).
+        self.epoch = object()
 
     def _get_or_create(
         self,
@@ -472,10 +496,12 @@ class MetricsRegistry:
     def unregister(self, name: str) -> None:
         with self._lock:
             self._families.pop(name, None)
+            self.epoch = object()
 
     def clear(self) -> None:
         with self._lock:
             self._families.clear()
+            self.epoch = object()
 
     def __len__(self) -> int:
         return len(self._families)

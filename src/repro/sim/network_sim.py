@@ -139,7 +139,6 @@ class FronthaulNetwork:
         deadline_accountant: Optional["DeadlineAccountant"] = None,
         wire: Optional["ImpairedLink"] = None,
         deadline_flush: bool = False,
-        isolate_faults: bool = True,
         breaker_threshold: int = 5,
         breaker_probation: int = 16,
         obs=None,
@@ -177,7 +176,6 @@ class FronthaulNetwork:
                 self.middleboxes,
                 name=name,
                 obs=obs,
-                isolate_faults=isolate_faults,
                 breaker_threshold=breaker_threshold,
                 breaker_probation=breaker_probation,
             )
@@ -233,9 +231,11 @@ class FronthaulNetwork:
             raise RuntimeError("no DUs in the network")
         absolute_slot = next(iter(self._dus.values())).clock.current_slot
         report = SlotReport(absolute_slot=absolute_slot)
-        processing_before = [
-            m.stats.processing_ns_total for m in self.middleboxes
-        ]
+        accountant = self.deadline_accountant
+        if accountant is not None:
+            processing_before = [
+                m.stats.processing_ns_total for m in self.middleboxes
+            ]
 
         downlink: List[FronthaulPacket] = []
         for du in self._dus.values():
@@ -280,10 +280,10 @@ class FronthaulNetwork:
         if self.deadline_flush and self.chain is not None:
             self._flush_deadlines(absolute_slot, report)
 
-        if self.deadline_accountant is not None:
+        if accountant is not None:
             from repro.obs.deadline import account_middleboxes
 
-            self.deadline_accountant.observe_slot(
+            accountant.observe_slot(
                 absolute_slot,
                 account_middleboxes(self.middleboxes, processing_before),
             )

@@ -55,9 +55,9 @@ def test_das_merges_exactly_once_per_symbol_any_order(case):
                            src=ru_macs[ru_index], time=time, port=0)
         result = das.process(packet)
         for emission in result.emissions:
-            key = emission.packet.time
+            key = emission.time
             assert key not in merged_payloads, "double merge"
-            merged_payloads[key] = emission.packet.message.sections[0].payload
+            merged_payloads[key] = emission.message.sections[0].payload
     assert len(merged_payloads) == n_symbols
     assert das.merged_uplink_symbols == n_symbols
     assert len(das.cache) == 0
@@ -69,9 +69,9 @@ def test_das_merges_exactly_once_per_symbol_any_order(case):
                                         src=ru_macs[ru_index], time=time,
                                         port=0))
         for emission in result.emissions:
-            key = emission.packet.time
+            key = emission.time
             assert (
-                emission.packet.message.sections[0].payload
+                emission.message.sections[0].payload
                 == merged_payloads[key]
             )
     assert das.merged_uplink_symbols == das2.merged_uplink_symbols
@@ -123,7 +123,7 @@ def test_dmimo_roundtrip_identity_on_wire(groups, ports):
         ),
         eaxc=EAxCId(du_port=0, ru_port=global_port),
     )
-    out = dmimo.process(dl).emissions[0].packet
+    out = dmimo.process(dl).emissions[0]
     ul = make_packet(
         out.eth.dst, DU_MAC,
         UPlaneMessage(
@@ -137,6 +137,6 @@ def test_dmimo_roundtrip_identity_on_wire(groups, ports):
         ),
         eaxc=EAxCId(du_port=0, ru_port=out.eaxc.ru_port),
     )
-    back = dmimo.process(ul).emissions[0].packet
+    back = dmimo.process(ul).emissions[0]
     assert back.eaxc.ru_port == global_port
     assert back.eth.dst == DU_MAC

@@ -59,24 +59,24 @@ def cplane(du_mac, ru_mac, direction=Direction.DOWNLINK):
 class TestDownlinkFanOut:
     def test_uplane_replicated_to_all_rus(self, das, rng, du_mac, ru_macs):
         result = das.process(dl_uplane(rng, du_mac, ru_macs[0]))
-        destinations = [e.packet.eth.dst for e in result.emissions]
+        destinations = [e.eth.dst for e in result.emissions]
         assert destinations == ru_macs
 
     def test_cplane_replicated_to_all_rus(self, das, du_mac, ru_macs):
         result = das.process(cplane(du_mac, ru_macs[0]))
-        assert [e.packet.eth.dst for e in result.emissions] == ru_macs
+        assert [e.eth.dst for e in result.emissions] == ru_macs
 
     def test_replicas_carry_identical_payload(self, das, rng, du_mac, ru_macs):
         packet = dl_uplane(rng, du_mac, ru_macs[0])
         result = das.process(packet)
         payloads = {
-            e.packet.message.sections[0].payload for e in result.emissions
+            e.message.sections[0].payload for e in result.emissions
         }
         assert len(payloads) == 1
 
     def test_source_rewritten_to_middlebox(self, das, rng, du_mac, ru_macs):
         result = das.process(dl_uplane(rng, du_mac, ru_macs[0]))
-        assert all(e.packet.eth.src == das.mac for e in result.emissions)
+        assert all(e.eth.src == das.mac for e in result.emissions)
 
 
 class TestUplinkMerge:
@@ -85,7 +85,7 @@ class TestUplinkMerge:
         assert das.process(ul_uplane(rng, ru_macs[1], du_mac)).emissions == []
         final = das.process(ul_uplane(rng, ru_macs[2], du_mac))
         assert len(final.emissions) == 1
-        assert final.emissions[0].packet.eth.dst == du_mac
+        assert final.emissions[0].eth.dst == du_mac
 
     def test_merged_payload_is_elementwise_sum(self, das, rng, du_mac, ru_macs):
         packets = [ul_uplane(rng, mac, du_mac) for mac in ru_macs]
@@ -95,7 +95,7 @@ class TestUplinkMerge:
         emissions = []
         for packet in packets:
             emissions = das.process(packet).emissions
-        merged = emissions[0].packet.message.sections[0]
+        merged = emissions[0].message.sections[0]
         step = 1 << int(merged.exponents().max())
         assert np.abs(
             merged.iq_samples().astype(int) - expected
@@ -142,7 +142,7 @@ class TestManagement:
         new_ru = MacAddress.from_int(0x77)
         das.add_ru(new_ru)
         result = das.process(dl_uplane(rng, du_mac, ru_macs[0]))
-        assert [e.packet.eth.dst for e in result.emissions] == ru_macs + [new_ru]
+        assert [e.eth.dst for e in result.emissions] == ru_macs + [new_ru]
 
     def test_empty_ru_set_rejected(self, du_mac):
         with pytest.raises(ValueError):

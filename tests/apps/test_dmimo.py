@@ -93,14 +93,14 @@ class TestDownlinkRemap:
     def test_low_ports_unmodified(self, dmimo, rng, du_mac, ru_a):
         """Ports 0-1 already match RU 1's local numbering (Section 4.2)."""
         result = dmimo.process(dl_uplane(rng, du_mac, port=1))
-        packet = result.emissions[0].packet
+        packet = result.emissions[0]
         assert packet.eth.dst == ru_a
         assert packet.eaxc.ru_port == 1
 
     def test_high_ports_remapped(self, dmimo, rng, du_mac, ru_b):
         """Ports 2-3 remap to RU 2's local ports 0-1."""
         result = dmimo.process(dl_uplane(rng, du_mac, port=3))
-        packet = result.emissions[0].packet
+        packet = result.emissions[0]
         assert packet.eth.dst == ru_b
         assert packet.eaxc.ru_port == 1
 
@@ -113,7 +113,7 @@ class TestDownlinkRemap:
         packet = make_packet(du_mac, MacAddress.from_int(0xFF), message,
                              eaxc=EAxCId(du_port=0, ru_port=2))
         result = dmimo.process(packet)
-        out = result.emissions[0].packet
+        out = result.emissions[0]
         assert out.eth.dst == ru_b
         assert out.eaxc.ru_port == 0
 
@@ -121,28 +121,28 @@ class TestDownlinkRemap:
         packet = dl_uplane(rng, du_mac, port=2)
         original = packet.message.sections[0].payload
         result = dmimo.process(packet)
-        assert result.emissions[0].packet.message.sections[0].payload == original
+        assert result.emissions[0].message.sections[0].payload == original
 
 
 class TestUplinkRemap:
     def test_ru2_ports_mapped_to_global(self, dmimo, rng, du_mac, ru_b):
         result = dmimo.process(ul_uplane(rng, ru_b, du_mac, port=1))
-        packet = result.emissions[0].packet
+        packet = result.emissions[0]
         assert packet.eth.dst == du_mac
         assert packet.eaxc.ru_port == 3
 
     def test_ru1_ports_unchanged(self, dmimo, rng, du_mac, ru_a):
         result = dmimo.process(ul_uplane(rng, ru_a, du_mac, port=0))
-        assert result.emissions[0].packet.eaxc.ru_port == 0
+        assert result.emissions[0].eaxc.ru_port == 0
 
     def test_bidirectional_consistency(self, dmimo, rng, du_mac, ru_a, ru_b):
         """DL then UL remap is the identity on the global port space."""
         for global_port in range(4):
             down = dmimo.process(dl_uplane(rng, du_mac, port=global_port))
-            out = down.emissions[0].packet
+            out = down.emissions[0]
             back = ul_uplane(rng, out.eth.dst, du_mac, out.eaxc.ru_port)
             up = dmimo.process(back)
-            assert up.emissions[0].packet.eaxc.ru_port == global_port
+            assert up.emissions[0].eaxc.ru_port == global_port
 
 
 class TestSsbReplication:
@@ -164,7 +164,7 @@ class TestSsbReplication:
         dmimo_ssb.process(primary)
         secondary = dl_uplane(rng, du_mac, port=2, time=self.ssb_time())
         result = dmimo_ssb.process(secondary)
-        out = result.emissions[0].packet
+        out = result.emissions[0]
         assert out.eth.dst == ru_b
         assert out.message.sections[0].prb_payload(3) == ssb_bytes
         assert dmimo_ssb.ssb_copies == 1
@@ -174,7 +174,7 @@ class TestSsbReplication:
         secondary = dl_uplane(rng, du_mac, port=2, time=self.ssb_time())
         before = secondary.message.sections[0].prb_payload(0)
         result = dmimo_ssb.process(secondary)
-        assert result.emissions[0].packet.message.sections[0].prb_payload(0) == before
+        assert result.emissions[0].message.sections[0].prb_payload(0) == before
 
     def test_secondary_before_primary_held(self, dmimo_ssb, rng, du_mac):
         """Out-of-order arrival: the secondary packet waits for the SSB."""

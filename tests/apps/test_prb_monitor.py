@@ -74,7 +74,7 @@ class TestAlgorithm1:
         wire = packet.pack()
         result = monitor.process(packet)
         assert len(result.emissions) == 1
-        assert result.emissions[0].packet.pack() == wire
+        assert result.emissions[0].pack() == wire
 
     def test_only_monitored_port_estimated(self, monitor, rng, du_mac, ru_mac):
         monitor.process(grid_packet(rng, du_mac, ru_mac, {1}, port=1))

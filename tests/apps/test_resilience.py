@@ -55,7 +55,7 @@ class TestSteadyState:
     def test_primary_traffic_forwarded_to_ru(self, box, primary, ru_mac):
         result = box.process(dl_cplane(primary, ru_mac))
         assert len(result.emissions) == 1
-        assert result.emissions[0].packet.eth.dst == ru_mac
+        assert result.emissions[0].eth.dst == ru_mac
 
     def test_standby_traffic_suppressed(self, box, standby, ru_mac):
         result = box.process(dl_cplane(standby, ru_mac))
@@ -64,7 +64,7 @@ class TestSteadyState:
     def test_uplink_steered_to_primary(self, box, rng, primary, ru_mac):
         box.process(dl_cplane(primary, ru_mac, slot=0))
         result = box.process(ul_uplane(rng, ru_mac, primary, slot=1))
-        assert result.emissions[0].packet.eth.dst == primary
+        assert result.emissions[0].eth.dst == primary
         assert box.events == []
 
 
@@ -91,14 +91,14 @@ class TestFailover:
                                             ru_mac):
         self.drive_failure(box, rng, primary, ru_mac)
         result = box.process(ul_uplane(rng, ru_mac, primary, slot=13))
-        assert result.emissions[0].packet.eth.dst == standby
+        assert result.emissions[0].eth.dst == standby
 
     def test_standby_downlink_admitted_after_failover(self, box, rng,
                                                       primary, standby,
                                                       ru_mac):
         self.drive_failure(box, rng, primary, ru_mac)
         result = box.process(dl_cplane(standby, ru_mac, slot=14))
-        assert result.emissions[0].packet.eth.dst == ru_mac
+        assert result.emissions[0].eth.dst == ru_mac
 
     def test_late_primary_suppressed_after_failover(self, box, rng, primary,
                                                     ru_mac):

@@ -100,7 +100,7 @@ class TestCplaneWidening:
                                                 ru_mac):
         result = sharing.process(du_cplane(du_configs[0]))
         assert len(result.emissions) == 1
-        out = result.emissions[0].packet
+        out = result.emissions[0]
         assert out.eth.dst == ru_mac
         section = out.message.sections[0]
         assert section.num_prb == RU_GRID.num_prb
@@ -130,7 +130,7 @@ class TestCplaneWidening:
         )
         result = sharing.process(foreign)
         assert len(result.emissions) == 1
-        assert result.emissions[0].packet.message.sections[0].num_prb == 106
+        assert result.emissions[0].message.sections[0].num_prb == 106
 
 
 class TestDownlinkMultiplex:
@@ -149,7 +149,7 @@ class TestDownlinkMultiplex:
         pkt_a = du_dl_uplane(rng, du_configs[0])
         pkt_b = du_dl_uplane(rng, du_configs[1])
         sharing.process(pkt_a)
-        merged = sharing.process(pkt_b).emissions[0].packet
+        merged = sharing.process(pkt_b).emissions[0]
         assert merged.eth.dst == ru_mac
         section = merged.message.sections[0]
         assert section.num_prb == RU_GRID.num_prb
@@ -184,7 +184,7 @@ class TestUplinkDemultiplex:
         full = ru_packet.message.sections[0]
         result = sharing.process(ru_packet)
         assert len(result.emissions) == 2
-        by_dst = {e.packet.eth.dst.to_int(): e.packet for e in result.emissions}
+        by_dst = {e.eth.dst.to_int(): e for e in result.emissions}
         for du, offset in zip(du_configs, (0, 106)):
             out = by_dst[du.mac.to_int()]
             section = out.message.sections[0]
@@ -199,7 +199,7 @@ class TestUplinkDemultiplex:
         sharing.process(du_cplane(du_configs[0], Direction.UPLINK, time=time))
         result = sharing.process(ru_ul_uplane(rng, ru_mac, time=time))
         assert len(result.emissions) == 1
-        assert result.emissions[0].packet.eth.dst == du_configs[0].mac
+        assert result.emissions[0].eth.dst == du_configs[0].mac
 
     def test_unrequested_uplink_dropped(self, sharing, rng, ru_mac):
         result = sharing.process(ru_ul_uplane(rng, ru_mac))
@@ -231,7 +231,7 @@ class TestMisalignedSharing:
         sharing.process(du_cplane(du))
         pkt = du_dl_uplane(rng, du)
         src_samples = pkt.message.sections[0].iq_samples()
-        merged = sharing.process(pkt).emissions[0].packet
+        merged = sharing.process(pkt).emissions[0]
         out = merged.message.sections[0].iq_samples()
         offset_sc = int(round(RU_GRID.offset_of(du.grid) * 12))
         flat_out = out.reshape(-1, 2)
@@ -262,7 +262,7 @@ class TestPrach:
         assert held.emissions == []
         result = sharing.process(self.prach_cplane(du_configs[1]))
         assert len(result.emissions) == 1
-        out = result.emissions[0].packet
+        out = result.emissions[0]
         assert out.eth.dst == ru_mac
         assert out.message.section_type is SectionType.PRACH
         assert len(out.message.sections) == 2
@@ -273,7 +273,7 @@ class TestPrach:
 
         sharing.process(self.prach_cplane(du_configs[0]))
         result = sharing.process(self.prach_cplane(du_configs[1]))
-        sections = result.emissions[0].packet.message.sections
+        sections = result.emissions[0].message.sections
         for du, section in zip(du_configs, sections):
             assert section.freq_offset == translate_freq_offset(
                 144, du.grid.center_frequency_hz, RU_GRID.center_frequency_hz,
@@ -300,9 +300,9 @@ class TestPrach:
         assert len(result.emissions) == 2
         for emission, du, section in zip(result.emissions, du_configs,
                                          sections):
-            assert emission.packet.eth.dst == du.mac
-            assert emission.packet.message.sections[0].payload == section.payload
-            assert emission.packet.message.filter_index == 1
+            assert emission.eth.dst == du.mac
+            assert emission.message.sections[0].payload == section.payload
+            assert emission.message.filter_index == 1
 
     def test_unknown_section_ids_dropped(self, sharing, rng, ru_mac):
         message = UPlaneMessage(

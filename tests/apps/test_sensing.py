@@ -92,7 +92,7 @@ class TestInterferenceDetection:
         wire = packet.pack()
         result = sensor.process(packet)
         assert len(result.emissions) == 1
-        assert result.emissions[0].packet.pack() == wire
+        assert result.emissions[0].pack() == wire
 
     def test_threshold_configurable(self, sensor, rng, du_mac, ru_mac):
         sensor.management.set("noise_exponent_threshold", 15)

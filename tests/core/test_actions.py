@@ -49,13 +49,13 @@ class TestA1Routing:
         new_dst = MacAddress.from_int(0xBEEF)
         ctx.forward(packet, dst=new_dst)
         assert len(ctx.emissions) == 1
-        assert ctx.emissions[0].packet.eth.dst == new_dst
+        assert ctx.emissions[0].eth.dst == new_dst
         assert ctx.trace.kinds() == [ActionKind.ROUTE]
 
     def test_forward_without_rewrite(self, ctx, rng, du_mac, ru_mac):
         packet = make_uplane(rng, du_mac, ru_mac)
         ctx.forward(packet)
-        assert ctx.emissions[0].packet.eth.dst == ru_mac
+        assert ctx.emissions[0].eth.dst == ru_mac
 
     def test_drop_emits_nothing(self, ctx, rng, du_mac, ru_mac):
         ctx.drop(make_uplane(rng, du_mac, ru_mac))

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.chain import BreakerState, CircuitBreaker, MiddleboxChain
 from repro.core.middlebox import Middlebox
-from repro.faults import FaultyMiddlebox, InjectedFault
+from repro.faults import FaultyMiddlebox
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import make_packet
@@ -98,13 +98,6 @@ class TestStageIsolation:
         assert len(chain.fault_log) == 3
         stage, name, exc = chain.fault_log[0]
         assert stage == 0 and name == "faulty" and "InjectedFault" in exc
-
-    def test_isolation_off_propagates_like_the_seed(self):
-        chain = MiddleboxChain(
-            [FaultyMiddlebox(fail_every=1)], isolate_faults=False
-        )
-        with pytest.raises(InjectedFault):
-            chain.process_downlink([packet()])
 
     def test_empty_chain_still_rejected(self):
         with pytest.raises(ValueError):

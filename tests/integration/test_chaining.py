@@ -95,8 +95,7 @@ class TestChainedDeployment:
                 packets = du.advance_slot()
                 packets.sort(key=lambda p: p.is_uplane)
                 for packet in packets:
-                    for emission in das.process(packet).emissions:
-                        out = emission.packet
+                    for out in das.process(packet).emissions:
                         # Stamp the MNO-specific virtual source for the
                         # addressed RU's sharing box.
                         target_vru = out.eth.dst
@@ -112,7 +111,7 @@ class TestChainedDeployment:
                     }
                     if packet.eth.dst.to_int() in owned:
                         for emission in sharing.process(packet).emissions:
-                            ru.receive(emission.packet)
+                            ru.receive(emission)
             # Uplink: RUs answer, sharing demuxes to virtual MACs, DAS
             # merges back to the DUs.
             for ru, sharing in zip(rus, sharing_boxes):
@@ -121,8 +120,7 @@ class TestChainedDeployment:
                     for time, port in ru.pending_uplink_symbols()
                 ]
                 for packet in ru.build_uplink(owed):
-                    for emission in sharing.process(packet).emissions:
-                        out = emission.packet
+                    for out in sharing.process(packet).emissions:
                         # Demuxed frames address the virtual DU MACs;
                         # map them into the right DAS group.
                         for du, das in zip(dus, das_boxes):
@@ -133,7 +131,7 @@ class TestChainedDeployment:
                             if out.eth.dst.to_int() in vmacs:
                                 out.eth.src = out.eth.dst
                                 for final in das.process(out).emissions:
-                                    du.receive(final.packet)
+                                    du.receive(final)
                 ru._ul_requests.clear()
         return dus, rus, das_boxes, sharing_boxes
 

@@ -1,11 +1,16 @@
 """Datapath instrumentation: middlebox, chain, engine, sampling switch."""
 
-from repro.core.chain import MiddleboxChain
+import numpy as np
+import pytest
+
+from repro.apps.das import DasMiddlebox
+from repro.core.chain import FronthaulSwitch, MiddleboxChain, PortRole
 from repro.core.middlebox import Middlebox
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import make_packet
 from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 from repro.obs import Observability
 from repro.sim.engine import EventEngine
 
@@ -45,8 +50,6 @@ class TestSamplingSwitch:
         assert decisions.count(True) == 2
 
     def test_sample_every_validated(self):
-        import pytest
-
         with pytest.raises(ValueError):
             Observability(sample_every=0)
 
@@ -57,6 +60,80 @@ class TestSamplingSwitch:
         obs.reset()
         assert obs.registry.snapshot() == {}
         assert len(obs.recorder) == 0
+        # ... and nothing stale survives it: the next packet is exported.
+        box.process(packet())
+        assert _series(obs, "middlebox_packets_total") == {
+            "passthrough,DL C-Plane": 1
+        }
+
+
+def _series(obs, family):
+    return obs.registry.snapshot().get(family, {}).get("series", {})
+
+
+class TestChildrenOutliveNoFamily:
+    """Cached metric children are dropped with the family they belong to
+    (reset / clear / unregister / a swapped registry), so the datapath
+    keeps exporting afterwards instead of counting into the void."""
+
+    @pytest.mark.parametrize(
+        "drop",
+        [
+            lambda obs: obs.reset(),
+            lambda obs: obs.registry.clear(),
+            lambda obs: obs.registry.unregister("middlebox_packets_total"),
+            lambda obs: setattr(obs, "registry", type(obs.registry)()),
+        ],
+        ids=["reset", "clear", "unregister", "swap"],
+    )
+    def test_middlebox_counts_after_families_dropped(self, drop):
+        obs = Observability(enabled=True)
+        box = Middlebox(obs=obs)
+        box.process(packet())
+        drop(obs)
+        box.process(packet())
+        box.process(packet())
+        assert _series(obs, "middlebox_packets_total") == {
+            "passthrough,DL C-Plane": 2
+        }
+
+    def test_das_merge_counts_after_reset(self):
+        obs = Observability(enabled=True)
+        du_mac, ru_mac = MacAddress.from_int(1), MacAddress.from_int(2)
+        das = DasMiddlebox(du_mac=du_mac, ru_macs=[ru_mac], obs=obs)
+
+        def uplink(symbol):
+            section = UPlaneSection.from_samples(
+                0, 0, np.zeros((4, 24), dtype=np.int16)
+            )
+            return make_packet(
+                ru_mac, du_mac,
+                UPlaneMessage(
+                    direction=Direction.UPLINK,
+                    time=SymbolTime(0, 0, 0, symbol),
+                    sections=[section],
+                ),
+                seq_id=symbol,
+            )
+
+        das.process(uplink(0))
+        assert _series(obs, "das_merged_symbols_total") == {"das": 1}
+        obs.reset()
+        das.process(uplink(1))
+        assert _series(obs, "das_merged_symbols_total") == {"das": 1}
+
+    def test_switch_port_counts_after_reset(self):
+        obs = Observability(enabled=True)
+        switch = FronthaulSwitch(name="fab0", obs=obs)
+        du_mac, ru_mac = MacAddress.from_int(1), MacAddress.from_int(2)
+        switch.attach("du", PortRole.DU, [du_mac], lambda frame: None)
+        switch.attach("ru", PortRole.RU, [ru_mac], lambda frame: None)
+        switch.inject(packet(), "du")
+        obs.reset()
+        switch.inject(packet(), "du")
+        assert _series(obs, "switch_port_packets_total") == {
+            "fab0,du,tx": 1, "fab0,ru,rx": 1,
+        }
 
 
 class TestMiddleboxInstrumentation:

@@ -199,7 +199,7 @@ class TestDuSlotBuild:
             assert len(symbols) == symbols_per_slot
             if slot == 0 and symbols_per_slot == 2:
                 assert set(symbols) <= set(du.cell.ssb_symbols)
-            # Emission order is symbol-major, port-minor.
+            # Packets leave symbol-major, port-minor.
             assert [(p.time.symbol, p.eaxc.ru_port) for p in uplane] == [
                 (symbol, port) for symbol in symbols for port in (0, 1)
             ]
