@@ -26,6 +26,13 @@ from repro.fronthaul.cplane import Direction
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import FronthaulPacket
 from repro.fronthaul.timing import SymbolTime
+from repro.obs.metrics import declare
+
+_REMAPS = declare(
+    "counter", "dmimo_remaps_total",
+    "antenna-port remaps through the combining middlebox",
+    ("middlebox", "direction", "rewritten"),
+)
 
 
 @dataclass(frozen=True)
@@ -69,9 +76,6 @@ class RuPortMap:
                 return base + local_port
             base += count
         raise ValueError(f"unknown RU {ru_mac}")
-
-    def primary_ru(self) -> MacAddress:
-        return self.groups[0][0]
 
     def secondary_first_ports(self) -> List[Tuple[MacAddress, int]]:
         """(ru_mac, global port of local port 0) for each non-primary RU."""
@@ -183,12 +187,8 @@ class DmimoMiddlebox(Middlebox):
 
     def _count_remap(self, direction: str, rewritten: bool) -> None:
         if self.obs.enabled:
-            self.obs.registry.counter(
-                "dmimo_remaps_total",
-                "antenna-port remaps through the combining middlebox",
-                labels=("middlebox", "direction", "rewritten"),
-            ).labels(
-                self.name, direction, "yes" if rewritten else "no"
+            self.obs.children(
+                _REMAPS, self.name, direction, "yes" if rewritten else "no"
             ).inc()
 
     # -- SSB replication ------------------------------------------------------------
@@ -260,12 +260,3 @@ class DmimoMiddlebox(Middlebox):
         packet.message.sections[0] = updated
         self.ssb_copies += 1
         self._downlink_remap(ctx, packet)
-
-    def flush_ssb_state_before(self, keep_from: SymbolTime) -> None:
-        """Bound SSB cache memory in long runs."""
-        self._ssb_payload = {
-            t: v for t, v in self._ssb_payload.items() if not t < keep_from
-        }
-        self._pending_ssb = {
-            t: v for t, v in self._pending_ssb.items() if not t < keep_from
-        }

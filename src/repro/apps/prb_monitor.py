@@ -24,8 +24,20 @@ from repro.core.middlebox import Middlebox
 from repro.fronthaul.cplane import Direction
 from repro.fronthaul.packet import FronthaulPacket
 from repro.fronthaul.timing import Numerology, SymbolTime
+from repro.obs.metrics import declare
 
 TELEMETRY_TOPIC = "prb_utilization"
+
+_PUBLISHES = declare(
+    "counter", "prb_monitor_publishes_total",
+    "utilization estimates published on the telemetry bus",
+    ("middlebox", "direction"),
+)
+_UTILIZATION = declare(
+    "gauge", "prb_utilization",
+    "latest estimated PRB utilization (0..1)",
+    ("middlebox", "direction"),
+)
 
 
 @dataclass(frozen=True)
@@ -119,20 +131,11 @@ class PrbMonitorMiddlebox(Middlebox):
             source=self.name,
         )
         if self.obs.enabled:
-            registry = self.obs.registry
-            direction_label = (
-                "DL" if direction is Direction.DOWNLINK else "UL"
+            labels = (
+                self.name, "DL" if direction is Direction.DOWNLINK else "UL"
             )
-            registry.counter(
-                "prb_monitor_publishes_total",
-                "utilization estimates published on the telemetry bus",
-                labels=("middlebox", "direction"),
-            ).labels(self.name, direction_label).inc()
-            registry.gauge(
-                "prb_utilization",
-                "latest estimated PRB utilization (0..1)",
-                labels=("middlebox", "direction"),
-            ).labels(self.name, direction_label).set(estimate.utilization)
+            self.obs.children(_PUBLISHES, *labels).inc()
+            self.obs.children(_UTILIZATION, *labels).set(estimate.utilization)
 
     # -- aggregation (what applications consume) -------------------------------------
 

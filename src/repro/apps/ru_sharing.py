@@ -41,6 +41,26 @@ from repro.fronthaul.prach import translate_freq_offset
 from repro.fronthaul.spectrum import PrbGrid
 from repro.fronthaul.timing import SymbolTime
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
+from repro.obs.metrics import declare
+
+_PRB_COPIES = declare(
+    "counter", "ru_sharing_prb_copies_total",
+    "PRB relocations by grid alignment (Figure 6 fast/slow path)",
+    ("middlebox", "mode"),
+)
+_MUX_OCCUPANCY = declare(
+    "gauge", "ru_sharing_mux_occupancy",
+    "cached entries awaiting their mux/demux counterparts",
+    ("middlebox", "kind"),
+)
+
+
+def _mux_children(registry, name: str):
+    """The three occupancy gauges one packet updates together."""
+    return tuple(
+        _MUX_OCCUPANCY(registry, name, kind)
+        for kind in ("cplane", "dl_uplane", "prach")
+    )
 
 
 @dataclass(frozen=True)
@@ -108,9 +128,6 @@ class RuSharingMiddlebox(Middlebox):
         self.mac = mac or MacAddress.from_int(0x02_00_00_00_30_03)
         self.misaligned_copies = 0
         self.aligned_copies = 0
-        #: (registry, mux-occupancy gauge children) — resolved once per
-        #: registry by :meth:`_observe_mux_occupancy`.
-        self._mux_children: tuple = (None, ())
         #: C-plane requests: {(direction, slot_key, port): {du_id: message}}.
         self._cplane: Dict[Tuple, Dict[int, CPlaneMessage]] = {}
         #: Pending PRACH C-plane sections: {(slot_key, port): {du_id: secs}}.
@@ -134,35 +151,17 @@ class RuSharingMiddlebox(Middlebox):
         else:
             self.misaligned_copies += 1
         if self.obs.enabled:
-            self.obs.registry.counter(
-                "ru_sharing_prb_copies_total",
-                "PRB relocations by grid alignment (Figure 6 fast/slow path)",
-                labels=("middlebox", "mode"),
-            ).labels(self.name, "aligned" if aligned else "misaligned").inc()
+            self.obs.children(
+                _PRB_COPIES, self.name, "aligned" if aligned else "misaligned"
+            ).inc()
 
     def _observe_mux_occupancy(self) -> None:
-        """Export how much per-symbol mux state is parked in the caches.
-
-        The gauge children are resolved once per registry — this runs on
-        every C-plane and DL U-plane packet.
-        """
-        registry = self.obs.registry
-        cached_registry, children = self._mux_children
-        if cached_registry is not registry:
-            gauge = registry.gauge(
-                "ru_sharing_mux_occupancy",
-                "cached entries awaiting their mux/demux counterparts",
-                labels=("middlebox", "kind"),
-            )
-            children = (
-                gauge.labels(self.name, "cplane"),
-                gauge.labels(self.name, "dl_uplane"),
-                gauge.labels(self.name, "prach"),
-            )
-            self._mux_children = (registry, children)
-        children[0].set(len(self._cplane))
-        children[1].set(len(self._dl_uplane))
-        children[2].set(len(self._prach_cplane))
+        """Export how much per-symbol mux state is parked in the caches
+        (runs on every C-plane and DL U-plane packet)."""
+        cplane, dl_uplane, prach = self.obs.children(_mux_children, self.name)
+        cplane.set(len(self._cplane))
+        dl_uplane.set(len(self._dl_uplane))
+        prach.set(len(self._prach_cplane))
 
     # -- handlers ------------------------------------------------------------
 

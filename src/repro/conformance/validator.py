@@ -57,10 +57,22 @@ from repro.fronthaul.errors import EcpriLengthError, MalformedFrame
 from repro.fronthaul.packet import FronthaulPacket, parse_packet
 from repro.fronthaul.timing import MAX_FRAME_ID, Numerology
 from repro.fronthaul.uplane import UPlaneMessage
+from repro.obs.metrics import declare
 from repro.ran.stacks import VendorProfile
 
 #: Scheduled C-plane windows retained per direction before eviction.
 _WINDOW_CAP = 1024
+
+_FRAMES = declare(
+    "counter", "conformance_frames_total",
+    "frames checked by the conformance validator",
+    ("validator",),
+)
+_VIOLATIONS = declare(
+    "counter", "conformance_violations_total",
+    "conformance violations by validator and class",
+    ("validator", "class"),
+)
 
 
 def _legal_max_exponent(iq_width: int) -> int:
@@ -114,8 +126,6 @@ class WireValidator:
         }
         #: (src, dst, eaxc) -> last absolute slot (mod the 256-frame epoch).
         self._last_slot = {}
-        #: Cached (registry, frames-counter child) for the per-packet export.
-        self._frames_child = None
 
     # -- entry points --------------------------------------------------------
 
@@ -539,21 +549,8 @@ class WireValidator:
     def _export(self, found: List[Violation]) -> None:
         if not self.obs.enabled:
             return
-        registry = self.obs.registry
-        frames = self._frames_child
-        if frames is None or frames[0] is not registry:
-            frames = self._frames_child = (
-                registry,
-                registry.counter(
-                    "conformance_frames_total",
-                    "frames checked by the conformance validator",
-                    labels=("validator",),
-                ).labels(self.name),
-            )
-        frames[1].inc()
+        self.obs.children(_FRAMES, self.name).inc()
         for violation in found:
-            registry.counter(
-                "conformance_violations_total",
-                "conformance violations by validator and class",
-                labels=("validator", "class"),
-            ).labels(self.name, violation.violation_class.value).inc()
+            self.obs.children(
+                _VIOLATIONS, self.name, violation.violation_class.value
+            ).inc()

@@ -23,7 +23,7 @@ def _runners(
 ) -> "Dict[str, Callable[[], str]]":
     from repro.eval.appendix import run_cost_analysis, run_sharing_math
     from repro.eval.chaos import run_chaos
-    from repro.eval.chaos_scale import run as run_chaos_scale
+    from repro.eval.chaos_scale import run_chaos_scale
     from repro.eval.codec import run_codec
     from repro.eval.conformance import run_conformance
     from repro.eval.fig10 import run_fig10a, run_fig10b, run_fig10c
@@ -35,7 +35,7 @@ def _runners(
     from repro.eval.fig16 import run_fig16
     from repro.eval.obs_top import run_obs_top
     from repro.eval.scale import run_scale
-    from repro.eval.serve import run as run_serve_eval
+    from repro.eval.serve import run_serve
     from repro.eval.table2 import run_table2
 
     # Only the flags given are forwarded: each runner keeps its defaults.
@@ -63,7 +63,7 @@ def _runners(
         "conformance": lambda: run_conformance(**sized).format(),
         "obs-top": lambda: run_obs_top(**sharded).format(),
         "scale": lambda: run_scale(**sized).format(),
-        "serve": lambda: run_serve_eval(**sharded).format(),
+        "serve": lambda: run_serve(**sharded).format(),
     }
 
 

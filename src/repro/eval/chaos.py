@@ -20,12 +20,14 @@ Run via ``PYTHONPATH=src python -m repro.eval chaos``; shrink with
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.apps.das import DasMiddlebox
 from repro.apps.resilience import ResilienceMiddlebox
 from repro.apps.ru_sharing import RuSharingMiddlebox, SharedDuConfig
+from repro.eval import kit
 from repro.eval.report import format_table
 from repro.faults import (
     FaultConfig,
@@ -41,11 +43,9 @@ from repro.fronthaul.timing import SymbolTime
 from repro.net.link import Link
 from repro.obs import Observability
 from repro.obs.sketch import QuantileSketch
-from repro.ran.cell import CellConfig
 from repro.ran.du import DistributedUnit
-from repro.ran.ru import RadioUnit, RuConfig
-from repro.ran.traffic import ConstantBitrateFlow
-from repro.sim.network_sim import FronthaulNetwork
+from repro.ran.ru import RadioUnit
+from repro.scale import ScenarioSpec, run_scenario
 
 DEFAULT_SLOTS = 24
 #: Chain-scenario fault schedule: exactly threshold consecutive faults.
@@ -58,21 +58,26 @@ SLO_ALERT_NAME = "deadline-miss-burn"
 SLO_STARVED_BUDGET_NS = 100.0
 
 
-def _cell() -> CellConfig:
-    return CellConfig(
-        pci=1, bandwidth_hz=40_000_000, n_antennas=2, max_dl_layers=2
+def _endpoints(
+    du_id: int, seed: int, rus: List[Dict[str, Any]], ru_id_base: int = 0
+) -> Tuple[DistributedUnit, List[RadioUnit]]:
+    """The chaos cell — 40 MHz 2x2, one UE at 100/20 Mbps — as a live DU
+    and the RUs it names."""
+    fragment = kit.cell(
+        f"du{du_id}", 1, [kit.flow("dl", 100), kit.flow("ul", 20)],
+        rus=rus, bandwidth_hz=40_000_000, seed=seed,
     )
+    return kit.endpoints(fragment, du_id, ru_id_base)
 
 
-def _make_du(du_id: int, cell: CellConfig, seed: int) -> DistributedUnit:
-    du = DistributedUnit(
-        du_id=du_id, cell=cell, symbols_per_slot=1, seed=seed
-    )
-    du.scheduler.add_ue("ue", dl_layers=2)
-    du.scheduler.update_ue_quality("ue", dl_aggregate_se=10.0, ul_se=3.0)
-    du.attach_flow("ue", ConstantBitrateFlow(100, "dl"), Direction.DOWNLINK)
-    du.attach_flow("ue", ConstantBitrateFlow(20, "ul"), Direction.UPLINK)
-    return du
+def _redundant_dus(
+    seed: int,
+) -> Tuple[DistributedUnit, DistributedUnit, RadioUnit]:
+    """A primary and a hot-standby DU serving one RU: the standby's spec
+    names the same radio, and only the primary's copy of it is kept."""
+    primary, (ru,) = _endpoints(1, seed + 1, kit.radios(1, seed), 1)
+    standby, _ = _endpoints(2, seed + 2, kit.radios(1, seed), 1)
+    return primary, standby, ru
 
 
 @dataclass
@@ -100,7 +105,6 @@ class ScenarioRow:
 class ChainOutcome:
     """The full DAS + RU-sharing + resilience chain under chaos."""
 
-    slots: int
     wire_absorbed: int
     wire_events: int
     stage_faults: int
@@ -121,110 +125,20 @@ class ChainOutcome:
 
 
 @dataclass
-class SloChaosOutcome:
-    """A seeded streamed run engineered to burn its deadline SLO budget."""
-
-    epochs: int
-    deadline_checks: int
-    deadline_misses: int
-    #: Every burn-rate alert edge the run's SLO engine emitted, in order.
-    alerts: List[Dict[str, Any]] = field(default_factory=list)
-
-    @property
-    def fired(self) -> List[str]:
-        return [a["slo"] for a in self.alerts if a["state"] == "firing"]
-
-    def edge_fingerprint(self) -> Tuple:
-        return tuple(
-            (a["slo"], a["state"], a["epoch"]) for a in self.alerts
-        )
-
-
-@dataclass
-class ChaosResult:
+class ChaosResult(kit.Gate):
     seed: int
     slots: int
     scenarios: List[ScenarioRow]
     chain: ChainOutcome
     failover_ms: List[float]
-    slo: Optional[SloChaosOutcome] = None
+    #: The seeded streamed run engineered to burn its deadline SLO
+    #: budget: epochs folded, and every alert edge its engine emitted.
+    slo_epochs: int
+    slo_alerts: List[Dict[str, Any]]
 
     def fingerprint(self) -> Tuple:
         """Stable value equality across runs at the same seed."""
-        return (
-            self.seed,
-            self.slots,
-            tuple(
-                (
-                    row.name, row.offered, row.wire_absorbed,
-                    row.full_merges, row.degraded_merges, row.abandoned,
-                    row.ul_delivered, row.malformed,
-                )
-                for row in self.scenarios
-            ),
-            (
-                self.chain.wire_absorbed, self.chain.wire_events,
-                self.chain.stage_faults, self.chain.stage_bypassed,
-                self.chain.breaker_opens, self.chain.breaker_recoveries,
-                self.chain.full_merges, self.chain.degraded_merges,
-                self.chain.abandoned_merges, self.chain.malformed,
-                self.chain.ul_delivered, self.chain.failovers,
-            ),
-            tuple(self.failover_ms),
-            (
-                self.slo.edge_fingerprint()
-                if self.slo is not None
-                else ()
-            ),
-        )
-
-    def assert_healthy(self) -> None:
-        """The CI smoke gate: chaos was injected, absorbed, and accounted."""
-        absorbed = sum(row.wire_absorbed for row in self.scenarios)
-        if absorbed == 0:
-            raise AssertionError("loss sweep absorbed no faults")
-        if self.chain.wire_absorbed == 0:
-            raise AssertionError("chain scenario absorbed no wire faults")
-        if self.chain.stage_faults != FAULTY_RANGE[1] - FAULTY_RANGE[0]:
-            raise AssertionError(
-                f"expected {FAULTY_RANGE[1] - FAULTY_RANGE[0]} stage faults,"
-                f" got {self.chain.stage_faults}"
-            )
-        if self.chain.breaker_opens != 1 or self.chain.breaker_recoveries != 1:
-            raise AssertionError(
-                "breaker did not open and recover exactly once: "
-                f"opens={self.chain.breaker_opens} "
-                f"recoveries={self.chain.breaker_recoveries}"
-            )
-        if self.chain.stage_bypassed != BREAKER_PROBATION:
-            raise AssertionError(
-                f"expected {BREAKER_PROBATION} bypassed packets, "
-                f"got {self.chain.stage_bypassed}"
-            )
-        if not self.chain.accounting_ok:
-            mismatches = {
-                key: pair
-                for key, pair in self.chain.accounting.items()
-                if pair[0] != pair[1]
-            }
-            raise AssertionError(f"obs accounting mismatch: {mismatches}")
-        if self.chain.failovers != 1:
-            raise AssertionError(
-                f"expected exactly one failover, got {self.chain.failovers}"
-            )
-        if not self.failover_ms:
-            raise AssertionError("no failover trials produced an event")
-        if self.slo is not None:
-            if SLO_ALERT_NAME not in self.slo.fired:
-                raise AssertionError(
-                    f"seeded SLO chaos run did not fire {SLO_ALERT_NAME!r}; "
-                    f"edges: {self.slo.alerts}"
-                )
-            if any(a["state"] == "resolved" for a in self.slo.alerts):
-                raise AssertionError(
-                    "deadline burn never recovers in this scenario, yet "
-                    f"a resolved edge appeared: {self.slo.alerts}"
-                )
+        return dataclasses.astuple(self)
 
     def format(self) -> str:
         sweep = format_table(
@@ -261,47 +175,36 @@ class ChaosResult:
                 ("obs accounting", "ok" if c.accounting_ok else "MISMATCH"),
             ],
         )
+        # The streaming plane's own estimator, so CDFs here and in the
+        # live dashboard agree (exact at q=0 and q=1).
+        sketch = QuantileSketch()
+        for ms in self.failover_ms:
+            sketch.observe(ms)
         cdf = format_table(
             "Failover detection time CDF (injected DU silence)",
             ["percentile", "ms"],
             [
-                (label, _percentile(self.failover_ms, q))
+                (label, sketch.quantile(q))
                 for label, q in (
                     ("p0", 0.0), ("p25", 0.25), ("p50", 0.5),
                     ("p75", 0.75), ("p100", 1.0),
                 )
             ],
         )
-        blocks = [sweep, chain_table, cdf]
-        if self.slo is not None:
-            blocks.append(
-                format_table(
-                    "SLO burn-rate chaos: starved deadline budget "
-                    f"({self.slo.epochs} stream epochs)",
-                    ["edge", "slo", "epoch", "burn"],
-                    [
-                        (
-                            alert["state"], alert["slo"], alert["epoch"],
-                            f"{alert['burn_rate']:.1f}x",
-                        )
-                        for alert in self.slo.alerts
-                    ]
-                    or [("(none)", "-", "-", "-")],
+        slo_table = format_table(
+            "SLO burn-rate chaos: starved deadline budget "
+            f"({self.slo_epochs} stream epochs)",
+            ["edge", "slo", "epoch", "burn"],
+            [
+                (
+                    alert["state"], alert["slo"], alert["epoch"],
+                    f"{alert['burn_rate']:.1f}x",
                 )
-            )
-        return "\n\n".join(blocks)
-
-
-def _percentile(values: List[float], q: float) -> float:
-    """Sketch-backed quantile (q in [0, 1]) — the streaming plane's own
-    estimator (:class:`~repro.obs.sketch.QuantileSketch`), so CDFs here
-    and in the live dashboard agree.  Exact at q=0 and q=1."""
-    if not values:
-        return float("nan")
-    sketch = QuantileSketch()
-    for value in values:
-        sketch.observe(value)
-    return sketch.quantile(q)
+                for alert in self.slo_alerts
+            ]
+            or [("(none)", "-", "-", "-")],
+        )
+        return "\n\n".join([sweep, chain_table, cdf, slo_table])
 
 
 # -- scenario 1: loss sweep over a DAS deployment --------------------------
@@ -333,17 +236,7 @@ def _loss_scenarios() -> List[Tuple[str, Optional[FaultConfig]]]:
 def _run_sweep_scenario(
     name: str, config: Optional[FaultConfig], seed: int, slots: int
 ) -> ScenarioRow:
-    cell = _cell()
-    du = _make_du(1, cell, seed)
-    rus = [
-        RadioUnit(
-            ru_id=i,
-            config=RuConfig(num_prb=cell.num_prb, n_antennas=2),
-            du_mac=du.mac,
-            seed=seed,
-        )
-        for i in range(2)
-    ]
+    du, rus = _endpoints(1, seed, kit.radios(2, seed))
     das = DasMiddlebox(
         du_mac=du.mac,
         ru_macs=[ru.mac for ru in rus],
@@ -354,15 +247,12 @@ def _run_sweep_scenario(
     if config is not None:
         injector = FaultInjector(
             config, seed=seed, name=f"sweep-{name}",
-            carrier_num_prb=cell.num_prb,
+            carrier_num_prb=du.cell.num_prb,
         )
         wire = ImpairedLink(injector)
-    network = FronthaulNetwork(
-        middleboxes=[das], wire=wire, deadline_flush=True
+    network = kit.network(
+        [du], rus, [das], wire=wire, deadline_flush=True
     )
-    network.add_du(du)
-    for ru in rus:
-        network.add_ru(ru)
     reports = network.run(slots)
     return ScenarioRow(
         name=name,
@@ -381,15 +271,9 @@ def _run_sweep_scenario(
 
 def _run_chain_chaos(seed: int, slots: int) -> ChainOutcome:
     obs = Observability(enabled=True, sample_every=1 << 30)
-    cell = _cell()
+    primary, standby, ru = _redundant_dus(seed)
+    cell = primary.cell
     numerology = cell.numerology
-    primary = _make_du(1, cell, seed + 1)
-    standby = _make_du(2, cell, seed + 2)
-    ru = RadioUnit(
-        ru_id=1,
-        config=RuConfig(num_prb=cell.num_prb, n_antennas=2),
-        seed=seed,
-    )
     grid = cell.grid
     das_mac = MacAddress.from_int(0x02_00_00_00_40_01)
     sharing_mac = MacAddress.from_int(0x02_00_00_00_40_02)
@@ -438,17 +322,16 @@ def _run_chain_chaos(seed: int, slots: int) -> ChainOutcome:
         primary.mac,
         SymbolTime.from_absolute_slot(fail_slot, numerology).slot_key(),
     )
-    network = FronthaulNetwork(
-        middleboxes=[resilience, das, sharing, faulty],
+    network = kit.network(
+        [primary, standby],
+        [ru],
+        [resilience, das, sharing, faulty],
         wire=ImpairedLink(injector, link=Link(name="chaos-wire-link", obs=obs)),
         deadline_flush=True,
         breaker_threshold=BREAKER_THRESHOLD,
         breaker_probation=BREAKER_PROBATION,
         obs=obs,
     )
-    network.add_du(primary)
-    network.add_du(standby)
-    network.add_ru(ru)
     reports = network.run(slots)
 
     chain = network.chain
@@ -493,7 +376,6 @@ def _run_chain_chaos(seed: int, slots: int) -> ChainOutcome:
         ),
     }
     return ChainOutcome(
-        slots=slots,
         wire_absorbed=injector.stats.absorbed,
         wire_events=injector.stats.injected_events,
         stage_faults=chain.total_stage_faults,
@@ -519,15 +401,9 @@ def _run_chain_chaos(seed: int, slots: int) -> ChainOutcome:
 
 
 def _failover_trial(seed: int, fail_slot: int) -> Optional[float]:
-    cell = _cell()
+    primary, standby, ru = _redundant_dus(seed)
+    cell = primary.cell
     numerology = cell.numerology
-    primary = _make_du(1, cell, seed + 1)
-    standby = _make_du(2, cell, seed + 2)
-    ru = RadioUnit(
-        ru_id=1,
-        config=RuConfig(num_prb=cell.num_prb, n_antennas=2),
-        seed=seed,
-    )
     box = ResilienceMiddlebox(
         primary_du=primary.mac,
         standby_du=standby.mac,
@@ -543,12 +419,9 @@ def _failover_trial(seed: int, fail_slot: int) -> Optional[float]:
         primary.mac,
         SymbolTime.from_absolute_slot(fail_slot, numerology).slot_key(),
     )
-    network = FronthaulNetwork(
-        middleboxes=[box], wire=ImpairedLink(injector)
+    network = kit.network(
+        [primary, standby], [ru], [box], wire=ImpairedLink(injector)
     )
-    network.add_du(primary)
-    network.add_du(standby)
-    network.add_ru(ru)
     network.run(fail_slot + 8)
     if not box.events:
         return None
@@ -558,75 +431,42 @@ def _failover_trial(seed: int, fail_slot: int) -> Optional[float]:
 # -- scenario 4: deterministic SLO burn-rate alert ---------------------------
 
 
-def _run_slo_chaos(seed: int, slots: int) -> SloChaosOutcome:
+def slo_chaos_spec(seed: int = 7, slots: int = DEFAULT_SLOTS) -> ScenarioSpec:
     """A streamed scenario whose deadline SLO *must* fire, same edge every
     run: the per-slot latency budget is starved to 100 ns (any slot that
     carries traffic misses), so the windowed miss rate burns ~100x the
     1% objective and the engine emits one firing edge — deterministic
     because the whole run is (seeded traffic, modelled latencies, fixed
     epoch grid)."""
-    from repro.scale import Scenario, ScenarioSpec
-
-    spec = ScenarioSpec.from_dict(
-        {
-            "name": "slo-chaos",
-            "slots": slots,
-            "seed": seed,
-            "epoch_slots": max(2, slots // 4),
-            "cells": [
-                {
-                    "name": "slo-cell1",
-                    "pci": 1,
-                    "bandwidth_hz": 20_000_000,
-                    "rus": [{"name": "slo-cell1-ru1", "n_antennas": 2}],
-                    "ues": [
-                        {
-                            "ue_id": "slo-ue1",
-                            "flows": [
-                                {"kind": "cbr", "rate_mbps": 40.0,
-                                 "direction": "dl"},
-                            ],
-                        }
-                    ],
-                    "chain": [{"stage": "prb_monitor"}],
-                },
-            ],
-            "obs": {
-                "enabled": True,
-                "deadline_accounting": True,
-                "stream": True,
-                "deadline_budget_ns": SLO_STARVED_BUDGET_NS,
-                "slo": [
-                    {
-                        "name": SLO_ALERT_NAME,
-                        "objective": "deadline_miss_rate",
-                        "threshold": 0.01,
-                        "window_epochs": 2,
-                        "min_samples": 2,
-                    }
-                ],
-            },
-        }
+    cell = kit.cell(
+        "slo-cell1", 1, [kit.flow("dl", 40.0)],
+        rus=[{"name": "slo-cell1-ru1", "n_antennas": 2}],
+        ue={"ue_id": "slo-ue1"},
+        chain=[{"stage": "prb_monitor"}],
     )
-    result = Scenario(spec).run(workers=1)
-    stream = result.telemetry
-    assert stream is not None, "SLO chaos run produced no telemetry stream"
-    misses = sum(a.violations for a in stream.accountants.values())
-    checks = sum(len(a.accounts) for a in stream.accountants.values())
-    return SloChaosOutcome(
-        epochs=stream.epochs,
-        deadline_checks=checks,
-        deadline_misses=misses,
-        alerts=[alert.to_dict() for alert in stream.slo.alerts],
+    return kit.scenario(
+        "slo-chaos", slots, seed, [cell],
+        stream={
+            "deadline_accounting": True,
+            "deadline_budget_ns": SLO_STARVED_BUDGET_NS,
+            "slo": [
+                {
+                    "name": SLO_ALERT_NAME,
+                    "objective": "deadline_miss_rate",
+                    "threshold": 0.01,
+                    "window_epochs": 2,
+                    "min_samples": 2,
+                }
+            ],
+        },
+        epoch_slots=max(2, slots // 4),
     )
 
 
 # -- entry point -------------------------------------------------------------
 
 
-def run_chaos(seed: int = 7, slots: Optional[int] = None) -> ChaosResult:
-    if slots is None:
-        slots = DEFAULT_SLOTS
+def run_chaos(seed: int = 7, slots: int = DEFAULT_SLOTS) -> ChaosResult:
     slots = max(slots, 12)
     scenarios = [
         _run_sweep_scenario(name, config, seed, slots)
@@ -641,17 +481,51 @@ def run_chaos(seed: int = 7, slots: Optional[int] = None) -> ChaosResult:
         )
         if ms is not None
     ]
+    stream = run_scenario(slo_chaos_spec(seed, slots)).telemetry
+    alerts = [alert.to_dict() for alert in stream.slo.alerts]
     result = ChaosResult(
         seed=seed,
         slots=slots,
         scenarios=scenarios,
         chain=chain,
         failover_ms=failover_ms,
-        slo=_run_slo_chaos(seed, slots),
+        slo_epochs=stream.epochs,
+        slo_alerts=alerts,
+    )
+    # The CI smoke gate: chaos was injected, absorbed, and accounted.
+    result.check(
+        "loss_sweep_absorbed_faults",
+        sum(row.wire_absorbed for row in scenarios) > 0,
+    )
+    result.check("chain_absorbed_wire_faults", chain.wire_absorbed > 0)
+    result.expect(
+        "stage_faults", chain.stage_faults, FAULTY_RANGE[1] - FAULTY_RANGE[0]
+    )
+    result.expect(
+        "breaker_opens_and_recoveries",
+        (chain.breaker_opens, chain.breaker_recoveries),
+        (1, 1),
+    )
+    result.expect(
+        "bypassed_while_open", chain.stage_bypassed, BREAKER_PROBATION
+    )
+    result.expect(
+        "obs_accounting_mismatches",
+        {k: pair for k, pair in chain.accounting.items() if pair[0] != pair[1]},
+        {},
+    )
+    result.expect("failovers", chain.failovers, 1)
+    result.check("failover_trials_produced_events", failover_ms)
+    result.check(
+        "slo_burn_alert_fired",
+        (SLO_ALERT_NAME, "firing") in [(a["slo"], a["state"]) for a in alerts],
+        f"{SLO_ALERT_NAME!r} not among edges {alerts}",
+    )
+    # Deadline burn never recovers in this scenario.
+    result.check(
+        "slo_never_resolves",
+        not any(a["state"] == "resolved" for a in alerts),
+        f"a resolved edge appeared: {alerts}",
     )
     result.assert_healthy()
     return result
-
-
-if __name__ == "__main__":
-    print(run_chaos().format())

@@ -28,17 +28,23 @@ with ``--slots`` / ``--workers`` for CI smoke runs.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
+from repro.eval import kit
 from repro.eval.report import format_table
 from repro.faults.process import ProcessChaosSpec, seeded_chaos_sweep
-from repro.obs.live import deterministic_exposition
-from repro.scale import ScenarioSpec, run_scenario
-from repro.scale.pool import WorkerPool
-from repro.scale.supervisor import ShardRecoveryExhausted
+from repro.scale import (
+    ScenarioSpec,
+    ShardRecoveryExhausted,
+    SupervisorSpec,
+    WorkerPool,
+    run_divergence,
+    run_scenario,
+)
 
 DEFAULT_SLOTS = 8
 DEFAULT_WORKERS = (2, 4)
@@ -47,73 +53,39 @@ SWEEP_SEED = 20250808
 #: Fast supervision policy for the eval: tight barrier deadline, short
 #: backoff — deterministic results do not depend on these, only wall
 #: time does.
-SUPERVISOR = {
-    "barrier_timeout_s": 5.0,
-    "poll_interval_s": 0.01,
-    "max_restarts_per_worker": 2,
-    "backoff_base_s": 0.01,
-    "backoff_factor": 2.0,
-}
+SUPERVISOR = SupervisorSpec(
+    barrier_timeout_s=5.0, poll_interval_s=0.01, backoff_base_s=0.01
+)
 
 
 def chaos_scale_spec(slots: int) -> ScenarioSpec:
     """A 6-cell topology with real coupling: one 3-cell DAS campus, one
     shared-spectrum pair, two singletons — enough groups that 4 workers
     get a meaningful placement, with the full obs plane streaming."""
-    def cell(name, pci, group=None, chain=(), rus=None, extra=None):
-        data = {
-            "name": name,
-            "pci": pci,
-            "bandwidth_hz": 20_000_000,
-            "group": group,
-            "rus": rus or [{"name": f"{name}-ru"}],
-            "ues": [
-                {
-                    "ue_id": f"{name}-ue",
-                    "flows": [
-                        {"kind": "cbr", "rate_mbps": 25, "direction": "dl"},
-                        {
-                            "kind": "poisson",
-                            "rate_mbps": 8,
-                            "direction": "ul",
-                            "seed": pci,
-                        },
-                    ],
-                }
-            ],
-            "chain": list(chain),
-        }
-        data.update(extra or {})
-        return data
+    def cell(name, pci, group=None, chain=(), rus=None):
+        return kit.cell(
+            name, pci,
+            [kit.flow("dl", 25), kit.flow("ul", 8, "poisson", seed=pci)],
+            rus=rus, chain=chain, group=group,
+        )
 
+    monitor = [{"stage": "prb_monitor"}]
     cells = [
         cell(
-            "campus0",
-            1,
-            group="campus",
+            "campus0", 1, group="campus",
             rus=[{"name": "campus0-ru1"}, {"name": "campus0-ru2"}],
             chain=[{"stage": "das", "params": {"partial_merge": True}}],
         ),
         cell("campus1", 2, group="campus"),
         cell("campus2", 3, group="campus"),
-        cell("pair0", 4, group="pair", chain=[{"stage": "prb_monitor"}]),
+        cell("pair0", 4, group="pair", chain=monitor),
         cell("pair1", 5, group="pair"),
-        cell("solo0", 6, chain=[{"stage": "prb_monitor"}]),
+        cell("solo0", 6, chain=monitor),
         cell("solo1", 7),
     ]
-    return ScenarioSpec.from_dict(
-        {
-            "name": "chaos-scale",
-            "slots": slots,
-            "seed": 17,
-            "epoch_slots": 2,
-            "obs": {
-                "enabled": True,
-                "stream": True,
-                "deadline_accounting": True,
-            },
-            "cells": cells,
-        }
+    return kit.scenario(
+        "chaos-scale", slots, 17, cells,
+        stream={"deadline_accounting": True}, epoch_slots=2,
     )
 
 
@@ -140,50 +112,15 @@ def _injections(spec: ScenarioSpec) -> List[ProcessChaosSpec]:
 
 
 @dataclass
-class ChaosScaleResult:
-    """Everything the chaos-scale gate measured, plus its assertions."""
+class ChaosScaleResult(kit.Gate):
+    """Everything the chaos-scale gate measured, plus its checks."""
 
     slots: int
-    worker_counts: Tuple[int, ...]
     reference_digest: str = ""
-    #: (injection name, kind, epoch, group, workers) -> row dict.
+    #: One dict per (injection, worker count); ``diverged`` is the
+    #: run-equality verdict against the unfaulted reference.
     rows: List[Dict[str, Any]] = field(default_factory=list)
     exhaustion: Dict[str, Any] = field(default_factory=dict)
-
-    def fingerprint(self) -> Tuple:
-        """Deterministic identity of the whole sweep (CI pins digests)."""
-        return (
-            self.reference_digest,
-            tuple(
-                (
-                    row["injection"],
-                    row["workers"],
-                    row["digest_equal"],
-                    row["restarts"],
-                )
-                for row in self.rows
-            ),
-        )
-
-    def assert_healthy(self) -> None:
-        assert self.rows, "sweep ran no injections"
-        for row in self.rows:
-            name = f"{row['injection']} @ {row['workers']}w"
-            assert row["digest_equal"], (
-                f"{name}: recovered digest diverged from unfaulted run"
-            )
-            assert row["timeline_equal"], f"{name}: merged timeline diverged"
-            assert row["stream_equal"], (
-                f"{name}: deterministic stream exposition diverged"
-            )
-            assert row["live_equals_collect"], (
-                f"{name}: live_snapshot() != collect() after recovery"
-            )
-            assert row["restarts"] >= 1, f"{name}: no restart happened"
-        ex = self.exhaustion
-        assert ex.get("raised"), "budget exhaustion did not raise"
-        assert ex.get("partial_groups"), "exhaustion carried no partial results"
-        assert ex.get("workers_dead"), "exhaustion left live workers"
 
     def format(self) -> str:
         table = format_table(
@@ -209,8 +146,8 @@ class ChaosScaleResult:
                     row["workers"],
                     row["restarts"],
                     row["replayed_slots"],
-                    "equal" if row["digest_equal"] else "DIVERGED",
-                    "yes" if row["live_equals_collect"] else "NO",
+                    "DIVERGED" if "digest" in row["diverged"] else "equal",
+                    "NO" if "live_vs_collect" in row["diverged"] else "yes",
                 ]
                 for row in self.rows
             ],
@@ -230,77 +167,78 @@ class ChaosScaleResult:
 
 
 def _with_chaos(
-    spec: ScenarioSpec, injection: ProcessChaosSpec
+    spec: ScenarioSpec, injection: Dict[str, Any], **policy: Any
 ) -> ScenarioSpec:
-    data = spec.to_dict()
-    data["process_chaos"] = [injection.to_dict()]
-    data["supervisor"] = dict(SUPERVISOR)
-    return ScenarioSpec.from_dict(data)
+    """``spec`` under one process-chaos injection and the fast policy."""
+    return dataclasses.replace(
+        spec,
+        process_chaos=(injection,),
+        supervisor=dataclasses.replace(SUPERVISOR, **policy),
+    )
 
 
 def run_chaos_scale(
-    slots: int = DEFAULT_SLOTS,
-    worker_counts: Tuple[int, ...] = DEFAULT_WORKERS,
+    slots: int = DEFAULT_SLOTS, workers: int = 0
 ) -> ChaosScaleResult:
+    """``workers`` narrows the sweep to that one worker count."""
+    worker_counts = (workers,) if workers else DEFAULT_WORKERS
     spec = chaos_scale_spec(slots)
-    result = ChaosScaleResult(slots=slots, worker_counts=tuple(worker_counts))
+    result = ChaosScaleResult(slots=slots)
 
-    references: Dict[int, Any] = {}
-    for workers in worker_counts:
-        references[workers] = run_scenario(spec, workers=workers)
+    references = {
+        count: run_scenario(spec, workers=count) for count in worker_counts
+    }
     baseline = references[worker_counts[0]]
     result.reference_digest = baseline.digest
-    for workers, reference in references.items():
-        assert reference.digest == baseline.digest, (
-            f"unfaulted sharded run diverged at {workers} workers"
+    for count, reference in references.items():
+        diverged = run_divergence(reference, baseline)
+        result.check(
+            f"unfaulted_{count}w_same_run",
+            not diverged,
+            f"unfaulted sharded run diverged in {diverged}",
         )
 
     for injection in _injections(spec):
-        for workers in worker_counts:
-            reference = references[workers]
+        for count in worker_counts:
             faulted = run_scenario(
-                _with_chaos(spec, injection), workers=workers
+                _with_chaos(spec, injection.to_dict()), workers=count
             )
-            result.rows.append(
-                {
-                    "injection": injection.name or injection.kind,
-                    "kind": injection.kind,
-                    "epoch": injection.epoch,
-                    "target": injection.group or f"w{injection.worker}",
-                    "workers": workers,
-                    "restarts": faulted.recovery.get("total_restarts", 0),
-                    "replayed_slots": faulted.recovery.get(
-                        "replayed_slots", 0
-                    ),
-                    "digest_equal": faulted.digest == reference.digest,
-                    "timeline_equal": (
-                        faulted.timeline() == reference.timeline()
-                    ),
-                    "stream_equal": (
-                        deterministic_exposition(faulted.telemetry.registry)
-                        == deterministic_exposition(
-                            reference.telemetry.registry
-                        )
-                    ),
-                    "live_equals_collect": (
-                        faulted.telemetry.live_snapshot()
-                        == faulted.metrics().snapshot()
-                    ),
-                }
+            row = {
+                "injection": injection.name or injection.kind,
+                "kind": injection.kind,
+                "epoch": injection.epoch,
+                "target": injection.group or f"w{injection.worker}",
+                "workers": count,
+                "restarts": faulted.recovery.get("total_restarts", 0),
+                "replayed_slots": faulted.recovery.get("replayed_slots", 0),
+                "diverged": run_divergence(faulted, references[count]),
+            }
+            result.rows.append(row)
+            name = f"{row['injection']}@{count}w"
+            result.check(
+                f"{name}_recovered_same_run",
+                not row["diverged"],
+                f"recovered run diverged in {row['diverged']}",
             )
+            # A sweep that silently stopped injecting proves nothing.
+            result.check(f"{name}_restarted", row["restarts"] >= 1)
+    result.check("sweep_ran_injections", result.rows)
 
-    result.exhaustion = _run_exhaustion(spec)
+    result.exhaustion = ex = _run_exhaustion(spec)
+    result.check("exhaustion_raised", ex.get("raised"))
+    result.check("exhaustion_kept_partial_results", ex.get("partial_groups"))
+    result.check("exhaustion_left_no_live_workers", ex.get("workers_dead"))
+    result.assert_healthy()
     return result
 
 
 def _run_exhaustion(spec: ScenarioSpec) -> Dict[str, Any]:
     budget = 1
-    data = spec.to_dict()
-    data["process_chaos"] = [
-        {"kind": "kill", "epoch": 1, "group": "campus", "rearm": True}
-    ]
-    data["supervisor"] = dict(SUPERVISOR, max_restarts_per_worker=budget)
-    doomed = ScenarioSpec.from_dict(data)
+    doomed = _with_chaos(
+        spec,
+        {"kind": "kill", "epoch": 1, "group": "campus", "rearm": True},
+        max_restarts_per_worker=budget,
+    )
     pool = WorkerPool(doomed, workers=2)
     pool.start()
     started = time.monotonic()
@@ -310,28 +248,8 @@ def _run_exhaustion(spec: ScenarioSpec) -> Dict[str, Any]:
     except ShardRecoveryExhausted as exc:
         outcome["raised"] = True
         outcome["partial_groups"] = sorted(exc.partial)
-        outcome["failed_worker"] = exc.worker
-        outcome["restarts"] = exc.restarts
     outcome["elapsed_s"] = time.monotonic() - started
     # Every child, not just the pool's current handles: a respawn must
     # not leave the process it replaced behind either.
     outcome["workers_dead"] = not multiprocessing.active_children()
     return outcome
-
-
-def run(slots: int = DEFAULT_SLOTS, workers: int = 0) -> ChaosScaleResult:
-    """``workers`` narrows the sweep to that one worker count."""
-    result = run_chaos_scale(
-        slots=slots,
-        worker_counts=(workers,) if workers else DEFAULT_WORKERS,
-    )
-    result.assert_healthy()
-    return result
-
-
-__all__ = [
-    "ChaosScaleResult",
-    "chaos_scale_spec",
-    "run",
-    "run_chaos_scale",
-]

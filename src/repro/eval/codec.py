@@ -1,4 +1,4 @@
-"""Codec benchmark: modcomp vs BFP wire bytes and scenario throughput.
+"""Codec gate: modcomp vs BFP wire bytes, and the switch reaches the wire.
 
 Two measurements:
 
@@ -9,15 +9,14 @@ Two measurements:
    :data:`REDUCTION_FLOOR` against its width-9 BFP baseline — the
    headline the second codec exists for.
 
-2. **Throughput delta** — the canonical 8-cell scale benchmark (see
+2. **Distinct digests** — the canonical 8-cell scale benchmark (see
    :func:`repro.eval.scale.bench_spec`) run single-process twice: once
    with every cell on its profile default (BFP) and once with every
    cell pinned to ``codec: modcomp`` through per-stream negotiation.
-   The reported cell-slots/s delta is the compute price (or win) of the
-   denser codec across the full DU->switch->RU datapath.  It is
-   informational only — run-to-run timing noise at this scenario size
-   exceeds the real per-codec difference, so health gates on the
-   deterministic wire bytes, never on the delta.
+   The two runs must diverge in their digests, or the codec choice never
+   reached the wire.  What the denser codec costs in throughput is the
+   ``cells8_bfp`` / ``cells8_modcomp`` pair of ``bench/``; a single-shot
+   rate from this fixture is noise.
 
 Run via ``PYTHONPATH=src python -m repro.eval codec``; shrink with
 ``--slots`` for CI smoke runs.
@@ -25,21 +24,19 @@ Run via ``PYTHONPATH=src python -m repro.eval codec``; shrink with
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List
 
 import numpy as np
 
+from repro.eval import kit
+from repro.eval.conformance import uplane_frame
 from repro.eval.report import format_table
 from repro.eval.scale import bench_spec
-from repro.fronthaul.cplane import Direction
-from repro.fronthaul.ecpri import EAxCId
-from repro.fronthaul.ethernet import MacAddress
-from repro.fronthaul.packet import make_packet
 from repro.fronthaul.timing import SymbolTime
-from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 from repro.ran.stacks import ALL_PROFILES, negotiate_compression
-from repro.scale import Scenario, ScenarioSpec
+from repro.scale import ScenarioSpec, run_divergence, run_scenario
 
 DEFAULT_SLOTS = 40
 #: Minimum srsRAN modcomp wire-byte reduction vs its BFP-9 baseline.
@@ -49,10 +46,6 @@ NUM_PRB = 106
 #: Packed frames per (profile, codec) cell: 14 symbols x 2 ants x 2 slots.
 FRAMES = 56
 
-_SRC = MacAddress.from_int(0x02_00_00_00_00_01)
-_DST = MacAddress.from_int(0x02_00_00_00_00_02)
-_EAXC = EAxCId.from_int(0x0101)
-
 
 @dataclass
 class WireRow:
@@ -61,54 +54,18 @@ class WireRow:
     profile: str
     codec: str
     iq_width: int
-    frames: int
     total_bytes: int
 
     @property
     def bytes_per_prb(self) -> float:
-        return self.total_bytes / (self.frames * NUM_PRB)
+        return self.total_bytes / (FRAMES * NUM_PRB)
 
 
 @dataclass
-class CodecResult:
-    slots: int
+class CodecResult(kit.Gate):
     wire: List[WireRow] = field(default_factory=list)
     #: profile -> bfp_bytes / modcomp_bytes (headers included).
     reduction: Dict[str, float] = field(default_factory=dict)
-    bfp_cell_slots_per_second: float = 0.0
-    modcomp_cell_slots_per_second: float = 0.0
-    bfp_digest: str = ""
-    modcomp_digest: str = ""
-
-    @property
-    def throughput_delta_pct(self) -> float:
-        """Modcomp throughput relative to BFP, in percent (+ is faster)."""
-        if not self.bfp_cell_slots_per_second:
-            return 0.0
-        ratio = (
-            self.modcomp_cell_slots_per_second
-            / self.bfp_cell_slots_per_second
-        )
-        return (ratio - 1.0) * 100.0
-
-    def assert_healthy(self) -> None:
-        floor = self.reduction.get("srsRAN", 0.0)
-        if floor < REDUCTION_FLOOR:
-            raise AssertionError(
-                f"srsRAN modcomp wire reduction {floor:.2f}x below the "
-                f"{REDUCTION_FLOOR:.1f}x floor"
-            )
-        for profile, reduction in self.reduction.items():
-            if reduction <= 1.0:
-                raise AssertionError(
-                    f"{profile}: modcomp inflated the wire "
-                    f"({reduction:.2f}x)"
-                )
-        if self.bfp_digest == self.modcomp_digest:
-            raise AssertionError(
-                "BFP and modcomp scenario digests collide — the codec "
-                "switch is not reaching the wire"
-            )
 
     def format(self) -> str:
         wire_table = format_table(
@@ -131,18 +88,12 @@ class CodecResult:
                 for row in self.wire
             ],
         )
-        lines = [
-            wire_table,
+        return (
+            f"{wire_table}\n"
             f"floor: srsRAN modcomp >= {REDUCTION_FLOOR:.1f}x smaller "
             f"than BFP-9 on the wire "
-            f"({self.reduction.get('srsRAN', 0.0):.2f}x measured)",
-            f"8-cell throughput ({self.slots} slots, 1 worker): "
-            f"bfp {self.bfp_cell_slots_per_second:.1f} c-s/s, "
-            f"modcomp {self.modcomp_cell_slots_per_second:.1f} c-s/s "
-            f"({self.throughput_delta_pct:+.1f}%)",
-        ]
-        return "\n".join(lines)
-
+            f"({self.reduction.get('srsRAN', 0.0):.2f}x measured)"
+        )
 
 
 def _measure_wire(profile, codec: str, seed: int) -> WireRow:
@@ -151,46 +102,37 @@ def _measure_wire(profile, codec: str, seed: int) -> WireRow:
     rng = np.random.default_rng(seed)
     total = 0
     for seq in range(FRAMES):
-        samples = rng.integers(
-            -4096, 4096, size=(NUM_PRB, 24), dtype=np.int16
-        )
-        section = UPlaneSection.from_samples(
-            section_id=1,
-            start_prb=0,
-            samples=samples,
-            compression=compression,
-        )
-        message = UPlaneMessage(
-            direction=Direction.DOWNLINK,
-            time=SymbolTime(0, 0, seq // 14 % 2, seq % 14),
-            sections=[section],
-        )
-        packet = make_packet(
-            src=_SRC, dst=_DST, message=message, seq_id=seq % 256,
-            eaxc=_EAXC,
+        packet = uplane_frame(
+            0, NUM_PRB, seq % 256,
+            SymbolTime(0, 0, seq // 14 % 2, seq % 14),
+            compression,
+            samples=rng.integers(
+                -4096, 4096, size=(NUM_PRB, 24), dtype=np.int16
+            ),
         )
         total += len(packet.pack())
     return WireRow(
         profile=profile.name,
         codec=codec,
         iq_width=compression.iq_width,
-        frames=FRAMES,
         total_bytes=total,
     )
 
 
-def _modcomp_bench_spec(slots: int) -> ScenarioSpec:
+def modcomp_bench_spec(slots: int = DEFAULT_SLOTS) -> ScenarioSpec:
     """The 8-cell benchmark with every cell negotiated onto modcomp."""
-    data = bench_spec(slots).to_dict()
-    for cell in data["cells"]:
-        cell["codec"] = "modcomp"
-    data["name"] = "scale-bench-8cell-modcomp"
-    return ScenarioSpec.from_dict(data)
+    base = bench_spec(slots)
+    return dataclasses.replace(
+        base,
+        name="scale-bench-8cell-modcomp",
+        cells=tuple(
+            dataclasses.replace(cell, codec="modcomp") for cell in base.cells
+        ),
+    )
 
 
-def run_codec(slots: int = 0, seed: int = 10) -> CodecResult:
-    slots = slots or DEFAULT_SLOTS
-    result = CodecResult(slots=slots)
+def run_codec(slots: int = DEFAULT_SLOTS, seed: int = 10) -> CodecResult:
+    result = CodecResult()
     for profile in ALL_PROFILES:
         per_codec: Dict[str, WireRow] = {}
         for codec in sorted(profile.supported_codecs()):
@@ -198,17 +140,30 @@ def run_codec(slots: int = 0, seed: int = 10) -> CodecResult:
             per_codec[codec] = row
             result.wire.append(row)
         if "modcomp" in per_codec:
-            result.reduction[profile.name] = (
+            reduction = (
                 per_codec["bfp"].total_bytes
                 / per_codec["modcomp"].total_bytes
             )
-    bfp_run = Scenario(bench_spec(slots)).run(workers=1)
-    modcomp_run = Scenario(_modcomp_bench_spec(slots)).run(workers=1)
-    result.bfp_cell_slots_per_second = bfp_run.cell_slots_per_second
-    result.modcomp_cell_slots_per_second = (
-        modcomp_run.cell_slots_per_second
+            result.reduction[profile.name] = reduction
+            result.check(
+                f"{profile.name}_modcomp_shrinks_the_wire",
+                reduction > 1.0,
+                f"modcomp inflated the wire ({reduction:.2f}x)",
+            )
+    floor = result.reduction.get("srsRAN", 0.0)
+    result.check(
+        "srsRAN_reduction_floor",
+        floor >= REDUCTION_FLOOR,
+        f"srsRAN modcomp wire reduction {floor:.2f}x below the "
+        f"{REDUCTION_FLOOR:.1f}x floor",
     )
-    result.bfp_digest = bfp_run.digest
-    result.modcomp_digest = modcomp_run.digest
+    result.check(
+        "codec_switch_reaches_the_wire",
+        "digest" in run_divergence(
+            run_scenario(modcomp_bench_spec(slots)),
+            run_scenario(bench_spec(slots)),
+        ),
+        "BFP and modcomp scenario digests collide",
+    )
     result.assert_healthy()
     return result

@@ -38,6 +38,7 @@ from repro.conformance import (
     ViolationClass,
     WireValidator,
 )
+from repro.eval import kit
 from repro.eval.report import format_table
 from repro.fronthaul.compression import BFP_COMP_METH, CompressionConfig
 from repro.fronthaul.cplane import (
@@ -51,16 +52,7 @@ from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import FronthaulPacket, make_packet
 from repro.fronthaul.timing import SymbolTime
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
-from repro.ran.cell import CellConfig
-from repro.ran.du import DistributedUnit
-from repro.ran.ru import RadioUnit, RuConfig
-from repro.ran.stacks import (
-    ALL_PROFILES,
-    negotiate_compression,
-    profile_by_name,
-)
-from repro.ran.traffic import ConstantBitrateFlow
-from repro.sim.network_sim import FronthaulNetwork
+from repro.ran.stacks import ALL_PROFILES, SRSRAN
 
 DEFAULT_SLOTS = 12
 
@@ -71,7 +63,6 @@ class CleanRow:
 
     profile: str
     codec: str
-    slots: int
     frames: int
     violations: int
     detail: str = ""
@@ -92,33 +83,11 @@ class SeededRow:
 
 
 @dataclass
-class ConformanceResult:
+class ConformanceResult(kit.Gate):
     seed: int
     slots: int
     clean: List[CleanRow]
     seeded: List[SeededRow]
-
-    def assert_healthy(self) -> None:
-        for row in self.clean:
-            label = f"{row.profile}/{row.codec}"
-            if row.frames == 0:
-                raise AssertionError(f"{label}: validator saw no frames")
-            if row.violations:
-                raise AssertionError(
-                    f"{label}: {row.violations} violation(s) on clean "
-                    f"traffic: {row.detail}"
-                )
-        for row in self.seeded:
-            if row.detected == 0:
-                raise AssertionError(
-                    f"seeded {row.name}: expected class {row.expected} "
-                    "not detected"
-                )
-            if row.extra:
-                raise AssertionError(
-                    f"seeded {row.name}: misclassified — extra classes "
-                    f"{row.extra} alongside {row.expected}"
-                )
 
     def format(self) -> str:
         clean_table = format_table(
@@ -156,39 +125,14 @@ class ConformanceResult:
 
 
 def _run_clean(profile, codec: str, slots: int, seed: int) -> CleanRow:
-    compression = negotiate_compression(profile, codec)
-    cell = CellConfig(
-        pci=1,
-        bandwidth_hz=40_000_000,
-        n_antennas=2,
-        max_dl_layers=2,
-        compression=compression,
-    )
-    du = DistributedUnit(
-        du_id=1,
-        cell=cell,
-        profile=profile,
-        symbols_per_slot=1,
-        seed=seed,
-        compression=compression,
-    )
-    rus = [
-        RadioUnit(
-            ru_id=i,
-            config=RuConfig(
-                num_prb=cell.num_prb,
-                n_antennas=2,
-                compression=compression,
-            ),
-            du_mac=du.mac,
-            seed=seed,
+    du, rus = kit.endpoints(
+        kit.cell(
+            "clean", 1, [kit.flow("dl", 100), kit.flow("ul", 15)],
+            rus=kit.radios(2, seed), bandwidth_hz=40_000_000,
+            profile=profile.name, codec=codec, seed=seed,
         )
-        for i in range(2)
-    ]
-    du.scheduler.add_ue("ue", dl_layers=2)
-    du.scheduler.update_ue_quality("ue", dl_aggregate_se=10.0, ul_se=3.0)
-    du.attach_flow("ue", ConstantBitrateFlow(100, "dl"), Direction.DOWNLINK)
-    du.attach_flow("ue", ConstantBitrateFlow(15, "ul"), Direction.UPLINK)
+    )
+    cell = du.cell
 
     def validator(tap_style: str) -> WireValidator:
         return WireValidator(
@@ -196,28 +140,23 @@ def _run_clean(profile, codec: str, slots: int, seed: int) -> CleanRow:
             profile=profile,
             carrier_num_prb=cell.num_prb,
             numerology=cell.numerology,
-            allowed_compressions={compression},
+            allowed_compressions={cell.compression},
         )
 
     ingress = validator("ingress")
     chain_validator = validator("chain")
     das = DasMiddlebox(du_mac=du.mac, ru_macs=[ru.mac for ru in rus])
     monitor = PrbMonitorMiddlebox(carrier_num_prb=cell.num_prb)
-    network = FronthaulNetwork(
-        middleboxes=[ConformanceTap(chain_validator), monitor, das],
+    kit.network(
+        [du], rus, [ConformanceTap(chain_validator), monitor, das],
         validator=ingress,
-    )
-    network.add_du(du)
-    for ru in rus:
-        network.add_ru(ru)
-    network.run(slots)
+    ).run(slots)
     merged = ConformanceReport()
     merged.merge(ingress.report)
     merged.merge(chain_validator.report)
     return CleanRow(
         profile=profile.name,
         codec=codec,
-        slots=slots,
         frames=merged.frames_checked,
         violations=merged.total_violations,
         detail="; ".join(str(r) for r in merged.records[:3]),
@@ -229,27 +168,19 @@ def _run_clean(profile, codec: str, slots: int, seed: int) -> CleanRow:
 _SRC = MacAddress.from_int(0x02_00_00_00_00_01)
 _DST = MacAddress.from_int(0x02_00_00_00_00_02)
 _EAXC = EAxCId.from_int(0x0101)
-
-
-def _fresh_validator(**kwargs) -> WireValidator:
-    profile = profile_by_name("srsRAN")
-    return WireValidator(
-        name="seeded", profile=profile, carrier_num_prb=106, **kwargs
-    )
+_SLOT0 = SymbolTime(0, 0, 0, 0)
 
 
 def _cplane(
     start_prb: int,
     num_prb: int,
     seq: int = 0,
-    time: Optional[SymbolTime] = None,
-    compression: Optional[CompressionConfig] = None,
+    time: SymbolTime = _SLOT0,
+    compression: CompressionConfig = SRSRAN.compression,
 ) -> FronthaulPacket:
-    if compression is None:
-        compression = profile_by_name("srsRAN").compression
     message = CPlaneMessage(
         direction=Direction.DOWNLINK,
-        time=time if time is not None else SymbolTime(0, 0, 0, 0),
+        time=time,
         section_type=SectionType.DATA,
         compression=compression,
     )
@@ -261,21 +192,24 @@ def _cplane(
     )
 
 
-def _uplane(
+def uplane_frame(
     start_prb: int,
     num_prb: int,
     seq: int = 0,
-    time: Optional[SymbolTime] = None,
-    compression: Optional[CompressionConfig] = None,
+    time: SymbolTime = _SLOT0,
+    compression: CompressionConfig = SRSRAN.compression,
     payload: Optional[bytes] = None,
+    samples: Optional[np.ndarray] = None,
 ) -> FronthaulPacket:
-    if compression is None:
-        compression = profile_by_name("srsRAN").compression
+    """One downlink U-plane frame: ``payload`` verbatim, else ``samples``
+    (default: a constant grid) compressed under ``compression``."""
     if payload is None:
+        if samples is None:
+            samples = np.full((num_prb, 24), 7, dtype=np.int16)
         section = UPlaneSection.from_samples(
             section_id=1,
             start_prb=start_prb,
-            samples=np.full((num_prb, 24), 7, dtype=np.int16),
+            samples=samples,
             compression=compression,
         )
     else:
@@ -287,9 +221,7 @@ def _uplane(
             compression=compression,
         )
     message = UPlaneMessage(
-        direction=Direction.DOWNLINK,
-        time=time if time is not None else SymbolTime(0, 0, 0, 0),
-        sections=[section],
+        direction=Direction.DOWNLINK, time=time, sections=[section]
     )
     return make_packet(
         src=_SRC, dst=_DST, message=message, seq_id=seq, eaxc=_EAXC
@@ -299,7 +231,7 @@ def _uplane(
 def _seed_bad_ecpri_length(validator: WireValidator) -> None:
     # Cut a frame mid-section: the declared payloadSize no longer matches
     # the bytes on the wire.
-    data = _uplane(0, 4).pack()
+    data = uplane_frame(0, 4).pack()
     validator.observe_bytes(data[:-5], tap="seeded")
 
 
@@ -316,43 +248,41 @@ def _seed_section_structure(validator: WireValidator) -> None:
 
 def _seed_prb_section_mismatch(validator: WireValidator) -> None:
     validator.observe(_cplane(0, 20, seq=0), tap="seeded")
-    validator.observe(_uplane(30, 10, seq=1), tap="seeded")
+    validator.observe(uplane_frame(30, 10, seq=1), tap="seeded")
 
 
 def _seed_bfp_width_mismatch(validator: WireValidator) -> None:
     wide = CompressionConfig(iq_width=14, comp_meth=BFP_COMP_METH)
     validator.observe(_cplane(0, 4, seq=0), tap="seeded")
     validator.observe(
-        _uplane(0, 4, seq=1, compression=wide), tap="seeded"
+        uplane_frame(0, 4, seq=1, compression=wide), tap="seeded"
     )
 
 
 def _seed_illegal_bfp_exponent(validator: WireValidator) -> None:
-    compression = profile_by_name("srsRAN").compression
-    good = _uplane(0, 2, seq=1).message.sections[0].payload_bytes()
+    good = uplane_frame(0, 2, seq=1).message.sections[0].payload_bytes()
     payload = bytearray(good)
     payload[0] = 0x0F  # exponent 15 > legal max 7 for width-9 BFP
     validator.observe(_cplane(0, 2, seq=0), tap="seeded")
     validator.observe(
-        _uplane(0, 2, seq=1, compression=compression, payload=bytes(payload)),
-        tap="seeded",
+        uplane_frame(0, 2, seq=1, payload=bytes(payload)), tap="seeded"
     )
 
 
 def _seed_codec_mismatch(validator: WireValidator) -> None:
     # A modcomp payload on a deployment that only negotiated BFP: the
     # RU has no decoder armed for udCompMeth 4 at all.
-    modcomp = profile_by_name("srsRAN").modcomp
+    modcomp = SRSRAN.modcomp
     validator.observe(_cplane(0, 4, seq=0), tap="seeded")
     validator.observe(
-        _uplane(0, 4, seq=1, compression=modcomp), tap="seeded"
+        uplane_frame(0, 4, seq=1, compression=modcomp), tap="seeded"
     )
 
 
 def _seed_illegal_modcomp_param(validator: WireValidator) -> None:
-    modcomp = profile_by_name("srsRAN").modcomp
+    modcomp = SRSRAN.modcomp
     good = (
-        _uplane(0, 2, seq=1, compression=modcomp)
+        uplane_frame(0, 2, seq=1, compression=modcomp)
         .message.sections[0]
         .payload_bytes()
     )
@@ -363,7 +293,7 @@ def _seed_illegal_modcomp_param(validator: WireValidator) -> None:
         _cplane(0, 2, seq=0, compression=modcomp), tap="seeded"
     )
     validator.observe(
-        _uplane(0, 2, seq=1, compression=modcomp, payload=bytes(payload)),
+        uplane_frame(0, 2, seq=1, compression=modcomp, payload=bytes(payload)),
         tap="seeded",
     )
 
@@ -408,7 +338,7 @@ _SEEDED = [
      _seed_codec_mismatch, {}),
     ("corrupt-scaler", ViolationClass.ILLEGAL_MODCOMP_PARAM,
      _seed_illegal_modcomp_param,
-     {"allowed_compressions": (profile_by_name("srsRAN").modcomp,)}),
+     {"allowed_compressions": (SRSRAN.modcomp,)}),
     ("skipped-seq", ViolationClass.SEQ_GAP, _seed_seq_gap, {}),
     ("repeated-seq", ViolationClass.SEQ_DUP, _seed_seq_dup, {}),
     ("regressed-slot", ViolationClass.STALE_SLOT, _seed_stale_slot, {}),
@@ -418,7 +348,10 @@ _SEEDED = [
 def _run_seeded() -> List[SeededRow]:
     rows = []
     for name, expected, scenario, validator_kwargs in _SEEDED:
-        validator = _fresh_validator(**validator_kwargs)
+        validator = WireValidator(
+            name="seeded", profile=SRSRAN, carrier_num_prb=106,
+            **validator_kwargs,
+        )
         scenario(validator)
         counts = dict(validator.report.counts)
         detected = counts.pop(expected.value, 0)
@@ -437,10 +370,8 @@ def _run_seeded() -> List[SeededRow]:
 
 
 def run_conformance(
-    seed: int = 20, slots: Optional[int] = None
+    seed: int = 20, slots: int = DEFAULT_SLOTS
 ) -> ConformanceResult:
-    if slots is None:
-        slots = DEFAULT_SLOTS
     slots = max(slots, 8)
     result = ConformanceResult(
         seed=seed,
@@ -452,9 +383,20 @@ def run_conformance(
         ],
         seeded=_run_seeded(),
     )
+    for row in result.clean:
+        label = f"clean_{row.profile}_{row.codec}"
+        result.check(f"{label}_saw_frames", row.frames > 0)
+        result.check(
+            f"{label}_no_violations",
+            row.violations == 0,
+            f"{row.violations} on clean traffic: {row.detail}",
+        )
+    for row in result.seeded:
+        result.check(
+            f"seeded_{row.name}_detected",
+            row.detected >= 1,
+            f"expected class {row.expected} not detected",
+        )
+        result.expect(f"seeded_{row.name}_other_classes", row.extra, {})
     result.assert_healthy()
     return result
-
-
-if __name__ == "__main__":
-    print(run_conformance().format())

@@ -8,6 +8,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.eval import kit
 from repro.eval.report import format_table
 from repro.eval.throughput import DeployedCell, UePlacement, evaluate_network
 from repro.fronthaul.cplane import Direction
@@ -285,39 +286,28 @@ def run_fig10c(
     from repro.apps.prb_monitor import PrbMonitorMiddlebox
     from repro.fronthaul.compression import SAMPLES_PER_PRB
     from repro.phy.iq import QamModulator
-    from repro.ran.du import DistributedUnit
-    from repro.ran.ru import RadioUnit, RuConfig
-    from repro.ran.traffic import ConstantBitrateFlow
-    from repro.sim.network_sim import FronthaulNetwork
 
     downlink_points: List[Fig10cPoint] = []
     uplink_points: List[Fig10cPoint] = []
     for load in loads_mbps:
-        cell = CellConfig(pci=9, n_antennas=1, max_dl_layers=1)
-        du = DistributedUnit(
-            du_id=3, cell=cell, symbols_per_slot=1, seed=seed
-        )
-        ru = RadioUnit(
-            ru_id=9,
-            config=RuConfig(num_prb=cell.num_prb, n_antennas=1),
-            mac=du.ru_mac,
-            du_mac=du.mac,
-            seed=seed,
-        )
-        monitor = PrbMonitorMiddlebox(carrier_num_prb=cell.num_prb)
+        flows = []
+        if load > 0:
+            flows = [kit.flow("dl", load), kit.flow("ul", load / 10.0)]
         # A 4x4-class aggregate SE so the load/utilization mapping matches
         # the paper's 100 MHz 4x4 cell (only port 0 carries monitored IQ).
-        du.scheduler.add_ue("ue", dl_layers=4)
-        du.scheduler.update_ue_quality("ue", dl_aggregate_se=16.0, ul_se=3.0)
-        if load > 0:
-            du.attach_flow("ue", ConstantBitrateFlow(load, "dl"),
-                           Direction.DOWNLINK)
-            du.attach_flow(
-                "ue", ConstantBitrateFlow(load / 10.0, "ul"), Direction.UPLINK
-            )
-        network = FronthaulNetwork(middleboxes=[monitor])
-        network.add_du(du)
-        network.add_ru(ru)
+        fragment = kit.cell(
+            "monitored", 9, flows,
+            rus=kit.radios(1, seed, n_antennas=1),
+            ue={"dl_layers": 4, "dl_aggregate_se": 16.0},
+            bandwidth_hz=100_000_000, n_antennas=1, max_dl_layers=1,
+            seed=seed,
+        )
+        du, (ru,) = kit.endpoints(fragment, du_id=3, ru_id_base=9)
+        # No stage here rewrites the destination, and build_cell leaves
+        # the DU addressing a MAC no RU owns (ROADMAP item 1).
+        du.ru_mac = ru.mac
+        monitor = PrbMonitorMiddlebox(carrier_num_prb=du.cell.num_prb)
+        network = kit.network([du], [ru], [monitor])
         modulator = QamModulator(16)
         rng = np.random.default_rng(seed)
 

@@ -16,14 +16,14 @@ majority (~75%) and an expensive decompress+sum+recompress merge tail of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List
+from typing import Dict, List
 
-if TYPE_CHECKING:
-    from repro.obs import DeadlineAccountant
-
+from repro.apps.das import DasMiddlebox
 from repro.core.datapath import ScalabilityPoint, cores_required
 from repro.core.latency import DEFAULT_COST_MODEL, ActionCostModel
+from repro.eval import kit
 from repro.eval.report import format_table
+from repro.obs import DeadlineAccountant, Observability, render_prometheus
 from repro.obs.sketch import QuantileSketch
 from repro.fronthaul.timing import SYMBOLS_PER_SLOT
 from repro.ran.cell import CellConfig
@@ -167,7 +167,7 @@ class Fig15bResult:
 class Fig15aMeasuredResult:
     """Observable Figure 15a: per-chain latency budgets from live runs."""
 
-    accountants: Dict[int, "DeadlineAccountant"]
+    accountants: Dict[int, DeadlineAccountant]
     registry_text: str = ""
 
     def format(self) -> str:
@@ -182,6 +182,20 @@ class Fig15aMeasuredResult:
         return "\n\n".join(blocks)
 
 
+def _das_cell(n_rus: int, seed: int):
+    """The Figure 15 deployment — one 100 MHz 4x4 cell at 800/60 Mbps
+    fanned out to ``n_rus`` RUs — as a live DU and its RUs."""
+    return kit.endpoints(
+        kit.cell(
+            "das", 1, [kit.flow("dl", 800), kit.flow("ul", 60)],
+            rus=kit.radios(n_rus, seed, n_antennas=4),
+            ue={"dl_layers": 4, "dl_aggregate_se": 16.0},
+            bandwidth_hz=100_000_000, n_antennas=4, max_dl_layers=4,
+            seed=seed,
+        )
+    )
+
+
 def run_fig15a_measured(
     ru_counts=(2, 3, 4),
     n_slots: int = 4,
@@ -191,50 +205,22 @@ def run_fig15a_measured(
     """The deadline-accounting version of Figure 15a: run the real DAS
     middlebox per RU count with the flight recorder armed and account
     every slot's modelled latency against the fronthaul budget."""
-    from repro.apps.das import DasMiddlebox
-    from repro.fronthaul.cplane import Direction
-    from repro.obs import DeadlineAccountant, Observability, render_prometheus
-    from repro.ran.du import DistributedUnit
-    from repro.ran.ru import RadioUnit, RuConfig
-    from repro.ran.traffic import ConstantBitrateFlow
-    from repro.sim.network_sim import FronthaulNetwork
-
     accountants: Dict[int, DeadlineAccountant] = {}
     obs = Observability(enabled=True)
     for n_rus in ru_counts:
-        cell = CellConfig(pci=1)
-        du = DistributedUnit(du_id=1, cell=cell, symbols_per_slot=1, seed=seed)
-        rus = [
-            RadioUnit(
-                ru_id=index,
-                config=RuConfig(num_prb=cell.num_prb,
-                                n_antennas=cell.n_antennas),
-                du_mac=du.mac,
-                seed=seed,
-            )
-            for index in range(n_rus)
-        ]
+        du, rus = _das_cell(n_rus, seed)
         das = DasMiddlebox(
             du_mac=du.mac,
             ru_macs=[ru.mac for ru in rus],
             name=f"das-{n_rus}ru",
             obs=obs,
         )
-        du.scheduler.add_ue("ue", dl_layers=4)
-        du.scheduler.update_ue_quality("ue", dl_aggregate_se=16.0, ul_se=3.0)
-        du.attach_flow("ue", ConstantBitrateFlow(800, "dl"),
-                       Direction.DOWNLINK)
-        du.attach_flow("ue", ConstantBitrateFlow(60, "ul"), Direction.UPLINK)
         accountant = DeadlineAccountant(
-            numerology=cell.numerology, budget_ns=budget_ns, obs=obs
+            numerology=du.cell.numerology, budget_ns=budget_ns, obs=obs
         )
-        network = FronthaulNetwork(
-            middleboxes=[das], deadline_accountant=accountant
-        )
-        network.add_du(du)
-        for ru in rus:
-            network.add_ru(ru)
-        network.run(n_slots)
+        kit.network(
+            [du], rus, [das], deadline_accountant=accountant
+        ).run(n_slots)
         accountants[n_rus] = accountant
     return Fig15aMeasuredResult(
         accountants=accountants, registry_text=render_prometheus(obs.registry)
@@ -248,38 +234,11 @@ def run_fig15b(
 ) -> Fig15bResult:
     """Packet-level latency breakdown: run the real DAS middlebox on a
     100 MHz cell and read its per-packet action traces."""
-    from repro.apps.das import DasMiddlebox
-    from repro.fronthaul.cplane import Direction
-    from repro.ran.du import DistributedUnit
-    from repro.ran.ru import RadioUnit, RuConfig
-    from repro.ran.traffic import ConstantBitrateFlow
-    from repro.sim.network_sim import FronthaulNetwork
-
     breakdowns: List[LatencyBreakdown] = []
     for n_rus in ru_counts:
-        cell = CellConfig(pci=1)
-        du = DistributedUnit(du_id=1, cell=cell, symbols_per_slot=1, seed=seed)
-        rus = [
-            RadioUnit(
-                ru_id=index,
-                config=RuConfig(num_prb=cell.num_prb,
-                                n_antennas=cell.n_antennas),
-                du_mac=du.mac,
-                seed=seed,
-            )
-            for index in range(n_rus)
-        ]
+        du, rus = _das_cell(n_rus, seed)
         das = DasMiddlebox(du_mac=du.mac, ru_macs=[ru.mac for ru in rus])
-        du.scheduler.add_ue("ue", dl_layers=4)
-        du.scheduler.update_ue_quality("ue", dl_aggregate_se=16.0, ul_se=3.0)
-        du.attach_flow("ue", ConstantBitrateFlow(800, "dl"),
-                       Direction.DOWNLINK)
-        du.attach_flow("ue", ConstantBitrateFlow(60, "ul"), Direction.UPLINK)
-        network = FronthaulNetwork(middleboxes=[das])
-        network.add_du(du)
-        for ru in rus:
-            network.add_ru(ru)
-        network.run(n_slots)
+        kit.network([du], rus, [das]).run(n_slots)
         by_class: Dict[str, List[float]] = {}
         for trace in das.complete_traces():
             by_class.setdefault(trace.traffic_class, []).append(

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.core.datapath import DpdkDatapath, PacketWork, XdpDatapath
+from repro.eval import kit
 from repro.eval.report import format_table
-from repro.fronthaul.cplane import Direction
-from repro.ran.cell import CellConfig
 from repro.ran.stacks import SRSRAN, VendorProfile
 
 CONDITIONS = ("Idle", "UE Attached", "Traffic")
@@ -57,16 +56,25 @@ def _build_app(app: str, du, rus):
     return DmimoMiddlebox(du_mac=du.mac, port_map=port_map)
 
 
+def _flows(condition: str, seed: int):
+    """The UE's traffic per cell condition; ``None`` means no UE at all."""
+    if condition == "Idle":
+        return None
+    if condition == "UE Attached":
+        # Attached-idle UEs exchange sporadic control traffic only
+        # (CQI reports, RRC keepalives): a packet every few slots.
+        return [
+            kit.flow("dl", 2.0, "poisson", packet_bits=12_000, seed=seed),
+            kit.flow("ul", 0.5, "poisson", packet_bits=6_000, seed=seed + 1),
+        ]
+    return [kit.flow("dl", 2000.0), kit.flow("ul", 10.0)]
+
+
 def run_fig16(
     profile: VendorProfile = SRSRAN,
     n_slots: int = 40,
     seed: int = 31,
 ) -> Fig16Result:
-    from repro.ran.du import DistributedUnit
-    from repro.ran.ru import RadioUnit, RuConfig
-    from repro.ran.traffic import ConstantBitrateFlow
-    from repro.sim.network_sim import FronthaulNetwork
-
     dpdk_model = DpdkDatapath()
     xdp_model = XdpDatapath()
     dpdk: Dict[str, Dict[str, float]] = {}
@@ -75,64 +83,20 @@ def run_fig16(
         dpdk[app] = {}
         xdp[app] = {}
         for condition in CONDITIONS:
-            if app == "das":
-                cell = CellConfig(
-                    pci=1, bandwidth_hz=40_000_000, n_antennas=2,
-                    max_dl_layers=2,
-                )
-                ru_antennas = 2
-                n_rus = 2
-            else:
-                cell = CellConfig(
-                    pci=1, bandwidth_hz=40_000_000, n_antennas=2,
-                    max_dl_layers=2,
-                )
-                ru_antennas = 1
-                n_rus = 2
-            du = DistributedUnit(du_id=1, cell=cell, symbols_per_slot=None,
-                                 seed=seed)
-            rus = [
-                RadioUnit(
-                    ru_id=index,
-                    config=RuConfig(num_prb=cell.num_prb,
-                                    n_antennas=ru_antennas),
-                    du_mac=du.mac,
+            # A 40 MHz 2x2 cell on two RUs: both antennas each for the
+            # DAS, one antenna each for dMIMO.  Every symbol is sent.
+            du, rus = kit.endpoints(
+                kit.cell(
+                    app, 1, _flows(condition, seed),
+                    rus=kit.radios(2, seed, 2 if app == "das" else 1),
+                    ue={"dl_aggregate_se": 11.0},
+                    bandwidth_hz=40_000_000, symbols_per_slot=None,
                     seed=seed,
                 )
-                for index in range(n_rus)
-            ]
+            )
             middlebox = _build_app(app, du, rus)
-            if condition != "Idle":
-                du.scheduler.add_ue("ue", dl_layers=cell.max_dl_layers)
-                du.scheduler.update_ue_quality(
-                    "ue", dl_aggregate_se=11.0, ul_se=3.0
-                )
-            if condition == "UE Attached":
-                # Attached-idle UEs exchange sporadic control traffic only
-                # (CQI reports, RRC keepalives): a packet every few slots.
-                from repro.ran.traffic import PoissonFlow
-
-                du.attach_flow(
-                    "ue",
-                    PoissonFlow(2.0, packet_bits=12_000, seed=seed),
-                    Direction.DOWNLINK,
-                )
-                du.attach_flow(
-                    "ue",
-                    PoissonFlow(0.5, packet_bits=6_000, seed=seed + 1),
-                    Direction.UPLINK,
-                )
-            elif condition == "Traffic":
-                du.attach_flow("ue", ConstantBitrateFlow(2000.0, "dl"),
-                               Direction.DOWNLINK)
-                du.attach_flow("ue", ConstantBitrateFlow(10.0, "ul"),
-                               Direction.UPLINK)
-            network = FronthaulNetwork(middleboxes=[middlebox])
-            network.add_du(du)
-            for ru in rus:
-                network.add_ru(ru)
-            network.run(n_slots)
-            interval_ns = n_slots * cell.numerology.slot_duration_ns
+            kit.network([du], rus, [middlebox]).run(n_slots)
+            interval_ns = n_slots * du.cell.numerology.slot_duration_ns
             works = [
                 PacketWork(trace, trace.wire_bytes)
                 for trace in middlebox.complete_traces()

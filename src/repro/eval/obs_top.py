@@ -15,8 +15,8 @@ plane's contract, so this eval doubles as the CI smoke):
   stream's folded registry snapshot equals the end-of-run ``collect()``
   merge exactly.
 
-:func:`ObsTopResult.golden_exposition` is the deterministic subset of
-the Prometheus exposition (wall-clock families filtered); CI pins its
+:attr:`ObsTopResult.exposition` is the deterministic subset of the
+Prometheus exposition (wall-clock families filtered); CI pins its
 bytes.  Run via ``PYTHONPATH=src python -m repro.eval obs-top``; shrink
 with ``--slots`` / force a worker count with ``--workers``.
 """
@@ -28,73 +28,57 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
 from repro.core.telemetry import TelemetryBus
+from repro.eval import kit
 from repro.eval.scale import bench_spec
 from repro.obs.live import deterministic_exposition, render_live
 from repro.obs.slo import default_slos
 from repro.obs.stream import EPOCH_TOPIC, TelemetryStream
-from repro.scale import Scenario
-from repro.scale.spec import ObsSpec, ScenarioSpec
+from repro.scale import ObsSpec, ScenarioSpec, run_divergence, run_scenario
 
 DEFAULT_SLOTS = 40
 DEFAULT_WORKERS = 4
-DEFAULT_EPOCH_SLOTS = 5
+EPOCH_SLOTS = 5
 
 
-def obs_top_spec(
-    slots: int = DEFAULT_SLOTS,
-    epoch_slots: int = DEFAULT_EPOCH_SLOTS,
-    slos: tuple = (),
-) -> ScenarioSpec:
+def obs_top_spec(slots: int = DEFAULT_SLOTS) -> ScenarioSpec:
     """The 8-cell bench topology with the full telemetry plane armed."""
-    slo_dicts = tuple(
-        spec.to_dict() for spec in (slos or default_slos())
-    )
     return dataclasses.replace(
         bench_spec(slots),
         name="obs-top-8cell",
-        epoch_slots=epoch_slots,
+        epoch_slots=EPOCH_SLOTS,
         obs=ObsSpec(
             enabled=True,
             deadline_accounting=True,
             conformance=True,
             stream=True,
-            slo=slo_dicts,
+            slo=tuple(spec.to_dict() for spec in default_slos()),
         ),
     )
 
 
 @dataclass
-class ObsTopResult:
-    slots: int
+class ObsTopResult(kit.Gate):
     workers: int
     epochs: int
     digest: str
     reference_digest: str
     spans_seen: int
-    spans_dropped: int
-    frames_checked: int
     bus_epoch_records: int
     alerts: List[Dict[str, Any]] = field(default_factory=list)
     screen: str = ""
+    #: The seed-stable exposition bytes CI pins.
     exposition: str = ""
 
     @property
     def digests_match(self) -> bool:
         return self.digest == self.reference_digest
 
-    def golden_exposition(self) -> str:
-        """The seed-stable exposition bytes CI pins."""
-        return self.exposition
-
     def format(self) -> str:
         lines = [self.screen, ""]
+        # A result only leaves run_obs_top with the digests equal.
         lines.append(
             f"digest {self.digest[:12]}... "
-            + (
-                "== reference (streaming is invisible to results)"
-                if self.digests_match
-                else f"!= reference {self.reference_digest[:12]}..."
-            )
+            "== reference (streaming is invisible to results)"
         )
         lines.append(
             f"{self.epochs} epochs folded across {self.workers} workers; "
@@ -104,39 +88,22 @@ class ObsTopResult:
         return "\n".join(lines)
 
 
-def run_obs_top(slots: int = 0, workers: int = 0) -> ObsTopResult:
+def run_obs_top(
+    slots: int = DEFAULT_SLOTS, workers: int = DEFAULT_WORKERS
+) -> ObsTopResult:
     """Run the streamed 8-cell scenario and fold it into one screen."""
-    slots = slots or DEFAULT_SLOTS
-    workers = workers or DEFAULT_WORKERS
     spec = obs_top_spec(slots)
     # Reference: observability fully off — streaming must not perturb it.
-    reference = Scenario(
-        dataclasses.replace(spec, obs=ObsSpec())
-    ).run(workers=1)
+    reference = run_scenario(dataclasses.replace(spec, obs=ObsSpec()))
     bus = TelemetryBus()
-    result = Scenario(spec).run(workers=workers, bus=bus)
-    stream: TelemetryStream = result.telemetry
-    assert stream is not None and stream.finalized, (
-        "streaming run returned no finalized telemetry stream"
-    )
-    assert result.digest == reference.digest, (
-        f"streaming perturbed the digest: {result.digest} != "
-        f"{reference.digest}"
-    )
-    live = stream.live_snapshot()
-    collected = result.metrics().snapshot()
-    assert live == collected, (
-        "live-folded snapshot diverged from end-of-run collect()"
-    )
-    return ObsTopResult(
-        slots=slots,
+    outcome = run_scenario(spec, workers=workers, bus=bus)
+    stream: TelemetryStream = outcome.telemetry
+    result = ObsTopResult(
         workers=workers,
         epochs=stream.epochs,
-        digest=result.digest,
+        digest=outcome.digest,
         reference_digest=reference.digest,
         spans_seen=stream.spans_seen,
-        spans_dropped=sum(stream.spans_dropped.values()),
-        frames_checked=stream.frames_checked,
         bus_epoch_records=len(bus.history(EPOCH_TOPIC)),
         alerts=[alert.to_dict() for alert in stream.slo.alerts],
         screen=render_live(
@@ -144,11 +111,12 @@ def run_obs_top(slots: int = 0, workers: int = 0) -> ObsTopResult:
         ),
         exposition=deterministic_exposition(stream.registry),
     )
-
-
-def main() -> str:
-    return run_obs_top().format()
-
-
-if __name__ == "__main__":
-    print(main())
+    result.check("stream_finalized", stream.finalized)
+    diverged = run_divergence(outcome, reference)
+    result.check(
+        "streaming_is_invisible_and_live_equals_collect",
+        not diverged,
+        f"streamed run diverged from the obs-off reference in {diverged}",
+    )
+    result.assert_healthy()
+    return result

@@ -34,8 +34,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from repro.eval import kit
 from repro.eval.report import format_table
-from repro.scale import Scenario, ScenarioSpec, WorkerPool
+from repro.scale import Scenario, ScenarioSpec, WorkerPool, run_divergence
 
 DEFAULT_SLOTS = 40
 SPEEDUP_FLOOR = 3.0
@@ -68,11 +69,11 @@ def bench_spec(slots: int = DEFAULT_SLOTS) -> ScenarioSpec:
         name = f"cell{index + 1}"
         n_rus = 2 if chain[0]["stage"] in ("das", "dmimo") else 1
         cells.append(
-            {
-                "name": name,
-                "pci": index + 1,
-                "bandwidth_hz": 20_000_000,
-                "rus": [
+            kit.cell(
+                name, index + 1,
+                [kit.flow("dl", 40.0),
+                 kit.flow("ul", 10.0, "poisson", seed=index)],
+                rus=[
                     {
                         "name": f"{name}-ru{r + 1}",
                         "n_antennas": 2,
@@ -80,86 +81,41 @@ def bench_spec(slots: int = DEFAULT_SLOTS) -> ScenarioSpec:
                     }
                     for r in range(n_rus)
                 ],
-                "ues": [
-                    {
-                        "ue_id": f"{name}-ue1",
-                        "flows": [
-                            {"kind": "cbr", "rate_mbps": 40.0,
-                             "direction": "dl"},
-                            {"kind": "poisson", "rate_mbps": 10.0,
-                             "direction": "ul", "seed": index},
-                        ],
-                    }
-                ],
-                "chain": chain,
-            }
+                ue={"ue_id": f"{name}-ue1"},
+                chain=chain,
+            )
         )
     # The coupled pair: cell7 hosts a wide RU, cell8's DU muxes onto it.
+    shared_ru = {
+        "name": "cell7-shared-ru",
+        "n_antennas": 2,
+        "num_prb": 160,
+        "center_frequency_hz": 3.46e9,
+    }
+    sharing = {
+        "stage": "ru_sharing",
+        "params": {"ru": "cell7-shared-ru", "cells": ["cell7", "cell8"]},
+    }
     cells.append(
-        {
-            "name": "cell7",
-            "pci": 7,
-            "bandwidth_hz": 20_000_000,
-            "center_frequency_hz": 3.45e9,
-            "group": "campus",
-            "rus": [
-                {
-                    "name": "cell7-shared-ru",
-                    "n_antennas": 2,
-                    "num_prb": 160,
-                    "center_frequency_hz": 3.46e9,
-                }
-            ],
-            "ues": [
-                {
-                    "ue_id": "cell7-ue1",
-                    "flows": [
-                        {"kind": "cbr", "rate_mbps": 40.0, "direction": "dl"}
-                    ],
-                }
-            ],
-            "chain": [
-                {
-                    "stage": "ru_sharing",
-                    "params": {
-                        "ru": "cell7-shared-ru",
-                        "cells": ["cell7", "cell8"],
-                    },
-                }
-            ],
-        }
+        kit.cell(
+            "cell7", 7, [kit.flow("dl", 40.0)],
+            rus=[shared_ru], ue={"ue_id": "cell7-ue1"}, chain=[sharing],
+            center_frequency_hz=3.45e9, group="campus",
+        )
     )
     cells.append(
-        {
-            "name": "cell8",
-            "pci": 8,
-            "bandwidth_hz": 20_000_000,
-            "center_frequency_hz": 3.47e9,
-            "group": "campus",
-            "rus": [{"name": "cell8-ru1", "n_antennas": 2}],
-            "ues": [
-                {
-                    "ue_id": "cell8-ue1",
-                    "flows": [
-                        {"kind": "cbr", "rate_mbps": 30.0, "direction": "dl"}
-                    ],
-                }
-            ],
-            "chain": [],
-        }
+        kit.cell(
+            "cell8", 8, [kit.flow("dl", 30.0)],
+            rus=[{"name": "cell8-ru1", "n_antennas": 2}],
+            ue={"ue_id": "cell8-ue1"},
+            center_frequency_hz=3.47e9, group="campus",
+        )
     )
-    return ScenarioSpec.from_dict(
-        {
-            "name": "scale-bench-8cell",
-            "slots": slots,
-            "seed": 4,
-            "cells": cells,
-        }
-    )
+    return kit.scenario("scale-bench-8cell", slots, 4, cells)
 
 
 @dataclass
-class ScaleResult:
+class ScaleResult(kit.Gate):
     slots: int
     cells: int
     cpu_count: int
@@ -227,39 +183,24 @@ class ScaleResult:
         return table + "\n" + floor + "\n" + target
 
 
-def _assert_matches(outcome, reference, workers: int) -> None:
-    # The sharding contract: any worker count, the same bytes.
-    assert outcome.digest == reference.digest, (
-        f"{workers}-worker digest {outcome.digest} != "
-        f"single-process {reference.digest}"
-    )
-    assert outcome.timeline() == reference.timeline(), (
-        f"{workers}-worker merged timeline diverged"
-    )
-
-
-def run_scale(slots: int = 0) -> ScaleResult:
+def run_scale(slots: int = DEFAULT_SLOTS) -> ScaleResult:
     """Sweep worker counts; assert byte-identical results throughout."""
-    slots = slots or DEFAULT_SLOTS
     scenario = Scenario(bench_spec(slots))
     cpu_count = os.cpu_count() or 1
+    reference = scenario.run(workers=1)
     result = ScaleResult(
         slots=slots,
         cells=len(scenario.spec.cells),
         cpu_count=cpu_count,
-        digest="",
+        digest=reference.digest,
         epoch_slots=scenario.spec.effective_epoch_slots(),
     )
-    reference = scenario.run(workers=1)
-    result.digest = reference.digest
     # Single-process has no fork/build to amortize: cold == warm.
     result.throughput[1] = reference.cell_slots_per_second
     result.wall[1] = reference.wall_seconds
     result.warm_throughput[1] = reference.cell_slots_per_second
     result.warm_wall[1] = reference.wall_seconds
-    for workers in WORKER_SWEEP:
-        if workers == 1:
-            continue
+    for workers in WORKER_SWEEP[1:]:
         pool = WorkerPool(scenario.spec, workers)
         try:
             started = time.perf_counter()
@@ -268,10 +209,15 @@ def run_scale(slots: int = 0) -> ScaleResult:
             warm = pool.run()  # live workers: reset + run
         finally:
             pool.close()
-        _assert_matches(cold, reference, workers)
-        _assert_matches(warm, reference, workers)
-        cells = len(scenario.spec.cells)
-        result.throughput[workers] = cells * slots / cold_wall
+        # The sharding contract: any worker count, the same bytes.
+        for temperature, outcome in (("cold", cold), ("warm", warm)):
+            diverged = run_divergence(outcome, reference)
+            result.check(
+                f"{workers}_workers_{temperature}_same_run",
+                not diverged,
+                f"diverged from single-process in {diverged}",
+            )
+        result.throughput[workers] = result.cells * slots / cold_wall
         result.wall[workers] = cold_wall
         result.warm_throughput[workers] = warm.cell_slots_per_second
         result.warm_wall[workers] = warm.wall_seconds
@@ -289,8 +235,11 @@ def run_scale(slots: int = 0) -> ScaleResult:
             f"{DEFAULT_SLOTS}) — run full-size on a multicore machine"
         )
     if result.floor_enforced:
-        assert result.speedup_at_floor >= SPEEDUP_FLOOR, (
+        result.check(
+            "warm_speedup_floor",
+            result.speedup_at_floor >= SPEEDUP_FLOOR,
             f"warm 8-worker speedup {result.speedup_at_floor:.2f}x below "
-            f"the {SPEEDUP_FLOOR:.0f}x floor"
+            f"the {SPEEDUP_FLOOR:.0f}x floor",
         )
+    result.assert_healthy()
     return result

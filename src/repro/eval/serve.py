@@ -35,6 +35,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
+from repro.eval import kit
 from repro.eval.report import format_table
 from repro.scale import ScenarioSpec, run_scenario
 from repro.serve import DeltaOp, RequestRejected, ServeClient, ServeService, SpecDelta
@@ -61,91 +62,43 @@ def serve_spec(slots: int = DEFAULT_SLOTS) -> ScenarioSpec:
     """The base scenario: two anchor cells, full obs plane, one SLO."""
     if slots % EPOCH_SLOTS:
         raise ValueError(f"slots must be a multiple of {EPOCH_SLOTS}")
-    return ScenarioSpec.from_dict(
-        {
-            "name": "serve-eval",
-            "slots": slots,
-            "epoch_slots": EPOCH_SLOTS,
-            "seed": 11,
-            "obs": {
-                "enabled": True,
-                "stream": True,
-                "conformance": True,
-                "slo": [dict(TENANT_SLO)],
-            },
-            "cells": [
-                {
-                    "name": "anchor-a",
-                    "pci": 1,
-                    "bandwidth_hz": 20_000_000,
-                    "rus": [{"name": "a-ru1"}],
-                    "ues": [
-                        {
-                            "ue_id": "u1",
-                            "flows": [
-                                {"kind": "cbr", "rate_mbps": 30,
-                                 "direction": "dl"}
-                            ],
-                        }
-                    ],
-                    "chain": [{"stage": "passthrough"}],
-                },
-                {
-                    "name": "anchor-b",
-                    "pci": 2,
-                    "bandwidth_hz": 20_000_000,
-                    "rus": [{"name": "b-ru1"}],
-                    "ues": [
-                        {
-                            "ue_id": "u2",
-                            "flows": [
-                                {"kind": "cbr", "rate_mbps": 20,
-                                 "direction": "ul"}
-                            ],
-                        }
-                    ],
-                    "chain": [{"stage": "passthrough"}],
-                },
-            ],
-        }
+    passthrough = [{"stage": "passthrough"}]
+    return kit.scenario(
+        "serve-eval", slots, 11,
+        [
+            kit.cell(
+                "anchor-a", 1, [kit.flow("dl", 30)],
+                rus=[{"name": "a-ru1"}], ue={"ue_id": "u1"},
+                chain=passthrough,
+            ),
+            kit.cell(
+                "anchor-b", 2, [kit.flow("ul", 20)],
+                rus=[{"name": "b-ru1"}], ue={"ue_id": "u2"},
+                chain=passthrough,
+            ),
+        ],
+        stream={"conformance": True, "slo": [dict(TENANT_SLO)]},
+        epoch_slots=EPOCH_SLOTS,
     )
 
 
 def tenant_cell() -> Dict[str, Any]:
-    return {
-        "name": "tenant",
-        "pci": 7,
-        "bandwidth_hz": 20_000_000,
-        "rus": [{"name": "t-ru1"}],
-        "ues": [
-            {
-                "ue_id": "t1",
-                "flows": [
-                    {"kind": "cbr", "rate_mbps": 15, "direction": "ul"}
-                ],
-            }
-        ],
-        "chain": [{"stage": "passthrough"}],
-    }
+    return kit.cell(
+        "tenant", 7, [kit.flow("ul", 15)],
+        rus=[{"name": "t-ru1"}], ue={"ue_id": "t1"},
+        chain=[{"stage": "passthrough"}],
+    )
 
 
 @dataclass
-class ServeEvalResult:
+class ServeEvalResult(kit.Gate):
     """Everything the scripted run observed, plus the hard gates."""
 
     slots: int
     workers: int
     rows: List[List[Any]] = field(default_factory=list)
-    checks: Dict[str, bool] = field(default_factory=dict)
     alert: Dict[str, Any] = field(default_factory=dict)
     wall_seconds: float = 0.0
-
-    def assert_healthy(self) -> None:
-        failed = sorted(
-            name for name, passed in self.checks.items() if not passed
-        )
-        if failed:
-            raise AssertionError(f"serve eval gates failed: {failed}")
 
     def format(self) -> str:
         table = format_table(
@@ -153,10 +106,6 @@ class ServeEvalResult:
             f"{self.slots} slots)",
             ["step", "op", "at_slot", "outcome"],
             self.rows,
-        )
-        gates = ", ".join(
-            f"{name}={'ok' if passed else 'FAIL'}"
-            for name, passed in sorted(self.checks.items())
         )
         alert = (
             f"alert: {self.alert.get('slo')} {self.alert.get('state')} "
@@ -166,7 +115,7 @@ class ServeEvalResult:
         )
         return (
             f"{table}\n{alert}\n"
-            f"gates: {gates}\n"
+            f"gates: {self.check_line()}\n"
             f"wall: {self.wall_seconds:.1f}s"
         )
 
@@ -183,12 +132,13 @@ async def _script(
         await client.subscribe(["epochs"])
         await client.step(epochs=spec.slots)  # clamps at the horizon
         collected = await client.collect()
-        result.checks["no_delta_digest_identity"] = (
-            collected["digest"] == reference.digest
+        result.expect(
+            "no_delta_digest_identity", collected["digest"], reference.digest
         )
         epoch_event = await client.wait_for_event("epochs", timeout=10.0)
-        result.checks["epoch_telemetry_streamed"] = (
-            epoch_event["data"]["frames_checked"] > 0
+        result.check(
+            "epoch_telemetry_streamed",
+            epoch_event["data"]["frames_checked"] > 0,
         )
         await client.close()
     finally:
@@ -212,17 +162,18 @@ async def _script(
                 ops=(DeltaOp(op="add_cell", cell=tenant_cell()),),
             )
         )
-        result.checks["admit_rebuilt_only_tenant"] = (
-            admitted["rebuilt"] == ["tenant"]
+        result.expect(
+            "admit_rebuilt_only_tenant", admitted["rebuilt"], ["tenant"]
         )
         result.rows.append(
             ["admit", "add_cell", admitted["at_slot"],
              f"rebuilt={admitted['rebuilt']}"]
         )
         tenant_routes = await client.routes(cell="tenant")
-        result.checks["tenant_routed"] = (
-            len(tenant_routes["routes"]) == 2
-            and tenant_routes["version"] == 1
+        result.expect(
+            "tenant_routed",
+            (len(tenant_routes["routes"]), tenant_routes["version"]),
+            (2, 1),
         )
 
         await client.step(epochs=1)
@@ -243,8 +194,10 @@ async def _script(
              f"version={rechained['routing_version']}"]
         )
         rechained_routes = await client.routes(cell="tenant")
-        result.checks["rechain_visible_in_routes"] = (
-            rechained_routes["routes"][0]["chain"] == ["prb_monitor"]
+        result.expect(
+            "rechain_visible_in_routes",
+            rechained_routes["routes"][0]["chain"],
+            ["prb_monitor"],
         )
 
         # A delta aimed at a cell that does not exist must be rejected
@@ -262,12 +215,12 @@ async def _script(
                     ),
                 )
             )
-            result.checks["bad_delta_rejected"] = False
+            rolled_back = False
         except RequestRejected:
-            result.checks["bad_delta_rejected"] = (
-                (await client.status())["routing_version"]
-                == version_before
+            rolled_back = (
+                (await client.status())["routing_version"] == version_before
             )
+        result.check("bad_delta_rejected", rolled_back)
         result.rows.append(
             ["reject", "rechain(unknown cell)", version_before,
              "acked ok=false, rolled back"]
@@ -307,9 +260,10 @@ async def _script(
             except TimeoutError:
                 if step["finished"]:
                     break
-        result.checks["slo_alert_received"] = (
-            result.alert.get("slo") == TENANT_SLO["name"]
-            and result.alert.get("state") == "firing"
+        result.expect(
+            "slo_alert_received",
+            (result.alert.get("slo"), result.alert.get("state")),
+            (TENANT_SLO["name"], "firing"),
         )
         result.rows.append(
             ["alert", "slo-edge", (await client.status())["done"],
@@ -329,8 +283,8 @@ async def _script(
         truncated_ref = run_scenario(
             ScenarioSpec.from_dict(mutated), workers=1
         )
-        result.checks["mid_run_digest_oracle"] = (
-            mid["digest"] == truncated_ref.digest
+        result.expect(
+            "mid_run_digest_oracle", mid["digest"], truncated_ref.digest
         )
         result.rows.append(
             ["oracle", "collect@mid-run", status["done"],
@@ -349,18 +303,19 @@ async def _script(
         )
         await client.step(epochs=spec.slots)
         final_status = await client.status()
-        result.checks["no_worker_restart"] = (
-            final_status["worker_pids"] == pids_before
-            and final_status["worker_restarts"] == 0
+        result.expect(
+            "no_worker_restart",
+            (final_status["worker_pids"], final_status["worker_restarts"]),
+            (pids_before, 0),
         )
-        result.checks["routing_versions_sequential"] = (
-            final_status["routing_version"] == 4
+        result.expect(
+            "routing_versions_sequential", final_status["routing_version"], 4
         )
         final = await client.collect()
         # The script nets out to the base spec, so determinism demands
         # the final digest equal the batch reference again.
-        result.checks["evict_nets_out_to_base_digest"] = (
-            final["digest"] == reference.digest
+        result.expect(
+            "evict_nets_out_to_base_digest", final["digest"], reference.digest
         )
         result.rows.append(
             ["final", "collect@horizon", final_status["done"],
@@ -380,15 +335,5 @@ def run_serve(
     started = time.monotonic()
     asyncio.run(_script(spec, workers, result))
     result.wall_seconds = time.monotonic() - started
-    return result
-
-
-def run(
-    slots: int = DEFAULT_SLOTS, workers: int = DEFAULT_WORKERS
-) -> ServeEvalResult:
-    result = run_serve(slots=slots, workers=workers)
     result.assert_healthy()
     return result
-
-
-__all__ = ["ServeEvalResult", "run", "run_serve", "serve_spec", "tenant_cell"]

@@ -27,10 +27,17 @@ from repro.fronthaul.cplane import Direction
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import FronthaulPacket, parse_packet
 from repro.obs import Observability
+from repro.obs.metrics import declare
 
 #: Offset of the first byte the corruptor may touch: past the MAC
 #: addresses, so a damaged frame still switches to the same endpoint.
 _CORRUPT_START_BYTE = 12
+
+_INJECTED = declare(
+    "counter", "fault_injected_total",
+    "impairment events per injector and kind",
+    ("injector", "kind"),
+)
 
 
 @dataclass(frozen=True)
@@ -234,11 +241,7 @@ class FaultInjector:
     def _event(self, ordinal: int, kind: str) -> None:
         self.trace.append(f"{ordinal}:{kind}")
         if self.obs.enabled:
-            self.obs.registry.counter(
-                "fault_injected_total",
-                "impairment events per injector and kind",
-                labels=("injector", "kind"),
-            ).labels(self.name, kind).inc()
+            self.obs.children(_INJECTED, self.name, kind).inc()
 
     def _process(
         self, packet: FronthaulPacket, out: List[FronthaulPacket]

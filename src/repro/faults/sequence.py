@@ -23,8 +23,25 @@ from typing import Deque, Dict, Hashable, Optional
 
 from repro import obs as obs_module
 from repro.obs import Observability
+from repro.obs.metrics import declare
 
 _UNSET = object()
+
+_ANOMALIES = declare(
+    "counter", "seq_anomalies_total",
+    "sequence anomalies per tracker and kind",
+    ("tracker", "kind"),
+)
+_GAPS = declare(
+    "counter", "seq_gaps_total",
+    "sequence gap events per tracker",
+    ("tracker",),
+)
+_LOST_PACKETS = declare(
+    "counter", "seq_lost_packets_total",
+    "packets inferred lost from sequence gaps",
+    ("tracker",),
+)
 
 
 class SeqVerdict(enum.Enum):
@@ -149,22 +166,9 @@ class SequenceTracker:
         else:
             self.reordered += 1
         if self.obs.enabled:
-            self.obs.registry.counter(
-                "seq_anomalies_total",
-                "sequence anomalies per tracker and kind",
-                labels=("tracker", "kind"),
-            ).labels(self.name, kind).inc()
+            self.obs.children(_ANOMALIES, self.name, kind).inc()
 
     def _export_gap(self, gap: int) -> None:
         if self.obs.enabled:
-            registry = self.obs.registry
-            registry.counter(
-                "seq_gaps_total",
-                "sequence gap events per tracker",
-                labels=("tracker",),
-            ).labels(self.name).inc()
-            registry.counter(
-                "seq_lost_packets_total",
-                "packets inferred lost from sequence gaps",
-                labels=("tracker",),
-            ).labels(self.name).inc(gap)
+            self.obs.children(_GAPS, self.name).inc()
+            self.obs.children(_LOST_PACKETS, self.name).inc(gap)

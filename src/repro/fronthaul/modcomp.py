@@ -29,7 +29,7 @@ merge and the differential harness rely on.
 The codec is the BFP fast path with a different parameter: it shares
 :class:`~repro.fronthaul.compression._PrbCodec` — the int16 shift search,
 the one ``pack_mantissas``/``unpack_mantissas`` bit-tensor pair, the
-blocked slot pass and the LRU memos for the DAS-replicate /
+blocked slot pass and the LRU parse memo for the DAS-replicate /
 RU-sharing-demux patterns — and adds only the csf/scaler halfword and the
 mid-rise reconstruction.
 """

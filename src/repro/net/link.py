@@ -7,6 +7,13 @@ from typing import Optional
 
 from repro import obs as obs_module
 from repro.obs import Observability
+from repro.obs.metrics import declare
+
+_DROPS = declare(
+    "counter", "link_drops_total",
+    "frames dropped on a link by cause",
+    ("link", "reason"),
+)
 
 
 @dataclass
@@ -51,11 +58,7 @@ class Link:
         self.stats.drops += count
         obs = self.obs if self.obs is not None else obs_module.DEFAULT_OBSERVABILITY
         if obs.enabled:
-            obs.registry.counter(
-                "link_drops_total",
-                "frames dropped on a link by cause",
-                labels=("link", "reason"),
-            ).labels(self.name, reason).inc(count)
+            obs.children(_DROPS, self.name, reason).inc(count)
 
     def utilization(self, interval_ns: float) -> float:
         """Average utilization over an interval given accounted traffic."""

@@ -180,20 +180,6 @@ class Observability:
 DEFAULT_OBSERVABILITY = Observability(enabled=False)
 
 
-def get_observability() -> Observability:
-    return DEFAULT_OBSERVABILITY
-
-
-def enable(sample_every: int = 1) -> Observability:
-    """Arm the default handle (convenience for scripts and examples)."""
-    DEFAULT_OBSERVABILITY.sample_every = sample_every
-    return DEFAULT_OBSERVABILITY.enable()
-
-
-def disable() -> Observability:
-    return DEFAULT_OBSERVABILITY.disable()
-
-
 __all__ = [
     "Counter",
     "DEFAULT_NS_BUCKETS",
@@ -223,9 +209,6 @@ __all__ = [
     "account_middleboxes",
     "default_slos",
     "deterministic_exposition",
-    "disable",
-    "enable",
-    "get_observability",
     "render_dashboard",
     "render_journeys",
     "render_json",

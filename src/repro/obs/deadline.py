@@ -18,10 +18,39 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.fronthaul.timing import Numerology
+from repro.obs.metrics import declare
 from repro.obs.sketch import DEFAULT_RELATIVE_ACCURACY, QuantileSketch
 
 #: Paper budget for added middlebox processing per slot (Section 6.4.1).
 SLOT_BUDGET_NS = 30_000.0
+
+_CHECKS = declare(
+    "counter", "fronthaul_deadline_checks_total",
+    "slots checked against the fronthaul latency budget",
+)
+_VIOLATIONS = declare(
+    "counter", "fronthaul_deadline_violations_total",
+    "slots whose modelled middlebox latency exceeded budget",
+)
+_HEADROOM = declare(
+    "gauge", "fronthaul_deadline_headroom_ns",
+    "remaining latency budget of the most recent slot",
+)
+_STAGE_NS = declare(
+    "histogram", "fronthaul_stage_slot_ns",
+    "per-slot modelled processing time by chain stage",
+    ("stage",),
+)
+
+
+def _slot_total(registry, relative_accuracy: float):
+    """The slot-latency sketch, at its accountant's own accuracy (a
+    per-run setting, so not a :func:`declare` option)."""
+    return registry.sketch(
+        "fronthaul_slot_total_ns",
+        "per-slot modelled chain latency (mergeable sketch)",
+        relative_accuracy=relative_accuracy,
+    ).labels()
 
 
 @dataclass(frozen=True)
@@ -112,32 +141,15 @@ class DeadlineAccountant:
         self._book(account)
         obs = self.obs
         if obs is not None and obs.enabled:
-            registry = obs.registry
-            registry.counter(
-                "fronthaul_deadline_checks_total",
-                "slots checked against the fronthaul latency budget",
-            ).inc()
+            obs.children(_CHECKS).inc()
             if account.violated:
-                registry.counter(
-                    "fronthaul_deadline_violations_total",
-                    "slots whose modelled middlebox latency exceeded budget",
-                ).inc()
-            registry.gauge(
-                "fronthaul_deadline_headroom_ns",
-                "remaining latency budget of the most recent slot",
-            ).set(account.headroom_ns)
-            registry.sketch(
-                "fronthaul_slot_total_ns",
-                "per-slot modelled chain latency (mergeable sketch)",
-                relative_accuracy=self.latency_sketch.relative_accuracy,
+                obs.children(_VIOLATIONS).inc()
+            obs.children(_HEADROOM).set(account.headroom_ns)
+            obs.children(
+                _slot_total, self.latency_sketch.relative_accuracy
             ).observe(account.total_ns)
-            stage_hist = registry.histogram(
-                "fronthaul_stage_slot_ns",
-                "per-slot modelled processing time by chain stage",
-                labels=("stage",),
-            )
             for stage, spent_ns in account.per_stage_ns.items():
-                stage_hist.labels(stage).observe(spent_ns)
+                obs.children(_STAGE_NS, stage).observe(spent_ns)
         return account
 
     def ingest(self, wire_accounts: Iterable[Dict[str, Any]]) -> int:

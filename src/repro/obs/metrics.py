@@ -480,19 +480,6 @@ class MetricsRegistry:
                             f"sketch merge: {name}: {exc}"
                         ) from None
 
-    def snapshot_delta(
-        self, previous: Dict[str, Dict[str, Any]]
-    ) -> Dict[str, Dict[str, Any]]:
-        """Snapshot, expressed as a delta against an earlier snapshot.
-
-        The scale-out pool ships these per barrier epoch: workers keep
-        their registries hot and send only what changed, and the
-        coordinator folds each delta with :meth:`merge_snapshot` — so a
-        live registry fed epoch deltas converges to exactly the series a
-        final full snapshot would carry.  See :func:`diff_snapshot`.
-        """
-        return diff_snapshot(self.snapshot(), previous)
-
     def unregister(self, name: str) -> None:
         with self._lock:
             self._families.pop(name, None)

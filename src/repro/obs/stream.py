@@ -38,7 +38,7 @@ import json
 from typing import Any, Dict, IO, List, Optional, Sequence, Tuple
 
 from repro.obs.deadline import DeadlineAccountant
-from repro.obs.metrics import MetricsRegistry, diff_snapshot
+from repro.obs.metrics import MetricsRegistry, declare, diff_snapshot
 from repro.obs.recorder import FlightRecorder, PacketSpan, SpanKey
 from repro.obs.sketch import DEFAULT_RELATIVE_ACCURACY, QuantileSketch
 from repro.obs.slo import EpochSample, SloEngine, SloSpec
@@ -49,6 +49,12 @@ EPOCH_TOPIC = "obs.stream.epoch"
 #: Counter the source bumps for spans that rolled off a worker ring
 #: before the epoch flush could ship them.
 DROPPED_SPANS_METRIC = "fronthaul_recorder_dropped_spans_total"
+_DROPPED_SPANS = declare(
+    "counter", DROPPED_SPANS_METRIC,
+    "spans evicted from a worker flight-recorder ring before the epoch "
+    "flush shipped them",
+    ("group",),
+)
 
 
 class GroupStreamSource:
@@ -149,21 +155,18 @@ class GroupStreamSource:
             "group": self.group.name,
             "shard": self.shard,
         }
-        registry: MetricsRegistry = self.group.obs.registry
+        obs = self.group.obs
         if self.stream:
             spans, evicted_delta = self._drain_spans()
             if evicted_delta:
-                registry.counter(
-                    DROPPED_SPANS_METRIC,
-                    "spans evicted from a worker flight-recorder ring "
-                    "before the epoch flush shipped them",
-                    labels=("group",),
-                ).labels(self.group.name).inc(evicted_delta)
+                obs.children(_DROPPED_SPANS, self.group.name).inc(
+                    evicted_delta
+                )
             payload["spans"] = spans
             payload["spans_dropped"] = evicted_delta
             payload["deadline"] = self._deadline_delta()
             payload["conformance"] = self._conformance_delta()
-        snapshot = registry.snapshot()
+        snapshot = obs.registry.snapshot()
         delta = diff_snapshot(snapshot, self._last_metrics)
         if final:
             # The final epoch ships the authoritative cumulative snapshot

@@ -10,6 +10,7 @@ the full-spectrum requests the RU-sharing middlebox widens ``numPrb`` to.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -23,6 +24,13 @@ from repro.fronthaul.spectrum import PrbGrid
 from repro.fronthaul.timing import SymbolTime
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 from repro.phy.iq import int16_to_iq, iq_to_int16
+
+
+#: Transmit grids and downlink windows an RU keeps, newest last, once
+#: :meth:`RadioUnit.end_slot` has run.  The longest reader is
+#: ``tests/integration/test_dmimo_end_to_end.py``: 60 grids per RU after
+#: its six full-symbol slots; nothing in ``src/`` reads a past slot's.
+_RETAINED = 256
 
 
 @dataclass(frozen=True)
@@ -263,25 +271,17 @@ class RadioUnit:
                 result.add((SymbolTime(frame, subframe, slot, symbol), port))
         return sorted(result, key=lambda item: (item[0], item[1]))
 
-    def clear_uplink_requests(self, slot_key: Tuple) -> None:
-        """Drop satisfied requests for a slot (after packets were built)."""
-        for key in [k for k in self._ul_requests if k[0] == slot_key]:
-            del self._ul_requests[key]
+    def end_slot(self) -> None:
+        """Close the slot, once its uplink packets are built: the
+        answered requests go, and the oldest transmit grids and downlink
+        windows beyond the last ``_RETAINED`` fall off the front of their
+        (insertion-ordered) dicts — bounded memory however long the run."""
+        self._ul_requests.clear()
+        for retained in (self._tx_grids, self._dl_windows):
+            for key in list(islice(retained, max(len(retained) - _RETAINED, 0))):
+                del retained[key]
 
     def _next_seq(self, port: int) -> int:
         seq = self._seq.get(port, 0)
         self._seq[port] = (seq + 1) % 256
         return seq
-
-    # -- housekeeping ---------------------------------------------------------
-
-    def flush_before(self, absolute_slot_exclusive: int, numerology) -> None:
-        """Drop state older than a slot index (bounded memory in long runs)."""
-        def slot_of(key_time: SymbolTime) -> int:
-            return key_time.absolute_slot(numerology)
-
-        self._tx_grids = {
-            key: value
-            for key, value in self._tx_grids.items()
-            if slot_of(key[0]) >= absolute_slot_exclusive
-        }

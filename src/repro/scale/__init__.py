@@ -32,6 +32,7 @@ from repro.scale.registry import (
 from repro.scale.runner import (
     GroupResult,
     ScenarioResult,
+    run_divergence,
     run_scenario,
 )
 from repro.scale.shard import ShardPlan, plan_shards
@@ -143,6 +144,7 @@ __all__ = [
     "plan_shards",
     "register_stage",
     "run",
+    "run_divergence",
     "run_scenario",
     "stage_names",
 ]

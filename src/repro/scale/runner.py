@@ -39,6 +39,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.conformance import ConformanceReport
 from repro.obs.exposition import render_prometheus
+from repro.obs.live import deterministic_exposition
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.stream import GroupStreamSource, TelemetryStream
 from repro.scale.build import BuiltGroup, build_groups
@@ -169,6 +170,35 @@ class ScenarioResult:
             if data:
                 merged.merge(ConformanceReport.from_dict(data))
         return merged
+
+
+def run_divergence(
+    outcome: ScenarioResult, reference: ScenarioResult
+) -> List[str]:
+    """The run-equality contract as data: which parts of it ``outcome``
+    breaks against ``reference``; ``[]`` means the same run.
+
+    Two results are the same run when their digests and merged timelines
+    are equal and — where ``outcome`` carried a telemetry stream — its
+    deterministic exposition equals the reference stream's (when the
+    reference has one) and its live fold equals its own end-of-run
+    ``collect()``.  However a run was sharded, driven, mutated back or
+    recovered, this is the one place "same run" is spelled out.
+    """
+    diverged = []
+    if outcome.digest != reference.digest:
+        diverged.append("digest")
+    if outcome.timeline() != reference.timeline():
+        diverged.append("timeline")
+    stream = outcome.telemetry
+    if stream is not None:
+        if reference.telemetry is not None and deterministic_exposition(
+            stream.registry
+        ) != deterministic_exposition(reference.telemetry.registry):
+            diverged.append("exposition")
+        if stream.live_snapshot() != outcome.metrics().snapshot():
+            diverged.append("live_vs_collect")
+    return diverged
 
 
 # -- shard execution ----------------------------------------------------------

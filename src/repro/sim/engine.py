@@ -20,6 +20,18 @@ from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro import obs as obs_module
 from repro.obs import Observability
+from repro.obs.metrics import declare
+
+_QUEUE_DEPTH = declare(
+    "gauge", "engine_queue_depth", "pending events in the event engine"
+)
+_EVENTS = declare(
+    "counter", "engine_events_total", "events executed by the engine"
+)
+_EVENT_LAG = declare(
+    "histogram", "engine_event_lag_ns",
+    "simulated time events waited between scheduling and execution",
+)
 
 #: One executed event of a shard's timeline: ``(time_ns, shard, seq,
 #: label)``.  The tuple order IS the deterministic merge order — time
@@ -92,9 +104,7 @@ class EventEngine:
         )
         heapq.heappush(self._queue, event)
         if self.obs.enabled:
-            self.obs.registry.gauge(
-                "engine_queue_depth", "pending events in the event engine"
-            ).set(len(self._queue))
+            self.obs.children(_QUEUE_DEPTH).set(len(self._queue))
         return event
 
     def run(self, until_ns: Optional[float] = None, max_events: int = 10_000_000) -> int:
@@ -110,18 +120,11 @@ class EventEngine:
             event = heapq.heappop(self._queue)
             self.now_ns = event.time_ns
             if obs.enabled:
-                registry = obs.registry
-                registry.counter(
-                    "engine_events_total", "events executed by the engine"
-                ).inc()
-                registry.histogram(
-                    "engine_event_lag_ns",
-                    "simulated time events waited between scheduling and "
-                    "execution",
-                ).observe(event.time_ns - event.created_ns)
-                registry.gauge(
-                    "engine_queue_depth", "pending events in the event engine"
-                ).set(len(self._queue))
+                obs.children(_EVENTS).inc()
+                obs.children(_EVENT_LAG).observe(
+                    event.time_ns - event.created_ns
+                )
+                obs.children(_QUEUE_DEPTH).set(len(self._queue))
             if self.record_timeline:
                 self.timeline.append(
                     (event.time_ns, self.shard, event.sequence, event.label)

@@ -31,11 +31,6 @@ from repro.phy.geometry import Position
 from repro.ran.du import DistributedUnit
 from repro.ran.ru import RadioUnit
 
-#: Normalized fronthaul amplitude corresponding to the RU's rated power.
-#: Air-domain gains are relative: what matters to decode correctness is
-#: the signal-to-noise contrast, which the channel model sets.
-REFERENCE_GAIN_DB = 0.0
-
 
 @dataclass
 class UeTransmission:
@@ -194,9 +189,6 @@ class FronthaulNetwork:
     def rus(self) -> List[RadioUnit]:
         return [ru for ru, _ in self._rus.values()]
 
-    def ru_position(self, ru: RadioUnit) -> Position:
-        return self._rus[ru.mac.to_int()][1]
-
     # -- chain application ---------------------------------------------------
 
     def _through_chain(
@@ -272,7 +264,7 @@ class FronthaulNetwork:
                 for time, port in ru.pending_uplink_symbols()
             )
             uplink.extend(ru.build_uplink(items))
-            ru._ul_requests.clear()
+            ru.end_slot()
         uplink = self._carry(uplink, report)
         for packet in self._through_chain(uplink, uplink=True):
             self._deliver_uplink(packet, report)

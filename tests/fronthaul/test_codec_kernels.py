@@ -239,17 +239,3 @@ class TestMemoryContract:
         assert peak < 2 * 1024 * 1024, f"peak {peak / 2**20:.2f} MiB"
         assert codec_memo_stats() == before
         assert before["compress_entries"] == 0
-
-    def test_memo_key_is_the_int16_bytes(self):
-        """One entry costs the payload's own int16 bytes, not an int64
-        copy four times the size."""
-        clear_codec_memo()
-        samples = np.random.default_rng(7).integers(
-            -9000, 9000, size=(51, 24), dtype=np.int16
-        )
-        codec_for(CompressionConfig()).compress(samples)
-        (key,) = compression._COMPRESS_MEMO._store
-        assert samples.tobytes() in key
-        assert sum(len(part) for part in key if isinstance(part, bytes)) == (
-            samples.nbytes
-        )

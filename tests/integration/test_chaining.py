@@ -132,7 +132,7 @@ class TestChainedDeployment:
                                 out.eth.src = out.eth.dst
                                 for final in das.process(out).emissions:
                                     du.receive(final)
-                ru._ul_requests.clear()
+                ru.end_slot()
         return dus, rus, das_boxes, sharing_boxes
 
     def test_downlink_reaches_both_rus_multiplexed(self, chained_setup):

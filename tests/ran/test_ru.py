@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.fronthaul.cplane import Direction
+from repro.ran import ru as ru_module
 from repro.ran.du import DistributedUnit
 from repro.ran.ru import RadioUnit, RuConfig
 from repro.ran.traffic import ConstantBitrateFlow
@@ -128,20 +129,20 @@ class TestUplink:
         with pytest.raises(ValueError):
             ru.build_uplink([(time, port, np.ones(10, dtype=complex))])
 
-    def test_clear_uplink_requests(self, pair):
+    def test_end_slot_drops_answered_requests(self, pair):
         du, ru = pair
         run_downlink(du, ru, n_slots=5)
-        pending = ru.pending_uplink_symbols()
-        assert pending
-        ru.clear_uplink_requests(pending[0][0].slot_key())
-        remaining = {t.slot_key() for t, _ in ru.pending_uplink_symbols()}
-        assert pending[0][0].slot_key() not in remaining
+        assert ru.pending_uplink_symbols()
+        ru.end_slot()
+        assert not ru.pending_uplink_symbols()
 
 
 class TestHousekeeping:
-    def test_flush_before_drops_old_grids(self, pair):
+    def test_end_slot_keeps_the_newest_grids(self, pair, monkeypatch):
         du, ru = pair
         run_downlink(du, ru, n_slots=6)
-        before = len(ru.transmitted_symbols())
-        ru.flush_before(3, du.cell.numerology)
-        assert len(ru.transmitted_symbols()) < before
+        before = ru.transmitted_symbols()
+        monkeypatch.setattr(ru_module, "_RETAINED", 3)
+        ru.end_slot()
+        assert ru.transmitted_symbols() == before[-3:]
+        assert len(ru._dl_windows) == 3

@@ -9,7 +9,7 @@ None of that may show in the results.
 
 import pytest
 
-from repro.scale import ScenarioSpec, WorkerPool
+from repro.scale import ScenarioSpec, WorkerPool, run_divergence
 
 from tests.scale.test_supervisor import FAST_SUPERVISOR, _spec_dict
 
@@ -47,8 +47,46 @@ def test_every_driver_yields_the_same_run(
             result = pool.collect()
         else:
             result = pool.run()
-    assert result.digest == reference.digest
-    assert result.timeline() == reference.timeline()
-    assert result.telemetry.live_snapshot() == result.metrics().snapshot()
+    assert run_divergence(result, reference) == []
     assert result.transport["epochs"] == reference.transport["epochs"]
     assert result.recovery.get("total_restarts", 0) == 0
+
+
+def test_run_divergence_names_exactly_what_differs(reference):
+    """The contract itself: one perturbation, one name; none, ``[]``."""
+    with WorkerPool(_spec(supervised=False), workers=2) as pool:
+        outcome = pool.run()
+    assert run_divergence(outcome, reference) == []
+
+    group = next(iter(outcome.groups.values()))
+    counter = next(
+        family for family in group.metrics.values()
+        if family["type"] == "counter" and family["series"]
+    )
+    series = next(iter(counter["series"]))
+
+    def digest():
+        group.digest = group.digest[::-1]
+
+    def timeline():
+        group.timeline = group.timeline[1:]
+
+    def exposition():
+        # The *reference* stream moves: the outcome's live fold and its
+        # collect still agree with each other.
+        reference.telemetry.registry.counter(
+            "perturbed_total", "not in the outcome"
+        ).inc()
+
+    def live_vs_collect():
+        counter["series"][series] += 1
+
+    perturbations = (digest, timeline, exposition, live_vs_collect)
+    try:
+        seen = []
+        for perturb in perturbations:
+            perturb()
+            seen.append(perturb.__name__)
+            assert run_divergence(outcome, reference) == seen
+    finally:
+        reference.telemetry.registry.unregister("perturbed_total")

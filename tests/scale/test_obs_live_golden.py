@@ -12,7 +12,7 @@ Regenerate the fixture (after an intentional metrics change) with::
 
     PYTHONPATH=src python - <<'PY'
     from repro.eval.obs_top import run_obs_top
-    text = run_obs_top(slots=16, workers=4).golden_exposition()
+    text = run_obs_top(slots=16, workers=4).exposition
     open("tests/scale/fixtures/obs_top_exposition.golden", "w").write(text)
     PY
 """
@@ -35,7 +35,7 @@ def obs_top_result():
 
 def test_streamed_exposition_matches_golden(obs_top_result):
     golden = GOLDEN.read_text()
-    exposition = obs_top_result.golden_exposition()
+    exposition = obs_top_result.exposition
     assert exposition == golden, (
         "streamed deterministic exposition drifted from the golden "
         "fixture; if the change is intentional, regenerate it (see "

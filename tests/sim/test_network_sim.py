@@ -126,3 +126,46 @@ class TestFronthaulNetwork:
     def test_requires_du(self):
         with pytest.raises(RuntimeError):
             FronthaulNetwork().run_slot()
+
+
+class TestRuRetention:
+    """``run_slot`` closes every RU's slot: per-slot RU state is a ring,
+    and nothing a run reports depends on what fell off it."""
+
+    SLOTS = 40
+
+    def _drive(self):
+        from repro.eval import kit
+        from repro.scale.runner import _summarize_group
+
+        spec = kit.scenario(
+            "ru-retention", self.SLOTS, 3,
+            [kit.cell(
+                "cell", 1, [kit.flow("dl", 60.0), kit.flow("ul", 10.0)],
+                rus=[{"name": "ru1"}, {"name": "ru2"}],
+                chain=[{"stage": "das"}],
+                symbols_per_slot=None,
+            )],
+        )
+        (group,) = spec.build()
+        group.network.run(self.SLOTS)
+        group.slots_run = self.SLOTS
+        return group, _summarize_group(group)
+
+    def test_three_windows_of_grids_keep_one(self, monkeypatch):
+        from repro.ran import ru as ru_module
+
+        window = ru_module._RETAINED
+        group, bounded = self._drive()
+        for radio in group.network.rus:
+            assert radio.counters.uplane_received >= 3 * window
+            assert len(radio._tx_grids) == window
+            assert len(radio._dl_windows) <= window
+            assert not radio._ul_requests
+
+        monkeypatch.setattr(ru_module, "_RETAINED", 10**9)
+        reference_group, unbounded = self._drive()
+        for radio in reference_group.network.rus:
+            assert len(radio._tx_grids) == radio.counters.uplane_received
+        assert bounded.cell_counters == unbounded.cell_counters
+        assert bounded.digest == unbounded.digest
