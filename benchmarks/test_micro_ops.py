@@ -17,7 +17,13 @@ import numpy as np
 import pytest
 
 from repro.core.actions import ActionContext, PacketCache
-from repro.fronthaul.compression import BfpCompressor, clear_codec_memo
+from repro.fronthaul import compression
+from repro.fronthaul.compression import (
+    SAMPLES_PER_PRB,
+    BfpCompressor,
+    clear_codec_memo,
+    pack_mantissas,
+)
 from repro.fronthaul.uplane import UPlaneSection
 
 N_PRB = 273  # one full-band 100 MHz symbol
@@ -103,6 +109,24 @@ def _reference_merge(sections) -> UPlaneSection:
     )
 
 
+#: ``_BIT_MASKS[w]``: MSB-first single-bit masks of a ``w``-bit mantissa.
+_BIT_MASKS = [
+    (1 << np.arange(width - 1, -1, -1)).astype(np.uint16)
+    for width in range(17)
+]
+
+
+def _reference_pack_mantissas(mantissas: np.ndarray, width: int) -> np.ndarray:
+    """PR 16's mask-and-test ``pack_mantissas``, kept verbatim: one
+    comparison over the uint16 view builds the ``(n, 24, width)`` bit
+    tensor, one ``np.packbits`` emits every PRB's block."""
+    unsigned = np.asarray(mantissas, dtype=np.int16).view(np.uint16)
+    bits = (unsigned[:, :, None] & _BIT_MASKS[width]) != 0
+    return np.packbits(
+        bits.reshape(len(unsigned), 2 * SAMPLES_PER_PRB * width), axis=1
+    )
+
+
 def _best_of(fn, *args, repeats=15, cold=False):
     """Best-of-N wall time; ``cold=True`` clears the codec memo per run."""
     fn(*args)  # warm up allocators / JIT-able caches
@@ -155,6 +179,47 @@ def test_exponent_read_much_cheaper_than_decompress(samples, wire):
     read = _best_of(compressor.read_exponents, wire, N_PRB)
     decompress = _best_of(compressor.decompress, wire, N_PRB, cold=True)
     assert read * 5 < decompress
+
+
+def test_pack_mantissas_512_prbs(benchmark):
+    """One codec block through the unpackbits-of-the-int16-view kernel,
+    byte-equal to the mask-and-test one it replaced.  No timing floor:
+    the shared runner cannot hold one (prototype: 1.2-1.7x at widths
+    4/9/14, more at 16)."""
+    rng = np.random.default_rng(1)
+    for width in (4, 9, 14, 16):
+        low = -(1 << (width - 1))
+        mantissas = rng.integers(low, -low, size=(512, 24)).astype(np.int16)
+        mantissas[0], mantissas[1] = low, -low - 1
+        packed = pack_mantissas(mantissas, width)
+        reference = _reference_pack_mantissas(mantissas, width)
+        assert packed.dtype == reference.dtype and packed.shape == reference.shape
+        assert packed.tobytes() == reference.tobytes(), f"width {width}"
+    benchmark(pack_mantissas, mantissas >> 7, 9)  # the 16-bit draw as 9-bit
+
+
+def test_single_operand_merge_runs_no_codec(monkeypatch, samples):
+    """A one-RU DAS merge forwards the operand's bytes: count, not time."""
+    calls = []
+
+    def counted(name, inner):
+        def proxy(array, width):
+            calls.append(name)
+            return inner(array, width)
+
+        return proxy
+
+    for name in ("pack_mantissas", "unpack_mantissas"):
+        monkeypatch.setattr(
+            compression, name, counted(name, getattr(compression, name))
+        )
+    operand = UPlaneSection.from_samples(0, 0, samples)
+    assert calls == ["pack_mantissas"]
+    merged = ActionContext(PacketCache()).merge_iq([operand])
+    assert calls == ["pack_mantissas"] and merged.payload is operand.payload
+    # Two operands still sum and pack once — and still unpack nothing.
+    ActionContext(PacketCache()).merge_iq([operand, operand])
+    assert calls == ["pack_mantissas"] * 2
 
 
 def test_iq_merge_4_operands(benchmark, samples):

@@ -91,6 +91,9 @@ class DasMiddlebox(Middlebox):
             list(ru_macs),
             validator=lambda value: bool(value),
         )
+        # The per-packet view of the RU set, refreshed on every change.
+        self._on_management_change("ru_macs", ru_macs)
+        self.management.on_change(self._on_management_change)
         #: When enabled, the deadline sweep merges whatever subset of RU
         #: packets arrived in time (a *degraded* merge: reduced combining
         #: gain) instead of abandoning the symbol outright.
@@ -133,9 +136,14 @@ class DasMiddlebox(Middlebox):
             template.ecpri, seq_id=self._next_seq(eaxc.to_int())
         )
 
+    def _on_management_change(self, key: str, value) -> None:
+        if key == "ru_macs":
+            self._ru_macs = tuple(value)
+            self._ru_set = frozenset(self._ru_macs)
+
     @property
     def ru_macs(self) -> List[MacAddress]:
-        return list(self.management.get("ru_macs"))
+        return list(self._ru_macs)
 
     def add_ru(self, ru_mac: MacAddress) -> None:
         self.management.set("ru_macs", self.ru_macs + [ru_mac])
@@ -159,7 +167,7 @@ class DasMiddlebox(Middlebox):
 
     def _fan_out(self, ctx: ActionContext, packet: FronthaulPacket) -> None:
         """A2 + A1: one copy of the packet per DAS RU."""
-        ru_macs = self.ru_macs
+        ru_macs = self._ru_macs
         copies = ctx.replicate(packet, len(ru_macs) - 1)
         for target, copy in zip(ru_macs, [packet] + copies):
             ctx.forward(copy, dst=target, src=self.mac)
@@ -168,10 +176,9 @@ class DasMiddlebox(Middlebox):
 
     def _merge_uplink(self, ctx: ActionContext, packet: FronthaulPacket) -> None:
         """A3 until all RUs reported, then A4 merge + A1 forward."""
-        ru_macs = self.ru_macs
         key = packet.flow_key()
         source = packet.eth.src
-        if source not in ru_macs:
+        if source not in self._ru_set:
             ctx.forward(packet)  # not part of this DAS group
             return
         status = self.seq_tracker.observe(
@@ -188,14 +195,13 @@ class DasMiddlebox(Middlebox):
             self.late_uplink_packets += 1
             ctx.drop(packet)
             return
-        already = set(self.cache_store_tags(key))
-        if source in already:
+        if source in self.cache.tags(key):
             # Duplicate from the same RU (retransmission); drop.
             self.duplicate_uplink_packets += 1
             ctx.drop(packet)
             return
         occupancy = ctx.cache_put(key, packet, tag=source)
-        if occupancy < len(ru_macs):
+        if occupancy < len(self._ru_macs):
             return
         cached = ctx.cache_pop_all(key)
         if self.obs.enabled:
@@ -232,9 +238,6 @@ class DasMiddlebox(Middlebox):
             raise ValueError("RU uplink packets disagree on section count")
         per_index = zip(*(p.message.sections for p in packets))
         return [ctx.merge_iq(operands) for operands in per_index]
-
-    def cache_store_tags(self, key) -> List:
-        return self.cache.tags(key)
 
     def _remember_merged(self, key) -> None:
         if len(self._merged_order) == self._merged_order.maxlen:

@@ -26,7 +26,6 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.latency import DEFAULT_COST_MODEL, ActionCostModel
-from repro.fronthaul.compression import merge_payloads
 from repro.fronthaul.cplane import CPlaneMessage
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import FronthaulPacket
@@ -154,6 +153,10 @@ class PacketCache:
         return sum(len(v) for v in self._store.values())
 
 
+#: Section fields a cached decode and a riding parse describe.
+_PAYLOAD_FIELDS = frozenset({"payload", "compression", "num_prb"})
+
+
 class ActionContext:
     """The per-packet action API handed to middlebox handlers.
 
@@ -252,7 +255,18 @@ class ActionContext:
         self.trace.record(ActionKind.HEADER_MODIFY, self.cost.header_modify_ns)
 
     def set_section_fields(self, packet: FronthaulPacket, **fields) -> None:
-        """Rewrite arbitrary section fields (freqOffset, sectionId, ...)."""
+        """Rewrite section header fields (freqOffset, sectionId, ...).
+
+        ``payload``, ``compression`` and ``num_prb`` are refused: a
+        section's cached decode and riding parse describe exactly those,
+        and only :meth:`compress` builds a section where all agree.
+        """
+        stale = _PAYLOAD_FIELDS.intersection(fields)
+        if stale:
+            raise ValueError(
+                f"{sorted(stale)} describe the payload; rewrite it with "
+                "compress(), which builds a fresh section"
+            )
         for section in packet.message.sections:
             for name, value in fields.items():
                 if not hasattr(section, name):
@@ -283,11 +297,13 @@ class ActionContext:
     def merge_iq(self, sections: Sequence[UPlaneSection]) -> UPlaneSection:
         """Element-wise sum of the IQ samples of aligned sections.
 
-        The DAS uplink combine (Section 4.1), batched: all N operand
-        payloads are decompressed in ONE codec pass into an
-        ``(n_rus, n_prbs, 24)`` stack, summed once with saturation, and
-        recompressed once — no per-section decompress/recompress
-        round-trips and no per-PRB Python loop.
+        The DAS uplink combine (Section 4.1), batched: all N operands are
+        expanded into ONE ``(n_rus, n_prbs, 24)`` stack, summed once with
+        saturation, and recompressed once — no per-section round-trips and
+        no per-PRB Python loop (:meth:`UPlaneSection.merged`, which also
+        spares operands this process encoded the bit-unpack and forwards a
+        lone one byte for byte).  The cost recorded is the modelled
+        merge's, whatever work the twin skipped.
         """
         if not sections:
             raise ValueError("nothing to merge")
@@ -300,22 +316,12 @@ class ActionContext:
                 )
             if section.compression != first.compression:
                 raise ValueError("cannot merge mixed compression configs")
-        payload = merge_payloads(
-            [section.payload for section in sections],
-            first.num_prb,
-            first.compression,
-        )
+        merged = UPlaneSection.merged(sections)
         self.trace.record(
             ActionKind.IQ_MERGE,
             self.cost.merge_cost(first.num_prb, len(sections)),
         )
-        return UPlaneSection(
-            section_id=first.section_id,
-            start_prb=first.start_prb,
-            num_prb=first.num_prb,
-            payload=payload,
-            compression=first.compression,
-        )
+        return merged
 
     def copy_prbs(
         self,

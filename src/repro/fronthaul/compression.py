@@ -19,20 +19,20 @@ mantissa block is exactly ``3 * width`` bytes and a payload is one strided
 ``(n_prbs, param + 3 * width)`` byte grid — no per-PRB Python loop.  Both
 codecs (BFP here, modulation compression in ``modcomp.py``) are the same
 kernels under a different per-PRB parameter, and an endpoint compresses a
-whole slot's PRB ranges in one blocked pass (``compress_ranges``).
+whole slot's PRB ranges in one blocked pass (``encode_ranges``).
 
-Repeated identical *wire* payloads (the DAS downlink replicates the same
-symbol to N RUs; RU sharing re-parses the same full-band uplink packet
-once per DU) hit a small LRU parse memo instead of re-running the codec.
-Compression has no memo: the IQ an endpoint or a merge compresses never
-repeats.
+Nothing is memoised.  ``encode`` hands back the ``(shifts, mantissas)``
+it packed next to the wire bytes, and the ``UPlaneSection`` built from
+those bytes carries them (``uplane.py``), so a payload this process packed
+is never bit-unpacked again; only bytes that really crossed a wire are
+parsed (``parse_wire``).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Sequence, Tuple
+from itertools import accumulate
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -49,69 +49,28 @@ MOD_COMP_METH = 4
 MAX_WIRE_EXPONENT = 15
 
 
-class _LruMemo:
-    """Tiny bounded LRU cache for codec results.
-
-    Values must be immutable (bytes, or ndarrays with ``writeable=False``)
-    because they are shared between all callers that present the same
-    payload — exactly the DAS replicate / RU-sharing demux pattern.
-    """
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self._store: "OrderedDict[Hashable, object]" = OrderedDict()
-
-    def get(self, key: Hashable):
-        try:
-            value = self._store[key]
-        except KeyError:
-            self.misses += 1
-            return None
-        self._store.move_to_end(key)
-        self.hits += 1
-        return value
-
-    def put(self, key: Hashable, value: object) -> None:
-        self._store[key] = value
-        self._store.move_to_end(key)
-        while len(self._store) > self.capacity:
-            self._store.popitem(last=False)
-
-    def clear(self) -> None:
-        self._store.clear()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-
-#: Parse memo: (config byte, payload bytes) -> (exponents, mantissas).
-_PARSE_MEMO = _LruMemo(capacity=128)
+#: A parsed payload: read-only per-PRB shifts ``(n_prbs,)`` and int16
+#: mantissas ``(n_prbs, 24)`` — what ``encode`` packs and ``parse_wire``
+#: unpacks.
+Parse = Tuple[np.ndarray, np.ndarray]
 
 
 def codec_memo_stats() -> Dict[str, int]:
-    """Hit/miss counters of the parse memo (observability + tests).
-
-    The three ``compress_*`` keys are constant zero: the compress memo
-    never hit on live traffic and is gone, but the frozen benchmark
-    still indexes them (``bench/suite.py``).
-    """
-    return {
-        "compress_hits": 0,
-        "compress_misses": 0,
-        "parse_hits": _PARSE_MEMO.hits,
-        "parse_misses": _PARSE_MEMO.misses,
-        "compress_entries": 0,
-        "parse_entries": len(_PARSE_MEMO),
-    }
+    """Constant zeros: there is no codec memo (DESIGN.md, "The encoder's
+    parse rides on the section").  Kept, with :func:`clear_codec_memo`,
+    because the frozen benchmark imports both (``bench/suite.py``,
+    ``bench/trace.py``)."""
+    return dict.fromkeys(
+        (
+            "compress_hits", "compress_misses", "parse_hits",
+            "parse_misses", "compress_entries", "parse_entries",
+        ),
+        0,
+    )
 
 
 def clear_codec_memo() -> None:
-    """Reset the memo (used by benchmarks to measure cold paths)."""
-    _PARSE_MEMO.clear()
+    """No-op: see :func:`codec_memo_stats`."""
 
 
 @dataclass(frozen=True)
@@ -187,20 +146,20 @@ class CompressionConfig:
         return 1 + packed
 
 
-#: PRBs per codec block.  A slot's worth of IQ is compressed in passes of
-#: at most this many PRBs so the bit tensor (24 * width bytes a PRB) stays
-#: a few hundred KB whatever the slot holds — whole-slot tensors raised
-#: peak RSS 2-3 MB on the benchmark (DESIGN.md, "Blocked slot pass").
+#: PRBs per codec block.  A slot's worth of mantissas is packed at most
+#: this many PRBs at a time so the bit tensor (24 * (16 + width) bytes a
+#: PRB) stays a few hundred KB whatever the slot holds — whole-slot
+#: tensors raised peak RSS 2-3 MB on the benchmark (DESIGN.md, "Blocked
+#: slot pass").
 _BLOCK_PRBS = 512
 
-#: ``_BIT_MASKS[w]``: MSB-first single-bit masks of a ``w``-bit mantissa.
-_BIT_MASKS = [
-    (1 << np.arange(width - 1, -1, -1)).astype(np.uint16)
+#: ``_BIT_WEIGHTS[w]``: MSB-first int16 place values of a ``w``-bit
+#: mantissa; the sign bit weighs ``-2**(w-1)``, so a weighted sum
+#: sign-extends for free.
+_BIT_WEIGHTS = [
+    (1 << np.arange(width - 1, -1, -1)).astype(np.uint16).view(np.int16)
     for width in range(17)
 ]
-#: ``_BIT_WEIGHTS[w]``: the same bits as signed int16 place values; the
-#: sign bit weighs ``-2**(w-1)``, so a weighted sum sign-extends for free.
-_BIT_WEIGHTS = [masks.view(np.int16).copy() for masks in _BIT_MASKS]
 for _weights in _BIT_WEIGHTS[1:16]:
     _weights[0] = -_weights[0]  # width 16's 0x8000 already reads -32768
 _POWERS_OF_TWO = 1 << np.arange(63, dtype=np.int64)
@@ -240,16 +199,22 @@ def pack_mantissas(mantissas: np.ndarray, width: int) -> np.ndarray:
     """Pack ``(n_prbs, 24)`` mantissas that fit ``width`` bits into
     ``(n_prbs, 3 * width)`` wire bytes, MSB first.
 
-    One mask-and-test over the uint16 view builds the ``(n, 24, width)``
-    bit tensor (the low ``width`` bits of a two's-complement int16 *are*
-    the wire mantissa, so no masking and no ``1 << 16`` that int16 cannot
-    hold); ``24 * width`` is a multiple of 8, so one ``np.packbits`` emits
-    every PRB's block.
+    The big-endian int16 bytes of a mantissa *are* its 16 two's-complement
+    bits MSB first, and the low ``width`` of them the wire mantissa: one
+    ``np.unpackbits`` over the byte view, keep the last ``width`` columns,
+    and — ``24 * width`` being a multiple of 8 — one ``np.packbits`` emits
+    every PRB's block.  No masks, no comparison, and no ``1 << 16`` that
+    int16 cannot hold.
     """
-    unsigned = np.asarray(mantissas, dtype=np.int16).view(np.uint16)
-    bits = (unsigned[:, :, None] & _BIT_MASKS[width]) != 0
+    big_endian = np.asarray(mantissas, dtype=">i2")
+    bits = np.unpackbits(big_endian.view(np.uint8), axis=1).reshape(
+        len(big_endian), 2 * SAMPLES_PER_PRB, 16
+    )
     return np.packbits(
-        bits.reshape(len(unsigned), 2 * SAMPLES_PER_PRB * width), axis=1
+        bits[:, :, 16 - width :].reshape(
+            len(big_endian), 2 * SAMPLES_PER_PRB * width
+        ),
+        axis=1,
     )
 
 
@@ -299,45 +264,72 @@ class _PrbCodec:
 
     # -- wire-level API ----------------------------------------------------
 
-    def _encode(self, samples: np.ndarray) -> bytes:
-        """One codec pass: param || mantissa block per PRB, one store."""
+    #: ``encode(decompress(encode(x))) == encode(x)``: what lets a merge
+    #: of one operand forward the operand's bytes.
+    recompression_stable = True
+
+    def encode(self, samples: np.ndarray) -> Tuple[bytes, Parse]:
+        """The one codec pass: wire bytes (``param || packed mantissas``
+        per PRB, Figure 2 of the paper for BFP) plus the parse they were
+        packed from — equal to ``parse_wire`` of those bytes, so whoever
+        keeps it never unpacks them.
+
+        Shifts and mantissas are found for the whole pass at once (48 B a
+        PRB); only the bit tensor (``24 * 16`` B a PRB) is built
+        ``_BLOCK_PRBS`` PRBs at a time.
+        """
         shifts, mantissas = self.compress_array(samples)
+        mantissas = mantissas.astype(np.int16, copy=False)
         width = self.config.iq_width
         out = np.empty(
-            (len(samples), self._param_bytes + 3 * width), dtype=np.uint8
+            (len(mantissas), self._param_bytes + 3 * width), dtype=np.uint8
         )
         self._store_params(out, shifts)
-        out[:, self._param_bytes :] = pack_mantissas(mantissas, width)
-        return out.tobytes()
+        for start in range(0, len(mantissas), _BLOCK_PRBS):
+            block = slice(start, start + _BLOCK_PRBS)
+            out[block, self._param_bytes :] = pack_mantissas(
+                mantissas[block], width
+            )
+        return out.tobytes(), (_freeze(shifts), _freeze(mantissas))
 
     def compress(self, samples: np.ndarray) -> bytes:
-        """Serialize samples of shape (n_prbs, 24) to the wire format.
+        """Serialize samples of shape (n_prbs, 24) to the wire format."""
+        return self.encode(samples)[0]
 
-        Each PRB is emitted as ``param || packed mantissas`` (Figure 2 of
-        the paper for BFP), ``_BLOCK_PRBS`` PRBs per codec pass.
-        """
-        samples = _as_prb_rows(samples)
-        if len(samples) <= _BLOCK_PRBS:
-            return self._encode(samples)
-        return b"".join(
-            self._encode(samples[start : start + _BLOCK_PRBS])
-            for start in range(0, len(samples), _BLOCK_PRBS)
-        )
-
-    def compress_ranges(self, ranges: Sequence[np.ndarray]) -> List[bytes]:
-        """Compress many ``(n_i, 24)`` int16 PRB ranges; one payload each.
+    def encode_ranges(
+        self, ranges: Sequence[np.ndarray]
+    ) -> List[Tuple[bytes, Parse]]:
+        """Encode many ``(n_i, 24)`` int16 PRB ranges; one ``(payload,
+        parse)`` each.
 
         The slot-level pass of the RU and DU builders: the ranges are
-        stacked and compressed ``_BLOCK_PRBS`` PRBs at a time (a range may
-        straddle blocks), then the wire bytes are sliced back per range.
+        stacked, encoded once, and the wire bytes and the parse sliced
+        back per range — each range's parse is a view, so it keeps the
+        whole pass's shift and mantissa arrays alive while it lives.
         """
         if not ranges:
             return []
         stacked = ranges[0] if len(ranges) == 1 else np.concatenate(ranges)
-        wire = self.compress(stacked)
-        edges = np.cumsum([0] + [len(piece) for piece in ranges])
-        edges *= self.config.prb_payload_bytes()
-        return [wire[start:end] for start, end in zip(edges, edges[1:])]
+        wire, (shifts, mantissas) = self.encode(stacked)
+        prb_bytes = self.config.prb_payload_bytes()
+        edges = list(accumulate(map(len, ranges), initial=0))
+        return [
+            (
+                wire[start * prb_bytes : end * prb_bytes],
+                (shifts[start:end], mantissas[start:end]),
+            )
+            for start, end in zip(edges, edges[1:])
+        ]
+
+    def compress_ranges(self, ranges: Sequence[np.ndarray]) -> List[bytes]:
+        """The payloads of :meth:`encode_ranges`, parses dropped."""
+        return [wire for wire, _ in self.encode_ranges(ranges)]
+
+    def merge_stack(self, stack: np.ndarray) -> Tuple[bytes, Parse]:
+        """Sum an ``(n_ops, n_prbs, 24)`` int16 stack across operands
+        (int32 accumulation, int16 saturation) and encode the result."""
+        total = stack.sum(axis=0, dtype=np.int32)
+        return self.encode(np.clip(total, -32768, 32767).astype(np.int16))
 
     def _grid(self, payload, n_prbs: int) -> np.ndarray:
         """The payload's first ``n_prbs`` PRBs as a ``(n_prbs, prb_bytes)``
@@ -352,28 +344,14 @@ class _PrbCodec:
             payload, dtype=np.uint8, count=n_prbs * prb_bytes
         ).reshape(n_prbs, prb_bytes)
 
-    def _parse(self, payload, n_prbs: int) -> Tuple[np.ndarray, np.ndarray]:
+    def parse_wire(self, payload, n_prbs: int) -> Parse:
+        """Parse wire payload to (per-PRB shifts, signed int16 mantissas)
+        without expanding to samples.  Returned arrays are read-only."""
         grid = self._grid(payload, n_prbs)
         mantissas = unpack_mantissas(
             grid[:, self._param_bytes :], self.config.iq_width
         )
         return _freeze(self._load_params(grid)), _freeze(mantissas)
-
-    def parse_wire(self, payload: bytes, n_prbs: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Parse wire payload to (per-PRB shifts, signed int16 mantissas)
-        without expanding to samples.
-
-        Returned arrays are read-only: identical payloads share one memo
-        entry (the DAS/RU-sharing replicate pattern), so callers that
-        mutate must ``.copy()`` first.
-        """
-        needed = n_prbs * self.config.prb_payload_bytes()
-        memo_key = (self.config.to_byte(), bytes(payload[:needed]))
-        cached = _PARSE_MEMO.get(memo_key)
-        if cached is None:
-            cached = self._parse(memo_key[1], n_prbs)
-            _PARSE_MEMO.put(memo_key, cached)
-        return cached
 
     def read_exponents(self, payload: bytes, n_prbs: int) -> np.ndarray:
         """Read only the per-PRB shifts — BFP exponents or modcomp
@@ -396,8 +374,7 @@ class _PrbCodec:
         This is the batched substrate of the DAS uplink merge: the N
         per-RU payloads are joined (views go to ``join`` as they are) and
         parsed as one ``N * n_prbs`` PRB grid, so the bit-unpacking runs
-        once instead of N times.  Like every batch pass it bypasses the
-        memo.
+        once instead of N times.
         """
         per_payload = n_prbs * self.config.prb_payload_bytes()
         for payload in payloads:
@@ -405,7 +382,7 @@ class _PrbCodec:
                 raise ValueError("truncated payload in decompress_stack")
         combined = b"".join(payload[:per_payload] for payload in payloads)
         stacked = self.decompress_array(
-            *self._parse(combined, len(payloads) * n_prbs)
+            *self.parse_wire(combined, len(payloads) * n_prbs)
         )
         return stacked.reshape(len(payloads), n_prbs, 2 * SAMPLES_PER_PRB)
 
@@ -465,15 +442,18 @@ class BfpCompressor(_PrbCodec):
         )
         return restored.clip(-32768, 32767, out=restored).astype(np.int16)
 
-    def _encode(self, samples: np.ndarray) -> bytes:
-        if self.config.comp_meth == NO_COMP_METH:
-            return samples.astype(">i2").tobytes()
-        return super()._encode(samples)
-
-    def _parse(self, payload, n_prbs: int) -> Tuple[np.ndarray, np.ndarray]:
+    def encode(self, samples: np.ndarray) -> Tuple[bytes, Parse]:
         if self.config.comp_meth != NO_COMP_METH:
-            return super()._parse(payload, n_prbs)
+            return super().encode(samples)
         # Uncompressed: big-endian int16 samples under exponent 0.
+        mantissas = _as_prb_rows(samples).astype(np.int16)
+        return mantissas.astype(">i2").tobytes(), (
+            _freeze(np.zeros(len(mantissas), np.uint8)), _freeze(mantissas)
+        )
+
+    def parse_wire(self, payload, n_prbs: int) -> Parse:
+        if self.config.comp_meth != NO_COMP_METH:
+            return super().parse_wire(payload, n_prbs)
         samples = self._grid(payload, n_prbs).view(">i2").astype(np.int16)
         return _freeze(np.zeros(n_prbs, np.uint8)), _freeze(samples)
 
@@ -484,7 +464,7 @@ def codec_for(config: CompressionConfig):
     The dispatch point of the two-codec fronthaul: BFP and uncompressed
     payloads go through :class:`BfpCompressor`, modulation compression
     through :class:`~repro.fronthaul.modcomp.ModCompressor`.  Both expose
-    the same compress/compress_ranges/decompress/decompress_stack/
+    the same encode/compress/encode_ranges/decompress/decompress_stack/
     parse_wire/read_exponents surface, so everything above this line
     (U-plane sections, DAS merge, PRB monitoring) is codec-agnostic.
     """
@@ -498,16 +478,16 @@ def codec_for(config: CompressionConfig):
 def merge_payloads(
     payloads, n_prbs: int, config: CompressionConfig
 ) -> bytes:
-    """Batched A4 merge: sum N compressed payloads, recompress once.
+    """Batched A4 merge of wire payloads: sum N operands, recompress once.
 
     Decompresses the operands into one ``(n_ops, n_prbs, 24)`` stack with a
     single codec pass, sums across operands with int32 accumulation and
-    int16 saturation, and compresses the result in one pass — the DAS
-    uplink combine without any per-section round-trips.  Works for any
-    negotiated codec via :func:`codec_for`.
+    int16 saturation, and compresses the result in one pass.  Works for
+    any negotiated codec via :func:`codec_for`.  Sections whose operands
+    still carry their encoder's parse merge without the unpack
+    (``UPlaneSection.merged``).
     """
     compressor = codec_for(config)
-    stack = compressor.decompress_stack(payloads, n_prbs)
-    total = stack.sum(axis=0, dtype=np.int32)
-    merged = np.clip(total, -32768, 32767).astype(np.int16)
-    return compressor.compress(merged)
+    return compressor.merge_stack(
+        compressor.decompress_stack(payloads, n_prbs)
+    )[0]

@@ -24,14 +24,16 @@ signed ``iq_width``-bit mantissa; decompression reconstructs mid-rise:
 lossless).  The reconstruction error is at most half the quantization
 step ``2**s``, and re-compressing a decompressed payload reproduces the
 wire bytes exactly — the "lossy once, stable forever" property the DAS
-merge and the differential harness rely on.
+merge and the differential harness rely on.  It holds from width 2 up;
+a 1-bit mantissa has no magnitude bit, so an all-negative PRB decodes to
+``-2**(s-1)``, which re-compresses at scaler ``s - 1``
+(``recompression_stable``).
 
 The codec is the BFP fast path with a different parameter: it shares
 :class:`~repro.fronthaul.compression._PrbCodec` — the int16 shift search,
 the one ``pack_mantissas``/``unpack_mantissas`` bit-tensor pair, the
-blocked slot pass and the LRU parse memo for the DAS-replicate /
-RU-sharing-demux patterns — and adds only the csf/scaler halfword and the
-mid-rise reconstruction.
+blocked slot pass and the parse that ``encode`` hands back — and adds only
+the csf/scaler halfword and the mid-rise reconstruction.
 """
 
 from __future__ import annotations
@@ -78,6 +80,10 @@ class ModCompressor(_PrbCodec):
                 f"got {config.comp_meth}"
             )
         self.config = config
+
+    @property
+    def recompression_stable(self) -> bool:
+        return self.config.iq_width > 1
 
     def scalers_for(self, samples: np.ndarray) -> np.ndarray:
         """Per-PRB scalers for int16 samples of shape (n_prbs, 24).

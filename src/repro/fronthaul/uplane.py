@@ -11,17 +11,24 @@ decompress the PRB, and aligned PRB copies are byte-range copies.  Parsing
 is zero-copy — sections hold :class:`memoryview` slices into the received
 frame rather than copied bytes — and IQ decodes are computed lazily and
 cached per section, so a pass-through middlebox never touches the codec.
+A section whose payload this process encoded also carries the encoder's
+``(shifts, mantissas)``, so decoding it again unpacks no bits.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.fronthaul.compression import CompressionConfig, codec_for
+from repro.fronthaul.compression import (
+    SAMPLES_PER_PRB,
+    CompressionConfig,
+    Parse,
+    codec_for,
+)
 from repro.fronthaul.cplane import ALL_PRBS, Direction
 from repro.fronthaul.errors import TruncatedFrame
 from repro.fronthaul.timing import SymbolTime
@@ -42,6 +49,13 @@ class UPlaneSection:
     required.  Decoded IQ samples are cached on the section (read-only
     arrays); :meth:`replace_payload` recognises an unmodified cached decode
     and reuses the original wire bytes instead of recompressing.
+
+    Every in-process encode (:meth:`from_samples`, :meth:`from_ranges`,
+    :meth:`replace_payload`, :meth:`merged`) leaves the encoder's parse
+    riding on the section it builds — private, read-only, never
+    serialised.  ``FronthaulPacket.clone`` shares it, any
+    ``dataclasses.replace`` drops it, :meth:`unpack` never has one, and
+    :meth:`shed_parse` ends it.
     """
 
     section_id: int
@@ -66,11 +80,14 @@ class UPlaneSection:
         # Lazy decode cache: filled by iq_samples(), consumed by
         # replace_payload()'s zero-copy fast path.
         self._iq_cache: Optional[np.ndarray] = None
+        # The riding parse; None once the payload came off a wire.
+        self._parse: Optional[Parse] = None
 
     def __deepcopy__(self, memo) -> "UPlaneSection":
         # memoryview payloads cannot be deep-copied; materialize to bytes.
         clone = replace(self, payload=self.payload_bytes())
-        clone._iq_cache = self._iq_cache  # read-only, safe to share
+        # Same bytes, and both read-only: safe to share.
+        clone._iq_cache, clone._parse = self._iq_cache, self._parse
         return clone
 
     @property
@@ -93,12 +110,29 @@ class UPlaneSection:
         :meth:`replace_payload` untouched skips recompression entirely.
         """
         if self._iq_cache is None:
-            decoded = codec_for(self.compression).decompress(
-                self.payload, self.num_prb
-            )
+            codec = codec_for(self.compression)
+            decoded = codec.decompress_array(*self._parsed(codec))
             decoded.setflags(write=False)
             self._iq_cache = decoded
         return self._iq_cache
+
+    def _parsed(self, codec) -> Parse:
+        """The riding parse, or the wire bytes parsed (and not kept)."""
+        if self._parse is not None:
+            return self._parse
+        return codec.parse_wire(self.payload, self.num_prb)
+
+    def _riding(self, parse: Optional[Parse]) -> "UPlaneSection":
+        """This section, now carrying the parse its payload was packed
+        from (callers: the encode sites below, nobody else)."""
+        self._parse = parse
+        return self
+
+    def shed_parse(self) -> None:
+        """Drop the riding parse.  For a holder that keeps the section
+        past its datapath life (the DU's reception log): a parse is 50 B
+        a PRB and a view of its whole codec pass."""
+        self._parse = None
 
     def exponents(self) -> np.ndarray:
         """Per-PRB compression params without decompressing (Algorithm 1).
@@ -154,11 +188,11 @@ class UPlaneSection:
         (obtained from :meth:`iq_samples` and never modified), the original
         payload bytes are reused verbatim — zero codec work, zero copies.
         """
-        if samples is self._iq_cache and self._iq_cache is not None:
-            payload: PayloadBytes = self.payload
+        if samples is self._iq_cache and samples is not None:
+            payload, parse = self.payload, self._parse
         else:
-            payload = codec_for(self.compression).compress(samples)
-        return replace(self, payload=payload)
+            payload, parse = codec_for(self.compression).encode(samples)
+        return replace(self, payload=payload)._riding(parse)
 
     @classmethod
     def from_samples(
@@ -169,14 +203,69 @@ class UPlaneSection:
         compression: CompressionConfig = CompressionConfig(),
     ) -> "UPlaneSection":
         """Build a section by compressing int16 samples of shape (n, 24)."""
-        payload = codec_for(compression).compress(samples)
-        return cls(
-            section_id=section_id,
-            start_prb=start_prb,
-            num_prb=len(samples),
-            payload=payload,
-            compression=compression,
+        return cls.from_ranges([(section_id, start_prb, samples)], compression)[0]
+
+    @classmethod
+    def from_ranges(
+        cls,
+        pieces: Sequence[Tuple[int, int, np.ndarray]],
+        compression: CompressionConfig,
+    ) -> List["UPlaneSection"]:
+        """One section per ``(section_id, start_prb, samples)`` piece, all
+        compressed in one blocked codec pass (the slot builders' entry)."""
+        encoded = codec_for(compression).encode_ranges(
+            [samples for _, _, samples in pieces]
         )
+        return [
+            cls(
+                section_id=section_id,
+                start_prb=start_prb,
+                num_prb=len(samples),
+                payload=payload,
+                compression=compression,
+            )._riding(parse)
+            for (section_id, start_prb, samples), (payload, parse) in zip(
+                pieces, encoded
+            )
+        ]
+
+    @classmethod
+    def merged(cls, sections: Sequence["UPlaneSection"]) -> "UPlaneSection":
+        """The saturating element-wise IQ sum of aligned sections of one
+        compression, under the first one's section id and PRB range.
+
+        Riding operands are expanded from their parse (a shift and a
+        clip); only wire-parsed ones are unpacked.  A lone riding operand
+        is forwarded byte for byte: its payload is canonical (this
+        process's encoder chose the shifts), the saturating sum of one
+        int16 operand is the identity, and re-encoding a decoded payload
+        reproduces it (``recompression_stable``).  A wire-parsed operand
+        may not be canonical and is renormalised.
+        """
+        first = sections[0]
+        codec = codec_for(first.compression)
+        if (
+            len(sections) == 1
+            and first._parse is not None
+            and codec.recompression_stable
+        ):
+            payload, parse = first.payload, first._parse
+        else:
+            parses = [section._parsed(codec) for section in sections]
+            stack = codec.decompress_array(
+                np.concatenate([shifts for shifts, _ in parses]),
+                np.concatenate([mantissas for _, mantissas in parses]),
+            )
+            payload, parse = codec.merge_stack(
+                stack.reshape(len(sections), first.num_prb, 2 * SAMPLES_PER_PRB)
+            )
+        return cls(
+            section_id=first.section_id,
+            start_prb=first.start_prb,
+            num_prb=first.num_prb,
+            payload=payload,
+            compression=first.compression,
+        )._riding(parse)
 
     def pack(self) -> bytes:
         word = (

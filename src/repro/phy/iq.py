@@ -34,12 +34,17 @@ def iq_to_int16(samples: np.ndarray, backoff: float = 0.25) -> np.ndarray:
             "number of PRBs"
         )
     n_prbs = complex_grid.shape[-1] // SAMPLES_PER_PRB
-    scaled = complex_grid * (INT16_SCALE * backoff)
-    interleaved = np.empty(complex_grid.shape[:-1] + (n_prbs, 2 * SAMPLES_PER_PRB))
-    reshaped = scaled.reshape(complex_grid.shape[:-1] + (n_prbs, SAMPLES_PER_PRB))
-    interleaved[..., 0::2] = reshaped.real
-    interleaved[..., 1::2] = reshaped.imag
-    return np.clip(np.round(interleaved), -32768, 32767).astype(np.int16)
+    # complex128 memory already is I0,Q0,I1,Q1,...: scale into a fresh
+    # array, then round and saturate its float64 view in place.
+    scaled = np.asarray(
+        complex_grid * (INT16_SCALE * backoff), dtype=np.complex128, order="C"
+    )
+    interleaved = scaled.view(np.float64)
+    np.rint(interleaved, out=interleaved)
+    np.clip(interleaved, -32768, 32767, out=interleaved)
+    return interleaved.astype(np.int16).reshape(
+        complex_grid.shape[:-1] + (n_prbs, 2 * SAMPLES_PER_PRB)
+    )
 
 
 def int16_to_iq(samples: np.ndarray, backoff: float = 0.25) -> np.ndarray:

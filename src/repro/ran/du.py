@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.fronthaul.compression import SAMPLES_PER_PRB, codec_for
+from repro.fronthaul.compression import SAMPLES_PER_PRB
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction, SectionType
 from repro.fronthaul.ecpri import EAxCId
 from repro.fronthaul.ethernet import MacAddress
@@ -311,16 +311,11 @@ class DistributedUnit:
             self._symbol_grid(allocations, port, time.symbol, is_ssb_slot)
             for time, port in keys
         ]
-        payloads = codec_for(self.compression).compress_ranges(grids)
+        sections = UPlaneSection.from_ranges(
+            [(self.du_id % 4096, 0, grid) for grid in grids], self.compression
+        )
         packets = []
-        for (time, port), grid, payload in zip(keys, grids, payloads):
-            section = UPlaneSection(
-                section_id=self.du_id % 4096,
-                start_prb=0,
-                num_prb=len(grid),
-                payload=payload,
-                compression=self.compression,
-            )
+        for (time, port), grid, section in zip(keys, grids, sections):
             message = UPlaneMessage(
                 direction=Direction.DOWNLINK, time=time, sections=[section]
             )
@@ -401,6 +396,10 @@ class DistributedUnit:
             ru_port=packet.eaxc.ru_port,
             sections=list(packet.message.sections),
         )
+        # The packet's datapath life ends here and the reception log lasts
+        # the run: it keeps the wire bytes, not the encoder's parse.
+        for section in reception.sections:
+            section.shed_parse()
         if packet.message.filter_index == 1:
             self.prach_receptions.append(reception)
             self.counters.prach_detections += 1

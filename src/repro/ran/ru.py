@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.fronthaul.compression import SAMPLES_PER_PRB, CompressionConfig, codec_for
+from repro.fronthaul.compression import SAMPLES_PER_PRB, CompressionConfig
 from repro.fronthaul.cplane import CPlaneMessage, Direction, SectionType
 from repro.fronthaul.ecpri import EAxCId
 from repro.fronthaul.ethernet import MacAddress
@@ -221,24 +221,15 @@ class RadioUnit:
                     for section_id, start_prb, num_prb in request.sections
                 ]
                 answered.append((time, port, request.is_prach, parts))
-        compression = self.config.compression
-        payloads = iter(
-            codec_for(compression).compress_ranges(
-                [rows for *_, parts in answered for _, _, rows in parts]
+        built = iter(
+            UPlaneSection.from_ranges(
+                [part for *_, parts in answered for part in parts],
+                self.config.compression,
             )
         )
         packets = []
         for time, port, is_prach, parts in answered:
-            sections = [
-                UPlaneSection(
-                    section_id=section_id,
-                    start_prb=start_prb,
-                    num_prb=len(rows),
-                    payload=next(payloads),
-                    compression=compression,
-                )
-                for section_id, start_prb, rows in parts
-            ]
+            sections = [next(built) for _ in parts]
             message = UPlaneMessage(
                 direction=Direction.UPLINK,
                 time=time,

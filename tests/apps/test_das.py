@@ -125,6 +125,20 @@ class TestUplinkMerge:
             (SymbolTime(0, 0, 0, 5), Direction.UPLINK, 0)
         ) == 1
 
+    def test_retransmission_under_a_new_seq_dropped_by_its_cache_tag(
+        self, das, rng, du_mac, ru_macs
+    ):
+        """Past the sequence tracker (fresh seq id), the same RU's second
+        packet for a waiting symbol is refused on the cache's tags."""
+        das.process(ul_uplane(rng, ru_macs[0], du_mac))
+        again = ul_uplane(rng, ru_macs[0], du_mac)
+        again.ecpri.seq_id = 1
+        result = das.process(again)
+        assert result.emissions == [] and das.duplicate_uplink_packets == 1
+        assert das.cache.tags(again.flow_key()) == [ru_macs[0]]
+        das.process(ul_uplane(rng, ru_macs[1], du_mac))
+        assert len(das.process(ul_uplane(rng, ru_macs[2], du_mac)).emissions) == 1
+
     def test_foreign_uplink_passthrough(self, das, rng, du_mac):
         foreign = ul_uplane(rng, MacAddress.from_int(0x99), du_mac)
         result = das.process(foreign)
@@ -143,6 +157,25 @@ class TestManagement:
         das.add_ru(new_ru)
         result = das.process(dl_uplane(rng, du_mac, ru_macs[0]))
         assert [e.eth.dst for e in result.emissions] == ru_macs + [new_ru]
+
+    def test_added_ru_joins_the_uplink_merge(self, das, rng, du_mac, ru_macs):
+        new_ru = MacAddress.from_int(0x77)
+        das.add_ru(new_ru)
+        assert das.ru_macs == ru_macs + [new_ru]
+        for mac in ru_macs:
+            assert das.process(ul_uplane(rng, mac, du_mac)).emissions == []
+        # A member now: held for the merge, not passed through as foreign.
+        final = das.process(ul_uplane(rng, new_ru, du_mac))
+        assert len(final.emissions) == 1 and das.merged_uplink_symbols == 1
+
+    def test_replacing_the_ru_set_replaces_membership(
+        self, das, rng, du_mac, ru_macs
+    ):
+        das.management.set("ru_macs", ru_macs[:1])
+        foreign = das.process(ul_uplane(rng, ru_macs[1], du_mac))
+        assert len(foreign.emissions) == 1 and len(das.cache) == 0
+        merged = das.process(ul_uplane(rng, ru_macs[0], du_mac))
+        assert len(merged.emissions) == 1 and das.merged_uplink_symbols == 1
 
     def test_empty_ru_set_rejected(self, du_mac):
         with pytest.raises(ValueError):

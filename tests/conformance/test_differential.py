@@ -34,7 +34,7 @@ from repro.fronthaul.compression import (
 from repro.fronthaul.modcomp import ModCompressor
 from repro.fronthaul.cplane import CPlaneMessage
 from repro.fronthaul.packet import parse_packet
-from repro.fronthaul.uplane import UPlaneMessage
+from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 from tests.conformance.builders import uplane_packet
 
 #: Seeded sweep size per codec — the acceptance floor is 200.
@@ -107,8 +107,9 @@ class TestBfpCodecDifferential:
         for index in range(N_CASES):
             config, samples = _case(index)
             rng = np.random.default_rng(5000 + index)
-            n_ops = int(rng.integers(2, 5))
-            operands = []
+            # Every 11th case merges a single operand (a one-RU DAS).
+            n_ops = int(rng.integers(2, 5)) if index % 11 else 1
+            operands, sections = [], []
             for op in range(n_ops):
                 shifted = np.clip(
                     samples.astype(np.int64)
@@ -117,11 +118,15 @@ class TestBfpCodecDifferential:
                     32767,
                 ).astype(np.int16)
                 operands.append(BfpCompressor(config).compress(shifted))
+                sections.append(UPlaneSection.from_samples(0, 0, shifted, config))
             vectorized = merge_payloads(operands, len(samples), config)
             reference = scalar_merge(
                 operands, len(samples), config.iq_width, config.comp_meth
             )
             assert vectorized == reference, f"case {index}: {n_ops} operands"
+            # The same merge over sections still carrying their parse.
+            riding = UPlaneSection.merged(sections)
+            assert bytes(riding.payload) == reference, f"case {index} riding"
 
     def test_exponents_match_scalar_reference(self):
         for index in range(N_CASES):
@@ -174,8 +179,9 @@ class TestModCompCodecDifferential:
         for index in range(N_CASES):
             config, samples = _modcomp_case(index)
             rng = np.random.default_rng(6000 + index)
-            n_ops = int(rng.integers(2, 5))
-            operands = []
+            # Every 11th case merges a single operand (a one-RU DAS).
+            n_ops = int(rng.integers(2, 5)) if index % 11 else 1
+            operands, sections = [], []
             for op in range(n_ops):
                 shifted = np.clip(
                     samples.astype(np.int64)
@@ -184,11 +190,15 @@ class TestModCompCodecDifferential:
                     32767,
                 ).astype(np.int16)
                 operands.append(ModCompressor(config).compress(shifted))
+                sections.append(UPlaneSection.from_samples(0, 0, shifted, config))
             vectorized = merge_payloads(operands, len(samples), config)
             reference = scalar_merge(
                 operands, len(samples), config.iq_width, config.comp_meth
             )
             assert vectorized == reference, f"case {index}: {n_ops} operands"
+            # The same merge over sections still carrying their parse.
+            riding = UPlaneSection.merged(sections)
+            assert bytes(riding.payload) == reference, f"case {index} riding"
 
     def test_scalers_match_scalar_reference(self):
         for index in range(N_CASES):

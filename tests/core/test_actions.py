@@ -8,6 +8,7 @@ from repro.core.actions import (
     ActionKind,
     PacketCache,
 )
+from repro.fronthaul.compression import CompressionConfig, codec_for
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import make_packet
@@ -156,6 +157,30 @@ class TestA4HeaderModification:
     def test_set_unknown_field_raises(self, ctx, du_mac, ru_mac):
         with pytest.raises(AttributeError):
             ctx.set_section_fields(make_cplane(du_mac, ru_mac), bogus=1)
+
+    @pytest.mark.parametrize("field", ["payload", "compression", "num_prb"])
+    def test_set_section_fields_refuses_what_describes_the_payload(
+        self, ctx, rng, du_mac, ru_mac, field
+    ):
+        """A setattr of these would leave the cached decode and the riding
+        parse describing bytes the section no longer holds."""
+        packet = make_uplane(rng, du_mac, ru_mac)
+        section = packet.message.sections[0]
+        decoded = section.iq_samples()
+        value = {
+            "payload": bytes(len(section.payload)),
+            "compression": CompressionConfig(iq_width=14),
+            "num_prb": section.num_prb + 1,
+        }[field]
+        with pytest.raises(ValueError, match="compress"):
+            ctx.set_section_fields(packet, section_id=5, **{field: value})
+        # Refused whole: no field written, nothing recorded, and the
+        # decode still is the section's bytes.
+        assert section.section_id == 0 and ctx.trace.events == []
+        assert section.iq_samples() is decoded
+        assert (decoded == codec_for(section.compression).decompress(
+            section.payload, section.num_prb
+        )).all()
 
     def test_header_modify_stays_in_kernel(self, ctx, rng, du_mac, ru_mac):
         packet = make_uplane(rng, du_mac, ru_mac)

@@ -215,9 +215,9 @@ class TestBlockedPass:
 
 class TestMemoryContract:
     """The RSS trap of the slot pass, held without a wall clock: ten
-    symbols x 2 ports x 224 PRBs compress in 512-PRB blocks, so the peak
-    is a block's bit tensor, not the slot's, and nothing slot-sized is
-    pinned in the memo."""
+    symbols x 2 ports x 224 PRBs pack in 512-PRB blocks, so the peak is
+    the slot's int16 (samples, mantissas, wire) plus one block's bit
+    tensor, not the slot's, and no memo exists to pin anything."""
 
     def test_4480_prbs_peak_below_2_mib_and_memo_untouched(self):
         rng = np.random.default_rng(6)

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from repro.fronthaul.compression import SAMPLES_PER_PRB
 from repro.phy.iq import (
+    INT16_SCALE,
     QamModulator,
     ResourceGrid,
     int16_to_iq,
@@ -101,6 +104,64 @@ class TestFixedPoint:
         grid = (rng.normal(size=24) + 1j * rng.normal(size=24)) * 0.2
         restored = int16_to_iq(iq_to_int16(grid, backoff), backoff)
         assert np.abs(restored - grid).max() < 1e-2
+
+
+def interleaving_iq_to_int16(samples, backoff=0.25):
+    """``iq_to_int16`` as it stood through PR 18 — an ``interleaved``
+    float buffer filled by two strided stores — kept as the oracle of the
+    in-place float64-view formulation."""
+    complex_grid = np.asarray(samples)
+    n_prbs = complex_grid.shape[-1] // SAMPLES_PER_PRB
+    scaled = complex_grid * (INT16_SCALE * backoff)
+    interleaved = np.empty(complex_grid.shape[:-1] + (n_prbs, 2 * SAMPLES_PER_PRB))
+    reshaped = scaled.reshape(complex_grid.shape[:-1] + (n_prbs, SAMPLES_PER_PRB))
+    interleaved[..., 0::2] = reshaped.real
+    interleaved[..., 1::2] = reshaped.imag
+    return np.clip(np.round(interleaved), -32768, 32767).astype(np.int16)
+
+
+#: Finite components where rounding and saturation go wrong first: signed
+#: zeros, ties (k + 0.5 at backoff 1.0), the int16 edges, subnormals, and
+#: magnitudes whose product overflows to inf.
+_COMPONENTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1.5, max_value=1.5),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]),
+    st.integers(-70000, 70000).map(lambda k: (k + 0.5) / INT16_SCALE),
+    st.integers(-3, 3).map(lambda k: (32767.5 + k / 2) / INT16_SCALE),
+)
+
+
+class TestInPlaceConversionIsTheOldOne:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        real=hnp.arrays(np.float64, st.sampled_from([(12,), (36,), (2, 24), (3, 1, 12)]),
+                        elements=_COMPONENTS),
+        imag_seed=st.integers(0, 2**32 - 1),
+        backoff=st.sampled_from([0.25, 0.7, 1.0, 4.0, 1e-3]),
+    )
+    def test_bit_identical_to_the_interleaving_formulation(
+        self, real, imag_seed, backoff
+    ):
+        imag = np.random.default_rng(imag_seed).permutation(real.ravel())
+        grid = real + 1j * imag.reshape(real.shape)
+        before = grid.copy()
+        with np.errstate(over="ignore"):
+            expected = interleaving_iq_to_int16(grid, backoff)
+            converted = iq_to_int16(grid, backoff)
+        assert converted.dtype == np.int16 and converted.shape == expected.shape
+        assert converted.tolist() == expected.tolist()
+        assert (grid == before).all()  # the caller's grid is never the buffer
+
+    def test_other_input_layouts_and_dtypes(self, rng):
+        grid = rng.normal(size=(4, 24)) + 1j * rng.normal(size=(4, 24))
+        for variant in (
+            np.asfortranarray(grid), grid[::2], grid.astype(np.complex64),
+            grid.real, grid.tolist(),
+        ):
+            assert iq_to_int16(variant).tolist() == (
+                interleaving_iq_to_int16(variant).tolist()
+            )
 
 
 class TestResourceGrid:
