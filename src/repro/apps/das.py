@@ -16,8 +16,7 @@ layer and the combination is interference-free.
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.actions import ActionContext, ExecLocation
 from repro.core.middlebox import Middlebox
@@ -67,6 +66,7 @@ class DasMiddlebox(Middlebox):
     #: Table 1: the XDP implementation of DAS processes packets in
     #: userspace (IQ decompression/summing is impractical in eBPF).
     nominal_xdp_location = ExecLocation.USERSPACE
+    deadline_hold = True
 
     def __init__(
         self,
@@ -117,8 +117,6 @@ class DasMiddlebox(Middlebox):
         #: Stragglers for symbols already merged and forwarded: dropped so
         #: the DU never sees the same symbol twice.
         self.late_uplink_packets = 0
-        self._merged_keys: Set[Tuple] = set()
-        self._merged_order: deque = deque(maxlen=512)
         #: Per-eAxC seq counter for the DU-facing merged stream: the DAS
         #: originates that stream, so it cannot reuse a source RU's seq
         #: (a merge of N packets into one would leave wire-visible gaps).
@@ -129,12 +127,29 @@ class DasMiddlebox(Middlebox):
         self._seq[eaxc_int] = (seq + 1) % 256
         return seq
 
-    def _merged_ecpri(self, template: FronthaulPacket):
-        """The merged packet's eCPRI header: template flow, own seq."""
-        eaxc = template.ecpri.eaxc
-        return dataclasses.replace(
-            template.ecpri, seq_id=self._next_seq(eaxc.to_int())
+    def _forward_merged(
+        self,
+        ctx: ActionContext,
+        template: FronthaulPacket,
+        packets: List[FronthaulPacket],
+    ) -> FronthaulPacket:
+        """A4 merge + A1 forward: ``packets`` summed into one packet on
+        ``template``'s flow, under this DAS's own seq, sent to the DU."""
+        message = UPlaneMessage(
+            direction=Direction.UPLINK,
+            time=template.time,
+            sections=self._merge_sections(ctx, packets),
+            filter_index=template.message.filter_index,
         )
+        ecpri = dataclasses.replace(
+            template.ecpri,
+            seq_id=self._next_seq(template.ecpri.eaxc.to_int()),
+        )
+        out = FronthaulPacket(eth=template.eth, ecpri=ecpri, message=message)
+        ctx.forward(out, dst=self.du_mac, src=self.mac)
+        # Remembered while its slot is: a straggler must not start over.
+        self.slot_state[template.flow_key()] = True
+        return out
 
     def _on_management_change(self, key: str, value) -> None:
         if key == "ru_macs":
@@ -190,7 +205,7 @@ class DasMiddlebox(Middlebox):
             self.duplicate_uplink_packets += 1
             ctx.drop(packet)
             return
-        if key in self._merged_keys:
+        if key in self.slot_state:
             # Straggler for a symbol that already merged and shipped.
             self.late_uplink_packets += 1
             ctx.drop(packet)
@@ -207,21 +222,10 @@ class DasMiddlebox(Middlebox):
         if self.obs.enabled:
             self.obs.children(_MERGE_FANIN, self.name).observe(len(cached))
             self.obs.children(_MERGED_SYMBOLS, self.name).inc()
-        merged_sections = self._merge_sections(ctx, [p for _, p in cached])
-        merged = UPlaneMessage(
-            direction=Direction.UPLINK,
-            time=packet.time,
-            sections=merged_sections,
-            filter_index=packet.message.filter_index,
-        )
-        out = FronthaulPacket(
-            eth=packet.eth, ecpri=self._merged_ecpri(packet), message=merged
-        )
         # The merged packet replaces all cached ones: forward it, the
         # remaining (len-1) cached packets are implicitly dropped.
-        ctx.forward(out, dst=self.du_mac, src=self.mac)
+        self._forward_merged(ctx, packet, [p for _, p in cached])
         self.merged_uplink_symbols += 1
-        self._remember_merged(key)
 
     def _merge_sections(
         self, ctx: ActionContext, packets: List[FronthaulPacket]
@@ -239,58 +243,47 @@ class DasMiddlebox(Middlebox):
         per_index = zip(*(p.message.sections for p in packets))
         return [ctx.merge_iq(operands) for operands in per_index]
 
-    def _remember_merged(self, key) -> None:
-        if len(self._merged_order) == self._merged_order.maxlen:
-            evicted = self._merged_order.popleft()
-            self._merged_keys.discard(evicted)
-        self._merged_order.append(key)
-        self._merged_keys.add(key)
-
     # -- deadline handling -------------------------------------------------
 
-    def flush_deadline(
-        self, before_slot_key
+    def end_slot(
+        self, deadline_flush: bool = False
     ) -> Tuple[List[FronthaulPacket], int]:
-        """Deadline sweep with graceful degradation.
+        """Close the slot; with ``deadline_flush``, sweep it first.
 
-        A merge still waiting once its slot has passed will never
-        complete (an RU's packet missed the receive window).  The symbol
-        is abandoned — the DU never receives it, as on a real fronthaul —
-        unless the ``partial_merge`` knob is on: then it is merged from
-        whatever RU subset arrived in time and the degraded packet is
-        returned for delivery to the DU (reduced combining gain beats a
-        silent hole in the slot).
+        A merge still waiting when its slot closes will never complete
+        (an RU's packet missed the receive window) — and every cached
+        entry was opened in this slot or an earlier one, whatever
+        (wrapping) frame its key names.  The symbol is abandoned — the
+        DU never receives it, as on a real fronthaul — unless the
+        ``partial_merge`` knob is on: then it is merged from whatever RU
+        subset arrived in time and the degraded packet is returned for
+        delivery to the DU (reduced combining gain beats a silent hole
+        in the slot).  Without the sweep a waiting merge stays until the
+        ring drops it, uncounted.
         Returns ``(degraded packets, abandoned symbol count)``.
         """
-        stale = [
-            key
-            for key in self.cache.keys()
-            if key[0].slot_key() < before_slot_key
-        ]
-        partial = bool(self.management.get("partial_merge"))
         emitted: List[FronthaulPacket] = []
         abandoned = 0
-        for key in stale:
-            cached = self.cache.pop_all(key)
-            packets = [packet for _, packet in cached]
-            merged = None
-            if partial and packets:
-                merged = self._degraded_merge(packets)
-            if merged is None:
-                abandoned += 1
-                continue
-            emitted.append(merged)
-            self._remember_merged(key)
-        self.missed_merge_deadlines += abandoned
-        obs = self.obs
-        if obs.enabled:
-            if abandoned:
-                obs.children(_MISSED_DEADLINES, self.name).inc(abandoned)
-            if emitted:
-                obs.children(_DEGRADED_MERGES, self.name).inc(len(emitted))
-            obs.children(_PENDING_MERGES, self.name).set(
-                len(self.cache.keys())
-            )
+        if deadline_flush:
+            partial = bool(self.management.get("partial_merge"))
+            for key in self.cache.keys():
+                packets = [packet for _, packet in self.cache.pop_all(key)]
+                merged = self._degraded_merge(packets) if partial else None
+                if merged is None:
+                    abandoned += 1
+                else:
+                    emitted.append(merged)
+            self.missed_merge_deadlines += abandoned
+            obs = self.obs
+            if obs.enabled:
+                if abandoned:
+                    obs.children(_MISSED_DEADLINES, self.name).inc(abandoned)
+                if emitted:
+                    obs.children(_DEGRADED_MERGES, self.name).inc(len(emitted))
+                obs.children(_PENDING_MERGES, self.name).set(
+                    len(self.cache.keys())
+                )
+        super().end_slot()
         return emitted, abandoned
 
     def _degraded_merge(
@@ -299,21 +292,10 @@ class DasMiddlebox(Middlebox):
         """Merge a partial RU subset at the deadline; ``None`` on failure."""
         ctx = ActionContext(self.cache, self.cost_model)
         try:
-            sections = self._merge_sections(ctx, packets)
+            out = self._forward_merged(ctx, packets[-1], packets)
         except ValueError:
             # Corrupted or inconsistent cached packets: the symbol is lost.
             return None
-        template = packets[-1]
-        merged = UPlaneMessage(
-            direction=Direction.UPLINK,
-            time=template.time,
-            sections=sections,
-            filter_index=template.message.filter_index,
-        )
-        out = FronthaulPacket(
-            eth=template.eth, ecpri=self._merged_ecpri(template), message=merged
-        )
-        ctx.forward(out, dst=self.du_mac, src=self.mac)
         self.stats.processing_ns_total += ctx.trace.total_ns()
         self.stats.account_tx(ctx.emissions)
         self.degraded_merges += 1

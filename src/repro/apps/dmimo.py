@@ -18,7 +18,7 @@ first local port of every other RU (A4 payload modification).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.actions import ActionContext, ExecLocation
 from repro.core.middlebox import Middlebox
@@ -26,6 +26,7 @@ from repro.fronthaul.cplane import Direction
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import FronthaulPacket
 from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.uplane import UPlaneSection
 from repro.obs.metrics import declare
 
 _REMAPS = declare(
@@ -142,10 +143,6 @@ class DmimoMiddlebox(Middlebox):
         self.slots_per_subframe = slots_per_subframe
         self.mac = mac or MacAddress.from_int(0x02_00_00_00_30_02)
         self.ssb_copies = 0
-        #: Cached SSB payload bytes per symbol time, from the primary port.
-        self._ssb_payload: Dict[SymbolTime, bytes] = {}
-        #: Secondary-RU port-0 packets waiting for the SSB payload.
-        self._pending_ssb: Dict[SymbolTime, List[FronthaulPacket]] = {}
 
     # -- handlers -----------------------------------------------------------
 
@@ -212,28 +209,25 @@ class DmimoMiddlebox(Middlebox):
         """Copy the primary port's SSB PRBs into each secondary RU's
         first antenna port for the same symbol (A4)."""
         time = packet.time
-        port = packet.eaxc.ru_port
-        if port == 0:
-            # Primary port: extract and retain the SSB PRB payload.
-            section = packet.message.sections[0]
-            ssb_section = self._extract_ssb(ctx, packet)
-            self._ssb_payload[time] = ssb_section
+        if packet.eaxc.ru_port == 0:
+            # Primary port: extract the SSB PRBs and keep them, in
+            # ``slot_state`` under the symbol time, while the slot is.
+            self.slot_state[time] = self._extract_ssb(ctx, packet)
             # Release any secondary packets that arrived first.
-            for pending in self._pending_ssb.pop(time, []):
+            for _, pending in self.cache.pop_all(("ssb-wait", time)):
                 self._emit_with_ssb(ctx, pending)
             self._downlink_remap(ctx, packet)
             return
-        if time not in self._ssb_payload:
+        if time not in self.slot_state:
             # Secondary port-0 packet arrived before the primary; hold it.
-            self._pending_ssb.setdefault(time, []).append(packet)
-            ctx.cache_put(("ssb-wait", time, port), packet)
+            ctx.cache_put(("ssb-wait", time), packet)
             return
         self._emit_with_ssb(ctx, packet)
 
-    def _extract_ssb(self, ctx: ActionContext, packet: FronthaulPacket):
+    def _extract_ssb(
+        self, ctx: ActionContext, packet: FronthaulPacket
+    ) -> UPlaneSection:
         """The SSB PRBs of the primary port as a standalone section."""
-        from repro.fronthaul.uplane import UPlaneSection
-
         section = packet.message.sections[0]
         ssb = self.ssb
         samples = ctx.decompress(section)
@@ -247,7 +241,7 @@ class DmimoMiddlebox(Middlebox):
         )
 
     def _emit_with_ssb(self, ctx: ActionContext, packet: FronthaulPacket) -> None:
-        ssb_section = self._ssb_payload[packet.time]
+        ssb_section = self.slot_state[packet.time]
         section = packet.message.sections[0]
         updated = ctx.copy_prbs(
             source=ssb_section,

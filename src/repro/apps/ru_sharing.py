@@ -21,6 +21,7 @@ Key mechanisms (all from the paper):
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -55,12 +56,17 @@ _MUX_OCCUPANCY = declare(
 )
 
 
+#: What the cache holds, by the first element of its keys:
+#: ``("cplane", direction, slot_key, port)`` — every DU's data request,
+#: ``("dl_uplane", time, port)`` — DL U-plane awaiting the other DUs',
+#: ``("prach", slot_key, port)`` — translated PRACH requests, likewise.
+#: Each packet is tagged with its DU's id.
+_KINDS = ("cplane", "dl_uplane", "prach")
+
+
 def _mux_children(registry, name: str):
     """The three occupancy gauges one packet updates together."""
-    return tuple(
-        _MUX_OCCUPANCY(registry, name, kind)
-        for kind in ("cplane", "dl_uplane", "prach")
-    )
+    return tuple(_MUX_OCCUPANCY(registry, name, kind) for kind in _KINDS)
 
 
 @dataclass(frozen=True)
@@ -128,12 +134,6 @@ class RuSharingMiddlebox(Middlebox):
         self.mac = mac or MacAddress.from_int(0x02_00_00_00_30_03)
         self.misaligned_copies = 0
         self.aligned_copies = 0
-        #: C-plane requests: {(direction, slot_key, port): {du_id: message}}.
-        self._cplane: Dict[Tuple, Dict[int, CPlaneMessage]] = {}
-        #: Pending PRACH C-plane sections: {(slot_key, port): {du_id: secs}}.
-        self._prach_cplane: Dict[Tuple, Dict[int, List[CPlaneSection]]] = {}
-        #: Cached DL U-plane packets: {(time, port): {du_id: packet}}.
-        self._dl_uplane: Dict[Tuple, Dict[int, FronthaulPacket]] = {}
 
     # -- helpers -----------------------------------------------------------
 
@@ -143,7 +143,8 @@ class RuSharingMiddlebox(Middlebox):
     def _requesting_dus(
         self, direction: Direction, slot_key: Tuple, port: int
     ) -> List[int]:
-        return sorted(self._cplane.get((direction, slot_key, port), {}))
+        key = ("cplane", direction, slot_key, port)
+        return sorted(set(self.cache.tags(key)))
 
     def _count_copy(self, aligned: bool) -> None:
         if aligned:
@@ -156,12 +157,12 @@ class RuSharingMiddlebox(Middlebox):
             ).inc()
 
     def _observe_mux_occupancy(self) -> None:
-        """Export how much per-symbol mux state is parked in the caches
+        """Export how much per-symbol mux state is parked in the cache
         (runs on every C-plane and DL U-plane packet)."""
-        cplane, dl_uplane, prach = self.obs.children(_mux_children, self.name)
-        cplane.set(len(self._cplane))
-        dl_uplane.set(len(self._dl_uplane))
-        prach.set(len(self._prach_cplane))
+        held = Counter(key[0] for key in self.cache.ring)
+        gauges = self.obs.children(_mux_children, self.name)
+        for gauge, kind in zip(gauges, _KINDS):
+            gauge.set(held[kind])
 
     # -- handlers ------------------------------------------------------------
 
@@ -199,12 +200,11 @@ class RuSharingMiddlebox(Middlebox):
         self, ctx: ActionContext, packet: FronthaulPacket, du: SharedDuConfig
     ) -> None:
         message: CPlaneMessage = packet.message
-        key = (message.direction, message.time.slot_key(), packet.eaxc.ru_port)
-        requests = self._cplane.setdefault(key, {})
-        first_for_symbol = not requests
-        ctx.cache_put(key, packet, tag=du.du_id)
-        requests[du.du_id] = message
-        if not first_for_symbol:
+        key = (
+            "cplane", message.direction, message.time.slot_key(),
+            packet.eaxc.ru_port,
+        )
+        if ctx.cache_put(key, packet, tag=du.du_id) > 1:
             # A later DU's request is already satisfied by the widened one.
             ctx.drop(packet)
             return
@@ -219,10 +219,9 @@ class RuSharingMiddlebox(Middlebox):
     ) -> None:
         time = packet.time
         port = packet.eaxc.ru_port
-        key = (time, port)
-        pending = self._dl_uplane.setdefault(key, {})
+        key = ("dl_uplane", time, port)
         ctx.cache_put(key, packet, tag=du.du_id)
-        pending[du.du_id] = packet
+        pending = dict(self.cache.peek(key))
         requesting = self._requesting_dus(
             Direction.DOWNLINK, time.slot_key(), port
         )
@@ -233,7 +232,6 @@ class RuSharingMiddlebox(Middlebox):
             ctx, time, [pending[du_id] for du_id in requesting]
         )
         ctx.forward(merged, dst=self.ru_mac, src=self.mac)
-        del self._dl_uplane[key]
         self.cache.discard(key)
 
     def _multiplex_downlink(
@@ -291,7 +289,7 @@ class RuSharingMiddlebox(Middlebox):
         granularity, recompress (the Figure 6 right-hand case)."""
         sc_offset = int(round(prb_offset * SAMPLES_PER_PRB))
         src_samples = ctx.decompress(source)  # (n, 24) int16
-        dst_samples = ctx.decompress(target).copy()
+        dst_samples = ctx.decompress(target)
         src_flat = src_samples.reshape(-1, 2)  # (n*12, 2) per subcarrier
         dst_flat = dst_samples.reshape(-1, 2)
         start = (source.start_prb * SAMPLES_PER_PRB) + sc_offset
@@ -370,8 +368,7 @@ class RuSharingMiddlebox(Middlebox):
         self, ctx: ActionContext, packet: FronthaulPacket, du: SharedDuConfig
     ) -> None:
         message: CPlaneMessage = packet.message
-        key = (message.time.slot_key(), packet.eaxc.ru_port)
-        pending = self._prach_cplane.setdefault(key, {})
+        key = ("prach", message.time.slot_key(), packet.eaxc.ru_port)
         # Translate each section's freqOffset into the RU spectrum and tag
         # it with the DU id (Algorithm 3 lines 6-7).
         translated: List[CPlaneSection] = []
@@ -392,15 +389,16 @@ class RuSharingMiddlebox(Middlebox):
                     freq_offset=new_offset,
                 )
             )
+        message.sections = translated
         ctx.cache_put(key, packet, tag=du.du_id)
-        pending[du.du_id] = translated
+        pending = dict(self.cache.peek(key))
         if len(pending) < len(self.dus_by_id):
             return
         # All DUs' PRACH requests arrived: append sections into one packet.
         sections = [
             section
             for du_id in sorted(pending)
-            for section in pending[du_id]
+            for section in pending[du_id].message.sections
         ]
         combined = CPlaneMessage(
             direction=Direction.UPLINK,
@@ -417,7 +415,7 @@ class RuSharingMiddlebox(Middlebox):
             eth=packet.eth, ecpri=packet.ecpri, message=combined
         )
         ctx.forward(out, dst=self.ru_mac, src=self.mac)
-        del self._prach_cplane[key]
+        self.cache.discard(key)
 
     def _handle_prach_uplane(
         self, ctx: ActionContext, packet: FronthaulPacket
@@ -444,21 +442,3 @@ class RuSharingMiddlebox(Middlebox):
                 eth=out_packet.eth, ecpri=out_packet.ecpri, message=message
             )
             ctx.forward(out, dst=du.mac, src=self.mac)
-
-    # -- housekeeping ------------------------------------------------------------------
-
-    def flush_slots_before(self, slot_key: Tuple) -> None:
-        """Drop cached state older than a slot (bounded memory)."""
-        self._cplane = {
-            key: value for key, value in self._cplane.items() if key[1] >= slot_key
-        }
-        self._prach_cplane = {
-            key: value
-            for key, value in self._prach_cplane.items()
-            if key[0] >= slot_key
-        }
-        self._dl_uplane = {
-            key: value
-            for key, value in self._dl_uplane.items()
-            if key[0].slot_key() >= slot_key
-        }

@@ -12,7 +12,7 @@ interference-detection application of [18].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import List, Set, Tuple
 
 from repro.core.actions import ActionContext, ExecLocation
 from repro.core.middlebox import Middlebox
@@ -67,16 +67,15 @@ class SpectrumSensorMiddlebox(Middlebox):
             validator=lambda v: 0 <= v <= 15,
         )
         self.alerts: List[InterferenceAlert] = []
-        #: Scheduled UL PRB ranges: {(slot_key, port): [(start, end)]}.
-        self._scheduled: Dict[Tuple, List[Tuple[int, int]]] = {}
 
     # -- handlers -------------------------------------------------------------
 
     def on_cplane(self, ctx: ActionContext, packet: FronthaulPacket) -> None:
         if packet.direction is Direction.UPLINK:
             ctx.inspect(packet)
+            # Scheduled UL PRB ranges: {(slot_key, port): [(start, end)]}.
             key = (packet.time.slot_key(), packet.eaxc.ru_port)
-            ranges = self._scheduled.setdefault(key, [])
+            ranges = self.slot_state.setdefault(key, [])
             for section in packet.message.sections:
                 ranges.append(section.prb_range)
         ctx.forward(packet)
@@ -93,7 +92,7 @@ class SpectrumSensorMiddlebox(Middlebox):
 
     def _scan(self, ctx: ActionContext, packet: FronthaulPacket) -> None:
         key = (packet.time.slot_key(), packet.eaxc.ru_port)
-        scheduled = self._scheduled.get(key, [])
+        scheduled = self.slot_state.get(key, [])
         threshold = self.management.get("noise_exponent_threshold")
         suspicious: Set[int] = set()
         max_exponent = 0
@@ -124,10 +123,3 @@ class SpectrumSensorMiddlebox(Middlebox):
             timestamp_ns=packet.time.ns(self.numerology),
             source=self.name,
         )
-
-    def flush_slots_before(self, slot_key: Tuple) -> None:
-        self._scheduled = {
-            key: value
-            for key, value in self._scheduled.items()
-            if key[0] >= slot_key
-        }

@@ -223,7 +223,7 @@ class WireValidator:
         # ("fill in at pack time"); only a nonzero declared size can lie.
         declared = packet.ecpri.payload_size
         if declared:
-            actual = len(packet.message.pack()) + 4
+            actual = packet.message.wire_size() + 4
             if declared != actual:
                 found.append(
                     self._violation(

@@ -19,9 +19,9 @@ middlebox correctness is exercised end to end.
 from __future__ import annotations
 
 import enum
-from collections import defaultdict
+from collections.abc import MutableMapping
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -113,47 +113,98 @@ class ActionTrace:
         return [event.kind for event in self.events]
 
 
+#: Closed slots a :class:`SlotRing` still holds.  Private, not a knob: the
+#: longest reader is the pinned 16-slot obs-top run, whose last occupancy
+#: gauge counts every RU-sharing request key since slot 0 (DESIGN.md).
+_RETAINED_SLOTS = 16
+
+
+class SlotRing(MutableMapping):
+    """Per-slot state: an insertion-ordered mapping its owner closes once
+    a slot, the entries opened more than ``_RETAINED_SLOTS`` closes ago
+    falling off the front — bounded memory however long the run.
+
+    An entry is stamped with the closes counted when its key was first
+    set: a slot number that never wraps, unlike the ``(frame, subframe,
+    slot)`` most keys carry, so a key seen again 256 frames later finds
+    nothing left of its namesake.
+    """
+
+    def __init__(self) -> None:
+        self._values: Dict[Hashable, Any] = {}
+        self._opened: Dict[Hashable, int] = {}
+        self.slot = 0
+
+    def __getitem__(self, key: Hashable) -> Any:
+        return self._values[key]
+
+    def __setitem__(self, key: Hashable, value: Any) -> None:
+        self._opened.setdefault(key, self.slot)
+        self._values[key] = value
+
+    def __delitem__(self, key: Hashable) -> None:
+        del self._values[key]
+        del self._opened[key]
+
+    def __iter__(self) -> Iterator[Hashable]:
+        return iter(self._values)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def close(self) -> None:
+        """End the open slot and drop what has been held too long."""
+        self.slot += 1
+        horizon = self.slot - _RETAINED_SLOTS
+        opened = self._opened
+        while opened:
+            oldest = next(iter(opened))
+            if opened[oldest] >= horizon:
+                break
+            del self[oldest]
+
+
 class PacketCache:
     """Action A3: packets stored by key until their peers arrive.
 
     Keys are typically ``(time, direction, ru_port)`` flow keys; the DAS
     middlebox caches per-RU uplink packets until all RUs reported, and the
-    RU-sharing middlebox caches per-DU C-plane requests.
+    RU-sharing middlebox caches per-DU C-plane requests.  The store is a
+    :class:`SlotRing` the owning middlebox closes with its slot.
     """
 
     def __init__(self):
-        self._store: Dict[Hashable, List[Tuple[Hashable, FronthaulPacket]]] = (
-            defaultdict(list)
-        )
+        self.ring = SlotRing()
 
     def put(self, key: Hashable, packet: FronthaulPacket, tag: Hashable = None) -> int:
         """Store a packet under ``key``; returns the new occupancy."""
-        self._store[key].append((tag, packet))
-        return len(self._store[key])
+        held = self.ring.setdefault(key, [])
+        held.append((tag, packet))
+        return len(held)
 
     def occupancy(self, key: Hashable) -> int:
-        return len(self._store.get(key, ()))
+        return len(self.ring.get(key, ()))
 
     def peek(self, key: Hashable) -> List[Tuple[Hashable, FronthaulPacket]]:
-        return list(self._store.get(key, ()))
+        return list(self.ring.get(key, ()))
 
     def tags(self, key: Hashable) -> List[Hashable]:
-        return [tag for tag, _ in self._store.get(key, ())]
+        return [tag for tag, _ in self.ring.get(key, ())]
 
     def pop_all(self, key: Hashable) -> List[Tuple[Hashable, FronthaulPacket]]:
-        return self._store.pop(key, [])
+        return self.ring.pop(key, [])
 
     def discard(self, key: Hashable) -> None:
-        self._store.pop(key, None)
+        self.ring.pop(key, None)
 
     def keys(self) -> List[Hashable]:
-        return list(self._store)
+        return list(self.ring)
 
     def __len__(self) -> int:
-        return sum(len(v) for v in self._store.values())
+        return sum(len(held) for held in self.ring.values())
 
 
-#: Section fields a cached decode and a riding parse describe.
+#: Section fields a riding parse describes.
 _PAYLOAD_FIELDS = frozenset({"payload", "compression", "num_prb"})
 
 
@@ -258,8 +309,8 @@ class ActionContext:
         """Rewrite section header fields (freqOffset, sectionId, ...).
 
         ``payload``, ``compression`` and ``num_prb`` are refused: a
-        section's cached decode and riding parse describe exactly those,
-        and only :meth:`compress` builds a section where all agree.
+        section's riding parse describes exactly those, and only
+        :meth:`compress` builds a section where all agree.
         """
         stale = _PAYLOAD_FIELDS.intersection(fields)
         if stale:
@@ -368,7 +419,7 @@ class ActionContext:
             )
         # Misaligned: full decompress of both, sample-level move, recompress.
         src_samples = self.decompress(source)
-        dst_samples = self.decompress(destination).copy()
+        dst_samples = self.decompress(destination)
         src_index = source_start_prb - source.start_prb
         dst_index = dest_start_prb - destination.start_prb
         dst_samples[dst_index : dst_index + num_prb] = src_samples[

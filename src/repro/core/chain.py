@@ -555,7 +555,7 @@ class MiddleboxChain:
         path of packets entering from the RU side.
 
         ``deadline_flush`` controls whether hold-capable stages — those
-        exposing ``flush_deadline``, like the DAS merge — may capture
+        declaring ``deadline_hold``, like the DAS merge — may capture
         packets from this burst.  The default ``True`` is normal
         traversal.  Deadline sweeps pass ``False`` so a merge that was
         already force-flushed at the slot boundary is never re-captured
@@ -567,10 +567,10 @@ class MiddleboxChain:
         else:
             boxes = list(reversed(self.middleboxes[: self._resolve_stage(source)]))
         if not deadline_flush:
-            holding = [b for b in boxes if hasattr(b, "flush_deadline")]
+            holding = sum(box.deadline_hold for box in boxes)
             if holding:
-                self.hold_bypassed += len(holding) * len(packets)
-                boxes = [b for b in boxes if not hasattr(b, "flush_deadline")]
+                self.hold_bypassed += holding * len(packets)
+                boxes = [box for box in boxes if not box.deadline_hold]
         if not boxes:
             return list(packets)
         return self._run(packets, boxes, "UL")

@@ -2,8 +2,9 @@
 
 Developers subclass :class:`Middlebox` and implement ``on_cplane`` /
 ``on_uplane`` handlers using the :class:`~repro.core.actions.ActionContext`
-API.  The base class supplies everything else: the packet cache, telemetry
-and management interfaces, statistics, the per-packet action traces the
+API.  The base class supplies everything else: the packet cache and the
+per-slot ring it is built on, closed once a slot, telemetry and
+management interfaces, statistics, the per-packet action traces the
 datapath models consume, and the flight-recorder instrumentation
 (:mod:`repro.obs`) every packet is accounted against when observability
 is enabled.  All four reference applications of the paper (and this repo)
@@ -14,10 +15,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional
+from typing import Deque, List, Optional, Tuple
 
 from repro import obs as obs_module
-from repro.core.actions import ActionContext, ActionTrace, PacketCache
+from repro.core.actions import ActionContext, ActionTrace, PacketCache, SlotRing
 from repro.core.latency import DEFAULT_COST_MODEL, ActionCostModel
 from repro.core.management import ManagementInterface
 from repro.core.telemetry import TelemetryBus
@@ -127,6 +128,10 @@ class Middlebox:
 
     #: Human-readable application name (overridden by subclasses).
     app_name = "passthrough"
+    #: True for a stage that holds uplink packets for their peers and may
+    #: release them from :meth:`end_slot` (the DAS merge): a packet already
+    #: forced out at the slot boundary must not be captured by another.
+    deadline_hold = False
 
     def __init__(
         self,
@@ -142,6 +147,9 @@ class Middlebox:
         self.obs = obs if obs is not None else obs_module.DEFAULT_OBSERVABILITY
         self.stack_profile = stack_profile
         self.cache = PacketCache()
+        #: Per-slot values that are not packets (what a handler must
+        #: remember about a symbol until its slot is over).
+        self.slot_state = SlotRing()
         self.management = ManagementInterface(owner=self.name)
         self.stats = MiddleboxStats()
         #: The per-packet record (actions, wire bytes, traffic class) of
@@ -158,6 +166,21 @@ class Middlebox:
 
     def on_uplane(self, ctx: ActionContext, packet: FronthaulPacket) -> None:
         ctx.forward(packet)
+
+    def end_slot(
+        self, deadline_flush: bool = False
+    ) -> Tuple[List[FronthaulPacket], int]:
+        """Close the slot, once all its packets went through: the one
+        place per-slot state ages out (the cache and ``slot_state`` are
+        the only per-slot stores a middlebox has).
+
+        Returns ``(packets released towards the DUs, symbols abandoned)``
+        — nothing and 0 unless a stage holds packets at the deadline;
+        ``deadline_flush`` says whether such a stage should sweep them.
+        """
+        self.cache.ring.close()
+        self.slot_state.close()
+        return [], 0
 
     # -- engine ------------------------------------------------------------------
 

@@ -77,8 +77,8 @@ class FronthaulPacket:
         every section) is a fresh object, while the leaves no one can
         mutate are shared — ``MacAddress``, ``VlanTag``, ``EAxCId``,
         ``SymbolTime``, ``CompressionConfig`` (frozen), payload bytes or
-        read-only frame views, and a section's read-only ``_iq_cache`` and
-        riding parse (both describe the shared payload bytes).
+        read-only frame views, and a section's read-only riding parse
+        (it describes the shared payload bytes).
         """
         message = _fresh(self.message)
         message.sections = [_fresh(section) for section in message.sections]

@@ -9,10 +9,10 @@ Payloads are stored as raw wire bytes so that middleboxes can exercise the
 same fast paths as the C implementation: reading an exponent byte does not
 decompress the PRB, and aligned PRB copies are byte-range copies.  Parsing
 is zero-copy — sections hold :class:`memoryview` slices into the received
-frame rather than copied bytes — and IQ decodes are computed lazily and
-cached per section, so a pass-through middlebox never touches the codec.
-A section whose payload this process encoded also carries the encoder's
-``(shifts, mantissas)``, so decoding it again unpacks no bits.
+frame rather than copied bytes — and IQ is decoded only on request, so a
+pass-through middlebox never touches the codec.  A section whose payload
+this process encoded also carries the encoder's ``(shifts, mantissas)``,
+so decoding it unpacks no bits.
 """
 
 from __future__ import annotations
@@ -46,9 +46,7 @@ class UPlaneSection:
 
     ``payload`` may be a :class:`memoryview` into the original frame (the
     zero-copy parse path) — use :meth:`payload_bytes` when owned bytes are
-    required.  Decoded IQ samples are cached on the section (read-only
-    arrays); :meth:`replace_payload` recognises an unmodified cached decode
-    and reuses the original wire bytes instead of recompressing.
+    required.
 
     Every in-process encode (:meth:`from_samples`, :meth:`from_ranges`,
     :meth:`replace_payload`, :meth:`merged`) leaves the encoder's parse
@@ -77,18 +75,13 @@ class UPlaneSection:
                 f"payload size {len(self.payload)} does not match "
                 f"{self.num_prb} PRBs ({expected} bytes)"
             )
-        # Lazy decode cache: filled by iq_samples(), consumed by
-        # replace_payload()'s zero-copy fast path.
-        self._iq_cache: Optional[np.ndarray] = None
         # The riding parse; None once the payload came off a wire.
         self._parse: Optional[Parse] = None
 
     def __deepcopy__(self, memo) -> "UPlaneSection":
         # memoryview payloads cannot be deep-copied; materialize to bytes.
-        clone = replace(self, payload=self.payload_bytes())
-        # Same bytes, and both read-only: safe to share.
-        clone._iq_cache, clone._parse = self._iq_cache, self._parse
-        return clone
+        # Same bytes, and the parse is read-only: safe to share.
+        return replace(self, payload=self.payload_bytes())._riding(self._parse)
 
     @property
     def prb_range(self) -> Tuple[int, int]:
@@ -103,18 +96,10 @@ class UPlaneSection:
     # -- IQ helpers (action A4 building blocks) -----------------------------
 
     def iq_samples(self) -> np.ndarray:
-        """Decompress to int16 samples of shape (num_prb, 24).
-
-        The decode is lazy and cached; the returned array is read-only
-        (``.copy()`` before mutating).  Passing the cached array back to
-        :meth:`replace_payload` untouched skips recompression entirely.
-        """
-        if self._iq_cache is None:
-            codec = codec_for(self.compression)
-            decoded = codec.decompress_array(*self._parsed(codec))
-            decoded.setflags(write=False)
-            self._iq_cache = decoded
-        return self._iq_cache
+        """Decompress to int16 samples of shape (num_prb, 24): a fresh
+        array per call, the caller's to modify."""
+        codec = codec_for(self.compression)
+        return codec.decompress_array(*self._parsed(codec))
 
     def _parsed(self, codec) -> Parse:
         """The riding parse, or the wire bytes parsed (and not kept)."""
@@ -124,7 +109,7 @@ class UPlaneSection:
 
     def _riding(self, parse: Optional[Parse]) -> "UPlaneSection":
         """This section, now carrying the parse its payload was packed
-        from (callers: the encode sites below, nobody else)."""
+        from (callers: the encode sites below and ``__deepcopy__``)."""
         self._parse = parse
         return self
 
@@ -182,16 +167,8 @@ class UPlaneSection:
         )
 
     def replace_payload(self, samples: np.ndarray) -> "UPlaneSection":
-        """Return a copy with recompressed IQ samples.
-
-        Fast path: when ``samples`` is this section's own cached decode
-        (obtained from :meth:`iq_samples` and never modified), the original
-        payload bytes are reused verbatim — zero codec work, zero copies.
-        """
-        if samples is self._iq_cache and samples is not None:
-            payload, parse = self.payload, self._parse
-        else:
-            payload, parse = codec_for(self.compression).encode(samples)
+        """Return a copy with recompressed IQ samples."""
+        payload, parse = codec_for(self.compression).encode(samples)
         return replace(self, payload=payload)._riding(parse)
 
     @classmethod

@@ -13,11 +13,13 @@ port only (the property the dMIMO middlebox's SSB replication fixes).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.actions import SlotRing
 from repro.fronthaul.compression import SAMPLES_PER_PRB
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction, SectionType
 from repro.fronthaul.ecpri import EAxCId
@@ -114,12 +116,16 @@ class DistributedUnit:
         self.rng = np.random.default_rng(seed)
         self.modulator = QamModulator(DATA_QAM_ORDER)
         self.flows: Dict[str, Tuple[object, Direction]] = {}
-        self.uplink_receptions: List[UplinkReception] = []
-        self.prach_receptions: List[UplinkReception] = []
+        #: Data receptions, while their slot is held:
+        #: {(time, ru_port): [UplinkReception]}.
+        self._receptions = SlotRing()
+        #: sha256 over every data reception's wire-level IQ since the run
+        #: began, in arrival order (the log above forgets; this does not).
+        self._uplink_hash = hashlib.sha256()
         #: Reference DL int16 grids for tests: {(time, port): samples}.
         self.dl_reference: Dict[Tuple, np.ndarray] = {}
         #: UL allocations awaiting U-plane data: {slot_key: [allocations]}.
-        self._pending_ul: Dict[Tuple, List[PrbAllocation]] = {}
+        self._pending_ul = SlotRing()
         self._seq: Dict[int, int] = {}
 
     # -- traffic -------------------------------------------------------------
@@ -391,22 +397,50 @@ class DistributedUnit:
         """Consume an uplink U-plane packet (from the RU or a middlebox)."""
         if not packet.is_uplane or packet.direction is not Direction.UPLINK:
             raise ValueError("DU only receives uplink U-plane packets")
+        if packet.message.filter_index == 1:
+            self.counters.prach_detections += 1
+            return
         reception = UplinkReception(
             time=packet.time,
             ru_port=packet.eaxc.ru_port,
             sections=list(packet.message.sections),
         )
-        # The packet's datapath life ends here and the reception log lasts
-        # the run: it keeps the wire bytes, not the encoder's parse.
+        # The packet's datapath life ends here and the log outlives the
+        # slot: it keeps the wire bytes, not the encoder's parse.
         for section in reception.sections:
             section.shed_parse()
-        if packet.message.filter_index == 1:
-            self.prach_receptions.append(reception)
-            self.counters.prach_detections += 1
-            return
-        self.uplink_receptions.append(reception)
+        self._receptions.setdefault(
+            (reception.time, reception.ru_port), []
+        ).append(reception)
         self.counters.ul_packets += 1
         self._account_uplink(reception)
+        time, digest = reception.time, self._uplink_hash
+        digest.update(
+            f"{time.frame},{time.subframe},{time.slot},{time.symbol},"
+            f"{reception.ru_port}".encode()
+        )
+        for section in reception.sections:
+            digest.update(
+                f"{section.section_id},{section.start_prb},"
+                f"{section.num_prb}".encode()
+            )
+            digest.update(section.payload)
+
+    def end_slot(self) -> None:
+        """Close the slot, once its uplink arrived: receptions and grants
+        age out of their rings."""
+        self._receptions.close()
+        self._pending_ul.close()
+
+    @property
+    def uplink_receptions(self) -> List[UplinkReception]:
+        """Data receptions of the slots still held, oldest first."""
+        return [r for held in self._receptions.values() for r in held]
+
+    def uplink_sha256(self) -> str:
+        """Hex digest of every data reception so far (order-sensitive);
+        reading it mid-run does not disturb the running hash."""
+        return self._uplink_hash.hexdigest()
 
     def _account_uplink(self, reception: UplinkReception) -> None:
         """Credit UL bits for allocations covered by a received packet.
@@ -437,14 +471,12 @@ class DistributedUnit:
 
     def uplink_iq(self, time: SymbolTime, ru_port: int) -> Optional[np.ndarray]:
         """Recover the full-band int16 uplink grid for a symbol/port."""
-        for reception in self.uplink_receptions:
-            if reception.time == time and reception.ru_port == ru_port:
-                grid = np.zeros((self.cell.num_prb, 2 * SAMPLES_PER_PRB), np.int16)
-                for section in reception.sections:
-                    grid[
-                        section.start_prb : section.start_prb + section.num_prb
-                    ] = section.iq_samples()
-                return grid
-        return None
-
-
+        held = self._receptions.get((time, ru_port))
+        if not held:
+            return None
+        grid = np.zeros((self.cell.num_prb, 2 * SAMPLES_PER_PRB), np.int16)
+        for section in held[0].sections:
+            grid[
+                section.start_prb : section.start_prb + section.num_prb
+            ] = section.iq_samples()
+        return grid

@@ -10,11 +10,11 @@ the full-spectrum requests the RU-sharing middlebox widens ``numPrb`` to.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.actions import SlotRing
 from repro.fronthaul.compression import SAMPLES_PER_PRB, CompressionConfig
 from repro.fronthaul.cplane import CPlaneMessage, Direction, SectionType
 from repro.fronthaul.ecpri import EAxCId
@@ -24,13 +24,6 @@ from repro.fronthaul.spectrum import PrbGrid
 from repro.fronthaul.timing import SymbolTime
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 from repro.phy.iq import int16_to_iq, iq_to_int16
-
-
-#: Transmit grids and downlink windows an RU keeps, newest last, once
-#: :meth:`RadioUnit.end_slot` has run.  The longest reader is
-#: ``tests/integration/test_dmimo_end_to_end.py``: 60 grids per RU after
-#: its six full-symbol slots; nothing in ``src/`` reads a past slot's.
-_RETAINED = 256
 
 
 @dataclass(frozen=True)
@@ -94,9 +87,9 @@ class RadioUnit:
         self.counters = RuCounters()
         self.rng = np.random.default_rng(seed ^ (ru_id * 7919))
         #: DL transmit grids: {(time, port): int16 samples (num_prb, 24)}.
-        self._tx_grids: Dict[Tuple[SymbolTime, int], np.ndarray] = {}
+        self._tx_grids = SlotRing()
         #: DL C-plane windows: {(slot_key, port): [(start, end) PRB ranges]}.
-        self._dl_windows: Dict[Tuple, List[Tuple[int, int]]] = {}
+        self._dl_windows = SlotRing()
         #: Pending UL requests: {(slot_key, port, is_prach): _UplinkRequest}.
         #: Data and PRACH requests are distinct: they cover different
         #: channels and the RU answers each with its own U-plane stream.
@@ -264,13 +257,11 @@ class RadioUnit:
 
     def end_slot(self) -> None:
         """Close the slot, once its uplink packets are built: the
-        answered requests go, and the oldest transmit grids and downlink
-        windows beyond the last ``_RETAINED`` fall off the front of their
-        (insertion-ordered) dicts — bounded memory however long the run."""
+        answered requests go, and the transmit grids and downlink windows
+        age out of their rings."""
         self._ul_requests.clear()
-        for retained in (self._tx_grids, self._dl_windows):
-            for key in list(islice(retained, max(len(retained) - _RETAINED, 0))):
-                del retained[key]
+        self._tx_grids.close()
+        self._dl_windows.close()
 
     def _next_seq(self, port: int) -> int:
         seq = self._seq.get(port, 0)

@@ -204,24 +204,6 @@ def run_divergence(
 # -- shard execution ----------------------------------------------------------
 
 
-def _uplink_sha256(du) -> str:
-    """Hash every uplink reception's wire-level IQ (order-sensitive)."""
-    digest = hashlib.sha256()
-    for reception in du.uplink_receptions:
-        digest.update(
-            f"{reception.time.frame},{reception.time.subframe},"
-            f"{reception.time.slot},{reception.time.symbol},"
-            f"{reception.ru_port}".encode()
-        )
-        for section in reception.sections:
-            digest.update(
-                f"{section.section_id},{section.start_prb},"
-                f"{section.num_prb}".encode()
-            )
-            digest.update(section.payload_bytes())
-    return digest.hexdigest()
-
-
 def _summarize_group(group: BuiltGroup) -> GroupResult:
     """Freeze one group into plain data.
 
@@ -237,7 +219,7 @@ def _summarize_group(group: BuiltGroup) -> GroupResult:
                 name: dataclasses.asdict(radio.counters)
                 for name, (radio, _) in built.rus.items()
             },
-            "uplink_sha256": _uplink_sha256(built.du),
+            "uplink_sha256": built.du.uplink_sha256(),
         }
     middlebox_stats = [
         {

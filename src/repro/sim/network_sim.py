@@ -153,9 +153,9 @@ class FronthaulNetwork:
         #: traffic entering the middlebox chain passes through it, in
         #: both directions.
         self.wire = wire
-        #: When set, every slot ends with a deadline sweep: middleboxes
-        #: exposing ``flush_deadline`` (the DAS) merge-or-abandon symbols
-        #: still waiting once their slot has passed.
+        #: When set, every slot ends with a deadline sweep: stages that
+        #: hold packets for their peers (the DAS) merge-or-abandon symbols
+        #: still waiting when the slot closes.
         self.deadline_flush = deadline_flush
         #: Optional conformance validator
         #: (:class:`repro.conformance.WireValidator`): observes every
@@ -269,8 +269,7 @@ class FronthaulNetwork:
         for packet in self._through_chain(uplink, uplink=True):
             self._deliver_uplink(packet, report)
 
-        if self.deadline_flush and self.chain is not None:
-            self._flush_deadlines(absolute_slot, report)
+        self._end_slot(report)
 
         if accountant is not None:
             from repro.obs.deadline import account_middleboxes
@@ -299,20 +298,13 @@ class FronthaulNetwork:
             return
         report.ul_packets += 1
 
-    def _flush_deadlines(
-        self, absolute_slot: int, report: SlotReport
-    ) -> None:
-        """End-of-slot deadline sweep: partial-merge or abandon symbols
-        still cached once their slot boundary has passed."""
-        numerology = next(iter(self._dus.values())).cell.numerology
-        boundary = SymbolTime.from_absolute_slot(
-            absolute_slot + 1, numerology
-        ).slot_key()
+    def _end_slot(self, report: SlotReport) -> None:
+        """Close the slot on every stage, then on every DU (each RU closed
+        its own once its uplink was built): the one place per-slot state
+        ages out.  A stage may release what it held for the deadline —
+        partial merges, and a count of symbols abandoned."""
         for stage, middlebox in enumerate(self.middleboxes):
-            flush = getattr(middlebox, "flush_deadline", None)
-            if flush is None:
-                continue
-            flushed, abandoned = flush(boundary)
+            flushed, abandoned = middlebox.end_slot(self.deadline_flush)
             report.abandoned_merges += abandoned
             if not flushed:
                 continue
@@ -325,6 +317,8 @@ class FronthaulNetwork:
                 flushed, source=stage, deadline_flush=False
             ):
                 self._deliver_uplink(packet, report)
+        for du in self._dus.values():
+            du.end_slot()
 
     def run(
         self,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps.das import DasMiddlebox
+from repro.core.actions import _RETAINED_SLOTS
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import make_packet
@@ -149,6 +150,60 @@ class TestUplinkMerge:
         for mac in reversed(ru_macs):
             result = das.process(ul_uplane(rng, mac, du_mac))
         assert len(result.emissions) == 1
+
+
+class TestEndSlot:
+    """The deadline sweep goes by the slots the ring counted, never by
+    comparing (wrapping) frame numbers."""
+
+    #: The last slot before the frame counter wraps: the slot boundary
+    #: after it is (0, 0, 0), which no slot key is "before".
+    LAST = SymbolTime(255, 9, 1, 5)
+
+    def test_sweep_abandons_a_merge_pending_across_the_frame_wrap(
+        self, das, rng, du_mac, ru_macs
+    ):
+        das.process(ul_uplane(rng, ru_macs[0], du_mac, time=self.LAST))
+        assert das.end_slot(deadline_flush=True) == ([], 1)
+        assert len(das.cache) == 0 and das.missed_merge_deadlines == 1
+
+    def test_sweep_merges_the_partial_subset_across_the_frame_wrap(
+        self, das, rng, du_mac, ru_macs
+    ):
+        das.management.set("partial_merge", True)
+        for mac in ru_macs[:2]:
+            das.process(ul_uplane(rng, mac, du_mac, time=self.LAST))
+        (degraded,), abandoned = das.end_slot(deadline_flush=True)
+        assert abandoned == 0 and das.degraded_merges == 1
+        assert degraded.time == self.LAST and degraded.eth.dst == du_mac
+        # The third RU's packet is a straggler now, not a new merge.
+        late = das.process(ul_uplane(rng, ru_macs[2], du_mac, time=self.LAST))
+        assert late.emissions == [] and das.late_uplink_packets == 1
+
+    def test_without_the_sweep_a_merge_waits_until_the_ring_drops_it(
+        self, das, rng, du_mac, ru_macs
+    ):
+        das.process(ul_uplane(rng, ru_macs[0], du_mac))
+        for _ in range(_RETAINED_SLOTS):
+            assert das.end_slot() == ([], 0)
+        assert len(das.cache) == 1
+        das.end_slot()
+        assert len(das.cache) == 0 and das.missed_merge_deadlines == 0
+
+    def test_a_merged_symbol_is_remembered_only_while_its_slot_is(
+        self, das, rng, du_mac, ru_macs
+    ):
+        for mac in ru_macs:
+            das.process(ul_uplane(rng, mac, du_mac))
+        for _ in range(_RETAINED_SLOTS + 1):
+            das.end_slot()
+        # Same (wrapped) symbol time, 256 frames on: a new merge.
+        for mac in ru_macs:
+            packet = ul_uplane(rng, mac, du_mac)
+            packet.ecpri.seq_id = 1
+            result = das.process(packet)
+        assert len(result.emissions) == 1
+        assert das.merged_uplink_symbols == 2 and das.late_uplink_packets == 0
 
 
 class TestManagement:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.apps.dmimo import DmimoMiddlebox, RuPortMap, SsbSchedule
+from repro.core.actions import _RETAINED_SLOTS
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
 from repro.fronthaul.ecpri import EAxCId
 from repro.fronthaul.ethernet import MacAddress
@@ -186,6 +187,26 @@ class TestSsbReplication:
         # Primary's own emission plus the released secondary.
         assert len(released.emissions) == 2
         assert dmimo_ssb.ssb_copies == 1
+
+    def test_a_forgotten_ssb_is_waited_for_again(self, dmimo_ssb, rng, du_mac):
+        """The symbol time wraps every 256 frames: a secondary packet
+        arriving first must wait for *its* primary, not take the SSB
+        kept under the same time a ring ago — and a secondary held back
+        then is not released now."""
+        dmimo_ssb.process(dl_uplane(rng, du_mac, port=0, time=self.ssb_time()))
+        for _ in range(_RETAINED_SLOTS + 1):
+            dmimo_ssb.end_slot()
+        stale = dl_uplane(rng, du_mac, port=2, time=self.ssb_time())
+        assert dmimo_ssb.process(stale).emissions == []
+        for _ in range(_RETAINED_SLOTS + 1):
+            dmimo_ssb.end_slot()
+        secondary = dl_uplane(rng, du_mac, port=2, time=self.ssb_time())
+        assert dmimo_ssb.process(secondary).emissions == []
+        primary = dl_uplane(rng, du_mac, port=0, time=self.ssb_time())
+        ssb_bytes = primary.message.sections[0].prb_payload(3)
+        released = dmimo_ssb.process(primary).emissions
+        assert len(released) == 2 and dmimo_ssb.ssb_copies == 1
+        assert released[0].message.sections[0].prb_payload(3) == ssb_bytes
 
     def test_non_ssb_symbols_not_copied(self, dmimo_ssb, rng, du_mac):
         other_time = SymbolTime(0, 0, 0, 3)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps.ru_sharing import RuSharingMiddlebox, SharedDuConfig
+from repro.core.actions import _RETAINED_SLOTS
 from repro.fronthaul.cplane import (
     CPlaneMessage,
     CPlaneSection,
@@ -322,10 +323,48 @@ class TestPrach:
 
 class TestHousekeeping:
     def test_flush_slots_before(self, sharing, rng, du_configs):
+        """Closing slots flushes the requests opened before the ring's
+        horizon and keeps the newer ones."""
         old = SymbolTime(0, 0, 0, 0)
         new = SymbolTime(0, 1, 0, 0)
         sharing.process(du_cplane(du_configs[0], time=old))
+        for _ in range(_RETAINED_SLOTS):
+            sharing.end_slot()
+        assert sharing._requesting_dus(Direction.DOWNLINK, old.slot_key(), 0) == [1]
         sharing.process(du_cplane(du_configs[0], time=new))
-        sharing.flush_slots_before(new.slot_key())
+        sharing.end_slot()
         assert sharing._requesting_dus(Direction.DOWNLINK, old.slot_key(), 0) == []
         assert sharing._requesting_dus(Direction.DOWNLINK, new.slot_key(), 0) == [1]
+
+    def test_a_slot_key_seen_again_after_the_ring_forgot_it_is_new(
+        self, sharing, rng, du_configs, ru_mac
+    ):
+        """(frame, subframe, slot) wraps every 256 frames: the request for
+        a key last seen a ring ago is the first one again — widened and
+        forwarded, not dropped as satisfied; its U-plane muxes alone; and
+        a lone PRACH request from back then completes nothing now."""
+        prach = TestPrach().prach_cplane
+        sharing.process(du_cplane(du_configs[0]))
+        sharing.process(du_dl_uplane(rng, du_configs[0]))
+        assert sharing.process(prach(du_configs[0])).emissions == []
+        for _ in range(_RETAINED_SLOTS + 1):
+            sharing.end_slot()
+        assert len(sharing.cache) == 0
+        (request,) = sharing.process(du_cplane(du_configs[1])).emissions
+        assert request.eth.dst == ru_mac
+        assert request.message.sections[0].num_prb == RU_GRID.num_prb
+        assert sharing._requesting_dus(Direction.DOWNLINK, (0, 0, 0), 0) == [2]
+        (muxed,) = sharing.process(du_dl_uplane(rng, du_configs[1])).emissions
+        assert muxed.eth.dst == ru_mac
+        assert sharing.process(prach(du_configs[1])).emissions == []
+
+    def test_what_is_held_is_in_the_packet_cache(self, sharing, rng, du_configs):
+        """A3 is the only store: requests, waiting DL U-plane and PRACH
+        requests sit in the cache under their kind, tagged by DU id."""
+        sharing.process(du_cplane(du_configs[0]))
+        sharing.process(du_cplane(du_configs[1]))
+        sharing.process(du_dl_uplane(rng, du_configs[0]))
+        sharing.process(TestPrach().prach_cplane(du_configs[1]))
+        assert {key[0]: sharing.cache.tags(key) for key in sharing.cache.keys()} == {
+            "cplane": [1, 2], "dl_uplane": [1], "prach": [2],
+        }

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps.sensing import TELEMETRY_TOPIC, SpectrumSensorMiddlebox
+from repro.core.actions import _RETAINED_SLOTS
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
 from repro.fronthaul.packet import make_packet
 from repro.fronthaul.timing import SymbolTime
@@ -106,13 +107,21 @@ class TestInterferenceDetection:
         assert len(seen) == 1
         assert seen[0].payload.prbs == (7,)
 
-    def test_flush_bounds_state(self, sensor, du_mac, ru_mac):
+    def test_flush_bounds_state(self, sensor, rng, du_mac, ru_mac):
+        """Scheduled ranges go with their slot: energy on PRBs that were
+        scheduled under the same (wrapping) slot key a ring ago is
+        interference now."""
         sensor.process(ul_cplane(du_mac, ru_mac, 0, 10,
                                  time=SymbolTime(0, 0, 0, 10)))
+        for _ in range(_RETAINED_SLOTS):
+            sensor.end_slot()
         sensor.process(ul_cplane(du_mac, ru_mac, 0, 10,
                                  time=SymbolTime(0, 5, 0, 10)))
-        sensor.flush_slots_before((0, 5, 0))
-        assert list(sensor._scheduled) == [((0, 5, 0), 0)]
+        sensor.end_slot()
+        assert list(sensor.slot_state) == [((0, 5, 0), 0)]
+        sensor.process(ul_uplane(rng, ru_mac, du_mac, hot_prbs=[3],
+                                 time=SymbolTime(0, 0, 0, 10)))
+        assert [alert.prbs for alert in sensor.alerts] == [(3,)]
 
     def test_kernel_placement(self, sensor, rng, du_mac, ru_mac):
         sensor.process(ul_uplane(rng, ru_mac, du_mac, hot_prbs=[20]))

@@ -162,11 +162,11 @@ class TestA4HeaderModification:
     def test_set_section_fields_refuses_what_describes_the_payload(
         self, ctx, rng, du_mac, ru_mac, field
     ):
-        """A setattr of these would leave the cached decode and the riding
-        parse describing bytes the section no longer holds."""
+        """A setattr of these would leave the riding parse describing
+        bytes the section no longer holds."""
         packet = make_uplane(rng, du_mac, ru_mac)
         section = packet.message.sections[0]
-        decoded = section.iq_samples()
+        decoded = section.iq_samples().tolist()
         value = {
             "payload": bytes(len(section.payload)),
             "compression": CompressionConfig(iq_width=14),
@@ -177,7 +177,7 @@ class TestA4HeaderModification:
         # Refused whole: no field written, nothing recorded, and the
         # decode still is the section's bytes.
         assert section.section_id == 0 and ctx.trace.events == []
-        assert section.iq_samples() is decoded
+        assert section.iq_samples().tolist() == decoded
         assert (decoded == codec_for(section.compression).decompress(
             section.payload, section.num_prb
         )).all()

@@ -48,9 +48,7 @@ class Holder(Tracer):
     """A stage with DAS-like deadline-hold capability."""
 
     app_name = "holder"
-
-    def flush_deadline(self, slot):  # pragma: no cover - marker only
-        return []
+    deadline_hold = True
 
 
 def make_chain(log):

@@ -8,17 +8,15 @@ Each shortcut is pinned to the slow definition it replaced:
 import copy
 import dataclasses
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.conformance.generators import fronthaul_packets
-from repro.fronthaul.cplane import Direction, SectionType
+from repro.fronthaul.cplane import SectionType
 from repro.fronthaul.ecpri import EAxCId
 from repro.fronthaul.ethernet import MacAddress, VlanTag
-from repro.fronthaul.packet import FronthaulPacket, make_packet, parse_packet
-from repro.fronthaul.timing import SlotType, SymbolTime, TddPattern
-from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
+from repro.fronthaul.packet import FronthaulPacket, parse_packet
+from repro.fronthaul.timing import SlotType, TddPattern
 
 _VLANS = st.none() | st.builds(
     VlanTag,
@@ -152,18 +150,6 @@ class TestStructuralClone:
         target.message.sections.append(target.message.sections[0])
         target.message.filter_index ^= 1
         assert witness.pack() == before
-
-    def test_decoded_iq_is_shared_read_only(self, rng):
-        samples = rng.integers(-900, 900, size=(4, 24)).astype(np.int16)
-        section = UPlaneSection.from_samples(0, 0, samples)
-        packet = make_packet(
-            MacAddress.from_int(1), MacAddress.from_int(2),
-            UPlaneMessage(Direction.DOWNLINK, SymbolTime(0, 0, 0, 0), [section]),
-        )
-        decoded = section.iq_samples()
-        twin = packet.clone().message.sections[0]
-        assert twin.iq_samples() is decoded
-        assert not decoded.flags.writeable
 
 
 class TestSlotTypeTable:

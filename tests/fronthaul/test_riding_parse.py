@@ -132,9 +132,10 @@ class TestEncodeSitesAttach:
         rewritten = section.replace_payload(rows(2, 7))
         assert_rides(rewritten)
         assert rewritten is not section and rewritten.payload != section.payload
-        # The untouched-decode fast path keeps bytes and parse together.
+        # An untouched decode is re-encoded like any other samples.
         same = section.replace_payload(section.iq_samples())
-        assert same.payload is section.payload and same._parse is section._parse
+        assert_rides(same)
+        assert same.payload is not section.payload
 
     def test_from_samples_wider_than_a_block(self, config):
         section = UPlaneSection.from_samples(0, 0, rows(3, BLOCK + 9), config)
@@ -211,7 +212,7 @@ class TestSharingAndDropping:
         section = UPlaneSection.from_samples(0, 0, rows(8, 4))
         other = UPlaneSection.from_samples(0, 0, rows(9, 4))
         swapped = dataclasses.replace(section, payload=other.payload)
-        assert swapped._parse is None and swapped._iq_cache is None
+        assert swapped._parse is None
         assert swapped.iq_samples().tolist() == other.iq_samples().tolist()
         assert dataclasses.replace(section, section_id=9)._parse is None
 
@@ -352,9 +353,9 @@ def test_nothing_the_du_retains_carries_a_parse():
             group.network.run_slot()
     dus = [built.du for group in groups for built in group.cells]
     assert all(du.uplink_receptions for du in dus)
-    assert any(du.prach_receptions for du in dus)
+    assert any(du.counters.prach_detections for du in dus)
     for du in dus:
-        for reception in du.uplink_receptions + du.prach_receptions:
+        for reception in du.uplink_receptions:
             for section in reception.sections:
                 assert section._parse is None
 

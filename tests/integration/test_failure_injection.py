@@ -81,7 +81,7 @@ class TestDasUnderLoss:
         # Some merges completed (odd slots), some are stuck in the cache.
         assert das.merged_uplink_symbols > 0
         assert len(das.cache) > 0
-        _, stuck = das.flush_deadline(before_slot_key=(255, 9, 1))
+        _, stuck = das.end_slot(deadline_flush=True)
         assert stuck > 0
         assert das.missed_merge_deadlines == stuck
         assert len(das.cache) == 0

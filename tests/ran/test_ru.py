@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core import actions
 from repro.fronthaul.cplane import Direction
-from repro.ran import ru as ru_module
 from repro.ran.du import DistributedUnit
 from repro.ran.ru import RadioUnit, RuConfig
 from repro.ran.traffic import ConstantBitrateFlow
@@ -140,9 +140,16 @@ class TestUplink:
 class TestHousekeeping:
     def test_end_slot_keeps_the_newest_grids(self, pair, monkeypatch):
         du, ru = pair
-        run_downlink(du, ru, n_slots=6)
-        before = ru.transmitted_symbols()
-        monkeypatch.setattr(ru_module, "_RETAINED", 3)
-        ru.end_slot()
-        assert ru.transmitted_symbols() == before[-3:]
-        assert len(ru._dl_windows) == 3
+        monkeypatch.setattr(actions, "_RETAINED_SLOTS", 3)
+        by_slot = []
+        for _ in range(6):
+            seen = set(ru.transmitted_symbols())
+            run_downlink(du, ru, n_slots=1)
+            by_slot.append(set(ru.transmitted_symbols()) - seen)
+            ru.end_slot()
+        assert all(by_slot[:4])  # slots 0-3 are downlink under DDDSU
+        # The three newest closed slots stay; older grids and windows went.
+        assert set(ru.transmitted_symbols()) == set().union(*by_slot[-3:])
+        assert {slot_key for slot_key, _ in ru._dl_windows} == {
+            time.slot_key() for time, _ in ru.transmitted_symbols()
+        }

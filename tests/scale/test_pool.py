@@ -1,5 +1,6 @@
 """The persistent worker pool: reuse, accounting, and cleanup guarantees."""
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -154,6 +155,28 @@ def test_epoch_barriers_preserve_digest_at_every_cadence():
         expected = epoch_slots or 4
         assert sharded.transport["epoch_slots"] == expected
         assert sharded.transport["epochs"] == -(-4 // expected)
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_mid_run_collect_reads_the_streamed_uplink_hash(workers):
+    """Each DU hashes its uplink as it arrives: a mid-run collect reads
+    the digest of the confirmed prefix — that of a from-scratch run
+    truncated to ``done`` — and leaves the running hash undisturbed."""
+    data = _spec_dict(slots=10, epoch_slots=5)
+    data["cells"][0]["ues"][0]["flows"].append(
+        {"kind": "cbr", "rate_mbps": 10, "direction": "ul"}
+    )
+    spec = ScenarioSpec.from_dict(data)
+    with WorkerPool(spec, workers) as pool:
+        pool.begin().advance_epoch()
+        middle = pool.collect()
+        assert pool.done == 5
+        truncated = Scenario(dataclasses.replace(spec, slots=5)).run(workers=1)
+        assert middle.digest == truncated.digest
+        left = middle.groups["left"].cell_counters["left"]
+        assert left["du"]["ul_packets"] > 0  # not the hash of nothing
+        assert pool.advance_epoch()
+        assert pool.collect().digest == Scenario(spec).run(workers=1).digest
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -129,43 +129,109 @@ class TestFronthaulNetwork:
 
 
 class TestRuRetention:
-    """``run_slot`` closes every RU's slot: per-slot RU state is a ring,
-    and nothing a run reports depends on what fell off it."""
+    """``run_slot`` closes the slot on every holder — stages, RUs, DUs:
+    per-slot state is a ring, and nothing a run reports depends on what
+    fell off it."""
 
-    SLOTS = 40
+    #: The ring patched small, so three ring-lengths are a quick run.
+    RING = 4
 
-    def _drive(self):
+    def _drive(self, slots, checkpoints=()):
+        """Run every group of a four-app scenario ``slots`` slots; returns
+        the groups, their summaries, and the holder sizes at each slot
+        count in ``checkpoints``."""
         from repro.eval import kit
         from repro.scale.runner import _summarize_group
 
-        spec = kit.scenario(
-            "ru-retention", self.SLOTS, 3,
-            [kit.cell(
-                "cell", 1, [kit.flow("dl", 60.0), kit.flow("ul", 10.0)],
-                rus=[{"name": "ru1"}, {"name": "ru2"}],
-                chain=[{"stage": "das"}],
-                symbols_per_slot=None,
-            )],
+        def flows(seed):
+            return [kit.flow("dl", 40.0),
+                    kit.flow("ul", 40.0, kind="poisson", seed=seed)]
+
+        def stage(name, **params):
+            return {"stage": name, "params": params, "name": name}
+
+        def radios(cell):
+            return [{"name": f"{cell}-ru{i}", "n_antennas": 2} for i in range(2)]
+
+        shared = kit.cell(
+            "host", 3, flows(3), group="campus", center_frequency_hz=3.45e9,
+            chain=[stage("ru_sharing", ru="host-ru", cells=["host", "guest"])],
         )
-        (group,) = spec.build()
-        group.network.run(self.SLOTS)
-        group.slots_run = self.SLOTS
-        return group, _summarize_group(group)
+        shared["rus"][0].update(num_prb=160, center_frequency_hz=3.46e9)
+        spec = kit.scenario("retention", slots, 3, [
+            kit.cell("das", 1, flows(1), rus=radios("das"),
+                     chain=[stage("spectrum_sensor"), stage("das")],
+                     symbols_per_slot=None, deadline_flush=True),
+            kit.cell("dmimo", 2, flows(2), rus=radios("dmimo"),
+                     chain=[stage("dmimo")]),
+            shared,
+            kit.cell("guest", 4, flows(4), group="campus",
+                     center_frequency_hz=3.47e9, chain=[]),
+        ])
+        groups = spec.build()
+        sizes = {}
+        for done in range(1, slots + 1):
+            for group in groups:
+                group.network.run_slot()
+            if done in checkpoints:
+                sizes[done] = [self._held(group) for group in groups]
+        for group in groups:
+            group.slots_run = slots
+        return groups, [_summarize_group(group) for group in groups], sizes
+
+    @staticmethod
+    def _held(group):
+        """Every per-slot holder's size in one group."""
+        network = group.network
+        return {
+            "cache": [len(box.cache) for box in network.middleboxes],
+            "slot_state": [len(box.slot_state) for box in network.middleboxes],
+            "du_log": [len(du.uplink_receptions) for du in network.dus],
+            "pending_ul": [len(du._pending_ul) for du in network.dus],
+            "tx_grids": [len(radio._tx_grids) for radio in network.rus],
+            "dl_windows": [len(radio._dl_windows) for radio in network.rus],
+        }
 
     def test_three_windows_of_grids_keep_one(self, monkeypatch):
-        from repro.ran import ru as ru_module
+        from repro.core import actions
 
-        window = ru_module._RETAINED
-        group, bounded = self._drive()
-        for radio in group.network.rus:
-            assert radio.counters.uplane_received >= 3 * window
-            assert len(radio._tx_grids) == window
-            assert len(radio._dl_windows) <= window
-            assert not radio._ul_requests
+        slots = 3 * self.RING + 1
+        monkeypatch.setattr(actions, "_RETAINED_SLOTS", self.RING)
+        groups, bounded, _ = self._drive(slots)
+        for group in groups:
+            for radio in group.network.rus:
+                held = {time.slot_key() for time, _ in radio._tx_grids}
+                assert len(held) <= self.RING and not radio._ul_requests
+                if radio.counters.uplane_received:  # guest-ru stands idle
+                    assert 0 < len(radio._tx_grids) < radio.counters.uplane_received
+            for du in group.network.dus:
+                assert 0 < len(du.uplink_receptions) < du.counters.ul_packets
 
-        monkeypatch.setattr(ru_module, "_RETAINED", 10**9)
-        reference_group, unbounded = self._drive()
-        for radio in reference_group.network.rus:
-            assert len(radio._tx_grids) == radio.counters.uplane_received
-        assert bounded.cell_counters == unbounded.cell_counters
-        assert bounded.digest == unbounded.digest
+        monkeypatch.setattr(actions, "_RETAINED_SLOTS", 10**9)
+        reference, unbounded, _ = self._drive(slots)
+        for group in reference:
+            for radio in group.network.rus:
+                assert len(radio._tx_grids) == radio.counters.uplane_received
+            for du in group.network.dus:
+                assert len(du.uplink_receptions) == du.counters.ul_packets
+        # Four apps, every counter, every digest: what fell off the ring
+        # was in none of them.
+        assert [b.cell_counters for b in bounded] == [
+            u.cell_counters for u in unbounded
+        ]
+        assert [b.middlebox_stats for b in bounded] == [
+            u.middlebox_stats for u in unbounded
+        ]
+        assert [b.reports for b in bounded] == [u.reports for u in unbounded]
+        assert [b.digest for b in bounded] == [u.digest for u in unbounded]
+
+    def test_every_holder_is_the_same_size_at_slot_50_and_slot_200(
+        self, monkeypatch
+    ):
+        from repro.core import actions
+
+        monkeypatch.setattr(actions, "_RETAINED_SLOTS", self.RING)
+        _, _, sizes = self._drive(200, checkpoints=(50, 200))
+        assert sizes[50] == sizes[200]
+        assert any(any(held["cache"]) for held in sizes[200])
+        assert all(any(held["du_log"]) for held in sizes[200])
