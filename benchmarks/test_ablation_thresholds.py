@@ -13,9 +13,6 @@ from repro.eval.report import format_table
 
 def sweep_thresholds(thresholds=(0, 1, 2, 3, 6, 10), load_mbps=40.0,
                      n_slots=25, seed=3):
-    from repro.apps.prb_monitor import PrbMonitorMiddlebox
-    from repro.eval.fig10 import run_fig10c
-
     rows = []
     for threshold in thresholds:
         # Reuse the fig10c harness with a custom UL threshold by patching

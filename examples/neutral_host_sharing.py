@@ -13,7 +13,6 @@ from repro.apps.ru_sharing import RuSharingMiddlebox, SharedDuConfig
 from repro.fronthaul.cplane import Direction
 from repro.fronthaul.spectrum import PrbGrid, split_ru_spectrum
 from repro.ran.cell import CellConfig
-from repro.ran.core_network import CoreNetwork, Subscriber
 from repro.ran.du import DistributedUnit
 from repro.ran.ru import RadioUnit, RuConfig
 from repro.ran.traffic import ConstantBitrateFlow
@@ -33,8 +32,8 @@ def main() -> None:
         print(f"  {name}: center {grid.center_frequency_hz / 1e9:.5f} GHz, "
               f"106 PRBs at RU offset {offset} (aligned: byte-copy fast path)")
 
-    # 3. One DU + core per operator.
-    dus, cores, configs = [], [], []
+    # 3. One DU per operator.
+    dus, configs = [], []
     for index, (name, grid) in enumerate(zip(("MNO-A", "MNO-B"), slices),
                                          start=1):
         cell = CellConfig(
@@ -53,10 +52,7 @@ def main() -> None:
                        Direction.DOWNLINK)
         du.attach_flow(f"{name}-ue", ConstantBitrateFlow(15, "ul"),
                        Direction.UPLINK)
-        core = CoreNetwork(plmn="00101", name=f"core-{name}")
-        core.provision(Subscriber(f"0010100000000{index:02d}"))
         dus.append(du)
-        cores.append(core)
         configs.append(SharedDuConfig(du_id=index, mac=du.mac, grid=grid))
 
     # 4. The RU-sharing middlebox in the middle.

@@ -46,12 +46,13 @@ SLO alerting every sharded run (and the serve plane) publishes::
             ...}
 
 **Conformance** — the wire-level O-RAN validator (enable with
-``obs.conformance: true`` in a spec, or tap a switch port directly)::
+``obs.conformance: true`` in a spec, or put a ``ConformanceTap`` stage
+in a chain)::
 
     from repro.api import WireValidator
 
-**Fault injection** — seeded, deterministic impairment of any link or
-switch, by registered fault kind::
+**Fault injection** — seeded, deterministic impairment of any link, by
+registered fault kind::
 
     from repro.api import fault_kinds, injector_from_spec
 

@@ -12,15 +12,14 @@ oracle:
   structure, C/U-plane PRB accounting, per-profile BFP legality,
   sequence continuity, and slot-timing monotonicity;
 - :mod:`repro.conformance.tap` — attachment points: a pass-through
-  middlebox, switch-port wrapping, and the
-  ``FronthaulNetwork(validator=...)`` hook;
+  middlebox and the ``FronthaulNetwork(validator=...)`` hook;
 - :mod:`repro.conformance.reference` — scalar reference
   implementations of the vectorized hot paths for differential testing;
 - :mod:`repro.conformance.generators` — Hypothesis strategies for wire
   objects and scenario specs (test-only; requires ``hypothesis``).
 """
 
-from repro.conformance.tap import ConformanceTap, tap_switch_port
+from repro.conformance.tap import ConformanceTap
 from repro.conformance.validator import WireValidator
 from repro.conformance.violations import (
     ConformanceReport,
@@ -34,5 +33,4 @@ __all__ = [
     "Violation",
     "ViolationClass",
     "WireValidator",
-    "tap_switch_port",
 ]

@@ -1,15 +1,10 @@
 """Tap points: attach a validator anywhere in the datapath.
 
-Three attachment styles, matching the three places frames exist:
+Two attachment styles, matching the two places frames exist:
 
 - :class:`ConformanceTap` — a pass-through middlebox; insert it at any
   chain stage boundary to validate everything flowing through that
   point (both directions, like every other middlebox).
-- :func:`tap_switch_port` — wraps a :class:`SwitchPort`'s ``deliver``
-  callable so every frame entering that port is validated first;
-  ``wire_level=True`` re-serializes each frame and validates the actual
-  on-wire bytes (exercising the strict parsers) instead of the
-  in-memory object.
 - ``FronthaulNetwork(validator=...)`` — the network observes every
   post-chain burst at RU ingress (downlink) and DU ingress (uplink);
   see :mod:`repro.sim.network_sim`.
@@ -41,28 +36,3 @@ class ConformanceTap(Middlebox):
     def on_uplane(self, ctx: ActionContext, packet: FronthaulPacket) -> None:
         self.validator.observe(packet, tap=self.name)
         ctx.forward(packet)
-
-
-def tap_switch_port(
-    switch, port_name: str, validator: WireValidator, wire_level: bool = False
-) -> None:
-    """Interpose the validator on every frame delivered into a port.
-
-    Works with both :class:`repro.core.chain.FronthaulSwitch` ports and
-    :class:`repro.net.switch.EthernetSwitch` ports (anything exposing
-    ``port(name).deliver``).  With ``wire_level`` the frame is packed and
-    validated as raw bytes — the strict-parser path — at the cost of one
-    serialization per frame.
-    """
-    port = switch.port(port_name)
-    inner = port.deliver
-    tap_name = f"{switch.name}:{port_name}"
-
-    def deliver(packet: FronthaulPacket) -> None:
-        if wire_level:
-            validator.observe_bytes(packet.pack(), tap=tap_name)
-        else:
-            validator.observe(packet, tap=tap_name)
-        inner(packet)
-
-    port.deliver = deliver

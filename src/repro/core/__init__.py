@@ -5,11 +5,11 @@
   modification (Section 3.2.1), each with cost accounting.
 - :mod:`repro.core.middlebox` -- the templated middlebox base class
   developers specialize with C-/U-plane handlers (Section 3.2.2).
-- :mod:`repro.core.chain` -- middlebox chaining over an SR-IOV style
-  embedded switch (Section 5, Figure 8).
+- :mod:`repro.core.chain` -- middlebox chaining: the forwarding graph of
+  the SR-IOV embedded switch (Section 5, Figure 8).
 - :mod:`repro.core.telemetry` -- the monitoring interface middleboxes
   expose to applications.
-- :mod:`repro.core.management` -- on-the-fly rule/configuration changes.
+- :mod:`repro.core.management` -- on-the-fly configuration changes.
 - :mod:`repro.core.latency` -- the per-action latency cost model
   (calibrated to Figure 15b).
 - :mod:`repro.core.datapath` -- DPDK and XDP execution models: CPU
@@ -18,7 +18,7 @@
 
 from repro.core.actions import ActionContext, ActionKind, ActionTrace, PacketCache
 from repro.core.middlebox import Middlebox, MiddleboxStats
-from repro.core.chain import FronthaulSwitch, MiddleboxChain, PortRole
+from repro.core.chain import MiddleboxChain
 from repro.core.telemetry import TelemetryBus, TelemetryRecord
 from repro.core.management import ManagementInterface
 from repro.core.latency import ActionCostModel, DEFAULT_COST_MODEL
@@ -36,9 +36,7 @@ __all__ = [
     "PacketCache",
     "Middlebox",
     "MiddleboxStats",
-    "FronthaulSwitch",
     "MiddleboxChain",
-    "PortRole",
     "TelemetryBus",
     "TelemetryRecord",
     "ManagementInterface",

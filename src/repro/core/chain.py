@@ -1,60 +1,29 @@
 """Middlebox deployment and chaining (Section 5, Figure 8).
 
-A :class:`FronthaulSwitch` models the SR-IOV embedded switch of the NIC:
-endpoints (DUs, RUs) and middlebox virtual functions attach to ports, and
-frames are delivered by destination MAC.  A :class:`MiddleboxChain` runs
-packets through an ordered sequence of middleboxes — the RU-sharing ⊕ DAS
-composition of Figure 12 is exactly ``MiddleboxChain([sharing, das])``.
+A :class:`MiddleboxChain` runs packets through an ordered sequence of
+middleboxes — the forwarding graph the NIC's SR-IOV embedded switch
+realises on the testbed; the RU-sharing ⊕ DAS composition of Figure 12 is
+exactly ``MiddleboxChain([sharing, das])``.  Delivery by destination MAC
+between the chain and the endpoints is
+:class:`repro.sim.network_sim.FronthaulNetwork`'s.
 
-Both are instrumented against :mod:`repro.obs`: the switch keeps per-port
-byte/packet/drop counters, the chain records per-stage latency
-propagation (how modelled latency accumulates along the chain).
+The chain is instrumented against :mod:`repro.obs`: it records per-stage
+latency propagation (how modelled latency accumulates along the chain)
+and every circuit-breaker transition.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Deque, List, Optional, Sequence, Tuple, Union
 
 from repro import obs as obs_module
 from repro.core.middlebox import Middlebox
-from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import FronthaulPacket
 from repro.obs import Observability
 from repro.obs.metrics import declare
 
-_PORT_BYTES = declare(
-    "counter", "switch_port_bytes_total",
-    "wire bytes per switch port and direction",
-    ("switch", "port", "direction"),
-)
-_PORT_PACKETS = declare(
-    "counter", "switch_port_packets_total",
-    "frames per switch port and direction",
-    ("switch", "port", "direction"),
-)
-_SWITCH_DROPS = declare(
-    "counter", "switch_drops_total",
-    "frames that died in the switch fabric per injecting port",
-    ("switch", "port"),
-)
-_SWITCH_LOOPS = declare(
-    "counter", "switch_loop_errors_total",
-    "frames killed by the hop-count loop guard",
-    ("switch",),
-)
-_SWITCH_IMPAIRED = declare(
-    "counter", "switch_impaired_total",
-    "frames absorbed by the fault injector on a port",
-    ("switch", "port"),
-)
-_SWITCH_MALFORMED = declare(
-    "counter", "switch_malformed_total",
-    "frames rejected by the receiving device's parser",
-    ("switch", "port"),
-)
 _BREAKER_TRANSITIONS = declare(
     "counter", "chain_breaker_transitions_total",
     "circuit-breaker state transitions per stage",
@@ -90,46 +59,6 @@ _CHAIN_PACKETS = declare(
     "packets entering the chain per direction",
     ("chain", "direction"),
 )
-
-
-def _port_counters(registry, switch: str, port: str, direction: str) -> tuple:
-    """The (bytes, packets) counters of one switch port direction."""
-    return (
-        _PORT_BYTES(registry, switch, port, direction),
-        _PORT_PACKETS(registry, switch, port, direction),
-    )
-
-
-class PortRole(enum.Enum):
-    DU = "du"
-    RU = "ru"
-    MIDDLEBOX = "middlebox"
-
-
-@dataclass
-class SwitchPort:
-    """One port of the embedded switch (a VF or a physical endpoint)."""
-
-    name: str
-    role: PortRole
-    macs: Tuple[MacAddress, ...]
-    deliver: Callable[[FronthaulPacket], None]
-    tx_bytes: int = 0
-    rx_bytes: int = 0
-    tx_packets: int = 0
-    rx_packets: int = 0
-    #: Frames this port injected that died in the fabric (unknown MAC or
-    #: hairpin back to the sender).
-    dropped_frames: int = 0
-    #: Frames whose delivery raised ``ValueError`` (a parser rejected the
-    #: bytes): counted here and swallowed instead of crashing the fabric.
-    malformed_frames: int = 0
-    #: Frames absorbed by a fault injector installed on this port's wire.
-    impaired_frames: int = 0
-
-
-class SwitchLoopError(Exception):
-    """A frame traversed more hops than the switch allows (loop guard)."""
 
 
 class BreakerState(enum.Enum):
@@ -214,172 +143,6 @@ class CircuitBreaker:
             and self.consecutive_failures >= self.failure_threshold
         ):
             self._transition(BreakerState.OPEN)
-
-
-class FronthaulSwitch:
-    """MAC-learning-free switch: delivery strictly by registered MACs.
-
-    Middleboxes are *bumps in the wire*: a middlebox port can be
-    interposed on specific MACs so that frames towards those MACs are
-    handed to the middlebox instead of the endpoint; the middlebox's
-    emissions re-enter the switch (the SR-IOV hairpin of Figure 8).
-    """
-
-    MAX_HOPS = 16
-
-    def __init__(
-        self, name: str = "fabric", obs: Optional[Observability] = None
-    ):
-        self.name = name
-        self.obs = obs if obs is not None else obs_module.DEFAULT_OBSERVABILITY
-        self._ports: Dict[str, SwitchPort] = {}
-        self._mac_table: Dict[int, str] = {}
-        self._interpositions: Dict[int, List[str]] = {}
-        #: Per-port fault injectors (repro.faults.FaultInjector) applied
-        #: to frames on their way into the port's device.
-        self._impairments: Dict[str, object] = {}
-
-    def attach(
-        self,
-        name: str,
-        role: PortRole,
-        macs: Sequence[MacAddress],
-        deliver: Callable[[FronthaulPacket], None],
-    ) -> SwitchPort:
-        if name in self._ports:
-            raise ValueError(f"port {name!r} already attached")
-        port = SwitchPort(name=name, role=role, macs=tuple(macs), deliver=deliver)
-        self._ports[name] = port
-        for mac in macs:
-            self._mac_table[mac.to_int()] = name
-        return port
-
-    def interpose(self, middlebox_port: str, macs: Sequence[MacAddress]) -> None:
-        """Steer frames addressed to ``macs`` through a middlebox port.
-
-        Multiple interpositions on the same MAC form a chain: frames pass
-        through them in registration order before reaching the endpoint.
-        """
-        if middlebox_port not in self._ports:
-            raise KeyError(f"unknown port {middlebox_port!r}")
-        for mac in macs:
-            chain = self._interpositions.setdefault(mac.to_int(), [])
-            if middlebox_port in chain:
-                raise ValueError(
-                    f"port {middlebox_port!r} already interposed on {mac}"
-                )
-            chain.append(middlebox_port)
-
-    def impair(self, port: str, injector):
-        """Install a fault injector on the wire into ``port``; returns it.
-
-        ``injector`` may be a live injector object — duck-typed
-        (``apply_one`` + ``stats.absorbed``, as
-        :class:`repro.faults.FaultInjector` provides) so the core layer
-        stays independent of the faults package — or a *declarative
-        spec*: the name of a registered fault kind (``"iid_loss"``) or a
-        dict (``{"kind": "iid_loss", "rate": 0.01, "seed": 7}``) resolved
-        through the fault registry of :mod:`repro.faults.registry`.
-        """
-        if port not in self._ports:
-            raise KeyError(f"unknown port {port!r}")
-        if isinstance(injector, (str, dict)):
-            # Lazy import: only spec-based impairment pulls in the faults
-            # package; live-object installs keep the core standalone.
-            from repro.faults.registry import injector_from_spec
-
-            injector = injector_from_spec(injector)
-        self._impairments[port] = injector
-        return injector
-
-    def _count_drop(self, from_port: str) -> None:
-        self._ports[from_port].dropped_frames += 1
-        if self.obs.enabled:
-            self.obs.children(_SWITCH_DROPS, self.name, from_port).inc()
-
-    def inject(
-        self,
-        packet: FronthaulPacket,
-        from_port: str,
-        _hops: int = 0,
-        _chain_index: Optional[int] = None,
-    ) -> None:
-        """Switch a frame: deliver to the next interposed middlebox or the
-        endpoint owning the destination MAC."""
-        if _hops > self.MAX_HOPS:
-            if self.obs.enabled:
-                self.obs.children(_SWITCH_LOOPS, self.name).inc()
-            raise SwitchLoopError(f"frame exceeded {self.MAX_HOPS} hops")
-        dst = packet.eth.dst.to_int()
-        chain = self._interpositions.get(dst, [])
-        position = 0 if _chain_index is None else _chain_index
-        # Find the next middlebox in the chain after the sender.
-        if from_port in chain:
-            position = chain.index(from_port) + 1
-        if position < len(chain) and chain[position] != from_port:
-            target = self._ports[chain[position]]
-        else:
-            owner = self._mac_table.get(dst)
-            if owner is None:
-                self._count_drop(from_port)
-                return  # unknown MAC: flood suppressed, frame dies
-            target = self._ports[owner]
-            if target.name == from_port:
-                self._count_drop(from_port)
-                return
-        injector = self._impairments.get(target.name)
-        if injector is None:
-            deliveries = [packet]
-        else:
-            absorbed_before = injector.stats.absorbed
-            deliveries = injector.apply_one(packet)
-            absorbed = injector.stats.absorbed - absorbed_before
-            if absorbed:
-                target.impaired_frames += absorbed
-                if self.obs.enabled:
-                    self.obs.children(
-                        _SWITCH_IMPAIRED, self.name, target.name
-                    ).inc(absorbed)
-            if not deliveries:
-                return
-        source = self._ports[from_port]
-        if self.obs.enabled:
-            tx_children = self.obs.children(
-                _port_counters, self.name, from_port, "tx"
-            )
-            rx_children = self.obs.children(
-                _port_counters, self.name, target.name, "rx"
-            )
-        else:
-            tx_children = rx_children = None
-        for frame in deliveries:
-            size = frame.wire_size
-            source.tx_bytes += size
-            source.tx_packets += 1
-            target.rx_bytes += size
-            target.rx_packets += 1
-            if tx_children is not None:
-                tx_children[0].inc(size)
-                tx_children[1].inc()
-                rx_children[0].inc(size)
-                rx_children[1].inc()
-            try:
-                target.deliver(frame)
-            except ValueError:
-                # A parser rejected the bytes (corrupted/truncated frame):
-                # contain it here as a counted malformed drop instead of
-                # letting it unwind the whole slot.
-                target.malformed_frames += 1
-                if tx_children is not None:
-                    self.obs.children(
-                        _SWITCH_MALFORMED, self.name, target.name
-                    ).inc()
-
-    def port(self, name: str) -> SwitchPort:
-        return self._ports[name]
-
-    def ports(self) -> List[SwitchPort]:
-        return list(self._ports.values())
 
 
 class MiddleboxChain:

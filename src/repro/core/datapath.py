@@ -23,6 +23,7 @@ from typing import Iterable
 
 from repro.core.actions import ActionTrace, ExecLocation
 from repro.core.latency import DEFAULT_XDP_OVERHEADS, XdpOverheads
+from repro.obs.deadline import SLOT_BUDGET_NS
 
 
 class DatapathKind(enum.Enum):
@@ -127,7 +128,7 @@ class ScalabilityPoint:
 
 def cores_required(
     per_slot_processing_ns: float,
-    slot_budget_ns: float = 30_000.0,
+    slot_budget_ns: float = SLOT_BUDGET_NS,
 ) -> int:
     """Cores needed to bound added latency below the slot deadline.
 
@@ -139,13 +140,3 @@ def cores_required(
         return 1
     return max(1, math.ceil(per_slot_processing_ns / slot_budget_ns))
 
-
-def deadline_violated(
-    per_slot_processing_ns: float,
-    cores: int,
-    slot_budget_ns: float = 30_000.0,
-) -> bool:
-    """Whether the per-slot middlebox work misses the vRAN deadline."""
-    if cores < 1:
-        raise ValueError("at least one core required")
-    return (per_slot_processing_ns / cores) > slot_budget_ns

@@ -1,27 +1,15 @@
 """Management interface: on-the-fly middlebox reconfiguration.
 
 Middleboxes "expose monitoring and management interfaces to modify their
-behavior on-the-fly (e.g., apply forwarding rules)" (Section 3.2).  The
-interface is a typed key/value store with validation callbacks plus a
-forwarding-rule table, so experiments can retarget a running middlebox
-(e.g. add an RU to a DAS group) without reconstructing it.
+behavior on-the-fly" (Section 3.2).  The interface is a typed key/value
+store with validation callbacks and change listeners, so experiments can
+retarget a running middlebox (e.g. add an RU to a DAS group) without
+reconstructing it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
-
-from repro.fronthaul.ethernet import MacAddress
-
-
-@dataclass(frozen=True)
-class ForwardingRule:
-    """Steer packets matching a destination MAC to a new destination."""
-
-    match_dst: MacAddress
-    new_dst: MacAddress
-    enabled: bool = True
 
 
 class ValidationError(Exception):
@@ -35,7 +23,6 @@ class ManagementInterface:
         self.owner = owner
         self._values: Dict[str, Any] = {}
         self._validators: Dict[str, Callable[[Any], bool]] = {}
-        self._rules: List[ForwardingRule] = []
         self._listeners: List[Callable[[str, Any], None]] = []
 
     def declare(
@@ -69,22 +56,3 @@ class ManagementInterface:
 
     def keys(self) -> List[str]:
         return sorted(self._values)
-
-    # -- forwarding rules -----------------------------------------------------
-
-    def add_rule(self, rule: ForwardingRule) -> None:
-        self._rules.append(rule)
-
-    def clear_rules(self) -> None:
-        self._rules.clear()
-
-    def resolve(self, dst: MacAddress) -> MacAddress:
-        """Apply the first matching enabled rule (identity if none)."""
-        for rule in self._rules:
-            if rule.enabled and rule.match_dst == dst:
-                return rule.new_dst
-        return dst
-
-    @property
-    def rules(self) -> List[ForwardingRule]:
-        return list(self._rules)

@@ -31,7 +31,6 @@ from repro.sim.power import (
 )
 
 SATURATING_LOAD_MBPS = 2_000.0
-UES_PER_FLOOR = 4
 ONE_ANTENNA_RU_BUDGET = LinkBudget(tx_power_dbm=21.0, antenna_gain_db=3.0)
 
 

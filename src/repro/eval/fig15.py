@@ -24,13 +24,11 @@ from repro.core.latency import DEFAULT_COST_MODEL, ActionCostModel
 from repro.eval import kit
 from repro.eval.report import format_table
 from repro.obs import DeadlineAccountant, Observability, render_prometheus
+from repro.obs.deadline import SLOT_BUDGET_NS
 from repro.obs.sketch import QuantileSketch
 from repro.fronthaul.timing import SYMBOLS_PER_SLOT
 from repro.ran.cell import CellConfig
 from repro.ran.stacks import SRSRAN, VendorProfile
-
-#: The paper's deadline budget for added middlebox processing per slot.
-SLOT_BUDGET_NS = 30_000.0
 
 
 def uplane_wire_bytes(num_prb: int, cost_free: bool = True) -> int:

@@ -3,9 +3,9 @@
 The injection side lives here (``FaultInjector``, ``ImpairedLink``,
 ``FaultyMiddlebox``); the hardening it exercises lives where the
 behavior belongs: per-stage isolation and the circuit breaker in
-:mod:`repro.core.chain`, partial merges in :mod:`repro.apps.das`,
-malformed-frame containment in :mod:`repro.sim.network_sim` and the
-switch.  ``SequenceTracker`` (seq_id gap/dup/reorder detection with
+:mod:`repro.core.chain`, partial merges in :mod:`repro.apps.das` and
+malformed-frame containment in :mod:`repro.sim.network_sim`.
+``SequenceTracker`` (seq_id gap/dup/reorder detection with
 8-bit wraparound) is shared by both sides.
 
 Process-level chaos (:mod:`repro.faults.process`) extends the same

@@ -1,11 +1,10 @@
 """Named fault kinds: declarative specs for the fault injector.
 
-Scenario descriptions (and :meth:`FronthaulSwitch.impair`) need to name
-impairments in plain data — a JSON file cannot hold a live
-:class:`~repro.faults.injector.FaultInjector`.  This registry maps fault
-*kind* names to factories producing :class:`FaultConfig` objects, and
-:func:`injector_from_spec` turns a full spec (kind + params + seed) into
-a ready injector.
+Scenario descriptions need to name impairments in plain data — a JSON
+file cannot hold a live :class:`~repro.faults.injector.FaultInjector`.
+This registry maps fault *kind* names to factories producing
+:class:`FaultConfig` objects, and :func:`injector_from_spec` turns a full
+spec (kind + params + seed) into a ready injector.
 
 A spec is either the bare kind name (all-default parameters)::
 

@@ -58,9 +58,6 @@ class MacAddress:
         return ":".join(f"{b:02x}" for b in self.raw)
 
 
-BROADCAST = MacAddress(b"\xff" * 6)
-
-
 @dataclass(frozen=True)
 class VlanTag:
     """An 802.1Q tag: priority code point, drop eligible indicator, VLAN id."""

@@ -20,12 +20,12 @@ that layer made first-class:
   worker flushes folded live by the coordinator;
 - :mod:`repro.obs.slo` — declarative SLOs with sliding-window burn-rate
   alerting over the stream;
-- :mod:`repro.obs.live` — live terminal/Prometheus/JSONL views over a
-  telemetry stream (``python -m repro.eval obs-top``).
+- :mod:`repro.obs.live` — the live terminal view over a telemetry
+  stream (``python -m repro.eval obs-top``).
 
-The whole datapath (middleboxes, chains, the embedded switch, the event
-engine, the four reference apps) is instrumented against one
-:class:`Observability` handle.  **Disabled is the default and must stay
+The whole datapath (middleboxes, chains, the event engine, the four
+reference apps) is instrumented against one :class:`Observability`
+handle.  **Disabled is the default and must stay
 near-free**: every instrumentation site guards on ``obs.enabled`` — a
 single attribute read — before touching the registry or recorder, and
 the overhead is pinned by ``benchmarks/test_obs_overhead.py``.
@@ -44,7 +44,6 @@ from repro.obs.deadline import (
 )
 from repro.obs.exposition import (
     render_dashboard,
-    render_json,
     render_prometheus,
 )
 from repro.obs.metrics import (
@@ -72,9 +71,7 @@ from repro.obs.slo import (
 from repro.obs.stream import GroupStreamSource, TelemetryStream
 from repro.obs.live import (
     deterministic_exposition,
-    render_journeys,
     render_live,
-    render_stream_prometheus,
 )
 
 
@@ -210,9 +207,6 @@ __all__ = [
     "default_slos",
     "deterministic_exposition",
     "render_dashboard",
-    "render_journeys",
-    "render_json",
     "render_live",
     "render_prometheus",
-    "render_stream_prometheus",
 ]

@@ -1,13 +1,11 @@
 """Exposition: render a metrics registry for humans and scrapers.
 
-Three views over one :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`:
+Two views over one :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`
+(itself the JSON-ready form for programmatic consumers):
 
 - :func:`render_prometheus` — the Prometheus text exposition format
   (``# HELP`` / ``# TYPE`` / samples), what a real deployment would serve
   on ``/metrics``;
-- :func:`render_json` — the full snapshot as JSON for programmatic
-  consumers (the management-plane "telemetry to applications" interface
-  of Section 3.2);
 - :func:`render_dashboard` — a plain-text operator dashboard (counter /
   gauge tables plus histogram summaries), which
   ``examples/prb_dashboard.py`` renders live.
@@ -18,7 +16,6 @@ tests pin exact bytes.
 
 from __future__ import annotations
 
-import json
 from typing import Any, List, Tuple
 
 from repro.obs.metrics import MetricsRegistry
@@ -104,11 +101,6 @@ def render_prometheus(registry: MetricsRegistry) -> str:
                     f" {_format_value(child.value)}"
                 )
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def render_json(registry: MetricsRegistry, indent: int = 2) -> str:
-    """The atomic snapshot as JSON (sorted keys, stable across runs)."""
-    return json.dumps(registry.snapshot(), indent=indent, sort_keys=True)
 
 
 def _series_rows(family) -> List[Tuple[str, Any]]:

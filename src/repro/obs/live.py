@@ -1,23 +1,11 @@
-"""Live views over a telemetry stream: obs-top, Prometheus text, JSONL.
+"""Live views over a telemetry stream: the obs-top screen.
 
-Three renderers over one :class:`~repro.obs.stream.TelemetryStream`,
-each usable mid-run (the stream folds epochs while workers execute) or
-after the final epoch:
-
-- :func:`render_live` — the ``obs-top`` terminal screen: run header,
-  SLO objective table with burn rates, per-group deadline percentiles
-  against the 30 us budget, conformance counts, recent alert edges, and
-  the full metric dashboard;
-- :func:`render_stream_prometheus` — the live registry in Prometheus
-  text exposition (scrape-equivalent);
-- :func:`epoch_line` — one JSON line per folded epoch (the shape the
-  stream's ``tail`` sink writes), for ``tail -f``-style consumption.
-
-:func:`render_journeys` reconstructs cross-shard packet journeys from
-streamed spans: every span key carries ``(group, shard)`` stamped at
-ship time, and journeys join on the wire coordinates alone
-(:meth:`~repro.obs.recorder.SpanKey.wire_key`), so one frame traversing
-middleboxes on different shards still reads as one row sequence.
+:func:`render_live` renders one :class:`~repro.obs.stream.
+TelemetryStream`, mid-run (the stream folds epochs while workers
+execute) or after the final epoch, as the ``obs-top`` terminal screen:
+run header, SLO objective table with burn rates, per-group deadline
+percentiles against the 30 us budget, conformance counts, recent alert
+edges, and the full metric dashboard.
 
 :func:`deterministic_exposition` drops the wall-clock families so CI
 can pin a golden snapshot of a streamed run — everything else in the
@@ -26,12 +14,10 @@ plane is modelled/simulated time and byte-stable for a fixed spec.
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, Sequence
 
 from repro.obs.exposition import render_dashboard, render_prometheus
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.recorder import FlightRecorder
 from repro.obs.stream import TelemetryStream
 
 #: Metric-family name fragments excluded from golden expositions: these
@@ -60,11 +46,6 @@ def deterministic_exposition(
         }
     )
     return render_prometheus(filtered)
-
-
-def epoch_line(summary: Dict[str, Any]) -> str:
-    """One epoch summary as the stream's canonical JSONL line."""
-    return json.dumps(summary, sort_keys=True)
 
 
 def _format_slo_row(row: Dict[str, Any]) -> str:
@@ -139,59 +120,8 @@ def render_live(
     return "\n".join(lines)
 
 
-def render_stream_prometheus(stream: TelemetryStream) -> str:
-    """The stream's live registry as Prometheus text exposition."""
-    return render_prometheus(stream.registry)
-
-
-def render_journeys(
-    recorder: FlightRecorder, limit: int = 5
-) -> str:
-    """Cross-shard packet journeys from streamed spans.
-
-    Takes the first ``limit`` distinct wire frames (in recording order)
-    and prints each frame's spans in chain-stage order with the
-    ``(group, shard)`` each stage executed on — the smoking-gun view for
-    "where did this frame spend its budget".
-    """
-    seen: List[Tuple] = []
-    for span in recorder.spans():
-        wire = span.key.wire_key()
-        if wire not in seen:
-            seen.append(wire)
-        if len(seen) >= limit:
-            break
-    lines = ["packet journeys (cross-shard)", _rule()]
-    if not seen:
-        lines.append("  (no spans streamed)")
-        return "\n".join(lines)
-    for wire in seen:
-        eaxc, frame, subframe, slot, symbol, direction, seq = wire
-        lines.append(
-            f"  {direction} eaxc={eaxc}"
-            f" {frame}.{subframe}.{slot}.{symbol} seq={seq}"
-        )
-        sample = next(
-            s for s in recorder.spans() if s.key.wire_key() == wire
-        )
-        for span in recorder.packet_journey(sample.key):
-            where = (
-                f"{span.key.group or '-'}/{span.key.shard}"
-                if span.key.shard >= 0
-                else "-"
-            )
-            lines.append(
-                f"    stage {span.stage} {span.middlebox:<22} {where:<16}"
-                f" {span.modeled_ns:>9.0f} ns"
-            )
-    return "\n".join(lines)
-
-
 __all__ = [
     "NONDETERMINISTIC_FRAGMENTS",
     "deterministic_exposition",
-    "epoch_line",
-    "render_journeys",
     "render_live",
-    "render_stream_prometheus",
 ]

@@ -29,7 +29,7 @@ Only non-negative values are accepted: every series this repo sketches
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 #: Default relative accuracy: quantiles within 1% of the true value.
 DEFAULT_RELATIVE_ACCURACY = 0.01
@@ -282,11 +282,6 @@ class Sketch:
         return self.sketch.sample()
 
 
-def merge_sketch_sample(child: Sketch, sample: Dict[str, Any]) -> None:
-    """Fold one snapshot sketch sample into a live Sketch child."""
-    child.sketch.merge_sample(sample)
-
-
 __all__ = [
     "DEFAULT_RELATIVE_ACCURACY",
     "MIN_TRACKABLE",
@@ -294,5 +289,4 @@ __all__ = [
     "Sketch",
     "SketchMergeError",
     "diff_sample",
-    "merge_sketch_sample",
 ]

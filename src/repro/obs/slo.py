@@ -31,7 +31,7 @@ lets CI assert "this seeded chaos run fires exactly this alert".
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.deadline import SLOT_BUDGET_NS

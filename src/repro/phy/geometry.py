@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence
+from typing import Iterator, List
 
 FLOOR_LENGTH_M = 50.9
 FLOOR_WIDTH_M = 20.9
@@ -142,11 +142,3 @@ class WalkPath:
                     self.floor,
                 )
         yield corners[-1]
-
-
-def nearest_index(position: Position, candidates: Sequence[Position]) -> int:
-    """Index of the nearest candidate position (e.g. closest RU)."""
-    if not candidates:
-        raise ValueError("no candidate positions")
-    distances = [position.distance_to(c) for c in candidates]
-    return distances.index(min(distances))

@@ -1,17 +1,14 @@
-"""IQ resource grids, QAM modulation, and fixed-point conversion.
+"""QAM modulation and IQ fixed-point conversion.
 
 The DU modulates transport-block bits into complex IQ samples (one per
 subcarrier), which the fronthaul carries as 16-bit fixed point before BFP
 compression (Figure 2: samples are fractions in [-1, 1)).  The packet-level
-experiments use these grids end-to-end: the DU modulates known payloads,
+experiments use these samples end-to-end: the DU modulates known payloads,
 middleboxes manipulate the compressed samples, the RU/channel applies gain
 and noise, and decode correctness is judged by demodulating.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -107,71 +104,3 @@ class QamModulator:
 def _gray_code(n: int) -> np.ndarray:
     codes = np.arange(n)
     return codes ^ (codes >> 1)
-
-
-@dataclass
-class ResourceGrid:
-    """A per-symbol frequency grid: (layers, subcarriers) complex samples.
-
-    This is what one U-plane symbol's worth of IQ looks like before
-    compression; each layer corresponds to one eAxC RU port.
-    """
-
-    layers: int
-    n_prbs: int
-    data: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        shape = (self.layers, self.n_prbs * SAMPLES_PER_PRB)
-        if self.data is None:
-            self.data = np.zeros(shape, dtype=np.complex128)
-        elif self.data.shape != shape:
-            raise ValueError(f"grid data must be {shape}, got {self.data.shape}")
-
-    @property
-    def n_subcarriers(self) -> int:
-        return self.n_prbs * SAMPLES_PER_PRB
-
-    def fill_prbs(
-        self, layer: int, start_prb: int, values: np.ndarray
-    ) -> None:
-        """Write modulated samples into a PRB range of one layer."""
-        n_prb = len(values) // SAMPLES_PER_PRB
-        start = start_prb * SAMPLES_PER_PRB
-        self.data[layer, start : start + n_prb * SAMPLES_PER_PRB] = values
-
-    def prb_slice(self, layer: int, start_prb: int, num_prb: int) -> np.ndarray:
-        start = start_prb * SAMPLES_PER_PRB
-        return self.data[layer, start : start + num_prb * SAMPLES_PER_PRB]
-
-    def to_int16(self, layer: int, backoff: float = 0.25) -> np.ndarray:
-        """One layer as fronthaul fixed point, shape (n_prbs, 24)."""
-        return iq_to_int16(self.data[layer], backoff)
-
-    @classmethod
-    def from_int16(
-        cls, samples_per_layer: "list[np.ndarray]", backoff: float = 0.25
-    ) -> "ResourceGrid":
-        layers = len(samples_per_layer)
-        stacked = np.stack([int16_to_iq(s, backoff) for s in samples_per_layer])
-        n_prbs = stacked.shape[-1] // SAMPLES_PER_PRB
-        return cls(layers=layers, n_prbs=n_prbs, data=stacked)
-
-
-def random_qam_grid(
-    n_prbs: int,
-    layers: int = 1,
-    order: int = 16,
-    rng: Optional[np.random.Generator] = None,
-) -> "tuple[ResourceGrid, np.ndarray]":
-    """Generate a grid of random QAM symbols; returns (grid, symbol indices).
-
-    Used by the DU model to synthesize U-plane payloads whose decode
-    correctness can be checked after middlebox processing.
-    """
-    rng = rng or np.random.default_rng()
-    modulator = QamModulator(order)
-    symbols = rng.integers(0, order, size=(layers, n_prbs * SAMPLES_PER_PRB))
-    grid = ResourceGrid(layers=layers, n_prbs=n_prbs)
-    grid.data[:] = modulator.modulate(symbols)
-    return grid, symbols

@@ -10,12 +10,8 @@
 - :mod:`repro.ran.ru` -- a Cat-A O-RAN Radio Unit model.
 - :mod:`repro.ran.ue` -- UEs: attach, CQI/rank reporting, traffic.
 - :mod:`repro.ran.traffic` -- iperf-like constant-bitrate flows.
-- :mod:`repro.ran.sync` -- PTP grandmaster clock and deadline budgets.
-- :mod:`repro.ran.ptp` -- S-plane: the two-step PTP message exchange and
-  servo that produce those clock offsets.
-- :mod:`repro.ran.mplane` -- M-plane: RU capability validation and
-  candidate/commit configuration sessions.
-- :mod:`repro.ran.core_network` -- minimal 5G core (attach/PDU sessions).
+- :mod:`repro.ran.mplane` -- M-plane: the RU capability model codec
+  negotiation validates against.
 """
 
 from repro.ran.cell import CellConfig
@@ -25,10 +21,7 @@ from repro.ran.du import DistributedUnit
 from repro.ran.ru import RadioUnit
 from repro.ran.ue import UserEquipment
 from repro.ran.traffic import ConstantBitrateFlow, PoissonFlow
-from repro.ran.sync import PtpClock, SyncStatus
-from repro.ran.ptp import PtpPath, PtpSession
-from repro.ran.mplane import MPlaneSession, RuCapabilities
-from repro.ran.core_network import CoreNetwork, Subscriber
+from repro.ran.mplane import RuCapabilities
 
 __all__ = [
     "CellConfig",
@@ -44,12 +37,5 @@ __all__ = [
     "UserEquipment",
     "ConstantBitrateFlow",
     "PoissonFlow",
-    "PtpClock",
-    "SyncStatus",
-    "PtpPath",
-    "PtpSession",
-    "MPlaneSession",
     "RuCapabilities",
-    "CoreNetwork",
-    "Subscriber",
 ]

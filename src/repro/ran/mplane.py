@@ -1,4 +1,4 @@
-"""M-plane: RU management and configuration (Section 2.2).
+"""M-plane: what an RU advertises it can do (Section 2.2).
 
 The fronthaul's M-plane carries management: operators use it to read an
 RU's hardware capabilities and to (re)configure its carrier — center
@@ -7,16 +7,16 @@ deployments of Sections 4.3/6.3.2 depend on exactly this: the shared
 100 MHz RU is "configured for a specific center frequency and bandwidth"
 before the middlebox carves it up.
 
-The model follows NETCONF's datastore discipline: edits accumulate in a
-candidate configuration, are validated against the RU's capabilities, and
-take effect only on commit — with a supervision watchdog that mirrors the
-O-RAN M-plane's session keepalive.
+Only the capability model is built: it is the M-plane's one
+consumer-visible effect here — codec negotiation
+(:func:`repro.ran.stacks.negotiate_compression`) and the scenario builder
+refuse a configuration the radio does not advertise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 from repro.fronthaul.compression import (
     BFP_COMP_METH,
@@ -95,125 +95,3 @@ class RuCapabilities:
             )
         errors.extend(self.validate_compression(config.compression))
         return errors
-
-
-class CommitError(Exception):
-    """A candidate configuration failed capability validation."""
-
-
-class SupervisionLost(Exception):
-    """The M-plane watchdog expired: the manager stopped supervising."""
-
-
-class MPlaneSession:
-    """One management session to an RU.
-
-    ``edit(**fields)`` stages changes into the candidate datastore;
-    ``commit()`` validates and applies them atomically; ``rollback()``
-    discards the candidate.  ``supervise(now_s)`` feeds the watchdog —
-    if it starves past ``supervision_timeout_s``, the RU falls back to
-    its last committed configuration and rejects further edits until a
-    new session is established (the O-RAN supervision model).
-    """
-
-    def __init__(
-        self,
-        running: RuConfig,
-        capabilities: RuCapabilities = RuCapabilities(),
-        supervision_timeout_s: float = 60.0,
-    ):
-        errors = capabilities.validate(running)
-        if errors:
-            raise CommitError(
-                "initial configuration invalid: " + "; ".join(errors)
-            )
-        self.capabilities = capabilities
-        self.supervision_timeout_s = supervision_timeout_s
-        self._running = running
-        self._candidate: Optional[RuConfig] = None
-        self._last_supervision_s = 0.0
-        self._alive = True
-        self.commit_history: List[RuConfig] = [running]
-
-    # -- datastores ----------------------------------------------------------
-
-    @property
-    def running(self) -> RuConfig:
-        return self._running
-
-    @property
-    def candidate(self) -> Optional[RuConfig]:
-        return self._candidate
-
-    def edit(self, **fields) -> RuConfig:
-        """Stage changes; returns the candidate after the edit."""
-        self._require_alive()
-        base = self._candidate or self._running
-        unknown = [
-            name for name in fields if not hasattr(base, name)
-        ]
-        if unknown:
-            raise AttributeError(
-                f"RuConfig has no fields {', '.join(unknown)}"
-            )
-        self._candidate = replace(base, **fields)
-        return self._candidate
-
-    def edit_compression(
-        self, iq_width: int, comp_meth: int = BFP_COMP_METH
-    ) -> RuConfig:
-        return self.edit(
-            compression=CompressionConfig(
-                iq_width=iq_width, comp_meth=comp_meth
-            )
-        )
-
-    def validate(self) -> List[str]:
-        """Errors the current candidate would fail commit with."""
-        if self._candidate is None:
-            return []
-        return self.capabilities.validate(self._candidate)
-
-    def commit(self) -> RuConfig:
-        """Apply the candidate atomically (all-or-nothing)."""
-        self._require_alive()
-        if self._candidate is None:
-            return self._running
-        errors = self.capabilities.validate(self._candidate)
-        if errors:
-            raise CommitError("; ".join(errors))
-        self._running = self._candidate
-        self._candidate = None
-        self.commit_history.append(self._running)
-        return self._running
-
-    def rollback(self) -> None:
-        self._candidate = None
-
-    # -- supervision ----------------------------------------------------------
-
-    def supervise(self, now_s: float) -> None:
-        """Watchdog feed.  Call at least every ``supervision_timeout_s``."""
-        if now_s < self._last_supervision_s:
-            raise ValueError("supervision time went backwards")
-        if (
-            self._alive
-            and now_s - self._last_supervision_s > self.supervision_timeout_s
-        ):
-            # Starved: the RU drops the session and any staged candidate.
-            self._alive = False
-            self._candidate = None
-            raise SupervisionLost(
-                f"no supervision for {now_s - self._last_supervision_s:.0f}s"
-            )
-        self._last_supervision_s = now_s
-
-    @property
-    def alive(self) -> bool:
-        return self._alive
-
-    def _require_alive(self) -> None:
-        if not self._alive:
-            raise SupervisionLost(
-                "session lost; re-establish before editing"
-            )

@@ -9,7 +9,7 @@ are all instances of this class at different positions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,7 +21,18 @@ from repro.phy.channel import (
 )
 from repro.phy.geometry import Position
 from repro.phy.mimo import MimoLink
-from repro.ran.core_network import CoreNetwork, Subscriber
+
+
+@dataclass(frozen=True)
+class Subscriber:
+    """A provisioned SIM: IMSI plus the PLMN it belongs to."""
+
+    imsi: str
+    plmn: str = "00101"
+
+    def __post_init__(self) -> None:
+        if not self.imsi.isdigit() or not 14 <= len(self.imsi) <= 15:
+            raise ValueError(f"malformed IMSI: {self.imsi!r}")
 
 
 @dataclass
@@ -73,7 +84,6 @@ class UserEquipment:
         self.n_antennas = n_antennas
         self.channel = channel or ChannelModel()
         self.serving_pci: Optional[int] = None
-        self.serving_core: Optional[CoreNetwork] = None
         self.measurements: List[UeMeasurement] = []
         self.dl_bits_received = 0
         self.ul_bits_sent = 0
@@ -208,7 +218,6 @@ class UserEquipment:
     def scan_and_attach(
         self,
         cells: Sequence[CellView],
-        cores: Optional[Dict[int, CoreNetwork]] = None,
         forced_pci: Optional[int] = None,
     ) -> CellView:
         """Attach to the strongest eligible cell (optionally forced by PCI,
@@ -227,16 +236,4 @@ class UserEquipment:
             )
         best = max(candidates, key=self.rsrp_dbm)
         self.serving_pci = best.pci
-        if cores is not None:
-            core = cores[best.pci]
-            core.provision(self.subscriber)
-            core.register(self.imsi)
-            core.establish_session(self.imsi)
-            self.serving_core = core
         return best
-
-    def detach(self) -> None:
-        if self.serving_core is not None:
-            self.serving_core.deregister(self.imsi)
-        self.serving_pci = None
-        self.serving_core = None

@@ -25,11 +25,9 @@ from repro.serve.delta import (
     DELTA_OPS,
     DeltaError,
     DeltaOp,
-    MutationPlan,
     SpecDelta,
-    plan_mutation,
 )
-from repro.serve.engine import TOPICS, LiveRun, run_to_completion
+from repro.serve.engine import TOPICS, LiveRun
 from repro.serve.protocol import FrameError
 from repro.serve.routing import Route, RoutingTable
 from repro.serve.service import (
@@ -46,14 +44,11 @@ __all__ = [
     "DeltaOp",
     "FrameError",
     "LiveRun",
-    "MutationPlan",
     "RequestRejected",
     "Route",
     "RoutingTable",
     "ServeClient",
     "ServeService",
     "SpecDelta",
-    "plan_mutation",
-    "run_to_completion",
     "serve_until_complete",
 ]

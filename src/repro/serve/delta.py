@@ -38,7 +38,7 @@ bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.scale.spec import ScenarioSpec
@@ -294,59 +294,9 @@ _HANDLERS = {
 }
 
 
-# -- mutation planning --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MutationPlan:
-    """What a delta disturbs: the groups to rebuild-and-replay.
-
-    Computed by diffing :meth:`~repro.scale.spec.ScenarioSpec.
-    group_fingerprints` between the running and mutated specs.  Note
-    that evicting a cell shifts the derived identities (du ids, RU id
-    bases, default seeds) of every cell declared after it, so such a
-    delta legitimately marks later groups changed too — the fingerprint
-    is the single source of truth for "would this group build
-    differently".
-    """
-
-    added: Tuple[str, ...]
-    removed: Tuple[str, ...]
-    changed: Tuple[str, ...]
-
-    @property
-    def rebuilt(self) -> Tuple[str, ...]:
-        """Groups the mutated run must build fresh (added + changed)."""
-        return self.added + self.changed
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "added": list(self.added),
-            "removed": list(self.removed),
-            "changed": list(self.changed),
-        }
-
-
-def plan_mutation(old: ScenarioSpec, new: ScenarioSpec) -> MutationPlan:
-    """Diff two specs into the group-level work a live engine must do."""
-    old_fp = old.group_fingerprints()
-    new_fp = new.group_fingerprints()
-    return MutationPlan(
-        added=tuple(name for name in new_fp if name not in old_fp),
-        removed=tuple(name for name in old_fp if name not in new_fp),
-        changed=tuple(
-            name
-            for name in new_fp
-            if name in old_fp and old_fp[name] != new_fp[name]
-        ),
-    )
-
-
 __all__ = [
     "DELTA_OPS",
     "DeltaError",
     "DeltaOp",
-    "MutationPlan",
     "SpecDelta",
-    "plan_mutation",
 ]

@@ -24,8 +24,7 @@ The contract inherits the scale layer's oracles wholesale:
 
 from __future__ import annotations
 
-import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.core.telemetry import TelemetryBus, TelemetryRecord
 from repro.obs.slo import ALERT_TOPIC
@@ -176,23 +175,4 @@ class LiveRun:
         self.pool.close()
 
 
-def run_to_completion(
-    live: LiveRun,
-    pace_s: float = 0.0,
-    deadline_s: Optional[float] = None,
-) -> None:
-    """Drive a live run to its horizon (the no-controller fallback)."""
-    deadline = (
-        time.monotonic() + deadline_s if deadline_s is not None else None
-    )
-    while not live.advance_epoch():
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError(
-                f"live run past its {deadline_s}s deadline at slot "
-                f"{live.done}/{live.spec.slots}"
-            )
-        if pace_s:
-            time.sleep(pace_s)
-
-
-__all__ = ["LiveRun", "TOPICS", "run_to_completion"]
+__all__ = ["LiveRun", "TOPICS"]

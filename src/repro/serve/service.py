@@ -25,7 +25,7 @@ horizon in a background task; otherwise clients drive explicitly with
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, Optional, Set
 
 from repro.scale.spec import ScenarioSpec
 from repro.serve.delta import DeltaError, SpecDelta

@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from repro.fronthaul.compression import CompressionConfig
 from repro.fronthaul.cplane import (
     CPlaneMessage,
     CPlaneSection,

@@ -1,11 +1,9 @@
-"""Tap attachment points: chain stage, switch port, network ingress, and
-the sharded scale path with per-shard report merging."""
+"""Tap attachment points: chain stage, network ingress, and the sharded
+scale path with per-shard report merging."""
 
-from repro.conformance import ConformanceTap, WireValidator, tap_switch_port
+from repro.conformance import ConformanceTap, WireValidator
 from repro.conformance.violations import ViolationClass
-from repro.core.chain import FronthaulSwitch, PortRole
 from repro.fronthaul.cplane import Direction
-from repro.net.switch import EthernetSwitch, PortSpec
 from repro.ran.cell import CellConfig
 from repro.ran.du import DistributedUnit
 from repro.ran.ru import RadioUnit, RuConfig
@@ -22,7 +20,6 @@ from repro.scale.spec import (
 )
 from repro.scale.runner import run_scenario
 from repro.sim.network_sim import FronthaulNetwork
-from tests.conformance.builders import DST, SRC, cplane_packet
 
 
 def _validator(profile_name="srsRAN", **kwargs):
@@ -89,46 +86,6 @@ class TestChainTap:
         network.run(6)
         box = network.middleboxes[0]
         assert box.stats.rx_packets == validator.report.frames_checked
-
-
-class TestSwitchPortTap:
-    def _switch(self, deliver):
-        switch = FronthaulSwitch(name="tap-fabric")
-        switch.attach("du0", PortRole.DU, [DST], deliver)
-        switch.attach("ru0", PortRole.RU, [SRC], lambda packet: None)
-        return switch
-
-    def test_wraps_deliver_and_validates(self):
-        seen = []
-        switch = self._switch(seen.append)
-        validator = _validator()
-        tap_switch_port(switch, "du0", validator)
-        switch.inject(cplane_packet(0, 10, seq=0, src=SRC, dst=DST), "ru0")
-        switch.inject(cplane_packet(0, 10, seq=2, src=SRC, dst=DST), "ru0")
-        assert len(seen) == 2  # the tap observes, never drops
-        assert validator.report.frames_checked == 2
-        assert validator.report.count(ViolationClass.SEQ_GAP) == 1
-        assert validator.report.records[0].tap == "tap-fabric:du0"
-
-    def test_wire_level_tap_exercises_strict_parser(self):
-        seen = []
-        switch = self._switch(seen.append)
-        validator = _validator()
-        tap_switch_port(switch, "du0", validator, wire_level=True)
-        switch.inject(cplane_packet(0, 10, seq=0), "ru0")
-        assert len(seen) == 1
-        assert validator.report.frames_checked == 1
-        assert validator.report.ok
-
-    def test_ethernet_switch_port_accessor(self):
-        seen = []
-        switch = EthernetSwitch(name="tor")
-        switch.attach(PortSpec("du0"), PortRole.DU, [DST], seen.append)
-        switch.attach(PortSpec("ru0"), PortRole.RU, [SRC], lambda p: None)
-        validator = _validator()
-        tap_switch_port(switch, "du0", validator)
-        switch.inject(cplane_packet(0, 10, seq=0), "ru0")
-        assert seen and validator.report.frames_checked == 1
 
 
 class TestNetworkIngressTap:

@@ -37,6 +37,15 @@ class TestViolationClasses:
         assert validator.report.ok
         assert validator.report.frames_checked == 2
 
+    def test_wire_level_clean_frame_passes_the_strict_parser(self):
+        """``observe_bytes`` on a packed clean frame: the wire-level tap
+        path (parse, then every stateful check) reports nothing."""
+        validator = fresh_validator()
+        found = validator.observe_bytes(cplane_packet(0, 10, seq=0).pack())
+        assert found == []
+        assert validator.report.ok
+        assert validator.report.frames_checked == 1
+
     def test_bad_ecpri_length_truncated_frame(self):
         validator = fresh_validator()
         data = uplane_packet(0, 4).pack()

@@ -1,16 +1,10 @@
-"""Switch fabric and middlebox chaining tests."""
+"""Middlebox chaining tests."""
 
 import pytest
 
-from repro.core.chain import (
-    FronthaulSwitch,
-    MiddleboxChain,
-    PortRole,
-    SwitchLoopError,
-)
+from repro.core.chain import MiddleboxChain
 from repro.core.middlebox import Middlebox
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
-from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import make_packet
 from repro.fronthaul.timing import SymbolTime
 
@@ -40,80 +34,6 @@ class Tagger(Middlebox):
         ctx.forward(pkt)
 
     on_uplane = on_cplane
-
-
-class TestFronthaulSwitch:
-    def setup_method(self):
-        self.switch = FronthaulSwitch()
-        self.du_mac = MacAddress.from_int(1)
-        self.ru_mac = MacAddress.from_int(2)
-        self.du_rx = []
-        self.ru_rx = []
-        self.switch.attach("du", PortRole.DU, [self.du_mac], self.du_rx.append)
-        self.switch.attach("ru", PortRole.RU, [self.ru_mac], self.ru_rx.append)
-
-    def test_delivers_by_mac(self):
-        self.switch.inject(packet(self.du_mac, self.ru_mac), "du")
-        assert len(self.ru_rx) == 1
-        assert not self.du_rx
-
-    def test_unknown_mac_dies(self):
-        self.switch.inject(packet(self.du_mac, MacAddress.from_int(99)), "du")
-        assert not self.ru_rx and not self.du_rx
-
-    def test_duplicate_port_rejected(self):
-        with pytest.raises(ValueError):
-            self.switch.attach("du", PortRole.DU, [MacAddress.from_int(5)],
-                               lambda p: None)
-
-    def test_interposition_steers_through_middlebox(self):
-        box_rx = []
-        self.switch.attach("mb", PortRole.MIDDLEBOX, [], box_rx.append)
-        self.switch.interpose("mb", [self.ru_mac])
-        self.switch.inject(packet(self.du_mac, self.ru_mac), "du")
-        assert len(box_rx) == 1
-        assert not self.ru_rx  # middlebox holds it
-        # Middlebox re-injects; now it reaches the RU.
-        self.switch.inject(box_rx[0], "mb")
-        assert len(self.ru_rx) == 1
-
-    def test_chained_interpositions_in_order(self):
-        first_rx, second_rx = [], []
-        self.switch.attach("mb1", PortRole.MIDDLEBOX, [], first_rx.append)
-        self.switch.attach("mb2", PortRole.MIDDLEBOX, [], second_rx.append)
-        self.switch.interpose("mb1", [self.ru_mac])
-        self.switch.interpose("mb2", [self.ru_mac])
-        self.switch.inject(packet(self.du_mac, self.ru_mac), "du")
-        assert first_rx and not second_rx
-        self.switch.inject(first_rx[0], "mb1")
-        assert second_rx and not self.ru_rx
-        self.switch.inject(second_rx[0], "mb2")
-        assert self.ru_rx
-
-    def test_double_interpose_rejected(self):
-        self.switch.attach("mb", PortRole.MIDDLEBOX, [], lambda p: None)
-        self.switch.interpose("mb", [self.ru_mac])
-        with pytest.raises(ValueError):
-            self.switch.interpose("mb", [self.ru_mac])
-
-    def test_interpose_unknown_port_rejected(self):
-        with pytest.raises(KeyError):
-            self.switch.interpose("ghost", [self.ru_mac])
-
-    def test_byte_counters(self):
-        frame = packet(self.du_mac, self.ru_mac)
-        self.switch.inject(frame, "du")
-        assert self.switch.port("du").tx_bytes == frame.wire_size
-        assert self.switch.port("ru").rx_bytes == frame.wire_size
-
-    def test_loop_guard(self):
-        self.switch.attach(
-            "loop", PortRole.MIDDLEBOX, [],
-            lambda p: self.switch.inject(p, "du", _hops=99),
-        )
-        self.switch.interpose("loop", [self.ru_mac])
-        with pytest.raises(SwitchLoopError):
-            self.switch.inject(packet(self.du_mac, self.ru_mac), "du")
 
 
 class TestMiddleboxChain:

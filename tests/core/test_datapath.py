@@ -8,7 +8,6 @@ from repro.core.datapath import (
     PacketWork,
     XdpDatapath,
     cores_required,
-    deadline_violated,
 )
 from repro.core.latency import DEFAULT_COST_MODEL
 
@@ -144,11 +143,3 @@ class TestDeadlines:
 
     def test_zero_work_one_core(self):
         assert cores_required(0) == 1
-
-    def test_deadline_violated(self):
-        assert deadline_violated(31_000, cores=1)
-        assert not deadline_violated(31_000, cores=2)
-
-    def test_deadline_needs_core(self):
-        with pytest.raises(ValueError):
-            deadline_violated(1000, cores=0)

@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.core.management import (
-    ForwardingRule,
-    ManagementInterface,
-    ValidationError,
-)
+from repro.core.management import ManagementInterface, ValidationError
 from repro.core.telemetry import TelemetryBus
-from repro.fronthaul.ethernet import MacAddress
 
 
 class TestTelemetryBus:
@@ -121,28 +116,3 @@ class TestManagementInterface:
         mgmt.declare("b", 1)
         mgmt.declare("a", 1)
         assert mgmt.keys() == ["a", "b"]
-
-    def test_forwarding_rules(self):
-        mgmt = ManagementInterface()
-        old = MacAddress.from_int(1)
-        new = MacAddress.from_int(2)
-        mgmt.add_rule(ForwardingRule(match_dst=old, new_dst=new))
-        assert mgmt.resolve(old) == new
-        assert mgmt.resolve(new) == new  # identity when no match
-
-    def test_disabled_rule_skipped(self):
-        mgmt = ManagementInterface()
-        old = MacAddress.from_int(1)
-        mgmt.add_rule(
-            ForwardingRule(match_dst=old, new_dst=MacAddress.from_int(2),
-                           enabled=False)
-        )
-        assert mgmt.resolve(old) == old
-
-    def test_clear_rules(self):
-        mgmt = ManagementInterface()
-        mgmt.add_rule(
-            ForwardingRule(MacAddress.from_int(1), MacAddress.from_int(2))
-        )
-        mgmt.clear_rules()
-        assert mgmt.rules == []

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.chain import FronthaulSwitch, PortRole
 from repro.faults import (
     FaultInjector,
     fault_config_from_spec,
@@ -13,7 +12,6 @@ from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import make_packet
 from repro.fronthaul.timing import SymbolTime
-from repro.net.switch import EthernetSwitch, PortSpec
 
 
 def packet(src, dst):
@@ -69,50 +67,3 @@ def test_injector_from_spec_seeded_and_scoped():
     replayed = [len(again.apply([packet(src, dst)])) for _ in range(8)]
     assert survivors == replayed
     assert injector.stats.absorbed == again.stats.absorbed
-
-
-class TestSwitchImpairBySpec:
-    def setup_method(self):
-        self.du_mac = MacAddress.from_int(1)
-        self.ru_mac = MacAddress.from_int(2)
-        self.ru_rx = []
-
-    def _wire(self, switch):
-        switch.attach("du", PortRole.DU, [self.du_mac], lambda p: None)
-        switch.attach("ru", PortRole.RU, [self.ru_mac], self.ru_rx.append)
-
-    def test_core_switch_accepts_spec_dict(self):
-        switch = FronthaulSwitch()
-        self._wire(switch)
-        installed = switch.impair(
-            "ru", {"kind": "iid_loss", "rate": 1.0, "seed": 1}
-        )
-        assert isinstance(installed, FaultInjector)
-        switch.inject(packet(self.du_mac, self.ru_mac), "du")
-        assert not self.ru_rx
-        assert installed.stats.absorbed == 1
-
-    def test_core_switch_accepts_kind_name(self):
-        switch = FronthaulSwitch()
-        self._wire(switch)
-        installed = switch.impair("ru", "duplicate")
-        assert isinstance(installed, FaultInjector)
-
-    def test_core_switch_still_accepts_live_injector(self):
-        switch = FronthaulSwitch()
-        self._wire(switch)
-        live = injector_from_spec("iid_loss")
-        assert switch.impair("ru", live) is live
-
-    def test_ethernet_switch_delegates_spec_resolution(self):
-        switch = EthernetSwitch()
-        switch.attach(PortSpec("du"), PortRole.DU, [self.du_mac],
-                      lambda p: None)
-        switch.attach(PortSpec("ru"), PortRole.RU, [self.ru_mac],
-                      self.ru_rx.append)
-        installed = switch.impair(
-            "ru", {"kind": "iid_loss", "rate": 1.0, "seed": 2}
-        )
-        assert isinstance(installed, FaultInjector)
-        switch.inject(packet(self.du_mac, self.ru_mac), "du")
-        assert not self.ru_rx

@@ -1,17 +1,17 @@
-"""Link drop accounting, switch port impairment, malformed containment."""
+"""Link drop accounting, the network's impaired wire, malformed containment."""
 
-import numpy as np
-import pytest
-
-from repro.core.chain import FronthaulSwitch, PortRole
 from repro.faults import FaultConfig, FaultInjector, ImpairedLink
 from repro.fronthaul.cplane import Direction
 from repro.fronthaul.ethernet import MacAddress
-from repro.fronthaul.packet import make_packet, parse_packet
+from repro.fronthaul.packet import make_packet
 from repro.fronthaul.timing import Numerology, SymbolTime
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 from repro.net.link import Link
 from repro.obs import Observability
+from repro.ran.du import DistributedUnit
+from repro.ran.ru import RadioUnit, RuConfig
+from repro.ran.traffic import ConstantBitrateFlow
+from repro.sim.network_sim import FronthaulNetwork
 
 from tests.conftest import random_prb_samples
 
@@ -76,78 +76,86 @@ class TestImpairedLink:
         assert wire.stats.packets_carried == 10
 
 
-class TestSwitchImpairment:
-    def make_switch(self, obs=None):
-        switch = FronthaulSwitch(obs=obs)
-        received = []
-        switch.attach("src", PortRole.DU, [SRC], lambda p: None)
-        switch.attach(
-            "dst", PortRole.RU, [DST],
-            lambda p: received.append(parse_packet(p.pack())),
+def impaired_network(cell, config, seed):
+    """One DU and one RU, no chain, every frame over an impaired wire."""
+    du = DistributedUnit(du_id=1, cell=cell, symbols_per_slot=1, seed=seed)
+    du.scheduler.add_ue("ue", dl_layers=2)
+    du.scheduler.update_ue_quality("ue", dl_aggregate_se=10.0, ul_se=3.0)
+    du.attach_flow("ue", ConstantBitrateFlow(100, "dl"), Direction.DOWNLINK)
+    du.attach_flow("ue", ConstantBitrateFlow(20, "ul"), Direction.UPLINK)
+    ru = RadioUnit(
+        ru_id=1,
+        config=RuConfig(num_prb=cell.num_prb, n_antennas=2),
+        du_mac=du.mac,
+        seed=seed,
+    )
+    du.ru_mac = ru.mac
+    injector = FaultInjector(config, seed=seed, carrier_num_prb=cell.num_prb)
+    network = FronthaulNetwork(wire=ImpairedLink(injector))
+    network.add_du(du)
+    network.add_ru(ru)
+    return network, injector
+
+
+class TestNetworkWireConservation:
+    """The fabric that runs: every frame the wire was offered (plus the
+    duplicates it minted) ends a run as exactly one of ``wire_dropped``,
+    ``malformed``, ``undeliverable`` or a delivered ``dl``/``ul`` packet,
+    and no slot raises, whatever the wire did to the bytes."""
+
+    @staticmethod
+    def fates(reports):
+        return {
+            name: sum(getattr(report, name) for report in reports)
+            for name in ("wire_dropped", "malformed", "undeliverable",
+                         "dl_packets", "ul_packets")
+        }
+
+    def assert_conserved(self, reports, injector):
+        fates = self.fates(reports)
+        stats = injector.stats
+        assert stats.offered > 0
+        assert fates["wire_dropped"] == stats.absorbed
+        assert sum(fates.values()) == stats.offered + stats.duplicated
+        return fates
+
+    def test_lossy_wire_absorbs_and_counts(self, cell_40mhz):
+        network, injector = impaired_network(
+            cell_40mhz, FaultConfig(loss_rate=0.5, duplicate_rate=0.2), 13
         )
-        return switch, received
+        fates = self.assert_conserved(network.run(40), injector)
+        assert fates["wire_dropped"] == injector.stats.lost_iid > 0
+        assert injector.stats.duplicated > 0
+        assert fates["dl_packets"] > 0 and fates["ul_packets"] > 0
+        assert fates["malformed"] == 0  # loss never damages a survivor
 
-    def test_impair_unknown_port_rejected(self):
-        switch, _ = self.make_switch()
-        with pytest.raises(KeyError):
-            switch.impair("nope", FaultInjector(seed=0))
+    def test_malformed_delivery_contained_not_propagated(self, cell_40mhz):
+        # Endpoint parsers that reject every third frame as damaged: each
+        # rejection is a counted ``malformed`` drop, never an unwound slot.
+        network, injector = impaired_network(cell_40mhz, FaultConfig(), 21)
+        rejected = []
 
-    def test_injector_on_port_absorbs_and_counts(self, rng):
-        obs = Observability(enabled=True)
-        switch, received = self.make_switch(obs=obs)
-        injector = FaultInjector(FaultConfig(loss_rate=0.5), seed=13)
-        switch.impair("dst", injector)
-        n = 80
-        for packet in burst(rng, n):
-            switch.inject(packet, from_port="src")
-        port = switch.port("dst")
-        assert port.impaired_frames == injector.stats.lost_iid > 0
-        assert len(received) == n - port.impaired_frames
-        assert port.rx_packets == len(received)  # absorbed ≠ received
-        series = obs.registry.snapshot()["switch_impaired_total"]["series"]
-        assert series["fabric,dst"] == port.impaired_frames
+        def strict(receive):
+            seen = []
 
-    def test_malformed_delivery_contained_not_propagated(self, rng):
-        obs = Observability(enabled=True)
-        switch = FronthaulSwitch(obs=obs)
-        received = []
+            def parser(packet):
+                seen.append(packet)
+                if len(seen) % 3 == 0:
+                    rejected.append(packet)
+                    raise ValueError("bad frame")
+                receive(packet)
 
-        def strict_parser(packet):
-            # A device parser that rejects every third frame as damaged.
-            if (len(received) + 1) % 3 == 0:
-                received.append(None)
-                raise ValueError("bad frame")
-            received.append(packet)
+            return parser
 
-        switch.attach("src", PortRole.DU, [SRC], lambda p: None)
-        switch.attach("dst", PortRole.RU, [DST], strict_parser)
-        n = 30
-        for packet in burst(rng, n):
-            switch.inject(packet, from_port="src")  # must never raise
-        port = switch.port("dst")
-        assert port.malformed_frames == n // 3
-        series = obs.registry.snapshot()["switch_malformed_total"]["series"]
-        assert series["fabric,dst"] == port.malformed_frames
-        # Containment accounting: every frame was either rejected at the
-        # parser or delivered; none unwound the fabric.
-        delivered = [p for p in received if p is not None]
-        assert port.malformed_frames + len(delivered) == n
+        for device in network.dus + network.rus:
+            device.receive = strict(device.receive)
+        fates = self.assert_conserved(network.run(30), injector)
+        assert fates["malformed"] == len(rejected) > 0
+        assert fates["wire_dropped"] == fates["undeliverable"] == 0
 
-    def test_corrupting_injector_end_to_end_never_raises(self):
-        # Aggressive damage on a port's wire: absorbed frames counted,
-        # survivors delivered, and injection never propagates an error.
-        obs = Observability(enabled=True)
-        switch, received = self.make_switch(obs=obs)
-        injector = FaultInjector(
-            FaultConfig(corrupt_rate=1.0, corrupt_bits=12),
-            seed=29,
+    def test_corrupting_every_frame_never_raises(self, cell_40mhz):
+        network, injector = impaired_network(
+            cell_40mhz, FaultConfig(corrupt_rate=1.0, corrupt_bits=12), 29
         )
-        switch.impair("dst", injector)
-        for packet in burst(np.random.default_rng(7), 120):
-            switch.inject(packet, from_port="src")
-        port = switch.port("dst")
-        assert port.impaired_frames == injector.stats.absorbed > 0
-        assert (
-            port.impaired_frames + port.malformed_frames + len(received)
-            == injector.stats.offered
-        )
+        fates = self.assert_conserved(network.run(60), injector)  # no raise
+        assert fates["wire_dropped"] == injector.stats.corrupt_dropped > 0

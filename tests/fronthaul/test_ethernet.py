@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.fronthaul.ethernet import (
-    BROADCAST,
     ETHERTYPE_ECPRI,
     EthernetHeader,
     MacAddress,
@@ -37,9 +36,6 @@ class TestMacAddress:
     def test_rejects_out_of_range_int(self):
         with pytest.raises(ValueError):
             MacAddress.from_int(1 << 48)
-
-    def test_broadcast_constant(self):
-        assert BROADCAST.raw == b"\xff" * 6
 
     def test_equality_and_hash(self):
         a = MacAddress.from_int(42)

@@ -5,7 +5,7 @@ import pytest
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
 from repro.fronthaul.ecpri import EAxCId, EcpriMessageType
 from repro.fronthaul.ethernet import MacAddress, VlanTag
-from repro.fronthaul.packet import FronthaulPacket, make_packet, parse_packet
+from repro.fronthaul.packet import make_packet, parse_packet
 from repro.fronthaul.timing import SymbolTime
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 

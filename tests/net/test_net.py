@@ -1,15 +1,9 @@
-"""Link, NIC/SR-IOV and switch substrate tests."""
+"""Link and NIC/SR-IOV substrate tests."""
 
 import pytest
 
-from repro.core.chain import PortRole
-from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
-from repro.fronthaul.ethernet import MacAddress
-from repro.fronthaul.packet import make_packet
-from repro.fronthaul.timing import SymbolTime
 from repro.net.link import Link
 from repro.net.nic import Nic, PcieBus
-from repro.net.switch import EthernetSwitch, PortSpec
 
 
 class TestLink:
@@ -74,25 +68,3 @@ class TestNic:
         vf = nic.create_vf("das")
         vf.account(rx_bytes=100, tx_bytes=300)
         assert (vf.rx_bytes, vf.tx_bytes) == (100, 300)
-
-
-class TestEthernetSwitch:
-    def test_forwarding_and_utilization(self):
-        switch = EthernetSwitch()
-        du_mac = MacAddress.from_int(1)
-        ru_mac = MacAddress.from_int(2)
-        received = []
-        switch.attach(PortSpec("du"), PortRole.DU, [du_mac],
-                      lambda p: None)
-        switch.attach(PortSpec("ru", capacity_gbps=25.0), PortRole.RU,
-                      [ru_mac], received.append)
-        packet = make_packet(
-            du_mac, ru_mac,
-            CPlaneMessage(direction=Direction.DOWNLINK,
-                          time=SymbolTime(0, 0, 0, 0),
-                          sections=[CPlaneSection(0, 0, 50)]),
-        )
-        switch.inject(packet, "du")
-        assert len(received) == 1
-        assert switch.port_utilization("ru", 1e6) > 0
-        assert switch.port_names() == ["du", "ru"]

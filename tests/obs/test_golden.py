@@ -6,7 +6,6 @@ drift — which would break real scrapers — fails loudly.
 """
 
 import itertools
-import json
 
 from repro.core.middlebox import Middlebox
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
@@ -17,7 +16,6 @@ from repro.obs import (
     MetricsRegistry,
     Observability,
     render_dashboard,
-    render_json,
     render_prometheus,
 )
 
@@ -67,11 +65,6 @@ def test_prometheus_exposition_golden():
 
 def test_prometheus_empty_registry_is_empty_string():
     assert render_prometheus(MetricsRegistry()) == ""
-
-
-def test_json_roundtrip_matches_snapshot():
-    registry = sample_registry()
-    assert json.loads(render_json(registry)) == registry.snapshot()
 
 
 def test_dashboard_sections():

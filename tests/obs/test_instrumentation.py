@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps.das import DasMiddlebox
-from repro.core.chain import FronthaulSwitch, MiddleboxChain, PortRole
+from repro.core.chain import MiddleboxChain
 from repro.core.middlebox import Middlebox
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
 from repro.fronthaul.ethernet import MacAddress
@@ -121,19 +121,6 @@ class TestChildrenOutliveNoFamily:
         obs.reset()
         das.process(uplink(1))
         assert _series(obs, "das_merged_symbols_total") == {"das": 1}
-
-    def test_switch_port_counts_after_reset(self):
-        obs = Observability(enabled=True)
-        switch = FronthaulSwitch(name="fab0", obs=obs)
-        du_mac, ru_mac = MacAddress.from_int(1), MacAddress.from_int(2)
-        switch.attach("du", PortRole.DU, [du_mac], lambda frame: None)
-        switch.attach("ru", PortRole.RU, [ru_mac], lambda frame: None)
-        switch.inject(packet(), "du")
-        obs.reset()
-        switch.inject(packet(), "du")
-        assert _series(obs, "switch_port_packets_total") == {
-            "fab0,du,tx": 1, "fab0,ru,rx": 1,
-        }
 
 
 class TestMiddleboxInstrumentation:

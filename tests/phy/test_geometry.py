@@ -9,7 +9,6 @@ from repro.phy.geometry import (
     FloorPlan,
     Position,
     WalkPath,
-    nearest_index,
 )
 
 
@@ -94,17 +93,3 @@ class TestWalkPath:
         points = list(WalkPath(floor=0).points(1.0))
         xs = [p.x for p in points]
         assert max(xs) - min(xs) > 40  # most of the 50.9 m length
-
-
-class TestNearestIndex:
-    def test_picks_closest(self):
-        plan = FloorPlan()
-        rus = plan.ru_positions(0)
-        near_first = Position(rus[0].x + 1, rus[0].y, 0)
-        assert nearest_index(near_first, rus) == 0
-        near_last = Position(rus[-1].x - 1, rus[-1].y, 0)
-        assert nearest_index(near_last, rus) == 3
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            nearest_index(Position(0, 0, 0), [])

@@ -1,4 +1,4 @@
-"""IQ grid, QAM and fixed-point conversion tests."""
+"""QAM and fixed-point conversion tests."""
 
 import numpy as np
 import pytest
@@ -10,10 +10,8 @@ from repro.fronthaul.compression import SAMPLES_PER_PRB
 from repro.phy.iq import (
     INT16_SCALE,
     QamModulator,
-    ResourceGrid,
     int16_to_iq,
     iq_to_int16,
-    random_qam_grid,
 )
 
 
@@ -162,33 +160,3 @@ class TestInPlaceConversionIsTheOldOne:
             assert iq_to_int16(variant).tolist() == (
                 interleaving_iq_to_int16(variant).tolist()
             )
-
-
-class TestResourceGrid:
-    def test_default_zero_grid(self):
-        grid = ResourceGrid(layers=2, n_prbs=10)
-        assert grid.data.shape == (2, 120)
-        assert not grid.data.any()
-
-    def test_fill_and_slice(self, rng):
-        grid = ResourceGrid(layers=1, n_prbs=20)
-        values = rng.normal(size=36) + 1j * rng.normal(size=36)
-        grid.fill_prbs(0, 5, values)
-        assert (grid.prb_slice(0, 5, 3) == values).all()
-        assert not grid.prb_slice(0, 0, 5).any()
-
-    def test_int16_roundtrip(self, rng):
-        grid, _ = random_qam_grid(8, layers=2, rng=rng)
-        fixed = grid.to_int16(0)
-        assert fixed.shape == (8, 24)
-        rebuilt = ResourceGrid.from_int16([grid.to_int16(0), grid.to_int16(1)])
-        assert np.abs(rebuilt.data - grid.data).max() < 1e-3
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            ResourceGrid(layers=1, n_prbs=2, data=np.zeros((1, 10)))
-
-    def test_random_qam_grid_decodes(self, rng):
-        grid, symbols = random_qam_grid(4, layers=2, order=16, rng=rng)
-        modulator = QamModulator(16)
-        assert (modulator.demodulate(grid.data) == symbols).all()

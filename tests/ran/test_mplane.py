@@ -1,20 +1,8 @@
-"""M-plane management session tests."""
-
-import pytest
+"""M-plane capability model tests."""
 
 from repro.fronthaul.compression import CompressionConfig
-from repro.ran.mplane import (
-    CommitError,
-    MPlaneSession,
-    RuCapabilities,
-    SupervisionLost,
-)
+from repro.ran.mplane import RuCapabilities
 from repro.ran.ru import RuConfig
-
-
-@pytest.fixture
-def session():
-    return MPlaneSession(RuConfig())
 
 
 class TestCapabilities:
@@ -39,89 +27,3 @@ class TestCapabilities:
     def test_unsupported_compression_rejected(self):
         config = RuConfig(compression=CompressionConfig(iq_width=6))
         assert RuCapabilities().validate(config)
-
-
-class TestDatastores:
-    def test_edit_stages_without_applying(self, session):
-        original = session.running
-        session.edit(center_frequency_hz=3.5e9)
-        assert session.running == original
-        assert session.candidate.center_frequency_hz == 3.5e9
-
-    def test_commit_applies_atomically(self, session):
-        session.edit(center_frequency_hz=3.5e9, tx_power_dbm_per_port=20.0)
-        applied = session.commit()
-        assert applied.center_frequency_hz == 3.5e9
-        assert applied.tx_power_dbm_per_port == 20.0
-        assert session.candidate is None
-        assert len(session.commit_history) == 2
-
-    def test_invalid_commit_leaves_running_untouched(self, session):
-        before = session.running
-        session.edit(center_frequency_hz=2.0e9)
-        with pytest.raises(CommitError):
-            session.commit()
-        assert session.running == before
-        assert session.candidate is not None  # still staged for fixing
-
-    def test_validate_previews_errors(self, session):
-        session.edit(tx_power_dbm_per_port=99.0)
-        assert session.validate()
-        session.edit(tx_power_dbm_per_port=20.0)
-        assert session.validate() == []
-
-    def test_rollback_discards_candidate(self, session):
-        session.edit(center_frequency_hz=3.5e9)
-        session.rollback()
-        assert session.candidate is None
-        assert session.commit() == session.running
-
-    def test_unknown_field_rejected(self, session):
-        with pytest.raises(AttributeError):
-            session.edit(bogus_knob=1)
-
-    def test_edit_compression_helper(self, session):
-        session.edit_compression(14)
-        assert session.commit().compression.iq_width == 14
-
-    def test_sharing_reconfiguration_scenario(self, session):
-        """The Section 6.2.3 setup: retune the shared RU to 3.46 GHz,
-        full 100 MHz, before deploying the sharing middlebox."""
-        session.edit(center_frequency_hz=3.46e9, num_prb=273)
-        applied = session.commit()
-        grid = applied.grid
-        assert grid.center_frequency_hz == 3.46e9
-        assert grid.num_prb == 273
-
-    def test_initial_invalid_config_rejected(self):
-        with pytest.raises(CommitError):
-            MPlaneSession(RuConfig(center_frequency_hz=1e9))
-
-
-class TestSupervision:
-    def test_regular_feeding_keeps_session(self, session):
-        for now in (10.0, 50.0, 100.0, 150.0):
-            session.supervise(now)
-        assert session.alive
-
-    def test_starvation_drops_session_and_candidate(self, session):
-        session.supervise(10.0)
-        session.edit(center_frequency_hz=3.5e9)
-        with pytest.raises(SupervisionLost):
-            session.supervise(200.0)
-        assert not session.alive
-        assert session.candidate is None
-
-    def test_dead_session_rejects_edits(self, session):
-        session.supervise(10.0)
-        with pytest.raises(SupervisionLost):
-            session.supervise(200.0)
-        with pytest.raises(SupervisionLost):
-            session.edit(center_frequency_hz=3.5e9)
-        with pytest.raises(SupervisionLost):
-            session.commit()
-
-    def test_time_cannot_regress(self, session):
-        session.supervise(50.0)
-        with pytest.raises(ValueError):
-            session.supervise(10.0)

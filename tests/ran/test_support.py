@@ -1,10 +1,8 @@
-"""Tests for traffic generators, PTP sync, vendor stacks, and the core."""
+"""Tests for traffic generators and vendor stacks."""
 
 import pytest
 
-from repro.ran.core_network import CoreNetwork, RegistrationError, Subscriber
 from repro.ran.stacks import ALL_PROFILES, CAPGEMINI, RADISYS, SRSRAN, profile_by_name
-from repro.ran.sync import DeadlineBudget, PtpClock, SyncStatus
 from repro.ran.traffic import ConstantBitrateFlow, PoissonFlow
 
 SLOT_NS = 500_000
@@ -58,47 +56,6 @@ class TestPoissonFlow:
         ]
 
 
-class TestPtpClock:
-    def test_locked_offsets_small(self):
-        clock = PtpClock(jitter_ns=20, seed=1)
-        for device in ("du", "ru1", "ru2", "ru3"):
-            clock.register(device)
-        assert clock.max_pairwise_offset_ns() < 200
-
-    def test_offset_stable_per_device(self):
-        clock = PtpClock(seed=1)
-        assert clock.offset_ns("ru1") == clock.offset_ns("ru1")
-
-    def test_supports_dmimo_when_locked(self):
-        clock = PtpClock(jitter_ns=10, seed=4)
-        clock.register("du")
-        clock.register("ru1")
-        clock.register("ru2")
-        assert clock.supports_dmimo()
-
-    def test_free_running_breaks_dmimo(self):
-        clock = PtpClock(jitter_ns=20, seed=1, status=SyncStatus.FREE_RUNNING)
-        clock.register("ru1")
-        clock.register("ru2")
-        assert not clock.supports_dmimo()
-
-    def test_single_device_zero_offset(self):
-        clock = PtpClock(seed=1)
-        clock.register("du")
-        assert clock.max_pairwise_offset_ns() == 0.0
-
-
-class TestDeadlineBudget:
-    def test_within_budget(self):
-        assert not DeadlineBudget().violated(26_000)
-
-    def test_violation(self):
-        assert DeadlineBudget().violated(31_000)
-
-    def test_headroom(self):
-        assert DeadlineBudget().headroom_ns(26_000) == pytest.approx(4_000)
-
-
 class TestVendorProfiles:
     def test_three_stacks(self):
         names = {profile.name for profile in ALL_PROFILES}
@@ -118,40 +75,3 @@ class TestVendorProfiles:
     def test_radisys_uses_wider_mantissas(self):
         assert RADISYS.compression.iq_width == 14
         assert SRSRAN.compression.iq_width == 9
-
-
-class TestCoreNetwork:
-    def test_provision_register_session(self):
-        core = CoreNetwork()
-        core.provision(Subscriber("001010000000001"))
-        core.register("001010000000001")
-        session = core.establish_session("001010000000001")
-        session.account_downlink(1000)
-        assert core.total_dl_bits() == 1000
-
-    def test_register_unknown_imsi(self):
-        with pytest.raises(RegistrationError):
-            CoreNetwork().register("001010000000009")
-
-    def test_session_requires_registration(self):
-        core = CoreNetwork()
-        core.provision(Subscriber("001010000000001"))
-        with pytest.raises(RegistrationError):
-            core.establish_session("001010000000001")
-
-    def test_plmn_mismatch_rejected(self):
-        core = CoreNetwork(plmn="00102")
-        with pytest.raises(ValueError):
-            core.provision(Subscriber("001010000000001", plmn="00101"))
-
-    def test_deregister_tears_down_sessions(self):
-        core = CoreNetwork()
-        core.provision(Subscriber("001010000000001"))
-        core.register("001010000000001")
-        core.establish_session("001010000000001")
-        core.deregister("001010000000001")
-        assert not core.sessions_for("001010000000001")
-
-    def test_malformed_imsi_rejected(self):
-        with pytest.raises(ValueError):
-            Subscriber("12ab")

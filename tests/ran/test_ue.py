@@ -4,8 +4,7 @@ import pytest
 
 from repro.phy.channel import ChannelModel
 from repro.phy.geometry import FloorPlan, Position
-from repro.ran.core_network import CoreNetwork
-from repro.ran.ue import AttachError, CellView, UserEquipment
+from repro.ran.ue import AttachError, CellView, Subscriber, UserEquipment
 
 BW = 273 * 12 * 30e3
 
@@ -122,15 +121,6 @@ class TestAttach:
         with pytest.raises(AttachError):
             foreign.scan_and_attach([view])
 
-    def test_attach_registers_with_core(self, plan, channel):
-        rus = plan.ru_positions(0)
-        view = make_view([rus[0]], pci=7)
-        core = CoreNetwork()
-        ue = UserEquipment("001010000000001",
-                           Position(rus[0].x + 2, rus[0].y, 0),
-                           channel=channel)
-        ue.scan_and_attach([view], cores={7: core})
-        assert core.is_registered(ue.imsi)
-        assert core.sessions_for(ue.imsi)
-        ue.detach()
-        assert not core.is_registered(ue.imsi)
+    def test_malformed_imsi_rejected(self):
+        with pytest.raises(ValueError):
+            Subscriber("12ab")

@@ -22,7 +22,6 @@ from repro.serve.delta import (
     DeltaError,
     DeltaOp,
     SpecDelta,
-    plan_mutation,
 )
 from tests.serve.builders import make_spec, tenant_dict
 
@@ -173,36 +172,6 @@ class TestApply:
             admit(bad).apply(make_spec())
 
 
-class TestMutationPlan:
-    def test_admission_adds_one_group(self):
-        spec = make_spec()
-        plan = plan_mutation(spec, admit().apply(spec))
-        assert plan.added == ("tenant",)
-        assert plan.removed == () and plan.changed == ()
-        assert plan.rebuilt == ("tenant",)
-
-    def test_rechain_changes_only_its_group(self):
-        spec = make_spec()
-        delta = SpecDelta(ops=(
-            DeltaOp(op="rechain", target="anchor-b",
-                    chain=({"stage": "prb_monitor"},)),
-        ))
-        plan = plan_mutation(spec, delta.apply(spec))
-        assert plan.changed == ("anchor-b",)
-        assert plan.added == () and plan.removed == ()
-
-    def test_eviction_shifts_later_derived_identities(self):
-        """Removing a leading cell legitimately marks later groups
-        changed (du ids / RU id bases shift with declaration order)."""
-        spec = make_spec()
-        delta = SpecDelta(
-            ops=(DeltaOp(op="remove_cell", target="anchor-a"),)
-        )
-        plan = plan_mutation(spec, delta.apply(spec))
-        assert plan.removed == ("anchor-a",)
-        assert plan.changed == ("anchor-b",)
-
-
 # -- drawn deltas (the generators the oracle suite replays) -------------------
 
 
@@ -224,17 +193,3 @@ def test_drawn_delta_applies_to_a_valid_spec(data):
     # The mutated spec is a first-class spec: serializable, losslessly.
     assert ScenarioSpec.from_dict(mutated.to_dict()) == mutated
     assert all(op.op in DELTA_OPS for op in delta.ops)
-
-
-@given(data=st.data())
-@settings(max_examples=30, deadline=None)
-def test_drawn_delta_mutation_plan_is_consistent(data):
-    spec = make_spec()
-    delta = data.draw(spec_deltas(spec))
-    mutated = delta.apply(spec)
-    plan = plan_mutation(spec, mutated)
-    new_groups = set(mutated.group_fingerprints())
-    old_groups = set(spec.group_fingerprints())
-    assert set(plan.added) == new_groups - old_groups
-    assert set(plan.removed) == old_groups - new_groups
-    assert set(plan.changed) <= old_groups & new_groups

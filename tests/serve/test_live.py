@@ -16,7 +16,7 @@ import pytest
 from repro.scale.pool import WorkerPool
 from repro.scale.runner import run_scenario
 from repro.serve.delta import DeltaError, DeltaOp, SpecDelta
-from repro.serve.engine import TOPICS, LiveRun, run_to_completion
+from repro.serve.engine import TOPICS, LiveRun
 from tests.serve.builders import make_spec, tenant_dict
 
 ADMIT = SpecDelta(ops=(DeltaOp(op="add_cell", cell=tenant_dict()),))
@@ -59,14 +59,6 @@ class TestDrive:
         assert len(epochs) == 4
         assert live.drain_events() == []  # drain drains
         assert set(e["topic"] for e in events) <= set(TOPICS)
-
-    def test_run_to_completion_deadline(self):
-        live = LiveRun(make_spec())
-        try:
-            with pytest.raises(TimeoutError, match="deadline"):
-                run_to_completion(live, pace_s=0.05, deadline_s=0.0)
-        finally:
-            live.close()
 
 
 class TestApply:
