@@ -15,7 +15,7 @@ on a simulated substrate:
 - :mod:`repro.net` -- NIC/switch/link models (SR-IOV chaining substrate).
 - :mod:`repro.obs` -- the fronthaul flight recorder: metrics registry,
   per-packet span tracing, exposition, deadline accounting.
-- :mod:`repro.sim` -- discrete-event engine, testbed builder, power & cost.
+- :mod:`repro.sim` -- slot-synchronous testbed, power & cost models.
 - :mod:`repro.eval` -- one experiment runner per paper table/figure.
 """
 

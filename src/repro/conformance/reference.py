@@ -156,7 +156,8 @@ def scalar_merge(
     payloads: Sequence[bytes], n_prbs: int, iq_width: int,
     comp_meth: int = BFP_COMP_METH,
 ) -> bytes:
-    """Reference of :func:`repro.fronthaul.compression.merge_payloads`:
+    """Reference of :meth:`repro.fronthaul.uplane.UPlaneSection.merged`
+    (the A4 merge the DAS runs) over the operands' wire payloads:
     decompress every operand, sum with int16 saturation, recompress."""
     stacks = [
         scalar_decompress(payload, n_prbs, iq_width, comp_meth)

@@ -33,6 +33,7 @@ def _runners(
     from repro.eval.fig14 import run_fig14
     from repro.eval.fig15 import run_fig15a, run_fig15a_measured, run_fig15b
     from repro.eval.fig16 import run_fig16
+    from repro.eval.mobility import run_mobility
     from repro.eval.obs_top import run_obs_top
     from repro.eval.scale import run_scale
     from repro.eval.serve import run_serve
@@ -55,6 +56,7 @@ def _runners(
         "fig15a_measured": lambda: run_fig15a_measured().format(),
         "fig15b": lambda: run_fig15b().format(),
         "fig16": lambda: run_fig16().format(),
+        "mobility": lambda: run_mobility().format(),
         "appendix_a1": lambda: run_sharing_math().format(),
         "appendix_a2": lambda: run_cost_analysis().format(),
         "chaos": lambda: run_chaos(**sized).format(),

@@ -367,25 +367,6 @@ class _PrbCodec:
         """Parse a wire payload back to int16 samples of shape (n_prbs, 24)."""
         return self.decompress_array(*self.parse_wire(payload, n_prbs))
 
-    def decompress_stack(self, payloads, n_prbs: int) -> np.ndarray:
-        """Decompress N equal-length payloads in one codec pass.
-
-        Returns int16 samples of shape ``(len(payloads), n_prbs, 24)``.
-        This is the batched substrate of the DAS uplink merge: the N
-        per-RU payloads are joined (views go to ``join`` as they are) and
-        parsed as one ``N * n_prbs`` PRB grid, so the bit-unpacking runs
-        once instead of N times.
-        """
-        per_payload = n_prbs * self.config.prb_payload_bytes()
-        for payload in payloads:
-            if len(payload) < per_payload:
-                raise ValueError("truncated payload in decompress_stack")
-        combined = b"".join(payload[:per_payload] for payload in payloads)
-        stacked = self.decompress_array(
-            *self.parse_wire(combined, len(payloads) * n_prbs)
-        )
-        return stacked.reshape(len(payloads), n_prbs, 2 * SAMPLES_PER_PRB)
-
 
 class BfpCompressor(_PrbCodec):
     """Block Floating Point codec over int16 IQ samples.
@@ -464,8 +445,8 @@ def codec_for(config: CompressionConfig):
     The dispatch point of the two-codec fronthaul: BFP and uncompressed
     payloads go through :class:`BfpCompressor`, modulation compression
     through :class:`~repro.fronthaul.modcomp.ModCompressor`.  Both expose
-    the same encode/compress/encode_ranges/decompress/decompress_stack/
-    parse_wire/read_exponents surface, so everything above this line
+    the same encode/compress/encode_ranges/decompress/parse_wire/
+    merge_stack/read_exponents surface, so everything above this line
     (U-plane sections, DAS merge, PRB monitoring) is codec-agnostic.
     """
     if config.comp_meth == MOD_COMP_METH:
@@ -473,21 +454,3 @@ def codec_for(config: CompressionConfig):
 
         return ModCompressor(config)
     return BfpCompressor(config)
-
-
-def merge_payloads(
-    payloads, n_prbs: int, config: CompressionConfig
-) -> bytes:
-    """Batched A4 merge of wire payloads: sum N operands, recompress once.
-
-    Decompresses the operands into one ``(n_ops, n_prbs, 24)`` stack with a
-    single codec pass, sums across operands with int32 accumulation and
-    int16 saturation, and compresses the result in one pass.  Works for
-    any negotiated codec via :func:`codec_for`.  Sections whose operands
-    still carry their encoder's parse merge without the unpack
-    (``UPlaneSection.merged``).
-    """
-    compressor = codec_for(config)
-    return compressor.merge_stack(
-        compressor.decompress_stack(payloads, n_prbs)
-    )[0]

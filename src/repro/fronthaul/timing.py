@@ -184,12 +184,15 @@ class TddPattern:
 class SlotClock:
     """Iterator over consecutive slots, yielding :class:`SymbolTime` stamps.
 
-    The DU drives its scheduler off this clock; tests use it to generate
-    deterministic timestamp sequences.
+    A :class:`~repro.sim.network_sim.FronthaulNetwork` owns the one clock
+    of a run; tests use it to generate deterministic timestamp sequences.
     """
 
     def __init__(self, numerology: Numerology, start_slot: int = 0):
         self.numerology = numerology
+        #: Where the counter was born: ``current_slot - start_slot`` is
+        #: how many slots it has been advanced.
+        self.start_slot = start_slot
         self._slot = start_slot
 
     @property

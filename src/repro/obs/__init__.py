@@ -23,12 +23,12 @@ that layer made first-class:
 - :mod:`repro.obs.live` — the live terminal view over a telemetry
   stream (``python -m repro.eval obs-top``).
 
-The whole datapath (middleboxes, chains, the event engine, the four
-reference apps) is instrumented against one :class:`Observability`
-handle.  **Disabled is the default and must stay
-near-free**: every instrumentation site guards on ``obs.enabled`` — a
-single attribute read — before touching the registry or recorder, and
-the overhead is pinned by ``benchmarks/test_obs_overhead.py``.
+The whole datapath (middleboxes, chains, the four reference apps) is
+instrumented against one :class:`Observability` handle.  **Disabled is
+the default and must stay near-free**: every instrumentation site
+guards on ``obs.enabled`` — a single attribute read — before touching
+the registry or recorder, and the overhead is pinned by
+``benchmarks/test_obs_overhead.py``.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Metrics registry: Counters, Gauges and Histograms with label sets.
 
 The registry is the numeric half of the fronthaul flight recorder: every
-instrumented component (middleboxes, chains, the event engine, the
-reference apps) registers its series here, and the exposition
-module (:mod:`repro.obs.exposition`) renders an atomic snapshot as
-Prometheus text, JSON, or a plain-text dashboard.
+instrumented component (middleboxes, chains, the reference apps)
+registers its series here, and the exposition module
+(:mod:`repro.obs.exposition`) renders an atomic snapshot as Prometheus
+text, JSON, or a plain-text dashboard.
 
 Design constraints, in order:
 

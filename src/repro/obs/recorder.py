@@ -30,8 +30,7 @@ class SpanKey:
     group name, worker shard index); they default to the unsharded
     single-process identity so instrumentation sites never need to know
     about sharding — the streaming layer stamps them at ship time.  The
-    wire coordinates alone (:meth:`wire_key`) identify the frame, so a
-    packet journey reassembles across shards.
+    wire coordinates alone (every field before them) identify the frame.
     """
 
     eaxc: int
@@ -46,14 +45,6 @@ class SpanKey:
 
     def slot_key(self) -> Tuple[int, int, int]:
         return (self.frame, self.subframe, self.slot)
-
-    def wire_key(self) -> Tuple[int, int, int, int, int, str, int]:
-        """The frame's wire coordinates, independent of where it was
-        recorded — the join key for cross-shard packet journeys."""
-        return (
-            self.eaxc, self.frame, self.subframe, self.slot,
-            self.symbol, self.direction, self.seq,
-        )
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -205,19 +196,6 @@ class FlightRecorder:
                 continue
             out.append(span)
         return out
-
-    def packet_journey(self, key: SpanKey) -> List[PacketSpan]:
-        """Every retained span of one wire frame, in chain-stage order —
-        the per-packet latency propagation view across a middlebox chain.
-
-        Matches on :meth:`SpanKey.wire_key` so the journey reassembles
-        even when its spans were recorded on different shards (the
-        streaming fold stamps ``group``/``shard`` onto each key)."""
-        wire = key.wire_key()
-        return sorted(
-            (s for s in self._spans if s.key.wire_key() == wire),
-            key=lambda s: (s.stage, s.start_ns, s.key.shard),
-        )
 
     # -- exports -------------------------------------------------------------
 

@@ -13,8 +13,8 @@ ends a first-class object:
   control pipe like every other pool payload.
 - :class:`TelemetryStream` (coordinator side) folds payloads as they
   arrive: metric deltas merge into a live registry, spans land in a
-  bounded coordinator recorder (cross-shard packet journeys reassemble
-  via :meth:`~repro.obs.recorder.SpanKey.wire_key`), deadline accounts
+  bounded coordinator recorder (each keeps the ``(group, shard)`` it
+  was recorded on next to its wire coordinates), deadline accounts
   feed per-group :class:`~repro.obs.deadline.DeadlineAccountant` twins,
   and every epoch emits one :class:`~repro.obs.slo.EpochSample` into the
   :class:`~repro.obs.slo.SloEngine` plus a summary record on the

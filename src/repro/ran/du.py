@@ -25,7 +25,7 @@ from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction, Sect
 from repro.fronthaul.ecpri import EAxCId
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import FronthaulPacket, make_packet
-from repro.fronthaul.timing import SYMBOLS_PER_SLOT, SlotClock, SymbolTime
+from repro.fronthaul.timing import SYMBOLS_PER_SLOT, SymbolTime
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 from repro.phy.iq import QamModulator, iq_to_int16
 from repro.ran.cell import CellConfig
@@ -109,7 +109,6 @@ class DistributedUnit:
         self.mac = mac or MacAddress.from_int(0x02_00_00_00_00_00 + du_id)
         self.ru_mac = ru_mac or MacAddress.from_int(0x02_00_00_00_10_00 + du_id)
         self.scheduler = MacScheduler(cell, profile)
-        self.clock = SlotClock(cell.numerology)
         self.symbols_per_slot = symbols_per_slot
         self.record_reference = record_reference
         self.counters = DuCounters()
@@ -154,10 +153,13 @@ class DistributedUnit:
 
     # -- slot processing -------------------------------------------------------
 
-    def advance_slot(self) -> List[FronthaulPacket]:
-        """Run one slot: schedule, emit C-plane and DL U-plane packets."""
-        absolute_slot = self.clock.current_slot
-        slot_time = self.clock.advance()
+    def advance_slot(self, absolute_slot: int) -> List[FronthaulPacket]:
+        """Run slot ``absolute_slot``: schedule, emit C-plane and DL
+        U-plane packets.  The DU keeps no clock — the network that drives
+        it owns the counter and tells every DU the same slot."""
+        slot_time = SymbolTime.from_absolute_slot(
+            absolute_slot, self.cell.numerology
+        )
         self._enqueue_traffic()
         allocations = self.scheduler.schedule_slot(absolute_slot)
         dl_allocs = [a for a in allocations if a.direction is Direction.DOWNLINK]

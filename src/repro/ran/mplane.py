@@ -7,10 +7,10 @@ deployments of Sections 4.3/6.3.2 depend on exactly this: the shared
 100 MHz RU is "configured for a specific center frequency and bandwidth"
 before the middlebox carves it up.
 
-Only the capability model is built: it is the M-plane's one
-consumer-visible effect here — codec negotiation
-(:func:`repro.ran.stacks.negotiate_compression`) and the scenario builder
-refuse a configuration the radio does not advertise.
+Only the part of the capability model with a reader is built: the
+codecs an RU advertises, which codec negotiation
+(:func:`repro.ran.stacks.negotiate_compression`, run by the scenario
+builder for every cell) refuses to step outside of.
 """
 
 from __future__ import annotations
@@ -24,18 +24,12 @@ from repro.fronthaul.compression import (
     NO_COMP_METH,
     CompressionConfig,
 )
-from repro.ran.ru import RuConfig
 
 
 @dataclass(frozen=True)
 class RuCapabilities:
     """What the hardware can do (the read-only capability model)."""
 
-    min_frequency_hz: float = 3.3e9
-    max_frequency_hz: float = 3.8e9  # 5G band n78
-    max_bandwidth_prbs: int = 273
-    max_antennas: int = 4
-    max_tx_power_dbm: float = 24.0
     supported_iq_widths: Tuple[int, ...] = (8, 9, 12, 14, 16)
     #: udCompMeth codes the radio advertises over M-plane; codec
     #: negotiation (:func:`repro.ran.stacks.negotiate_compression`)
@@ -64,34 +58,4 @@ class RuCapabilities:
                 )
         elif config.iq_width not in self.supported_iq_widths:
             errors.append(f"iq_width {config.iq_width} unsupported")
-        return errors
-
-    def validate(self, config: RuConfig) -> List[str]:
-        """All constraint violations of a candidate configuration."""
-        errors = []
-        grid = config.grid
-        low = grid.prb0_frequency_hz
-        high = grid.prb_start_frequency_hz(grid.num_prb)
-        if low < self.min_frequency_hz or high > self.max_frequency_hz:
-            errors.append(
-                f"carrier {low / 1e9:.4f}-{high / 1e9:.4f} GHz outside "
-                f"band {self.min_frequency_hz / 1e9}-"
-                f"{self.max_frequency_hz / 1e9} GHz"
-            )
-        if config.num_prb > self.max_bandwidth_prbs:
-            errors.append(
-                f"{config.num_prb} PRBs exceed the hardware's "
-                f"{self.max_bandwidth_prbs}"
-            )
-        if config.n_antennas > self.max_antennas:
-            errors.append(
-                f"{config.n_antennas} antennas exceed the hardware's "
-                f"{self.max_antennas}"
-            )
-        if config.tx_power_dbm_per_port > self.max_tx_power_dbm:
-            errors.append(
-                f"{config.tx_power_dbm_per_port} dBm exceeds the rated "
-                f"{self.max_tx_power_dbm} dBm"
-            )
-        errors.extend(self.validate_compression(config.compression))
         return errors

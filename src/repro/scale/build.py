@@ -62,13 +62,6 @@ class BuiltGroup:
     #: Wire-level conformance validator observing RU/DU ingress (set
     #: when the spec's ``obs.conformance`` is on).
     validator: Optional[WireValidator] = None
-    #: Attached by the runner: the group's slot-driving event engine.
-    engine: Optional[object] = None
-    #: Runner-side accounting: slots this group has actually executed
-    #: and events its engine processed — what GroupResult reports, so a
-    #: partially-driven group never claims the full horizon.
-    slots_run: int = 0
-    events_run: int = 0
 
     @property
     def middleboxes(self):

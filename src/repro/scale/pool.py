@@ -18,7 +18,7 @@ contract is byte-identical digests at any worker count:
 2. **Barrier epochs.**  The coordinator barriers every
    :meth:`~repro.scale.spec.ScenarioSpec.effective_epoch_slots` slots
    (default: the whole horizon — the coarsest epoch) and each ack
-   carries ``(slots, events, telemetry payloads)``.
+   carries ``(slots, telemetry payloads)``.
    Telemetry accumulates worker-side between barriers (metric deltas
    always; spans, deadline accounts and conformance deltas when the
    spec streams) and folds into the coordinator's
@@ -77,34 +77,33 @@ JOIN_TIMEOUT_S = 10.0
 def _serve(engine: ShardEngine, command: Tuple) -> Tuple:
     """Run one pool command on a shard engine and build its reply.
 
-    Commands and their ``(tag, slots, events, bulk, heartbeat)`` replies:
+    Commands and their ``(tag, slots, bulk, heartbeat)`` replies:
 
     - ``("epoch", n_slots, final)`` advances every local group
-      ``n_slots`` and replies ``("ok", n_slots, events, bulk|None, hb)``
+      ``n_slots`` and replies ``("ok", n_slots, bulk|None, hb)``
       where the bulk is the list of the local groups' telemetry epoch
       payloads (:meth:`~repro.obs.stream.GroupStreamSource.
       epoch_payload`) — metric deltas always, plus spans/deadline/
       conformance lanes when the spec streams.  ``final`` marks the
       horizon's last epoch, whose payloads carry cumulative snapshots.
     - ``("collect",)`` summarizes the groups and replies
-      ``("result", 0, 0, bulk, hb)``.
+      ``("result", 0, bulk, hb)``.
     - ``("reset",)`` rebuilds the groups from the spec (fresh state,
-      same bytes as a new fork) and replies ``("ok", 0, 0, None, hb)``.
+      same bytes as a new fork) and replies ``("ok", 0, None, hb)``.
     - ``("mutate", spec, shards, rebuild, replay_slots)`` rebases the
       engine onto its row of the mutated plan's ``shards``
       (:meth:`~repro.scale.runner.ShardEngine.rebase`) and replies
-      ``("ok", 0, 0, None, hb)``.
+      ``("ok", 0, None, hb)``.
 
     The trailing heartbeat (``{"pid", "clock"}``) lets the coordinator
     reject replies that cannot have come from the process it is
     barriering on.
     """
     op = command[0]
-    tag, slots, events, bulk = "ok", 0, 0, None
+    tag, slots, bulk = "ok", 0, None
     if op == "epoch":
         slots = command[1]
-        events, payloads = engine.step(slots, command[2])
-        bulk = payloads or None
+        bulk = engine.step(slots, command[2]) or None
     elif op == "collect":
         tag, bulk = "result", engine.summarize()
     elif op == "reset":
@@ -116,7 +115,7 @@ def _serve(engine: ShardEngine, command: Tuple) -> Tuple:
     else:
         raise ValueError(f"unknown command {command!r}")
     heartbeat = {"pid": os.getpid(), "clock": time.monotonic()}
-    return (tag, slots, events, bulk, heartbeat)
+    return (tag, slots, bulk, heartbeat)
 
 
 def _worker_loop(
@@ -189,12 +188,12 @@ def _worker_loop(
                     # Protocol-violating reply: alien heartbeat, wrong
                     # slot count, no work done.
                     conn.send(
-                        ("ok", command[1], -1, None, {"pid": -1, "clock": 0.0})
+                        ("ok", command[1], None, {"pid": -1, "clock": 0.0})
                     )
                     continue
             reply = _serve(engine, command)
             if kind == "corrupt_frame":
-                reply = reply[:3] + (corrupt_bulk(reply[3]),) + reply[4:]
+                reply = reply[:2] + (corrupt_bulk(reply[2]),) + reply[3:]
             if op == "reset":
                 chaos_agent = ProcessChaosAgent(
                     engine.spec.chaos_specs(), index, engine.names, armed=True
@@ -518,7 +517,7 @@ class WorkerPool:
                 try:
                     reply = self._shards[index].recv(timeout, poll_s)
                     self._check_reply(index, reply, expect, slots)
-                    bulk.extend(reply[3] or ())
+                    bulk.extend(reply[2] or ())
                     break
                 except WorkerFailure as failure:
                     self._recover(index, failure)
@@ -559,7 +558,7 @@ class WorkerPool:
             raise RuntimeError(f"scale worker failed:\n{reply[1]}")
         if (
             not isinstance(reply, tuple)
-            or len(reply) != 5
+            or len(reply) != 4
             or reply[0] != expect
         ):
             raise WorkerFailure(
@@ -579,7 +578,7 @@ class WorkerPool:
                 index,
                 f"heartbeat {heartbeat!r} does not match worker pid {pid}",
             )
-        row, bulk = self.plan.shards[index], reply[3]
+        row, bulk = self.plan.shards[index], reply[2]
         if expect == "result":
             sound = (
                 isinstance(bulk, list)
@@ -699,7 +698,7 @@ class WorkerPool:
                     )
                     if isinstance(reply, tuple) and reply[:1] == ("result",):
                         self._check_reply(index, reply, "result", 0)
-                        for result in reply[3]:
+                        for result in reply[2]:
                             partial[result.name] = result
                         break
                     # Anything else is a stale in-flight epoch reply;

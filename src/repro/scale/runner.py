@@ -2,12 +2,12 @@
 
 Every way of running a scenario executes its coupling groups through
 one :class:`ShardEngine`: each group is built fresh from the spec (never
-pickled live), driven by its own :class:`~repro.sim.engine.EventEngine`
-whose ``shard`` id is the *group name* — so merged timelines sort
-identically no matter which worker ran which group — and summarized
-into a :class:`GroupResult` of plain data: slot reports, DU/RU
-counters, middlebox stats, uplink IQ hashes, and a canonical-JSON
-sha256 digest over all of it.
+pickled live), stepped slot by slot through its network's
+:meth:`~repro.sim.network_sim.FronthaulNetwork.run_slot` — the network
+owns the group's one slot counter — and summarized into a
+:class:`GroupResult` of plain data: slot reports, DU/RU counters,
+middlebox stats, uplink IQ hashes, and a canonical-JSON sha256 digest
+over all of it.
 
 One coordinator drives the engines, whatever the worker count:
 :class:`~repro.scale.pool.WorkerPool` barriers *epochs* of
@@ -20,8 +20,10 @@ groups are atomic, so no packet ever crosses a shard boundary.  Engines
 hand back GroupResults (plain data) which merge into one
 :class:`ScenarioResult`: digests combine order-independently, metrics
 snapshots fold additively via
-:meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot`, timelines
-merge deterministically via :func:`~repro.sim.engine.merge_timelines`.
+:meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot`, and the
+global slot order (:meth:`ScenarioResult.timeline`) is derived from the
+groups' names and slot counts, so it cannot depend on which worker ran
+which group.
 
 Wall-clock-dependent series (``middlebox_wall_ns`` etc.) stay out of the
 digest on purpose: the digest certifies *simulation* results, which must
@@ -35,7 +37,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.conformance import ConformanceReport
 from repro.obs.exposition import render_prometheus
@@ -45,7 +47,6 @@ from repro.obs.stream import GroupStreamSource, TelemetryStream
 from repro.scale.build import BuiltGroup, build_groups
 from repro.scale.shard import ShardPlan
 from repro.scale.spec import ScenarioSpec
-from repro.sim.engine import EventEngine, TimelineEntry, merge_timelines
 
 
 @dataclass
@@ -54,12 +55,17 @@ class GroupResult:
 
     name: str
     cells: int
+    #: Slots the group's network actually ran (its clock's advance), so
+    #: a partially-driven group never claims the full horizon.
     slots: int
+    #: Driver steps taken — one per slot, so always ``slots``; kept as
+    #: a field because the frozen ``bench/`` sums and divides by it.
     events: int
+    #: The group's slot duration (what places its slots on the timeline).
+    slot_ns: int
     reports: List[Dict[str, Any]]
     cell_counters: Dict[str, Dict[str, Any]]
     middlebox_stats: List[Dict[str, Any]]
-    timeline: List[TimelineEntry]
     metrics: Dict[str, Dict[str, Any]]
     #: Serialized ConformanceReport of the group's validator (empty when
     #: the spec did not request conformance).  Ships as plain data over
@@ -141,10 +147,14 @@ class ScenarioResult:
             combined.update(self.groups[name].digest.encode())
         return combined.hexdigest()
 
-    def timeline(self) -> List[TimelineEntry]:
-        """One deterministic global event order across all groups."""
-        return merge_timelines(
-            result.timeline for result in self.groups.values()
+    def timeline(self) -> List[Tuple[int, str, int, str]]:
+        """One deterministic global slot order across all groups:
+        ``(start_ns, group, slot, label)`` sorted by time, then group
+        name, then slot — derived, nothing of it is stored."""
+        return sorted(
+            (slot * result.slot_ns, name, slot, f"{name}/slot{slot}")
+            for name, result in self.groups.items()
+            for slot in range(result.slots)
         )
 
     def metrics(self) -> MetricsRegistry:
@@ -178,7 +188,7 @@ def run_divergence(
     """The run-equality contract as data: which parts of it ``outcome``
     breaks against ``reference``; ``[]`` means the same run.
 
-    Two results are the same run when their digests and merged timelines
+    Two results are the same run when their digests and slot timelines
     are equal and — where ``outcome`` carried a telemetry stream — its
     deterministic exposition equals the reference stream's (when the
     reference has one) and its live fold equals its own end-of-run
@@ -207,10 +217,11 @@ def run_divergence(
 def _summarize_group(group: BuiltGroup) -> GroupResult:
     """Freeze one group into plain data.
 
-    ``slots``/``events`` come from the group's own execution accounting
-    (:attr:`~repro.scale.build.BuiltGroup.slots_run`), not from the spec
-    or the report count, so a result always states what actually ran.
+    ``slots`` is what the network's clock was advanced by, not the spec
+    horizon, so a result always states what actually ran.
     """
+    clock = group.network.clock
+    slots = clock.current_slot - clock.start_slot
     cell_counters: Dict[str, Dict[str, Any]] = {}
     for built in group.cells:
         cell_counters[built.spec.name] = {
@@ -232,14 +243,14 @@ def _summarize_group(group: BuiltGroup) -> GroupResult:
     return GroupResult(
         name=group.name,
         cells=len(group.cells),
-        slots=group.slots_run,
-        events=group.events_run,
+        slots=slots,
+        events=slots,
+        slot_ns=clock.numerology.slot_duration_ns,
         reports=[
             dataclasses.asdict(report) for report in group.network.reports
         ],
         cell_counters=cell_counters,
         middlebox_stats=middlebox_stats,
-        timeline=list(group.engine.timeline) if group.engine else [],
         metrics=group.obs.registry.snapshot() if group.obs.enabled else {},
         conformance=(
             group.validator.report.to_dict() if group.validator else {}
@@ -247,39 +258,22 @@ def _summarize_group(group: BuiltGroup) -> GroupResult:
     )
 
 
-def _step_groups(groups: List[BuiltGroup], n_slots: int) -> int:
-    """Advance every group ``n_slots`` slots through its event engine.
+def _step_groups(groups: List[BuiltGroup], n_slots: int) -> None:
+    """Advance every group ``n_slots`` slots, one group after another.
 
-    Slots are scheduled at their nominal nanosecond start so the recorded
-    timeline carries real fronthaul timestamps, then the engine drains —
-    per-group, so one group's backlog never delays another's slots.
+    ``run_slot`` is looked up on the network instance at every call:
+    instrumentation may have replaced it there after the build.
     """
-    events = 0
     for group in groups:
-        engine = group.engine
-        numerology = group.cells[0].config.numerology
-        slot_ns = numerology.slot_duration_ns
-        first = group.slots_run
-        group_events = 0
-        for offset in range(n_slots):
-            slot_index = first + offset
-            engine.schedule_at(
-                max(slot_index * slot_ns, engine.now_ns),
-                group.network.run_slot,
-                label=f"{group.name}/slot{slot_index}",
-            )
-            group_events += engine.run()
-        group.slots_run += n_slots
-        group.events_run += group_events
-        events += group_events
-    return events
+        for _ in range(n_slots):
+            group.network.run_slot()
 
 
 class ShardEngine:
     """One shard's groups, built and stepped in whichever process holds it.
 
-    The only place groups are built, given engines and stream sources,
-    and the only replay loop: construction, respawn fast-forward, reset
+    The only place groups are built and given stream sources, and the
+    only replay loop: construction, respawn fast-forward, reset
     and live mutation are all :meth:`rebase`.  The worker command loop
     and the pool's in-process shard both drive this object; neither
     knows how a group is made.
@@ -322,10 +316,6 @@ class ShardEngine:
             new_spec,
             [n for n in names if n in rebuild or n not in self._live],
         ):
-            # Keyed by *group name*, not worker: see the module docstring.
-            group.engine = EventEngine(
-                obs=group.obs, shard=group.name, record_timeline=True
-            )
             source = None
             if new_spec.obs.enabled:
                 source = GroupStreamSource(
@@ -346,21 +336,19 @@ class ShardEngine:
         self.names = list(names)
         self._live = {name: live[name] for name in names}
 
-    def step(self, n_slots: int, final: bool):
-        """Advance every group one epoch: ``(events, telemetry payloads)``.
+    def step(self, n_slots: int, final: bool) -> List[Dict[str, Any]]:
+        """Advance every group one epoch and hand back its telemetry
+        payloads (none when obs is disabled).
 
         ``final`` marks the horizon's last epoch, whose payloads carry
-        cumulative snapshots.  No payloads when obs is disabled.
+        cumulative snapshots.
         """
-        events = _step_groups(
-            [group for group, _ in self._live.values()], n_slots
-        )
-        payloads = [
+        _step_groups([group for group, _ in self._live.values()], n_slots)
+        return [
             source.epoch_payload(final=final)
             for _, source in self._live.values()
             if source is not None
         ]
-        return events, payloads
 
     def summarize(self) -> List[GroupResult]:
         """Freeze every group as of now, without disturbing its state."""
@@ -374,8 +362,8 @@ def run_scenario(
 ) -> ScenarioResult:
     """Run a scenario single-process (``workers<=1``) or sharded.
 
-    Identical results either way: same builds, same seeds, same per-group
-    engines, same ``begin → advance_epoch → collect`` drive of a one-shot
+    Identical results either way: same builds, same seeds, same
+    ``begin → advance_epoch → collect`` drive of a one-shot
     :class:`~repro.scale.pool.WorkerPool`.  Only wall time differs:
     ``workers<=1`` keeps the single shard in this process, more workers
     fork one process per shard.

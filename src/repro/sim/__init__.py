@@ -1,20 +1,16 @@
-"""Simulation layer: event engine, testbed builder, power and cost models.
+"""Simulation layer: testbed builder, power and cost models.
 
-- :mod:`repro.sim.engine` -- a nanosecond-resolution discrete-event core.
 - :mod:`repro.sim.network_sim` -- the packet-level testbed: DUs,
   middlebox chains, RUs, the radio environment and UEs wired together.
 - :mod:`repro.sim.power` -- server/CPU power model (Figure 14).
 - :mod:`repro.sim.cost` -- CapEx model (Appendix A.2).
 """
 
-from repro.sim.engine import Event, EventEngine
 from repro.sim.network_sim import FronthaulNetwork, RadioEnvironment
 from repro.sim.power import ServerPowerModel, deployment_power_w
 from repro.sim.cost import CostModel, DeploymentCost
 
 __all__ = [
-    "Event",
-    "EventEngine",
     "FronthaulNetwork",
     "RadioEnvironment",
     "ServerPowerModel",

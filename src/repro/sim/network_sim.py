@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.chain import MiddleboxChain
 from repro.core.middlebox import Middlebox
 from repro.fronthaul.packet import FronthaulPacket
-from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.timing import SlotClock, SymbolTime
 from repro.phy.channel import ChannelModel, db_to_linear
 from repro.phy.geometry import Position
 from repro.ran.du import DistributedUnit
@@ -146,6 +146,11 @@ class FronthaulNetwork:
         self._dus: Dict[int, DistributedUnit] = {}
         self._rus: Dict[int, Tuple[RadioUnit, Position]] = {}
         self.reports: List[SlotReport] = []
+        #: The run's one slot counter, born at 0 with the first DU's
+        #: numerology; ``run_slot`` reads and advances it, every DU is
+        #: told its value.  A test translates a run in time by replacing
+        #: it with a clock started elsewhere before the first slot.
+        self.clock: Optional[SlotClock] = None
         #: Optional per-slot latency budget checker (repro.obs.deadline):
         #: fed every slot's per-stage modelled processing time.
         self.deadline_accountant = deadline_accountant
@@ -176,6 +181,14 @@ class FronthaulNetwork:
             )
 
     def add_du(self, du: DistributedUnit) -> None:
+        numerology = du.cell.numerology
+        if self.clock is None:
+            self.clock = SlotClock(numerology)
+        elif numerology != self.clock.numerology:
+            raise ValueError(
+                f"DU {du.du_id} runs {numerology}, the network's clock "
+                f"{self.clock.numerology}: one network, one slot duration"
+            )
         self._dus[du.mac.to_int()] = du
 
     def add_ru(self, ru: RadioUnit, position: Position = Position(0, 0)) -> None:
@@ -221,7 +234,8 @@ class FronthaulNetwork:
         """Advance every DU one slot and exchange all fronthaul packets."""
         if not self._dus:
             raise RuntimeError("no DUs in the network")
-        absolute_slot = next(iter(self._dus.values())).clock.current_slot
+        absolute_slot = self.clock.current_slot
+        self.clock.advance()
         report = SlotReport(absolute_slot=absolute_slot)
         accountant = self.deadline_accountant
         if accountant is not None:
@@ -231,7 +245,7 @@ class FronthaulNetwork:
 
         downlink: List[FronthaulPacket] = []
         for du in self._dus.values():
-            downlink.extend(du.advance_slot())
+            downlink.extend(du.advance_slot(absolute_slot))
         # Fronthaul timing windows close C-plane transmission before
         # U-plane transmission for a symbol, so across *all* DUs every
         # C-plane message precedes the U-plane data — the ordering the

@@ -29,7 +29,6 @@ from repro.fronthaul.compression import (
     BfpCompressor,
     CompressionConfig,
     codec_for,
-    merge_payloads,
 )
 from repro.fronthaul.modcomp import ModCompressor
 from repro.fronthaul.cplane import CPlaneMessage
@@ -51,6 +50,19 @@ _CONFIGS = [
 
 #: The modcomp grid: the three vendor widths plus the extremes.
 _MODCOMP_CONFIGS = [(3,), (4,), (6,), (1,), (14,), (8,)]
+
+
+def _assert_production_merge(sections, reference: bytes, case: str) -> None:
+    """``UPlaneSection.merged`` — the merge the DAS runs — against the
+    scalar reference, over both kinds of operand: sections unpacked from
+    packed bytes (the ``parse_wire`` lane) and sections still riding
+    their encoder's parse."""
+    wire = [UPlaneSection.unpack(s.pack(), 0)[0] for s in sections]
+    assert all(s._parse is None for s in wire)
+    assert all(s._parse is not None for s in sections)
+    for lane, operands in (("wire", wire), ("riding", sections)):
+        merged = UPlaneSection.merged(operands)
+        assert bytes(merged.payload) == reference, f"{case}: {lane}"
 
 
 def _samples_for(index: int, seed_base: int) -> np.ndarray:
@@ -119,14 +131,10 @@ class TestBfpCodecDifferential:
                 ).astype(np.int16)
                 operands.append(BfpCompressor(config).compress(shifted))
                 sections.append(UPlaneSection.from_samples(0, 0, shifted, config))
-            vectorized = merge_payloads(operands, len(samples), config)
             reference = scalar_merge(
                 operands, len(samples), config.iq_width, config.comp_meth
             )
-            assert vectorized == reference, f"case {index}: {n_ops} operands"
-            # The same merge over sections still carrying their parse.
-            riding = UPlaneSection.merged(sections)
-            assert bytes(riding.payload) == reference, f"case {index} riding"
+            _assert_production_merge(sections, reference, f"case {index}")
 
     def test_exponents_match_scalar_reference(self):
         for index in range(N_CASES):
@@ -191,14 +199,10 @@ class TestModCompCodecDifferential:
                 ).astype(np.int16)
                 operands.append(ModCompressor(config).compress(shifted))
                 sections.append(UPlaneSection.from_samples(0, 0, shifted, config))
-            vectorized = merge_payloads(operands, len(samples), config)
             reference = scalar_merge(
                 operands, len(samples), config.iq_width, config.comp_meth
             )
-            assert vectorized == reference, f"case {index}: {n_ops} operands"
-            # The same merge over sections still carrying their parse.
-            riding = UPlaneSection.merged(sections)
-            assert bytes(riding.payload) == reference, f"case {index} riding"
+            _assert_production_merge(sections, reference, f"case {index}")
 
     def test_scalers_match_scalar_reference(self):
         for index in range(N_CASES):

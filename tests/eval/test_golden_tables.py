@@ -4,8 +4,8 @@
 change (PR 18) and holds
 
 - ``tables``: sha256 of ``python -m repro.eval <id>`` stdout, minus the
-  ``(N.Ns)`` wall-clock lines, for the sixteen ids whose output is
-  byte-stable run to run;
+  ``(N.Ns)`` wall-clock lines, for the ids whose output is byte-stable
+  run to run (sixteen from PR 18, ``mobility`` since it was registered);
 - ``specs``: sha256 of ``to_json()`` of the six canonical scenario specs
   at their default horizons.
 

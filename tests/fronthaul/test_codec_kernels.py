@@ -193,25 +193,6 @@ class TestBlockedPass:
     def test_no_ranges_no_payloads(self):
         assert codec_for(CompressionConfig()).compress_ranges([]) == []
 
-    def test_decompress_stack_takes_views_and_skips_the_memo(self):
-        config = CompressionConfig(iq_width=9)
-        codec = codec_for(config)
-        rng = np.random.default_rng(5)
-        operands = [
-            rng.integers(-9000, 9000, size=(6, 24), dtype=np.int16)
-            for _ in range(3)
-        ]
-        frame = b"\xff" * 5 + b"".join(codec.compress(op) for op in operands)
-        views = [
-            memoryview(frame)[5 + i * 168 : 5 + (i + 1) * 168] for i in range(3)
-        ]
-        clear_codec_memo()
-        stack = codec.decompress_stack(views, 6)
-        assert stack.tolist() == [
-            scalar_decompress(bytes(v), 6, 9) for v in views
-        ]
-        assert codec_memo_stats()["parse_entries"] == 0
-
 
 class TestMemoryContract:
     """The RSS trap of the slot pass, held without a wall clock: ten

@@ -17,8 +17,8 @@ from repro.fronthaul.compression import (
     CompressionConfig,
     clear_codec_memo,
     codec_memo_stats,
-    merge_payloads,
 )
+from repro.fronthaul.uplane import UPlaneSection
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_bfp.json"
 
@@ -315,30 +315,23 @@ class TestCodecMemo:
 
 
 class TestBatchedHelpers:
-    def test_decompress_stack_matches_sequential(self, rng):
-        compressor = BfpCompressor()
-        payloads = []
-        expected = []
-        for _ in range(4):
-            samples = rng.integers(-9000, 9000, size=(6, 24)).astype(np.int16)
-            wire = compressor.compress(samples)
-            payloads.append(wire)
-            expected.append(compressor.decompress(wire, 6))
-        stack = compressor.decompress_stack(payloads, 6)
-        assert stack.shape == (4, 6, 24)
-        assert (stack == np.stack(expected)).all()
-
-    def test_merge_payloads_matches_manual_sum(self, rng):
+    def test_merged_sections_match_manual_sum(self, rng):
+        """The production merge, over operands unpacked from packed bytes
+        (the ``parse_wire`` lane) and over riding ones."""
         config = CompressionConfig(iq_width=9)
         compressor = BfpCompressor(config)
         operands = [
             rng.integers(-8000, 8000, size=(5, 24)).astype(np.int16)
             for _ in range(3)
         ]
-        payloads = [compressor.compress(op) for op in operands]
-        merged_wire = merge_payloads(payloads, 5, config)
+        riding = [
+            UPlaneSection.from_samples(0, 0, op, config) for op in operands
+        ]
         total = np.zeros((5, 24), dtype=np.int64)
-        for payload in payloads:
-            total += compressor.decompress(payload, 5)
+        for section in riding:
+            total += compressor.decompress(section.payload, 5)
         manual = np.clip(total, -32768, 32767).astype(np.int16)
-        assert merged_wire == compressor.compress(manual)
+        wire = [UPlaneSection.unpack(s.pack(), 0)[0] for s in riding]
+        for sections in (wire, riding):
+            merged = UPlaneSection.merged(sections)
+            assert bytes(merged.payload) == compressor.compress(manual)

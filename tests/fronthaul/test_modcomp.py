@@ -10,9 +10,9 @@ from repro.fronthaul.compression import (
     BfpCompressor,
     CompressionConfig,
     codec_for,
-    merge_payloads,
 )
 from repro.fronthaul.modcomp import ModCompressor, max_scaler
+from repro.fronthaul.uplane import UPlaneSection
 
 
 def _config(width=3):
@@ -130,33 +130,12 @@ class TestRoundTrip:
             wire = codec.compress(samples)
             assert len(wire) == 5 * (2 + 3 * width)
 
-    def test_decompress_stack_matches_loop(self, rng):
-        codec = ModCompressor(_config(4))
-        payloads = [
-            codec.compress(
-                rng.integers(-9000, 9000, size=(3, 24), dtype=np.int16)
-            )
-            for _ in range(4)
-        ]
-        stacked = codec.decompress_stack(payloads, 3)
-        for index, payload in enumerate(payloads):
-            assert (stacked[index] == codec.decompress(payload, 3)).all()
-
     def test_truncated_payload_raises(self):
         codec = ModCompressor(_config(3))
         with pytest.raises(ValueError):
             codec.decompress(b"\x00" * 10, 2)
         with pytest.raises(ValueError):
             codec.read_params(b"\x00" * 10, 2)
-
-    def test_decompress_stack_empty(self):
-        codec = ModCompressor(_config(3))
-        assert codec.decompress_stack([], 4).shape == (0, 4, 24)
-
-    def test_decompress_stack_rejects_truncated_operand(self):
-        codec = ModCompressor(_config(3))
-        with pytest.raises(ValueError, match="truncated"):
-            codec.decompress_stack([b"\x00"], 2)
 
     def test_rejects_bad_sample_shape(self):
         codec = ModCompressor(_config(3))
@@ -197,23 +176,29 @@ class TestWireParams:
 
 
 class TestMerge:
-    def test_merge_payloads_dispatches_modcomp(self, rng):
+    def test_merged_sections_dispatch_modcomp(self, rng):
+        """The production merge, over operands unpacked from packed bytes
+        (the ``parse_wire`` lane) and over riding ones."""
         config = _config(6)
         codec = ModCompressor(config)
-        operands = [
-            codec.compress(
-                rng.integers(-400, 400, size=(3, 24), dtype=np.int16)
+        riding = [
+            UPlaneSection.from_samples(
+                0, 0, rng.integers(-400, 400, size=(3, 24), dtype=np.int16),
+                config,
             )
             for _ in range(3)
         ]
-        merged = codec.decompress(merge_payloads(operands, 3, config), 3)
         total = sum(
-            codec.decompress(op, 3).astype(np.int64) for op in operands
+            codec.decompress(section.payload, 3).astype(np.int64)
+            for section in riding
         )
         half_step = 1 << max_scaler(6)
-        assert np.abs(
-            merged.astype(np.int64) - np.clip(total, -32768, 32767)
-        ).max() <= half_step
+        wire = [UPlaneSection.unpack(s.pack(), 0)[0] for s in riding]
+        for sections in (wire, riding):
+            merged = codec.decompress(UPlaneSection.merged(sections).payload, 3)
+            assert np.abs(
+                merged.astype(np.int64) - np.clip(total, -32768, 32767)
+            ).max() <= half_step
 
 
 class TestHypothesisProperties:

@@ -186,7 +186,7 @@ class TestEncodeSitesAttach:
 
     def test_du_build_dl_uplane(self, config):
         du = loaded_du(config, symbols_per_slot=14)
-        uplane = [p for p in du.advance_slot() if p.is_uplane]
+        uplane = [p for p in du.advance_slot(0) if p.is_uplane]
         assert len(uplane) >= 20  # more than one 512-PRB block of 106-PRB grids
         for packet in uplane:
             (section,) = packet.message.sections

@@ -89,10 +89,10 @@ class TestChainedDeployment:
         # the DAS stage must stamp per-(mno, ru) source addresses; we
         # emulate the VF wiring by rewriting sources after fan-out.
         reports = []
-        for _ in range(n_slots):
+        for slot in range(n_slots):
             downlink = []
             for du, das in zip(dus, das_boxes):
-                packets = du.advance_slot()
+                packets = du.advance_slot(slot)
                 packets.sort(key=lambda p: p.is_uplane)
                 for packet in packets:
                     for out in das.process(packet).emissions:

@@ -1,4 +1,4 @@
-"""Datapath instrumentation: middlebox, chain, engine, sampling switch."""
+"""Datapath instrumentation: middlebox, chain, sampling switch."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from repro.fronthaul.packet import make_packet
 from repro.fronthaul.timing import SymbolTime
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 from repro.obs import Observability
-from repro.sim.engine import EventEngine
 
 
 def packet(seq=0):
@@ -211,25 +210,4 @@ class TestChainInstrumentation:
         chain = MiddleboxChain([Middlebox()], obs=obs)
         out = chain.process_downlink([packet()])
         assert len(out) == 1
-        assert obs.registry.snapshot() == {}
-
-
-class TestEngineInstrumentation:
-    def test_event_counters_and_lag(self):
-        obs = Observability(enabled=True)
-        engine = EventEngine(obs=obs)
-        engine.schedule(100.0, lambda: None)
-        engine.schedule(300.0, lambda: None)
-        engine.run()
-        snap = obs.registry.snapshot()
-        assert snap["engine_events_total"]["series"][""] == 2
-        lag = snap["engine_event_lag_ns"]["series"][""]
-        assert lag["count"] == 2 and lag["sum"] == 400.0
-        assert snap["engine_queue_depth"]["series"][""] == 0
-
-    def test_disabled_engine_is_silent(self):
-        obs = Observability(enabled=False)
-        engine = EventEngine(obs=obs)
-        engine.schedule(1.0, lambda: None)
-        assert engine.run() == 1
         assert obs.registry.snapshot() == {}

@@ -60,14 +60,6 @@ class TestQueries:
         assert len(recorder.find(slot_key=(1, 2, 0))) == 3
         assert recorder.find(middlebox="das", dropped=False)[0].key.seq == 0
 
-    def test_packet_journey_orders_by_chain_stage(self):
-        recorder = FlightRecorder()
-        recorder.record(span(seq=7, middlebox="das", stage=1, start_ns=2000))
-        recorder.record(span(seq=7, middlebox="sharing", stage=0,
-                             start_ns=1000))
-        journey = recorder.packet_journey(span(seq=7).key)
-        assert [s.middlebox for s in journey] == ["sharing", "das"]
-
 
 class TestExports:
     def test_jsonl_one_line_per_span(self):

@@ -28,17 +28,16 @@ def loaded(du, dl=100.0, ul=20.0):
 
 class TestDownlinkGeneration:
     def test_idle_slot_produces_nothing_between_ssb(self, du):
-        du.clock._slot = 1  # not an SSB slot
-        packets = du.advance_slot()
+        packets = du.advance_slot(1)  # not an SSB slot
         assert packets == []
 
     def test_ssb_slot_produces_packets_even_idle(self, du):
-        packets = du.advance_slot()  # slot 0 is an SSB slot
+        packets = du.advance_slot(0)  # slot 0 is an SSB slot
         assert packets  # C-plane + SSB U-plane
 
     def test_loaded_slot_produces_cplane_per_port(self, du):
         loaded(du, ul=0)
-        packets = [p for p in du.advance_slot() if p.is_cplane]
+        packets = [p for p in du.advance_slot(0) if p.is_cplane]
         dl_cplane = [p for p in packets if p.direction is Direction.DOWNLINK]
         assert len(dl_cplane) == du.cell.n_antennas
         ports = {p.eaxc.ru_port for p in dl_cplane}
@@ -46,12 +45,12 @@ class TestDownlinkGeneration:
 
     def test_cplane_covers_full_carrier(self, du):
         loaded(du, ul=0)
-        cplane = [p for p in du.advance_slot() if p.is_cplane][0]
+        cplane = [p for p in du.advance_slot(0) if p.is_cplane][0]
         assert cplane.message.sections[0].prb_range == (0, du.cell.num_prb)
 
     def test_uplane_full_band_and_compressed(self, du):
         loaded(du, ul=0)
-        uplane = [p for p in du.advance_slot() if p.is_uplane]
+        uplane = [p for p in du.advance_slot(0) if p.is_uplane]
         assert len(uplane) == du.cell.n_antennas  # 1 symbol x 2 ports
         section = uplane[0].message.sections[0]
         assert section.num_prb == du.cell.num_prb
@@ -59,13 +58,13 @@ class TestDownlinkGeneration:
 
     def test_uplane_wire_parseable(self, du):
         loaded(du, ul=0)
-        for packet in du.advance_slot():
+        for packet in du.advance_slot(0):
             parsed = parse_packet(packet.pack(), carrier_num_prb=du.cell.num_prb)
             assert parsed.eth.dst == du.ru_mac
 
     def test_allocated_prbs_carry_energy_idle_do_not(self, du):
         loaded(du, dl=30.0, ul=0)
-        uplane = [p for p in du.advance_slot() if p.is_uplane
+        uplane = [p for p in du.advance_slot(0) if p.is_uplane
                   and p.eaxc.ru_port == 0]
         section = uplane[0].message.sections[0]
         exponents = section.exponents()
@@ -75,8 +74,8 @@ class TestDownlinkGeneration:
     def test_seq_ids_increment_per_flow(self, du):
         loaded(du, ul=0)
         seqs = []
-        for _ in range(3):
-            for packet in du.advance_slot():
+        for slot in range(3):
+            for packet in du.advance_slot(slot):
                 if packet.is_uplane and packet.eaxc.ru_port == 0:
                     seqs.append(packet.ecpri.seq_id)
         assert seqs == sorted(seqs)
@@ -87,7 +86,7 @@ class TestDownlinkGeneration:
                              record_reference=True)
         du.scheduler.add_ue("ue", dl_layers=1)
         du.attach_flow("ue", ConstantBitrateFlow(50, "dl"), Direction.DOWNLINK)
-        du.advance_slot()
+        du.advance_slot(0)
         assert du.dl_reference
 
 
@@ -96,7 +95,7 @@ class TestSsb:
         """The SSB is transmitted by the first antenna only — the gap the
         dMIMO middlebox fills (Section 4.2)."""
         reference = du.ssb_reference()
-        packets = [p for p in du.advance_slot() if p.is_uplane]
+        packets = [p for p in du.advance_slot(0) if p.is_uplane]
         start, end = du.cell.ssb_prb_range
         from repro.phy.iq import int16_to_iq
 
@@ -123,8 +122,7 @@ class TestSsb:
 
 class TestUplinkPath:
     def test_ul_cplane_only_with_traffic(self, du):
-        du.clock._slot = 3  # S slot: UL symbols exist
-        packets = du.advance_slot()
+        packets = du.advance_slot(3)  # S slot: UL symbols exist
         assert not any(
             p.is_cplane and p.direction is Direction.UPLINK for p in packets
         )
@@ -132,8 +130,8 @@ class TestUplinkPath:
     def test_ul_cplane_emitted_with_traffic(self, du):
         loaded(du, dl=0, ul=50.0)
         found = False
-        for _ in range(5):
-            for packet in du.advance_slot():
+        for slot in range(5):
+            for packet in du.advance_slot(slot):
                 if packet.is_cplane and packet.direction is Direction.UPLINK:
                     found = True
         assert found
@@ -141,8 +139,8 @@ class TestUplinkPath:
     def test_prach_cplane_on_prach_slots(self, cell_40mhz):
         du = DistributedUnit(du_id=1, cell=cell_40mhz)
         prach = []
-        for _ in range(45):
-            for packet in du.advance_slot():
+        for slot in range(45):
+            for packet in du.advance_slot(slot):
                 if (
                     packet.is_cplane
                     and packet.message.section_type is SectionType.PRACH
@@ -155,7 +153,7 @@ class TestUplinkPath:
 
     def test_receive_rejects_downlink(self, du):
         loaded(du, ul=0)
-        uplane = [p for p in du.advance_slot() if p.is_uplane][0]
+        uplane = [p for p in du.advance_slot(0) if p.is_uplane][0]
         with pytest.raises(ValueError):
             du.receive(uplane)
 
@@ -164,8 +162,8 @@ class TestCounters:
     def test_dl_bits_track_offered_load(self, du):
         loaded(du, dl=100.0, ul=0)
         n_slots = 20
-        for _ in range(n_slots):
-            du.advance_slot()
+        for slot in range(n_slots):
+            du.advance_slot(slot)
         elapsed_s = n_slots * du.cell.numerology.slot_duration_ns / 1e9
         rate = du.counters.dl_bits / elapsed_s / 1e6
         assert rate == pytest.approx(100.0, rel=0.15)

@@ -26,9 +26,9 @@ def pair(cell_40mhz):
     return du, ru
 
 
-def run_downlink(du, ru, n_slots=5):
-    for _ in range(n_slots):
-        for packet in du.advance_slot():
+def run_downlink(du, ru, n_slots=5, first_slot=0):
+    for slot in range(first_slot, first_slot + n_slots):
+        for packet in du.advance_slot(slot):
             ru.receive(packet)
 
 
@@ -51,8 +51,8 @@ class TestDownlink:
     def test_uplane_without_cplane_dropped(self, pair):
         du, ru = pair
         packets = []
-        for _ in range(5):
-            packets.extend(du.advance_slot())
+        for slot in range(5):
+            packets.extend(du.advance_slot(slot))
         uplane = [p for p in packets if p.is_uplane]
         # Deliver U-plane only — no C-plane windows were opened.
         for packet in uplane:
@@ -63,7 +63,7 @@ class TestDownlink:
 
     def test_wrong_mac_rejected(self, pair):
         du, ru = pair
-        packets = du.advance_slot()
+        packets = du.advance_slot(0)
         packets[0].eth.dst = du.mac  # not the RU's address
         with pytest.raises(ValueError):
             ru.receive(packets[0])
@@ -142,9 +142,9 @@ class TestHousekeeping:
         du, ru = pair
         monkeypatch.setattr(actions, "_RETAINED_SLOTS", 3)
         by_slot = []
-        for _ in range(6):
+        for slot in range(6):
             seen = set(ru.transmitted_symbols())
-            run_downlink(du, ru, n_slots=1)
+            run_downlink(du, ru, n_slots=1, first_slot=slot)
             by_slot.append(set(ru.transmitted_symbols()) - seen)
             ru.end_slot()
         assert all(by_slot[:4])  # slots 0-3 are downlink under DDDSU

@@ -194,7 +194,7 @@ class TestDuSlotBuild:
         du = loaded_du(compression, symbols_per_slot)
         seen = 0
         for slot in range(3):  # slot 0 is the SSB slot
-            uplane = [p for p in du.advance_slot() if p.is_uplane]
+            uplane = [p for p in du.advance_slot(slot) if p.is_uplane]
             symbols = sorted({p.time.symbol for p in uplane})
             assert len(symbols) == symbols_per_slot
             if slot == 0 and symbols_per_slot == 2:
@@ -219,8 +219,8 @@ class TestDuSlotBuild:
     ):
         du = loaded_du(compression, symbols_per_slot)
         expected = {}
-        for _ in range(3):
-            for packet in du.advance_slot():
+        for slot in range(3):
+            for packet in du.advance_slot(slot):
                 flow = packet.eaxc.to_int()
                 assert packet.ecpri.seq_id == expected.get(flow, 0)
                 expected[flow] = (packet.ecpri.seq_id + 1) % 256

@@ -104,7 +104,7 @@ def test_merged_metrics_match_single_process_counts():
     assert snap_single.keys() == snap_sharded.keys()
     # Deterministic families must merge to the exact same series; only
     # wall-clock histograms may differ between runs.
-    for name in ("middlebox_packets_total", "engine_events_total"):
+    for name in ("middlebox_packets_total", "chain_packets_total"):
         assert snap_sharded[name] == snap_single[name]
 
 
@@ -157,11 +157,22 @@ def test_golden_fixture_digest_identical_at_all_worker_counts():
     byte for byte, under the default coarse epoch."""
     scenario = Scenario.from_file(FIXTURE)
     single = scenario.run(workers=1)
+    # The timeline is a derived view: slot k of group g starts k slot
+    # durations in (500 us at 30 kHz), ordered by time, group, slot.
+    slots = scenario.spec.slots
+    closed_form = sorted(
+        (k * 500_000, group, k, f"{group}/slot{k}")
+        for group in scenario.spec.groups()
+        for k in range(slots)
+    )
+    assert single.timeline() == closed_form
+    assert all(g.events == g.slots == slots for g in single.groups.values())
     for workers in (2, 4, 8):
         sharded = scenario.run(workers=workers)
         assert sharded.digest == single.digest, (
             f"digest diverged at workers={workers}"
         )
+        assert sharded.timeline() == closed_form
         # Coarse default epoch: the whole horizon in one barrier.
         assert sharded.transport["epochs"] == 1
         assert sharded.transport["epoch_slots"] == scenario.spec.slots

@@ -1,70 +1,10 @@
-"""Event engine, power model and cost model tests."""
+"""Power model and cost model tests (the file name predates the event
+engine's retirement; renaming it would rename every test id in it)."""
 
 import pytest
 
 from repro.sim.cost import CostModel, DeploymentCost
-from repro.sim.engine import EventEngine
 from repro.sim.power import ServerLoad, ServerPowerModel, deployment_power_w
-
-
-class TestEventEngine:
-    def test_runs_in_time_order(self):
-        engine = EventEngine()
-        order = []
-        engine.schedule(30, lambda: order.append("c"))
-        engine.schedule(10, lambda: order.append("a"))
-        engine.schedule(20, lambda: order.append("b"))
-        assert engine.run() == 3
-        assert order == ["a", "b", "c"]
-        assert engine.now_ns == 30
-
-    def test_fifo_tie_break(self):
-        engine = EventEngine()
-        order = []
-        engine.schedule(10, lambda: order.append(1))
-        engine.schedule(10, lambda: order.append(2))
-        engine.run()
-        assert order == [1, 2]
-
-    def test_horizon_stops_early(self):
-        engine = EventEngine()
-        fired = []
-        engine.schedule(10, lambda: fired.append(1))
-        engine.schedule(100, lambda: fired.append(2))
-        engine.run(until_ns=50)
-        assert fired == [1]
-        assert engine.pending() == 1
-
-    def test_nested_scheduling(self):
-        engine = EventEngine()
-        fired = []
-
-        def chain():
-            fired.append(engine.now_ns)
-            if len(fired) < 3:
-                engine.schedule(5, chain)
-
-        engine.schedule(5, chain)
-        engine.run()
-        assert fired == [5, 10, 15]
-
-    def test_past_scheduling_rejected(self):
-        engine = EventEngine()
-        with pytest.raises(ValueError):
-            engine.schedule(-1, lambda: None)
-        engine.schedule(10, lambda: None)
-        engine.run()
-        with pytest.raises(ValueError):
-            engine.schedule_at(5, lambda: None)
-
-    def test_event_cap(self):
-        engine = EventEngine()
-
-        def forever():
-            engine.schedule(1, forever)
-
-        engine.schedule(1, forever)
-        assert engine.run(max_events=100) == 100
 
 
 class TestPowerModel:

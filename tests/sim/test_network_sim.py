@@ -5,7 +5,9 @@ import pytest
 
 from repro.core.middlebox import Middlebox
 from repro.fronthaul.cplane import Direction
+from repro.fronthaul.timing import Numerology, SlotClock
 from repro.phy.geometry import Position
+from repro.ran.cell import CellConfig
 from repro.ran.du import DistributedUnit
 from repro.ran.ru import RadioUnit, RuConfig
 from repro.ran.traffic import ConstantBitrateFlow
@@ -127,6 +129,37 @@ class TestFronthaulNetwork:
         with pytest.raises(RuntimeError):
             FronthaulNetwork().run_slot()
 
+    def test_one_clock_every_du_is_told_the_same_slot(self, cell_40mhz):
+        """The network owns the counter: two DUs stamp the same slot
+        wherever the run starts, and a DU of another slot duration is
+        refused rather than driven by the first cell's."""
+        stamped = []
+
+        class Tap:
+            def observe(self, packet, tap):
+                stamped.append((packet.eaxc.du_port, packet.time.slot_key()))
+
+        network = FronthaulNetwork(validator=Tap())
+        for du_id in (1, 2):
+            du = DistributedUnit(du_id=du_id, cell=cell_40mhz, symbols_per_slot=1)
+            du.scheduler.add_ue("ue", dl_layers=2)
+            du.attach_flow("ue", ConstantBitrateFlow(50, "dl"), Direction.DOWNLINK)
+            network.add_du(du)
+        assert not hasattr(du, "clock")
+        network.clock = SlotClock(cell_40mhz.numerology, start_slot=5_118)
+        reports = network.run(3)  # S, U, D across the frame wrap 255 -> 0
+        assert [r.absolute_slot for r in reports] == [5_118, 5_119, 5_120]
+        assert network.clock.current_slot - network.clock.start_slot == 3
+        for du_port in (1, 2):
+            keys = [key for port, key in stamped if port == du_port]
+            # Downlink stamps: nothing leaves a DU in the U slot 5,119.
+            assert list(dict.fromkeys(keys)) == [(255, 9, 0), (0, 0, 0)]
+
+        other = CellConfig(pci=9, bandwidth_hz=20_000_000, numerology=Numerology(mu=0))
+        with pytest.raises(ValueError, match="one network, one slot duration"):
+            network.add_du(DistributedUnit(du_id=3, cell=other))
+        assert len(network.dus) == 2
+
 
 class TestRuRetention:
     """``run_slot`` closes the slot on every holder — stages, RUs, DUs:
@@ -175,8 +208,6 @@ class TestRuRetention:
                 group.network.run_slot()
             if done in checkpoints:
                 sizes[done] = [self._held(group) for group in groups]
-        for group in groups:
-            group.slots_run = slots
         return groups, [_summarize_group(group) for group in groups], sizes
 
     @staticmethod

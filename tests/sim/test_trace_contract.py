@@ -131,7 +131,7 @@ def test_packet_and_codec_kernel_surface(proxied, network):
                  "codec.compress(samples)", "codec.decompress(payload,"):
         assert call in source, call
     packet = next(
-        p for du in network.dus for p in du.advance_slot() if p.is_uplane
+        p for du in network.dus for p in du.advance_slot(0) if p.is_uplane
     )
     assert isinstance(type(packet).wire_size, property)
     assert packet.wire_size == len(packet.pack())
