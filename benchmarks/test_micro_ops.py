@@ -109,21 +109,21 @@ def _reference_merge(sections) -> UPlaneSection:
     )
 
 
-#: ``_BIT_MASKS[w]``: MSB-first single-bit masks of a ``w``-bit mantissa.
-_BIT_MASKS = [
-    (1 << np.arange(width - 1, -1, -1)).astype(np.uint16)
-    for width in range(17)
-]
-
-
 def _reference_pack_mantissas(mantissas: np.ndarray, width: int) -> np.ndarray:
-    """PR 16's mask-and-test ``pack_mantissas``, kept verbatim: one
-    comparison over the uint16 view builds the ``(n, 24, width)`` bit
-    tensor, one ``np.packbits`` emits every PRB's block."""
-    unsigned = np.asarray(mantissas, dtype=np.int16).view(np.uint16)
-    bits = (unsigned[:, :, None] & _BIT_MASKS[width]) != 0
+    """PR 19's bit-tensor ``pack_mantissas``, kept verbatim — the kernel
+    the uint64 word lanes retired, and the one reference here: the
+    big-endian int16 bytes of a mantissa *are* its 16 two's-complement
+    bits MSB first, so one ``np.unpackbits`` over the byte view, the last
+    ``width`` columns, and one ``np.packbits`` emit every PRB's block."""
+    big_endian = np.asarray(mantissas, dtype=">i2")
+    bits = np.unpackbits(big_endian.view(np.uint8), axis=1).reshape(
+        len(big_endian), 2 * SAMPLES_PER_PRB, 16
+    )
     return np.packbits(
-        bits.reshape(len(unsigned), 2 * SAMPLES_PER_PRB * width), axis=1
+        bits[:, :, 16 - width :].reshape(
+            len(big_endian), 2 * SAMPLES_PER_PRB * width
+        ),
+        axis=1,
     )
 
 
@@ -182,20 +182,93 @@ def test_exponent_read_much_cheaper_than_decompress(samples, wire):
 
 
 def test_pack_mantissas_512_prbs(benchmark):
-    """One codec block through the unpackbits-of-the-int16-view kernel,
-    byte-equal to the mask-and-test one it replaced.  No timing floor:
-    the shared runner cannot hold one (prototype: 1.2-1.7x at widths
-    4/9/14, more at 16)."""
+    """One codec block through the uint64 word-lane kernel, byte-equal to
+    the bit tensor it replaced at every size class the slot path packs
+    (a merge's 51 PRBs, a block, a 14-symbol slot).  No timing floor: the
+    shared runner cannot hold one (DESIGN.md has the per-size table)."""
     rng = np.random.default_rng(1)
-    for width in (4, 9, 14, 16):
+    for width in (1, 4, 9, 14, 16):
         low = -(1 << (width - 1))
-        mantissas = rng.integers(low, -low, size=(512, 24)).astype(np.int16)
-        mantissas[0], mantissas[1] = low, -low - 1
-        packed = pack_mantissas(mantissas, width)
-        reference = _reference_pack_mantissas(mantissas, width)
-        assert packed.dtype == reference.dtype and packed.shape == reference.shape
-        assert packed.tobytes() == reference.tobytes(), f"width {width}"
-    benchmark(pack_mantissas, mantissas >> 7, 9)  # the 16-bit draw as 9-bit
+        for n_prbs in (51, 512, 3900):
+            mantissas = rng.integers(low, -low, size=(n_prbs, 24)).astype(np.int16)
+            mantissas[0], mantissas[1], mantissas[2] = low, -low - 1, -1
+            packed = pack_mantissas(mantissas, width)
+            reference = _reference_pack_mantissas(mantissas, width)
+            assert packed.dtype == reference.dtype
+            assert packed.shape == reference.shape
+            assert packed.tobytes() == reference.tobytes(), (width, n_prbs)
+    benchmark(pack_mantissas, mantissas[:512] >> 7, 9)  # the 16-bit draw as 9-bit
+
+
+def test_float_stage_runs_once_per_block_of_eight_rows(monkeypatch):
+    """Count, not time: a 56-row RU slot draws noise and quantises
+    ceil(56 / 8) = 7 times, a 14-symbol x 4-port DU slot quantises 7
+    times (its draws stay per row: ``normal`` and ``integers`` alternate
+    on one generator)."""
+    from repro.fronthaul.compression import CompressionConfig
+    from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
+    from repro.fronthaul.ecpri import EAxCId
+    from repro.fronthaul.packet import make_packet
+    from repro.fronthaul.timing import SymbolTime
+    from repro.ran import du as du_module
+    from repro.ran import ru as ru_module
+    from repro.ran.cell import CellConfig
+    from repro.ran.traffic import ConstantBitrateFlow
+
+    calls = []
+
+    def counting(name, inner):
+        def proxy(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+
+        return proxy
+
+    class CountedDraws:
+        """A generator proxy: ``numpy.random.Generator`` is immutable."""
+
+        def __init__(self, rng):
+            self._rng = rng
+
+        def normal(self, *args):
+            calls.append("normal")
+            return self._rng.normal(*args)
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+    for module in (ru_module, du_module):
+        monkeypatch.setattr(
+            module, "iq_to_int16", counting("iq_to_int16", module.iq_to_int16)
+        )
+
+    ru = ru_module.RadioUnit(
+        ru_id=1, config=ru_module.RuConfig(num_prb=106, n_antennas=4)
+    )
+    for port in range(4):
+        request = CPlaneMessage(
+            direction=Direction.UPLINK,
+            time=SymbolTime(0, 2, 0, 0),
+            sections=[CPlaneSection(section_id=1, start_prb=0, num_prb=106,
+                                    num_symbols=14)],
+            compression=CompressionConfig(),
+        )
+        ru.receive(make_packet(ru.du_mac, ru.mac, request, eaxc=EAxCId(0, ru_port=port)))
+    ru.rng = CountedDraws(ru.rng)
+    owed = ru.pending_uplink_symbols()
+    assert len(owed) == 56
+    assert len(ru.build_uplink((time, port, None) for time, port in owed)) == 56
+    assert calls.count("normal") == calls.count("iq_to_int16") == 7
+
+    del calls[:]
+    cell = CellConfig(pci=1, bandwidth_hz=40_000_000, n_antennas=4, max_dl_layers=2)
+    du = du_module.DistributedUnit(du_id=1, cell=cell, symbols_per_slot=None)
+    du.scheduler.add_ue("ue", dl_layers=2)
+    du.scheduler.update_ue_quality("ue", dl_aggregate_se=10.0, ul_se=3.0)
+    du.attach_flow("ue", ConstantBitrateFlow(100, "dl"), Direction.DOWNLINK)
+    du.rng = CountedDraws(du.rng)
+    assert sum(p.is_uplane for p in du.advance_slot(1)) == 56
+    assert calls.count("iq_to_int16") == 7 and calls.count("normal") == 56
 
 
 def test_single_operand_merge_runs_no_codec(monkeypatch, samples):

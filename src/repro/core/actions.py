@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 from collections.abc import MutableMapping
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Any, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -156,12 +157,11 @@ class SlotRing(MutableMapping):
         """End the open slot and drop what has been held too long."""
         self.slot += 1
         horizon = self.slot - _RETAINED_SLOTS
+        # Stamps never decrease in insertion order: the stale keys are a
+        # prefix of the stamp dict, read in one pass.
         opened = self._opened
-        while opened:
-            oldest = next(iter(opened))
-            if opened[oldest] >= horizon:
-                break
-            del self[oldest]
+        for key in list(takewhile(lambda key: opened[key] < horizon, opened)):
+            del self._values[key], opened[key]
 
 
 class PacketCache:

@@ -9,9 +9,10 @@ middleboxes must decompress, combine, and recompress them, so this module
 implements real bit-accurate BFP with arbitrary mantissa widths.
 
 The wire codec is fully vectorized and int16-native: the per-PRB shift is
-found in the samples' own dtype (no ``log2``, no int64 copy), and all PRBs
-of a block are packed and unpacked through one ``np.packbits`` /
-``np.unpackbits`` call over a ``(n_prbs, 24, width)`` bit tensor, which is
+found in the samples' own dtype (no ``log2``, no int64 copy), all PRBs of
+a block are packed on uint64 word lanes (eight mantissas to ``width``
+bytes, no bit ever a byte) and wire bytes are unpacked through one
+``np.unpackbits`` over a ``(n_prbs, 24, width)`` bit tensor, which is
 what lets the Python middleboxes approach the per-packet constant cost of
 the paper's C implementation (Figure 15b).  Because a PRB holds 24
 mantissas and ``24 * width`` is always a multiple of 8, every PRB's
@@ -147,10 +148,10 @@ class CompressionConfig:
 
 
 #: PRBs per codec block.  A slot's worth of mantissas is packed at most
-#: this many PRBs at a time so the bit tensor (24 * (16 + width) bytes a
-#: PRB) stays a few hundred KB whatever the slot holds — whole-slot
-#: tensors raised peak RSS 2-3 MB on the benchmark (DESIGN.md, "Blocked
-#: slot pass").
+#: this many PRBs at a time so the uint64 lanes (~0.3 KB a PRB in
+#: flight) stay under 200 KB whatever the slot holds — whole-slot lanes
+#: read 0.5-1.0 MiB more ``peak_rss_mb`` on the benchmark and packed no
+#: faster (DESIGN.md, "Blocked slot pass").
 _BLOCK_PRBS = 512
 
 #: ``_BIT_WEIGHTS[w]``: MSB-first int16 place values of a ``w``-bit
@@ -163,6 +164,12 @@ _BIT_WEIGHTS = [
 for _weights in _BIT_WEIGHTS[1:16]:
     _weights[0] = -_weights[0]  # width 16's 0x8000 already reads -32768
 _POWERS_OF_TWO = 1 << np.arange(63, dtype=np.int64)
+#: ``_LANE_PLACES[w]``: place values of the four ``w``-bit fields of a
+#: uint64 pack lane.
+_LANE_PLACES = [
+    np.array([1 << 3 * width, 1 << 2 * width, 1 << width, 1], dtype=np.uint64)
+    for width in range(17)
+]
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
@@ -199,23 +206,25 @@ def pack_mantissas(mantissas: np.ndarray, width: int) -> np.ndarray:
     """Pack ``(n_prbs, 24)`` mantissas that fit ``width`` bits into
     ``(n_prbs, 3 * width)`` wire bytes, MSB first.
 
-    The big-endian int16 bytes of a mantissa *are* its 16 two's-complement
-    bits MSB first, and the low ``width`` of them the wire mantissa: one
-    ``np.unpackbits`` over the byte view, keep the last ``width`` columns,
-    and — ``24 * width`` being a multiple of 8 — one ``np.packbits`` emits
-    every PRB's block.  No masks, no comparison, and no ``1 << 16`` that
-    int16 cannot hold.
+    Eight mantissas fill exactly ``width`` bytes, so a PRB is three groups
+    of eight.  A group rides two uint64 lanes of four fields masked to
+    ``width`` bits (``a``, ``b``: dot products with the place values) and
+    is the big-endian bytes of ``a << 4w | b`` — one word while ``8w <=
+    64``, else its top 64 bits and the low ``w - 8`` bytes of ``b``.
     """
-    big_endian = np.asarray(mantissas, dtype=">i2")
-    bits = np.unpackbits(big_endian.view(np.uint8), axis=1).reshape(
-        len(big_endian), 2 * SAMPLES_PER_PRB, 16
-    )
-    return np.packbits(
-        bits[:, :, 16 - width :].reshape(
-            len(big_endian), 2 * SAMPLES_PER_PRB * width
-        ),
-        axis=1,
-    )
+    fields = np.asarray(mantissas, dtype=np.int16).view(np.uint16)
+    fields = fields & ((1 << width) - 1)
+    lanes = fields.astype(np.uint64).reshape(-1, 4) @ _LANE_PLACES[width]
+    a, b = lanes[0::2], lanes[1::2]
+    if width <= 8:
+        word = (a << (4 * width)) | b
+        packed = word.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - width :]
+    else:
+        packed = np.empty((len(a), width), dtype=np.uint8)
+        top = (a << (64 - 4 * width)) | (b >> (8 * width - 64))
+        packed[:, :8] = top.astype(">u8").view(np.uint8).reshape(-1, 8)
+        packed[:, 8:] = b.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 16 - width :]
+    return packed.reshape(len(fields), 3 * width)
 
 
 def unpack_mantissas(blocks: np.ndarray, width: int) -> np.ndarray:
@@ -275,8 +284,8 @@ class _PrbCodec:
         keeps it never unpacks them.
 
         Shifts and mantissas are found for the whole pass at once (48 B a
-        PRB); only the bit tensor (``24 * 16`` B a PRB) is built
-        ``_BLOCK_PRBS`` PRBs at a time.
+        PRB); only the word lanes are filled ``_BLOCK_PRBS`` PRBs at a
+        time.
         """
         shifts, mantissas = self.compress_array(samples)
         mantissas = mantissas.astype(np.int16, copy=False)

@@ -46,6 +46,10 @@ DATA_QAM_ORDER = 16
 #: data from idle even at wide mantissas (Radisys' 14-bit profile).
 DL_FIXED_POINT_BACKOFF = 0.7
 
+#: (symbol, port) rows the downlink float stage quantises at once: the
+#: bound ``ran.ru`` measured (DESIGN.md, "Blocked slot pass").
+_BLOCK_ROWS = 8
+
 
 @dataclass
 class UplinkReception:
@@ -119,12 +123,16 @@ class DistributedUnit:
         #: {(time, ru_port): [UplinkReception]}.
         self._receptions = SlotRing()
         #: sha256 over every data reception's wire-level IQ since the run
-        #: began, in arrival order (the log above forgets; this does not).
+        #: began, in arrival order (the log above forgets; this does not),
+        #: fed once a slot from the bytes received since.
         self._uplink_hash = hashlib.sha256()
+        self._unhashed: List[bytes] = []
         #: Reference DL int16 grids for tests: {(time, port): samples}.
         self.dl_reference: Dict[Tuple, np.ndarray] = {}
-        #: UL allocations awaiting U-plane data: {slot_key: [allocations]}.
+        #: UL allocations awaiting U-plane data: {slot_key: [allocations]},
+        #: and the slot's uplink symbol count their bits are pro-rated over.
         self._pending_ul = SlotRing()
+        self._pending_ul_symbols = SlotRing()
         self._seq: Dict[int, int] = {}
 
     # -- traffic -------------------------------------------------------------
@@ -164,13 +172,36 @@ class DistributedUnit:
         allocations = self.scheduler.schedule_slot(absolute_slot)
         dl_allocs = [a for a in allocations if a.direction is Direction.DOWNLINK]
         ul_allocs = [a for a in allocations if a.direction is Direction.UPLINK]
+        # The TDD pattern is asked once per slot; every builder below and
+        # the uplink accounting read these two lists.
+        tdd, symbols = self.profile.tdd, range(SYMBOLS_PER_SLOT)
+        dl_symbols = [s for s in symbols if tdd.is_downlink_symbol(absolute_slot, s)]
+        ul_symbols = [s for s in symbols if tdd.is_uplink_symbol(absolute_slot, s)]
+        is_ssb_slot = self.cell.is_ssb_slot(absolute_slot)
+        transmitting = bool(dl_allocs) or is_ssb_slot
         packets: List[FronthaulPacket] = []
-        packets.extend(self._build_dl_cplane(slot_time, absolute_slot, dl_allocs))
-        packets.extend(self._build_ul_cplane(slot_time, absolute_slot, ul_allocs))
-        packets.extend(self._build_prach_cplane(slot_time, absolute_slot))
-        packets.extend(self._build_dl_uplane(slot_time, absolute_slot, dl_allocs))
+        if transmitting:
+            # The stacks we model send full-band U-plane messages (Figure 2
+            # shows PRB 0-105 in one section) with near-zero samples on
+            # idle PRBs.  Which PRBs hold user data is *not* visible from
+            # the C-plane — the property that makes Algorithm 1's
+            # exponent-based utilization estimate necessary.  With nothing
+            # to transmit the fronthaul goes quiet, which is what makes the
+            # XDP datapath's CPU utilization traffic-proportional (Fig 16).
+            packets += self._fullband_cplane(Direction.DOWNLINK, slot_time, dl_symbols)
         if ul_allocs:
+            # No uplink grants, no C-plane: a DU with no traffic stays
+            # silent — the uncertainty the RU-sharing middlebox's numPrb
+            # widening works around (Section 4.3).
+            packets += self._fullband_cplane(Direction.UPLINK, slot_time, ul_symbols)
             self._pending_ul[slot_time.slot_key()] = ul_allocs
+            self._pending_ul_symbols[slot_time.slot_key()] = max(len(ul_symbols), 1)
+        if self.cell.is_prach_slot(absolute_slot) and ul_symbols:
+            packets.append(self._prach_cplane(slot_time, ul_symbols))
+        if transmitting:
+            packets += self._build_dl_uplane(
+                slot_time, is_ssb_slot, dl_allocs, dl_symbols
+            )
         for allocation in dl_allocs:
             self.counters.dl_bits += allocation.bits
         return packets
@@ -181,57 +212,6 @@ class DistributedUnit:
         seq = self._seq.get(eaxc_int, 0)
         self._seq[eaxc_int] = (seq + 1) % 256
         return seq
-
-    def _dl_symbols(self, absolute_slot: int) -> List[int]:
-        tdd = self.profile.tdd
-        return [
-            s
-            for s in range(SYMBOLS_PER_SLOT)
-            if tdd.is_downlink_symbol(absolute_slot, s)
-        ]
-
-    def _ul_symbols(self, absolute_slot: int) -> List[int]:
-        tdd = self.profile.tdd
-        return [
-            s
-            for s in range(SYMBOLS_PER_SLOT)
-            if tdd.is_uplink_symbol(absolute_slot, s)
-        ]
-
-    def _build_dl_cplane(
-        self,
-        slot_time: SymbolTime,
-        absolute_slot: int,
-        allocations: List[PrbAllocation],
-    ) -> List[FronthaulPacket]:
-        if not allocations and not self.cell.is_ssb_slot(absolute_slot):
-            # Nothing to transmit this slot: no C-plane, no U-plane.  The
-            # fronthaul goes quiet on idle cells, which is what makes the
-            # XDP datapath's CPU utilization traffic-proportional (Fig 16).
-            return []
-        # When transmitting, the stacks we model send full-band U-plane
-        # messages (Figure 2 shows PRB 0-105 in one section) with
-        # near-zero samples on idle PRBs.  Which PRBs hold user data is
-        # *not* visible from the C-plane — the property that makes
-        # Algorithm 1's exponent-based utilization estimate necessary.
-        return self._fullband_cplane(
-            Direction.DOWNLINK, slot_time, self._dl_symbols(absolute_slot)
-        )
-
-    def _build_ul_cplane(
-        self,
-        slot_time: SymbolTime,
-        absolute_slot: int,
-        allocations: List[PrbAllocation],
-    ) -> List[FronthaulPacket]:
-        if not allocations:
-            # No uplink grants, no C-plane: a DU with no traffic stays
-            # silent — the uncertainty the RU-sharing middlebox's numPrb
-            # widening works around (Section 4.3).
-            return []
-        return self._fullband_cplane(
-            Direction.UPLINK, slot_time, self._ul_symbols(absolute_slot)
-        )
 
     def _fullband_cplane(
         self, direction: Direction, slot_time: SymbolTime, symbols: List[int]
@@ -258,42 +238,35 @@ class DistributedUnit:
             packets.append(self._emit(message, eaxc))
         return packets
 
-    def _build_prach_cplane(
-        self, slot_time: SymbolTime, absolute_slot: int
-    ) -> List[FronthaulPacket]:
-        if not self.cell.is_prach_slot(absolute_slot):
-            return []
-        symbols = self._ul_symbols(absolute_slot)
-        if not symbols:
-            return []
+    def _prach_cplane(
+        self, slot_time: SymbolTime, ul_symbols: List[int]
+    ) -> FronthaulPacket:
         section = CPlaneSection(
             section_id=self.du_id % 4096,
             start_prb=0,
             num_prb=self.cell.prach_num_prb,
-            num_symbols=min(len(symbols), 4),
+            num_symbols=min(len(ul_symbols), 4),
             freq_offset=self.cell.prach_freq_offset,
         )
         message = CPlaneMessage(
             direction=Direction.UPLINK,
-            time=replace(slot_time, symbol=symbols[0]),
+            time=replace(slot_time, symbol=ul_symbols[0]),
             sections=[section],
             section_type=SectionType.PRACH,
             compression=self.compression,
             filter_index=1,  # PRACH filter
         )
-        eaxc = EAxCId(du_port=self.du_id, ru_port=0)
-        return [self._emit(message, eaxc)]
+        return self._emit(message, EAxCId(du_port=self.du_id, ru_port=0))
 
     # -- DL U-plane construction ----------------------------------------------
 
     def _build_dl_uplane(
         self,
         slot_time: SymbolTime,
-        absolute_slot: int,
+        is_ssb_slot: bool,
         allocations: List[PrbAllocation],
+        symbols: List[int],
     ) -> List[FronthaulPacket]:
-        symbols = self._dl_symbols(absolute_slot)
-        is_ssb_slot = self.cell.is_ssb_slot(absolute_slot)
         if self.symbols_per_slot is not None:
             if is_ssb_slot:
                 # Keep SSB symbols in the simulated subset so SSB-dependent
@@ -305,20 +278,23 @@ class DistributedUnit:
                 )
             else:
                 symbols = symbols[: self.symbols_per_slot]
-        if not allocations and not is_ssb_slot:
-            return []
-        # Grids are generated per (symbol, port) — the RNG streams and the
-        # float stage stay per symbol — then the slot's int16 goes through
-        # the codec in one blocked pass.
         keys = [
             (replace(slot_time, symbol=symbol), port)
             for symbol in symbols
             for port in range(self.cell.n_antennas)
         ]
-        grids = [
-            self._symbol_grid(allocations, port, time.symbol, is_ssb_slot)
-            for time, port in keys
-        ]
+        # Each (symbol, port) row is drawn on its own — ``normal`` and the
+        # allocations' ``integers`` alternate on one generator — into a
+        # block of at most ``_BLOCK_ROWS`` complex rows quantised at once;
+        # the slot's int16 then goes through the codec in one blocked pass.
+        n_sc = self.cell.num_prb * SAMPLES_PER_PRB
+        grids: List[np.ndarray] = []
+        for start in range(0, len(keys), _BLOCK_ROWS):
+            block = keys[start : start + _BLOCK_ROWS]
+            signal = np.empty((len(block), n_sc), dtype=np.complex128)
+            for row, (time, port) in zip(signal, block):
+                self._symbol_grid(row, allocations, port, time.symbol, is_ssb_slot)
+            grids.extend(iq_to_int16(signal, backoff=DL_FIXED_POINT_BACKOFF))
         sections = UPlaneSection.from_ranges(
             [(self.du_id % 4096, 0, grid) for grid in grids], self.compression
         )
@@ -335,33 +311,26 @@ class DistributedUnit:
 
     def _symbol_grid(
         self,
+        row: np.ndarray,
         allocations: List[PrbAllocation],
         port: int,
         symbol: int,
         is_ssb_slot: bool,
-    ) -> np.ndarray:
-        """Build one symbol's int16 grid for one antenna port."""
-        n_prb = self.cell.num_prb
-        n_sc = n_prb * SAMPLES_PER_PRB
-        complex_grid = (
-            self.rng.normal(0, IDLE_PRB_AMPLITUDE, n_sc)
-            + 1j * self.rng.normal(0, IDLE_PRB_AMPLITUDE, n_sc)
-        )
+    ) -> None:
+        """Fill ``row`` with one symbol's complex grid for one port."""
+        row.real, row.imag = self.rng.normal(0, IDLE_PRB_AMPLITUDE, (2, len(row)))
         for allocation in allocations:
             if port >= allocation.layers:
                 continue
             start = allocation.start_prb * SAMPLES_PER_PRB
             count = allocation.num_prb * SAMPLES_PER_PRB
             data_symbols = self.rng.integers(0, DATA_QAM_ORDER, count)
-            complex_grid[start : start + count] = self.modulator.modulate(
-                data_symbols
-            )
+            row[start : start + count] = self.modulator.modulate(data_symbols)
         if is_ssb_slot and port == 0 and symbol in self.cell.ssb_symbols:
             ssb_start, ssb_end = self.cell.ssb_prb_range
             start = ssb_start * SAMPLES_PER_PRB
             count = (ssb_end - ssb_start) * SAMPLES_PER_PRB
-            complex_grid[start : start + count] = self._ssb_waveform(count)
-        return iq_to_int16(complex_grid, backoff=DL_FIXED_POINT_BACKOFF)
+            row[start : start + count] = self._ssb_waveform(count)
 
     def _ssb_waveform(self, n_samples: int) -> np.ndarray:
         """Deterministic PSS/SSS-like sequence derived from the PCI.
@@ -416,23 +385,31 @@ class DistributedUnit:
         ).append(reception)
         self.counters.ul_packets += 1
         self._account_uplink(reception)
-        time, digest = reception.time, self._uplink_hash
-        digest.update(
+        time, unhashed = reception.time, self._unhashed
+        unhashed.append(
             f"{time.frame},{time.subframe},{time.slot},{time.symbol},"
             f"{reception.ru_port}".encode()
         )
         for section in reception.sections:
-            digest.update(
+            unhashed.append(
                 f"{section.section_id},{section.start_prb},"
                 f"{section.num_prb}".encode()
             )
-            digest.update(section.payload)
+            unhashed.append(section.payload)
+
+    def _fold_uplink_hash(self) -> None:
+        """One update for all that arrived since the last: ``sha256(a + b)``
+        is ``update(a); update(b)``."""
+        self._uplink_hash.update(b"".join(self._unhashed))
+        self._unhashed.clear()
 
     def end_slot(self) -> None:
-        """Close the slot, once its uplink arrived: receptions and grants
-        age out of their rings."""
+        """Close the slot, once its uplink arrived: the hash takes the
+        slot's receptions, which age out of their ring with the grants."""
+        self._fold_uplink_hash()
         self._receptions.close()
         self._pending_ul.close()
+        self._pending_ul_symbols.close()
 
     @property
     def uplink_receptions(self) -> List[UplinkReception]:
@@ -442,6 +419,7 @@ class DistributedUnit:
     def uplink_sha256(self) -> str:
         """Hex digest of every data reception so far (order-sensitive);
         reading it mid-run does not disturb the running hash."""
+        self._fold_uplink_hash()
         return self._uplink_hash.hexdigest()
 
     def _account_uplink(self, reception: UplinkReception) -> None:
@@ -456,10 +434,7 @@ class DistributedUnit:
         pending = self._pending_ul.get(key)
         if not pending:
             return
-        symbols = max(
-            len(self._ul_symbols(reception.time.absolute_slot(self.cell.numerology))),
-            1,
-        )
+        symbols = self._pending_ul_symbols[key]
         covered = []
         for allocation in pending:
             for section in reception.sections:

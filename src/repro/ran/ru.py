@@ -10,6 +10,7 @@ the full-spectrum requests the RU-sharing middlebox widens ``numPrb`` to.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -24,6 +25,11 @@ from repro.fronthaul.spectrum import PrbGrid
 from repro.fronthaul.timing import SymbolTime
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 from repro.phy.iq import int16_to_iq, iq_to_int16
+
+#: Owed (symbol, port) rows the uplink float stage draws and quantises at
+#: once: ~0.5 MB of float64 in flight at 1,272 subcarriers, ``peak_rss_mb``
+#: as the per-symbol stage left it (DESIGN.md, "Blocked slot pass").
+_BLOCK_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -180,40 +186,30 @@ class RadioUnit:
         ``air_iq`` is the complex full-band signal arriving at that
         antenna (None means only receiver noise).  Only PRB ranges with a
         recorded C-plane request are emitted, honoring O-RAN semantics.
-        Noise is drawn and the grid quantised per item — one symbol of
-        floats alive at a time, every RNG stream in per-symbol order —
-        and only the slot's int16 ranges go through the codec together.
+        Items are pulled until ``_BLOCK_ROWS`` owed rows are held, then one
+        noise draw fills the block (C order: the stream of 2 x rows
+        per-symbol draws) and one quantise digitizes it; the slot's int16
+        ranges go through the codec together.
         """
         n_sc = self.config.num_prb * SAMPLES_PER_PRB
+        owed = self._owed(items, n_sc)
         answered = []  # (time, port, is_prach, [(section_id, start_prb, rows)])
-        for time, port, air_iq in items:
-            slot_key = time.slot_key()
-            requests = [
-                request
-                for is_prach in (False, True)
-                if (request := self._ul_requests.get((slot_key, port, is_prach)))
-                and 0 <= time.symbol - request.start_symbol < request.num_symbols
-            ]
-            if not requests:
-                continue
-            signal = np.zeros(n_sc, dtype=np.complex128)
-            if air_iq is not None:
-                if len(air_iq) != n_sc:
-                    raise ValueError(
-                        f"air IQ has {len(air_iq)} subcarriers, RU grid has {n_sc}"
-                    )
-                signal += air_iq
-            signal += self.rng.normal(0, noise_amplitude, n_sc) + 1j * self.rng.normal(
-                0, noise_amplitude, n_sc
-            )
-            full_grid = iq_to_int16(signal)
-            for request in requests:
-                # Slicing clips a request that overruns the carrier edge.
-                parts = [
-                    (section_id, start_prb, full_grid[start_prb : start_prb + num_prb])
-                    for section_id, start_prb, num_prb in request.sections
-                ]
-                answered.append((time, port, request.is_prach, parts))
+        while block := list(islice(owed, _BLOCK_ROWS)):
+            noise = self.rng.normal(0, noise_amplitude, (len(block), 2, n_sc))
+            signal = np.empty((len(block), n_sc), dtype=np.complex128)
+            signal.real, signal.imag = noise[:, 0], noise[:, 1]
+            for row, (*_, air_iq) in zip(signal, block):
+                if air_iq is not None:
+                    row += air_iq
+            grids = iq_to_int16(signal)
+            for full_grid, (time, port, requests, _) in zip(grids, block):
+                for request in requests:
+                    # Slicing clips a request that overruns the carrier edge.
+                    parts = [
+                        (section_id, start_prb, full_grid[start_prb : start_prb + num_prb])
+                        for section_id, start_prb, num_prb in request.sections
+                    ]
+                    answered.append((time, port, request.is_prach, parts))
         built = iter(
             UPlaneSection.from_ranges(
                 [part for *_, parts in answered for part in parts],
@@ -240,6 +236,25 @@ class RadioUnit:
             )
         self.counters.uplane_sent += len(packets)
         return packets
+
+    def _owed(self, items, n_sc: int):
+        """The items some recorded request covers, as ``(time, port,
+        requests, air_iq)``; a wrong-length ``air_iq`` raises at the pull."""
+        for time, port, air_iq in items:
+            slot_key = time.slot_key()
+            requests = [
+                request
+                for is_prach in (False, True)
+                if (request := self._ul_requests.get((slot_key, port, is_prach)))
+                and 0 <= time.symbol - request.start_symbol < request.num_symbols
+            ]
+            if not requests:
+                continue
+            if air_iq is not None and len(air_iq) != n_sc:
+                raise ValueError(
+                    f"air IQ has {len(air_iq)} subcarriers, RU grid has {n_sc}"
+                )
+            yield time, port, requests, air_iq
 
     def pending_uplink_symbols(self) -> List[Tuple[SymbolTime, int]]:
         """(time, port) pairs the RU owes uplink U-plane packets for.

@@ -7,6 +7,7 @@ from repro.core.actions import (
     ActionContext,
     ActionKind,
     PacketCache,
+    SlotRing,
 )
 from repro.fronthaul.compression import CompressionConfig, codec_for
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
@@ -129,6 +130,24 @@ class TestA3Caching:
     def test_caching_needs_userspace(self, ctx, rng, du_mac, ru_mac):
         ctx.cache_put("k", make_uplane(rng, du_mac, ru_mac))
         assert ctx.trace.needs_userspace()
+
+    def test_ring_close_drops_the_stale_prefix_by_stamp(self, monkeypatch):
+        from repro.core import actions
+
+        monkeypatch.setattr(actions, "_RETAINED_SLOTS", 2)
+        ring = SlotRing()
+        for slot in range(5):
+            ring[("early", slot)] = ring[("late", slot)] = slot
+            if slot == 1:
+                # Popped and set again: stamped anew, at the back.
+                assert ring.pop(("early", 0)) == 0
+                ring[("early", 0)] = "again"
+            ring.close()
+            held = {key[1] for key in ring if ring[key] != "again"}
+            assert held == set(range(max(0, slot - 1), slot + 1))
+            assert (("early", 0) in ring) == (slot < 3)
+        assert list(ring) == [("early", 3), ("late", 3), ("early", 4), ("late", 4)]
+        assert list(ring._opened) == list(ring._values)
 
 
 class TestA4HeaderModification:

@@ -1,10 +1,10 @@
 """The int16-native codec kernels and the blocked slot pass.
 
-Pins the shared ``prb_shifts`` / ``pack_mantissas`` / ``unpack_mantissas``
-kernels and ``compress_ranges`` to the scalar oracle of
-:mod:`repro.conformance.reference` across every legal width, the int16
-corner values, the 512-PRB block boundary, and a memory contract that
-needs no wall clock.
+Pins the shared ``prb_shifts`` / ``pack_mantissas`` (uint64 word lanes) /
+``unpack_mantissas`` kernels and ``compress_ranges`` to the scalar oracle
+of :mod:`repro.conformance.reference` across every legal width, the int16
+corner values, the 512-PRB block boundary, and memory contracts — the
+codec pass's and the float stage's — that need no wall clock.
 """
 
 import tracemalloc
@@ -100,6 +100,53 @@ class TestEveryWidth:
         shifts16 = prb_shifts(samples, config.iq_width)
         shifts64 = prb_shifts(samples.astype(np.int64), config.iq_width)
         assert (shifts16 == shifts64).all()
+
+
+class TestWordLanePack:
+    """``pack_mantissas`` on its own: three groups of eight mantissas a
+    PRB, two uint64 lanes a group, against the scalar oracle (mantissas
+    that fit the width compress at shift 0, so the oracle's PRB is a zero
+    parameter in front of exactly the packed block)."""
+
+    @staticmethod
+    def mantissas(width: int, n_prbs: int) -> np.ndarray:
+        low, high = -(1 << (width - 1)), (1 << (width - 1)) - 1
+        rng = np.random.default_rng(100 * width + n_prbs % 97)
+        rows = rng.integers(low, high + 1, size=(n_prbs, 24)).astype(np.int16)
+        for row, value in zip(rows, (low, high, -1)):  # corner rows
+            row[:] = value
+        return rows
+
+    @staticmethod
+    def oracle_blocks(rows: np.ndarray, width: int) -> bytes:
+        meth, param = (MOD_COMP_METH, 2) if width == 1 else (BFP_COMP_METH, 1)
+        wire = scalar_compress(rows.tolist(), width, meth)
+        grid = np.frombuffer(wire, np.uint8).reshape(len(rows), param + 3 * width)
+        assert not grid[:, :param].any()
+        return grid[:, param:].tobytes()
+
+    @pytest.mark.parametrize("n_prbs", [0, 1, 7, 511, 512, 513, 3900])
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_every_width_and_size_matches_the_scalar_oracle(self, width, n_prbs):
+        rows = self.mantissas(width, n_prbs)
+        blocks = pack_mantissas(rows, width)
+        assert blocks.shape == (n_prbs, 3 * width) and blocks.dtype == np.uint8
+        assert blocks.tobytes() == self.oracle_blocks(rows, width)
+        assert (unpack_mantissas(blocks, width) == rows).all()
+
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_int64_and_non_contiguous_input(self, width):
+        rows = self.mantissas(width, 40)
+        expected = self.oracle_blocks(rows, width)
+        assert pack_mantissas(rows.astype(np.int64), width).tobytes() == expected
+        wide = np.zeros((80, 48), dtype=np.int16)
+        wide[::2, ::2] = rows
+        strided = wide[::2, ::2]
+        assert not strided.flags.c_contiguous
+        assert pack_mantissas(strided, width).tobytes() == expected
+        assert pack_mantissas(rows[::-1], width).tobytes() == self.oracle_blocks(
+            rows[::-1], width
+        )
 
 
 class TestWidth16:
@@ -220,3 +267,26 @@ class TestMemoryContract:
         assert peak < 2 * 1024 * 1024, f"peak {peak / 2**20:.2f} MiB"
         assert codec_memo_stats() == before
         assert before["compress_entries"] == 0
+
+    def test_56_row_float_stage_peaks_below_one_block_plus_the_slot_int16(self):
+        """56 owed rows x 1,272 subcarriers through ``build_uplink``: at
+        most one 8-row block of floats is alive — the noise draw, the
+        complex block and its scaled copy, 162,816 B each — beside the
+        slot's int16 (grids, codec samples / mantissas / wire) and its
+        packets; 56 rows of floats at once would be 3.4 MB."""
+        from tests.ran.test_slot_build import full_slot_items, full_slot_ru
+
+        config = CompressionConfig(iq_width=9)
+        full_slot_ru(config).build_uplink(full_slot_items(full_slot_ru(config)))
+        ru = full_slot_ru(config)
+        items = full_slot_items(ru)
+        block_floats = 3 * 8 * 1272 * 16  # noise, signal, scaled: 488,448 B
+        slot_int16 = 4 * 56 * 106 * 48  # grids, samples, mantissas, wire
+        tracemalloc.start()
+        try:
+            packets = ru.build_uplink(iter(items))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(packets) == 59
+        assert peak < block_floats + slot_int16 + 256 * 1024, f"peak {peak} B"

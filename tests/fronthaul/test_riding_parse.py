@@ -67,7 +67,7 @@ def assert_rides(section: UPlaneSection) -> None:
 
 @pytest.fixture
 def codec_calls(monkeypatch):
-    """Counts of the two bit-tensor kernels while the test runs."""
+    """Counts of the two mantissa kernels while the test runs."""
     calls = {"pack_mantissas": 0, "unpack_mantissas": 0}
 
     def counted(name):

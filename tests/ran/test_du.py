@@ -167,3 +167,52 @@ class TestCounters:
         elapsed_s = n_slots * du.cell.numerology.slot_duration_ns / 1e9
         rate = du.counters.dl_bits / elapsed_s / 1e6
         assert rate == pytest.approx(100.0, rel=0.15)
+
+
+class TestUplinkHash:
+    def test_digest_is_the_per_packet_hash_after_every_slot_and_mid_slot(self):
+        """The golden 8-cell fixture: the hash fed one joined buffer per
+        slot reads, after every slot and once in the middle of a slot's
+        uplink, what three ``update`` calls per packet produce."""
+        import hashlib
+
+        from repro.eval.scale import bench_spec
+        from repro.scale import Scenario
+
+        groups = Scenario(bench_spec(12)).build()
+        oracles, mid_slot = {}, []
+
+        def shadow(du):
+            oracle = oracles[du] = hashlib.sha256()
+            receive = du.receive
+
+            def receiving(packet):
+                receive(packet)
+                if packet.message.filter_index == 1:
+                    return
+                time = packet.time
+                oracle.update(
+                    f"{time.frame},{time.subframe},{time.slot},{time.symbol},"
+                    f"{packet.eaxc.ru_port}".encode()
+                )
+                for section in packet.message.sections:
+                    oracle.update(
+                        f"{section.section_id},{section.start_prb},"
+                        f"{section.num_prb}".encode()
+                    )
+                    oracle.update(section.payload)
+                if du.counters.ul_packets == 3:  # mid-slot, packets to come
+                    mid_slot.append(du.uplink_sha256() == oracle.hexdigest())
+
+            du.receive = receiving
+
+        dus = [du for group in groups for du in group.network.dus]
+        for du in dus:
+            shadow(du)
+        for _ in range(12):
+            for group in groups:
+                group.network.run_slot()
+            for du in dus:
+                assert du.uplink_sha256() == oracles[du].hexdigest()
+        assert mid_slot and all(mid_slot)
+        assert sum(du.counters.ul_packets > 3 for du in dus) == len(mid_slot)
