@@ -11,9 +11,9 @@ plane's contract, so this eval doubles as the CI smoke):
 
 - **streaming never perturbs results** — the run's digest equals a
   reference run with observability fully disabled;
-- **live equals collect, bit for bit** — after the final epoch the
-  stream's folded registry snapshot equals the end-of-run ``collect()``
-  merge exactly.
+- **live equals collect, bit for bit** — the stream's folded registry
+  snapshot equals the ``collect()`` merge exactly (at every barrier;
+  checked here after the last).
 
 :attr:`ObsTopResult.exposition` is the deterministic subset of the
 Prometheus exposition (wall-clock families filtered); CI pins its

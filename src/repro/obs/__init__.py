@@ -133,10 +133,6 @@ class Observability:
         self.enabled = True
         return self
 
-    def disable(self) -> "Observability":
-        self.enabled = False
-        return self
-
     def should_sample(self) -> bool:
         """Span-sampling decision: every ``sample_every``-th packet."""
         self._ticket += 1

@@ -158,7 +158,7 @@ class DeadlineAccountant:
         Books exactly what :meth:`observe_slot` books — accounts list,
         violation count, latency sketch — but never touches the metrics
         registry: on the coordinator those series arrive through the
-        folded metric deltas, and double-counting them here would break
+        folded metric snapshots, and double-counting them here would break
         the live-equals-collect invariant.  Returns how many accounts
         were folded.
         """

@@ -29,7 +29,6 @@ from repro.obs.sketch import (
     DEFAULT_RELATIVE_ACCURACY,
     Sketch,
     SketchMergeError,
-    diff_sample as _diff_sketch_sample,
 )
 
 LabelValues = Tuple[str, ...]
@@ -492,55 +491,3 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self._families)
-
-
-def _diff_histogram(sample: Dict[str, Any], prev: Dict[str, Any]) -> Dict[str, Any]:
-    return {
-        "count": sample["count"] - prev["count"],
-        "sum": sample["sum"] - prev["sum"],
-        "buckets": {
-            key: cumulative - prev["buckets"].get(key, 0)
-            for key, cumulative in sample["buckets"].items()
-        },
-    }
-
-
-def diff_snapshot(
-    current: Dict[str, Dict[str, Any]],
-    previous: Dict[str, Dict[str, Any]],
-) -> Dict[str, Dict[str, Any]]:
-    """The per-epoch delta between two :meth:`MetricsRegistry.snapshot`\\ s.
-
-    Counters and histograms subtract (their cumulative buckets stay
-    cumulative, so per-bucket differences are again valid cumulative
-    counts); gauges carry ``current - previous`` so that additively
-    folding every delta reproduces the latest gauge value.  Families and
-    series absent from ``previous`` pass through whole.  The result is
-    snapshot-shaped: feed it straight to
-    :meth:`MetricsRegistry.merge_snapshot`.
-    """
-    delta: Dict[str, Dict[str, Any]] = {}
-    for name, family in current.items():
-        prev_family = previous.get(name)
-        if prev_family is None:
-            delta[name] = family
-            continue
-        series: Dict[str, Any] = {}
-        prev_series = prev_family["series"]
-        for key, sample in family["series"].items():
-            prev_sample = prev_series.get(key)
-            if prev_sample is None:
-                series[key] = sample
-            elif family["type"] == "histogram":
-                series[key] = _diff_histogram(sample, prev_sample)
-            elif family["type"] == "sketch":
-                series[key] = _diff_sketch_sample(sample, prev_sample)
-            else:
-                series[key] = sample - prev_sample
-        delta[name] = {
-            "type": family["type"],
-            "help": family["help"],
-            "labels": family["labels"],
-            "series": series,
-        }
-    return delta

@@ -7,8 +7,8 @@ buckets ``index = ceil(log_gamma(value))`` with
 sketch is within a factor ``alpha`` of the true value — regardless of
 how many observations were folded in or on how many shards they were
 collected.  That guarantee is exactly what the streaming telemetry plane
-needs: every worker keeps a small dict of bucket counts, ships per-epoch
-deltas, and the coordinator's fold answers "cross-shard P99 slot latency
+needs: every worker keeps a small dict of bucket counts, ships it at
+every epoch, and the coordinator's fold answers "cross-shard P99 slot latency
 vs the 30 us budget" without a single raw latency array crossing a pipe.
 
 Algebraic contract (pinned by Hypothesis property tests):
@@ -17,10 +17,7 @@ Algebraic contract (pinned by Hypothesis property tests):
   sharding of the observations yields the *same* sketch state.
 - ``quantile(q)`` is within ``relative_accuracy`` of the exact sample
   quantile for every q in [0, 1] (zero and the min/max are exact).
-- ``sample()``/``from_sample`` round-trip exactly through JSON, and
-  ``diff_sample`` produces a delta whose fold reproduces the cumulative
-  state — the same discipline histograms follow in
-  :func:`repro.obs.metrics.diff_snapshot`.
+- ``sample()``/``from_sample`` round-trip exactly through JSON.
 
 Only non-negative values are accepted: every series this repo sketches
 (latencies, slot budgets, failover times) is a duration.
@@ -208,38 +205,6 @@ class QuantileSketch:
         )
 
 
-def diff_sample(
-    current: Dict[str, Any], previous: Dict[str, Any]
-) -> Dict[str, Any]:
-    """Per-epoch delta between two sketch samples.
-
-    Bucket counts, ``count``, ``zeros`` and ``sum`` subtract; ``min`` and
-    ``max`` carry the *running* extrema (merging is min/max, so folding
-    every delta reproduces the cumulative state exactly — the same
-    convention gauges use in :func:`repro.obs.metrics.diff_snapshot`).
-    """
-    if current["accuracy"] != previous["accuracy"]:
-        raise SketchMergeError(
-            "cannot diff sketch samples of accuracies "
-            f"{current['accuracy']} and {previous['accuracy']}"
-        )
-    prev_buckets = previous["buckets"]
-    buckets = {}
-    for key, bucket_count in current["buckets"].items():
-        delta = bucket_count - prev_buckets.get(key, 0)
-        if delta:
-            buckets[key] = delta
-    return {
-        "accuracy": current["accuracy"],
-        "count": current["count"] - previous["count"],
-        "sum": current["sum"] - previous["sum"],
-        "zeros": current["zeros"] - previous["zeros"],
-        "min": current["min"],
-        "max": current["max"],
-        "buckets": buckets,
-    }
-
-
 class Sketch:
     """The registry metric kind wrapping one labelled QuantileSketch.
 
@@ -288,5 +253,4 @@ __all__ = [
     "QuantileSketch",
     "Sketch",
     "SketchMergeError",
-    "diff_sample",
 ]

@@ -1,35 +1,35 @@
 """Streaming telemetry transport: per-epoch flushes, live coordinator fold.
 
-PR 6's worker pool already ships *metric deltas* at every barrier epoch;
-this module widens that lane into a full telemetry plane and gives both
-ends a first-class object:
+The telemetry plane has two ends, one object each:
 
 - :class:`GroupStreamSource` (worker side) wraps one built coupling
-  group and produces a plain-data **epoch payload**: the group's metric
-  delta, its freshly recorded spans (drained from the flight recorder
-  and stamped with ``(group, shard)``), the deadline accounts of the
-  epoch's slots, and the conformance-count delta.  Payloads are pure
-  picklable data, so they ride the worker's epoch reply over the
-  control pipe like every other pool payload.
+  group and produces a plain-data **epoch payload** at every barrier:
+  the group registry's cumulative metric snapshot, its freshly recorded
+  spans (drained from the flight recorder and stamped with
+  ``(group, shard)``), the deadline accounts of the epoch's slots, and
+  the epoch's conformance counts and breaker opens as plain ints.
+  Payloads are pure picklable data, so they ride the worker's epoch
+  reply over the control pipe like every other pool payload.
 - :class:`TelemetryStream` (coordinator side) folds payloads as they
-  arrive: metric deltas merge into a live registry, spans land in a
-  bounded coordinator recorder (each keeps the ``(group, shard)`` it
-  was recorded on next to its wire coordinates), deadline accounts
-  feed per-group :class:`~repro.obs.deadline.DeadlineAccountant` twins,
-  and every epoch emits one :class:`~repro.obs.slo.EpochSample` into the
+  arrive: the live registry is rebuilt from the epoch's snapshots, spans
+  land in a bounded coordinator recorder (each keeps the
+  ``(group, shard)`` it was recorded on next to its wire coordinates),
+  deadline accounts feed per-group
+  :class:`~repro.obs.deadline.DeadlineAccountant` twins, and every
+  epoch emits one :class:`~repro.obs.slo.EpochSample` into the
   :class:`~repro.obs.slo.SloEngine` plus a summary record on the
   :class:`~repro.core.telemetry.TelemetryBus` (topic
   :data:`EPOCH_TOPIC`).
 
-**Live equals collect, bit for bit.**  Mid-run epochs ship deltas —
-integer fields fold exactly; float sums may drift by an ulp, which is
-fine for a dashboard.  The *final* epoch instead ships each group's
-cumulative snapshot (``metrics_kind: "cumulative"``), and the fold
-rebuilds the live registry from those snapshots in sorted group order —
-the exact computation :meth:`~repro.scale.runner.ScenarioResult.metrics`
-performs at collect time — so the final live snapshot is byte-identical
-to the end-of-run ``collect()`` merge, and ``collect()`` is genuinely a
-consumer of the stream rather than a second source of truth.
+**Live equals collect, bit for bit, at every barrier.**  Metrics are a
+state lane: each payload carries the group's whole snapshot and the fold
+merges this epoch's snapshots in sorted group order — the exact
+computation :meth:`~repro.scale.runner.ScenarioResult.metrics` performs
+at collect time.  So a rebuilt group shows its replayed prefix, an
+evicted group vanishes because it no longer ships, and ``collect()`` is
+a second reading of the same state rather than a second source of
+truth.  Spans, deadline accounts and the scalar counts are event lanes:
+drained once worker-side, accumulated here.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import json
 from typing import Any, Dict, IO, List, Optional, Sequence, Tuple
 
 from repro.obs.deadline import DeadlineAccountant
-from repro.obs.metrics import MetricsRegistry, declare, diff_snapshot
+from repro.obs.metrics import MetricsRegistry, declare
 from repro.obs.recorder import FlightRecorder, PacketSpan, SpanKey
 from repro.obs.sketch import DEFAULT_RELATIVE_ACCURACY, QuantileSketch
 from repro.obs.slo import EpochSample, SloEngine, SloSpec
@@ -62,17 +62,16 @@ class GroupStreamSource:
 
     ``shard`` is the worker index the group runs on (the single-process
     runner passes ``0``).  ``stream`` gates the expensive lanes: with it
-    False only the metric delta ships — byte-compatible with the PR 6
-    behavior.
+    False only the metric snapshot and the breaker-open count ship.
     """
 
     def __init__(self, group, shard: int, stream: bool = True):
         self.group = group
         self.shard = shard
         self.stream = stream
-        self._last_metrics: Dict[str, Dict[str, Any]] = {}
         self._shipped_accounts = 0
         self._last_conformance: Dict[str, Any] = {}
+        self._last_breaker_opens = 0
 
     def _drain_spans(self) -> Tuple[List[PacketSpan], int]:
         recorder: FlightRecorder = self.group.obs.recorder
@@ -144,12 +143,12 @@ class GroupStreamSource:
         delta["counts"] = {k: v for k, v in delta["counts"].items() if v}
         return delta
 
-    def epoch_payload(self, final: bool = False) -> Dict[str, Any]:
+    def epoch_payload(self) -> Dict[str, Any]:
         """Flush everything this group accumulated since the last epoch.
 
         Side-effect order matters: spans drain (and the dropped-span
         counter bumps) *before* the metrics snapshot, so the shipped
-        delta already carries the drop accounting for this epoch.
+        snapshot already carries the drop accounting for this epoch.
         """
         payload: Dict[str, Any] = {
             "group": self.group.name,
@@ -167,25 +166,16 @@ class GroupStreamSource:
             payload["deadline"] = self._deadline_delta()
             payload["conformance"] = self._conformance_delta()
         snapshot = obs.registry.snapshot()
-        delta = diff_snapshot(snapshot, self._last_metrics)
-        if final:
-            # The final epoch ships the authoritative cumulative snapshot
-            # (live == collect, bit for bit) but still carries the delta
-            # so epoch-scoped extractions (breaker opens) never recount
-            # what earlier epochs already folded.
-            payload["metrics"] = snapshot
-            payload["metrics_kind"] = "cumulative"
-            payload["metrics_delta"] = delta
-        else:
-            payload["metrics"] = delta
-            payload["metrics_kind"] = "delta"
-        self._last_metrics = snapshot
+        opens = _breaker_opens(snapshot)
+        payload["breaker_opens"] = opens - self._last_breaker_opens
+        self._last_breaker_opens = opens
+        payload["metrics"] = snapshot
         return payload
 
 
-def _breaker_opens_delta(metrics_delta: Dict[str, Dict[str, Any]]) -> int:
-    """Circuit-breaker open transitions carried by one metric delta."""
-    family = metrics_delta.get("chain_breaker_transitions_total")
+def _breaker_opens(snapshot: Dict[str, Dict[str, Any]]) -> int:
+    """Circuit-breaker open transitions counted by one metric snapshot."""
+    family = snapshot.get("chain_breaker_transitions_total")
     if not family:
         return 0
     opens = 0
@@ -201,10 +191,10 @@ class TelemetryStream:
     One instance lives for one run.  :meth:`fold_epoch` is called at
     every barrier with the payloads of *all* groups (any worker order —
     the fold sorts by group name, so results are placement-independent),
-    and incrementally maintains:
+    and maintains:
 
-    - :attr:`registry` — the live metric fold (exact for integers
-      mid-run, byte-exact after the final cumulative epoch);
+    - :attr:`registry` — the merge of this barrier's group snapshots
+      (equal to ``collect()``'s merge at every barrier);
     - :attr:`recorder` — a bounded ring of streamed spans with
       ``(group, shard)``-stamped keys;
     - :attr:`accountants` — per-group deadline-accountant twins built
@@ -214,6 +204,10 @@ class TelemetryStream:
       :class:`~repro.obs.slo.EpochSample` per epoch;
     - ``bus`` topic :data:`EPOCH_TOPIC` and the optional ``tail`` sink
       (one JSON line per epoch — ``tail`` is any writable text file).
+
+    A group absent from a fold has left the plan: its accountant twin
+    and its per-group conformance and dropped-span counts are forgotten
+    with its metrics.
     """
 
     def __init__(
@@ -239,20 +233,23 @@ class TelemetryStream:
         self.frames_checked = 0
         self.conformance_counts: Dict[str, int] = {}
         #: Per-group conformance accumulation (group -> {"frames_checked",
-        #: "violations", "counts"}) — the live control plane routes
-        #: conformance telemetry to per-cell subscribers from here; the
-        #: scenario-wide totals above are unchanged.
+        #: "violations", "counts"}); the scenario-wide totals above are
+        #: event sums and keep what a since-evicted group contributed.
         self.group_conformance: Dict[str, Dict[str, Any]] = {}
+        #: The last fold's per-group conformance deltas, same shape —
+        #: what the live control plane routes to per-cell subscribers.
+        self.epoch_conformance: Dict[str, Dict[str, Any]] = {}
         self.worker_restarts_total = 0
         self._pending_restarts = 0
-        self._final = False
+        #: True once the fold of the horizon's last epoch is in.
+        self.finalized = False
 
     def note_worker_restart(self, worker: int) -> None:
         """Record one supervised-pool worker respawn.
 
         Restarts are coordinator events, not worker payloads — folding
-        them into the stream registry would be wiped by the final
-        cumulative rebuild — so they ride the next
+        them into the stream registry would be wiped by the next
+        barrier's rebuild — so they ride the next
         :class:`~repro.obs.slo.EpochSample` instead, which is what the
         ``worker_restarts`` SLO objective windows over.
         """
@@ -260,20 +257,6 @@ class TelemetryStream:
         self._pending_restarts += 1
 
     # -- folding ---------------------------------------------------------
-
-    def _fold_metrics(self, payloads: List[Dict[str, Any]]) -> None:
-        if payloads and payloads[0].get("metrics_kind") == "cumulative":
-            # Final epoch: rebuild from the authoritative snapshots, in
-            # the same sorted-group order collect() merges them — the
-            # bit-for-bit live == collect guarantee.
-            rebuilt = MetricsRegistry()
-            for payload in payloads:
-                rebuilt.merge_snapshot(payload["metrics"])
-            self.registry = rebuilt
-            self._final = True
-            return
-        for payload in payloads:
-            self.registry.merge_snapshot(payload["metrics"])
 
     def _fold_spans(self, payload: Dict[str, Any]) -> None:
         for span in payload.get("spans", ()):
@@ -306,47 +289,66 @@ class TelemetryStream:
             epoch_sketch.observe(sum(account["stages"].values()))
         return folded, accountant.violations - before
 
-    def _fold_conformance(self, payload: Dict[str, Any]) -> Tuple[int, int]:
-        delta = payload.get("conformance") or {}
-        frames = delta.get("frames_checked", 0)
-        self.frames_checked += frames
-        violations = 0
+    def _fold_conformance(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        shipped = payload.get("conformance") or {}
+        counts = shipped.get("counts", {})
+        delta = {
+            "frames_checked": shipped.get("frames_checked", 0),
+            "violations": sum(counts.values()),
+            "counts": counts,
+        }
+        self.frames_checked += delta["frames_checked"]
         per_group = self.group_conformance.setdefault(
             payload["group"],
             {"frames_checked": 0, "violations": 0, "counts": {}},
         )
-        per_group["frames_checked"] += frames
-        for kind, count in delta.get("counts", {}).items():
+        per_group["frames_checked"] += delta["frames_checked"]
+        per_group["violations"] += delta["violations"]
+        for kind, count in counts.items():
             self.conformance_counts[kind] = (
                 self.conformance_counts.get(kind, 0) + count
             )
             per_group["counts"][kind] = (
                 per_group["counts"].get(kind, 0) + count
             )
-            per_group["violations"] += count
-            violations += count
-        return frames, violations
+        return delta
 
-    def fold_epoch(self, payloads: Sequence[Dict[str, Any]]) -> EpochSample:
-        """Fold one barrier epoch's payloads (all groups, any order)."""
+    def fold_epoch(
+        self, payloads: Sequence[Dict[str, Any]], final: bool = False
+    ) -> EpochSample:
+        """Fold one barrier epoch's payloads (all groups, any order).
+
+        ``final`` is the coordinator saying this was the horizon's last
+        epoch (:attr:`finalized`); the fold itself is the same.
+        """
         ordered = sorted(payloads, key=lambda p: p["group"])
         epoch = self.epochs
         epoch_sketch = QuantileSketch(
             relative_accuracy=self.sketch_accuracy
         )
         checks = misses = frames = violations = opens = 0
+        # Same merge, same order as ScenarioResult.metrics(): that is
+        # what makes live == collect at every barrier.
+        self.registry = MetricsRegistry()
+        self.epoch_conformance = {}
         for payload in ordered:
+            self.registry.merge_snapshot(payload["metrics"])
             self._fold_spans(payload)
             folded, violated = self._fold_deadline(payload, epoch_sketch)
             checks += folded
             misses += violated
-            frames_delta, violations_delta = self._fold_conformance(payload)
-            frames += frames_delta
-            violations += violations_delta
-            opens += _breaker_opens_delta(
-                payload.get("metrics_delta", payload["metrics"])
-            )
-        self._fold_metrics(ordered)
+            delta = self._fold_conformance(payload)
+            self.epoch_conformance[payload["group"]] = delta
+            frames += delta["frames_checked"]
+            violations += delta["violations"]
+            opens += payload["breaker_opens"]
+        # A group that shipped nothing has left the plan.
+        for table in (
+            self.accountants, self.group_conformance, self.spans_dropped
+        ):
+            for group in table.keys() - self.epoch_conformance.keys():
+                del table[group]
+        self.finalized = final
         sample = EpochSample(
             epoch=epoch,
             deadline_checks=checks,
@@ -391,13 +393,9 @@ class TelemetryStream:
         }
 
     def live_snapshot(self) -> Dict[str, Dict[str, Any]]:
-        """The live registry's current snapshot (final == collect())."""
+        """The live registry's snapshot: ``collect()``'s, as of the
+        last barrier."""
         return self.registry.snapshot()
-
-    @property
-    def finalized(self) -> bool:
-        """True once the final cumulative epoch has been folded."""
-        return self._final
 
     def p99_slot_latency_ns(self) -> float:
         """Cross-shard P99 of per-slot chain latency over the whole run."""

@@ -143,11 +143,6 @@ class DistributedUnit:
             raise KeyError(f"UE {ue_id} is not attached")
         self.flows[f"{ue_id}/{flow.name}/{direction.name}"] = (flow, direction, ue_id)
 
-    def detach_flows(self, ue_id: str) -> None:
-        self.flows = {
-            key: value for key, value in self.flows.items() if value[2] != ue_id
-        }
-
     def _enqueue_traffic(self) -> None:
         slot_ns = self.cell.numerology.slot_duration_ns
         for flow, direction, ue_id in self.flows.values():

@@ -19,9 +19,9 @@ contract is byte-identical digests at any worker count:
    :meth:`~repro.scale.spec.ScenarioSpec.effective_epoch_slots` slots
    (default: the whole horizon — the coarsest epoch) and each ack
    carries ``(slots, telemetry payloads)``.
-   Telemetry accumulates worker-side between barriers (metric deltas
-   always; spans, deadline accounts and conformance deltas when the
-   spec streams) and folds into the coordinator's
+   Telemetry accumulates worker-side between barriers (the cumulative
+   metric snapshot always; spans, deadline accounts and conformance
+   counts when the spec streams) and folds into the coordinator's
    :attr:`WorkerPool.telemetry` stream at each epoch boundary, so long
    runs expose progressing telemetry without per-slot chatter.
 3. **One transport.**  A forked worker's bulk (epoch telemetry payloads,
@@ -79,13 +79,12 @@ def _serve(engine: ShardEngine, command: Tuple) -> Tuple:
 
     Commands and their ``(tag, slots, bulk, heartbeat)`` replies:
 
-    - ``("epoch", n_slots, final)`` advances every local group
-      ``n_slots`` and replies ``("ok", n_slots, bulk|None, hb)``
-      where the bulk is the list of the local groups' telemetry epoch
-      payloads (:meth:`~repro.obs.stream.GroupStreamSource.
-      epoch_payload`) — metric deltas always, plus spans/deadline/
-      conformance lanes when the spec streams.  ``final`` marks the
-      horizon's last epoch, whose payloads carry cumulative snapshots.
+    - ``("epoch", n_slots)`` advances every local group ``n_slots``
+      and replies ``("ok", n_slots, bulk|None, hb)`` where the bulk is
+      the list of the local groups' telemetry epoch payloads
+      (:meth:`~repro.obs.stream.GroupStreamSource.epoch_payload`) — the
+      cumulative metric snapshot always, plus spans/deadline/
+      conformance lanes when the spec streams.
     - ``("collect",)`` summarizes the groups and replies
       ``("result", 0, bulk, hb)``.
     - ``("reset",)`` rebuilds the groups from the spec (fresh state,
@@ -103,7 +102,7 @@ def _serve(engine: ShardEngine, command: Tuple) -> Tuple:
     tag, slots, bulk = "ok", 0, None
     if op == "epoch":
         slots = command[1]
-        bulk = engine.step(slots, command[2]) or None
+        bulk = engine.step(slots) or None
     elif op == "collect":
         tag, bulk = "result", engine.summarize()
     elif op == "reset":
@@ -177,7 +176,7 @@ def _worker_loop(
                 if kind == "kill":
                     # Crash mid-epoch: half the slots stepped, no reply,
                     # no cleanup — the harshest failure shape.
-                    engine.step(command[1] // 2, False)
+                    engine.step(command[1] // 2)
                     os.kill(os.getpid(), signal.SIGKILL)
                 if kind == "stall":
                     # Hang through the barrier deadline; if the
@@ -399,8 +398,8 @@ class WorkerPool:
         self.bus = bus
         self.tail = tail
         #: Coordinator-side recovery metrics (NOT the stream registry,
-        #: which the final cumulative fold rebuilds from worker
-        #: snapshots — restarts are coordinator events and live here).
+        #: which every fold rebuilds from worker snapshots — restarts
+        #: are coordinator events and live here).
         self.metrics = MetricsRegistry()
         self._shards: List = []
         self._finalizer = None
@@ -738,11 +737,12 @@ class WorkerPool:
             return True
         epoch = self.spec.effective_epoch_slots()
         step = min(epoch, self.spec.slots - self.done)
-        final = self.done + step >= self.spec.slots
         # Barrier: every shard finishes the epoch before any proceeds.
-        payloads = self._exchange(("epoch", step, final), "ok", slots=step)
+        payloads = self._exchange(("epoch", step), "ok", slots=step)
         if payloads:
-            self.telemetry.fold_epoch(payloads)
+            self.telemetry.fold_epoch(
+                payloads, final=self.done + step >= self.spec.slots
+            )
         self.done += step
         self._epochs += 1
         return self.done >= self.spec.slots

@@ -107,10 +107,10 @@ class ScenarioResult:
     #: collect`).  Never part of the digest.
     transport: Dict[str, int] = field(default_factory=dict)
     #: The run's live :class:`~repro.obs.stream.TelemetryStream` fold
-    #: (``None`` when the spec's obs is disabled).  After the final
-    #: epoch its registry snapshot equals :meth:`metrics`' snapshot bit
-    #: for bit — ``collect()`` is a consumer of the stream, not a second
-    #: source of truth.  Never part of the digest.
+    #: (``None`` when the spec's obs is disabled).  At every barrier
+    #: its registry snapshot equals :meth:`metrics`' snapshot bit for
+    #: bit — two readings of the same worker state.  Never part of the
+    #: digest.
     telemetry: Optional[TelemetryStream] = None
     #: Recovery accounting under a supervision policy: worker restart
     #: counts, replayed slots, and the failure log (empty for fail-fast
@@ -191,9 +191,10 @@ def run_divergence(
     Two results are the same run when their digests and slot timelines
     are equal and — where ``outcome`` carried a telemetry stream — its
     deterministic exposition equals the reference stream's (when the
-    reference has one) and its live fold equals its own end-of-run
-    ``collect()``.  However a run was sharded, driven, mutated back or
-    recovered, this is the one place "same run" is spelled out.
+    reference has one), its live fold equals its own ``collect()`` and
+    its per-group tables name no group the run no longer hosts.  However
+    a run was sharded, driven, mutated or recovered, and at whichever
+    barrier it is read, this is the one place "same run" is spelled out.
     """
     diverged = []
     if outcome.digest != reference.digest:
@@ -208,6 +209,12 @@ def run_divergence(
             diverged.append("exposition")
         if stream.live_snapshot() != outcome.metrics().snapshot():
             diverged.append("live_vs_collect")
+        if (
+            stream.accountants.keys()
+            | stream.group_conformance.keys()
+            | stream.spans_dropped.keys()
+        ) - outcome.groups.keys():
+            diverged.append("ghost_groups")
     return diverged
 
 
@@ -305,11 +312,13 @@ class ShardEngine:
         deterministically fast-forwarded over the ``replay_slots``
         confirmed prefix at the run's epoch cadence; every other hosted
         group keeps its state untouched.  The replayed epochs' telemetry
-        payloads are generated and *discarded*: the coordinator already
-        folded the originals, so regenerating only advances the delta
-        baselines — nothing double-counts.  Nothing is rebound until the
-        new groups are built and replayed, so a build failure raises
-        with the engine as it was.
+        payloads are generated and *discarded*: that drains the event
+        lanes (spans, deadline accounts) at the cadence a from-scratch
+        run drains them and advances the scalar baselines (conformance
+        counts, breaker opens), so the next barrier recounts none of the
+        prefix — while its cumulative metric snapshot shows all of it.
+        Nothing is rebound until the new groups are built and replayed,
+        so a build failure raises with the engine as it was.
         """
         fresh = []
         for group in build_groups(
@@ -330,22 +339,18 @@ class ShardEngine:
             replayed += step
             for _, source in fresh:
                 if source is not None:
-                    source.epoch_payload(final=replayed >= new_spec.slots)
+                    source.epoch_payload()
         live = {**self._live, **{pair[0].name: pair for pair in fresh}}
         self.spec = new_spec
         self.names = list(names)
         self._live = {name: live[name] for name in names}
 
-    def step(self, n_slots: int, final: bool) -> List[Dict[str, Any]]:
+    def step(self, n_slots: int) -> List[Dict[str, Any]]:
         """Advance every group one epoch and hand back its telemetry
-        payloads (none when obs is disabled).
-
-        ``final`` marks the horizon's last epoch, whose payloads carry
-        cumulative snapshots.
-        """
+        payloads (none when obs is disabled)."""
         _step_groups([group for group, _ in self._live.values()], n_slots)
         return [
-            source.epoch_payload(final=final)
+            source.epoch_payload()
             for _, source in self._live.values()
             if source is not None
         ]

@@ -199,7 +199,7 @@ class ObsSpec:
     conformance: bool = False
     #: Stream the full telemetry plane at every barrier epoch: sampled
     #: spans, deadline accounts and conformance deltas ride each epoch
-    #: reply beside the metric deltas, and the coordinator folds them
+    #: reply beside the metric snapshot, and the coordinator folds them
     #: live (see :mod:`repro.obs.stream`).  Implies nothing when
     #: ``enabled`` is False.
     stream: bool = False

@@ -27,12 +27,14 @@ replacement rebuilds its coupling groups from the deterministic
 prefix epoch by epoch
 (:meth:`~repro.scale.runner.ShardEngine.rebase`) — generating and
 *discarding* the telemetry payloads the coordinator already folded, so
-the per-group delta baselines advance without double counting.
+the per-group event lanes drain and scalar baselines advance without
+double counting.
 Determinism makes the replayed state bit-identical to the lost one:
 the digest oracle (sharded == single-process at 1/2/4/8 workers) holds
 across recoveries, and ``live_snapshot() == collect()`` still holds
-byte for byte because the final epoch's cumulative snapshots come out
-of the replayed groups exactly as they would have from the originals.
+byte for byte at every barrier because the cumulative snapshots come
+out of the replayed groups exactly as they would have from the
+originals.
 
 **Failure is bounded, never silent.**  Respawns back off geometrically
 and each worker has a restart budget
@@ -45,7 +47,7 @@ Recovery events surface in the obs plane: the coordinator-side
 :attr:`WorkerPool.metrics <repro.scale.pool.WorkerPool.metrics>`
 registry counts ``scale_worker_restarts_total`` and
 ``scale_recovery_replayed_slots_total`` per worker (kept out of the
-telemetry stream's registry on purpose — the final cumulative rebuild
+telemetry stream's registry on purpose — the next barrier's rebuild
 would wipe them and break live == collect), and each restart rides the
 next :class:`~repro.obs.slo.EpochSample` as ``worker_restarts``, where
 an SLO objective can window and alert on it.

@@ -28,11 +28,13 @@ keep their live objects.  Three properties fall out:
   touched; a rejected delta leaves the run byte-identical to one that
   never saw it.
 
-Telemetry history is *not* rewritten: epochs already folded by the
-coordinator keep their pre-mutation payloads, and post-mutation epochs
-ship deltas against the replayed baseline.  The final cumulative epoch
-ships post-mutation truth, so ``live == collect`` still holds bit for
-bit.
+Telemetry *events* are not rewritten: spans, deadline accounts and the
+epoch counts already folded by the coordinator stay as observed, and a
+rebuilt group's replay advances their baselines so nothing recounts.
+Metric *state* is: every barrier ships each group's cumulative snapshot,
+so the live view shows post-mutation truth — replayed prefix included,
+evicted groups gone — and ``live == collect`` holds bit for bit at
+every barrier.
 """
 
 from __future__ import annotations

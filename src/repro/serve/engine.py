@@ -57,7 +57,6 @@ class LiveRun:
         self.finished = False
         self._began = False
         self._pending: List[Dict[str, Any]] = []
-        self._conformance_seen: Dict[str, Dict[str, Any]] = {}
         self.bus.subscribe(EPOCH_TOPIC, self._on_epoch)
         self.bus.subscribe(ALERT_TOPIC, self._on_alert)
 
@@ -67,29 +66,8 @@ class LiveRun:
         self._pending.append(
             {"topic": "epochs", "data": dict(record.payload)}
         )
-        for group, totals in sorted(
-            self.pool.telemetry.group_conformance.items()
-        ):
-            seen = self._conformance_seen.get(group, {})
-            delta = {
-                "frames_checked": (
-                    totals["frames_checked"]
-                    - seen.get("frames_checked", 0)
-                ),
-                "violations": (
-                    totals["violations"] - seen.get("violations", 0)
-                ),
-                "counts": {
-                    kind: count - seen.get("counts", {}).get(kind, 0)
-                    for kind, count in totals["counts"].items()
-                    if count - seen.get("counts", {}).get(kind, 0)
-                },
-            }
-            self._conformance_seen[group] = {
-                "frames_checked": totals["frames_checked"],
-                "violations": totals["violations"],
-                "counts": dict(totals["counts"]),
-            }
+        # Already in fold (sorted group) order.
+        for group, delta in self.pool.telemetry.epoch_conformance.items():
             if delta["frames_checked"] or delta["violations"]:
                 self._pending.append(
                     {

@@ -5,9 +5,8 @@ DUs emit their C-/U-plane packets, the middlebox chain processes them,
 RUs accept scheduled downlink IQ and answer uplink C-plane requests with
 digitized air samples, and the chain processes the uplink back to the DUs.
 
-``RadioEnvironment`` models the air: downlink, each UE position receives
-the gain-weighted sum of all RU transmissions plus noise; uplink, each RU
-antenna receives the gain-weighted sum of all UE transmissions.
+``RadioEnvironment`` models the air as a path gain between two
+positions, normalized to a reference distance.
 """
 
 from __future__ import annotations
@@ -32,16 +31,8 @@ from repro.ran.du import DistributedUnit
 from repro.ran.ru import RadioUnit
 
 
-@dataclass
-class UeTransmission:
-    """One UE's uplink air signal for a symbol: full-band complex grid."""
-
-    position: Position
-    iq: np.ndarray  # complex, full RU band (n_prb * 12 subcarriers)
-
-
 class RadioEnvironment:
-    """Air combining between RU antennas and UE positions."""
+    """Path gain between RU antennas and UE positions."""
 
     def __init__(
         self,
@@ -59,42 +50,6 @@ class RadioEnvironment:
         """Linear amplitude gain relative to the reference distance."""
         gain_db = self.channel.path_gain_db(tx, rx) + self._reference_loss_db
         return math.sqrt(db_to_linear(gain_db))
-
-    def combine_downlink(
-        self,
-        ue_position: Position,
-        transmissions: Sequence[Tuple[Position, np.ndarray]],
-        noise_amplitude: float = 1.0e-3,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        """What a UE receives: gain-weighted sum of RU signals + noise."""
-        rng = rng or np.random.default_rng()
-        if not transmissions:
-            raise ValueError("no transmissions to combine")
-        n_sc = len(transmissions[0][1])
-        out = np.zeros(n_sc, dtype=np.complex128)
-        for ru_position, iq in transmissions:
-            out += self.relative_gain(ru_position, ue_position) * np.asarray(iq)
-        out += rng.normal(0, noise_amplitude, n_sc) + 1j * rng.normal(
-            0, noise_amplitude, n_sc
-        )
-        return out
-
-    def combine_uplink(
-        self,
-        ru_position: Position,
-        transmissions: Sequence[UeTransmission],
-        n_subcarriers: int,
-    ) -> Optional[np.ndarray]:
-        """What one RU antenna receives from all transmitting UEs."""
-        if not transmissions:
-            return None
-        out = np.zeros(n_subcarriers, dtype=np.complex128)
-        for tx in transmissions:
-            if len(tx.iq) != n_subcarriers:
-                raise ValueError("UE transmission grid size mismatch")
-            out += self.relative_gain(tx.position, ru_position) * tx.iq
-        return out
 
 
 @dataclass
@@ -130,7 +85,6 @@ class FronthaulNetwork:
     def __init__(
         self,
         middleboxes: Sequence[Middlebox] = (),
-        environment: Optional[RadioEnvironment] = None,
         deadline_accountant: Optional["DeadlineAccountant"] = None,
         wire: Optional["ImpairedLink"] = None,
         deadline_flush: bool = False,
@@ -142,7 +96,6 @@ class FronthaulNetwork:
     ):
         self.name = name
         self.middleboxes = list(middleboxes)
-        self.environment = environment or RadioEnvironment()
         self._dus: Dict[int, DistributedUnit] = {}
         self._rus: Dict[int, Tuple[RadioUnit, Position]] = {}
         self.reports: List[SlotReport] = []

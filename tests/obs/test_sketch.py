@@ -4,7 +4,7 @@ Hypothesis pins the three guarantees the streaming telemetry plane
 leans on (see the :mod:`repro.obs.sketch` docstring): merge is
 associative and commutative, every quantile is within the configured
 relative accuracy of the exact sample quantile, and the plain-data
-sample/diff forms round-trip losslessly through JSON.
+sample form round-trips losslessly through JSON.
 """
 
 import json
@@ -18,7 +18,6 @@ from repro.obs.sketch import (
     MIN_TRACKABLE,
     QuantileSketch,
     SketchMergeError,
-    diff_sample,
 )
 
 values_lists = st.lists(
@@ -124,24 +123,3 @@ class TestWireForms:
         sketch = sketch_of(values)
         wire = json.loads(json.dumps(sketch.sample()))
         assert QuantileSketch.from_sample(wire).sample() == sketch.sample()
-
-    @given(first=values_lists, second=values_lists)
-    @settings(max_examples=60, deadline=None)
-    def test_diff_then_fold_reproduces_cumulative(self, first, second):
-        # The epoch-delta discipline: ship diff(current, previous) and
-        # fold it onto the previous state — must reproduce the current.
-        earlier = sketch_of(first)
-        current = sketch_of(first + second)
-        delta = diff_sample(current.sample(), earlier.sample())
-        folded = QuantileSketch.from_sample(earlier.sample())
-        folded.merge_sample(delta)
-        assert discrete_state(folded) == discrete_state(current)
-        assert folded.sum == pytest.approx(
-            current.sum, rel=1e-12, abs=1e-9
-        )
-
-    def test_diff_rejects_mismatched_accuracy(self):
-        with pytest.raises(SketchMergeError):
-            diff_sample(
-                QuantileSketch(0.01).sample(), QuantileSketch(0.05).sample()
-            )

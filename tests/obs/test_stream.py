@@ -5,10 +5,12 @@ Covers the stream's core contracts outside the scale-out machinery
 
 - :meth:`FlightRecorder.drain` never re-delivers a span and accounts
   ring evictions exactly;
-- :class:`GroupStreamSource` ships deltas mid-run, cumulative snapshots
-  (plus the delta) at the final epoch, and stamps ``(group, shard)``;
-- :class:`TelemetryStream` folds payloads into a live registry /
-  recorder / deadline-accountant twins, publishes epoch summaries, and
+- :class:`GroupStreamSource` ships the cumulative snapshot at every
+  epoch, epoch-scoped scalars as plain ints, and stamps
+  ``(group, shard)``;
+- :class:`TelemetryStream` rebuilds the live registry from each epoch's
+  payloads, forgets a group that stopped shipping, feeds the recorder
+  and deadline-accountant twins, publishes epoch summaries, and
   a DeadlineAccountant fed through the stream is indistinguishable from
   one fed directly (the Hypothesis property at the bottom).
 """
@@ -22,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.obs import Observability
 from repro.obs.deadline import DeadlineAccountant
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import FlightRecorder, PacketSpan, SpanKey
 from repro.obs.slo import SloSpec
 from repro.obs.stream import (
@@ -111,27 +114,25 @@ class TestObservabilityMaxSpans:
 
 
 class TestGroupStreamSource:
-    def test_mid_run_payloads_carry_deltas(self):
+    def test_every_payload_carries_the_cumulative_snapshot(self):
         group = FakeGroup("g1")
         source = GroupStreamSource(group, shard=2)
-        group.obs.registry.counter("pkts", "").inc(3)
+        pkts = group.obs.registry.counter("pkts", "")
+        opens = group.obs.registry.counter(
+            "chain_breaker_transitions_total", "", ["chain", "stage", "to"]
+        )
+        pkts.inc(3)
+        opens.labels("c", "0", "open").inc()
+        opens.labels("c", "0", "closed").inc()
         first = source.epoch_payload()
-        assert first["metrics_kind"] == "delta"
         assert first["metrics"]["pkts"]["series"][""] == 3
-        group.obs.registry.counter("pkts", "").inc(4)
+        assert first["breaker_opens"] == 1
+        pkts.inc(4)
         second = source.epoch_payload()
-        assert second["metrics"]["pkts"]["series"][""] == 4  # not 7
-
-    def test_final_payload_ships_cumulative_plus_delta(self):
-        group = FakeGroup("g1")
-        source = GroupStreamSource(group, shard=0)
-        group.obs.registry.counter("pkts", "").inc(3)
-        source.epoch_payload()
-        group.obs.registry.counter("pkts", "").inc(4)
-        final = source.epoch_payload(final=True)
-        assert final["metrics_kind"] == "cumulative"
-        assert final["metrics"]["pkts"]["series"][""] == 7
-        assert final["metrics_delta"]["pkts"]["series"][""] == 4
+        assert second["metrics"] == group.obs.registry.snapshot()
+        assert second["metrics"]["pkts"]["series"][""] == 7
+        # Epoch-scoped: the open counted last epoch is not recounted.
+        assert second["breaker_opens"] == 0
 
     def test_spans_are_stamped_with_group_and_shard(self):
         group = FakeGroup("g1")
@@ -184,6 +185,7 @@ class TestTelemetryStreamFold:
         ]
 
     def test_final_fold_equals_sorted_cumulative_merge(self):
+        """...and so does every fold before it."""
         groups, sources = self._sources()
         stream = TelemetryStream()
         for epoch in range(3):
@@ -191,16 +193,35 @@ class TestTelemetryStreamFold:
                 group.obs.registry.counter("pkts", "", ["g"]).labels(
                     group.name
                 ).inc(epoch + i + 1)
+                group.obs.registry.histogram("lat", "").observe(0.1 * (i + 1))
             stream.fold_epoch(
-                [s.epoch_payload(final=epoch == 2) for s in sources]
+                [s.epoch_payload() for s in reversed(sources)],
+                final=epoch == 2,
             )
-        assert stream.finalized
-        from repro.obs.metrics import MetricsRegistry
+            assert stream.finalized == (epoch == 2)
+            expected = MetricsRegistry()
+            for group in sorted(groups, key=lambda g: g.name):
+                expected.merge_snapshot(group.obs.registry.snapshot())
+            assert stream.live_snapshot() == expected.snapshot()
 
-        expected = MetricsRegistry()
-        for group in sorted(groups, key=lambda g: g.name):
-            expected.merge_snapshot(group.obs.registry.snapshot())
-        assert stream.live_snapshot() == expected.snapshot()
+    def test_a_group_absent_from_the_fold_is_forgotten(self):
+        groups, sources = self._sources()
+        stream = TelemetryStream()
+        for group in groups:
+            group.obs.registry.counter("pkts", "", ["g"]).labels(
+                group.name
+            ).inc()
+            group.accountant.observe_slot(0, {"0:x": 500.0})
+            for seq in range(70):  # overflows the 64-span ring
+                group.obs.recorder.record(make_span(seq))
+        for shipping in (sources, sources[:1]):
+            stream.fold_epoch([s.epoch_payload() for s in shipping])
+            for table in (
+                stream.accountants, stream.group_conformance,
+                stream.spans_dropped, stream.epoch_conformance,
+            ):
+                assert set(table) == {s.group.name for s in shipping}
+        assert stream.live_snapshot() == groups[0].obs.registry.snapshot()
 
     def test_accountant_twins_match_worker_accountants(self):
         groups, sources = self._sources()
@@ -210,9 +231,7 @@ class TestTelemetryStreamFold:
                 group.accountant.observe_slot(
                     epoch, {"0:x": 500.0 + 1000.0 * epoch}
                 )
-            stream.fold_epoch(
-                [s.epoch_payload(final=epoch == 1) for s in sources]
-            )
+            stream.fold_epoch([s.epoch_payload() for s in sources])
         for group in groups:
             twin = stream.accountants[group.name]
             assert twin.violations == group.accountant.violations

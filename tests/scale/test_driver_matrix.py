@@ -82,7 +82,12 @@ def test_run_divergence_names_exactly_what_differs(reference):
     def live_vs_collect():
         counter["series"][series] += 1
 
-    perturbations = (digest, timeline, exposition, live_vs_collect)
+    def ghost_groups():
+        outcome.telemetry.spans_dropped["evicted"] = 1
+
+    perturbations = (
+        digest, timeline, exposition, live_vs_collect, ghost_groups
+    )
     try:
         seen = []
         for perturb in perturbations:

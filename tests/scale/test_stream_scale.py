@@ -4,8 +4,9 @@ The ISSUE acceptance criteria for the telemetry plane, end to end:
 
 - the sharded digest oracle is unchanged at 1/2/4/8 workers with
   streaming enabled (telemetry is invisible to simulation results);
-- the live-folded final snapshot equals the end-of-run ``collect()``
-  snapshot bit for bit at every worker count;
+- the live-folded snapshot equals the ``collect()`` snapshot bit for
+  bit at every worker count — after the final epoch and at every
+  barrier before it;
 - the stream itself (epochs, spans, deadline accounts, conformance
   counts) and the deterministic exposition are worker-count invariant.
 """
@@ -16,7 +17,7 @@ import os
 import pytest
 
 from repro.obs import deterministic_exposition
-from repro.scale import Scenario, ScenarioSpec
+from repro.scale import Scenario, ScenarioSpec, WorkerPool
 
 FIXTURE = os.path.join(
     os.path.dirname(__file__), "fixtures", "bench_8cell.json"
@@ -76,6 +77,19 @@ def test_live_fold_equals_collect_bit_for_bit(streamed_runs):
         assert stream.live_snapshot() == result.metrics().snapshot(), (
             f"live fold diverged from collect() at workers={workers}"
         )
+
+
+def test_live_fold_equals_collect_at_every_barrier():
+    with WorkerPool(_stream_spec(), workers=2) as pool:
+        pool.begin()
+        finished = False
+        while not finished:
+            finished = pool.advance_epoch()
+            stream = pool.telemetry
+            assert stream.finalized == finished
+            assert (
+                stream.live_snapshot() == pool.collect().metrics().snapshot()
+            ), f"live fold diverged from collect() at slot {pool.done}"
 
 
 def test_stream_contents_are_worker_count_invariant(streamed_runs):

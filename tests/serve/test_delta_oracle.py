@@ -10,6 +10,11 @@ replayed through the real worker-pool machinery, not a model of it —
 over both transports: the in-process shard (``workers=0``, what the
 from-scratch reference itself runs on) and a forked worker.
 
+The oracle holds at *every* barrier, not only the last: after each
+``advance_epoch`` the pool's ``collect()`` — digest, timeline, live
+telemetry fold — is the from-scratch run of the spec the pool is on,
+truncated to the slots done (:func:`~repro.scale.run_divergence`).
+
 Each example spawns real worker processes; the horizon is kept tiny and
 ``max_examples`` low — digest equality over 9 slots proves exactly as
 much as over 9000.
@@ -17,17 +22,30 @@ much as over 9000.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.conformance.generators import spec_deltas
 from repro.scale.pool import WorkerPool
-from repro.scale.runner import run_scenario
+from repro.scale.runner import run_divergence, run_scenario
 from repro.serve.delta import DeltaOp, SpecDelta
 from tests.serve.builders import make_spec, tenant_dict
 
 SLOTS = 9
 EPOCH = 3
+
+
+def advance_epoch(pool):
+    """One barrier, then the every-barrier oracle: what the operator
+    sees now is a from-scratch run of the current spec, this far."""
+    finished = pool.advance_epoch()
+    scratch = run_scenario(replace(pool.spec, slots=pool.done))
+    assert run_divergence(pool.collect(), scratch) == [], (
+        f"slot {pool.done}"
+    )
+    return finished
 
 
 def mutate_mid_run(spec, delta, workers=1, mutate_after=1):
@@ -38,9 +56,9 @@ def mutate_mid_run(spec, delta, workers=1, mutate_after=1):
     try:
         pool.begin()
         for _ in range(mutate_after):
-            pool.advance_epoch()
+            advance_epoch(pool)
         outcome = pool.mutate(mutated)
-        while not pool.advance_epoch():
+        while not advance_epoch(pool):
             pass
         result = pool.collect()
     finally:
@@ -51,7 +69,7 @@ def mutate_mid_run(spec, delta, workers=1, mutate_after=1):
 @given(data=st.data())
 @settings(max_examples=5, deadline=None)
 def test_drawn_delta_digest_equals_from_scratch_run(data):
-    spec = make_spec(slots=SLOTS, epoch_slots=EPOCH)
+    spec = make_spec(slots=SLOTS, epoch_slots=EPOCH, obs=True)
     delta = data.draw(spec_deltas(spec, max_ops=3))
     reference = run_scenario(delta.apply(spec), workers=1)
     for workers in (0, 1):
@@ -63,7 +81,7 @@ def test_drawn_delta_digest_equals_from_scratch_run(data):
 
 def test_admission_oracle_across_worker_counts():
     """The same mutation lands identically at any pool width."""
-    spec = make_spec(slots=SLOTS, epoch_slots=EPOCH)
+    spec = make_spec(slots=SLOTS, epoch_slots=EPOCH, obs=True)
     delta = SpecDelta(ops=(
         DeltaOp(op="add_cell", cell=tenant_dict()),
         DeltaOp(op="inject_fault", target="tenant",
@@ -83,19 +101,19 @@ def test_admission_oracle_across_worker_counts():
 def test_eviction_nets_out_to_the_base_digest():
     """Admit then evict: the run ends byte-identical to one that never
     hosted the tenant (the fingerprint diff rebuilds nothing extra)."""
-    spec = make_spec(slots=SLOTS, epoch_slots=EPOCH)
+    spec = make_spec(slots=SLOTS, epoch_slots=EPOCH, obs=True)
     admit = SpecDelta(ops=(DeltaOp(op="add_cell", cell=tenant_dict()),))
     evict = SpecDelta(ops=(DeltaOp(op="remove_cell", target="tenant"),))
     pool = WorkerPool(spec, workers=2)
     try:
         pool.begin()
-        pool.advance_epoch()
+        advance_epoch(pool)
         with_tenant = admit.apply(spec)
         pool.mutate(with_tenant)
-        pool.advance_epoch()
+        advance_epoch(pool)
         assert evict.apply(with_tenant) == spec
         pool.mutate(spec)
-        while not pool.advance_epoch():
+        while not advance_epoch(pool):
             pass
         digest = pool.collect().digest
     finally:

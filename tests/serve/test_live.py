@@ -59,6 +59,16 @@ class TestDrive:
         assert len(epochs) == 4
         assert live.drain_events() == []  # drain drains
         assert set(e["topic"] for e in events) <= set(TOPICS)
+        # The conformance topic carries each fold's per-group deltas.
+        shipped = [e["data"] for e in events if e["topic"] == "conformance"]
+        totals = live.pool.telemetry.group_conformance
+        assert {d["group"] for d in shipped} == set(totals) == set(
+            spec.groups()
+        )
+        for group, total in totals.items():
+            assert total["frames_checked"] == sum(
+                d["frames_checked"] for d in shipped if d["group"] == group
+            )
 
 
 class TestApply:

@@ -1,6 +1,5 @@
 """FronthaulNetwork and RadioEnvironment tests."""
 
-import numpy as np
 import pytest
 
 from repro.core.middlebox import Middlebox
@@ -11,11 +10,7 @@ from repro.ran.cell import CellConfig
 from repro.ran.du import DistributedUnit
 from repro.ran.ru import RadioUnit, RuConfig
 from repro.ran.traffic import ConstantBitrateFlow
-from repro.sim.network_sim import (
-    FronthaulNetwork,
-    RadioEnvironment,
-    UeTransmission,
-)
+from repro.sim.network_sim import FronthaulNetwork, RadioEnvironment
 
 
 @pytest.fixture
@@ -52,28 +47,6 @@ class TestRadioEnvironment:
         near = env.relative_gain(tx, Position(3, 10, 0))
         far = env.relative_gain(tx, Position(40, 10, 0))
         assert near > far
-
-    def test_combine_downlink_sums_transmissions(self, rng):
-        env = RadioEnvironment()
-        tx_a = Position(0, 10, 0)
-        tx_b = Position(5, 10, 0)
-        ue = Position(2.5, 10, 0)
-        iq = np.ones(24, dtype=complex)
-        combined = env.combine_downlink(
-            ue, [(tx_a, iq), (tx_b, iq)], noise_amplitude=0.0, rng=rng
-        )
-        gain = env.relative_gain(tx_a, ue) + env.relative_gain(tx_b, ue)
-        assert np.abs(combined - gain).max() < 1e-9
-
-    def test_combine_uplink_none_when_quiet(self):
-        env = RadioEnvironment()
-        assert env.combine_uplink(Position(0, 0, 0), [], 24) is None
-
-    def test_combine_uplink_size_checked(self):
-        env = RadioEnvironment()
-        tx = UeTransmission(Position(1, 1, 0), np.ones(10, dtype=complex))
-        with pytest.raises(ValueError):
-            env.combine_uplink(Position(0, 0, 0), [tx], 24)
 
 
 class TestFronthaulNetwork:
