@@ -271,6 +271,68 @@ def test_float_stage_runs_once_per_block_of_eight_rows(monkeypatch):
     assert calls.count("iq_to_int16") == 7 and calls.count("normal") == 56
 
 
+def test_chain_stage_builds_no_event_objects_once_warm(monkeypatch):
+    """Count, not time: after one warm burst, 64 packets through a
+    12-stage pass-through chain construct no ActionEvent and — obs on,
+    every packet sampled — no SpanEvent: each action is a shared value."""
+    from repro.core import actions
+    from repro.core.actions import ActionEvent
+    from repro.core.chain import MiddleboxChain
+    from repro.core.middlebox import Middlebox
+    from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
+    from repro.fronthaul.ethernet import MacAddress
+    from repro.fronthaul.packet import make_packet
+    from repro.fronthaul.timing import SymbolTime
+    from repro.fronthaul.uplane import UPlaneMessage
+    from repro.obs import Observability, SpanEvent
+
+    section = UPlaneSection.from_samples(
+        0, 0, np.zeros((51, 24), dtype=np.int16)
+    )
+
+    def burst():
+        out = []
+        for symbol in range(32):
+            time = SymbolTime(0, 0, 0, symbol % 14)
+            for message in (
+                CPlaneMessage(direction=Direction.DOWNLINK, time=time,
+                              sections=[CPlaneSection(0, 0, 51)]),
+                UPlaneMessage(direction=Direction.DOWNLINK, time=time,
+                              sections=[section]),
+            ):
+                out.append(make_packet(
+                    MacAddress.from_int(1), MacAddress.from_int(2), message
+                ))
+        return out
+
+    for obs in (Observability(), Observability(enabled=True, sample_every=1)):
+        chain = MiddleboxChain(
+            [Middlebox(name=f"pass{stage}", obs=obs) for stage in range(12)],
+            obs=obs,
+        )
+        chain.process_downlink(burst())
+        built = []
+        for cls in (ActionEvent, SpanEvent):
+            def counting(self, *args, _inner=cls.__init__, _name=cls.__name__):
+                built.append(_name)
+                _inner(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        packets = burst()
+        assert len(packets) == 64
+        assert len(chain.process_downlink(packets)) == 64
+        assert built == []
+        # The counters do count: an action never seen builds one of each.
+        monkeypatch.setattr(actions, "_EVENTS", {})
+        actions.ActionTrace().record(actions.ActionKind.ROUTE, 50.0)
+        assert sorted(built) == ["ActionEvent", "SpanEvent"]
+        monkeypatch.undo()
+        if obs.enabled:
+            spans = obs.recorder.spans()
+            assert len(spans) == 2 * 64 * 12
+            assert all(span.events[0] is spans[0].events[0] for span in spans)
+
+
 def test_single_operand_merge_runs_no_codec(monkeypatch, samples):
     """A one-RU DAS merge forwards the operand's bytes: count, not time."""
     calls = []

@@ -11,16 +11,18 @@
 
 Every action invocation is recorded in an :class:`ActionTrace` with its
 modelled cost and execution-location capability, which the datapath models
-(Figures 15-16) consume.  The A4 helpers do the *real* work on real packet
-bytes -- BFP decompression, element-wise IQ summing, PRB relocation -- so
-middlebox correctness is exercised end to end.
+(Figures 15-16) consume; one :class:`ActionEvent` is built per distinct
+``(kind, cost)`` and shared by every trace that records it.  The A4
+helpers do the *real* work on real packet bytes -- BFP decompression,
+element-wise IQ summing, PRB relocation -- so middlebox correctness is
+exercised end to end.
 """
 
 from __future__ import annotations
 
 import enum
 from collections.abc import MutableMapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import takewhile
 from typing import Any, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
@@ -31,6 +33,7 @@ from repro.fronthaul.cplane import CPlaneMessage
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import FronthaulPacket
 from repro.fronthaul.uplane import UPlaneSection
+from repro.obs.recorder import SpanEvent
 
 
 class ActionKind(enum.Enum):
@@ -79,11 +82,18 @@ ACTION_LOCATION: Dict[ActionKind, ExecLocation] = {
 
 @dataclass(frozen=True)
 class ActionEvent:
-    """One recorded action invocation."""
+    """One recorded action: a shared, frozen value (compare it, never
+    mutate it) — every trace that recorded the same action holds the same
+    object, and so does every flight-recorder span via :attr:`span`."""
 
     kind: ActionKind
     cost_ns: float
     location: ExecLocation
+    span: SpanEvent = field(repr=False, compare=False)
+
+
+#: The one event per distinct ``(kind, cost_ns)`` recorded in this process.
+_EVENTS: Dict[Tuple[ActionKind, float], ActionEvent] = {}
 
 
 class ActionTrace:
@@ -91,21 +101,32 @@ class ActionTrace:
     wire size and Figure 15b traffic class once a middlebox processed it.
 
     The only per-packet object a middlebox retains, hence slotted (by
-    hand: ``dataclass(slots=True)`` needs Python 3.10).
+    hand: ``dataclass(slots=True)`` needs Python 3.10).  The modelled
+    total is kept running: added in record order from 0, exactly what
+    summing the events in order gives.
     """
 
-    __slots__ = ("events", "wire_bytes", "traffic_class")
+    __slots__ = ("events", "wire_bytes", "traffic_class", "_total")
 
     def __init__(self) -> None:
         self.events: List[ActionEvent] = []
         self.wire_bytes = 0
         self.traffic_class = "other"
+        self._total = 0
 
     def record(self, kind: ActionKind, cost_ns: float) -> None:
-        self.events.append(ActionEvent(kind, cost_ns, ACTION_LOCATION[kind]))
+        event = _EVENTS.get((kind, cost_ns))
+        if event is None:
+            location = ACTION_LOCATION[kind]
+            event = _EVENTS[kind, cost_ns] = ActionEvent(
+                kind, cost_ns, location,
+                SpanEvent(kind.value, cost_ns, location.value),
+            )
+        self.events.append(event)
+        self._total += cost_ns
 
     def total_ns(self) -> float:
-        return sum(event.cost_ns for event in self.events)
+        return self._total
 
     def needs_userspace(self) -> bool:
         return any(e.location is ExecLocation.USERSPACE for e in self.events)
@@ -153,6 +174,23 @@ class SlotRing(MutableMapping):
     def __len__(self) -> int:
         return len(self._values)
 
+    # The caches call these per packet: the mixin's go through a caught KeyError.
+    def __contains__(self, key: object) -> bool:
+        return key in self._values
+
+    def get(self, key: Hashable, default: Any = None) -> Any:
+        return self._values.get(key, default)
+
+    def setdefault(self, key: Hashable, default: Any = None) -> Any:
+        if key not in self._values:
+            self[key] = default
+        return self._values[key]
+
+    def pop(self, key: Hashable, *default: Any) -> Any:
+        value = self._values.pop(key, *default)
+        self._opened.pop(key, None)
+        return value
+
     def close(self) -> None:
         """End the open slot and drop what has been held too long."""
         self.slot += 1
@@ -181,9 +219,6 @@ class PacketCache:
         held = self.ring.setdefault(key, [])
         held.append((tag, packet))
         return len(held)
-
-    def occupancy(self, key: Hashable) -> int:
-        return len(self.ring.get(key, ()))
 
     def peek(self, key: Hashable) -> List[Tuple[Hashable, FronthaulPacket]]:
         return list(self.ring.get(key, ()))
@@ -226,10 +261,6 @@ class ActionContext:
         self.cost = cost_model
         self.trace = ActionTrace()
         self.emissions: List[FronthaulPacket] = []
-
-    @property
-    def traffic_class(self) -> str:
-        return self.trace.traffic_class
 
     # -- A1: redirection and drop -------------------------------------------
 

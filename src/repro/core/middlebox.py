@@ -24,7 +24,7 @@ from repro.core.management import ManagementInterface
 from repro.core.telemetry import TelemetryBus
 from repro.fronthaul.cplane import Direction
 from repro.fronthaul.packet import FronthaulPacket
-from repro.obs import Observability, PacketSpan, SpanEvent, SpanKey
+from repro.obs import Observability, PacketSpan, SpanKey
 from repro.obs.metrics import declare
 
 #: Traces each middlebox retains (newest win).  Private, not a knob: the
@@ -89,13 +89,6 @@ class MiddleboxStats:
     rx_bytes: int = 0
     tx_bytes: int = 0
     processing_ns_total: float = 0.0
-
-    def account_rx(self, packet: FronthaulPacket) -> int:
-        """Count one received packet; returns its wire size in bytes."""
-        wire_bytes = packet.wire_size
-        self.rx_packets += 1
-        self.rx_bytes += wire_bytes
-        return wire_bytes
 
     def account_tx(self, emissions: List[FronthaulPacket]) -> int:
         """Count emitted packets; returns the emitted wire bytes."""
@@ -186,10 +179,11 @@ class Middlebox:
 
     def process(self, packet: FronthaulPacket) -> ActionContext:
         """Run one packet through the handler; returns the context it ran
-        (``emissions``, ``trace``, ``traffic_class``).
+        (``emissions``, ``trace``).
 
-        Allocates the context, its trace (the record ``traces`` keeps)
-        and one event per action — nothing else per packet.
+        Allocates the context and its trace (the record ``traces`` keeps)
+        — nothing else per packet: the events are shared values, the
+        modelled total is kept running, and the counters are adds here.
         """
         obs = self.obs
         recording = obs.enabled
@@ -197,15 +191,27 @@ class Middlebox:
         stats = self.stats
         ctx = ActionContext(self.cache, self.cost_model)
         trace = ctx.trace
-        trace.wire_bytes = stats.account_rx(packet)
-        if packet.is_cplane:
+        trace.wire_bytes = wire_bytes = packet.wire_size
+        stats.rx_packets += 1
+        stats.rx_bytes += wire_bytes
+        cplane = packet.is_cplane
+        if cplane:
             self.on_cplane(ctx, packet)
         else:
             self.on_uplane(ctx, packet)
-        trace.traffic_class = classify(packet)
-        if not ctx.emissions:
+        trace.traffic_class = _TRAFFIC_CLASSES[
+            packet.direction is Direction.DOWNLINK
+        ][cplane]
+        emissions = ctx.emissions
+        if not emissions:
             stats.dropped_packets += 1
-        tx_bytes = stats.account_tx(ctx.emissions)
+            tx_bytes = 0
+        elif len(emissions) == 1:
+            tx_bytes = emissions[0].wire_size
+            stats.tx_packets += 1
+            stats.tx_bytes += tx_bytes
+        else:
+            tx_bytes = stats.account_tx(emissions)
         modeled_ns = trace.total_ns()
         stats.processing_ns_total += modeled_ns
         self.traces.append(trace)
@@ -272,25 +278,9 @@ class Middlebox:
                     modeled_ns,
                     float(wall_ns),
                     start_ns,
-                    tuple(
-                        [
-                            SpanEvent(
-                                event.kind.value,
-                                event.cost_ns,
-                                event.location.value,
-                            )
-                            for event in trace.events
-                        ]
-                    ),
+                    tuple([event.span for event in trace.events]),
                     len(ctx.emissions),
                     not ctx.emissions,
                     self.chain_stage,
                 )
             )
-
-
-def classify(packet: FronthaulPacket) -> str:
-    """Traffic class labels used by Figure 15b."""
-    return _TRAFFIC_CLASSES[packet.direction is Direction.DOWNLINK][
-        packet.is_cplane
-    ]

@@ -114,8 +114,7 @@ class Observability:
         self.registry = registry if registry is not None else MetricsRegistry()
         if recorder is None:
             recorder = FlightRecorder(
-                capacity=max_spans if max_spans is not None else 4096,
-                clock=clock,
+                capacity=max_spans if max_spans is not None else 4096
             )
         elif max_spans is not None and recorder.capacity != max_spans:
             raise ValueError(

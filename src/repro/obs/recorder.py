@@ -16,10 +16,9 @@ Exports: JSONL (one span per line, grep/jq-able) and the Chrome
 from __future__ import annotations
 
 import json
-import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,9 +41,6 @@ class SpanKey:
     seq: int
     group: str = ""
     shard: int = -1
-
-    def slot_key(self) -> Tuple[int, int, int]:
-        return (self.frame, self.subframe, self.slot)
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -113,13 +109,11 @@ class PacketSpan:
 class FlightRecorder:
     """Bounded ring of :class:`PacketSpan` records.
 
-    ``clock`` returns integer nanoseconds; tests inject a fake for
-    deterministic golden traces.  ``capacity`` bounds memory: the ring
-    keeps the newest spans and ``evicted`` counts how many rolled off.
+    ``capacity`` bounds memory: the ring keeps the newest spans and
+    ``evicted`` counts how many rolled off.
     """
 
     capacity: int = 4096
-    clock: Callable[[], int] = time.perf_counter_ns
     _spans: Deque[PacketSpan] = field(init=False, repr=False)
     evicted: int = field(init=False, default=0)
     _recorded: int = field(init=False, default=0)
@@ -130,9 +124,6 @@ class FlightRecorder:
         if self.capacity <= 0:
             raise ValueError("capacity must be positive")
         self._spans = deque(maxlen=self.capacity)
-
-    def now(self) -> int:
-        return self.clock()
 
     def record(self, span: PacketSpan) -> None:
         if len(self._spans) == self.capacity:
@@ -170,32 +161,6 @@ class FlightRecorder:
         self._drained = self._recorded
         self._drained_evicted = self.evicted
         return spans, dropped
-
-    # -- queries -------------------------------------------------------------
-
-    def find(
-        self,
-        middlebox: Optional[str] = None,
-        direction: Optional[str] = None,
-        traffic_class: Optional[str] = None,
-        slot_key: Optional[Tuple[int, int, int]] = None,
-        dropped: Optional[bool] = None,
-    ) -> List[PacketSpan]:
-        """Filter retained spans by any combination of coordinates."""
-        out = []
-        for span in self._spans:
-            if middlebox is not None and span.middlebox != middlebox:
-                continue
-            if direction is not None and span.key.direction != direction:
-                continue
-            if traffic_class is not None and span.traffic_class != traffic_class:
-                continue
-            if slot_key is not None and span.key.slot_key() != slot_key:
-                continue
-            if dropped is not None and span.dropped != dropped:
-                continue
-            out.append(span)
-        return out
 
     # -- exports -------------------------------------------------------------
 

@@ -122,9 +122,9 @@ class TestUplinkMerge:
         das.process(ul_uplane(rng, ru_macs[0], du_mac))
         result = das.process(ul_uplane(rng, ru_macs[0], du_mac))
         assert result.emissions == []
-        assert das.cache.occupancy(
+        assert len(das.cache.peek(
             (SymbolTime(0, 0, 0, 5), Direction.UPLINK, 0)
-        ) == 1
+        )) == 1
 
     def test_retransmission_under_a_new_seq_dropped_by_its_cache_tag(
         self, das, rng, du_mac, ru_macs

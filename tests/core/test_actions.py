@@ -1,20 +1,29 @@
 """Tests for the four RANBooster actions (A1-A4)."""
 
+import dataclasses
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import actions
 from repro.core.actions import (
     ActionContext,
     ActionKind,
     PacketCache,
     SlotRing,
 )
+from repro.core.latency import ActionCostModel
 from repro.fronthaul.compression import CompressionConfig, codec_for
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import make_packet
 from repro.fronthaul.timing import SymbolTime
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
+from repro.obs import SpanEvent
 
 from tests.conftest import random_prb_samples
 
@@ -110,9 +119,9 @@ class TestA3Caching:
         cache = PacketCache()
         packet = make_uplane(rng, du_mac, ru_mac)
         cache.put("k", packet, tag="a")
-        assert cache.occupancy("k") == 1
+        assert len(cache.peek("k")) == 1
         assert cache.tags("k") == ["a"]
-        assert cache.occupancy("other") == 0
+        assert len(cache.peek("other")) == 0
 
     def test_peek_does_not_remove(self, ctx, rng, du_mac, ru_mac):
         packet = make_uplane(rng, du_mac, ru_mac)
@@ -132,8 +141,6 @@ class TestA3Caching:
         assert ctx.trace.needs_userspace()
 
     def test_ring_close_drops_the_stale_prefix_by_stamp(self, monkeypatch):
-        from repro.core import actions
-
         monkeypatch.setattr(actions, "_RETAINED_SLOTS", 2)
         ring = SlotRing()
         for slot in range(5):
@@ -148,6 +155,63 @@ class TestA3Caching:
             assert (("early", 0) in ring) == (slot < 3)
         assert list(ring) == [("early", 3), ("late", 3), ("early", 4), ("late", 4)]
         assert list(ring._opened) == list(ring._values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ["set", "setdefault", "get", "in", "pop", "pop_default",
+                     "del", "close"]
+                ),
+                st.integers(0, 3),
+            ),
+            max_size=60,
+        )
+    )
+    def test_ring_matches_a_dict_and_stamp_oracle(self, calls):
+        """Every read and write SlotRing answers from its own dicts agrees
+        with a plain dict plus a first-set stamp per key."""
+        values, opened, slot = {}, {}, 0
+        ring = SlotRing()
+        with mock.patch.object(actions, "_RETAINED_SLOTS", 2):
+            for step, (call, key) in enumerate(calls):
+                if call == "set":
+                    ring[key] = step
+                    opened.setdefault(key, slot)
+                    values[key] = step
+                elif call == "setdefault":
+                    # An existing key keeps its value and its stamp.
+                    expected = values.get(key, step)
+                    if key not in values:
+                        opened[key], values[key] = slot, step
+                    assert ring.setdefault(key, step) == expected
+                elif call == "get":
+                    assert ring.get(key) == values.get(key)
+                    assert ring.get(key, "none") == values.get(key, "none")
+                elif call == "in":
+                    assert (key in ring) == (key in values)
+                elif call in ("pop", "del"):
+                    if key in values:
+                        del opened[key]
+                        expected = values.pop(key)
+                        if call == "pop":
+                            assert ring.pop(key) == expected
+                        else:
+                            del ring[key]
+                    else:
+                        with pytest.raises(KeyError):
+                            ring.pop(key) if call == "pop" else ring.__delitem__(key)
+                elif call == "pop_default":
+                    opened.pop(key, None)
+                    assert ring.pop(key, "none") == values.pop(key, "none")
+                else:
+                    ring.close()
+                    slot += 1
+                    for stale in [k for k, at in opened.items() if at < slot - 2]:
+                        del values[stale], opened[stale]
+                assert list(ring.items()) == list(values.items())
+                assert list(ring._opened.items()) == list(opened.items())
 
 
 class TestA4HeaderModification:
@@ -377,3 +441,113 @@ class TestA4BatchedAlignedCopies:
         via_views = ctx.merge_iq(parsed_sections)
         via_owned = ctx.merge_iq(owned_sections)
         assert via_views.payload_bytes() == via_owned.payload_bytes()
+
+
+def _zero_section(num_prb):
+    return UPlaneSection.from_samples(0, 0, np.zeros((num_prb, 24), np.int16))
+
+
+def _in_record_order(costs):
+    """What ``sum`` returns before Python 3.12: float adds left to right
+    from 0 (3.12's ``sum`` compensates the rounding, so it is spelled out)."""
+    total = 0
+    for cost in costs:
+        total += cost
+    return total
+
+
+_COST_MODELS = st.builds(
+    ActionCostModel,
+    **{
+        field.name: st.floats(0, 1e4)
+        for field in dataclasses.fields(ActionCostModel)
+    },
+)
+_PRBS = st.integers(1, 32)
+_CALLS = st.one_of(
+    st.tuples(
+        st.sampled_from(
+            ["forward", "drop", "inspect", "set_ru_port", "cache_put",
+             "cache_pop_all", "cache_peek"]
+        )
+    ),
+    st.tuples(st.just("replicate"), st.integers(0, 4)),
+    st.tuples(st.sampled_from(["read_exponents", "decompress", "compress"]), _PRBS),
+    st.tuples(st.just("merge_iq"), _PRBS, st.integers(1, 4)),
+    st.tuples(st.just("copy_prbs"), _PRBS, st.booleans()),
+    st.tuples(st.just("assemble_prbs"), st.lists(_PRBS, min_size=1, max_size=3)),
+)
+
+
+def _perform(ctx, packet, call):
+    name, *args = call
+    if name == "replicate":
+        ctx.replicate(packet, *args)
+    elif name == "set_ru_port":
+        ctx.set_ru_port(packet, 1)
+    elif name == "cache_put":
+        ctx.cache_put("k", packet)
+    elif name in ("cache_pop_all", "cache_peek"):
+        getattr(ctx, name)("k")
+    elif name in ("read_exponents", "decompress"):
+        getattr(ctx, name)(_zero_section(*args))
+    elif name == "compress":
+        section = _zero_section(*args)
+        ctx.compress(section, section.iq_samples())
+    elif name == "merge_iq":
+        num_prb, operands = args
+        ctx.merge_iq([_zero_section(num_prb)] * operands)
+    elif name == "copy_prbs":
+        num_prb, aligned = args
+        ctx.copy_prbs(
+            _zero_section(num_prb), _zero_section(num_prb + 2), 0, 1, num_prb,
+            aligned=aligned,
+        )
+    elif name == "assemble_prbs":
+        sections = [_zero_section(num_prb) for num_prb in args[0]]
+        offsets = np.cumsum([0] + args[0][:-1]).tolist()
+        ctx.assemble_prbs(
+            sum(args[0]), list(zip(sections, offsets)), sections[0].compression
+        )
+    else:
+        getattr(ctx, name)(packet)
+
+
+class TestTraceContract:
+    """The running total and the shared events: exact, not approximate."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_COST_MODELS, st.lists(_CALLS, max_size=12))
+    def test_running_total_is_the_record_order_sum_bit_for_bit(
+        self, cost_model, calls
+    ):
+        packet = make_cplane(MacAddress.from_int(1), MacAddress.from_int(2))
+        ctx = ActionContext(PacketCache(), cost_model)
+        for call in calls:
+            _perform(ctx, packet, call)
+        costs = [event.cost_ns for event in ctx.trace.events]
+        assert ctx.trace.total_ns() == _in_record_order(costs)
+        if sys.version_info < (3, 12):
+            assert ctx.trace.total_ns() == sum(costs)
+
+    def test_same_action_is_the_same_frozen_object(self, rng, du_mac, ru_mac):
+        section = make_uplane(rng, du_mac, ru_mac).message.sections[0]
+        traces = []
+        for _ in range(2):
+            ctx = ActionContext(PacketCache())
+            ctx.forward(make_uplane(rng, du_mac, ru_mac))
+            ctx.read_exponents(section)
+            traces.append(ctx.trace)
+        first, second = (trace.events for trace in traces)
+        assert all(a is b for a, b in zip(first, second)) and len(first) == 2
+        route = first[0]
+        assert route.span is second[0].span
+        assert route.span == SpanEvent("A1.route", 50.0, "kernel")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            route.cost_ns = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            route.span.cost_ns = 0.0
+        # A different cost is a different event, equal only to its own value.
+        ctx = ActionContext(PacketCache())
+        ctx.read_exponents(_zero_section(section.num_prb + 1))
+        assert ctx.trace.events[0] != first[1]

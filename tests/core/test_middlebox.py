@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.chain import MiddleboxChain
-from repro.core.middlebox import Middlebox, classify
+from repro.core.middlebox import Middlebox
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
 from repro.fronthaul.packet import make_packet
 from repro.fronthaul.timing import SymbolTime
@@ -79,6 +79,9 @@ class TestProcessing:
         assert box.stats.processing_ns_total > 0
 
     def test_traffic_classification(self, rng, du_mac, ru_mac):
+        def classify(packet):
+            return Middlebox().process(packet).trace.traffic_class
+
         assert classify(uplane(rng, du_mac, ru_mac)) == "DL U-Plane"
         assert classify(
             uplane(rng, du_mac, ru_mac, Direction.UPLINK)
@@ -98,7 +101,7 @@ class TestProcessing:
         assert by_class == {
             "DL U-Plane": [u_ctx.trace], "DL C-Plane": [c_ctx.trace]
         }
-        assert u_ctx.traffic_class == "DL U-Plane"
+        assert u_ctx.trace.traffic_class == "DL U-Plane"
 
     def test_emissions_are_what_the_next_stage_receives(
         self, rng, du_mac, ru_mac

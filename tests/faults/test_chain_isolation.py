@@ -1,6 +1,10 @@
 """Chain fault isolation: raising stages become drops, breakers trip."""
 
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.chain import BreakerState, CircuitBreaker, MiddleboxChain
 from repro.core.middlebox import Middlebox
@@ -37,6 +41,48 @@ class Counter(Middlebox):
 
     on_cplane = _count
     on_uplane = _count
+
+
+class Scripted(Middlebox):
+    """Raises on the packets its script marks ``True`` (in arrival order);
+    forwards the rest."""
+
+    app_name = "scripted"
+
+    def __init__(self, faults, **kwargs):
+        super().__init__(**kwargs)
+        self.faults = iter(faults)
+
+    def _maybe_raise(self, ctx, pkt):
+        if next(self.faults, False):
+            raise RuntimeError("scripted fault")
+        ctx.forward(pkt)
+
+    on_cplane = _maybe_raise
+    on_uplane = _maybe_raise
+
+
+def _always_consulted(chain, middlebox, packets, direction):
+    """The stage loop with the breaker asked about every packet (admit
+    before, record_success after) — the reference for the fast path."""
+    stage = middlebox.chain_stage
+    breaker = chain.breakers[stage]
+    out = []
+    for pkt in packets:
+        if not breaker.admit():
+            chain.stage_bypassed[stage] += 1
+            out.append(pkt)
+            continue
+        try:
+            ctx = middlebox.process(pkt)
+        except Exception as exc:  # noqa: BLE001 — mirrors the chain
+            breaker.record_failure()
+            chain.stage_faults[stage] += 1
+            chain.fault_log.append((stage, middlebox.name, repr(exc)))
+            continue
+        breaker.record_success()
+        out.extend(ctx.emissions)
+    return out
 
 
 class TestCircuitBreaker:
@@ -150,6 +196,58 @@ class TestChainBreaker:
         assert transitions["c,0:faulty,closed"] == 1
         state = snapshot["chain_breaker_state"]["series"]
         assert state["c,0:faulty"] == 0  # closed again
+
+    def test_a_success_between_fault_runs_keeps_the_breaker_closed(self):
+        """threshold-1 faults, one success, threshold-1 faults: the pending
+        failures must be reset even though a closed breaker is otherwise
+        not consulted — and one more fault then opens it."""
+        threshold = 3
+        faults = [True] * (threshold - 1) + [False] + [True] * (threshold - 1)
+        box = Scripted(faults + [True])
+        chain = MiddleboxChain([box], breaker_threshold=threshold)
+        out = chain.process_downlink([packet(slot) for slot in range(len(faults))])
+        breaker = chain.breakers[0]
+        assert len(out) == 1
+        assert breaker.state is BreakerState.CLOSED and breaker.opens == 0
+        assert breaker.consecutive_failures == threshold - 1
+        assert chain.breaker_events == []
+        chain.process_downlink([packet()])
+        assert breaker.state is BreakerState.OPEN
+        assert chain.breaker_events == [(0, "closed", "open")]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.booleans(), max_size=48),
+        st.integers(1, 4),
+        st.integers(0, 5),
+        st.integers(1, 9),
+    )
+    def test_stage_loop_matches_a_breaker_consulted_every_packet(
+        self, faults, threshold, probation, burst
+    ):
+        """Skipping admit()/record_success() on a quiet closed breaker
+        changes no transition, bypass, fault or emitted packet."""
+        runs = []
+        for reference in (False, True):
+            chain = MiddleboxChain(
+                [Scripted(faults)], breaker_threshold=threshold,
+                breaker_probation=probation,
+            )
+            if reference:
+                chain._run_stage = functools.partial(_always_consulted, chain)
+            packets = [packet(slot % 8) for slot in range(len(faults))]
+            ordinal = {id(pkt): index for index, pkt in enumerate(packets)}
+            out = []
+            for start in range(0, len(packets), burst):
+                out += chain.process_downlink(packets[start:start + burst])
+            breaker = chain.breakers[0]
+            runs.append((
+                [ordinal[id(pkt)] for pkt in out], chain.stage_faults,
+                chain.stage_bypassed, chain.breaker_events, breaker.state,
+                breaker.opens, breaker.recoveries,
+                breaker.consecutive_failures,
+            ))
+        assert runs[0] == runs[1]
 
     def test_uplink_direction_also_isolated(self):
         faulty = FaultyMiddlebox(fail_every=1)

@@ -48,17 +48,26 @@ class TestRing:
 
 class TestQueries:
     def test_find_by_coordinates(self):
+        """A query is a comprehension over the retained spans."""
         recorder = FlightRecorder()
         recorder.record(span(seq=0, middlebox="das"))
         recorder.record(span(seq=1, middlebox="sharing", direction="DL",
                              traffic_class="DL C-Plane"))
         recorder.record(span(seq=2, middlebox="das", dropped=True))
-        assert len(recorder.find(middlebox="das")) == 2
-        assert len(recorder.find(direction="DL")) == 1
-        assert len(recorder.find(traffic_class="DL C-Plane")) == 1
-        assert len(recorder.find(dropped=True)) == 1
-        assert len(recorder.find(slot_key=(1, 2, 0))) == 3
-        assert recorder.find(middlebox="das", dropped=False)[0].key.seq == 0
+        spans = recorder.spans()
+
+        def seqs(keep):
+            return [s.key.seq for s in spans if keep(s)]
+
+        assert seqs(lambda s: s.middlebox == "das") == [0, 2]
+        assert seqs(lambda s: s.key.direction == "DL") == [1]
+        assert seqs(lambda s: s.traffic_class == "DL C-Plane") == [1]
+        assert seqs(lambda s: s.dropped) == [2]
+        in_slot = (1, 2, 0)
+        assert seqs(
+            lambda s: (s.key.frame, s.key.subframe, s.key.slot) == in_slot
+        ) == [0, 1, 2]
+        assert seqs(lambda s: s.middlebox == "das" and not s.dropped) == [0]
 
 
 class TestExports:
