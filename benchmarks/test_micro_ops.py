@@ -333,6 +333,64 @@ def test_chain_stage_builds_no_event_objects_once_warm(monkeypatch):
             assert all(span.events[0] is spans[0].events[0] for span in spans)
 
 
+def test_span_lane_builds_no_span_objects_until_read(monkeypatch):
+    """Count, not time: a 4-cell live_churn-shaped run (prb_monitor + das
+    chains, stream and conformance on, every packet sampled) records,
+    drains, ships and folds 2 epochs of spans through the in-process pool
+    without constructing a PacketSpan or SpanKey; reading the
+    coordinator's recorder builds exactly one of each per span."""
+    from repro.obs.recorder import PacketSpan, SpanKey
+    from repro.scale import ScenarioSpec, WorkerPool
+
+    chain = [
+        {"stage": "prb_monitor", "name": "prb_monitor"},
+        {"stage": "das", "name": "das"},
+    ]
+    spec = ScenarioSpec.from_dict({
+        "name": "span-rows",
+        "slots": 10,
+        "epoch_slots": 5,
+        "obs": {
+            "enabled": True, "stream": True, "conformance": True,
+            "sample_every": 1,
+        },
+        "cells": [
+            {
+                "name": f"live{pci}",
+                "pci": pci,
+                "bandwidth_hz": 20e6,
+                "rus": [{"name": f"live{pci}-ru1", "n_antennas": 2}],
+                "ues": [{"ue_id": f"live{pci}-ue1", "flows": [
+                    {"kind": "cbr", "rate_mbps": 40.0, "direction": "dl"},
+                    {"kind": "cbr", "rate_mbps": 40.0, "direction": "ul"},
+                ]}],
+                "chain": chain,
+            }
+            for pci in range(1, 5)
+        ],
+    })
+    built = []
+    for cls in (PacketSpan, SpanKey):
+        def counting(self, *args, _inner=cls.__init__, _name=cls.__name__,
+                     **kwargs):
+            built.append(_name)
+            _inner(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    with WorkerPool(spec, workers=0) as pool:
+        pool.begin()
+        assert not pool.advance_epoch()
+        assert pool.advance_epoch()
+        stream = pool.telemetry
+        assert stream.epochs == 2 and stream.spans_seen > 0
+        assert built == []
+        spans = stream.recorder.spans()
+    assert len(spans) == stream.spans_seen
+    assert sorted(built) == (
+        ["PacketSpan"] * len(spans) + ["SpanKey"] * len(spans)
+    )
+
+
 def test_single_operand_merge_runs_no_codec(monkeypatch, samples):
     """A one-RU DAS merge forwards the operand's bytes: count, not time."""
     calls = []

@@ -121,7 +121,7 @@ class PrbMonitorMiddlebox(Middlebox):
             time=packet.time,
             direction=direction,
             ru_port=packet.eaxc.ru_port,
-            utilized=tuple(bool(flag) for flag in utilized),
+            utilized=tuple(utilized.tolist()),
         )
         self.estimates.append(estimate)
         self.telemetry.publish(

@@ -24,7 +24,7 @@ from repro.core.management import ManagementInterface
 from repro.core.telemetry import TelemetryBus
 from repro.fronthaul.cplane import Direction
 from repro.fronthaul.packet import FronthaulPacket
-from repro.obs import Observability, PacketSpan, SpanKey
+from repro.obs import Observability
 from repro.obs.metrics import declare
 
 #: Traces each middlebox retains (newest win).  Private, not a knob: the
@@ -243,7 +243,7 @@ class Middlebox:
         start_ns: int,
     ) -> None:
         """Account one processed packet in the metrics registry and, when
-        sampled, leave a span in the flight recorder."""
+        sampled, leave a span row in the flight recorder."""
         wall_ns = obs.clock() - start_ns
         trace = ctx.trace
         traffic_class = trace.traffic_class
@@ -257,30 +257,22 @@ class Middlebox:
         modeled.observe(modeled_ns)
         wall.observe(wall_ns)
         if obs.should_sample():
-            # Positional construction: this runs per sampled packet and
-            # keyword dataclass calls are measurably slower.
             time = packet.time
-            obs.recorder.record(
-                PacketSpan(
-                    SpanKey(
-                        packet.ecpri.eaxc.to_int(),
-                        time.frame,
-                        time.subframe,
-                        time.slot,
-                        time.symbol,
-                        "DL"
-                        if packet.direction is Direction.DOWNLINK
-                        else "UL",
-                        packet.ecpri.seq_id,
-                    ),
-                    self.name,
-                    traffic_class,
-                    modeled_ns,
-                    float(wall_ns),
-                    start_ns,
-                    tuple([event.span for event in trace.events]),
-                    len(ctx.emissions),
-                    not ctx.emissions,
-                    self.chain_stage,
-                )
-            )
+            obs.recorder.record((
+                packet.ecpri.eaxc.to_int(),
+                time.frame,
+                time.subframe,
+                time.slot,
+                time.symbol,
+                "DL" if packet.direction is Direction.DOWNLINK else "UL",
+                packet.ecpri.seq_id,
+                self.name,
+                traffic_class,
+                modeled_ns,
+                float(wall_ns),
+                start_ns,
+                trace.events,
+                len(ctx.emissions),
+                not emitted,
+                self.chain_stage,
+            ))

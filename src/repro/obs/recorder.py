@@ -1,12 +1,14 @@
-"""Per-packet flight recorder: span traces in a bounded ring buffer.
+"""Per-packet flight recorder: span rows in a bounded ring buffer.
 
-Each packet that traverses an instrumented middlebox leaves one
-:class:`PacketSpan` keyed by the fronthaul coordinates that identify the
-frame on the wire — ``(eAxC, frame/subframe/slot/symbol, direction,
-seq)`` — carrying the per-action event list (kind, modelled cost,
-kernel/userspace location) plus the measured Python wall time.  The ring
-buffer bounds memory on long runs: the recorder always holds the most
-recent ``capacity`` spans, like a crash-survivable flight recorder loop.
+Each packet that traverses an instrumented middlebox leaves one row of
+scalars keyed by the fronthaul coordinates that identify the frame on
+the wire — ``(eAxC, frame/subframe/slot/symbol, direction, seq)`` —
+carrying the per-action event list (kind, modelled cost,
+kernel/userspace location) plus the measured Python wall time.  Readers
+see each row as a :class:`PacketSpan`, built when they read it.  The
+ring buffer bounds memory on long runs: the recorder always holds the
+most recent ``capacity`` rows, like a crash-survivable flight recorder
+loop.
 
 Exports: JSONL (one span per line, grep/jq-able) and the Chrome
 ``trace_event`` format, so a run can be dropped straight into
@@ -18,7 +20,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Tuple
 
 
 @dataclass(frozen=True, slots=True)
@@ -28,7 +30,7 @@ class SpanKey:
     ``group``/``shard`` locate where the span was *recorded* (coupling
     group name, worker shard index); they default to the unsharded
     single-process identity so instrumentation sites never need to know
-    about sharding — the streaming layer stamps them at ship time.  The
+    about sharding — the streaming fold stamps them once per payload.  The
     wire coordinates alone (every field before them) identify the frame.
     """
 
@@ -67,7 +69,8 @@ class SpanEvent:
 
 @dataclass(slots=True)
 class PacketSpan:
-    """One packet's traversal of one middlebox."""
+    """One packet's traversal of one middlebox: the read-side view of a
+    :class:`FlightRecorder` row."""
 
     key: SpanKey
     middlebox: str
@@ -107,79 +110,92 @@ class PacketSpan:
 
 @dataclass
 class FlightRecorder:
-    """Bounded ring of :class:`PacketSpan` records.
+    """Bounded ring of span rows.
 
-    ``capacity`` bounds memory: the ring keeps the newest spans and
+    A row is the flat tuple one sampled packet records: ``(eaxc, frame,
+    subframe, slot, symbol, direction, seq, middlebox, class,
+    modeled_ns, wall_ns, start_ns, events, emitted, dropped, stage)``,
+    where ``events`` is the packet trace's own list of shared action
+    events (each carrying its :class:`SpanEvent` as ``.span``).  A row
+    the streaming fold received ends with its ``(group, shard)`` stamp.
+    :meth:`spans` and the exports build :class:`PacketSpan` views on
+    read; nothing on the write path builds an object.
+
+    ``capacity`` bounds memory: the ring keeps the newest rows and
     ``evicted`` counts how many rolled off.
     """
 
     capacity: int = 4096
-    _spans: Deque[PacketSpan] = field(init=False, repr=False)
+    _rows: Deque[tuple] = field(init=False, repr=False)
     evicted: int = field(init=False, default=0)
     _recorded: int = field(init=False, default=0)
     _drained: int = field(init=False, default=0)
-    _drained_evicted: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         if self.capacity <= 0:
             raise ValueError("capacity must be positive")
-        self._spans = deque(maxlen=self.capacity)
+        self._rows = deque(maxlen=self.capacity)
 
-    def record(self, span: PacketSpan) -> None:
-        if len(self._spans) == self.capacity:
+    def record(self, row: tuple) -> None:
+        if len(self._rows) == self.capacity:
             self.evicted += 1
-        self._spans.append(span)
+        self._rows.append(row)
         self._recorded += 1
 
     def spans(self) -> List[PacketSpan]:
-        return list(self._spans)
+        """The retained rows as :class:`PacketSpan` views, oldest first."""
+        return [
+            PacketSpan(
+                SpanKey(*row[:7], *row[16:]),
+                *row[7:12],
+                tuple([event.span for event in row[12]]),
+                *row[13:16],
+            )
+            for row in self._rows
+        ]
 
     def __len__(self) -> int:
-        return len(self._spans)
+        return len(self._rows)
 
     def clear(self) -> None:
-        self._spans.clear()
+        self._rows.clear()
         self.evicted = 0
         self._recorded = 0
         self._drained = 0
-        self._drained_evicted = 0
 
-    def drain(self) -> Tuple[List[PacketSpan], int]:
-        """Spans recorded since the last drain, plus the dropped count.
+    def drain(self) -> Tuple[List[tuple], int]:
+        """Rows recorded since the last drain, plus the dropped count.
 
         The streaming telemetry plane calls this at every epoch boundary:
-        the first element is every still-retained span recorded since the
-        previous drain (oldest first), the second counts spans recorded in
+        the first element is every still-retained row recorded since the
+        previous drain (oldest first), the second counts rows recorded in
         the interval that rolled off the ring before this drain could ship
-        them — losses the consumer never saw.  Evicting a span that a
+        them — losses the consumer never saw.  Evicting a row that a
         previous drain already delivered is not a loss and is not counted.
-        Never re-delivers a span.
+        Never re-delivers a row.
         """
-        fresh = min(self._recorded - self._drained, len(self._spans))
-        spans = list(self._spans)[-fresh:] if fresh else []
+        fresh = min(self._recorded - self._drained, len(self._rows))
+        rows = list(self._rows)[-fresh:] if fresh else []
         dropped = (self._recorded - self._drained) - fresh
         self._drained = self._recorded
-        self._drained_evicted = self.evicted
-        return spans, dropped
+        return rows, dropped
 
     # -- exports -------------------------------------------------------------
 
-    def to_jsonl(self, spans: Optional[Iterable[PacketSpan]] = None) -> str:
+    def to_jsonl(self) -> str:
         """One JSON object per line, oldest span first."""
-        selected = self._spans if spans is None else spans
         return "\n".join(
-            json.dumps(span.as_dict(), sort_keys=True) for span in selected
+            json.dumps(span.as_dict(), sort_keys=True)
+            for span in self.spans()
         )
 
-    def to_chrome_trace(
-        self, spans: Optional[Iterable[PacketSpan]] = None
-    ) -> str:
+    def to_chrome_trace(self) -> str:
         """Chrome ``trace_event`` JSON: one complete ("X") event per span.
 
         Tracks (tid) are middlebox names; timestamps are microseconds as
         the format requires.  Load via ``chrome://tracing`` or Perfetto.
         """
-        selected = list(self._spans if spans is None else spans)
+        selected = self.spans()
         tids = {
             name: index
             for index, name in enumerate(

@@ -4,17 +4,18 @@ The telemetry plane has two ends, one object each:
 
 - :class:`GroupStreamSource` (worker side) wraps one built coupling
   group and produces a plain-data **epoch payload** at every barrier:
-  the group registry's cumulative metric snapshot, its freshly recorded
-  spans (drained from the flight recorder and stamped with
-  ``(group, shard)``), the deadline accounts of the epoch's slots, and
-  the epoch's conformance counts and breaker opens as plain ints.
-  Payloads are pure picklable data, so they ride the worker's epoch
-  reply over the control pipe like every other pool payload.
+  the group registry's cumulative metric snapshot, the span rows its
+  flight recorder took since the last drain (the payload's own
+  ``group``/``shard`` is their stamp, sent once), the deadline accounts
+  of the epoch's slots, and the epoch's conformance counts and breaker
+  opens as plain ints.  Payloads are pure picklable data, so they ride
+  the worker's epoch reply over the control pipe like every other pool
+  payload.
 - :class:`TelemetryStream` (coordinator side) folds payloads as they
-  arrive: the live registry is rebuilt from the epoch's snapshots, spans
-  land in a bounded coordinator recorder (each keeps the
-  ``(group, shard)`` it was recorded on next to its wire coordinates),
-  deadline accounts feed per-group
+  arrive: the epoch's snapshots are kept for the live registry (merged
+  when read), span rows land in a bounded coordinator recorder with the
+  ``(group, shard)`` they were recorded on after their wire
+  coordinates, deadline accounts feed per-group
   :class:`~repro.obs.deadline.DeadlineAccountant` twins, and every
   epoch emits one :class:`~repro.obs.slo.EpochSample` into the
   :class:`~repro.obs.slo.SloEngine` plus a summary record on the
@@ -22,8 +23,9 @@ The telemetry plane has two ends, one object each:
   :data:`EPOCH_TOPIC`).
 
 **Live equals collect, bit for bit, at every barrier.**  Metrics are a
-state lane: each payload carries the group's whole snapshot and the fold
-merges this epoch's snapshots in sorted group order — the exact
+state lane: each payload carries the group's whole snapshot and the live
+registry is the merge of this epoch's snapshots in sorted group order,
+built on its first read after the fold — the exact
 computation :meth:`~repro.scale.runner.ScenarioResult.metrics` performs
 at collect time.  So a rebuilt group shows its replayed prefix, an
 evicted group vanishes because it no longer ships, and ``collect()`` is
@@ -39,7 +41,7 @@ from typing import Any, Dict, IO, List, Optional, Sequence, Tuple
 
 from repro.obs.deadline import DeadlineAccountant
 from repro.obs.metrics import MetricsRegistry, declare
-from repro.obs.recorder import FlightRecorder, PacketSpan, SpanKey
+from repro.obs.recorder import FlightRecorder
 from repro.obs.sketch import DEFAULT_RELATIVE_ACCURACY, QuantileSketch
 from repro.obs.slo import EpochSample, SloEngine, SloSpec
 
@@ -72,43 +74,6 @@ class GroupStreamSource:
         self._shipped_accounts = 0
         self._last_conformance: Dict[str, Any] = {}
         self._last_breaker_opens = 0
-
-    def _drain_spans(self) -> Tuple[List[PacketSpan], int]:
-        recorder: FlightRecorder = self.group.obs.recorder
-        spans, evicted_delta = recorder.drain()
-        name = self.group.name
-        shard = self.shard
-        # Copy-on-ship via direct constructors: dataclasses.replace() pays
-        # a fields() walk per call, which dominates epoch flushes on
-        # span-heavy runs.
-        stamped = []
-        for span in spans:
-            key = span.key
-            stamped.append(
-                PacketSpan(
-                    key=SpanKey(
-                        eaxc=key.eaxc,
-                        frame=key.frame,
-                        subframe=key.subframe,
-                        slot=key.slot,
-                        symbol=key.symbol,
-                        direction=key.direction,
-                        seq=key.seq,
-                        group=name,
-                        shard=shard,
-                    ),
-                    middlebox=span.middlebox,
-                    traffic_class=span.traffic_class,
-                    modeled_ns=span.modeled_ns,
-                    wall_ns=span.wall_ns,
-                    start_ns=span.start_ns,
-                    events=span.events,
-                    emitted=span.emitted,
-                    dropped=span.dropped,
-                    stage=span.stage,
-                )
-            )
-        return stamped, evicted_delta
 
     def _deadline_delta(self) -> List[Dict[str, Any]]:
         accountant = self.group.accountant
@@ -156,12 +121,12 @@ class GroupStreamSource:
         }
         obs = self.group.obs
         if self.stream:
-            spans, evicted_delta = self._drain_spans()
+            rows, evicted_delta = obs.recorder.drain()
             if evicted_delta:
                 obs.children(_DROPPED_SPANS, self.group.name).inc(
                     evicted_delta
                 )
-            payload["spans"] = spans
+            payload["spans"] = rows
             payload["spans_dropped"] = evicted_delta
             payload["deadline"] = self._deadline_delta()
             payload["conformance"] = self._conformance_delta()
@@ -194,9 +159,9 @@ class TelemetryStream:
     and maintains:
 
     - :attr:`registry` — the merge of this barrier's group snapshots
-      (equal to ``collect()``'s merge at every barrier);
-    - :attr:`recorder` — a bounded ring of streamed spans with
-      ``(group, shard)``-stamped keys;
+      (equal to ``collect()``'s merge at every barrier), built when read;
+    - :attr:`recorder` — a bounded ring of streamed span rows, each
+      stamped with its ``(group, shard)``;
     - :attr:`accountants` — per-group deadline-accountant twins built
       purely from the stream (identical to the worker-side ones, which
       the property suite pins);
@@ -220,7 +185,9 @@ class TelemetryStream:
         source: str = "telemetry-stream",
     ):
         self.bus = bus
-        self.registry = MetricsRegistry()
+        #: The last fold's group snapshots, in sorted group order.
+        self._snapshots: List[Dict[str, Dict[str, Any]]] = []
+        self._registry: Optional[MetricsRegistry] = None
         self.recorder = FlightRecorder(capacity=max_spans)
         self.accountants: Dict[str, DeadlineAccountant] = {}
         self.slo = SloEngine(slo_specs, bus=bus, source=source)
@@ -259,9 +226,12 @@ class TelemetryStream:
     # -- folding ---------------------------------------------------------
 
     def _fold_spans(self, payload: Dict[str, Any]) -> None:
-        for span in payload.get("spans", ()):
-            self.recorder.record(span)
-            self.spans_seen += 1
+        rows = payload.get("spans", ())
+        stamp = (payload["group"], payload["shard"])
+        record = self.recorder.record
+        for row in rows:
+            record(row + stamp)
+        self.spans_seen += len(rows)
         dropped = payload.get("spans_dropped", 0)
         if dropped:
             group = payload["group"]
@@ -327,12 +297,10 @@ class TelemetryStream:
             relative_accuracy=self.sketch_accuracy
         )
         checks = misses = frames = violations = opens = 0
-        # Same merge, same order as ScenarioResult.metrics(): that is
-        # what makes live == collect at every barrier.
-        self.registry = MetricsRegistry()
+        self._snapshots = [payload["metrics"] for payload in ordered]
+        self._registry = None
         self.epoch_conformance = {}
         for payload in ordered:
-            self.registry.merge_snapshot(payload["metrics"])
             self._fold_spans(payload)
             folded, violated = self._fold_deadline(payload, epoch_sketch)
             checks += folded
@@ -373,6 +341,18 @@ class TelemetryStream:
         return sample
 
     # -- views -------------------------------------------------------------
+
+    @property
+    def registry(self) -> MetricsRegistry:
+        """The merge of the last barrier's group snapshots, built on the
+        first read after a fold.  Same merge, same sorted order as
+        ``ScenarioResult.metrics()``: that is what makes live == collect
+        at every barrier."""
+        if self._registry is None:
+            self._registry = MetricsRegistry()
+            for snapshot in self._snapshots:
+                self._registry.merge_snapshot(snapshot)
+        return self._registry
 
     def epoch_summary(
         self, sample: EpochSample, alerts: List[Dict[str, Any]]

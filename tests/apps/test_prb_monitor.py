@@ -41,6 +41,19 @@ class TestAlgorithm1:
         estimate = monitor.estimates[0]
         assert {i for i, flag in enumerate(estimate.utilized) if flag} == used
 
+    def test_bitvector_is_a_tuple_of_python_bools(self, monitor, rng,
+                                                  du_mac, ru_mac):
+        """The per-PRB flags convert in one ``tolist()``: the same tuple
+        of Python bools, and the same utilization float, as converting
+        flag by flag."""
+        used = {0, 3, 4, 17}
+        monitor.process(grid_packet(rng, du_mac, ru_mac, used))
+        estimate = monitor.estimates[0]
+        by_flag = tuple(bool(i in used) for i in range(N_PRB))
+        assert estimate.utilized == by_flag
+        assert all(type(flag) is bool for flag in estimate.utilized)
+        assert estimate.utilization == sum(by_flag) / N_PRB == 0.2
+
     def test_idle_grid_zero_utilization(self, monitor, rng, du_mac, ru_mac):
         monitor.process(grid_packet(rng, du_mac, ru_mac, set()))
         assert monitor.estimates[0].utilization == 0.0

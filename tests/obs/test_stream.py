@@ -6,13 +6,13 @@ Covers the stream's core contracts outside the scale-out machinery
 - :meth:`FlightRecorder.drain` never re-delivers a span and accounts
   ring evictions exactly;
 - :class:`GroupStreamSource` ships the cumulative snapshot at every
-  epoch, epoch-scoped scalars as plain ints, and stamps
-  ``(group, shard)``;
-- :class:`TelemetryStream` rebuilds the live registry from each epoch's
-  payloads, forgets a group that stopped shipping, feeds the recorder
-  and deadline-accountant twins, publishes epoch summaries, and
-  a DeadlineAccountant fed through the stream is indistinguishable from
-  one fed directly (the Hypothesis property at the bottom).
+  epoch, span rows and epoch-scoped scalars as plain data;
+- :class:`TelemetryStream` stamps span rows with ``(group, shard)``,
+  merges the live registry from each epoch's payloads, forgets a group
+  that stopped shipping, feeds the recorder and deadline-accountant
+  twins, publishes epoch summaries, and a DeadlineAccountant fed
+  through the stream is indistinguishable from one fed directly (the
+  Hypothesis property at the bottom).
 """
 
 import dataclasses
@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from repro.obs import Observability
 from repro.obs.deadline import DeadlineAccountant
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.recorder import FlightRecorder, PacketSpan, SpanKey
+from repro.obs.recorder import FlightRecorder
 from repro.obs.slo import SloSpec
 from repro.obs.stream import (
     DROPPED_SPANS_METRIC,
@@ -37,15 +37,10 @@ from repro.core.telemetry import TelemetryBus
 
 
 def make_span(seq, middlebox="das", stage=0):
-    return PacketSpan(
-        key=SpanKey(eaxc=1, frame=0, subframe=0, slot=0, symbol=0,
-                    direction="UL", seq=seq),
-        middlebox=middlebox,
-        traffic_class="UL U-Plane",
-        modeled_ns=100.0,
-        wall_ns=0.0,
-        start_ns=seq,
-        stage=stage,
+    """One recorded row, in the field order ``Middlebox._observe`` writes."""
+    return (
+        1, 0, 0, 0, 0, "UL", seq,
+        middlebox, "UL U-Plane", 100.0, 0.0, seq, [], 0, False, stage,
     )
 
 
@@ -69,25 +64,25 @@ class TestDrain:
         recorder.record(make_span(0))
         recorder.record(make_span(1))
         first, evicted = recorder.drain()
-        assert [s.key.seq for s in first] == [0, 1]
+        assert first == [make_span(0), make_span(1)]
         assert evicted == 0
         assert recorder.drain() == ([], 0)
         recorder.record(make_span(2))
         second, _ = recorder.drain()
-        assert [s.key.seq for s in second] == [2]
+        assert second == [make_span(2)]
 
     def test_drain_reports_interval_evictions(self):
         recorder = FlightRecorder(capacity=2)
         for seq in range(5):
             recorder.record(make_span(seq))
-        spans, evicted = recorder.drain()
+        rows, evicted = recorder.drain()
         # Only the 2 retained spans arrive; 3 rolled off unseen.
-        assert [s.key.seq for s in spans] == [3, 4]
+        assert rows == [make_span(3), make_span(4)]
         assert evicted == 3
         # The next interval starts clean.
         recorder.record(make_span(5))
-        spans, evicted = recorder.drain()
-        assert [s.key.seq for s in spans] == [5]
+        rows, evicted = recorder.drain()
+        assert rows == [make_span(5)]
         assert evicted == 0
 
     def test_clear_resets_drain_state(self):
@@ -97,8 +92,8 @@ class TestDrain:
         recorder.drain()
         recorder.clear()
         recorder.record(make_span(9))
-        spans, evicted = recorder.drain()
-        assert [s.key.seq for s in spans] == [9]
+        rows, evicted = recorder.drain()
+        assert rows == [make_span(9)]
         assert evicted == 0
 
 
@@ -138,11 +133,12 @@ class TestGroupStreamSource:
         group = FakeGroup("g1")
         source = GroupStreamSource(group, shard=3)
         group.obs.recorder.record(make_span(0))
-        payload = source.epoch_payload()
-        (span,) = payload["spans"]
+        stream = TelemetryStream()
+        stream.fold_epoch([source.epoch_payload()])
+        (span,) = stream.recorder.spans()
         assert span.key.group == "g1"
         assert span.key.shard == 3
-        # The worker-side span is untouched (stamping is copy-on-ship).
+        # The worker-side span is untouched (the fold stamps its copy).
         assert group.obs.recorder.spans()[0].key.group == ""
 
     def test_ring_overflow_bumps_the_dropped_counter(self):

@@ -184,10 +184,11 @@ def test_bulk_larger_than_the_pipe_buffer_arrives_intact(workers):
     """A reply that outgrows the 64 KiB pipe buffer blocks the worker's
     send until the coordinator drains it — and must still fold exactly."""
     obs = {"enabled": True, "stream": True, "conformance": True}
-    # Epoch = horizon: one fat payload.  240 slots ship ~91 KB from the
-    # busier worker at workers=2 (~118 KB at 1); spans share their event
-    # objects, so a reply is smaller per slot than its span count says.
-    spec = _spec(slots=240, obs=obs)
+    # Epoch = horizon: one fat payload.  320 slots ship ~74 KB from the
+    # busier worker at workers=2 (~95 KB at 1); spans ship as rows of
+    # scalars sharing their event objects, so a reply is smaller per slot
+    # than its span count says.
+    spec = _spec(slots=320, obs=obs)
     reference = WorkerPool(spec, workers=0).run()
     with WorkerPool(spec, workers=workers) as pool:
         shipped = []

@@ -92,6 +92,27 @@ def test_live_fold_equals_collect_at_every_barrier():
             ), f"live fold diverged from collect() at slot {pool.done}"
 
 
+def test_registry_reads_do_not_move_the_live_fold():
+    """The live registry is merged on its first read after a fold: read
+    twice, or skipped for a barrier, it still shows ``collect()``."""
+    with WorkerPool(_stream_spec(), workers=2) as pool:
+        pool.begin()
+        finished, barrier = False, 0
+        while not finished:
+            finished = pool.advance_epoch()
+            barrier += 1
+            stream = pool.telemetry
+            if barrier % 2 and not finished:
+                continue  # nobody reads the registry at this barrier
+            collected = pool.collect().metrics()
+            first = stream.registry
+            exposition = deterministic_exposition(first)
+            assert stream.registry is first
+            assert deterministic_exposition(stream.registry) == exposition
+            assert exposition == deterministic_exposition(collected)
+            assert stream.live_snapshot() == collected.snapshot()
+
+
 def test_stream_contents_are_worker_count_invariant(streamed_runs):
     baseline = streamed_runs[1].telemetry
     for workers in WORKER_COUNTS[1:]:
