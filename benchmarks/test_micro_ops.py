@@ -391,8 +391,8 @@ def test_span_lane_builds_no_span_objects_until_read(monkeypatch):
     )
 
 
-def test_single_operand_merge_runs_no_codec(monkeypatch, samples):
-    """A one-RU DAS merge forwards the operand's bytes: count, not time."""
+def _count_kernels(monkeypatch):
+    """The calls of the two mantissa kernels, in order."""
     calls = []
 
     def counted(name, inner):
@@ -406,13 +406,117 @@ def test_single_operand_merge_runs_no_codec(monkeypatch, samples):
         monkeypatch.setattr(
             compression, name, counted(name, getattr(compression, name))
         )
+    return calls
+
+
+def test_single_operand_merge_runs_no_codec(monkeypatch, samples):
+    """A one-RU DAS merge forwards the operand's pending bytes, and an
+    encode packs nothing until its bytes are read: count, not time."""
+    eager = BfpCompressor().compress(samples)
+    calls = _count_kernels(monkeypatch)
     operand = UPlaneSection.from_samples(0, 0, samples)
-    assert calls == ["pack_mantissas"]
+    assert calls == []
     merged = ActionContext(PacketCache()).merge_iq([operand])
-    assert calls == ["pack_mantissas"] and merged.payload is operand.payload
-    # Two operands still sum and pack once — and still unpack nothing.
-    ActionContext(PacketCache()).merge_iq([operand, operand])
+    assert calls == [] and merged._pending is operand._pending
+    # Either section's first read packs the one pass; the other reads the
+    # same bytes object.
+    assert merged.payload == eager and calls == ["pack_mantissas"]
+    assert operand.payload is merged.payload and calls == ["pack_mantissas"]
+    # Two operands still sum once, unpack nothing, and pack when read.
+    summed = ActionContext(PacketCache()).merge_iq([operand, operand])
+    assert calls == ["pack_mantissas"]
+    summed.pack()
     assert calls == ["pack_mantissas"] * 2
+
+
+def test_uplink_fan_in_packs_only_what_is_read(monkeypatch):
+    """Count, not time: a ul_das_fanout-shaped cell (40 MHz, 8 RUs into a
+    partial-merge DAS behind a PRB monitor and a spectrum sensor).  The
+    monitor and the sensor read riding exponents, the DAS merges riding
+    parses and every RU decodes nothing, so no RU uplink pass and no DU
+    downlink pass is ever packed; a merged pass packs once, when the DU
+    hashes it.  With a WireValidator at both ingress taps and a
+    ConformanceTap behind the DAS, every pass packs exactly once."""
+    from repro.apps import (
+        DasMiddlebox,
+        PrbMonitorMiddlebox,
+        SpectrumSensorMiddlebox,
+    )
+    from repro.conformance import ConformanceTap, WireValidator
+    from repro.eval import kit
+    from repro.ran.du import DistributedUnit
+    from repro.ran.ru import RadioUnit
+
+    passes, packs, built = [], [], {"ru": set(), "du": set()}
+
+    def recorded(self, ranges, _inner=compression._PrbCodec.encode_ranges):
+        encoded = _inner(self, ranges)
+        if encoded:  # one pass per call, shared by its ranges
+            passes.append(encoded[0][1]._pass)
+        return encoded
+
+    def packed(encode_pass):
+        return isinstance(encode_pass[1], bytes)
+
+    def counted_pack(self, parse, _inner=compression._PrbCodec.pack):
+        packs.append(parse)
+        return _inner(self, parse)
+
+    def recording(owner, name, side):
+        inner = getattr(owner, name)
+
+        def proxy(self, *args, **kwargs):
+            packets = inner(self, *args, **kwargs)
+            built[side].update(
+                id(section._pending._pass)
+                for packet in packets if packet.is_uplane
+                for section in packet.message.sections
+            )
+            return packets
+
+        monkeypatch.setattr(owner, name, proxy)
+
+    monkeypatch.setattr(compression._PrbCodec, "encode_ranges", recorded)
+    monkeypatch.setattr(compression._PrbCodec, "pack", counted_pack)
+    recording(RadioUnit, "build_uplink", "ru")
+    recording(DistributedUnit, "advance_slot", "du")
+
+    def run(validate: bool):
+        del passes[:], packs[:]
+        for ids in built.values():
+            ids.clear()
+        du, rus = kit.endpoints(kit.cell(
+            "venue", 1, [kit.flow("dl", 40.0), kit.flow("ul", 40.0)],
+            rus=kit.radios(8, 1), bandwidth_hz=40_000_000,
+        ))
+        chain = [
+            PrbMonitorMiddlebox(carrier_num_prb=du.cell.num_prb),
+            SpectrumSensorMiddlebox(carrier_num_prb=du.cell.num_prb),
+            DasMiddlebox(du_mac=du.mac, ru_macs=[ru.mac for ru in rus],
+                         partial_merge=True),
+        ]
+        validator = None
+        if validate:
+            validator = WireValidator(carrier_num_prb=du.cell.num_prb)
+            chain.append(ConformanceTap(validator))
+        network = kit.network([du], rus, chain, validator=validator)
+        while not du.counters.ul_packets:  # through the first uplink slot
+            network.run_slot()
+        return du, {
+            side: [p for p in passes if id(p) in built[side]] for side in built
+        }
+
+    for validate in (False, True):
+        du, sides = run(validate)
+        assert len(sides["ru"]) == 8 and sides["du"]
+        merged = len(passes) - len(sides["ru"]) - len(sides["du"])
+        if validate:
+            assert all(map(packed, passes))
+            assert len(packs) == len(passes)
+        else:
+            assert not any(packed(p) for side in sides.values() for p in side)
+            hashed = sum(len(r.sections) for r in du.uplink_receptions)
+            assert 0 < len(packs) == merged == hashed
 
 
 def test_iq_merge_4_operands(benchmark, samples):

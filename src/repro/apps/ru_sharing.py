@@ -299,7 +299,12 @@ class RuSharingMiddlebox(Middlebox):
     # -- Algorithm 2: uplink U-plane ----------------------------------------------
 
     def _handle_ul_uplane(self, ctx: ActionContext, packet: FronthaulPacket) -> None:
-        """Demultiplex a full-band RU uplink packet to each requesting DU."""
+        """Demultiplex a full-band RU uplink packet to each requesting DU.
+
+        The DUs' copies share the RU packet's sections: a misaligned one
+        is decoded once (each copy still records its decode), and every
+        DU's slice is encoded in one pass once the packets are forwarded.
+        """
         time = packet.time
         port = packet.eaxc.ru_port
         slot_key = time.slot_key()
@@ -309,20 +314,30 @@ class RuSharingMiddlebox(Middlebox):
             return
         copies = ctx.replicate(packet, len(requesting) - 1)
         all_packets = [packet] + copies
+        decoded: Dict[int, np.ndarray] = {}  # by section position
+        unbuilt: Dict[CompressionConfig, list] = {}
         for du_id, out_packet in zip(requesting, all_packets):
             du = self.dus_by_id[du_id]
-            extracted = self._extract_du_from_ru(ctx, out_packet, du)
+            extracted = self._extract_du_from_ru(
+                ctx, out_packet, du, decoded, unbuilt
+            )
             ctx.forward(extracted, dst=du.mac, src=self.mac)
+        for compression, held in unbuilt.items():
+            built = UPlaneSection.from_ranges([p for p, _, _ in held], compression)
+            for (_, sections, index), section in zip(held, built):
+                sections[index] = section
 
     def _extract_du_from_ru(
         self,
         ctx: ActionContext,
         packet: FronthaulPacket,
         du: SharedDuConfig,
+        decoded: Dict[int, np.ndarray],
+        unbuilt: Dict[CompressionConfig, list],
     ) -> FronthaulPacket:
         offset = du.prb_offset_in(self.ru_grid)
         sections_out: List[UPlaneSection] = []
-        for section in packet.message.sections:
+        for position, section in enumerate(packet.message.sections):
             if du.is_aligned_with(self.ru_grid):
                 self._count_copy(aligned=True)
                 # Zero-copy carve-out: the DU section shares the RU
@@ -339,19 +354,18 @@ class RuSharingMiddlebox(Middlebox):
                 )
             else:
                 self._count_copy(aligned=False)
-                samples = ctx.decompress(section)
+                samples = decoded[position] = ctx.decompress(
+                    section, decoded.get(position)
+                )
                 flat = samples.reshape(-1, 2)
                 sc_offset = int(round(offset * SAMPLES_PER_PRB))
                 du_sc = du.grid.num_prb * SAMPLES_PER_PRB
                 block = flat[sc_offset : sc_offset + du_sc]
                 du_samples = block.reshape(du.grid.num_prb, 2 * SAMPLES_PER_PRB)
-                zero_section = UPlaneSection.from_samples(
-                    section_id=du.du_id,
-                    start_prb=0,
-                    samples=np.ascontiguousarray(du_samples),
-                    compression=section.compression,
+                unbuilt.setdefault(section.compression, []).append(
+                    ((du.du_id, 0, du_samples), sections_out, len(sections_out))
                 )
-                sections_out.append(zero_section)
+                sections_out.append(None)
         message = UPlaneMessage(
             direction=Direction.UPLINK,
             time=packet.time,

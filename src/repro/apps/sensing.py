@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Set, Tuple
 
+import numpy as np
+
 from repro.core.actions import ActionContext, ExecLocation
 from repro.core.middlebox import Middlebox
 from repro.fronthaul.cplane import Direction
@@ -98,16 +100,14 @@ class SpectrumSensorMiddlebox(Middlebox):
         max_exponent = 0
         for section in packet.message.sections:
             exponents = ctx.read_exponents(section)
-            for index, exponent in enumerate(exponents):
+            for index in np.flatnonzero(exponents > threshold).tolist():
                 prb = section.start_prb + index
                 if prb >= self.carrier_num_prb:
-                    continue
-                if exponent <= threshold:
                     continue
                 if any(start <= prb < end for start, end in scheduled):
                     continue
                 suspicious.add(prb)
-                max_exponent = max(max_exponent, int(exponent))
+                max_exponent = max(max_exponent, int(exponents[index]))
         if not suspicious:
             return
         alert = InterferenceAlert(

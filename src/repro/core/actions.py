@@ -364,11 +364,15 @@ class ActionContext:
         )
         return section.exponents()
 
-    def decompress(self, section: UPlaneSection) -> np.ndarray:
+    def decompress(
+        self, section: UPlaneSection, decoded: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """``decoded``: the section's samples the caller already holds (DU
+        copies of one RU section): recorded, not decoded again."""
         self.trace.record(
             ActionKind.DECOMPRESS, self.cost.decompress_cost(section.num_prb)
         )
-        return section.iq_samples()
+        return section.iq_samples() if decoded is None else decoded
 
     def compress(self, section: UPlaneSection, samples: np.ndarray) -> UPlaneSection:
         self.trace.record(

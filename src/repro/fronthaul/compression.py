@@ -22,18 +22,18 @@ codecs (BFP here, modulation compression in ``modcomp.py``) are the same
 kernels under a different per-PRB parameter, and an endpoint compresses a
 whole slot's PRB ranges in one blocked pass (``encode_ranges``).
 
-Nothing is memoised.  ``encode`` hands back the ``(shifts, mantissas)``
-it packed next to the wire bytes, and the ``UPlaneSection`` built from
-those bytes carries them (``uplane.py``), so a payload this process packed
-is never bit-unpacked again; only bytes that really crossed a wire are
-parsed (``parse_wire``).
+Nothing is memoised.  An encode is ``parse_of`` then ``pack``; the slot
+pass (``encode_ranges``) runs the first half and hands each range its
+``(shifts, mantissas)`` and a :class:`PendingWire`, so a section this
+process encoded (``uplane.py``) is never bit-unpacked and is packed only
+if read.  Only bytes that crossed a wire are parsed (``parse_wire``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,8 +51,8 @@ MAX_WIRE_EXPONENT = 15
 
 
 #: A parsed payload: read-only per-PRB shifts ``(n_prbs,)`` and int16
-#: mantissas ``(n_prbs, 24)`` — what ``encode`` packs and ``parse_wire``
-#: unpacks.
+#: mantissas ``(n_prbs, 24)`` — what ``parse_of`` finds, ``pack`` packs
+#: and ``parse_wire`` unpacks.
 Parse = Tuple[np.ndarray, np.ndarray]
 
 
@@ -177,6 +177,30 @@ def _freeze(array: np.ndarray) -> np.ndarray:
     return array
 
 
+class PendingWire:
+    """Bytes ``[start, stop)`` of an encode pass, not packed yet: the first
+    :meth:`read` of any range packs the pass once (``encode_pass`` is
+    ``[codec, parse]`` until then, ``[codec, wire bytes]`` after), and a
+    range keeps its slice, so every section sharing it reads one object."""
+
+    __slots__ = ("_pass", "_start", "_stop", "_bytes")
+
+    def __init__(self, encode_pass: list, start: int, stop: int) -> None:
+        self._pass, self._start, self._stop = encode_pass, start, stop
+        self._bytes: Optional[bytes] = None
+
+    def __len__(self) -> int:
+        return self._stop - self._start
+
+    def read(self) -> bytes:
+        if self._bytes is None:
+            whole, self._pass = self._pass, None
+            if not isinstance(whole[1], bytes):
+                whole[1] = whole[0].pack(whole[1])
+            self._bytes = whole[1][self._start : self._stop]
+        return self._bytes
+
+
 def _as_prb_rows(samples) -> np.ndarray:
     """Samples as a signed-integer ``(n_prbs, 24)`` array (int16 kept)."""
     samples = np.asarray(samples)
@@ -273,22 +297,22 @@ class _PrbCodec:
 
     # -- wire-level API ----------------------------------------------------
 
-    #: ``encode(decompress(encode(x))) == encode(x)``: what lets a merge
-    #: of one operand forward the operand's bytes.
+    #: ``compress(decompress(compress(x))) == compress(x)``: what lets a
+    #: merge of one operand forward the operand's bytes.
     recompression_stable = True
 
-    def encode(self, samples: np.ndarray) -> Tuple[bytes, Parse]:
-        """The one codec pass: wire bytes (``param || packed mantissas``
-        per PRB, Figure 2 of the paper for BFP) plus the parse they were
-        packed from — equal to ``parse_wire`` of those bytes, so whoever
-        keeps it never unpacks them.
-
-        Shifts and mantissas are found for the whole pass at once (48 B a
-        PRB); only the word lanes are filled ``_BLOCK_PRBS`` PRBs at a
-        time.
-        """
+    def parse_of(self, samples: np.ndarray) -> Parse:
+        """The first half of an encode: read-only per-PRB shifts and int16
+        mantissas, equal to ``parse_wire(pack(...))`` — so whoever keeps
+        them never unpacks the bytes."""
         shifts, mantissas = self.compress_array(samples)
-        mantissas = mantissas.astype(np.int16, copy=False)
+        return _freeze(shifts), _freeze(mantissas.astype(np.int16, copy=False))
+
+    def pack(self, parse: Parse) -> bytes:
+        """The second half: ``param || packed mantissas`` per PRB (Figure 2
+        of the paper for BFP), the word lanes filled ``_BLOCK_PRBS`` PRBs
+        at a time."""
+        shifts, mantissas = parse
         width = self.config.iq_width
         out = np.empty(
             (len(mantissas), self._param_bytes + 3 * width), dtype=np.uint8
@@ -299,46 +323,40 @@ class _PrbCodec:
             out[block, self._param_bytes :] = pack_mantissas(
                 mantissas[block], width
             )
-        return out.tobytes(), (_freeze(shifts), _freeze(mantissas))
+        return out.tobytes()
 
     def compress(self, samples: np.ndarray) -> bytes:
         """Serialize samples of shape (n_prbs, 24) to the wire format."""
-        return self.encode(samples)[0]
+        return self.pack(self.parse_of(samples))
 
     def encode_ranges(
         self, ranges: Sequence[np.ndarray]
-    ) -> List[Tuple[bytes, Parse]]:
-        """Encode many ``(n_i, 24)`` int16 PRB ranges; one ``(payload,
-        parse)`` each.
+    ) -> List[Tuple[Parse, PendingWire]]:
+        """Encode many ``(n_i, 24)`` int16 PRB ranges in one pass; one
+        ``(parse, pending wire bytes)`` each.
 
-        The slot-level pass of the RU and DU builders: the ranges are
-        stacked, encoded once, and the wire bytes and the parse sliced
-        back per range — each range's parse is a view, so it keeps the
-        whole pass's shift and mantissa arrays alive while it lives.
+        The entry of every in-process encode site: the ranges are stacked
+        and parsed once, and the parse sliced back per range — a view, so
+        it keeps the whole pass's shift and mantissa arrays alive while it
+        lives.  Nothing is packed until a range's bytes are read.
         """
         if not ranges:
             return []
         stacked = ranges[0] if len(ranges) == 1 else np.concatenate(ranges)
-        wire, (shifts, mantissas) = self.encode(stacked)
-        prb_bytes = self.config.prb_payload_bytes()
+        shifts, mantissas = parse = self.parse_of(stacked)
+        encode_pass, prb_bytes = [self, parse], self.config.prb_payload_bytes()
         edges = list(accumulate(map(len, ranges), initial=0))
         return [
             (
-                wire[start * prb_bytes : end * prb_bytes],
                 (shifts[start:end], mantissas[start:end]),
+                PendingWire(encode_pass, start * prb_bytes, end * prb_bytes),
             )
             for start, end in zip(edges, edges[1:])
         ]
 
     def compress_ranges(self, ranges: Sequence[np.ndarray]) -> List[bytes]:
-        """The payloads of :meth:`encode_ranges`, parses dropped."""
-        return [wire for wire, _ in self.encode_ranges(ranges)]
-
-    def merge_stack(self, stack: np.ndarray) -> Tuple[bytes, Parse]:
-        """Sum an ``(n_ops, n_prbs, 24)`` int16 stack across operands
-        (int32 accumulation, int16 saturation) and encode the result."""
-        total = stack.sum(axis=0, dtype=np.int32)
-        return self.encode(np.clip(total, -32768, 32767).astype(np.int16))
+        """The payloads of :meth:`encode_ranges`, read at once."""
+        return [wire.read() for _, wire in self.encode_ranges(ranges)]
 
     def _grid(self, payload, n_prbs: int) -> np.ndarray:
         """The payload's first ``n_prbs`` PRBs as a ``(n_prbs, prb_bytes)``
@@ -432,14 +450,17 @@ class BfpCompressor(_PrbCodec):
         )
         return restored.clip(-32768, 32767, out=restored).astype(np.int16)
 
-    def encode(self, samples: np.ndarray) -> Tuple[bytes, Parse]:
+    # Uncompressed: int16 samples under exponent 0, packed big-endian.
+    def parse_of(self, samples: np.ndarray) -> Parse:
         if self.config.comp_meth != NO_COMP_METH:
-            return super().encode(samples)
-        # Uncompressed: big-endian int16 samples under exponent 0.
+            return super().parse_of(samples)
         mantissas = _as_prb_rows(samples).astype(np.int16)
-        return mantissas.astype(">i2").tobytes(), (
-            _freeze(np.zeros(len(mantissas), np.uint8)), _freeze(mantissas)
-        )
+        return _freeze(np.zeros(len(mantissas), np.uint8)), _freeze(mantissas)
+
+    def pack(self, parse: Parse) -> bytes:
+        if self.config.comp_meth != NO_COMP_METH:
+            return super().pack(parse)
+        return parse[1].astype(">i2").tobytes()
 
     def parse_wire(self, payload, n_prbs: int) -> Parse:
         if self.config.comp_meth != NO_COMP_METH:
@@ -454,8 +475,8 @@ def codec_for(config: CompressionConfig):
     The dispatch point of the two-codec fronthaul: BFP and uncompressed
     payloads go through :class:`BfpCompressor`, modulation compression
     through :class:`~repro.fronthaul.modcomp.ModCompressor`.  Both expose
-    the same encode/compress/encode_ranges/decompress/parse_wire/
-    merge_stack/read_exponents surface, so everything above this line
+    the same parse_of/pack/compress/encode_ranges/decompress/parse_wire/
+    read_exponents surface, so everything above this line
     (U-plane sections, DAS merge, PRB monitoring) is codec-agnostic.
     """
     if config.comp_meth == MOD_COMP_METH:

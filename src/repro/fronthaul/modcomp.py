@@ -32,7 +32,7 @@ a 1-bit mantissa has no magnitude bit, so an all-negative PRB decodes to
 The codec is the BFP fast path with a different parameter: it shares
 :class:`~repro.fronthaul.compression._PrbCodec` — the int16 shift search,
 the one ``pack_mantissas``/``unpack_mantissas`` kernel pair, the
-blocked slot pass and the parse that ``encode`` hands back — and adds only
+blocked slot pass and its ``parse_of``/``pack`` halves — and adds only
 the csf/scaler halfword and the mid-rise reconstruction.
 """
 

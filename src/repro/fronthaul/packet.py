@@ -78,7 +78,8 @@ class FronthaulPacket:
         mutate are shared — ``MacAddress``, ``VlanTag``, ``EAxCId``,
         ``SymbolTime``, ``CompressionConfig`` (frozen), payload bytes or
         read-only frame views, and a section's read-only riding parse
-        (it describes the shared payload bytes).
+        and pending payload (they describe the shared payload bytes; the
+        encode pass packs once, whichever replica reads first).
         """
         message = _fresh(self.message)
         message.sections = [_fresh(section) for section in message.sections]

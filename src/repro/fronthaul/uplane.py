@@ -12,7 +12,8 @@ is zero-copy — sections hold :class:`memoryview` slices into the received
 frame rather than copied bytes — and IQ is decoded only on request, so a
 pass-through middlebox never touches the codec.  A section whose payload
 this process encoded also carries the encoder's ``(shifts, mantissas)``,
-so decoding it unpacks no bits.
+so decoding it unpacks no bits, and its wire bytes are packed only when
+something reads them.
 """
 
 from __future__ import annotations
@@ -24,9 +25,11 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.fronthaul.compression import (
+    NO_COMP_METH,
     SAMPLES_PER_PRB,
     CompressionConfig,
     Parse,
+    PendingWire,
     codec_for,
 )
 from repro.fronthaul.cplane import ALL_PRBS, Direction
@@ -40,6 +43,18 @@ _SECTION_HDR = struct.Struct("!3sBBB")
 PayloadBytes = Union[bytes, memoryview]
 
 
+class _PackedOnRead:
+    """A pending ``payload``, packed by its first read into a plain attribute
+    (a non-data descriptor; class access raises: no dataclass default)."""
+
+    def __get__(self, section, owner=None):
+        if section is None:
+            raise AttributeError("payload")
+        section.payload = payload = section._pending.read()
+        section._pending = None
+        return payload
+
+
 @dataclass
 class UPlaneSection:
     """One U-plane section: a PRB range plus its compressed IQ payload.
@@ -50,16 +65,17 @@ class UPlaneSection:
 
     Every in-process encode (:meth:`from_samples`, :meth:`from_ranges`,
     :meth:`replace_payload`, :meth:`merged`) leaves the encoder's parse
-    riding on the section it builds — private, read-only, never
-    serialised.  ``FronthaulPacket.clone`` shares it, any
-    ``dataclasses.replace`` drops it, :meth:`unpack` never has one, and
-    :meth:`shed_parse` ends it.
+    riding on the section it builds and its payload pending, packed with
+    its whole encode pass by the first read of ``payload`` (as ``pack``,
+    ``==``, ``repr``, ``deepcopy`` and ``replace`` do).  Both are private;
+    ``clone`` shares them, ``replace`` drops them, :meth:`unpack` never
+    has them, and :meth:`shed_parse` ends the parse.
     """
 
     section_id: int
     start_prb: int
     num_prb: int
-    payload: PayloadBytes
+    payload: PayloadBytes = _PackedOnRead()
     compression: CompressionConfig = field(default_factory=CompressionConfig)
     rb: int = 0
     sym_inc: int = 0
@@ -69,14 +85,17 @@ class UPlaneSection:
             raise ValueError(f"sectionId out of range: {self.section_id}")
         if not 0 <= self.start_prb < (1 << 10):
             raise ValueError(f"startPrbu out of range: {self.start_prb}")
+        self._parse: Optional[Parse] = None  # riding; None off a wire
+        self._pending: Optional[PendingWire] = None
+        payload = self.payload
+        if isinstance(payload, PendingWire):  # an encode site's
+            self._pending = self.__dict__.pop("payload")
         expected = self.num_prb * self.compression.prb_payload_bytes()
-        if len(self.payload) != expected:
+        if len(payload) != expected:
             raise ValueError(
-                f"payload size {len(self.payload)} does not match "
+                f"payload size {len(payload)} does not match "
                 f"{self.num_prb} PRBs ({expected} bytes)"
             )
-        # The riding parse; None once the payload came off a wire.
-        self._parse: Optional[Parse] = None
 
     def __deepcopy__(self, memo) -> "UPlaneSection":
         # memoryview payloads cannot be deep-copied; materialize to bytes.
@@ -114,18 +133,29 @@ class UPlaneSection:
         return self
 
     def shed_parse(self) -> None:
-        """Drop the riding parse.  For a holder that keeps the section
-        past its datapath life (the DU's reception log): a parse is 50 B
-        a PRB and a view of its whole codec pass."""
+        """Keep the wire bytes, drop the riding parse.  For a holder that
+        keeps the section past its datapath life (the DU's reception
+        log): a parse — and a pending payload — pins its whole codec pass."""
+        self.payload  # packs a pending payload
         self._parse = None
+
+    def parse_rows(self, count: int) -> Parse:
+        """The first ``count`` PRBs' parse, the caller's to keep: riding
+        rows copied (a view pins the pass), or the wire bytes parsed."""
+        if self._parse is None:
+            return codec_for(self.compression).parse_wire(self.payload, count)
+        shifts, mantissas = self._parse
+        return shifts[:count].copy(), mantissas[:count].copy()
 
     def exponents(self) -> np.ndarray:
         """Per-PRB compression params without decompressing (Algorithm 1).
 
         BFP exponents for BFP payloads, modcomp scalers for modulation
         compression — either way a per-PRB energy indicator whose zero
-        value marks an idle PRB, which is all the PRB monitor needs.
-        """
+        value marks an idle PRB, which is all the PRB monitor needs (a
+        riding parse holds them: reading them packs nothing)."""
+        if self._parse is not None and self.compression.comp_meth != NO_COMP_METH:
+            return self._parse[0]
         return codec_for(self.compression).read_exponents(
             self.payload, self.num_prb
         )
@@ -168,7 +198,7 @@ class UPlaneSection:
 
     def replace_payload(self, samples: np.ndarray) -> "UPlaneSection":
         """Return a copy with recompressed IQ samples."""
-        payload, parse = codec_for(self.compression).encode(samples)
+        ((parse, payload),) = codec_for(self.compression).encode_ranges([samples])
         return replace(self, payload=payload)._riding(parse)
 
     @classmethod
@@ -201,7 +231,7 @@ class UPlaneSection:
                 payload=payload,
                 compression=compression,
             )._riding(parse)
-            for (section_id, start_prb, samples), (payload, parse) in zip(
+            for (section_id, start_prb, samples), (parse, payload) in zip(
                 pieces, encoded
             )
         ]
@@ -216,8 +246,9 @@ class UPlaneSection:
         is forwarded byte for byte: its payload is canonical (this
         process's encoder chose the shifts), the saturating sum of one
         int16 operand is the identity, and re-encoding a decoded payload
-        reproduces it (``recompression_stable``).  A wire-parsed operand
-        may not be canonical and is renormalised.
+        reproduces it (``recompression_stable``) — a pending payload is
+        forwarded still pending, sharing the operand's pass.  A
+        wire-parsed operand may not be canonical and is renormalised.
         """
         first = sections[0]
         codec = codec_for(first.compression)
@@ -226,16 +257,17 @@ class UPlaneSection:
             and first._parse is not None
             and codec.recompression_stable
         ):
-            payload, parse = first.payload, first._parse
+            payload = first.payload if first._pending is None else first._pending
+            parse = first._parse
         else:
             parses = [section._parsed(codec) for section in sections]
             stack = codec.decompress_array(
                 np.concatenate([shifts for shifts, _ in parses]),
                 np.concatenate([mantissas for _, mantissas in parses]),
-            )
-            payload, parse = codec.merge_stack(
-                stack.reshape(len(sections), first.num_prb, 2 * SAMPLES_PER_PRB)
-            )
+            ).reshape(len(sections), first.num_prb, 2 * SAMPLES_PER_PRB)
+            # int32 accumulation, int16 saturation, one encode.
+            total = stack.sum(axis=0, dtype=np.int32).clip(-32768, 32767)
+            ((parse, payload),) = codec.encode_ranges([total.astype(np.int16)])
         return cls(
             section_id=first.section_id,
             start_prb=first.start_prb,
@@ -339,10 +371,11 @@ class UPlaneMessage:
         return message
 
     def wire_size(self) -> int:
-        """``len(self.pack())`` without packing: headers + payload lengths."""
+        """``len(self.pack())`` without packing or reading a payload:
+        headers + ``num_prb`` x the codec's PRB size per section."""
         size = _HDR.size
         for section in self.sections:
-            size += _SECTION_HDR.size + len(section.payload)
+            size += _SECTION_HDR.size + section.num_prb * section.compression.prb_payload_bytes()
         return size
 
     def total_prbs(self) -> int:

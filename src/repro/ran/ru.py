@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.core.actions import SlotRing
-from repro.fronthaul.compression import SAMPLES_PER_PRB, CompressionConfig
+from repro.fronthaul.compression import SAMPLES_PER_PRB, CompressionConfig, codec_for
 from repro.fronthaul.cplane import CPlaneMessage, Direction, SectionType
 from repro.fronthaul.ecpri import EAxCId
 from repro.fronthaul.ethernet import MacAddress
@@ -70,8 +70,8 @@ class RadioUnit:
     """One physical RU on the fronthaul.
 
     Downlink: C-plane messages open transmission windows; U-plane packets
-    fill the transmit grid (only PRBs covered by a C-plane section are
-    accepted — unsolicited data is dropped, as real RUs do).
+    fill the transmit grid, decoded only when read (only PRBs covered by a
+    C-plane section are accepted — unsolicited data is dropped, as real RUs do).
 
     Uplink: ``build_uplink(items)`` converts one slot's received air
     samples — ``(time, port, air_iq)`` per owed symbol — into U-plane
@@ -92,7 +92,8 @@ class RadioUnit:
         self.du_mac = du_mac or MacAddress.from_int(0x02_00_00_00_00_00)
         self.counters = RuCounters()
         self.rng = np.random.default_rng(seed ^ (ru_id * 7919))
-        #: DL transmit grids: {(time, port): int16 samples (num_prb, 24)}.
+        #: DL transmit grids, decoded only when read: {(time, port):
+        #: [(start, end, compression, parse rows)]} in arrival order.
         self._tx_grids = SlotRing()
         #: DL C-plane windows: {(slot_key, port): [(start, end) PRB ranges]}.
         self._dl_windows = SlotRing()
@@ -149,10 +150,7 @@ class RadioUnit:
             self.counters.unsolicited_uplane += 1
             return
         self.counters.uplane_received += 1
-        grid = self._tx_grids.setdefault(
-            (message.time, port),
-            np.zeros((self.config.num_prb, 2 * SAMPLES_PER_PRB), np.int16),
-        )
+        accepted = self._tx_grids.setdefault((message.time, port), [])
         for section in message.sections:
             start, end = section.prb_range
             end = min(end, self.config.num_prb)
@@ -161,15 +159,19 @@ class RadioUnit:
             if not any(w_start <= start and end <= w_end for w_start, w_end in windows):
                 # PRBs outside every C-plane window are ignored.
                 continue
-            grid[start:end] = section.iq_samples()[: end - start]
+            accepted.append((start, end, section.compression, section.parse_rows(end - start)))
 
     # -- air interface -------------------------------------------------------
 
     def transmit_grid(self, time: SymbolTime, port: int) -> Optional[np.ndarray]:
-        """Complex air samples for one symbol/port (None if idle)."""
-        samples = self._tx_grids.get((time, port))
-        if samples is None:
+        """Complex air samples for one symbol/port (None if idle), decoded
+        now from the accepted sections in arrival order."""
+        accepted = self._tx_grids.get((time, port))
+        if accepted is None:
             return None
+        samples = np.zeros((self.config.num_prb, 2 * SAMPLES_PER_PRB), np.int16)
+        for start, end, compression, parse in accepted:
+            samples[start:end] = codec_for(compression).decompress_array(*parse)
         return int16_to_iq(samples)
 
     def transmitted_symbols(self) -> List[Tuple[SymbolTime, int]]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps.ru_sharing import RuSharingMiddlebox, SharedDuConfig
-from repro.core.actions import _RETAINED_SLOTS
+from repro.core.actions import _RETAINED_SLOTS, ActionKind
 from repro.fronthaul.cplane import (
     CPlaneMessage,
     CPlaneSection,
@@ -225,6 +225,49 @@ class TestMisalignedSharing:
         assert len(result.emissions) == 1
         assert sharing.misaligned_copies > 0
         assert sharing.aligned_copies == 0
+
+    def test_uplink_demux_decodes_once_and_encodes_once(
+        self, ru_mac, rng, monkeypatch
+    ):
+        """Every requesting DU's copy shares the RU section: one decode and
+        one codec pass serve both misaligned DUs, the trace records what a
+        decode per DU records, in the same order, and each DU's section
+        holds the bytes a per-DU encode of its slice gives."""
+        dus = [
+            SharedDuConfig(
+                du_id=index + 1, mac=MacAddress.from_int(0x11 + index),
+                grid=PrbGrid(grid.center_frequency_hz + 0.5 * 12 * 30_000, 106),
+            )
+            for index, grid in enumerate(split_ru_spectrum(RU_GRID, [106, 106]))
+        ]
+        sharing = RuSharingMiddlebox(ru_mac=ru_mac, ru_grid=RU_GRID, dus=dus)
+        time = SymbolTime(0, 0, 0, 10)
+        for du in dus:
+            sharing.process(du_cplane(du, Direction.UPLINK, time=time))
+        packet = ru_ul_uplane(rng, ru_mac, time=time)
+        decoded = packet.message.sections[0].iq_samples().reshape(-1, 2)
+        decodes = []
+        iq_samples = UPlaneSection.iq_samples
+
+        def counted(section):
+            decodes.append(section)
+            return iq_samples(section)
+
+        monkeypatch.setattr(UPlaneSection, "iq_samples", counted)
+        result = sharing.process(packet)
+        assert len(decodes) == 1 and sharing.misaligned_copies == 2
+        assert result.trace.kinds() == [
+            ActionKind.REPLICATE,
+            ActionKind.DECOMPRESS, ActionKind.ROUTE,
+            ActionKind.DECOMPRESS, ActionKind.ROUTE,
+        ]
+        sections = [out.message.sections[0] for out in result.emissions]
+        assert sections[0]._pending._pass is sections[1]._pending._pass
+        for du, out, section in zip(dus, result.emissions, sections):
+            assert out.eth.dst == du.mac
+            offset = int(round(RU_GRID.offset_of(du.grid) * 12))
+            expected = decoded[offset : offset + 106 * 12].reshape(106, 24)
+            assert section == UPlaneSection.from_samples(du.du_id, 0, expected)
 
     def test_misaligned_samples_land_at_subcarrier_offset(self, misaligned,
                                                           rng):

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.sensing import TELEMETRY_TOPIC, SpectrumSensorMiddlebox
 from repro.core.actions import _RETAINED_SLOTS
+from repro.fronthaul.compression import MOD_COMP_METH, CompressionConfig
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
+from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import make_packet
 from repro.fronthaul.timing import SymbolTime
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
@@ -126,3 +130,66 @@ class TestInterferenceDetection:
     def test_kernel_placement(self, sensor, rng, du_mac, ru_mac):
         sensor.process(ul_uplane(rng, ru_mac, du_mac, hot_prbs=[20]))
         assert not any(t.needs_userspace() for t in sensor.traces)
+
+
+def scalar_scan(sections, scheduled, threshold, carrier_num_prb):
+    """The sensor's scan as it was, every PRB visited — the oracle of the
+    one that visits only the PRBs above the threshold."""
+    suspicious, max_exponent = set(), 0
+    for section in sections:
+        for index, exponent in enumerate(section.exponents()):
+            prb = section.start_prb + index
+            if prb >= carrier_num_prb:
+                continue
+            if exponent <= threshold:
+                continue
+            if any(start <= prb < end for start, end in scheduled):
+                continue
+            suspicious.add(prb)
+            max_exponent = max(max_exponent, int(exponent))
+    return (tuple(sorted(suspicious)), max_exponent) if suspicious else None
+
+
+_RANGE = st.tuples(st.integers(0, 40), st.integers(1, 12))
+
+
+@given(
+    threshold=st.integers(0, 15),
+    codec=st.sampled_from([CompressionConfig(9), CompressionConfig(4, MOD_COMP_METH)]),
+    ranges=st.lists(_RANGE, min_size=1, max_size=3),
+    scheduled=st.lists(_RANGE, max_size=3),
+    seed=st.integers(0, 2**31),
+)
+@settings(max_examples=60, deadline=None)
+def test_scan_alerts_like_the_every_prb_loop(
+    threshold, codec, ranges, scheduled, seed
+):
+    rng = np.random.default_rng(seed)
+    du_mac, ru_mac = MacAddress.from_int(0x11), MacAddress.from_int(0x41)
+    time = SymbolTime(0, 0, 0, 10)
+    sensor = SpectrumSensorMiddlebox(
+        carrier_num_prb=N_PRB, noise_exponent_threshold=threshold
+    )
+    sensor.process(make_packet(du_mac, ru_mac, CPlaneMessage(
+        direction=Direction.UPLINK, time=time,
+        sections=[CPlaneSection(0, start, num) for start, num in scheduled],
+    )))
+    sections = []
+    for index, (start_prb, num_prb) in enumerate(ranges):
+        # Each PRB at its own magnitude: idle to full scale.
+        scale = 1 << rng.integers(0, 16, size=(num_prb, 1))
+        samples = rng.integers(-1, 2, size=(num_prb, 24)) * scale
+        sections.append(UPlaneSection.from_samples(
+            index, start_prb, samples.clip(-32768, 32767).astype(np.int16), codec
+        ))
+    sensor.process(make_packet(ru_mac, du_mac, UPlaneMessage(
+        direction=Direction.UPLINK, time=time, sections=sections,
+    )))
+    windows = [(start, start + num) for start, num in scheduled]
+    expected = scalar_scan(sections, windows, threshold, N_PRB)
+    if expected is None:
+        assert sensor.alerts == []
+    else:
+        (alert,) = sensor.alerts
+        assert (alert.prbs, alert.max_exponent) == expected
+        assert all(type(prb) is int for prb in alert.prbs)

@@ -6,7 +6,8 @@ merge of one such operand forwards its bytes.  Pinned here: the parse
 equals ``parse_wire`` of the payload at every encode site; who shares,
 drops and sheds it; that the one-operand forward is byte-identical to
 decode-sum-encode wherever it is taken (and not taken where it would not
-be); and an end-to-end run that never calls ``unpack_mantissas``.
+be); an end-to-end run that never calls ``unpack_mantissas``; and that
+the bytes such a section packs on its first read are the eager codec's.
 """
 
 import copy
@@ -31,11 +32,13 @@ from repro.fronthaul.compression import (
     CompressionConfig,
     codec_for,
 )
-from repro.fronthaul.packet import parse_packet
-from repro.fronthaul.uplane import UPlaneSection
+from repro.fronthaul.cplane import Direction
+from repro.fronthaul.packet import make_packet, parse_packet
+from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 from repro.scale import Scenario
 from repro.scale.build import build_groups
-from tests.conformance.builders import uplane_packet
+from tests.conformance.builders import DST, SRC, uplane_packet
 from tests.fronthaul.test_codec_kernels import ALL_CONFIGS, BLOCK, _IDS, corner_rows
 from tests.ran.test_slot_build import loaded_du, requested_ru, slot_items
 
@@ -258,6 +261,7 @@ class TestOneOperandMerge:
         before = dict(codec_calls)
         merged, ctx = _merge([operand])
         assert codec_calls == before  # no pack, no unpack
+        assert merged._pending is operand._pending  # one pass, still pending
         assert merged.payload is operand.payload
         assert merged is not operand and merged._parse is operand._parse
         assert (merged.section_id, merged.prb_range) == (6, (20, 71))
@@ -392,3 +396,86 @@ def test_clean_run_never_unpacks_and_lossy_digest_is_the_parents(codec_calls):
     assert codec_calls["unpack_mantissas"] > 0  # re-parsed frames are decoded
     assert lossy.digest == LOSSY_DIGEST_AT_PARENT != clean.digest
 
+
+
+# -- (g) bytes on demand: a pending payload packs to the eager codec's bytes -------
+
+DIFFERENTIAL_CONFIGS = ALL_CONFIGS + [RAW16]
+_DIFFERENTIAL_IDS = _IDS + ["raw16"]
+
+
+def _pending(section: UPlaneSection) -> bool:
+    """Nothing has read the section's bytes yet."""
+    return "payload" not in vars(section) and section._pending is not None
+
+
+def encoded_by_every_site(config, seed, amplitude, lengths):
+    """``(section, eager bytes)`` from every in-process encode site, no
+    section read yet; the eager bytes are ``codec.compress`` of what the
+    site encodes."""
+    codec = codec_for(config)
+
+    def decoded(samples):
+        return codec.decompress(codec.compress(samples), len(samples))
+
+    ranges = [rows(seed + index, n, amplitude) for index, n in enumerate(lengths)]
+    built = UPlaneSection.from_ranges(
+        [(index, 2, samples) for index, samples in enumerate(ranges)], config
+    )
+    yield from zip(built, map(codec.compress, ranges))
+    first, last = ranges[0], rows(seed ^ 0x5A5A, len(ranges[0]), amplitude)
+    yield UPlaneSection.from_samples(7, 1, first, config), codec.compress(first)
+    source = UPlaneSection.from_samples(7, 1, first, config)
+    yield source.replace_payload(last), codec.compress(last)
+    operands = [UPlaneSection.from_samples(3, 0, s, config) for s in (first, last)]
+    total = decoded(first).astype(np.int32) + decoded(last)
+    yield UPlaneSection.merged(operands), codec.compress(
+        total.clip(-32768, 32767).astype(np.int16)
+    )
+    # The lone operand: forwarded still pending, or (1-bit modcomp) re-encoded.
+    lone = UPlaneSection.from_samples(3, 0, last, config)
+    yield UPlaneSection.merged([lone]), codec.compress(decoded(last))
+
+
+@pytest.mark.parametrize("config", DIFFERENTIAL_CONFIGS, ids=_DIFFERENTIAL_IDS)
+@given(
+    seed=st.integers(0, 2**31),
+    amplitude=st.sampled_from([1, 40, 4000, 32767]),
+    lengths=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+)
+@settings(max_examples=6, deadline=None)
+def test_every_encode_site_packs_the_eager_bytes_on_first_read(
+    config, seed, amplitude, lengths
+):
+    codec = codec_for(config)
+    compressed = config.comp_meth != NO_COMP_METH
+    for section, eager in encoded_by_every_site(config, seed, amplitude, lengths):
+        assert _pending(section)
+        message = UPlaneMessage(Direction.UPLINK, SymbolTime(0, 0, 0, 3), [section])
+        packet = make_packet(SRC, DST, message)
+        size = packet.wire_size
+        replicas = [packet.clone().message.sections[0] for _ in range(3)]
+        exponents = section.exponents() if compressed else None
+        assert _pending(section) and all(map(_pending, replicas))
+        # The first read packs; every later reader sees the same bytes.
+        assert section.payload == eager and not _pending(section)
+        assert_rides(section)
+        if compressed:
+            assert exponents.tolist() == codec.read_exponents(
+                eager, section.num_prb
+            ).tolist()
+        else:
+            with pytest.raises(ValueError, match="no BFP exponents"):
+                section.exponents()
+        assert size == packet.wire_size == len(packet.pack())
+        twin, deep, swapped = replicas
+        assert twin.payload is section.payload  # replicas share one object
+        assert copy.deepcopy(deep).payload == eager
+        assert dataclasses.replace(swapped, section_id=9).payload == eager
+        assert swapped.payload == eager
+
+
+def test_a_payload_the_wrong_size_for_its_range_still_raises():
+    section = UPlaneSection.from_samples(0, 0, rows(17, 4))
+    with pytest.raises(ValueError, match="does not match 4 PRBs"):
+        section.replace_payload(rows(18, 5))

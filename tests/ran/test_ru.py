@@ -1,13 +1,25 @@
 """Radio Unit tests: C-plane obedience, DL acceptance, UL generation."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.core import actions
-from repro.fronthaul.cplane import Direction
+from repro.fronthaul.compression import MOD_COMP_METH, NO_COMP_METH, CompressionConfig
+from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
+from repro.fronthaul.packet import make_packet, parse_packet
+from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
+from repro.phy.iq import int16_to_iq
 from repro.ran.du import DistributedUnit
 from repro.ran.ru import RadioUnit, RuConfig
 from repro.ran.traffic import ConstantBitrateFlow
+
+BFP9 = CompressionConfig(iq_width=9)
+MODCOMP4 = CompressionConfig(iq_width=4, comp_meth=MOD_COMP_METH)
+RAW16 = CompressionConfig(iq_width=16, comp_meth=NO_COMP_METH)
 
 
 @pytest.fixture
@@ -153,3 +165,65 @@ class TestHousekeeping:
         assert {slot_key for slot_key, _ in ru._dl_windows} == {
             time.slot_key() for time, _ in ru.transmitted_symbols()
         }
+
+
+class TestTransmitGridDecodesOnRead:
+    """The RU keeps the rows it accepted and decodes them when the grid is
+    read: the same grid the eager per-packet decode wrote, and no view of
+    the DU's encode pass kept alive."""
+
+    def test_overlapping_sections_decode_in_arrival_order(self, rng):
+        ru = RadioUnit(ru_id=1, config=RuConfig(num_prb=50, n_antennas=1))
+        time = SymbolTime(0, 0, 0, 3)
+        window = CPlaneMessage(
+            direction=Direction.DOWNLINK, time=time,
+            sections=[CPlaneSection(0, 0, 50)],
+        )
+        ru.receive(make_packet(ru.du_mac, ru.mac, window))
+
+        def section(section_id, start_prb, num_prb, compression=BFP9):
+            samples = rng.integers(-9000, 9000, (num_prb, 24), dtype=np.int16)
+            return UPlaneSection.from_samples(
+                section_id, start_prb, samples, compression
+            )
+
+        def downlink(sections):
+            message = UPlaneMessage(Direction.DOWNLINK, time, sections)
+            return make_packet(ru.du_mac, ru.mac, message)
+
+        # Off a wire (parsed from bytes) and riding, three codecs on one
+        # symbol; the fourth overruns the carrier edge, the last
+        # overwrites part of the first with another codec.
+        wire_parsed = parse_packet(downlink([section(2, 20, 20, MODCOMP4)]).pack())
+        arrivals = [
+            [section(1, 0, 30), *wire_parsed.message.sections],
+            [section(3, 42, 3, RAW16), section(4, 45, 10), section(5, 10, 5, MODCOMP4)],
+        ]
+        expected = np.zeros((50, 24), dtype=np.int16)
+        for sections in arrivals:
+            ru.receive(downlink(sections))
+            for accepted in sections:
+                start, end = accepted.start_prb, min(accepted.prb_range[1], 50)
+                expected[start:end] = accepted.iq_samples()[: end - start]
+        for _ in range(2):  # reading decodes; it consumes nothing
+            assert np.array_equal(ru.transmit_grid(time, 0), int16_to_iq(expected))
+
+    def test_no_du_encode_pass_outlives_its_slot_in_the_ru(self, pair):
+        du, ru = pair
+
+        def deliver(slot):
+            passes = []
+            for packet in du.advance_slot(slot):
+                if packet.is_uplane:
+                    (section,) = packet.message.sections
+                    passes.append(weakref.ref(section._parse[1].base))
+                ru.receive(packet)
+            return passes
+
+        passes = [ref for slot in range(4) for ref in deliver(slot)]
+        gc.collect()
+        assert passes and all(ref() is None for ref in passes)
+        assert len(ru.transmitted_symbols()) == len(passes)
+        assert all(
+            ru.transmit_grid(*key).any() for key in ru.transmitted_symbols()
+        )
