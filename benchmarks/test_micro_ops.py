@@ -273,10 +273,9 @@ def test_float_stage_runs_once_per_block_of_eight_rows(monkeypatch):
 
 def test_chain_stage_builds_no_event_objects_once_warm(monkeypatch):
     """Count, not time: after one warm burst, 64 packets through a
-    12-stage pass-through chain construct no ActionEvent and — obs on,
-    every packet sampled — no SpanEvent: each action is a shared value."""
+    12-stage pass-through chain construct no SpanEvent, obs off and obs
+    on with every packet sampled: each action is a shared value."""
     from repro.core import actions
-    from repro.core.actions import ActionEvent
     from repro.core.chain import MiddleboxChain
     from repro.core.middlebox import Middlebox
     from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
@@ -312,20 +311,22 @@ def test_chain_stage_builds_no_event_objects_once_warm(monkeypatch):
         )
         chain.process_downlink(burst())
         built = []
-        for cls in (ActionEvent, SpanEvent):
-            def counting(self, *args, _inner=cls.__init__, _name=cls.__name__):
-                built.append(_name)
-                _inner(self, *args)
 
-            monkeypatch.setattr(cls, "__init__", counting)
+        def counting(self, *args, _inner=SpanEvent.__init__):
+            built.append(type(self).__name__)
+            _inner(self, *args)
+
+        monkeypatch.setattr(SpanEvent, "__init__", counting)
         packets = burst()
         assert len(packets) == 64
         assert len(chain.process_downlink(packets)) == 64
         assert built == []
-        # The counters do count: an action never seen builds one of each.
+        # The counter does count: an action never seen builds one event.
         monkeypatch.setattr(actions, "_EVENTS", {})
-        actions.ActionTrace().record(actions.ActionKind.ROUTE, 50.0)
-        assert sorted(built) == ["ActionEvent", "SpanEvent"]
+        actions.ActionContext(actions.PacketCache()).record(
+            actions.ActionKind.ROUTE, 50.0
+        )
+        assert built == ["SpanEvent"]
         monkeypatch.undo()
         if obs.enabled:
             spans = obs.recorder.spans()

@@ -296,7 +296,7 @@ class DasMiddlebox(Middlebox):
         except ValueError:
             # Corrupted or inconsistent cached packets: the symbol is lost.
             return None
-        self.stats.processing_ns_total += ctx.trace.total_ns()
+        self.stats.processing_ns_total += ctx.total_ns()
         self.stats.account_tx(ctx.emissions)
         self.degraded_merges += 1
         if self.obs.enabled:

@@ -16,7 +16,7 @@
   utilization, deadlines, kernel/userspace placement (Figures 15-16).
 """
 
-from repro.core.actions import ActionContext, ActionKind, ActionTrace, PacketCache
+from repro.core.actions import ActionContext, ActionKind, PacketCache
 from repro.core.middlebox import Middlebox, MiddleboxStats
 from repro.core.chain import MiddleboxChain
 from repro.core.telemetry import TelemetryBus, TelemetryRecord
@@ -32,7 +32,6 @@ from repro.core.datapath import (
 __all__ = [
     "ActionContext",
     "ActionKind",
-    "ActionTrace",
     "PacketCache",
     "Middlebox",
     "MiddleboxStats",

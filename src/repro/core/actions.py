@@ -9,10 +9,11 @@
 - **A4 payload inspection and modification** -- reading/rewriting O-RAN
   header fields and raw IQ samples.
 
-Every action invocation is recorded in an :class:`ActionTrace` with its
-modelled cost and execution-location capability, which the datapath models
-(Figures 15-16) consume; one :class:`ActionEvent` is built per distinct
-``(kind, cost)`` and shared by every trace that records it.  The A4
+Every action invocation is recorded on the packet's :class:`ActionContext`
+with its modelled cost and execution-location capability, which the
+datapath models (Figures 15-16) consume; one
+:class:`~repro.obs.recorder.SpanEvent` is built per distinct ``(kind,
+cost)`` and shared by every context that records it.  The A4
 helpers do the *real* work on real packet bytes -- BFP decompression,
 element-wise IQ summing, PRB relocation -- so middlebox correctness is
 exercised end to end.
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import enum
 from collections.abc import MutableMapping
-from dataclasses import dataclass, field
 from itertools import takewhile
 from typing import Any, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
@@ -80,59 +80,9 @@ ACTION_LOCATION: Dict[ActionKind, ExecLocation] = {
 }
 
 
-@dataclass(frozen=True)
-class ActionEvent:
-    """One recorded action: a shared, frozen value (compare it, never
-    mutate it) — every trace that recorded the same action holds the same
-    object, and so does every flight-recorder span via :attr:`span`."""
-
-    kind: ActionKind
-    cost_ns: float
-    location: ExecLocation
-    span: SpanEvent = field(repr=False, compare=False)
-
-
-#: The one event per distinct ``(kind, cost_ns)`` recorded in this process.
-_EVENTS: Dict[Tuple[ActionKind, float], ActionEvent] = {}
-
-
-class ActionTrace:
-    """The per-packet record: the actions applied to one packet, plus its
-    wire size and Figure 15b traffic class once a middlebox processed it.
-
-    The only per-packet object a middlebox retains, hence slotted (by
-    hand: ``dataclass(slots=True)`` needs Python 3.10).  The modelled
-    total is kept running: added in record order from 0, exactly what
-    summing the events in order gives.
-    """
-
-    __slots__ = ("events", "wire_bytes", "traffic_class", "_total")
-
-    def __init__(self) -> None:
-        self.events: List[ActionEvent] = []
-        self.wire_bytes = 0
-        self.traffic_class = "other"
-        self._total = 0
-
-    def record(self, kind: ActionKind, cost_ns: float) -> None:
-        event = _EVENTS.get((kind, cost_ns))
-        if event is None:
-            location = ACTION_LOCATION[kind]
-            event = _EVENTS[kind, cost_ns] = ActionEvent(
-                kind, cost_ns, location,
-                SpanEvent(kind.value, cost_ns, location.value),
-            )
-        self.events.append(event)
-        self._total += cost_ns
-
-    def total_ns(self) -> float:
-        return self._total
-
-    def needs_userspace(self) -> bool:
-        return any(e.location is ExecLocation.USERSPACE for e in self.events)
-
-    def kinds(self) -> List[ActionKind]:
-        return [event.kind for event in self.events]
+#: The one event per distinct ``(kind, cost_ns)`` recorded in this process:
+#: a shared, frozen value (compare it, never mutate it).
+_EVENTS: Dict[Tuple[ActionKind, float], SpanEvent] = {}
 
 
 #: Closed slots a :class:`SlotRing` still holds.  Private, not a knob: the
@@ -244,13 +194,26 @@ _PAYLOAD_FIELDS = frozenset({"payload", "compression", "num_prb"})
 
 
 class ActionContext:
-    """The per-packet action API handed to middlebox handlers.
+    """The per-packet action API handed to middlebox handlers, and the
+    packet's only record.
 
     Collects emissions (the packets leaving the middlebox, after A1
-    resolution) and records an :class:`ActionTrace`.  Handlers call these
-    methods instead of mutating packets ad hoc, which is what makes the
-    latency/datapath accounting of Figures 15-16 possible.
+    resolution) and the actions applied, plus the packet's wire size and
+    Figure 15b traffic class once a middlebox processed it.  Handlers call
+    these methods instead of mutating packets ad hoc, which is what makes
+    the latency/datapath accounting of Figures 15-16 possible.  Nothing
+    keeps a context after ``process()`` returns it; the figures that read
+    contexts collect them through :func:`repro.eval.kit.run_recorded`.
+
+    Slotted, since one is allocated per packet per stage.  The modelled
+    total is kept running: added in record order from 0, exactly what
+    summing the events in order gives.
     """
+
+    __slots__ = (
+        "cache_store", "cost", "emissions", "events", "wire_bytes",
+        "traffic_class", "_total",
+    )
 
     def __init__(
         self,
@@ -259,8 +222,27 @@ class ActionContext:
     ):
         self.cache_store = cache
         self.cost = cost_model
-        self.trace = ActionTrace()
         self.emissions: List[FronthaulPacket] = []
+        self.events: List[SpanEvent] = []
+        self.wire_bytes = 0
+        self.traffic_class = "other"
+        self._total = 0
+
+    def record(self, kind: ActionKind, cost_ns: float) -> None:
+        event = _EVENTS.get((kind, cost_ns))
+        if event is None:
+            event = _EVENTS[kind, cost_ns] = SpanEvent(
+                kind.value, cost_ns, ACTION_LOCATION[kind].value
+            )
+        self.events.append(event)
+        self._total += cost_ns
+
+    def total_ns(self) -> float:
+        return self._total
+
+    def needs_userspace(self) -> bool:
+        userspace = ExecLocation.USERSPACE.value
+        return any(e.location == userspace for e in self.events)
 
     # -- A1: redirection and drop -------------------------------------------
 
@@ -275,11 +257,11 @@ class ActionContext:
             packet.eth.dst = dst
         if src is not None:
             packet.eth.src = src
-        self.trace.record(ActionKind.ROUTE, self.cost.forward_ns)
+        self.record(ActionKind.ROUTE, self.cost.forward_ns)
         self.emissions.append(packet)
 
     def drop(self, packet: FronthaulPacket) -> None:
-        self.trace.record(ActionKind.DROP, self.cost.drop_ns)
+        self.record(ActionKind.DROP, self.cost.drop_ns)
 
     # -- A2: replication -------------------------------------------------------
 
@@ -287,7 +269,7 @@ class ActionContext:
         """Clone a packet ``copies`` times (the original stays usable)."""
         if copies < 0:
             raise ValueError("copies must be non-negative")
-        self.trace.record(
+        self.record(
             ActionKind.REPLICATE, self.cost.replicate_ns_per_copy * copies
         )
         return [packet.clone() for _ in range(copies)]
@@ -297,32 +279,26 @@ class ActionContext:
     def cache_put(
         self, key: Hashable, packet: FronthaulPacket, tag: Hashable = None
     ) -> int:
-        self.trace.record(ActionKind.CACHE_PUT, self.cost.cache_ns)
+        self.record(ActionKind.CACHE_PUT, self.cost.cache_ns)
         return self.cache_store.put(key, packet, tag)
 
     def cache_pop_all(
         self, key: Hashable
     ) -> List[Tuple[Hashable, FronthaulPacket]]:
-        self.trace.record(ActionKind.CACHE_GET, self.cost.cache_lookup_ns)
+        self.record(ActionKind.CACHE_GET, self.cost.cache_lookup_ns)
         return self.cache_store.pop_all(key)
-
-    def cache_peek(
-        self, key: Hashable
-    ) -> List[Tuple[Hashable, FronthaulPacket]]:
-        self.trace.record(ActionKind.CACHE_GET, self.cost.cache_lookup_ns)
-        return self.cache_store.peek(key)
 
     # -- A4: inspection and modification ----------------------------------------
 
     def inspect(self, packet: FronthaulPacket) -> FronthaulPacket:
         """Read-only access to header fields (cost-tagged)."""
-        self.trace.record(ActionKind.INSPECT, self.cost.inspect_ns)
+        self.record(ActionKind.INSPECT, self.cost.inspect_ns)
         return packet
 
     def set_ru_port(self, packet: FronthaulPacket, ru_port: int) -> None:
         """Remap the eAxC RU-port id (the dMIMO antenna remap)."""
         packet.ecpri.eaxc = packet.ecpri.eaxc.with_ru_port(ru_port)
-        self.trace.record(ActionKind.HEADER_MODIFY, self.cost.header_modify_ns)
+        self.record(ActionKind.HEADER_MODIFY, self.cost.header_modify_ns)
 
     def set_cplane_num_prb(
         self, packet: FronthaulPacket, num_prb: int, start_prb: int = 0
@@ -334,7 +310,7 @@ class ActionContext:
         for section in message.sections:
             section.start_prb = start_prb
             section.num_prb = num_prb
-        self.trace.record(ActionKind.HEADER_MODIFY, self.cost.header_modify_ns)
+        self.record(ActionKind.HEADER_MODIFY, self.cost.header_modify_ns)
 
     def set_section_fields(self, packet: FronthaulPacket, **fields) -> None:
         """Rewrite section header fields (freqOffset, sectionId, ...).
@@ -354,11 +330,11 @@ class ActionContext:
                 if not hasattr(section, name):
                     raise AttributeError(f"section has no field {name!r}")
                 setattr(section, name, value)
-        self.trace.record(ActionKind.HEADER_MODIFY, self.cost.header_modify_ns)
+        self.record(ActionKind.HEADER_MODIFY, self.cost.header_modify_ns)
 
     def read_exponents(self, section: UPlaneSection) -> np.ndarray:
         """Per-PRB BFP exponents without decompressing (Algorithm 1)."""
-        self.trace.record(
+        self.record(
             ActionKind.READ_EXPONENTS,
             self.cost.exponent_read_ns_per_prb * section.num_prb,
         )
@@ -369,13 +345,13 @@ class ActionContext:
     ) -> np.ndarray:
         """``decoded``: the section's samples the caller already holds (DU
         copies of one RU section): recorded, not decoded again."""
-        self.trace.record(
+        self.record(
             ActionKind.DECOMPRESS, self.cost.decompress_cost(section.num_prb)
         )
         return section.iq_samples() if decoded is None else decoded
 
     def compress(self, section: UPlaneSection, samples: np.ndarray) -> UPlaneSection:
-        self.trace.record(
+        self.record(
             ActionKind.COMPRESS, self.cost.compress_cost(section.num_prb)
         )
         return section.replace_payload(samples)
@@ -403,7 +379,7 @@ class ActionContext:
             if section.compression != first.compression:
                 raise ValueError("cannot merge mixed compression configs")
         merged = UPlaneSection.merged(sections)
-        self.trace.record(
+        self.record(
             ActionKind.IQ_MERGE,
             self.cost.merge_cost(first.num_prb, len(sections)),
         )
@@ -424,7 +400,7 @@ class ActionContext:
         misaligned grids must decompress, shift, and recompress
         (Section 4.3, Figure 6).
         """
-        self.trace.record(
+        self.record(
             ActionKind.PRB_COPY, self.cost.prb_copy_cost(num_prb, aligned)
         )
         if aligned:
@@ -477,7 +453,7 @@ class ActionContext:
         into it, but zero-copy: the new section's payload is a view over
         the source's wire bytes.
         """
-        self.trace.record(
+        self.record(
             ActionKind.PRB_COPY, self.cost.prb_copy_cost(num_prb, True)
         )
         view = source.prb_payload_view(source_start_prb, num_prb)
@@ -514,7 +490,7 @@ class ActionContext:
                 raise ValueError("aligned assembly requires identical compression")
             if not (0 <= dest_index and dest_index + source.num_prb <= num_prb):
                 raise ValueError("destination PRB range out of bounds")
-            self.trace.record(
+            self.record(
                 ActionKind.PRB_COPY,
                 self.cost.prb_copy_cost(source.num_prb, True),
             )

@@ -3,13 +3,14 @@
 RANBooster was implemented on both DPDK (kernel bypass, poll-mode, a full
 core per queue) and XDP (in-kernel, interrupt-driven, with a userspace
 AF_XDP component for heavyweight actions).  These models translate the
-per-packet :class:`~repro.core.actions.ActionTrace` records into CPU time,
-utilization and deadline behaviour:
+per-packet records — the :class:`~repro.core.actions.ActionContext` each
+processed packet ran in — into CPU time, utilization and deadline
+behaviour:
 
 - **DPDK**: per-packet time is the plain sum of action costs; utilization
   is always 100% because of the poll-mode driver.
-- **XDP**: kernel-capable actions pay an eBPF factor; packets whose trace
-  needs a userspace action additionally pay the AF_XDP redirect, wakeup
+- **XDP**: kernel-capable actions pay an eBPF factor; packets that record
+  a userspace action additionally pay the AF_XDP redirect, wakeup
   syscall, and copy; jumbo frames pay a multi-buffer penalty; utilization
   is traffic-proportional because the driver is interrupt-driven.
 """
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.core.actions import ActionTrace, ExecLocation
+from repro.core.actions import ActionContext, ExecLocation
 from repro.core.latency import DEFAULT_XDP_OVERHEADS, XdpOverheads
 from repro.obs.deadline import SLOT_BUDGET_NS
 
@@ -29,14 +30,6 @@ from repro.obs.deadline import SLOT_BUDGET_NS
 class DatapathKind(enum.Enum):
     DPDK = "dpdk"
     XDP = "xdp"
-
-
-@dataclass
-class PacketWork:
-    """One packet's workload as seen by a datapath."""
-
-    trace: ActionTrace
-    wire_bytes: int
 
 
 class DpdkDatapath:
@@ -48,23 +41,16 @@ class DpdkDatapath:
 
     kind = DatapathKind.DPDK
 
-    def packet_time_ns(self, work: PacketWork) -> float:
-        return work.trace.total_ns()
+    def packet_time_ns(self, ctx: ActionContext) -> float:
+        return ctx.total_ns()
 
     def cpu_utilization(
-        self, works: Iterable[PacketWork], interval_ns: float, cores: int = 1
+        self, contexts: Iterable[ActionContext], interval_ns: float, cores: int = 1
     ) -> float:
         """Utilization of the polling core(s): always fully busy."""
         if cores < 1:
             raise ValueError("at least one core required")
         return 1.0
-
-    def busy_fraction(
-        self, works: Iterable[PacketWork], interval_ns: float, cores: int = 1
-    ) -> float:
-        """Fraction of cycles doing useful work (vs empty polling)."""
-        total = sum(self.packet_time_ns(w) for w in works)
-        return min(total / (interval_ns * cores), 1.0)
 
 
 class XdpDatapath:
@@ -75,27 +61,27 @@ class XdpDatapath:
     def __init__(self, overheads: XdpOverheads = DEFAULT_XDP_OVERHEADS):
         self.overheads = overheads
 
-    def packet_time_ns(self, work: PacketWork) -> float:
+    def packet_time_ns(self, ctx: ActionContext) -> float:
         o = self.overheads
         kernel_ns = sum(
             e.cost_ns
-            for e in work.trace.events
-            if e.location is ExecLocation.KERNEL
+            for e in ctx.events
+            if e.location == ExecLocation.KERNEL.value
         )
         user_ns = sum(
             e.cost_ns
-            for e in work.trace.events
-            if e.location is ExecLocation.USERSPACE
+            for e in ctx.events
+            if e.location == ExecLocation.USERSPACE.value
         )
         time_ns = o.interrupt_ns + kernel_ns * o.kernel_factor
-        if work.trace.needs_userspace():
+        if ctx.needs_userspace():
             time_ns += (
                 o.af_xdp_redirect_ns
                 + o.wakeup_syscall_ns
-                + o.copy_ns_per_kb * (work.wire_bytes / 1024.0)
+                + o.copy_ns_per_kb * (ctx.wire_bytes / 1024.0)
                 + user_ns
             )
-        if work.wire_bytes > o.jumbo_threshold_bytes:
+        if ctx.wire_bytes > o.jumbo_threshold_bytes:
             time_ns += o.jumbo_multibuffer_ns
         return time_ns
 
@@ -106,12 +92,12 @@ class XdpDatapath:
         return wire_bytes <= max_mtu
 
     def cpu_utilization(
-        self, works: Iterable[PacketWork], interval_ns: float, cores: int = 1
+        self, contexts: Iterable[ActionContext], interval_ns: float, cores: int = 1
     ) -> float:
         """Interrupt-driven: utilization tracks offered load."""
         if interval_ns <= 0:
             raise ValueError("interval must be positive")
-        total = sum(self.packet_time_ns(w) for w in works)
+        total = sum(self.packet_time_ns(ctx) for ctx in contexts)
         return min(total / (interval_ns * cores), 1.0)
 
 

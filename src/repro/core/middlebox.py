@@ -4,8 +4,7 @@ Developers subclass :class:`Middlebox` and implement ``on_cplane`` /
 ``on_uplane`` handlers using the :class:`~repro.core.actions.ActionContext`
 API.  The base class supplies everything else: the packet cache and the
 per-slot ring it is built on, closed once a slot, telemetry and
-management interfaces, statistics, the per-packet action traces the
-datapath models consume, and the flight-recorder instrumentation
+management interfaces, statistics, and the flight-recorder instrumentation
 (:mod:`repro.obs`) every packet is accounted against when observability
 is enabled.  All four reference applications of the paper (and this repo)
 are built from this one template.
@@ -13,12 +12,11 @@ are built from this one template.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro import obs as obs_module
-from repro.core.actions import ActionContext, ActionTrace, PacketCache, SlotRing
+from repro.core.actions import ActionContext, PacketCache, SlotRing
 from repro.core.latency import DEFAULT_COST_MODEL, ActionCostModel
 from repro.core.management import ManagementInterface
 from repro.core.telemetry import TelemetryBus
@@ -26,10 +24,6 @@ from repro.fronthaul.cplane import Direction
 from repro.fronthaul.packet import FronthaulPacket
 from repro.obs import Observability
 from repro.obs.metrics import declare
-
-#: Traces each middlebox retains (newest win).  Private, not a knob: the
-#: largest reader, Figure 16, needs 1,449 records per box (DESIGN.md).
-_TRACE_RING = 4096
 
 #: Figure 15b's four traffic classes, indexed ``[downlink][cplane]``.
 _TRAFFIC_CLASSES = (
@@ -145,10 +139,6 @@ class Middlebox:
         self.slot_state = SlotRing()
         self.management = ManagementInterface(owner=self.name)
         self.stats = MiddleboxStats()
-        #: The per-packet record (actions, wire bytes, traffic class) of
-        #: the most recent packets: a bounded ring, so a long run holds a
-        #: constant amount.  Figures read it via :meth:`complete_traces`.
-        self.traces: Deque[ActionTrace] = deque(maxlen=_TRACE_RING)
         #: Position in an enclosing chain (set by MiddleboxChain).
         self.chain_stage: int = 0
 
@@ -179,19 +169,19 @@ class Middlebox:
 
     def process(self, packet: FronthaulPacket) -> ActionContext:
         """Run one packet through the handler; returns the context it ran
-        (``emissions``, ``trace``).
+        (``emissions``, ``events``, ``wire_bytes``, ``traffic_class``).
 
-        Allocates the context and its trace (the record ``traces`` keeps)
-        — nothing else per packet: the events are shared values, the
-        modelled total is kept running, and the counters are adds here.
+        Allocates the context — the packet's one record, which the box
+        does not keep — and nothing else per packet: the events are
+        shared values, the modelled total is kept running, and the
+        counters are adds here.
         """
         obs = self.obs
         recording = obs.enabled
         start_ns = obs.clock() if recording else 0
         stats = self.stats
         ctx = ActionContext(self.cache, self.cost_model)
-        trace = ctx.trace
-        trace.wire_bytes = wire_bytes = packet.wire_size
+        ctx.wire_bytes = wire_bytes = packet.wire_size
         stats.rx_packets += 1
         stats.rx_bytes += wire_bytes
         cplane = packet.is_cplane
@@ -199,7 +189,7 @@ class Middlebox:
             self.on_cplane(ctx, packet)
         else:
             self.on_uplane(ctx, packet)
-        trace.traffic_class = _TRAFFIC_CLASSES[
+        ctx.traffic_class = _TRAFFIC_CLASSES[
             packet.direction is Direction.DOWNLINK
         ][cplane]
         emissions = ctx.emissions
@@ -212,26 +202,11 @@ class Middlebox:
             stats.tx_bytes += tx_bytes
         else:
             tx_bytes = stats.account_tx(emissions)
-        modeled_ns = trace.total_ns()
+        modeled_ns = ctx.total_ns()
         stats.processing_ns_total += modeled_ns
-        self.traces.append(trace)
         if recording:
             self._observe(obs, packet, ctx, tx_bytes, modeled_ns, start_ns)
         return ctx
-
-    def complete_traces(self) -> List[ActionTrace]:
-        """The trace of every packet received so far, oldest first.
-
-        Raises if the ring no longer holds them all (evicted, or a
-        handler raised before its trace was kept): a figure must never
-        be computed from a partial record.
-        """
-        if len(self.traces) != self.stats.rx_packets:
-            raise RuntimeError(
-                f"{self.name}: {len(self.traces)} traces retained for "
-                f"{self.stats.rx_packets} packets (ring of {_TRACE_RING})"
-            )
-        return list(self.traces)
 
     def _observe(
         self,
@@ -245,14 +220,13 @@ class Middlebox:
         """Account one processed packet in the metrics registry and, when
         sampled, leave a span row in the flight recorder."""
         wall_ns = obs.clock() - start_ns
-        trace = ctx.trace
-        traffic_class = trace.traffic_class
+        traffic_class = ctx.traffic_class
         emitted = bool(ctx.emissions)
         packets, rx_bytes, modeled, wall, outcome = obs.children(
             _packet_children, self.name, traffic_class, emitted
         )
         packets.inc()
-        rx_bytes.inc(trace.wire_bytes)
+        rx_bytes.inc(ctx.wire_bytes)
         outcome.inc(tx_bytes if emitted else 1)
         modeled.observe(modeled_ns)
         wall.observe(wall_ns)
@@ -271,7 +245,7 @@ class Middlebox:
                 modeled_ns,
                 float(wall_ns),
                 start_ns,
-                trace.events,
+                ctx.events,
                 len(ctx.emissions),
                 not emitted,
                 self.chain_stage,

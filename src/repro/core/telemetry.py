@@ -79,11 +79,5 @@ class TelemetryBus:
     def history(self, topic: str) -> List[TelemetryRecord]:
         return list(self._history[topic])
 
-    def latest(self, topic: str) -> TelemetryRecord:
-        history = self._history[topic]
-        if not history:
-            raise KeyError(f"no telemetry published on topic {topic!r}")
-        return history[-1]
-
     def topics(self) -> List[str]:
         return sorted(self._history)

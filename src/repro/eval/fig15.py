@@ -231,16 +231,13 @@ def run_fig15b(
     seed: int = 29,
 ) -> Fig15bResult:
     """Packet-level latency breakdown: run the real DAS middlebox on a
-    100 MHz cell and read its per-packet action traces."""
+    100 MHz cell and read the modelled total of every packet it ran."""
     breakdowns: List[LatencyBreakdown] = []
     for n_rus in ru_counts:
         du, rus = _das_cell(n_rus, seed)
         das = DasMiddlebox(du_mac=du.mac, ru_macs=[ru.mac for ru in rus])
-        kit.network([du], rus, [das]).run(n_slots)
         by_class: Dict[str, List[float]] = {}
-        for trace in das.complete_traces():
-            by_class.setdefault(trace.traffic_class, []).append(
-                trace.total_ns()
-            )
+        for ctx in kit.run_recorded(kit.network([du], rus, [das]), das, n_slots):
+            by_class.setdefault(ctx.traffic_class, []).append(ctx.total_ns())
         breakdowns.append(LatencyBreakdown(n_rus=n_rus, by_class=by_class))
     return Fig15bResult(breakdowns=breakdowns)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.core.datapath import DpdkDatapath, PacketWork, XdpDatapath
+from repro.core.datapath import DpdkDatapath, XdpDatapath
 from repro.eval import kit
 from repro.eval.report import format_table
 from repro.ran.stacks import SRSRAN, VendorProfile
@@ -95,14 +95,10 @@ def run_fig16(
                 )
             )
             middlebox = _build_app(app, du, rus)
-            kit.network([du], rus, [middlebox]).run(n_slots)
-            interval_ns = n_slots * du.cell.numerology.slot_duration_ns
-            works = [
-                PacketWork(trace, trace.wire_bytes)
-                for trace in middlebox.complete_traces()
-            ]
-            dpdk[app][condition] = dpdk_model.cpu_utilization(
-                works, interval_ns
+            contexts = kit.run_recorded(
+                kit.network([du], rus, [middlebox]), middlebox, n_slots
             )
-            xdp[app][condition] = xdp_model.cpu_utilization(works, interval_ns)
+            interval_ns = n_slots * du.cell.numerology.slot_duration_ns
+            dpdk[app][condition] = dpdk_model.cpu_utilization(contexts, interval_ns)
+            xdp[app][condition] = xdp_model.cpu_utilization(contexts, interval_ns)
     return Fig16Result(dpdk=dpdk, xdp=xdp)

@@ -1,6 +1,6 @@
 """The experiment kit: what every gate and packet-level figure is made of.
 
-Four pieces, each existing once:
+Five pieces, each existing once:
 
 - **Spec fragments** — :func:`flow`, :func:`cell` and :func:`scenario`
   build the plain-data cell/UE/flow description every canonical
@@ -11,6 +11,9 @@ Four pieces, each existing once:
   ``src/``; :func:`network` puts them behind a middlebox chain.  Seeds
   are explicit in the fragment, so a site's ids, MACs and RNG streams
   are exactly what it asks for.
+- **The record** — :func:`run_recorded` runs a network and returns every
+  :class:`~repro.core.actions.ActionContext` one middlebox processed:
+  the per-packet record Figures 15b and 16 are computed from.
 - **The gate ledger** — :class:`Gate` is "named checks, recorded where
   they are computed", with the one ``assert_healthy`` and the one
   check-line formatter.
@@ -23,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.actions import ActionContext
 from repro.core.middlebox import Middlebox
 from repro.ran.du import DistributedUnit
 from repro.ran.ru import RadioUnit
@@ -131,6 +135,42 @@ def network(
     for radio in rus:
         net.add_ru(radio)
     return net
+
+
+# -- the record ---------------------------------------------------------------
+
+
+def run_recorded(
+    net: FronthaulNetwork, middlebox: Middlebox, n_slots: int
+) -> List[ActionContext]:
+    """Run ``net`` for ``n_slots`` and return the context of every packet
+    ``middlebox`` received, oldest first.
+
+    A box keeps no record: for the run, the instance's ``process`` is
+    wrapped to collect what each call returns (the chain looks it up per
+    stage call), and the wrapper is removed afterwards.  Raises
+    ``RuntimeError`` unless there is one context per packet the box
+    received (a handler raised on one): a figure must never be computed
+    from a partial record.
+    """
+    contexts: List[ActionContext] = []
+    process = middlebox.process
+
+    def recording(packet):
+        contexts.append(process(packet))
+        return contexts[-1]
+
+    middlebox.process = recording
+    try:
+        net.run(n_slots)
+    finally:
+        del middlebox.process
+    if len(contexts) != middlebox.stats.rx_packets:
+        raise RuntimeError(
+            f"{middlebox.name}: {len(contexts)} contexts recorded for "
+            f"{middlebox.stats.rx_packets} packets received"
+        )
+    return contexts
 
 
 # -- the gate ledger ----------------------------------------------------------

@@ -60,7 +60,11 @@ class SpanKey:
 
 @dataclass(frozen=True, slots=True)
 class SpanEvent:
-    """One action inside a span: kind, modelled cost, execution location."""
+    """One recorded action: kind, modelled cost, execution location.
+
+    A shared, frozen value: :mod:`repro.core.actions` builds one per
+    distinct action and every packet that records it holds that object.
+    """
 
     kind: str
     cost_ns: float
@@ -115,9 +119,9 @@ class FlightRecorder:
     A row is the flat tuple one sampled packet records: ``(eaxc, frame,
     subframe, slot, symbol, direction, seq, middlebox, class,
     modeled_ns, wall_ns, start_ns, events, emitted, dropped, stage)``,
-    where ``events`` is the packet trace's own list of shared action
-    events (each carrying its :class:`SpanEvent` as ``.span``).  A row
-    the streaming fold received ends with its ``(group, shard)`` stamp.
+    where ``events`` is the packet context's own list of shared
+    :class:`SpanEvent` values.  A row the streaming fold received ends
+    with its ``(group, shard)`` stamp.
     :meth:`spans` and the exports build :class:`PacketSpan` views on
     read; nothing on the write path builds an object.
 
@@ -148,7 +152,7 @@ class FlightRecorder:
             PacketSpan(
                 SpanKey(*row[:7], *row[16:]),
                 *row[7:12],
-                tuple([event.span for event in row[12]]),
+                tuple(row[12]),
                 *row[13:16],
             )
             for row in self._rows

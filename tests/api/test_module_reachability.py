@@ -14,9 +14,15 @@ nothing under ``src/repro`` is executed — that keeps two promises:
 (b) every ``repro.*`` name a file under ``bench/``, ``benchmarks/`` or
     ``examples/`` imports exists.  No test or CI job runs the examples,
     so without this a deletion could break one silently.
+(c) every public method of a class in ``src/repro/core`` is *called*:
+    its name is referenced (an attribute, a name or a ``getattr``
+    string) somewhere in ``src/``, ``bench/`` or ``examples/`` outside
+    its own ``def``.  The check is by name, so it is coarse; what it
+    catches is a method only ``tests/`` still calls.
 
 A new module therefore needs an importer outside ``tests/`` or a line in
-:data:`ALLOWED` saying why it has none.
+:data:`ALLOWED` saying why it has none; a core method nothing but tests
+calls needs a line in :data:`METHODS_ALLOWED`.
 """
 
 from __future__ import annotations
@@ -40,6 +46,16 @@ ALLOWED = {
     "repro.conformance.generators":
         "the Hypothesis strategies tests/ draws wire objects and specs from",
 }
+
+#: ``Class.method`` of ``src/repro/core`` that nothing outside tests/
+#: calls, on purpose, and why.
+METHODS_ALLOWED = {
+    "XdpDatapath.supports_frame":
+        "Section 6.4.1's XDP frame limit, asserted by tests/core/test_datapath.py "
+        "and tests/eval/test_eval_utilities.py",
+}
+#: Where a core method's callers may live (``benchmarks/`` is timing only).
+METHOD_CALLER_DIRS = ("src", "bench", "examples")
 
 
 def _discover() -> Dict[str, Path]:
@@ -194,3 +210,73 @@ def test_every_repro_name_a_consumer_imports_exists():
         if _home(base, name) is None
     ]
     assert not broken, "imports of names that do not exist:\n" + "\n".join(broken)
+
+
+def _core_methods() -> Dict[str, str]:
+    """``Class.method`` -> method name of every public method defined in a
+    class body of a ``src/repro/core`` module."""
+    methods = {}
+    for path in sorted((SRC / "repro" / "core").glob("*.py")):
+        for node in _tree(path).body:
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                        not item.name.startswith("_")
+                    ):
+                        methods[f"{node.name}.{item.name}"] = item.name
+    return methods
+
+
+def _referenced_names() -> Set[str]:
+    """Every identifier a caller file references, a reference inside a
+    ``def`` of the same name (the method's own body) excepted."""
+    names: Set[str] = set()
+
+    def visit(node: ast.AST, enclosing: Tuple[str, ...]) -> None:
+        if isinstance(node, ast.Attribute):
+            found = node.attr
+        elif isinstance(node, ast.Name):
+            found = node.id
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found = node.value
+        else:
+            found = None
+        if found is not None and found not in enclosing:
+            names.add(found)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = enclosing + (node.name,)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    for directory in METHOD_CALLER_DIRS:
+        for path in sorted((REPO / directory).rglob("*.py")):
+            visit(_tree(path), ())
+    return names
+
+
+def test_every_core_method_is_called_outside_tests():
+    referenced = _referenced_names()
+    uncalled = sorted(
+        qualified
+        for qualified, name in _core_methods().items()
+        if name not in referenced and qualified not in METHODS_ALLOWED
+    )
+    assert not uncalled, (
+        "nothing in src/, bench/ or examples/ calls these repro.core "
+        f"methods (tests/ does not count): {uncalled}; call them where "
+        "they matter, delete them with their tests, or add them to "
+        "METHODS_ALLOWED with the reason"
+    )
+
+
+def test_method_allow_list_names_uncalled_methods_that_exist():
+    methods = _core_methods()
+    referenced = _referenced_names()
+    stale = sorted(
+        qualified
+        for qualified in METHODS_ALLOWED
+        if qualified not in methods or methods[qualified] in referenced
+    )
+    assert not stale, (
+        f"METHODS_ALLOWED entries that are gone or now called: {stale}"
+    )

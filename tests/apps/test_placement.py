@@ -2,7 +2,7 @@
 
 The XDP implementations place DAS and RU sharing in userspace (IQ work)
 and dMIMO and PRB monitoring in the kernel (header work only).  We assert
-both the declared design placement and that the *measured* action traces
+both the declared design placement and that the *measured* actions
 of each app's data path agree with it.
 """
 
@@ -40,11 +40,12 @@ class TestDeclaredPlacement:
 
 
 class TestMeasuredPlacement:
-    """The action traces of each app's uplink data path match Table 1."""
+    """The recorded actions of each app's uplink data path match Table 1."""
 
     def test_das_uplink_needs_userspace(self, rng, du_mac):
         rus = [MacAddress.from_int(0x20 + i) for i in range(2)]
         das = DasMiddlebox(du_mac=du_mac, ru_macs=rus)
+        contexts = []
         for mac in rus:
             section = UPlaneSection.from_samples(
                 0, 0, random_prb_samples(rng, 4)
@@ -55,8 +56,8 @@ class TestMeasuredPlacement:
                               time=SymbolTime(0, 0, 0, 5),
                               sections=[section]),
             )
-            das.process(packet)
-        assert any(trace.needs_userspace() for trace in das.traces)
+            contexts.append(das.process(packet))
+        assert any(ctx.needs_userspace() for ctx in contexts)
 
     def test_dmimo_data_path_stays_in_kernel(self, rng, du_mac):
         ru = MacAddress.from_int(0x31)
@@ -70,8 +71,7 @@ class TestMeasuredPlacement:
                           time=SymbolTime(0, 0, 0, 1), sections=[section]),
             eaxc=EAxCId(du_port=0, ru_port=1),
         )
-        dmimo.process(packet)
-        assert not any(trace.needs_userspace() for trace in dmimo.traces)
+        assert not dmimo.process(packet).needs_userspace()
 
     def test_monitor_stays_in_kernel(self, rng, du_mac, ru_mac):
         monitor = PrbMonitorMiddlebox(carrier_num_prb=8)
@@ -81,8 +81,7 @@ class TestMeasuredPlacement:
             UPlaneMessage(direction=Direction.DOWNLINK,
                           time=SymbolTime(0, 0, 0, 0), sections=[section]),
         )
-        monitor.process(packet)
-        assert not any(trace.needs_userspace() for trace in monitor.traces)
+        assert not monitor.process(packet).needs_userspace()
 
     def test_sharing_uplink_needs_userspace(self, rng):
         ru_grid = PrbGrid(3.46e9, 273)
@@ -99,7 +98,7 @@ class TestMeasuredPlacement:
             CPlaneMessage(direction=Direction.UPLINK, time=time,
                           sections=[CPlaneSection(0, 0, 106)]),
         )
-        sharing.process(cplane)
+        contexts = [sharing.process(cplane)]
         section = UPlaneSection.from_samples(
             0, 0, random_prb_samples(rng, 273)
         )
@@ -108,5 +107,5 @@ class TestMeasuredPlacement:
             UPlaneMessage(direction=Direction.UPLINK, time=time,
                           sections=[section]),
         )
-        sharing.process(uplink)
-        assert any(trace.needs_userspace() for trace in sharing.traces)
+        contexts.append(sharing.process(uplink))
+        assert any(ctx.needs_userspace() for ctx in contexts)

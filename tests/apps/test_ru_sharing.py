@@ -17,7 +17,7 @@ from repro.fronthaul.spectrum import PrbGrid, split_ru_spectrum
 from repro.fronthaul.timing import SymbolTime
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 
-from tests.conftest import random_prb_samples
+from tests.conftest import action_kinds, random_prb_samples
 
 RU_GRID = PrbGrid(3.46e9, 273)
 
@@ -256,7 +256,7 @@ class TestMisalignedSharing:
         monkeypatch.setattr(UPlaneSection, "iq_samples", counted)
         result = sharing.process(packet)
         assert len(decodes) == 1 and sharing.misaligned_copies == 2
-        assert result.trace.kinds() == [
+        assert action_kinds(result) == [
             ActionKind.REPLICATE,
             ActionKind.DECOMPRESS, ActionKind.ROUTE,
             ActionKind.DECOMPRESS, ActionKind.ROUTE,

@@ -128,8 +128,8 @@ class TestInterferenceDetection:
         assert [alert.prbs for alert in sensor.alerts] == [(3,)]
 
     def test_kernel_placement(self, sensor, rng, du_mac, ru_mac):
-        sensor.process(ul_uplane(rng, ru_mac, du_mac, hot_prbs=[20]))
-        assert not any(t.needs_userspace() for t in sensor.traces)
+        ctx = sensor.process(ul_uplane(rng, ru_mac, du_mac, hot_prbs=[20]))
+        assert not ctx.needs_userspace()
 
 
 def scalar_scan(sections, scheduled, threshold, carrier_num_prb):

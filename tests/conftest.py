@@ -47,3 +47,10 @@ def random_prb_samples(rng, n_prbs: int, amplitude: int = 4000) -> np.ndarray:
     return rng.integers(-amplitude, amplitude, size=(n_prbs, 24)).astype(
         np.int16
     )
+
+
+def action_kinds(ctx) -> list:
+    """The actions a context recorded, in order, as ``ActionKind``s."""
+    from repro.core.actions import ActionKind
+
+    return [ActionKind(event.kind) for event in ctx.events]

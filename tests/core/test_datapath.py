@@ -2,36 +2,36 @@
 
 import pytest
 
-from repro.core.actions import ActionKind, ActionTrace
+from repro.core.actions import ActionContext, ActionKind, PacketCache
 from repro.core.datapath import (
     DpdkDatapath,
-    PacketWork,
     XdpDatapath,
     cores_required,
 )
 from repro.core.latency import DEFAULT_COST_MODEL
 
 
-def trace_of(*kinds_costs):
-    trace = ActionTrace()
+def context_of(wire_bytes, *kinds_costs):
+    ctx = ActionContext(PacketCache())
+    ctx.wire_bytes = wire_bytes
     for kind, cost in kinds_costs:
-        trace.record(kind, cost)
-    return trace
+        ctx.record(kind, cost)
+    return ctx
 
 
 def kernel_work(wire_bytes=1000):
-    return PacketWork(
-        trace=trace_of((ActionKind.ROUTE, 50.0),
-                       (ActionKind.HEADER_MODIFY, 60.0)),
-        wire_bytes=wire_bytes,
+    return context_of(
+        wire_bytes,
+        (ActionKind.ROUTE, 50.0),
+        (ActionKind.HEADER_MODIFY, 60.0),
     )
 
 
 def userspace_work(wire_bytes=3000):
-    return PacketWork(
-        trace=trace_of((ActionKind.CACHE_PUT, 180.0),
-                       (ActionKind.IQ_MERGE, 5000.0)),
-        wire_bytes=wire_bytes,
+    return context_of(
+        wire_bytes,
+        (ActionKind.CACHE_PUT, 180.0),
+        (ActionKind.IQ_MERGE, 5000.0),
     )
 
 
@@ -83,12 +83,6 @@ class TestDpdk:
         datapath = DpdkDatapath()
         assert datapath.cpu_utilization([], 1e9) == 1.0
         assert datapath.cpu_utilization([kernel_work()], 1e9) == 1.0
-
-    def test_busy_fraction_tracks_load(self):
-        datapath = DpdkDatapath()
-        light = datapath.busy_fraction([kernel_work()] * 10, 1e6)
-        heavy = datapath.busy_fraction([kernel_work()] * 1000, 1e6)
-        assert heavy > light
 
     def test_requires_core(self):
         with pytest.raises(ValueError):

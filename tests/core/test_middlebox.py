@@ -1,13 +1,19 @@
 """Middlebox template tests."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.core.actions import ActionContext
 from repro.core.chain import MiddleboxChain
 from repro.core.middlebox import Middlebox
+from repro.eval import kit
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
 from repro.fronthaul.packet import make_packet
 from repro.fronthaul.timing import SymbolTime
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
+from repro.obs import Observability
 
 from tests.conftest import random_prb_samples
 
@@ -69,18 +75,16 @@ class TestProcessing:
     def test_traces_accumulate(self, rng, du_mac, ru_mac):
         box = Middlebox()
         packets = [uplane(rng, du_mac, ru_mac) for _ in range(3)]
-        for packet in packets:
-            box.process(packet)
-        assert len(box.traces) == 3
-        assert [t.wire_bytes for t in box.traces] == [
+        contexts = [box.process(packet) for packet in packets]
+        assert [ctx.wire_bytes for ctx in contexts] == [
             p.wire_size for p in packets
         ]
-        assert box.complete_traces() == list(box.traces)
+        assert box.stats.rx_packets == 3
         assert box.stats.processing_ns_total > 0
 
     def test_traffic_classification(self, rng, du_mac, ru_mac):
         def classify(packet):
-            return Middlebox().process(packet).trace.traffic_class
+            return Middlebox().process(packet).traffic_class
 
         assert classify(uplane(rng, du_mac, ru_mac)) == "DL U-Plane"
         assert classify(
@@ -96,12 +100,10 @@ class TestProcessing:
         u_ctx = box.process(uplane(rng, du_mac, ru_mac))
         c_ctx = box.process(cplane(du_mac, ru_mac))
         by_class = {}
-        for trace in box.traces:
-            by_class.setdefault(trace.traffic_class, []).append(trace)
-        assert by_class == {
-            "DL U-Plane": [u_ctx.trace], "DL C-Plane": [c_ctx.trace]
-        }
-        assert u_ctx.trace.traffic_class == "DL U-Plane"
+        for ctx in (u_ctx, c_ctx):
+            by_class.setdefault(ctx.traffic_class, []).append(ctx)
+        assert by_class == {"DL U-Plane": [u_ctx], "DL C-Plane": [c_ctx]}
+        assert u_ctx.traffic_class == "DL U-Plane"
 
     def test_emissions_are_what_the_next_stage_receives(
         self, rng, du_mac, ru_mac
@@ -129,26 +131,9 @@ class TestProcessing:
         assert len(emitted) == 4
         assert all(a is b for a, b in zip(emitted, received))
         assert all(a is b for a, b in zip(emitted, out))
-        assert [ctx.trace for ctx in contexts] == list(head.traces)
-
-    def test_trace_ring_is_bounded(self, du_mac, ru_mac):
-        """The memory contract, without a wall clock: however long the
-        run, a box holds ring-size traces, the counters stay exact, and
-        the figures' guard refuses an evicted ring."""
-        boxes = [Middlebox(name=f"stage{i}") for i in range(3)]
-        chain = MiddleboxChain(boxes)
-        ring = boxes[0].traces.maxlen
-        burst = [cplane(du_mac, ru_mac) for _ in range(ring)]
-        for _ in range(3):
-            chain.process_downlink(burst)
-        for box in boxes:
-            assert len(box.traces) == ring
-            assert box.stats.rx_packets == 3 * ring
-            with pytest.raises(RuntimeError, match="traces retained"):
-                box.complete_traces()
-        fresh = Middlebox()
-        fresh.process(cplane(du_mac, ru_mac))
-        assert len(fresh.complete_traces()) == 1
+        assert [ctx.wire_bytes for ctx in contexts] == [
+            p.wire_size for p in packets
+        ]
 
     def test_byte_accounting(self, rng, du_mac, ru_mac):
         box = Middlebox()
@@ -160,5 +145,94 @@ class TestProcessing:
     def test_telemetry_and_management_exist(self):
         box = Middlebox()
         box.telemetry.publish("t", 1)
-        assert box.telemetry.latest("t").payload == 1
+        assert box.telemetry.history("t")[-1].payload == 1
         assert box.management.owner == box.name
+
+
+def _live_contexts() -> int:
+    return sum(type(o) is ActionContext for o in gc.get_objects())
+
+
+class TestNoRetainedRecord:
+    """The context is the packet's one record, and nothing keeps it."""
+
+    @pytest.mark.parametrize("obs", [
+        Observability(), Observability(enabled=True, sample_every=1),
+    ], ids=["obs-off", "obs-sampled"])
+    def test_no_context_outlives_a_chain_burst(self, obs, du_mac, ru_mac):
+        boxes = [Middlebox(name=f"stage{i}", obs=obs) for i in range(3)]
+        chain = MiddleboxChain(boxes, obs=obs)
+        burst = [cplane(du_mac, ru_mac) for _ in range(16)]
+        gc.collect()
+        before = _live_contexts()
+        assert len(chain.process_downlink(burst)) == 16
+        # Counted without a collection: a context kept alive by a
+        # reference cycle would count here too.
+        assert _live_contexts() == before
+        assert all(box.stats.rx_packets == 16 for box in boxes)
+        if obs.enabled:
+            assert len(obs.recorder) == 3 * 16
+
+    def test_context_is_slotted_without_weakref(self):
+        ctx = ActionContext(Middlebox().cache)
+        assert not hasattr(ctx, "__dict__")
+        with pytest.raises(TypeError):
+            weakref.ref(ctx)
+
+    def test_recorder_row_holds_the_context_events(self, du_mac, ru_mac):
+        obs = Observability(enabled=True, sample_every=1)
+        ctx = Middlebox(obs=obs).process(cplane(du_mac, ru_mac))
+        (row,), dropped = obs.recorder.drain()
+        assert dropped == 0 and row[12] is ctx.events and ctx.events
+
+
+class Tap(Middlebox):
+    """Pass-through that remembers what it was handed, in order."""
+
+    def __init__(self, fail_on=None, **kwargs):
+        super().__init__(**kwargs)
+        self.received = []
+        self.fail_on = fail_on
+
+    def on_cplane(self, ctx, packet):
+        self._handle(ctx, packet)
+
+    def on_uplane(self, ctx, packet):
+        self._handle(ctx, packet)
+
+    def _handle(self, ctx, packet):
+        self.received.append(packet)
+        if len(self.received) == self.fail_on:
+            raise ValueError("handler fault")
+        ctx.forward(packet)
+
+
+def _tapped_network(tap):
+    du, rus = kit.endpoints(
+        kit.cell("tap", 1, [kit.flow("dl", 20.0), kit.flow("ul", 5.0)],
+                 seed=3)
+    )
+    return kit.network([du], rus, [tap])
+
+
+class TestRunRecorded:
+    def test_one_context_per_received_packet_in_order(self):
+        tap = Tap()
+        contexts = kit.run_recorded(_tapped_network(tap), tap, 2)
+        assert len(contexts) == tap.stats.rx_packets == len(tap.received) > 0
+        assert all(
+            ctx.emissions == [packet]
+            and ctx.wire_bytes == packet.wire_size
+            for ctx, packet in zip(contexts, tap.received)
+        )
+        assert {ctx.traffic_class for ctx in contexts} >= {
+            "DL U-Plane", "DL C-Plane"
+        }
+        assert "process" not in vars(tap)
+
+    def test_a_handler_fault_is_a_partial_record(self):
+        tap = Tap(fail_on=3)
+        with pytest.raises(RuntimeError, match="contexts recorded"):
+            kit.run_recorded(_tapped_network(tap), tap, 2)
+        assert tap.stats.rx_packets == len(tap.received) > 3
+        assert "process" not in vars(tap)

@@ -11,7 +11,7 @@ class TestTelemetryBus:
         bus = TelemetryBus()
         bus.publish("util", 0.5, timestamp_ns=10)
         bus.publish("util", 0.7, timestamp_ns=20)
-        assert bus.latest("util").payload == 0.7
+        assert bus.history("util")[-1].payload == 0.7
         assert [r.payload for r in bus.history("util")] == [0.5, 0.7]
 
     def test_subscribe_callback(self):
@@ -21,10 +21,6 @@ class TestTelemetryBus:
         bus.publish("util", 1)
         bus.publish("other", 2)
         assert seen == [1]
-
-    def test_latest_empty_raises(self):
-        with pytest.raises(KeyError):
-            TelemetryBus().latest("nothing")
 
     def test_history_bounded(self):
         bus = TelemetryBus(history_limit=10)
@@ -43,7 +39,7 @@ class TestTelemetryBus:
     def test_source_attribution(self):
         bus = TelemetryBus()
         bus.publish("t", 1, source="das-1")
-        assert bus.latest("t").source == "das-1"
+        assert bus.history("t")[-1].source == "das-1"
 
     def test_history_trims_oldest_first(self):
         bus = TelemetryBus(history_limit=3)

@@ -39,6 +39,7 @@ from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 from repro.scale import Scenario
 from repro.scale.build import build_groups
 from tests.conformance.builders import DST, SRC, uplane_packet
+from tests.conftest import action_kinds
 from tests.fronthaul.test_codec_kernels import ALL_CONFIGS, BLOCK, _IDS, corner_rows
 from tests.ran.test_slot_build import loaded_du, requested_ru, slot_items
 
@@ -265,8 +266,8 @@ class TestOneOperandMerge:
         assert merged.payload is operand.payload
         assert merged is not operand and merged._parse is operand._parse
         assert (merged.section_id, merged.prb_range) == (6, (20, 71))
-        assert ctx.trace.kinds() == [ActionKind.IQ_MERGE]
-        assert ctx.trace.total_ns() == ctx.cost.merge_cost(51, 1)
+        assert action_kinds(ctx) == [ActionKind.IQ_MERGE]
+        assert ctx.total_ns() == ctx.cost.merge_cost(51, 1)
         assert bytes(merged.payload) == scalar_merge(
             [operand.payload], 51, config.iq_width, config.comp_meth
         )
@@ -304,7 +305,7 @@ class TestOneOperandMergeRenormalises:
         merged, ctx = _merge([operand])
         assert bytes(merged.payload) == scalar_merge([slack], 4, 9)
         assert bytes(merged.payload) == canonical != slack
-        assert ctx.trace.kinds() == [ActionKind.IQ_MERGE]
+        assert action_kinds(ctx) == [ActionKind.IQ_MERGE]
 
     def test_one_bit_modcomp_is_never_forwarded(self):
         """The width where a second pass moves the bytes: the merge of

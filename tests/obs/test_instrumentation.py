@@ -135,7 +135,7 @@ class TestMiddleboxInstrumentation:
     def test_account_rx_counts_wire_bytes(self):
         box = Middlebox()
         frame = packet()
-        assert box.process(frame).trace.wire_bytes == frame.wire_size
+        assert box.process(frame).wire_bytes == frame.wire_size
         assert box.stats.rx_packets == 1
         assert box.stats.rx_bytes == frame.wire_size
 

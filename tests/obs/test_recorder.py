@@ -9,15 +9,15 @@ from typing import Deque, List
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.actions import ActionKind, ActionTrace
+from repro.core.actions import ActionContext, ActionKind, PacketCache
 from repro.obs import FlightRecorder, PacketSpan, SpanKey
 
 
 def trace_events(*kinds):
-    trace = ActionTrace()
+    ctx = ActionContext(PacketCache())
     for kind in kinds:
-        trace.record(kind, 50.0)
-    return trace.events
+        ctx.record(kind, 50.0)
+    return ctx.events
 
 
 def span(seq=0, middlebox="das", stage=0, direction="UL",
@@ -200,7 +200,7 @@ def object_span(row, stamp=()) -> PacketSpan:
         modeled_ns=modeled_ns,
         wall_ns=wall_ns,
         start_ns=start_ns,
-        events=tuple(event.span for event in events),
+        events=tuple(events),
         emitted=emitted,
         dropped=dropped,
         stage=stage,
