@@ -53,10 +53,6 @@ class RuPortMap:
         if any(n < 1 for _, n in self.groups):
             raise ValueError("every RU contributes at least one antenna")
 
-    @property
-    def total_ports(self) -> int:
-        return sum(n for _, n in self.groups)
-
     def to_local(self, global_port: int) -> Tuple[MacAddress, int]:
         """(ru_mac, local_port) owning a DU-side global port."""
         base = 0

@@ -75,9 +75,6 @@ class FronthaulGuardMiddlebox(Middlebox):
         self.alerts: List[SecurityAlert] = []
         self._flows: Dict[Tuple[int, int], _FlowState] = {}
 
-    def allow_source(self, mac: MacAddress) -> None:
-        self.allowed.add(mac.to_int())
-
     # -- handlers -------------------------------------------------------------
 
     def on_cplane(self, ctx: ActionContext, packet: FronthaulPacket) -> None:

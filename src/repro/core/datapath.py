@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.core.actions import ActionContext, ExecLocation
-from repro.core.latency import DEFAULT_XDP_OVERHEADS, XdpOverheads
+from repro.core.latency import DEFAULT_XDP_OVERHEADS
 from repro.obs.deadline import SLOT_BUDGET_NS
 
 
@@ -57,9 +57,7 @@ class XdpDatapath:
     """In-kernel interrupt-driven datapath with an AF_XDP userspace path."""
 
     kind = DatapathKind.XDP
-
-    def __init__(self, overheads: XdpOverheads = DEFAULT_XDP_OVERHEADS):
-        self.overheads = overheads
+    overheads = DEFAULT_XDP_OVERHEADS
 
     def packet_time_ns(self, ctx: ActionContext) -> float:
         o = self.overheads
@@ -85,11 +83,11 @@ class XdpDatapath:
             time_ns += o.jumbo_multibuffer_ns
         return time_ns
 
-    def supports_frame(self, wire_bytes: int, max_mtu: int = 3498) -> bool:
+    def supports_frame(self, wire_bytes: int) -> bool:
         """XDP multi-buffer limits: the paper notes the XDP version "can
         currently only handle smaller bandwidths" — 100 MHz frames exceed
-        the driver's supported frame size."""
-        return wire_bytes <= max_mtu
+        the driver's supported 3,498-byte frame."""
+        return wire_bytes <= 3498
 
     def cpu_utilization(
         self, contexts: Iterable[ActionContext], interval_ns: float, cores: int = 1

@@ -36,11 +36,10 @@ class SharingMathResult:
         )
 
 
-def run_sharing_math(
-    ru_center_hz: float = 3.46e9, du_prbs: Tuple[int, int] = (106, 106)
-) -> SharingMathResult:
+def run_sharing_math() -> SharingMathResult:
+    ru_center_hz = 3.46e9
     ru_grid = PrbGrid(ru_center_hz, 273)
-    grids = split_ru_spectrum(ru_grid, list(du_prbs))
+    grids = split_ru_spectrum(ru_grid, [106, 106])
     offsets = [ru_grid.offset_of(grid) for grid in grids]
     prach = []
     for grid in grids:

@@ -16,7 +16,7 @@ from repro.fronthaul.spectrum import PrbGrid, split_ru_spectrum
 from repro.phy.channel import ChannelModel
 from repro.phy.geometry import FloorPlan, Position
 from repro.ran.cell import CellConfig
-from repro.ran.stacks import SRSRAN, VendorProfile
+from repro.ran.stacks import SRSRAN
 from repro.ran.ue import AttachError, UserEquipment
 
 SATURATING_LOAD_MBPS = 2_000.0
@@ -55,11 +55,9 @@ class Fig10aResult:
         )
 
 
-def run_fig10a(
-    profile: VendorProfile = SRSRAN, seed: int = 7
-) -> Fig10aResult:
+def run_fig10a() -> Fig10aResult:
     plan = FloorPlan()
-    channel = ChannelModel(seed=seed)
+    channel = ChannelModel(seed=7)
     ground_ru = plan.ru_positions(0)[0]
     config = CellConfig(pci=1)
 
@@ -68,7 +66,7 @@ def run_fig10a(
 
     # -- baseline: one ground-floor RU, two near UEs --------------------------
     baseline = DeployedCell(
-        "baseline", config, [ground_ru], [4], mode="single", profile=profile
+        "baseline", config, [ground_ru], [4], mode="single", profile=SRSRAN
     )
     ue_a = UserEquipment("001010000000001", near(ground_ru, 3.0), channel=channel)
     ue_b = UserEquipment("001010000000002", near(ground_ru, -4.0), channel=channel)
@@ -101,7 +99,7 @@ def run_fig10a(
     # -- DAS: one RU per floor, one UE per floor -------------------------------
     das_rus = [plan.ru_positions(floor)[0] for floor in range(plan.floors)]
     das = DeployedCell(
-        "das", config, das_rus, [4] * len(das_rus), mode="das", profile=profile
+        "das", config, das_rus, [4] * len(das_rus), mode="das", profile=SRSRAN
     )
     das_ues = [
         UserEquipment(
@@ -168,11 +166,9 @@ class Fig10bResult:
         )
 
 
-def run_fig10b(
-    profile: VendorProfile = SRSRAN, seed: int = 7
-) -> Fig10bResult:
+def run_fig10b() -> Fig10bResult:
     plan = FloorPlan()
-    channel = ChannelModel(seed=seed)
+    channel = ChannelModel(seed=7)
     ru = plan.ru_positions(0)[1]
 
     def make_ue(suffix: str, dx: float) -> UserEquipment:
@@ -187,7 +183,7 @@ def run_fig10b(
         pci=5, bandwidth_hz=40_000_000, center_frequency_hz=3.43e9
     )
     dedicated = DeployedCell(
-        "dedicated", dedicated_config, [ru], [4], mode="single", profile=profile
+        "dedicated", dedicated_config, [ru], [4], mode="single", profile=SRSRAN
     )
     ue0 = make_ue("01", 3.0)
     res = evaluate_network(
@@ -214,7 +210,7 @@ def run_fig10b(
         )
         cells.append(
             DeployedCell(
-                f"mno_{name}", config, [ru], [4], mode="single", profile=profile
+                f"mno_{name}", config, [ru], [4], mode="single", profile=SRSRAN
             )
         )
         ue = make_ue(f"1{pci}", -3.0 if name == "A" else 4.0)

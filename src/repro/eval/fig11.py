@@ -25,7 +25,7 @@ from repro.eval.throughput import DeployedCell, UePlacement, evaluate_network
 from repro.phy.channel import ChannelModel
 from repro.phy.geometry import FloorPlan, Position, WalkPath
 from repro.ran.cell import CellConfig
-from repro.ran.stacks import SRSRAN, VendorProfile
+from repro.ran.stacks import SRSRAN
 from repro.ran.ue import UserEquipment
 
 MOBILE_LOAD_MBPS = 700.0
@@ -75,11 +75,9 @@ def _walk_positions(step_m: float) -> List[Position]:
     return list(WalkPath(floor=0).points(step_m))
 
 
-def run_fig11(
-    profile: VendorProfile = SRSRAN, step_m: float = 2.0, seed: int = 13
-) -> Fig11Result:
+def run_fig11(step_m: float = 2.0) -> Fig11Result:
     plan = FloorPlan()
-    channel = ChannelModel(seed=seed)
+    channel = ChannelModel(seed=13)
     rus = plan.ru_positions(0)
     static_position = Position(rus[0].x + 2.0, rus[0].y + 1.0, 0)
     walk = _walk_positions(step_m)
@@ -132,7 +130,7 @@ def run_fig11(
             [rus[i]],
             [4],
             mode="single",
-            profile=profile,
+            profile=SRSRAN,
         )
         for i in range(4)
     ]
@@ -144,7 +142,7 @@ def run_fig11(
             [rus[i]],
             [4],
             mode="single",
-            profile=profile,
+            profile=SRSRAN,
         )
         for i in range(4)
     ]
@@ -156,7 +154,7 @@ def run_fig11(
             list(rus),
             [4] * 4,
             mode="das",
-            profile=profile,
+            profile=SRSRAN,
         )
     ]
     return Fig11Result(

@@ -20,7 +20,7 @@ from repro.fronthaul.spectrum import PrbGrid, split_ru_spectrum
 from repro.phy.channel import ChannelModel
 from repro.phy.geometry import FloorPlan, WalkPath
 from repro.ran.cell import CellConfig
-from repro.ran.stacks import SRSRAN, VendorProfile
+from repro.ran.stacks import SRSRAN
 from repro.ran.ue import UserEquipment
 
 SATURATING_LOAD_MBPS = 1_000.0
@@ -50,11 +50,9 @@ class Fig12Result:
         )
 
 
-def run_fig12(
-    profile: VendorProfile = SRSRAN, step_m: float = 4.0, seed: int = 17
-) -> Fig12Result:
+def run_fig12(step_m: float = 4.0) -> Fig12Result:
     plan = FloorPlan()
-    channel = ChannelModel(seed=seed)
+    channel = ChannelModel(seed=17)
     rus = plan.ru_positions(0)
     ru_grid = PrbGrid(3.46e9, 273)
     grid_1, grid_2 = split_ru_spectrum(ru_grid, [106, 106])
@@ -73,7 +71,7 @@ def run_fig12(
                 list(rus),
                 [4] * len(rus),
                 mode="das",
-                profile=profile,
+                profile=SRSRAN,
             )
         )
 

@@ -20,7 +20,7 @@ from repro.eval.throughput import DeployedCell, UePlacement, evaluate_network
 from repro.phy.channel import ChannelModel, LinkBudget
 from repro.phy.geometry import FloorPlan, WalkPath
 from repro.ran.cell import CellConfig
-from repro.ran.stacks import SRSRAN, VendorProfile
+from repro.ran.stacks import SRSRAN
 from repro.ran.ue import UserEquipment
 
 SATURATING_LOAD_MBPS = 2_000.0
@@ -57,11 +57,9 @@ class Fig13Result:
         )
 
 
-def run_fig13(
-    profile: VendorProfile = SRSRAN, step_m: float = 3.0, seed: int = 19
-) -> Fig13Result:
+def run_fig13(step_m: float = 3.0) -> Fig13Result:
     plan = FloorPlan()
-    channel = ChannelModel(seed=seed)
+    channel = ChannelModel(seed=19)
     rus = plan.ru_positions(0)
     config_siso = CellConfig(pci=140, n_antennas=1, max_dl_layers=1)
     config_dmimo = CellConfig(pci=141, n_antennas=4, max_dl_layers=4)
@@ -72,7 +70,7 @@ def run_fig13(
         list(rus),
         [1] * 4,
         mode="das",
-        profile=profile,
+        profile=SRSRAN,
         budget=ONE_ANTENNA_RU_BUDGET,
     )
     dmimo_cell = DeployedCell(
@@ -81,7 +79,7 @@ def run_fig13(
         list(rus),
         [1] * 4,
         mode="dmimo",
-        profile=profile,
+        profile=SRSRAN,
         budget=ONE_ANTENNA_RU_BUDGET,
     )
     walk = list(WalkPath(floor=0).points(step_m))

@@ -20,7 +20,7 @@ from repro.eval.throughput import DeployedCell, UePlacement, evaluate_network
 from repro.phy.channel import ChannelModel, LinkBudget
 from repro.phy.geometry import FloorPlan, Position
 from repro.ran.cell import CellConfig
-from repro.ran.stacks import SRSRAN, VendorProfile
+from repro.ran.stacks import SRSRAN
 from repro.ran.ue import UserEquipment
 from repro.sim.power import (
     CORES_PER_CELL,
@@ -82,11 +82,9 @@ def _floor_ues(plan: FloorPlan, floor: int, channel: ChannelModel):
     ]
 
 
-def run_fig14(
-    profile: VendorProfile = SRSRAN, seed: int = 23
-) -> Fig14Result:
+def run_fig14() -> Fig14Result:
     plan = FloorPlan()
-    channel = ChannelModel(seed=seed)
+    channel = ChannelModel(seed=23)
     power_model = ServerPowerModel()
 
     # -- (a) one dMIMO cell per floor ----------------------------------------
@@ -97,7 +95,7 @@ def run_fig14(
             plan.ru_positions(floor),
             [1] * 4,
             mode="dmimo",
-            profile=profile,
+            profile=SRSRAN,
             budget=ONE_ANTENNA_RU_BUDGET,
         )
         for floor in range(plan.floors)
@@ -145,7 +143,7 @@ def run_fig14(
         all_rus,
         [1] * len(all_rus),
         mode="dmimo",
-        profile=profile,
+        profile=SRSRAN,
         budget=ONE_ANTENNA_RU_BUDGET,
     )
     placements_b = []

@@ -20,7 +20,7 @@ from typing import Dict, List
 
 from repro.apps.das import DasMiddlebox
 from repro.core.datapath import ScalabilityPoint, cores_required
-from repro.core.latency import DEFAULT_COST_MODEL, ActionCostModel
+from repro.core.latency import DEFAULT_COST_MODEL
 from repro.eval import kit
 from repro.eval.report import format_table
 from repro.obs import DeadlineAccountant, Observability, render_prometheus
@@ -28,10 +28,10 @@ from repro.obs.deadline import SLOT_BUDGET_NS
 from repro.obs.sketch import QuantileSketch
 from repro.fronthaul.timing import SYMBOLS_PER_SLOT
 from repro.ran.cell import CellConfig
-from repro.ran.stacks import SRSRAN, VendorProfile
+from repro.ran.stacks import SRSRAN
 
 
-def uplane_wire_bytes(num_prb: int, cost_free: bool = True) -> int:
+def uplane_wire_bytes(num_prb: int) -> int:
     """Wire size of one full-band U-plane frame (headers + BFP payload)."""
     from repro.fronthaul.compression import CompressionConfig
 
@@ -66,16 +66,13 @@ class Fig15aResult:
         )
 
 
-def run_fig15a(
-    ru_counts=(2, 3, 4, 5, 6),
-    cell: CellConfig = CellConfig(pci=1),
-    profile: VendorProfile = SRSRAN,
-    cost: ActionCostModel = DEFAULT_COST_MODEL,
-) -> Fig15aResult:
+def run_fig15a() -> Fig15aResult:
     """Analytic scalability of the DPDK DAS middlebox (100 MHz 4x4)."""
+    cell = CellConfig(pci=1)
+    cost = DEFAULT_COST_MODEL
     n_ports = cell.n_antennas
     num_prb = cell.num_prb
-    tdd = profile.tdd
+    tdd = SRSRAN.tdd
     slots_per_second = cell.numerology.slots_per_second
     dl_symbols_per_slot = tdd.downlink_symbol_fraction() * SYMBOLS_PER_SLOT
     ul_symbols_per_slot = tdd.uplink_symbol_fraction() * SYMBOLS_PER_SLOT
@@ -88,7 +85,7 @@ def run_fig15a(
     cplane_bps = c_bytes * 8 * 2 * slots_per_second * n_ports
 
     points: List[ScalabilityPoint] = []
-    for n_rus in ru_counts:
+    for n_rus in (2, 3, 4, 5, 6):
         # Per-slot uplink work (Section 6.4.1's accounting: one packet per
         # RU antenna per slot): cache all but the last RU's packets, then
         # one merge per antenna port over all N operands.
@@ -180,9 +177,10 @@ class Fig15aMeasuredResult:
         return "\n\n".join(blocks)
 
 
-def _das_cell(n_rus: int, seed: int):
+def _das_cell(n_rus: int):
     """The Figure 15 deployment — one 100 MHz 4x4 cell at 800/60 Mbps
     fanned out to ``n_rus`` RUs — as a live DU and its RUs."""
+    seed = 29
     return kit.endpoints(
         kit.cell(
             "das", 1, [kit.flow("dl", 800), kit.flow("ul", 60)],
@@ -197,8 +195,6 @@ def _das_cell(n_rus: int, seed: int):
 def run_fig15a_measured(
     ru_counts=(2, 3, 4),
     n_slots: int = 4,
-    seed: int = 29,
-    budget_ns: float = SLOT_BUDGET_NS,
 ) -> Fig15aMeasuredResult:
     """The deadline-accounting version of Figure 15a: run the real DAS
     middlebox per RU count with the flight recorder armed and account
@@ -206,7 +202,7 @@ def run_fig15a_measured(
     accountants: Dict[int, DeadlineAccountant] = {}
     obs = Observability(enabled=True)
     for n_rus in ru_counts:
-        du, rus = _das_cell(n_rus, seed)
+        du, rus = _das_cell(n_rus)
         das = DasMiddlebox(
             du_mac=du.mac,
             ru_macs=[ru.mac for ru in rus],
@@ -214,7 +210,7 @@ def run_fig15a_measured(
             obs=obs,
         )
         accountant = DeadlineAccountant(
-            numerology=du.cell.numerology, budget_ns=budget_ns, obs=obs
+            numerology=du.cell.numerology, budget_ns=SLOT_BUDGET_NS, obs=obs
         )
         kit.network(
             [du], rus, [das], deadline_accountant=accountant
@@ -228,13 +224,12 @@ def run_fig15a_measured(
 def run_fig15b(
     ru_counts=(2, 3, 4),
     n_slots: int = 4,
-    seed: int = 29,
 ) -> Fig15bResult:
     """Packet-level latency breakdown: run the real DAS middlebox on a
     100 MHz cell and read the modelled total of every packet it ran."""
     breakdowns: List[LatencyBreakdown] = []
     for n_rus in ru_counts:
-        du, rus = _das_cell(n_rus, seed)
+        du, rus = _das_cell(n_rus)
         das = DasMiddlebox(du_mac=du.mac, ru_macs=[ru.mac for ru in rus])
         by_class: Dict[str, List[float]] = {}
         for ctx in kit.run_recorded(kit.network([du], rus, [das]), das, n_slots):

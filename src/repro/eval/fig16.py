@@ -16,7 +16,6 @@ from typing import Dict
 from repro.core.datapath import DpdkDatapath, XdpDatapath
 from repro.eval import kit
 from repro.eval.report import format_table
-from repro.ran.stacks import SRSRAN, VendorProfile
 
 CONDITIONS = ("Idle", "UE Attached", "Traffic")
 
@@ -70,11 +69,8 @@ def _flows(condition: str, seed: int):
     return [kit.flow("dl", 2000.0), kit.flow("ul", 10.0)]
 
 
-def run_fig16(
-    profile: VendorProfile = SRSRAN,
-    n_slots: int = 40,
-    seed: int = 31,
-) -> Fig16Result:
+def run_fig16(n_slots: int = 40) -> Fig16Result:
+    seed = 31
     dpdk_model = DpdkDatapath()
     xdp_model = XdpDatapath()
     dpdk: Dict[str, Dict[str, float]] = {}

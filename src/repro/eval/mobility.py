@@ -18,7 +18,7 @@ from repro.eval.throughput import DeployedCell
 from repro.phy.channel import ChannelModel
 from repro.phy.geometry import FloorPlan, WalkPath
 from repro.ran.cell import CellConfig
-from repro.ran.stacks import SRSRAN, VendorProfile
+from repro.ran.stacks import SRSRAN
 from repro.ran.ue import UserEquipment
 
 #: A2 handover hysteresis: the target must beat the server by this margin.
@@ -100,25 +100,23 @@ def _result(name: str, trace: List[int], step_m: float) -> MobilityResult:
     )
 
 
-def run_mobility(
-    profile: VendorProfile = SRSRAN, step_m: float = 1.0, seed: int = 37
-) -> MobilityComparison:
+def run_mobility(step_m: float = 1.0) -> MobilityComparison:
     plan = FloorPlan()
-    channel = ChannelModel(seed=seed)
+    channel = ChannelModel(seed=37)
     rus = plan.ru_positions(0)
 
     multi_cells = [
         DeployedCell(f"cell{i}", CellConfig(pci=i + 1), [rus[i]], [4],
-                     mode="single", profile=profile)
+                     mode="single", profile=SRSRAN)
         for i in range(4)
     ]
     das_cell = [
         DeployedCell("das", CellConfig(pci=50), list(rus), [4] * 4,
-                     mode="das", profile=profile)
+                     mode="das", profile=SRSRAN)
     ]
     dmimo_cell = [
         DeployedCell("dmimo", CellConfig(pci=51), list(rus), [1] * 4,
-                     mode="dmimo", profile=profile)
+                     mode="dmimo", profile=SRSRAN)
     ]
     return MobilityComparison(
         multi_cell=_result(

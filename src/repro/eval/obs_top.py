@@ -69,10 +69,6 @@ class ObsTopResult(kit.Gate):
     #: The seed-stable exposition bytes CI pins.
     exposition: str = ""
 
-    @property
-    def digests_match(self) -> bool:
-        return self.digest == self.reference_digest
-
     def format(self) -> str:
         lines = [self.screen, ""]
         # A result only leaves run_obs_top with the digests equal.

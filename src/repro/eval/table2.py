@@ -17,7 +17,7 @@ from repro.eval.throughput import DeployedCell, UePlacement, evaluate_network
 from repro.phy.channel import ChannelModel
 from repro.phy.geometry import Position
 from repro.ran.cell import CellConfig
-from repro.ran.stacks import SRSRAN, VendorProfile
+from repro.ran.stacks import SRSRAN
 from repro.ran.ue import UserEquipment
 
 SATURATING_LOAD_MBPS = 2_000.0
@@ -53,8 +53,8 @@ class Table2Result:
         )
 
 
-def run_table2(profile: VendorProfile = SRSRAN, seed: int = 11) -> Table2Result:
-    channel = ChannelModel(seed=seed)
+def run_table2() -> Table2Result:
+    channel = ChannelModel(seed=11)
     # Two RUs ~5 m apart (Section 6.2.2), UE in close range between them.
     ru_a = Position(20.0, 10.0, 0, height=3.0)
     ru_b = Position(25.0, 10.0, 0, height=3.0)
@@ -79,7 +79,7 @@ def run_table2(profile: VendorProfile = SRSRAN, seed: int = 11) -> Table2Result:
             list(positions),
             list(antennas),
             mode="single" if len(positions) == 1 else "dmimo",
-            profile=profile,
+            profile=SRSRAN,
         )
         ue = UserEquipment(f"0010100000005{index:02d}", ue_position,
                            channel=channel)

@@ -121,7 +121,6 @@ def _dl_link(
     view = cell.view()
     bandwidth = cell.config.occupied_bandwidth_hz
     max_layers = cell.config.max_dl_layers
-    method = placement.ue.das_link if cell.mode == "das" else placement.ue.mimo_link
     if cell.mode == "das":
         layer_ceiling = min(cell.ru_antennas)
     else:
@@ -132,12 +131,12 @@ def _dl_link(
         if layer_ceiling == 1
         else cell.profile.dl_max_se
     )
-    return method(
-        view,
-        bandwidth,
-        interferers,
-        max_layers=max_layers,
-        max_se=max_se,
+    if cell.mode == "das":
+        return placement.ue.das_link(
+            view, bandwidth, interferers, max_layers=max_layers, max_se=max_se
+        )
+    return placement.ue.mimo_link(
+        view, bandwidth, interferers, max_layers=max_layers, max_se=max_se
     )
 
 
@@ -151,11 +150,7 @@ BROADCAST_ACTIVITY = 0.04
 
 
 def evaluate_network(
-    cells: Sequence[DeployedCell],
-    placements: Sequence[UePlacement],
-    iterations: int = 5,
-    cqi_conservatism: float = CQI_CONSERVATISM,
-    broadcast_activity: float = BROADCAST_ACTIVITY,
+    cells: Sequence[DeployedCell], placements: Sequence[UePlacement]
 ) -> NetworkEvaluation:
     """Fixed-point throughput evaluation of a deployment."""
     by_name = {cell.name: cell for cell in cells}
@@ -165,7 +160,7 @@ def evaluate_network(
     # Start from full activity (worst-case interference) and iterate down.
     activity: Dict[str, float] = {cell.name: 1.0 for cell in cells}
     results: List[UeResult] = []
-    for _ in range(max(iterations, 1)):
+    for _ in range(5):
         results = []
         demand_fractions: Dict[str, float] = {cell.name: 0.0 for cell in cells}
         per_ue: List[Tuple[UePlacement, float, float, int, float]] = []
@@ -176,10 +171,10 @@ def evaluate_network(
                 if other.name == cell.name or not cell.overlaps(other):
                     continue
                 effective = max(
-                    activity[other.name] ** cqi_conservatism
+                    activity[other.name] ** CQI_CONSERVATISM
                     if activity[other.name] > 0
                     else 0.0,
-                    broadcast_activity,
+                    BROADCAST_ACTIVITY,
                 )
                 for position in other.ru_positions:
                     interferers.append((position, effective))

@@ -147,10 +147,7 @@ def corrupt_bulk(
 
 
 def seeded_chaos_sweep(
-    seed: int,
-    epochs: int,
-    groups: Sequence[str],
-    kinds: Sequence[str] = CHAOS_KINDS,
+    seed: int, epochs: int, groups: Sequence[str]
 ) -> List[ProcessChaosSpec]:
     """A deterministic injection per failure class: seeded kill points.
 
@@ -165,7 +162,7 @@ def seeded_chaos_sweep(
         raise ValueError("need at least one target group")
     rng = random.Random(seed)
     sweep = []
-    for kind in kinds:
+    for kind in CHAOS_KINDS:
         sweep.append(
             ProcessChaosSpec(
                 kind=kind,

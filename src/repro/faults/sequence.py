@@ -155,9 +155,6 @@ class SequenceTracker:
         self._count("reordered")
         return SeqStatus(SeqVerdict.REORDERED)
 
-    def streams(self) -> int:
-        return len(self._streams)
-
     # -- accounting --------------------------------------------------------
 
     def _count(self, kind: str) -> None:

@@ -354,10 +354,6 @@ class _PrbCodec:
             for start, end in zip(edges, edges[1:])
         ]
 
-    def compress_ranges(self, ranges: Sequence[np.ndarray]) -> List[bytes]:
-        """The payloads of :meth:`encode_ranges`, read at once."""
-        return [wire.read() for _, wire in self.encode_ranges(ranges)]
-
     def _grid(self, payload, n_prbs: int) -> np.ndarray:
         """The payload's first ``n_prbs`` PRBs as a ``(n_prbs, prb_bytes)``
         byte view — no copy."""

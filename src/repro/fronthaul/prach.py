@@ -11,10 +11,6 @@ and UE attach attempts fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.fronthaul.spectrum import PrbGrid
-
 
 def freq_offset_to_hz(freq_offset: int, scs_hz: int) -> float:
     """Equation (5): freqOffset is in units of half a subcarrier spacing."""
@@ -72,31 +68,3 @@ def translate_freq_offset_via_re0(
     frequency_offset_ru_hz = ru_center_frequency_hz - frequency_re0rb0_hz  # eq. 8-9
     return hz_to_freq_offset(frequency_offset_ru_hz, scs_hz)  # eq. 10
 
-
-@dataclass(frozen=True)
-class PrachOccasion:
-    """A PRACH transmission opportunity within a DU's grid.
-
-    ``freq_offset`` follows the wire convention (half-subcarrier units,
-    positive below center); ``num_prb`` spans the preamble format's width.
-    """
-
-    freq_offset: int
-    num_prb: int
-    eaxc_ru_port: int = 0
-
-    def region_low_edge_hz(self, du_grid: PrbGrid) -> float:
-        """Absolute frequency of the first RE of the PRACH region."""
-        return du_grid.center_frequency_hz - freq_offset_to_hz(
-            self.freq_offset, du_grid.scs_hz
-        )
-
-    def translate_to(self, du_grid: PrbGrid, ru_grid: PrbGrid) -> "PrachOccasion":
-        """Return the occasion as the shared RU must see it."""
-        new_offset = translate_freq_offset(
-            self.freq_offset,
-            du_grid.center_frequency_hz,
-            ru_grid.center_frequency_hz,
-            du_grid.scs_hz,
-        )
-        return PrachOccasion(new_offset, self.num_prb, self.eaxc_ru_port)

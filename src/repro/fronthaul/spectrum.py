@@ -91,9 +91,9 @@ class PrbGrid:
         delta_hz = other.prb0_frequency_hz - self.prb0_frequency_hz
         return delta_hz / self.prb_bandwidth_hz
 
-    def is_aligned_with(self, other: "PrbGrid", tolerance: float = 1e-6) -> bool:
+    def is_aligned_with(self, other: "PrbGrid") -> bool:
         offset = self.offset_of(other)
-        return abs(offset - round(offset)) < tolerance
+        return abs(offset - round(offset)) < 1e-6
 
     def aligned_prb_offset(self, other: "PrbGrid") -> int:
         """Integer PRB offset of ``other`` within this grid.

@@ -182,20 +182,6 @@ class UPlaneSection:
         ]
         return view
 
-    def subsection(
-        self, start_prb: int, num_prb: int, section_id: Optional[int] = None
-    ) -> "UPlaneSection":
-        """A new section over a PRB sub-range, sharing payload bytes."""
-        return UPlaneSection(
-            section_id=self.section_id if section_id is None else section_id,
-            start_prb=start_prb,
-            num_prb=num_prb,
-            payload=self.prb_payload_view(start_prb, num_prb),
-            compression=self.compression,
-            rb=self.rb,
-            sym_inc=self.sym_inc,
-        )
-
     def replace_payload(self, samples: np.ndarray) -> "UPlaneSection":
         """Return a copy with recompressed IQ samples."""
         ((parse, payload),) = codec_for(self.compression).encode_ranges([samples])

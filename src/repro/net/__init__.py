@@ -8,12 +8,11 @@ FronthaulNetwork`'s.
 """
 
 from repro.net.link import Link, LinkStats
-from repro.net.nic import Nic, PcieBus, VirtualFunction
+from repro.net.nic import Nic, PcieBus
 
 __all__ = [
     "Link",
     "LinkStats",
     "Nic",
     "PcieBus",
-    "VirtualFunction",
 ]

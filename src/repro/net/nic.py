@@ -10,7 +10,7 @@ throughput" (Section 5) — :meth:`Nic.max_chain_depth` computes that bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Optional
 
 
 @dataclass
@@ -24,61 +24,21 @@ class PcieBus:
             raise ValueError("PCIe bandwidth must be positive")
 
 
-@dataclass
-class VirtualFunction:
-    """One SR-IOV VF: a middlebox's attachment to the embedded switch."""
-
-    index: int
-    owner: str
-    rx_bytes: int = 0
-    tx_bytes: int = 0
-
-    def account(self, rx_bytes: int = 0, tx_bytes: int = 0) -> None:
-        self.rx_bytes += rx_bytes
-        self.tx_bytes += tx_bytes
-
-
 class Nic:
     """A physical NIC (ConnectX-6 Dx class): port rate, VFs, PCIe."""
 
+    #: One 100GbE port.
+    port_gbps = 100.0
+
     def __init__(
         self,
-        name: str = "cx6dx",
-        port_gbps: float = 100.0,
         max_vfs: int = 64,
         pcie: Optional[PcieBus] = None,
     ):
-        if port_gbps <= 0:
-            raise ValueError("port rate must be positive")
         if max_vfs < 1:
             raise ValueError("NIC must support at least one VF")
-        self.name = name
-        self.port_gbps = port_gbps
         self.max_vfs = max_vfs
         self.pcie = pcie or PcieBus()
-        self._vfs: Dict[int, VirtualFunction] = {}
-
-    def create_vf(self, owner: str) -> VirtualFunction:
-        if len(self._vfs) >= self.max_vfs:
-            raise RuntimeError(
-                f"NIC {self.name} exhausted its {self.max_vfs} VFs"
-            )
-        index = len(self._vfs)
-        vf = VirtualFunction(index=index, owner=owner)
-        self._vfs[index] = vf
-        return vf
-
-    @property
-    def vfs(self) -> List[VirtualFunction]:
-        return [self._vfs[i] for i in sorted(self._vfs)]
-
-    def pcie_traffic_gbps(
-        self, fronthaul_gbps: float, chain_depth: int
-    ) -> float:
-        """PCIe load of a chain: every hop crosses the bus twice."""
-        if chain_depth < 1:
-            raise ValueError("chain depth must be at least 1")
-        return fronthaul_gbps * 2 * chain_depth
 
     def max_chain_depth(self, fronthaul_gbps: float) -> int:
         """Deepest chain the PCIe bus sustains for a given fronthaul load."""
@@ -86,6 +46,3 @@ class Nic:
             return self.max_vfs
         depth = int(self.pcie.usable_gbps / (2 * fronthaul_gbps))
         return max(0, min(depth, self.max_vfs))
-
-    def port_headroom_gbps(self, offered_gbps: float) -> float:
-        return self.port_gbps - offered_gbps

@@ -101,7 +101,6 @@ class Observability:
     def __init__(
         self,
         enabled: bool = False,
-        registry: Optional[MetricsRegistry] = None,
         recorder: Optional[FlightRecorder] = None,
         sample_every: int = 1,
         max_spans: Optional[int] = None,
@@ -111,7 +110,7 @@ class Observability:
         if sample_every < 1:
             raise ValueError("sample_every must be >= 1")
         self.enabled = enabled
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         if recorder is None:
             recorder = FlightRecorder(
                 capacity=max_spans if max_spans is not None else 4096
@@ -127,10 +126,6 @@ class Observability:
         self._ticket = 0
         self._children: dict = {}
         self._children_epoch = None
-
-    def enable(self) -> "Observability":
-        self.enabled = True
-        return self
 
     def should_sample(self) -> bool:
         """Span-sampling decision: every ``sample_every``-th packet."""

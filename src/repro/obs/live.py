@@ -14,7 +14,7 @@ plane is modelled/simulated time and byte-stable for a fixed spec.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Sequence
+from typing import Any, Dict
 
 from repro.obs.exposition import render_dashboard, render_prometheus
 from repro.obs.metrics import MetricsRegistry
@@ -32,17 +32,16 @@ def _rule(char: str = "-") -> str:
     return char * _WIDTH
 
 
-def deterministic_exposition(
-    registry: MetricsRegistry,
-    exclude_fragments: Sequence[str] = NONDETERMINISTIC_FRAGMENTS,
-) -> str:
+def deterministic_exposition(registry: MetricsRegistry) -> str:
     """Prometheus text of every family whose results are seed-stable."""
     filtered = MetricsRegistry()
     filtered.merge_snapshot(
         {
             name: family
             for name, family in registry.snapshot().items()
-            if not any(fragment in name for fragment in exclude_fragments)
+            if not any(
+                fragment in name for fragment in NONDETERMINISTIC_FRAGMENTS
+            )
         }
     )
     return render_prometheus(filtered)

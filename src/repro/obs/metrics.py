@@ -102,9 +102,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
     def sample(self) -> float:
         return self.value
 
@@ -271,9 +268,6 @@ class MetricFamily:
 
     def inc(self, amount: float = 1.0) -> None:
         self._require_default().inc(amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._require_default().dec(amount)
 
     def set(self, value: float) -> None:
         self._require_default().set(value)
@@ -478,11 +472,6 @@ class MetricsRegistry:
                         raise MetricMergeError(
                             f"sketch merge: {name}: {exc}"
                         ) from None
-
-    def unregister(self, name: str) -> None:
-        with self._lock:
-            self._families.pop(name, None)
-            self.epoch = object()
 
     def clear(self) -> None:
         with self._lock:

@@ -220,7 +220,7 @@ class Sketch:
         self,
         parent,
         label_values: Tuple[str, ...],
-        relative_accuracy: float = DEFAULT_RELATIVE_ACCURACY,
+        relative_accuracy: float,
     ):
         self._parent = parent
         self.label_values = label_values

@@ -96,7 +96,7 @@ class SloSpec:
         return cls(**data)
 
 
-def default_slos(budget_ns: float = SLOT_BUDGET_NS) -> Tuple[SloSpec, ...]:
+def default_slos() -> Tuple[SloSpec, ...]:
     """The paper-aligned objective set every streaming run gets for free."""
     return (
         SloSpec(
@@ -107,7 +107,7 @@ def default_slos(budget_ns: float = SLOT_BUDGET_NS) -> Tuple[SloSpec, ...]:
         SloSpec(
             name="p99-slot-latency",
             objective="p99_slot_latency_ns",
-            threshold=budget_ns,
+            threshold=SLOT_BUDGET_NS,
         ),
         SloSpec(
             name="conformance-violation-rate",

@@ -20,11 +20,11 @@ from repro.phy.geometry import Position
 BOLTZMANN_NOISE_DBM_HZ = -174.0
 
 
-def noise_power_dbm(bandwidth_hz: float, noise_figure_db: float = 7.0) -> float:
-    """Thermal noise power over a bandwidth, including receiver NF."""
+def noise_power_dbm(bandwidth_hz: float) -> float:
+    """Thermal noise power over a bandwidth, including a 7 dB receiver NF."""
     if bandwidth_hz <= 0:
         raise ValueError("bandwidth must be positive")
-    return BOLTZMANN_NOISE_DBM_HZ + 10 * math.log10(bandwidth_hz) + noise_figure_db
+    return BOLTZMANN_NOISE_DBM_HZ + 10 * math.log10(bandwidth_hz) + 7.0
 
 
 def db_to_linear(db: float) -> float:
@@ -148,7 +148,6 @@ class ChannelModel:
         rx: Position,
         bandwidth_hz: float,
         interferers: Sequence[Tuple[Position, float]] = (),
-        noise_figure_db: float = 7.0,
     ) -> float:
         """Wideband SINR at ``rx``.
 
@@ -158,37 +157,12 @@ class ChannelModel:
         (Figure 11b's inter-cell interference).
         """
         signal_mw = self.received_powers_mw(budget, serving, rx).sum()
-        noise_mw = db_to_linear(noise_power_dbm(bandwidth_hz, noise_figure_db))
+        noise_mw = db_to_linear(noise_power_dbm(bandwidth_hz))
         interference_mw = sum(
             db_to_linear(self.rsrp_dbm(budget, pos, rx)) * activity
             for pos, activity in interferers
         )
         return linear_to_db(signal_mw / (noise_mw + interference_mw))
-
-    # -- IQ-level operations (packet-level experiments) ---------------------
-
-    def apply_to_iq(
-        self,
-        iq: np.ndarray,
-        gain_db: float,
-        snr_db: Optional[float] = None,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        """Apply a scalar complex gain and optional AWGN to IQ samples.
-
-        Models one antenna path for the end-to-end decode experiments: the
-        signal is attenuated and (for uplink) noise is added before the RU
-        digitizes it back into fronthaul samples.
-        """
-        gain = math.sqrt(db_to_linear(gain_db))
-        out = np.asarray(iq, dtype=np.complex128) * gain
-        if snr_db is not None:
-            rng = rng or np.random.default_rng()
-            signal_power = float(np.mean(np.abs(out) ** 2)) or 1e-30
-            noise_power = signal_power / db_to_linear(snr_db)
-            noise = rng.normal(0, math.sqrt(noise_power / 2), size=(2,) + out.shape)
-            out = out + noise[0] + 1j * noise[1]
-        return out
 
 
 #: UE uplink transmit budget (23 dBm power class 3, no antenna gain).

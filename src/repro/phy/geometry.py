@@ -70,16 +70,9 @@ class FloorPlan:
             for index in range(self.rus_per_floor)
         ]
 
-    def all_ru_positions(self) -> List[Position]:
-        positions: List[Position] = []
-        for floor in range(self.floors):
-            positions.extend(self.ru_positions(floor))
-        return positions
-
-    def grid_points(
-        self, floor: int, step_m: float = 2.0, margin_m: float = 1.0
-    ) -> List[Position]:
+    def grid_points(self, floor: int, step_m: float = 2.0) -> List[Position]:
         """A measurement grid over one floor (for coverage heatmaps)."""
+        margin_m = 1.0
         points = []
         x = margin_m
         while x <= self.length_m - margin_m + 1e-9:

@@ -82,8 +82,9 @@ class DistributedUnit:
         base in the RU-sharing scenarios.
     cell, profile:
         Cell configuration and vendor stack profile.
-    mac, ru_mac:
-        Fronthaul Ethernet addresses of this DU and its (virtual) RU.
+    ru_mac:
+        Fronthaul Ethernet address of this DU's (virtual) RU; the DU's
+        own is derived from ``du_id``.
     symbols_per_slot:
         How many data symbols per slot to emit U-plane packets for.  The
         protocol content is identical for every symbol, so tests and
@@ -95,7 +96,6 @@ class DistributedUnit:
         du_id: int,
         cell: CellConfig,
         profile: VendorProfile = SRSRAN,
-        mac: Optional[MacAddress] = None,
         ru_mac: Optional[MacAddress] = None,
         symbols_per_slot: Optional[int] = 2,
         record_reference: bool = False,
@@ -110,7 +110,7 @@ class DistributedUnit:
         self.compression = (
             profile.compression if compression is None else compression
         )
-        self.mac = mac or MacAddress.from_int(0x02_00_00_00_00_00 + du_id)
+        self.mac = MacAddress.from_int(0x02_00_00_00_00_00 + du_id)
         self.ru_mac = ru_mac or MacAddress.from_int(0x02_00_00_00_10_00 + du_id)
         self.scheduler = MacScheduler(cell, profile)
         self.symbols_per_slot = symbols_per_slot

@@ -180,13 +180,12 @@ class RadioUnit:
     def build_uplink(
         self,
         items: Iterable[Tuple[SymbolTime, int, Optional[np.ndarray]]],
-        noise_amplitude: float = 2.0e-4,
     ) -> List[FronthaulPacket]:
         """Digitize one slot's air samples into U-plane packets.
 
         ``items`` yields ``(time, port, air_iq)`` per owed symbol/port;
         ``air_iq`` is the complex full-band signal arriving at that
-        antenna (None means only receiver noise).  Only PRB ranges with a
+        antenna (None means only receiver noise, of amplitude 2e-4).  Only PRB ranges with a
         recorded C-plane request are emitted, honoring O-RAN semantics.
         Items are pulled until ``_BLOCK_ROWS`` owed rows are held, then one
         noise draw fills the block (C order: the stream of 2 x rows
@@ -197,7 +196,7 @@ class RadioUnit:
         owed = self._owed(items, n_sc)
         answered = []  # (time, port, is_prach, [(section_id, start_prb, rows)])
         while block := list(islice(owed, _BLOCK_ROWS)):
-            noise = self.rng.normal(0, noise_amplitude, (len(block), 2, n_sc))
+            noise = self.rng.normal(0, 2.0e-4, (len(block), 2, n_sc))
             signal = np.empty((len(block), n_sc), dtype=np.complex128)
             signal.real, signal.imag = noise[:, 0], noise[:, 1]
             for row, (*_, air_iq) in zip(signal, block):

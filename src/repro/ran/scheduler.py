@@ -107,20 +107,14 @@ class MacScheduler:
         self.ues[ue_id] = context
         return context
 
-    def remove_ue(self, ue_id: str) -> None:
-        self.ues.pop(ue_id, None)
-
     def update_ue_quality(
         self,
         ue_id: str,
         dl_aggregate_se: Optional[float] = None,
         ul_se: Optional[float] = None,
-        dl_layers: Optional[int] = None,
     ) -> None:
-        """Apply a CQI/RI report (clamped to the vendor's MCS ceilings)."""
+        """Apply a CQI report (clamped to the vendor's MCS ceilings)."""
         context = self.ues[ue_id]
-        if dl_layers is not None:
-            context.dl_layers = dl_layers
         if dl_aggregate_se is not None:
             layers = max(context.dl_layers, 1)
             per_layer = min(dl_aggregate_se / layers, self.profile.dl_max_se)

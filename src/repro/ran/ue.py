@@ -189,19 +189,8 @@ class UserEquipment:
         signal = powers.sum() if combining else powers.max()
         return linear_to_db(signal / noise)
 
-    def measure(
-        self,
-        cell: CellView,
-        bandwidth_hz: float,
-        interferers: Sequence[Tuple[Position, float]] = (),
-        das: bool = False,
-        max_layers: int = 4,
-    ) -> UeMeasurement:
-        link = (
-            self.das_link(cell, bandwidth_hz, interferers, max_layers)
-            if das
-            else self.mimo_link(cell, bandwidth_hz, interferers, max_layers)
-        )
+    def measure(self, cell: CellView, bandwidth_hz: float) -> UeMeasurement:
+        link = self.mimo_link(cell, bandwidth_hz)
         rank = link.best_rank()
         measurement = UeMeasurement(
             pci=cell.pci,

@@ -373,7 +373,7 @@ class WorkerPool:
     ScenarioResult` either way.
 
     ``supervisor`` is the failure policy (:mod:`repro.scale.supervisor`):
-    by default the spec's own whenever it is
+    the spec's own whenever it is
     :meth:`~repro.scale.spec.ScenarioSpec.supervised`, else ``None``
     (fail-fast).  ``result.recovery`` describes any self-healing.
     """
@@ -384,7 +384,6 @@ class WorkerPool:
         workers: int,
         bus=None,
         tail=None,
-        supervisor: Optional[SupervisorSpec] = None,
     ):
         if workers < 0:
             raise ValueError("workers must be >= 0")
@@ -392,9 +391,9 @@ class WorkerPool:
         self.plan = plan_shards(spec, max(workers, 1))
         self.workers = self.plan.workers
         self._forks = workers > 0
-        if supervisor is None and spec.supervised():
-            supervisor = spec.supervisor or SupervisorSpec()
-        self.supervisor = supervisor
+        self.supervisor = (
+            spec.supervisor or SupervisorSpec() if spec.supervised() else None
+        )
         self.bus = bus
         self.tail = tail
         #: Coordinator-side recovery metrics (NOT the stream registry,

@@ -30,11 +30,7 @@ from repro.serve.delta import (
 from repro.serve.engine import TOPICS, LiveRun
 from repro.serve.protocol import FrameError
 from repro.serve.routing import Route, RoutingTable
-from repro.serve.service import (
-    ControlSession,
-    ServeService,
-    serve_until_complete,
-)
+from repro.serve.service import ControlSession, ServeService
 
 __all__ = [
     "DELTA_OPS",
@@ -50,5 +46,4 @@ __all__ = [
     "ServeClient",
     "ServeService",
     "SpecDelta",
-    "serve_until_complete",
 ]

@@ -279,23 +279,4 @@ class ServeService:
         return {"stopping": True}
 
 
-async def serve_until_complete(
-    spec: ScenarioSpec,
-    workers: int = 1,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    pace_s: float = 0.0,
-) -> ServeService:
-    """Start an auto-driving service; caller awaits :meth:`stop`."""
-    service = ServeService(
-        spec,
-        workers=workers,
-        host=host,
-        port=port,
-        auto_drive=True,
-        pace_s=pace_s,
-    )
-    return await service.start()
-
-
-__all__ = ["ControlSession", "ServeService", "serve_until_complete"]
+__all__ = ["ControlSession", "ServeService"]

@@ -25,20 +25,18 @@ class CostModel:
     def ranbooster_deployment_usd(
         self,
         n_rus: int,
-        n_switches: int = 1,
-        n_gm_clocks: int = 1,
-        n_nics: int = 1,
         middlebox_cpu_cores: int = 8,
         building_work_usd: float = 0.0,
     ) -> float:
-        """Commodity infrastructure cost of a RANBooster deployment."""
+        """Commodity infrastructure cost of a RANBooster deployment: one
+        switch, one grandmaster clock and one NIC besides the RUs."""
         if n_rus < 1:
             raise ValueError("a deployment needs at least one RU")
         return (
             n_rus * (self.commodity_ru_usd + self.cabling_per_ru_usd)
-            + n_switches * self.switch_usd
-            + n_gm_clocks * self.gm_clock_usd
-            + n_nics * self.nic_usd
+            + self.switch_usd
+            + self.gm_clock_usd
+            + self.nic_usd
             + middlebox_cpu_cores * self.cpu_core_usd
             + building_work_usd
         )

@@ -4,14 +4,10 @@
 DUs emit their C-/U-plane packets, the middlebox chain processes them,
 RUs accept scheduled downlink IQ and answer uplink C-plane requests with
 digitized air samples, and the chain processes the uplink back to the DUs.
-
-``RadioEnvironment`` models the air as a path gain between two
-positions, normalized to a reference distance.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -25,31 +21,9 @@ from repro.core.chain import MiddleboxChain
 from repro.core.middlebox import Middlebox
 from repro.fronthaul.packet import FronthaulPacket
 from repro.fronthaul.timing import SlotClock, SymbolTime
-from repro.phy.channel import ChannelModel, db_to_linear
 from repro.phy.geometry import Position
 from repro.ran.du import DistributedUnit
 from repro.ran.ru import RadioUnit
-
-
-class RadioEnvironment:
-    """Path gain between RU antennas and UE positions."""
-
-    def __init__(
-        self,
-        channel: Optional[ChannelModel] = None,
-        reference_distance_m: float = 5.0,
-    ):
-        self.channel = channel or ChannelModel()
-        # Gains are normalized to the path loss at a reference distance so
-        # fronthaul fixed-point amplitudes stay in a sane range.
-        self._reference_loss_db = self.channel.params.path_loss_db(
-            reference_distance_m
-        )
-
-    def relative_gain(self, tx: Position, rx: Position) -> float:
-        """Linear amplitude gain relative to the reference distance."""
-        gain_db = self.channel.path_gain_db(tx, rx) + self._reference_loss_db
-        return math.sqrt(db_to_linear(gain_db))
 
 
 @dataclass

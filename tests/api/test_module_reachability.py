@@ -1,7 +1,7 @@
 """Every module is crossed by a slot or asserted by a figure, or it is gone.
 
 A static pass over the import graph — files are parsed with :mod:`ast`,
-nothing under ``src/repro`` is executed — that keeps two promises:
+nothing under ``src/repro`` is executed — that keeps five promises:
 
 (a) every module under ``src/repro`` is *reached*: starting from what
     runs the twin (every file under ``bench/``, ``benchmarks/`` and
@@ -14,15 +14,28 @@ nothing under ``src/repro`` is executed — that keeps two promises:
 (b) every ``repro.*`` name a file under ``bench/``, ``benchmarks/`` or
     ``examples/`` imports exists.  No test or CI job runs the examples,
     so without this a deletion could break one silently.
-(c) every public method of a class in ``src/repro/core`` is *called*:
-    its name is referenced (an attribute, a name or a ``getattr``
-    string) somewhere in ``src/``, ``bench/`` or ``examples/`` outside
-    its own ``def``.  The check is by name, so it is coarse; what it
-    catches is a method only ``tests/`` still calls.
+(c) every public method of a class in any ``src/repro`` module is
+    *called*: its name is referenced (an attribute, a name or a
+    ``getattr`` string) somewhere in ``src/``, ``bench/`` or
+    ``examples/`` outside its own ``def``.
+(d) every public module-level class or function is referenced the same
+    way, outside its own body.  A package ``__all__`` string or a
+    re-export is not a reference.
+(e) every defaulted parameter of a public function or method (or of a
+    class's ``__init__``, called by the class name or a subclass's
+    ``super().__init__``) is passed, by keyword or by position, by at
+    least one call anywhere, ``tests/`` and ``benchmarks/`` included.  A
+    knob nobody sets is a constant.
+
+All three are by name, so they are coarse; what they catch is code only
+``tests/`` still calls and values nobody sets.  They skip the classes
+and functions :mod:`repro.api` re-exports (``tests/api/api_surface.txt``
+locks that facade, signatures included) and the test-oracle modules of
+:data:`ALLOWED`.
 
 A new module therefore needs an importer outside ``tests/`` or a line in
-:data:`ALLOWED` saying why it has none; a core method nothing but tests
-calls needs a line in :data:`METHODS_ALLOWED`.
+:data:`ALLOWED` saying why it has none; a method or top-level name
+nothing but tests calls needs a line in :data:`METHODS_ALLOWED`.
 """
 
 from __future__ import annotations
@@ -47,15 +60,63 @@ ALLOWED = {
         "the Hypothesis strategies tests/ draws wire objects and specs from",
 }
 
-#: ``Class.method`` of ``src/repro/core`` that nothing outside tests/
-#: calls, on purpose, and why.
+#: Modules whose definitions checks (c)-(e) skip: the test oracles above.
+ORACLE_MODULES = (
+    "repro.conformance.reference",
+    "repro.conformance.generators",
+)
+
+#: ``Class.method`` (or a top-level ``module.Name``) that nothing in src/,
+#: bench/ or examples/ calls, on purpose, and why.  A reason is one of
+#: three kinds: a test oracle or wire probe, one of the flight
+#: recorder's exports, or a paper number a test or benchmark asserts.
 METHODS_ALLOWED = {
+    # Test oracles and wire probes.
+    "BfpCompressor.exponents_for":
+        "oracle: the BFP exponents tests/fronthaul/test_compression.py and "
+        "tests/conformance/test_differential.py hold the wire to",
+    "ModCompressor.scalers_for":
+        "oracle: the modcomp scalers tests/fronthaul/test_modcomp.py and "
+        "tests/conformance/test_differential.py hold the wire to",
+    "DistributedUnit.uplink_iq":
+        "probe: the merged uplink IQ the DAS and sharing end-to-end tests "
+        "demodulate",
+    "DistributedUnit.ssb_reference":
+        "probe: the SSB grid tests/ran and the dMIMO end-to-end test check "
+        "the RU's transmit grid against",
+    "DistributedUnit.uplink_receptions":
+        "probe: the retained receptions the integration tests inspect",
+    "QamModulator.demodulate":
+        "oracle: the hard-decision demapper of tests/phy/test_iq.py and the "
+        "end-to-end decode tests",
+    "UPlaneSection.prb_payload":
+        "probe: one PRB's wire bytes, the unit the app and codec tests compare",
+    # The flight recorder's exports.
+    "FlightRecorder.to_jsonl": "export: the recorder's JSON-lines dump",
+    "FlightRecorder.to_chrome_trace": "export: the recorder's Chrome trace",
+    # Paper numbers a test or benchmark asserts.
     "XdpDatapath.supports_frame":
         "Section 6.4.1's XDP frame limit, asserted by tests/core/test_datapath.py "
         "and tests/eval/test_eval_utilities.py",
+    "Nic.max_chain_depth":
+        "Section 5's PCIe chain-depth bound, asserted by tests/net/test_net.py "
+        "and reported by benchmarks/test_chain_depth.py",
+    "repro.net.nic.Nic":
+        "the NIC of Section 5's chain-depth bound (Nic.max_chain_depth)",
+    "ResilienceMiddlebox.failback":
+        "the resilience app's operator fail-back to the primary DU, asserted "
+        "by tests/apps/test_resilience.py and tests/faults/test_resilience_chaos.py",
+    "ChaosResult.fingerprint":
+        "the seed-stable chaos outcome tests/faults/test_chaos_golden.py pins",
+    "Fig10cResult.max_error":
+        "Figure 10c's PRB-utilization error, asserted by "
+        "tests/eval/test_experiments.py and benchmarks/test_fig10c_monitor.py",
 }
-#: Where a core method's callers may live (``benchmarks/`` is timing only).
+#: Where a method's or a top-level name's callers may live
+#: (``benchmarks/`` is timing only).
 METHOD_CALLER_DIRS = ("src", "bench", "examples")
+#: Where a call may pass a default: anywhere.
+DEFAULT_CALLER_DIRS = ("src", "bench", "benchmarks", "examples", "tests")
 
 
 def _discover() -> Dict[str, Path]:
@@ -212,27 +273,57 @@ def test_every_repro_name_a_consumer_imports_exists():
     assert not broken, "imports of names that do not exist:\n" + "\n".join(broken)
 
 
-def _core_methods() -> Dict[str, str]:
-    """``Class.method`` -> method name of every public method defined in a
-    class body of a ``src/repro/core`` module."""
-    methods = {}
-    for path in sorted((SRC / "repro" / "core").glob("*.py")):
-        for node in _tree(path).body:
+def _facade() -> Set[str]:
+    """Names :mod:`repro.api` re-exports (its lockfile pins them)."""
+    return {name for _, name, _ in _imports(MODULES["repro.api"]) if name}
+
+
+def _checked_trees() -> Iterator[Tuple[str, ast.Module]]:
+    for module, path in MODULES.items():
+        if module not in ORACLE_MODULES:
+            yield module, _tree(path)
+
+
+def _functions(body) -> Iterator[ast.FunctionDef]:
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+
+
+@functools.lru_cache(maxsize=None)
+def _definitions():
+    """``(top_level, methods)``: ``module.Name`` -> name of every public
+    top-level class or function, and ``Class.method`` -> ``(class name,
+    def)`` of every method of every class, facade classes excepted."""
+    facade = _facade()
+    top_level: Dict[str, str] = {}
+    methods: Dict[str, Tuple[str, ast.FunctionDef]] = {}
+    for module, tree in _checked_trees():
+        for node in tree.body:
+            if not isinstance(
+                node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+            ) or node.name in facade:
+                continue
+            if not node.name.startswith("_"):
+                top_level[f"{module}.{node.name}"] = node.name
             if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
-                        not item.name.startswith("_")
-                    ):
-                        methods[f"{node.name}.{item.name}"] = item.name
-    return methods
+                for item in _functions(node.body):
+                    methods[f"{node.name}.{item.name}"] = (node.name, item)
+    return top_level, methods
 
 
+@functools.lru_cache(maxsize=None)
 def _referenced_names() -> Set[str]:
-    """Every identifier a caller file references, a reference inside a
-    ``def`` of the same name (the method's own body) excepted."""
+    """Every identifier a caller file references, except inside a ``def``
+    or ``class`` of the same name (its own body) and in ``__all__``."""
     names: Set[str] = set()
 
     def visit(node: ast.AST, enclosing: Tuple[str, ...]) -> None:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            return
         if isinstance(node, ast.Attribute):
             found = node.attr
         elif isinstance(node, ast.Name):
@@ -243,7 +334,9 @@ def _referenced_names() -> Set[str]:
             found = None
         if found is not None and found not in enclosing:
             names.add(found)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
             enclosing = enclosing + (node.name,)
         for child in ast.iter_child_nodes(node):
             visit(child, enclosing)
@@ -254,29 +347,148 @@ def _referenced_names() -> Set[str]:
     return names
 
 
-def test_every_core_method_is_called_outside_tests():
+def _unreferenced() -> Tuple[List[str], List[str]]:
+    """Checks (c) and (d): ``(methods, top-level names)`` nothing outside
+    tests/ references, allow-listed ones included."""
+    top_level, methods = _definitions()
     referenced = _referenced_names()
-    uncalled = sorted(
-        qualified
-        for qualified, name in _core_methods().items()
-        if name not in referenced and qualified not in METHODS_ALLOWED
+    return (
+        sorted(
+            qualified
+            for qualified, (_, node) in methods.items()
+            if not node.name.startswith("_") and node.name not in referenced
+        ),
+        sorted(
+            qualified
+            for qualified, name in top_level.items()
+            if name not in referenced
+        ),
     )
+
+
+def test_every_method_is_called_outside_tests():
+    methods, _ = _unreferenced()
+    uncalled = [q for q in methods if q not in METHODS_ALLOWED]
     assert not uncalled, (
-        "nothing in src/, bench/ or examples/ calls these repro.core "
-        f"methods (tests/ does not count): {uncalled}; call them where "
-        "they matter, delete them with their tests, or add them to "
+        "nothing in src/, bench/ or examples/ calls these methods "
+        f"(tests/ does not count): {uncalled}; call them where they "
+        "matter, delete them with their tests, or add them to "
         "METHODS_ALLOWED with the reason"
     )
 
 
-def test_method_allow_list_names_uncalled_methods_that_exist():
-    methods = _core_methods()
-    referenced = _referenced_names()
-    stale = sorted(
-        qualified
-        for qualified in METHODS_ALLOWED
-        if qualified not in methods or methods[qualified] in referenced
+def test_every_top_level_name_is_referenced_outside_tests():
+    _, top_level = _unreferenced()
+    unreferenced = [q for q in top_level if q not in METHODS_ALLOWED]
+    assert not unreferenced, (
+        "nothing in src/, bench/ or examples/ references these classes or "
+        "functions (tests/, __all__ and re-exports do not count): "
+        f"{unreferenced}; use them, delete them with their tests, or add "
+        "them to METHODS_ALLOWED with the reason"
     )
+
+
+def test_method_allow_list_names_uncalled_methods_that_exist():
+    methods, top_level = _unreferenced()
+    stale = sorted(set(METHODS_ALLOWED) - set(methods) - set(top_level))
     assert not stale, (
         f"METHODS_ALLOWED entries that are gone or now called: {stale}"
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _passed() -> Dict[str, Tuple[float, Set[Optional[str]]]]:
+    """Callee name -> (most positional arguments, keywords) over every
+    call.  ``*args`` counts as every position and ``**kwargs`` as the
+    keyword ``None``; ``super().__init__(...)`` is filed under the
+    enclosing class's bases and ``cls(...)`` under the class."""
+    passed: Dict[str, Tuple[float, Set[Optional[str]]]] = {}
+
+    def visit(node: ast.AST, cls: Optional[ast.ClassDef]) -> None:
+        if isinstance(node, ast.ClassDef):
+            cls = node
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "attr", getattr(func, "id", None))
+            callees = [name]
+            if (
+                name == "__init__"
+                and isinstance(func.value, ast.Call)
+                and getattr(func.value.func, "id", None) == "super"
+                and cls is not None
+            ):
+                callees = [getattr(b, "attr", getattr(b, "id", None)) for b in cls.bases]
+            elif name == "cls" and cls is not None:
+                callees = [cls.name]
+            positional = (
+                float("inf")
+                if any(isinstance(a, ast.Starred) for a in node.args)
+                else len(node.args)
+            )
+            keywords = {keyword.arg for keyword in node.keywords}
+            for callee in filter(None, callees):
+                most, seen = passed.get(callee, (0, set()))
+                passed[callee] = (max(most, positional), seen | keywords)
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    for directory in DEFAULT_CALLER_DIRS:
+        for path in sorted((REPO / directory).rglob("*.py")):
+            visit(_tree(path), None)
+    return passed
+
+
+def _never_passed(node: ast.FunctionDef, callee: str, bound: bool) -> List[str]:
+    """The defaulted parameters of ``node`` no call of ``callee`` passes."""
+    most, keywords = _passed().get(callee, (0, set()))
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first_default = len(positional) - len(args.defaults)
+    defaulted = [
+        (param.arg, index - bound)
+        for index, param in enumerate(positional)
+        if index >= first_default
+    ] + [
+        (param.arg, None)
+        for param, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+    return [
+        name
+        for name, index in defaulted
+        if name not in keywords
+        and None not in keywords
+        and (index is None or most <= index)
+    ]
+
+
+def test_every_default_is_passed_somewhere():
+    top_level, methods = _definitions()
+    facade = _facade()
+    constants = []
+    for _, tree in _checked_trees():
+        for node in _functions(tree.body):
+            if not node.name.startswith("_") and node.name not in facade:
+                constants += [
+                    f"{node.name}({name}=)"
+                    for name in _never_passed(node, node.name, False)
+                ]
+    for qualified, (cls, node) in methods.items():
+        if node.name == "__init__":
+            callee = cls
+        elif node.name.startswith("_"):
+            continue
+        else:
+            callee = node.name
+        static = any(
+            getattr(d, "id", None) == "staticmethod" for d in node.decorator_list
+        )
+        constants += [
+            f"{qualified}({name}=)"
+            for name in _never_passed(node, callee, not static)
+        ]
+    assert not constants, (
+        "no call anywhere (tests/ included) passes these defaulted "
+        f"parameters: {sorted(constants)}; a value nobody sets is a "
+        "constant — inline it"
     )

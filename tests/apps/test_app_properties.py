@@ -87,7 +87,7 @@ def test_dmimo_port_map_is_bijection(groups):
     macs = [MacAddress.from_int(0x30 + i) for i in range(len(groups))]
     port_map = RuPortMap(groups=tuple(zip(macs, groups)))
     seen = set()
-    for global_port in range(port_map.total_ports):
+    for global_port in range(sum(groups)):
         mac, local = port_map.to_local(global_port)
         assert (mac.to_int(), local) not in seen
         seen.add((mac.to_int(), local))
@@ -108,7 +108,7 @@ def test_dmimo_roundtrip_identity_on_wire(groups, ports):
     port_map = RuPortMap(groups=tuple(zip(macs, groups)))
     dmimo = DmimoMiddlebox(du_mac=DU_MAC, port_map=port_map)
     global_port = ports.draw(
-        st.integers(min_value=0, max_value=port_map.total_ports - 1)
+        st.integers(min_value=0, max_value=sum(groups) - 1)
     )
     dl = make_packet(
         DU_MAC, MacAddress.from_int(0xFF),

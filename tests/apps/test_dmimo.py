@@ -70,7 +70,7 @@ class TestRuPortMap:
         assert port_map.to_global(ru_b, 1) == 3
 
     def test_roundtrip_all_ports(self, port_map):
-        for global_port in range(port_map.total_ports):
+        for global_port in range(sum(n for _, n in port_map.groups)):
             mac, local = port_map.to_local(global_port)
             assert port_map.to_global(mac, local) == global_port
 

@@ -38,11 +38,6 @@ class TestAllowList:
         assert result.emissions == []
         assert guard.alerts[0].reason == "unknown_source"
 
-    def test_source_can_be_provisioned(self, guard, ru_mac):
-        newcomer = MacAddress.from_int(0x77)
-        guard.allow_source(newcomer)
-        assert guard.process(frame(newcomer, ru_mac)).emissions
-
     def test_empty_allowlist_rejected(self):
         with pytest.raises(ValueError):
             FronthaulGuardMiddlebox(allowed_sources=[])

@@ -54,3 +54,8 @@ def action_kinds(ctx) -> list:
     from repro.core.actions import ActionKind
 
     return [ActionKind(event.kind) for event in ctx.events]
+
+
+def compress_ranges(codec, ranges) -> list:
+    """The wire payloads of ``codec.encode_ranges(ranges)``, read at once."""
+    return [wire.read() for _, wire in codec.encode_ranges(ranges)]

@@ -93,7 +93,7 @@ class TestStreams:
         tracker.observe(("b",), 200)
         assert tracker.observe(("a",), 11).verdict is SeqVerdict.NEW
         assert tracker.observe(("b",), 201).verdict is SeqVerdict.NEW
-        assert tracker.streams() == 2
+        assert len(tracker._streams) == 2
         assert tracker.gaps == 0
 
     def test_gap_counting(self):

@@ -1,7 +1,7 @@
 """The int16-native codec kernels and the blocked slot pass.
 
 Pins the shared ``prb_shifts`` / ``pack_mantissas`` (uint64 word lanes) /
-``unpack_mantissas`` kernels and ``compress_ranges`` to the scalar oracle
+``unpack_mantissas`` kernels and ``encode_ranges`` to the scalar oracle
 of :mod:`repro.conformance.reference` across every legal width, the int16
 corner values, the 512-PRB block boundary, and memory contracts — the
 codec pass's and the float stage's — that need no wall clock.
@@ -26,6 +26,8 @@ from repro.fronthaul.compression import (
     prb_shifts,
     unpack_mantissas,
 )
+
+from tests.conftest import compress_ranges
 
 BLOCK = compression._BLOCK_PRBS
 
@@ -76,7 +78,7 @@ class TestEveryWidth:
         codec = codec_for(config)
         wire = codec.compress(samples)
         assert wire == oracle(samples, config)
-        assert codec.compress_ranges([samples[:7], samples[7:]]) == [
+        assert compress_ranges(codec, [samples[:7], samples[7:]]) == [
             oracle(samples[:7], config), oracle(samples[7:], config)
         ]
 
@@ -169,10 +171,10 @@ class TestWideAccumulators:
             with pytest.raises(ValueError, match="exceeds the 4-bit wire field"):
                 codec.compress(too_hot)
             with pytest.raises(ValueError, match="exceeds the 4-bit wire field"):
-                codec.compress_ranges([too_hot])
+                compress_ranges(codec, [too_hot])
         modcomp = codec_for(CompressionConfig(iq_width=4, comp_meth=MOD_COMP_METH))
         with pytest.raises(ValueError, match="legal bound"):
-            modcomp.compress_ranges([too_hot])
+            compress_ranges(modcomp, [too_hot])
 
     def test_legal_wide_values_match_scalar_oracle(self):
         """A 24-bit accumulator that a 9-bit mantissa and exponent 15
@@ -213,7 +215,7 @@ class TestBlockedPass:
         )
         clear_codec_memo()
         assert codec.compress(samples) == per_prb
-        assert codec.compress_ranges([samples]) == [per_prb]
+        assert compress_ranges(codec, [samples]) == [per_prb]
 
     def test_ranges_straddling_a_block_edge(self):
         config = CompressionConfig(iq_width=9)
@@ -223,7 +225,7 @@ class TestBlockedPass:
             rng.integers(-20000, 20000, size=(n, 24), dtype=np.int16)
             for n in lengths
         ]
-        payloads = codec_for(config).compress_ranges(ranges)
+        payloads = compress_ranges(codec_for(config), ranges)
         assert [len(p) for p in payloads] == [28 * n for n in lengths]
         assert payloads == [oracle(r, config) for r in ranges]
 
@@ -233,12 +235,12 @@ class TestBlockedPass:
             -3000, 3000, size=(106, 24), dtype=np.int16
         )
         views = [grid[0:50], grid[10:20], grid[100:200]]  # clipped at the edge
-        assert codec_for(config).compress_ranges(views) == [
+        assert compress_ranges(codec_for(config), views) == [
             oracle(v, config) for v in views
         ]
 
     def test_no_ranges_no_payloads(self):
-        assert codec_for(CompressionConfig()).compress_ranges([]) == []
+        assert compress_ranges(codec_for(CompressionConfig()), []) == []
 
 
 class TestMemoryContract:
@@ -254,12 +256,12 @@ class TestMemoryContract:
             for _ in range(20)
         ]
         codec = codec_for(CompressionConfig(iq_width=9))
-        codec.compress_ranges(grids[:1])  # warm imports and allocator
+        compress_ranges(codec, grids[:1])  # warm imports and allocator
         clear_codec_memo()
         before = codec_memo_stats()
         tracemalloc.start()
         try:
-            payloads = codec.compress_ranges(grids)
+            payloads = compress_ranges(codec, grids)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

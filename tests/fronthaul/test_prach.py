@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.fronthaul.prach import (
-    PrachOccasion,
     freq_offset_to_hz,
     hz_to_freq_offset,
     translate_freq_offset,
@@ -74,21 +73,10 @@ class TestTranslation:
         """The PRACH region's absolute frequency is invariant under
         translation — the whole point of the rewrite."""
         scs = 30_000
-        du_grid = PrbGrid(3.45e9, 106, scs)
-        ru_grid = PrbGrid(3.45e9 + prb_shift * 12 * scs, 273, scs)
-        occasion = PrachOccasion(freq_offset=144, num_prb=12)
-        translated = occasion.translate_to(du_grid, ru_grid)
-        assert occasion.region_low_edge_hz(du_grid) == pytest.approx(
-            translated.region_low_edge_hz(ru_grid)
+        du_center = 3.45e9
+        ru_center = du_center + prb_shift * 12 * scs
+        translated = translate_freq_offset(144, du_center, ru_center, scs)
+        assert du_center - freq_offset_to_hz(144, scs) == pytest.approx(
+            ru_center - freq_offset_to_hz(translated, scs)
         )
 
-
-class TestPrachOccasion:
-    def test_translate_preserves_width_and_port(self):
-        du_grid = PrbGrid(3.43e9, 106)
-        ru_grid = PrbGrid(3.46e9, 273)
-        occasion = PrachOccasion(freq_offset=100, num_prb=12, eaxc_ru_port=2)
-        translated = occasion.translate_to(du_grid, ru_grid)
-        assert translated.num_prb == 12
-        assert translated.eaxc_ru_port == 2
-        assert translated.freq_offset != occasion.freq_offset

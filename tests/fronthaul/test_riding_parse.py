@@ -39,7 +39,7 @@ from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 from repro.scale import Scenario
 from repro.scale.build import build_groups
 from tests.conformance.builders import DST, SRC, uplane_packet
-from tests.conftest import action_kinds
+from tests.conftest import action_kinds, compress_ranges
 from tests.fronthaul.test_codec_kernels import ALL_CONFIGS, BLOCK, _IDS, corner_rows
 from tests.ran.test_slot_build import loaded_du, requested_ru, slot_items
 
@@ -153,8 +153,8 @@ class TestEncodeSitesAttach:
         pieces = [(index, 5, rows(10 + index, n)) for index, n in enumerate(lengths)]
         sections = UPlaneSection.from_ranges(pieces, config)
         codec = codec_for(config)
-        assert [s.payload for s in sections] == codec.compress_ranges(
-            [samples for _, _, samples in pieces]
+        assert [s.payload for s in sections] == compress_ranges(
+            codec, [samples for _, _, samples in pieces]
         )
         for (section_id, start_prb, samples), section in zip(pieces, sections):
             assert (section.section_id, section.start_prb, section.num_prb) == (

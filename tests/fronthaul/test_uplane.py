@@ -114,17 +114,6 @@ class TestZeroCopyPaths:
         assert isinstance(parsed.sections[0].payload, memoryview)
         assert parsed.pack() == wire
 
-    def test_subsection_shares_wire_bytes(self, rng):
-        section = UPlaneSection.from_samples(
-            section_id=0, start_prb=20, samples=random_prb_samples(rng, 10)
-        )
-        sub = section.subsection(start_prb=23, num_prb=4)
-        assert sub.num_prb == 4
-        assert sub.payload_bytes() == b"".join(
-            section.prb_payload(prb) for prb in range(23, 27)
-        )
-        assert (sub.iq_samples() == section.iq_samples()[3:7]).all()
-
     def test_prb_payload_view_bounds_checked(self, rng):
         section = UPlaneSection.from_samples(0, 10, random_prb_samples(rng, 5))
         with pytest.raises(ValueError):

@@ -5,18 +5,28 @@ makes every RU transmit the identical cell signal, and the uplink merge
 recovers the UE's modulated data with a combining gain over any single RU.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.apps.das import DasMiddlebox
 from repro.fronthaul.compression import SAMPLES_PER_PRB
 from repro.fronthaul.cplane import Direction
+from repro.phy.channel import ChannelModel, db_to_linear
 from repro.phy.geometry import Position
 from repro.phy.iq import QamModulator, int16_to_iq
 from repro.ran.du import DistributedUnit
 from repro.ran.ru import RadioUnit, RuConfig
 from repro.ran.traffic import ConstantBitrateFlow
-from repro.sim.network_sim import FronthaulNetwork, RadioEnvironment
+from repro.sim.network_sim import FronthaulNetwork
+
+
+def relative_gain(channel, tx, rx):
+    """Linear amplitude gain normalised to the path loss at 5 m, so the
+    fronthaul fixed-point amplitudes stay in range."""
+    gain_db = channel.path_gain_db(tx, rx) + channel.params.path_loss_db(5.0)
+    return math.sqrt(db_to_linear(gain_db))
 
 
 @pytest.fixture
@@ -67,7 +77,7 @@ class TestUplinkMergeDecode:
     def test_merged_uplink_decodes_ue_data(self, das_setup, rng):
         """The DU recovers the UE's QAM symbols from the merged signal."""
         network, du, rus, das = das_setup
-        environment = RadioEnvironment()
+        channel = ChannelModel()
         ue_position = Position(18, 12, 0)
         modulator = QamModulator(16)
         transmitted = {}
@@ -89,7 +99,7 @@ class TestUplinkMergeDecode:
                     grid[start : start + count] = modulator.modulate(data)
                 transmitted[key] = (grid, symbol_map)
             grid, _ = transmitted[key]
-            gain = environment.relative_gain(ue_position, position)
+            gain = relative_gain(channel, ue_position, position)
             return grid * gain * 0.5
 
         network.run(10, uplink_signal_fn=ue_uplink)
@@ -115,7 +125,7 @@ class TestUplinkMergeDecode:
     def test_merge_combining_gain(self, das_setup, rng):
         """The merged signal is stronger than any single RU's copy."""
         network, du, rus, das = das_setup
-        environment = RadioEnvironment()
+        channel = ChannelModel()
         ue_position = Position(25, 10, 0)  # between the two RUs
         per_ru_power = {}
 
@@ -125,7 +135,7 @@ class TestUplinkMergeDecode:
                 return None
             n_sc = ru.config.num_prb * SAMPLES_PER_PRB
             grid = np.full(n_sc, 0.4 + 0.0j)
-            gain = environment.relative_gain(ue_position, position)
+            gain = relative_gain(channel, ue_position, position)
             signal = grid * gain
             per_ru_power[ru.ru_id] = float(np.mean(np.abs(signal) ** 2))
             return signal

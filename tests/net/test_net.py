@@ -32,23 +32,6 @@ class TestLink:
 
 
 class TestNic:
-    def test_vf_creation_capped(self):
-        nic = Nic(max_vfs=2)
-        nic.create_vf("mb1")
-        nic.create_vf("mb2")
-        with pytest.raises(RuntimeError):
-            nic.create_vf("mb3")
-
-    def test_vf_indices_sequential(self):
-        nic = Nic()
-        vfs = [nic.create_vf(f"mb{i}") for i in range(3)]
-        assert [vf.index for vf in vfs] == [0, 1, 2]
-        assert nic.vfs == vfs
-
-    def test_pcie_traffic_two_crossings_per_hop(self):
-        nic = Nic()
-        assert nic.pcie_traffic_gbps(10.0, chain_depth=3) == 60.0
-
     def test_max_chain_depth(self):
         """Section 5: PCIe bounds the chain depth for a given load."""
         nic = Nic(pcie=PcieBus(usable_gbps=200.0))
@@ -59,12 +42,3 @@ class TestNic:
     def test_zero_load_limited_by_vfs(self):
         nic = Nic(max_vfs=16)
         assert nic.max_chain_depth(0.0) == 16
-
-    def test_port_headroom(self):
-        assert Nic(port_gbps=100.0).port_headroom_gbps(30.0) == 70.0
-
-    def test_vf_accounting(self):
-        nic = Nic()
-        vf = nic.create_vf("das")
-        vf.account(rx_bytes=100, tx_bytes=300)
-        assert (vf.rx_bytes, vf.tx_bytes) == (100, 300)

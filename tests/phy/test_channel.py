@@ -150,13 +150,3 @@ class TestChannelModel:
         )
         assert combined > single
 
-    def test_apply_to_iq_gain(self, rng):
-        iq = np.ones(24, dtype=complex)
-        out = self.channel.apply_to_iq(iq, gain_db=-20.0)
-        assert np.abs(out).mean() == pytest.approx(0.1, rel=1e-6)
-
-    def test_apply_to_iq_noise_scales_with_snr(self, rng):
-        iq = np.ones(4096, dtype=complex)
-        clean = self.channel.apply_to_iq(iq, 0.0, snr_db=40, rng=rng)
-        noisy = self.channel.apply_to_iq(iq, 0.0, snr_db=0, rng=rng)
-        assert np.abs(noisy - iq).std() > np.abs(clean - iq).std()

@@ -56,10 +56,6 @@ class TestFloorPlan:
         gaps = [b - a for a, b in zip(xs, xs[1:])]
         assert all(gap == pytest.approx(gaps[0]) for gap in gaps)
 
-    def test_all_ru_positions_count(self):
-        plan = FloorPlan()
-        assert len(plan.all_ru_positions()) == 20  # 5 floors x 4 RUs
-
     def test_invalid_floor_raises(self):
         with pytest.raises(ValueError):
             FloorPlan().ru_positions(5)

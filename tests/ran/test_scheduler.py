@@ -13,11 +13,9 @@ def scheduler(cell_40mhz):
 
 
 class TestUeManagement:
-    def test_add_and_remove(self, scheduler):
+    def test_add_registers_the_ue(self, scheduler):
         scheduler.add_ue("a")
         assert "a" in scheduler.ues
-        scheduler.remove_ue("a")
-        assert "a" not in scheduler.ues
 
     def test_duplicate_add_rejected(self, scheduler):
         scheduler.add_ue("a")

@@ -52,8 +52,11 @@ def test_every_driver_yields_the_same_run(
     assert result.recovery.get("total_restarts", 0) == 0
 
 
-def test_run_divergence_names_exactly_what_differs(reference):
+def test_run_divergence_names_exactly_what_differs():
     """The contract itself: one perturbation, one name; none, ``[]``."""
+    # Its own reference: the exposition perturbation moves it.
+    with WorkerPool(_spec(supervised=False), workers=0) as pool:
+        reference = pool.run()
     with WorkerPool(_spec(supervised=False), workers=2) as pool:
         outcome = pool.run()
     assert run_divergence(outcome, reference) == []
@@ -88,11 +91,8 @@ def test_run_divergence_names_exactly_what_differs(reference):
     perturbations = (
         digest, timeline, exposition, live_vs_collect, ghost_groups
     )
-    try:
-        seen = []
-        for perturb in perturbations:
-            perturb()
-            seen.append(perturb.__name__)
-            assert run_divergence(outcome, reference) == seen
-    finally:
-        reference.telemetry.registry.unregister("perturbed_total")
+    seen = []
+    for perturb in perturbations:
+        perturb()
+        seen.append(perturb.__name__)
+        assert run_divergence(outcome, reference) == seen

@@ -44,7 +44,7 @@ def test_streamed_exposition_matches_golden(obs_top_result):
 
 
 def test_streamed_run_contract(obs_top_result):
-    assert obs_top_result.digests_match
+    assert obs_top_result.digest == obs_top_result.reference_digest
     assert obs_top_result.epochs == SLOTS // 4
     assert obs_top_result.spans_seen > 0
     assert obs_top_result.bus_epoch_records > 0

@@ -1,4 +1,4 @@
-"""FronthaulNetwork and RadioEnvironment tests."""
+"""FronthaulNetwork tests."""
 
 import pytest
 
@@ -10,7 +10,7 @@ from repro.ran.cell import CellConfig
 from repro.ran.du import DistributedUnit
 from repro.ran.ru import RadioUnit, RuConfig
 from repro.ran.traffic import ConstantBitrateFlow
-from repro.sim.network_sim import FronthaulNetwork, RadioEnvironment
+from repro.sim.network_sim import FronthaulNetwork
 
 
 @pytest.fixture
@@ -30,23 +30,6 @@ def loaded_network(cell_40mhz):
     network.add_du(du)
     network.add_ru(ru, Position(10, 10, 0))
     return network, du, ru
-
-
-class TestRadioEnvironment:
-    def test_relative_gain_unity_at_reference(self):
-        env = RadioEnvironment(reference_distance_m=5.0)
-        env.channel.params = env.channel.params.__class__(shadowing_sigma_db=0)
-        env._reference_loss_db = env.channel.params.path_loss_db(5.0)
-        tx = Position(0, 0, 0)
-        rx = Position(5, 0, 0, height=tx.height)
-        assert env.relative_gain(tx, rx) == pytest.approx(1.0, rel=0.01)
-
-    def test_gain_decreases_with_distance(self):
-        env = RadioEnvironment()
-        tx = Position(0, 10, 0)
-        near = env.relative_gain(tx, Position(3, 10, 0))
-        far = env.relative_gain(tx, Position(40, 10, 0))
-        assert near > far
 
 
 class TestFronthaulNetwork:
