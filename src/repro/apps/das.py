@@ -173,10 +173,12 @@ class DasMiddlebox(Middlebox):
             ctx.forward(packet)
 
     def on_uplane(self, ctx: ActionContext, packet: FronthaulPacket) -> None:
-        if packet.direction is Direction.DOWNLINK:
+        if packet.direction is not Direction.DOWNLINK:
+            self._merge_uplink(ctx, packet)
+        elif packet.eth.src == self.du_mac:
             self._fan_out(ctx, packet)
-            return
-        self._merge_uplink(ctx, packet)
+        else:
+            ctx.forward(packet)  # another DU's downlink
 
     # -- downlink fan-out -----------------------------------------------------
 

@@ -299,9 +299,6 @@ def run_fig10c(
             seed=seed,
         )
         du, (ru,) = kit.endpoints(fragment, du_id=3, ru_id_base=9)
-        # No stage here rewrites the destination, and build_cell leaves
-        # the DU addressing a MAC no RU owns (ROADMAP item 1).
-        du.ru_mac = ru.mac
         monitor = PrbMonitorMiddlebox(carrier_num_prb=du.cell.num_prb)
         network = kit.network([du], [ru], [monitor])
         modulator = QamModulator(16)

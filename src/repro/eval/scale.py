@@ -195,6 +195,17 @@ def run_scale(slots: int = DEFAULT_SLOTS) -> ScaleResult:
         digest=reference.digest,
         epoch_slots=scenario.spec.effective_epoch_slots(),
     )
+    # Every offered packet reaches an endpoint: no cell runs dark.
+    undelivered = {
+        name: ledger["undeliverable"]
+        for name, ledger in reference.delivery().items()
+        if ledger["undeliverable"]
+    }
+    result.check(
+        "every_packet_delivered",
+        not undelivered,
+        f"undeliverable packets per group: {undelivered}",
+    )
     # Single-process has no fork/build to amortize: cold == warm.
     result.throughput[1] = reference.cell_slots_per_second
     result.wall[1] = reference.wall_seconds

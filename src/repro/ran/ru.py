@@ -185,8 +185,9 @@ class RadioUnit:
 
         ``items`` yields ``(time, port, air_iq)`` per owed symbol/port;
         ``air_iq`` is the complex full-band signal arriving at that
-        antenna (None means only receiver noise, of amplitude 2e-4).  Only PRB ranges with a
-        recorded C-plane request are emitted, honoring O-RAN semantics.
+        antenna (None means only receiver noise, of amplitude 2e-4).
+        Only PRB ranges with a recorded C-plane request are emitted,
+        honoring O-RAN semantics.
         Items are pulled until ``_BLOCK_ROWS`` owed rows are held, then one
         noise draw fills the block (C order: the stream of 2 x rows
         per-symbol draws) and one quantise digitizes it; the slot's int16

@@ -150,6 +150,8 @@ def build_cell(
         )
         x, y, floor, height = ru.position
         built.rus[ru.name] = (radio, Position(x, y, int(floor), height=height))
+    # The DU addresses its cell's first RU; a chain stage may re-address.
+    du.ru_mac = next(iter(built.rus.values()))[0].mac
     return built
 
 
@@ -157,6 +159,7 @@ def build_group(
     spec: ScenarioSpec, group_name: str, members: List[CellSpec]
 ) -> BuiltGroup:
     """Build one coupling group: cells, chain, network."""
+    from repro.apps.security import FronthaulGuardMiddlebox
     from repro.scale.registry import StageBuildContext, build_stage
 
     obs = (
@@ -188,6 +191,12 @@ def build_group(
         )
         for stage in built.spec.chain:
             middleboxes.append(build_stage(stage, ctx))
+    # A guard admits every stage of its group's chain that sources frames
+    # (a das re-sources the uplink), wherever it sits in the chain.
+    stage_macs = {box.mac.to_int() for box in middleboxes if hasattr(box, "mac")}
+    for box in middleboxes:
+        if isinstance(box, FronthaulGuardMiddlebox):
+            box.allowed |= stage_macs
     wires = [cell for cell in members if cell.wire is not None]
     if len(wires) > 1:
         raise ValueError(

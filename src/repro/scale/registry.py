@@ -251,18 +251,15 @@ def _build_resilience(stage: "StageSpec", ctx: StageBuildContext) -> Middlebox:
 
 @register_stage("fronthaul_guard")
 def _build_guard(stage: "StageSpec", ctx: StageBuildContext) -> Middlebox:
-    """Params: ``cell``, ``allow`` (extra MAC ints), ``max_slot_skew``.
-    All the group's DUs and RUs are allowed by default."""
+    """Params: ``cell``, ``max_slot_skew``.  The group's DUs and RUs are
+    allowed sources, and so is every chain stage with a MAC of its own
+    (added by :func:`~repro.scale.build.build_group` once the whole chain
+    is built)."""
     params = dict(stage.params)
     cell = ctx.cell(params.pop("cell", None))
     allowed = [built.du.mac for built in ctx.cells()]
     for built in ctx.cells():
         allowed.extend(ru.mac for ru, _ in built.rus.values())
-    from repro.fronthaul.ethernet import MacAddress
-
-    allowed.extend(
-        MacAddress.from_int(value) for value in params.pop("allow", ())
-    )
     return FronthaulGuardMiddlebox(
         allowed_sources=allowed,
         numerology=cell.config.numerology,

@@ -92,6 +92,13 @@ class GroupResult:
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+#: The :class:`~repro.sim.network_sim.SlotReport` counters
+#: :meth:`ScenarioResult.delivery` sums.
+LEDGER_COUNTERS = (
+    "dl_packets", "ul_packets", "undeliverable", "malformed", "wire_dropped"
+)
+
+
 @dataclass
 class ScenarioResult:
     """The merged outcome of a scenario run (any worker count)."""
@@ -156,6 +163,17 @@ class ScenarioResult:
             for name, result in self.groups.items()
             for slot in range(result.slots)
         )
+
+    def delivery(self) -> Dict[str, Dict[str, int]]:
+        """Per group, where its packets went: the sums of its slot
+        reports' :data:`LEDGER_COUNTERS` — derived, nothing stored."""
+        return {
+            name: {
+                counter: sum(report[counter] for report in result.reports)
+                for counter in LEDGER_COUNTERS
+            }
+            for name, result in sorted(self.groups.items())
+        }
 
     def metrics(self) -> MetricsRegistry:
         """All shards' metric snapshots folded into one registry."""

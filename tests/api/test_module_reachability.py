@@ -417,7 +417,10 @@ def _passed() -> Dict[str, Tuple[float, Set[Optional[str]]]]:
                 and getattr(func.value.func, "id", None) == "super"
                 and cls is not None
             ):
-                callees = [getattr(b, "attr", getattr(b, "id", None)) for b in cls.bases]
+                callees = [
+                    getattr(base, "attr", getattr(base, "id", None))
+                    for base in cls.bases
+                ]
             elif name == "cls" and cls is not None:
                 callees = [cls.name]
             positional = (
@@ -463,7 +466,7 @@ def _never_passed(node: ast.FunctionDef, callee: str, bound: bool) -> List[str]:
 
 
 def test_every_default_is_passed_somewhere():
-    top_level, methods = _definitions()
+    _, methods = _definitions()
     facade = _facade()
     constants = []
     for _, tree in _checked_trees():

@@ -13,8 +13,7 @@ bug) — that needs the 5,400-slot ``benchmarks/test_long_horizon.py``.
 
 The four apps each run in their own coupling group (the shared-RU pair
 of the long-horizon benchmark, a DAS behind the PRB monitor, a dMIMO
-cell, a guarded DAS): cells are coupled only where a stage couples them,
-because a DAS fans out every downlink U-plane packet of its group.
+cell, a guarded DAS): cells are coupled only where a stage couples them.
 """
 
 import dataclasses
@@ -79,9 +78,7 @@ def _spec():
             ),
             kit.cell(
                 "guarded", 3, _flows(3), rus=_radios("guarded"),
-                # ROADMAP item 1: the guard does not yet learn the MAC of
-                # the DAS it is chained with.
-                chain=[_stage("fronthaul_guard", allow=[DAS_MAC]),
+                chain=[_stage("fronthaul_guard"),
                        _stage("das", name="guarded-das")],
             ),
         ],
