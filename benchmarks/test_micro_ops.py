@@ -334,6 +334,96 @@ def test_chain_stage_builds_no_event_objects_once_warm(monkeypatch):
             assert all(span.events[0] is spans[0].events[0] for span in spans)
 
 
+def _uplane_burst(count):
+    """``count`` downlink U-plane packets from MAC 1 to MAC 2."""
+    from repro.fronthaul.cplane import Direction
+    from repro.fronthaul.ethernet import MacAddress
+    from repro.fronthaul.packet import make_packet
+    from repro.fronthaul.timing import SymbolTime
+    from repro.fronthaul.uplane import UPlaneMessage
+
+    section = UPlaneSection.from_samples(
+        0, 0, np.zeros((51, 24), dtype=np.int16)
+    )
+    return [
+        make_packet(
+            MacAddress.from_int(1), MacAddress.from_int(2),
+            UPlaneMessage(
+                direction=Direction.DOWNLINK,
+                time=SymbolTime(0, 0, 0, index % 14),
+                sections=[section],
+            ),
+        )
+        for index in range(count)
+    ]
+
+
+def _count_stage_toll(monkeypatch):
+    """Count ``ActionContext`` constructions and ``wire_size`` reads."""
+    from repro.fronthaul.packet import FronthaulPacket
+
+    counts = {"contexts": 0, "wire_size": 0}
+    init = ActionContext.__init__
+    wire_size = FronthaulPacket.wire_size.fget
+
+    def counting_init(self, *args, **kwargs):
+        counts["contexts"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_wire_size(self):
+        counts["wire_size"] += 1
+        return wire_size(self)
+
+    monkeypatch.setattr(ActionContext, "__init__", counting_init)
+    monkeypatch.setattr(
+        FronthaulPacket, "wire_size", property(counting_wire_size)
+    )
+    return counts
+
+
+def test_pass_through_stages_forward_the_burst_without_contexts(monkeypatch):
+    """Count, not time: once warm, a 64-packet burst through 12
+    pass-through stages, obs off, builds no ActionContext and reads each
+    packet's wire size once — when the burst enters the chain."""
+    from repro.core.chain import MiddleboxChain
+    from repro.core.middlebox import Middlebox
+
+    chain = MiddleboxChain(
+        [Middlebox(name=f"pass{stage}") for stage in range(12)]
+    )
+    chain.process_downlink(_uplane_burst(64))
+    packets = _uplane_burst(64)
+    counts = _count_stage_toll(monkeypatch)
+    assert chain.process_downlink(packets) == packets
+    assert counts == {"contexts": 0, "wire_size": 64}
+
+
+def test_chain_reads_each_size_at_entry_and_emission(monkeypatch):
+    """Count, not time: once warm, a 64-packet burst through
+    ``[prb_monitor, passthrough x 10, das]`` reads a wire size once per
+    packet at entry and once per emission of a stage with a handler:
+    64 + 64 + 64 = 192 (two reads per packet per stage, 1,536, before
+    the size column rode with the burst)."""
+    from repro.apps.das import DasMiddlebox
+    from repro.apps.prb_monitor import PrbMonitorMiddlebox
+    from repro.core.chain import MiddleboxChain
+    from repro.core.middlebox import Middlebox
+    from repro.fronthaul.ethernet import MacAddress
+
+    chain = MiddleboxChain(
+        [PrbMonitorMiddlebox(carrier_num_prb=51)]
+        + [Middlebox(name=f"pass{stage}") for stage in range(10)]
+        + [DasMiddlebox(
+            du_mac=MacAddress.from_int(1), ru_macs=[MacAddress.from_int(2)]
+        )]
+    )
+    chain.process_downlink(_uplane_burst(64))
+    packets = _uplane_burst(64)
+    counts = _count_stage_toll(monkeypatch)
+    assert len(chain.process_downlink(packets)) == 64
+    assert counts["wire_size"] == 192
+
+
 def test_span_lane_builds_no_span_objects_until_read(monkeypatch):
     """Count, not time: a 4-cell live_churn-shaped run (prb_monitor + das
     chains, stream and conformance on, every packet sampled) records,

@@ -299,7 +299,8 @@ class DasMiddlebox(Middlebox):
             # Corrupted or inconsistent cached packets: the symbol is lost.
             return None
         self.stats.processing_ns_total += ctx.total_ns()
-        self.stats.account_tx(ctx.emissions)
+        self.stats.tx_packets += 1
+        self.stats.tx_bytes += out.wire_size
         self.degraded_merges += 1
         if self.obs.enabled:
             self.obs.children(_MERGE_FANIN, self.name).observe(len(packets))

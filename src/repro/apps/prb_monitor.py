@@ -88,9 +88,6 @@ class PrbMonitorMiddlebox(Middlebox):
 
     # -- handlers --------------------------------------------------------------
 
-    def on_cplane(self, ctx: ActionContext, packet: FronthaulPacket) -> None:
-        ctx.forward(packet)
-
     def on_uplane(self, ctx: ActionContext, packet: FronthaulPacket) -> None:
         # Estimate from one representative antenna port per direction —
         # all ports carry the same allocation footprint.

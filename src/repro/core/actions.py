@@ -37,6 +37,10 @@ from repro.obs.recorder import SpanEvent
 
 
 class ActionKind(enum.Enum):
+    # Identity hashing: ``Enum.__hash__`` hashes the member name in Python
+    # on every ``_EVENTS`` lookup.
+    __hash__ = object.__hash__
+
     ROUTE = "A1.route"
     DROP = "A1.drop"
     REPLICATE = "A2.replicate"
@@ -83,6 +87,16 @@ ACTION_LOCATION: Dict[ActionKind, ExecLocation] = {
 #: The one event per distinct ``(kind, cost_ns)`` recorded in this process:
 #: a shared, frozen value (compare it, never mutate it).
 _EVENTS: Dict[Tuple[ActionKind, float], SpanEvent] = {}
+
+
+def shared_event(kind: ActionKind, cost_ns: float) -> SpanEvent:
+    """The one event for ``(kind, cost_ns)``, built the first time."""
+    event = _EVENTS.get((kind, cost_ns))
+    if event is None:
+        event = _EVENTS[kind, cost_ns] = SpanEvent(
+            kind.value, cost_ns, ACTION_LOCATION[kind].value
+        )
+    return event
 
 
 #: Closed slots a :class:`SlotRing` still holds.  Private, not a knob: the
@@ -229,12 +243,9 @@ class ActionContext:
         self._total = 0
 
     def record(self, kind: ActionKind, cost_ns: float) -> None:
-        event = _EVENTS.get((kind, cost_ns))
-        if event is None:
-            event = _EVENTS[kind, cost_ns] = SpanEvent(
-                kind.value, cost_ns, ACTION_LOCATION[kind].value
-            )
-        self.events.append(event)
+        self.events.append(
+            _EVENTS.get((kind, cost_ns)) or shared_event(kind, cost_ns)
+        )
         self._total += cost_ns
 
     def total_ns(self) -> float:

@@ -14,12 +14,11 @@ and every circuit-breaker transition.
 
 from __future__ import annotations
 
-import enum
 from collections import deque
 from typing import Callable, Deque, List, Optional, Sequence, Tuple, Union
 
 from repro import obs as obs_module
-from repro.core.middlebox import Middlebox
+from repro.core.middlebox import BreakerState, CircuitBreaker, Middlebox
 from repro.fronthaul.packet import FronthaulPacket
 from repro.obs import Observability
 from repro.obs.metrics import declare
@@ -61,88 +60,12 @@ _CHAIN_PACKETS = declare(
 )
 
 
-class BreakerState(enum.Enum):
-    """Circuit-breaker states for one chain stage."""
-
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half_open"
-
-
 #: Numeric encoding of breaker states for the obs gauge.
 BREAKER_STATE_VALUE = {
     BreakerState.CLOSED: 0,
     BreakerState.OPEN: 1,
     BreakerState.HALF_OPEN: 2,
 }
-
-
-class CircuitBreaker:
-    """Fail-open circuit breaker for one middlebox stage.
-
-    ``failure_threshold`` consecutive faults open the breaker; while
-    open, the next ``probation_packets`` admissions are refused (the
-    stage is bypassed), after which one probe packet is admitted in
-    half-open state.  A successful probe closes the breaker; a failed
-    probe re-opens it for another probation period.
-    """
-
-    def __init__(
-        self,
-        failure_threshold: int = 5,
-        probation_packets: int = 16,
-        on_transition: Optional[
-            Callable[[BreakerState, BreakerState], None]
-        ] = None,
-    ):
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if probation_packets < 0:
-            raise ValueError("probation_packets must be >= 0")
-        self.failure_threshold = failure_threshold
-        self.probation_packets = probation_packets
-        self.on_transition = on_transition
-        self.state = BreakerState.CLOSED
-        self.consecutive_failures = 0
-        self.opens = 0
-        self.recoveries = 0
-        self._open_remaining = 0
-
-    def _transition(self, to: BreakerState) -> None:
-        previous = self.state
-        self.state = to
-        if to is BreakerState.OPEN:
-            self.opens += 1
-            self._open_remaining = self.probation_packets
-        elif to is BreakerState.CLOSED and previous is BreakerState.HALF_OPEN:
-            self.recoveries += 1
-        if self.on_transition is not None:
-            self.on_transition(previous, to)
-
-    def admit(self) -> bool:
-        """Should the stage see the next packet?"""
-        if self.state is not BreakerState.OPEN:
-            return True
-        if self._open_remaining > 0:
-            self._open_remaining -= 1
-            return False
-        self._transition(BreakerState.HALF_OPEN)
-        return True
-
-    def record_success(self) -> None:
-        self.consecutive_failures = 0
-        if self.state is BreakerState.HALF_OPEN:
-            self._transition(BreakerState.CLOSED)
-
-    def record_failure(self) -> None:
-        self.consecutive_failures += 1
-        if self.state is BreakerState.HALF_OPEN:
-            self._transition(BreakerState.OPEN)
-        elif (
-            self.state is BreakerState.CLOSED
-            and self.consecutive_failures >= self.failure_threshold
-        ):
-            self._transition(BreakerState.OPEN)
 
 
 class MiddleboxChain:
@@ -152,12 +75,14 @@ class MiddleboxChain:
     the RUs); ``process_uplink`` through the reverse order (towards the
     DUs), matching Figure 8's bidirectional chain over one NIC.
 
-    The chain owns dispatch: :meth:`_run_stage` is the only loop that
-    calls :meth:`Middlebox.process`.  A stage that raises becomes a
-    counted drop instead of crashing the chain, and every stage gets a
-    :class:`CircuitBreaker`: after ``breaker_threshold`` consecutive
-    faults the stage is bypassed (packets pass through unprocessed) for
-    ``breaker_probation`` packets, then probed half-open.
+    The chain reads each packet's wire size once, when the burst enters,
+    and hands every stage its whole burst in one
+    :meth:`Middlebox.process_burst` call with the size column.  A stage
+    that raises becomes a counted drop instead of crashing the chain, and
+    every stage gets a :class:`CircuitBreaker`: after
+    ``breaker_threshold`` consecutive faults the stage is bypassed
+    (packets pass through unprocessed) for ``breaker_probation`` packets,
+    then probed half-open.
 
     When observability is enabled, every burst records per-stage latency
     propagation: the modelled time each stage added and the cumulative
@@ -184,7 +109,8 @@ class MiddleboxChain:
         self.hold_bypassed = 0
         #: Bounded log of ``(stage, middlebox, repr(exc))`` for post-mortems.
         self.fault_log: Deque[Tuple[int, str, str]] = deque(maxlen=64)
-        self.breaker_events: List[Tuple[int, str, str]] = []
+        #: Bounded log of ``(stage, from, to)`` breaker transitions.
+        self.breaker_events: Deque[Tuple[int, str, str]] = deque(maxlen=64)
         self.breakers: List[CircuitBreaker] = []
         #: The ``stage`` metric label of each stage: ``"<index>:<name>"``.
         self._stage_labels: List[str] = []
@@ -218,51 +144,29 @@ class MiddleboxChain:
 
         return observe
 
-    def _run_stage(
-        self,
-        middlebox: Middlebox,
-        packets: List[FronthaulPacket],
-        direction: str,
-    ) -> List[FronthaulPacket]:
-        """Run one stage with per-packet fault isolation + breaker.
-
-        A closed breaker with no failure pending admits every packet and
-        has nothing to reset on success, so it is consulted only once a
-        fault happened (the same transitions, minus two calls a packet).
-        """
+    def count_isolated(
+        self, middlebox: Middlebox, direction: str, bypassed: int,
+        faults: List[str],
+    ) -> None:
+        """Count what one stage burst's isolation did: ``bypassed``
+        packets its open breaker refused and the ``repr`` of each
+        exception its handler raised, in order."""
         stage = middlebox.chain_stage
         label = self._stage_labels[stage]
-        breaker = self.breakers[stage]
-        closed = BreakerState.CLOSED
-        process = middlebox.process
         obs = self.obs
-        out: List[FronthaulPacket] = []
-        for packet in packets:
-            guarded = (
-                breaker.state is not closed or breaker.consecutive_failures
+        if bypassed:
+            self.stage_bypassed[stage] += bypassed
+            if obs.enabled:
+                obs.children(_STAGE_BYPASSED, self.name, label).inc(bypassed)
+        if faults:
+            self.stage_faults[stage] += len(faults)
+            self.fault_log.extend(
+                (stage, middlebox.name, fault) for fault in faults
             )
-            if guarded and not breaker.admit():
-                # Breaker open: fail open — the packet skips the stage.
-                self.stage_bypassed[stage] += 1
-                if obs.enabled:
-                    obs.children(_STAGE_BYPASSED, self.name, label).inc()
-                out.append(packet)
-                continue
-            try:
-                ctx = process(packet)
-            except Exception as exc:  # noqa: BLE001 — isolation boundary
-                breaker.record_failure()
-                self.stage_faults[stage] += 1
-                self.fault_log.append((stage, middlebox.name, repr(exc)))
-                if obs.enabled:
-                    obs.children(
-                        _STAGE_FAULTS, self.name, label, direction
-                    ).inc()
-                continue
-            if guarded:
-                breaker.record_success()
-            out.extend(ctx.emissions)
-        return out
+            if obs.enabled:
+                obs.children(
+                    _STAGE_FAULTS, self.name, label, direction
+                ).inc(len(faults))
 
     @property
     def total_stage_faults(self) -> int:
@@ -272,7 +176,11 @@ class MiddleboxChain:
         self, packets: List[FronthaulPacket], boxes: Sequence[Middlebox],
         direction: str,
     ) -> List[FronthaulPacket]:
+        """Each stage in one call, with the burst's wire sizes read once
+        here.  ``process_burst`` is looked up per call, so an instance's
+        own (see :func:`repro.eval.kit.run_recorded`) is the one called."""
         current = list(packets)
+        sizes = [packet.wire_size for packet in current]
         obs = self.obs
         recording = obs.enabled
         if recording:
@@ -280,7 +188,9 @@ class MiddleboxChain:
         cumulative = 0.0
         for middlebox in boxes:
             before_ns = middlebox.stats.processing_ns_total
-            current = self._run_stage(middlebox, current, direction)
+            current, sizes = middlebox.process_burst(
+                current, sizes, self, direction
+            )
             if recording:
                 added = middlebox.stats.processing_ns_total - before_ns
                 cumulative += added

@@ -12,11 +12,18 @@ are built from this one template.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro import obs as obs_module
-from repro.core.actions import ActionContext, PacketCache, SlotRing
+from repro.core.actions import (
+    ActionContext,
+    ActionKind,
+    PacketCache,
+    SlotRing,
+    shared_event,
+)
 from repro.core.latency import DEFAULT_COST_MODEL, ActionCostModel
 from repro.core.management import ManagementInterface
 from repro.core.telemetry import TelemetryBus
@@ -58,19 +65,80 @@ _WALL_NS = declare(
 )
 
 
-def _packet_children(
-    registry, name: str, traffic_class: str, emitted: bool
-) -> tuple:
-    """What one packet updates, by class and outcome.  The last child is
-    the ``tx`` byte counter for a packet that emitted and the drop counter
-    for one that did not, so either series appears only once it happens."""
-    return (
-        _PACKETS(registry, name, traffic_class),
-        _BYTES(registry, name, "rx"),
-        _MODELED_NS(registry, name, traffic_class),
-        _WALL_NS(registry, name, traffic_class),
-        _BYTES(registry, name, "tx") if emitted else _DROPS(registry, name),
-    )
+class BreakerState(enum.Enum):
+    """Circuit-breaker states for one chain stage."""
+
+    CLOSED = "closed"
+    OPEN = "open"
+    HALF_OPEN = "half_open"
+
+
+class CircuitBreaker:
+    """Fail-open circuit breaker for one middlebox stage.
+
+    ``failure_threshold`` consecutive faults open the breaker; while
+    open, the next ``probation_packets`` admissions are refused (the
+    stage is bypassed), after which one probe packet is admitted in
+    half-open state.  A successful probe closes the breaker; a failed
+    probe re-opens it for another probation period.
+    """
+
+    def __init__(
+        self,
+        failure_threshold: int = 5,
+        probation_packets: int = 16,
+        on_transition: Optional[
+            Callable[[BreakerState, BreakerState], None]
+        ] = None,
+    ):
+        if failure_threshold < 1:
+            raise ValueError("failure_threshold must be >= 1")
+        if probation_packets < 0:
+            raise ValueError("probation_packets must be >= 0")
+        self.failure_threshold = failure_threshold
+        self.probation_packets = probation_packets
+        self.on_transition = on_transition
+        self.state = BreakerState.CLOSED
+        self.consecutive_failures = 0
+        self.opens = 0
+        self.recoveries = 0
+        self._open_remaining = 0
+
+    def _transition(self, to: BreakerState) -> None:
+        previous = self.state
+        self.state = to
+        if to is BreakerState.OPEN:
+            self.opens += 1
+            self._open_remaining = self.probation_packets
+        elif to is BreakerState.CLOSED and previous is BreakerState.HALF_OPEN:
+            self.recoveries += 1
+        if self.on_transition is not None:
+            self.on_transition(previous, to)
+
+    def admit(self) -> bool:
+        """Should the stage see the next packet?"""
+        if self.state is not BreakerState.OPEN:
+            return True
+        if self._open_remaining > 0:
+            self._open_remaining -= 1
+            return False
+        self._transition(BreakerState.HALF_OPEN)
+        return True
+
+    def record_success(self) -> None:
+        self.consecutive_failures = 0
+        if self.state is BreakerState.HALF_OPEN:
+            self._transition(BreakerState.CLOSED)
+
+    def record_failure(self) -> None:
+        self.consecutive_failures += 1
+        if self.state is BreakerState.HALF_OPEN:
+            self._transition(BreakerState.OPEN)
+        elif (
+            self.state is BreakerState.CLOSED
+            and self.consecutive_failures >= self.failure_threshold
+        ):
+            self._transition(BreakerState.OPEN)
 
 
 @dataclass
@@ -84,25 +152,19 @@ class MiddleboxStats:
     tx_bytes: int = 0
     processing_ns_total: float = 0.0
 
-    def account_tx(self, emissions: List[FronthaulPacket]) -> int:
-        """Count emitted packets; returns the emitted wire bytes."""
-        tx_bytes = sum(packet.wire_size for packet in emissions)
-        self.tx_packets += len(emissions)
-        self.tx_bytes += tx_bytes
-        return tx_bytes
-
 
 class Middlebox:
     """Base class of all RANBooster middleboxes.
 
     Subclasses implement :meth:`on_cplane` and :meth:`on_uplane`; the
     default for both is transparent forwarding, so an empty subclass is a
-    valid (pass-through) middlebox.  ``carrier_num_prb`` gives handlers
-    the context to resolve ``numPrb=0`` wire encodings.
+    valid (pass-through) middlebox, and a plane left at the default is
+    forwarded without a context.  ``carrier_num_prb`` gives handlers the
+    context to resolve ``numPrb=0`` wire encodings.
 
     ``obs`` is the observability handle packets are accounted against;
     it defaults to the module-level (disabled) handle, in which case the
-    per-packet cost is a single attribute check.
+    cost is a single attribute check per burst.
 
     ``stack_profile`` is the vendor stack profile
     (:class:`~repro.ran.stacks.VendorProfile`) of the deployment the
@@ -168,85 +230,189 @@ class Middlebox:
     # -- engine ------------------------------------------------------------------
 
     def process(self, packet: FronthaulPacket) -> ActionContext:
-        """Run one packet through the handler; returns the context it ran
+        """Run one packet through its handler; returns the context it ran
         (``emissions``, ``events``, ``wire_bytes``, ``traffic_class``).
 
-        Allocates the context — the packet's one record, which the box
-        does not keep — and nothing else per packet: the events are
-        shared values, the modelled total is kept running, and the
-        counters are adds here.
+        A one-packet :meth:`process_burst` that asks for the context; a
+        handler's exception propagates.
         """
-        obs = self.obs
-        recording = obs.enabled
-        start_ns = obs.clock() if recording else 0
-        stats = self.stats
-        ctx = ActionContext(self.cache, self.cost_model)
-        ctx.wire_bytes = wire_bytes = packet.wire_size
-        stats.rx_packets += 1
-        stats.rx_bytes += wire_bytes
-        cplane = packet.is_cplane
-        if cplane:
-            self.on_cplane(ctx, packet)
-        else:
-            self.on_uplane(ctx, packet)
-        ctx.traffic_class = _TRAFFIC_CLASSES[
-            packet.direction is Direction.DOWNLINK
-        ][cplane]
-        emissions = ctx.emissions
-        if not emissions:
-            stats.dropped_packets += 1
-            tx_bytes = 0
-        elif len(emissions) == 1:
-            tx_bytes = emissions[0].wire_size
-            stats.tx_packets += 1
-            stats.tx_bytes += tx_bytes
-        else:
-            tx_bytes = stats.account_tx(emissions)
-        modeled_ns = ctx.total_ns()
-        stats.processing_ns_total += modeled_ns
-        if recording:
-            self._observe(obs, packet, ctx, tx_bytes, modeled_ns, start_ns)
-        return ctx
+        contexts: List[ActionContext] = []
+        self.process_burst([packet], [packet.wire_size], contexts=contexts)
+        return contexts[0]
 
-    def _observe(
+    def process_burst(
         self,
-        obs: Observability,
-        packet: FronthaulPacket,
-        ctx: ActionContext,
-        tx_bytes: int,
-        modeled_ns: float,
-        start_ns: int,
-    ) -> None:
-        """Account one processed packet in the metrics registry and, when
-        sampled, leave a span row in the flight recorder."""
-        wall_ns = obs.clock() - start_ns
-        traffic_class = ctx.traffic_class
-        emitted = bool(ctx.emissions)
-        packets, rx_bytes, modeled, wall, outcome = obs.children(
-            _packet_children, self.name, traffic_class, emitted
-        )
-        packets.inc()
-        rx_bytes.inc(ctx.wire_bytes)
-        outcome.inc(tx_bytes if emitted else 1)
-        modeled.observe(modeled_ns)
-        wall.observe(wall_ns)
-        if obs.should_sample():
-            time = packet.time
-            obs.recorder.record((
-                packet.ecpri.eaxc.to_int(),
-                time.frame,
-                time.subframe,
-                time.slot,
-                time.symbol,
-                "DL" if packet.direction is Direction.DOWNLINK else "UL",
-                packet.ecpri.seq_id,
-                self.name,
-                traffic_class,
-                modeled_ns,
-                float(wall_ns),
-                start_ns,
-                ctx.events,
-                len(ctx.emissions),
-                not emitted,
-                self.chain_stage,
-            ))
+        packets: List[FronthaulPacket],
+        sizes: List[int],
+        chain=None,
+        direction: str = "",
+        contexts: Optional[List[ActionContext]] = None,
+    ) -> Tuple[List[FronthaulPacket], List[int]]:
+        """The one per-packet stage loop: run a burst through the handlers;
+        returns the packets emitted, in order, and their wire sizes.
+
+        ``sizes`` is the burst's size column (the previous stage's
+        transmit sizes).  An emission's size is read once, when its
+        handler returns, and is the next stage's receive size: a stage
+        must not change a packet after emitting it.  In ``chain`` (running
+        ``direction``) the stage's breaker admits each packet and a
+        handler's exception is a drop the chain counts; alone, it
+        propagates.  A plane whose handler is the template's forward gets
+        no :class:`ActionContext` unless ``contexts`` asks for one per
+        processed packet.  Stats and counters are updated once per burst
+        (``processing_ns_total`` still adds each packet's modelled ns, in
+        order); histograms and span rows stay per packet.
+        """
+        if contexts is None:
+            on_cplane = _own_handler(self.on_cplane, Middlebox.on_cplane)
+            on_uplane = _own_handler(self.on_uplane, Middlebox.on_uplane)
+        else:
+            on_cplane, on_uplane = self.on_cplane, self.on_uplane
+        breaker = None if chain is None else chain.breakers[self.chain_stage]
+        closed = BreakerState.CLOSED
+        stats, obs = self.stats, self.obs
+        recording = obs.enabled
+        cache, cost_model = self.cache, self.cost_model
+        forward_ns = cost_model.forward_ns
+        total_ns = stats.processing_ns_total
+        if on_cplane is None and on_uplane is None and not recording and (
+            breaker is None or breaker.state is closed
+            and not breaker.consecutive_failures
+        ):
+            # Nothing to dispatch, admit or record: out as it came in.
+            for _ in packets:
+                total_ns += forward_ns
+            stats.processing_ns_total = total_ns
+            count, size = len(packets), sum(sizes)
+            stats.rx_packets += count
+            stats.tx_packets += count
+            stats.rx_bytes += size
+            stats.tx_bytes += size
+            return packets, sizes
+        start_ns = obs.clock() if recording else 0
+        observed: list = []
+        faults: List[str] = []
+        emitted: List[FronthaulPacket] = []
+        emitted_sizes: List[int] = []
+        received = received_bytes = sent = sent_bytes = dropped = bypassed = 0
+        try:
+            for packet, size in zip(packets, sizes):
+                # A closed breaker with no failure pending admits every
+                # packet and has nothing to reset: consulted only once a
+                # fault happened (the same transitions, two calls fewer).
+                guarded = breaker is not None and (
+                    breaker.state is not closed or breaker.consecutive_failures
+                )
+                if guarded and not breaker.admit():
+                    # Breaker open: fail open, the packet skips the stage.
+                    bypassed += 1
+                    emitted.append(packet)
+                    emitted_sizes.append(size)
+                    continue
+                received += 1
+                received_bytes += size
+                cplane = packet.is_cplane
+                handler = on_cplane if cplane else on_uplane
+                if handler is None:
+                    # The template's forward, without a context.
+                    events, modeled_ns = None, forward_ns
+                    out, out_bytes = 1, size
+                    emitted.append(packet)
+                    emitted_sizes.append(size)
+                else:
+                    ctx = ActionContext(cache, cost_model)
+                    ctx.wire_bytes = size
+                    try:
+                        handler(ctx, packet)
+                    except Exception as exc:  # noqa: BLE001 — isolation
+                        if breaker is None:
+                            raise
+                        breaker.record_failure()
+                        faults.append(repr(exc))
+                        continue
+                    if contexts is not None:
+                        ctx.traffic_class = _TRAFFIC_CLASSES[
+                            packet.direction is Direction.DOWNLINK
+                        ][cplane]
+                        contexts.append(ctx)
+                    events, modeled_ns = ctx.events, ctx.total_ns()
+                    out, out_bytes = len(ctx.emissions), 0
+                    for packet_out in ctx.emissions:
+                        out_size = packet_out.wire_size
+                        out_bytes += out_size
+                        emitted_sizes.append(out_size)
+                    emitted += ctx.emissions
+                sent += out
+                sent_bytes += out_bytes
+                if not out:
+                    dropped += 1
+                total_ns += modeled_ns
+                if guarded:
+                    breaker.record_success()
+                if recording:
+                    observed.append(
+                        (packet, cplane, modeled_ns, events, out, out_bytes, size)
+                    )
+        finally:
+            stats.processing_ns_total = total_ns
+            stats.rx_packets += received
+            stats.rx_bytes += received_bytes
+            stats.tx_packets += sent
+            stats.tx_bytes += sent_bytes
+            stats.dropped_packets += dropped
+            if observed:
+                self._observe(obs, observed, start_ns)
+            if bypassed or faults:
+                chain.count_isolated(self, direction, bypassed, faults)
+        return emitted, emitted_sizes
+
+    def _observe(self, obs: Observability, observed: list, start_ns: int) -> None:
+        """Account a burst's processed packets in the metrics registry —
+        each counter once per (burst, class), the modelled ns once per
+        packet in order, the burst's wall ÷ n as each packet's wall — and
+        leave a span row in the flight recorder per sampled packet."""
+        wall_ns = (obs.clock() - start_ns) / len(observed)
+        name, stage = self.name, self.chain_stage
+        should_sample, record = obs.should_sample, obs.recorder.record
+        by_class: dict = {}
+        received_bytes = sent_bytes = drops = 0
+        row_start = start_ns
+        for packet, cplane, modeled_ns, events, out, out_bytes, size in observed:
+            downlink = packet.direction is Direction.DOWNLINK
+            traffic_class = _TRAFFIC_CLASSES[downlink][cplane]
+            entry = by_class.get(traffic_class)
+            if entry is None:
+                entry = by_class[traffic_class] = [
+                    obs.children(_MODELED_NS, name, traffic_class), 0
+                ]
+            entry[0].observe(modeled_ns)
+            entry[1] += 1
+            received_bytes += size
+            if out:
+                sent_bytes += out_bytes
+            else:
+                drops += 1
+            if should_sample():
+                if events is None:
+                    events = [shared_event(ActionKind.ROUTE, modeled_ns)]
+                time = packet.time
+                record((
+                    packet.ecpri.eaxc.to_int(), time.frame, time.subframe,
+                    time.slot, time.symbol, "DL" if downlink else "UL",
+                    packet.ecpri.seq_id, name, traffic_class, modeled_ns,
+                    wall_ns, int(row_start), events, out, not out, stage,
+                ))
+            row_start += wall_ns
+        for traffic_class, (_, count) in by_class.items():
+            obs.children(_PACKETS, name, traffic_class).inc(count)
+            obs.children(_WALL_NS, name, traffic_class).observe(wall_ns, count)
+        obs.children(_BYTES, name, "rx").inc(received_bytes)
+        if drops < len(observed):  # some packet emitted
+            obs.children(_BYTES, name, "tx").inc(sent_bytes)
+        if drops:
+            obs.children(_DROPS, name).inc(drops)
+
+
+def _own_handler(handler, template):
+    """``handler``, or ``None`` when it is the template's forward."""
+    return None if getattr(handler, "__func__", None) is template else handler

@@ -146,29 +146,30 @@ def run_recorded(
     """Run ``net`` for ``n_slots`` and return the context of every packet
     ``middlebox`` received, oldest first.
 
-    A box keeps no record: for the run, the instance's ``process`` is
-    wrapped to collect what each call returns (the chain looks it up per
-    stage call), and the wrapper is removed afterwards.  Raises
-    ``RuntimeError`` unless there is one context per packet the box
-    received (a handler raised on one): a figure must never be computed
-    from a partial record.
+    A box keeps no record and builds a context only when asked: for the
+    run, the instance's ``process_burst`` is wrapped to ask for one per
+    packet (the chain looks it up per stage call), and the wrapper is
+    removed afterwards.  Raises ``RuntimeError`` unless there is one
+    context per packet the box received in this run (a handler raised on
+    one): a figure must never be computed from a partial record.
     """
     contexts: List[ActionContext] = []
-    process = middlebox.process
+    process_burst = middlebox.process_burst
+    received = middlebox.stats.rx_packets
 
-    def recording(packet):
-        contexts.append(process(packet))
-        return contexts[-1]
+    def recording(packets, sizes, *isolation):
+        return process_burst(packets, sizes, *isolation, contexts=contexts)
 
-    middlebox.process = recording
+    middlebox.process_burst = recording
     try:
         net.run(n_slots)
     finally:
-        del middlebox.process
-    if len(contexts) != middlebox.stats.rx_packets:
+        del middlebox.process_burst
+    received = middlebox.stats.rx_packets - received
+    if len(contexts) != received:
         raise RuntimeError(
             f"{middlebox.name}: {len(contexts)} contexts recorded for "
-            f"{middlebox.stats.rx_packets} packets received"
+            f"{received} packets received"
         )
     return contexts
 

@@ -74,6 +74,10 @@ class SymbolTime:
     on the wire.
     """
 
+    # Slotted, so the hash computed once in ``__post_init__`` costs no
+    # per-instance dict: one is alive per packet.
+    __slots__ = ("frame", "subframe", "slot", "symbol", "_hash")
+
     frame: int
     subframe: int
     slot: int
@@ -88,6 +92,19 @@ class SymbolTime:
             raise ValueError(f"slot out of range: {self.slot}")
         if not 0 <= self.symbol < SYMBOLS_PER_SLOT:
             raise ValueError(f"symbol out of range: {self.symbol}")
+        # The dataclass hash, computed once: every SlotRing, cache and
+        # flow-key lookup hashes a SymbolTime.
+        object.__setattr__(self, "_hash", hash(
+            (self.frame, self.subframe, self.slot, self.symbol)
+        ))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Pickle and copy rebuild through __init__: the frozen __setattr__
+        # refuses the default slot-state restore.
+        return type(self), (self.frame, self.subframe, self.slot, self.symbol)
 
     def slot_key(self) -> Tuple[int, int, int]:
         """Key identifying the slot (ignoring the symbol index)."""

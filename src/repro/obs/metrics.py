@@ -128,12 +128,13 @@ class Histogram:
         self.count: int = 0
         self.sum: float = 0.0
 
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.sum += value
+    def observe(self, value: float, count: int = 1) -> None:
+        """Observe ``value`` (``count`` times: one update for a burst)."""
+        self.count += count
+        self.sum += value * count
         index = bisect_left(self.bounds, value)
         if index < len(self.bucket_counts):
-            self.bucket_counts[index] += 1
+            self.bucket_counts[index] += count
 
     def cumulative_buckets(self) -> List[Tuple[float, int]]:
         """(upper_bound, cumulative_count) pairs, +Inf last."""

@@ -108,8 +108,8 @@ class TestProcessing:
     def test_emissions_are_what_the_next_stage_receives(
         self, rng, du_mac, ru_mac
     ):
-        """process() returns the context it ran; the chain hands its
-        emissions — the very objects, unwrapped — to the next stage."""
+        """A stage's contexts, asked for, hold its emissions; the chain
+        hands them — the very objects, unwrapped — to the next stage."""
         received = []
 
         class Tap(Middlebox):
@@ -120,9 +120,10 @@ class TestProcessing:
         contexts = []
 
         class Head(Middlebox):
-            def process(self, packet):
-                contexts.append(super().process(packet))
-                return contexts[-1]
+            def process_burst(self, packets, sizes, *isolation):
+                return super().process_burst(
+                    packets, sizes, *isolation, contexts=contexts
+                )
 
         head = Head()
         packets = [uplane(rng, du_mac, ru_mac) for _ in range(4)]
@@ -228,11 +229,22 @@ class TestRunRecorded:
         assert {ctx.traffic_class for ctx in contexts} >= {
             "DL U-Plane", "DL C-Plane"
         }
-        assert "process" not in vars(tap)
+        assert "process_burst" not in vars(tap)
+
+    def test_a_second_recording_counts_only_its_own_packets(self):
+        """The record is checked against what the box received in this
+        run, not in its lifetime: a box that already carried traffic
+        records again."""
+        tap = Tap()
+        net = _tapped_network(tap)
+        first = kit.run_recorded(net, tap, 2)
+        second = kit.run_recorded(net, tap, 2)
+        assert len(first) + len(second) == tap.stats.rx_packets
+        assert len(second) > 0
 
     def test_a_handler_fault_is_a_partial_record(self):
         tap = Tap(fail_on=3)
         with pytest.raises(RuntimeError, match="contexts recorded"):
             kit.run_recorded(_tapped_network(tap), tap, 2)
         assert tap.stats.rx_packets == len(tap.received) > 3
-        assert "process" not in vars(tap)
+        assert "process_burst" not in vars(tap)

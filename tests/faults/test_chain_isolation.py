@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import chain as chain_module
+from repro.core import middlebox as middlebox_module
+from repro.core.actions import ActionContext
 from repro.core.chain import BreakerState, CircuitBreaker, MiddleboxChain
 from repro.core.middlebox import Middlebox
 from repro.faults import FaultyMiddlebox
@@ -62,27 +65,128 @@ class Scripted(Middlebox):
     on_uplane = _maybe_raise
 
 
-def _always_consulted(chain, middlebox, packets, direction):
+def _always_consulted(middlebox, packets, sizes, chain, direction):
     """The stage loop with the breaker asked about every packet (admit
-    before, record_success after) — the reference for the fast path."""
+    before, record_success after), each admitted packet a one-packet
+    burst of the unisolated loop — the reference for the fast path."""
     stage = middlebox.chain_stage
     breaker = chain.breakers[stage]
-    out = []
-    for pkt in packets:
+    out, out_sizes = [], []
+    for pkt, size in zip(packets, sizes):
         if not breaker.admit():
             chain.stage_bypassed[stage] += 1
             out.append(pkt)
+            out_sizes.append(size)
             continue
         try:
-            ctx = middlebox.process(pkt)
+            emitted, emitted_sizes = type(middlebox).process_burst(
+                middlebox, [pkt], [size]
+            )
         except Exception as exc:  # noqa: BLE001 — mirrors the chain
             breaker.record_failure()
             chain.stage_faults[stage] += 1
             chain.fault_log.append((stage, middlebox.name, repr(exc)))
             continue
         breaker.record_success()
+        out += emitted
+        out_sizes += emitted_sizes
+    return out, out_sizes
+
+
+def _per_packet_stage(middlebox, packets, sizes, chain, direction):
+    """The per-packet stage loop the burst loop replaced, kept as its
+    oracle: one context and one ``wire_size`` read on each side per
+    packet, the stats, counters and clock touched per packet, the sizes
+    column ignored (``tests/faults/test_burst_dispatch.py``)."""
+    stage = middlebox.chain_stage
+    label = chain._stage_labels[stage]
+    breaker = chain.breakers[stage]
+    obs = chain.obs
+    out = []
+    for pkt in packets:
+        guarded = (
+            breaker.state is not BreakerState.CLOSED
+            or breaker.consecutive_failures
+        )
+        if guarded and not breaker.admit():
+            chain.stage_bypassed[stage] += 1
+            if obs.enabled:
+                obs.children(
+                    chain_module._STAGE_BYPASSED, chain.name, label
+                ).inc()
+            out.append(pkt)
+            continue
+        try:
+            ctx = _per_packet_process(middlebox, pkt)
+        except Exception as exc:  # noqa: BLE001 — mirrors the chain
+            breaker.record_failure()
+            chain.stage_faults[stage] += 1
+            chain.fault_log.append((stage, middlebox.name, repr(exc)))
+            if obs.enabled:
+                obs.children(
+                    chain_module._STAGE_FAULTS, chain.name, label, direction
+                ).inc()
+            continue
+        if guarded:
+            breaker.record_success()
         out.extend(ctx.emissions)
-    return out
+    return out, [pkt.wire_size for pkt in out]
+
+
+def _per_packet_process(box, pkt):
+    """The per-packet ``Middlebox.process`` of the oracle loop."""
+    obs = box.obs
+    recording = obs.enabled
+    start_ns = obs.clock() if recording else 0
+    stats = box.stats
+    ctx = ActionContext(box.cache, box.cost_model)
+    ctx.wire_bytes = pkt.wire_size
+    stats.rx_packets += 1
+    stats.rx_bytes += ctx.wire_bytes
+    cplane = pkt.is_cplane
+    if cplane:
+        box.on_cplane(ctx, pkt)
+    else:
+        box.on_uplane(ctx, pkt)
+    ctx.traffic_class = middlebox_module._TRAFFIC_CLASSES[
+        pkt.direction is Direction.DOWNLINK
+    ][cplane]
+    tx_bytes = sum(emitted.wire_size for emitted in ctx.emissions)
+    if ctx.emissions:
+        stats.tx_packets += len(ctx.emissions)
+        stats.tx_bytes += tx_bytes
+    else:
+        stats.dropped_packets += 1
+    modeled_ns = ctx.total_ns()
+    stats.processing_ns_total += modeled_ns
+    if recording:
+        wall_ns = obs.clock() - start_ns
+        name, traffic_class = box.name, ctx.traffic_class
+        registry = obs.registry
+        emitted = bool(ctx.emissions)
+        middlebox_module._PACKETS(registry, name, traffic_class).inc()
+        middlebox_module._BYTES(registry, name, "rx").inc(ctx.wire_bytes)
+        if emitted:
+            middlebox_module._BYTES(registry, name, "tx").inc(tx_bytes)
+        else:
+            middlebox_module._DROPS(registry, name).inc()
+        middlebox_module._MODELED_NS(registry, name, traffic_class).observe(
+            modeled_ns
+        )
+        middlebox_module._WALL_NS(registry, name, traffic_class).observe(
+            wall_ns
+        )
+        if obs.should_sample():
+            time = pkt.time
+            obs.recorder.record((
+                pkt.ecpri.eaxc.to_int(), time.frame, time.subframe,
+                time.slot, time.symbol,
+                "DL" if pkt.direction is Direction.DOWNLINK else "UL",
+                pkt.ecpri.seq_id, name, traffic_class, modeled_ns,
+                float(wall_ns), start_ns, ctx.events, len(ctx.emissions),
+                not emitted, box.chain_stage,
+            ))
+    return ctx
 
 
 class TestCircuitBreaker:
@@ -172,7 +276,7 @@ class TestChainBreaker:
         assert faulty.seen == 15 - 4
         # ...but still reached the next one.
         assert tail.seen == 12
-        assert chain.breaker_events == [
+        assert list(chain.breaker_events) == [
             (0, "closed", "open"),
             (0, "open", "half_open"),
             (0, "half_open", "closed"),
@@ -210,10 +314,28 @@ class TestChainBreaker:
         assert len(out) == 1
         assert breaker.state is BreakerState.CLOSED and breaker.opens == 0
         assert breaker.consecutive_failures == threshold - 1
-        assert chain.breaker_events == []
+        assert list(chain.breaker_events) == []
         chain.process_downlink([packet()])
         assert breaker.state is BreakerState.OPEN
-        assert chain.breaker_events == [(0, "closed", "open")]
+        assert list(chain.breaker_events) == [(0, "closed", "open")]
+
+    def test_breaker_events_stay_bounded_under_flapping(self):
+        """1,000 open/probe/close cycles keep the newest 64 transitions,
+        like ``fault_log``: a flapping stage cannot grow the chain."""
+        box = Scripted([True, False] * 1000)
+        chain = MiddleboxChain(
+            [box], breaker_threshold=1, breaker_probation=0
+        )
+        for _ in range(1000):
+            chain.process_downlink([packet(), packet()])
+        breaker = chain.breakers[0]
+        assert breaker.opens == breaker.recoveries == 1000
+        assert len(chain.breaker_events) == 64
+        assert list(chain.breaker_events)[-3:] == [
+            (0, "closed", "open"),
+            (0, "open", "half_open"),
+            (0, "half_open", "closed"),
+        ]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -229,12 +351,13 @@ class TestChainBreaker:
         changes no transition, bypass, fault or emitted packet."""
         runs = []
         for reference in (False, True):
+            box = Scripted(faults)
             chain = MiddleboxChain(
-                [Scripted(faults)], breaker_threshold=threshold,
+                [box], breaker_threshold=threshold,
                 breaker_probation=probation,
             )
             if reference:
-                chain._run_stage = functools.partial(_always_consulted, chain)
+                box.process_burst = functools.partial(_always_consulted, box)
             packets = [packet(slot % 8) for slot in range(len(faults))]
             ordinal = {id(pkt): index for index, pkt in enumerate(packets)}
             out = []
@@ -243,7 +366,7 @@ class TestChainBreaker:
             breaker = chain.breakers[0]
             runs.append((
                 [ordinal[id(pkt)] for pkt in out], chain.stage_faults,
-                chain.stage_bypassed, chain.breaker_events, breaker.state,
+                chain.stage_bypassed, list(chain.breaker_events), breaker.state,
                 breaker.opens, breaker.recoveries,
                 breaker.consecutive_failures,
             ))

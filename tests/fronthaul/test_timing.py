@@ -1,5 +1,8 @@
 """Frame structure, numerology and TDD pattern tests."""
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -75,6 +78,18 @@ class TestSymbolTime:
             SymbolTime(0, 10, 0, 0)
         with pytest.raises(ValueError):
             SymbolTime(0, 0, 0, 14)
+
+    @given(st.tuples(
+        st.integers(0, 255), st.integers(0, 9), st.integers(0, 63),
+        st.integers(0, SYMBOLS_PER_SLOT - 1),
+    ))
+    def test_hash_is_the_field_tuple_hash(self, fields):
+        """Computed once, the hash is the dataclass's: every set and dict
+        of times iterates in the same order."""
+        time = SymbolTime(*fields)
+        assert hash(time) == hash(fields)
+        assert hash(dataclasses.replace(time)) == hash(fields)
+        assert hash(pickle.loads(pickle.dumps(time))) == hash(fields)
 
     @given(st.integers(min_value=0, max_value=256 * 20 - 1))
     def test_absolute_slot_roundtrip_property(self, index):
