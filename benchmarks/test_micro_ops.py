@@ -533,10 +533,11 @@ def test_uplink_fan_in_packs_only_what_is_read(monkeypatch):
         PrbMonitorMiddlebox,
         SpectrumSensorMiddlebox,
     )
-    from repro.conformance import ConformanceTap, WireValidator
+    from repro.conformance import WireValidator
     from repro.eval import kit
     from repro.ran.du import DistributedUnit
     from repro.ran.ru import RadioUnit
+    from tests.conformance.builders import ConformanceTap
 
     passes, packs, built = [], [], {"ru": set(), "du": set()}
 

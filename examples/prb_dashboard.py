@@ -79,10 +79,13 @@ def main() -> None:
     # Detach like a well-behaved RIC app (no leaked callbacks on reuse).
     monitor.telemetry.unsubscribe(TELEMETRY_TOPIC, on_sample)
 
+    # An app that joins late reads the same feed from the bus's history.
+    retained = monitor.telemetry.history(TELEMETRY_TOPIC)
     print()
     first, last = live_samples[0][0], live_samples[-1][0]
     rate = len(live_samples) / ((last - first) / 1e9) if last > first else 0
-    print(f"Telemetry feed: {len(live_samples)} samples, "
+    print(f"Telemetry feed: {len(live_samples)} samples pushed, "
+          f"{len(retained)} retained for late joiners, "
           f"{rate:,.0f} samples/s (sub-millisecond granularity)")
 
     # The operator view: live counters/gauges from the metrics registry.

@@ -46,8 +46,8 @@ SLO alerting every sharded run (and the serve plane) publishes::
             ...}
 
 **Conformance** — the wire-level O-RAN validator (enable with
-``obs.conformance: true`` in a spec, or put a ``ConformanceTap`` stage
-in a chain)::
+``obs.conformance: true`` in a spec, or pass ``validator=`` to a
+``FronthaulNetwork``)::
 
     from repro.api import WireValidator
 

@@ -11,15 +11,12 @@ oracle:
   :class:`WireValidator` checking eCPRI well-formedness, section
   structure, C/U-plane PRB accounting, per-profile BFP legality,
   sequence continuity, and slot-timing monotonicity;
-- :mod:`repro.conformance.tap` — attachment points: a pass-through
-  middlebox and the ``FronthaulNetwork(validator=...)`` hook;
 - :mod:`repro.conformance.reference` — scalar reference
   implementations of the vectorized hot paths for differential testing;
 - :mod:`repro.conformance.generators` — Hypothesis strategies for wire
   objects and scenario specs (test-only; requires ``hypothesis``).
 """
 
-from repro.conformance.tap import ConformanceTap
 from repro.conformance.validator import WireValidator
 from repro.conformance.violations import (
     ConformanceReport,
@@ -29,7 +26,6 @@ from repro.conformance.violations import (
 
 __all__ = [
     "ConformanceReport",
-    "ConformanceTap",
     "Violation",
     "ViolationClass",
     "WireValidator",

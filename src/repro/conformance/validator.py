@@ -1,8 +1,8 @@
 """The stateful wire-level conformance validator.
 
 :class:`WireValidator` can be tapped into any point of the datapath — a
-switch port, a chain stage boundary, RU/DU ingress (see
-:mod:`repro.conformance.tap`) — and checks every frame it observes
+switch port, a chain stage boundary, RU/DU ingress (the
+``FronthaulNetwork(validator=...)`` hook) — and checks every frame it observes
 against the rules the repo's fronthaul implies:
 
 - eCPRI header well-formedness (version, message type, ``payloadSize``

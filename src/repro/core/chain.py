@@ -168,10 +168,6 @@ class MiddleboxChain:
                     _STAGE_FAULTS, self.name, label, direction
                 ).inc(len(faults))
 
-    @property
-    def total_stage_faults(self) -> int:
-        return sum(self.stage_faults)
-
     def _run(
         self, packets: List[FronthaulPacket], boxes: Sequence[Middlebox],
         direction: str,

@@ -1,31 +1,23 @@
 """Regenerate every table and figure: ``python -m repro.eval``.
 
-Runs the full experiment set (the same runners the benchmarks wrap) and
+Runs the paper's experiments (the same runners the benchmarks wrap) and
 prints each result table.  Pass experiment ids to run a subset, e.g.::
 
-    python -m repro.eval fig10a table2 fig15
+    python -m repro.eval fig10a table2 fig15b
 
-``--slots`` / ``--workers`` resize the experiments that take a horizon
-or a worker count (CI smoke runs), e.g.::
-
-    python -m repro.eval chaos-scale --slots 8 --workers 2
+The CI gates (scale-out, chaos, codec, conformance, obs-top, serve) are
+pytest modules, not ids here: see ``tests/`` and ``benchmarks/``.
 """
 
 from __future__ import annotations
 
 import argparse
 import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 
-def _runners(
-    slots: Optional[int], workers: Optional[int]
-) -> "Dict[str, Callable[[], str]]":
+def _runners() -> "Dict[str, Callable[[], str]]":
     from repro.eval.appendix import run_cost_analysis, run_sharing_math
-    from repro.eval.chaos import run_chaos
-    from repro.eval.chaos_scale import run_chaos_scale
-    from repro.eval.codec import run_codec
-    from repro.eval.conformance import run_conformance
     from repro.eval.fig10 import run_fig10a, run_fig10b, run_fig10c
     from repro.eval.fig11 import run_fig11
     from repro.eval.fig12 import run_fig12
@@ -34,14 +26,7 @@ def _runners(
     from repro.eval.fig15 import run_fig15a, run_fig15a_measured, run_fig15b
     from repro.eval.fig16 import run_fig16
     from repro.eval.mobility import run_mobility
-    from repro.eval.obs_top import run_obs_top
-    from repro.eval.scale import run_scale
-    from repro.eval.serve import run_serve
     from repro.eval.table2 import run_table2
-
-    # Only the flags given are forwarded: each runner keeps its defaults.
-    sized = {"slots": slots} if slots else {}
-    sharded = dict(sized, workers=workers) if workers else sized
 
     return {
         "fig10a": lambda: run_fig10a().format(),
@@ -59,27 +44,14 @@ def _runners(
         "mobility": lambda: run_mobility().format(),
         "appendix_a1": lambda: run_sharing_math().format(),
         "appendix_a2": lambda: run_cost_analysis().format(),
-        "chaos": lambda: run_chaos(**sized).format(),
-        "chaos-scale": lambda: run_chaos_scale(**sharded).format(),
-        "codec": lambda: run_codec(**sized).format(),
-        "conformance": lambda: run_conformance(**sized).format(),
-        "obs-top": lambda: run_obs_top(**sharded).format(),
-        "scale": lambda: run_scale(**sized).format(),
-        "serve": lambda: run_serve(**sharded).format(),
     }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro.eval")
     parser.add_argument("experiments", nargs="*", help="ids (default: all)")
-    parser.add_argument(
-        "--slots", type=int, help="horizon for the experiments that take one"
-    )
-    parser.add_argument(
-        "--workers", type=int, help="worker count for the sharded experiments"
-    )
     args = parser.parse_args(argv)
-    runners = _runners(args.slots, args.workers)
+    runners = _runners()
     selected = args.experiments or list(runners)
     unknown = [name for name in selected if name not in runners]
     if unknown:

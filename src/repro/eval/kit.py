@@ -1,6 +1,6 @@
-"""The experiment kit: what every gate and packet-level figure is made of.
+"""The experiment kit: what every packet-level figure is made of.
 
-Five pieces, each existing once:
+Four pieces, each existing once:
 
 - **Spec fragments** — :func:`flow`, :func:`cell` and :func:`scenario`
   build the plain-data cell/UE/flow description every canonical
@@ -14,16 +14,12 @@ Five pieces, each existing once:
 - **The record** — :func:`run_recorded` runs a network and returns every
   :class:`~repro.core.actions.ActionContext` one middlebox processed:
   the per-packet record Figures 15b and 16 are computed from.
-- **The gate ledger** — :class:`Gate` is "named checks, recorded where
-  they are computed", with the one ``assert_healthy`` and the one
-  check-line formatter.
 - **The run-equality contract** lives with the results it compares:
   :func:`repro.scale.run_divergence`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.actions import ActionContext
@@ -90,14 +86,10 @@ def scenario(
     slots: int,
     seed: int,
     cells: Iterable[Dict[str, Any]],
-    stream: Optional[Dict[str, Any]] = None,
     **fields: Any,
 ) -> ScenarioSpec:
-    """A :class:`~repro.scale.spec.ScenarioSpec` over cell fragments.
-    ``stream`` (further :class:`~repro.scale.spec.ObsSpec` fields, maybe
-    none) arms the observability plane and streams it every epoch."""
-    if stream is not None:
-        fields["obs"] = {"enabled": True, "stream": True, **stream}
+    """A :class:`~repro.scale.spec.ScenarioSpec` over cell fragments;
+    ``fields`` are its further top-level keys."""
     return ScenarioSpec.from_dict(
         {"name": name, "slots": slots, "seed": seed, "cells": list(cells),
          **fields}
@@ -172,44 +164,3 @@ def run_recorded(
             f"{received} packets received"
         )
     return contexts
-
-
-# -- the gate ledger ----------------------------------------------------------
-
-
-@dataclass
-class Gate:
-    """What a gate asserts: named checks, recorded where the condition
-    is computed, failed together by :meth:`assert_healthy`."""
-
-    #: name -> (passed, detail), in the order recorded.
-    checks: Dict[str, Tuple[bool, str]] = field(
-        default_factory=dict, init=False, repr=False
-    )
-
-    def check(self, name: str, passed: Any, detail: str = "") -> None:
-        """Record one named condition; ``detail`` explains a failure."""
-        self.checks[name] = (bool(passed), detail)
-
-    def expect(self, name: str, actual: Any, expected: Any) -> None:
-        """Record ``actual == expected``; a failure shows both values."""
-        self.check(
-            name, actual == expected, f"expected {expected!r}, got {actual!r}"
-        )
-
-    def assert_healthy(self) -> None:
-        failed = [
-            f"{name} ({detail})" if detail else name
-            for name, (passed, detail) in self.checks.items()
-            if not passed
-        ]
-        if failed:
-            raise AssertionError(
-                f"{type(self).__name__} checks failed: " + "; ".join(failed)
-            )
-
-    def check_line(self) -> str:
-        return ", ".join(
-            f"{name}={'ok' if passed else 'FAIL'}"
-            for name, (passed, _) in sorted(self.checks.items())
-        )

@@ -1,7 +1,7 @@
 """Deterministic fault injection + datapath hardening primitives.
 
 The injection side lives here (``FaultInjector``, ``ImpairedLink``,
-``FaultyMiddlebox``); the hardening it exercises lives where the
+``FaultInjectorMiddlebox``); the hardening it exercises lives where the
 behavior belongs: per-stage isolation and the circuit breaker in
 :mod:`repro.core.chain`, partial merges in :mod:`repro.apps.das` and
 malformed-frame containment in :mod:`repro.sim.network_sim`.
@@ -23,17 +23,12 @@ from repro.faults.injector import (
     SilenceWindow,
 )
 from repro.faults.link import ImpairedLink
-from repro.faults.middlebox import (
-    FaultInjectorMiddlebox,
-    FaultyMiddlebox,
-    InjectedFault,
-)
+from repro.faults.middlebox import FaultInjectorMiddlebox
 from repro.faults.process import (
     CHAOS_KINDS,
     ProcessChaosAgent,
     ProcessChaosSpec,
     corrupt_bulk,
-    seeded_chaos_sweep,
 )
 from repro.faults.registry import (
     FAULT_REGISTRY,
@@ -51,10 +46,8 @@ __all__ = [
     "FaultInjector",
     "FaultInjectorMiddlebox",
     "FaultScope",
-    "FaultyMiddlebox",
     "GilbertElliottConfig",
     "ImpairedLink",
-    "InjectedFault",
     "InjectorStats",
     "ProcessChaosAgent",
     "ProcessChaosSpec",
@@ -67,5 +60,4 @@ __all__ = [
     "fault_kinds",
     "injector_from_spec",
     "register_fault",
-    "seeded_chaos_sweep",
 ]

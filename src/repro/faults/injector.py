@@ -156,17 +156,6 @@ class InjectorStats:
             + self.truncate_dropped
         )
 
-    @property
-    def injected_events(self) -> int:
-        """Total impairment events of any kind."""
-        return (
-            self.absorbed
-            + self.corrupted_delivered
-            + self.truncated_delivered
-            + self.duplicated
-            + self.reordered
-        )
-
 
 class FaultInjector:
     """Applies a :class:`FaultConfig` to packet bursts, deterministically.

@@ -24,13 +24,13 @@ Failure classes (:data:`CHAOS_KINDS`):
 Injections are declarative (:class:`ProcessChaosSpec`, JSON-safe) and
 ride :class:`~repro.scale.spec.ScenarioSpec.process_chaos`, so the same
 spec reproduces the same failure at the same barrier epoch on the same
-coupling group every run — which is what lets the chaos-scale eval
-sweep kill points and assert digest equality with the unfaulted run.
+coupling group every run — which is what lets the chaos-scale benchmark
+(``benchmarks/test_chaos_scale.py``) sweep kill points and assert
+digest equality with the unfaulted run.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -146,38 +146,9 @@ def corrupt_bulk(
     return [{"group": None, "shard": -1}, *(bulk or ())[1:]]
 
 
-def seeded_chaos_sweep(
-    seed: int, epochs: int, groups: Sequence[str]
-) -> List[ProcessChaosSpec]:
-    """A deterministic injection per failure class: seeded kill points.
-
-    For each kind the seeded RNG picks a barrier epoch in
-    ``[0, epochs)`` and a target coupling group, so a fixed seed sweeps
-    the same (kind, epoch, group) points every run — the chaos-scale
-    eval's sweep generator.
-    """
-    if epochs < 1:
-        raise ValueError("need at least one epoch to inject into")
-    if not groups:
-        raise ValueError("need at least one target group")
-    rng = random.Random(seed)
-    sweep = []
-    for kind in CHAOS_KINDS:
-        sweep.append(
-            ProcessChaosSpec(
-                kind=kind,
-                epoch=rng.randrange(epochs),
-                group=rng.choice(list(groups)),
-                name=f"sweep-{kind}",
-            )
-        )
-    return sweep
-
-
 __all__ = [
     "CHAOS_KINDS",
     "ProcessChaosAgent",
     "ProcessChaosSpec",
     "corrupt_bulk",
-    "seeded_chaos_sweep",
 ]

@@ -21,7 +21,8 @@ that layer made first-class:
 - :mod:`repro.obs.slo` — declarative SLOs with sliding-window burn-rate
   alerting over the stream;
 - :mod:`repro.obs.live` — the live terminal view over a telemetry
-  stream (``python -m repro.eval obs-top``).
+  stream (``python examples/obs_top.py``) and the seed-stable
+  exposition ``tests/scale/test_obs_live_golden.py`` pins.
 
 The whole datapath (middleboxes, chains, the four reference apps) is
 instrumented against one :class:`Observability` handle.  **Disabled is

@@ -76,17 +76,15 @@ class VendorProfile:
     def codec_config(self, codec: Optional[str] = None) -> CompressionConfig:
         """The wire parameters for a named codec (None = preference)."""
         name = codec or self.preferred_codec
-        if name == CODEC_BFP:
-            return self.compression
-        if name == CODEC_MODCOMP:
-            if self.modcomp is None:
-                raise CodecNegotiationError(
-                    f"{self.name} does not implement modulation compression"
-                )
-            return self.modcomp
-        raise CodecNegotiationError(
-            f"unknown codec {name!r}; expected one of {CODEC_NAMES}"
-        )
+        if name not in CODEC_NAMES:
+            raise CodecNegotiationError(
+                f"unknown codec {name!r}; expected one of {CODEC_NAMES}"
+            )
+        if name not in self.supported_codecs():
+            raise CodecNegotiationError(
+                f"{self.name} does not implement modulation compression"
+            )
+        return self.compression if name == CODEC_BFP else self.modcomp
 
 
 SRSRAN = VendorProfile(

@@ -106,8 +106,6 @@ METHODS_ALLOWED = {
     "ResilienceMiddlebox.failback":
         "the resilience app's operator fail-back to the primary DU, asserted "
         "by tests/apps/test_resilience.py and tests/faults/test_resilience_chaos.py",
-    "ChaosResult.fingerprint":
-        "the seed-stable chaos outcome tests/faults/test_chaos_golden.py pins",
     "Fig10cResult.max_error":
         "Figure 10c's PRB-utilization error, asserted by "
         "tests/eval/test_experiments.py and benchmarks/test_fig10c_monitor.py",

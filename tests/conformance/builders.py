@@ -1,6 +1,10 @@
-"""Shared packet builders for the conformance test suite."""
+"""Shared packet builders and the chain-stage tap for the conformance
+test suite."""
 
 import numpy as np
+
+from repro.conformance import WireValidator
+from repro.core.middlebox import ActionContext, Middlebox
 
 from repro.fronthaul.cplane import (
     CPlaneMessage,
@@ -10,7 +14,7 @@ from repro.fronthaul.cplane import (
 )
 from repro.fronthaul.ecpri import EAxCId
 from repro.fronthaul.ethernet import MacAddress
-from repro.fronthaul.packet import make_packet
+from repro.fronthaul.packet import FronthaulPacket, make_packet
 from repro.fronthaul.timing import SymbolTime
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 from repro.ran.stacks import profile_by_name
@@ -53,6 +57,7 @@ def uplane_packet(
     compression=None,
     payload=None,
     amplitude=7,
+    samples=None,
     direction=Direction.DOWNLINK,
     src=SRC,
     dst=DST,
@@ -63,7 +68,10 @@ def uplane_packet(
         section = UPlaneSection.from_samples(
             section_id=1,
             start_prb=start_prb,
-            samples=np.full((num_prb, 24), amplitude, dtype=np.int16),
+            samples=(
+                np.full((num_prb, 24), amplitude, dtype=np.int16)
+                if samples is None else samples
+            ),
             compression=compression,
         )
     else:
@@ -80,3 +88,22 @@ def uplane_packet(
         sections=[section],
     )
     return make_packet(src=src, dst=dst, message=message, seq_id=seq, eaxc=eaxc)
+
+
+class ConformanceTap(Middlebox):
+    """A pass-through middlebox that validates every packet it forwards:
+    a validator at a chain stage boundary, both directions."""
+
+    app_name = "conformance-tap"
+
+    def __init__(self, validator: WireValidator, **kwargs):
+        super().__init__(**kwargs)
+        self.validator = validator
+
+    def on_cplane(self, ctx: ActionContext, packet: FronthaulPacket) -> None:
+        self.validator.observe(packet, tap=self.name)
+        ctx.forward(packet)
+
+    def on_uplane(self, ctx: ActionContext, packet: FronthaulPacket) -> None:
+        self.validator.observe(packet, tap=self.name)
+        ctx.forward(packet)

@@ -1,13 +1,19 @@
 """Tap attachment points: chain stage, network ingress, and the sharded
-scale path with per-shard report merging."""
+scale path with per-shard report merging; and the clean interop matrix
+that holds the repo's own traffic to zero violations at both."""
 
-from repro.conformance import ConformanceTap, WireValidator
+import pytest
+
+from repro.apps.das import DasMiddlebox
+from repro.apps.prb_monitor import PrbMonitorMiddlebox
+from repro.conformance import ConformanceReport, WireValidator
 from repro.conformance.violations import ViolationClass
+from repro.eval import kit
 from repro.fronthaul.cplane import Direction
 from repro.ran.cell import CellConfig
 from repro.ran.du import DistributedUnit
 from repro.ran.ru import RadioUnit, RuConfig
-from repro.ran.stacks import profile_by_name
+from repro.ran.stacks import ALL_PROFILES, profile_by_name
 from repro.ran.traffic import ConstantBitrateFlow
 from repro.scale.spec import (
     CellSpec,
@@ -20,6 +26,7 @@ from repro.scale.spec import (
 )
 from repro.scale.runner import run_scenario
 from repro.sim.network_sim import FronthaulNetwork
+from tests.conformance.builders import ConformanceTap
 
 
 def _validator(profile_name="srsRAN", **kwargs):
@@ -177,3 +184,70 @@ class TestScaleIntegration:
         sharded = run_scenario(spec, workers=2).conformance_report()
         assert solo.counts == sharded.counts
         assert solo.frames_checked == sharded.frames_checked
+
+
+#: (profile, codec) -> (frames checked, violations) of the clean interop
+#: matrix: seed 20, 12 slots.
+CLEAN_MATRIX = {
+    ("srsRAN", "bfp"): (291, 0),
+    ("srsRAN", "modcomp"): (291, 0),
+    ("CapGemini", "bfp"): (325, 0),
+    ("CapGemini", "modcomp"): (325, 0),
+    ("Radisys", "bfp"): (275, 0),
+    ("Radisys", "modcomp"): (275, 0),
+}
+
+
+class TestCleanInteropMatrix:
+    """The Section 6.2 deployment (1 DU, 2 RUs, DAS + PRB monitor) under
+    every vendor profile and every codec it advertises, validated at the
+    network's RU/DU ingress and at a chain-stage tap at once."""
+
+    def test_matrix_is_every_profile_under_every_codec(self):
+        assert set(CLEAN_MATRIX) == {
+            (profile.name, codec)
+            for profile in ALL_PROFILES
+            for codec in profile.supported_codecs()
+        }
+
+    @pytest.mark.parametrize(
+        "profile_name, codec", list(CLEAN_MATRIX),
+        ids=[f"{profile}-{codec}" for profile, codec in CLEAN_MATRIX],
+    )
+    def test_clean_traffic_has_no_violations(self, profile_name, codec):
+        profile = profile_by_name(profile_name)
+        du, rus = kit.endpoints(
+            kit.cell(
+                "clean", 1, [kit.flow("dl", 100), kit.flow("ul", 15)],
+                rus=kit.radios(2, 20), bandwidth_hz=40_000_000,
+                profile=profile.name, codec=codec, seed=20,
+            )
+        )
+        cell = du.cell
+        ingress, chain = (
+            WireValidator(
+                name=f"{profile.name}-{codec}-{tap}",
+                profile=profile,
+                carrier_num_prb=cell.num_prb,
+                numerology=cell.numerology,
+                allowed_compressions={cell.compression},
+            )
+            for tap in ("ingress", "chain")
+        )
+        kit.network(
+            [du], rus,
+            [
+                ConformanceTap(chain),
+                PrbMonitorMiddlebox(carrier_num_prb=cell.num_prb),
+                DasMiddlebox(du_mac=du.mac, ru_macs=[ru.mac for ru in rus]),
+            ],
+            validator=ingress,
+        ).run(12)
+        merged = ConformanceReport()
+        merged.merge(ingress.report)
+        merged.merge(chain.report)
+        assert merged.frames_checked > 0
+        assert merged.total_violations == 0, merged.records[:3]
+        assert (merged.frames_checked, merged.total_violations) == (
+            CLEAN_MATRIX[profile_name, codec]
+        )

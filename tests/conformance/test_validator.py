@@ -1,6 +1,8 @@
 """WireValidator: one regression test per violation class, plus report
 semantics and fault-layer integration."""
 
+import pytest
+
 from repro.conformance import (
     ConformanceReport,
     Violation,
@@ -29,7 +31,89 @@ def only_class(validator, expected):
     return counts[expected.value]
 
 
+MODCOMP = profile_by_name("srsRAN").modcomp
+
+
+def _payload(packet, edits):
+    """The first section's payload bytes with ``{index: value}`` edits."""
+    payload = bytearray(packet.message.sections[0].payload_bytes())
+    for index, value in edits.items():
+        payload[index] = value
+    return bytes(payload)
+
+
+def _bad_version():
+    data = bytearray(cplane_packet(0, 10).pack())
+    data[14] = (data[14] & 0x0F) | (0x2 << 4)  # eCPRI version 2
+    return [bytes(data)]
+
+
+#: One crafted scenario per violation class: the frames it feeds a fresh
+#: validator, in order (bytes take the wire-level parser).
+SEEDED = {
+    # Cut mid-section: payloadSize no longer matches the wire bytes.
+    ViolationClass.BAD_ECPRI_LENGTH: lambda: [uplane_packet(0, 4).pack()[:-5]],
+    ViolationClass.MALFORMED_FRAME: _bad_version,
+    # PRBs [100, 120) overrun the 106-PRB carrier.
+    ViolationClass.SECTION_STRUCTURE: lambda: [cplane_packet(100, 20)],
+    ViolationClass.PRB_SECTION_MISMATCH: lambda: [
+        cplane_packet(0, 20, seq=0), uplane_packet(30, 10, seq=1)
+    ],
+    ViolationClass.BFP_WIDTH_MISMATCH: lambda: [
+        cplane_packet(0, 4, seq=0),
+        uplane_packet(0, 4, seq=1, compression=CompressionConfig(
+            iq_width=14, comp_meth=BFP_COMP_METH
+        )),
+    ],
+    # Exponent 15 > the legal max 7 of width-9 BFP.
+    ViolationClass.ILLEGAL_BFP_EXPONENT: lambda: [
+        cplane_packet(0, 2, seq=0),
+        uplane_packet(
+            0, 2, seq=1, payload=_payload(uplane_packet(0, 2), {0: 0x0F})
+        ),
+    ],
+    # A modcomp payload on a deployment that negotiated only BFP.
+    ViolationClass.CODEC_MISMATCH: lambda: [
+        cplane_packet(0, 4, seq=0),
+        uplane_packet(0, 4, seq=1, compression=MODCOMP),
+    ],
+    # csf set and scaler 20 > the legal max 13 of width-3 modcomp.
+    ViolationClass.ILLEGAL_MODCOMP_PARAM: lambda: [
+        cplane_packet(0, 2, seq=0, compression=MODCOMP),
+        uplane_packet(0, 2, seq=1, compression=MODCOMP, payload=_payload(
+            uplane_packet(0, 2, compression=MODCOMP), {0: 0x80, 1: 20}
+        )),
+    ],
+    ViolationClass.SEQ_GAP: lambda: [
+        cplane_packet(0, 10, seq=0), cplane_packet(0, 10, seq=2)
+    ],
+    ViolationClass.SEQ_DUP: lambda: [cplane_packet(0, 10, seq=5)] * 2,
+    ViolationClass.STALE_SLOT: lambda: [
+        cplane_packet(0, 10, seq=0, time=SymbolTime(2, 0, 0, 0)),
+        cplane_packet(0, 10, seq=1, time=SymbolTime(0, 0, 0, 0)),
+    ],
+}
+#: The modcomp-parameter scenario's validator negotiated modcomp, so only
+#: the corrupt parameter, not the codec choice, is illegal.
+SEEDED_VALIDATOR = {
+    ViolationClass.ILLEGAL_MODCOMP_PARAM: {"allowed_compressions": (MODCOMP,)},
+}
+
+
 class TestViolationClasses:
+    def test_every_class_has_a_seeded_scenario(self):
+        assert set(SEEDED) == set(ViolationClass)
+
+    @pytest.mark.parametrize("expected", list(SEEDED), ids=lambda c: c.value)
+    def test_seeded_scenario_fires_exactly_its_class(self, expected):
+        validator = fresh_validator(**SEEDED_VALIDATOR.get(expected, {}))
+        for frame in SEEDED[expected]():
+            if isinstance(frame, bytes):
+                validator.observe_bytes(frame)
+            else:
+                validator.observe(frame)
+        assert only_class(validator, expected) >= 1
+
     def test_clean_pair_has_no_violations(self):
         validator = fresh_validator()
         validator.observe(cplane_packet(0, 20, seq=0))

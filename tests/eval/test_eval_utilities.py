@@ -1,5 +1,6 @@
 """Tests for eval helpers: report formatting, wire sizing, the CLI."""
 
+import pytest
 
 from repro.eval.fig15 import cplane_wire_bytes, uplane_wire_bytes
 from repro.eval.report import format_table
@@ -75,3 +76,19 @@ class TestEvalCli:
 
         assert main(["figNaN"]) == 2
         assert "unknown experiments" in capsys.readouterr().out
+
+    def test_offers_exactly_the_paper_ids(self, capsys):
+        """The figures, the appendix and mobility; the CI gates are
+        pytest modules, not experiments."""
+        from repro.eval.__main__ import main
+
+        assert main(["?"]) == 2
+        available = capsys.readouterr().out.splitlines()[-1]
+        assert available.removeprefix("available: ").split(", ") == [
+            "fig10a", "fig10b", "fig10c", "table2", "fig11", "fig12",
+            "fig13", "fig14", "fig15a", "fig15a_measured", "fig15b",
+            "fig16", "mobility", "appendix_a1", "appendix_a2",
+        ]
+        # No experiment takes a horizon or a worker count any more.
+        with pytest.raises(SystemExit):
+            main(["fig10a", "--slots", "8"])

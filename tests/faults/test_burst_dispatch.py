@@ -18,12 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.eval import kit
-from repro.faults import FaultyMiddlebox
 from repro.obs import Observability, deterministic_exposition
 from repro.scale.build import build_cell
 from repro.scale.registry import StageBuildContext, build_stage
 from repro.scale.spec import StageSpec
 
+from tests.faults.builders import FaultyMiddlebox
 from tests.faults.test_chain_isolation import Scripted, _per_packet_stage
 
 #: Registered stages that run on one cell with two RUs.

@@ -11,12 +11,12 @@ from repro.core import middlebox as middlebox_module
 from repro.core.actions import ActionContext
 from repro.core.chain import BreakerState, CircuitBreaker, MiddleboxChain
 from repro.core.middlebox import Middlebox
-from repro.faults import FaultyMiddlebox
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import make_packet
 from repro.fronthaul.timing import Numerology, SymbolTime
 from repro.obs import Observability
+from tests.faults.builders import FaultyMiddlebox
 
 SRC = MacAddress.from_int(0x71)
 DST = MacAddress.from_int(0x72)
@@ -244,7 +244,7 @@ class TestStageIsolation:
         assert len(out) == 3
         assert tail.seen == 3
         assert chain.stage_faults == [3, 0]
-        assert chain.total_stage_faults == 3
+        assert sum(chain.stage_faults) == 3
         assert len(chain.fault_log) == 3
         stage, name, exc = chain.fault_log[0]
         assert stage == 0 and name == "faulty" and "InjectedFault" in exc
@@ -292,7 +292,7 @@ class TestChainBreaker:
         chain.process_downlink([packet(slot % 8) for slot in range(8)])
         snapshot = obs.registry.snapshot()
         faults = snapshot["chain_stage_faults_total"]["series"]
-        assert sum(faults.values()) == chain.total_stage_faults == 2
+        assert sum(faults.values()) == sum(chain.stage_faults) == 2
         bypassed = snapshot["chain_stage_bypassed_total"]["series"]
         assert sum(bypassed.values()) == sum(chain.stage_bypassed) == 2
         transitions = snapshot["chain_breaker_transitions_total"]["series"]

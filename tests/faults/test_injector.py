@@ -89,7 +89,9 @@ class TestLossModels:
         packets = burst(rng, 20)
         survivors = injector.apply(packets)
         assert survivors == packets
-        assert injector.stats.injected_events == 0
+        stats = injector.stats
+        assert stats.absorbed == stats.duplicated == stats.reordered == 0
+        assert stats.corrupted_delivered == stats.truncated_delivered == 0
         assert injector.trace == []
 
     def test_gilbert_elliott_losses_cluster(self, rng):

@@ -1,14 +1,75 @@
-"""Process-level chaos specs: validation, determinism, targeting."""
+"""Process-level chaos specs: validation, determinism, targeting.
+
+Also home to what the chaos-scale sweep (``benchmarks/test_chaos_scale.py``)
+runs: its 6-cell topology and its seeded sweep generator.
+"""
+
+import random
 
 import pytest
 
+from repro.eval import kit
 from repro.faults.process import (
     CHAOS_KINDS,
     ProcessChaosAgent,
     ProcessChaosSpec,
     corrupt_bulk,
-    seeded_chaos_sweep,
 )
+
+
+def seeded_chaos_sweep(seed, epochs, groups):
+    """A deterministic injection per failure class: seeded kill points.
+
+    For each kind the seeded RNG picks a barrier epoch in
+    ``[0, epochs)`` and a target coupling group, so a fixed seed sweeps
+    the same (kind, epoch, group) points every run.
+    """
+    if epochs < 1:
+        raise ValueError("need at least one epoch to inject into")
+    if not groups:
+        raise ValueError("need at least one target group")
+    rng = random.Random(seed)
+    return [
+        ProcessChaosSpec(
+            kind=kind,
+            epoch=rng.randrange(epochs),
+            group=rng.choice(list(groups)),
+            name=f"sweep-{kind}",
+        )
+        for kind in CHAOS_KINDS
+    ]
+
+
+def chaos_scale_spec(slots=8):
+    """A 6-cell topology with real coupling: one 3-cell DAS campus, one
+    shared-spectrum pair, two singletons — enough groups that 4 workers
+    get a meaningful placement, with the full obs plane streaming."""
+    def cell(name, pci, group=None, chain=(), rus=None):
+        return kit.cell(
+            name, pci,
+            [kit.flow("dl", 25), kit.flow("ul", 8, "poisson", seed=pci)],
+            rus=rus, chain=chain, group=group,
+        )
+
+    monitor = [{"stage": "prb_monitor"}]
+    cells = [
+        cell(
+            "campus0", 1, group="campus",
+            rus=[{"name": "campus0-ru1"}, {"name": "campus0-ru2"}],
+            chain=[{"stage": "das", "params": {"partial_merge": True}}],
+        ),
+        cell("campus1", 2, group="campus"),
+        cell("campus2", 3, group="campus"),
+        cell("pair0", 4, group="pair", chain=monitor),
+        cell("pair1", 5, group="pair"),
+        cell("solo0", 6, chain=monitor),
+        cell("solo1", 7),
+    ]
+    return kit.scenario(
+        "chaos-scale", slots, 17, cells,
+        obs={"enabled": True, "stream": True, "deadline_accounting": True},
+        epoch_slots=2,
+    )
 
 
 def test_spec_round_trip():

@@ -2,7 +2,8 @@
 
 The ledger (:meth:`~repro.scale.runner.ScenarioResult.delivery`) sums a
 group's slot reports; these tests hold the fixture's traffic to it: no
-cell of the 8-cell benchmark topology runs dark, a fronthaul guard
+cell of the 8-cell benchmark topology runs dark, no group of any
+canonical spec leaves a packet undelivered, a fronthaul guard
 chained with a DAS admits the DAS's re-sourced uplink, and two DASes
 sharing a coupling group each fan out only their own DU's downlink.
 """
@@ -13,6 +14,7 @@ from repro.eval import kit
 from repro.eval.scale import bench_spec
 from repro.scale import Scenario
 from repro.scale.build import build_groups
+from tests.eval.test_golden_tables import canonical_specs
 
 #: ``du.uplink_sha256()`` of a DU that received no uplink.
 NO_UPLINK = hashlib.sha256().hexdigest()
@@ -35,10 +37,16 @@ def _run(*cells):
 
 
 def test_no_cell_of_the_bench_topology_runs_dark():
-    ledger = Scenario(bench_spec(SLOTS)).run(workers=0).delivery()
-    assert {name: counts["undeliverable"] for name, counts in ledger.items()} == {
-        name: 0 for name in ledger
+    specs = dict(canonical_specs(), bench=bench_spec(SLOTS))
+    ledgers = {
+        name: Scenario(spec).run(workers=0).delivery()
+        for name, spec in specs.items()
     }
+    for name, ledger in ledgers.items():
+        assert {
+            group: counts["undeliverable"] for group, counts in ledger.items()
+        } == dict.fromkeys(ledger, 0), name
+    ledger = ledgers["bench"]
     assert all(counts["dl_packets"] > 0 for counts in ledger.values())
     # Cells 1-6 carry an uplink flow; the campus pair is downlink-only.
     assert all(

@@ -4,7 +4,15 @@ import os
 
 import pytest
 
-from repro.scale import Scenario, ScenarioSpec, plan_shards, run
+from repro.eval.scale import bench_spec
+from repro.scale import (
+    Scenario,
+    ScenarioSpec,
+    WorkerPool,
+    plan_shards,
+    run,
+    run_divergence,
+)
 
 FIXTURE = os.path.join(
     os.path.dirname(__file__), "fixtures", "bench_8cell.json"
@@ -176,6 +184,35 @@ def test_golden_fixture_digest_identical_at_all_worker_counts():
         # Coarse default epoch: the whole horizon in one barrier.
         assert sharded.transport["epochs"] == 1
         assert sharded.transport["epoch_slots"] == scenario.spec.slots
+
+
+def scale_sweep(slots):
+    """The scale-out sweep over the 8-cell topology: the single-process
+    run, then one :class:`WorkerPool` per worker count run twice — cold
+    (fork, build, run) and warm (reset, run).  Every run is asserted to
+    be the single-process run, which must leave no packet undelivered.
+    Returns the single-process result and the warm result per worker
+    count (``benchmarks/test_scale_floor.py`` times them)."""
+    spec = bench_spec(slots)
+    reference = Scenario(spec).run(workers=1)
+    undelivered = {
+        name: ledger["undeliverable"]
+        for name, ledger in reference.delivery().items()
+        if ledger["undeliverable"]
+    }
+    assert undelivered == {}
+    warm = {}
+    for workers in (2, 4, 8):
+        with WorkerPool(spec, workers) as pool:
+            cold = pool.run()
+            warm[workers] = pool.run()
+        assert run_divergence(cold, reference) == [], f"{workers} cold"
+        assert run_divergence(warm[workers], reference) == [], f"{workers} warm"
+    return reference, warm
+
+
+def test_scale_smoke_cold_and_warm_pools_are_the_single_process_run():
+    scale_sweep(6)
 
 
 def test_plan_is_deterministic_lpt():
