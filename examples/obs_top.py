@@ -10,19 +10,21 @@ executes.
 
 It ends with the streaming plane's contract, checked against an
 observability-off run of the same spec: streaming never changes the
-results, and the live fold equals the end-of-run collect.
+results, and the live fold equals the end-of-run collect.  It exits 1
+when the contract breaks.
 
 Run:  python examples/obs_top.py
 """
 
 import dataclasses
+import sys
 
 from repro.eval.scale import bench_spec
 from repro.obs import default_slos, render_live
 from repro.scale import ObsSpec, WorkerPool, run_divergence, run_scenario
 
 
-def main() -> None:
+def main() -> int:
     spec = dataclasses.replace(
         bench_spec(16),
         name="obs-top-8cell",
@@ -53,10 +55,11 @@ def main() -> None:
     print()
     if diverged:
         print(f"streamed run diverged from the obs-off run in {diverged}")
-    else:
-        print(f"digest {outcome.digest[:12]}... == obs-off run; "
-              "live fold == collect")
+        return 1
+    print(f"digest {outcome.digest[:12]}... == obs-off run; "
+          "live fold == collect")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -15,11 +15,11 @@ duration can never keep up, regardless of allowance).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.fronthaul.timing import Numerology
 from repro.obs.metrics import declare
-from repro.obs.sketch import DEFAULT_RELATIVE_ACCURACY, QuantileSketch
+from repro.obs.sketch import DEFAULT_RELATIVE_ACCURACY
 
 #: Paper budget for added middlebox processing per slot (Section 6.4.1).
 SLOT_BUDGET_NS = 30_000.0
@@ -73,22 +73,6 @@ class SlotAccount:
     def headroom_ns(self) -> float:
         return self.budget_ns - self.total_ns
 
-    def to_wire(self) -> Dict[str, Any]:
-        """Plain-data form for the streaming telemetry lane."""
-        return {
-            "slot": self.absolute_slot,
-            "stages": dict(self.per_stage_ns),
-            "budget_ns": self.budget_ns,
-        }
-
-    @classmethod
-    def from_wire(cls, data: Dict[str, Any]) -> "SlotAccount":
-        return cls(
-            absolute_slot=data["slot"],
-            per_stage_ns=dict(data["stages"]),
-            budget_ns=data["budget_ns"],
-        )
-
 
 class DeadlineAccountant:
     """Per-slot latency budget checks over a middlebox chain.
@@ -114,20 +98,10 @@ class DeadlineAccountant:
             budget_ns = min(SLOT_BUDGET_NS, numerology.symbol_duration_ns)
         self.budget_ns = budget_ns
         self.obs = obs
+        #: Accuracy of the slot-latency sketch (registry and stream).
+        self.sketch_accuracy = sketch_accuracy
         self.accounts: List[SlotAccount] = []
         self.violations = 0
-        #: Mergeable sketch of per-slot totals: percentiles survive the
-        #: cross-shard fold without shipping the raw account list.
-        self.latency_sketch = QuantileSketch(
-            relative_accuracy=sketch_accuracy
-        )
-
-    def _book(self, account: SlotAccount) -> None:
-        """The accounting common to direct and stream-fed observations."""
-        self.accounts.append(account)
-        if account.violated:
-            self.violations += 1
-        self.latency_sketch.observe(account.total_ns)
 
     def observe_slot(
         self, absolute_slot: int, per_stage_ns: Mapping[str, float]
@@ -138,35 +112,21 @@ class DeadlineAccountant:
             per_stage_ns=dict(per_stage_ns),
             budget_ns=self.budget_ns,
         )
-        self._book(account)
+        self.accounts.append(account)
+        if account.violated:
+            self.violations += 1
         obs = self.obs
         if obs is not None and obs.enabled:
             obs.children(_CHECKS).inc()
             if account.violated:
                 obs.children(_VIOLATIONS).inc()
             obs.children(_HEADROOM).set(account.headroom_ns)
-            obs.children(
-                _slot_total, self.latency_sketch.relative_accuracy
-            ).observe(account.total_ns)
+            obs.children(_slot_total, self.sketch_accuracy).observe(
+                account.total_ns
+            )
             for stage, spent_ns in account.per_stage_ns.items():
                 obs.children(_STAGE_NS, stage).observe(spent_ns)
         return account
-
-    def ingest(self, wire_accounts: Iterable[Dict[str, Any]]) -> int:
-        """Fold stream-shipped accounts (:meth:`SlotAccount.to_wire`).
-
-        Books exactly what :meth:`observe_slot` books — accounts list,
-        violation count, latency sketch — but never touches the metrics
-        registry: on the coordinator those series arrive through the
-        folded metric snapshots, and double-counting them here would break
-        the live-equals-collect invariant.  Returns how many accounts
-        were folded.
-        """
-        folded = 0
-        for data in wire_accounts:
-            self._book(SlotAccount.from_wire(data))
-            folded += 1
-        return folded
 
     # -- aggregate views -----------------------------------------------------
 
@@ -174,10 +134,6 @@ class DeadlineAccountant:
         if not self.accounts:
             return 0.0
         return self.violations / len(self.accounts)
-
-    def percentile(self, p: float) -> float:
-        """Sketch-backed percentile (0-100) of per-slot total latency."""
-        return self.latency_sketch.percentile(p)
 
     def worst_slot(self) -> Optional[SlotAccount]:
         if not self.accounts:

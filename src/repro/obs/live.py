@@ -4,8 +4,9 @@
 TelemetryStream`, mid-run (the stream folds epochs while workers
 execute) or after the final epoch, as the ``obs-top`` terminal screen:
 run header, SLO objective table with burn rates, per-group deadline
-percentiles against the 30 us budget, conformance counts, recent alert
-edges, and the full metric dashboard.
+misses and percentiles, conformance counts, recent alert edges, and the
+full metric dashboard — every per-group row read from the group's
+last-folded snapshot (:meth:`~repro.obs.stream.TelemetryStream.groups`).
 
 :func:`deterministic_exposition` drops the wall-clock families so CI
 can pin a golden snapshot of a streamed run — everything else in the
@@ -18,6 +19,7 @@ from typing import Any, Dict
 
 from repro.obs.exposition import render_dashboard, render_prometheus
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.sketch import QuantileSketch
 from repro.obs.stream import TelemetryStream
 
 #: Metric-family name fragments excluded from golden expositions: these
@@ -61,13 +63,15 @@ def render_live(
     stream: TelemetryStream, title: str = "obs-top: live telemetry"
 ) -> str:
     """The operator terminal screen over one (possibly mid-run) stream."""
+    groups = stream.groups()
     lines = [_rule("="), title.center(_WIDTH), _rule("=")]
     lines.append(
         f"epochs folded {stream.epochs}"
         f"{' (finalized)' if stream.finalized else ''}"
         f" | spans {stream.spans_seen}"
-        f" (dropped {sum(stream.spans_dropped.values())})"
-        f" | frames checked {stream.frames_checked}"
+        f" (dropped {sum(g['spans_dropped'] for g in groups.values())})"
+        f" | frames checked"
+        f" {sum(g['frames_checked'] for g in groups.values())}"
     )
     if stream.slo.specs:
         lines.append("")
@@ -79,35 +83,39 @@ def render_live(
         )
         for row in stream.slo.status():
             lines.append(_format_slo_row(row))
-    if stream.accountants:
+    accounted = {
+        name: group for name, group in groups.items() if group["slot_sketch"]
+    }
+    if accounted:
         lines.append("")
         lines.append("deadline accounting (per group, ns)")
         lines.append(_rule())
         lines.append(
             f"  {'group':<22} {'slots':>6} {'miss':>6}"
-            f" {'p50':>10} {'p99':>10} {'budget':>10}"
+            f" {'p50':>10} {'p99':>10}"
         )
-        for name in sorted(stream.accountants):
-            accountant = stream.accountants[name]
+        for name, group in accounted.items():
+            latency = QuantileSketch.from_sample(group["slot_sketch"])
             lines.append(
-                f"  {name:<22} {len(accountant.accounts):>6}"
-                f" {accountant.violations:>6}"
-                f" {accountant.percentile(50):>10.0f}"
-                f" {accountant.percentile(99):>10.0f}"
-                f" {accountant.budget_ns:>10.0f}"
+                f"  {name:<22} {group['deadline_checks']:>6}"
+                f" {group['deadline_misses']:>6}"
+                f" {latency.percentile(50):>10.0f}"
+                f" {latency.percentile(99):>10.0f}"
             )
         lines.append(
             f"  cross-shard p99 slot latency:"
             f" {stream.p99_slot_latency_ns():.0f} ns"
         )
-    if stream.conformance_counts:
+    violations: Dict[str, int] = {}
+    for group in groups.values():
+        for kind, count in group["violations"].items():
+            violations[kind] = violations.get(kind, 0) + count
+    if violations:
         lines.append("")
         lines.append("conformance violations")
         lines.append(_rule())
-        for kind in sorted(stream.conformance_counts):
-            lines.append(
-                f"  {kind:<50} {stream.conformance_counts[kind]:>8}"
-            )
+        for kind in sorted(violations):
+            lines.append(f"  {kind:<50} {violations[kind]:>8}")
     if stream.slo.alerts:
         lines.append("")
         lines.append("alert edges")

@@ -4,45 +4,52 @@ The telemetry plane has two ends, one object each:
 
 - :class:`GroupStreamSource` (worker side) wraps one built coupling
   group and produces a plain-data **epoch payload** at every barrier:
-  the group registry's cumulative metric snapshot, the span rows its
-  flight recorder took since the last drain (the payload's own
-  ``group``/``shard`` is their stamp, sent once), the deadline accounts
-  of the epoch's slots, and the epoch's conformance counts and breaker
-  opens as plain ints.  Payloads are pure picklable data, so they ride
-  the worker's epoch reply over the control pipe like every other pool
+  the group registry's cumulative metric snapshot, the group's
+  **sample** — what it did since its last payload — and, when
+  ``obs.stream`` is on, the span rows its flight recorder took since
+  the last drain (the payload's own ``group``/``shard`` is their stamp,
+  sent once).  Payloads are pure picklable data, so they ride the
+  worker's epoch reply over the control pipe like every other pool
   payload.
 - :class:`TelemetryStream` (coordinator side) folds payloads as they
-  arrive: the epoch's snapshots are kept for the live registry (merged
-  when read), span rows land in a bounded coordinator recorder with the
-  ``(group, shard)`` they were recorded on after their wire
-  coordinates, deadline accounts feed per-group
-  :class:`~repro.obs.deadline.DeadlineAccountant` twins, and every
-  epoch emits one :class:`~repro.obs.slo.EpochSample` into the
+  arrive: the epoch's snapshots are kept by group, span rows land in a
+  bounded coordinator recorder with the ``(group, shard)`` they were
+  recorded on after their wire coordinates, and the group samples sum
+  into one :class:`~repro.obs.slo.EpochSample` for the
   :class:`~repro.obs.slo.SloEngine` plus a summary record on the
   :class:`~repro.core.telemetry.TelemetryBus` (topic
   :data:`EPOCH_TOPIC`).
 
-**Live equals collect, bit for bit, at every barrier.**  Metrics are a
-state lane: each payload carries the group's whole snapshot and the live
-registry is the merge of this epoch's snapshots in sorted group order,
-built on its first read after the fold — the exact
-computation :meth:`~repro.scale.runner.ScenarioResult.metrics` performs
-at collect time.  So a rebuilt group shows its replayed prefix, an
-evicted group vanishes because it no longer ships, and ``collect()`` is
-a second reading of the same state rather than a second source of
-truth.  Spans, deadline accounts and the scalar counts are event lanes:
-drained once worker-side, accumulated here.
+**One state lane.**  Each payload carries the group's whole snapshot.
+The live registry is the merge of this epoch's snapshots in sorted group
+order, built on its first read after the fold — the exact computation
+:meth:`~repro.scale.runner.ScenarioResult.metrics` performs at collect
+time — and every per-group view (:meth:`TelemetryStream.groups`) reads
+the group's own snapshot.  So a rebuilt group shows its replayed prefix,
+an evicted group vanishes because it no longer ships, and ``collect()``
+is a second reading of the same state rather than a second source of
+truth.
+
+**One worker-side sample.**  SLO windows need increments, which a
+cumulative snapshot does not hold.  The source diffs its snapshot
+against the one it shipped last; the epoch's slot-latency sketch is
+built from the deadline accounts since then.  The diff is taken on the
+worker because only the worker sees a rebuilt group's replayed prefix:
+the replay ships nothing but advances the baseline, so the next sample
+counts the rebuilt group's epoch exactly as a from-scratch run would.
+
+**One span lane.**  Span rows are the only events: drained once
+worker-side, kept here.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, IO, List, Optional, Sequence, Tuple
+from typing import Any, Dict, IO, List, Optional, Sequence
 
-from repro.obs.deadline import DeadlineAccountant
 from repro.obs.metrics import MetricsRegistry, declare
 from repro.obs.recorder import FlightRecorder
-from repro.obs.sketch import DEFAULT_RELATIVE_ACCURACY, QuantileSketch
+from repro.obs.sketch import QuantileSketch
 from repro.obs.slo import EpochSample, SloEngine, SloSpec
 
 #: Bus topic carrying one summary record per folded stream epoch.
@@ -58,55 +65,72 @@ _DROPPED_SPANS = declare(
     ("group",),
 )
 
+#: The sample's counts, by the counter family each one totals.
+_COUNTED = {
+    "deadline_checks": "fronthaul_deadline_checks_total",
+    "deadline_misses": "fronthaul_deadline_violations_total",
+    "frames_checked": "conformance_frames_total",
+}
+#: The sample's scalar counts (an EpochSample field each).
+_SCALARS = (*_COUNTED, "breaker_opens")
+_VIOLATIONS = "conformance_violations_total"
+_BREAKER = "chain_breaker_transitions_total"
+_SLOT_LATENCY = "fronthaul_slot_total_ns"
+
+
+def _series(snapshot: Dict[str, Dict[str, Any]], name: str) -> Dict[str, Any]:
+    family = snapshot.get(name)
+    return family["series"] if family else {}
+
+
+def _total(snapshot: Dict[str, Dict[str, Any]], name: str) -> int:
+    """One counter family's value summed over its series."""
+    return int(sum(_series(snapshot, name).values()))
+
+
+def _counts(snapshot: Dict[str, Dict[str, Any]]) -> Dict[str, Any]:
+    """The event totals one group snapshot holds: deadline checks and
+    misses, conformance frames and violations by class, breaker opens."""
+    counts: Dict[str, Any] = {
+        key: _total(snapshot, name) for key, name in _COUNTED.items()
+    }
+    violations: Dict[str, int] = {}
+    for key, value in _series(snapshot, _VIOLATIONS).items():
+        kind = key.split(",")[-1]
+        violations[kind] = violations.get(kind, 0) + int(value)
+    counts["violations"] = violations
+    counts["breaker_opens"] = int(sum(
+        value for key, value in _series(snapshot, _BREAKER).items()
+        if key.split(",")[-1] == "open"
+    ))
+    return counts
+
 
 class GroupStreamSource:
     """Worker-side producer of one coupling group's epoch payloads.
 
     ``shard`` is the worker index the group runs on (the single-process
-    runner passes ``0``).  ``stream`` gates the expensive lanes: with it
-    False only the metric snapshot and the breaker-open count ship.
+    runner passes ``0``).  ``stream`` gates the span rows: with it False
+    the payload carries the metric snapshot and the sample only.
     """
 
     def __init__(self, group, shard: int, stream: bool = True):
         self.group = group
         self.shard = shard
         self.stream = stream
-        self._shipped_accounts = 0
-        self._last_conformance: Dict[str, Any] = {}
-        self._last_breaker_opens = 0
+        #: The counts of the snapshot shipped last: every sample's baseline.
+        self._shipped = _counts({})
 
-    def _deadline_delta(self) -> List[Dict[str, Any]]:
+    def _slot_sketch(self, since: int) -> Optional[Dict[str, Any]]:
+        """Sketch sample of the slot latencies accounted after the
+        ``since``-th check (``None`` when there are none)."""
         accountant = self.group.accountant
-        if accountant is None:
-            return []
-        fresh = accountant.accounts[self._shipped_accounts:]
-        self._shipped_accounts = len(accountant.accounts)
-        return [account.to_wire() for account in fresh]
-
-    def _conformance_delta(self) -> Dict[str, Any]:
-        validator = self.group.validator
-        if validator is None:
-            return {}
-        report = validator.report
-        previous = self._last_conformance
-        counts = {
-            str(kind): count for kind, count in report.counts.items()
-        }
-        delta = {
-            "frames_checked": (
-                report.frames_checked - previous.get("frames_checked", 0)
-            ),
-            "counts": {
-                kind: count - previous.get("counts", {}).get(kind, 0)
-                for kind, count in counts.items()
-            },
-        }
-        self._last_conformance = {
-            "frames_checked": report.frames_checked,
-            "counts": counts,
-        }
-        delta["counts"] = {k: v for k, v in delta["counts"].items() if v}
-        return delta
+        if accountant is None or len(accountant.accounts) <= since:
+            return None
+        sketch = QuantileSketch(relative_accuracy=accountant.sketch_accuracy)
+        for account in accountant.accounts[since:]:
+            sketch.observe(account.total_ns)
+        return sketch.sample()
 
     def epoch_payload(self) -> Dict[str, Any]:
         """Flush everything this group accumulated since the last epoch.
@@ -121,33 +145,23 @@ class GroupStreamSource:
         }
         obs = self.group.obs
         if self.stream:
-            rows, evicted_delta = obs.recorder.drain()
-            if evicted_delta:
-                obs.children(_DROPPED_SPANS, self.group.name).inc(
-                    evicted_delta
-                )
+            rows, evicted = obs.recorder.drain()
+            if evicted:
+                obs.children(_DROPPED_SPANS, self.group.name).inc(evicted)
             payload["spans"] = rows
-            payload["spans_dropped"] = evicted_delta
-            payload["deadline"] = self._deadline_delta()
-            payload["conformance"] = self._conformance_delta()
         snapshot = obs.registry.snapshot()
-        opens = _breaker_opens(snapshot)
-        payload["breaker_opens"] = opens - self._last_breaker_opens
-        self._last_breaker_opens = opens
+        counts, shipped = _counts(snapshot), self._shipped
+        sample = {key: counts[key] - shipped[key] for key in _SCALARS}
+        sample["violations"] = {
+            kind: count - shipped["violations"].get(kind, 0)
+            for kind, count in counts["violations"].items()
+            if count != shipped["violations"].get(kind, 0)
+        }
+        sample["slot_sketch"] = self._slot_sketch(shipped["deadline_checks"])
+        self._shipped = counts
         payload["metrics"] = snapshot
+        payload["sample"] = sample
         return payload
-
-
-def _breaker_opens(snapshot: Dict[str, Dict[str, Any]]) -> int:
-    """Circuit-breaker open transitions counted by one metric snapshot."""
-    family = snapshot.get("chain_breaker_transitions_total")
-    if not family:
-        return 0
-    opens = 0
-    for key, value in family["series"].items():
-        if key.split(",")[-1] == "open":
-            opens += int(value)
-    return opens
 
 
 class TelemetryStream:
@@ -160,19 +174,17 @@ class TelemetryStream:
 
     - :attr:`registry` — the merge of this barrier's group snapshots
       (equal to ``collect()``'s merge at every barrier), built when read;
+    - :meth:`groups` — per group, the totals its own snapshot holds;
     - :attr:`recorder` — a bounded ring of streamed span rows, each
       stamped with its ``(group, shard)``;
-    - :attr:`accountants` — per-group deadline-accountant twins built
-      purely from the stream (identical to the worker-side ones, which
-      the property suite pins);
     - :attr:`slo` — the burn-rate engine, fed one
-      :class:`~repro.obs.slo.EpochSample` per epoch;
+      :class:`~repro.obs.slo.EpochSample` per epoch: the sum of the
+      group samples;
     - ``bus`` topic :data:`EPOCH_TOPIC` and the optional ``tail`` sink
       (one JSON line per epoch — ``tail`` is any writable text file).
 
-    A group absent from a fold has left the plan: its accountant twin
-    and its per-group conformance and dropped-span counts are forgotten
-    with its metrics.
+    Nothing per group outlives a fold: a group that stops shipping has
+    nothing left to forget.
     """
 
     def __init__(
@@ -180,32 +192,19 @@ class TelemetryStream:
         bus=None,
         slo_specs: Sequence[SloSpec] = (),
         max_spans: int = 4096,
-        sketch_accuracy: float = DEFAULT_RELATIVE_ACCURACY,
         tail: Optional[IO[str]] = None,
         source: str = "telemetry-stream",
     ):
         self.bus = bus
-        #: The last fold's group snapshots, in sorted group order.
-        self._snapshots: List[Dict[str, Dict[str, Any]]] = []
+        #: The last fold's group snapshots, by group in sorted order.
+        self._snapshots: Dict[str, Dict[str, Dict[str, Any]]] = {}
         self._registry: Optional[MetricsRegistry] = None
         self.recorder = FlightRecorder(capacity=max_spans)
-        self.accountants: Dict[str, DeadlineAccountant] = {}
         self.slo = SloEngine(slo_specs, bus=bus, source=source)
-        self.sketch_accuracy = sketch_accuracy
         self.tail = tail
         self.source = source
         self.epochs = 0
         self.spans_seen = 0
-        self.spans_dropped: Dict[str, int] = {}
-        self.frames_checked = 0
-        self.conformance_counts: Dict[str, int] = {}
-        #: Per-group conformance accumulation (group -> {"frames_checked",
-        #: "violations", "counts"}); the scenario-wide totals above are
-        #: event sums and keep what a since-evicted group contributed.
-        self.group_conformance: Dict[str, Dict[str, Any]] = {}
-        #: The last fold's per-group conformance deltas, same shape —
-        #: what the live control plane routes to per-cell subscribers.
-        self.epoch_conformance: Dict[str, Dict[str, Any]] = {}
         self.worker_restarts_total = 0
         self._pending_restarts = 0
         #: True once the fold of the horizon's last epoch is in.
@@ -225,64 +224,6 @@ class TelemetryStream:
 
     # -- folding ---------------------------------------------------------
 
-    def _fold_spans(self, payload: Dict[str, Any]) -> None:
-        rows = payload.get("spans", ())
-        stamp = (payload["group"], payload["shard"])
-        record = self.recorder.record
-        for row in rows:
-            record(row + stamp)
-        self.spans_seen += len(rows)
-        dropped = payload.get("spans_dropped", 0)
-        if dropped:
-            group = payload["group"]
-            self.spans_dropped[group] = (
-                self.spans_dropped.get(group, 0) + dropped
-            )
-
-    def _fold_deadline(
-        self, payload: Dict[str, Any], epoch_sketch: QuantileSketch
-    ) -> Tuple[int, int]:
-        accounts = payload.get("deadline", ())
-        if not accounts:
-            return 0, 0
-        group = payload["group"]
-        accountant = self.accountants.get(group)
-        if accountant is None:
-            accountant = DeadlineAccountant(
-                budget_ns=accounts[0]["budget_ns"],
-                sketch_accuracy=self.sketch_accuracy,
-            )
-            self.accountants[group] = accountant
-        before = accountant.violations
-        folded = accountant.ingest(accounts)
-        for account in accounts:
-            epoch_sketch.observe(sum(account["stages"].values()))
-        return folded, accountant.violations - before
-
-    def _fold_conformance(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        shipped = payload.get("conformance") or {}
-        counts = shipped.get("counts", {})
-        delta = {
-            "frames_checked": shipped.get("frames_checked", 0),
-            "violations": sum(counts.values()),
-            "counts": counts,
-        }
-        self.frames_checked += delta["frames_checked"]
-        per_group = self.group_conformance.setdefault(
-            payload["group"],
-            {"frames_checked": 0, "violations": 0, "counts": {}},
-        )
-        per_group["frames_checked"] += delta["frames_checked"]
-        per_group["violations"] += delta["violations"]
-        for kind, count in counts.items():
-            self.conformance_counts[kind] = (
-                self.conformance_counts.get(kind, 0) + count
-            )
-            per_group["counts"][kind] = (
-                per_group["counts"].get(kind, 0) + count
-            )
-        return delta
-
     def fold_epoch(
         self, payloads: Sequence[Dict[str, Any]], final: bool = False
     ) -> EpochSample:
@@ -293,39 +234,35 @@ class TelemetryStream:
         """
         ordered = sorted(payloads, key=lambda p: p["group"])
         epoch = self.epochs
-        epoch_sketch = QuantileSketch(
-            relative_accuracy=self.sketch_accuracy
-        )
-        checks = misses = frames = violations = opens = 0
-        self._snapshots = [payload["metrics"] for payload in ordered]
+        self._snapshots = {p["group"]: p["metrics"] for p in ordered}
         self._registry = None
-        self.epoch_conformance = {}
+        totals = dict.fromkeys(_SCALARS, 0)
+        violations = 0
+        epoch_sketch: Optional[QuantileSketch] = None
+        record = self.recorder.record
         for payload in ordered:
-            self._fold_spans(payload)
-            folded, violated = self._fold_deadline(payload, epoch_sketch)
-            checks += folded
-            misses += violated
-            delta = self._fold_conformance(payload)
-            self.epoch_conformance[payload["group"]] = delta
-            frames += delta["frames_checked"]
-            violations += delta["violations"]
-            opens += payload["breaker_opens"]
-        # A group that shipped nothing has left the plan.
-        for table in (
-            self.accountants, self.group_conformance, self.spans_dropped
-        ):
-            for group in table.keys() - self.epoch_conformance.keys():
-                del table[group]
+            rows = payload.get("spans", ())
+            stamp = (payload["group"], payload["shard"])
+            for row in rows:
+                record(row + stamp)
+            self.spans_seen += len(rows)
+            increments = payload["sample"]
+            for key in totals:
+                totals[key] += increments[key]
+            violations += sum(increments["violations"].values())
+            latency = increments["slot_sketch"]
+            if latency is not None:
+                if epoch_sketch is None:
+                    epoch_sketch = QuantileSketch.from_sample(latency)
+                else:
+                    epoch_sketch.merge_sample(latency)
         self.finalized = final
         sample = EpochSample(
             epoch=epoch,
-            deadline_checks=checks,
-            deadline_misses=misses,
-            slot_sketch=epoch_sketch.sample() if epoch_sketch.count else None,
-            frames_checked=frames,
+            slot_sketch=epoch_sketch.sample() if epoch_sketch else None,
             conformance_violations=violations,
-            breaker_opens=opens,
             worker_restarts=self._pending_restarts,
+            **totals,
         )
         self._pending_restarts = 0
         alerts = self.slo.observe_epoch(sample)
@@ -350,9 +287,23 @@ class TelemetryStream:
         at every barrier."""
         if self._registry is None:
             self._registry = MetricsRegistry()
-            for snapshot in self._snapshots:
+            for snapshot in self._snapshots.values():
                 self._registry.merge_snapshot(snapshot)
         return self._registry
+
+    def groups(self) -> Dict[str, Dict[str, Any]]:
+        """Per group, in sorted order, the totals its last-folded snapshot
+        holds: the sample's counts, cumulative — plus ``spans_dropped``
+        and ``slot_sketch`` (the slot-latency sketch sample, ``None``
+        without deadline accounting)."""
+        return {
+            group: {
+                **_counts(snapshot),
+                "spans_dropped": _total(snapshot, DROPPED_SPANS_METRIC),
+                "slot_sketch": _series(snapshot, _SLOT_LATENCY).get(""),
+            }
+            for group, snapshot in self._snapshots.items()
+        }
 
     def epoch_summary(
         self, sample: EpochSample, alerts: List[Dict[str, Any]]
@@ -367,7 +318,10 @@ class TelemetryStream:
             "breaker_opens": sample.breaker_opens,
             "worker_restarts": sample.worker_restarts,
             "spans_seen": self.spans_seen,
-            "spans_dropped": sum(self.spans_dropped.values()),
+            "spans_dropped": sum(
+                _total(snapshot, DROPPED_SPANS_METRIC)
+                for snapshot in self._snapshots.values()
+            ),
             "alerts": alerts,
             "firing": self.slo.firing(),
         }
@@ -379,10 +333,8 @@ class TelemetryStream:
 
     def p99_slot_latency_ns(self) -> float:
         """Cross-shard P99 of per-slot chain latency over the whole run."""
-        merged = QuantileSketch(relative_accuracy=self.sketch_accuracy)
-        for name in sorted(self.accountants):
-            merged.merge(self.accountants[name].latency_sketch)
-        return merged.quantile(0.99)
+        family = self.registry.get(_SLOT_LATENCY)
+        return family.labels().quantile(0.99) if family else 0.0
 
 
 __all__ = [

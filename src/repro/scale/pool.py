@@ -20,8 +20,8 @@ contract is byte-identical digests at any worker count:
    (default: the whole horizon — the coarsest epoch) and each ack
    carries ``(slots, telemetry payloads)``.
    Telemetry accumulates worker-side between barriers (the cumulative
-   metric snapshot always; spans, deadline accounts and conformance
-   counts when the spec streams) and folds into the coordinator's
+   metric snapshot and the group's sample always; span rows when the
+   spec streams) and folds into the coordinator's
    :attr:`WorkerPool.telemetry` stream at each epoch boundary, so long
    runs expose progressing telemetry without per-slot chatter.
 3. **One transport.**  A forked worker's bulk (epoch telemetry payloads,
@@ -419,7 +419,6 @@ class WorkerPool:
             bus=self.bus,
             slo_specs=obs.slo_specs(),
             max_spans=obs.max_spans if obs.max_spans is not None else 4096,
-            sketch_accuracy=obs.sketch_accuracy,
             tail=self.tail,
             source=f"{'pool' if self._forks else 'inline'}:{self.spec.name}",
         )

@@ -209,10 +209,10 @@ def run_divergence(
     Two results are the same run when their digests and slot timelines
     are equal and — where ``outcome`` carried a telemetry stream — its
     deterministic exposition equals the reference stream's (when the
-    reference has one), its live fold equals its own ``collect()`` and
-    its per-group tables name no group the run no longer hosts.  However
-    a run was sharded, driven, mutated or recovered, and at whichever
-    barrier it is read, this is the one place "same run" is spelled out.
+    reference has one) and its live fold equals its own ``collect()``.
+    However a run was sharded, driven, mutated or recovered, and at
+    whichever barrier it is read, this is the one place "same run" is
+    spelled out.
     """
     diverged = []
     if outcome.digest != reference.digest:
@@ -227,12 +227,6 @@ def run_divergence(
             diverged.append("exposition")
         if stream.live_snapshot() != outcome.metrics().snapshot():
             diverged.append("live_vs_collect")
-        if (
-            stream.accountants.keys()
-            | stream.group_conformance.keys()
-            | stream.spans_dropped.keys()
-        ) - outcome.groups.keys():
-            diverged.append("ghost_groups")
     return diverged
 
 
@@ -330,11 +324,11 @@ class ShardEngine:
         deterministically fast-forwarded over the ``replay_slots``
         confirmed prefix at the run's epoch cadence; every other hosted
         group keeps its state untouched.  The replayed epochs' telemetry
-        payloads are generated and *discarded*: that drains the event
-        lanes (spans, deadline accounts) at the cadence a from-scratch
-        run drains them and advances the scalar baselines (conformance
-        counts, breaker opens), so the next barrier recounts none of the
-        prefix — while its cumulative metric snapshot shows all of it.
+        payloads are generated and *discarded*: that drains the span
+        rows at the cadence a from-scratch run drains them and advances
+        each source's sample baseline to the replayed snapshot, so the
+        next barrier's sample recounts none of the prefix — while its
+        cumulative metric snapshot shows all of it.
         Nothing is rebound until the new groups are built and replayed,
         so a build failure raises with the engine as it was.
         """

@@ -197,11 +197,12 @@ class ObsSpec:
     #: Attach a per-group wire-level conformance validator at RU/DU
     #: ingress; per-shard reports merge in the ScenarioResult.
     conformance: bool = False
-    #: Stream the full telemetry plane at every barrier epoch: sampled
-    #: spans, deadline accounts and conformance deltas ride each epoch
-    #: reply beside the metric snapshot, and the coordinator folds them
-    #: live (see :mod:`repro.obs.stream`).  Implies nothing when
-    #: ``enabled`` is False.
+    #: Ship span rows at every barrier epoch: the flight recorder's
+    #: sampled spans ride each epoch reply beside the metric snapshot
+    #: and the sample, and the coordinator keeps them (see
+    #: :mod:`repro.obs.stream`).  Gates span rows only — snapshots,
+    #: samples and SLOs flow whenever ``enabled`` is True.  Implies
+    #: nothing when ``enabled`` is False.
     stream: bool = False
     #: Relative accuracy of every quantile sketch the run creates
     #: (slot-latency percentiles, eval CDFs).

@@ -27,7 +27,7 @@ replacement rebuilds its coupling groups from the deterministic
 prefix epoch by epoch
 (:meth:`~repro.scale.runner.ShardEngine.rebase`) — generating and
 *discarding* the telemetry payloads the coordinator already folded, so
-the per-group event lanes drain and scalar baselines advance without
+the span rows drain and each source's sample baseline advances without
 double counting.
 Determinism makes the replayed state bit-identical to the lost one:
 the digest oracle (sharded == single-process at 1/2/4/8 workers) holds

@@ -66,13 +66,19 @@ class LiveRun:
         self._pending.append(
             {"topic": "epochs", "data": dict(record.payload)}
         )
-        # Already in fold (sorted group) order.
-        for group, delta in self.pool.telemetry.epoch_conformance.items():
-            if delta["frames_checked"] or delta["violations"]:
+        # Each checked group's conformance totals as of this fold, read
+        # from its snapshot, in sorted group order.
+        for group, totals in self.pool.telemetry.groups().items():
+            if totals["frames_checked"]:
                 self._pending.append(
                     {
                         "topic": "conformance",
-                        "data": {"group": group, **delta},
+                        "data": {
+                            "group": group,
+                            "frames_checked": totals["frames_checked"],
+                            "violations": sum(totals["violations"].values()),
+                            "counts": totals["violations"],
+                        },
                     }
                 )
 

@@ -12,7 +12,7 @@ construction, which is precisely "applied at the next epoch barrier".
 
 Telemetry flows the other way: each drive step drains the live run's
 pending bus records (epoch summaries, SLO alert edges, per-group
-conformance deltas, applied-delta journal entries) and fans them out as
+conformance totals, applied-delta journal entries) and fans them out as
 ``event`` frames to every session subscribed to the matching topic.
 Subscription state is per-session; a session that never subscribes gets
 a pure request/ack channel.

@@ -5,14 +5,14 @@ Covers the stream's core contracts outside the scale-out machinery
 
 - :meth:`FlightRecorder.drain` never re-delivers a span and accounts
   ring evictions exactly;
-- :class:`GroupStreamSource` ships the cumulative snapshot at every
-  epoch, span rows and epoch-scoped scalars as plain data;
+- :class:`GroupStreamSource` ships the cumulative snapshot and the
+  group's sample at every epoch, and span rows only when streaming;
 - :class:`TelemetryStream` stamps span rows with ``(group, shard)``,
-  merges the live registry from each epoch's payloads, forgets a group
-  that stopped shipping, feeds the recorder and deadline-accountant
-  twins, publishes epoch summaries, and a DeadlineAccountant fed
-  through the stream is indistinguishable from one fed directly (the
-  Hypothesis property at the bottom).
+  merges the live registry from each epoch's payloads, reads every
+  per-group view from the group's snapshot (so a group that stopped
+  shipping is gone), publishes epoch summaries, and the samples a
+  source ships add up to its snapshot (the Hypothesis property at the
+  bottom).
 """
 
 import dataclasses
@@ -24,8 +24,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.obs import Observability
 from repro.obs.deadline import DeadlineAccountant
+from repro.obs.live import render_live
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import FlightRecorder
+from repro.obs.sketch import QuantileSketch
 from repro.obs.slo import SloSpec
 from repro.obs.stream import (
     DROPPED_SPANS_METRIC,
@@ -55,7 +57,14 @@ class FakeGroup:
         self.accountant = DeadlineAccountant(
             budget_ns=budget_ns, obs=self.obs
         )
-        self.validator = None
+
+
+def latency_sample(accounts):
+    """The sketch sample of some accounts' slot totals."""
+    sketch = QuantileSketch()
+    for account in accounts:
+        sketch.observe(account.total_ns)
+    return sketch.sample()
 
 
 class TestDrain:
@@ -116,18 +125,25 @@ class TestGroupStreamSource:
         opens = group.obs.registry.counter(
             "chain_breaker_transitions_total", "", ["chain", "stage", "to"]
         )
+        violations = group.obs.registry.counter(
+            "conformance_violations_total", "", ["validator", "class"]
+        )
         pkts.inc(3)
         opens.labels("c", "0", "open").inc()
         opens.labels("c", "0", "closed").inc()
+        violations.labels("g1", "seq_dup").inc(2)
         first = source.epoch_payload()
         assert first["metrics"]["pkts"]["series"][""] == 3
-        assert first["breaker_opens"] == 1
+        assert first["sample"]["breaker_opens"] == 1
+        assert first["sample"]["violations"] == {"seq_dup": 2}
         pkts.inc(4)
+        violations.labels("g1", "late").inc()
         second = source.epoch_payload()
         assert second["metrics"] == group.obs.registry.snapshot()
         assert second["metrics"]["pkts"]["series"][""] == 7
-        # Epoch-scoped: the open counted last epoch is not recounted.
-        assert second["breaker_opens"] == 0
+        # Increments: what the last payload counted is not recounted.
+        assert second["sample"]["breaker_opens"] == 0
+        assert second["sample"]["violations"] == {"late": 1}
 
     def test_spans_are_stamped_with_group_and_shard(self):
         group = FakeGroup("g1")
@@ -147,7 +163,6 @@ class TestGroupStreamSource:
         for seq in range(6):
             group.obs.recorder.record(make_span(seq))
         payload = source.epoch_payload()
-        assert payload["spans_dropped"] == 4
         dropped = payload["metrics"][DROPPED_SPANS_METRIC]["series"]["g1"]
         assert dropped == 4
 
@@ -155,22 +170,33 @@ class TestGroupStreamSource:
         group = FakeGroup("g1")
         source = GroupStreamSource(group, shard=0)
         group.accountant.observe_slot(0, {"0:das": 500.0})
-        first = source.epoch_payload()
-        assert len(first["deadline"]) == 1
+        first = source.epoch_payload()["sample"]
+        assert (first["deadline_checks"], first["deadline_misses"]) == (1, 0)
+        assert first["slot_sketch"] == latency_sample(
+            group.accountant.accounts
+        )
         group.accountant.observe_slot(1, {"0:das": 2000.0})
-        second = source.epoch_payload()
-        assert len(second["deadline"]) == 1
-        assert second["deadline"][0]["slot"] == 1
+        second = source.epoch_payload()["sample"]
+        assert (second["deadline_checks"], second["deadline_misses"]) == (
+            1, 1
+        )
+        assert second["slot_sketch"] == latency_sample(
+            group.accountant.accounts[1:]
+        )
+        assert source.epoch_payload()["sample"]["slot_sketch"] is None
 
-    def test_stream_off_ships_metrics_only(self):
+    @pytest.mark.parametrize("stream", [True, False])
+    def test_payload_carries_spans_only_when_streaming(self, stream):
         group = FakeGroup("g1")
-        source = GroupStreamSource(group, shard=0, stream=False)
+        source = GroupStreamSource(group, shard=0, stream=stream)
         group.obs.recorder.record(make_span(0))
         group.accountant.observe_slot(0, {"0:das": 10.0})
         payload = source.epoch_payload()
-        assert "spans" not in payload
-        assert "deadline" not in payload
-        assert "metrics" in payload
+        assert set(payload) == {"group", "shard", "metrics", "sample"} | (
+            {"spans"} if stream else set()
+        )
+        # The sample does not depend on streaming.
+        assert payload["sample"]["deadline_checks"] == 1
 
 
 class TestTelemetryStreamFold:
@@ -212,14 +238,20 @@ class TestTelemetryStreamFold:
                 group.obs.recorder.record(make_span(seq))
         for shipping in (sources, sources[:1]):
             stream.fold_epoch([s.epoch_payload() for s in shipping])
-            for table in (
-                stream.accountants, stream.group_conformance,
-                stream.spans_dropped, stream.epoch_conformance,
-            ):
-                assert set(table) == {s.group.name for s in shipping}
+            names = [s.group.name for s in shipping]
+            views = stream.groups()
+            assert list(views) == names
+            for name in names:
+                assert views[name]["spans_dropped"] == 6
+                assert views[name]["deadline_checks"] == 1
+            screen = render_live(stream)
+            for group in groups:
+                assert (f"  {group.name} " in screen) == (
+                    group.name in names
+                )
         assert stream.live_snapshot() == groups[0].obs.registry.snapshot()
 
-    def test_accountant_twins_match_worker_accountants(self):
+    def test_deadline_views_match_worker_accountants(self):
         groups, sources = self._sources()
         stream = TelemetryStream()
         for epoch in range(2):
@@ -228,14 +260,16 @@ class TestTelemetryStreamFold:
                     epoch, {"0:x": 500.0 + 1000.0 * epoch}
                 )
             stream.fold_epoch([s.epoch_payload() for s in sources])
+        views = stream.groups()
+        merged = QuantileSketch()
         for group in groups:
-            twin = stream.accountants[group.name]
-            assert twin.violations == group.accountant.violations
-            assert len(twin.accounts) == len(group.accountant.accounts)
-            assert (
-                twin.latency_sketch.sample()
-                == group.accountant.latency_sketch.sample()
-            )
+            accountant = group.accountant
+            view = views[group.name]
+            assert view["deadline_misses"] == accountant.violations == 1
+            assert view["deadline_checks"] == len(accountant.accounts)
+            assert view["slot_sketch"] == latency_sample(accountant.accounts)
+            merged.merge_sample(view["slot_sketch"])
+        assert stream.p99_slot_latency_ns() == merged.quantile(0.99)
 
     def test_epoch_summaries_reach_bus_and_tail(self):
         groups, sources = self._sources()
@@ -293,20 +327,27 @@ slot_latencies = st.lists(
 
 @given(latencies=slot_latencies, epoch=st.integers(min_value=1, max_value=7))
 @settings(max_examples=60, deadline=None)
-def test_accountant_direct_vs_streamed_identity(latencies, epoch):
-    """An accountant fed epoch-folded wire deltas is indistinguishable
-    from one that observed every slot directly."""
-    direct = DeadlineAccountant(budget_ns=30_000.0)
-    twin = DeadlineAccountant(budget_ns=30_000.0)
-    pending = []
+def test_samples_add_up_to_the_snapshot_view(latencies, epoch):
+    """Whatever the epoch cadence, the samples a source ships add up to
+    the view its last snapshot gives: counts sum, sketches merge."""
+    group = FakeGroup("g", budget_ns=30_000.0)
+    source = GroupStreamSource(group, shard=0)
+    stream = TelemetryStream()
+    samples = []
     for slot, total_ns in enumerate(latencies):
-        account = direct.observe_slot(slot, {"0:chain": total_ns})
-        pending.append(account.to_wire())
-        if len(pending) == epoch:
-            twin.ingest(pending)
-            pending = []
-    twin.ingest(pending)
-    assert twin.violations == direct.violations
-    assert twin.accounts == direct.accounts
-    assert twin.latency_sketch.sample() == direct.latency_sketch.sample()
-    assert twin.percentile(99) == direct.percentile(99)
+        group.accountant.observe_slot(slot, {"0:chain": total_ns})
+        if (slot + 1) % epoch == 0 or slot + 1 == len(latencies):
+            samples.append(stream.fold_epoch([source.epoch_payload()]))
+    (view,) = stream.groups().values()
+    assert sum(s.deadline_checks for s in samples) == view["deadline_checks"]
+    assert sum(s.deadline_misses for s in samples) == view["deadline_misses"]
+    assert view["deadline_misses"] == group.accountant.violations
+    merged = QuantileSketch()
+    for sample in samples:
+        merged.merge_sample(sample.slot_sketch)
+    whole = QuantileSketch.from_sample(view["slot_sketch"])
+    assert merged.buckets == whole.buckets
+    assert (merged.count, merged.zeros, merged.min, merged.max) == (
+        whole.count, whole.zeros, whole.min, whole.max
+    )
+    assert merged.quantile(0.99) == whole.quantile(0.99)

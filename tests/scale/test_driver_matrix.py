@@ -85,12 +85,7 @@ def test_run_divergence_names_exactly_what_differs():
     def live_vs_collect():
         counter["series"][series] += 1
 
-    def ghost_groups():
-        outcome.telemetry.spans_dropped["evicted"] = 1
-
-    perturbations = (
-        digest, timeline, exposition, live_vs_collect, ghost_groups
-    )
+    perturbations = (digest, timeline, exposition, live_vs_collect)
     seen = []
     for perturb in perturbations:
         perturb()

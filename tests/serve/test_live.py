@@ -51,7 +51,7 @@ class TestDrive:
         spec = make_spec(obs=True)  # 12 slots / epoch 3 = 4 folds
         live = LiveRun(spec)
         try:
-            finish(live)
+            result = finish(live)
             events = live.drain_events()
         finally:
             live.close()
@@ -59,16 +59,18 @@ class TestDrive:
         assert len(epochs) == 4
         assert live.drain_events() == []  # drain drains
         assert set(e["topic"] for e in events) <= set(TOPICS)
-        # The conformance topic carries each fold's per-group deltas.
+        # The conformance topic carries each group's totals at every
+        # fold; the last ones are the collected reports.
         shipped = [e["data"] for e in events if e["topic"] == "conformance"]
-        totals = live.pool.telemetry.group_conformance
-        assert {d["group"] for d in shipped} == set(totals) == set(
-            spec.groups()
-        )
-        for group, total in totals.items():
-            assert total["frames_checked"] == sum(
-                d["frames_checked"] for d in shipped if d["group"] == group
+        assert len(shipped) == 4 * len(spec.groups())
+        for group, outcome in result.groups.items():
+            mine = [d for d in shipped if d["group"] == group]
+            frames = [d["frames_checked"] for d in mine]
+            assert frames == sorted(frames)
+            assert mine[-1]["frames_checked"] == (
+                outcome.conformance["frames_checked"]
             )
+            assert mine[-1]["counts"] == outcome.conformance["counts"]
 
 
 class TestApply:
