@@ -55,7 +55,6 @@ def holder_sizes(group):
     return (
         len(sharing.cache),
         sum(len(du._pending_ul) for du in network.dus),
-        sum(len(du.uplink_receptions) for du in network.dus),
         sum(len(radio._tx_grids) for radio in network.rus),
     )
 
@@ -82,7 +81,7 @@ def test_long_horizon(benchmark):
     text = format_table(
         "Shared RU across the frame wrap at slot 5,120 (cells8_bfp campus pair)",
         ("slots", "DL pkts", "UL pkts", "lost", "cache pkts", "pending UL",
-         "DU log", "RU grids"),
+         "RU grids"),
         rows,
     )
     report("long_horizon", text)

@@ -538,6 +538,7 @@ def test_uplink_fan_in_packs_only_what_is_read(monkeypatch):
     from repro.ran.du import DistributedUnit
     from repro.ran.ru import RadioUnit
     from tests.conformance.builders import ConformanceTap
+    from tests.testbed import endpoints, network, record_uplink
 
     passes, packs, built = [], [], {"ru": set(), "du": set()}
 
@@ -577,7 +578,7 @@ def test_uplink_fan_in_packs_only_what_is_read(monkeypatch):
         del passes[:], packs[:]
         for ids in built.values():
             ids.clear()
-        du, rus = kit.endpoints(kit.cell(
+        du, rus = endpoints(kit.cell(
             "venue", 1, [kit.flow("dl", 40.0), kit.flow("ul", 40.0)],
             rus=kit.radios(8, 1), bandwidth_hz=40_000_000,
         ))
@@ -591,15 +592,16 @@ def test_uplink_fan_in_packs_only_what_is_read(monkeypatch):
         if validate:
             validator = WireValidator(carrier_num_prb=du.cell.num_prb)
             chain.append(ConformanceTap(validator))
-        network = kit.network([du], rus, chain, validator=validator)
+        net = network([du], rus, chain, validator=validator)
+        received = record_uplink(du)
         while not du.counters.ul_packets:  # through the first uplink slot
-            network.run_slot()
-        return du, {
+            net.run_slot()
+        return received, {
             side: [p for p in passes if id(p) in built[side]] for side in built
         }
 
     for validate in (False, True):
-        du, sides = run(validate)
+        received, sides = run(validate)
         assert len(sides["ru"]) == 8 and sides["du"]
         merged = len(passes) - len(sides["ru"]) - len(sides["du"])
         if validate:
@@ -607,7 +609,7 @@ def test_uplink_fan_in_packs_only_what_is_read(monkeypatch):
             assert len(packs) == len(passes)
         else:
             assert not any(packed(p) for side in sides.values() for p in side)
-            hashed = sum(len(r.sections) for r in du.uplink_receptions)
+            hashed = sum(len(p.message.sections) for p in received)
             assert 0 < len(packs) == merged == hashed
 
 

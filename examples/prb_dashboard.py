@@ -14,30 +14,37 @@ module, exactly what a scraper would read off ``/metrics``.
 Run:  python examples/prb_dashboard.py
 """
 
-from repro.apps.prb_monitor import TELEMETRY_TOPIC, PrbMonitorMiddlebox
+from repro.api import Scenario
+from repro.apps.prb_monitor import TELEMETRY_TOPIC
 from repro.fronthaul.cplane import Direction
-from repro.obs import Observability, render_dashboard
-from repro.ran.cell import CellConfig
-from repro.ran.du import DistributedUnit
-from repro.ran.ru import RadioUnit, RuConfig
+from repro.obs import render_dashboard
 from repro.ran.traffic import ConstantBitrateFlow
-from repro.sim.network_sim import FronthaulNetwork
 
 RAMP = [(0.0, 20), (150.0, 20), (400.0, 20), (700.0, 20), (100.0, 20)]
 BAR_WIDTH = 40
 
+#: One 100 MHz single-antenna cell behind a PRB monitor, its UE attached
+#: with no traffic (the ramp below sets it), and the flight recorder
+#: armed: metrics + 1-in-16 sampled spans.
+SPEC = {
+    "name": "prb-dashboard",
+    "slots": sum(n_slots for _, n_slots in RAMP),
+    "seed": 3,
+    "cells": [{
+        "name": "cell", "pci": 9, "bandwidth_hz": 100_000_000,
+        "n_antennas": 1, "max_dl_layers": 1, "seed": 3,
+        "rus": [{"name": "ru", "n_antennas": 1}],
+        "ues": [{"ue_id": "ue", "dl_layers": 4, "dl_aggregate_se": 16.0,
+                 "ul_se": 3.0}],
+        "chain": [{"stage": "prb_monitor"}],
+    }],
+    "obs": {"enabled": True, "sample_every": 16},
+}
+
 
 def main() -> None:
-    cell = CellConfig(pci=9, n_antennas=1, max_dl_layers=1)
-    du = DistributedUnit(du_id=1, cell=cell, symbols_per_slot=1, seed=3)
-    ru = RadioUnit(ru_id=1, config=RuConfig(num_prb=cell.num_prb,
-                                            n_antennas=1),
-                   mac=du.ru_mac, du_mac=du.mac)
-    # Arm the flight recorder for this run: metrics + sampled spans.
-    obs = Observability(enabled=True, sample_every=16)
-    monitor = PrbMonitorMiddlebox(carrier_num_prb=cell.num_prb, obs=obs)
-    du.scheduler.add_ue("ue", dl_layers=4)
-    du.scheduler.update_ue_quality("ue", dl_aggregate_se=16.0, ul_se=3.0)
+    (group,) = Scenario.from_dict(SPEC).build()
+    du, (monitor,), obs = group.cells[0].du, group.middleboxes, group.obs
 
     # Subscribe to the telemetry feed like a RIC application would.
     live_samples = []
@@ -46,10 +53,6 @@ def main() -> None:
         live_samples.append((record.timestamp_ns, record.payload.utilization))
 
     monitor.telemetry.subscribe(TELEMETRY_TOPIC, on_sample)
-
-    network = FronthaulNetwork(middleboxes=[monitor])
-    network.add_du(du)
-    network.add_ru(ru)
 
     print("PRB utilization dashboard (100 MHz cell, 10 ms per ramp step)")
     print(f"{'offered':>8}  {'monitor':>8}  {'truth':>6}  timeline")
@@ -60,7 +63,7 @@ def main() -> None:
                            Direction.DOWNLINK)
         log_start = len(du.scheduler.mac_log)
         estimate_start = len(monitor.estimates)
-        network.run(n_slots)
+        group.network.run(n_slots)
         window = [
             e.utilization
             for e in monitor.estimates[estimate_start:]

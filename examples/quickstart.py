@@ -1,57 +1,59 @@
 #!/usr/bin/env python3
 """Quickstart: deploy a DAS middlebox between a DU and two RUs.
 
-Builds the smallest interesting RANBooster deployment — one 40 MHz cell
-whose signal is distributed over two RUs by the DAS middlebox — runs
-traffic through the packet-level fronthaul, and prints what happened.
+Declares the smallest interesting RANBooster deployment — one 40 MHz
+cell whose signal is distributed over two RUs by the DAS middlebox — as
+a scenario spec, runs traffic through the packet-level fronthaul, and
+prints what happened.
 
 Run:  python examples/quickstart.py
 """
 
-from repro.apps.das import DasMiddlebox
-from repro.apps.prb_monitor import PrbMonitorMiddlebox
+import numpy as np
+
+from repro.api import Scenario
 from repro.fronthaul.cplane import Direction
-from repro.phy.geometry import Position
-from repro.ran.cell import CellConfig
-from repro.ran.du import DistributedUnit
-from repro.ran.ru import RadioUnit, RuConfig
-from repro.ran.traffic import ConstantBitrateFlow
-from repro.sim.network_sim import FronthaulNetwork
+
+SLOTS = 40
+
+SPEC = {
+    "name": "quickstart",
+    "slots": SLOTS,
+    "seed": 1,
+    "cells": [{
+        # 1. A 40 MHz 2x2 cell and its DU.
+        "name": "cell", "pci": 1, "bandwidth_hz": 40_000_000,
+        "n_antennas": 2, "max_dl_layers": 2, "symbols_per_slot": 2,
+        # 2. Two commodity RUs (the DAS group).
+        "rus": [
+            {"name": "ru-a", "n_antennas": 2, "position": [10, 10, 0, 3.0]},
+            {"name": "ru-b", "n_antennas": 2, "position": [40, 10, 0, 3.0]},
+        ],
+        # 3. A UE with bidirectional iperf-like traffic.
+        "ues": [{
+            "ue_id": "ue-1", "dl_layers": 2, "dl_aggregate_se": 10.0,
+            "ul_se": 3.0,
+            "flows": [
+                {"kind": "cbr", "rate_mbps": 150, "direction": "dl"},
+                {"kind": "cbr", "rate_mbps": 25, "direction": "ul"},
+            ],
+        }],
+        # 4. The middleboxes: a passive PRB monitor chained before the DAS.
+        "chain": [{"stage": "prb_monitor"}, {"stage": "das"}],
+    }],
+}
 
 
 def main() -> None:
-    # 1. A 40 MHz 2x2 cell and its DU.
-    cell = CellConfig(pci=1, bandwidth_hz=40_000_000, n_antennas=2,
-                      max_dl_layers=2)
-    du = DistributedUnit(du_id=1, cell=cell, symbols_per_slot=2)
-
-    # 2. Two commodity RUs (the DAS group).
-    rus = [
-        RadioUnit(ru_id=i, config=RuConfig(num_prb=cell.num_prb,
-                                           n_antennas=2),
-                  du_mac=du.mac)
-        for i in range(2)
-    ]
-
-    # 3. The middleboxes: a passive PRB monitor chained before the DAS.
-    monitor = PrbMonitorMiddlebox(carrier_num_prb=cell.num_prb)
-    das = DasMiddlebox(du_mac=du.mac, ru_macs=[ru.mac for ru in rus])
-
-    # 4. A UE with bidirectional iperf-like traffic.
-    du.scheduler.add_ue("ue-1", dl_layers=2)
-    du.scheduler.update_ue_quality("ue-1", dl_aggregate_se=10.0, ul_se=3.0)
-    du.attach_flow("ue-1", ConstantBitrateFlow(150, "dl"), Direction.DOWNLINK)
-    du.attach_flow("ue-1", ConstantBitrateFlow(25, "ul"), Direction.UPLINK)
-
-    # 5. Wire everything into the fronthaul and run 40 slots (20 ms).
-    network = FronthaulNetwork(middleboxes=[monitor, das])
-    network.add_du(du)
-    network.add_ru(rus[0], Position(10, 10, 0))
-    network.add_ru(rus[1], Position(40, 10, 0))
-    reports = network.run(40)
+    # 5. Build the live deployment and run 40 slots (20 ms).
+    (group,) = Scenario.from_dict(SPEC).build()
+    (cell,) = group.cells
+    du, rus = cell.du, [radio for radio, _ in cell.rus.values()]
+    monitor, das = group.middleboxes
+    reports = group.network.run(SLOTS)
 
     # 6. What happened.
-    elapsed_ms = 40 * cell.numerology.slot_duration_ns / 1e6
+    elapsed_ms = SLOTS * cell.config.numerology.slot_duration_ns / 1e6
     print(f"Simulated {elapsed_ms:.0f} ms of fronthaul traffic")
     print(f"  DL packets delivered to RUs : {sum(r.dl_packets for r in reports)}")
     print(f"  UL packets returned to DU   : {sum(r.ul_packets for r in reports)}")
@@ -64,8 +66,6 @@ def main() -> None:
     print()
     print("Both RUs transmitted the identical cell signal:")
     key = rus[0].transmitted_symbols()[0]
-    import numpy as np
-
     same = np.array_equal(rus[0].transmit_grid(*key),
                           rus[1].transmit_grid(*key))
     print(f"  grids identical at {key[0]} port {key[1]}: {same}")

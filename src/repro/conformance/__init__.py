@@ -10,11 +10,11 @@ oracle:
 - :mod:`repro.conformance.validator` — the stateful
   :class:`WireValidator` checking eCPRI well-formedness, section
   structure, C/U-plane PRB accounting, per-profile BFP legality,
-  sequence continuity, and slot-timing monotonicity;
-- :mod:`repro.conformance.reference` — scalar reference
-  implementations of the vectorized hot paths for differential testing;
-- :mod:`repro.conformance.generators` — Hypothesis strategies for wire
-  objects and scenario specs (test-only; requires ``hypothesis``).
+  sequence continuity, and slot-timing monotonicity.
+
+The test oracles the datapath is held to — the scalar reference codec
+and the Hypothesis strategies — live with the tests, under
+``tests/conformance/``.
 """
 
 from repro.conformance.validator import WireValidator

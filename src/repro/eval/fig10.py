@@ -279,9 +279,9 @@ def run_fig10c(
     offered load; the monitor's estimates (Algorithm 1 over real BFP
     exponents) are compared with the scheduler's MAC log.
     """
-    from repro.apps.prb_monitor import PrbMonitorMiddlebox
     from repro.fronthaul.compression import SAMPLES_PER_PRB
     from repro.phy.iq import QamModulator
+    from repro.scale.build import build_groups
 
     downlink_points: List[Fig10cPoint] = []
     uplink_points: List[Fig10cPoint] = []
@@ -291,16 +291,16 @@ def run_fig10c(
             flows = [kit.flow("dl", load), kit.flow("ul", load / 10.0)]
         # A 4x4-class aggregate SE so the load/utilization mapping matches
         # the paper's 100 MHz 4x4 cell (only port 0 carries monitored IQ).
-        fragment = kit.cell(
-            "monitored", 9, flows,
-            rus=kit.radios(1, seed, n_antennas=1),
-            ue={"dl_layers": 4, "dl_aggregate_se": 16.0},
-            bandwidth_hz=100_000_000, n_antennas=1, max_dl_layers=1,
-            seed=seed,
-        )
-        du, (ru,) = kit.endpoints(fragment, du_id=3, ru_id_base=9)
-        monitor = PrbMonitorMiddlebox(carrier_num_prb=du.cell.num_prb)
-        network = kit.network([du], [ru], [monitor])
+        (group,) = build_groups(kit.scenario("fig10c", n_slots, seed, [
+            kit.cell(
+                "monitored", 9, flows,
+                rus=kit.radios(1, seed, n_antennas=1),
+                ue={"dl_layers": 4, "dl_aggregate_se": 16.0},
+                bandwidth_hz=100_000_000, n_antennas=1, max_dl_layers=1,
+                seed=seed, chain=[{"stage": "prb_monitor"}],
+            )
+        ]))
+        monitor, du = group.middleboxes[0], group.cells[0].du
         modulator = QamModulator(16)
         rng = np.random.default_rng(seed)
 
@@ -319,7 +319,7 @@ def run_fig10c(
                 ) * 0.5
             return grid
 
-        network.run(n_slots, uplink_signal_fn=ue_uplink)
+        group.network.run(n_slots, uplink_signal_fn=ue_uplink)
         # Estimates exist only for slots that carried U-plane traffic;
         # slots with no U-plane are idle by definition, so normalize per
         # direction-capable slot (what a wall-clock monitor does).

@@ -18,17 +18,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.apps.das import DasMiddlebox
 from repro.core.datapath import ScalabilityPoint, cores_required
 from repro.core.latency import DEFAULT_COST_MODEL
 from repro.eval import kit
 from repro.eval.report import format_table
-from repro.obs import DeadlineAccountant, Observability, render_prometheus
+from repro.obs import DeadlineAccountant, render_prometheus
 from repro.obs.deadline import SLOT_BUDGET_NS
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.sketch import QuantileSketch
 from repro.fronthaul.timing import SYMBOLS_PER_SLOT
 from repro.ran.cell import CellConfig
 from repro.ran.stacks import SRSRAN
+from repro.scale.build import build_groups
 
 
 def uplane_wire_bytes(num_prb: int) -> int:
@@ -177,19 +178,19 @@ class Fig15aMeasuredResult:
         return "\n\n".join(blocks)
 
 
-def _das_cell(n_rus: int):
+def _das_spec(n_rus: int, n_slots: int, stage: Dict, **fields):
     """The Figure 15 deployment — one 100 MHz 4x4 cell at 800/60 Mbps
-    fanned out to ``n_rus`` RUs — as a live DU and its RUs."""
+    fanned out to ``n_rus`` RUs by the DAS ``stage``."""
     seed = 29
-    return kit.endpoints(
+    return kit.scenario(f"fig15-{n_rus}ru", n_slots, seed, [
         kit.cell(
             "das", 1, [kit.flow("dl", 800), kit.flow("ul", 60)],
             rus=kit.radios(n_rus, seed, n_antennas=4),
             ue={"dl_layers": 4, "dl_aggregate_se": 16.0},
             bandwidth_hz=100_000_000, n_antennas=4, max_dl_layers=4,
-            seed=seed,
+            seed=seed, chain=[stage],
         )
-    )
+    ], **fields)
 
 
 def run_fig15a_measured(
@@ -200,24 +201,17 @@ def run_fig15a_measured(
     middlebox per RU count with the flight recorder armed and account
     every slot's modelled latency against the fronthaul budget."""
     accountants: Dict[int, DeadlineAccountant] = {}
-    obs = Observability(enabled=True)
+    registry = MetricsRegistry()
     for n_rus in ru_counts:
-        du, rus = _das_cell(n_rus)
-        das = DasMiddlebox(
-            du_mac=du.mac,
-            ru_macs=[ru.mac for ru in rus],
-            name=f"das-{n_rus}ru",
-            obs=obs,
-        )
-        accountant = DeadlineAccountant(
-            numerology=du.cell.numerology, budget_ns=SLOT_BUDGET_NS, obs=obs
-        )
-        kit.network(
-            [du], rus, [das], deadline_accountant=accountant
-        ).run(n_slots)
-        accountants[n_rus] = accountant
+        (group,) = build_groups(_das_spec(
+            n_rus, n_slots, {"stage": "das", "name": f"das-{n_rus}ru"},
+            obs={"enabled": True, "deadline_accounting": True},
+        ))
+        group.network.run(n_slots)
+        accountants[n_rus] = group.accountant
+        registry.merge_snapshot(group.obs.registry.snapshot())
     return Fig15aMeasuredResult(
-        accountants=accountants, registry_text=render_prometheus(obs.registry)
+        accountants=accountants, registry_text=render_prometheus(registry)
     )
 
 
@@ -229,10 +223,10 @@ def run_fig15b(
     100 MHz cell and read the modelled total of every packet it ran."""
     breakdowns: List[LatencyBreakdown] = []
     for n_rus in ru_counts:
-        du, rus = _das_cell(n_rus)
-        das = DasMiddlebox(du_mac=du.mac, ru_macs=[ru.mac for ru in rus])
+        (group,) = build_groups(_das_spec(n_rus, n_slots, {"stage": "das"}))
         by_class: Dict[str, List[float]] = {}
-        for ctx in kit.run_recorded(kit.network([du], rus, [das]), das, n_slots):
+        das = group.middleboxes[0]
+        for ctx in kit.run_recorded(group.network, das, n_slots):
             by_class.setdefault(ctx.traffic_class, []).append(ctx.total_ns())
         breakdowns.append(LatencyBreakdown(n_rus=n_rus, by_class=by_class))
     return Fig15bResult(breakdowns=breakdowns)

@@ -16,6 +16,7 @@ from typing import Dict
 from repro.core.datapath import DpdkDatapath, XdpDatapath
 from repro.eval import kit
 from repro.eval.report import format_table
+from repro.scale.build import build_groups
 
 CONDITIONS = ("Idle", "UE Attached", "Traffic")
 
@@ -45,16 +46,6 @@ class Fig16Result:
         )
 
 
-def _build_app(app: str, du, rus):
-    from repro.apps.das import DasMiddlebox
-    from repro.apps.dmimo import DmimoMiddlebox, RuPortMap
-
-    if app == "das":
-        return DasMiddlebox(du_mac=du.mac, ru_macs=[ru.mac for ru in rus])
-    port_map = RuPortMap(groups=tuple((ru.mac, 1) for ru in rus))
-    return DmimoMiddlebox(du_mac=du.mac, port_map=port_map)
-
-
 def _flows(condition: str, seed: int):
     """The UE's traffic per cell condition; ``None`` means no UE at all."""
     if condition == "Idle":
@@ -81,20 +72,20 @@ def run_fig16(n_slots: int = 40) -> Fig16Result:
         for condition in CONDITIONS:
             # A 40 MHz 2x2 cell on two RUs: both antennas each for the
             # DAS, one antenna each for dMIMO.  Every symbol is sent.
-            du, rus = kit.endpoints(
+            (group,) = build_groups(kit.scenario(f"fig16-{app}", n_slots, seed, [
                 kit.cell(
                     app, 1, _flows(condition, seed),
                     rus=kit.radios(2, seed, 2 if app == "das" else 1),
                     ue={"dl_aggregate_se": 11.0},
                     bandwidth_hz=40_000_000, symbols_per_slot=None,
-                    seed=seed,
+                    seed=seed, chain=[{"stage": app}],
                 )
-            )
-            middlebox = _build_app(app, du, rus)
+            ]))
             contexts = kit.run_recorded(
-                kit.network([du], rus, [middlebox]), middlebox, n_slots
+                group.network, group.middleboxes[0], n_slots
             )
-            interval_ns = n_slots * du.cell.numerology.slot_duration_ns
+            numerology = group.cells[0].config.numerology
+            interval_ns = n_slots * numerology.slot_duration_ns
             dpdk[app][condition] = dpdk_model.cpu_utilization(contexts, interval_ns)
             xdp[app][condition] = xdp_model.cpu_utilization(contexts, interval_ns)
     return Fig16Result(dpdk=dpdk, xdp=xdp)

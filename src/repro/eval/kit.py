@@ -1,16 +1,13 @@
 """The experiment kit: what every packet-level figure is made of.
 
-Four pieces, each existing once:
+Three pieces, each existing once:
 
 - **Spec fragments** — :func:`flow`, :func:`cell` and :func:`scenario`
-  build the plain-data cell/UE/flow description every canonical
-  :class:`~repro.scale.spec.ScenarioSpec` of this package is written in.
-- **The testbed** — :func:`endpoints` turns one cell fragment into a live
-  DU (UE and flows attached) and its RUs through
-  :func:`repro.scale.build.build_cell`, the only DU/RU wiring site in
-  ``src/``; :func:`network` puts them behind a middlebox chain.  Seeds
-  are explicit in the fragment, so a site's ids, MACs and RNG streams
-  are exactly what it asks for.
+  build the plain-data cell/UE/flow description every
+  :class:`~repro.scale.spec.ScenarioSpec` of this package is written in;
+  every packet-level figure builds its deployment from one through
+  :func:`repro.scale.build.build_groups`.  Seeds are explicit in the
+  fragment, so a figure's RNG streams are exactly what it asks for.
 - **The record** — :func:`run_recorded` runs a network and returns every
   :class:`~repro.core.actions.ActionContext` one middlebox processed:
   the per-packet record Figures 15b and 16 are computed from.
@@ -20,13 +17,10 @@ Four pieces, each existing once:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.core.actions import ActionContext
 from repro.core.middlebox import Middlebox
-from repro.ran.du import DistributedUnit
-from repro.ran.ru import RadioUnit
-from repro.scale.build import build_cell
 from repro.scale.spec import ScenarioSpec
 from repro.sim.network_sim import FronthaulNetwork
 
@@ -94,39 +88,6 @@ def scenario(
         {"name": name, "slots": slots, "seed": seed, "cells": list(cells),
          **fields}
     )
-
-
-# -- the testbed --------------------------------------------------------------
-
-
-def endpoints(
-    fragment: Dict[str, Any], du_id: int = 1, ru_id_base: int = 0
-) -> Tuple[DistributedUnit, List[RadioUnit]]:
-    """One cell fragment as live objects: its DU (UE and flows attached)
-    and its RUs, ids ``ru_id_base + offset``, uplink addressed to the DU.
-
-    The fragment carries its own ``seed`` (cell and RUs), so nothing is
-    derived from the throwaway one-cell scenario it is built under.
-    """
-    spec = scenario(fragment["name"], 1, 0, [fragment])
-    built = build_cell(spec, spec.cells[0], du_id, ru_id_base)
-    return built.du, [radio for radio, _ in built.rus.values()]
-
-
-def network(
-    dus: Sequence[DistributedUnit],
-    rus: Sequence[RadioUnit],
-    middleboxes: Sequence[Middlebox],
-    **options: Any,
-) -> FronthaulNetwork:
-    """A :class:`~repro.sim.network_sim.FronthaulNetwork` with the DUs and
-    RUs attached behind the chain; ``options`` are its own keywords."""
-    net = FronthaulNetwork(middleboxes=middleboxes, **options)
-    for du in dus:
-        net.add_du(du)
-    for radio in rus:
-        net.add_ru(radio)
-    return net
 
 
 # -- the record ---------------------------------------------------------------

@@ -407,16 +407,6 @@ class BfpCompressor(_PrbCodec):
     def __init__(self, config: CompressionConfig = CompressionConfig()):
         self.config = config
 
-    def exponents_for(self, samples: np.ndarray) -> np.ndarray:
-        """Per-PRB BFP exponents for int16 samples of shape (n_prbs, 24).
-
-        The exponent is the number of right-shifts needed so the largest
-        magnitude in the PRB fits the mantissa width.  Idle PRBs (all
-        near-zero samples) get exponent 0 — the property Algorithm 1's
-        utilization estimator relies on.
-        """
-        return self._shifts_for(samples)
-
     def _check_shifts(self, largest: int) -> None:
         if largest > MAX_WIRE_EXPONENT:
             raise ValueError(

@@ -85,15 +85,6 @@ class ModCompressor(_PrbCodec):
     def recompression_stable(self) -> bool:
         return self.config.iq_width > 1
 
-    def scalers_for(self, samples: np.ndarray) -> np.ndarray:
-        """Per-PRB scalers for int16 samples of shape (n_prbs, 24).
-
-        The smallest power-of-two right shift after which every sample in
-        the PRB fits a signed ``iq_width``-bit mantissa.  Idle PRBs get
-        scaler 0.
-        """
-        return self._shifts_for(samples)
-
     def _check_shifts(self, largest: int) -> None:
         legal = max_scaler(self.config.iq_width)
         if largest > legal:

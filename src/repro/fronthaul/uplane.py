@@ -68,8 +68,8 @@ class UPlaneSection:
     riding on the section it builds and its payload pending, packed with
     its whole encode pass by the first read of ``payload`` (as ``pack``,
     ``==``, ``repr``, ``deepcopy`` and ``replace`` do).  Both are private;
-    ``clone`` shares them, ``replace`` drops them, :meth:`unpack` never
-    has them, and :meth:`shed_parse` ends the parse.
+    ``clone`` shares them, ``replace`` drops them, and :meth:`unpack`
+    never has them.
     """
 
     section_id: int
@@ -132,13 +132,6 @@ class UPlaneSection:
         self._parse = parse
         return self
 
-    def shed_parse(self) -> None:
-        """Keep the wire bytes, drop the riding parse.  For a holder that
-        keeps the section past its datapath life (the DU's reception
-        log): a parse — and a pending payload — pins its whole codec pass."""
-        self.payload  # packs a pending payload
-        self._parse = None
-
     def parse_rows(self, count: int) -> Parse:
         """The first ``count`` PRBs' parse, the caller's to keep: riding
         rows copied (a view pins the pass), or the wire bytes parsed."""
@@ -159,14 +152,6 @@ class UPlaneSection:
         return codec_for(self.compression).read_exponents(
             self.payload, self.num_prb
         )
-
-    def prb_payload(self, prb: int) -> bytes:
-        """Raw wire bytes of one PRB relative to this section's range."""
-        size = self.compression.prb_payload_bytes()
-        index = prb - self.start_prb
-        if not 0 <= index < self.num_prb:
-            raise ValueError(f"PRB {prb} outside section range {self.prb_range}")
-        return bytes(self.payload[index * size : (index + 1) * size])
 
     def prb_payload_view(self, start_prb: int, num_prb: int) -> PayloadBytes:
         """Zero-copy view over a contiguous PRB range of the payload."""

@@ -54,11 +54,10 @@ def int16_to_iq(samples: np.ndarray, backoff: float = 0.25) -> np.ndarray:
 
 
 class QamModulator:
-    """Square-QAM modulation/demodulation with Gray mapping.
+    """Square-QAM modulation with Gray mapping.
 
     Supports orders 4, 16, 64, 256 (QPSK through 256QAM) — the modulation
-    set of the 5G downlink.  Hard-decision demodulation is sufficient for
-    the correctness experiments (symbol error rate as decode proxy).
+    set of the 5G downlink.
     """
 
     SUPPORTED_ORDERS = (4, 16, 64, 256)
@@ -72,10 +71,8 @@ class QamModulator:
         self._side = side
         levels = 2 * np.arange(side) - (side - 1)
         # Normalize to unit average energy.
-        self._norm = np.sqrt((2 / 3) * (order - 1))
-        self._levels = levels / self._norm
-        self._gray = _gray_code(side)
-        self._inverse_gray = np.argsort(self._gray)
+        self._levels = levels / np.sqrt((2 / 3) * (order - 1))
+        self._inverse_gray = np.argsort(_gray_code(side))
 
     def modulate(self, symbols: np.ndarray) -> np.ndarray:
         """Map integer symbols in [0, order) to complex constellation points."""
@@ -86,19 +83,6 @@ class QamModulator:
         i_index = self._inverse_gray[symbols >> half_bits]
         q_index = self._inverse_gray[symbols & (self._side - 1)]
         return self._levels[i_index] + 1j * self._levels[q_index]
-
-    def demodulate(self, points: np.ndarray) -> np.ndarray:
-        """Hard-decision demap complex points back to integer symbols."""
-        points = np.asarray(points)
-        half_bits = self.bits_per_symbol // 2
-        i_index = self._nearest_level(points.real)
-        q_index = self._nearest_level(points.imag)
-        return (self._gray[i_index] << half_bits) | self._gray[q_index]
-
-    def _nearest_level(self, values: np.ndarray) -> np.ndarray:
-        scaled = values * self._norm
-        index = np.round((scaled + (self._side - 1)) / 2).astype(np.int64)
-        return np.clip(index, 0, self._side - 1)
 
 
 def _gray_code(n: int) -> np.ndarray:

@@ -52,15 +52,6 @@ _BLOCK_ROWS = 8
 
 
 @dataclass
-class UplinkReception:
-    """Bookkeeping for one received uplink U-plane packet."""
-
-    time: SymbolTime
-    ru_port: int
-    sections: List[UPlaneSection]
-
-
-@dataclass
 class DuCounters:
     """Throughput accounting for the experiments."""
 
@@ -119,12 +110,9 @@ class DistributedUnit:
         self.rng = np.random.default_rng(seed)
         self.modulator = QamModulator(DATA_QAM_ORDER)
         self.flows: Dict[str, Tuple[object, Direction]] = {}
-        #: Data receptions, while their slot is held:
-        #: {(time, ru_port): [UplinkReception]}.
-        self._receptions = SlotRing()
         #: sha256 over every data reception's wire-level IQ since the run
-        #: began, in arrival order (the log above forgets; this does not),
-        #: fed once a slot from the bytes received since.
+        #: began, in arrival order, fed once a slot from the bytes
+        #: received since.
         self._uplink_hash = hashlib.sha256()
         self._unhashed: List[bytes] = []
         #: Reference DL int16 grids for tests: {(time, port): samples}.
@@ -338,11 +326,6 @@ class DistributedUnit:
         qpsk = QamModulator(4)
         return qpsk.modulate(rng.integers(0, 4, n_samples))
 
-    def ssb_reference(self) -> np.ndarray:
-        """The cell's SSB waveform (used by tests to locate SSB copies)."""
-        ssb_start, ssb_end = self.cell.ssb_prb_range
-        return self._ssb_waveform((ssb_end - ssb_start) * SAMPLES_PER_PRB)
-
     def _emit(self, message, eaxc: EAxCId, uplane: bool = False) -> FronthaulPacket:
         packet = make_packet(
             src=self.mac,
@@ -366,26 +349,16 @@ class DistributedUnit:
         if packet.message.filter_index == 1:
             self.counters.prach_detections += 1
             return
-        reception = UplinkReception(
-            time=packet.time,
-            ru_port=packet.eaxc.ru_port,
-            sections=list(packet.message.sections),
-        )
-        # The packet's datapath life ends here and the log outlives the
-        # slot: it keeps the wire bytes, not the encoder's parse.
-        for section in reception.sections:
-            section.shed_parse()
-        self._receptions.setdefault(
-            (reception.time, reception.ru_port), []
-        ).append(reception)
+        time, ru_port = packet.time, packet.eaxc.ru_port
+        sections = packet.message.sections
         self.counters.ul_packets += 1
-        self._account_uplink(reception)
-        time, unhashed = reception.time, self._unhashed
+        self._account_uplink(time, ru_port, sections)
+        unhashed = self._unhashed
         unhashed.append(
             f"{time.frame},{time.subframe},{time.slot},{time.symbol},"
-            f"{reception.ru_port}".encode()
+            f"{ru_port}".encode()
         )
-        for section in reception.sections:
+        for section in sections:
             unhashed.append(
                 f"{section.section_id},{section.start_prb},"
                 f"{section.num_prb}".encode()
@@ -400,16 +373,10 @@ class DistributedUnit:
 
     def end_slot(self) -> None:
         """Close the slot, once its uplink arrived: the hash takes the
-        slot's receptions, which age out of their ring with the grants."""
+        slot's receptions, and the slot's grants age out of their ring."""
         self._fold_uplink_hash()
-        self._receptions.close()
         self._pending_ul.close()
         self._pending_ul_symbols.close()
-
-    @property
-    def uplink_receptions(self) -> List[UplinkReception]:
-        """Data receptions of the slots still held, oldest first."""
-        return [r for held in self._receptions.values() for r in held]
 
     def uplink_sha256(self) -> str:
         """Hex digest of every data reception so far (order-sensitive);
@@ -417,22 +384,24 @@ class DistributedUnit:
         self._fold_uplink_hash()
         return self._uplink_hash.hexdigest()
 
-    def _account_uplink(self, reception: UplinkReception) -> None:
+    def _account_uplink(
+        self, time: SymbolTime, ru_port: int, sections: List[UPlaneSection]
+    ) -> None:
         """Credit UL bits for allocations covered by a received packet.
 
         Bits are credited once per slot (on the first antenna port's
         arrival) per allocation, pro-rated over the slot's UL symbols.
         """
-        if reception.ru_port != 0:
+        if ru_port != 0:
             return
-        key = reception.time.slot_key()
+        key = time.slot_key()
         pending = self._pending_ul.get(key)
         if not pending:
             return
         symbols = self._pending_ul_symbols[key]
         covered = []
         for allocation in pending:
-            for section in reception.sections:
+            for section in sections:
                 a_start, a_end = allocation.prb_range
                 s_start, s_end = section.prb_range
                 if s_start <= a_start and s_end >= a_end:
@@ -440,15 +409,3 @@ class DistributedUnit:
                     break
         for allocation in covered:
             self.counters.ul_bits += allocation.bits // symbols
-
-    def uplink_iq(self, time: SymbolTime, ru_port: int) -> Optional[np.ndarray]:
-        """Recover the full-band int16 uplink grid for a symbol/port."""
-        held = self._receptions.get((time, ru_port))
-        if not held:
-            return None
-        grid = np.zeros((self.cell.num_prb, 2 * SAMPLES_PER_PRB), np.int16)
-        for section in held[0].sections:
-            grid[
-                section.start_prb : section.start_prb + section.num_prb
-            ] = section.iq_samples()
-        return grid

@@ -12,8 +12,8 @@ nothing under ``src/repro`` is executed — that keeps five promises:
     module kept alive by nothing but its package's ``__all__`` and its
     own tests fails here.  ``tests/`` is never an importer.
 (b) every ``repro.*`` name a file under ``bench/``, ``benchmarks/`` or
-    ``examples/`` imports exists.  No test or CI job runs the examples,
-    so without this a deletion could break one silently.
+    ``examples/`` imports exists, without running the file (the
+    examples also run, in ``tests/api/test_examples.py``).
 (c) every public method of a class in any ``src/repro`` module is
     *called*: its name is referenced (an attribute, a name or a
     ``getattr`` string) somewhere in ``src/``, ``bench/`` or
@@ -27,11 +27,11 @@ nothing under ``src/repro`` is executed — that keeps five promises:
     least one call anywhere, ``tests/`` and ``benchmarks/`` included.  A
     knob nobody sets is a constant.
 
-All three are by name, so they are coarse; what they catch is code only
-``tests/`` still calls and values nobody sets.  They skip the classes
-and functions :mod:`repro.api` re-exports (``tests/api/api_surface.txt``
-locks that facade, signatures included) and the test-oracle modules of
-:data:`ALLOWED`.
+All five are by name, so they are coarse; what they catch is code only
+``tests/`` still calls and values nobody sets.  Checks (c)-(e) skip the
+classes and functions :mod:`repro.api` re-exports
+(``tests/api/api_surface.txt`` locks that facade, signatures included).
+Test oracles and wire probes live under ``tests/``, not in ``src/``.
 
 A new module therefore needs an importer outside ``tests/`` or a line in
 :data:`ALLOWED` saying why it has none; a method or top-level name
@@ -42,6 +42,9 @@ from __future__ import annotations
 
 import ast
 import functools
+import os
+import subprocess
+import sys
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
@@ -49,48 +52,20 @@ REPO = Path(__file__).resolve().parents[2]
 SRC = REPO / "src"
 CONSUMER_DIRS = ("bench", "benchmarks", "examples")
 
-#: Modules reached by no import on purpose, and why.  Four entries; a
-#: fifth needs the same kind of reason, not just a line here.
+#: Modules reached by no import on purpose, and why.  Two entries, both
+#: entry points; a third needs the same kind of reason, not just a line
+#: here.
 ALLOWED = {
     "repro.api": "entry point: the locked facade users import",
     "repro.eval.__main__": "entry point: `python -m repro.eval`",
-    "repro.conformance.reference":
-        "the scalar oracle tests/conformance compares the datapath against",
-    "repro.conformance.generators":
-        "the Hypothesis strategies tests/ draws wire objects and specs from",
 }
-
-#: Modules whose definitions checks (c)-(e) skip: the test oracles above.
-ORACLE_MODULES = (
-    "repro.conformance.reference",
-    "repro.conformance.generators",
-)
 
 #: ``Class.method`` (or a top-level ``module.Name``) that nothing in src/,
 #: bench/ or examples/ calls, on purpose, and why.  A reason is one of
-#: three kinds: a test oracle or wire probe, one of the flight
-#: recorder's exports, or a paper number a test or benchmark asserts.
+#: two kinds: one of the flight recorder's exports, or a paper number a
+#: test or benchmark asserts.  A test oracle or wire probe is a helper
+#: under tests/, not a line here.
 METHODS_ALLOWED = {
-    # Test oracles and wire probes.
-    "BfpCompressor.exponents_for":
-        "oracle: the BFP exponents tests/fronthaul/test_compression.py and "
-        "tests/conformance/test_differential.py hold the wire to",
-    "ModCompressor.scalers_for":
-        "oracle: the modcomp scalers tests/fronthaul/test_modcomp.py and "
-        "tests/conformance/test_differential.py hold the wire to",
-    "DistributedUnit.uplink_iq":
-        "probe: the merged uplink IQ the DAS and sharing end-to-end tests "
-        "demodulate",
-    "DistributedUnit.ssb_reference":
-        "probe: the SSB grid tests/ran and the dMIMO end-to-end test check "
-        "the RU's transmit grid against",
-    "DistributedUnit.uplink_receptions":
-        "probe: the retained receptions the integration tests inspect",
-    "QamModulator.demodulate":
-        "oracle: the hard-decision demapper of tests/phy/test_iq.py and the "
-        "end-to-end decode tests",
-    "UPlaneSection.prb_payload":
-        "probe: one PRB's wire bytes, the unit the app and codec tests compare",
     # The flight recorder's exports.
     "FlightRecorder.to_jsonl": "export: the recorder's JSON-lines dump",
     "FlightRecorder.to_chrome_trace": "export: the recorder's Chrome trace",
@@ -250,14 +225,42 @@ def test_every_module_is_reached_or_allow_listed():
     )
 
 
-def test_allow_list_is_four_entries_that_exist():
+def test_allow_list_is_two_entries_that_exist():
     missing = sorted(set(ALLOWED) - set(MODULES))
     assert not missing, f"ALLOWED names modules that are gone: {missing}"
-    assert len(ALLOWED) == 4, (
+    assert len(ALLOWED) == 2, (
         f"the allow-list grew to {len(ALLOWED)} entries: a module nothing "
         "outside tests/ imports is either wired in or deleted; update this "
         "count only together with the reason the new entry states"
     )
+
+
+#: Imports every module named on the command line with ``hypothesis``
+#: unimportable, as on an install without the test dependencies.
+_IMPORT_WITHOUT_HYPOTHESIS = """
+import importlib, sys
+
+class BlockHypothesis:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "hypothesis":
+            raise ImportError(f"{name} is not installed")
+        return None
+
+sys.meta_path.insert(0, BlockHypothesis())
+for module in sys.argv[1:]:
+    importlib.import_module(module)
+"""
+
+
+def test_every_module_imports_without_hypothesis():
+    """Hypothesis is a test-only dependency: no ``src/repro`` module may
+    need it to import."""
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_WITHOUT_HYPOTHESIS, *sorted(MODULES)],
+        cwd=REPO, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-4000:]
 
 
 def test_every_repro_name_a_consumer_imports_exists():
@@ -276,12 +279,6 @@ def _facade() -> Set[str]:
     return {name for _, name, _ in _imports(MODULES["repro.api"]) if name}
 
 
-def _checked_trees() -> Iterator[Tuple[str, ast.Module]]:
-    for module, path in MODULES.items():
-        if module not in ORACLE_MODULES:
-            yield module, _tree(path)
-
-
 def _functions(body) -> Iterator[ast.FunctionDef]:
     for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -296,8 +293,8 @@ def _definitions():
     facade = _facade()
     top_level: Dict[str, str] = {}
     methods: Dict[str, Tuple[str, ast.FunctionDef]] = {}
-    for module, tree in _checked_trees():
-        for node in tree.body:
+    for module, path in MODULES.items():
+        for node in _tree(path).body:
             if not isinstance(
                 node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
             ) or node.name in facade:
@@ -467,8 +464,8 @@ def test_every_default_is_passed_somewhere():
     _, methods = _definitions()
     facade = _facade()
     constants = []
-    for _, tree in _checked_trees():
-        for node in _functions(tree.body):
+    for path in MODULES.values():
+        for node in _functions(_tree(path).body):
             if not node.name.startswith("_") and node.name not in facade:
                 constants += [
                     f"{node.name}({name}=)"

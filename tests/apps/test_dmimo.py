@@ -161,21 +161,21 @@ class TestSsbReplication:
 
     def test_ssb_copied_to_secondary(self, dmimo_ssb, rng, du_mac, ru_b):
         primary = dl_uplane(rng, du_mac, port=0, time=self.ssb_time())
-        ssb_bytes = primary.message.sections[0].prb_payload(3)
+        ssb_bytes = bytes(primary.message.sections[0].prb_payload_view(3, 1))
         dmimo_ssb.process(primary)
         secondary = dl_uplane(rng, du_mac, port=2, time=self.ssb_time())
         result = dmimo_ssb.process(secondary)
         out = result.emissions[0]
         assert out.eth.dst == ru_b
-        assert out.message.sections[0].prb_payload(3) == ssb_bytes
+        assert bytes(out.message.sections[0].prb_payload_view(3, 1)) == ssb_bytes
         assert dmimo_ssb.ssb_copies == 1
 
     def test_ssb_copy_preserves_other_prbs(self, dmimo_ssb, rng, du_mac):
         dmimo_ssb.process(dl_uplane(rng, du_mac, port=0, time=self.ssb_time()))
         secondary = dl_uplane(rng, du_mac, port=2, time=self.ssb_time())
-        before = secondary.message.sections[0].prb_payload(0)
+        before = bytes(secondary.message.sections[0].prb_payload_view(0, 1))
         result = dmimo_ssb.process(secondary)
-        assert result.emissions[0].message.sections[0].prb_payload(0) == before
+        assert bytes(result.emissions[0].message.sections[0].prb_payload_view(0, 1)) == before
 
     def test_secondary_before_primary_held(self, dmimo_ssb, rng, du_mac):
         """Out-of-order arrival: the secondary packet waits for the SSB."""
@@ -203,10 +203,10 @@ class TestSsbReplication:
         secondary = dl_uplane(rng, du_mac, port=2, time=self.ssb_time())
         assert dmimo_ssb.process(secondary).emissions == []
         primary = dl_uplane(rng, du_mac, port=0, time=self.ssb_time())
-        ssb_bytes = primary.message.sections[0].prb_payload(3)
+        ssb_bytes = bytes(primary.message.sections[0].prb_payload_view(3, 1))
         released = dmimo_ssb.process(primary).emissions
         assert len(released) == 2 and dmimo_ssb.ssb_copies == 1
-        assert released[0].message.sections[0].prb_payload(3) == ssb_bytes
+        assert bytes(released[0].message.sections[0].prb_payload_view(3, 1)) == ssb_bytes
 
     def test_non_ssb_symbols_not_copied(self, dmimo_ssb, rng, du_mac):
         other_time = SymbolTime(0, 0, 0, 3)

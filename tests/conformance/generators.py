@@ -5,23 +5,12 @@ compression configs, and whole :class:`~repro.scale.spec.ScenarioSpec`
 trees from these strategies.  Sample grids are derived from a drawn RNG
 seed rather than element-by-element lists — orders of magnitude faster
 to generate, still deterministic and shrinkable at the seed level.
-
-Import is gated: the module raises a clear error when Hypothesis is not
-installed (it is a test-only dependency), so the runtime packages can
-import :mod:`repro.conformance` without it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-try:
-    from hypothesis import strategies as st
-except ImportError as exc:  # pragma: no cover - CI always installs it
-    raise ImportError(
-        "repro.conformance.generators requires the 'hypothesis' package "
-        "(a test-only dependency)"
-    ) from exc
+from hypothesis import strategies as st
 
 from repro.fronthaul.compression import (
     BFP_COMP_METH,

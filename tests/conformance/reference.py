@@ -4,7 +4,9 @@ Deliberately naive, loop-per-PRB, pure-Python re-implementations of the
 vectorized fronthaul hot paths: the BFP codec, the payload merge, and
 the U-plane parser.  The differential suite runs both implementations
 over generated inputs and asserts **byte-identical** output — the
-property that pins the vectorized fast paths to the wire format.
+property that pins the vectorized fast paths to the wire format.  The
+hard-decision QAM demapper the decode tests judge received IQ with
+lives here too.
 
 Nothing here imports numpy; every value is a Python int, so the
 reference cannot share a bug with the vectorized code's array handling.
@@ -252,3 +254,14 @@ def scalar_pack_uplane(parsed: Dict[str, Any]) -> bytes:
         )
         out += section["payload"]
     return bytes(out)
+
+
+def demodulate(modulator, points) -> List[int]:
+    """Hard-decision demap: for each complex point, the symbol whose
+    constellation point (``modulator.modulate``) lies nearest."""
+    constellation = [complex(p) for p in modulator.modulate(range(modulator.order))]
+    symbols = range(len(constellation))
+    return [
+        min(symbols, key=lambda s: abs(complex(point) - constellation[s]))
+        for point in points
+    ]

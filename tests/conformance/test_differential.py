@@ -2,7 +2,7 @@
 
 Every vectorized fast path in the fronthaul (BFP compress/decompress,
 the batched DAS merge, the zero-copy U-plane parser) is pinned to a
-deliberately naive pure-Python reference (:mod:`repro.conformance.reference`)
+deliberately naive pure-Python reference (:mod:`tests.conformance.reference`)
 by asserting **byte-identical** output over hundreds of seeded cases and
 Hypothesis-generated inputs.
 """
@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.conformance import generators as gen
-from repro.conformance.reference import (
+from tests.conformance import generators as gen
+from tests.conformance.reference import (
     scalar_bits_needed,
     scalar_compress,
     scalar_decompress,
@@ -35,6 +35,7 @@ from repro.fronthaul.cplane import CPlaneMessage
 from repro.fronthaul.packet import parse_packet
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 from tests.conformance.builders import uplane_packet
+from tests.conftest import wire_shifts
 
 #: Seeded sweep size per codec — the acceptance floor is 200.
 N_CASES = 220
@@ -141,7 +142,7 @@ class TestBfpCodecDifferential:
             config, samples = _case(index)
             if config.comp_meth != BFP_COMP_METH:
                 continue
-            vectorized = BfpCompressor(config).exponents_for(samples)
+            vectorized = wire_shifts(BfpCompressor(config), samples)
             reference = [
                 scalar_exponent(row, config.iq_width)
                 for row in samples.tolist()
@@ -151,9 +152,10 @@ class TestBfpCodecDifferential:
     def test_bits_needed_agrees_at_boundaries(self):
         values = [0, 1, -1, 2, -2, 255, 256, -255, -256, -257, 32767, -32768]
         for value in values:
-            vectorized = BfpCompressor(
-                CompressionConfig()
-            ).exponents_for(np.full((1, 24), value, dtype=np.int16))
+            vectorized = wire_shifts(
+                BfpCompressor(CompressionConfig()),
+                np.full((1, 24), value, dtype=np.int16),
+            )
             assert int(vectorized[0]) == max(
                 scalar_bits_needed(value) - 9, 0
             ), value
@@ -207,7 +209,7 @@ class TestModCompCodecDifferential:
     def test_scalers_match_scalar_reference(self):
         for index in range(N_CASES):
             config, samples = _modcomp_case(index)
-            vectorized = ModCompressor(config).scalers_for(samples)
+            vectorized = wire_shifts(ModCompressor(config), samples)
             reference = [
                 scalar_modcomp_scaler(row, config.iq_width)
                 for row in samples.tolist()

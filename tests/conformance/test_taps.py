@@ -27,6 +27,7 @@ from repro.scale.spec import (
 from repro.scale.runner import run_scenario
 from repro.sim.network_sim import FronthaulNetwork
 from tests.conformance.builders import ConformanceTap
+from tests import testbed
 
 
 def _validator(profile_name="srsRAN", **kwargs):
@@ -216,7 +217,7 @@ class TestCleanInteropMatrix:
     )
     def test_clean_traffic_has_no_violations(self, profile_name, codec):
         profile = profile_by_name(profile_name)
-        du, rus = kit.endpoints(
+        du, rus = testbed.endpoints(
             kit.cell(
                 "clean", 1, [kit.flow("dl", 100), kit.flow("ul", 15)],
                 rus=kit.radios(2, 20), bandwidth_hz=40_000_000,
@@ -234,7 +235,7 @@ class TestCleanInteropMatrix:
             )
             for tap in ("ingress", "chain")
         )
-        kit.network(
+        testbed.network(
             [du], rus,
             [
                 ConformanceTap(chain),

@@ -59,3 +59,9 @@ def action_kinds(ctx) -> list:
 def compress_ranges(codec, ranges) -> list:
     """The wire payloads of ``codec.encode_ranges(ranges)``, read at once."""
     return [wire.read() for _, wire in codec.encode_ranges(ranges)]
+
+
+def wire_shifts(codec, samples) -> np.ndarray:
+    """Per-PRB shifts (BFP exponents or modcomp scalers) of ``samples``,
+    read off the wire bytes ``codec`` packs them into."""
+    return codec.read_exponents(codec.compress(samples), len(samples))

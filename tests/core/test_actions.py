@@ -318,10 +318,10 @@ class TestA4IqOperations:
         )
         result = ctx.copy_prbs(source, dest, source_start_prb=0,
                                dest_start_prb=5, num_prb=4)
-        assert result.prb_payload(5) == source.prb_payload(0)
-        assert result.prb_payload(8) == source.prb_payload(3)
+        assert bytes(result.prb_payload_view(5, 1)) == bytes(source.prb_payload_view(0, 1))
+        assert bytes(result.prb_payload_view(8, 1)) == bytes(source.prb_payload_view(3, 1))
         # Non-copied PRBs untouched.
-        assert result.prb_payload(0) == dest.prb_payload(0)
+        assert bytes(result.prb_payload_view(0, 1)) == bytes(dest.prb_payload_view(0, 1))
 
     def test_copy_prbs_aligned_bounds_checked(self, ctx, rng, du_mac, ru_mac):
         source = make_uplane(rng, du_mac, ru_mac, n_prbs=4).message.sections[0]

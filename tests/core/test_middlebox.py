@@ -16,6 +16,7 @@ from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 from repro.obs import Observability
 
 from tests.conftest import random_prb_samples
+from tests import testbed
 
 
 def uplane(rng, du_mac, ru_mac, direction=Direction.DOWNLINK):
@@ -209,11 +210,11 @@ class Tap(Middlebox):
 
 
 def _tapped_network(tap):
-    du, rus = kit.endpoints(
+    du, rus = testbed.endpoints(
         kit.cell("tap", 1, [kit.flow("dl", 20.0), kit.flow("ul", 5.0)],
                  seed=3)
     )
-    return kit.network([du], rus, [tap])
+    return testbed.network([du], rus, [tap])
 
 
 class TestRunRecorded:

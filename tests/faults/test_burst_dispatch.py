@@ -24,6 +24,7 @@ from repro.scale.registry import StageBuildContext, build_stage
 from repro.scale.spec import StageSpec
 
 from tests.faults.builders import FaultyMiddlebox
+from tests import testbed
 from tests.faults.test_chain_isolation import Scripted, _per_packet_stage
 
 #: Registered stages that run on one cell with two RUs.
@@ -56,7 +57,7 @@ def _network(plan, sample_every, per_packet):
     ]
     for box, position in zip(faulty, plan["positions"]):
         boxes.insert(position % (len(boxes) + 1), box)
-    net = kit.network(
+    net = testbed.network(
         [built.du], [radio for radio, _ in built.rus.values()], boxes,
         obs=obs, deadline_flush=plan["deadline_flush"],
         breaker_threshold=plan["threshold"],

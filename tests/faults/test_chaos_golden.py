@@ -48,6 +48,7 @@ from repro.scale import run_scenario
 
 from tests.conftest import random_prb_samples
 from tests.faults.builders import FaultyMiddlebox
+from tests import testbed
 
 
 def traffic(seed, n=120):
@@ -126,7 +127,7 @@ def _endpoints(du_id, seed, rus, ru_id_base=0):
         f"du{du_id}", 1, [kit.flow("dl", 100), kit.flow("ul", 20)],
         rus=rus, bandwidth_hz=40_000_000, seed=seed,
     )
-    return kit.endpoints(fragment, du_id, ru_id_base)
+    return testbed.endpoints(fragment, du_id, ru_id_base)
 
 
 def _redundant_dus(seed):
@@ -174,7 +175,7 @@ def _sweep_row(name, config, seed, slots):
             carrier_num_prb=du.cell.num_prb,
         )
         wire = ImpairedLink(injector)
-    reports = kit.network(
+    reports = testbed.network(
         [du], rus, [das], wire=wire, deadline_flush=True
     ).run(slots)
     return (
@@ -238,7 +239,7 @@ def _chain_chaos(seed, slots):
         primary.mac,
         SymbolTime.from_absolute_slot(slots // 2, numerology).slot_key(),
     )
-    network = kit.network(
+    network = testbed.network(
         [primary, standby],
         [ru],
         [resilience, das, sharing, faulty],
@@ -326,7 +327,7 @@ def _failover_ms(seed, fail_slot):
         primary.mac,
         SymbolTime.from_absolute_slot(fail_slot, numerology).slot_key(),
     )
-    kit.network(
+    testbed.network(
         [primary, standby], [ru], [box], wire=ImpairedLink(injector)
     ).run(fail_slot + 8)
     return box.events[0].silence_ns / 1e6 if box.events else None

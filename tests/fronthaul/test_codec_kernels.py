@@ -2,7 +2,7 @@
 
 Pins the shared ``prb_shifts`` / ``pack_mantissas`` (uint64 word lanes) /
 ``unpack_mantissas`` kernels and ``encode_ranges`` to the scalar oracle
-of :mod:`repro.conformance.reference` across every legal width, the int16
+of :mod:`tests.conformance.reference` across every legal width, the int16
 corner values, the 512-PRB block boundary, and memory contracts — the
 codec pass's and the float stage's — that need no wall clock.
 """
@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.conformance.reference import scalar_compress, scalar_decompress
+from tests.conformance.reference import scalar_compress, scalar_decompress
 from repro.fronthaul import compression
 from repro.fronthaul.compression import (
     BFP_COMP_METH,

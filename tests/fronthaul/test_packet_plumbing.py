@@ -11,7 +11,7 @@ import dataclasses
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.conformance.generators import fronthaul_packets
+from tests.conformance.generators import fronthaul_packets
 from repro.fronthaul.cplane import SectionType
 from repro.fronthaul.ecpri import EAxCId
 from repro.fronthaul.ethernet import MacAddress, VlanTag

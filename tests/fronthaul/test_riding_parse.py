@@ -3,8 +3,8 @@
 Every in-process encode hands its ``(shifts, mantissas)`` to the section
 it builds, so nothing this process packed is bit-unpacked again, and a
 merge of one such operand forwards its bytes.  Pinned here: the parse
-equals ``parse_wire`` of the payload at every encode site; who shares,
-drops and sheds it; that the one-operand forward is byte-identical to
+equals ``parse_wire`` of the payload at every encode site; who shares
+and who drops it; that the one-operand forward is byte-identical to
 decode-sum-encode wherever it is taken (and not taken where it would not
 be); an end-to-end run that never calls ``unpack_mantissas``; and that
 the bytes such a section packs on its first read are the eager codec's.
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.conformance.reference import (
+from tests.conformance.reference import (
     scalar_compress,
     scalar_decompress,
     scalar_merge,
@@ -37,9 +37,8 @@ from repro.fronthaul.packet import make_packet, parse_packet
 from repro.fronthaul.timing import SymbolTime
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 from repro.scale import Scenario
-from repro.scale.build import build_groups
 from tests.conformance.builders import DST, SRC, uplane_packet
-from tests.conftest import action_kinds, compress_ranges
+from tests.conftest import action_kinds, compress_ranges, wire_shifts
 from tests.fronthaul.test_codec_kernels import ALL_CONFIGS, BLOCK, _IDS, corner_rows
 from tests.ran.test_slot_build import loaded_du, requested_ru, slot_items
 
@@ -237,13 +236,6 @@ class TestSharingAndDropping:
         )
         assert codec_calls["unpack_mantissas"] == 1  # the wire path stays
 
-    def test_shed_parse_falls_back_to_the_wire_bytes(self):
-        section = UPlaneSection.from_samples(0, 0, rows(11, 4))
-        expected = codec_for(section.compression).decompress(section.payload, 4)
-        section.shed_parse()
-        assert section._parse is None
-        assert section.iq_samples().tolist() == expected.tolist()
-
 
 # -- (d) the one-operand merge ----------------------------------------------------
 
@@ -290,7 +282,7 @@ class TestOneOperandMergeRenormalises:
         and re-encoded, as at the parent — never forwarded."""
         codec = codec_for(BFP9)
         base = rows(15, 4)
-        spare = (codec.exponents_for(base) + 1).astype(np.int16)[:, None]
+        spare = (wire_shifts(codec, base) + 1).astype(np.int16)[:, None]
         samples = (base >> spare) << spare  # exact one exponent up
         canonical = codec.compress(samples)
         slack_exponents = codec.read_exponents(canonical, 4) + 1
@@ -318,7 +310,7 @@ class TestOneOperandMergeRenormalises:
         assert_rides(merged)
 
 
-# -- (e) lifetime: the DU's reception log holds no parse -----------------------------
+# -- (e) end to end: a clean run never unpacks; a lossy one is unmoved ---------------
 
 
 def _stage(stage, **params):
@@ -331,41 +323,6 @@ def _flows(seed):
 
 def _radios(cell, count):
     return [{"name": f"{cell}-ru{index}", "n_antennas": 2} for index in range(count)]
-
-
-def lifetime_spec():
-    shared = kit.cell(
-        "host", 3, _flows(3), group="campus", center_frequency_hz=3.45e9,
-        chain=[_stage("ru_sharing", ru="host-ru", cells=["host", "guest"])],
-    )
-    shared["rus"][0].update(num_prb=160, center_frequency_hz=3.46e9)
-    return kit.scenario("lifetime", 6, 2, [
-        kit.cell("das", 1, _flows(1), rus=_radios("das", 2),
-                 chain=[_stage("das")]),
-        kit.cell("dmimo", 2, _flows(2), rus=_radios("dmimo", 2),
-                 chain=[_stage("dmimo")]),
-        shared,
-        kit.cell("guest", 4, _flows(4), group="campus",
-                 center_frequency_hz=3.47e9, chain=[]),
-    ])
-
-
-def test_nothing_the_du_retains_carries_a_parse():
-    groups = build_groups(lifetime_spec())
-    assert len(groups) == 3
-    for group in groups:
-        for _ in range(6):  # slot 4 holds the PRACH occasion
-            group.network.run_slot()
-    dus = [built.du for group in groups for built in group.cells]
-    assert all(du.uplink_receptions for du in dus)
-    assert any(du.counters.prach_detections for du in dus)
-    for du in dus:
-        for reception in du.uplink_receptions:
-            for section in reception.sections:
-                assert section._parse is None
-
-
-# -- (f) end to end: a clean run never unpacks; a lossy one is unmoved ---------------
 
 
 def two_das_spec(wire=None):
@@ -399,7 +356,7 @@ def test_clean_run_never_unpacks_and_lossy_digest_is_the_parents(codec_calls):
 
 
 
-# -- (g) bytes on demand: a pending payload packs to the eager codec's bytes -------
+# -- (f) bytes on demand: a pending payload packs to the eager codec's bytes -------
 
 DIFFERENTIAL_CONFIGS = ALL_CONFIGS + [RAW16]
 _DIFFERENTIAL_IDS = _IDS + ["raw16"]

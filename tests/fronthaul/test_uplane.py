@@ -8,7 +8,7 @@ from repro.fronthaul.cplane import Direction
 from repro.fronthaul.timing import SymbolTime
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 
-from tests.conftest import random_prb_samples
+from tests.conftest import random_prb_samples, wire_shifts
 
 
 @pytest.fixture
@@ -36,22 +36,22 @@ class TestUPlaneSection:
         section = UPlaneSection.from_samples(0, 0, samples)
         from repro.fronthaul.compression import BfpCompressor
 
-        expected = BfpCompressor(section.compression).exponents_for(
-            section.iq_samples()
+        expected = wire_shifts(
+            BfpCompressor(section.compression), section.iq_samples()
         )
         assert (section.exponents() == expected).all()
 
     def test_prb_payload_slicing(self, section):
         whole = b"".join(
-            section.prb_payload(prb) for prb in range(10, 18)
+            bytes(section.prb_payload_view(prb, 1)) for prb in range(10, 18)
         )
         assert whole == section.payload
 
     def test_prb_payload_out_of_range(self, section):
         with pytest.raises(ValueError):
-            section.prb_payload(9)
+            section.prb_payload_view(9, 1)
         with pytest.raises(ValueError):
-            section.prb_payload(18)
+            section.prb_payload_view(18, 1)
 
     def test_payload_size_validation(self):
         with pytest.raises(ValueError):

@@ -20,6 +20,8 @@ from repro.ran.du import DistributedUnit
 from repro.ran.ru import RadioUnit, RuConfig
 from repro.ran.traffic import ConstantBitrateFlow
 from repro.sim.network_sim import FronthaulNetwork
+from tests.conformance.reference import demodulate
+from tests.testbed import record_uplink, uplink_grid
 
 
 def relative_gain(channel, tx, rx):
@@ -102,21 +104,22 @@ class TestUplinkMergeDecode:
             gain = relative_gain(channel, ue_position, position)
             return grid * gain * 0.5
 
+        received = record_uplink(du)
         network.run(10, uplink_signal_fn=ue_uplink)
-        assert du.uplink_receptions
+        assert received
         decoded_any = False
-        for reception in du.uplink_receptions:
-            if reception.time not in transmitted:
+        for packet in received:
+            if packet.time not in transmitted:
                 continue
-            _, symbol_map = transmitted[reception.time]
-            iq = du.uplink_iq(reception.time, reception.ru_port)
+            _, symbol_map = transmitted[packet.time]
+            iq = uplink_grid(packet, du.cell.num_prb)
             complex_grid = int16_to_iq(iq).reshape(-1)
             for (start, end), data in symbol_map.items():
                 block = complex_grid[start * 12 : end * 12]
                 # Normalize amplitude before hard-decision demapping.
                 scale = np.sqrt(np.mean(np.abs(block) ** 2))
                 assert scale > 0
-                decoded = modulator.demodulate(block / scale)
+                decoded = demodulate(modulator, block / scale)
                 error_rate = np.mean(decoded != data)
                 assert error_rate < 0.05
                 decoded_any = True
@@ -140,14 +143,11 @@ class TestUplinkMergeDecode:
             per_ru_power[ru.ru_id] = float(np.mean(np.abs(signal) ** 2))
             return signal
 
+        merged = record_uplink(du)
         network.run(6, uplink_signal_fn=ue_uplink)
         assert per_ru_power
-        merged = [
-            reception
-            for reception in du.uplink_receptions
-        ]
         assert merged
-        iq = du.uplink_iq(merged[-1].time, merged[-1].ru_port)
+        iq = uplink_grid(merged[-1], du.cell.num_prb)
         merged_power = float(np.mean(int16_to_iq(iq).astype(complex).real ** 2
                                      + int16_to_iq(iq).astype(complex).imag ** 2))
         assert merged_power > max(per_ru_power.values())

@@ -16,6 +16,7 @@ from repro.ran.du import DistributedUnit
 from repro.ran.ru import RadioUnit, RuConfig
 from repro.ran.traffic import ConstantBitrateFlow
 from repro.sim.network_sim import FronthaulNetwork
+from tests.testbed import record_uplink, ssb_reference
 
 
 @pytest.fixture
@@ -85,8 +86,9 @@ class TestVirtualRuIllusion:
 
     def test_uplink_returns_on_global_ports(self, dmimo_setup):
         network, du, rus, dmimo = dmimo_setup
+        received = record_uplink(du)
         network.run(10)
-        ports = {reception.ru_port for reception in du.uplink_receptions}
+        ports = {packet.eaxc.ru_port for packet in received}
         assert ports == {0, 1, 2, 3}
 
     def test_uplink_bits_accounted(self, dmimo_setup):
@@ -102,7 +104,7 @@ class TestSsbReplication:
         network, du, rus, dmimo = dmimo_setup
         network.run(3)  # slot 0 is an SSB slot
         assert dmimo.ssb_copies > 0
-        reference = du.ssb_reference()
+        reference = ssb_reference(du)
         ssb_start, ssb_end = du.cell.ssb_prb_range
 
         def correlation(ru, port, symbol):

@@ -19,6 +19,8 @@ from repro.ran.du import DistributedUnit
 from repro.ran.ru import RadioUnit, RuConfig
 from repro.ran.traffic import ConstantBitrateFlow
 from repro.sim.network_sim import FronthaulNetwork
+from tests.conformance.reference import demodulate
+from tests.testbed import record_uplink, uplink_grid
 
 
 @pytest.fixture
@@ -96,6 +98,7 @@ class TestUplink:
 
         modulator = QamModulator(16)
         transmitted = {}
+        received = {du.du_id: record_uplink(du) for du in dus}
 
         def ue_uplink(ru_obj, position, time, port):
             """Each DU's UE transmits in its own slice of the RU band."""
@@ -122,12 +125,12 @@ class TestUplink:
         decoded = 0
         for du in dus:
             assert du.counters.ul_packets > 0
-            for reception in du.uplink_receptions:
-                entry = transmitted.get(reception.time)
+            for packet in received[du.du_id]:
+                entry = transmitted.get(packet.time)
                 if entry is None:
                     continue
                 _, blocks = entry
-                iq = du.uplink_iq(reception.time, reception.ru_port)
+                iq = uplink_grid(packet, du.cell.num_prb)
                 complex_grid = int16_to_iq(iq).reshape(-1)
                 for (du_id, (start, end)), data in blocks.items():
                     if du_id != du.du_id:
@@ -136,7 +139,7 @@ class TestUplink:
                     scale = np.sqrt(np.mean(np.abs(block) ** 2))
                     if scale == 0:
                         continue
-                    hits = np.mean(modulator.demodulate(block / scale) == data)
+                    hits = np.mean(demodulate(modulator, block / scale) == data)
                     assert hits > 0.95
                     decoded += 1
         assert decoded > 0

@@ -146,7 +146,6 @@ def _holder_sizes(network):
             len(box._flows) for box in network.middleboxes
             if hasattr(box, "_flows")
         ],
-        "du_log": [len(du.uplink_receptions) for du in network.dus],
         "pending_ul": [len(du._pending_ul) for du in network.dus],
         "tx_grids": [len(radio._tx_grids) for radio in network.rus],
         "dl_windows": [len(radio._dl_windows) for radio in network.rus],

@@ -8,6 +8,7 @@ from repro.fronthaul.packet import parse_packet
 from repro.ran.cell import CellConfig
 from repro.ran.du import DistributedUnit
 from repro.ran.traffic import ConstantBitrateFlow
+from tests.testbed import ssb_reference
 
 
 @pytest.fixture
@@ -94,7 +95,7 @@ class TestSsb:
     def test_ssb_on_port0_only(self, du):
         """The SSB is transmitted by the first antenna only — the gap the
         dMIMO middlebox fills (Section 4.2)."""
-        reference = du.ssb_reference()
+        reference = ssb_reference(du)
         packets = [p for p in du.advance_slot(0) if p.is_uplane]
         start, end = du.cell.ssb_prb_range
         from repro.phy.iq import int16_to_iq
@@ -111,13 +112,27 @@ class TestSsb:
                 assert correlation < 0.3
 
     def test_ssb_reference_deterministic_per_pci(self, cell_40mhz):
-        du_a = DistributedUnit(du_id=1, cell=cell_40mhz)
-        du_b = DistributedUnit(du_id=2, cell=cell_40mhz)
-        assert (du_a.ssb_reference() == du_b.ssb_reference()).all()
+        """Two DUs of one PCI send one SSB sequence, whatever their id and
+        noise seed; another PCI's sequence does not match it."""
+        from repro.phy.iq import int16_to_iq
+
+        def sent_ssb(du):
+            start, end = du.cell.ssb_prb_range
+            (port0, *_) = [p for p in du.advance_slot(0) if p.is_uplane]
+            grid = int16_to_iq(port0.message.sections[0].iq_samples())
+            return grid[start * 12 : end * 12]
+
+        def correlation(a, b):
+            return np.abs(np.vdot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b))
+
         other_cell = CellConfig(pci=77, bandwidth_hz=40_000_000,
                                 n_antennas=2, max_dl_layers=2)
-        du_c = DistributedUnit(du_id=3, cell=other_cell)
-        assert not (du_a.ssb_reference() == du_c.ssb_reference()).all()
+        ssb_a, ssb_b, ssb_c = (
+            sent_ssb(DistributedUnit(du_id=du_id, cell=cell, seed=du_id))
+            for du_id, cell in ((1, cell_40mhz), (2, cell_40mhz), (3, other_cell))
+        )
+        assert correlation(ssb_a, ssb_b) > 0.99
+        assert correlation(ssb_a, ssb_c) < 0.3
 
 
 class TestUplinkPath:

@@ -13,7 +13,7 @@ RNG stream drawn one vector at a time.
 import numpy as np
 import pytest
 
-from repro.conformance.reference import scalar_compress
+from tests.conformance.reference import scalar_compress
 from repro.fronthaul.compression import (
     MOD_COMP_METH,
     SAMPLES_PER_PRB,
@@ -39,6 +39,7 @@ from repro.ran.du import (
 )
 from repro.ran.ru import RadioUnit, RuConfig
 from repro.ran.traffic import ConstantBitrateFlow
+from tests.testbed import ssb_reference
 
 CODECS = [
     CompressionConfig(iq_width=9),
@@ -372,7 +373,7 @@ class TestDuSlotBuild:
                 if slot == 0 and port == 0 and packet.time.symbol in du.cell.ssb_symbols:
                     grid[
                         ssb_start * SAMPLES_PER_PRB : ssb_end * SAMPLES_PER_PRB
-                    ] = du.ssb_reference()
+                    ] = ssb_reference(du)
                 expected = iq_to_int16(grid, backoff=DL_FIXED_POINT_BACKOFF)
                 reference = du.dl_reference[(packet.time, port)]
                 assert reference.dtype == np.int16

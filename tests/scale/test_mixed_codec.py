@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.conformance import generators as gen
+from tests.conformance import generators as gen
 from repro.eval.scale import bench_spec
 from repro.fronthaul.compression import MOD_COMP_METH
 from repro.fronthaul.timing import SymbolTime

@@ -12,7 +12,7 @@ import json
 import pytest
 from hypothesis import given, settings
 
-from repro.conformance.generators import scenario_specs
+from tests.conformance.generators import scenario_specs
 from repro.scale.spec import ScenarioSpec
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.conformance.generators import spec_deltas
+from tests.conformance.generators import spec_deltas
 from repro.scale.spec import ScenarioSpec
 from repro.serve.delta import (
     DELTA_OPS,

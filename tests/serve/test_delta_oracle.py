@@ -27,7 +27,7 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.conformance.generators import spec_deltas
+from tests.conformance.generators import spec_deltas
 from repro.scale.pool import WorkerPool
 from repro.scale.runner import run_divergence, run_scenario
 from repro.serve.delta import DeltaOp, SpecDelta

@@ -1,0 +1,94 @@
+"""Hand-wired testbeds and the DU-side probes the tests read.
+
+Every product network is built from a spec, and
+:func:`~repro.scale.build.build_groups` numbers DUs and RUs from 1 in
+spec order.  Tests that need other ids — a golden pinned to the ids it
+was taken with, a standby DU on another cell's RU — wire the live
+objects here instead: :func:`endpoints` builds one cell fragment's DU
+and RUs at chosen ids and :func:`network` puts them behind a chain.
+
+The DU keeps no record of what it received: :func:`record_uplink` wraps
+``receive`` on one instance, and :func:`uplink_grid` and
+:func:`ssb_reference` rebuild what a test compares against.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Dict, List, Sequence, Tuple
+
+import numpy as np
+
+from repro.core.middlebox import Middlebox
+from repro.eval import kit
+from repro.fronthaul.compression import SAMPLES_PER_PRB
+from repro.fronthaul.packet import FronthaulPacket
+from repro.phy.iq import QamModulator
+from repro.ran.du import DistributedUnit
+from repro.ran.ru import RadioUnit
+from repro.scale.build import build_cell
+from repro.sim.network_sim import FronthaulNetwork
+
+
+def endpoints(
+    fragment: Dict[str, Any], du_id: int = 1, ru_id_base: int = 0
+) -> Tuple[DistributedUnit, List[RadioUnit]]:
+    """One cell fragment (:func:`repro.eval.kit.cell`) as live objects:
+    its DU (UE and flows attached) and its RUs, ids ``ru_id_base +
+    offset``, uplink addressed to the DU.  The fragment carries its own
+    ``seed``, so nothing is derived from the one-cell scenario it is
+    built under."""
+    spec = kit.scenario(fragment["name"], 1, 0, [fragment])
+    built = build_cell(spec, spec.cells[0], du_id, ru_id_base)
+    return built.du, [radio for radio, _ in built.rus.values()]
+
+
+def network(
+    dus: Sequence[DistributedUnit],
+    rus: Sequence[RadioUnit],
+    middleboxes: Sequence[Middlebox],
+    **options: Any,
+) -> FronthaulNetwork:
+    """A network with the DUs and RUs attached behind the chain;
+    ``options`` are :class:`FronthaulNetwork`'s own keywords."""
+    net = FronthaulNetwork(middleboxes=middleboxes, **options)
+    for du in dus:
+        net.add_du(du)
+    for radio in rus:
+        net.add_ru(radio)
+    return net
+
+
+def record_uplink(du: DistributedUnit) -> List[FronthaulPacket]:
+    """Every data (non-PRACH) U-plane packet ``du`` receives from now on,
+    in arrival order: ``receive`` is wrapped on the instance."""
+    received: List[FronthaulPacket] = []
+    receive = du.receive
+
+    def recording(packet: FronthaulPacket) -> None:
+        receive(packet)
+        if packet.message.filter_index != 1:
+            received.append(packet)
+
+    du.receive = recording
+    return received
+
+
+def uplink_grid(packet: FronthaulPacket, num_prb: int) -> np.ndarray:
+    """The full-band ``(num_prb, 24)`` int16 grid one uplink packet
+    carries; PRBs no section covers are zero."""
+    grid = np.zeros((num_prb, 2 * SAMPLES_PER_PRB), np.int16)
+    for section in packet.message.sections:
+        grid[section.start_prb : section.start_prb + section.num_prb] = (
+            section.iq_samples()
+        )
+    return grid
+
+
+def ssb_reference(du: DistributedUnit) -> np.ndarray:
+    """The cell's SSB waveform as the DU builds it: a QPSK sequence
+    seeded by the PCI over the SSB's PRBs."""
+    ssb_start, ssb_end = du.cell.ssb_prb_range
+    rng = np.random.default_rng(du.cell.pci)
+    return QamModulator(4).modulate(
+        rng.integers(0, 4, (ssb_end - ssb_start) * SAMPLES_PER_PRB)
+    )
