@@ -16,7 +16,7 @@ def sweep_thresholds(thresholds=(0, 1, 2, 3, 6, 10), load_mbps=40.0,
     rows = []
     for threshold in thresholds:
         # Reuse the fig10c harness with a custom UL threshold by patching
-        # the monitor after construction via its management interface.
+        # the thresholds the monitor is constructed with.
         import repro.eval.fig10 as fig10
         from repro.apps import prb_monitor
 

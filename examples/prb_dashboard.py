@@ -15,7 +15,6 @@ Run:  python examples/prb_dashboard.py
 """
 
 from repro.api import Scenario
-from repro.apps.prb_monitor import TELEMETRY_TOPIC
 from repro.fronthaul.cplane import Direction
 from repro.obs import render_dashboard
 from repro.ran.traffic import ConstantBitrateFlow
@@ -44,15 +43,8 @@ SPEC = {
 
 def main() -> None:
     (group,) = Scenario.from_dict(SPEC).build()
-    du, (monitor,), obs = group.cells[0].du, group.middleboxes, group.obs
-
-    # Subscribe to the telemetry feed like a RIC application would.
-    live_samples = []
-
-    def on_sample(record) -> None:
-        live_samples.append((record.timestamp_ns, record.payload.utilization))
-
-    monitor.telemetry.subscribe(TELEMETRY_TOPIC, on_sample)
+    cell, (monitor,), obs = group.cells[0], group.middleboxes, group.obs
+    du = cell.du
 
     print("PRB utilization dashboard (100 MHz cell, 10 ms per ramp step)")
     print(f"{'offered':>8}  {'monitor':>8}  {'truth':>6}  timeline")
@@ -79,16 +71,13 @@ def main() -> None:
         bar = "#" * int(estimate * BAR_WIDTH)
         print(f"{rate_mbps:7.0f}M  {estimate:8.1%}  {truth:6.1%}  |{bar}")
 
-    # Detach like a well-behaved RIC app (no leaked callbacks on reuse).
-    monitor.telemetry.unsubscribe(TELEMETRY_TOPIC, on_sample)
-
-    # An app that joins late reads the same feed from the bus's history.
-    retained = monitor.telemetry.history(TELEMETRY_TOPIC)
+    # The feed a RIC application reads: the monitor's estimate list,
+    # stamped with each estimate's symbol time.
     print()
-    first, last = live_samples[0][0], live_samples[-1][0]
-    rate = len(live_samples) / ((last - first) / 1e9) if last > first else 0
-    print(f"Telemetry feed: {len(live_samples)} samples pushed, "
-          f"{len(retained)} retained for late joiners, "
+    stamps = [e.time.ns(cell.config.numerology) for e in monitor.estimates]
+    span_s = (stamps[-1] - stamps[0]) / 1e9 if stamps else 0.0
+    rate = len(stamps) / span_s if span_s > 0 else 0
+    print(f"Telemetry feed: {len(stamps)} estimates, "
           f"{rate:,.0f} samples/s (sub-millisecond granularity)")
 
     # The operator view: live counters/gauges from the metrics registry.

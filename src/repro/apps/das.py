@@ -58,8 +58,9 @@ _PENDING_MERGES = declare(
 class DasMiddlebox(Middlebox):
     """One DAS group: a single DU fanned out to ``ru_macs``.
 
-    The management interface exposes the RU set, so RUs can be added or
-    removed on-the-fly (Section 3.2's reconfiguration capability).
+    The RU set is fixed for the middlebox's life; a ``rechain`` delta
+    (:mod:`repro.serve.delta`) is how a live run changes it (Section
+    3.2's reconfiguration capability).
     """
 
     app_name = "das"
@@ -84,23 +85,18 @@ class DasMiddlebox(Middlebox):
         )
         if not ru_macs:
             raise ValueError("a DAS group needs at least one RU")
+        if not isinstance(partial_merge, bool):
+            raise ValueError(
+                f"partial_merge must be a bool, got {partial_merge!r}"
+            )
         self.du_mac = du_mac
         self.mac = mac or MacAddress.from_int(0x02_00_00_00_30_01)
-        self.management.declare(
-            "ru_macs",
-            list(ru_macs),
-            validator=lambda value: bool(value),
-        )
-        # The per-packet view of the RU set, refreshed on every change.
-        self._on_management_change("ru_macs", ru_macs)
-        self.management.on_change(self._on_management_change)
+        self.ru_macs: Tuple[MacAddress, ...] = tuple(ru_macs)
+        self._ru_set = frozenset(self.ru_macs)
         #: When enabled, the deadline sweep merges whatever subset of RU
         #: packets arrived in time (a *degraded* merge: reduced combining
         #: gain) instead of abandoning the symbol outright.
-        self.management.declare(
-            "partial_merge", bool(partial_merge),
-            validator=lambda value: isinstance(value, bool),
-        )
+        self.partial_merge = partial_merge
         #: Per-(RU, eAxC) eCPRI sequence tracking: classifies duplicates
         #: and stragglers with proper 8-bit seq_id wraparound, so the wrap
         #: after packet 255 is not mistaken for a retransmission.
@@ -151,18 +147,6 @@ class DasMiddlebox(Middlebox):
         self.slot_state[template.flow_key()] = True
         return out
 
-    def _on_management_change(self, key: str, value) -> None:
-        if key == "ru_macs":
-            self._ru_macs = tuple(value)
-            self._ru_set = frozenset(self._ru_macs)
-
-    @property
-    def ru_macs(self) -> List[MacAddress]:
-        return list(self._ru_macs)
-
-    def add_ru(self, ru_mac: MacAddress) -> None:
-        self.management.set("ru_macs", self.ru_macs + [ru_mac])
-
     # -- handlers ----------------------------------------------------------
 
     def on_cplane(self, ctx: ActionContext, packet: FronthaulPacket) -> None:
@@ -184,7 +168,7 @@ class DasMiddlebox(Middlebox):
 
     def _fan_out(self, ctx: ActionContext, packet: FronthaulPacket) -> None:
         """A2 + A1: one copy of the packet per DAS RU."""
-        ru_macs = self._ru_macs
+        ru_macs = self.ru_macs
         copies = ctx.replicate(packet, len(ru_macs) - 1)
         for target, copy in zip(ru_macs, [packet] + copies):
             ctx.forward(copy, dst=target, src=self.mac)
@@ -218,7 +202,7 @@ class DasMiddlebox(Middlebox):
             ctx.drop(packet)
             return
         occupancy = ctx.cache_put(key, packet, tag=source)
-        if occupancy < len(self._ru_macs):
+        if occupancy < len(self.ru_macs):
             return
         cached = ctx.cache_pop_all(key)
         if self.obs.enabled:
@@ -267,7 +251,7 @@ class DasMiddlebox(Middlebox):
         emitted: List[FronthaulPacket] = []
         abandoned = 0
         if deadline_flush:
-            partial = bool(self.management.get("partial_merge"))
+            partial = self.partial_merge
             for key in self.cache.keys():
                 packets = [packet for _, packet in self.cache.pop_all(key)]
                 merged = self._degraded_merge(packets) if partial else None

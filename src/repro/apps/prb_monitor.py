@@ -4,8 +4,9 @@ A passive middlebox that estimates per-symbol PRB utilization from the BFP
 compression exponents carried in U-plane packets, without decompressing
 any IQ samples: a PRB whose exponent exceeds a threshold carries real
 signal energy and is counted as utilized; near-zero (idle) PRBs compress
-with exponent 0.  Estimates are published on the telemetry interface at
-sub-millisecond granularity and every packet is forwarded unmodified.
+with exponent 0.  Estimates are appended to :attr:`PrbMonitorMiddlebox.
+estimates` (the monitor's telemetry) at sub-millisecond granularity and
+every packet is forwarded unmodified.
 
 Thresholds default to the values that worked across the paper's setups:
 0 for downlink and 2 for uplink (uplink noise floors produce small
@@ -23,11 +24,11 @@ from repro.core.actions import ActionContext, ExecLocation
 from repro.core.middlebox import Middlebox
 from repro.fronthaul.cplane import Direction
 from repro.fronthaul.packet import FronthaulPacket
-from repro.fronthaul.timing import Numerology, SymbolTime
+from repro.fronthaul.timing import SymbolTime
 from repro.obs.metrics import declare
 
-TELEMETRY_TOPIC = "prb_utilization"
-
+#: The help text keeps its wording: the obs-live exposition golden
+#: (``tests/scale/fixtures/obs_top_exposition.golden``) pins it.
 _PUBLISHES = declare(
     "counter", "prb_monitor_publishes_total",
     "utilization estimates published on the telemetry bus",
@@ -69,7 +70,6 @@ class PrbMonitorMiddlebox(Middlebox):
         carrier_num_prb: int,
         thr_dl: int = 0,
         thr_ul: int = 2,
-        numerology: Numerology = Numerology(mu=1),
         monitor_port: int = 0,
         name: str = "",
         obs=None,
@@ -79,11 +79,15 @@ class PrbMonitorMiddlebox(Middlebox):
         super().__init__(
             name=name, obs=obs, stack_profile=stack_profile, **kwargs
         )
+        for knob, value in (("thr_dl", thr_dl), ("thr_ul", thr_ul)):
+            if not 0 <= value <= 15:
+                raise ValueError(
+                    f"{knob} must be a BFP exponent in 0..15, got {value!r}"
+                )
         self.carrier_num_prb = carrier_num_prb
-        self.numerology = numerology
+        self.thr_dl = thr_dl
+        self.thr_ul = thr_ul
         self.monitor_port = monitor_port
-        self.management.declare("thr_dl", thr_dl, lambda v: 0 <= v <= 15)
-        self.management.declare("thr_ul", thr_ul, lambda v: 0 <= v <= 15)
         self.estimates: List[UtilizationEstimate] = []
 
     # -- handlers --------------------------------------------------------------
@@ -102,9 +106,7 @@ class PrbMonitorMiddlebox(Middlebox):
     def _estimate(self, ctx: ActionContext, packet: FronthaulPacket) -> None:
         direction = packet.direction
         threshold = (
-            self.management.get("thr_dl")
-            if direction is Direction.DOWNLINK
-            else self.management.get("thr_ul")
+            self.thr_dl if direction is Direction.DOWNLINK else self.thr_ul
         )
         utilized = np.zeros(self.carrier_num_prb, dtype=bool)
         for section in packet.message.sections:
@@ -121,12 +123,6 @@ class PrbMonitorMiddlebox(Middlebox):
             utilized=tuple(utilized.tolist()),
         )
         self.estimates.append(estimate)
-        self.telemetry.publish(
-            TELEMETRY_TOPIC,
-            estimate,
-            timestamp_ns=packet.time.ns(self.numerology),
-            source=self.name,
-        )
         if self.obs.enabled:
             labels = (
                 self.name, "DL" if direction is Direction.DOWNLINK else "UL"
@@ -148,19 +144,3 @@ class PrbMonitorMiddlebox(Middlebox):
         if not samples:
             return 0.0
         return float(np.mean(samples))
-
-    def utilization_timeseries(
-        self, direction: Direction, window_symbols: int = 28
-    ) -> List[float]:
-        """Windowed utilization averages (the per-second series of
-        Figure 10c, at configurable sub-millisecond windows)."""
-        samples = [e for e in self.estimates if e.direction is direction]
-        series = []
-        for start in range(0, len(samples), window_symbols):
-            window = samples[start : start + window_symbols]
-            if window:
-                series.append(float(np.mean([e.utilization for e in window])))
-        return series
-
-    def reset(self) -> None:
-        self.estimates.clear()

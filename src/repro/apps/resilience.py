@@ -21,12 +21,10 @@ from repro.fronthaul.cplane import Direction
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import FronthaulPacket
 
-TELEMETRY_TOPIC = "resilience_events"
-
 
 @dataclass(frozen=True)
 class FailoverEvent:
-    """Telemetry record of one failover decision."""
+    """One failover decision (the middlebox's :attr:`events` record)."""
 
     failed_du: MacAddress
     standby_du: MacAddress
@@ -41,7 +39,7 @@ class ResilienceMiddlebox(Middlebox):
     when the gap exceeds ``silence_threshold_ns`` (checked against the
     fronthaul clock carried in packet timestamps), the middlebox fails
     over: uplink traffic is redirected to the standby DU, whose downlink
-    is then forwarded to the RU.  Failback is manual (management knob),
+    is then forwarded to the RU.  Failback is manual (:meth:`failback`),
     as in the systems the paper cites.
     """
 
@@ -72,24 +70,23 @@ class ResilienceMiddlebox(Middlebox):
         self.ru_mac = ru_mac
         self.numerology = numerology or Numerology(mu=1)
         self.mac = mac or MacAddress.from_int(0x02_00_00_00_30_04)
-        self.management.declare(
-            "silence_threshold_ns", silence_threshold_ns,
-            validator=lambda v: v > 0,
-        )
-        self.management.declare("active_du", "primary",
-                                validator=lambda v: v in ("primary", "standby"))
+        if not silence_threshold_ns > 0:
+            raise ValueError(
+                f"silence_threshold_ns must be > 0, got {silence_threshold_ns!r}"
+            )
+        self.silence_threshold_ns = silence_threshold_ns
+        #: True from a detected primary failure until :meth:`failback`.
+        self.failed_over = False
         self.events: List[FailoverEvent] = []
         self._last_primary_ns: Optional[float] = None
 
     @property
     def active_du(self) -> MacAddress:
-        if self.management.get("active_du") == "primary":
-            return self.primary_du
-        return self.standby_du
+        return self.standby_du if self.failed_over else self.primary_du
 
     def failback(self) -> None:
         """Operator-initiated return to the primary DU."""
-        self.management.set("active_du", "primary")
+        self.failed_over = False
         self._last_primary_ns = None
 
     # -- handlers -------------------------------------------------------------
@@ -134,14 +131,11 @@ class ResilienceMiddlebox(Middlebox):
         self._last_primary_ns = now_ns
 
     def _check_deadline(self, ctx: ActionContext, now_ns: float) -> None:
-        if (
-            self.management.get("active_du") != "primary"
-            or self._last_primary_ns is None
-        ):
+        if self.failed_over or self._last_primary_ns is None:
             return
         silence = now_ns - self._last_primary_ns
-        if silence > self.management.get("silence_threshold_ns"):
-            self.management.set("active_du", "standby")
+        if silence > self.silence_threshold_ns:
+            self.failed_over = True
             event = FailoverEvent(
                 failed_du=self.primary_du,
                 standby_du=self.standby_du,
@@ -149,6 +143,3 @@ class ResilienceMiddlebox(Middlebox):
                 silence_ns=silence,
             )
             self.events.append(event)
-            self.telemetry.publish(
-                TELEMETRY_TOPIC, event, timestamp_ns=now_ns, source=self.name
-            )

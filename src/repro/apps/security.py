@@ -28,8 +28,6 @@ from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import FronthaulPacket
 from repro.fronthaul.timing import MAX_FRAME_ID, Numerology
 
-TELEMETRY_TOPIC = "security_alerts"
-
 
 @dataclass(frozen=True)
 class SecurityAlert:
@@ -99,12 +97,6 @@ class FronthaulGuardMiddlebox(Middlebox):
             seq_id=packet.ecpri.seq_id,
         )
         self.alerts.append(alert)
-        self.telemetry.publish(
-            TELEMETRY_TOPIC,
-            alert,
-            timestamp_ns=packet.time.ns(self.numerology),
-            source=self.name,
-        )
         ctx.drop(packet)
 
     def _flow_key(self, packet: FronthaulPacket) -> Tuple[int, int]:

@@ -5,8 +5,8 @@ applications without sniffing hardware.  This middlebox watches the
 uplink noise floor per PRB: energy that appears on PRBs the C-plane never
 scheduled — or persistent energy far above the expected noise floor —
 indicates an external interferer (e.g. a jammer or a rogue transmitter),
-which is reported through the telemetry interface, in the spirit of the
-interference-detection application of [18].
+which is appended to the sensor's :attr:`SpectrumSensorMiddlebox.alerts`
+list, in the spirit of the interference-detection application of [18].
 """
 
 from __future__ import annotations
@@ -20,9 +20,7 @@ from repro.core.actions import ActionContext, ExecLocation
 from repro.core.middlebox import Middlebox
 from repro.fronthaul.cplane import Direction
 from repro.fronthaul.packet import FronthaulPacket
-from repro.fronthaul.timing import Numerology, SymbolTime
-
-TELEMETRY_TOPIC = "interference_alerts"
+from repro.fronthaul.timing import SymbolTime
 
 
 @dataclass(frozen=True)
@@ -53,7 +51,6 @@ class SpectrumSensorMiddlebox(Middlebox):
         self,
         carrier_num_prb: int,
         noise_exponent_threshold: int = 2,
-        numerology: Numerology = Numerology(mu=1),
         name: str = "",
         obs=None,
         stack_profile=None,
@@ -62,12 +59,13 @@ class SpectrumSensorMiddlebox(Middlebox):
         super().__init__(
             name=name, obs=obs, stack_profile=stack_profile, **kwargs
         )
+        if not 0 <= noise_exponent_threshold <= 15:
+            raise ValueError(
+                "noise_exponent_threshold must be a BFP exponent in 0..15, "
+                f"got {noise_exponent_threshold!r}"
+            )
         self.carrier_num_prb = carrier_num_prb
-        self.numerology = numerology
-        self.management.declare(
-            "noise_exponent_threshold", noise_exponent_threshold,
-            validator=lambda v: 0 <= v <= 15,
-        )
+        self.noise_exponent_threshold = noise_exponent_threshold
         self.alerts: List[InterferenceAlert] = []
 
     # -- handlers -------------------------------------------------------------
@@ -95,7 +93,7 @@ class SpectrumSensorMiddlebox(Middlebox):
     def _scan(self, ctx: ActionContext, packet: FronthaulPacket) -> None:
         key = (packet.time.slot_key(), packet.eaxc.ru_port)
         scheduled = self.slot_state.get(key, [])
-        threshold = self.management.get("noise_exponent_threshold")
+        threshold = self.noise_exponent_threshold
         suspicious: Set[int] = set()
         max_exponent = 0
         for section in packet.message.sections:
@@ -117,9 +115,3 @@ class SpectrumSensorMiddlebox(Middlebox):
             max_exponent=max_exponent,
         )
         self.alerts.append(alert)
-        self.telemetry.publish(
-            TELEMETRY_TOPIC,
-            alert,
-            timestamp_ns=packet.time.ns(self.numerology),
-            source=self.name,
-        )

@@ -7,9 +7,10 @@
   developers specialize with C-/U-plane handlers (Section 3.2.2).
 - :mod:`repro.core.chain` -- middlebox chaining: the forwarding graph of
   the SR-IOV embedded switch (Section 5, Figure 8).
-- :mod:`repro.core.telemetry` -- the monitoring interface middleboxes
-  expose to applications.
-- :mod:`repro.core.management` -- on-the-fly configuration changes.
+- A middlebox's monitoring interface is its app's record list plus the
+  :mod:`repro.obs` metric families; its management interface is its
+  spec params, changed on the fly by a ``rechain`` delta
+  (:mod:`repro.serve.delta`).
 - :mod:`repro.core.latency` -- the per-action latency cost model
   (calibrated to Figure 15b).
 - :mod:`repro.core.datapath` -- DPDK and XDP execution models: CPU
@@ -19,8 +20,6 @@
 from repro.core.actions import ActionContext, ActionKind, PacketCache
 from repro.core.middlebox import Middlebox, MiddleboxStats
 from repro.core.chain import MiddleboxChain
-from repro.core.telemetry import TelemetryBus, TelemetryRecord
-from repro.core.management import ManagementInterface
 from repro.core.latency import ActionCostModel, DEFAULT_COST_MODEL
 from repro.core.datapath import (
     DatapathKind,
@@ -36,9 +35,6 @@ __all__ = [
     "Middlebox",
     "MiddleboxStats",
     "MiddleboxChain",
-    "TelemetryBus",
-    "TelemetryRecord",
-    "ManagementInterface",
     "ActionCostModel",
     "DEFAULT_COST_MODEL",
     "DatapathKind",

@@ -15,7 +15,7 @@ and every circuit-breaker transition.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Deque, List, Optional, Sequence, Tuple
 
 from repro import obs as obs_module
 from repro.core.middlebox import BreakerState, CircuitBreaker, Middlebox
@@ -198,23 +198,6 @@ class MiddleboxChain:
                 obs.children(_CUMULATIVE_BURST_NS, *labels).observe(cumulative)
         return current
 
-    def _resolve_stage(self, source: Union[int, str, Middlebox]) -> int:
-        """Stage index of ``source`` (an index, a middlebox, or its name)."""
-        if isinstance(source, Middlebox):
-            return source.chain_stage
-        if isinstance(source, str):
-            for middlebox in self.middleboxes:
-                if middlebox.name == source:
-                    return middlebox.chain_stage
-            raise KeyError(f"no chain stage named {source!r}")
-        stage = int(source)
-        if not 0 <= stage <= len(self.middleboxes):
-            raise IndexError(
-                f"stage {stage} out of range for a "
-                f"{len(self.middleboxes)}-stage chain"
-            )
-        return stage
-
     def process_downlink(
         self, packets: List[FronthaulPacket]
     ) -> List[FronthaulPacket]:
@@ -224,15 +207,14 @@ class MiddleboxChain:
         self,
         packets: List[FronthaulPacket],
         *,
-        source: Optional[Union[int, str, Middlebox]] = None,
+        source: Optional[int] = None,
         deadline_flush: bool = True,
     ) -> List[FronthaulPacket]:
         """Run packets towards the DUs (reverse stage order).
 
-        ``source`` names the stage that *emitted* the packets — a stage
-        index, a middlebox instance, or a middlebox name.  Only stages
-        below it (the uplink tail) run; ``None`` runs the full chain, the
-        path of packets entering from the RU side.
+        ``source`` is the index of the stage that *emitted* the packets.
+        Only stages below it (the uplink tail) run; ``None`` runs the full
+        chain, the path of packets entering from the RU side.
 
         ``deadline_flush`` controls whether hold-capable stages — those
         declaring ``deadline_hold``, like the DAS merge — may capture
@@ -244,8 +226,13 @@ class MiddleboxChain:
         """
         if source is None:
             boxes = list(reversed(self.middleboxes))
+        elif 0 <= source <= len(self.middleboxes):
+            boxes = list(reversed(self.middleboxes[:source]))
         else:
-            boxes = list(reversed(self.middleboxes[: self._resolve_stage(source)]))
+            raise IndexError(
+                f"stage {source} out of range for a "
+                f"{len(self.middleboxes)}-stage chain"
+            )
         if not deadline_flush:
             holding = sum(box.deadline_hold for box in boxes)
             if holding:

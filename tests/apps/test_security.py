@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps.security import TELEMETRY_TOPIC, FronthaulGuardMiddlebox
+from repro.apps.security import FronthaulGuardMiddlebox
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
 from repro.fronthaul.ecpri import EAxCId
 from repro.fronthaul.ethernet import MacAddress
@@ -100,8 +100,6 @@ class TestTimingWindow:
         assert guard.stats.dropped_packets == 20
 
     def test_telemetry_alerts(self, guard, du_mac, ru_mac):
-        seen = []
-        guard.telemetry.subscribe(TELEMETRY_TOPIC, seen.append)
         guard.process(frame(MacAddress.from_int(0xBAD), ru_mac))
-        assert len(seen) == 1
-        assert seen[0].payload.reason == "unknown_source"
+        (alert,) = guard.alerts
+        assert alert.reason == "unknown_source"

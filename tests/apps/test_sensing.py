@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.sensing import TELEMETRY_TOPIC, SpectrumSensorMiddlebox
+from repro.apps.sensing import SpectrumSensorMiddlebox
 from repro.core.actions import _RETAINED_SLOTS
 from repro.fronthaul.compression import MOD_COMP_METH, CompressionConfig
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
@@ -99,17 +99,17 @@ class TestInterferenceDetection:
         assert len(result.emissions) == 1
         assert result.emissions[0].pack() == wire
 
-    def test_threshold_configurable(self, sensor, rng, du_mac, ru_mac):
-        sensor.management.set("noise_exponent_threshold", 15)
+    def test_threshold_configurable(self, rng, du_mac, ru_mac):
+        sensor = SpectrumSensorMiddlebox(
+            carrier_num_prb=N_PRB, noise_exponent_threshold=15
+        )
         sensor.process(ul_uplane(rng, ru_mac, du_mac, hot_prbs=[20]))
         assert sensor.alerts == []
 
     def test_telemetry_published(self, sensor, rng, du_mac, ru_mac):
-        seen = []
-        sensor.telemetry.subscribe(TELEMETRY_TOPIC, seen.append)
         sensor.process(ul_uplane(rng, ru_mac, du_mac, hot_prbs=[7]))
-        assert len(seen) == 1
-        assert seen[0].payload.prbs == (7,)
+        (alert,) = sensor.alerts
+        assert alert.prbs == (7,) and alert.ru_port == 0
 
     def test_flush_bounds_state(self, sensor, rng, du_mac, ru_mac):
         """Scheduled ranges go with their slot: energy on PRBs that were

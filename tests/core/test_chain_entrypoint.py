@@ -74,22 +74,10 @@ class TestProcessUplink:
         chain.process_uplink([ul_packet()], source=1)
         assert log == ["first"]
 
-    def test_source_by_object_matches_index(self):
-        log = []
-        chain, boxes = make_chain(log)
-        chain.process_uplink([ul_packet()], source=boxes[2])
-        assert log == ["holder", "first"]
-
-    def test_source_by_name(self):
-        log = []
-        chain, _ = make_chain(log)
-        chain.process_uplink([ul_packet()], source="holder")
-        assert log == ["first"]
-
     def test_unknown_source_raises(self):
         chain, _ = make_chain([])
-        with pytest.raises((KeyError, ValueError)):
-            chain.process_uplink([ul_packet()], source="nope")
+        with pytest.raises(IndexError, match="out of range"):
+            chain.process_uplink([ul_packet()], source=4)
 
     def test_deadline_flush_false_bypasses_holding_stages(self):
         log = []

@@ -144,12 +144,6 @@ class TestProcessing:
         assert box.stats.rx_bytes == packet.wire_size
         assert box.stats.tx_bytes == packet.wire_size
 
-    def test_telemetry_and_management_exist(self):
-        box = Middlebox()
-        box.telemetry.publish("t", 1)
-        assert box.telemetry.history("t")[-1].payload == 1
-        assert box.management.owner == box.name
-
 
 def _live_contexts() -> int:
     return sum(type(o) is ActionContext for o in gc.get_objects())

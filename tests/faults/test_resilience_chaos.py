@@ -78,7 +78,7 @@ class TestFailoverUnderSilence:
         assert box.active_du == standby.mac
         # Detected from timing: silence is a little over the threshold,
         # never less.
-        threshold = box.management.get("silence_threshold_ns")
+        threshold = box.silence_threshold_ns
         assert threshold < event.silence_ns <= threshold + \
             4 * numerology.slot_duration_ns
         assert injector.stats.silenced > 0

@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.core.telemetry import TelemetryBus
 from repro.obs.sketch import QuantileSketch
 from repro.obs.slo import (
-    ALERT_TOPIC,
     EpochSample,
     SloEngine,
     SloSpec,
@@ -166,18 +164,6 @@ class TestObjectives:
 
 
 class TestBusAndStatus:
-    def test_alert_edges_publish_on_the_bus(self):
-        bus = TelemetryBus()
-        engine = SloEngine(
-            [miss_spec(window_epochs=1)], bus=bus, source="test-slo"
-        )
-        engine.observe_epoch(sample(0, misses=9))
-        records = bus.history(ALERT_TOPIC)
-        assert len(records) == 1
-        assert records[0].payload["slo"] == "miss-rate"
-        assert records[0].payload["state"] == "firing"
-        assert records[0].source == "test-slo"
-
     def test_status_rows_expose_live_burn(self):
         engine = SloEngine([miss_spec(window_epochs=1)])
         engine.observe_epoch(sample(0, checks=10, misses=2))

@@ -16,8 +16,6 @@ Covers the stream's core contracts outside the scale-out machinery
 """
 
 import dataclasses
-import io
-import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,11 +29,9 @@ from repro.obs.sketch import QuantileSketch
 from repro.obs.slo import SloSpec
 from repro.obs.stream import (
     DROPPED_SPANS_METRIC,
-    EPOCH_TOPIC,
     GroupStreamSource,
     TelemetryStream,
 )
-from repro.core.telemetry import TelemetryBus
 
 
 def make_span(seq, middlebox="das", stage=0):
@@ -271,12 +267,9 @@ class TestTelemetryStreamFold:
             merged.merge_sample(view["slot_sketch"])
         assert stream.p99_slot_latency_ns() == merged.quantile(0.99)
 
-    def test_epoch_summaries_reach_bus_and_tail(self):
+    def test_epoch_summaries_carry_the_alert_edges(self):
         groups, sources = self._sources()
-        bus = TelemetryBus()
-        tail = io.StringIO()
         stream = TelemetryStream(
-            bus=bus,
             slo_specs=(
                 SloSpec(
                     name="miss",
@@ -285,18 +278,14 @@ class TestTelemetryStreamFold:
                     window_epochs=1,
                 ),
             ),
-            tail=tail,
         )
         for group in groups:
             group.accountant.observe_slot(0, {"0:x": 5000.0})  # misses
         stream.fold_epoch([s.epoch_payload() for s in sources])
-        records = bus.history(EPOCH_TOPIC)
-        assert len(records) == 1
-        assert records[0].payload["deadline_misses"] == 2
-        assert records[0].payload["firing"] == ["miss"]
-        lines = tail.getvalue().strip().splitlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0])["epoch"] == 0
+        (summary,) = stream.summaries
+        assert summary["epoch"] == 0 and summary["deadline_misses"] == 2
+        assert summary["firing"] == ["miss"]
+        assert summary["alerts"] == [stream.slo.alerts[0].to_dict()]
         assert stream.slo.alerts[0].state == "firing"
 
     def test_cross_shard_journey_reassembles_from_streamed_spans(self):

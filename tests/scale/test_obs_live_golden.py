@@ -26,11 +26,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.telemetry import TelemetryBus
 from repro.eval.scale import bench_spec
 from repro.obs import deterministic_exposition
 from repro.obs.slo import default_slos
-from repro.obs.stream import EPOCH_TOPIC
 from repro.scale import ObsSpec, run_divergence, run_scenario
 
 GOLDEN = Path(__file__).parent / "fixtures" / "obs_top_exposition.golden"
@@ -56,16 +54,15 @@ def obs_top_spec(slots=40):
 
 @pytest.fixture(scope="module")
 def streamed():
-    """The streamed run, its bus and the observability-off reference."""
+    """The streamed run and the observability-off reference."""
     spec = obs_top_spec(SLOTS)
-    bus = TelemetryBus()
-    outcome = run_scenario(spec, workers=WORKERS, bus=bus)
+    outcome = run_scenario(spec, workers=WORKERS)
     reference = run_scenario(dataclasses.replace(spec, obs=ObsSpec()))
-    return outcome, bus, reference
+    return outcome, reference
 
 
 def test_streamed_exposition_matches_golden(streamed):
-    outcome, _, _ = streamed
+    outcome, _ = streamed
     exposition = deterministic_exposition(outcome.telemetry.registry)
     assert exposition == GOLDEN.read_text(), (
         "streamed deterministic exposition drifted from the golden "
@@ -75,23 +72,23 @@ def test_streamed_exposition_matches_golden(streamed):
 
 
 def test_streamed_run_contract(streamed):
-    outcome, bus, reference = streamed
+    outcome, reference = streamed
     stream = outcome.telemetry
     assert outcome.digest == reference.digest
     assert stream.epochs == SLOTS // 4
     assert stream.spans_seen > 0
-    assert bus.history(EPOCH_TOPIC)
+    assert len(stream.summaries) == stream.epochs
 
 
 def test_streaming_is_invisible_and_live_equals_collect(streamed):
-    outcome, _, reference = streamed
+    outcome, reference = streamed
     assert outcome.telemetry.finalized
     assert run_divergence(outcome, reference) == []
 
 
 def test_seeded_slo_alerts_fire_deterministically(streamed):
     """The canonical run trips both default SLOs at fixed epochs."""
-    outcome, _, _ = streamed
+    outcome, _ = streamed
     edges = [
         (a.slo, a.state, a.epoch) for a in outcome.telemetry.slo.alerts
     ]

@@ -7,6 +7,7 @@ from repro.apps.dmimo import DmimoMiddlebox
 from repro.apps.prb_monitor import PrbMonitorMiddlebox
 from repro.apps.ru_sharing import RuSharingMiddlebox
 from repro.scale import ScenarioSpec, register_stage, stage_names
+from repro.scale.build import build_groups
 from repro.scale.registry import STAGE_REGISTRY
 
 
@@ -33,7 +34,26 @@ def test_das_builds_by_name_with_cell_defaults():
     groups = _spec([{"stage": "das", "params": {"partial_merge": True}}]).build()
     (box,) = groups[0].middleboxes
     assert isinstance(box, DasMiddlebox)
-    assert box.management.get("partial_merge") is True
+    assert box.partial_merge is True
+
+
+@pytest.mark.parametrize(
+    "stage, knob, value",
+    [
+        ("prb_monitor", "thr_dl", 99),
+        ("prb_monitor", "thr_ul", -1),
+        ("spectrum_sensor", "noise_exponent_threshold", -4),
+        ("das", "partial_merge", "false"),
+        ("resilience", "silence_threshold_ns", 0),
+    ],
+)
+def test_out_of_range_stage_params_are_rejected_at_build(stage, knob, value):
+    standby = {"name": "standby", "pci": 2, "bandwidth_hz": 20_000_000,
+               "group": "pair", "rus": [{"name": "standby-ru"}], "chain": []}
+    spec = _spec([{"stage": stage, "params": {knob: value}}],
+                 extra_cells=[standby], group="pair")
+    with pytest.raises(ValueError, match=knob):
+        build_groups(spec)
 
 
 def test_dmimo_builds_by_name():

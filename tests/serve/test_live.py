@@ -10,6 +10,8 @@ changes) fail loudly instead of corrupting a run.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -20,6 +22,17 @@ from repro.serve.engine import TOPICS, LiveRun
 from tests.serve.builders import make_spec, tenant_dict
 
 ADMIT = SpecDelta(ops=(DeltaOp(op="add_cell", cell=tenant_dict()),))
+#: sha256 of the event stream ``test_scripted_event_stream_is_pinned``
+#: drains: 8 epochs, 1 alert, 22 conformance totals and 2 deltas.
+SCRIPTED_EVENTS_SHA256 = (
+    "1692fc7fe4ad7629c10f33b63351ab30ae53459e09736143d2bab75a56631a6c"
+)
+
+
+def rechain_tenant(stage) -> SpecDelta:
+    return SpecDelta(
+        ops=(DeltaOp(op="rechain", target="tenant", chain=(stage,)),)
+    )
 
 
 def finish(live: LiveRun):
@@ -72,6 +85,31 @@ class TestDrive:
             )
             assert mine[-1]["counts"] == outcome.conformance["counts"]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scripted_event_stream_is_pinned(self, workers):
+        """Admit a tenant after 2 epochs, rechain it onto a PRB monitor
+        after 1 more, run to the horizon: every queued event, in order."""
+        base = make_spec(slots=24, obs=True, slo=[{
+            "name": "misses", "objective": "deadline_miss_rate",
+            "threshold": 0.01, "window_epochs": 1, "min_samples": 1,
+        }])
+        spec = dataclasses.replace(base, obs=dataclasses.replace(
+            base.obs, deadline_accounting=True, deadline_budget_ns=1.0
+        ))
+        live = LiveRun(spec, workers=workers)
+        try:
+            live.advance_epoch()
+            live.advance_epoch()
+            live.apply(ADMIT)
+            live.advance_epoch()
+            live.apply(rechain_tenant({"stage": "prb_monitor"}))
+            finish(live)
+            events = live.drain_events()
+        finally:
+            live.close()
+        digest = hashlib.sha256(json.dumps(events, sort_keys=True).encode())
+        assert digest.hexdigest() == SCRIPTED_EVENTS_SHA256
+
 
 class TestApply:
     def test_admission_journals_and_bumps_routing(self):
@@ -114,6 +152,21 @@ class TestApply:
             assert live.routes.version == 0
             assert live.deltas_applied == []
             assert live.spec == spec
+            result = finish(live)
+        finally:
+            live.close()
+        assert result.digest == run_scenario(spec, workers=1).digest
+
+    def test_out_of_range_stage_param_is_rejected_at_the_trial_build(self):
+        spec = ADMIT.apply(make_spec())
+        live = LiveRun(spec)
+        try:
+            live.advance_epoch()
+            with pytest.raises(ValueError, match="thr_dl"):
+                live.apply(rechain_tenant(
+                    {"stage": "prb_monitor", "params": {"thr_dl": 99}}
+                ))
+            assert live.routes.version == 0
             result = finish(live)
         finally:
             live.close()

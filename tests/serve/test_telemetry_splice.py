@@ -6,7 +6,7 @@ on a deadline-accounted spec whose 1 us budget makes misses common:
 - after a mid-run ``rechain`` the stream's per-group deadline view is a
   from-scratch run's of the mutated spec (the view reads the rebuilt
   group's snapshot, replayed prefix included);
-- every bus epoch record after the rechain is the from-scratch run's:
+- every epoch summary after the rechain is the from-scratch run's:
   the rebuilt group's replay advanced its source's sample baseline on
   the worker, so no sample recounts the prefix;
 - ``obs.stream`` gates span rows only: the SLOs fire the same edges
@@ -19,8 +19,6 @@ import dataclasses
 
 import pytest
 
-from repro.core.telemetry import TelemetryBus
-from repro.obs.stream import EPOCH_TOPIC
 from repro.scale.runner import run_scenario
 from repro.serve.delta import DeltaOp, SpecDelta
 from repro.serve.engine import LiveRun
@@ -63,21 +61,16 @@ def accounted_spec(stream=True, slo=()):
     )
 
 
-def epoch_records(bus):
-    return [record.payload for record in bus.history(EPOCH_TOPIC)]
-
-
 @pytest.fixture(scope="module")
 def scratch():
     """A from-scratch run of the rechained spec."""
-    bus = TelemetryBus()
-    result = run_scenario(RECHAIN.apply(accounted_spec()), bus=bus)
-    return result.telemetry.groups(), epoch_records(bus)
+    stream = run_scenario(RECHAIN.apply(accounted_spec())).telemetry
+    return stream.groups(), stream.summaries
 
 
 @pytest.fixture(scope="module", params=[0, 2], ids=["inproc", "2proc"])
 def rechained(request):
-    """The live run, rechained at slot 6: its views and epoch records."""
+    """The live run, rechained at slot 6: its views and epoch summaries."""
     live = LiveRun(accounted_spec(), workers=request.param)
     try:
         live.begin()
@@ -86,7 +79,8 @@ def rechained(request):
         live.apply(RECHAIN)
         while not live.advance_epoch():
             pass
-        return live.pool.telemetry.groups(), epoch_records(live.bus)
+        stream = live.pool.telemetry
+        return stream.groups(), stream.summaries
     finally:
         live.close()
 
