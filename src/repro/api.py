@@ -57,7 +57,7 @@ registered fault kind::
     from repro.api import fault_kinds, injector_from_spec
 
     injector = injector_from_spec({"kind": "gilbert_elliott",
-                                   "p_loss_bad": 0.3, "seed": 7})
+                                   "p_enter_burst": 0.3, "seed": 7})
 """
 
 from __future__ import annotations

@@ -48,11 +48,6 @@ _DEGRADED_MERGES = declare(
     "deadline merges completed from a partial RU subset",
     ("middlebox",),
 )
-_PENDING_MERGES = declare(
-    "gauge", "das_pending_merges",
-    "uplink symbols still waiting for RU packets",
-    ("middlebox",),
-)
 
 
 class DasMiddlebox(Middlebox):
@@ -266,9 +261,6 @@ class DasMiddlebox(Middlebox):
                     obs.children(_MISSED_DEADLINES, self.name).inc(abandoned)
                 if emitted:
                     obs.children(_DEGRADED_MERGES, self.name).inc(len(emitted))
-                obs.children(_PENDING_MERGES, self.name).set(
-                    len(self.cache.keys())
-                )
         super().end_slot()
         return emitted, abandoned
 

@@ -116,9 +116,7 @@ class WireValidator:
         self.numerology = numerology or Numerology()
         self.obs = obs if obs is not None else obs_module.DEFAULT_OBSERVABILITY
         self.report = report if report is not None else ConformanceReport()
-        self._tracker = SequenceTracker(
-            modulus=256, name=f"{name}-seq", obs=self.obs
-        )
+        self._tracker = SequenceTracker(name=f"{name}-seq", obs=self.obs)
         #: direction -> {(slot_key, ru_port): [(start, end), ...]}
         self._windows = {
             Direction.DOWNLINK: OrderedDict(),

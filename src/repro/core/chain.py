@@ -80,9 +80,10 @@ class MiddleboxChain:
     :meth:`Middlebox.process_burst` call with the size column.  A stage
     that raises becomes a counted drop instead of crashing the chain, and
     every stage gets a :class:`CircuitBreaker`: after
-    ``breaker_threshold`` consecutive faults the stage is bypassed
-    (packets pass through unprocessed) for ``breaker_probation`` packets,
-    then probed half-open.
+    :data:`~repro.core.middlebox.FAILURE_THRESHOLD` consecutive faults the
+    stage is bypassed (packets pass through unprocessed) for
+    :data:`~repro.core.middlebox.PROBATION_PACKETS` packets, then probed
+    half-open.
 
     When observability is enabled, every burst records per-stage latency
     propagation: the modelled time each stage added and the cumulative
@@ -94,8 +95,6 @@ class MiddleboxChain:
         middleboxes: Sequence[Middlebox],
         name: str = "chain",
         obs: Optional[Observability] = None,
-        breaker_threshold: int = 5,
-        breaker_probation: int = 16,
     ):
         if not middleboxes:
             raise ValueError("a chain needs at least one middlebox")
@@ -118,11 +117,7 @@ class MiddleboxChain:
             middlebox.chain_stage = stage
             self._stage_labels.append(f"{stage}:{middlebox.name}")
             self.breakers.append(
-                CircuitBreaker(
-                    failure_threshold=breaker_threshold,
-                    probation_packets=breaker_probation,
-                    on_transition=self._breaker_observer(stage),
-                )
+                CircuitBreaker(on_transition=self._breaker_observer(stage))
             )
 
     def _breaker_observer(

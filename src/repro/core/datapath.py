@@ -45,11 +45,9 @@ class DpdkDatapath:
         return ctx.total_ns()
 
     def cpu_utilization(
-        self, contexts: Iterable[ActionContext], interval_ns: float, cores: int = 1
+        self, contexts: Iterable[ActionContext], interval_ns: float
     ) -> float:
-        """Utilization of the polling core(s): always fully busy."""
-        if cores < 1:
-            raise ValueError("at least one core required")
+        """Utilization of the polling core: always fully busy."""
         return 1.0
 
 
@@ -90,13 +88,13 @@ class XdpDatapath:
         return wire_bytes <= 3498
 
     def cpu_utilization(
-        self, contexts: Iterable[ActionContext], interval_ns: float, cores: int = 1
+        self, contexts: Iterable[ActionContext], interval_ns: float
     ) -> float:
-        """Interrupt-driven: utilization tracks offered load."""
+        """Interrupt-driven: one core's utilization tracks offered load."""
         if interval_ns <= 0:
             raise ValueError("interval must be positive")
         total = sum(self.packet_time_ns(ctx) for ctx in contexts)
-        return min(total / (interval_ns * cores), 1.0)
+        return min(total / interval_ns, 1.0)
 
 
 @dataclass(frozen=True)

@@ -72,11 +72,17 @@ class BreakerState(enum.Enum):
     HALF_OPEN = "half_open"
 
 
+#: Consecutive faults that open a stage's breaker.
+FAILURE_THRESHOLD = 5
+#: Admissions an open breaker refuses before its half-open probe.
+PROBATION_PACKETS = 16
+
+
 class CircuitBreaker:
     """Fail-open circuit breaker for one middlebox stage.
 
-    ``failure_threshold`` consecutive faults open the breaker; while
-    open, the next ``probation_packets`` admissions are refused (the
+    :data:`FAILURE_THRESHOLD` consecutive faults open the breaker; while
+    open, the next :data:`PROBATION_PACKETS` admissions are refused (the
     stage is bypassed), after which one probe packet is admitted in
     half-open state.  A successful probe closes the breaker; a failed
     probe re-opens it for another probation period.
@@ -84,18 +90,10 @@ class CircuitBreaker:
 
     def __init__(
         self,
-        failure_threshold: int = 5,
-        probation_packets: int = 16,
         on_transition: Optional[
             Callable[[BreakerState, BreakerState], None]
         ] = None,
     ):
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if probation_packets < 0:
-            raise ValueError("probation_packets must be >= 0")
-        self.failure_threshold = failure_threshold
-        self.probation_packets = probation_packets
         self.on_transition = on_transition
         self.state = BreakerState.CLOSED
         self.consecutive_failures = 0
@@ -108,7 +106,7 @@ class CircuitBreaker:
         self.state = to
         if to is BreakerState.OPEN:
             self.opens += 1
-            self._open_remaining = self.probation_packets
+            self._open_remaining = PROBATION_PACKETS
         elif to is BreakerState.CLOSED and previous is BreakerState.HALF_OPEN:
             self.recoveries += 1
         if self.on_transition is not None:
@@ -135,7 +133,7 @@ class CircuitBreaker:
             self._transition(BreakerState.OPEN)
         elif (
             self.state is BreakerState.CLOSED
-            and self.consecutive_failures >= self.failure_threshold
+            and self.consecutive_failures >= FAILURE_THRESHOLD
         ):
             self._transition(BreakerState.OPEN)
 

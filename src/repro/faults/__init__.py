@@ -1,8 +1,8 @@
 """Deterministic fault injection + datapath hardening primitives.
 
-The injection side lives here (``FaultInjector``, ``ImpairedLink``,
-``FaultInjectorMiddlebox``); the hardening it exercises lives where the
-behavior belongs: per-stage isolation and the circuit breaker in
+The injection side lives here (``FaultInjector`` and the access wire
+it impairs, ``ImpairedLink``); the hardening it exercises lives where
+the behavior belongs: per-stage isolation and the circuit breaker in
 :mod:`repro.core.chain`, partial merges in :mod:`repro.apps.das` and
 malformed-frame containment in :mod:`repro.sim.network_sim`.
 ``SequenceTracker`` (seq_id gap/dup/reorder detection with
@@ -23,7 +23,6 @@ from repro.faults.injector import (
     SilenceWindow,
 )
 from repro.faults.link import ImpairedLink
-from repro.faults.middlebox import FaultInjectorMiddlebox
 from repro.faults.process import (
     CHAOS_KINDS,
     ProcessChaosAgent,
@@ -44,7 +43,6 @@ __all__ = [
     "FAULT_REGISTRY",
     "FaultConfig",
     "FaultInjector",
-    "FaultInjectorMiddlebox",
     "FaultScope",
     "GilbertElliottConfig",
     "ImpairedLink",

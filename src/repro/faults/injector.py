@@ -215,9 +215,6 @@ class FaultInjector:
             self.stats.delivered += len(released)
         return out
 
-    def apply_one(self, packet: FronthaulPacket) -> List[FronthaulPacket]:
-        return self.apply([packet])
-
     def flush_held(self) -> List[FronthaulPacket]:
         """Release reorder-held packets without offering new traffic."""
         return self.apply([])

@@ -1,52 +1,60 @@
-"""An impaired point-to-point link: fault injection + link accounting.
+"""An impaired point-to-point link: a fault injector on the access wire.
 
-Composes a :class:`~repro.net.link.Link` (capacity/latency accounting)
-with a :class:`~repro.faults.injector.FaultInjector`: survivors are
-accounted on the link, absorbed packets increment ``LinkStats.drops``
-split by cause (``loss`` for vanished frames, ``malformed`` for frames
-the corruptor rendered unparseable).
+Every frame crossing the wire passes through a
+:class:`~repro.faults.injector.FaultInjector`; the frames it absorbs are
+counted by cause — ``loss`` for vanished frames, ``malformed`` for
+frames the corruptor rendered unparseable — and exported as
+``link_drops_total`` on the injector's observability handle.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.faults.injector import FaultInjector
 from repro.fronthaul.packet import FronthaulPacket
-from repro.net.link import Link
+from repro.obs.metrics import declare
+
+_DROPS = declare(
+    "counter", "link_drops_total",
+    "frames dropped on a link by cause",
+    ("link", "reason"),
+)
 
 
 class ImpairedLink:
     """A link whose frames pass through a fault injector."""
 
-    def __init__(self, injector: FaultInjector, link: Optional[Link] = None):
+    def __init__(self, injector: FaultInjector):
         self.injector = injector
-        self.link = link or Link(name=f"{injector.name}-link")
+        self.name = f"{injector.name}-link"
+        #: Frames that died on the wire, by cause.
+        self.drops: Dict[str, int] = {"loss": 0, "malformed": 0}
 
     def carry(
         self, packets: Sequence[FronthaulPacket]
     ) -> List[FronthaulPacket]:
-        """Impair and account one burst; returns the delivered packets."""
+        """Impair one burst; returns the delivered packets."""
         stats = self.injector.stats
         lost_before = (
             stats.lost_iid + stats.lost_burst + stats.silenced
         )
         malformed_before = stats.corrupt_dropped + stats.truncate_dropped
         survivors = self.injector.apply(list(packets))
-        for packet in survivors:
-            self.link.transfer(packet.wire_size)
-        lost = (
-            stats.lost_iid + stats.lost_burst + stats.silenced - lost_before
+        self._drop(
+            "loss",
+            stats.lost_iid + stats.lost_burst + stats.silenced - lost_before,
         )
-        malformed = (
-            stats.corrupt_dropped + stats.truncate_dropped - malformed_before
+        self._drop(
+            "malformed",
+            stats.corrupt_dropped + stats.truncate_dropped - malformed_before,
         )
-        if lost:
-            self.link.drop(lost, reason="loss")
-        if malformed:
-            self.link.drop(malformed, reason="malformed")
         return survivors
 
-    @property
-    def stats(self):
-        return self.link.stats
+    def _drop(self, reason: str, count: int) -> None:
+        if not count:
+            return
+        self.drops[reason] += count
+        obs = self.injector.obs
+        if obs.enabled:
+            obs.children(_DROPS, self.name, reason).inc(count)

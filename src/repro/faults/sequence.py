@@ -27,6 +27,11 @@ from repro.obs.metrics import declare
 
 _UNSET = object()
 
+#: The eCPRI ``seq_id`` is one byte.
+SEQ_MODULUS = 256
+#: Recent sequence numbers per stream remembered for duplicate checks.
+DUPLICATE_WINDOW = 64
+
 _ANOMALIES = declare(
     "counter", "seq_anomalies_total",
     "sequence anomalies per tracker and kind",
@@ -62,9 +67,9 @@ class SeqStatus:
 class _StreamState:
     __slots__ = ("last", "order", "contexts")
 
-    def __init__(self, window: int):
+    def __init__(self):
         self.last: Optional[int] = None
-        self.order: Deque[int] = deque(maxlen=window)
+        self.order: Deque[int] = deque(maxlen=DUPLICATE_WINDOW)
         #: seq -> context it was last seen with (window-bounded).
         self.contexts: Dict[int, object] = {}
 
@@ -87,28 +92,21 @@ class _StreamState:
 
 
 class SequenceTracker:
-    """Classify per-stream sequence numbers modulo ``modulus``.
+    """Classify per-stream sequence numbers modulo :data:`SEQ_MODULUS`.
 
-    A forward step of up to ``modulus // 2`` is treated as progress (any
-    skipped numbers are a gap); a repeat of a recently seen number with a
-    matching context is a duplicate; anything else arriving from behind
-    is a reordered straggler.  The half-window rule is what makes the
-    256-wrap look like ``delta == 1`` instead of a 255-step retreat.
+    A forward step of up to half the modulus is treated as progress (any
+    skipped numbers are a gap); a repeat of one of the last
+    :data:`DUPLICATE_WINDOW` numbers with a matching context is a
+    duplicate; anything else arriving from behind is a reordered
+    straggler.  The half-window rule is what makes the 256-wrap look like
+    ``delta == 1`` instead of a 255-step retreat.
     """
 
     def __init__(
         self,
-        modulus: int = 256,
-        window: int = 64,
         name: str = "seq",
         obs: Optional[Observability] = None,
     ):
-        if modulus < 2:
-            raise ValueError("modulus must be >= 2")
-        if not 1 <= window < modulus:
-            raise ValueError("window must be in [1, modulus)")
-        self.modulus = modulus
-        self.window = window
         self.name = name
         self.obs = obs if obs is not None else obs_module.DEFAULT_OBSERVABILITY
         self._streams: Dict[Hashable, _StreamState] = {}
@@ -120,15 +118,15 @@ class SequenceTracker:
     def observe(
         self, key: Hashable, seq: int, context: object = _UNSET
     ) -> SeqStatus:
-        seq %= self.modulus
+        seq %= SEQ_MODULUS
         state = self._streams.get(key)
         if state is None:
-            state = self._streams[key] = _StreamState(self.window)
+            state = self._streams[key] = _StreamState()
         if state.last is None:
             state.last = seq
             state.remember(seq, context)
             return SeqStatus(SeqVerdict.NEW)
-        delta = (seq - state.last) % self.modulus
+        delta = (seq - state.last) % SEQ_MODULUS
         if delta == 0:
             if state.matches(seq, context):
                 self._count("duplicate")
@@ -137,7 +135,7 @@ class SequenceTracker:
             # full 256-packet lap); treat as fresh traffic.
             state.remember(seq, context)
             return SeqStatus(SeqVerdict.NEW)
-        if delta <= self.modulus // 2:
+        if delta <= SEQ_MODULUS // 2:
             gap = delta - 1
             state.last = seq
             state.remember(seq, context)

@@ -107,9 +107,10 @@ def make_packet(
     message: Message,
     seq_id: int = 0,
     eaxc=None,
-    vlan=None,
 ) -> FronthaulPacket:
-    """Convenience constructor used by the DU/RU models."""
+    """Convenience constructor used by the DU/RU models (untagged: a
+    VLAN-tagged frame only arrives from outside, see
+    :func:`parse_packet`)."""
     if eaxc is None:
         eaxc = EAxCId(du_port=0)
     message_type = (
@@ -117,7 +118,7 @@ def make_packet(
         if isinstance(message, CPlaneMessage)
         else EcpriMessageType.IQ_DATA
     )
-    eth = EthernetHeader(dst=dst, src=src, ethertype=ETHERTYPE_ECPRI, vlan=vlan)
+    eth = EthernetHeader(dst=dst, src=src, ethertype=ETHERTYPE_ECPRI)
     ecpri = EcpriHeader(
         message_type=message_type, payload_size=0, eaxc=eaxc, seq_id=seq_id
     )

@@ -118,13 +118,14 @@ class SymbolTime:
 
     @classmethod
     def from_absolute_slot(
-        cls, index: int, numerology: Numerology, symbol: int = 0
+        cls, index: int, numerology: Numerology
     ) -> "SymbolTime":
+        """Symbol 0 of slot ``index`` counted from frame 0."""
         per_frame = numerology.slots_per_frame
         per_subframe = numerology.slots_per_subframe
         frame = (index // per_frame) % MAX_FRAME_ID
         rem = index % per_frame
-        return cls(frame, rem // per_subframe, rem % per_subframe, symbol)
+        return cls(frame, rem // per_subframe, rem % per_subframe, 0)
 
     def ns(self, numerology: Numerology) -> float:
         """Nanoseconds since epoch start for the beginning of this symbol."""

@@ -9,40 +9,20 @@ throughput" (Section 5) — :meth:`Nic.max_chain_depth` computes that bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
-
-@dataclass
-class PcieBus:
-    """A PCIe attachment point (Gen4 x16 by default, ~25 GB/s usable)."""
-
-    usable_gbps: float = 200.0
-
-    def __post_init__(self) -> None:
-        if self.usable_gbps <= 0:
-            raise ValueError("PCIe bandwidth must be positive")
-
 
 class Nic:
     """A physical NIC (ConnectX-6 Dx class): port rate, VFs, PCIe."""
 
     #: One 100GbE port.
     port_gbps = 100.0
-
-    def __init__(
-        self,
-        max_vfs: int = 64,
-        pcie: Optional[PcieBus] = None,
-    ):
-        if max_vfs < 1:
-            raise ValueError("NIC must support at least one VF")
-        self.max_vfs = max_vfs
-        self.pcie = pcie or PcieBus()
+    #: SR-IOV virtual functions, one per chained middlebox.
+    max_vfs = 64
+    #: Usable bandwidth of its PCIe Gen4 x16 attachment (~25 GB/s).
+    pcie_usable_gbps = 200.0
 
     def max_chain_depth(self, fronthaul_gbps: float) -> int:
         """Deepest chain the PCIe bus sustains for a given fronthaul load."""
         if fronthaul_gbps <= 0:
             return self.max_vfs
-        depth = int(self.pcie.usable_gbps / (2 * fronthaul_gbps))
+        depth = int(self.pcie_usable_gbps / (2 * fronthaul_gbps))
         return max(0, min(depth, self.max_vfs))

@@ -92,7 +92,6 @@ class Observability:
         "registry",
         "recorder",
         "sample_every",
-        "sketch_accuracy",
         "clock",
         "_ticket",
         "_children",
@@ -102,27 +101,18 @@ class Observability:
     def __init__(
         self,
         enabled: bool = False,
-        recorder: Optional[FlightRecorder] = None,
         sample_every: int = 1,
         max_spans: Optional[int] = None,
-        sketch_accuracy: float = DEFAULT_RELATIVE_ACCURACY,
         clock=time.perf_counter_ns,
     ):
         if sample_every < 1:
             raise ValueError("sample_every must be >= 1")
         self.enabled = enabled
         self.registry = MetricsRegistry()
-        if recorder is None:
-            recorder = FlightRecorder(
-                capacity=max_spans if max_spans is not None else 4096
-            )
-        elif max_spans is not None and recorder.capacity != max_spans:
-            raise ValueError(
-                "max_spans conflicts with the provided recorder's capacity"
-            )
-        self.recorder = recorder
+        self.recorder = FlightRecorder(
+            capacity=max_spans if max_spans is not None else 4096
+        )
         self.sample_every = sample_every
-        self.sketch_accuracy = sketch_accuracy
         self.clock = clock
         self._ticket = 0
         self._children: dict = {}

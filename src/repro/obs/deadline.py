@@ -19,7 +19,6 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.fronthaul.timing import Numerology
 from repro.obs.metrics import declare
-from repro.obs.sketch import DEFAULT_RELATIVE_ACCURACY
 
 #: Paper budget for added middlebox processing per slot (Section 6.4.1).
 SLOT_BUDGET_NS = 30_000.0
@@ -41,16 +40,10 @@ _STAGE_NS = declare(
     "per-slot modelled processing time by chain stage",
     ("stage",),
 )
-
-
-def _slot_total(registry, relative_accuracy: float):
-    """The slot-latency sketch, at its accountant's own accuracy (a
-    per-run setting, so not a :func:`declare` option)."""
-    return registry.sketch(
-        "fronthaul_slot_total_ns",
-        "per-slot modelled chain latency (mergeable sketch)",
-        relative_accuracy=relative_accuracy,
-    ).labels()
+_SLOT_TOTAL = declare(
+    "sketch", "fronthaul_slot_total_ns",
+    "per-slot modelled chain latency (mergeable sketch)",
+)
 
 
 @dataclass(frozen=True)
@@ -90,7 +83,6 @@ class DeadlineAccountant:
         numerology: Numerology = Numerology(mu=1),
         budget_ns: Optional[float] = None,
         obs=None,
-        sketch_accuracy: float = DEFAULT_RELATIVE_ACCURACY,
     ):
         self.numerology = numerology
         if budget_ns is None:
@@ -98,8 +90,6 @@ class DeadlineAccountant:
             budget_ns = min(SLOT_BUDGET_NS, numerology.symbol_duration_ns)
         self.budget_ns = budget_ns
         self.obs = obs
-        #: Accuracy of the slot-latency sketch (registry and stream).
-        self.sketch_accuracy = sketch_accuracy
         self.accounts: List[SlotAccount] = []
         self.violations = 0
 
@@ -121,9 +111,7 @@ class DeadlineAccountant:
             if account.violated:
                 obs.children(_VIOLATIONS).inc()
             obs.children(_HEADROOM).set(account.headroom_ns)
-            obs.children(_slot_total, self.sketch_accuracy).observe(
-                account.total_ns
-            )
+            obs.children(_SLOT_TOTAL).observe(account.total_ns)
             for stage, spent_ns in account.per_stage_ns.items():
                 obs.children(_STAGE_NS, stage).observe(spent_ns)
         return account

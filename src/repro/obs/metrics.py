@@ -25,11 +25,7 @@ import threading
 from bisect import bisect_left
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.sketch import (
-    DEFAULT_RELATIVE_ACCURACY,
-    Sketch,
-    SketchMergeError,
-)
+from repro.obs.sketch import Sketch, SketchMergeError
 
 LabelValues = Tuple[str, ...]
 
@@ -367,17 +363,14 @@ class MetricsRegistry:
         name: str,
         help_text: str = "",
         labels: Sequence[str] = (),
-        relative_accuracy: float = DEFAULT_RELATIVE_ACCURACY,
     ) -> MetricFamily:
-        """A mergeable quantile sketch family (see :mod:`repro.obs.sketch`).
+        """A mergeable quantile sketch family (see :mod:`repro.obs.sketch`),
+        at :data:`~repro.obs.sketch.DEFAULT_RELATIVE_ACCURACY`.
 
         Use where a percentile must survive cross-shard merging without
         shipping raw arrays — P99 slot latency, failover-time CDFs.
         """
-        return self._get_or_create(
-            name, help_text, labels, Sketch,
-            relative_accuracy=relative_accuracy,
-        )
+        return self._get_or_create(name, help_text, labels, Sketch)
 
     def families(self) -> List[MetricFamily]:
         """All families, name-sorted (the exposition order)."""
@@ -443,17 +436,7 @@ class MetricsRegistry:
                         buckets=tuple(dict.fromkeys(bounds)),
                     )
                 elif kind == "sketch":
-                    accuracies = {
-                        sample["accuracy"] for sample in series.values()
-                    }
-                    family = self.sketch(
-                        name, family_snap["help"], labels,
-                        relative_accuracy=(
-                            next(iter(accuracies))
-                            if len(accuracies) == 1
-                            else DEFAULT_RELATIVE_ACCURACY
-                        ),
-                    )
+                    family = self.sketch(name, family_snap["help"], labels)
                 else:
                     raise MetricMergeError(f"unknown metric type {kind!r}")
             except ValueError as exc:

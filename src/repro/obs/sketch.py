@@ -220,11 +220,10 @@ class Sketch:
         self,
         parent,
         label_values: Tuple[str, ...],
-        relative_accuracy: float,
     ):
         self._parent = parent
         self.label_values = label_values
-        self.sketch = QuantileSketch(relative_accuracy=relative_accuracy)
+        self.sketch = QuantileSketch()
 
     def observe(self, value: float) -> None:
         self.sketch.observe(value)

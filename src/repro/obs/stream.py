@@ -122,7 +122,7 @@ class GroupStreamSource:
         accountant = self.group.accountant
         if accountant is None or len(accountant.accounts) <= since:
             return None
-        sketch = QuantileSketch(relative_accuracy=accountant.sketch_accuracy)
+        sketch = QuantileSketch()
         for account in accountant.accounts[since:]:
             sketch.observe(account.total_ns)
         return sketch.sample()

@@ -16,9 +16,13 @@ from repro.fronthaul.compression import SAMPLES_PER_PRB
 
 #: Fixed-point scale: int16 full scale maps to amplitude 1.0 (Q15).
 INT16_SCALE = 32767.0
+#: Headroom below full scale unless a caller picks its own.
+DEFAULT_BACKOFF = 0.25
 
 
-def iq_to_int16(samples: np.ndarray, backoff: float = 0.25) -> np.ndarray:
+def iq_to_int16(
+    samples: np.ndarray, backoff: float = DEFAULT_BACKOFF
+) -> np.ndarray:
     """Convert complex IQ to interleaved int16 of shape (..., n_prbs, 24).
 
     ``backoff`` leaves headroom below full scale (real DUs run several dB
@@ -44,12 +48,13 @@ def iq_to_int16(samples: np.ndarray, backoff: float = 0.25) -> np.ndarray:
     )
 
 
-def int16_to_iq(samples: np.ndarray, backoff: float = 0.25) -> np.ndarray:
-    """Inverse of :func:`iq_to_int16`: (..., n_prbs, 24) -> (..., n_sc)."""
+def int16_to_iq(samples: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`iq_to_int16` at its default backoff:
+    (..., n_prbs, 24) -> (..., n_sc)."""
     arr = np.asarray(samples, dtype=np.float64)
     i_part = arr[..., 0::2]
     q_part = arr[..., 1::2]
-    complex_grid = (i_part + 1j * q_part) / (INT16_SCALE * backoff)
+    complex_grid = (i_part + 1j * q_part) / (INT16_SCALE * DEFAULT_BACKOFF)
     return complex_grid.reshape(arr.shape[:-2] + (-1,))
 
 

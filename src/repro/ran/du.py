@@ -71,25 +71,27 @@ class DistributedUnit:
     du_id:
         Stable identifier; also used as the eAxC DU-port id and section id
         base in the RU-sharing scenarios.
-    cell, profile:
-        Cell configuration and vendor stack profile.
-    ru_mac:
-        Fronthaul Ethernet address of this DU's (virtual) RU; the DU's
-        own is derived from ``du_id``.
+    cell:
+        Cell configuration.
     symbols_per_slot:
         How many data symbols per slot to emit U-plane packets for.  The
         protocol content is identical for every symbol, so tests and
         packet-level experiments keep this small; ``None`` emits all.
+        No default: :class:`~repro.scale.spec.CellSpec` holds the one.
+    profile:
+        Vendor stack profile.
+    ru_mac:
+        Fronthaul Ethernet address of this DU's (virtual) RU; the DU's
+        own is derived from ``du_id``.
     """
 
     def __init__(
         self,
         du_id: int,
         cell: CellConfig,
+        symbols_per_slot: Optional[int],
         profile: VendorProfile = SRSRAN,
         ru_mac: Optional[MacAddress] = None,
-        symbols_per_slot: Optional[int] = 2,
-        record_reference: bool = False,
         seed: int = 0,
         compression=None,
     ):
@@ -105,7 +107,6 @@ class DistributedUnit:
         self.ru_mac = ru_mac or MacAddress.from_int(0x02_00_00_00_10_00 + du_id)
         self.scheduler = MacScheduler(cell, profile)
         self.symbols_per_slot = symbols_per_slot
-        self.record_reference = record_reference
         self.counters = DuCounters()
         self.rng = np.random.default_rng(seed)
         self.modulator = QamModulator(DATA_QAM_ORDER)
@@ -115,8 +116,6 @@ class DistributedUnit:
         #: received since.
         self._uplink_hash = hashlib.sha256()
         self._unhashed: List[bytes] = []
-        #: Reference DL int16 grids for tests: {(time, port): samples}.
-        self.dl_reference: Dict[Tuple, np.ndarray] = {}
         #: UL allocations awaiting U-plane data: {slot_key: [allocations]},
         #: and the slot's uplink symbol count their bits are pro-rated over.
         self._pending_ul = SlotRing()
@@ -282,14 +281,12 @@ class DistributedUnit:
             [(self.du_id % 4096, 0, grid) for grid in grids], self.compression
         )
         packets = []
-        for (time, port), grid, section in zip(keys, grids, sections):
+        for (time, port), section in zip(keys, sections):
             message = UPlaneMessage(
                 direction=Direction.DOWNLINK, time=time, sections=[section]
             )
             eaxc = EAxCId(du_port=self.du_id, ru_port=port)
             packets.append(self._emit(message, eaxc, uplane=True))
-            if self.record_reference:
-                self.dl_reference[(time, port)] = grid
         return packets
 
     def _symbol_grid(

@@ -82,13 +82,12 @@ class RadioUnit:
         self,
         ru_id: int,
         config: RuConfig = RuConfig(),
-        mac: Optional[MacAddress] = None,
         du_mac: Optional[MacAddress] = None,
         seed: int = 0,
     ):
         self.ru_id = ru_id
         self.config = config
-        self.mac = mac or MacAddress.from_int(0x02_00_00_00_20_00 + ru_id)
+        self.mac = MacAddress.from_int(0x02_00_00_00_20_00 + ru_id)
         self.du_mac = du_mac or MacAddress.from_int(0x02_00_00_00_00_00)
         self.counters = RuCounters()
         self.rng = np.random.default_rng(seed ^ (ru_id * 7919))

@@ -69,19 +69,22 @@ class AttachError(Exception):
 
 
 class UserEquipment:
-    """A 5G UE: position, radio measurements, attach state, IQ endpoints."""
+    """A 5G UE: position, radio measurements, attach state, IQ endpoints.
+
+    Every UE is a 4-antenna handset on the testbed's PLMN, ``00101``.
+    """
+
+    #: Receive antennas: the cap on the layers a UE decodes.
+    n_antennas = 4
 
     def __init__(
         self,
         imsi: str,
         position: Position,
-        n_antennas: int = 4,
         channel: Optional[ChannelModel] = None,
-        plmn: str = "00101",
     ):
-        self.subscriber = Subscriber(imsi=imsi, plmn=plmn)
+        self.subscriber = Subscriber(imsi=imsi)
         self.position = position
-        self.n_antennas = n_antennas
         self.channel = channel or ChannelModel()
         self.serving_pci: Optional[int] = None
         self.measurements: List[UeMeasurement] = []
@@ -169,25 +172,16 @@ class UserEquipment:
             **link_kwargs,
         )
 
-    def uplink_sinr_db(
-        self,
-        cell: CellView,
-        bandwidth_hz: float,
-        combining: bool = True,
-    ) -> float:
-        """Uplink SINR at the cell's RU(s) from this UE.
-
-        With ``combining`` the per-RU received powers add (the DAS uplink
-        merge); otherwise only the strongest RU counts.
-        """
+    def uplink_sinr_db(self, cell: CellView, bandwidth_hz: float) -> float:
+        """Uplink SINR at the cell's RU(s) from this UE: the per-RU
+        received powers add (the DAS uplink merge)."""
         powers = self.channel.received_powers_mw(
             UE_LINK_BUDGET, list(cell.ru_positions), self.position
         )
         from repro.phy.channel import db_to_linear, linear_to_db, noise_power_dbm
 
         noise = db_to_linear(noise_power_dbm(bandwidth_hz))
-        signal = powers.sum() if combining else powers.max()
-        return linear_to_db(signal / noise)
+        return linear_to_db(powers.sum() / noise)
 
     def measure(self, cell: CellView, bandwidth_hz: float) -> UeMeasurement:
         link = self.mimo_link(cell, bandwidth_hz)
@@ -204,25 +198,17 @@ class UserEquipment:
 
     # -- attach ---------------------------------------------------------------
 
-    def scan_and_attach(
-        self,
-        cells: Sequence[CellView],
-        forced_pci: Optional[int] = None,
-    ) -> CellView:
-        """Attach to the strongest eligible cell (optionally forced by PCI,
-        as in the RU-sharing experiment of Section 6.2.3)."""
+    def scan_and_attach(self, cells: Sequence[CellView]) -> CellView:
+        """Attach to the strongest eligible cell of ``cells`` (a caller
+        forces association by PCI, as in the RU-sharing experiment of
+        Section 6.2.3, by offering only that cell)."""
         candidates = [
             cell
             for cell in cells
-            if (forced_pci is None or cell.pci == forced_pci)
-            and cell.plmn == self.subscriber.plmn
-            and self.can_attach(cell)
+            if cell.plmn == self.subscriber.plmn and self.can_attach(cell)
         ]
         if not candidates:
-            raise AttachError(
-                f"UE {self.imsi} found no attachable cell "
-                f"(forced_pci={forced_pci})"
-            )
+            raise AttachError(f"UE {self.imsi} found no attachable cell")
         best = max(candidates, key=self.rsrp_dbm)
         self.serving_pci = best.pci
         return best

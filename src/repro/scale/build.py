@@ -167,7 +167,6 @@ def build_group(
             enabled=True,
             sample_every=spec.obs.sample_every,
             max_spans=spec.obs.max_spans,
-            sketch_accuracy=spec.obs.sketch_accuracy,
         )
         if spec.obs.enabled
         else obs_module.DEFAULT_OBSERVABILITY
@@ -207,14 +206,16 @@ def build_group(
     if wires:
         wire_spec = dict(wires[0].wire)
         wire_spec.setdefault("seed", spec.cell_seed(wires[0]))
-        wire = ImpairedLink(injector_from_spec(wire_spec))
+        injector = injector_from_spec(wire_spec)
+        # The wire and its injector export on the group's handle.
+        injector.obs = obs
+        wire = ImpairedLink(injector)
     accountant = None
     if spec.obs.deadline_accounting:
         accountant = DeadlineAccountant(
             numerology=built_cells[0].config.numerology,
             budget_ns=spec.obs.deadline_budget_ns,
             obs=obs if spec.obs.enabled else None,
-            sketch_accuracy=spec.obs.sketch_accuracy,
         )
     validator = None
     if spec.obs.conformance:

@@ -29,8 +29,6 @@ from repro.apps.ru_sharing import RuSharingMiddlebox, SharedDuConfig
 from repro.apps.security import FronthaulGuardMiddlebox
 from repro.apps.sensing import SpectrumSensorMiddlebox
 from repro.core.middlebox import Middlebox
-from repro.faults.middlebox import FaultInjectorMiddlebox
-from repro.faults.registry import injector_from_spec
 
 if TYPE_CHECKING:
     from repro.scale.build import BuiltCell
@@ -283,19 +281,3 @@ def _build_passthrough(stage: "StageSpec", ctx: StageBuildContext) -> Middlebox:
     """A transparent stage (useful to measure chain overhead)."""
     cell = ctx.cell(dict(stage.params).pop("cell", None))
     return Middlebox(**ctx.base_kwargs(stage, cell))
-
-
-@register_stage("impaired_wire")
-def _build_impaired_wire(stage: "StageSpec", ctx: StageBuildContext) -> Middlebox:
-    """Params: ``fault`` (a repro.faults.registry spec), ``cell``."""
-    params = dict(stage.params)
-    cell = ctx.cell(params.pop("cell", None))
-    fault = params.pop("fault", None)
-    if fault is None:
-        raise KeyError("impaired_wire stage needs a 'fault' spec")
-    base = ctx.base_kwargs(stage, cell)
-    if not base["name"]:
-        del base["name"]  # keep FaultInjectorMiddlebox's derived default
-    return FaultInjectorMiddlebox(
-        injector=injector_from_spec(fault), **base, **params
-    )

@@ -204,9 +204,6 @@ class ObsSpec:
     #: samples and SLOs flow whenever ``enabled`` is True.  Implies
     #: nothing when ``enabled`` is False.
     stream: bool = False
-    #: Relative accuracy of every quantile sketch the run creates
-    #: (slot-latency percentiles, eval CDFs).
-    sketch_accuracy: float = 0.01
     #: Flight-recorder ring size per group (and for the coordinator's
     #: stream fold); ``None`` keeps the recorder default (4096).
     max_spans: Optional[int] = None
@@ -219,8 +216,6 @@ class ObsSpec:
     slo: Tuple[Dict[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.sketch_accuracy < 1.0:
-            raise ValueError("sketch_accuracy must be in (0, 1)")
         if self.max_spans is not None and self.max_spans < 1:
             raise ValueError("max_spans must be >= 1 when set")
         if self.deadline_budget_ns is not None and self.deadline_budget_ns <= 0:

@@ -62,8 +62,6 @@ class FronthaulNetwork:
         deadline_accountant: Optional["DeadlineAccountant"] = None,
         wire: Optional["ImpairedLink"] = None,
         deadline_flush: bool = False,
-        breaker_threshold: int = 5,
-        breaker_probation: int = 16,
         obs=None,
         name: str = "network",
         validator=None,
@@ -99,13 +97,7 @@ class FronthaulNetwork:
         #: crashed slot.
         self.chain: Optional[MiddleboxChain] = None
         if self.middleboxes:
-            self.chain = MiddleboxChain(
-                self.middleboxes,
-                name=name,
-                obs=obs,
-                breaker_threshold=breaker_threshold,
-                breaker_probation=breaker_probation,
-            )
+            self.chain = MiddleboxChain(self.middleboxes, name=name, obs=obs)
 
     def add_du(self, du: DistributedUnit) -> None:
         numerology = du.cell.numerology

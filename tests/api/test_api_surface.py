@@ -102,3 +102,19 @@ def test_api_surface_matches_lockfile():
             "change is intentional, regenerate with "
             "REPRO_UPDATE_API_SURFACE=1 and commit the diff:\n" + diff
         )
+
+
+def test_fault_injection_example_runs():
+    """The facade docstring's fault-injection example is real code: its
+    spec names parameters the fault kind takes."""
+    doc = api.__doc__
+    block = doc[doc.index("**Fault injection**"):]
+    block = block[block.index("::\n") + 3:]
+    code = "\n".join(
+        line[4:] for line in block.splitlines() if line.startswith("    ")
+    )
+    namespace: dict = {}
+    exec(code, namespace)
+    injector = namespace["injector"]
+    assert injector.name == "gilbert_elliott" and injector.seed == 7
+    assert injector.config.burst.p_enter_burst == 0.3

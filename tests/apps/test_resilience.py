@@ -1,5 +1,7 @@
 """Resilience middlebox tests (Section 8.1 RAN resilience use case)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.apps.resilience import FailoverEvent, ResilienceMiddlebox
@@ -42,7 +44,7 @@ def dl_cplane(src, dst, slot=0):
 
 
 def ul_uplane(rng, src, dst, slot=0):
-    time = SymbolTime.from_absolute_slot(slot, Numerology(mu=1), symbol=10)
+    time = replace(SymbolTime.from_absolute_slot(slot, Numerology(mu=1)), symbol=10)
     section = UPlaneSection.from_samples(0, 0, random_prb_samples(rng, 4))
     return make_packet(
         src, dst,

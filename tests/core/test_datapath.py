@@ -84,10 +84,6 @@ class TestDpdk:
         assert datapath.cpu_utilization([], 1e9) == 1.0
         assert datapath.cpu_utilization([kernel_work()], 1e9) == 1.0
 
-    def test_requires_core(self):
-        with pytest.raises(ValueError):
-            DpdkDatapath().cpu_utilization([], 1e9, cores=0)
-
 
 class TestXdp:
     def test_kernel_only_cheaper_than_userspace(self):

@@ -17,6 +17,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.middlebox import FAILURE_THRESHOLD
 from repro.eval import kit
 from repro.obs import Observability, deterministic_exposition
 from repro.scale.build import build_cell
@@ -60,8 +61,6 @@ def _network(plan, sample_every, per_packet):
     net = testbed.network(
         [built.du], [radio for radio, _ in built.rus.values()], boxes,
         obs=obs, deadline_flush=plan["deadline_flush"],
-        breaker_threshold=plan["threshold"],
-        breaker_probation=plan["probation"],
     )
     if per_packet:
         for box in boxes:
@@ -125,11 +124,14 @@ def _outcome(plan, sample_every, per_packet):
 
 plans = st.fixed_dictionaries({
     "stages": st.lists(st.sampled_from(STAGES), min_size=1, max_size=4),
-    "script": st.lists(st.booleans(), max_size=40),
+    # Fault runs long enough to open a breaker, and clean gaps.
+    "script": st.lists(
+        st.lists(st.just(True), min_size=1, max_size=FAILURE_THRESHOLD + 1)
+        | st.lists(st.just(False), min_size=1, max_size=4),
+        max_size=8,
+    ).map(lambda runs: [fault for run in runs for fault in run]),
     "fail_every": st.integers(2, 9),
     "positions": st.tuples(st.integers(0, 5), st.integers(0, 5)),
-    "threshold": st.integers(1, 3),
-    "probation": st.integers(0, 4),
     "cuts": st.lists(st.integers(1, 9), min_size=1, max_size=4),
     "deadline_flush": st.booleans(),
     "slots": st.integers(1, 6),

@@ -10,7 +10,7 @@ from repro.core import chain as chain_module
 from repro.core import middlebox as middlebox_module
 from repro.core.actions import ActionContext
 from repro.core.chain import BreakerState, CircuitBreaker, MiddleboxChain
-from repro.core.middlebox import Middlebox
+from repro.core.middlebox import FAILURE_THRESHOLD, PROBATION_PACKETS, Middlebox
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import make_packet
@@ -189,10 +189,17 @@ def _per_packet_process(box, pkt):
     return ctx
 
 
+def opened_breaker():
+    breaker = CircuitBreaker()
+    for _ in range(FAILURE_THRESHOLD):
+        breaker.record_failure()
+    return breaker
+
+
 class TestCircuitBreaker:
     def test_opens_after_threshold_consecutive_failures(self):
-        breaker = CircuitBreaker(failure_threshold=3, probation_packets=2)
-        for _ in range(2):
+        breaker = CircuitBreaker()
+        for _ in range(FAILURE_THRESHOLD - 1):
             breaker.record_failure()
         assert breaker.state is BreakerState.CLOSED
         breaker.record_failure()
@@ -200,16 +207,17 @@ class TestCircuitBreaker:
         assert breaker.opens == 1
 
     def test_success_resets_the_consecutive_count(self):
-        breaker = CircuitBreaker(failure_threshold=2)
-        breaker.record_failure()
+        breaker = CircuitBreaker()
+        for _ in range(FAILURE_THRESHOLD - 1):
+            breaker.record_failure()
         breaker.record_success()
         breaker.record_failure()
         assert breaker.state is BreakerState.CLOSED
 
     def test_probation_then_half_open_then_recovery(self):
-        breaker = CircuitBreaker(failure_threshold=1, probation_packets=3)
-        breaker.record_failure()
-        assert [breaker.admit() for _ in range(3)] == [False] * 3
+        breaker = opened_breaker()
+        refused = [breaker.admit() for _ in range(PROBATION_PACKETS)]
+        assert refused == [False] * PROBATION_PACKETS
         assert breaker.admit() is True  # the half-open probe
         assert breaker.state is BreakerState.HALF_OPEN
         breaker.record_success()
@@ -217,28 +225,21 @@ class TestCircuitBreaker:
         assert breaker.recoveries == 1
 
     def test_failed_probe_reopens(self):
-        breaker = CircuitBreaker(failure_threshold=1, probation_packets=1)
-        breaker.record_failure()
-        breaker.admit()
-        breaker.admit()
+        breaker = opened_breaker()
+        for _ in range(PROBATION_PACKETS + 1):
+            breaker.admit()
         assert breaker.state is BreakerState.HALF_OPEN
         breaker.record_failure()
         assert breaker.state is BreakerState.OPEN
         assert breaker.opens == 2
         assert breaker.recoveries == 0
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(probation_packets=-1)
-
 
 class TestStageIsolation:
     def test_raising_stage_is_a_counted_drop_not_a_crash(self):
         faulty = FaultyMiddlebox(fail_every=2)
         tail = Counter()
-        chain = MiddleboxChain([faulty, tail], breaker_threshold=100)
+        chain = MiddleboxChain([faulty, tail])
         out = chain.process_downlink([packet(slot) for slot in range(6)])
         # Every second packet died at the faulty stage; the rest flowed on.
         assert len(out) == 3
@@ -256,26 +257,26 @@ class TestStageIsolation:
 
 class TestChainBreaker:
     def test_breaker_opens_bypasses_and_recovers_exactly(self):
-        faulty = FaultyMiddlebox(fail_range=(3, 6))  # packets 3,4,5 raise
+        # Packets 3 .. 2 + threshold raise.
+        faulty = FaultyMiddlebox(fail_range=(3, 3 + FAILURE_THRESHOLD))
         tail = Counter()
-        chain = MiddleboxChain(
-            [faulty, tail], breaker_threshold=3, breaker_probation=4
-        )
-        packets = [packet(slot % 8) for slot in range(15)]
+        chain = MiddleboxChain([faulty, tail])
+        sent = 2 + FAILURE_THRESHOLD + PROBATION_PACKETS + 1 + 5
+        packets = [packet(slot % 8) for slot in range(sent)]
         out = chain.process_downlink(packets)
         breaker = chain.breakers[0]
-        # 2 pass, 3 fault (opens), 4 bypass, probe passes (recovery),
-        # remaining 5 pass: 15 in, 3 dropped.
-        assert chain.stage_faults == [3, 0]
-        assert chain.stage_bypassed == [4, 0]
+        # 2 pass, threshold fault (opens), probation bypass, the probe
+        # passes (recovery), the remaining 5 pass: the faults are dropped.
+        assert chain.stage_faults == [FAILURE_THRESHOLD, 0]
+        assert chain.stage_bypassed == [PROBATION_PACKETS, 0]
         assert breaker.opens == 1
         assert breaker.recoveries == 1
         assert breaker.state is BreakerState.CLOSED
-        assert len(out) == 12
+        assert len(out) == sent - FAILURE_THRESHOLD
         # Bypassed packets really skipped the stage...
-        assert faulty.seen == 15 - 4
+        assert faulty.seen == sent - PROBATION_PACKETS
         # ...but still reached the next one.
-        assert tail.seen == 12
+        assert tail.seen == sent - FAILURE_THRESHOLD
         assert list(chain.breaker_events) == [
             (0, "closed", "open"),
             (0, "open", "half_open"),
@@ -284,17 +285,18 @@ class TestChainBreaker:
 
     def test_obs_counters_match_python_truth(self):
         obs = Observability(enabled=True, sample_every=1 << 30)
-        faulty = FaultyMiddlebox(fail_range=(1, 3), obs=obs)
-        chain = MiddleboxChain(
-            [faulty], name="c", obs=obs,
-            breaker_threshold=2, breaker_probation=2,
-        )
-        chain.process_downlink([packet(slot % 8) for slot in range(8)])
+        faulty = FaultyMiddlebox(fail_range=(1, 1 + FAILURE_THRESHOLD), obs=obs)
+        chain = MiddleboxChain([faulty], name="c", obs=obs)
+        sent = FAILURE_THRESHOLD + PROBATION_PACKETS + 4
+        chain.process_downlink([packet(slot % 8) for slot in range(sent)])
         snapshot = obs.registry.snapshot()
         faults = snapshot["chain_stage_faults_total"]["series"]
-        assert sum(faults.values()) == sum(chain.stage_faults) == 2
+        assert sum(faults.values()) == sum(chain.stage_faults) == FAILURE_THRESHOLD
         bypassed = snapshot["chain_stage_bypassed_total"]["series"]
-        assert sum(bypassed.values()) == sum(chain.stage_bypassed) == 2
+        assert (
+            sum(bypassed.values()) == sum(chain.stage_bypassed)
+            == PROBATION_PACKETS
+        )
         transitions = snapshot["chain_breaker_transitions_total"]["series"]
         assert transitions["c,0:faulty,open"] == 1
         assert transitions["c,0:faulty,closed"] == 1
@@ -305,10 +307,10 @@ class TestChainBreaker:
         """threshold-1 faults, one success, threshold-1 faults: the pending
         failures must be reset even though a closed breaker is otherwise
         not consulted — and one more fault then opens it."""
-        threshold = 3
+        threshold = FAILURE_THRESHOLD
         faults = [True] * (threshold - 1) + [False] + [True] * (threshold - 1)
         box = Scripted(faults + [True])
-        chain = MiddleboxChain([box], breaker_threshold=threshold)
+        chain = MiddleboxChain([box])
         out = chain.process_downlink([packet(slot) for slot in range(len(faults))])
         breaker = chain.breakers[0]
         assert len(out) == 1
@@ -320,16 +322,17 @@ class TestChainBreaker:
         assert list(chain.breaker_events) == [(0, "closed", "open")]
 
     def test_breaker_events_stay_bounded_under_flapping(self):
-        """1,000 open/probe/close cycles keep the newest 64 transitions,
+        """100 open/probe/close cycles keep the newest 64 transitions,
         like ``fault_log``: a flapping stage cannot grow the chain."""
-        box = Scripted([True, False] * 1000)
-        chain = MiddleboxChain(
-            [box], breaker_threshold=1, breaker_probation=0
-        )
-        for _ in range(1000):
-            chain.process_downlink([packet(), packet()])
+        # A cycle: threshold faults open it, probation packets bypass it,
+        # and the probe succeeds.
+        box = Scripted(([True] * FAILURE_THRESHOLD + [False]) * 100)
+        cycle = FAILURE_THRESHOLD + PROBATION_PACKETS + 1
+        chain = MiddleboxChain([box])
+        for _ in range(100):
+            chain.process_downlink([packet() for _ in range(cycle)])
         breaker = chain.breakers[0]
-        assert breaker.opens == breaker.recoveries == 1000
+        assert breaker.opens == breaker.recoveries == 100
         assert len(chain.breaker_events) == 64
         assert list(chain.breaker_events)[-3:] == [
             (0, "closed", "open"),
@@ -339,23 +342,23 @@ class TestChainBreaker:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        st.lists(st.booleans(), max_size=48),
-        st.integers(1, 4),
-        st.integers(0, 5),
+        # Fault runs long enough to open the breaker, and clean gaps.
+        st.lists(
+            st.lists(st.just(True), min_size=1, max_size=FAILURE_THRESHOLD + 1)
+            | st.lists(st.just(False), min_size=1, max_size=4),
+            max_size=12,
+        ).map(lambda runs: [fault for run in runs for fault in run]),
         st.integers(1, 9),
     )
     def test_stage_loop_matches_a_breaker_consulted_every_packet(
-        self, faults, threshold, probation, burst
+        self, faults, burst
     ):
         """Skipping admit()/record_success() on a quiet closed breaker
         changes no transition, bypass, fault or emitted packet."""
         runs = []
         for reference in (False, True):
             box = Scripted(faults)
-            chain = MiddleboxChain(
-                [box], breaker_threshold=threshold,
-                breaker_probation=probation,
-            )
+            chain = MiddleboxChain([box])
             if reference:
                 box.process_burst = functools.partial(_always_consulted, box)
             packets = [packet(slot % 8) for slot in range(len(faults))]
@@ -374,9 +377,7 @@ class TestChainBreaker:
 
     def test_uplink_direction_also_isolated(self):
         faulty = FaultyMiddlebox(fail_every=1)
-        chain = MiddleboxChain(
-            [Counter(), faulty], breaker_threshold=100
-        )
+        chain = MiddleboxChain([Counter(), faulty])
         out = chain.process_uplink([packet()])
         assert out == []
         assert chain.stage_faults == [0, 1]

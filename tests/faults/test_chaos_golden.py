@@ -23,12 +23,14 @@ pinned at.
 """
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 
 from repro.apps.das import DasMiddlebox
 from repro.apps.resilience import ResilienceMiddlebox
 from repro.apps.ru_sharing import RuSharingMiddlebox, SharedDuConfig
+from repro.core.middlebox import FAILURE_THRESHOLD, PROBATION_PACKETS
 from repro.eval import kit
 from repro.faults import (
     FaultConfig,
@@ -42,7 +44,6 @@ from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import make_packet
 from repro.fronthaul.timing import Numerology, SymbolTime
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
-from repro.net.link import Link
 from repro.obs import Observability
 from repro.scale import run_scenario
 
@@ -57,8 +58,9 @@ def traffic(seed, n=120):
     dst = MacAddress.from_int(0x42)
     packets = []
     for i in range(n):
-        time = SymbolTime.from_absolute_slot(
-            i % 16, Numerology(mu=1), symbol=i % 14
+        time = replace(
+            SymbolTime.from_absolute_slot(i % 16, Numerology(mu=1)),
+            symbol=i % 14,
         )
         section = UPlaneSection.from_samples(0, 0, random_prb_samples(rng, 4))
         packets.append(
@@ -113,9 +115,7 @@ class TestImpairmentTraceGolden:
 # -- the chaos run -----------------------------------------------------------
 
 #: Chain-scenario fault schedule: exactly threshold consecutive faults.
-BREAKER_THRESHOLD = 5
-BREAKER_PROBATION = 6
-FAULTY_RANGE = (20, 20 + BREAKER_THRESHOLD)
+FAULTY_RANGE = (20, 20 + FAILURE_THRESHOLD)
 #: The SLO the seeded burn-rate scenario must fire, by name.
 SLO_ALERT_NAME = "deadline-miss-burn"
 
@@ -243,10 +243,8 @@ def _chain_chaos(seed, slots):
         [primary, standby],
         [ru],
         [resilience, das, sharing, faulty],
-        wire=ImpairedLink(injector, link=Link(name="chaos-wire-link", obs=obs)),
+        wire=ImpairedLink(injector),
         deadline_flush=True,
-        breaker_threshold=BREAKER_THRESHOLD,
-        breaker_probation=BREAKER_PROBATION,
         obs=obs,
     )
     reports = network.run(slots)
@@ -301,7 +299,7 @@ def _chain_chaos(seed, slots):
             counter_sum("das_missed_merge_deadlines_total"),
         ),
         "link_drops": (
-            float(network.wire.link.stats.drops),
+            float(sum(network.wire.drops.values())),
             counter_sum("link_drops_total"),
         ),
     }
@@ -408,7 +406,7 @@ PINNED_24 = {
         "wire_absorbed": 66,
         "wire_events": 67,
         "stage_faults": 5,
-        "stage_bypassed": 6,
+        "stage_bypassed": 16,
         "breaker_opens": 1,
         "breaker_recoveries": 1,
         "full_merges": 113,
@@ -421,7 +419,7 @@ PINNED_24 = {
     "accounting": {
         "wire_events": (67.0, 67.0),
         "stage_faults": (5.0, 5.0),
-        "stage_bypassed": (6.0, 6.0),
+        "stage_bypassed": (16.0, 16.0),
         "degraded_merges": (0.0, 0.0),
         "abandoned_merges": (0.0, 0.0),
         "link_drops": (66.0, 66.0),
@@ -451,7 +449,7 @@ def assert_chaos_absorbed(result):
     assert chain["wire_absorbed"] > 0
     assert chain["stage_faults"] == FAULTY_RANGE[1] - FAULTY_RANGE[0]
     assert (chain["breaker_opens"], chain["breaker_recoveries"]) == (1, 1)
-    assert chain["stage_bypassed"] == BREAKER_PROBATION
+    assert chain["stage_bypassed"] == PROBATION_PACKETS
     assert {
         name: pair for name, pair in result["accounting"].items()
         if pair[0] != pair[1]

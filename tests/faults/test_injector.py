@@ -1,5 +1,7 @@
 """FaultInjector behaviors: determinism, loss models, scope, damage."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,7 @@ def cplane(slot=0, src=SRC, seq=0):
 
 
 def uplane(rng, slot=0, src=SRC, seq=0, n_prbs=4):
-    time = SymbolTime.from_absolute_slot(slot, Numerology(mu=1), symbol=3)
+    time = replace(SymbolTime.from_absolute_slot(slot, Numerology(mu=1)), symbol=3)
     section = UPlaneSection.from_samples(0, 0, random_prb_samples(rng, n_prbs))
     return make_packet(
         src, DST,
@@ -104,7 +106,7 @@ class TestLossModels:
         lost_ordinals = []
         for ordinal, packet in enumerate(packets):
             before = injector.stats.lost_burst
-            injector.apply_one(packet)
+            injector.apply([packet])
             if injector.stats.lost_burst > before:
                 lost_ordinals.append(ordinal)
         assert injector.stats.lost_burst > 0
@@ -125,12 +127,12 @@ class TestScope:
 
         plain = FaultInjector(config, seed=9)
         for packet in in_scope:
-            plain.apply_one(packet.clone())
+            plain.apply([packet.clone()])
 
         interleaved = FaultInjector(config, seed=9)
         for packet, extra in zip(in_scope, noise):
-            interleaved.apply_one(extra)  # out of scope: no RNG draw
-            interleaved.apply_one(packet.clone())
+            interleaved.apply([extra])  # out of scope: no RNG draw
+            interleaved.apply([packet.clone()])
 
         assert interleaved.stats.silenced == 0
         assert plain.stats.lost_iid == interleaved.stats.lost_iid
@@ -144,8 +146,8 @@ class TestScope:
             loss_rate=1.0, scope=FaultScope(direction=Direction.UPLINK)
         )
         injector = FaultInjector(config, seed=1)
-        assert injector.apply_one(cplane()) != []  # DL passes
-        assert injector.apply_one(uplane(rng)) == []  # UL dies
+        assert injector.apply([cplane()]) != []  # DL passes
+        assert injector.apply([uplane(rng)]) == []  # UL dies
 
 
 class TestSilence:
@@ -159,7 +161,7 @@ class TestSilence:
         )
         for slot in range(8):
             for src, expect_dead in ((SRC, 4 <= slot < 6), (OTHER, False)):
-                survivors = injector.apply_one(uplane(rng, slot=slot, src=src))
+                survivors = injector.apply([uplane(rng, slot=slot, src=src)])
                 assert (survivors == []) == expect_dead
         assert injector.stats.silenced == 2
 
@@ -170,7 +172,7 @@ class TestSilence:
             SRC, SymbolTime.from_absolute_slot(2, numerology).slot_key()
         )
         alive = [
-            injector.apply_one(uplane(rng, slot=slot)) != []
+            injector.apply([uplane(rng, slot=slot)]) != []
             for slot in range(6)
         ]
         assert alive == [True, True, False, False, False, False]
@@ -211,7 +213,7 @@ class TestDuplicationAndReorder:
     def test_duplicates_are_clones(self, rng):
         injector = FaultInjector(FaultConfig(duplicate_rate=1.0), seed=1)
         packet = uplane(rng)
-        survivors = injector.apply_one(packet)
+        survivors = injector.apply([packet])
         assert len(survivors) == 2
         assert survivors[0].pack() == survivors[1].pack()
         assert survivors[1] is not packet

@@ -1,16 +1,19 @@
-"""Link drop accounting, the network's impaired wire, malformed containment."""
+"""Wire drop accounting, the network's impaired wire, malformed containment."""
 
+from dataclasses import replace
+
+from repro.eval import kit
 from repro.faults import FaultConfig, FaultInjector, ImpairedLink
 from repro.fronthaul.cplane import Direction
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import make_packet
 from repro.fronthaul.timing import Numerology, SymbolTime
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
-from repro.net.link import Link
 from repro.obs import Observability
 from repro.ran.du import DistributedUnit
 from repro.ran.ru import RadioUnit, RuConfig
 from repro.ran.traffic import ConstantBitrateFlow
+from repro.scale import run_scenario
 from repro.sim.network_sim import FronthaulNetwork
 
 from tests.conftest import random_prb_samples
@@ -20,7 +23,7 @@ DST = MacAddress.from_int(0x82)
 
 
 def uplane(rng, slot=0, n_prbs=4):
-    time = SymbolTime.from_absolute_slot(slot, Numerology(mu=1), symbol=3)
+    time = replace(SymbolTime.from_absolute_slot(slot, Numerology(mu=1)), symbol=3)
     section = UPlaneSection.from_samples(0, 0, random_prb_samples(rng, n_prbs))
     return make_packet(
         SRC, DST,
@@ -34,21 +37,24 @@ def burst(rng, n=60):
 
 
 class TestLinkDrops:
-    def test_drop_counts_and_exports(self):
+    def test_drop_counts_and_exports(self, rng):
         obs = Observability(enabled=True)
-        link = Link(name="l0", obs=obs)
-        link.drop(3, reason="loss")
-        link.drop(1, reason="malformed")
-        link.drop(0, reason="loss")  # no-op
-        assert link.stats.drops == 4
+        wire = ImpairedLink(
+            FaultInjector(FaultConfig(loss_rate=1.0), name="l0", obs=obs)
+        )
+        assert wire.carry(burst(rng, 3)) == []
+        assert wire.carry([]) == []  # nothing offered, nothing counted
+        assert wire.drops == {"loss": 3, "malformed": 0}
         series = obs.registry.snapshot()["link_drops_total"]["series"]
-        assert series["l0,loss"] == 3
-        assert series["l0,malformed"] == 1
+        assert series == {"l0-link,loss": 3}
 
-    def test_drop_disabled_obs_only_counts_locally(self):
-        link = Link(name="l1")
-        link.drop(2)
-        assert link.stats.drops == 2
+    def test_drop_disabled_obs_only_counts_locally(self, rng):
+        wire = ImpairedLink(FaultInjector(FaultConfig(loss_rate=1.0)))
+        wire.carry(burst(rng, 2))
+        assert wire.drops["loss"] == 2
+        obs = wire.injector.obs  # the disabled default handle
+        assert not obs.enabled
+        assert "link_drops_total" not in obs.registry.snapshot()
 
 
 class TestImpairedLink:
@@ -56,24 +62,49 @@ class TestImpairedLink:
         obs = Observability(enabled=True)
         injector = FaultInjector(
             FaultConfig(loss_rate=0.3, corrupt_rate=0.3, corrupt_bits=16),
-            seed=21,
+            seed=21, obs=obs,
         )
-        wire = ImpairedLink(injector, link=Link(name="wire", obs=obs))
+        wire = ImpairedLink(injector)
         packets = burst(rng, 120)
         survivors = wire.carry(packets)
         stats = injector.stats
-        assert wire.stats.drops == stats.absorbed > 0
-        assert wire.stats.packets_carried == len(survivors)
+        assert sum(wire.drops.values()) == stats.absorbed > 0
+        assert len(survivors) == len(packets) - stats.absorbed
+        assert wire.drops == {
+            "loss": stats.lost_iid, "malformed": stats.corrupt_dropped,
+        }
         series = obs.registry.snapshot()["link_drops_total"]["series"]
-        assert series.get("wire,loss", 0) == stats.lost_iid
-        assert series.get("wire,malformed", 0) == stats.corrupt_dropped
+        assert series.get("wire-link,loss", 0) == stats.lost_iid
+        assert series.get("wire-link,malformed", 0) == stats.corrupt_dropped
 
     def test_clean_wire_carries_everything(self, rng):
         wire = ImpairedLink(FaultInjector(seed=0))
         packets = burst(rng, 10)
         assert wire.carry(packets) == packets
-        assert wire.stats.drops == 0
-        assert wire.stats.packets_carried == 10
+        assert wire.drops == {"loss": 0, "malformed": 0}
+
+
+class TestSpecBuiltWire:
+    def test_an_observed_run_exports_the_wire_telemetry(self):
+        """A cell's ``wire`` fault counts on its group's handle: every
+        frame the run's ledger calls ``wire_dropped`` is one injected
+        loss and one link drop."""
+        cell = kit.cell(
+            "w1", 1, [kit.flow("dl", 40.0), kit.flow("ul", 10.0)],
+            wire={"kind": "iid_loss", "rate": 0.2},
+        )
+        result = run_scenario(
+            kit.scenario("wire", 10, 0, [cell], obs={"enabled": True})
+        )
+        dropped = result.delivery()["w1"]["wire_dropped"]
+        snapshot = result.telemetry.registry.snapshot()
+        assert dropped > 0
+        assert snapshot["fault_injected_total"]["series"] == {
+            "iid_loss,loss.iid": dropped
+        }
+        assert snapshot["link_drops_total"]["series"] == {
+            "iid_loss-link,loss": dropped
+        }
 
 
 def impaired_network(cell, config, seed):

@@ -8,11 +8,11 @@ the packet is 127 numbers *behind* the stream head.  These tests pin
 that edge exhaustively and exercise it under duplication and reorder.
 """
 
-from repro.faults.sequence import SeqVerdict, SequenceTracker
+from repro.faults.sequence import DUPLICATE_WINDOW, SeqVerdict, SequenceTracker
 
 
 def tracker(**kwargs):
-    return SequenceTracker(modulus=256, **kwargs)
+    return SequenceTracker(**kwargs)
 
 
 class TestExhaustiveWrap:
@@ -84,14 +84,15 @@ class TestWrapUnderDuplication:
         assert t.duplicates == 0
 
     def test_window_eviction_bounds_duplicate_memory(self):
-        t = tracker(window=4)
-        for seq in range(6):
+        t = tracker()
+        for seq in range(DUPLICATE_WINDOW + 2):
             t.observe("s", seq, context="c")
-        # seq 0 was evicted from the 4-deep window: an ancient replay now
-        # reads as a late original, not a duplicate.
+        # seq 0 was evicted from the window: an ancient replay now reads
+        # as a late original, not a duplicate.
         assert t.observe("s", 0, context="c").verdict is SeqVerdict.REORDERED
-        # seq 4 is still inside the window.
-        assert t.observe("s", 4, context="c").verdict is SeqVerdict.DUPLICATE
+        # The window's newest numbers are still inside it.
+        newest = DUPLICATE_WINDOW
+        assert t.observe("s", newest, context="c").verdict is SeqVerdict.DUPLICATE
 
 
 class TestWrapUnderReorder:

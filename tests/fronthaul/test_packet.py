@@ -1,5 +1,7 @@
 """Full fronthaul frame tests: Ethernet + eCPRI + message."""
 
+import dataclasses
+
 import pytest
 
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
@@ -64,7 +66,8 @@ class TestFronthaulPacket:
             time=SymbolTime(0, 0, 0, 0),
             sections=[section],
         )
-        packet = make_packet(du_mac, ru_mac, message, vlan=VlanTag(vlan_id=6))
+        packet = make_packet(du_mac, ru_mac, message)
+        packet.eth = dataclasses.replace(packet.eth, vlan=VlanTag(vlan_id=6))
         parsed = parse_packet(packet.pack())
         assert parsed.eth.vlan == VlanTag(vlan_id=6)
 

@@ -53,9 +53,9 @@ class TestSymbolTime:
     def test_absolute_slot_roundtrip(self):
         numerology = Numerology(mu=1)
         for index in (0, 1, 19, 20, 1234):
-            time = SymbolTime.from_absolute_slot(index, numerology, symbol=3)
+            time = SymbolTime.from_absolute_slot(index, numerology)
             assert time.absolute_slot(numerology) == index
-            assert time.symbol == 3
+            assert time.symbol == 0
 
     def test_frame_wraps_at_256(self):
         numerology = Numerology(mu=1)
@@ -67,7 +67,9 @@ class TestSymbolTime:
         previous = -1.0
         for index in range(5):
             for symbol in range(SYMBOLS_PER_SLOT):
-                time = SymbolTime.from_absolute_slot(index, numerology, symbol)
+                time = dataclasses.replace(
+                    SymbolTime.from_absolute_slot(index, numerology), symbol=symbol
+                )
                 assert time.ns(numerology) > previous
                 previous = time.ns(numerology)
 

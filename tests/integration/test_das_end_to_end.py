@@ -21,7 +21,7 @@ from repro.ran.ru import RadioUnit, RuConfig
 from repro.ran.traffic import ConstantBitrateFlow
 from repro.sim.network_sim import FronthaulNetwork
 from tests.conformance.reference import demodulate
-from tests.testbed import record_uplink, uplink_grid
+from tests.testbed import record_downlink, record_uplink, uplink_grid
 
 
 def relative_gain(channel, tx, rx):
@@ -33,8 +33,7 @@ def relative_gain(channel, tx, rx):
 
 @pytest.fixture
 def das_setup(cell_40mhz):
-    du = DistributedUnit(du_id=1, cell=cell_40mhz, symbols_per_slot=1,
-                         record_reference=True, seed=6)
+    du = DistributedUnit(du_id=1, cell=cell_40mhz, symbols_per_slot=1, seed=6)
     rus = [
         RadioUnit(ru_id=i, config=RuConfig(num_prb=cell_40mhz.num_prb,
                                            n_antennas=2),
@@ -67,8 +66,10 @@ class TestDownlink:
 
     def test_transmitted_signal_matches_du_reference(self, das_setup):
         network, du, rus, das = das_setup
+        sent = record_downlink(du)
         network.run(5)
-        for (time, port), reference in du.dl_reference.items():
+        assert sent
+        for (time, port), reference in sent.items():
             grid = rus[0].transmit_grid(time, port)
             assert grid is not None
             error = np.abs(grid - int16_to_iq(reference)).max()

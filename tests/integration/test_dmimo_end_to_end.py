@@ -16,15 +16,14 @@ from repro.ran.du import DistributedUnit
 from repro.ran.ru import RadioUnit, RuConfig
 from repro.ran.traffic import ConstantBitrateFlow
 from repro.sim.network_sim import FronthaulNetwork
-from tests.testbed import record_uplink, ssb_reference
+from tests.testbed import record_downlink, record_uplink, ssb_reference
 
 
 @pytest.fixture
 def dmimo_setup():
     cell = CellConfig(pci=3, bandwidth_hz=40_000_000, n_antennas=4,
                       max_dl_layers=4, ssb_period_slots=10)
-    du = DistributedUnit(du_id=1, cell=cell, symbols_per_slot=6,
-                         record_reference=True, seed=8)
+    du = DistributedUnit(du_id=1, cell=cell, symbols_per_slot=6, seed=8)
     rus = [
         RadioUnit(ru_id=i, config=RuConfig(num_prb=cell.num_prb, n_antennas=2),
                   du_mac=du.mac, seed=8)
@@ -68,9 +67,10 @@ class TestVirtualRuIllusion:
     def test_stream_content_matches_du_layers(self, dmimo_setup):
         """Global layer k's IQ lands on the right physical antenna."""
         network, du, rus, dmimo = dmimo_setup
+        sent = record_downlink(du)
         network.run(6)
         checked = 0
-        for (time, global_port), reference in du.dl_reference.items():
+        for (time, global_port), reference in sent.items():
             ru = rus[0] if global_port < 2 else rus[1]
             local_port = global_port % 2
             grid = ru.transmit_grid(time, local_port)

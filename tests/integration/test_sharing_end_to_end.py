@@ -20,7 +20,7 @@ from repro.ran.ru import RadioUnit, RuConfig
 from repro.ran.traffic import ConstantBitrateFlow
 from repro.sim.network_sim import FronthaulNetwork
 from tests.conformance.reference import demodulate
-from tests.testbed import record_uplink, uplink_grid
+from tests.testbed import record_downlink, record_uplink, uplink_grid
 
 
 @pytest.fixture
@@ -40,8 +40,7 @@ def sharing_setup():
             max_dl_layers=2,
         )
         du = DistributedUnit(du_id=index, cell=cell, ru_mac=ru.mac,
-                             symbols_per_slot=1, record_reference=True,
-                             seed=10 + index)
+                             symbols_per_slot=1, seed=10 + index)
         du.scheduler.add_ue("ue", dl_layers=2)
         du.scheduler.update_ue_quality("ue", dl_aggregate_se=10.0, ul_se=3.0)
         du.attach_flow("ue", ConstantBitrateFlow(80, "dl"),
@@ -68,12 +67,13 @@ class TestDownlink:
 
     def test_du_prbs_land_at_spectrum_offsets(self, sharing_setup):
         network, dus, ru, sharing, configs = sharing_setup
+        sent = [record_downlink(du) for du in dus]
         network.run(6)
         ru_grid = PrbGrid(3.46e9, 273)
         checked = 0
-        for du, config in zip(dus, configs):
+        for du_sent, config in zip(sent, configs):
             offset = int(round(ru_grid.offset_of(config.grid)))
-            for (time, port), reference in du.dl_reference.items():
+            for (time, port), reference in du_sent.items():
                 grid = ru.transmit_grid(time, port)
                 if grid is None:
                     continue

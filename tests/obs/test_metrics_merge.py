@@ -115,12 +115,17 @@ def test_sketch_kind_merges_like_histograms():
 
 
 def test_sketch_accuracy_mismatch_raises_typed_error():
+    """A worker snapshot whose sketch has another accuracy is refused."""
     registry = MetricsRegistry()
-    registry.sketch("s", "", relative_accuracy=0.01).observe(1.0)
+    registry.sketch("s", "").observe(1.0)
     other = MetricsRegistry()
-    other.sketch("s", "", relative_accuracy=0.05).observe(2.0)
+    other.sketch("s", "").observe(2.0)
+    snapshot = other.snapshot()
+    snapshot["s"]["series"][""]["accuracy"] = 0.05
     with pytest.raises(MetricMergeError, match="sketch merge"):
-        registry.merge_snapshot(other.snapshot())
+        registry.merge_snapshot(snapshot)
+    with pytest.raises(MetricMergeError, match="sketch merge"):
+        MetricsRegistry().merge_snapshot(snapshot)
 
 
 def test_empty_snapshot_is_noop():

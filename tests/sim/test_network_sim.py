@@ -19,9 +19,9 @@ def loaded_network(cell_40mhz):
     ru = RadioUnit(
         ru_id=1,
         config=RuConfig(num_prb=cell_40mhz.num_prb, n_antennas=2),
-        mac=du.ru_mac,
         du_mac=du.mac,
     )
+    du.ru_mac = ru.mac
     du.scheduler.add_ue("ue", dl_layers=2)
     du.scheduler.update_ue_quality("ue", dl_aggregate_se=10.0, ul_se=3.0)
     du.attach_flow("ue", ConstantBitrateFlow(100, "dl"), Direction.DOWNLINK)
@@ -47,9 +47,9 @@ class TestFronthaulNetwork:
         ru = RadioUnit(
             ru_id=1,
             config=RuConfig(num_prb=cell_40mhz.num_prb, n_antennas=2),
-            mac=du.ru_mac,
             du_mac=du.mac,
         )
+        du.ru_mac = ru.mac
         du.scheduler.add_ue("ue", dl_layers=2)
         du.attach_flow("ue", ConstantBitrateFlow(50, "dl"), Direction.DOWNLINK)
         box = Middlebox()
@@ -113,7 +113,7 @@ class TestFronthaulNetwork:
 
         other = CellConfig(pci=9, bandwidth_hz=20_000_000, numerology=Numerology(mu=0))
         with pytest.raises(ValueError, match="one network, one slot duration"):
-            network.add_du(DistributedUnit(du_id=3, cell=other))
+            network.add_du(DistributedUnit(du_id=3, cell=other, symbols_per_slot=2))
         assert len(network.dus) == 2
 
 

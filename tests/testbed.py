@@ -7,9 +7,10 @@ was taken with, a standby DU on another cell's RU — wire the live
 objects here instead: :func:`endpoints` builds one cell fragment's DU
 and RUs at chosen ids and :func:`network` puts them behind a chain.
 
-The DU keeps no record of what it received: :func:`record_uplink` wraps
-``receive`` on one instance, and :func:`uplink_grid` and
-:func:`ssb_reference` rebuild what a test compares against.
+The DU keeps no record of what it received or sent:
+:func:`record_uplink` wraps ``receive`` on one instance,
+:func:`record_downlink` its downlink grid build, and :func:`uplink_grid`
+and :func:`ssb_reference` rebuild what a test compares against.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from repro.core.middlebox import Middlebox
 from repro.eval import kit
 from repro.fronthaul.compression import SAMPLES_PER_PRB
 from repro.fronthaul.packet import FronthaulPacket
-from repro.phy.iq import QamModulator
-from repro.ran.du import DistributedUnit
+from repro.fronthaul.timing import SymbolTime
+from repro.phy.iq import QamModulator, iq_to_int16
+from repro.ran.du import DL_FIXED_POINT_BACKOFF, DistributedUnit
 from repro.ran.ru import RadioUnit
 from repro.scale.build import build_cell
 from repro.sim.network_sim import FronthaulNetwork
@@ -71,6 +73,36 @@ def record_uplink(du: DistributedUnit) -> List[FronthaulPacket]:
 
     du.receive = recording
     return received
+
+
+def record_downlink(
+    du: DistributedUnit,
+) -> Dict[Tuple[SymbolTime, int], np.ndarray]:
+    """The int16 grid of every downlink U-plane symbol ``du`` builds from
+    now on, ``{(time, port): grid}``, quantised as the DU quantises it
+    before compression: the complex rows ``_symbol_grid`` fills are kept
+    and paired with the packets ``_build_dl_uplane`` returns (one per
+    row, in order); both are wrapped on the instance."""
+    grids: Dict[Tuple[SymbolTime, int], np.ndarray] = {}
+    rows: List[np.ndarray] = []
+    symbol_grid, build = du._symbol_grid, du._build_dl_uplane
+
+    def recording_grid(row: np.ndarray, *args: Any) -> None:
+        symbol_grid(row, *args)
+        rows.append(row.copy())
+
+    def recording_build(*args: Any) -> List[FronthaulPacket]:
+        rows.clear()
+        packets = build(*args)
+        for packet, row in zip(packets, rows):
+            grids[(packet.time, packet.eaxc.ru_port)] = iq_to_int16(
+                row, backoff=DL_FIXED_POINT_BACKOFF
+            )
+        return packets
+
+    du._symbol_grid = recording_grid
+    du._build_dl_uplane = recording_build
+    return grids
 
 
 def uplink_grid(packet: FronthaulPacket, num_prb: int) -> np.ndarray:
