@@ -5,9 +5,9 @@ A scenario-level bench on the 8-cell run with the whole plane available
 floors: an ObsSpec present but disabled must be ~1.0x the no-obs run,
 and *enabling streaming* — the per-epoch drain/snapshot/ship/fold —
 must stay under 1.25x the same plane collected once at the end of the
-run.  The full plane's cost against the no-obs baseline is printed
-alongside for the record; the pinned benchmark reports it per workload
-as ``obs.enabled_overhead_ratio`` (``bench/``).
+run.  One ceiling: the full plane itself, collected or streamed, must
+stay under 1.40x the no-obs run.  The pinned benchmark reports that
+cost per workload as ``obs.enabled_overhead_ratio`` (``bench/``).
 """
 
 import dataclasses
@@ -36,6 +36,12 @@ MAX_STREAMING_RATIO = 1.25
 #: An ObsSpec present but disabled: the epoch grid still runs, the
 #: telemetry plane does nothing.  "~1.0x" with a noise allowance.
 MAX_DISABLED_SCENARIO_RATIO = 1.15
+#: What the full plane may cost against the no-obs run: 1.25-1.30x
+#: measured (collect-at-end and streaming; 2-vCPU host, median of 9
+#: paired rounds) with one validator call per ingress burst and per-burst
+#: stage accounting, plus 0.10 for noise.  The per-packet validator that
+#: packed every downlink pass read 1.41-1.53x here.
+MAX_ENABLED_SCENARIO_RATIO = 1.40
 
 
 def _measure_scenario_ratios(specs) -> tuple:
@@ -109,7 +115,8 @@ def test_streaming_telemetry_scenario_overhead():
             best = (medians, ratios, streaming_ratio, attempt)
         if ratios[1] < MAX_DISABLED_SCENARIO_RATIO and (
             streaming_ratio < MAX_STREAMING_RATIO
-        ):
+        ) and max(ratios[2:]) < MAX_ENABLED_SCENARIO_RATIO:
+            best = (medians, ratios, streaming_ratio, attempt)
             break
     medians, ratios, streaming_ratio, attempt = best
     disabled_ratio = ratios[1]
@@ -134,6 +141,11 @@ def test_streaming_telemetry_scenario_overhead():
     assert disabled_ratio < MAX_DISABLED_SCENARIO_RATIO, (
         f"disabled telemetry plane costs {disabled_ratio:.2f}x the no-obs "
         f"run (allowed < {MAX_DISABLED_SCENARIO_RATIO}x) in each of "
+        f"{attempt} attempts"
+    )
+    assert max(ratios[2:]) < MAX_ENABLED_SCENARIO_RATIO, (
+        f"the full telemetry plane costs {max(ratios[2:]):.2f}x the no-obs "
+        f"run (allowed < {MAX_ENABLED_SCENARIO_RATIO}x) in each of "
         f"{attempt} attempts"
     )
     assert streaming_ratio < MAX_STREAMING_RATIO, (

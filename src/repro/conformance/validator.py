@@ -25,15 +25,17 @@ against the rules the repo's fronthaul implies:
 - slot-timing monotonicity per stream over the 256-frame wire epoch
   (modular half-window comparison, mirroring the sequence wrap rule).
 
-Findings are :class:`~repro.conformance.violations.Violation` records
-accumulated in a :class:`~repro.conformance.violations.ConformanceReport`
-and exported through the obs metrics layer when enabled.
+A tap hands it one burst per call; each frame is still checked on its
+own, in order.  Findings are
+:class:`~repro.conformance.violations.Violation` records accumulated in a
+:class:`~repro.conformance.violations.ConformanceReport` and exported
+through the obs metrics layer when enabled.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,14 +45,15 @@ from repro.conformance.violations import (
     Violation,
     ViolationClass,
 )
-from repro.faults.sequence import SequenceTracker, SeqVerdict
+from repro.faults.sequence import SEQ_IN_ORDER, SequenceTracker, SeqVerdict
 from repro.fronthaul.compression import (
     BFP_COMP_METH,
     MAX_WIRE_EXPONENT,
     MOD_COMP_METH,
     CompressionConfig,
+    codec_for,
 )
-from repro.fronthaul.modcomp import ModCompressor, max_scaler
+from repro.fronthaul.modcomp import max_scaler
 from repro.fronthaul.cplane import CPlaneMessage, Direction
 from repro.fronthaul.ecpri import EcpriMessageType
 from repro.fronthaul.errors import EcpriLengthError, MalformedFrame
@@ -75,13 +78,18 @@ _VIOLATIONS = declare(
 )
 
 
-def _legal_max_exponent(iq_width: int) -> int:
-    """Largest BFP exponent reachable from int16 samples of this width.
+def _legal_max_param(config: CompressionConfig) -> Optional[int]:
+    """The largest per-PRB parameter (BFP exponent, modcomp scaler) a
+    legal section of ``config`` carries; None for an uncompressed one.
 
-    int16 needs at most 16 bits, so a legal exponent never exceeds
+    int16 needs at most 16 bits, so a legal BFP exponent never exceeds
     ``16 - iq_width``; the 4-bit wire nibble caps it at 15 regardless.
     """
-    return min(MAX_WIRE_EXPONENT, max(0, 16 - iq_width))
+    if config.comp_meth == BFP_COMP_METH:
+        return min(MAX_WIRE_EXPONENT, max(0, 16 - config.iq_width))
+    if config.comp_meth == MOD_COMP_METH:
+        return max_scaler(config.iq_width)
+    return None
 
 
 class WireValidator:
@@ -117,12 +125,12 @@ class WireValidator:
         self.obs = obs if obs is not None else obs_module.DEFAULT_OBSERVABILITY
         self.report = report if report is not None else ConformanceReport()
         self._tracker = SequenceTracker(name=f"{name}-seq", obs=self.obs)
-        #: direction -> {(slot_key, ru_port): [(start, end), ...]}
+        #: direction -> {(frame, subframe, slot, ru_port): [(start, end)]}
         self._windows = {
             Direction.DOWNLINK: OrderedDict(),
             Direction.UPLINK: OrderedDict(),
         }
-        #: (src, dst, eaxc) -> last absolute slot (mod the 256-frame epoch).
+        #: (src MAC, dst MAC, eAxC) -> last absolute slot (mod the epoch).
         self._last_slot = {}
 
     # -- entry points --------------------------------------------------------
@@ -139,42 +147,143 @@ class WireValidator:
             return self._parse_failure(
                 ViolationClass.MALFORMED_FRAME, exc, tap
             )
-        return self.observe(packet, tap=tap)
+        return self.observe([packet], tap=tap)
 
     def observe(
-        self, packet: FronthaulPacket, tap: str = ""
+        self, packets: Sequence[FronthaulPacket], tap: str = ""
     ) -> List[Violation]:
-        """Validate one parsed packet and update stream state."""
-        self.report.frames_checked += 1
+        """Validate a burst of parsed packets, in order, and update stream
+        state; returns the burst's violations.
+
+        Every check runs per packet (per section where it is a section
+        rule), in the order a packet-at-a-time validator would run them;
+        what does not change within a burst is read once.  A section
+        carrying its encoder's parse is checked from that parse (its
+        bytes are not packed); a section parsed off a wire from its raw
+        bytes.
+        """
+        if not packets:
+            return []
         found: List[Violation] = []
-        self._check_ecpri(packet, tap, found)
-        if packet.is_cplane:
-            self._check_sections(packet, tap, found)
-            self._check_cplane_compression(packet, tap, found)
-            self._record_windows(packet)
-        elif packet.is_uplane:
-            self._check_sections(packet, tap, found)
-            self._check_compression(packet, tap, found)
-            self._check_accounting(packet, tap, found)
-        stream = self._stream_key(packet)
-        self._check_sequence(packet, stream, tap, found)
-        self._check_timing(packet, stream, tap, found)
+
+        def flag(packet, violation_class: ViolationClass, detail: str):
+            found.append(self._violation(packet, violation_class, detail, tap))
+
+        carrier = self.carrier_num_prb
+        cap = None if self.profile is None else (
+            self.profile.uplane_section_max_prbs
+        )
+        allowed = self.allowed_compressions
+        # The last udCompHdr seen, whether ``allowed`` has it, and the
+        # largest parameter its codec may carry (None: nothing to check).
+        known = known_ok = known_bound = None
+        windows_of, last_slot = self._windows, self._last_slot
+        numerology = self.numerology
+        epoch = MAX_FRAME_ID * numerology.slots_per_frame
+        observe_seq = self._tracker.observe
+        rt_control = EcpriMessageType.RT_CONTROL
+        iq_data = EcpriMessageType.IQ_DATA
+        for packet in packets:
+            message, ecpri = packet.message, packet.ecpri
+            cplane = isinstance(message, CPlaneMessage)
+            if ecpri.message_type is not (rt_control if cplane else iq_data):
+                flag(packet, ViolationClass.MALFORMED_FRAME,
+                     f"eCPRI message type {ecpri.message_type} does not "
+                     f"match a {type(message).__name__} payload")
+            # In-memory packets built by make_packet() carry payload_size=0
+            # ("fill in at pack time"); only a nonzero declared size can lie.
+            declared = ecpri.payload_size
+            if declared and declared != message.wire_size() + 4:
+                flag(packet, ViolationClass.BAD_ECPRI_LENGTH,
+                     f"eCPRI payloadSize {declared} != "
+                     f"{message.wire_size() + 4} bytes of message body")
+            time, eaxc = message.time, ecpri.eaxc
+            if cplane or isinstance(message, UPlaneMessage):
+                sections = message.sections
+                self._check_sections(
+                    packet, sections, carrier, None if cplane else cap, flag
+                )
+                windows = windows_of[message.direction]
+                key = (time.frame, time.subframe, time.slot, eaxc.ru_port)
+                if cplane:
+                    config = message.compression
+                    if config is not known:
+                        known, known_ok, known_bound = config, (
+                            allowed is None or config in allowed
+                        ), _legal_max_param(config)
+                    if not known_ok:
+                        self._comphdr_mismatch(packet, config, "C-plane", flag)
+                    ranges = windows.get(key)
+                    if ranges is None:
+                        ranges = windows[key] = []
+                        while len(windows) > _WINDOW_CAP:
+                            windows.popitem(last=False)
+                    for section in sections:
+                        start = section.start_prb
+                        ranges.append((start, start + section.num_prb))
+                else:
+                    for section in sections:
+                        config = section.compression
+                        if config is not known:
+                            known, known_ok, known_bound = config, (
+                                allowed is None or config in allowed
+                            ), _legal_max_param(config)
+                        if not known_ok:
+                            self._comphdr_mismatch(
+                                packet, config,
+                                f"section {section.section_id}", flag,
+                            )
+                        elif known_bound is not None and section.num_prb > 0:
+                            self._check_codec_params(
+                                packet, section, config, known_bound, flag
+                            )
+                    self._check_accounting(
+                        packet, sections, windows.get(key), key, flag
+                    )
+            eth, eaxc_int, seq = packet.eth, eaxc.to_int(), ecpri.seq_id
+            # Per-link stream identity: (src, dst, eAxC).  The destination
+            # matters: a DAS replicating one downlink frame to several RUs
+            # reuses src/eAxC/seq on every copy, and each copy is a
+            # distinct point-to-point flow, not a duplicate.  Message type
+            # stays out: DU and RU share one seq counter across planes.
+            stream = (eth.src.raw, eth.dst.raw, eaxc_int)
+            status = observe_seq(stream, seq, packet.flow_key())
+            if status is SEQ_IN_ORDER:
+                pass  # the common case: nothing to read off the status
+            elif status.verdict is SeqVerdict.DUPLICATE:
+                flag(packet, ViolationClass.SEQ_DUP,
+                     f"seq {seq} repeated on stream {eth.src}/eaxc {eaxc_int}")
+            elif status.gap:
+                flag(packet, ViolationClass.SEQ_GAP,
+                     f"{status.gap} sequence number(s) skipped before seq "
+                     f"{seq} on stream {eth.src}/eaxc {eaxc_int}")
+            current = time.absolute_slot(numerology) % epoch
+            last = last_slot.get(stream)
+            if last is not None and (current - last) % epoch > epoch // 2:
+                # Regressed against the stream head (modular half-window:
+                # the epoch wrap is small forward progress).
+                flag(packet, ViolationClass.STALE_SLOT,
+                     f"slot timestamp regressed {(last - current) % epoch} "
+                     f"slot(s) behind stream {eth.src}/eaxc {eaxc_int}")
+            else:
+                last_slot[stream] = current
+        report = self.report
+        report.frames_checked += len(packets)
         for violation in found:
-            self.report.record(violation)
-        self._export(found)
+            report.record(violation)
+        self._export(len(packets), found)
         return found
 
     # -- individual checks ---------------------------------------------------
 
+    @staticmethod
     def _violation(
-        self,
-        packet: Optional[FronthaulPacket],
+        packet: FronthaulPacket,
         violation_class: ViolationClass,
         detail: str,
         tap: str,
     ) -> Violation:
-        if packet is None:
-            return Violation(violation_class, detail, tap=tap)
+        time = packet.message.time
         return Violation(
             violation_class,
             detail,
@@ -182,12 +291,7 @@ class WireValidator:
             src=str(packet.eth.src),
             eaxc=packet.eaxc.to_int(),
             seq=packet.ecpri.seq_id,
-            time=(
-                packet.time.frame,
-                packet.time.subframe,
-                packet.time.slot,
-                packet.time.symbol,
-            ),
+            time=(time.frame, time.subframe, time.slot, time.symbol),
         )
 
     def _parse_failure(
@@ -196,110 +300,43 @@ class WireValidator:
         self.report.frames_checked += 1
         violation = Violation(violation_class, str(exc), tap=tap)
         self.report.record(violation)
-        self._export([violation])
+        self._export(1, [violation])
         return [violation]
 
-    def _check_ecpri(
-        self, packet: FronthaulPacket, tap: str, found: List[Violation]
-    ) -> None:
-        expected_type = (
-            EcpriMessageType.RT_CONTROL
-            if packet.is_cplane
-            else EcpriMessageType.IQ_DATA
+    @staticmethod
+    def _check_sections(packet, sections, carrier, cap, flag) -> None:
+        """Section structure: non-empty, inside the carrier, within the
+        vendor's U-plane cap (``cap`` is None for C-plane), no overlap."""
+        claimed: Optional[List[Tuple[int, int]]] = (
+            [] if len(sections) > 1 else None
         )
-        if packet.ecpri.message_type is not expected_type:
-            found.append(
-                self._violation(
-                    packet,
-                    ViolationClass.MALFORMED_FRAME,
-                    f"eCPRI message type {packet.ecpri.message_type} does "
-                    f"not match a {type(packet.message).__name__} payload",
-                    tap,
-                )
-            )
-        # In-memory packets built by make_packet() carry payload_size=0
-        # ("fill in at pack time"); only a nonzero declared size can lie.
-        declared = packet.ecpri.payload_size
-        if declared:
-            actual = packet.message.wire_size() + 4
-            if declared != actual:
-                found.append(
-                    self._violation(
-                        packet,
-                        ViolationClass.BAD_ECPRI_LENGTH,
-                        f"eCPRI payloadSize {declared} != {actual} bytes "
-                        "of message body",
-                        tap,
-                    )
-                )
-
-    def _check_sections(
-        self, packet: FronthaulPacket, tap: str, found: List[Violation]
-    ) -> None:
-        claimed: List[Tuple[int, int]] = []
-        for section in packet.message.sections:
-            start, end = section.prb_range
-            if section.num_prb < 1:
-                found.append(
-                    self._violation(
-                        packet,
-                        ViolationClass.SECTION_STRUCTURE,
-                        f"section {section.section_id} covers no PRBs",
-                        tap,
-                    )
-                )
+        for section in sections:
+            start, num_prb = section.start_prb, section.num_prb
+            end, section_id = start + num_prb, section.section_id
+            if num_prb < 1:
+                flag(packet, ViolationClass.SECTION_STRUCTURE,
+                     f"section {section_id} covers no PRBs")
                 continue
-            if (
-                self.carrier_num_prb is not None
-                and end > self.carrier_num_prb
-            ):
-                found.append(
-                    self._violation(
-                        packet,
-                        ViolationClass.SECTION_STRUCTURE,
-                        f"section {section.section_id} PRBs [{start}, {end})"
-                        f" exceed the {self.carrier_num_prb}-PRB carrier",
-                        tap,
-                    )
-                )
-            if (
-                packet.is_uplane
-                and self.profile is not None
-                and section.num_prb > self.profile.uplane_section_max_prbs
-            ):
-                found.append(
-                    self._violation(
-                        packet,
-                        ViolationClass.SECTION_STRUCTURE,
-                        f"section {section.section_id} carries "
-                        f"{section.num_prb} PRBs > vendor cap "
-                        f"{self.profile.uplane_section_max_prbs}",
-                        tap,
-                    )
-                )
+            if carrier is not None and end > carrier:
+                flag(packet, ViolationClass.SECTION_STRUCTURE,
+                     f"section {section_id} PRBs [{start}, {end}) exceed "
+                     f"the {carrier}-PRB carrier")
+            if cap is not None and num_prb > cap:
+                flag(packet, ViolationClass.SECTION_STRUCTURE,
+                     f"section {section_id} carries {num_prb} PRBs > "
+                     f"vendor cap {cap}")
+            if claimed is None:
+                continue
             for other_start, other_end in claimed:
                 if start < other_end and other_start < end:
-                    found.append(
-                        self._violation(
-                            packet,
-                            ViolationClass.SECTION_STRUCTURE,
-                            f"section {section.section_id} PRBs "
-                            f"[{start}, {end}) overlap a sibling section",
-                            tap,
-                        )
-                    )
+                    flag(packet, ViolationClass.SECTION_STRUCTURE,
+                         f"section {section_id} PRBs [{start}, {end}) "
+                         "overlap a sibling section")
                     break
             claimed.append((start, end))
 
-    def _comphdr_mismatch(
-        self,
-        packet: FronthaulPacket,
-        config: CompressionConfig,
-        what: str,
-        tap: str,
-        found: List[Violation],
-    ) -> bool:
-        """Flag a udCompHdr outside the negotiated set; True if flagged.
+    def _comphdr_mismatch(self, packet, config, what: str, flag) -> None:
+        """Flag a udCompHdr outside the negotiated set.
 
         A wrong *codec* (udCompMeth no stream negotiated) is a
         ``CODEC_MISMATCH`` — the RU has no decoder armed for it.  The
@@ -307,247 +344,95 @@ class WireValidator:
         ``BFP_WIDTH_MISMATCH`` class.
         """
         allowed = self.allowed_compressions
-        if allowed is None or config in allowed:
-            return False
         names = ", ".join(
             f"(width {c.iq_width}, meth {c.comp_meth})" for c in sorted(
                 allowed, key=lambda c: (c.comp_meth, c.iq_width)
             )
         )
         if config.comp_meth not in {c.comp_meth for c in allowed}:
-            found.append(
-                self._violation(
-                    packet,
-                    ViolationClass.CODEC_MISMATCH,
-                    f"{what} udCompHdr meth {config.comp_meth} is a codec "
-                    f"no stream negotiated (allowed: {names})",
-                    tap,
-                )
-            )
+            flag(packet, ViolationClass.CODEC_MISMATCH,
+                 f"{what} udCompHdr meth {config.comp_meth} is a codec "
+                 f"no stream negotiated (allowed: {names})")
         else:
-            found.append(
-                self._violation(
-                    packet,
-                    ViolationClass.BFP_WIDTH_MISMATCH,
-                    f"{what} udCompHdr (width {config.iq_width}, "
-                    f"meth {config.comp_meth}) outside the negotiated "
-                    f"set {names}",
-                    tap,
-                )
-            )
-        return True
-
-    def _check_cplane_compression(
-        self, packet: FronthaulPacket, tap: str, found: List[Violation]
-    ) -> None:
-        message: CPlaneMessage = packet.message
-        self._comphdr_mismatch(
-            packet, message.compression, "C-plane", tap, found
-        )
-
-    def _check_compression(
-        self, packet: FronthaulPacket, tap: str, found: List[Violation]
-    ) -> None:
-        for section in packet.message.sections:
-            config = section.compression
-            if self._comphdr_mismatch(
-                packet, config, f"section {section.section_id}", tap, found
-            ):
-                continue
-            if section.num_prb < 1:
-                continue
-            if config.comp_meth == BFP_COMP_METH:
-                self._check_bfp_exponents(packet, section, config, tap, found)
-            elif config.comp_meth == MOD_COMP_METH:
-                self._check_modcomp_params(packet, section, config, tap, found)
-
-    def _check_bfp_exponents(
-        self, packet, section, config, tap, found: List[Violation]
-    ) -> None:
-        # Raw exponent bytes, unmasked: the upper nibble is reserved
-        # and a legal exponent never exceeds 16 - iq_width.
-        prb_bytes = config.prb_payload_bytes()
-        raw = np.frombuffer(
-            section.payload,
-            dtype=np.uint8,
-            count=section.num_prb * prb_bytes,
-        )[::prb_bytes]
-        worst = int(raw.max())
-        legal = _legal_max_exponent(config.iq_width)
-        if worst > legal:
-            found.append(
-                self._violation(
-                    packet,
-                    ViolationClass.ILLEGAL_BFP_EXPONENT,
-                    f"section {section.section_id} exponent byte "
-                    f"{worst} exceeds the legal max {legal} for "
-                    f"width-{config.iq_width} BFP",
-                    tap,
-                )
-            )
-
-    def _check_modcomp_params(
-        self, packet, section, config, tap, found: List[Violation]
-    ) -> None:
-        csf, scalers = ModCompressor(config).read_params(
-            section.payload, section.num_prb
-        )
-        worst = int(scalers.max())
-        legal = max_scaler(config.iq_width)
-        if worst > legal:
-            found.append(
-                self._violation(
-                    packet,
-                    ViolationClass.ILLEGAL_MODCOMP_PARAM,
-                    f"section {section.section_id} modcomp scaler "
-                    f"{worst} exceeds the legal max {legal} for "
-                    f"width-{config.iq_width} constellations",
-                    tap,
-                )
-            )
-            return
-        inconsistent = (csf.astype(bool) != (scalers > 0))
-        if bool(inconsistent.any()):
-            prb = int(np.argmax(inconsistent))
-            found.append(
-                self._violation(
-                    packet,
-                    ViolationClass.ILLEGAL_MODCOMP_PARAM,
-                    f"section {section.section_id} PRB {prb} csf flag "
-                    f"{int(csf[prb])} inconsistent with scaler "
-                    f"{int(scalers[prb])}",
-                    tap,
-                )
-            )
-
-    def _record_windows(self, packet: FronthaulPacket) -> None:
-        message: CPlaneMessage = packet.message
-        windows = self._windows[message.direction]
-        key = (packet.time.slot_key(), packet.eaxc.ru_port)
-        ranges = windows.get(key)
-        if ranges is None:
-            ranges = windows[key] = []
-            while len(windows) > _WINDOW_CAP:
-                windows.popitem(last=False)
-        for section in message.sections:
-            ranges.append(section.prb_range)
-
-    def _check_accounting(
-        self, packet: FronthaulPacket, tap: str, found: List[Violation]
-    ) -> None:
-        message: UPlaneMessage = packet.message
-        windows = self._windows[message.direction]
-        key = (packet.time.slot_key(), packet.eaxc.ru_port)
-        ranges = windows.get(key)
-        for section in message.sections:
-            start, end = section.prb_range
-            if ranges is None:
-                found.append(
-                    self._violation(
-                        packet,
-                        ViolationClass.PRB_SECTION_MISMATCH,
-                        f"no C-plane scheduled slot {key[0]} ru_port "
-                        f"{key[1]} for U-plane section "
-                        f"{section.section_id}",
-                        tap,
-                    )
-                )
-                continue
-            if not any(ws <= start and end <= we for ws, we in ranges):
-                found.append(
-                    self._violation(
-                        packet,
-                        ViolationClass.PRB_SECTION_MISMATCH,
-                        f"U-plane section {section.section_id} PRBs "
-                        f"[{start}, {end}) outside every scheduled "
-                        f"C-plane window {ranges}",
-                        tap,
-                    )
-                )
+            flag(packet, ViolationClass.BFP_WIDTH_MISMATCH,
+                 f"{what} udCompHdr (width {config.iq_width}, meth "
+                 f"{config.comp_meth}) outside the negotiated set {names}")
 
     @staticmethod
-    def _stream_key(packet: FronthaulPacket) -> Tuple[int, int, int]:
-        """Per-link stream identity: (src, dst, eAxC).
+    def _check_codec_params(packet, section, config, legal, flag) -> None:
+        """BFP exponent / modcomp parameter legality of one section
+        (``legal``: the largest parameter ``config`` allows).
 
-        The destination matters: a DAS replicating one downlink frame to
-        several RUs reuses src/eAxC/seq on every copy, and each copy is a
-        distinct point-to-point flow, not a duplicate.  Message type stays
-        out because DU and RU share one seq counter across C/U-plane.
+        A riding parse holds the wire parameters exactly: BFP exponent
+        bytes are its shifts (reserved nibble zero), modcomp scalers are
+        its shifts with ``csf == (scaler > 0)``.  So only the largest is
+        read, and nothing is packed.  A section parsed off a wire has only
+        its bytes: the raw parameter bytes are read, unmasked.
         """
-        return (
-            packet.eth.src.to_int(),
-            packet.eth.dst.to_int(),
-            packet.eaxc.to_int(),
-        )
+        bfp, width = config.comp_meth == BFP_COMP_METH, config.iq_width
+        parse, csf = section._parse, None
+        if parse is not None:
+            worst = int(parse[0].max())
+        elif bfp:
+            prb_bytes = config.prb_payload_bytes()
+            worst = int(np.frombuffer(
+                section.payload, dtype=np.uint8,
+                count=section.num_prb * prb_bytes,
+            )[::prb_bytes].max())
+        else:
+            csf, scalers = codec_for(config).read_params(
+                section.payload, section.num_prb
+            )
+            worst = int(scalers.max())
+        section_id = section.section_id
+        if worst > legal:
+            # A BFP exponent byte's upper nibble is reserved, and neither
+            # parameter exceeds 16 - iq_width from int16 sources.
+            if bfp:
+                flag(packet, ViolationClass.ILLEGAL_BFP_EXPONENT,
+                     f"section {section_id} exponent byte {worst} exceeds "
+                     f"the legal max {legal} for width-{width} BFP")
+            else:
+                flag(packet, ViolationClass.ILLEGAL_MODCOMP_PARAM,
+                     f"section {section_id} modcomp scaler {worst} exceeds "
+                     f"the legal max {legal} for width-{width} "
+                     "constellations")
+        elif csf is not None:
+            inconsistent = csf.astype(bool) != (scalers > 0)
+            if inconsistent.any():
+                prb = int(np.argmax(inconsistent))
+                flag(packet, ViolationClass.ILLEGAL_MODCOMP_PARAM,
+                     f"section {section_id} PRB {prb} csf flag "
+                     f"{int(csf[prb])} inconsistent with scaler "
+                     f"{int(scalers[prb])}")
 
-    def _check_sequence(
-        self,
-        packet: FronthaulPacket,
-        stream: Tuple[int, int, int],
-        tap: str,
-        found: List[Violation],
-    ) -> None:
-        status = self._tracker.observe(
-            stream, packet.ecpri.seq_id, context=packet.flow_key()
-        )
-        if status.verdict is SeqVerdict.DUPLICATE:
-            found.append(
-                self._violation(
-                    packet,
-                    ViolationClass.SEQ_DUP,
-                    f"seq {packet.ecpri.seq_id} repeated on stream "
-                    f"{packet.eth.src}/eaxc {packet.eaxc.to_int()}",
-                    tap,
-                )
-            )
-        elif status.gap:
-            found.append(
-                self._violation(
-                    packet,
-                    ViolationClass.SEQ_GAP,
-                    f"{status.gap} sequence number(s) skipped before seq "
-                    f"{packet.ecpri.seq_id} on stream {packet.eth.src}"
-                    f"/eaxc {packet.eaxc.to_int()}",
-                    tap,
-                )
-            )
-
-    def _check_timing(
-        self,
-        packet: FronthaulPacket,
-        stream: Tuple[int, int, int],
-        tap: str,
-        found: List[Violation],
-    ) -> None:
-        epoch = MAX_FRAME_ID * self.numerology.slots_per_frame
-        current = packet.time.absolute_slot(self.numerology) % epoch
-        last = self._last_slot.get(stream)
-        if last is None:
-            self._last_slot[stream] = current
-            return
-        delta = (current - last) % epoch
-        if delta > epoch // 2:
-            # Regressed against the stream head (modular half-window:
-            # wrap at the epoch looks like small forward progress).
-            found.append(
-                self._violation(
-                    packet,
-                    ViolationClass.STALE_SLOT,
-                    f"slot timestamp regressed {epoch - delta} slot(s) "
-                    f"behind stream {packet.eth.src}/eaxc "
-                    f"{packet.eaxc.to_int()}",
-                    tap,
-                )
-            )
-            return
-        self._last_slot[stream] = current
+    @staticmethod
+    def _check_accounting(packet, sections, ranges, key, flag) -> None:
+        """Every U-plane section inside a window C-plane scheduled for its
+        ``(slot, ru_port)`` (``ranges``; None when nothing was)."""
+        for section in sections:
+            start = section.start_prb
+            end = start + section.num_prb
+            if ranges is None:
+                flag(packet, ViolationClass.PRB_SECTION_MISMATCH,
+                     f"no C-plane scheduled slot {key[:3]} ru_port "
+                     f"{key[3]} for U-plane section {section.section_id}")
+                continue
+            for window_start, window_end in ranges:
+                if window_start <= start and end <= window_end:
+                    break
+            else:
+                flag(packet, ViolationClass.PRB_SECTION_MISMATCH,
+                     f"U-plane section {section.section_id} PRBs "
+                     f"[{start}, {end}) outside every scheduled C-plane "
+                     f"window {ranges}")
 
     # -- obs export ----------------------------------------------------------
 
-    def _export(self, found: List[Violation]) -> None:
+    def _export(self, frames: int, found: List[Violation]) -> None:
         if not self.obs.enabled:
             return
-        self.obs.children(_FRAMES, self.name).inc()
+        self.obs.children(_FRAMES, self.name).inc(frames)
         for violation in found:
             self.obs.children(
                 _VIOLATIONS, self.name, violation.violation_class.value

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import Callable, List, Optional, Tuple
 
 from repro import obs as obs_module
@@ -362,49 +363,74 @@ class Middlebox:
 
     def _observe(self, obs: Observability, observed: list, start_ns: int) -> None:
         """Account a burst's processed packets in the metrics registry —
-        each counter once per (burst, class), the modelled ns once per
-        packet in order, the burst's wall ÷ n as each packet's wall — and
-        leave a span row in the flight recorder per sampled packet."""
-        wall_ns = (obs.clock() - start_ns) / len(observed)
+        each counter once per (burst, class), each class's modelled ns
+        observed per packet in order, the burst's wall ÷ n as each
+        packet's wall — and leave a span row in the flight recorder per
+        sampled packet, all rows in one append."""
+        count = len(observed)
+        wall_ns = (obs.clock() - start_ns) / count
         name, stage = self.name, self.chain_stage
-        should_sample, record = obs.should_sample, obs.recorder.record
-        by_class: dict = {}
+        sampled = obs.sample_positions(count)
+        if len(sampled) == count:
+            flags = repeat(True, count)
+        else:
+            flags = [False] * count
+            for position in sampled:
+                flags[position] = True
+        # Row starts add the wall one packet at a time (the same floats).
+        starts = accumulate(repeat(wall_ns, count - 1), initial=start_ns)
+        # Each traffic class's modelled ns, indexed like _TRAFFIC_CLASSES.
+        modeled = (([], []), ([], []))
+        rows: list = []
         received_bytes = sent_bytes = drops = 0
-        row_start = start_ns
-        for packet, cplane, modeled_ns, events, out, out_bytes, size in observed:
-            downlink = packet.direction is Direction.DOWNLINK
-            traffic_class = _TRAFFIC_CLASSES[downlink][cplane]
-            entry = by_class.get(traffic_class)
-            if entry is None:
-                entry = by_class[traffic_class] = [
-                    obs.children(_MODELED_NS, name, traffic_class), 0
-                ]
-            entry[0].observe(modeled_ns)
-            entry[1] += 1
+        for (packet, cplane, modeled_ns, events, out, out_bytes, size), \
+                row_start, sample in zip(observed, starts, flags):
+            message = packet.message
+            downlink = message.direction is Direction.DOWNLINK
+            modeled[downlink][cplane].append(modeled_ns)
             received_bytes += size
             if out:
                 sent_bytes += out_bytes
             else:
                 drops += 1
-            if should_sample():
+            if sample:
                 if events is None:
                     events = [shared_event(ActionKind.ROUTE, modeled_ns)]
-                time = packet.time
-                record((
-                    packet.ecpri.eaxc.to_int(), time.frame, time.subframe,
+                time, ecpri = message.time, packet.ecpri
+                rows.append((
+                    ecpri.eaxc.to_int(), time.frame, time.subframe,
                     time.slot, time.symbol, "DL" if downlink else "UL",
-                    packet.ecpri.seq_id, name, traffic_class, modeled_ns,
-                    wall_ns, int(row_start), events, out, not out, stage,
+                    ecpri.seq_id, name, _TRAFFIC_CLASSES[downlink][cplane],
+                    modeled_ns, wall_ns, int(row_start), events, out,
+                    not out, stage,
                 ))
-            row_start += wall_ns
-        for traffic_class, (_, count) in by_class.items():
-            obs.children(_PACKETS, name, traffic_class).inc(count)
-            obs.children(_WALL_NS, name, traffic_class).observe(wall_ns, count)
-        obs.children(_BYTES, name, "rx").inc(received_bytes)
-        if drops < len(observed):  # some packet emitted
-            obs.children(_BYTES, name, "tx").inc(sent_bytes)
+        if rows:
+            obs.recorder.record(rows)
+        children = obs.children
+        for classes, lists in zip(_TRAFFIC_CLASSES, modeled):
+            for traffic_class, values in zip(classes, lists):
+                if not values:
+                    continue
+                modeled_child, packets, wall = children(
+                    _class_children, name, traffic_class
+                )
+                modeled_child.observe_all(values)
+                packets.inc(len(values))
+                wall.observe(wall_ns, len(values))
+        children(_BYTES, name, "rx").inc(received_bytes)
+        if drops < count:  # some packet emitted
+            children(_BYTES, name, "tx").inc(sent_bytes)
         if drops:
-            obs.children(_DROPS, name).inc(drops)
+            children(_DROPS, name).inc(drops)
+
+
+def _class_children(registry, name: str, traffic_class: str):
+    """The three series a burst updates per traffic class it carried."""
+    return (
+        _MODELED_NS(registry, name, traffic_class),
+        _PACKETS(registry, name, traffic_class),
+        _WALL_NS(registry, name, traffic_class),
+    )
 
 
 def _own_handler(handler, template):

@@ -64,6 +64,15 @@ class SeqStatus:
     gap: int = 0
 
 
+#: Every gap-free ``NEW`` verdict (a stream's first packet, its next
+#: number, a repeat under another context) is this one shared value, so a
+#: caller tests identity; the duplicate and reordered verdicts are shared
+#: too.  Only a gap builds a status.
+SEQ_IN_ORDER = SeqStatus(SeqVerdict.NEW)
+_DUPLICATE = SeqStatus(SeqVerdict.DUPLICATE)
+_REORDERED = SeqStatus(SeqVerdict.REORDERED)
+
+
 class _StreamState:
     __slots__ = ("last", "order", "contexts")
 
@@ -74,12 +83,13 @@ class _StreamState:
         self.contexts: Dict[int, object] = {}
 
     def remember(self, seq: int, context: object) -> None:
-        if seq not in self.contexts and len(self.order) == self.order.maxlen:
-            evicted = self.order.popleft()
-            self.contexts.pop(evicted, None)
-        if seq not in self.contexts:
-            self.order.append(seq)
-        self.contexts[seq] = context
+        contexts = self.contexts
+        if seq not in contexts:
+            order = self.order
+            if len(order) == DUPLICATE_WINDOW:
+                contexts.pop(order.popleft(), None)
+            order.append(seq)
+        contexts[seq] = context
 
     def matches(self, seq: int, context: object) -> bool:
         """Was ``seq`` seen recently with the same context?"""
@@ -125,33 +135,34 @@ class SequenceTracker:
         if state.last is None:
             state.last = seq
             state.remember(seq, context)
-            return SeqStatus(SeqVerdict.NEW)
+            return SEQ_IN_ORDER
         delta = (seq - state.last) % SEQ_MODULUS
         if delta == 0:
             if state.matches(seq, context):
                 self._count("duplicate")
-                return SeqStatus(SeqVerdict.DUPLICATE)
+                return _DUPLICATE
             # Same number, different context: an unsequenced source (or a
             # full 256-packet lap); treat as fresh traffic.
             state.remember(seq, context)
-            return SeqStatus(SeqVerdict.NEW)
+            return SEQ_IN_ORDER
         if delta <= SEQ_MODULUS // 2:
             gap = delta - 1
             state.last = seq
             state.remember(seq, context)
-            if gap:
-                self.gaps += 1
-                self.lost_in_gaps += gap
-                self._export_gap(gap)
+            if not gap:
+                return SEQ_IN_ORDER
+            self.gaps += 1
+            self.lost_in_gaps += gap
+            self._export_gap(gap)
             return SeqStatus(SeqVerdict.NEW, gap=gap)
         # Arriving from behind the stream head: a duplicate if we saw it
         # recently (same context), otherwise a late (reordered) original.
         if state.matches(seq, context):
             self._count("duplicate")
-            return SeqStatus(SeqVerdict.DUPLICATE)
+            return _DUPLICATE
         state.remember(seq, context)
         self._count("reordered")
-        return SeqStatus(SeqVerdict.REORDERED)
+        return _REORDERED
 
     # -- accounting --------------------------------------------------------
 

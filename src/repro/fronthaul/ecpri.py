@@ -58,14 +58,17 @@ class EAxCId:
         ):
             if not 0 <= value < (1 << width):
                 raise ValueError(f"eAxC {name}={value} exceeds {width} bits")
-
-    def to_int(self) -> int:
+        # The wire value, computed once: every span row, stream key and
+        # header pack reads it.
         w_du, w_bs, w_cc, w_ru = self.widths
         value = self.du_port
         value = (value << w_bs) | self.band_sector
         value = (value << w_cc) | self.cc
         value = (value << w_ru) | self.ru_port
-        return value
+        object.__setattr__(self, "_value", value)
+
+    def to_int(self) -> int:
+        return self._value
 
     @classmethod
     def from_int(

@@ -118,12 +118,13 @@ class Observability:
         self._children: dict = {}
         self._children_epoch = None
 
-    def should_sample(self) -> bool:
-        """Span-sampling decision: every ``sample_every``-th packet."""
-        self._ticket += 1
-        if self.sample_every == 1:
-            return True
-        return self._ticket % self.sample_every == 1
+    def sample_positions(self, count: int) -> range:
+        """Span sampling for a burst of ``count`` packets: the positions
+        in it of every ``sample_every``-th packet this handle has seen
+        (the first packet ever is sampled)."""
+        first = -self._ticket % self.sample_every
+        self._ticket += count
+        return range(first, count, self.sample_every)
 
     def children(self, resolve, *labels):
         """``resolve(registry, *labels)``, memoised: the datapath's one

@@ -132,6 +132,20 @@ class Histogram:
         if index < len(self.bucket_counts):
             self.bucket_counts[index] += count
 
+    def observe_all(self, values: Sequence[float]) -> None:
+        """Observe each of ``values``: the sum adds them one at a time, in
+        order (the same float as one ``observe`` each)."""
+        total, last, index = self.sum, None, 0
+        bounds, buckets = self.bounds, self.bucket_counts
+        for value in values:
+            total += value
+            if value != last:
+                last, index = value, bisect_left(bounds, value)
+            if index < len(buckets):
+                buckets[index] += 1
+        self.sum = total
+        self.count += len(values)
+
     def cumulative_buckets(self) -> List[Tuple[float, int]]:
         """(upper_bound, cumulative_count) pairs, +Inf last."""
         out: List[Tuple[float, int]] = []

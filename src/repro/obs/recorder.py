@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Tuple
+from typing import Any, Deque, Dict, List, Sequence, Tuple
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,11 +140,14 @@ class FlightRecorder:
             raise ValueError("capacity must be positive")
         self._rows = deque(maxlen=self.capacity)
 
-    def record(self, row: tuple) -> None:
-        if len(self._rows) == self.capacity:
-            self.evicted += 1
-        self._rows.append(row)
-        self._recorded += 1
+    def record(self, rows: Sequence[tuple]) -> None:
+        """Append ``rows`` in order; the oldest roll off past capacity."""
+        count = len(rows)
+        overflow = len(self._rows) + count - self.capacity
+        if overflow > 0:
+            self.evicted += overflow
+        self._rows.extend(rows)
+        self._recorded += count
 
     def spans(self) -> List[PacketSpan]:
         """The retained rows as :class:`PacketSpan` views, oldest first."""

@@ -18,6 +18,11 @@ from repro.fronthaul.compression import SAMPLES_PER_PRB
 INT16_SCALE = 32767.0
 #: Headroom below full scale unless a caller picks its own.
 DEFAULT_BACKOFF = 0.25
+#: Fixed-point drive level of the DL transmit grid.  Real L1s run a few dB
+#: below full scale, which is what makes BFP exponents discriminate
+#: data from idle even at wide mantissas (Radisys' 14-bit profile).  The
+#: DU quantises its downlink at it and the RU decodes its air samples at it.
+DL_FIXED_POINT_BACKOFF = 0.7
 
 
 def iq_to_int16(
@@ -49,12 +54,14 @@ def iq_to_int16(
 
 
 def int16_to_iq(samples: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`iq_to_int16` at its default backoff:
-    (..., n_prbs, 24) -> (..., n_sc)."""
+    """Inverse of :func:`iq_to_int16` at the downlink drive level
+    :data:`DL_FIXED_POINT_BACKOFF`: (..., n_prbs, 24) -> (..., n_sc)."""
     arr = np.asarray(samples, dtype=np.float64)
     i_part = arr[..., 0::2]
     q_part = arr[..., 1::2]
-    complex_grid = (i_part + 1j * q_part) / (INT16_SCALE * DEFAULT_BACKOFF)
+    complex_grid = (i_part + 1j * q_part) / (
+        INT16_SCALE * DL_FIXED_POINT_BACKOFF
+    )
     return complex_grid.reshape(arr.shape[:-2] + (-1,))
 
 

@@ -27,7 +27,7 @@ from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import FronthaulPacket, make_packet
 from repro.fronthaul.timing import SYMBOLS_PER_SLOT, SymbolTime
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
-from repro.phy.iq import QamModulator, iq_to_int16
+from repro.phy.iq import DL_FIXED_POINT_BACKOFF, QamModulator, iq_to_int16
 from repro.ran.cell import CellConfig
 from repro.ran.scheduler import MacScheduler, PrbAllocation
 from repro.ran.stacks import SRSRAN, VendorProfile
@@ -40,11 +40,6 @@ IDLE_PRB_AMPLITUDE = 2.0e-4
 #: QAM order used to synthesize data PRBs (16QAM keeps decode robust under
 #: the channel noise of the end-to-end tests).
 DATA_QAM_ORDER = 16
-
-#: Fixed-point drive level of the DL transmit grid.  Real L1s run a few dB
-#: below full scale, which is what makes BFP exponents discriminate
-#: data from idle even at wide mantissas (Radisys' 14-bit profile).
-DL_FIXED_POINT_BACKOFF = 0.7
 
 #: (symbol, port) rows the downlink float stage quantises at once: the
 #: bound ``ran.ru`` measured (DESIGN.md, "Blocked slot pass").

@@ -164,7 +164,8 @@ class RadioUnit:
 
     def transmit_grid(self, time: SymbolTime, port: int) -> Optional[np.ndarray]:
         """Complex air samples for one symbol/port (None if idle), decoded
-        now from the accepted sections in arrival order."""
+        now from the accepted sections in arrival order, at the DU's
+        downlink drive level."""
         accepted = self._tx_grids.get((time, port))
         if accepted is None:
             return None

@@ -88,9 +88,10 @@ class FronthaulNetwork:
         #: still waiting when the slot closes.
         self.deadline_flush = deadline_flush
         #: Optional conformance validator
-        #: (:class:`repro.conformance.WireValidator`): observes every
+        #: (:class:`repro.conformance.WireValidator`): one call per
         #: post-chain burst at RU ingress (downlink) and DU ingress
-        #: (uplink) — a pure observer, never drops or mutates frames.
+        #: (uplink, deadline flushes included) — a pure observer, never
+        #: drops or mutates frames.
         self.validator = validator
         #: The middleboxes run inside a fault-isolating chain: a raising
         #: stage is a counted drop guarded by a circuit breaker, never a
@@ -171,10 +172,12 @@ class FronthaulNetwork:
         # RU-sharing middlebox's Algorithm 2 relies on.  Stable sort keeps
         # per-DU sequence numbers in order.
         downlink.sort(key=lambda packet: packet.is_uplane)
-        downlink = self._carry(downlink, report)
-        for packet in self._through_chain(downlink, uplink=False):
-            if self.validator is not None:
-                self.validator.observe(packet, tap=f"{self.name}:ru-ingress")
+        downlink = self._through_chain(
+            self._carry(downlink, report), uplink=False
+        )
+        if self.validator is not None:
+            self.validator.observe(downlink, tap=f"{self.name}:ru-ingress")
+        for packet in downlink:
             entry = self._rus.get(packet.eth.dst.to_int())
             if entry is None:
                 report.undeliverable += 1
@@ -199,8 +202,7 @@ class FronthaulNetwork:
             uplink.extend(ru.build_uplink(items))
             ru.end_slot()
         uplink = self._carry(uplink, report)
-        for packet in self._through_chain(uplink, uplink=True):
-            self._deliver_uplink(packet, report)
+        self._deliver_uplink(self._through_chain(uplink, uplink=True), report)
 
         self._end_slot(report)
 
@@ -215,21 +217,22 @@ class FronthaulNetwork:
         return report
 
     def _deliver_uplink(
-        self, packet: FronthaulPacket, report: SlotReport
+        self, packets: List[FronthaulPacket], report: SlotReport
     ) -> None:
         if self.validator is not None:
-            self.validator.observe(packet, tap=f"{self.name}:du-ingress")
-        du = self._dus.get(packet.eth.dst.to_int())
-        if du is None:
-            report.undeliverable += 1
-            return
-        try:
-            du.receive(packet)
-        except ValueError:
-            # Damaged frame rejected at the DU: contained drop.
-            report.malformed += 1
-            return
-        report.ul_packets += 1
+            self.validator.observe(packets, tap=f"{self.name}:du-ingress")
+        for packet in packets:
+            du = self._dus.get(packet.eth.dst.to_int())
+            if du is None:
+                report.undeliverable += 1
+                continue
+            try:
+                du.receive(packet)
+            except ValueError:
+                # Damaged frame rejected at the DU: contained drop.
+                report.malformed += 1
+                continue
+            report.ul_packets += 1
 
     def _end_slot(self, report: SlotReport) -> None:
         """Close the slot on every stage, then on every DU (each RU closed
@@ -246,10 +249,12 @@ class FronthaulNetwork:
             # traverse the uplink tail of the chain towards the DUs.
             # deadline_flush=False keeps lower hold-capable stages from
             # re-capturing a merge already forced out at the boundary.
-            for packet in self.chain.process_uplink(
-                flushed, source=stage, deadline_flush=False
-            ):
-                self._deliver_uplink(packet, report)
+            self._deliver_uplink(
+                self.chain.process_uplink(
+                    flushed, source=stage, deadline_flush=False
+                ),
+                report,
+            )
         for du in self._dus.values():
             du.end_slot()
 

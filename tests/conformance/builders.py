@@ -4,7 +4,7 @@ test suite."""
 import numpy as np
 
 from repro.conformance import WireValidator
-from repro.core.middlebox import ActionContext, Middlebox
+from repro.core.middlebox import Middlebox
 
 from repro.fronthaul.cplane import (
     CPlaneMessage,
@@ -14,7 +14,7 @@ from repro.fronthaul.cplane import (
 )
 from repro.fronthaul.ecpri import EAxCId
 from repro.fronthaul.ethernet import MacAddress
-from repro.fronthaul.packet import FronthaulPacket, make_packet
+from repro.fronthaul.packet import make_packet
 from repro.fronthaul.timing import SymbolTime
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 from repro.ran.stacks import profile_by_name
@@ -91,7 +91,7 @@ def uplane_packet(
 
 
 class ConformanceTap(Middlebox):
-    """A pass-through middlebox that validates every packet it forwards:
+    """A pass-through middlebox that validates every burst it forwards:
     a validator at a chain stage boundary, both directions."""
 
     app_name = "conformance-tap"
@@ -100,10 +100,7 @@ class ConformanceTap(Middlebox):
         super().__init__(**kwargs)
         self.validator = validator
 
-    def on_cplane(self, ctx: ActionContext, packet: FronthaulPacket) -> None:
-        self.validator.observe(packet, tap=self.name)
-        ctx.forward(packet)
-
-    def on_uplane(self, ctx: ActionContext, packet: FronthaulPacket) -> None:
-        self.validator.observe(packet, tap=self.name)
-        ctx.forward(packet)
+    def process_burst(self, packets, sizes, chain=None, direction="",
+                      contexts=None):
+        self.validator.observe(packets, tap=self.name)
+        return super().process_burst(packets, sizes, chain, direction, contexts)

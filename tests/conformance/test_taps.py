@@ -2,6 +2,8 @@
 scale path with per-shard report merging; and the clean interop matrix
 that holds the repo's own traffic to zero violations at both."""
 
+import dataclasses
+
 import pytest
 
 from repro.apps.das import DasMiddlebox
@@ -9,6 +11,7 @@ from repro.apps.prb_monitor import PrbMonitorMiddlebox
 from repro.conformance import ConformanceReport, WireValidator
 from repro.conformance.violations import ViolationClass
 from repro.eval import kit
+from repro.fronthaul import compression
 from repro.fronthaul.cplane import Direction
 from repro.ran.cell import CellConfig
 from repro.ran.du import DistributedUnit
@@ -185,6 +188,50 @@ class TestScaleIntegration:
         sharded = run_scenario(spec, workers=2).conformance_report()
         assert solo.counts == sharded.counts
         assert solo.frames_checked == sharded.frames_checked
+
+
+def _passes_packed(monkeypatch, spec):
+    """Encode passes packed to wire bytes while ``spec`` runs in-process
+    (``BfpCompressor.pack`` hands compressed passes to
+    ``_PrbCodec.pack``: one pack, however many frames deep)."""
+    packed, depth = [], [0]
+
+    def counting(inner):
+        def pack(self, parse):
+            depth[0] += 1
+            try:
+                return inner(self, parse)
+            finally:
+                depth[0] -= 1
+                if not depth[0]:
+                    packed.append(len(parse[0]))
+        return pack
+
+    for owner in (compression._PrbCodec, compression.BfpCompressor):
+        monkeypatch.setattr(owner, "pack", counting(owner.__dict__["pack"]))
+    run_scenario(spec, workers=1)
+    return len(packed)
+
+
+def test_conformance_packs_no_encode_pass(monkeypatch):
+    """The validator reads a riding section's parse, never its bytes: on
+    a 4-cell DAS run, turning conformance on packs no pass more than the
+    run packs anyway (the DUs hashing their merged uplink)."""
+    spec = kit.scenario("packs", 10, 3, [
+        kit.cell(
+            f"das{index}", index, [kit.flow("dl", 40.0), kit.flow("ul", 40.0)],
+            chain=[{"stage": "das"}],
+        )
+        for index in range(1, 5)
+    ])
+    counts = [
+        _passes_packed(monkeypatch, dataclasses.replace(
+            spec, obs=ObsSpec(enabled=True, conformance=conformance)
+        ))
+        for conformance in (False, True)
+    ]
+    assert counts[0] > 0
+    assert counts[1] == counts[0]
 
 
 #: (profile, codec) -> (frames checked, violations) of the clean interop

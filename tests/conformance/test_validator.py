@@ -111,13 +111,13 @@ class TestViolationClasses:
             if isinstance(frame, bytes):
                 validator.observe_bytes(frame)
             else:
-                validator.observe(frame)
+                validator.observe([frame])
         assert only_class(validator, expected) >= 1
 
     def test_clean_pair_has_no_violations(self):
         validator = fresh_validator()
-        validator.observe(cplane_packet(0, 20, seq=0))
-        validator.observe(uplane_packet(0, 4, seq=1))
+        validator.observe([cplane_packet(0, 20, seq=0)])
+        validator.observe([uplane_packet(0, 4, seq=1)])
         assert validator.report.ok
         assert validator.report.frames_checked == 2
 
@@ -158,7 +158,7 @@ class TestViolationClasses:
 
     def test_section_structure_carrier_overrun(self):
         validator = fresh_validator()
-        validator.observe(cplane_packet(100, 20))
+        validator.observe([cplane_packet(100, 20)])
         assert only_class(validator, ViolationClass.SECTION_STRUCTURE) == 1
 
     def test_section_structure_vendor_prb_cap(self):
@@ -169,12 +169,12 @@ class TestViolationClasses:
             name="test", profile=profile, carrier_num_prb=273
         )
         validator.observe(
-            cplane_packet(0, 150, seq=0, compression=profile.compression)
+            [cplane_packet(0, 150, seq=0, compression=profile.compression)]
         )
         validator.observe(
-            uplane_packet(
+            [uplane_packet(
                 0, 150, seq=1, compression=profile.compression, amplitude=3
-            )
+            )]
         )
         assert only_class(validator, ViolationClass.SECTION_STRUCTURE) == 1
 
@@ -183,25 +183,25 @@ class TestViolationClasses:
         packet = cplane_packet(0, 10)
         second = cplane_packet(5, 10).message.sections[0]
         packet.message.sections.append(second)
-        validator.observe(packet)
+        validator.observe([packet])
         assert only_class(validator, ViolationClass.SECTION_STRUCTURE) == 1
 
     def test_prb_section_mismatch_unscheduled(self):
         validator = fresh_validator()
-        validator.observe(cplane_packet(0, 20, seq=0))
-        validator.observe(uplane_packet(30, 10, seq=1))
+        validator.observe([cplane_packet(0, 20, seq=0)])
+        validator.observe([uplane_packet(30, 10, seq=1)])
         assert only_class(validator, ViolationClass.PRB_SECTION_MISMATCH) == 1
 
     def test_prb_section_mismatch_no_cplane_at_all(self):
         validator = fresh_validator()
-        validator.observe(uplane_packet(0, 4, seq=0))
+        validator.observe([uplane_packet(0, 4, seq=0)])
         assert only_class(validator, ViolationClass.PRB_SECTION_MISMATCH) == 1
 
     def test_bfp_width_mismatch_against_profile(self):
         validator = fresh_validator()
         wide = CompressionConfig(iq_width=14, comp_meth=BFP_COMP_METH)
-        validator.observe(cplane_packet(0, 4, seq=0))
-        validator.observe(uplane_packet(0, 4, seq=1, compression=wide))
+        validator.observe([cplane_packet(0, 4, seq=0)])
+        validator.observe([uplane_packet(0, 4, seq=1, compression=wide)])
         assert only_class(validator, ViolationClass.BFP_WIDTH_MISMATCH) == 1
 
     def test_illegal_bfp_exponent_raw_byte(self):
@@ -209,8 +209,8 @@ class TestViolationClasses:
         good = uplane_packet(0, 2, seq=1).message.sections[0].payload_bytes()
         payload = bytearray(good)
         payload[0] = 0x0F  # legal max for width 9 is 16 - 9 = 7
-        validator.observe(cplane_packet(0, 2, seq=0))
-        validator.observe(uplane_packet(0, 2, seq=1, payload=bytes(payload)))
+        validator.observe([cplane_packet(0, 2, seq=0)])
+        validator.observe([uplane_packet(0, 2, seq=1, payload=bytes(payload))])
         assert only_class(validator, ViolationClass.ILLEGAL_BFP_EXPONENT) == 1
 
     def test_illegal_bfp_exponent_reserved_nibble(self):
@@ -221,64 +221,64 @@ class TestViolationClasses:
         good = uplane_packet(0, 2, seq=1).message.sections[0].payload_bytes()
         payload = bytearray(good)
         payload[0] |= 0x50
-        validator.observe(cplane_packet(0, 2, seq=0))
-        validator.observe(uplane_packet(0, 2, seq=1, payload=bytes(payload)))
+        validator.observe([cplane_packet(0, 2, seq=0)])
+        validator.observe([uplane_packet(0, 2, seq=1, payload=bytes(payload))])
         assert only_class(validator, ViolationClass.ILLEGAL_BFP_EXPONENT) == 1
 
     def test_seq_gap(self):
         validator = fresh_validator()
-        validator.observe(cplane_packet(0, 10, seq=0))
-        found = validator.observe(cplane_packet(0, 10, seq=3))
+        validator.observe([cplane_packet(0, 10, seq=0)])
+        found = validator.observe([cplane_packet(0, 10, seq=3)])
         assert only_class(validator, ViolationClass.SEQ_GAP) == 1
         assert "2 sequence number(s) skipped" in found[0].detail
 
     def test_seq_gap_across_wrap(self):
         validator = fresh_validator()
-        validator.observe(cplane_packet(0, 10, seq=254))
-        validator.observe(cplane_packet(0, 10, seq=1))  # lost 255 and 0
+        validator.observe([cplane_packet(0, 10, seq=254)])
+        validator.observe([cplane_packet(0, 10, seq=1)])  # lost 255 and 0
         assert only_class(validator, ViolationClass.SEQ_GAP) == 1
 
     def test_seq_wrap_clean_is_not_a_gap(self):
         validator = fresh_validator()
-        validator.observe(cplane_packet(0, 10, seq=255))
-        validator.observe(cplane_packet(0, 10, seq=0))
+        validator.observe([cplane_packet(0, 10, seq=255)])
+        validator.observe([cplane_packet(0, 10, seq=0)])
         assert validator.report.ok
 
     def test_seq_dup(self):
         validator = fresh_validator()
         packet = cplane_packet(0, 10, seq=5)
-        validator.observe(packet)
-        validator.observe(packet)
+        validator.observe([packet])
+        validator.observe([packet])
         assert only_class(validator, ViolationClass.SEQ_DUP) == 1
 
     def test_replication_to_distinct_dsts_is_not_a_dup(self):
         # A DAS replicating one frame to two RUs reuses src/eAxC/seq on
         # both copies; distinct destinations are distinct streams.
         validator = fresh_validator()
-        validator.observe(cplane_packet(0, 10, seq=0))
+        validator.observe([cplane_packet(0, 10, seq=0)])
         other = cplane_packet(
             0, 10, seq=0, dst=MacAddress.from_int(0x02_00_00_00_00_99)
         )
-        validator.observe(other)
+        validator.observe([other])
         assert validator.report.ok
 
     def test_stale_slot(self):
         validator = fresh_validator()
         validator.observe(
-            cplane_packet(0, 10, seq=0, time=SymbolTime(2, 0, 0, 0))
+            [cplane_packet(0, 10, seq=0, time=SymbolTime(2, 0, 0, 0))]
         )
         validator.observe(
-            cplane_packet(0, 10, seq=1, time=SymbolTime(0, 0, 0, 0))
+            [cplane_packet(0, 10, seq=1, time=SymbolTime(0, 0, 0, 0))]
         )
         assert only_class(validator, ViolationClass.STALE_SLOT) == 1
 
     def test_frame_epoch_wrap_is_not_stale(self):
         validator = fresh_validator()
         validator.observe(
-            cplane_packet(0, 10, seq=0, time=SymbolTime(255, 9, 1, 0))
+            [cplane_packet(0, 10, seq=0, time=SymbolTime(255, 9, 1, 0))]
         )
         validator.observe(
-            cplane_packet(0, 10, seq=1, time=SymbolTime(0, 0, 0, 0))
+            [cplane_packet(0, 10, seq=1, time=SymbolTime(0, 0, 0, 0))]
         )
         assert validator.report.ok
 
@@ -319,7 +319,7 @@ class TestFaultIntegration:
             if damaged is None:
                 continue  # killed on the wire before any host saw it
             survivors += 1
-            validator.observe(damaged)
+            validator.observe([damaged])
         assert survivors > 0
         # Surviving reparses may still violate (flipped exponent bits,
         # shifted PRB ranges...) but every record must carry a class from
@@ -334,7 +334,7 @@ class TestFaultIntegration:
 class TestReport:
     def test_round_trip_dict(self):
         validator = fresh_validator()
-        validator.observe(cplane_packet(100, 20))
+        validator.observe([cplane_packet(100, 20)])
         report = validator.report
         clone = ConformanceReport.from_dict(report.to_dict())
         assert clone.frames_checked == report.frames_checked
@@ -365,7 +365,7 @@ class TestReport:
 
     def test_format_mentions_classes(self):
         validator = fresh_validator()
-        validator.observe(cplane_packet(100, 20))
+        validator.observe([cplane_packet(100, 20)])
         text = validator.report.format()
         assert "section_structure" in text
         assert "violations: 1" in text
@@ -375,8 +375,8 @@ class TestObsExport:
     def test_counters_exported_when_enabled(self):
         obs = Observability(enabled=True)
         validator = fresh_validator(obs=obs)
-        validator.observe(cplane_packet(0, 10, seq=0))
-        validator.observe(cplane_packet(0, 10, seq=2))
+        validator.observe([cplane_packet(0, 10, seq=0)])
+        validator.observe([cplane_packet(0, 10, seq=2)])
         snap = obs.registry.snapshot()
         frames = snap["conformance_frames_total"]["series"]
         assert sum(frames.values()) == 2
@@ -385,5 +385,5 @@ class TestObsExport:
 
     def test_disabled_obs_exports_nothing(self):
         validator = fresh_validator()
-        validator.observe(cplane_packet(0, 10, seq=0))
+        validator.observe([cplane_packet(0, 10, seq=0)])
         assert not validator.obs.enabled

@@ -121,7 +121,7 @@ class TestXdp:
 
     def test_utilization_capped(self):
         datapath = XdpDatapath()
-        assert datapath.cpu_utilization([userspace_work()] * 10**6, 1e6) == 1.0
+        assert datapath.cpu_utilization([userspace_work()] * 10**3, 1e3) == 1.0
 
 
 class TestDeadlines:

@@ -176,16 +176,16 @@ def _per_packet_process(box, pkt):
         middlebox_module._WALL_NS(registry, name, traffic_class).observe(
             wall_ns
         )
-        if obs.should_sample():
+        if obs.sample_positions(1):
             time = pkt.time
-            obs.recorder.record((
+            obs.recorder.record([(
                 pkt.ecpri.eaxc.to_int(), time.frame, time.subframe,
                 time.slot, time.symbol,
                 "DL" if pkt.direction is Direction.DOWNLINK else "UL",
                 pkt.ecpri.seq_id, name, traffic_class, modeled_ns,
                 float(wall_ns), start_ns, ctx.events, len(ctx.emissions),
                 not emitted, box.chain_stage,
-            ))
+            )])
     return ctx
 
 

@@ -15,7 +15,12 @@ from repro.fronthaul.compression import SAMPLES_PER_PRB
 from repro.fronthaul.cplane import Direction
 from repro.phy.channel import ChannelModel, db_to_linear
 from repro.phy.geometry import Position
-from repro.phy.iq import QamModulator, int16_to_iq
+from repro.phy.iq import (
+    DEFAULT_BACKOFF,
+    DL_FIXED_POINT_BACKOFF,
+    QamModulator,
+    int16_to_iq,
+)
 from repro.ran.du import DistributedUnit
 from repro.ran.ru import RadioUnit, RuConfig
 from repro.ran.traffic import ConstantBitrateFlow
@@ -149,8 +154,10 @@ class TestUplinkMergeDecode:
         assert per_ru_power
         assert merged
         iq = uplink_grid(merged[-1], du.cell.num_prb)
-        merged_power = float(np.mean(int16_to_iq(iq).astype(complex).real ** 2
-                                     + int16_to_iq(iq).astype(complex).imag ** 2))
+        # The RU quantises its uplink at DEFAULT_BACKOFF; int16_to_iq
+        # decodes at the downlink drive level.
+        merged = int16_to_iq(iq) * (DL_FIXED_POINT_BACKOFF / DEFAULT_BACKOFF)
+        merged_power = float(np.mean(np.abs(merged) ** 2))
         assert merged_power > max(per_ru_power.values())
 
     def test_no_packet_loss_through_middlebox(self, das_setup):

@@ -41,12 +41,20 @@ class Absorber(Middlebox):
 class TestSamplingSwitch:
     def test_every_packet_sampled_by_default(self):
         obs = Observability(enabled=True)
-        assert [obs.should_sample() for _ in range(4)] == [True] * 4
+        assert list(obs.sample_positions(4)) == [0, 1, 2, 3]
 
     def test_decimation(self):
         obs = Observability(enabled=True, sample_every=4)
-        decisions = [obs.should_sample() for _ in range(8)]
-        assert decisions.count(True) == 2
+        assert list(obs.sample_positions(8)) == [0, 4]
+
+    def test_decimation_runs_across_bursts(self):
+        """Bursts of any size sample the packets one long burst would."""
+        obs = Observability(enabled=True, sample_every=3)
+        sampled, offset = [], 0
+        for size in (1, 2, 5, 1, 4):
+            sampled += [offset + p for p in obs.sample_positions(size)]
+            offset += size
+        assert sampled == list(range(0, 13, 3))
 
     def test_sample_every_validated(self):
         with pytest.raises(ValueError):

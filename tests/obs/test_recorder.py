@@ -34,7 +34,7 @@ class TestRing:
     def test_bounded_with_eviction_count(self):
         recorder = FlightRecorder(capacity=3)
         for seq in range(5):
-            recorder.record(span(seq=seq))
+            recorder.record([span(seq=seq)])
         assert len(recorder) == 3
         assert recorder.evicted == 2
         # The newest spans survive, oldest roll off.
@@ -46,8 +46,8 @@ class TestRing:
 
     def test_clear_resets_evictions(self):
         recorder = FlightRecorder(capacity=1)
-        recorder.record(span(0))
-        recorder.record(span(1))
+        recorder.record([span(0)])
+        recorder.record([span(1)])
         recorder.clear()
         assert len(recorder) == 0 and recorder.evicted == 0
 
@@ -56,10 +56,10 @@ class TestQueries:
     def test_find_by_coordinates(self):
         """A query is a comprehension over the retained spans."""
         recorder = FlightRecorder()
-        recorder.record(span(seq=0, middlebox="das"))
-        recorder.record(span(seq=1, middlebox="sharing", direction="DL",
-                             traffic_class="DL C-Plane"))
-        recorder.record(span(seq=2, middlebox="das", dropped=True))
+        recorder.record([span(seq=0, middlebox="das")])
+        recorder.record([span(seq=1, middlebox="sharing", direction="DL",
+                              traffic_class="DL C-Plane")])
+        recorder.record([span(seq=2, middlebox="das", dropped=True)])
         spans = recorder.spans()
 
         def seqs(keep):
@@ -79,8 +79,8 @@ class TestQueries:
 class TestExports:
     def test_jsonl_one_line_per_span(self):
         recorder = FlightRecorder()
-        recorder.record(span(seq=0))
-        recorder.record(span(seq=1))
+        recorder.record([span(seq=0)])
+        recorder.record([span(seq=1)])
         lines = recorder.to_jsonl().splitlines()
         assert len(lines) == 2
         first = json.loads(lines[0])
@@ -91,8 +91,8 @@ class TestExports:
 
     def test_chrome_trace_structure(self):
         recorder = FlightRecorder()
-        recorder.record(span(middlebox="das"))
-        recorder.record(span(middlebox="sharing"))
+        recorder.record([span(middlebox="das")])
+        recorder.record([span(middlebox="sharing")])
         trace = json.loads(recorder.to_chrome_trace())
         events = trace["traceEvents"]
         meta = [e for e in events if e["ph"] == "M"]
@@ -244,7 +244,7 @@ def test_row_ring_matches_the_object_recorder(capacity, ops):
     for op in ops:
         if op[0] == "record":
             _, row, stamp = op
-            recorder.record(row + stamp)
+            recorder.record([row + stamp])
             oracle.record(object_span(row, stamp))
         elif op[0] == "drain":
             drained, dropped = recorder.drain()

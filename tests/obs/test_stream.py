@@ -66,26 +66,26 @@ def latency_sample(accounts):
 class TestDrain:
     def test_drain_never_redelivers(self):
         recorder = FlightRecorder(capacity=8)
-        recorder.record(make_span(0))
-        recorder.record(make_span(1))
+        recorder.record([make_span(0)])
+        recorder.record([make_span(1)])
         first, evicted = recorder.drain()
         assert first == [make_span(0), make_span(1)]
         assert evicted == 0
         assert recorder.drain() == ([], 0)
-        recorder.record(make_span(2))
+        recorder.record([make_span(2)])
         second, _ = recorder.drain()
         assert second == [make_span(2)]
 
     def test_drain_reports_interval_evictions(self):
         recorder = FlightRecorder(capacity=2)
         for seq in range(5):
-            recorder.record(make_span(seq))
+            recorder.record([make_span(seq)])
         rows, evicted = recorder.drain()
         # Only the 2 retained spans arrive; 3 rolled off unseen.
         assert rows == [make_span(3), make_span(4)]
         assert evicted == 3
         # The next interval starts clean.
-        recorder.record(make_span(5))
+        recorder.record([make_span(5)])
         rows, evicted = recorder.drain()
         assert rows == [make_span(5)]
         assert evicted == 0
@@ -93,10 +93,10 @@ class TestDrain:
     def test_clear_resets_drain_state(self):
         recorder = FlightRecorder(capacity=2)
         for seq in range(4):
-            recorder.record(make_span(seq))
+            recorder.record([make_span(seq)])
         recorder.drain()
         recorder.clear()
-        recorder.record(make_span(9))
+        recorder.record([make_span(9)])
         rows, evicted = recorder.drain()
         assert rows == [make_span(9)]
         assert evicted == 0
@@ -139,7 +139,7 @@ class TestGroupStreamSource:
     def test_spans_are_stamped_with_group_and_shard(self):
         group = FakeGroup("g1")
         source = GroupStreamSource(group, shard=3)
-        group.obs.recorder.record(make_span(0))
+        group.obs.recorder.record([make_span(0)])
         stream = TelemetryStream()
         stream.fold_epoch([source.epoch_payload()])
         (span,) = stream.recorder.spans()
@@ -152,7 +152,7 @@ class TestGroupStreamSource:
         group = FakeGroup("g1", capacity=2)
         source = GroupStreamSource(group, shard=0)
         for seq in range(6):
-            group.obs.recorder.record(make_span(seq))
+            group.obs.recorder.record([make_span(seq)])
         payload = source.epoch_payload()
         dropped = payload["metrics"][DROPPED_SPANS_METRIC]["series"]["g1"]
         assert dropped == 4
@@ -180,7 +180,7 @@ class TestGroupStreamSource:
     def test_payload_carries_spans_only_when_streaming(self, stream):
         group = FakeGroup("g1")
         source = GroupStreamSource(group, shard=0, stream=stream)
-        group.obs.recorder.record(make_span(0))
+        group.obs.recorder.record([make_span(0)])
         group.accountant.observe_slot(0, {"0:das": 10.0})
         payload = source.epoch_payload()
         assert set(payload) == {"group", "shard", "metrics", "sample"} | (
@@ -226,7 +226,7 @@ class TestTelemetryStreamFold:
             ).inc()
             group.accountant.observe_slot(0, {"0:x": 500.0})
             for seq in range(70):  # overflows the 64-span ring
-                group.obs.recorder.record(make_span(seq))
+                group.obs.recorder.record([make_span(seq)])
         for shipping in (sources, sources[:1]):
             stream.fold_epoch([s.epoch_payload() for s in shipping])
             names = [s.group.name for s in shipping]
@@ -287,9 +287,9 @@ class TestTelemetryStreamFold:
         groups, sources = self._sources()
         stream = TelemetryStream()
         # The same wire frame recorded on two different shards.
-        groups[0].obs.recorder.record(make_span(7, middlebox="das", stage=0))
+        groups[0].obs.recorder.record([make_span(7, middlebox="das", stage=0)])
         groups[1].obs.recorder.record(
-            make_span(7, middlebox="sharing", stage=1)
+            [make_span(7, middlebox="sharing", stage=1)]
         )
         stream.fold_epoch([s.epoch_payload() for s in sources])
         journey = sorted(stream.recorder.spans(), key=lambda s: s.stage)

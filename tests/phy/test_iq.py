@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.fronthaul.compression import SAMPLES_PER_PRB
 from repro.phy.iq import (
-    DEFAULT_BACKOFF,
+    DL_FIXED_POINT_BACKOFF,
     INT16_SCALE,
     QamModulator,
     int16_to_iq,
@@ -80,7 +80,7 @@ class TestQamModulator:
 class TestFixedPoint:
     def test_roundtrip_error_small(self, rng):
         grid = (rng.normal(size=48) + 1j * rng.normal(size=48)) * 0.3
-        restored = int16_to_iq(iq_to_int16(grid))
+        restored = int16_to_iq(iq_to_int16(grid, DL_FIXED_POINT_BACKOFF))
         assert np.abs(restored - grid).max() < 1e-3
 
     def test_shape_conversion(self, rng):
@@ -111,7 +111,7 @@ class TestFixedPoint:
         rng = np.random.default_rng(0)
         grid = (rng.normal(size=24) + 1j * rng.normal(size=24)) * 0.2
         restored = int16_to_iq(iq_to_int16(grid, backoff)) * (
-            DEFAULT_BACKOFF / backoff
+            DL_FIXED_POINT_BACKOFF / backoff
         )
         assert np.abs(restored - grid).max() < 1e-2
 

@@ -12,7 +12,7 @@ from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
 from repro.fronthaul.packet import make_packet, parse_packet
 from repro.fronthaul.timing import SymbolTime
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
-from repro.phy.iq import int16_to_iq
+from repro.phy.iq import DL_FIXED_POINT_BACKOFF, INT16_SCALE, int16_to_iq
 from repro.ran.du import DistributedUnit
 from repro.ran.ru import RadioUnit, RuConfig
 from repro.ran.traffic import ConstantBitrateFlow
@@ -59,6 +59,31 @@ class TestDownlink:
         grid = ru.transmit_grid(time, port)
         assert grid is not None
         assert float(np.mean(np.abs(grid) ** 2)) > 0.01
+
+    def test_air_samples_keep_the_du_constellation_scale(self, cell_40mhz):
+        """The RU decodes at the drive level the DU quantised at: a 16-QAM
+        cell's loudest air sample is the constellation corner
+        (3·sqrt(2/10) = 1.342), within one int16 step at that level."""
+        du = DistributedUnit(
+            du_id=1, cell=cell_40mhz, symbols_per_slot=1, seed=2
+        )
+        ru = RadioUnit(
+            ru_id=1,
+            config=RuConfig(num_prb=cell_40mhz.num_prb, n_antennas=2),
+            du_mac=du.mac,
+        )
+        du.ru_mac = ru.mac
+        du.scheduler.add_ue("ue", dl_layers=2)
+        du.scheduler.update_ue_quality("ue", dl_aggregate_se=10.0, ul_se=3.0)
+        du.attach_flow("ue", ConstantBitrateFlow(300, "dl"), Direction.DOWNLINK)
+        run_downlink(du, ru)
+        peak = max(
+            float(np.abs(ru.transmit_grid(*key)).max())
+            for key in ru.transmitted_symbols()
+        )
+        corner = 3 * np.sqrt(2 / 10)
+        lsb = 1 / (INT16_SCALE * DL_FIXED_POINT_BACKOFF)
+        assert corner - lsb <= peak <= corner + lsb
 
     def test_uplane_without_cplane_dropped(self, pair):
         du, ru = pair

@@ -28,12 +28,11 @@ from repro.fronthaul.cplane import (
 from repro.fronthaul.ecpri import EAxCId
 from repro.fronthaul.packet import make_packet
 from repro.fronthaul.timing import SymbolTime
-from repro.phy.iq import QamModulator, iq_to_int16
+from repro.phy.iq import DL_FIXED_POINT_BACKOFF, QamModulator, iq_to_int16
 from repro.ran import ru as ru_module
 from repro.ran.cell import CellConfig
 from repro.ran.du import (
     DATA_QAM_ORDER,
-    DL_FIXED_POINT_BACKOFF,
     IDLE_PRB_AMPLITUDE,
     DistributedUnit,
 )

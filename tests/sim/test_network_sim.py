@@ -92,8 +92,11 @@ class TestFronthaulNetwork:
         stamped = []
 
         class Tap:
-            def observe(self, packet, tap):
-                stamped.append((packet.eaxc.du_port, packet.time.slot_key()))
+            def observe(self, packets, tap):
+                stamped.extend(
+                    (packet.eaxc.du_port, packet.time.slot_key())
+                    for packet in packets
+                )
 
         network = FronthaulNetwork(validator=Tap())
         for du_id in (1, 2):

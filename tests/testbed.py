@@ -24,8 +24,8 @@ from repro.eval import kit
 from repro.fronthaul.compression import SAMPLES_PER_PRB
 from repro.fronthaul.packet import FronthaulPacket
 from repro.fronthaul.timing import SymbolTime
-from repro.phy.iq import QamModulator, iq_to_int16
-from repro.ran.du import DL_FIXED_POINT_BACKOFF, DistributedUnit
+from repro.phy.iq import DL_FIXED_POINT_BACKOFF, QamModulator, iq_to_int16
+from repro.ran.du import DistributedUnit
 from repro.ran.ru import RadioUnit
 from repro.scale.build import build_cell
 from repro.sim.network_sim import FronthaulNetwork
