@@ -202,18 +202,13 @@ def test_pack_mantissas_512_prbs(benchmark):
 
 def test_float_stage_runs_once_per_block_of_eight_rows(monkeypatch):
     """Count, not time: a 56-row RU slot draws noise and quantises
-    ceil(56 / 8) = 7 times, a 14-symbol x 4-port DU slot quantises 7
-    times (its draws stay per row: ``normal`` and ``integers`` alternate
-    on one generator)."""
+    ceil(56 / 8) = 7 times."""
     from repro.fronthaul.compression import CompressionConfig
     from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
     from repro.fronthaul.ecpri import EAxCId
     from repro.fronthaul.packet import make_packet
     from repro.fronthaul.timing import SymbolTime
-    from repro.ran import du as du_module
     from repro.ran import ru as ru_module
-    from repro.ran.cell import CellConfig
-    from repro.ran.traffic import ConstantBitrateFlow
 
     calls = []
 
@@ -237,10 +232,9 @@ def test_float_stage_runs_once_per_block_of_eight_rows(monkeypatch):
         def __getattr__(self, name):
             return getattr(self._rng, name)
 
-    for module in (ru_module, du_module):
-        monkeypatch.setattr(
-            module, "iq_to_int16", counting("iq_to_int16", module.iq_to_int16)
-        )
+    monkeypatch.setattr(
+        ru_module, "iq_to_int16", counting("iq_to_int16", ru_module.iq_to_int16)
+    )
 
     ru = ru_module.RadioUnit(
         ru_id=1, config=ru_module.RuConfig(num_prb=106, n_antennas=4)
@@ -260,15 +254,62 @@ def test_float_stage_runs_once_per_block_of_eight_rows(monkeypatch):
     assert len(ru.build_uplink((time, port, None) for time, port in owed)) == 56
     assert calls.count("normal") == calls.count("iq_to_int16") == 7
 
-    del calls[:]
+
+def test_du_slot_draws_nothing_and_quantises_nothing(monkeypatch):
+    """Count, not time: once its pools and SSB are built, a 14-symbol x
+    4-port DU slot (56 rows) constructs no ``numpy.random.Generator``,
+    advances none alive in the process, and calls neither
+    ``iq_to_int16`` nor ``modulate`` — the slot is built on int16 from
+    keyed pools.  The control after the slot shows each count counts."""
+    import gc
+
+    from repro.fronthaul.cplane import Direction
+    from repro.phy.iq import QamModulator
+    from repro.ran import du as du_module
+    from repro.ran.cell import CellConfig
+    from repro.ran.traffic import ConstantBitrateFlow
+
     cell = CellConfig(pci=1, bandwidth_hz=40_000_000, n_antennas=4, max_dl_layers=2)
     du = du_module.DistributedUnit(du_id=1, cell=cell, symbols_per_slot=None)
     du.scheduler.add_ue("ue", dl_layers=2)
     du.scheduler.update_ue_quality("ue", dl_aggregate_se=10.0, ul_se=3.0)
     du.attach_flow("ue", ConstantBitrateFlow(100, "dl"), Direction.DOWNLINK)
-    du.rng = CountedDraws(du.rng)
+    du.advance_slot(0)  # the SSB slot: pools and the SSB are built here
+
+    def generator_states():
+        return [
+            (id(o), o.bit_generator.state)
+            for o in gc.get_objects()
+            if isinstance(o, np.random.Generator)
+        ]
+
+    calls = []
+
+    def counting(name, inner):
+        def proxy(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+
+        return proxy
+
+    monkeypatch.setattr(
+        np.random, "default_rng", counting("default_rng", np.random.default_rng)
+    )
+    monkeypatch.setattr(
+        du_module, "iq_to_int16", counting("iq_to_int16", du_module.iq_to_int16)
+    )
+    monkeypatch.setattr(
+        QamModulator, "modulate", counting("modulate", QamModulator.modulate)
+    )
+    before = generator_states()
     assert sum(p.is_uplane for p in du.advance_slot(1)) == 56
-    assert calls.count("iq_to_int16") == 7 and calls.count("normal") == 56
+    assert calls == [] and generator_states() == before
+
+    control = np.random.default_rng(0)
+    moved = generator_states()
+    du_module.iq_to_int16(QamModulator(4).modulate(control.integers(0, 4, 12)))
+    assert calls == ["default_rng", "modulate", "iq_to_int16"]
+    assert generator_states() != moved
 
 
 def test_chain_stage_builds_no_event_objects_once_warm(monkeypatch):

@@ -455,8 +455,15 @@ class BfpCompressor(_PrbCodec):
         return _freeze(np.zeros(n_prbs, np.uint8)), _freeze(samples)
 
 
+#: One codec per ``(iq_width, comp_meth)`` (a codec keeps no state but
+#: its config), keyed on the fields: the dataclass hash costs more than
+#: building a BFP codec.
+_CODECS: Dict[Tuple[int, int], Any] = {}
+
+
 def codec_for(config: CompressionConfig):
-    """The wire codec implementing ``config.comp_meth``.
+    """The wire codec implementing ``config.comp_meth``, built on first
+    use and shared.
 
     The dispatch point of the two-codec fronthaul: BFP and uncompressed
     payloads go through :class:`BfpCompressor`, modulation compression
@@ -465,8 +472,11 @@ def codec_for(config: CompressionConfig):
     read_exponents surface, so everything above this line
     (U-plane sections, DAS merge, PRB monitoring) is codec-agnostic.
     """
-    if config.comp_meth == MOD_COMP_METH:
+    key = (config.iq_width, config.comp_meth)
+    codec = _CODECS.get(key)
+    if codec is None:
         from repro.fronthaul.modcomp import ModCompressor
 
-        return ModCompressor(config)
-    return BfpCompressor(config)
+        modcomp = config.comp_meth == MOD_COMP_METH
+        codec = _CODECS[key] = (ModCompressor if modcomp else BfpCompressor)(config)
+    return codec

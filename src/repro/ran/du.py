@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -27,7 +28,8 @@ from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import FronthaulPacket, make_packet
 from repro.fronthaul.timing import SYMBOLS_PER_SLOT, SymbolTime
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
-from repro.phy.iq import DL_FIXED_POINT_BACKOFF, QamModulator, iq_to_int16
+from repro.phy.iq import DL_FIXED_POINT_BACKOFF, INT16_SCALE, QamModulator, iq_to_int16
+from repro.phy.keyed import KeyedPool, mix64
 from repro.ran.cell import CellConfig
 from repro.ran.scheduler import MacScheduler, PrbAllocation
 from repro.ran.stacks import SRSRAN, VendorProfile
@@ -41,9 +43,22 @@ IDLE_PRB_AMPLITUDE = 2.0e-4
 #: the channel noise of the end-to-end tests).
 DATA_QAM_ORDER = 16
 
-#: (symbol, port) rows the downlink float stage quantises at once: the
-#: bound ``ran.ru`` measured (DESIGN.md, "Blocked slot pass").
-_BLOCK_ROWS = 8
+#: The 16-QAM points as the wire carries them, ``(16, 2)`` interleaved
+#: I/Q: each is what ``iq_to_int16`` gives it at the downlink drive level
+#: (which takes whole PRBs: 48 samples are 3 × 16 points).
+QAM_INT16 = iq_to_int16(
+    np.tile(QamModulator(DATA_QAM_ORDER).modulate(np.arange(DATA_QAM_ORDER)), 3),
+    backoff=DL_FIXED_POINT_BACKOFF,
+).reshape(-1, 2)[:DATA_QAM_ORDER]
+#: One point as one int32 word: a subcarrier's (I, Q) pair of a slot grid.
+_QAM_PAIRS = QAM_INT16.view(np.int32).ravel()
+
+#: Idle-PRB noise pre-quantised, ``rint(N(0, σ))`` in int16 steps at the
+#: downlink drive level (σ ≈ 4.6), and data PRBs' 16-QAM symbol indices:
+#: one pool each per process, read by key (``DistributedUnit._dl_slot``).
+_IDLE_SIGMA = IDLE_PRB_AMPLITUDE * INT16_SCALE * DL_FIXED_POINT_BACKOFF
+_IDLE_NOISE = KeyedPool(1, np.int8, lambda rng, n: np.rint(rng.normal(0, _IDLE_SIGMA, n)))
+_DATA_SYMBOLS = KeyedPool(2, np.uint8, lambda rng, n: rng.integers(0, DATA_QAM_ORDER, n))
 
 
 @dataclass
@@ -78,6 +93,9 @@ class DistributedUnit:
     ru_mac:
         Fronthaul Ethernet address of this DU's (virtual) RU; the DU's
         own is derived from ``du_id``.
+    seed:
+        The cell seed every downlink sample is keyed on (with ``du_id``,
+        the slot offset, symbol and port).
     """
 
     def __init__(
@@ -103,8 +121,11 @@ class DistributedUnit:
         self.scheduler = MacScheduler(cell, profile)
         self.symbols_per_slot = symbols_per_slot
         self.counters = DuCounters()
-        self.rng = np.random.default_rng(seed)
-        self.modulator = QamModulator(DATA_QAM_ORDER)
+        #: The slot offset of the downlink's key is the count of slots this
+        #: DU has run, so a run started at any absolute slot sends the
+        #: same IQ.
+        self.seed = seed
+        self._slots_run = 0
         self.flows: Dict[str, Tuple[object, Direction]] = {}
         #: sha256 over every data reception's wire-level IQ since the run
         #: began, in arrival order, fed once a slot from the bytes
@@ -145,6 +166,7 @@ class DistributedUnit:
         slot_time = SymbolTime.from_absolute_slot(
             absolute_slot, self.cell.numerology
         )
+        offset, self._slots_run = self._slots_run, self._slots_run + 1
         self._enqueue_traffic()
         allocations = self.scheduler.schedule_slot(absolute_slot)
         dl_allocs = [a for a in allocations if a.direction is Direction.DOWNLINK]
@@ -177,7 +199,7 @@ class DistributedUnit:
             packets.append(self._prach_cplane(slot_time, ul_symbols))
         if transmitting:
             packets += self._build_dl_uplane(
-                slot_time, is_ssb_slot, dl_allocs, dl_symbols
+                slot_time, offset, is_ssb_slot, dl_allocs, dl_symbols
             )
         for allocation in dl_allocs:
             self.counters.dl_bits += allocation.bits
@@ -240,6 +262,7 @@ class DistributedUnit:
     def _build_dl_uplane(
         self,
         slot_time: SymbolTime,
+        offset: int,
         is_ssb_slot: bool,
         allocations: List[PrbAllocation],
         symbols: List[int],
@@ -255,28 +278,19 @@ class DistributedUnit:
                 )
             else:
                 symbols = symbols[: self.symbols_per_slot]
-        keys = [
-            (replace(slot_time, symbol=symbol), port)
+        rows = [
+            (symbol, port)
             for symbol in symbols
             for port in range(self.cell.n_antennas)
         ]
-        # Each (symbol, port) row is drawn on its own — ``normal`` and the
-        # allocations' ``integers`` alternate on one generator — into a
-        # block of at most ``_BLOCK_ROWS`` complex rows quantised at once;
-        # the slot's int16 then goes through the codec in one blocked pass.
-        n_sc = self.cell.num_prb * SAMPLES_PER_PRB
-        grids: List[np.ndarray] = []
-        for start in range(0, len(keys), _BLOCK_ROWS):
-            block = keys[start : start + _BLOCK_ROWS]
-            signal = np.empty((len(block), n_sc), dtype=np.complex128)
-            for row, (time, port) in zip(signal, block):
-                self._symbol_grid(row, allocations, port, time.symbol, is_ssb_slot)
-            grids.extend(iq_to_int16(signal, backoff=DL_FIXED_POINT_BACKOFF))
+        slot = self._dl_slot(offset, rows, allocations, is_ssb_slot)
+        grids = slot.reshape(len(rows), self.cell.num_prb, -1)
         sections = UPlaneSection.from_ranges(
             [(self.du_id % 4096, 0, grid) for grid in grids], self.compression
         )
         packets = []
-        for (time, port), section in zip(keys, sections):
+        for (symbol, port), section in zip(rows, sections):
+            time = replace(slot_time, symbol=symbol)
             message = UPlaneMessage(
                 direction=Direction.DOWNLINK, time=time, sections=[section]
             )
@@ -284,39 +298,50 @@ class DistributedUnit:
             packets.append(self._emit(message, eaxc, uplane=True))
         return packets
 
-    def _symbol_grid(
+    def _dl_slot(
         self,
-        row: np.ndarray,
+        offset: int,
+        rows: List[Tuple[int, int]],
         allocations: List[PrbAllocation],
-        port: int,
-        symbol: int,
         is_ssb_slot: bool,
-    ) -> None:
-        """Fill ``row`` with one symbol's complex grid for one port."""
-        row.real, row.imag = self.rng.normal(0, IDLE_PRB_AMPLITUDE, (2, len(row)))
+    ) -> np.ndarray:
+        """The int16 grid of each ``(symbol, port)`` row of the slot
+        ``offset`` slots into the run, ``(len(rows), 2 n_sc)`` interleaved
+        I/Q: keyed idle noise, then each allocation's keyed 16-QAM points
+        on its layers' ports, then the SSB on port 0.  A row is a function
+        of its key alone, whatever the other rows."""
+        symbols, ports = np.array(rows, dtype=np.uint64).reshape(-1, 2).T
+        keys = mix64(self.seed, self.du_id, offset, symbols, ports)
+        n_sc = self.cell.num_prb * SAMPLES_PER_PRB
+        slot = _IDLE_NOISE.windows(keys, 2 * n_sc).astype(np.int16)
+        data = _DATA_SYMBOLS.windows(keys >> np.uint64(32), n_sc)
+        pairs = slot.view(np.int32)
         for allocation in allocations:
-            if port >= allocation.layers:
-                continue
+            layers = ports < allocation.layers
             start = allocation.start_prb * SAMPLES_PER_PRB
-            count = allocation.num_prb * SAMPLES_PER_PRB
-            data_symbols = self.rng.integers(0, DATA_QAM_ORDER, count)
-            row[start : start + count] = self.modulator.modulate(data_symbols)
-        if is_ssb_slot and port == 0 and symbol in self.cell.ssb_symbols:
-            ssb_start, ssb_end = self.cell.ssb_prb_range
-            start = ssb_start * SAMPLES_PER_PRB
-            count = (ssb_end - ssb_start) * SAMPLES_PER_PRB
-            row[start : start + count] = self._ssb_waveform(count)
+            stop = start + allocation.num_prb * SAMPLES_PER_PRB
+            pairs[layers, start:stop] = _QAM_PAIRS.take(data[layers, start:stop])
+        if is_ssb_slot:
+            ssb = (ports == 0) & np.isin(symbols, self.cell.ssb_symbols)
+            start = self.cell.ssb_prb_range[0] * 2 * SAMPLES_PER_PRB
+            slot[ssb, start : start + len(self._ssb_int16)] = self._ssb_int16
+        return slot
 
-    def _ssb_waveform(self, n_samples: int) -> np.ndarray:
-        """Deterministic PSS/SSS-like sequence derived from the PCI.
+    @cached_property
+    def _ssb_int16(self) -> np.ndarray:
+        """The SSB's PRBs as interleaved int16, built once per DU: a
+        deterministic PSS/SSS-like sequence derived from the PCI.
 
         Real SSBs encode the cell id in their sequences; a PCI-seeded QPSK
         sequence preserves the property the dMIMO middlebox needs (the SSB
         is recognisable, constant, and distinct per cell).
         """
+        ssb_start, ssb_end = self.cell.ssb_prb_range
         rng = np.random.default_rng(self.cell.pci)
-        qpsk = QamModulator(4)
-        return qpsk.modulate(rng.integers(0, 4, n_samples))
+        waveform = QamModulator(4).modulate(
+            rng.integers(0, 4, (ssb_end - ssb_start) * SAMPLES_PER_PRB)
+        )
+        return iq_to_int16(waveform, backoff=DL_FIXED_POINT_BACKOFF).ravel()
 
     def _emit(self, message, eaxc: EAxCId, uplane: bool = False) -> FronthaulPacket:
         packet = make_packet(

@@ -5,8 +5,9 @@ vectorized fronthaul hot paths: the BFP codec, the payload merge, and
 the U-plane parser.  The differential suite runs both implementations
 over generated inputs and asserts **byte-identical** output — the
 property that pins the vectorized fast paths to the wire format.  The
-hard-decision QAM demapper the decode tests judge received IQ with
-lives here too.
+hard-decision QAM demapper the decode tests judge received IQ with,
+and the scalar key mix the keyed downlink is checked against, live here
+too.
 
 Nothing here imports numpy; every value is a Python int, so the
 reference cannot share a bug with the vectorized code's array handling.
@@ -265,3 +266,16 @@ def demodulate(modulator, points) -> List[int]:
         min(symbols, key=lambda s: abs(complex(point) - constellation[s]))
         for point in points
     ]
+
+
+def scalar_mix64(*words: int) -> int:
+    """SplitMix64's finaliser chained over the words, ``h = fmix(h ^
+    word)`` from ``h = 0``, one key at a time: the oracle of
+    ``repro.phy.keyed.mix64``."""
+    h = 0
+    for word in words:
+        z = (h ^ word) + 0x9E3779B97F4A7C15 & (1 << 64) - 1
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & (1 << 64) - 1
+        z = (z ^ z >> 27) * 0x94D049BB133111EB & (1 << 64) - 1
+        h = z ^ z >> 31
+    return h

@@ -28,6 +28,13 @@ class TestConfigAndDispatch:
             codec_for(CompressionConfig(iq_width=9)), BfpCompressor
         )
 
+    def test_codec_for_returns_one_codec_per_config(self):
+        assert codec_for(_config()) is codec_for(_config())
+        assert codec_for(CompressionConfig(iq_width=9)) is codec_for(
+            CompressionConfig()
+        )
+        assert codec_for(_config(3)) is not codec_for(_config(4))
+
     def test_modcompressor_rejects_bfp_config(self):
         with pytest.raises(ValueError):
             ModCompressor(CompressionConfig(iq_width=9))

@@ -1,19 +1,22 @@
-"""Slot-level endpoint builds: a blocked float stage and one blocked codec
+"""Slot-level endpoint builds: one int16 slot array and one blocked codec
 pass per RU / DU per slot.
 
 ``RadioUnit.build_uplink`` draws noise and quantises a block of at most 8
-owed (symbol, port) rows at a time, ``DistributedUnit._build_dl_uplane``
-draws per row and quantises per block, and both compress the slot's int16
-in one pass.  Batching must be invisible: packet for packet and byte for
-byte what a per-(symbol, port) build yields, the same sequence counters,
-and payloads the scalar oracle reproduces from an independently replayed
-RNG stream drawn one vector at a time.
+owed (symbol, port) rows at a time; ``DistributedUnit._build_dl_uplane``
+builds the whole slot on int16 from keyed pools; both compress the slot's
+int16 in one pass.  Batching must be invisible: packet for packet and
+byte for byte what a per-(symbol, port) build yields, the same sequence
+counters, and payloads the scalar oracle reproduces — for the RU from an
+independently replayed RNG stream drawn one vector at a time, for the DU
+from each row's key alone.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tests.conformance.reference import scalar_compress
+from tests.conformance.reference import scalar_compress, scalar_mix64
 from repro.fronthaul.compression import (
     MOD_COMP_METH,
     SAMPLES_PER_PRB,
@@ -30,12 +33,11 @@ from repro.fronthaul.packet import make_packet
 from repro.fronthaul.timing import SymbolTime
 from repro.phy.iq import DL_FIXED_POINT_BACKOFF, QamModulator, iq_to_int16
 from repro.ran import ru as ru_module
+from repro.phy.iq import INT16_SCALE
+from repro.phy.keyed import POOL_SIZE, KeyedPool
+from repro.ran import du as du_module
 from repro.ran.cell import CellConfig
-from repro.ran.du import (
-    DATA_QAM_ORDER,
-    IDLE_PRB_AMPLITUDE,
-    DistributedUnit,
-)
+from repro.ran.du import DATA_QAM_ORDER, IDLE_PRB_AMPLITUDE, DistributedUnit
 from repro.ran.ru import RadioUnit, RuConfig
 from repro.ran.traffic import ConstantBitrateFlow
 from tests.testbed import record_downlink, ssb_reference
@@ -292,15 +294,48 @@ class TestRuSlotBuild:
         assert ru.counters.uplane_sent == 0 and ru._seq == {}
 
 
-def loaded_du(compression, symbols_per_slot, seed=9):
+def keyed_reference_grid(du, offset, symbol, port, allocations, ssb):
+    """One downlink row as ``(num_prb, 24)`` int16, built alone from its
+    key: the noise window and the symbol window the key selects in the
+    DU's two pools, each downlink allocation on its layers' ports
+    modulated and quantised by the float path, then the SSB."""
+    key = scalar_mix64(du.seed, du.du_id, offset, symbol, port)
+    n_sc = du.cell.num_prb * SAMPLES_PER_PRB
+    noise_at = key % (POOL_SIZE - 2 * n_sc + 1)
+    grid = du_module._IDLE_NOISE.samples[noise_at : noise_at + 2 * n_sc]
+    grid = grid.astype(np.int16).reshape(du.cell.num_prb, 2 * SAMPLES_PER_PRB)
+    symbols_at = (key >> 32) % (POOL_SIZE - n_sc + 1)
+    symbols = du_module._DATA_SYMBOLS.samples[symbols_at : symbols_at + n_sc]
+    modulator = QamModulator(DATA_QAM_ORDER)
+    for allocation in allocations:
+        if allocation.direction is not Direction.DOWNLINK:
+            continue
+        if port >= allocation.layers:
+            continue
+        start, end = allocation.prb_range
+        grid[start:end] = iq_to_int16(
+            modulator.modulate(
+                symbols[start * SAMPLES_PER_PRB : end * SAMPLES_PER_PRB]
+            ),
+            backoff=DL_FIXED_POINT_BACKOFF,
+        )
+    if ssb and port == 0 and symbol in du.cell.ssb_symbols:
+        ssb_start, ssb_end = du.cell.ssb_prb_range
+        grid[ssb_start:ssb_end] = iq_to_int16(
+            ssb_reference(du), backoff=DL_FIXED_POINT_BACKOFF
+        )
+    return grid
+
+
+def loaded_du(compression, symbols_per_slot, seed=9, du_id=2, dl_layers=2):
     cell = CellConfig(
         pci=5, bandwidth_hz=40_000_000, n_antennas=2, max_dl_layers=2
     )
     du = DistributedUnit(
-        du_id=2, cell=cell, symbols_per_slot=symbols_per_slot, seed=seed,
+        du_id=du_id, cell=cell, symbols_per_slot=symbols_per_slot, seed=seed,
         compression=compression,
     )
-    du.scheduler.add_ue("ue", dl_layers=2)
+    du.scheduler.add_ue("ue", dl_layers=dl_layers)
     du.scheduler.update_ue_quality("ue", dl_aggregate_se=10.0, ul_se=3.0)
     du.attach_flow("ue", ConstantBitrateFlow(100, "dl"), Direction.DOWNLINK)
     return du
@@ -336,46 +371,31 @@ class TestDuSlotBuild:
         assert seen == 3 * symbols_per_slot * 2
         assert du.counters.dl_packets == seen
 
-    def test_grids_are_the_per_item_oracle_over_a_replayed_rng(
-        self, compression, symbols_per_slot
+    @pytest.mark.parametrize("dl_layers", [1, 2])
+    def test_grids_are_the_keyed_per_item_oracle(
+        self, compression, symbols_per_slot, dl_layers
     ):
-        """``normal``, ``normal``, then ``integers`` per allocation, item
-        by item on one generator: the per-(symbol, port) build the blocked
-        quantise replaced, kept as the oracle (slot 0 is the SSB slot)."""
-        du = loaded_du(compression, symbols_per_slot)
+        """Each row, item by item, from its key alone: the scalar mix of
+        (seed, du_id, slot offset, symbol, port) picks the noise and the
+        symbol windows, and the float path modulates and quantises the
+        allocations (on their layers' ports: one layer leaves port 1
+        idle) and the SSB (slot 0 is the SSB slot)."""
+        du = loaded_du(compression, symbols_per_slot, dl_layers=dl_layers)
         sent = record_downlink(du)
         granted = {}
         schedule = du.scheduler.schedule_slot
         du.scheduler.schedule_slot = lambda slot: granted.setdefault(
             slot, schedule(slot)
         )
-        replay = np.random.default_rng(9)
-        modulator = QamModulator(DATA_QAM_ORDER)
-        n_sc = du.cell.num_prb * SAMPLES_PER_PRB
-        ssb_start, ssb_end = du.cell.ssb_prb_range
         for slot in range(3):
             uplane = [p for p in du.advance_slot(slot) if p.is_uplane]
             assert len(uplane) == 2 * symbols_per_slot
-            for packet in uplane:  # emission order is draw order
+            for packet in uplane:
                 port = packet.eaxc.ru_port
-                grid = replay.normal(0, IDLE_PRB_AMPLITUDE, n_sc) + 1j * replay.normal(
-                    0, IDLE_PRB_AMPLITUDE, n_sc
+                expected = keyed_reference_grid(
+                    du, slot, packet.time.symbol, port, granted[slot],
+                    ssb=slot == 0,
                 )
-                for allocation in granted[slot]:
-                    if allocation.direction is not Direction.DOWNLINK:
-                        continue
-                    if port >= allocation.layers:
-                        continue
-                    start = allocation.start_prb * SAMPLES_PER_PRB
-                    count = allocation.num_prb * SAMPLES_PER_PRB
-                    grid[start : start + count] = modulator.modulate(
-                        replay.integers(0, DATA_QAM_ORDER, count)
-                    )
-                if slot == 0 and port == 0 and packet.time.symbol in du.cell.ssb_symbols:
-                    grid[
-                        ssb_start * SAMPLES_PER_PRB : ssb_end * SAMPLES_PER_PRB
-                    ] = ssb_reference(du)
-                expected = iq_to_int16(grid, backoff=DL_FIXED_POINT_BACKOFF)
                 reference = sent[(packet.time, port)]
                 assert reference.dtype == np.int16
                 assert (reference == expected).all()
@@ -383,7 +403,9 @@ class TestDuSlotBuild:
                 assert section.payload == scalar_compress(
                     expected.tolist(), compression.iq_width, compression.comp_meth
                 )
-        assert any(a.direction is Direction.DOWNLINK for a in granted[1])
+        assert {
+            a.layers for a in granted[1] if a.direction is Direction.DOWNLINK
+        } == {dl_layers}
 
     def test_sequence_numbers_run_per_eaxc_in_emission_order(
         self, compression, symbols_per_slot
@@ -396,3 +418,96 @@ class TestDuSlotBuild:
                 assert packet.ecpri.seq_id == expected.get(flow, 0)
                 expected[flow] = (packet.ecpri.seq_id + 1) % 256
         assert du._seq == expected
+
+
+def _rows_by_key(rows, slot):
+    return {row: grid.tobytes() for row, grid in zip(rows, slot)}
+
+
+class TestDuKeyedRows:
+    """A downlink row is a pure function of its key (seed, du_id, slot
+    offset, symbol, port): not of which other rows a slot builds, nor of
+    their order."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**63),
+        du_id=st.integers(1, 15),
+        offset=st.integers(0, 2**40),
+        order=st.permutations(range(28)),
+    )
+    def test_a_row_is_its_key_in_any_slot_and_any_order(
+        self, seed, du_id, offset, order
+    ):
+        dus = {
+            n: loaded_du(CODECS[0], n, seed=seed, du_id=du_id) for n in (2, 14)
+        }
+        sent = {n: record_downlink(du) for n, du in dus.items()}
+        granted = {}
+        schedule = dus[14].scheduler.schedule_slot
+        dus[14].scheduler.schedule_slot = lambda slot: granted.setdefault(
+            slot, schedule(slot)
+        )
+        for slot in range(2):  # the SSB slot, then a data slot
+            for du in dus.values():
+                du.advance_slot(slot)
+        # The 2-symbol DU's rows are the 14-symbol DU's, byte for byte.
+        assert len(sent[2]) == 8 and set(sent[2]) < set(sent[14])
+        for key, grid in sent[2].items():
+            assert grid.tobytes() == sent[14][key].tobytes()
+        # A slot built in a permuted row order holds the same rows.
+        du = dus[14]
+        rows = [(symbol, port) for symbol in range(14) for port in (0, 1)]
+        permuted = [rows[i] for i in order]
+        allocations = [
+            a for a in granted[1] if a.direction is Direction.DOWNLINK
+        ]
+        assert allocations
+        for ssb in (False, True):
+            built = _rows_by_key(rows, du._dl_slot(offset, rows, allocations, ssb))
+            assert built == _rows_by_key(
+                permuted, du._dl_slot(offset, permuted, allocations, ssb)
+            )
+            # Different keys, different rows: within the slot, at the
+            # next offset, and on a DU of another seed or id.
+            assert len(set(built.values())) == len(rows)
+            for other, at in (
+                (du, offset + 1),
+                (loaded_du(CODECS[0], 14, seed=seed + 1, du_id=du_id), offset),
+                (loaded_du(CODECS[0], 14, seed=seed, du_id=du_id % 15 + 1), offset),
+            ):
+                moved = _rows_by_key(rows, other._dl_slot(at, rows, allocations, ssb))
+                assert all(moved[row] != built[row] for row in rows)
+
+    def test_the_pools_are_one_draw_each_from_their_constant_seeds(self):
+        """Idle noise is ``rint(N(0, σ))`` in int16 steps at the downlink
+        drive level (σ ≈ 4.6); symbols are uniform 16-QAM indices."""
+        sigma = IDLE_PRB_AMPLITUDE * INT16_SCALE * DL_FIXED_POINT_BACKOFF
+        assert 4.58 < sigma < 4.59
+        noise = du_module._IDLE_NOISE.samples
+        assert (
+            noise == np.rint(np.random.default_rng(1).normal(0, sigma, POOL_SIZE))
+        ).all()
+        assert abs(noise.std() / sigma - 1) < 0.01
+        symbols = du_module._DATA_SYMBOLS.samples
+        assert (
+            symbols == np.random.default_rng(2).integers(0, DATA_QAM_ORDER, POOL_SIZE)
+        ).all()
+
+    def test_no_pool_is_built_before_the_first_slot(self, monkeypatch):
+        from repro.eval import kit
+        from repro.scale.build import build_groups
+
+        for name in ("_IDLE_NOISE", "_DATA_SYMBOLS"):
+            pool = getattr(du_module, name)
+            monkeypatch.setattr(
+                du_module, name, KeyedPool(pool._seed, pool._dtype, pool._draw)
+            )
+        (group,) = build_groups(kit.scenario(
+            "lazy", 1, 1, [kit.cell("cell", 1, [kit.flow("dl", 20.0)])]
+        ))
+        assert du_module._IDLE_NOISE._samples is None
+        assert du_module._DATA_SYMBOLS._samples is None
+        group.network.run(1)
+        assert du_module._IDLE_NOISE._samples is not None
+        assert du_module._DATA_SYMBOLS._samples is not None

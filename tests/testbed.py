@@ -24,7 +24,7 @@ from repro.eval import kit
 from repro.fronthaul.compression import SAMPLES_PER_PRB
 from repro.fronthaul.packet import FronthaulPacket
 from repro.fronthaul.timing import SymbolTime
-from repro.phy.iq import DL_FIXED_POINT_BACKOFF, QamModulator, iq_to_int16
+from repro.phy.iq import QamModulator
 from repro.ran.du import DistributedUnit
 from repro.ran.ru import RadioUnit
 from repro.scale.build import build_cell
@@ -79,28 +79,30 @@ def record_downlink(
     du: DistributedUnit,
 ) -> Dict[Tuple[SymbolTime, int], np.ndarray]:
     """The int16 grid of every downlink U-plane symbol ``du`` builds from
-    now on, ``{(time, port): grid}``, quantised as the DU quantises it
-    before compression: the complex rows ``_symbol_grid`` fills are kept
-    and paired with the packets ``_build_dl_uplane`` returns (one per
-    row, in order); both are wrapped on the instance."""
+    now on, ``{(time, port): grid}``, ``(num_prb, 24)`` as the codec
+    takes it: the slot ``_dl_slot`` returns is kept and its rows paired
+    with the packets ``_build_dl_uplane`` returns (one per row, in
+    order); both are wrapped on the instance."""
     grids: Dict[Tuple[SymbolTime, int], np.ndarray] = {}
-    rows: List[np.ndarray] = []
-    symbol_grid, build = du._symbol_grid, du._build_dl_uplane
+    slots: List[np.ndarray] = []
+    dl_slot, build = du._dl_slot, du._build_dl_uplane
 
-    def recording_grid(row: np.ndarray, *args: Any) -> None:
-        symbol_grid(row, *args)
-        rows.append(row.copy())
+    def recording_slot(*args: Any) -> np.ndarray:
+        slot = dl_slot(*args)
+        slots.append(slot.copy())
+        return slot
 
     def recording_build(*args: Any) -> List[FronthaulPacket]:
-        rows.clear()
+        slots.clear()
         packets = build(*args)
-        for packet, row in zip(packets, rows):
-            grids[(packet.time, packet.eaxc.ru_port)] = iq_to_int16(
-                row, backoff=DL_FIXED_POINT_BACKOFF
+        (slot,) = slots
+        for packet, row in zip(packets, slot):
+            grids[(packet.time, packet.eaxc.ru_port)] = row.reshape(
+                du.cell.num_prb, 2 * SAMPLES_PER_PRB
             )
         return packets
 
-    du._symbol_grid = recording_grid
+    du._dl_slot = recording_slot
     du._build_dl_uplane = recording_build
     return grids
 
