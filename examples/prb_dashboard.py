@@ -48,37 +48,34 @@ def main() -> None:
 
     print("PRB utilization dashboard (100 MHz cell, 10 ms per ramp step)")
     print(f"{'offered':>8}  {'monitor':>8}  {'truth':>6}  timeline")
+    # Each window reads the deltas of running counts: the monitor's DL
+    # fold and the scheduler's per-direction ground truth.
+    folded = monitor.folds[Direction.DOWNLINK]
+    scheduler = du.scheduler
     for rate_mbps, n_slots in RAMP:
         du.flows.clear()
         if rate_mbps > 0:
             du.attach_flow("ue", ConstantBitrateFlow(rate_mbps, "dl"),
                            Direction.DOWNLINK)
-        log_start = len(du.scheduler.mac_log)
-        estimate_start = len(monitor.estimates)
+        slots_before = scheduler.scheduled_slots[Direction.DOWNLINK]
+        truth_before = scheduler.utilization_sum[Direction.DOWNLINK]
+        utilized_before = folded.utilized_prbs
         group.network.run(n_slots)
-        window = [
-            e.utilization
-            for e in monitor.estimates[estimate_start:]
-            if e.direction is Direction.DOWNLINK
-        ]
-        dl_logs = [
-            entry.utilization
-            for entry in du.scheduler.mac_log[log_start:]
-            if entry.direction is Direction.DOWNLINK
-        ]
-        truth = sum(dl_logs) / len(dl_logs) if dl_logs else 0.0
-        estimate = sum(window) / max(len(dl_logs), 1)
+        dl_slots = scheduler.scheduled_slots[Direction.DOWNLINK] - slots_before
+        truth_sum = scheduler.utilization_sum[Direction.DOWNLINK] - truth_before
+        truth = truth_sum / dl_slots if dl_slots else 0.0
+        utilized = folded.utilized_prbs - utilized_before
+        estimate = utilized / folded.num_prb / max(dl_slots, 1)
         bar = "#" * int(estimate * BAR_WIDTH)
         print(f"{rate_mbps:7.0f}M  {estimate:8.1%}  {truth:6.1%}  |{bar}")
 
-    # The feed a RIC application reads: the monitor's estimate list,
-    # stamped with each estimate's symbol time.
+    # The feed a RIC application reads: one estimate per monitored
+    # symbol, both directions, over the run's wall-clock span.
     print()
-    stamps = [e.time.ns(cell.config.numerology) for e in monitor.estimates]
-    span_s = (stamps[-1] - stamps[0]) / 1e9 if stamps else 0.0
-    rate = len(stamps) / span_s if span_s > 0 else 0
-    print(f"Telemetry feed: {len(stamps)} estimates, "
-          f"{rate:,.0f} samples/s (sub-millisecond granularity)")
+    samples = sum(fold.samples for fold in monitor.folds.values())
+    span_s = SPEC["slots"] * cell.config.numerology.slot_duration_ns / 1e9
+    print(f"Telemetry feed: {samples} estimates, "
+          f"{samples / span_s:,.0f} samples/s (sub-millisecond granularity)")
 
     # The operator view: live counters/gauges from the metrics registry.
     print()

@@ -21,7 +21,7 @@ And the Section 8.1 use cases, built on the same template:
 from repro.apps.das import DasMiddlebox
 from repro.apps.dmimo import DmimoMiddlebox, RuPortMap
 from repro.apps.ru_sharing import RuSharingMiddlebox, SharedDuConfig
-from repro.apps.prb_monitor import PrbMonitorMiddlebox, UtilizationEstimate
+from repro.apps.prb_monitor import PrbMonitorMiddlebox
 from repro.apps.resilience import FailoverEvent, ResilienceMiddlebox
 from repro.apps.security import FronthaulGuardMiddlebox, SecurityAlert
 from repro.apps.sensing import InterferenceAlert, SpectrumSensorMiddlebox
@@ -33,7 +33,6 @@ __all__ = [
     "RuSharingMiddlebox",
     "SharedDuConfig",
     "PrbMonitorMiddlebox",
-    "UtilizationEstimate",
     "ResilienceMiddlebox",
     "FailoverEvent",
     "FronthaulGuardMiddlebox",

@@ -4,9 +4,11 @@ A passive middlebox that estimates per-symbol PRB utilization from the BFP
 compression exponents carried in U-plane packets, without decompressing
 any IQ samples: a PRB whose exponent exceeds a threshold carries real
 signal energy and is counted as utilized; near-zero (idle) PRBs compress
-with exponent 0.  Estimates are appended to :attr:`PrbMonitorMiddlebox.
-estimates` (the monitor's telemetry) at sub-millisecond granularity and
-every packet is forwarded unmodified.
+with exponent 0.  Every packet is forwarded unmodified.  One estimate
+per monitored symbol, at sub-millisecond granularity: its per-PRB flags
+stay in ``slot_state`` while the slot is held, and its count folds into
+:attr:`PrbMonitorMiddlebox.folds` (the monitor's telemetry), one running
+fold per direction — no record outlives its slot.
 
 Thresholds default to the values that worked across the paper's setups:
 0 for downlink and 2 for uplink (uplink noise floors produce small
@@ -15,8 +17,7 @@ non-zero exponents).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, Hashable
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from repro.core.actions import ActionContext, ExecLocation
 from repro.core.middlebox import Middlebox
 from repro.fronthaul.cplane import Direction
 from repro.fronthaul.packet import FronthaulPacket
-from repro.fronthaul.timing import SymbolTime
 from repro.obs.metrics import declare
 
 #: The help text keeps its wording: the obs-live exposition golden
@@ -41,20 +41,35 @@ _UTILIZATION = declare(
 )
 
 
-@dataclass(frozen=True)
-class UtilizationEstimate:
-    """One telemetry sample: the utilization bitvector of a symbol."""
+class UtilizationFold:
+    """One direction's estimates as running sums: every estimate's utilized
+    PRBs, and each slot's mean utilization summed (Figure 10c).  A slot
+    closes when an estimate of another slot arrives, not at ``end_slot``:
+    a deadline-flushed DAS merge reaches a monitor upstream of it after
+    that monitor's slot closed, and counts in its own slot."""
 
-    time: SymbolTime
-    direction: Direction
-    ru_port: int
-    utilized: Tuple[bool, ...]
+    def __init__(self, num_prb: int):
+        self.num_prb = num_prb
+        self.samples = self.utilized_prbs = 0
+        self._closed = 0.0
+        self._slot, self._slot_samples, self._slot_prbs = None, 0, 0
 
-    @property
-    def utilization(self) -> float:
-        if not self.utilized:
-            return 0.0
-        return sum(self.utilized) / len(self.utilized)
+    def add(self, slot_key: Hashable, utilized_prbs: int) -> None:
+        if slot_key != self._slot:
+            self._closed = self.slot_mean_sum()
+            self._slot, self._slot_samples, self._slot_prbs = slot_key, 0, 0
+        self._slot_samples += 1
+        self._slot_prbs += utilized_prbs
+        self.samples += 1
+        self.utilized_prbs += utilized_prbs
+
+    def slot_mean_sum(self) -> float:
+        """Each slot's mean utilization, summed in arrival order."""
+        if not self._slot_samples:
+            return self._closed
+        return self._closed + self._slot_prbs / (
+            self._slot_samples * self.num_prb
+        )
 
 
 class PrbMonitorMiddlebox(Middlebox):
@@ -88,7 +103,10 @@ class PrbMonitorMiddlebox(Middlebox):
         self.thr_dl = thr_dl
         self.thr_ul = thr_ul
         self.monitor_port = monitor_port
-        self.estimates: List[UtilizationEstimate] = []
+        self.folds: Dict[Direction, UtilizationFold] = {
+            direction: UtilizationFold(carrier_num_prb)
+            for direction in Direction
+        }
 
     # -- handlers --------------------------------------------------------------
 
@@ -110,37 +128,29 @@ class PrbMonitorMiddlebox(Middlebox):
         )
         utilized = np.zeros(self.carrier_num_prb, dtype=bool)
         for section in packet.message.sections:
-            exponents = ctx.read_exponents(section)
-            flags = exponents > threshold
+            flags = ctx.read_exponents(section) > threshold
             start = section.start_prb
             end = min(start + section.num_prb, self.carrier_num_prb)
             if end > start:
                 utilized[start:end] = flags[: end - start]
-        estimate = UtilizationEstimate(
-            time=packet.time,
-            direction=direction,
-            ru_port=packet.eaxc.ru_port,
-            utilized=tuple(utilized.tolist()),
-        )
-        self.estimates.append(estimate)
+        time = packet.time
+        self.slot_state[direction, time] = utilized
+        count = int(np.count_nonzero(utilized))
+        self.folds[direction].add(time.slot_key(), count)
         if self.obs.enabled:
             labels = (
                 self.name, "DL" if direction is Direction.DOWNLINK else "UL"
             )
             self.obs.children(_PUBLISHES, *labels).inc()
-            self.obs.children(_UTILIZATION, *labels).set(estimate.utilization)
+            self.obs.children(_UTILIZATION, *labels).set(
+                count / self.carrier_num_prb
+            )
 
     # -- aggregation (what applications consume) -------------------------------------
 
-    def average_utilization(
-        self, direction: Optional[Direction] = None
-    ) -> float:
-        """Mean PRB utilization over all collected estimates."""
-        samples = [
-            e.utilization
-            for e in self.estimates
-            if direction is None or e.direction is direction
-        ]
-        if not samples:
+    def average_utilization(self, direction: Direction) -> float:
+        """Mean PRB utilization over every estimate of one direction."""
+        fold = self.folds[direction]
+        if not fold.samples:
             return 0.0
-        return float(np.mean(samples))
+        return fold.utilized_prbs / (fold.samples * self.carrier_num_prb)

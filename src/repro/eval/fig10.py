@@ -268,6 +268,49 @@ class Fig10cResult:
         )
 
 
+def _fig10c_deployment(load: float, n_slots: int, seed: int):
+    """Figure 10c's cell at ``load`` Mbps offered: its built group and the
+    UE's uplink signal (QAM on the PRBs the DU granted each slot)."""
+    from repro.fronthaul.compression import SAMPLES_PER_PRB
+    from repro.phy.iq import QamModulator
+    from repro.scale.build import build_groups
+
+    flows = []
+    if load > 0:
+        flows = [kit.flow("dl", load), kit.flow("ul", load / 10.0)]
+    # A 4x4-class aggregate SE so the load/utilization mapping matches
+    # the paper's 100 MHz 4x4 cell (only port 0 carries monitored IQ).
+    (group,) = build_groups(kit.scenario("fig10c", n_slots, seed, [
+        kit.cell(
+            "monitored", 9, flows,
+            rus=kit.radios(1, seed, n_antennas=1),
+            ue={"dl_layers": 4, "dl_aggregate_se": 16.0},
+            bandwidth_hz=100_000_000, n_antennas=1, max_dl_layers=1,
+            seed=seed, chain=[{"stage": "prb_monitor"}],
+        )
+    ]))
+    du = group.cells[0].du
+    modulator = QamModulator(16)
+    rng = np.random.default_rng(seed)
+
+    def ue_uplink(ru_obj, position, time, port):
+        """Transmit QAM on the PRBs the DU granted this slot."""
+        pending = du._pending_ul.get(time.slot_key())
+        if not pending:
+            return None
+        n_sc = ru_obj.config.num_prb * SAMPLES_PER_PRB
+        grid = np.zeros(n_sc, dtype=np.complex128)
+        for allocation in pending:
+            start = allocation.start_prb * SAMPLES_PER_PRB
+            count = allocation.num_prb * SAMPLES_PER_PRB
+            grid[start : start + count] = modulator.modulate(
+                rng.integers(0, 16, count)
+            ) * 0.5
+        return grid
+
+    return group, ue_uplink
+
+
 def run_fig10c(
     loads_mbps: Tuple[float, ...] = (0, 100, 200, 300, 400, 500, 600, 700),
     n_slots: int = 30,
@@ -277,89 +320,31 @@ def run_fig10c(
 
     A 100 MHz cell (one monitored antenna port) serves one UE at each
     offered load; the monitor's estimates (Algorithm 1 over real BFP
-    exponents) are compared with the scheduler's MAC log.
+    exponents) are compared with the scheduler's allocations.
     """
-    from repro.fronthaul.compression import SAMPLES_PER_PRB
-    from repro.phy.iq import QamModulator
-    from repro.scale.build import build_groups
-
     downlink_points: List[Fig10cPoint] = []
     uplink_points: List[Fig10cPoint] = []
     for load in loads_mbps:
-        flows = []
-        if load > 0:
-            flows = [kit.flow("dl", load), kit.flow("ul", load / 10.0)]
-        # A 4x4-class aggregate SE so the load/utilization mapping matches
-        # the paper's 100 MHz 4x4 cell (only port 0 carries monitored IQ).
-        (group,) = build_groups(kit.scenario("fig10c", n_slots, seed, [
-            kit.cell(
-                "monitored", 9, flows,
-                rus=kit.radios(1, seed, n_antennas=1),
-                ue={"dl_layers": 4, "dl_aggregate_se": 16.0},
-                bandwidth_hz=100_000_000, n_antennas=1, max_dl_layers=1,
-                seed=seed, chain=[{"stage": "prb_monitor"}],
-            )
-        ]))
-        monitor, du = group.middleboxes[0], group.cells[0].du
-        modulator = QamModulator(16)
-        rng = np.random.default_rng(seed)
-
-        def ue_uplink(ru_obj, position, time, port, _du=du, _rng=rng):
-            """Transmit QAM on the PRBs the DU granted this slot."""
-            pending = _du._pending_ul.get(time.slot_key())
-            if not pending:
-                return None
-            n_sc = ru_obj.config.num_prb * SAMPLES_PER_PRB
-            grid = np.zeros(n_sc, dtype=np.complex128)
-            for allocation in pending:
-                start = allocation.start_prb * SAMPLES_PER_PRB
-                count = allocation.num_prb * SAMPLES_PER_PRB
-                grid[start : start + count] = modulator.modulate(
-                    _rng.integers(0, 16, count)
-                ) * 0.5
-            return grid
-
+        group, ue_uplink = _fig10c_deployment(load, n_slots, seed)
+        monitor, scheduler = group.middleboxes[0], group.cells[0].du.scheduler
         group.network.run(n_slots, uplink_signal_fn=ue_uplink)
+
         # Estimates exist only for slots that carried U-plane traffic;
         # slots with no U-plane are idle by definition, so normalize per
         # direction-capable slot (what a wall-clock monitor does).
-        from collections import defaultdict
-
-        def per_slot_estimate(direction: Direction) -> float:
-            per_slot: Dict[Tuple, List[float]] = defaultdict(list)
-            for estimate in monitor.estimates:
-                if estimate.direction is direction:
-                    per_slot[estimate.time.slot_key()].append(
-                        estimate.utilization
-                    )
-            n_capable = sum(
-                1
-                for entry in du.scheduler.mac_log
-                if entry.direction is direction
-            )
-            if not n_capable:
-                return 0.0
-            return (
-                sum(float(np.mean(v)) for v in per_slot.values()) / n_capable
-            )
-
-        ul_estimate = per_slot_estimate(Direction.UPLINK)
-        downlink_points.append(
-            Fig10cPoint(
-                offered_mbps=load,
-                estimated_utilization=per_slot_estimate(Direction.DOWNLINK),
-                ground_truth_utilization=du.scheduler.average_utilization(
-                    Direction.DOWNLINK
+        def point(direction: Direction, offered: float) -> Fig10cPoint:
+            capable = scheduler.scheduled_slots[direction]
+            return Fig10cPoint(
+                offered_mbps=offered,
+                estimated_utilization=(
+                    monitor.folds[direction].slot_mean_sum() / capable
+                    if capable else 0.0
+                ),
+                ground_truth_utilization=scheduler.average_utilization(
+                    direction
                 ),
             )
-        )
-        uplink_points.append(
-            Fig10cPoint(
-                offered_mbps=load / 10.0,
-                estimated_utilization=ul_estimate,
-                ground_truth_utilization=du.scheduler.average_utilization(
-                    Direction.UPLINK
-                ),
-            )
-        )
+
+        downlink_points.append(point(Direction.DOWNLINK, load))
+        uplink_points.append(point(Direction.UPLINK, load / 10.0))
     return Fig10cResult(downlink=downlink_points, uplink=uplink_points)

@@ -17,7 +17,7 @@ The telemetry plane has two ends, one object each:
   recorded on after their wire coordinates, and the group samples sum
   into one :class:`~repro.obs.slo.EpochSample` for the
   :class:`~repro.obs.slo.SloEngine` plus one summary record, its alert
-  edges included, appended to :attr:`TelemetryStream.summaries`.
+  edges included: :attr:`TelemetryStream.summary`, the last fold's.
 
 **One state lane.**  Each payload carries the group's whole snapshot.
 The live registry is the merge of this epoch's snapshots in sorted group
@@ -175,7 +175,7 @@ class TelemetryStream:
     - :attr:`slo` — the burn-rate engine, fed one
       :class:`~repro.obs.slo.EpochSample` per epoch: the sum of the
       group samples;
-    - :attr:`summaries` — one :meth:`epoch_summary` record per fold.
+    - :attr:`summary` — the last fold's :meth:`epoch_summary` record.
 
     Nothing per group outlives a fold: a group that stops shipping has
     nothing left to forget.
@@ -191,8 +191,8 @@ class TelemetryStream:
         self._registry: Optional[MetricsRegistry] = None
         self.recorder = FlightRecorder(capacity=max_spans)
         self.slo = SloEngine(slo_specs)
-        #: Every fold's summary record, in fold order.
-        self.summaries: List[Dict[str, Any]] = []
+        #: The last fold's summary record (``None`` before the first).
+        self.summary: Optional[Dict[str, Any]] = None
         self.epochs = 0
         self.spans_seen = 0
         self.worker_restarts_total = 0
@@ -256,8 +256,8 @@ class TelemetryStream:
         self._pending_restarts = 0
         alerts = self.slo.observe_epoch(sample)
         self.epochs += 1
-        self.summaries.append(
-            self.epoch_summary(sample, [a.to_dict() for a in alerts])
+        self.summary = self.epoch_summary(
+            sample, [a.to_dict() for a in alerts]
         )
         return sample
 
@@ -292,7 +292,7 @@ class TelemetryStream:
     def epoch_summary(
         self, sample: EpochSample, alerts: List[Dict[str, Any]]
     ) -> Dict[str, Any]:
-        """The JSON-safe record kept per epoch in :attr:`summaries`."""
+        """The JSON-safe record of one fold (:attr:`summary`)."""
         return {
             "epoch": sample.epoch,
             "deadline_checks": sample.deadline_checks,

@@ -4,7 +4,7 @@
 - :mod:`repro.ran.stacks` -- vendor stack profiles (srsRAN, CapGemini,
   Radisys) capturing the configuration differences the paper mentions.
 - :mod:`repro.ran.scheduler` -- MAC scheduler allocating PRBs per slot,
-  with the MAC log used as ground truth in Figure 10c.
+  folding the ground truth Figure 10c compares against.
 - :mod:`repro.ran.du` -- the Distributed Unit: C/U-plane generation and
   uplink consumption.
 - :mod:`repro.ran.ru` -- a Cat-A O-RAN Radio Unit model.
@@ -16,7 +16,7 @@
 
 from repro.ran.cell import CellConfig
 from repro.ran.stacks import CAPGEMINI, RADISYS, SRSRAN, VendorProfile
-from repro.ran.scheduler import MacScheduler, PrbAllocation, SlotLog
+from repro.ran.scheduler import MacScheduler, PrbAllocation
 from repro.ran.du import DistributedUnit
 from repro.ran.ru import RadioUnit
 from repro.ran.ue import UserEquipment
@@ -31,7 +31,6 @@ __all__ = [
     "RADISYS",
     "MacScheduler",
     "PrbAllocation",
-    "SlotLog",
     "DistributedUnit",
     "RadioUnit",
     "UserEquipment",

@@ -6,9 +6,10 @@ slot.  Two properties of this layer matter to the paper:
 - A *single* scheduler allocates non-overlapping PRBs to all UEs under a
   DAS cell, which is why summing per-RU uplink IQ is interference-free
   (Section 4.1).
-- The scheduler's allocation log is the ground truth that the PRB
+- The scheduler's allocations are the ground truth that the PRB
   monitoring middlebox's estimates are compared against (Figure 10c: "we
-  record the MAC scheduling logs emitted by the RAN stack").
+  record the MAC scheduling logs emitted by the RAN stack"), folded per
+  direction as each slot is scheduled.
 """
 
 from __future__ import annotations
@@ -64,20 +65,6 @@ class PrbAllocation:
         return (self.start_prb, self.start_prb + self.num_prb)
 
 
-@dataclass(frozen=True)
-class SlotLog:
-    """MAC log entry: ground truth utilization for one slot direction."""
-
-    absolute_slot: int
-    direction: Direction
-    allocated_prbs: int
-    total_prbs: int
-
-    @property
-    def utilization(self) -> float:
-        return self.allocated_prbs / self.total_prbs if self.total_prbs else 0.0
-
-
 class MacScheduler:
     """A greedy full-buffer scheduler with round-robin fairness.
 
@@ -95,7 +82,12 @@ class MacScheduler:
         self.cell = cell
         self.profile = profile
         self.ues: Dict[str, UeContext] = {}
-        self.mac_log: List[SlotLog] = []
+        #: Per direction: slots scheduled, and the sum of their PRB
+        #: utilizations in slot order (Figure 10c's ground truth).
+        self.scheduled_slots: Dict[Direction, int] = dict.fromkeys(Direction, 0)
+        self.utilization_sum: Dict[Direction, float] = dict.fromkeys(
+            Direction, 0.0
+        )
         self._rr_offset = 0
 
     # -- UE management -------------------------------------------------------
@@ -132,33 +124,29 @@ class MacScheduler:
 
     def _data_symbols(self, direction: Direction, absolute_slot: int) -> int:
         tdd = self.profile.tdd
-        counter = 0
-        for symbol in range(SYMBOLS_PER_SLOT):
-            if direction is Direction.DOWNLINK and tdd.is_downlink_symbol(
-                absolute_slot, symbol
-            ):
-                counter += 1
-            if direction is Direction.UPLINK and tdd.is_uplink_symbol(
-                absolute_slot, symbol
-            ):
-                counter += 1
-        return counter
+        carries = (
+            tdd.is_downlink_symbol if direction is Direction.DOWNLINK
+            else tdd.is_uplink_symbol
+        )
+        return sum(
+            carries(absolute_slot, symbol) for symbol in range(SYMBOLS_PER_SLOT)
+        )
 
     def schedule_slot(self, absolute_slot: int) -> List[PrbAllocation]:
-        """Allocate PRBs for one slot; appends ground truth to the MAC log."""
+        """Allocate PRBs for one slot; folds its ground truth in."""
         allocations: List[PrbAllocation] = []
         for direction in (Direction.DOWNLINK, Direction.UPLINK):
             data_symbols = self._data_symbols(direction, absolute_slot)
             if data_symbols == 0:
                 continue
             allocations.extend(
-                self._schedule_direction(absolute_slot, direction, data_symbols)
+                self._schedule_direction(direction, data_symbols)
             )
         self._rr_offset += 1
         return allocations
 
     def _schedule_direction(
-        self, absolute_slot: int, direction: Direction, data_symbols: int
+        self, direction: Direction, data_symbols: int
     ) -> List[PrbAllocation]:
         budget = int(self.cell.num_prb * self.profile.scheduler_efficiency)
         overhead = (
@@ -201,21 +189,17 @@ class MacScheduler:
                 context.dl_queue_bits -= bits
             else:
                 context.ul_queue_bits -= bits
-        self.mac_log.append(
-            SlotLog(
-                absolute_slot=absolute_slot,
-                direction=direction,
-                allocated_prbs=sum(a.num_prb for a in allocations),
-                total_prbs=self.cell.num_prb,
-            )
+        self.scheduled_slots[direction] += 1
+        self.utilization_sum[direction] += (
+            sum(a.num_prb for a in allocations) / self.cell.num_prb
         )
         return allocations
 
     # -- ground truth for Figure 10c ----------------------------------------
 
     def average_utilization(self, direction: Direction) -> float:
-        """Mean PRB utilization across logged slots of one direction."""
-        entries = [e for e in self.mac_log if e.direction is direction]
-        if not entries:
+        """Mean PRB utilization across scheduled slots of one direction."""
+        slots = self.scheduled_slots[direction]
+        if not slots:
             return 0.0
-        return sum(e.utilization for e in entries) / len(entries)
+        return self.utilization_sum[direction] / slots

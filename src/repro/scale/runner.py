@@ -265,9 +265,7 @@ def _summarize_group(group: BuiltGroup) -> GroupResult:
         slots=slots,
         events=slots,
         slot_ns=clock.numerology.slot_duration_ns,
-        reports=[
-            dataclasses.asdict(report) for report in group.network.reports
-        ],
+        reports=group.network.report_rows(),
         cell_counters=cell_counters,
         middlebox_stats=middlebox_stats,
         metrics=group.obs.registry.snapshot() if group.obs.enabled else {},

@@ -99,10 +99,10 @@ class LiveRun:
         if not self._began:
             self.begin()
         stream = self.pool.telemetry
-        folded = len(stream.summaries)
+        folded = stream.epochs
         self.finished = self.pool.advance_epoch()
-        for summary in stream.summaries[folded:]:
-            self._queue_fold(summary)
+        if stream.epochs != folded:
+            self._queue_fold(stream.summary)
         return self.finished
 
     def apply(self, delta: SpecDelta) -> Dict[str, Any]:

@@ -8,7 +8,8 @@ digitized air samples, and the chain processes the uplink back to the DUs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
@@ -44,6 +45,10 @@ class SlotReport:
     abandoned_merges: int = 0
 
 
+#: The counters a slot report carries, in field order: the network keeps
+#: one int32 column each.
+_REPORT_COUNTERS = tuple(f.name for f in fields(SlotReport))[1:]
+
 UplinkSignalFn = Callable[[RadioUnit, Position, SymbolTime, int], Optional[np.ndarray]]
 
 
@@ -70,7 +75,10 @@ class FronthaulNetwork:
         self.middleboxes = list(middleboxes)
         self._dus: Dict[int, DistributedUnit] = {}
         self._rus: Dict[int, Tuple[RadioUnit, Position]] = {}
-        self.reports: List[SlotReport] = []
+        #: Every slot's report, as one int32 column per counter: row ``i``
+        #: is slot ``clock.start_slot + i`` (``run_slot`` is the only
+        #: writer, and it advances the clock once a row).
+        self._report_columns = {name: array("i") for name in _REPORT_COUNTERS}
         #: The run's one slot counter, born at 0 with the first DU's
         #: numerology; ``run_slot`` reads and advances it, every DU is
         #: told its value.  A test translates a run in time by replacing
@@ -213,8 +221,19 @@ class FronthaulNetwork:
                 absolute_slot,
                 account_middleboxes(self.middleboxes, processing_before),
             )
-        self.reports.append(report)
+        for name, column in self._report_columns.items():
+            column.append(getattr(report, name))
         return report
+
+    def report_rows(self) -> List[Dict[str, int]]:
+        """Every slot's report, in run order, as ``dataclasses.asdict``
+        gives it."""
+        rows = zip(*self._report_columns.values())
+        return [
+            {"absolute_slot": self.clock.start_slot + index,
+             **dict(zip(_REPORT_COUNTERS, row))}
+            for index, row in enumerate(rows)
+        ]
 
     def _deliver_uplink(
         self, packets: List[FronthaulPacket], report: SlotReport

@@ -86,13 +86,13 @@ class TestFailoverUnderSilence:
     def test_traffic_keeps_flowing_after_failover(self, topology):
         network, box, injector, primary, standby, ru, numerology = topology
         silence_primary(injector, primary, numerology)
-        network.run(FAIL_SLOT + 10)
+        reports = network.run(FAIL_SLOT + 10)
         # The standby took over the uplink: it received packets after the
         # failover slot, and the primary stopped receiving.
         assert standby.counters.ul_packets + standby.counters.prach_detections > 0
         # RU kept receiving downlink the whole run (standby's stream).
         dl_after = sum(
-            r.dl_packets for r in network.reports[FAIL_SLOT + 4:]
+            r.dl_packets for r in reports[FAIL_SLOT + 4:]
         )
         assert dl_after > 0
 

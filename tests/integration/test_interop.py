@@ -66,20 +66,14 @@ class TestInterop:
         network, du, rus, das, monitor = build_network(profile)
         network.run(12)
         # The estimate is computed from this vendor's own BFP exponents
-        # (width 9 or 14) and must track its scheduler log.
+        # (width 9 or 14) and must track its scheduler's allocations.
         from repro.fronthaul.cplane import Direction as D
 
         truth = du.scheduler.average_utilization(D.DOWNLINK)
-        estimates = [
-            e.utilization
-            for e in monitor.estimates
-            if e.direction is D.DOWNLINK
-        ]
-        assert estimates
-        n_dl_slots = sum(
-            1 for entry in du.scheduler.mac_log if entry.direction is D.DOWNLINK
-        )
-        normalized = sum(estimates) / n_dl_slots
+        fold = monitor.folds[D.DOWNLINK]
+        assert fold.samples
+        n_dl_slots = du.scheduler.scheduled_slots[D.DOWNLINK]
+        normalized = fold.utilized_prbs / fold.num_prb / n_dl_slots
         assert normalized == pytest.approx(truth, abs=0.08)
 
     def test_rans_keep_vendor_tdd_cadence(self, profile):

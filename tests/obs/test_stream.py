@@ -277,7 +277,7 @@ class TestTelemetryStreamFold:
         for group in groups:
             group.accountant.observe_slot(0, {"0:x": 5000.0})  # misses
         stream.fold_epoch([s.epoch_payload() for s in sources])
-        (summary,) = stream.summaries
+        summary = stream.summary
         assert summary["epoch"] == 0 and summary["deadline_misses"] == 2
         assert summary["firing"] == ["miss"]
         assert summary["alerts"] == [stream.slo.alerts[0].to_dict()]

@@ -133,7 +133,7 @@ class TestMacLog:
         scheduler.add_ue("a")
         for slot in range(5):  # one DDDSU period
             scheduler.schedule_slot(slot)
-        directions = [entry.direction for entry in scheduler.mac_log]
-        # 3 D slots + S (both) + U slot: 4 DL entries, 2 UL entries.
-        assert directions.count(Direction.DOWNLINK) == 4
-        assert directions.count(Direction.UPLINK) == 2
+        # 3 D slots + S (both) + U slot: 4 DL slots, 2 UL slots.
+        assert scheduler.scheduled_slots == {
+            Direction.DOWNLINK: 4, Direction.UPLINK: 2
+        }

@@ -87,6 +87,9 @@ def test_mac_log_utilization_bounded(workload):
         scheduler.enqueue_dl(f"ue{index}", dl)
         scheduler.enqueue_ul(f"ue{index}", ul)
     for slot in range(slots):
-        scheduler.schedule_slot(slot)
-    for entry in scheduler.mac_log:
-        assert 0.0 <= entry.utilization <= 1.0
+        allocations = scheduler.schedule_slot(slot)
+        for direction in Direction:
+            used = sum(a.num_prb for a in allocations if a.direction is direction)
+            assert 0 <= used <= CELL.num_prb
+    for direction, count in scheduler.scheduled_slots.items():
+        assert 0.0 <= scheduler.utilization_sum[direction] <= count

@@ -60,7 +60,9 @@ def test_a_guard_admits_the_das_it_is_chained_with():
     )
     guard = group.middleboxes[0]
     assert [alert.reason for alert in guard.alerts] == []
-    assert sum(report.ul_packets for report in group.network.reports) > 0
+    assert sum(
+        report["ul_packets"] for report in group.network.report_rows()
+    ) > 0
     assert group.cells[0].du.uplink_sha256() != NO_UPLINK
 
 

@@ -6,7 +6,7 @@ on a deadline-accounted spec whose 1 us budget makes misses common:
 - after a mid-run ``rechain`` the stream's per-group deadline view is a
   from-scratch run's of the mutated spec (the view reads the rebuilt
   group's snapshot, replayed prefix included);
-- every epoch summary after the rechain is the from-scratch run's:
+- every ``epochs`` event after the rechain is a from-scratch live run's:
   the rebuilt group's replay advanced its source's sample baseline on
   the worker, so no sample recounts the prefix;
 - ``obs.stream`` gates span rows only: the SLOs fire the same edges
@@ -61,16 +61,28 @@ def accounted_spec(stream=True, slo=()):
     )
 
 
+def epoch_events(live):
+    """The epoch summaries a live run queued since the last drain."""
+    return [e["data"] for e in live.drain_events() if e["topic"] == "epochs"]
+
+
 @pytest.fixture(scope="module")
 def scratch():
-    """A from-scratch run of the rechained spec."""
-    stream = run_scenario(RECHAIN.apply(accounted_spec())).telemetry
-    return stream.groups(), stream.summaries
+    """A from-scratch live run of the rechained spec: its views and the
+    ``epochs`` events it queued."""
+    live = LiveRun(RECHAIN.apply(accounted_spec()), workers=0)
+    try:
+        while not live.advance_epoch():
+            pass
+        return live.pool.telemetry.groups(), epoch_events(live)
+    finally:
+        live.close()
 
 
 @pytest.fixture(scope="module", params=[0, 2], ids=["inproc", "2proc"])
 def rechained(request):
-    """The live run, rechained at slot 6: its views and epoch summaries."""
+    """The live run, rechained at slot 6: its views and the ``epochs``
+    events it queued."""
     live = LiveRun(accounted_spec(), workers=request.param)
     try:
         live.begin()
@@ -79,8 +91,7 @@ def rechained(request):
         live.apply(RECHAIN)
         while not live.advance_epoch():
             pass
-        stream = live.pool.telemetry
-        return stream.groups(), stream.summaries
+        return live.pool.telemetry.groups(), epoch_events(live)
     finally:
         live.close()
 

@@ -1,5 +1,9 @@
 """FronthaulNetwork tests."""
 
+import dataclasses
+import gc
+import sys
+
 import pytest
 
 from repro.core.middlebox import Middlebox
@@ -128,16 +132,30 @@ class TestRuRetention:
     #: The ring patched small, so three ring-lengths are a quick run.
     RING = 4
 
-    def _drive(self, slots, checkpoints=()):
-        """Run every group of a four-app scenario ``slots`` slots; returns
-        the groups, their summaries, and the holder sizes at each slot
-        count in ``checkpoints``."""
-        from repro.eval import kit
-        from repro.scale.runner import _summarize_group
+    @staticmethod
+    def spec(slots, steady=False):
+        """Four cells, five apps: ``prb_monitor`` -> ``spectrum_sensor`` ->
+        a deadline-flushed ``das``, ``dmimo``, and a ``ru_sharing`` pair.
 
-        def flows(seed):
-            return [kit.flow("dl", 40.0),
-                    kit.flow("ul", 40.0, kind="poisson", seed=seed)]
+        The pair's carriers sit 10 MHz either side of the shared RU's
+        center, not a multiple of SCS/2, so every PRACH request of the
+        pair is a contained stage fault (ROADMAP item 1).  ``steady`` is
+        the allocator gate's variant: constant-bitrate flows, so every
+        TDD period carries the same packets and the rings hold the same
+        objects at each period's end; 10 MHz carriers and a one-symbol
+        DAS downlink, so 800 slots stay quick; and the pair 10.08 MHz off
+        the RU's center (a multiple of SCS/2 and of a PRB), so its PRACH
+        translates and no fault fills the chain's log."""
+        from repro.eval import kit
+
+        kind = "cbr" if steady else "poisson"
+        offset = 10.08e6 if steady else 10e6
+        bandwidth = 10_000_000 if steady else 20_000_000
+
+        def cell(name, pci, **fields):
+            flows = [kit.flow("dl", 40.0),
+                     kit.flow("ul", 40.0, kind=kind, seed=pci)]
+            return kit.cell(name, pci, flows, bandwidth_hz=bandwidth, **fields)
 
         def stage(name, **params):
             return {"stage": name, "params": params, "name": name}
@@ -145,22 +163,29 @@ class TestRuRetention:
         def radios(cell):
             return [{"name": f"{cell}-ru{i}", "n_antennas": 2} for i in range(2)]
 
-        shared = kit.cell(
-            "host", 3, flows(3), group="campus", center_frequency_hz=3.45e9,
+        shared = cell(
+            "host", 3, group="campus", center_frequency_hz=3.46e9 - offset,
             chain=[stage("ru_sharing", ru="host-ru", cells=["host", "guest"])],
         )
         shared["rus"][0].update(num_prb=160, center_frequency_hz=3.46e9)
-        spec = kit.scenario("retention", slots, 3, [
-            kit.cell("das", 1, flows(1), rus=radios("das"),
-                     chain=[stage("spectrum_sensor"), stage("das")],
-                     symbols_per_slot=None, deadline_flush=True),
-            kit.cell("dmimo", 2, flows(2), rus=radios("dmimo"),
-                     chain=[stage("dmimo")]),
+        return kit.scenario("retention", slots, 3, [
+            cell("das", 1, rus=radios("das"),
+                 chain=[stage("prb_monitor"), stage("spectrum_sensor"),
+                        stage("das")],
+                 symbols_per_slot=1 if steady else None, deadline_flush=True),
+            cell("dmimo", 2, rus=radios("dmimo"), chain=[stage("dmimo")]),
             shared,
-            kit.cell("guest", 4, flows(4), group="campus",
-                     center_frequency_hz=3.47e9, chain=[]),
+            cell("guest", 4, group="campus",
+                 center_frequency_hz=3.46e9 + offset, chain=[]),
         ])
-        groups = spec.build()
+
+    def _drive(self, slots, checkpoints=()):
+        """Run every group of :meth:`spec` ``slots`` slots; returns the
+        groups, their summaries, and the holder sizes at each slot count
+        in ``checkpoints``."""
+        from repro.scale.runner import _summarize_group
+
+        groups = self.spec(slots).build()
         sizes = {}
         for done in range(1, slots + 1):
             for group in groups:
@@ -199,7 +224,7 @@ class TestRuRetention:
         for group in reference:
             for radio in group.network.rus:
                 assert len(radio._tx_grids) == radio.counters.uplane_received
-        # Four apps, every counter, every digest: what fell off the ring
+        # Five apps, every counter, every digest: what fell off the ring
         # was in none of them.
         assert [b.cell_counters for b in bounded] == [
             u.cell_counters for u in unbounded
@@ -220,3 +245,72 @@ class TestRuRetention:
         assert sizes[50] == sizes[200]
         assert any(any(held["cache"]) for held in sizes[200])
         assert all(any(held["pending_ul"]) for held in sizes[200])
+
+
+def blocks_per_slot(step, warm, slots):
+    """The allocator's live-block growth per slot over ``slots`` slots of
+    ``step(n)``, after ``warm`` slots: it counts every object the run
+    keeps, whoever holds it."""
+    step(warm)
+    gc.collect()
+    before = sys.getallocatedblocks()
+    step(slots)
+    gc.collect()
+    return (sys.getallocatedblocks() - before) / slots
+
+
+class TestFlatAtSteadyState:
+    """A run has no horizon, so at steady state nothing may grow with
+    the slots it ran: not a named holder (:class:`TestRuRetention`), but
+    any allocation — a new per-slot list fails here."""
+
+    #: Live blocks a slot may add: one per 20 slots.
+    BOUND = 0.05
+
+    def test_a_five_app_chain_keeps_nothing_per_slot(self):
+        groups = TestRuRetention.spec(1, steady=True).build()
+
+        def step(slots):
+            for _ in range(slots):
+                for group in groups:
+                    group.network.run_slot()
+
+        # The warm-up outlasts the 16-slot rings and slot 256: past it a
+        # ring's slot stamp is no longer one of CPython's cached small
+        # ints, a one-time step of a block per ring and retained slot.
+        assert blocks_per_slot(step, warm=300, slots=500) <= self.BOUND
+
+    def test_a_live_coordinator_keeps_nothing_per_epoch(self):
+        """The coordinator of a two-worker live run, its events drained
+        every epoch as the control service does.  Span streaming is off:
+        its rows land in a bounded ring whose block count drifts with the
+        rows' mix, not with the epochs run."""
+        from repro.serve.engine import LiveRun
+        from tests.serve.builders import cell_dict, make_spec
+
+        epoch = 5
+        spec = make_spec(
+            slots=10_000, epoch_slots=epoch, obs=True, cells=[
+                cell_dict("a", 1, chain=("prb_monitor", "das")),
+                cell_dict("b", 2, direction="ul",
+                          chain=("prb_monitor", "das")),
+            ],
+        )
+        live = LiveRun(
+            dataclasses.replace(
+                spec, obs=dataclasses.replace(spec.obs, stream=False)
+            ),
+            workers=2,
+        )
+
+        def step(slots):
+            for _ in range(slots // epoch):
+                live.advance_epoch()
+                live.drain_events()
+
+        try:
+            # Past the warm-up's one-time steps: metric counters crossing
+            # CPython's cached small ints as they are folded.
+            assert blocks_per_slot(step, warm=500, slots=250) <= self.BOUND
+        finally:
+            live.close()
