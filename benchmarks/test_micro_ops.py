@@ -207,7 +207,7 @@ def test_float_stage_runs_once_per_block_of_eight_rows(monkeypatch):
     from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
     from repro.fronthaul.ecpri import EAxCId
     from repro.fronthaul.packet import make_packet
-    from repro.fronthaul.timing import SymbolTime
+    from repro.fronthaul.timing import symbol_time
     from repro.ran import ru as ru_module
 
     calls = []
@@ -242,7 +242,7 @@ def test_float_stage_runs_once_per_block_of_eight_rows(monkeypatch):
     for port in range(4):
         request = CPlaneMessage(
             direction=Direction.UPLINK,
-            time=SymbolTime(0, 2, 0, 0),
+            time=symbol_time(0, 2, 0, 0),
             sections=[CPlaneSection(section_id=1, start_prb=0, num_prb=106,
                                     num_symbols=14)],
             compression=CompressionConfig(),
@@ -260,8 +260,12 @@ def test_du_slot_draws_nothing_and_quantises_nothing(monkeypatch):
     4-port DU slot (56 rows) constructs no ``numpy.random.Generator``,
     advances none alive in the process, and calls neither
     ``iq_to_int16`` nor ``modulate`` — the slot is built on int16 from
-    keyed pools.  The control after the slot shows each count counts."""
+    keyed pools — nor ``dataclasses.replace``: a packet's time is the
+    slot's int stamp plus its symbol.  The control after the slot shows
+    each count counts."""
+    import dataclasses
     import gc
+    import sys
 
     from repro.fronthaul.cplane import Direction
     from repro.phy.iq import QamModulator
@@ -301,15 +305,34 @@ def test_du_slot_draws_nothing_and_quantises_nothing(monkeypatch):
     monkeypatch.setattr(
         QamModulator, "modulate", counting("modulate", QamModulator.modulate)
     )
+    replaced = []
+
+    def profile(frame, event, arg):
+        # Any binding of it, however imported, runs this code object.
+        if event == "call" and frame.f_code is dataclasses.replace.__code__:
+            replaced.append(event)
+
     before = generator_states()
-    assert sum(p.is_uplane for p in du.advance_slot(1)) == 56
+    sys.setprofile(profile)
+    try:
+        packets = du.advance_slot(1)
+    finally:
+        sys.setprofile(None)
+    assert sum(p.is_uplane for p in packets) == 56
     assert calls == [] and generator_states() == before
+    assert replaced == []
 
     control = np.random.default_rng(0)
     moved = generator_states()
     du_module.iq_to_int16(QamModulator(4).modulate(control.integers(0, 4, 12)))
     assert calls == ["default_rng", "modulate", "iq_to_int16"]
     assert generator_states() != moved
+    sys.setprofile(profile)
+    try:
+        dataclasses.replace(cell)
+    finally:
+        sys.setprofile(None)
+    assert replaced == ["call"]
 
 
 def test_chain_stage_builds_no_event_objects_once_warm(monkeypatch):
@@ -322,7 +345,7 @@ def test_chain_stage_builds_no_event_objects_once_warm(monkeypatch):
     from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
     from repro.fronthaul.ethernet import MacAddress
     from repro.fronthaul.packet import make_packet
-    from repro.fronthaul.timing import SymbolTime
+    from repro.fronthaul.timing import symbol_time
     from repro.fronthaul.uplane import UPlaneMessage
     from repro.obs import Observability, SpanEvent
 
@@ -333,7 +356,7 @@ def test_chain_stage_builds_no_event_objects_once_warm(monkeypatch):
     def burst():
         out = []
         for symbol in range(32):
-            time = SymbolTime(0, 0, 0, symbol % 14)
+            time = symbol_time(0, 0, 0, symbol % 14)
             for message in (
                 CPlaneMessage(direction=Direction.DOWNLINK, time=time,
                               sections=[CPlaneSection(0, 0, 51)]),
@@ -380,7 +403,7 @@ def _uplane_burst(count):
     from repro.fronthaul.cplane import Direction
     from repro.fronthaul.ethernet import MacAddress
     from repro.fronthaul.packet import make_packet
-    from repro.fronthaul.timing import SymbolTime
+    from repro.fronthaul.timing import symbol_time
     from repro.fronthaul.uplane import UPlaneMessage
 
     section = UPlaneSection.from_samples(
@@ -391,7 +414,7 @@ def _uplane_burst(count):
             MacAddress.from_int(1), MacAddress.from_int(2),
             UPlaneMessage(
                 direction=Direction.DOWNLINK,
-                time=SymbolTime(0, 0, 0, index % 14),
+                time=symbol_time(0, 0, 0, index % 14),
                 sections=[section],
             ),
         )
@@ -699,14 +722,14 @@ def test_full_packet_roundtrip(benchmark, samples, du_mac=None):
     from repro.fronthaul.cplane import Direction
     from repro.fronthaul.ethernet import MacAddress
     from repro.fronthaul.packet import make_packet, parse_packet
-    from repro.fronthaul.timing import SymbolTime
+    from repro.fronthaul.timing import symbol_time
     from repro.fronthaul.uplane import UPlaneMessage
 
     section = UPlaneSection.from_samples(0, 0, samples)
     packet = make_packet(
         MacAddress.from_int(1), MacAddress.from_int(2),
         UPlaneMessage(direction=Direction.DOWNLINK,
-                      time=SymbolTime(0, 0, 0, 0), sections=[section]),
+                      time=symbol_time(0, 0, 0, 0), sections=[section]),
     )
     wire_bytes = packet.pack()
     benchmark(parse_packet, wire_bytes, N_PRB)
@@ -720,14 +743,14 @@ def test_replicate_to_5_rus(benchmark, samples):
     from repro.fronthaul.cplane import Direction
     from repro.fronthaul.ethernet import MacAddress
     from repro.fronthaul.packet import make_packet
-    from repro.fronthaul.timing import SymbolTime
+    from repro.fronthaul.timing import symbol_time
     from repro.fronthaul.uplane import UPlaneMessage
 
     section = UPlaneSection.from_samples(0, 0, samples)
     packet = make_packet(
         MacAddress.from_int(1), MacAddress.from_int(2),
         UPlaneMessage(direction=Direction.DOWNLINK,
-                      time=SymbolTime(0, 0, 0, 0), sections=[section]),
+                      time=symbol_time(0, 0, 0, 0), sections=[section]),
     )
 
     def fan_out():

@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.api import Scenario
 from repro.fronthaul.cplane import Direction
+from repro.fronthaul.timing import time_fields
 
 SLOTS = 40
 
@@ -68,7 +69,9 @@ def main() -> None:
     key = rus[0].transmitted_symbols()[0]
     same = np.array_equal(rus[0].transmit_grid(*key),
                           rus[1].transmit_grid(*key))
-    print(f"  grids identical at {key[0]} port {key[1]}: {same}")
+    frame, subframe, slot, symbol = time_fields(key[0])
+    print(f"  grids identical at frame {frame} subframe {subframe} slot "
+          f"{slot} symbol {symbol} port {key[1]}: {same}")
     print()
     print("PRB monitor (Algorithm 1) vs scheduler ground truth:")
     estimated = monitor.average_utilization(Direction.DOWNLINK)

@@ -66,12 +66,12 @@ def main() -> None:
     from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection
     from repro.fronthaul.ethernet import MacAddress
     from repro.fronthaul.packet import make_packet
-    from repro.fronthaul.timing import SymbolTime
+    from repro.fronthaul.timing import symbol_time
 
     attacker = make_packet(
         MacAddress.from_string("de:ad:be:ef:00:01"), ru.mac,
         CPlaneMessage(direction=Direction.DOWNLINK,
-                      time=SymbolTime(0, 5, 0, 0),
+                      time=symbol_time(0, 5, 0, 0),
                       sections=[CPlaneSection(0, 0, cell.num_prb)]),
     )
     verdict = guard.process(attacker)

@@ -25,7 +25,7 @@ from repro.core.middlebox import Middlebox
 from repro.fronthaul.cplane import Direction
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import FronthaulPacket
-from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.timing import Numerology, absolute_slot, symbol_of
 from repro.fronthaul.uplane import UPlaneSection
 from repro.obs.metrics import declare
 
@@ -98,13 +98,11 @@ class SsbSchedule:
     prb_start: int
     num_prb: int
 
-    def covers(self, time: SymbolTime, slots_per_frame: int, slots_per_subframe: int) -> bool:
-        absolute = (
-            time.frame * slots_per_frame
-            + time.subframe * slots_per_subframe
-            + time.slot
+    def covers(self, time: int, numerology: Numerology) -> bool:
+        return (
+            absolute_slot(time, numerology) % self.period_slots == 0
+            and symbol_of(time) in self.symbols
         )
-        return absolute % self.period_slots == 0 and time.symbol in self.symbols
 
 
 class DmimoMiddlebox(Middlebox):
@@ -121,8 +119,7 @@ class DmimoMiddlebox(Middlebox):
         du_mac: MacAddress,
         port_map: RuPortMap,
         ssb: Optional[SsbSchedule] = None,
-        slots_per_frame: int = 20,
-        slots_per_subframe: int = 2,
+        numerology: Numerology = Numerology(),
         mac: Optional[MacAddress] = None,
         name: str = "",
         obs=None,
@@ -135,8 +132,7 @@ class DmimoMiddlebox(Middlebox):
         self.du_mac = du_mac
         self.port_map = port_map
         self.ssb = ssb
-        self.slots_per_frame = slots_per_frame
-        self.slots_per_subframe = slots_per_subframe
+        self.numerology = numerology
         self.mac = mac or MacAddress.from_int(0x02_00_00_00_30_02)
         self.ssb_copies = 0
 
@@ -189,9 +185,7 @@ class DmimoMiddlebox(Middlebox):
     def _is_ssb_packet(self, packet: FronthaulPacket) -> bool:
         if self.ssb is None or packet.is_cplane:
             return False
-        if not self.ssb.covers(
-            packet.time, self.slots_per_frame, self.slots_per_subframe
-        ):
+        if not self.ssb.covers(packet.time, self.numerology):
             return False
         port = packet.eaxc.ru_port
         if port == 0:

@@ -17,7 +17,7 @@ non-zero exponents).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable
+from typing import Dict
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from repro.core.actions import ActionContext, ExecLocation
 from repro.core.middlebox import Middlebox
 from repro.fronthaul.cplane import Direction
 from repro.fronthaul.packet import FronthaulPacket
+from repro.fronthaul.timing import slot_id
 from repro.obs.metrics import declare
 
 #: The help text keeps its wording: the obs-live exposition golden
@@ -54,10 +55,10 @@ class UtilizationFold:
         self._closed = 0.0
         self._slot, self._slot_samples, self._slot_prbs = None, 0, 0
 
-    def add(self, slot_key: Hashable, utilized_prbs: int) -> None:
-        if slot_key != self._slot:
+    def add(self, slot: int, utilized_prbs: int) -> None:
+        if slot != self._slot:
             self._closed = self.slot_mean_sum()
-            self._slot, self._slot_samples, self._slot_prbs = slot_key, 0, 0
+            self._slot, self._slot_samples, self._slot_prbs = slot, 0, 0
         self._slot_samples += 1
         self._slot_prbs += utilized_prbs
         self.samples += 1
@@ -136,7 +137,7 @@ class PrbMonitorMiddlebox(Middlebox):
         time = packet.time
         self.slot_state[direction, time] = utilized
         count = int(np.count_nonzero(utilized))
-        self.folds[direction].add(time.slot_key(), count)
+        self.folds[direction].add(slot_id(time), count)
         if self.obs.enabled:
             labels = (
                 self.name, "DL" if direction is Direction.DOWNLINK else "UL"

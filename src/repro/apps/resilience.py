@@ -20,6 +20,7 @@ from repro.core.middlebox import Middlebox
 from repro.fronthaul.cplane import Direction
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import FronthaulPacket
+from repro.fronthaul.timing import Numerology, ns
 
 
 @dataclass(frozen=True)
@@ -63,8 +64,6 @@ class ResilienceMiddlebox(Middlebox):
         super().__init__(
             name=name, obs=obs, stack_profile=stack_profile, **kwargs
         )
-        from repro.fronthaul.timing import Numerology
-
         self.primary_du = primary_du
         self.standby_du = standby_du
         self.ru_mac = ru_mac
@@ -98,7 +97,7 @@ class ResilienceMiddlebox(Middlebox):
         self._handle(ctx, packet)
 
     def _handle(self, ctx: ActionContext, packet: FronthaulPacket) -> None:
-        now_ns = packet.time.ns(self.numerology)
+        now_ns = ns(packet.time, self.numerology)
         source = packet.eth.src
         if packet.direction is Direction.DOWNLINK or packet.is_cplane:
             if source == self.primary_du:

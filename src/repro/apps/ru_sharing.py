@@ -40,7 +40,7 @@ from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import FronthaulPacket
 from repro.fronthaul.prach import translate_freq_offset
 from repro.fronthaul.spectrum import PrbGrid
-from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.timing import slot_id
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 from repro.obs.metrics import declare
 
@@ -57,9 +57,9 @@ _MUX_OCCUPANCY = declare(
 
 
 #: What the cache holds, by the first element of its keys:
-#: ``("cplane", direction, slot_key, port)`` — every DU's data request,
+#: ``("cplane", direction, slot id, port)`` — every DU's data request,
 #: ``("dl_uplane", time, port)`` — DL U-plane awaiting the other DUs',
-#: ``("prach", slot_key, port)`` — translated PRACH requests, likewise.
+#: ``("prach", slot id, port)`` — translated PRACH requests, likewise.
 #: Each packet is tagged with its DU's id.
 _KINDS = ("cplane", "dl_uplane", "prach")
 
@@ -141,9 +141,9 @@ class RuSharingMiddlebox(Middlebox):
         return self.dus.get(packet.eth.src.to_int())
 
     def _requesting_dus(
-        self, direction: Direction, slot_key: Tuple, port: int
+        self, direction: Direction, slot: int, port: int
     ) -> List[int]:
-        key = ("cplane", direction, slot_key, port)
+        key = ("cplane", direction, slot, port)
         return sorted(set(self.cache.tags(key)))
 
     def _count_copy(self, aligned: bool) -> None:
@@ -201,7 +201,7 @@ class RuSharingMiddlebox(Middlebox):
     ) -> None:
         message: CPlaneMessage = packet.message
         key = (
-            "cplane", message.direction, message.time.slot_key(),
+            "cplane", message.direction, slot_id(message.time),
             packet.eaxc.ru_port,
         )
         if ctx.cache_put(key, packet, tag=du.du_id) > 1:
@@ -223,7 +223,7 @@ class RuSharingMiddlebox(Middlebox):
         ctx.cache_put(key, packet, tag=du.du_id)
         pending = dict(self.cache.peek(key))
         requesting = self._requesting_dus(
-            Direction.DOWNLINK, time.slot_key(), port
+            Direction.DOWNLINK, slot_id(time), port
         )
         if not requesting or any(du_id not in pending for du_id in requesting):
             return
@@ -237,7 +237,7 @@ class RuSharingMiddlebox(Middlebox):
     def _multiplex_downlink(
         self,
         ctx: ActionContext,
-        time: SymbolTime,
+        time: int,
         packets: List[FronthaulPacket],
     ) -> FronthaulPacket:
         """Copy every DU's PRBs into one full-band RU U-plane packet.
@@ -307,8 +307,7 @@ class RuSharingMiddlebox(Middlebox):
         """
         time = packet.time
         port = packet.eaxc.ru_port
-        slot_key = time.slot_key()
-        requesting = self._requesting_dus(Direction.UPLINK, slot_key, port)
+        requesting = self._requesting_dus(Direction.UPLINK, slot_id(time), port)
         if not requesting:
             ctx.drop(packet)
             return
@@ -382,7 +381,7 @@ class RuSharingMiddlebox(Middlebox):
         self, ctx: ActionContext, packet: FronthaulPacket, du: SharedDuConfig
     ) -> None:
         message: CPlaneMessage = packet.message
-        key = ("prach", message.time.slot_key(), packet.eaxc.ru_port)
+        key = ("prach", slot_id(message.time), packet.eaxc.ru_port)
         # Translate each section's freqOffset into the RU spectrum and tag
         # it with the DU id (Algorithm 3 lines 6-7).
         translated: List[CPlaneSection] = []

@@ -26,7 +26,7 @@ from repro.core.actions import ActionContext, ExecLocation
 from repro.core.middlebox import Middlebox
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import FronthaulPacket
-from repro.fronthaul.timing import MAX_FRAME_ID, Numerology
+from repro.fronthaul.timing import MAX_FRAME_ID, Numerology, absolute_slot
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ class FronthaulGuardMiddlebox(Middlebox):
             if advance > 128:
                 return "regressed_sequence"
         if state.last_slot is not None:
-            slot = packet.time.absolute_slot(self.numerology)
+            slot = absolute_slot(packet.time, self.numerology)
             epoch = MAX_FRAME_ID * self.numerology.slots_per_frame
             skew = min(
                 (slot - state.last_slot) % epoch,
@@ -128,4 +128,4 @@ class FronthaulGuardMiddlebox(Middlebox):
     def _commit(self, packet: FronthaulPacket) -> None:
         state = self._flows.setdefault(self._flow_key(packet), _FlowState())
         state.last_seq = packet.ecpri.seq_id
-        state.last_slot = packet.time.absolute_slot(self.numerology)
+        state.last_slot = absolute_slot(packet.time, self.numerology)

@@ -20,14 +20,14 @@ from repro.core.actions import ActionContext, ExecLocation
 from repro.core.middlebox import Middlebox
 from repro.fronthaul.cplane import Direction
 from repro.fronthaul.packet import FronthaulPacket
-from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.timing import slot_id
 
 
 @dataclass(frozen=True)
 class InterferenceAlert:
     """Unscheduled energy detected on the uplink."""
 
-    time: SymbolTime
+    time: int
     ru_port: int
     prbs: Tuple[int, ...]
     max_exponent: int
@@ -73,8 +73,8 @@ class SpectrumSensorMiddlebox(Middlebox):
     def on_cplane(self, ctx: ActionContext, packet: FronthaulPacket) -> None:
         if packet.direction is Direction.UPLINK:
             ctx.inspect(packet)
-            # Scheduled UL PRB ranges: {(slot_key, port): [(start, end)]}.
-            key = (packet.time.slot_key(), packet.eaxc.ru_port)
+            # Scheduled UL PRB ranges: {(slot id, port): [(start, end)]}.
+            key = (slot_id(packet.time), packet.eaxc.ru_port)
             ranges = self.slot_state.setdefault(key, [])
             for section in packet.message.sections:
                 ranges.append(section.prb_range)
@@ -91,7 +91,7 @@ class SpectrumSensorMiddlebox(Middlebox):
     # -- detection ---------------------------------------------------------------
 
     def _scan(self, ctx: ActionContext, packet: FronthaulPacket) -> None:
-        key = (packet.time.slot_key(), packet.eaxc.ru_port)
+        key = (slot_id(packet.time), packet.eaxc.ru_port)
         scheduled = self.slot_state.get(key, [])
         threshold = self.noise_exponent_threshold
         suspicious: Set[int] = set()

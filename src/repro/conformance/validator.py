@@ -58,7 +58,13 @@ from repro.fronthaul.cplane import CPlaneMessage, Direction
 from repro.fronthaul.ecpri import EcpriMessageType
 from repro.fronthaul.errors import EcpriLengthError, MalformedFrame
 from repro.fronthaul.packet import FronthaulPacket, parse_packet
-from repro.fronthaul.timing import MAX_FRAME_ID, Numerology
+from repro.fronthaul.timing import (
+    MAX_FRAME_ID,
+    Numerology,
+    absolute_slot,
+    slot_id,
+    time_fields,
+)
 from repro.fronthaul.uplane import UPlaneMessage
 from repro.obs.metrics import declare
 from repro.ran.stacks import VendorProfile
@@ -204,7 +210,7 @@ class WireValidator:
                     packet, sections, carrier, None if cplane else cap, flag
                 )
                 windows = windows_of[message.direction]
-                key = (time.frame, time.subframe, time.slot, eaxc.ru_port)
+                key = (slot_id(time), eaxc.ru_port)
                 if cplane:
                     config = message.compression
                     if config is not known:
@@ -238,7 +244,7 @@ class WireValidator:
                                 packet, section, config, known_bound, flag
                             )
                     self._check_accounting(
-                        packet, sections, windows.get(key), key, flag
+                        packet, sections, windows.get(key), flag
                     )
             eth, eaxc_int, seq = packet.eth, eaxc.to_int(), ecpri.seq_id
             # Per-link stream identity: (src, dst, eAxC).  The destination
@@ -257,7 +263,7 @@ class WireValidator:
                 flag(packet, ViolationClass.SEQ_GAP,
                      f"{status.gap} sequence number(s) skipped before seq "
                      f"{seq} on stream {eth.src}/eaxc {eaxc_int}")
-            current = time.absolute_slot(numerology) % epoch
+            current = absolute_slot(time, numerology) % epoch
             last = last_slot.get(stream)
             if last is not None and (current - last) % epoch > epoch // 2:
                 # Regressed against the stream head (modular half-window:
@@ -283,7 +289,6 @@ class WireValidator:
         detail: str,
         tap: str,
     ) -> Violation:
-        time = packet.message.time
         return Violation(
             violation_class,
             detail,
@@ -291,7 +296,7 @@ class WireValidator:
             src=str(packet.eth.src),
             eaxc=packet.eaxc.to_int(),
             seq=packet.ecpri.seq_id,
-            time=(time.frame, time.subframe, time.slot, time.symbol),
+            time=time_fields(packet.message.time),
         )
 
     def _parse_failure(
@@ -407,7 +412,7 @@ class WireValidator:
                      f"{int(scalers[prb])}")
 
     @staticmethod
-    def _check_accounting(packet, sections, ranges, key, flag) -> None:
+    def _check_accounting(packet, sections, ranges, flag) -> None:
         """Every U-plane section inside a window C-plane scheduled for its
         ``(slot, ru_port)`` (``ranges``; None when nothing was)."""
         for section in sections:
@@ -415,8 +420,10 @@ class WireValidator:
             end = start + section.num_prb
             if ranges is None:
                 flag(packet, ViolationClass.PRB_SECTION_MISMATCH,
-                     f"no C-plane scheduled slot {key[:3]} ru_port "
-                     f"{key[3]} for U-plane section {section.section_id}")
+                     f"no C-plane scheduled slot "
+                     f"{time_fields(packet.message.time)[:3]} ru_port "
+                     f"{packet.eaxc.ru_port} for U-plane section "
+                     f"{section.section_id}")
                 continue
             for window_start, window_end in ranges:
                 if window_start <= start and end <= window_end:

@@ -111,9 +111,9 @@ class SlotRing(MutableMapping):
     falling off the front — bounded memory however long the run.
 
     An entry is stamped with the closes counted when its key was first
-    set: a slot number that never wraps, unlike the ``(frame, subframe,
-    slot)`` most keys carry, so a key seen again 256 frames later finds
-    nothing left of its namesake.
+    set: a slot number that never wraps, unlike the wire time or slot id
+    (:mod:`repro.fronthaul.timing`) most keys carry, so a key seen again
+    256 frames later finds nothing left of its namesake.
     """
 
     def __init__(self) -> None:

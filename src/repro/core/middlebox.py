@@ -396,13 +396,12 @@ class Middlebox:
             if sample:
                 if events is None:
                     events = [shared_event(ActionKind.ROUTE, modeled_ns)]
-                time, ecpri = message.time, packet.ecpri
+                ecpri = packet.ecpri
                 rows.append((
-                    ecpri.eaxc.to_int(), time.frame, time.subframe,
-                    time.slot, time.symbol, "DL" if downlink else "UL",
-                    ecpri.seq_id, name, _TRAFFIC_CLASSES[downlink][cplane],
-                    modeled_ns, wall_ns, int(row_start), events, out,
-                    not out, stage,
+                    ecpri.eaxc.to_int(), message.time,
+                    "DL" if downlink else "UL", ecpri.seq_id, name,
+                    _TRAFFIC_CLASSES[downlink][cplane], modeled_ns, wall_ns,
+                    int(row_start), events, out, not out, stage,
                 ))
         if rows:
             obs.recorder.record(rows)

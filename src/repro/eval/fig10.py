@@ -13,6 +13,7 @@ from repro.eval.report import format_table
 from repro.eval.throughput import DeployedCell, UePlacement, evaluate_network
 from repro.fronthaul.cplane import Direction
 from repro.fronthaul.spectrum import PrbGrid, split_ru_spectrum
+from repro.fronthaul.timing import slot_id
 from repro.phy.channel import ChannelModel
 from repro.phy.geometry import FloorPlan, Position
 from repro.ran.cell import CellConfig
@@ -295,7 +296,7 @@ def _fig10c_deployment(load: float, n_slots: int, seed: int):
 
     def ue_uplink(ru_obj, position, time, port):
         """Transmit QAM on the PRBs the DU granted this slot."""
-        pending = du._pending_ul.get(time.slot_key())
+        pending = du._pending_ul.get(slot_id(time))
         if not pending:
             return None
         n_sc = ru_obj.config.num_prb * SAMPLES_PER_PRB

@@ -26,6 +26,7 @@ from repro import obs as obs_module
 from repro.fronthaul.cplane import Direction
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import FronthaulPacket, parse_packet
+from repro.fronthaul.timing import slot_id
 from repro.obs import Observability
 from repro.obs.metrics import declare
 
@@ -81,23 +82,24 @@ class FaultScope:
 
 @dataclass(frozen=True)
 class SilenceWindow:
-    """All frames from ``src`` die between two slot boundaries.
+    """All frames from ``src`` die between two slot boundaries, given as
+    slot ids (:func:`~repro.fronthaul.timing.slot_id`).
 
-    ``end_slot_key=None`` silences the source forever — the model of a
+    ``end_slot=None`` silences the source forever — the model of a
     crashed DU used by the failover experiments.
     """
 
     src: int
-    start_slot_key: Tuple[int, int, int]
-    end_slot_key: Optional[Tuple[int, int, int]] = None
+    start_slot: int
+    end_slot: Optional[int] = None
 
     def matches(self, packet: FronthaulPacket) -> bool:
         if packet.eth.src.to_int() != self.src:
             return False
-        slot_key = packet.time.slot_key()
-        if slot_key < self.start_slot_key:
+        slot = slot_id(packet.time)
+        if slot < self.start_slot:
             return False
-        return self.end_slot_key is None or slot_key < self.end_slot_key
+        return self.end_slot is None or slot < self.end_slot
 
 
 @dataclass(frozen=True)
@@ -193,13 +195,12 @@ class FaultInjector:
     def silence(
         self,
         src: MacAddress,
-        start_slot_key: Tuple[int, int, int],
-        end_slot_key: Optional[Tuple[int, int, int]] = None,
+        start_slot: int,
+        end_slot: Optional[int] = None,
     ) -> None:
-        """Schedule a per-source blackout window (e.g. a DU crash)."""
-        self.silences.append(
-            SilenceWindow(src.to_int(), start_slot_key, end_slot_key)
-        )
+        """Schedule a per-source blackout window (e.g. a DU crash) from
+        slot id ``start_slot`` up to ``end_slot``."""
+        self.silences.append(SilenceWindow(src.to_int(), start_slot, end_slot))
 
     # -- injection ---------------------------------------------------------
 

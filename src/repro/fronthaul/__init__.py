@@ -32,7 +32,7 @@ from repro.fronthaul.compression import (
     codec_for,
 )
 from repro.fronthaul.modcomp import ModCompressor
-from repro.fronthaul.timing import Numerology, SlotClock, SymbolTime, TddPattern
+from repro.fronthaul.timing import Numerology, SlotClock, TddPattern, symbol_time
 from repro.fronthaul.spectrum import PrbGrid, aligned_du_center_frequency
 from repro.fronthaul.cplane import (
     CPlaneMessage,
@@ -62,8 +62,8 @@ __all__ = [
     "codec_for",
     "Numerology",
     "SlotClock",
-    "SymbolTime",
     "TddPattern",
+    "symbol_time",
     "PrbGrid",
     "aligned_du_center_frequency",
     "CPlaneMessage",

@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 from repro.fronthaul.compression import CompressionConfig
 from repro.fronthaul.errors import MalformedFrame, TrailingBytes, TruncatedFrame
-from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.timing import from_wire, wire_fields
 
 #: On-wire numPrb value meaning "all PRBs of the carrier" (needed because
 #: the field is one byte but 100 MHz carriers have 273 PRBs).
@@ -149,7 +149,8 @@ class CPlaneMessage:
     """A full C-plane message: radio-application header plus sections."""
 
     direction: Direction
-    time: SymbolTime
+    #: The header's timestamp (:mod:`repro.fronthaul.timing`).
+    time: int
     sections: List[CPlaneSection] = field(default_factory=list)
     section_type: SectionType = SectionType.DATA
     compression: CompressionConfig = field(default_factory=CompressionConfig)
@@ -169,15 +170,11 @@ class CPlaneMessage:
             | ((1 & 0x7) << 4)  # payloadVersion = 1
             | (self.filter_index & 0xF)
         )
-        timing = (
-            ((self.time.subframe & 0xF) << 12)
-            | ((self.time.slot & 0x3F) << 6)
-            | (self.time.symbol & 0x3F)
-        )
+        frame, timing = wire_fields(self.time)
         out = bytearray(
             self._HDR_COMMON.pack(
                 first,
-                self.time.frame & 0xFF,
+                frame,
                 timing,
                 len(self.sections),
                 int(self.section_type),
@@ -227,12 +224,7 @@ class CPlaneMessage:
             offset += cls._HDR_TYPE3_TAIL.size
         message = cls(
             direction=Direction((first >> 7) & 0x1),
-            time=SymbolTime(
-                frame,
-                (timing >> 12) & 0xF,
-                (timing >> 6) & 0x3F,
-                timing & 0x3F,
-            ),
+            time=from_wire(frame, timing),
             section_type=section_type,
             compression=CompressionConfig.from_byte(comp_byte),
             filter_index=first & 0xF,

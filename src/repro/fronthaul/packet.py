@@ -58,7 +58,7 @@ class FronthaulPacket:
         return self.message.direction
 
     @property
-    def time(self):
+    def time(self) -> int:
         return self.message.time
 
     @property
@@ -76,7 +76,7 @@ class FronthaulPacket:
         Ethernet and eCPRI headers, the message, its section list and
         every section) is a fresh object, while the leaves no one can
         mutate are shared — ``MacAddress``, ``VlanTag``, ``EAxCId``,
-        ``SymbolTime``, ``CompressionConfig`` (frozen), payload bytes or
+        ``CompressionConfig`` (frozen), the int timestamp, payload bytes or
         read-only frame views, and a section's read-only riding parse
         and pending payload (they describe the shared payload bytes; the
         encode pass packs once, whichever replica reads first).

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Tuple
 
 SYMBOLS_PER_SLOT = 14
 SUBFRAMES_PER_FRAME = 10
@@ -66,73 +66,81 @@ class Numerology:
         return 100 * self.slots_per_frame  # 100 frames per second
 
 
-@dataclass(frozen=True, order=True)
-class SymbolTime:
-    """A fronthaul timestamp: (frame, subframe, slot, symbol).
+# -- the O-RAN timestamp ------------------------------------------------------
+#
+# A fronthaul time is one int, the header's own 24 bits:
+# ``frame << 16 | subframe << 12 | slot << 6 | symbol`` (frameId 8 bits,
+# subframeId 4, slotId 6, symbolId 6).  It packs, parses, compares and
+# keys without a numerology; int order is (frame, subframe, slot, symbol)
+# order, and it wraps at 256 frames as the wire does.  The functions below
+# are the only code that knows the layout.
 
-    ``slot`` is the slot index within the subframe (0..2^mu-1) as encoded
-    on the wire.
-    """
 
-    # Slotted, so the hash computed once in ``__post_init__`` costs no
-    # per-instance dict: one is alive per packet.
-    __slots__ = ("frame", "subframe", "slot", "symbol", "_hash")
+def symbol_time(frame: int, subframe: int, slot: int, symbol: int) -> int:
+    """The time of ``symbol`` in ``slot`` (index within the subframe, as
+    on the wire), range-checked."""
+    if not 0 <= frame < MAX_FRAME_ID:
+        raise ValueError(f"frame out of range: {frame}")
+    if not 0 <= subframe < SUBFRAMES_PER_FRAME:
+        raise ValueError(f"subframe out of range: {subframe}")
+    if not 0 <= slot < 64:
+        raise ValueError(f"slot out of range: {slot}")
+    if not 0 <= symbol < SYMBOLS_PER_SLOT:
+        raise ValueError(f"symbol out of range: {symbol}")
+    return frame << 16 | subframe << 12 | slot << 6 | symbol
 
-    frame: int
-    subframe: int
-    slot: int
-    symbol: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.frame < MAX_FRAME_ID:
-            raise ValueError(f"frame out of range: {self.frame}")
-        if not 0 <= self.subframe < SUBFRAMES_PER_FRAME:
-            raise ValueError(f"subframe out of range: {self.subframe}")
-        if not 0 <= self.slot < 64:
-            raise ValueError(f"slot out of range: {self.slot}")
-        if not 0 <= self.symbol < SYMBOLS_PER_SLOT:
-            raise ValueError(f"symbol out of range: {self.symbol}")
-        # The dataclass hash, computed once: every SlotRing, cache and
-        # flow-key lookup hashes a SymbolTime.
-        object.__setattr__(self, "_hash", hash(
-            (self.frame, self.subframe, self.slot, self.symbol)
-        ))
+def slot_time(absolute_slot: int, numerology: Numerology) -> int:
+    """Symbol 0 of clock slot ``absolute_slot`` counted from frame 0; a
+    later symbol of that slot is this plus its index."""
+    per_frame = numerology.slots_per_frame
+    per_subframe = numerology.slots_per_subframe
+    rem = absolute_slot % per_frame
+    frame = (absolute_slot // per_frame) % MAX_FRAME_ID
+    return frame << 16 | (rem // per_subframe) << 12 | (rem % per_subframe) << 6
 
-    def __hash__(self) -> int:
-        return self._hash
 
-    def __reduce__(self):
-        # Pickle and copy rebuild through __init__: the frozen __setattr__
-        # refuses the default slot-state restore.
-        return type(self), (self.frame, self.subframe, self.slot, self.symbol)
+def slot_id(time: int) -> int:
+    """The slot a time falls in, symbol dropped: equal for every symbol of
+    one slot, ordered like the slots."""
+    return time >> 6
 
-    def slot_key(self) -> Tuple[int, int, int]:
-        """Key identifying the slot (ignoring the symbol index)."""
-        return (self.frame, self.subframe, self.slot)
 
-    def absolute_slot(self, numerology: Numerology) -> int:
-        """Monotonic slot counter within the 256-frame wire epoch."""
-        per_frame = numerology.slots_per_frame
-        per_subframe = numerology.slots_per_subframe
-        return self.frame * per_frame + self.subframe * per_subframe + self.slot
+def symbol_of(time: int) -> int:
+    return time & 0x3F
 
-    @classmethod
-    def from_absolute_slot(
-        cls, index: int, numerology: Numerology
-    ) -> "SymbolTime":
-        """Symbol 0 of slot ``index`` counted from frame 0."""
-        per_frame = numerology.slots_per_frame
-        per_subframe = numerology.slots_per_subframe
-        frame = (index // per_frame) % MAX_FRAME_ID
-        rem = index % per_frame
-        return cls(frame, rem // per_subframe, rem % per_subframe, 0)
 
-    def ns(self, numerology: Numerology) -> float:
-        """Nanoseconds since epoch start for the beginning of this symbol."""
-        return (
-            self.absolute_slot(numerology) * numerology.slot_duration_ns
-            + self.symbol * numerology.symbol_duration_ns
-        )
+def time_fields(time: int) -> Tuple[int, int, int, int]:
+    """``(frame, subframe, slot, symbol)``, for printers."""
+    return time >> 16, time >> 12 & 0xF, time >> 6 & 0x3F, time & 0x3F
+
+
+def absolute_slot(time: int, numerology: Numerology) -> int:
+    """Monotonic slot counter within the 256-frame wire epoch."""
+    return (
+        (time >> 16) * numerology.slots_per_frame
+        + (time >> 12 & 0xF) * numerology.slots_per_subframe
+        + (time >> 6 & 0x3F)
+    )
+
+
+def ns(time: int, numerology: Numerology) -> float:
+    """Nanoseconds since epoch start for the beginning of this symbol."""
+    return (
+        absolute_slot(time, numerology) * numerology.slot_duration_ns
+        + (time & 0x3F) * numerology.symbol_duration_ns
+    )
+
+
+def wire_fields(time: int) -> Tuple[int, int]:
+    """The header's frameId byte and its subframe/slot/symbol word."""
+    return time >> 16, time & 0xFFFF
+
+
+def from_wire(frame: int, word: int) -> int:
+    """The time a header carries; a subframe or symbol no frame has raises
+    ``ValueError``, as :func:`symbol_time` does."""
+    return symbol_time(frame, word >> 12, word >> 6 & 0x3F, word & 0x3F)
 
 
 @dataclass(frozen=True)
@@ -200,11 +208,9 @@ class TddPattern:
 
 
 class SlotClock:
-    """Iterator over consecutive slots, yielding :class:`SymbolTime` stamps.
-
-    A :class:`~repro.sim.network_sim.FronthaulNetwork` owns the one clock
-    of a run; tests use it to generate deterministic timestamp sequences.
-    """
+    """The slot counter of a run: a
+    :class:`~repro.sim.network_sim.FronthaulNetwork` owns one, and every
+    DU is told the slot it reads."""
 
     def __init__(self, numerology: Numerology, start_slot: int = 0):
         self.numerology = numerology
@@ -217,14 +223,7 @@ class SlotClock:
     def current_slot(self) -> int:
         return self._slot
 
-    def advance(self) -> SymbolTime:
-        """Return the stamp for the current slot and move to the next."""
-        stamp = SymbolTime.from_absolute_slot(self._slot, self.numerology)
+    def advance(self) -> int:
+        """Return the current slot and move to the next."""
         self._slot += 1
-        return stamp
-
-    def symbols(self) -> Iterator[SymbolTime]:
-        """Yield the 14 symbol stamps of the current slot (no advance)."""
-        base = SymbolTime.from_absolute_slot(self._slot, self.numerology)
-        for symbol in range(SYMBOLS_PER_SLOT):
-            yield SymbolTime(base.frame, base.subframe, base.slot, symbol)
+        return self._slot - 1

@@ -34,7 +34,7 @@ from repro.fronthaul.compression import (
 )
 from repro.fronthaul.cplane import ALL_PRBS, Direction
 from repro.fronthaul.errors import TruncatedFrame
-from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.timing import from_wire, wire_fields
 
 _HDR = struct.Struct("!BBH")
 _SECTION_HDR = struct.Struct("!3sBBB")
@@ -299,7 +299,8 @@ class UPlaneMessage:
     """A full U-plane message: timing header plus IQ sections."""
 
     direction: Direction
-    time: SymbolTime
+    #: The header's timestamp (:mod:`repro.fronthaul.timing`).
+    time: int
     sections: List[UPlaneSection] = field(default_factory=list)
     filter_index: int = 0
 
@@ -309,12 +310,8 @@ class UPlaneMessage:
             | ((1 & 0x7) << 4)
             | (self.filter_index & 0xF)
         )
-        timing = (
-            ((self.time.subframe & 0xF) << 12)
-            | ((self.time.slot & 0x3F) << 6)
-            | (self.time.symbol & 0x3F)
-        )
-        parts = [_HDR.pack(first, self.time.frame & 0xFF, timing)]
+        frame, timing = wire_fields(self.time)
+        parts = [_HDR.pack(first, frame, timing)]
         parts.extend(section.pack() for section in self.sections)
         return b"".join(parts)
 
@@ -327,12 +324,7 @@ class UPlaneMessage:
         first, frame, timing = _HDR.unpack_from(data)
         message = cls(
             direction=Direction((first >> 7) & 0x1),
-            time=SymbolTime(
-                frame,
-                (timing >> 12) & 0xF,
-                (timing >> 6) & 0x3F,
-                timing & 0x3F,
-            ),
+            time=from_wire(frame, timing),
             filter_index=first & 0xF,
         )
         offset = _HDR.size

@@ -20,7 +20,10 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Deque, Dict, List, Sequence, Tuple
+
+from repro.fronthaul.timing import time_fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,14 +119,15 @@ class PacketSpan:
 class FlightRecorder:
     """Bounded ring of span rows.
 
-    A row is the flat tuple one sampled packet records: ``(eaxc, frame,
-    subframe, slot, symbol, direction, seq, middlebox, class,
-    modeled_ns, wall_ns, start_ns, events, emitted, dropped, stage)``,
-    where ``events`` is the packet context's own list of shared
-    :class:`SpanEvent` values.  A row the streaming fold received ends
-    with its ``(group, shard)`` stamp.
-    :meth:`spans` and the exports build :class:`PacketSpan` views on
-    read; nothing on the write path builds an object.
+    A row is the flat tuple one sampled packet records: ``(eaxc, time,
+    direction, seq, middlebox, class, modeled_ns, wall_ns, start_ns,
+    events, emitted, dropped, stage)``, where ``time`` is the header's
+    int timestamp and ``events`` is the packet context's own list of
+    shared :class:`SpanEvent` values.  Beside each row the ring holds its
+    ``(group, shard)`` stamp: the one tuple a streamed payload carries,
+    shared by all its rows, or ``()`` for a row recorded where it was
+    taken.  :meth:`spans` and the exports build :class:`PacketSpan`
+    views on read; nothing on the write path builds an object.
 
     ``capacity`` bounds memory: the ring keeps the newest rows and
     ``evicted`` counts how many rolled off.
@@ -131,6 +135,7 @@ class FlightRecorder:
 
     capacity: int = 4096
     _rows: Deque[tuple] = field(init=False, repr=False)
+    _stamps: Deque[tuple] = field(init=False, repr=False)
     evicted: int = field(init=False, default=0)
     _recorded: int = field(init=False, default=0)
     _drained: int = field(init=False, default=0)
@@ -139,26 +144,29 @@ class FlightRecorder:
         if self.capacity <= 0:
             raise ValueError("capacity must be positive")
         self._rows = deque(maxlen=self.capacity)
+        self._stamps = deque(maxlen=self.capacity)
 
-    def record(self, rows: Sequence[tuple]) -> None:
-        """Append ``rows`` in order; the oldest roll off past capacity."""
+    def record(self, rows: Sequence[tuple], stamp: tuple = ()) -> None:
+        """Append ``rows`` in order, each stamped ``stamp``; the oldest
+        roll off past capacity."""
         count = len(rows)
         overflow = len(self._rows) + count - self.capacity
         if overflow > 0:
             self.evicted += overflow
         self._rows.extend(rows)
+        self._stamps.extend(repeat(stamp, count))
         self._recorded += count
 
     def spans(self) -> List[PacketSpan]:
         """The retained rows as :class:`PacketSpan` views, oldest first."""
         return [
             PacketSpan(
-                SpanKey(*row[:7], *row[16:]),
-                *row[7:12],
-                tuple(row[12]),
-                *row[13:16],
+                SpanKey(row[0], *time_fields(row[1]), *row[2:4], *stamp),
+                *row[4:9],
+                tuple(row[9]),
+                *row[10:13],
             )
-            for row in self._rows
+            for row, stamp in zip(self._rows, self._stamps)
         ]
 
     def __len__(self) -> int:
@@ -166,12 +174,14 @@ class FlightRecorder:
 
     def clear(self) -> None:
         self._rows.clear()
+        self._stamps.clear()
         self.evicted = 0
         self._recorded = 0
         self._drained = 0
 
     def drain(self) -> Tuple[List[tuple], int]:
         """Rows recorded since the last drain, plus the dropped count.
+        Rows ship as recorded: a stamp stays in the ring that holds it.
 
         The streaming telemetry plane calls this at every epoch boundary:
         the first element is every still-retained row recorded since the

@@ -13,8 +13,8 @@ The telemetry plane has two ends, one object each:
   payload.
 - :class:`TelemetryStream` (coordinator side) folds payloads as they
   arrive: the epoch's snapshots are kept by group, span rows land in a
-  bounded coordinator recorder with the ``(group, shard)`` they were
-  recorded on after their wire coordinates, and the group samples sum
+  bounded coordinator recorder beside the payload's one ``(group,
+  shard)`` tuple they were recorded on, and the group samples sum
   into one :class:`~repro.obs.slo.EpochSample` for the
   :class:`~repro.obs.slo.SloEngine` plus one summary record, its alert
   edges included: :attr:`TelemetryStream.summary`, the last fold's.
@@ -232,8 +232,7 @@ class TelemetryStream:
         record = self.recorder.record
         for payload in ordered:
             rows = payload.get("spans", ())
-            stamp = (payload["group"], payload["shard"])
-            record([row + stamp for row in rows])
+            record(rows, (payload["group"], payload["shard"]))
             self.spans_seen += len(rows)
             increments = payload["sample"]
             for key in totals:

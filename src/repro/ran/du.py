@@ -14,7 +14,7 @@ port only (the property the dMIMO middlebox's SSB replication fixes).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
@@ -26,7 +26,7 @@ from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction, Sect
 from repro.fronthaul.ecpri import EAxCId
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import FronthaulPacket, make_packet
-from repro.fronthaul.timing import SYMBOLS_PER_SLOT, SymbolTime
+from repro.fronthaul.timing import SYMBOLS_PER_SLOT, slot_id, slot_time, time_fields
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 from repro.phy.iq import DL_FIXED_POINT_BACKOFF, INT16_SCALE, QamModulator, iq_to_int16
 from repro.phy.keyed import KeyedPool, mix64
@@ -132,7 +132,7 @@ class DistributedUnit:
         #: received since.
         self._uplink_hash = hashlib.sha256()
         self._unhashed: List[bytes] = []
-        #: UL allocations awaiting U-plane data: {slot_key: [allocations]},
+        #: UL allocations awaiting U-plane data: {slot id: [allocations]},
         #: and the slot's uplink symbol count their bits are pro-rated over.
         self._pending_ul = SlotRing()
         self._pending_ul_symbols = SlotRing()
@@ -163,9 +163,7 @@ class DistributedUnit:
         """Run slot ``absolute_slot``: schedule, emit C-plane and DL
         U-plane packets.  The DU keeps no clock — the network that drives
         it owns the counter and tells every DU the same slot."""
-        slot_time = SymbolTime.from_absolute_slot(
-            absolute_slot, self.cell.numerology
-        )
+        stamp = slot_time(absolute_slot, self.cell.numerology)
         offset, self._slots_run = self._slots_run, self._slots_run + 1
         self._enqueue_traffic()
         allocations = self.scheduler.schedule_slot(absolute_slot)
@@ -187,19 +185,19 @@ class DistributedUnit:
             # exponent-based utilization estimate necessary.  With nothing
             # to transmit the fronthaul goes quiet, which is what makes the
             # XDP datapath's CPU utilization traffic-proportional (Fig 16).
-            packets += self._fullband_cplane(Direction.DOWNLINK, slot_time, dl_symbols)
+            packets += self._fullband_cplane(Direction.DOWNLINK, stamp, dl_symbols)
         if ul_allocs:
             # No uplink grants, no C-plane: a DU with no traffic stays
             # silent — the uncertainty the RU-sharing middlebox's numPrb
             # widening works around (Section 4.3).
-            packets += self._fullband_cplane(Direction.UPLINK, slot_time, ul_symbols)
-            self._pending_ul[slot_time.slot_key()] = ul_allocs
-            self._pending_ul_symbols[slot_time.slot_key()] = max(len(ul_symbols), 1)
+            packets += self._fullband_cplane(Direction.UPLINK, stamp, ul_symbols)
+            self._pending_ul[slot_id(stamp)] = ul_allocs
+            self._pending_ul_symbols[slot_id(stamp)] = max(len(ul_symbols), 1)
         if self.cell.is_prach_slot(absolute_slot) and ul_symbols:
-            packets.append(self._prach_cplane(slot_time, ul_symbols))
+            packets.append(self._prach_cplane(stamp, ul_symbols))
         if transmitting:
             packets += self._build_dl_uplane(
-                slot_time, offset, is_ssb_slot, dl_allocs, dl_symbols
+                stamp, offset, is_ssb_slot, dl_allocs, dl_symbols
             )
         for allocation in dl_allocs:
             self.counters.dl_bits += allocation.bits
@@ -213,7 +211,7 @@ class DistributedUnit:
         return seq
 
     def _fullband_cplane(
-        self, direction: Direction, slot_time: SymbolTime, symbols: List[int]
+        self, direction: Direction, stamp: int, symbols: List[int]
     ) -> List[FronthaulPacket]:
         """One full-carrier type-1 request per port covering ``symbols``."""
         if not symbols:
@@ -222,7 +220,7 @@ class DistributedUnit:
         for port in range(self.cell.n_antennas):
             message = CPlaneMessage(
                 direction=direction,
-                time=replace(slot_time, symbol=symbols[0]),
+                time=stamp + symbols[0],
                 sections=[
                     CPlaneSection(
                         section_id=(self.du_id * 256) % 4096,
@@ -238,7 +236,7 @@ class DistributedUnit:
         return packets
 
     def _prach_cplane(
-        self, slot_time: SymbolTime, ul_symbols: List[int]
+        self, stamp: int, ul_symbols: List[int]
     ) -> FronthaulPacket:
         section = CPlaneSection(
             section_id=self.du_id % 4096,
@@ -249,7 +247,7 @@ class DistributedUnit:
         )
         message = CPlaneMessage(
             direction=Direction.UPLINK,
-            time=replace(slot_time, symbol=ul_symbols[0]),
+            time=stamp + ul_symbols[0],
             sections=[section],
             section_type=SectionType.PRACH,
             compression=self.compression,
@@ -261,7 +259,7 @@ class DistributedUnit:
 
     def _build_dl_uplane(
         self,
-        slot_time: SymbolTime,
+        stamp: int,
         offset: int,
         is_ssb_slot: bool,
         allocations: List[PrbAllocation],
@@ -290,9 +288,9 @@ class DistributedUnit:
         )
         packets = []
         for (symbol, port), section in zip(rows, sections):
-            time = replace(slot_time, symbol=symbol)
             message = UPlaneMessage(
-                direction=Direction.DOWNLINK, time=time, sections=[section]
+                direction=Direction.DOWNLINK, time=stamp + symbol,
+                sections=[section],
             )
             eaxc = EAxCId(du_port=self.du_id, ru_port=port)
             packets.append(self._emit(message, eaxc, uplane=True))
@@ -371,9 +369,9 @@ class DistributedUnit:
         self.counters.ul_packets += 1
         self._account_uplink(time, ru_port, sections)
         unhashed = self._unhashed
+        frame, subframe, slot, symbol = time_fields(time)
         unhashed.append(
-            f"{time.frame},{time.subframe},{time.slot},{time.symbol},"
-            f"{ru_port}".encode()
+            f"{frame},{subframe},{slot},{symbol},{ru_port}".encode()
         )
         for section in sections:
             unhashed.append(
@@ -402,7 +400,7 @@ class DistributedUnit:
         return self._uplink_hash.hexdigest()
 
     def _account_uplink(
-        self, time: SymbolTime, ru_port: int, sections: List[UPlaneSection]
+        self, time: int, ru_port: int, sections: List[UPlaneSection]
     ) -> None:
         """Credit UL bits for allocations covered by a received packet.
 
@@ -411,7 +409,7 @@ class DistributedUnit:
         """
         if ru_port != 0:
             return
-        key = time.slot_key()
+        key = slot_id(time)
         pending = self._pending_ul.get(key)
         if not pending:
             return

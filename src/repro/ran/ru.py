@@ -22,7 +22,7 @@ from repro.fronthaul.ecpri import EAxCId
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import FronthaulPacket, make_packet
 from repro.fronthaul.spectrum import PrbGrid
-from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.timing import SYMBOLS_PER_SLOT, slot_id, symbol_of
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 from repro.phy.iq import int16_to_iq, iq_to_int16
 
@@ -54,7 +54,8 @@ class _UplinkRequest:
 
     sections: List[Tuple[int, int, int]]  # (section_id, start_prb, num_prb)
     is_prach: bool = False
-    start_symbol: int = 0
+    #: The time of the first requested symbol.
+    start: int = 0
     num_symbols: int = 1
 
 
@@ -94,9 +95,9 @@ class RadioUnit:
         #: DL transmit grids, decoded only when read: {(time, port):
         #: [(start, end, compression, parse rows)]} in arrival order.
         self._tx_grids = SlotRing()
-        #: DL C-plane windows: {(slot_key, port): [(start, end) PRB ranges]}.
+        #: DL C-plane windows: {(slot id, port): [(start, end) PRB ranges]}.
         self._dl_windows = SlotRing()
-        #: Pending UL requests: {(slot_key, port, is_prach): _UplinkRequest}.
+        #: Pending UL requests: {(slot id, port, is_prach): _UplinkRequest}.
         #: Data and PRACH requests are distinct: they cover different
         #: channels and the RU answers each with its own U-plane stream.
         self._ul_requests: Dict[Tuple, _UplinkRequest] = {}
@@ -118,7 +119,7 @@ class RadioUnit:
         self.counters.cplane_received += 1
         message: CPlaneMessage = packet.message
         port = packet.eaxc.ru_port
-        key = (message.time.slot_key(), port)
+        key = (slot_id(message.time), port)
         if message.direction is Direction.DOWNLINK:
             windows = self._dl_windows.setdefault(key, [])
             for section in message.sections:
@@ -129,7 +130,7 @@ class RadioUnit:
                 key + (is_prach,),
                 _UplinkRequest(sections=[], is_prach=is_prach),
             )
-            request.start_symbol = message.time.symbol
+            request.start = message.time
             for section in message.sections:
                 request.sections.append(
                     (section.section_id, section.start_prb, section.num_prb)
@@ -144,7 +145,7 @@ class RadioUnit:
         if port >= self.config.n_antennas:
             self.counters.unsolicited_uplane += 1
             return
-        windows = self._dl_windows.get((message.time.slot_key(), port))
+        windows = self._dl_windows.get((slot_id(message.time), port))
         if not windows:
             self.counters.unsolicited_uplane += 1
             return
@@ -162,7 +163,7 @@ class RadioUnit:
 
     # -- air interface -------------------------------------------------------
 
-    def transmit_grid(self, time: SymbolTime, port: int) -> Optional[np.ndarray]:
+    def transmit_grid(self, time: int, port: int) -> Optional[np.ndarray]:
         """Complex air samples for one symbol/port (None if idle), decoded
         now from the accepted sections in arrival order, at the DU's
         downlink drive level."""
@@ -174,12 +175,12 @@ class RadioUnit:
             samples[start:end] = codec_for(compression).decompress_array(*parse)
         return int16_to_iq(samples)
 
-    def transmitted_symbols(self) -> List[Tuple[SymbolTime, int]]:
-        return sorted(self._tx_grids, key=lambda k: (k[0], k[1]))
+    def transmitted_symbols(self) -> List[Tuple[int, int]]:
+        return sorted(self._tx_grids)
 
     def build_uplink(
         self,
-        items: Iterable[Tuple[SymbolTime, int, Optional[np.ndarray]]],
+        items: Iterable[Tuple[int, int, Optional[np.ndarray]]],
     ) -> List[FronthaulPacket]:
         """Digitize one slot's air samples into U-plane packets.
 
@@ -243,12 +244,12 @@ class RadioUnit:
         """The items some recorded request covers, as ``(time, port,
         requests, air_iq)``; a wrong-length ``air_iq`` raises at the pull."""
         for time, port, air_iq in items:
-            slot_key = time.slot_key()
+            slot = slot_id(time)
             requests = [
                 request
                 for is_prach in (False, True)
-                if (request := self._ul_requests.get((slot_key, port, is_prach)))
-                and 0 <= time.symbol - request.start_symbol < request.num_symbols
+                if (request := self._ul_requests.get((slot, port, is_prach)))
+                and 0 <= time - request.start < request.num_symbols
             ]
             if not requests:
                 continue
@@ -258,19 +259,18 @@ class RadioUnit:
                 )
             yield time, port, requests, air_iq
 
-    def pending_uplink_symbols(self) -> List[Tuple[SymbolTime, int]]:
+    def pending_uplink_symbols(self) -> List[Tuple[int, int]]:
         """(time, port) pairs the RU owes uplink U-plane packets for.
 
         One entry per requested symbol; the sim layer pairs each with
         its air samples and hands the slot's list to :meth:`build_uplink`.
         """
         result = set()
-        for (slot_key, port, _), request in self._ul_requests.items():
-            frame, subframe, slot = slot_key
-            last = min(request.start_symbol + request.num_symbols, 14)
-            for symbol in range(request.start_symbol, last):
-                result.add((SymbolTime(frame, subframe, slot, symbol), port))
-        return sorted(result, key=lambda item: (item[0], item[1]))
+        for (_, port, _), request in self._ul_requests.items():
+            start = request.start
+            count = min(request.num_symbols, SYMBOLS_PER_SLOT - symbol_of(start))
+            result.update((time, port) for time in range(start, start + count))
+        return sorted(result)
 
     def end_slot(self) -> None:
         """Close the slot, once its uplink packets are built: the

@@ -155,13 +155,11 @@ def _build_dmimo(stage: "StageSpec", ctx: StageBuildContext) -> Middlebox:
             prb_start=ssb_params["prb_start"],
             num_prb=ssb_params["num_prb"],
         )
-    numerology = cell.config.numerology
     return DmimoMiddlebox(
         du_mac=cell.du.mac,
         port_map=RuPortMap(groups=groups),
         ssb=ssb,
-        slots_per_frame=numerology.slots_per_frame,
-        slots_per_subframe=numerology.slots_per_subframe,
+        numerology=cell.config.numerology,
         **ctx.base_kwargs(stage, cell),
         **params,
     )

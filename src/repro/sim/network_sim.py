@@ -21,7 +21,7 @@ import numpy as np
 from repro.core.chain import MiddleboxChain
 from repro.core.middlebox import Middlebox
 from repro.fronthaul.packet import FronthaulPacket
-from repro.fronthaul.timing import SlotClock, SymbolTime
+from repro.fronthaul.timing import SlotClock
 from repro.phy.geometry import Position
 from repro.ran.du import DistributedUnit
 from repro.ran.ru import RadioUnit
@@ -49,7 +49,7 @@ class SlotReport:
 #: one int32 column each.
 _REPORT_COUNTERS = tuple(f.name for f in fields(SlotReport))[1:]
 
-UplinkSignalFn = Callable[[RadioUnit, Position, SymbolTime, int], Optional[np.ndarray]]
+UplinkSignalFn = Callable[[RadioUnit, Position, int, int], Optional[np.ndarray]]
 
 
 class FronthaulNetwork:
@@ -162,8 +162,7 @@ class FronthaulNetwork:
         """Advance every DU one slot and exchange all fronthaul packets."""
         if not self._dus:
             raise RuntimeError("no DUs in the network")
-        absolute_slot = self.clock.current_slot
-        self.clock.advance()
+        absolute_slot = self.clock.advance()
         report = SlotReport(absolute_slot=absolute_slot)
         accountant = self.deadline_accountant
         if accountant is not None:

@@ -16,10 +16,10 @@ import numpy as np
 
 from repro.apps.prb_monitor import PrbMonitorMiddlebox
 from repro.fronthaul.cplane import Direction
-from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.timing import slot_id
 
 #: ``(time, direction, flags)``; ``flags`` one Python bool per PRB.
-Record = Tuple[SymbolTime, Direction, Tuple[bool, ...]]
+Record = Tuple[int, Direction, Tuple[bool, ...]]
 
 
 def record_estimates(monitor: PrbMonitorMiddlebox) -> List[Record]:
@@ -59,7 +59,7 @@ def per_slot(records: List[Record], direction: Direction) -> Dict:
     grouped: Dict[Tuple[int, int, int], List[float]] = defaultdict(list)
     for time, seen, flags in records:
         if seen is direction:
-            grouped[time.slot_key()].append(utilization(flags))
+            grouped[slot_id(time)].append(utilization(flags))
     return grouped
 
 

@@ -10,7 +10,7 @@ from repro.fronthaul.cplane import Direction
 from repro.fronthaul.ecpri import EAxCId
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import make_packet
-from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.timing import symbol_time
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 
 DU_MAC = MacAddress.from_int(0x01)
@@ -50,7 +50,7 @@ def test_das_merges_exactly_once_per_symbol_any_order(case):
     das = DasMiddlebox(du_mac=DU_MAC, ru_macs=ru_macs)
     merged_payloads = {}
     for ru_index, symbol in order:
-        time = SymbolTime(0, 0, 0, symbol)
+        time = symbol_time(0, 0, 0, symbol)
         packet = ul_packet(seed=ru_index * 100 + symbol,
                            src=ru_macs[ru_index], time=time, port=0)
         result = das.process(packet)
@@ -64,7 +64,7 @@ def test_das_merges_exactly_once_per_symbol_any_order(case):
     # Order invariance: re-run in sorted order, payloads must match.
     das2 = DasMiddlebox(du_mac=DU_MAC, ru_macs=ru_macs)
     for ru_index, symbol in sorted(order):
-        time = SymbolTime(0, 0, 0, symbol)
+        time = symbol_time(0, 0, 0, symbol)
         result = das2.process(ul_packet(seed=ru_index * 100 + symbol,
                                         src=ru_macs[ru_index], time=time,
                                         port=0))
@@ -114,7 +114,7 @@ def test_dmimo_roundtrip_identity_on_wire(groups, ports):
         DU_MAC, MacAddress.from_int(0xFF),
         UPlaneMessage(
             direction=Direction.DOWNLINK,
-            time=SymbolTime(0, 0, 0, 1),
+            time=symbol_time(0, 0, 0, 1),
             sections=[
                 UPlaneSection.from_samples(
                     0, 0, np.zeros((2, 24), dtype=np.int16)
@@ -128,7 +128,7 @@ def test_dmimo_roundtrip_identity_on_wire(groups, ports):
         out.eth.dst, DU_MAC,
         UPlaneMessage(
             direction=Direction.UPLINK,
-            time=SymbolTime(0, 0, 0, 10),
+            time=symbol_time(0, 0, 0, 10),
             sections=[
                 UPlaneSection.from_samples(
                     0, 0, np.zeros((2, 24), dtype=np.int16)

@@ -8,7 +8,7 @@ from repro.core.actions import _RETAINED_SLOTS
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import make_packet
-from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.timing import symbol_time
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 
 from tests.conftest import random_prb_samples
@@ -29,7 +29,7 @@ def dl_uplane(rng, du_mac, ru_mac, time=None):
     return make_packet(
         du_mac, ru_mac,
         UPlaneMessage(direction=Direction.DOWNLINK,
-                      time=time or SymbolTime(0, 0, 0, 0),
+                      time=symbol_time(0, 0, 0, 0) if time is None else time,
                       sections=[section]),
     )
 
@@ -43,7 +43,7 @@ def ul_uplane(rng, ru_mac, du_mac, time=None, port=0, amplitude=3000):
     return make_packet(
         ru_mac, du_mac,
         UPlaneMessage(direction=Direction.UPLINK,
-                      time=time or SymbolTime(0, 0, 0, 5),
+                      time=symbol_time(0, 0, 0, 5) if time is None else time,
                       sections=[section]),
         eaxc=EAxCId(du_port=0, ru_port=port),
     )
@@ -52,7 +52,7 @@ def ul_uplane(rng, ru_mac, du_mac, time=None, port=0, amplitude=3000):
 def cplane(du_mac, ru_mac, direction=Direction.DOWNLINK):
     return make_packet(
         du_mac, ru_mac,
-        CPlaneMessage(direction=direction, time=SymbolTime(0, 0, 0, 0),
+        CPlaneMessage(direction=direction, time=symbol_time(0, 0, 0, 0),
                       sections=[CPlaneSection(0, 0, 106)]),
     )
 
@@ -104,8 +104,8 @@ class TestUplinkMerge:
 
     def test_merge_keyed_by_symbol_time(self, das, rng, du_mac, ru_macs):
         """Packets of different symbols never merge together."""
-        t_a = SymbolTime(0, 0, 0, 5)
-        t_b = SymbolTime(0, 0, 0, 6)
+        t_a = symbol_time(0, 0, 0, 5)
+        t_b = symbol_time(0, 0, 0, 6)
         das.process(ul_uplane(rng, ru_macs[0], du_mac, time=t_a))
         das.process(ul_uplane(rng, ru_macs[1], du_mac, time=t_b))
         assert das.merged_uplink_symbols == 0
@@ -123,7 +123,7 @@ class TestUplinkMerge:
         result = das.process(ul_uplane(rng, ru_macs[0], du_mac))
         assert result.emissions == []
         assert len(das.cache.peek(
-            (SymbolTime(0, 0, 0, 5), Direction.UPLINK, 0)
+            (symbol_time(0, 0, 0, 5), Direction.UPLINK, 0)
         )) == 1
 
     def test_retransmission_under_a_new_seq_dropped_by_its_cache_tag(
@@ -158,7 +158,7 @@ class TestEndSlot:
 
     #: The last slot before the frame counter wraps: the slot boundary
     #: after it is (0, 0, 0), which no slot key is "before".
-    LAST = SymbolTime(255, 9, 1, 5)
+    LAST = symbol_time(255, 9, 1, 5)
 
     def test_sweep_abandons_a_merge_pending_across_the_frame_wrap(
         self, das, rng, du_mac, ru_macs

@@ -8,7 +8,7 @@ from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
 from repro.fronthaul.ecpri import EAxCId
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import make_packet
-from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.timing import symbol_time
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 
 from tests.conftest import random_prb_samples
@@ -40,7 +40,7 @@ def dl_uplane(rng, du_mac, port, time=None, n_prbs=8):
     return make_packet(
         du_mac, MacAddress.from_int(0xFF),  # virtual RU address
         UPlaneMessage(direction=Direction.DOWNLINK,
-                      time=time or SymbolTime(0, 0, 0, 1),
+                      time=symbol_time(0, 0, 0, 1) if time is None else time,
                       sections=[section]),
         eaxc=EAxCId(du_port=0, ru_port=port),
     )
@@ -51,7 +51,7 @@ def ul_uplane(rng, src, du_mac, port):
     return make_packet(
         src, du_mac,
         UPlaneMessage(direction=Direction.UPLINK,
-                      time=SymbolTime(0, 0, 0, 10),
+                      time=symbol_time(0, 0, 0, 10),
                       sections=[section]),
         eaxc=EAxCId(du_port=0, ru_port=port),
     )
@@ -108,7 +108,7 @@ class TestDownlinkRemap:
     def test_cplane_remapped_too(self, dmimo, du_mac, ru_b):
         message = CPlaneMessage(
             direction=Direction.DOWNLINK,
-            time=SymbolTime(0, 0, 0, 0),
+            time=symbol_time(0, 0, 0, 0),
             sections=[CPlaneSection(0, 0, 106)],
         )
         packet = make_packet(du_mac, MacAddress.from_int(0xFF), message,
@@ -157,7 +157,7 @@ class TestSsbReplication:
         return DmimoMiddlebox(du_mac=du_mac, port_map=port_map, ssb=ssb)
 
     def ssb_time(self):
-        return SymbolTime(0, 0, 0, 1)  # slot 0, symbol 1
+        return symbol_time(0, 0, 0, 1)  # slot 0, symbol 1
 
     def test_ssb_copied_to_secondary(self, dmimo_ssb, rng, du_mac, ru_b):
         primary = dl_uplane(rng, du_mac, port=0, time=self.ssb_time())
@@ -209,13 +209,13 @@ class TestSsbReplication:
         assert bytes(released[0].message.sections[0].prb_payload_view(3, 1)) == ssb_bytes
 
     def test_non_ssb_symbols_not_copied(self, dmimo_ssb, rng, du_mac):
-        other_time = SymbolTime(0, 0, 0, 3)
+        other_time = symbol_time(0, 0, 0, 3)
         dmimo_ssb.process(dl_uplane(rng, du_mac, port=0, time=other_time))
         dmimo_ssb.process(dl_uplane(rng, du_mac, port=2, time=other_time))
         assert dmimo_ssb.ssb_copies == 0
 
     def test_non_ssb_slots_not_copied(self, dmimo_ssb, rng, du_mac):
-        off_slot = SymbolTime(0, 0, 1, 1)  # slot 1: not an SSB slot
+        off_slot = symbol_time(0, 0, 1, 1)  # slot 1: not an SSB slot
         dmimo_ssb.process(dl_uplane(rng, du_mac, port=0, time=off_slot))
         dmimo_ssb.process(dl_uplane(rng, du_mac, port=2, time=off_slot))
         assert dmimo_ssb.ssb_copies == 0

@@ -17,7 +17,7 @@ from repro.fronthaul.ecpri import EAxCId
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import make_packet
 from repro.fronthaul.spectrum import PrbGrid, split_ru_spectrum
-from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.timing import symbol_time
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 
 from tests.conftest import random_prb_samples
@@ -53,7 +53,7 @@ class TestMeasuredPlacement:
             packet = make_packet(
                 mac, du_mac,
                 UPlaneMessage(direction=Direction.UPLINK,
-                              time=SymbolTime(0, 0, 0, 5),
+                              time=symbol_time(0, 0, 0, 5),
                               sections=[section]),
             )
             contexts.append(das.process(packet))
@@ -68,7 +68,7 @@ class TestMeasuredPlacement:
         packet = make_packet(
             du_mac, MacAddress.from_int(0xFF),
             UPlaneMessage(direction=Direction.DOWNLINK,
-                          time=SymbolTime(0, 0, 0, 1), sections=[section]),
+                          time=symbol_time(0, 0, 0, 1), sections=[section]),
             eaxc=EAxCId(du_port=0, ru_port=1),
         )
         assert not dmimo.process(packet).needs_userspace()
@@ -79,7 +79,7 @@ class TestMeasuredPlacement:
         packet = make_packet(
             du_mac, ru_mac,
             UPlaneMessage(direction=Direction.DOWNLINK,
-                          time=SymbolTime(0, 0, 0, 0), sections=[section]),
+                          time=symbol_time(0, 0, 0, 0), sections=[section]),
         )
         assert not monitor.process(packet).needs_userspace()
 
@@ -92,7 +92,7 @@ class TestMeasuredPlacement:
         )
         from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection
 
-        time = SymbolTime(0, 0, 0, 10)
+        time = symbol_time(0, 0, 0, 10)
         cplane = make_packet(
             du.mac, sharing.ru_mac,
             CPlaneMessage(direction=Direction.UPLINK, time=time,

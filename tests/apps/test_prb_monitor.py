@@ -14,13 +14,20 @@ from repro.fronthaul.compression import SAMPLES_PER_PRB
 from repro.fronthaul.cplane import Direction
 from repro.fronthaul.ecpri import EAxCId
 from repro.fronthaul.packet import make_packet
-from repro.fronthaul.timing import Numerology, SymbolTime
+from repro.fronthaul.timing import (
+    Numerology,
+    ns,
+    slot_id,
+    slot_time,
+    symbol_of,
+    symbol_time,
+)
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 from tests import testbed
 from tests.apps.prb_oracle import per_slot, record_estimates, slot_mean_sum
 
 N_PRB = 20
-T0 = SymbolTime(0, 0, 0, 0)
+T0 = symbol_time(0, 0, 0, 0)
 
 
 @pytest.fixture
@@ -37,7 +44,7 @@ def grid_packet(rng, du_mac, ru_mac, used_prbs, direction=Direction.DOWNLINK,
     section = UPlaneSection.from_samples(0, 0, samples)
     message = UPlaneMessage(
         direction=direction,
-        time=time or SymbolTime(0, 0, 0, 0),
+        time=symbol_time(0, 0, 0, 0) if time is None else time,
         sections=[section],
     )
     return make_packet(du_mac, ru_mac, message,
@@ -80,7 +87,7 @@ class TestAlgorithm1:
         samples = rng.integers(-800, 800, size=(N_PRB, 24)).astype(np.int16)
         samples[7] = rng.integers(-8000, 8000, 24)
         section = UPlaneSection.from_samples(0, 0, samples)
-        time = SymbolTime(0, 0, 0, 10)
+        time = symbol_time(0, 0, 0, 10)
         message = UPlaneMessage(direction=Direction.UPLINK,
                                 time=time,
                                 sections=[section])
@@ -149,7 +156,7 @@ class TestAggregation:
         monitor.process(grid_packet(rng, du_mac, ru_mac, set()))
         assert fold.slot_mean_sum() == 0.25
         monitor.process(grid_packet(rng, du_mac, ru_mac, set(range(N_PRB)),
-                                    time=SymbolTime(0, 0, 1, 0)))
+                                    time=symbol_time(0, 0, 1, 0)))
         assert fold.slot_mean_sum() == 1.25
         assert monitor.average_utilization(Direction.DOWNLINK) == 0.5
 
@@ -164,11 +171,11 @@ class TestTelemetry:
         """Section 4.4: sub-millisecond granularity — consecutive symbol
         estimates are ~35.7 us apart."""
         monitor.process(grid_packet(rng, du_mac, ru_mac, {1},
-                                    time=SymbolTime(0, 0, 0, 0)))
+                                    time=symbol_time(0, 0, 0, 0)))
         monitor.process(grid_packet(rng, du_mac, ru_mac, {1},
-                                    time=SymbolTime(0, 0, 0, 1)))
+                                    time=symbol_time(0, 0, 0, 1)))
         first, second = (
-            time.ns(Numerology(mu=1)) for _, time in monitor.slot_state
+            ns(time, Numerology(mu=1)) for _, time in monitor.slot_state
         )
         delta = second - first
         assert 30_000 < delta < 40_000
@@ -244,19 +251,19 @@ class TestFoldIsThePerEstimateOracle:
             slot's mean depends on which of its symbols arrive late."""
             sc = SAMPLES_PER_PRB
             grid = np.zeros(ru.config.num_prb * sc, dtype=np.complex128)
-            for grant in du._pending_ul.get(time.slot_key(), ()):
-                width = min(grant.num_prb, time.symbol + 1)
+            for grant in du._pending_ul.get(slot_id(time), ()):
+                width = min(grant.num_prb, symbol_of(time) + 1)
                 grid[grant.start_prb * sc : (grant.start_prb + width) * sc] = 0.5
             return grid
 
         late = []
         for _ in range(20):
             report = network.run_slot(uplink_signal_fn=ue_uplink)
-            slot_key = SymbolTime.from_absolute_slot(
+            slot_key = slot_id(slot_time(
                 report.absolute_slot, du.cell.numerology
-            ).slot_key()
+            ))
             for time, direction, _ in records[closed_at[-1]:]:
-                assert time.slot_key() == slot_key
+                assert slot_id(time) == slot_key
                 late.append(direction)
         assert das.degraded_merges > 0
         assert late and set(late) == {Direction.UPLINK}

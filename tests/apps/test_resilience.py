@@ -1,14 +1,12 @@
 """Resilience middlebox tests (Section 8.1 RAN resilience use case)."""
 
-from dataclasses import replace
-
 import pytest
 
 from repro.apps.resilience import FailoverEvent, ResilienceMiddlebox
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import make_packet
-from repro.fronthaul.timing import Numerology, SymbolTime
+from repro.fronthaul.timing import Numerology, slot_time
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 
 from tests.conftest import random_prb_samples
@@ -35,7 +33,7 @@ def box(primary, standby, ru_mac):
 
 
 def dl_cplane(src, dst, slot=0):
-    time = SymbolTime.from_absolute_slot(slot, Numerology(mu=1))
+    time = slot_time(slot, Numerology(mu=1))
     return make_packet(
         src, dst,
         CPlaneMessage(direction=Direction.DOWNLINK, time=time,
@@ -44,7 +42,7 @@ def dl_cplane(src, dst, slot=0):
 
 
 def ul_uplane(rng, src, dst, slot=0):
-    time = replace(SymbolTime.from_absolute_slot(slot, Numerology(mu=1)), symbol=10)
+    time = slot_time(slot, Numerology(mu=1)) + 10
     section = UPlaneSection.from_samples(0, 0, random_prb_samples(rng, 4))
     return make_packet(
         src, dst,

@@ -14,7 +14,7 @@ from repro.fronthaul.cplane import (
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import make_packet
 from repro.fronthaul.spectrum import PrbGrid, split_ru_spectrum
-from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.timing import slot_id, symbol_time
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 
 from tests.conftest import action_kinds, random_prb_samples
@@ -44,7 +44,7 @@ def sharing(ru_mac, du_configs):
 def du_cplane(du, direction=Direction.DOWNLINK, time=None, ru_mac=None):
     message = CPlaneMessage(
         direction=direction,
-        time=time or SymbolTime(0, 0, 0, 0),
+        time=symbol_time(0, 0, 0, 0) if time is None else time,
         sections=[CPlaneSection(section_id=du.du_id, start_prb=0,
                                 num_prb=du.grid.num_prb)],
     )
@@ -58,7 +58,7 @@ def du_dl_uplane(rng, du, time=None, ru_mac=None):
     )
     message = UPlaneMessage(
         direction=Direction.DOWNLINK,
-        time=time or SymbolTime(0, 0, 0, 0),
+        time=symbol_time(0, 0, 0, 0) if time is None else time,
         sections=[section],
     )
     return make_packet(du.mac, ru_mac or MacAddress.from_int(0x41), message)
@@ -71,7 +71,7 @@ def ru_ul_uplane(rng, ru_mac, time=None):
     )
     message = UPlaneMessage(
         direction=Direction.UPLINK,
-        time=time or SymbolTime(0, 0, 0, 10),
+        time=symbol_time(0, 0, 0, 10) if time is None else time,
         sections=[section],
     )
     return make_packet(ru_mac, MacAddress.from_int(0x99), message)
@@ -115,8 +115,8 @@ class TestCplaneWidening:
     def test_both_requests_remembered(self, sharing, du_configs):
         sharing.process(du_cplane(du_configs[0]))
         sharing.process(du_cplane(du_configs[1]))
-        key = (Direction.DOWNLINK, (0, 0, 0), 0)
-        assert sharing._requesting_dus(Direction.DOWNLINK, (0, 0, 0), 0) == [1, 2]
+        slot = slot_id(symbol_time(0, 0, 0, 0))
+        assert sharing._requesting_dus(Direction.DOWNLINK, slot, 0) == [1, 2]
 
     def test_directions_tracked_separately(self, sharing, du_configs):
         sharing.process(du_cplane(du_configs[0], Direction.DOWNLINK))
@@ -181,7 +181,7 @@ class TestUplinkDemultiplex:
             sharing.process(du_cplane(du, Direction.UPLINK, time=time))
 
     def test_each_du_gets_its_slice(self, sharing, rng, du_configs, ru_mac):
-        time = SymbolTime(0, 0, 0, 10)
+        time = symbol_time(0, 0, 0, 10)
         self.setup_ul(sharing, du_configs, time)
         ru_packet = ru_ul_uplane(rng, ru_mac, time=time)
         full = ru_packet.message.sections[0]
@@ -200,7 +200,7 @@ class TestUplinkDemultiplex:
 
     def test_only_requesting_dus_served(self, sharing, rng, du_configs,
                                         ru_mac):
-        time = SymbolTime(0, 0, 0, 10)
+        time = symbol_time(0, 0, 0, 10)
         sharing.process(du_cplane(du_configs[0], Direction.UPLINK, time=time))
         result = sharing.process(ru_ul_uplane(rng, ru_mac, time=time))
         assert len(result.emissions) == 1
@@ -245,7 +245,7 @@ class TestMisalignedSharing:
             for index, grid in enumerate(split_ru_spectrum(RU_GRID, [106, 106]))
         ]
         sharing = RuSharingMiddlebox(ru_mac=ru_mac, ru_grid=RU_GRID, dus=dus)
-        time = SymbolTime(0, 0, 0, 10)
+        time = symbol_time(0, 0, 0, 10)
         for du in dus:
             sharing.process(du_cplane(du, Direction.UPLINK, time=time))
         packet = ru_ul_uplane(rng, ru_mac, time=time)
@@ -295,7 +295,7 @@ class TestPrach:
     def prach_cplane(self, du, time=None):
         message = CPlaneMessage(
             direction=Direction.UPLINK,
-            time=time or SymbolTime(0, 0, 0, 10),
+            time=symbol_time(0, 0, 0, 10) if time is None else time,
             sections=[
                 CPlaneSection(section_id=0, start_prb=0, num_prb=12,
                               num_symbols=4, freq_offset=144)
@@ -339,7 +339,7 @@ class TestPrach:
         ]
         message = UPlaneMessage(
             direction=Direction.UPLINK,
-            time=SymbolTime(0, 0, 0, 10),
+            time=symbol_time(0, 0, 0, 10),
             sections=sections,
             filter_index=1,
         )
@@ -355,7 +355,7 @@ class TestPrach:
     def test_unknown_section_ids_dropped(self, sharing, rng, ru_mac):
         message = UPlaneMessage(
             direction=Direction.UPLINK,
-            time=SymbolTime(0, 0, 0, 10),
+            time=symbol_time(0, 0, 0, 10),
             sections=[
                 UPlaneSection.from_samples(
                     section_id=99, start_prb=0,
@@ -372,16 +372,16 @@ class TestHousekeeping:
     def test_flush_slots_before(self, sharing, rng, du_configs):
         """Closing slots flushes the requests opened before the ring's
         horizon and keeps the newer ones."""
-        old = SymbolTime(0, 0, 0, 0)
-        new = SymbolTime(0, 1, 0, 0)
+        old = symbol_time(0, 0, 0, 0)
+        new = symbol_time(0, 1, 0, 0)
         sharing.process(du_cplane(du_configs[0], time=old))
         for _ in range(_RETAINED_SLOTS):
             sharing.end_slot()
-        assert sharing._requesting_dus(Direction.DOWNLINK, old.slot_key(), 0) == [1]
+        assert sharing._requesting_dus(Direction.DOWNLINK, slot_id(old), 0) == [1]
         sharing.process(du_cplane(du_configs[0], time=new))
         sharing.end_slot()
-        assert sharing._requesting_dus(Direction.DOWNLINK, old.slot_key(), 0) == []
-        assert sharing._requesting_dus(Direction.DOWNLINK, new.slot_key(), 0) == [1]
+        assert sharing._requesting_dus(Direction.DOWNLINK, slot_id(old), 0) == []
+        assert sharing._requesting_dus(Direction.DOWNLINK, slot_id(new), 0) == [1]
 
     def test_a_slot_key_seen_again_after_the_ring_forgot_it_is_new(
         self, sharing, rng, du_configs, ru_mac
@@ -400,7 +400,8 @@ class TestHousekeeping:
         (request,) = sharing.process(du_cplane(du_configs[1])).emissions
         assert request.eth.dst == ru_mac
         assert request.message.sections[0].num_prb == RU_GRID.num_prb
-        assert sharing._requesting_dus(Direction.DOWNLINK, (0, 0, 0), 0) == [2]
+        slot = slot_id(symbol_time(0, 0, 0, 0))
+        assert sharing._requesting_dus(Direction.DOWNLINK, slot, 0) == [2]
         (muxed,) = sharing.process(du_dl_uplane(rng, du_configs[1])).emissions
         assert muxed.eth.dst == ru_mac
         assert sharing.process(prach(du_configs[1])).emissions == []

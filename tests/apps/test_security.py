@@ -7,7 +7,7 @@ from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
 from repro.fronthaul.ecpri import EAxCId
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import make_packet
-from repro.fronthaul.timing import Numerology, SymbolTime
+from repro.fronthaul.timing import Numerology, slot_time
 
 
 @pytest.fixture
@@ -16,7 +16,7 @@ def guard(du_mac, ru_mac):
 
 
 def frame(src, dst, seq_id=0, slot=0, port=0):
-    time = SymbolTime.from_absolute_slot(slot, Numerology(mu=1))
+    time = slot_time(slot, Numerology(mu=1))
     return make_packet(
         src, dst,
         CPlaneMessage(direction=Direction.DOWNLINK, time=time,

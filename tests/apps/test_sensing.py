@@ -11,7 +11,7 @@ from repro.fronthaul.compression import MOD_COMP_METH, CompressionConfig
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import make_packet
-from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.timing import slot_id, symbol_time
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 
 N_PRB = 30
@@ -27,7 +27,7 @@ def ul_cplane(du_mac, ru_mac, start_prb, num_prb, time=None):
         du_mac, ru_mac,
         CPlaneMessage(
             direction=Direction.UPLINK,
-            time=time or SymbolTime(0, 0, 0, 10),
+            time=symbol_time(0, 0, 0, 10) if time is None else time,
             sections=[CPlaneSection(0, start_prb, num_prb)],
         ),
     )
@@ -41,7 +41,7 @@ def ul_uplane(rng, ru_mac, du_mac, hot_prbs, time=None, amplitude=9000):
     return make_packet(
         ru_mac, du_mac,
         UPlaneMessage(direction=Direction.UPLINK,
-                      time=time or SymbolTime(0, 0, 0, 10),
+                      time=symbol_time(0, 0, 0, 10) if time is None else time,
                       sections=[section]),
     )
 
@@ -84,10 +84,10 @@ class TestInterferenceDetection:
     def test_schedule_keyed_per_slot(self, sensor, rng, du_mac, ru_mac):
         """Last slot's grant does not whitelist this slot's energy."""
         sensor.process(ul_cplane(du_mac, ru_mac, 20, 5,
-                                 time=SymbolTime(0, 0, 0, 10)))
+                                 time=symbol_time(0, 0, 0, 10)))
         sensor.process(
             ul_uplane(rng, ru_mac, du_mac, hot_prbs=[21],
-                      time=SymbolTime(0, 0, 1, 10))
+                      time=symbol_time(0, 0, 1, 10))
         )
         assert sensor.alerts  # grant was for the previous slot
 
@@ -116,15 +116,15 @@ class TestInterferenceDetection:
         scheduled under the same (wrapping) slot key a ring ago is
         interference now."""
         sensor.process(ul_cplane(du_mac, ru_mac, 0, 10,
-                                 time=SymbolTime(0, 0, 0, 10)))
+                                 time=symbol_time(0, 0, 0, 10)))
         for _ in range(_RETAINED_SLOTS):
             sensor.end_slot()
         sensor.process(ul_cplane(du_mac, ru_mac, 0, 10,
-                                 time=SymbolTime(0, 5, 0, 10)))
+                                 time=symbol_time(0, 5, 0, 10)))
         sensor.end_slot()
-        assert list(sensor.slot_state) == [((0, 5, 0), 0)]
+        assert list(sensor.slot_state) == [(slot_id(symbol_time(0, 5, 0, 0)), 0)]
         sensor.process(ul_uplane(rng, ru_mac, du_mac, hot_prbs=[3],
-                                 time=SymbolTime(0, 0, 0, 10)))
+                                 time=symbol_time(0, 0, 0, 10)))
         assert [alert.prbs for alert in sensor.alerts] == [(3,)]
 
     def test_kernel_placement(self, sensor, rng, du_mac, ru_mac):
@@ -166,7 +166,7 @@ def test_scan_alerts_like_the_every_prb_loop(
 ):
     rng = np.random.default_rng(seed)
     du_mac, ru_mac = MacAddress.from_int(0x11), MacAddress.from_int(0x41)
-    time = SymbolTime(0, 0, 0, 10)
+    time = symbol_time(0, 0, 0, 10)
     sensor = SpectrumSensorMiddlebox(
         carrier_num_prb=N_PRB, noise_exponent_threshold=threshold
     )

@@ -15,7 +15,7 @@ from repro.fronthaul.cplane import (
 from repro.fronthaul.ecpri import EAxCId
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import make_packet
-from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.timing import symbol_time
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 from repro.ran.stacks import profile_by_name
 
@@ -39,7 +39,7 @@ def cplane_packet(
 ):
     message = CPlaneMessage(
         direction=direction,
-        time=time if time is not None else SymbolTime(0, 0, 0, 0),
+        time=time if time is not None else symbol_time(0, 0, 0, 0),
         section_type=SectionType.DATA,
         compression=compression or SRS_COMPRESSION,
     )
@@ -84,7 +84,7 @@ def uplane_packet(
         )
     message = UPlaneMessage(
         direction=direction,
-        time=time if time is not None else SymbolTime(0, 0, 0, 0),
+        time=time if time is not None else symbol_time(0, 0, 0, 0),
         sections=[section],
     )
     return make_packet(src=src, dst=dst, message=message, seq_id=seq, eaxc=eaxc)

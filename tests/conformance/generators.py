@@ -32,7 +32,7 @@ from repro.fronthaul.timing import (
     MAX_FRAME_ID,
     SUBFRAMES_PER_FRAME,
     SYMBOLS_PER_SLOT,
-    SymbolTime,
+    symbol_time,
 )
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 from repro.scale.spec import (
@@ -86,9 +86,9 @@ def iq_samples(draw, min_prbs: int = 1, max_prbs: int = 16) -> np.ndarray:
     return np.clip(grid, -32768, 32767).astype(np.int16)
 
 
-def symbol_times() -> st.SearchStrategy[SymbolTime]:
+def symbol_times() -> st.SearchStrategy[int]:
     return st.builds(
-        SymbolTime,
+        symbol_time,
         frame=st.integers(min_value=0, max_value=MAX_FRAME_ID - 1),
         subframe=st.integers(min_value=0, max_value=SUBFRAMES_PER_FRAME - 1),
         slot=st.integers(min_value=0, max_value=1),

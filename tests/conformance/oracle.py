@@ -36,7 +36,13 @@ from repro.fronthaul.cplane import CPlaneMessage, Direction
 from repro.fronthaul.ecpri import EcpriMessageType
 from repro.fronthaul.errors import EcpriLengthError, MalformedFrame
 from repro.fronthaul.packet import FronthaulPacket, parse_packet
-from repro.fronthaul.timing import MAX_FRAME_ID, Numerology
+from repro.fronthaul.timing import (
+    MAX_FRAME_ID,
+    Numerology,
+    absolute_slot,
+    slot_id,
+    time_fields,
+)
 from repro.fronthaul.uplane import UPlaneMessage
 from repro.obs.metrics import declare
 from repro.ran.stacks import VendorProfile
@@ -163,12 +169,7 @@ class PacketValidator:
             src=str(packet.eth.src),
             eaxc=packet.eaxc.to_int(),
             seq=packet.ecpri.seq_id,
-            time=(
-                packet.time.frame,
-                packet.time.subframe,
-                packet.time.slot,
-                packet.time.symbol,
-            ),
+            time=time_fields(packet.time),
         )
 
     def _parse_failure(
@@ -404,7 +405,7 @@ class PacketValidator:
     def _record_windows(self, packet: FronthaulPacket) -> None:
         message: CPlaneMessage = packet.message
         windows = self._windows[message.direction]
-        key = (packet.time.slot_key(), packet.eaxc.ru_port)
+        key = (slot_id(packet.time), packet.eaxc.ru_port)
         ranges = windows.get(key)
         if ranges is None:
             ranges = windows[key] = []
@@ -418,7 +419,7 @@ class PacketValidator:
     ) -> None:
         message: UPlaneMessage = packet.message
         windows = self._windows[message.direction]
-        key = (packet.time.slot_key(), packet.eaxc.ru_port)
+        key = (slot_id(packet.time), packet.eaxc.ru_port)
         ranges = windows.get(key)
         for section in message.sections:
             start, end = section.prb_range
@@ -427,8 +428,9 @@ class PacketValidator:
                     self._violation(
                         packet,
                         ViolationClass.PRB_SECTION_MISMATCH,
-                        f"no C-plane scheduled slot {key[0]} ru_port "
-                        f"{key[1]} for U-plane section "
+                        f"no C-plane scheduled slot "
+                        f"{time_fields(packet.time)[:3]} ru_port "
+                        f"{packet.eaxc.ru_port} for U-plane section "
                         f"{section.section_id}",
                         tap,
                     )
@@ -501,7 +503,7 @@ class PacketValidator:
         found: List[Violation],
     ) -> None:
         epoch = MAX_FRAME_ID * self.numerology.slots_per_frame
-        current = packet.time.absolute_slot(self.numerology) % epoch
+        current = absolute_slot(packet.time, self.numerology) % epoch
         last = self._last_slot.get(stream)
         if last is None:
             self._last_slot[stream] = current

@@ -17,7 +17,7 @@ from repro.eval import kit
 from repro.faults import FaultConfig, FaultInjector
 from repro.fronthaul.cplane import Direction
 from repro.fronthaul.packet import make_packet
-from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.timing import symbol_time
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 from repro.obs import Observability
 from repro.ran.stacks import profile_by_name
@@ -108,7 +108,7 @@ def test_one_encode_pass_with_an_illegal_section_matches_the_oracle(whole):
         make_packet(
             src=SRC, dst=DST, seq_id=seq, eaxc=EAXC,
             message=UPlaneMessage(
-                direction=Direction.DOWNLINK, time=SymbolTime(0, 0, 0, 0),
+                direction=Direction.DOWNLINK, time=symbol_time(0, 0, 0, 0),
                 sections=[section],
             ),
         )

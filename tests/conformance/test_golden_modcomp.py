@@ -25,7 +25,7 @@ from repro.conformance import WireValidator
 from repro.conformance.violations import ViolationClass
 from repro.fronthaul.cplane import Direction
 from repro.fronthaul.packet import parse_packet
-from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.timing import symbol_time
 from repro.ran.stacks import negotiate_compression, profile_by_name
 from tests.conformance.builders import cplane_packet
 from tests.conformance.test_golden_wire import (
@@ -52,7 +52,7 @@ def build_capture(profile_name):
     frames = []
     du_seq = ru_seq = 0
     for slot in range(2):
-        time = SymbolTime(0, 0, slot, 0)
+        time = symbol_time(0, 0, slot, 0)
         frames.append(
             cplane_packet(
                 0, sched, seq=du_seq, time=time, compression=compression,

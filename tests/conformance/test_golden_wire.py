@@ -24,7 +24,7 @@ from repro.fronthaul.cplane import Direction
 from repro.fronthaul.ecpri import EAxCId
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import make_packet, parse_packet
-from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.timing import symbol_time
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 from repro.ran.stacks import profile_by_name
 from tests.conformance.builders import cplane_packet
@@ -73,7 +73,7 @@ def build_capture(profile_name):
     frames = []
     du_seq = ru_seq = 0
     for slot in range(2):
-        time = SymbolTime(0, 0, slot, 0)
+        time = symbol_time(0, 0, slot, 0)
         frames.append(
             cplane_packet(
                 0, sched, seq=du_seq, time=time, compression=compression,

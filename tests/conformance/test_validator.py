@@ -12,7 +12,7 @@ from repro.conformance import (
 from repro.faults import FaultConfig, FaultInjector
 from repro.fronthaul.compression import BFP_COMP_METH, CompressionConfig
 from repro.fronthaul.ethernet import MacAddress
-from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.timing import symbol_time
 from repro.obs import Observability
 from repro.ran.stacks import profile_by_name
 from tests.conformance.builders import cplane_packet, uplane_packet
@@ -89,8 +89,8 @@ SEEDED = {
     ],
     ViolationClass.SEQ_DUP: lambda: [cplane_packet(0, 10, seq=5)] * 2,
     ViolationClass.STALE_SLOT: lambda: [
-        cplane_packet(0, 10, seq=0, time=SymbolTime(2, 0, 0, 0)),
-        cplane_packet(0, 10, seq=1, time=SymbolTime(0, 0, 0, 0)),
+        cplane_packet(0, 10, seq=0, time=symbol_time(2, 0, 0, 0)),
+        cplane_packet(0, 10, seq=1, time=symbol_time(0, 0, 0, 0)),
     ],
 }
 #: The modcomp-parameter scenario's validator negotiated modcomp, so only
@@ -265,20 +265,20 @@ class TestViolationClasses:
     def test_stale_slot(self):
         validator = fresh_validator()
         validator.observe(
-            [cplane_packet(0, 10, seq=0, time=SymbolTime(2, 0, 0, 0))]
+            [cplane_packet(0, 10, seq=0, time=symbol_time(2, 0, 0, 0))]
         )
         validator.observe(
-            [cplane_packet(0, 10, seq=1, time=SymbolTime(0, 0, 0, 0))]
+            [cplane_packet(0, 10, seq=1, time=symbol_time(0, 0, 0, 0))]
         )
         assert only_class(validator, ViolationClass.STALE_SLOT) == 1
 
     def test_frame_epoch_wrap_is_not_stale(self):
         validator = fresh_validator()
         validator.observe(
-            [cplane_packet(0, 10, seq=0, time=SymbolTime(255, 9, 1, 0))]
+            [cplane_packet(0, 10, seq=0, time=symbol_time(255, 9, 1, 0))]
         )
         validator.observe(
-            [cplane_packet(0, 10, seq=1, time=SymbolTime(0, 0, 0, 0))]
+            [cplane_packet(0, 10, seq=1, time=symbol_time(0, 0, 0, 0))]
         )
         assert validator.report.ok
 

@@ -21,7 +21,7 @@ from repro.fronthaul.compression import CompressionConfig, codec_for
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import make_packet
-from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.timing import symbol_time
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 from repro.obs import SpanEvent
 
@@ -40,7 +40,7 @@ def make_uplane(rng, du_mac, ru_mac, n_prbs=6, start_prb=0,
         samples=random_prb_samples(rng, n_prbs, amplitude),
     )
     message = UPlaneMessage(
-        direction=direction, time=SymbolTime(0, 0, 0, 5), sections=[section]
+        direction=direction, time=symbol_time(0, 0, 0, 5), sections=[section]
     )
     return make_packet(du_mac, ru_mac, message)
 
@@ -48,7 +48,7 @@ def make_uplane(rng, du_mac, ru_mac, n_prbs=6, start_prb=0,
 def make_cplane(du_mac, ru_mac, num_prb=106):
     message = CPlaneMessage(
         direction=Direction.DOWNLINK,
-        time=SymbolTime(0, 0, 0, 0),
+        time=symbol_time(0, 0, 0, 0),
         sections=[CPlaneSection(section_id=0, start_prb=0, num_prb=num_prb)],
     )
     return make_packet(du_mac, ru_mac, message)

@@ -6,7 +6,7 @@ from repro.core.chain import MiddleboxChain
 from repro.core.middlebox import Middlebox
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
 from repro.fronthaul.packet import make_packet
-from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.timing import symbol_time
 
 
 def packet(src, dst):
@@ -14,7 +14,7 @@ def packet(src, dst):
         src, dst,
         CPlaneMessage(
             direction=Direction.DOWNLINK,
-            time=SymbolTime(0, 0, 0, 0),
+            time=symbol_time(0, 0, 0, 0),
             sections=[CPlaneSection(0, 0, 50)],
         ),
     )

@@ -15,7 +15,7 @@ from repro.core.middlebox import Middlebox
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import make_packet
-from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.timing import symbol_time
 
 
 def ul_packet():
@@ -24,7 +24,7 @@ def ul_packet():
         MacAddress.from_int(1),
         CPlaneMessage(
             direction=Direction.UPLINK,
-            time=SymbolTime(0, 0, 0, 0),
+            time=symbol_time(0, 0, 0, 0),
             sections=[CPlaneSection(0, 0, 50)],
         ),
     )

@@ -11,7 +11,7 @@ from repro.core.middlebox import Middlebox
 from repro.eval import kit
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
 from repro.fronthaul.packet import make_packet
-from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.timing import symbol_time
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 from repro.obs import Observability
 
@@ -25,7 +25,7 @@ def uplane(rng, du_mac, ru_mac, direction=Direction.DOWNLINK):
     )
     return make_packet(
         du_mac, ru_mac,
-        UPlaneMessage(direction=direction, time=SymbolTime(0, 0, 0, 0),
+        UPlaneMessage(direction=direction, time=symbol_time(0, 0, 0, 0),
                       sections=[section]),
     )
 
@@ -33,7 +33,7 @@ def uplane(rng, du_mac, ru_mac, direction=Direction.DOWNLINK):
 def cplane(du_mac, ru_mac, direction=Direction.DOWNLINK):
     return make_packet(
         du_mac, ru_mac,
-        CPlaneMessage(direction=direction, time=SymbolTime(0, 0, 0, 0),
+        CPlaneMessage(direction=direction, time=symbol_time(0, 0, 0, 0),
                       sections=[CPlaneSection(0, 0, 106)]),
     )
 
@@ -179,7 +179,7 @@ class TestNoRetainedRecord:
         obs = Observability(enabled=True, sample_every=1)
         ctx = Middlebox(obs=obs).process(cplane(du_mac, ru_mac))
         (row,), dropped = obs.recorder.drain()
-        assert dropped == 0 and row[12] is ctx.events and ctx.events
+        assert dropped == 0 and row[9] is ctx.events and ctx.events
 
 
 class Tap(Middlebox):

@@ -39,7 +39,7 @@ class TestWireSizes:
         from repro.fronthaul.cplane import Direction
         from repro.fronthaul.ethernet import MacAddress
         from repro.fronthaul.packet import make_packet
-        from repro.fronthaul.timing import SymbolTime
+        from repro.fronthaul.timing import symbol_time
         from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 
         section = UPlaneSection.from_samples(
@@ -48,7 +48,7 @@ class TestWireSizes:
         packet = make_packet(
             MacAddress.from_int(1), MacAddress.from_int(2),
             UPlaneMessage(direction=Direction.DOWNLINK,
-                          time=SymbolTime(0, 0, 0, 0), sections=[section]),
+                          time=symbol_time(0, 0, 0, 0), sections=[section]),
         )
         assert estimated == packet.wire_size
 

@@ -34,7 +34,7 @@ STAGES = (
     "spectrum_sensor",
 )
 #: Span-row fields that hold wall-clock time.
-_WALL_FIELDS = (10, 11)
+_WALL_FIELDS = (7, 8)
 
 
 def _network(plan, sample_every, per_packet):

@@ -14,7 +14,7 @@ from repro.core.middlebox import FAILURE_THRESHOLD, PROBATION_PACKETS, Middlebox
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import make_packet
-from repro.fronthaul.timing import Numerology, SymbolTime
+from repro.fronthaul.timing import Numerology, slot_time
 from repro.obs import Observability
 from tests.faults.builders import FaultyMiddlebox
 
@@ -23,7 +23,7 @@ DST = MacAddress.from_int(0x72)
 
 
 def packet(slot=0):
-    time = SymbolTime.from_absolute_slot(slot, Numerology(mu=1))
+    time = slot_time(slot, Numerology(mu=1))
     return make_packet(
         SRC, DST,
         CPlaneMessage(direction=Direction.DOWNLINK, time=time,
@@ -177,10 +177,8 @@ def _per_packet_process(box, pkt):
             wall_ns
         )
         if obs.sample_positions(1):
-            time = pkt.time
             obs.recorder.record([(
-                pkt.ecpri.eaxc.to_int(), time.frame, time.subframe,
-                time.slot, time.symbol,
+                pkt.ecpri.eaxc.to_int(), pkt.time,
                 "DL" if pkt.direction is Direction.DOWNLINK else "UL",
                 pkt.ecpri.seq_id, name, traffic_class, modeled_ns,
                 float(wall_ns), start_ns, ctx.events, len(ctx.emissions),

@@ -23,7 +23,6 @@ pinned at.
 """
 
 import functools
-from dataclasses import replace
 
 import numpy as np
 
@@ -42,7 +41,7 @@ from repro.faults import (
 from repro.fronthaul.cplane import Direction
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import make_packet
-from repro.fronthaul.timing import Numerology, SymbolTime
+from repro.fronthaul.timing import Numerology, slot_id, slot_time
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 from repro.obs import Observability
 from repro.scale import run_scenario
@@ -58,10 +57,7 @@ def traffic(seed, n=120):
     dst = MacAddress.from_int(0x42)
     packets = []
     for i in range(n):
-        time = replace(
-            SymbolTime.from_absolute_slot(i % 16, Numerology(mu=1)),
-            symbol=i % 14,
-        )
+        time = slot_time(i % 16, Numerology(mu=1)) + i % 14
         section = UPlaneSection.from_samples(0, 0, random_prb_samples(rng, 4))
         packets.append(
             make_packet(
@@ -237,7 +233,7 @@ def _chain_chaos(seed, slots):
     )
     injector.silence(
         primary.mac,
-        SymbolTime.from_absolute_slot(slots // 2, numerology).slot_key(),
+        slot_id(slot_time(slots // 2, numerology)),
     )
     network = testbed.network(
         [primary, standby],
@@ -323,7 +319,7 @@ def _failover_ms(seed, fail_slot):
     )
     injector.silence(
         primary.mac,
-        SymbolTime.from_absolute_slot(fail_slot, numerology).slot_key(),
+        slot_id(slot_time(fail_slot, numerology)),
     )
     testbed.network(
         [primary, standby], [ru], [box], wire=ImpairedLink(injector)

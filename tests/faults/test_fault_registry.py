@@ -11,7 +11,7 @@ from repro.faults import (
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import make_packet
-from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.timing import symbol_time
 
 
 def packet(src, dst):
@@ -19,7 +19,7 @@ def packet(src, dst):
         src, dst,
         CPlaneMessage(
             direction=Direction.DOWNLINK,
-            time=SymbolTime(0, 0, 0, 0),
+            time=symbol_time(0, 0, 0, 0),
             sections=[CPlaneSection(0, 0, 50)],
         ),
     )

@@ -1,7 +1,5 @@
 """FaultInjector behaviors: determinism, loss models, scope, damage."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,7 @@ from repro.faults import (
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import make_packet
-from repro.fronthaul.timing import Numerology, SymbolTime
+from repro.fronthaul.timing import Numerology, slot_id, slot_time
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 
 from tests.conftest import random_prb_samples
@@ -25,7 +23,7 @@ OTHER = MacAddress.from_int(0x33)
 
 
 def cplane(slot=0, src=SRC, seq=0):
-    time = SymbolTime.from_absolute_slot(slot, Numerology(mu=1))
+    time = slot_time(slot, Numerology(mu=1))
     return make_packet(
         src, DST,
         CPlaneMessage(direction=Direction.DOWNLINK, time=time,
@@ -35,7 +33,7 @@ def cplane(slot=0, src=SRC, seq=0):
 
 
 def uplane(rng, slot=0, src=SRC, seq=0, n_prbs=4):
-    time = replace(SymbolTime.from_absolute_slot(slot, Numerology(mu=1)), symbol=3)
+    time = slot_time(slot, Numerology(mu=1)) + 3
     section = UPlaneSection.from_samples(0, 0, random_prb_samples(rng, n_prbs))
     return make_packet(
         src, DST,
@@ -156,8 +154,8 @@ class TestSilence:
         numerology = Numerology(mu=1)
         injector.silence(
             SRC,
-            SymbolTime.from_absolute_slot(4, numerology).slot_key(),
-            SymbolTime.from_absolute_slot(6, numerology).slot_key(),
+            slot_id(slot_time(4, numerology)),
+            slot_id(slot_time(6, numerology)),
         )
         for slot in range(8):
             for src, expect_dead in ((SRC, 4 <= slot < 6), (OTHER, False)):
@@ -169,7 +167,7 @@ class TestSilence:
         injector = FaultInjector(seed=0)
         numerology = Numerology(mu=1)
         injector.silence(
-            SRC, SymbolTime.from_absolute_slot(2, numerology).slot_key()
+            SRC, slot_id(slot_time(2, numerology))
         )
         alive = [
             injector.apply([uplane(rng, slot=slot)]) != []

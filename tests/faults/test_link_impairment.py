@@ -1,13 +1,11 @@
 """Wire drop accounting, the network's impaired wire, malformed containment."""
 
-from dataclasses import replace
-
 from repro.eval import kit
 from repro.faults import FaultConfig, FaultInjector, ImpairedLink
 from repro.fronthaul.cplane import Direction
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import make_packet
-from repro.fronthaul.timing import Numerology, SymbolTime
+from repro.fronthaul.timing import Numerology, slot_time
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 from repro.obs import Observability
 from repro.ran.du import DistributedUnit
@@ -23,7 +21,7 @@ DST = MacAddress.from_int(0x82)
 
 
 def uplane(rng, slot=0, n_prbs=4):
-    time = replace(SymbolTime.from_absolute_slot(slot, Numerology(mu=1)), symbol=3)
+    time = slot_time(slot, Numerology(mu=1)) + 3
     section = UPlaneSection.from_samples(0, 0, random_prb_samples(rng, n_prbs))
     return make_packet(
         SRC, DST,

@@ -12,7 +12,7 @@ import pytest
 from repro.apps.resilience import ResilienceMiddlebox
 from repro.faults import FaultInjector, ImpairedLink
 from repro.fronthaul.cplane import Direction
-from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.timing import slot_id, slot_time
 from repro.ran.du import DistributedUnit
 from repro.ran.ru import RadioUnit, RuConfig
 from repro.ran.traffic import ConstantBitrateFlow
@@ -58,10 +58,10 @@ def topology(cell_40mhz):
 
 
 def silence_primary(injector, primary, numerology, start=FAIL_SLOT, end=None):
-    start_key = SymbolTime.from_absolute_slot(start, numerology).slot_key()
+    start_key = slot_id(slot_time(start, numerology))
     end_key = (
         None if end is None
-        else SymbolTime.from_absolute_slot(end, numerology).slot_key()
+        else slot_id(slot_time(end, numerology))
     )
     injector.silence(primary.mac, start_key, end_key)
 

@@ -11,13 +11,13 @@ from repro.fronthaul.cplane import (
     Direction,
     SectionType,
 )
-from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.timing import symbol_time
 
 
 def make_message(**kwargs):
     defaults = dict(
         direction=Direction.DOWNLINK,
-        time=SymbolTime(46, 9, 1, 0),
+        time=symbol_time(46, 9, 1, 0),
         sections=[CPlaneSection(section_id=1, start_prb=0, num_prb=106)],
     )
     defaults.update(kwargs)
@@ -151,7 +151,7 @@ class TestCPlaneMessage:
     ):
         message = CPlaneMessage(
             direction=Direction.DOWNLINK,
-            time=SymbolTime(frame, subframe, slot, symbol),
+            time=symbol_time(frame, subframe, slot, symbol),
             sections=[
                 CPlaneSection(
                     section_id=section_id,

@@ -8,7 +8,7 @@ from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
 from repro.fronthaul.ecpri import EAxCId, EcpriMessageType
 from repro.fronthaul.ethernet import MacAddress, VlanTag
 from repro.fronthaul.packet import make_packet, parse_packet
-from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.timing import symbol_time
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 
 from tests.conftest import random_prb_samples
@@ -21,7 +21,7 @@ def uplane_packet(rng, du_mac, ru_mac):
     )
     message = UPlaneMessage(
         direction=Direction.DOWNLINK,
-        time=SymbolTime(1, 2, 1, 3),
+        time=symbol_time(1, 2, 1, 3),
         sections=[section],
     )
     return make_packet(du_mac, ru_mac, message,
@@ -32,7 +32,7 @@ def uplane_packet(rng, du_mac, ru_mac):
 def cplane_packet(du_mac, ru_mac):
     message = CPlaneMessage(
         direction=Direction.UPLINK,
-        time=SymbolTime(1, 2, 1, 10),
+        time=symbol_time(1, 2, 1, 10),
         sections=[CPlaneSection(section_id=0, start_prb=0, num_prb=106)],
     )
     return make_packet(du_mac, ru_mac, message)
@@ -47,7 +47,7 @@ class TestFronthaulPacket:
         assert parsed.eth.dst == uplane_packet.eth.dst
         assert parsed.ecpri.seq_id == 9
         assert parsed.eaxc == EAxCId(du_port=1, ru_port=2)
-        assert parsed.time == SymbolTime(1, 2, 1, 3)
+        assert parsed.time == symbol_time(1, 2, 1, 3)
         assert (
             parsed.message.sections[0].payload
             == uplane_packet.message.sections[0].payload
@@ -63,7 +63,7 @@ class TestFronthaulPacket:
         section = UPlaneSection.from_samples(0, 0, random_prb_samples(rng, 2))
         message = UPlaneMessage(
             direction=Direction.DOWNLINK,
-            time=SymbolTime(0, 0, 0, 0),
+            time=symbol_time(0, 0, 0, 0),
             sections=[section],
         )
         packet = make_packet(du_mac, ru_mac, message)
@@ -101,7 +101,7 @@ class TestFronthaulPacket:
         )
         message = UPlaneMessage(
             direction=Direction.DOWNLINK,
-            time=SymbolTime(0, 0, 0, 0),
+            time=symbol_time(0, 0, 0, 0),
             sections=[section],
         )
         packet = make_packet(du_mac, ru_mac, message)

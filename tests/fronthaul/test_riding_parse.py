@@ -34,7 +34,7 @@ from repro.fronthaul.compression import (
 )
 from repro.fronthaul.cplane import Direction
 from repro.fronthaul.packet import make_packet, parse_packet
-from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.timing import symbol_time
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 from repro.scale import Scenario
 from tests.conformance.builders import DST, SRC, uplane_packet
@@ -409,7 +409,7 @@ def test_every_encode_site_packs_the_eager_bytes_on_first_read(
     compressed = config.comp_meth != NO_COMP_METH
     for section, eager in encoded_by_every_site(config, seed, amplitude, lengths):
         assert _pending(section)
-        message = UPlaneMessage(Direction.UPLINK, SymbolTime(0, 0, 0, 3), [section])
+        message = UPlaneMessage(Direction.UPLINK, symbol_time(0, 0, 0, 3), [section])
         packet = make_packet(SRC, DST, message)
         size = packet.wire_size
         replicas = [packet.clone().message.sections[0] for _ in range(3)]

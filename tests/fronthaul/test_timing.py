@@ -1,20 +1,28 @@
 """Frame structure, numerology and TDD pattern tests."""
 
-import dataclasses
-import pickle
-
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
+from repro.fronthaul.ethernet import MacAddress
+from repro.fronthaul.packet import make_packet, parse_packet
 from repro.fronthaul.timing import (
     SYMBOLS_PER_SLOT,
     Numerology,
     SlotClock,
     SlotType,
-    SymbolTime,
     TddPattern,
+    absolute_slot,
+    ns,
+    slot_id,
+    slot_time,
+    symbol_of,
+    symbol_time,
+    time_fields,
 )
+from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 
 
 class TestNumerology:
@@ -40,68 +48,110 @@ class TestNumerology:
             Numerology(mu=5)
 
 
+#: Slots in the 256-frame wire epoch at mu=1.
+EPOCH_SLOTS = 256 * 20
+MU1 = Numerology(mu=1)
+
+
+def _frames(time):
+    """One U-plane and one C-plane frame stamped ``time``, as wire bytes."""
+    src, dst = MacAddress.from_int(1), MacAddress.from_int(2)
+    uplane = UPlaneMessage(
+        direction=Direction.UPLINK, time=time,
+        sections=[UPlaneSection.from_samples(1, 0, np.zeros((1, 24), np.int16))],
+    )
+    cplane = CPlaneMessage(
+        direction=Direction.DOWNLINK, time=time,
+        sections=[CPlaneSection(section_id=1, start_prb=0, num_prb=4)],
+    )
+    return [make_packet(src, dst, message).pack() for message in (uplane, cplane)]
+
+
 class TestSymbolTime:
     def test_ordering(self):
-        a = SymbolTime(0, 0, 0, 0)
-        b = SymbolTime(0, 0, 0, 1)
-        c = SymbolTime(0, 0, 1, 0)
+        a = symbol_time(0, 0, 0, 0)
+        b = symbol_time(0, 0, 0, 1)
+        c = symbol_time(0, 0, 1, 0)
         assert a < b < c
 
-    def test_slot_key_ignores_symbol(self):
-        assert SymbolTime(1, 2, 1, 5).slot_key() == SymbolTime(1, 2, 1, 9).slot_key()
+    @given(*[st.tuples(
+        st.integers(0, 255), st.integers(0, 9), st.integers(0, 63),
+        st.integers(0, SYMBOLS_PER_SLOT - 1),
+    )] * 2)
+    def test_int_order_is_field_order(self, a, b):
+        assert (symbol_time(*a) < symbol_time(*b)) == (a < b)
+        assert (symbol_time(*a) == symbol_time(*b)) == (a == b)
+        assert time_fields(symbol_time(*a)) == a
+
+    def test_slot_id_ignores_symbol(self):
+        assert slot_id(symbol_time(1, 2, 1, 5)) == slot_id(symbol_time(1, 2, 1, 9))
+        assert slot_id(symbol_time(1, 2, 1, 5)) != slot_id(symbol_time(1, 2, 0, 5))
 
     def test_absolute_slot_roundtrip(self):
-        numerology = Numerology(mu=1)
         for index in (0, 1, 19, 20, 1234):
-            time = SymbolTime.from_absolute_slot(index, numerology)
-            assert time.absolute_slot(numerology) == index
-            assert time.symbol == 0
+            time = slot_time(index, MU1)
+            assert absolute_slot(time, MU1) == index
+            assert symbol_of(time) == 0
 
     def test_frame_wraps_at_256(self):
-        numerology = Numerology(mu=1)
-        time = SymbolTime.from_absolute_slot(256 * 20, numerology)
-        assert time.frame == 0
+        time = slot_time(256 * 20, MU1)
+        assert time_fields(time)[0] == 0
 
     def test_ns_monotonic(self):
-        numerology = Numerology(mu=1)
         previous = -1.0
         for index in range(5):
             for symbol in range(SYMBOLS_PER_SLOT):
-                time = dataclasses.replace(
-                    SymbolTime.from_absolute_slot(index, numerology), symbol=symbol
-                )
-                assert time.ns(numerology) > previous
-                previous = time.ns(numerology)
+                time = slot_time(index, MU1) + symbol
+                assert ns(time, MU1) > previous
+                previous = ns(time, MU1)
+
+    def test_ns_is_slot_plus_symbol_offset(self):
+        time = symbol_time(3, 4, 1, 5)
+        assert ns(time, MU1) == (
+            (3 * 20 + 4 * 2 + 1) * MU1.slot_duration_ns
+            + 5 * MU1.symbol_duration_ns
+        )
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SymbolTime(256, 0, 0, 0)
+            symbol_time(256, 0, 0, 0)
         with pytest.raises(ValueError):
-            SymbolTime(0, 10, 0, 0)
+            symbol_time(0, 10, 0, 0)
         with pytest.raises(ValueError):
-            SymbolTime(0, 0, 0, 14)
-
-    @given(st.tuples(
-        st.integers(0, 255), st.integers(0, 9), st.integers(0, 63),
-        st.integers(0, SYMBOLS_PER_SLOT - 1),
-    ))
-    def test_hash_is_the_field_tuple_hash(self, fields):
-        """Computed once, the hash is the dataclass's: every set and dict
-        of times iterates in the same order."""
-        time = SymbolTime(*fields)
-        assert hash(time) == hash(fields)
-        assert hash(dataclasses.replace(time)) == hash(fields)
-        assert hash(pickle.loads(pickle.dumps(time))) == hash(fields)
+            symbol_time(0, 0, 64, 0)
+        with pytest.raises(ValueError):
+            symbol_time(0, 0, 0, 14)
 
     @given(st.integers(min_value=0, max_value=256 * 20 - 1))
     def test_absolute_slot_roundtrip_property(self, index):
-        numerology = Numerology(mu=1)
-        assert (
-            SymbolTime.from_absolute_slot(index, numerology).absolute_slot(
-                numerology
-            )
-            == index
-        )
+        assert absolute_slot(slot_time(index, MU1), MU1) == index
+
+    @given(
+        st.integers(min_value=0, max_value=3 * EPOCH_SLOTS - 1),
+        st.integers(min_value=0, max_value=SYMBOLS_PER_SLOT - 1),
+    )
+    def test_wire_round_trip_across_frame_wraps(self, slot, symbol):
+        """A time packed into either plane parses back to itself, and the
+        wire holds the slot modulo the 256-frame epoch."""
+        time = slot_time(slot, MU1) + symbol
+        assert time == slot_time(slot % EPOCH_SLOTS, MU1) + symbol
+        for wire in _frames(time):
+            parsed = parse_packet(wire, carrier_num_prb=106).time
+            assert parsed == time
+            assert absolute_slot(parsed, MU1) == slot % EPOCH_SLOTS
+            assert symbol_of(parsed) == symbol
+
+    @pytest.mark.parametrize("field, values", [
+        ("subframe", range(10, 16)), ("symbol", range(14, 64)),
+    ])
+    def test_parse_rejects_a_time_no_frame_has(self, field, values):
+        for value in values:
+            word = value << 12 if field == "subframe" else value
+            for wire in _frames(0):
+                at = 14 + 8 + 2  # Ethernet, eCPRI, the first header byte and frameId
+                bad = wire[:at] + word.to_bytes(2, "big") + wire[at + 2:]
+                with pytest.raises(ValueError, match=f"{field} out of range"):
+                    parse_packet(bad, carrier_num_prb=106)
 
 
 class TestTddPattern:
@@ -154,18 +204,10 @@ class TestTddPattern:
 
 class TestSlotClock:
     def test_advance_produces_consecutive_stamps(self):
-        clock = SlotClock(Numerology(mu=1))
-        stamps = [clock.advance() for _ in range(25)]
-        numerology = Numerology(mu=1)
-        assert [s.absolute_slot(numerology) for s in stamps] == list(range(25))
-
-    def test_symbols_iterates_current_slot(self):
-        clock = SlotClock(Numerology(mu=1), start_slot=7)
-        symbols = list(clock.symbols())
-        assert len(symbols) == SYMBOLS_PER_SLOT
-        assert all(s.slot_key() == symbols[0].slot_key() for s in symbols)
-        assert [s.symbol for s in symbols] == list(range(14))
+        clock = SlotClock(MU1)
+        assert [clock.advance() for _ in range(25)] == list(range(25))
+        assert clock.current_slot == 25
 
     def test_start_slot_offset(self):
-        clock = SlotClock(Numerology(mu=1), start_slot=40)
-        assert clock.advance().frame == 2
+        clock = SlotClock(MU1, start_slot=40)
+        assert time_fields(slot_time(clock.advance(), MU1))[0] == 2

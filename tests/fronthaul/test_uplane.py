@@ -5,7 +5,7 @@ import pytest
 
 from repro.fronthaul.compression import CompressionConfig
 from repro.fronthaul.cplane import Direction
-from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.timing import symbol_time
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 
 from tests.conftest import random_prb_samples, wire_shifts
@@ -106,7 +106,7 @@ class TestZeroCopyPaths:
         )
         message = UPlaneMessage(
             direction=Direction.UPLINK,
-            time=SymbolTime(1, 2, 3, 4),
+            time=symbol_time(1, 2, 3, 4),
             sections=[section],
         )
         wire = message.pack()
@@ -127,7 +127,7 @@ class TestZeroCopyPaths:
         section = UPlaneSection.from_samples(0, 0, random_prb_samples(rng, 4))
         message = UPlaneMessage(
             direction=Direction.DOWNLINK,
-            time=SymbolTime(0, 0, 0, 0),
+            time=symbol_time(0, 0, 0, 0),
             sections=[section],
         )
         parsed = UPlaneMessage.unpack(message.pack())
@@ -143,7 +143,7 @@ class TestUPlaneMessage:
         )
         return UPlaneMessage(
             direction=direction,
-            time=SymbolTime(46, 9, 1, 13),
+            time=symbol_time(46, 9, 1, 13),
             sections=[section],
         )
 
@@ -151,7 +151,7 @@ class TestUPlaneMessage:
         message = self.make(rng)
         parsed = UPlaneMessage.unpack(message.pack())
         assert parsed.direction is Direction.DOWNLINK
-        assert parsed.time == SymbolTime(46, 9, 1, 13)
+        assert parsed.time == symbol_time(46, 9, 1, 13)
         assert parsed.sections[0].payload == message.sections[0].payload
 
     def test_uplink_roundtrip(self, rng):
@@ -170,7 +170,7 @@ class TestUPlaneMessage:
         ]
         message = UPlaneMessage(
             direction=Direction.UPLINK,
-            time=SymbolTime(0, 0, 0, 0),
+            time=symbol_time(0, 0, 0, 0),
             sections=sections,
         )
         parsed = UPlaneMessage.unpack(message.pack())
@@ -187,7 +187,7 @@ class TestUPlaneMessage:
         )
         message = UPlaneMessage(
             direction=Direction.DOWNLINK,
-            time=SymbolTime(0, 0, 0, 0),
+            time=symbol_time(0, 0, 0, 0),
             sections=[section],
         )
         parsed = UPlaneMessage.unpack(message.pack(), carrier_num_prb=273)
@@ -202,7 +202,7 @@ class TestUPlaneMessage:
         )
         message = UPlaneMessage(
             direction=Direction.DOWNLINK,
-            time=SymbolTime(0, 0, 0, 0),
+            time=symbol_time(0, 0, 0, 0),
             sections=[section],
         )
         parsed = UPlaneMessage.unpack(message.pack())

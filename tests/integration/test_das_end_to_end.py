@@ -13,6 +13,7 @@ import pytest
 from repro.apps.das import DasMiddlebox
 from repro.fronthaul.compression import SAMPLES_PER_PRB
 from repro.fronthaul.cplane import Direction
+from repro.fronthaul.timing import slot_id
 from repro.phy.channel import ChannelModel, db_to_linear
 from repro.phy.geometry import Position
 from repro.phy.iq import (
@@ -91,7 +92,7 @@ class TestUplinkMergeDecode:
         transmitted = {}
 
         def ue_uplink(ru, position, time, port):
-            pending = du._pending_ul.get(time.slot_key())
+            pending = du._pending_ul.get(slot_id(time))
             if not pending:
                 return None
             n_sc = ru.config.num_prb * SAMPLES_PER_PRB
@@ -139,7 +140,7 @@ class TestUplinkMergeDecode:
         per_ru_power = {}
 
         def ue_uplink(ru, position, time, port):
-            pending = du._pending_ul.get(time.slot_key())
+            pending = du._pending_ul.get(slot_id(time))
             if not pending:
                 return None
             n_sc = ru.config.num_prb * SAMPLES_PER_PRB

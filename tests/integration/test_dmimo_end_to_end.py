@@ -10,6 +10,7 @@ import pytest
 
 from repro.apps.dmimo import DmimoMiddlebox, RuPortMap, SsbSchedule
 from repro.fronthaul.cplane import Direction
+from repro.fronthaul.timing import absolute_slot
 from repro.phy.iq import int16_to_iq
 from repro.ran.cell import CellConfig
 from repro.ran.du import DistributedUnit
@@ -78,7 +79,7 @@ class TestVirtualRuIllusion:
                 continue
             error = np.abs(grid - int16_to_iq(reference)).max()
             if global_port == 0 or not du.cell.is_ssb_slot(
-                time.absolute_slot(du.cell.numerology)
+                absolute_slot(time, du.cell.numerology)
             ):
                 assert error < 0.05
                 checked += 1
@@ -108,9 +109,9 @@ class TestSsbReplication:
         ssb_start, ssb_end = du.cell.ssb_prb_range
 
         def correlation(ru, port, symbol):
-            from repro.fronthaul.timing import SymbolTime
+            from repro.fronthaul.timing import symbol_time
 
-            grid = ru.transmit_grid(SymbolTime(0, 0, 0, symbol), port)
+            grid = ru.transmit_grid(symbol_time(0, 0, 0, symbol), port)
             if grid is None:
                 return 0.0
             block = grid[ssb_start * 12 : ssb_end * 12]

@@ -14,7 +14,7 @@ import hashlib
 import pytest
 
 from repro.eval import kit
-from repro.fronthaul.timing import SlotClock
+from repro.fronthaul.timing import SlotClock, symbol_of
 from repro.ran.ru import RadioUnit
 from repro.scale import Scenario, runner
 
@@ -57,7 +57,7 @@ def dl_probe(monkeypatch):
         receive(self, packet)
         if self.counters.uplane_received > accepted:
             probe = _probe(self)
-            probe.update(bytes([packet.time.symbol, packet.eaxc.ru_port]))
+            probe.update(bytes([symbol_of(packet.time), packet.eaxc.ru_port]))
             for section in packet.message.sections:
                 probe.update(section.payload)
 

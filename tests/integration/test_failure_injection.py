@@ -11,6 +11,7 @@ from repro.apps.das import DasMiddlebox
 from repro.apps.resilience import ResilienceMiddlebox
 from repro.core.middlebox import Middlebox
 from repro.fronthaul.cplane import Direction
+from repro.fronthaul.timing import time_fields
 from repro.ran.cell import CellConfig
 from repro.ran.du import DistributedUnit
 from repro.ran.ru import RadioUnit, RuConfig
@@ -67,7 +68,7 @@ class TestDasUnderLoss:
             return (
                 packet.direction is Direction.UPLINK
                 and packet.eth.src == lost_ru
-                and packet.time.slot % 2 == 0
+                and time_fields(packet.time)[2] % 2 == 0
             )
 
         # The wire sits between the middlebox and the RUs: downlink order

@@ -13,6 +13,7 @@ from repro.apps.ru_sharing import RuSharingMiddlebox, SharedDuConfig
 from repro.fronthaul.compression import SAMPLES_PER_PRB
 from repro.fronthaul.cplane import Direction
 from repro.fronthaul.spectrum import PrbGrid, split_ru_spectrum
+from repro.fronthaul.timing import slot_id
 from repro.phy.iq import int16_to_iq
 from repro.ran.cell import CellConfig
 from repro.ran.du import DistributedUnit
@@ -108,7 +109,7 @@ class TestUplink:
                 grid = np.zeros(n_sc, dtype=np.complex128)
                 blocks = {}
                 for du, config in zip(dus, configs):
-                    pending = du._pending_ul.get(time.slot_key())
+                    pending = du._pending_ul.get(slot_id(time))
                     if not pending:
                         continue
                     offset = int(round(ru_grid.offset_of(config.grid)))

@@ -24,7 +24,7 @@ import pytest
 
 from repro.eval import kit
 from repro.fronthaul.ecpri import ECPRI_HEADER_SIZE
-from repro.fronthaul.timing import MAX_FRAME_ID, SlotClock
+from repro.fronthaul.timing import MAX_FRAME_ID, SlotClock, symbol_of, time_fields
 
 START = 5_080
 SLOTS = 300
@@ -126,13 +126,13 @@ class _ChainProbe:
         but the frame number, which is kept as frames-since-start."""
         wire = packet.pack()
         at = packet.eth.size + ECPRI_HEADER_SIZE + 1
-        frame = packet.time.frame
+        frame = time_fields(packet.time)[0]
         assert wire[at] == frame
         if not self.frames or self.frames[-1] != frame:
             self.frames.append(frame)
         self.egress[self.offset, lane].append((
             packet.eaxc.to_int(),
-            packet.time.symbol,
+            symbol_of(packet.time),
             (frame - self._frame0) % MAX_FRAME_ID,
             hashlib.sha256(wire[:at] + wire[at + 1:]).digest(),
         ))

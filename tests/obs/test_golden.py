@@ -11,7 +11,7 @@ from repro.core.middlebox import Middlebox
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import make_packet
-from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.timing import symbol_time
 from repro.obs import (
     MetricsRegistry,
     Observability,
@@ -84,7 +84,7 @@ def test_flight_recorder_jsonl_golden():
         MacAddress.from_int(2),
         CPlaneMessage(
             direction=Direction.DOWNLINK,
-            time=SymbolTime(frame=8, subframe=1, slot=1, symbol=3),
+            time=symbol_time(frame=8, subframe=1, slot=1, symbol=3),
             sections=[CPlaneSection(0, 0, 50)],
         ),
         seq_id=42,

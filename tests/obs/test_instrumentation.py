@@ -9,7 +9,7 @@ from repro.core.middlebox import Middlebox
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import make_packet
-from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.timing import symbol_time
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 from repro.obs import Observability
 
@@ -20,7 +20,7 @@ def packet(seq=0):
         MacAddress.from_int(2),
         CPlaneMessage(
             direction=Direction.DOWNLINK,
-            time=SymbolTime(0, 0, 0, 0),
+            time=symbol_time(0, 0, 0, 0),
             sections=[CPlaneSection(0, 0, 50)],
         ),
         seq_id=seq,
@@ -116,7 +116,7 @@ class TestChildrenOutliveNoFamily:
                 ru_mac, du_mac,
                 UPlaneMessage(
                     direction=Direction.UPLINK,
-                    time=SymbolTime(0, 0, 0, symbol),
+                    time=symbol_time(0, 0, 0, symbol),
                     sections=[section],
                 ),
                 seq_id=symbol,

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.actions import ActionContext, ActionKind, PacketCache
+from repro.fronthaul.timing import symbol_time, time_fields
 from repro.obs import FlightRecorder, PacketSpan, SpanKey
 
 
@@ -24,7 +25,7 @@ def span(seq=0, middlebox="das", stage=0, direction="UL",
          traffic_class="UL U-Plane", dropped=False, start_ns=1000):
     """One recorded row, in the field order ``Middlebox._observe`` writes."""
     return (
-        3, 1, 2, 0, 4, direction, seq,
+        3, symbol_time(1, 2, 0, 4), direction, seq,
         middlebox, traffic_class, 150.0, 900.0, start_ns,
         trace_events(ActionKind.ROUTE), 1, dropped, stage,
     )
@@ -189,12 +190,10 @@ class ObjectRecorder:
 def object_span(row, stamp=()) -> PacketSpan:
     """What ``Middlebox._observe`` built for a row before rows (and what
     the stream's stamping rebuilt from it)."""
-    (eaxc, frame, subframe, slot, symbol, direction, seq, middlebox,
-     traffic_class, modeled_ns, wall_ns, start_ns, events, emitted,
-     dropped, stage) = row
+    (eaxc, time, direction, seq, middlebox, traffic_class, modeled_ns,
+     wall_ns, start_ns, events, emitted, dropped, stage) = row
     return PacketSpan(
-        key=SpanKey(eaxc, frame, subframe, slot, symbol, direction, seq,
-                    *stamp),
+        key=SpanKey(eaxc, *time_fields(time), direction, seq, *stamp),
         middlebox=middlebox,
         traffic_class=traffic_class,
         modeled_ns=modeled_ns,
@@ -207,10 +206,21 @@ def object_span(row, stamp=()) -> PacketSpan:
     )
 
 
+def _row(span: PacketSpan) -> tuple:
+    """The unstamped row ``span`` was built from."""
+    key = span.key
+    return (
+        key.eaxc, symbol_time(key.frame, key.subframe, key.slot, key.symbol),
+        key.direction, key.seq, span.middlebox, span.traffic_class,
+        span.modeled_ns, span.wall_ns, span.start_ns, list(span.events),
+        span.emitted, span.dropped, span.stage,
+    )
+
+
 rows = st.builds(
     lambda seq, middlebox, direction, wall, kinds, emitted, stage: (
-        seq % 4096, seq % 1024, seq % 10, seq % 2, seq % 14, direction,
-        seq % 256, middlebox,
+        seq % 4096, symbol_time(seq % 256, seq % 10, seq % 2, seq % 14),
+        direction, seq % 256, middlebox,
         f"{direction} U-Plane", 50.0 * len(kinds), wall, seq * 1000,
         trace_events(*kinds), emitted, not emitted, stage,
     ),
@@ -238,20 +248,23 @@ operations = st.lists(
 def test_row_ring_matches_the_object_recorder(capacity, ops):
     """Record / drain / clear interleaved at small capacities: the row
     ring reads exactly like the object ring it replaced — spans, both
-    exports, evictions and every drain's ``(spans, dropped)`` pair."""
+    exports, evictions and every drain's ``(spans, dropped)`` pair — a
+    drain ships rows as recorded, without the stamp the ring holds
+    beside them."""
     recorder = FlightRecorder(capacity=capacity)
     oracle = ObjectRecorder(capacity=capacity)
     for op in ops:
         if op[0] == "record":
             _, row, stamp = op
-            recorder.record([row + stamp])
+            recorder.record([row], stamp)
             oracle.record(object_span(row, stamp))
         elif op[0] == "drain":
             drained, dropped = recorder.drain()
-            assert (
-                [object_span(row[:16], row[16:]) for row in drained],
-                dropped,
-            ) == oracle.drain()
+            spans, oracle_dropped = oracle.drain()
+            assert [object_span(row) for row in drained] == [
+                object_span(_row(span)) for span in spans
+            ]
+            assert dropped == oracle_dropped
         else:
             recorder.clear()
             oracle.clear()

@@ -37,7 +37,7 @@ from repro.obs.stream import (
 def make_span(seq, middlebox="das", stage=0):
     """One recorded row, in the field order ``Middlebox._observe`` writes."""
     return (
-        1, 0, 0, 0, 0, "UL", seq,
+        1, 0, "UL", seq,
         middlebox, "UL U-Plane", 100.0, 0.0, seq, [], 0, False, stage,
     )
 

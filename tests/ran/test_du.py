@@ -5,6 +5,7 @@ import pytest
 
 from repro.fronthaul.cplane import Direction, SectionType
 from repro.fronthaul.packet import parse_packet
+from repro.fronthaul.timing import time_fields
 from repro.ran.cell import CellConfig
 from repro.ran.du import DistributedUnit
 from repro.ran.traffic import ConstantBitrateFlow
@@ -208,9 +209,9 @@ class TestUplinkHash:
                 receive(packet)
                 if packet.message.filter_index == 1:
                     return
-                time = packet.time
+                frame, subframe, slot, symbol = time_fields(packet.time)
                 oracle.update(
-                    f"{time.frame},{time.subframe},{time.slot},{time.symbol},"
+                    f"{frame},{subframe},{slot},{symbol},"
                     f"{packet.eaxc.ru_port}".encode()
                 )
                 for section in packet.message.sections:

@@ -10,7 +10,7 @@ from repro.core import actions
 from repro.fronthaul.compression import MOD_COMP_METH, NO_COMP_METH, CompressionConfig
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
 from repro.fronthaul.packet import make_packet, parse_packet
-from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.timing import slot_id, symbol_time
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
 from repro.phy.iq import DL_FIXED_POINT_BACKOFF, INT16_SCALE, int16_to_iq
 from repro.ran.du import DistributedUnit
@@ -108,9 +108,9 @@ class TestDownlink:
     def test_idle_symbol_transmits_nothing(self, pair):
         du, ru = pair
         run_downlink(du, ru)
-        from repro.fronthaul.timing import SymbolTime
+        from repro.fronthaul.timing import slot_id, symbol_time
 
-        assert ru.transmit_grid(SymbolTime(99, 0, 0, 0), 0) is None
+        assert ru.transmit_grid(symbol_time(99, 0, 0, 0), 0) is None
 
 
 class TestUplink:
@@ -119,7 +119,7 @@ class TestUplink:
         run_downlink(du, ru, n_slots=5)  # includes the U slot
         pending = ru.pending_uplink_symbols()
         assert pending
-        times = {time.slot_key() for time, _ in pending}
+        times = {slot_id(time) for time, _ in pending}
         assert times  # at least one UL slot requested
 
     def test_build_uplink_answers_request(self, pair):
@@ -136,9 +136,9 @@ class TestUplink:
 
     def test_build_uplink_without_request_is_empty(self, pair):
         _, ru = pair
-        from repro.fronthaul.timing import SymbolTime
+        from repro.fronthaul.timing import slot_id, symbol_time
 
-        assert ru.build_uplink([(SymbolTime(0, 0, 0, 10), 0, None)]) == []
+        assert ru.build_uplink([(symbol_time(0, 0, 0, 10), 0, None)]) == []
 
     def test_uplink_digitizes_air_signal(self, pair, rng):
         du, ru = pair
@@ -188,7 +188,7 @@ class TestHousekeeping:
         # The three newest closed slots stay; older grids and windows went.
         assert set(ru.transmitted_symbols()) == set().union(*by_slot[-3:])
         assert {slot_key for slot_key, _ in ru._dl_windows} == {
-            time.slot_key() for time, _ in ru.transmitted_symbols()
+            slot_id(time) for time, _ in ru.transmitted_symbols()
         }
 
 
@@ -199,7 +199,7 @@ class TestTransmitGridDecodesOnRead:
 
     def test_overlapping_sections_decode_in_arrival_order(self, rng):
         ru = RadioUnit(ru_id=1, config=RuConfig(num_prb=50, n_antennas=1))
-        time = SymbolTime(0, 0, 0, 3)
+        time = symbol_time(0, 0, 0, 3)
         window = CPlaneMessage(
             direction=Direction.DOWNLINK, time=time,
             sections=[CPlaneSection(0, 0, 50)],

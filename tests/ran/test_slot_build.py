@@ -30,7 +30,7 @@ from repro.fronthaul.cplane import (
 )
 from repro.fronthaul.ecpri import EAxCId
 from repro.fronthaul.packet import make_packet
-from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.timing import symbol_of, symbol_time
 from repro.phy.iq import DL_FIXED_POINT_BACKOFF, QamModulator, iq_to_int16
 from repro.ran import ru as ru_module
 from repro.phy.iq import INT16_SCALE
@@ -50,7 +50,7 @@ _IDS = ["bfp9", "modcomp4"]
 
 NUM_PRB = 106
 N_SC = NUM_PRB * SAMPLES_PER_PRB
-SLOT = SymbolTime(0, 2, 0, 0)
+SLOT = symbol_time(0, 2, 0, 0)
 BLOCK = ru_module._BLOCK_ROWS
 RU_STREAM = 11 ^ (3 * 7919)  # RadioUnit(ru_id=3, seed=11)'s generator seed
 
@@ -58,7 +58,7 @@ RU_STREAM = 11 ^ (3 * 7919)  # RadioUnit(ru_id=3, seed=11)'s generator seed
 def _request(ru, port, sections, first_symbol, prach=False):
     message = CPlaneMessage(
         direction=Direction.UPLINK,
-        time=SymbolTime(SLOT.frame, SLOT.subframe, SLOT.slot, first_symbol),
+        time=SLOT + first_symbol,
         sections=sections,
         section_type=SectionType.PRACH if prach else SectionType.DATA,
         compression=ru.config.compression,
@@ -184,7 +184,7 @@ class TestRuSlotBuild:
             )
             grid = iq_to_int16(signal)
             expected = [[(7, 0, 60), (8, 90, 16)]]  # section 8 clipped to 106
-            if port == 0 and time.symbol < 12:
+            if port == 0 and symbol_of(time) < 12:
                 expected.append([(1, 4, 12)])
             for sections in expected:
                 packet = next(packets)
@@ -252,7 +252,7 @@ class TestRuSlotBuild:
             )
             grid = iq_to_int16(signal)
             expected = [[(7, 0, NUM_PRB)]]
-            if port == 0 and 2 <= time.symbol < 5:
+            if port == 0 and 2 <= symbol_of(time) < 5:
                 expected.append([(1, 4, 12)])
             for sections in expected:
                 packet = next(packets)
@@ -288,7 +288,7 @@ class TestRuSlotBuild:
             ru_id=3, config=RuConfig(num_prb=NUM_PRB, compression=compression)
         )
         state = ru.rng.bit_generator.state
-        assert ru.build_uplink([(SymbolTime(0, 0, 0, 10), 0, None)]) == []
+        assert ru.build_uplink([(symbol_time(0, 0, 0, 10), 0, None)]) == []
         assert ru.build_uplink([]) == []
         assert ru.rng.bit_generator.state == state  # no noise drawn
         assert ru.counters.uplane_sent == 0 and ru._seq == {}
@@ -352,12 +352,12 @@ class TestDuSlotBuild:
         seen = 0
         for slot in range(3):  # slot 0 is the SSB slot
             uplane = [p for p in du.advance_slot(slot) if p.is_uplane]
-            symbols = sorted({p.time.symbol for p in uplane})
+            symbols = sorted({symbol_of(p.time) for p in uplane})
             assert len(symbols) == symbols_per_slot
             if slot == 0 and symbols_per_slot == 2:
                 assert set(symbols) <= set(du.cell.ssb_symbols)
             # Packets leave symbol-major, port-minor.
-            assert [(p.time.symbol, p.eaxc.ru_port) for p in uplane] == [
+            assert [(symbol_of(p.time), p.eaxc.ru_port) for p in uplane] == [
                 (symbol, port) for symbol in symbols for port in (0, 1)
             ]
             for packet in uplane:
@@ -393,7 +393,7 @@ class TestDuSlotBuild:
             for packet in uplane:
                 port = packet.eaxc.ru_port
                 expected = keyed_reference_grid(
-                    du, slot, packet.time.symbol, port, granted[slot],
+                    du, slot, symbol_of(packet.time), port, granted[slot],
                     ssb=slot == 0,
                 )
                 reference = sent[(packet.time, port)]

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from tests.conformance import generators as gen
 from repro.eval.scale import bench_spec
 from repro.fronthaul.compression import MOD_COMP_METH
-from repro.fronthaul.timing import SymbolTime
+from repro.fronthaul.timing import symbol_time
 from repro.ran.mplane import RuCapabilities
 from repro.ran.stacks import ALL_PROFILES, negotiate_compression, profile_by_name
 from repro.scale import Scenario, ScenarioSpec, run_scenario
@@ -158,7 +158,7 @@ def _wire_bytes(profile, codec, seed=10):
     return sum(
         len(uplane_packet(
             0, NUM_PRB, seq % 256,
-            SymbolTime(0, 0, seq // 14 % 2, seq % 14),
+            symbol_time(0, 0, seq // 14 % 2, seq % 14),
             compression,
             samples=rng.integers(
                 -4096, 4096, size=(NUM_PRB, 24), dtype=np.int16

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.middlebox import Middlebox
 from repro.fronthaul.cplane import Direction
-from repro.fronthaul.timing import Numerology, SlotClock
+from repro.fronthaul.timing import Numerology, SlotClock, slot_id, time_fields
 from repro.phy.geometry import Position
 from repro.ran.cell import CellConfig
 from repro.ran.du import DistributedUnit
@@ -98,7 +98,7 @@ class TestFronthaulNetwork:
         class Tap:
             def observe(self, packets, tap):
                 stamped.extend(
-                    (packet.eaxc.du_port, packet.time.slot_key())
+                    (packet.eaxc.du_port, time_fields(packet.time)[:3])
                     for packet in packets
                 )
 
@@ -214,7 +214,7 @@ class TestRuRetention:
         groups, bounded, _ = self._drive(slots)
         for group in groups:
             for radio in group.network.rus:
-                held = {time.slot_key() for time, _ in radio._tx_grids}
+                held = {slot_id(time) for time, _ in radio._tx_grids}
                 assert len(held) <= self.RING and not radio._ul_requests
                 if radio.counters.uplane_received:  # guest-ru stands idle
                     assert 0 < len(radio._tx_grids) < radio.counters.uplane_received

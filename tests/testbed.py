@@ -23,7 +23,6 @@ from repro.core.middlebox import Middlebox
 from repro.eval import kit
 from repro.fronthaul.compression import SAMPLES_PER_PRB
 from repro.fronthaul.packet import FronthaulPacket
-from repro.fronthaul.timing import SymbolTime
 from repro.phy.iq import QamModulator
 from repro.ran.du import DistributedUnit
 from repro.ran.ru import RadioUnit
@@ -77,13 +76,13 @@ def record_uplink(du: DistributedUnit) -> List[FronthaulPacket]:
 
 def record_downlink(
     du: DistributedUnit,
-) -> Dict[Tuple[SymbolTime, int], np.ndarray]:
+) -> Dict[Tuple[int, int], np.ndarray]:
     """The int16 grid of every downlink U-plane symbol ``du`` builds from
     now on, ``{(time, port): grid}``, ``(num_prb, 24)`` as the codec
     takes it: the slot ``_dl_slot`` returns is kept and its rows paired
     with the packets ``_build_dl_uplane`` returns (one per row, in
     order); both are wrapped on the instance."""
-    grids: Dict[Tuple[SymbolTime, int], np.ndarray] = {}
+    grids: Dict[Tuple[int, int], np.ndarray] = {}
     slots: List[np.ndarray] = []
     dl_slot, build = du._dl_slot, du._build_dl_uplane
 
