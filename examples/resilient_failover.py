@@ -59,7 +59,7 @@ def main() -> None:
     print(f"  active DU      : primary (DU {primary.du_id})")
     print(f"  RU received    : {ru.counters.uplane_received} U-plane packets")
     print(f"  guard verdicts : {guard.stats.rx_packets} inspected, "
-          f"{len(guard.alerts)} dropped")
+          f"{guard.stats.dropped_packets} dropped")
 
     print()
     print("Phase 2: spoofing attempt from an unknown source")

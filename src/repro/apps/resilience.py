@@ -13,7 +13,7 @@ primary DU simply looks like a failure and traffic moves to the standby.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Deque, Optional
 
 from repro.core.actions import ActionContext, ExecLocation
 from repro.core.middlebox import Middlebox
@@ -21,6 +21,7 @@ from repro.fronthaul.cplane import Direction
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import FronthaulPacket
 from repro.fronthaul.timing import Numerology, ns
+from repro.obs.recorder import event_ring
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,7 @@ class ResilienceMiddlebox(Middlebox):
         self.silence_threshold_ns = silence_threshold_ns
         #: True from a detected primary failure until :meth:`failback`.
         self.failed_over = False
-        self.events: List[FailoverEvent] = []
+        self.events: Deque[FailoverEvent] = event_ring()
         self._last_primary_ns: Optional[float] = None
 
     @property
@@ -101,7 +102,8 @@ class ResilienceMiddlebox(Middlebox):
         source = packet.eth.src
         if packet.direction is Direction.DOWNLINK or packet.is_cplane:
             if source == self.primary_du:
-                self._liveness_update(ctx, now_ns)
+                ctx.inspect(packet)  # liveness: an A4 read of the timestamp
+                self._last_primary_ns = now_ns
                 if self.active_du == self.primary_du:
                     ctx.forward(packet, dst=self.ru_mac, src=self.mac)
                 else:
@@ -124,10 +126,6 @@ class ResilienceMiddlebox(Middlebox):
         # Uplink from the RU: check liveness, then steer to the active DU.
         self._check_deadline(ctx, now_ns)
         ctx.forward(packet, dst=self.active_du, src=self.mac)
-
-    def _liveness_update(self, ctx: ActionContext, now_ns: float) -> None:
-        ctx.inspect  # liveness is an A4 inspection of the timing header
-        self._last_primary_ns = now_ns
 
     def _check_deadline(self, ctx: ActionContext, now_ns: float) -> None:
         if self.failed_over or self._last_primary_ns is None:

@@ -22,7 +22,7 @@ Key mechanisms (all from the paper):
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -407,26 +407,16 @@ class RuSharingMiddlebox(Middlebox):
         pending = dict(self.cache.peek(key))
         if len(pending) < len(self.dus_by_id):
             return
-        # All DUs' PRACH requests arrived: append sections into one packet.
+        # All DUs' PRACH requests arrived: append sections into one packet,
+        # sent as the lowest DU id's, so the RU's stream has no seq hole.
         sections = [
             section
             for du_id in sorted(pending)
             for section in pending[du_id].message.sections
         ]
-        combined = CPlaneMessage(
-            direction=Direction.UPLINK,
-            time=message.time,
-            sections=sections,
-            section_type=SectionType.PRACH,
-            compression=message.compression,
-            filter_index=message.filter_index,
-            time_offset=message.time_offset,
-            frame_structure=message.frame_structure,
-            cp_length=message.cp_length,
-        )
-        out = FronthaulPacket(
-            eth=packet.eth, ecpri=packet.ecpri, message=combined
-        )
+        combined = replace(message, direction=Direction.UPLINK, sections=sections)
+        first = pending[min(pending)]
+        out = FronthaulPacket(eth=first.eth, ecpri=first.ecpri, message=combined)
         ctx.forward(out, dst=self.ru_mac, src=self.mac)
         self.cache.discard(key)
 

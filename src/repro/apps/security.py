@@ -20,13 +20,14 @@ The guard enforces three invariants per eAxC flow:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Deque, Dict, Iterable, Optional, Set, Tuple
 
 from repro.core.actions import ActionContext, ExecLocation
 from repro.core.middlebox import Middlebox
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import FronthaulPacket
 from repro.fronthaul.timing import MAX_FRAME_ID, Numerology, absolute_slot
+from repro.obs.recorder import event_ring
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ class FronthaulGuardMiddlebox(Middlebox):
             raise ValueError("the guard needs at least one allowed source")
         self.max_slot_skew = max_slot_skew
         self.numerology = numerology
-        self.alerts: List[SecurityAlert] = []
+        self.alerts: Deque[SecurityAlert] = event_ring()
         self._flows: Dict[Tuple[int, int], _FlowState] = {}
 
     # -- handlers -------------------------------------------------------------

@@ -6,13 +6,13 @@ uplink noise floor per PRB: energy that appears on PRBs the C-plane never
 scheduled — or persistent energy far above the expected noise floor —
 indicates an external interferer (e.g. a jammer or a rogue transmitter),
 which is appended to the sensor's :attr:`SpectrumSensorMiddlebox.alerts`
-list, in the spirit of the interference-detection application of [18].
+ring, in the spirit of the interference-detection application of [18].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Set, Tuple
+from typing import Deque, Set, Tuple
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from repro.core.middlebox import Middlebox
 from repro.fronthaul.cplane import Direction
 from repro.fronthaul.packet import FronthaulPacket
 from repro.fronthaul.timing import slot_id
+from repro.obs.recorder import event_ring
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ class SpectrumSensorMiddlebox(Middlebox):
             )
         self.carrier_num_prb = carrier_num_prb
         self.noise_exponent_threshold = noise_exponent_threshold
-        self.alerts: List[InterferenceAlert] = []
+        self.alerts: Deque[InterferenceAlert] = event_ring()
 
     # -- handlers -------------------------------------------------------------
 

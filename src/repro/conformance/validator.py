@@ -311,7 +311,8 @@ class WireValidator:
     @staticmethod
     def _check_sections(packet, sections, carrier, cap, flag) -> None:
         """Section structure: non-empty, inside the carrier, within the
-        vendor's U-plane cap (``cap`` is None for C-plane), no overlap."""
+        vendor's U-plane cap (``cap`` is None for C-plane), no overlap —
+        in half subcarriers, as a type-3 section's freqOffset counts."""
         claimed: Optional[List[Tuple[int, int]]] = (
             [] if len(sections) > 1 else None
         )
@@ -332,13 +333,15 @@ class WireValidator:
                      f"vendor cap {cap}")
             if claimed is None:
                 continue
-            for other_start, other_end in claimed:
-                if start < other_end and other_start < end:
+            offset = getattr(section, "freq_offset", None) or 0
+            low, high = 24 * start - offset, 24 * end - offset
+            for other_low, other_high in claimed:
+                if low < other_high and other_low < high:
                     flag(packet, ViolationClass.SECTION_STRUCTURE,
                          f"section {section_id} PRBs [{start}, {end}) "
                          "overlap a sibling section")
                     break
-            claimed.append((start, end))
+            claimed.append((low, high))
 
     def _comphdr_mismatch(self, packet, config, what: str, flag) -> None:
         """Flag a udCompHdr outside the negotiated set.

@@ -15,10 +15,11 @@ duration can never keep up, regardless of allowance).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Mapping, Optional, Sequence
 
 from repro.fronthaul.timing import Numerology
 from repro.obs.metrics import declare
+from repro.obs.sketch import QuantileSketch
 
 #: Paper budget for added middlebox processing per slot (Section 6.4.1).
 SLOT_BUDGET_NS = 30_000.0
@@ -72,9 +73,11 @@ class DeadlineAccountant:
 
     Feed it one :meth:`observe_slot` per processed slot (the simulator
     does this automatically when an accountant is attached to a
-    :class:`~repro.sim.network_sim.FronthaulNetwork`); it keeps the
-    per-slot accounts and, when an :class:`~repro.obs.Observability` is
-    attached, emits ``fronthaul_deadline_checks_total`` /
+    :class:`~repro.sim.network_sim.FronthaulNetwork`).  It keeps a fold,
+    not a record per slot: counts, per-stage sums, the worst slot and
+    the open epoch's sketch (:meth:`take_epoch_sketch`).  When an
+    :class:`~repro.obs.Observability` is attached, it also emits
+    ``fronthaul_deadline_checks_total`` /
     ``fronthaul_deadline_violations_total`` counters and a headroom gauge.
     """
 
@@ -84,14 +87,17 @@ class DeadlineAccountant:
         budget_ns: Optional[float] = None,
         obs=None,
     ):
-        self.numerology = numerology
         if budget_ns is None:
             # Paper allowance, never beyond the symbol receive window.
             budget_ns = min(SLOT_BUDGET_NS, numerology.symbol_duration_ns)
         self.budget_ns = budget_ns
         self.obs = obs
-        self.accounts: List[SlotAccount] = []
+        self.checks = 0
         self.violations = 0
+        #: Per-stage ns summed in slot order, and the first largest slot.
+        self._stage_ns: Dict[str, float] = {}
+        self._worst: Optional[SlotAccount] = None
+        self._epoch = QuantileSketch()
 
     def observe_slot(
         self, absolute_slot: int, per_stage_ns: Mapping[str, float]
@@ -102,39 +108,46 @@ class DeadlineAccountant:
             per_stage_ns=dict(per_stage_ns),
             budget_ns=self.budget_ns,
         )
-        self.accounts.append(account)
+        total_ns = account.total_ns
+        self.checks += 1
         if account.violated:
             self.violations += 1
+        stage_ns = self._stage_ns
+        for stage, spent_ns in per_stage_ns.items():
+            stage_ns[stage] = stage_ns.get(stage, 0.0) + spent_ns
+        if self._worst is None or total_ns > self._worst.total_ns:
+            self._worst = account
+        self._epoch.observe(total_ns)
         obs = self.obs
         if obs is not None and obs.enabled:
             obs.children(_CHECKS).inc()
             if account.violated:
                 obs.children(_VIOLATIONS).inc()
             obs.children(_HEADROOM).set(account.headroom_ns)
-            obs.children(_SLOT_TOTAL).observe(account.total_ns)
+            obs.children(_SLOT_TOTAL).observe(total_ns)
             for stage, spent_ns in account.per_stage_ns.items():
                 obs.children(_STAGE_NS, stage).observe(spent_ns)
         return account
 
+    def take_epoch_sketch(self) -> Optional[Dict[str, Any]]:
+        """The sketch sample of the slot totals observed since the last
+        take (``None`` when there are none); the next epoch opens empty."""
+        sketch, self._epoch = self._epoch, QuantileSketch()
+        return sketch.sample() if sketch.count else None
+
     # -- aggregate views -----------------------------------------------------
 
     def violation_rate(self) -> float:
-        if not self.accounts:
-            return 0.0
-        return self.violations / len(self.accounts)
+        return self.violations / self.checks if self.checks else 0.0
 
     def worst_slot(self) -> Optional[SlotAccount]:
-        if not self.accounts:
-            return None
-        return max(self.accounts, key=lambda account: account.total_ns)
+        return self._worst
 
     def stage_means_ns(self) -> Dict[str, float]:
-        totals: Dict[str, float] = {}
-        for account in self.accounts:
-            for stage, spent_ns in account.per_stage_ns.items():
-                totals[stage] = totals.get(stage, 0.0) + spent_ns
-        n = len(self.accounts)
-        return {stage: total / n for stage, total in totals.items()}
+        return {
+            stage: total / self.checks
+            for stage, total in self._stage_ns.items()
+        }
 
     def budget_report(self, title: str = "per-chain latency budget") -> str:
         """Figure 15a-style text report: per-stage means vs the budget."""
@@ -159,7 +172,7 @@ class DeadlineAccountant:
                 f" ({'VIOLATED' if worst.violated else 'ok'})"
             )
         lines.append(
-            f"  slots checked: {len(self.accounts)}, "
+            f"  slots checked: {self.checks}, "
             f"violations: {self.violations} ({self.violation_rate():.1%})"
         )
         return "\n".join(lines)
@@ -175,10 +188,9 @@ def account_middleboxes(
     Stage names are made unique with their chain position so two
     same-named boxes don't merge.
     """
-    per_stage: Dict[str, float] = {}
-    for index, (middlebox, before_ns) in enumerate(
-        zip(middleboxes, previous_totals)
-    ):
-        stage = f"{index}:{middlebox.name}"
-        per_stage[stage] = middlebox.stats.processing_ns_total - before_ns
-    return per_stage
+    return {
+        f"{index}:{middlebox.name}": middlebox.stats.processing_ns_total - before
+        for index, (middlebox, before) in enumerate(
+            zip(middleboxes, previous_totals)
+        )
+    }

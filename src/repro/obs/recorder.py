@@ -25,6 +25,15 @@ from typing import Any, Deque, Dict, List, Sequence, Tuple
 
 from repro.fronthaul.timing import time_fields
 
+#: Events (alerts, failovers, SLO edges, applied deltas) a holder keeps.
+_EVENTS_KEPT = 256
+
+
+def event_ring() -> Deque:
+    """A ring of the newest :data:`_EVENTS_KEPT` events, so a noisy run
+    keeps no record per event."""
+    return deque(maxlen=_EVENTS_KEPT)
+
 
 @dataclass(frozen=True, slots=True)
 class SpanKey:

@@ -15,8 +15,8 @@ not a post-hoc log scrape.  This module is that evaluator:
   observed value divided by threshold, the Google-SRE multiple of
   budget consumption.  Alerts are edge-triggered: one ``firing``
   :class:`SloAlert` when the burn rate crosses ``max_burn_rate`` upward,
-  one ``resolved`` alert when it falls back — retained in
-  :attr:`SloEngine.alerts` and carried by the stream's epoch summary.
+  one ``resolved`` alert when it falls back — the newest retained in
+  :attr:`SloEngine.alerts`, each carried by the stream's epoch summary.
 
 P99 latency is evaluated over the *window's* merged
 :class:`~repro.obs.sketch.QuantileSketch` — per-epoch sketch samples
@@ -30,10 +30,12 @@ lets CI assert "this seeded chaos run fires exactly this alert".
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.deadline import SLOT_BUDGET_NS
+from repro.obs.recorder import event_ring
 from repro.obs.sketch import QuantileSketch
 
 #: The measurables an :class:`SloSpec` may target.
@@ -170,13 +172,8 @@ class _Window:
 
     def __init__(self, spec: SloSpec):
         self.spec = spec
-        self.samples: List[EpochSample] = []
+        self.samples: Deque[EpochSample] = deque(maxlen=spec.window_epochs)
         self.firing = False
-
-    def push(self, sample: EpochSample) -> None:
-        self.samples.append(sample)
-        if len(self.samples) > self.spec.window_epochs:
-            del self.samples[: len(self.samples) - self.spec.window_epochs]
 
     def measure(self) -> Tuple[Optional[float], int]:
         """(windowed value, underlying event count) — value None if the
@@ -189,15 +186,11 @@ class _Window:
             misses = sum(s.deadline_misses for s in self.samples)
             return misses / checks, checks
         if objective == "p99_slot_latency_ns":
-            merged: Optional[QuantileSketch] = None
+            merged = QuantileSketch()
             for sample in self.samples:
-                if sample.slot_sketch is None:
-                    continue
-                if merged is None:
-                    merged = QuantileSketch.from_sample(sample.slot_sketch)
-                else:
+                if sample.slot_sketch is not None:
                     merged.merge_sample(sample.slot_sketch)
-            if merged is None or not merged.count:
+            if not merged.count:
                 return None, 0
             return merged.quantile(0.99), merged.count
         if objective == "conformance_violation_rate":
@@ -224,14 +217,14 @@ class SloEngine:
             raise ValueError(f"duplicate SLO names: {names}")
         self.specs: Tuple[SloSpec, ...] = tuple(specs)
         self._windows: List[_Window] = [_Window(spec) for spec in specs]
-        #: Every alert edge, in emission order (firing and resolved).
-        self.alerts: List[SloAlert] = []
+        #: The newest alert edges, in emission order (firing and resolved).
+        self.alerts: Deque[SloAlert] = event_ring()
 
     def observe_epoch(self, sample: EpochSample) -> List[SloAlert]:
         """Fold one epoch in; returns the alert edges it triggered."""
         edges: List[SloAlert] = []
         for window in self._windows:
-            window.push(sample)
+            window.samples.append(sample)
             value, events = window.measure()
             if value is None:
                 continue

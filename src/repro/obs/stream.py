@@ -31,8 +31,8 @@ truth.
 
 **One worker-side sample.**  SLO windows need increments, which a
 cumulative snapshot does not hold.  The source diffs its snapshot
-against the one it shipped last; the epoch's slot-latency sketch is
-built from the deadline accounts since then.  The diff is taken on the
+against the one it shipped last, and takes the accountant's sketch of
+the slot latencies since then.  The diff is taken on the
 worker because only the worker sees a rebuilt group's replayed prefix:
 the replay ships nothing but advances the baseline, so the next sample
 counts the rebuilt group's epoch exactly as a from-scratch run would.
@@ -116,17 +116,6 @@ class GroupStreamSource:
         #: The counts of the snapshot shipped last: every sample's baseline.
         self._shipped = _counts({})
 
-    def _slot_sketch(self, since: int) -> Optional[Dict[str, Any]]:
-        """Sketch sample of the slot latencies accounted after the
-        ``since``-th check (``None`` when there are none)."""
-        accountant = self.group.accountant
-        if accountant is None or len(accountant.accounts) <= since:
-            return None
-        sketch = QuantileSketch()
-        for account in accountant.accounts[since:]:
-            sketch.observe(account.total_ns)
-        return sketch.sample()
-
     def epoch_payload(self) -> Dict[str, Any]:
         """Flush everything this group accumulated since the last epoch.
 
@@ -152,7 +141,10 @@ class GroupStreamSource:
             for kind, count in counts["violations"].items()
             if count != shipped["violations"].get(kind, 0)
         }
-        sample["slot_sketch"] = self._slot_sketch(shipped["deadline_checks"])
+        accountant = self.group.accountant
+        sample["slot_sketch"] = (
+            accountant.take_epoch_sketch() if accountant is not None else None
+        )
         self._shipped = counts
         payload["metrics"] = snapshot
         payload["sample"] = sample
@@ -228,7 +220,7 @@ class TelemetryStream:
         self._registry = None
         totals = dict.fromkeys(_SCALARS, 0)
         violations = 0
-        epoch_sketch: Optional[QuantileSketch] = None
+        epoch_sketch = QuantileSketch()
         record = self.recorder.record
         for payload in ordered:
             rows = payload.get("spans", ())
@@ -238,16 +230,12 @@ class TelemetryStream:
             for key in totals:
                 totals[key] += increments[key]
             violations += sum(increments["violations"].values())
-            latency = increments["slot_sketch"]
-            if latency is not None:
-                if epoch_sketch is None:
-                    epoch_sketch = QuantileSketch.from_sample(latency)
-                else:
-                    epoch_sketch.merge_sample(latency)
+            if increments["slot_sketch"] is not None:
+                epoch_sketch.merge_sample(increments["slot_sketch"])
         self.finalized = final
         sample = EpochSample(
             epoch=epoch,
-            slot_sketch=epoch_sketch.sample() if epoch_sketch else None,
+            slot_sketch=epoch_sketch.sample() if epoch_sketch.count else None,
             conformance_violations=violations,
             worker_restarts=self._pending_restarts,
             **totals,

@@ -24,8 +24,9 @@ The contract inherits the scale layer's oracles wholesale:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Deque, Dict, List
 
+from repro.obs.recorder import event_ring
 from repro.scale.pool import WorkerPool
 from repro.scale.spec import ScenarioSpec
 from repro.serve.delta import SpecDelta
@@ -49,7 +50,9 @@ class LiveRun:
         self.spec = spec
         self.pool = WorkerPool(spec, workers=workers)
         self.routes = RoutingTable.from_spec(spec, self.pool.plan)
-        self.deltas_applied: List[Dict[str, Any]] = []
+        #: The newest applied deltas' outcomes; ``deltas_total`` counts all.
+        self.deltas_applied: Deque[Dict[str, Any]] = event_ring()
+        self.deltas_total = 0
         self.finished = False
         self._began = False
         self._pending: List[Dict[str, Any]] = []
@@ -126,6 +129,7 @@ class LiveRun:
             **outcome,
         }
         self.deltas_applied.append(applied)
+        self.deltas_total += 1
         self._pending.append({"topic": "deltas", "data": dict(applied)})
         return applied
 
@@ -143,7 +147,7 @@ class LiveRun:
             "finished": self.finished,
             "epochs": telemetry.epochs,
             "routing_version": self.routes.version,
-            "deltas_applied": len(self.deltas_applied),
+            "deltas_applied": self.deltas_total,
             "alerts_firing": telemetry.slo.firing(),
             "worker_restarts": sum(self.pool.restarts),
             "worker_pids": [p.pid for p in self.pool._processes],

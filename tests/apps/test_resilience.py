@@ -65,10 +65,29 @@ class TestSteadyState:
         box.process(dl_cplane(primary, ru_mac, slot=0))
         result = box.process(ul_uplane(rng, ru_mac, primary, slot=1))
         assert result.emissions[0].eth.dst == primary
-        assert box.events == []
+        assert list(box.events) == []
 
 
 class TestFailover:
+    def test_events_keep_the_newest(self, events_kept, rng, primary, standby,
+                                    ru_mac):
+        box = ResilienceMiddlebox(
+            primary_du=primary, standby_du=standby, ru_mac=ru_mac,
+            silence_threshold_ns=2_000_000.0,
+        )
+        detected = []
+        for cycle in range(events_kept + 2):
+            slot = 20 * cycle
+            box.process(dl_cplane(primary, ru_mac, slot=slot))
+            box.process(ul_uplane(rng, ru_mac, primary, slot=slot + 10))
+            detected.append(box.events[-1].detected_at_ns)
+            box.failback()
+        assert len(box.events) == events_kept
+        assert [e.detected_at_ns for e in box.events] == (
+            detected[-events_kept:]
+        )
+        assert len(set(detected)) == events_kept + 2
+
     def drive_failure(self, box, rng, primary, ru_mac, fail_after_slot=2,
                       total_slots=12):
         """Primary goes silent after ``fail_after_slot``."""
@@ -124,7 +143,7 @@ class TestFailover:
         for slot in range(20):
             box.process(dl_cplane(primary, ru_mac, slot=slot))
             box.process(ul_uplane(rng, ru_mac, primary, slot=slot))
-        assert box.events == []
+        assert list(box.events) == []
         assert box.active_du == primary
 
     def test_failback(self, box, rng, primary, ru_mac):

@@ -11,6 +11,7 @@ from repro.fronthaul.cplane import (
     Direction,
     SectionType,
 )
+from repro.fronthaul.ecpri import EAxCId
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import make_packet
 from repro.fronthaul.spectrum import PrbGrid, split_ru_spectrum
@@ -292,7 +293,7 @@ class TestMisalignedSharing:
 
 
 class TestPrach:
-    def prach_cplane(self, du, time=None):
+    def prach_cplane(self, du, time=None, seq=0, eaxc=None):
         message = CPlaneMessage(
             direction=Direction.UPLINK,
             time=symbol_time(0, 0, 0, 10) if time is None else time,
@@ -303,7 +304,28 @@ class TestPrach:
             section_type=SectionType.PRACH,
             filter_index=1,
         )
-        return make_packet(du.mac, MacAddress.from_int(0x41), message)
+        return make_packet(
+            du.mac, MacAddress.from_int(0x41), message, seq_id=seq, eaxc=eaxc
+        )
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_combined_goes_as_the_lowest_du_ids_request(
+        self, sharing, du_configs, order
+    ):
+        """Whichever DU's request completes the set, the RU gets one
+        stream: the lowest DU id's eAxC and sequence number, so the
+        absorbed request leaves no hole in the RU-bound numbering."""
+        requests = [
+            self.prach_cplane(
+                du, seq=7 + du.du_id, eaxc=EAxCId(du_port=du.du_id, ru_port=0)
+            )
+            for du in du_configs
+        ]
+        sharing.process(requests[order[0]])
+        (out,) = sharing.process(requests[order[1]]).emissions
+        lowest = min(du_configs, key=lambda du: du.du_id)
+        assert out.eaxc == EAxCId(du_port=lowest.du_id, ru_port=0)
+        assert out.ecpri.seq_id == 7 + lowest.du_id
 
     def test_combined_after_all_dus(self, sharing, du_configs, ru_mac):
         held = sharing.process(self.prach_cplane(du_configs[0]))

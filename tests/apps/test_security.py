@@ -30,7 +30,7 @@ class TestAllowList:
     def test_known_source_passes(self, guard, du_mac, ru_mac):
         result = guard.process(frame(du_mac, ru_mac))
         assert len(result.emissions) == 1
-        assert guard.alerts == []
+        assert list(guard.alerts) == []
 
     def test_unknown_source_dropped(self, guard, ru_mac):
         attacker = MacAddress.from_int(0xBAD)
@@ -49,7 +49,7 @@ class TestSequenceChecks:
             result = guard.process(frame(du_mac, ru_mac, seq_id=seq,
                                          slot=seq))
             assert result.emissions
-        assert guard.alerts == []
+        assert list(guard.alerts) == []
 
     def test_replay_dropped(self, guard, du_mac, ru_mac):
         guard.process(frame(du_mac, ru_mac, seq_id=7, slot=0))
@@ -67,14 +67,14 @@ class TestSequenceChecks:
         guard.process(frame(du_mac, ru_mac, seq_id=255, slot=0))
         result = guard.process(frame(du_mac, ru_mac, seq_id=0, slot=0))
         assert result.emissions
-        assert guard.alerts == []
+        assert list(guard.alerts) == []
 
     def test_flows_tracked_independently(self, guard, du_mac, ru_mac):
         guard.process(frame(du_mac, ru_mac, seq_id=9, port=0))
         # Same seq id on a different eAxC flow is fine.
         result = guard.process(frame(du_mac, ru_mac, seq_id=9, port=1))
         assert result.emissions
-        assert guard.alerts == []
+        assert list(guard.alerts) == []
 
 
 class TestTimingWindow:
@@ -98,6 +98,15 @@ class TestTimingWindow:
             assert guard.process(replay).emissions == []
         assert len(guard.alerts) == 20
         assert guard.stats.dropped_packets == 20
+
+    def test_alerts_keep_the_newest(self, events_kept, du_mac, ru_mac):
+        guard = FronthaulGuardMiddlebox(allowed_sources=[du_mac, ru_mac])
+        attackers = [MacAddress.from_int(0xBAD + i) for i in range(5)]
+        for attacker in attackers:
+            guard.process(frame(attacker, ru_mac))
+        assert len(guard.alerts) == events_kept
+        assert [a.source for a in guard.alerts] == attackers[-events_kept:]
+        assert guard.stats.dropped_packets == len(attackers)
 
     def test_telemetry_alerts(self, guard, du_mac, ru_mac):
         guard.process(frame(MacAddress.from_int(0xBAD), ru_mac))

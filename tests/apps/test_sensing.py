@@ -47,10 +47,19 @@ def ul_uplane(rng, ru_mac, du_mac, hot_prbs, time=None, amplitude=9000):
 
 
 class TestInterferenceDetection:
+    def test_alerts_keep_the_newest(self, events_kept, rng, du_mac, ru_mac):
+        sensor = SpectrumSensorMiddlebox(carrier_num_prb=N_PRB)
+        times = [symbol_time(0, 0, slot, 10) for slot in range(events_kept + 2)]
+        for time in times:
+            sensor.process(ul_uplane(rng, ru_mac, du_mac, [20], time=time))
+        assert len(sensor.alerts) == events_kept
+        assert [alert.time for alert in sensor.alerts] == times[-events_kept:]
+        assert sensor.stats.rx_packets == events_kept + 2
+
     def test_scheduled_energy_is_clean(self, sensor, rng, du_mac, ru_mac):
         sensor.process(ul_cplane(du_mac, ru_mac, 5, 10))
         sensor.process(ul_uplane(rng, ru_mac, du_mac, hot_prbs=range(5, 15)))
-        assert sensor.alerts == []
+        assert list(sensor.alerts) == []
 
     def test_unscheduled_energy_flagged(self, sensor, rng, du_mac, ru_mac):
         sensor.process(ul_cplane(du_mac, ru_mac, 5, 10))
@@ -71,7 +80,7 @@ class TestInterferenceDetection:
 
     def test_noise_floor_ignored(self, sensor, rng, du_mac, ru_mac):
         sensor.process(ul_uplane(rng, ru_mac, du_mac, hot_prbs=[]))
-        assert sensor.alerts == []
+        assert list(sensor.alerts) == []
 
     def test_mixed_scheduled_and_jammed(self, sensor, rng, du_mac, ru_mac):
         sensor.process(ul_cplane(du_mac, ru_mac, 0, 10))
@@ -104,7 +113,7 @@ class TestInterferenceDetection:
             carrier_num_prb=N_PRB, noise_exponent_threshold=15
         )
         sensor.process(ul_uplane(rng, ru_mac, du_mac, hot_prbs=[20]))
-        assert sensor.alerts == []
+        assert list(sensor.alerts) == []
 
     def test_telemetry_published(self, sensor, rng, du_mac, ru_mac):
         sensor.process(ul_uplane(rng, ru_mac, du_mac, hot_prbs=[7]))
@@ -188,7 +197,7 @@ def test_scan_alerts_like_the_every_prb_loop(
     windows = [(start, start + num) for start, num in scheduled]
     expected = scalar_scan(sections, windows, threshold, N_PRB)
     if expected is None:
-        assert sensor.alerts == []
+        assert list(sensor.alerts) == []
     else:
         (alert,) = sensor.alerts
         assert (alert.prbs, alert.max_exponent) == expected

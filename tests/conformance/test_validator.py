@@ -11,11 +11,25 @@ from repro.conformance import (
 )
 from repro.faults import FaultConfig, FaultInjector
 from repro.fronthaul.compression import BFP_COMP_METH, CompressionConfig
+from repro.fronthaul.cplane import (
+    CPlaneMessage,
+    CPlaneSection,
+    Direction,
+    SectionType,
+)
 from repro.fronthaul.ethernet import MacAddress
+from repro.fronthaul.packet import make_packet
 from repro.fronthaul.timing import symbol_time
 from repro.obs import Observability
 from repro.ran.stacks import profile_by_name
-from tests.conformance.builders import cplane_packet, uplane_packet
+from tests.conformance.builders import (
+    DST,
+    EAXC,
+    SRC,
+    SRS_COMPRESSION,
+    cplane_packet,
+    uplane_packet,
+)
 
 
 def fresh_validator(**kwargs):
@@ -184,6 +198,38 @@ class TestViolationClasses:
         second = cplane_packet(5, 10).message.sections[0]
         packet.message.sections.append(second)
         validator.observe([packet])
+        assert only_class(validator, ViolationClass.SECTION_STRUCTURE) == 1
+
+    @staticmethod
+    def _prach_request(*freq_offsets):
+        """One uplink type-3 request: a 12-PRB section at PRB 0 per
+        ``freqOffset`` (half subcarriers, 24 to a PRB)."""
+        message = CPlaneMessage(
+            direction=Direction.UPLINK,
+            time=symbol_time(0, 2, 0, 0),
+            sections=[
+                CPlaneSection(section_id=3 + index, start_prb=0, num_prb=12,
+                              num_symbols=4, freq_offset=offset)
+                for index, offset in enumerate(freq_offsets)
+            ],
+            section_type=SectionType.PRACH,
+            compression=SRS_COMPRESSION,
+            filter_index=1,
+        )
+        return make_packet(src=SRC, dst=DST, message=message, eaxc=EAXC)
+
+    @pytest.mark.parametrize("offsets", [(672, -672), (672, 672 - 288)])
+    def test_prach_sections_at_distinct_offsets_pass(self, offsets):
+        """Two shared-RU PRACH sections both at PRB 0: their freqOffsets
+        place them apart (the second pair exactly abutting)."""
+        validator = fresh_validator()
+        validator.observe([self._prach_request(*offsets)])
+        assert validator.report.ok, validator.report.counts
+
+    @pytest.mark.parametrize("offsets", [(672, 672), (672, 672 - 287)])
+    def test_prach_sections_at_one_offset_overlap(self, offsets):
+        validator = fresh_validator()
+        validator.observe([self._prach_request(*offsets)])
         assert only_class(validator, ViolationClass.SECTION_STRUCTURE) == 1
 
     def test_prb_section_mismatch_unscheduled(self):

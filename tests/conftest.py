@@ -17,6 +17,16 @@ if os.environ.get("HYPOTHESIS_PROFILE"):
 
 
 @pytest.fixture
+def events_kept(monkeypatch):
+    """Every event ring built from now on keeps 3: the one constant,
+    ``repro.obs.recorder._EVENTS_KEPT``, patched small."""
+    from repro.obs import recorder
+
+    monkeypatch.setattr(recorder, "_EVENTS_KEPT", 3)
+    return 3
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(12345)
 

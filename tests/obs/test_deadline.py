@@ -1,15 +1,18 @@
 """Deadline accounting: per-slot budgets vs O-RAN timing windows."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.fronthaul.timing import Numerology
 from repro.obs import (
     DeadlineAccountant,
     Observability,
+    QuantileSketch,
     SLOT_BUDGET_NS,
     SlotAccount,
     account_middleboxes,
 )
+from tests.testbed import record_slots
 
 
 class TestSlotAccount:
@@ -59,6 +62,43 @@ class TestDeadlineAccountant:
         accountant = DeadlineAccountant()
         assert accountant.violation_rate() == 0.0
         assert accountant.worst_slot() is None
+        assert accountant.stage_means_ns() == {}
+        assert accountant.take_epoch_sketch() is None
+
+    def test_worst_slot_is_the_first_maximum(self):
+        accountant = DeadlineAccountant(budget_ns=1_000.0)
+        for slot, total_ns in enumerate((500.0, 900.0, 900.0, 300.0)):
+            accountant.observe_slot(slot, {"0:box": total_ns})
+        worst = accountant.worst_slot()
+        assert (worst.absolute_slot, worst.per_stage_ns) == (1, {"0:box": 900.0})
+
+    def test_epoch_sketch_is_taken_once(self):
+        accountant = DeadlineAccountant(budget_ns=1_000.0)
+        accountant.observe_slot(0, {"0:box": 500.0})
+        accountant.observe_slot(1, {"0:box": 700.0})
+        first = QuantileSketch.from_sample(accountant.take_epoch_sketch())
+        assert (first.count, first.min, first.max) == (2, 500.0, 700.0)
+        assert accountant.take_epoch_sketch() is None
+        accountant.observe_slot(2, {"0:box": 100.0})
+        assert accountant.take_epoch_sketch()["count"] == 1
+        assert accountant.checks == 3  # the fold outlives the epoch
+
+    def test_keeps_no_container_per_slot(self):
+        accountant = DeadlineAccountant(budget_ns=1_000.0)
+
+        def held():
+            return {
+                name: len(value) for name, value in vars(accountant).items()
+                if isinstance(value, (dict, list, tuple))
+            }
+
+        for slot in range(10):
+            accountant.observe_slot(slot, {"0:a": 100.0, "1:b": float(slot)})
+        at_10 = held()
+        for slot in range(10, 1_000):
+            accountant.observe_slot(slot, {"0:a": 100.0, "1:b": float(slot)})
+        assert held() == at_10
+        assert accountant.checks == 1_000
 
     def test_metrics_emitted_when_observed(self):
         obs = Observability(enabled=True)
@@ -112,10 +152,54 @@ class TestFig15aMeasured:
         result = run_fig15a_measured(ru_counts=(2, 4), n_slots=2)
         assert set(result.accountants) == {2, 4}
         for accountant in result.accountants.values():
-            assert accountant.accounts  # every slot was checked
+            assert accountant.checks == 2  # every slot was checked
         # More RUs -> more per-slot merge work (the Figure 15a trend).
         worst2 = result.accountants[2].worst_slot().total_ns
         worst4 = result.accountants[4].worst_slot().total_ns
         assert worst4 > worst2
         assert "Figure 15a (measured): DAS chain, 2 RUs" in result.format()
         assert "fronthaul_deadline_checks_total" in result.registry_text
+
+
+slot_stages = st.lists(
+    st.dictionaries(
+        st.sampled_from(["0:das", "1:sharing", "2:monitor"]),
+        st.floats(min_value=0.0, max_value=20_000.0,
+                  allow_nan=False, allow_infinity=False),
+        min_size=1,
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@given(slots=slot_stages)
+@settings(max_examples=60, deadline=None)
+def test_the_fold_equals_the_recorded_slots(slots):
+    """Counts, stage means, worst slot and sketch, as the old per-slot
+    list gave them, rebuilt from the slots a test-side recorder kept."""
+    accountant = DeadlineAccountant(budget_ns=30_000.0)
+    recorded = record_slots(accountant)
+    for slot, per_stage_ns in enumerate(slots):
+        accountant.observe_slot(slot, per_stage_ns)
+    totals = [sum(per_stage.values()) for _, per_stage in recorded]
+    assert accountant.checks == len(recorded) == len(slots)
+    assert accountant.violations == sum(t > 30_000.0 for t in totals)
+    sums = {}
+    for _, per_stage in recorded:
+        for stage, spent_ns in per_stage.items():
+            sums[stage] = sums.get(stage, 0.0) + spent_ns
+    assert accountant.stage_means_ns() == {
+        stage: total / len(recorded) for stage, total in sums.items()
+    }
+    worst_slot, worst_stages = max(
+        recorded, key=lambda slot: sum(slot[1].values())
+    )
+    worst = accountant.worst_slot()
+    assert (worst.absolute_slot, worst.per_stage_ns) == (
+        worst_slot, worst_stages
+    )
+    sketch = QuantileSketch()
+    for total in totals:
+        sketch.observe(total)
+    assert accountant.take_epoch_sketch() == sketch.sample()

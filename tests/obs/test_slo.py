@@ -67,6 +67,17 @@ class TestSloSpec:
 
 
 class TestEdgeTriggering:
+    def test_alerts_keep_the_newest(self, events_kept):
+        engine = SloEngine([miss_spec(window_epochs=1)])
+        edges = []
+        for epoch in range(events_kept + 3):
+            edges += engine.observe_epoch(
+                sample(epoch, misses=5 if epoch % 2 == 0 else 0)
+            )
+        assert len(edges) == events_kept + 3  # one edge an epoch
+        assert len(engine.alerts) == events_kept
+        assert list(engine.alerts) == edges[-events_kept:]
+
     def test_fires_once_then_resolves_once(self):
         engine = SloEngine([miss_spec()])
         assert engine.observe_epoch(sample(0, misses=0)) == []

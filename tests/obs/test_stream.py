@@ -32,6 +32,7 @@ from repro.obs.stream import (
     GroupStreamSource,
     TelemetryStream,
 )
+from tests.testbed import record_slots
 
 
 def make_span(seq, middlebox="das", stage=0):
@@ -53,13 +54,15 @@ class FakeGroup:
         self.accountant = DeadlineAccountant(
             budget_ns=budget_ns, obs=self.obs
         )
+        #: Every slot the accountant observes (it keeps only a fold).
+        self.slots = record_slots(self.accountant)
 
 
-def latency_sample(accounts):
-    """The sketch sample of some accounts' slot totals."""
+def latency_sample(slots):
+    """The sketch sample of some recorded slots' totals."""
     sketch = QuantileSketch()
-    for account in accounts:
-        sketch.observe(account.total_ns)
+    for _, per_stage_ns in slots:
+        sketch.observe(sum(per_stage_ns.values()))
     return sketch.sample()
 
 
@@ -163,17 +166,13 @@ class TestGroupStreamSource:
         group.accountant.observe_slot(0, {"0:das": 500.0})
         first = source.epoch_payload()["sample"]
         assert (first["deadline_checks"], first["deadline_misses"]) == (1, 0)
-        assert first["slot_sketch"] == latency_sample(
-            group.accountant.accounts
-        )
+        assert first["slot_sketch"] == latency_sample(group.slots)
         group.accountant.observe_slot(1, {"0:das": 2000.0})
         second = source.epoch_payload()["sample"]
         assert (second["deadline_checks"], second["deadline_misses"]) == (
             1, 1
         )
-        assert second["slot_sketch"] == latency_sample(
-            group.accountant.accounts[1:]
-        )
+        assert second["slot_sketch"] == latency_sample(group.slots[1:])
         assert source.epoch_payload()["sample"]["slot_sketch"] is None
 
     @pytest.mark.parametrize("stream", [True, False])
@@ -257,8 +256,9 @@ class TestTelemetryStreamFold:
             accountant = group.accountant
             view = views[group.name]
             assert view["deadline_misses"] == accountant.violations == 1
-            assert view["deadline_checks"] == len(accountant.accounts)
-            assert view["slot_sketch"] == latency_sample(accountant.accounts)
+            assert view["deadline_checks"] == len(group.slots)
+            assert view["deadline_checks"] == accountant.checks
+            assert view["slot_sketch"] == latency_sample(group.slots)
             merged.merge_sample(view["slot_sketch"])
         assert stream.p99_slot_latency_ns() == merged.quantile(0.99)
 
@@ -318,10 +318,16 @@ def test_samples_add_up_to_the_snapshot_view(latencies, epoch):
     source = GroupStreamSource(group, shard=0)
     stream = TelemetryStream()
     samples = []
+    shipped = 0
     for slot, total_ns in enumerate(latencies):
         group.accountant.observe_slot(slot, {"0:chain": total_ns})
         if (slot + 1) % epoch == 0 or slot + 1 == len(latencies):
             samples.append(stream.fold_epoch([source.epoch_payload()]))
+            # Each epoch's sketch is the one its recorded slots rebuild.
+            assert samples[-1].slot_sketch == latency_sample(
+                group.slots[shipped:]
+            )
+            shipped = len(group.slots)
     (view,) = stream.groups().values()
     assert sum(s.deadline_checks for s in samples) == view["deadline_checks"]
     assert sum(s.deadline_misses for s in samples) == view["deadline_misses"]

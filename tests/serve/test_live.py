@@ -126,7 +126,7 @@ class TestApply:
             assert live.routes.version == 1
             assert live.routes.routes_for_cell("tenant")
             assert [p.pid for p in live.pool._processes] == pids
-            assert live.deltas_applied == [applied]
+            assert list(live.deltas_applied) == [applied]
             deltas = [
                 e for e in live.drain_events() if e["topic"] == "deltas"
             ]
@@ -150,7 +150,7 @@ class TestApply:
             with pytest.raises(DeltaError, match="unknown cell"):
                 live.apply(bad)
             assert live.routes.version == 0
-            assert live.deltas_applied == []
+            assert list(live.deltas_applied) == []
             assert live.spec == spec
             result = finish(live)
         finally:
@@ -171,6 +171,19 @@ class TestApply:
         finally:
             live.close()
         assert result.digest == run_scenario(spec, workers=1).digest
+
+    def test_the_journal_keeps_the_newest(self, events_kept):
+        live = LiveRun(make_spec())
+        try:
+            live.advance_epoch()
+            outcomes = [live.apply(ADMIT)] + [
+                live.apply(rechain_tenant({"stage": stage}))
+                for stage in ("prb_monitor", "passthrough", "prb_monitor")
+            ]
+            assert list(live.deltas_applied) == outcomes[-events_kept:]
+            assert live.status()["deltas_applied"] == len(outcomes)
+        finally:
+            live.close()
 
     def test_status_reports_the_live_picture(self):
         live = LiveRun(make_spec(obs=True), workers=2)

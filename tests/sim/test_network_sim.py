@@ -266,10 +266,11 @@ class TestFlatAtSteadyState:
 
     #: Live blocks a slot may add: one per 20 slots.
     BOUND = 0.05
+    #: The same with the flight recorder armed: one per 4 slots.
+    ARMED_BOUND = 0.25
 
-    def test_a_five_app_chain_keeps_nothing_per_slot(self):
-        groups = TestRuRetention.spec(1, steady=True).build()
-
+    @staticmethod
+    def _chain_blocks(groups):
         def step(slots):
             for _ in range(slots):
                 for group in groups:
@@ -278,7 +279,29 @@ class TestFlatAtSteadyState:
         # The warm-up outlasts the 16-slot rings and slot 256: past it a
         # ring's slot stamp is no longer one of CPython's cached small
         # ints, a one-time step of a block per ring and retained slot.
-        assert blocks_per_slot(step, warm=300, slots=500) <= self.BOUND
+        return blocks_per_slot(step, warm=300, slots=500)
+
+    def test_a_five_app_chain_keeps_nothing_per_slot(self):
+        groups = TestRuRetention.spec(1, steady=True).build()
+        assert self._chain_blocks(groups) <= self.BOUND
+
+    def test_the_armed_chain_keeps_nothing_per_slot(self, monkeypatch):
+        """Metrics, a 64-span recorder ring, deadline accounting and the
+        wire validator on, its scheduled-window map patched small the way
+        :class:`TestRuRetention` patches its ring.  The validator's report
+        stays clean, so it keeps no violation record either."""
+        from repro.conformance import validator
+
+        monkeypatch.setattr(validator, "_WINDOW_CAP", 16)
+        spec = TestRuRetention.spec(1, steady=True)
+        groups = dataclasses.replace(spec, obs=dataclasses.replace(
+            spec.obs, enabled=True, deadline_accounting=True,
+            conformance=True, max_spans=64,
+        )).build()
+        assert self._chain_blocks(groups) <= self.ARMED_BOUND
+        for group in groups:
+            assert group.accountant.checks == 800
+            assert group.validator.report.ok, group.validator.report.counts
 
     def test_a_live_coordinator_keeps_nothing_per_epoch(self):
         """The coordinator of a two-worker live run, its events drained

@@ -11,6 +11,8 @@ The DU keeps no record of what it received or sent:
 :func:`record_uplink` wraps ``receive`` on one instance,
 :func:`record_downlink` its downlink grid build, and :func:`uplink_grid`
 and :func:`ssb_reference` rebuild what a test compares against.
+Likewise the deadline accountant keeps a fold, not its slots:
+:func:`record_slots` wraps its ``observe_slot``.
 """
 
 from __future__ import annotations
@@ -72,6 +74,22 @@ def record_uplink(du: DistributedUnit) -> List[FronthaulPacket]:
 
     du.receive = recording
     return received
+
+
+def record_slots(accountant: Any) -> List[Tuple[int, Dict[str, float]]]:
+    """Every slot ``accountant`` (a
+    :class:`~repro.obs.deadline.DeadlineAccountant`) observes from now
+    on, ``(absolute_slot, per-stage ns)`` in order: ``observe_slot`` is
+    wrapped on the instance."""
+    slots: List[Tuple[int, Dict[str, float]]] = []
+    observe_slot = accountant.observe_slot
+
+    def recording(absolute_slot: int, per_stage_ns: Dict[str, float]) -> Any:
+        slots.append((absolute_slot, dict(per_stage_ns)))
+        return observe_slot(absolute_slot, per_stage_ns)
+
+    accountant.observe_slot = recording
+    return slots
 
 
 def record_downlink(
