@@ -99,8 +99,9 @@ class DasMiddlebox(Middlebox):
             name=f"{self.name}-seq", obs=self.obs
         )
         self.merged_uplink_symbols = 0
-        #: Symbols whose merge never completed before the deadline flush
-        #: (an RU's packet was lost or late — Section 2.2's strict windows).
+        #: Symbols whose merge never completed before the slot's deadline
+        #: sweep (an RU's packet was lost or late — Section 2.2's strict
+        #: windows).
         self.missed_merge_deadlines = 0
         #: Deadline merges completed with fewer than all RU packets.
         self.degraded_merges = 0
@@ -226,41 +227,37 @@ class DasMiddlebox(Middlebox):
 
     # -- deadline handling -------------------------------------------------
 
-    def end_slot(
-        self, deadline_flush: bool = False
-    ) -> Tuple[List[FronthaulPacket], int]:
-        """Close the slot; with ``deadline_flush``, sweep it first.
+    def end_slot(self) -> Tuple[List[FronthaulPacket], int]:
+        """Sweep the slot, then close it.
 
         A merge still waiting when its slot closes will never complete
         (an RU's packet missed the receive window) — and every cached
         entry was opened in this slot or an earlier one, whatever
         (wrapping) frame its key names.  The symbol is abandoned — the
-        DU never receives it, as on a real fronthaul — unless the
-        ``partial_merge`` knob is on: then it is merged from whatever RU
+        DU never receives it, as on a real fronthaul — unless
+        ``partial_merge`` is on: then it is merged from whatever RU
         subset arrived in time and the degraded packet is returned for
         delivery to the DU (reduced combining gain beats a silent hole
-        in the slot).  Without the sweep a waiting merge stays until the
-        ring drops it, uncounted.
+        in the slot).
         Returns ``(degraded packets, abandoned symbol count)``.
         """
         emitted: List[FronthaulPacket] = []
         abandoned = 0
-        if deadline_flush:
-            partial = self.partial_merge
-            for key in self.cache.keys():
-                packets = [packet for _, packet in self.cache.pop_all(key)]
-                merged = self._degraded_merge(packets) if partial else None
-                if merged is None:
-                    abandoned += 1
-                else:
-                    emitted.append(merged)
-            self.missed_merge_deadlines += abandoned
-            obs = self.obs
-            if obs.enabled:
-                if abandoned:
-                    obs.children(_MISSED_DEADLINES, self.name).inc(abandoned)
-                if emitted:
-                    obs.children(_DEGRADED_MERGES, self.name).inc(len(emitted))
+        partial = self.partial_merge
+        for key in self.cache.keys():
+            packets = [packet for _, packet in self.cache.pop_all(key)]
+            merged = self._degraded_merge(packets) if partial else None
+            if merged is None:
+                abandoned += 1
+            else:
+                emitted.append(merged)
+        self.missed_merge_deadlines += abandoned
+        obs = self.obs
+        if obs.enabled:
+            if abandoned:
+                obs.children(_MISSED_DEADLINES, self.name).inc(abandoned)
+            if emitted:
+                obs.children(_DEGRADED_MERGES, self.name).inc(len(emitted))
         super().end_slot()
         return emitted, abandoned
 
@@ -268,7 +265,7 @@ class DasMiddlebox(Middlebox):
         self, packets: List[FronthaulPacket]
     ) -> Optional[FronthaulPacket]:
         """Merge a partial RU subset at the deadline; ``None`` on failure."""
-        ctx = ActionContext(self.cache, self.cost_model)
+        ctx = ActionContext(self.cache)
         try:
             out = self._forward_merged(ctx, packets[-1], packets)
         except ValueError:

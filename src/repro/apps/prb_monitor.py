@@ -28,6 +28,10 @@ from repro.fronthaul.packet import FronthaulPacket
 from repro.fronthaul.timing import slot_id
 from repro.obs.metrics import declare
 
+#: The one antenna port estimated, per direction: every port carries
+#: the same allocation footprint.
+_MONITOR_PORT = 0
+
 #: The help text keeps its wording: the obs-live exposition golden
 #: (``tests/scale/fixtures/obs_top_exposition.golden``) pins it.
 _PUBLISHES = declare(
@@ -86,7 +90,6 @@ class PrbMonitorMiddlebox(Middlebox):
         carrier_num_prb: int,
         thr_dl: int = 0,
         thr_ul: int = 2,
-        monitor_port: int = 0,
         name: str = "",
         obs=None,
         stack_profile=None,
@@ -103,7 +106,6 @@ class PrbMonitorMiddlebox(Middlebox):
         self.carrier_num_prb = carrier_num_prb
         self.thr_dl = thr_dl
         self.thr_ul = thr_ul
-        self.monitor_port = monitor_port
         self.folds: Dict[Direction, UtilizationFold] = {
             direction: UtilizationFold(carrier_num_prb)
             for direction in Direction
@@ -112,9 +114,7 @@ class PrbMonitorMiddlebox(Middlebox):
     # -- handlers --------------------------------------------------------------
 
     def on_uplane(self, ctx: ActionContext, packet: FronthaulPacket) -> None:
-        # Estimate from one representative antenna port per direction —
-        # all ports carry the same allocation footprint.
-        if packet.eaxc.ru_port == self.monitor_port and (
+        if packet.eaxc.ru_port == _MONITOR_PORT and (
             packet.message.filter_index == 0
         ):
             self._estimate(ctx, packet)

@@ -97,7 +97,6 @@ class RuSharingMiddlebox(Middlebox):
         ru_mac: MacAddress,
         ru_grid: PrbGrid,
         dus: Sequence[SharedDuConfig],
-        compression: Optional[CompressionConfig] = None,
         mac: Optional[MacAddress] = None,
         name: str = "",
         obs=None,
@@ -107,14 +106,6 @@ class RuSharingMiddlebox(Middlebox):
         super().__init__(
             name=name, obs=obs, stack_profile=stack_profile, **kwargs
         )
-        if compression is None:
-            # The mux recompresses with the vendor stack's fronthaul
-            # convention when one is known.
-            compression = (
-                stack_profile.compression
-                if stack_profile is not None
-                else CompressionConfig()
-            )
         if not dus:
             raise ValueError("RU sharing needs at least one DU")
         seen = set()
@@ -130,7 +121,13 @@ class RuSharingMiddlebox(Middlebox):
         self.ru_grid = ru_grid
         self.dus = {du.mac.to_int(): du for du in dus}
         self.dus_by_id = {du.du_id: du for du in dus}
-        self.compression = compression
+        #: The mux recompresses with the vendor stack's fronthaul
+        #: convention when one is known.
+        self.compression = (
+            stack_profile.compression
+            if stack_profile is not None
+            else CompressionConfig()
+        )
         self.mac = mac or MacAddress.from_int(0x02_00_00_00_30_03)
         self.misaligned_copies = 0
         self.aligned_copies = 0

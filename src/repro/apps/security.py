@@ -29,6 +29,10 @@ from repro.fronthaul.packet import FronthaulPacket
 from repro.fronthaul.timing import MAX_FRAME_ID, Numerology, absolute_slot
 from repro.obs.recorder import event_ring
 
+#: The timing window: the most slots a flow's timestamp may move from
+#: its last one, either way.
+_MAX_SLOT_SKEW = 8
+
 
 @dataclass(frozen=True)
 class SecurityAlert:
@@ -56,7 +60,6 @@ class FronthaulGuardMiddlebox(Middlebox):
     def __init__(
         self,
         allowed_sources: Iterable[MacAddress],
-        max_slot_skew: int = 8,
         numerology: Numerology = Numerology(mu=1),
         name: str = "",
         obs=None,
@@ -69,7 +72,6 @@ class FronthaulGuardMiddlebox(Middlebox):
         self.allowed: Set[int] = {mac.to_int() for mac in allowed_sources}
         if not self.allowed:
             raise ValueError("the guard needs at least one allowed source")
-        self.max_slot_skew = max_slot_skew
         self.numerology = numerology
         self.alerts: Deque[SecurityAlert] = event_ring()
         self._flows: Dict[Tuple[int, int], _FlowState] = {}
@@ -122,7 +124,7 @@ class FronthaulGuardMiddlebox(Middlebox):
                 (slot - state.last_slot) % epoch,
                 (state.last_slot - slot) % epoch,
             )
-            if skew > self.max_slot_skew:
+            if skew > _MAX_SLOT_SKEW:
                 return "timing_window"
         return None
 

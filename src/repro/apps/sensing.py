@@ -23,6 +23,10 @@ from repro.fronthaul.packet import FronthaulPacket
 from repro.fronthaul.timing import slot_id
 from repro.obs.recorder import event_ring
 
+#: A BFP exponent above this on an unscheduled uplink PRB is energy that
+#: is not noise.
+_NOISE_EXPONENT_THRESHOLD = 2
+
 
 @dataclass(frozen=True)
 class InterferenceAlert:
@@ -51,7 +55,6 @@ class SpectrumSensorMiddlebox(Middlebox):
     def __init__(
         self,
         carrier_num_prb: int,
-        noise_exponent_threshold: int = 2,
         name: str = "",
         obs=None,
         stack_profile=None,
@@ -60,13 +63,7 @@ class SpectrumSensorMiddlebox(Middlebox):
         super().__init__(
             name=name, obs=obs, stack_profile=stack_profile, **kwargs
         )
-        if not 0 <= noise_exponent_threshold <= 15:
-            raise ValueError(
-                "noise_exponent_threshold must be a BFP exponent in 0..15, "
-                f"got {noise_exponent_threshold!r}"
-            )
         self.carrier_num_prb = carrier_num_prb
-        self.noise_exponent_threshold = noise_exponent_threshold
         self.alerts: Deque[InterferenceAlert] = event_ring()
 
     # -- handlers -------------------------------------------------------------
@@ -94,7 +91,7 @@ class SpectrumSensorMiddlebox(Middlebox):
     def _scan(self, ctx: ActionContext, packet: FronthaulPacket) -> None:
         key = (slot_id(packet.time), packet.eaxc.ru_port)
         scheduled = self.slot_state.get(key, [])
-        threshold = self.noise_exponent_threshold
+        threshold = _NOISE_EXPONENT_THRESHOLD
         suspicious: Set[int] = set()
         max_exponent = 0
         for section in packet.message.sections:

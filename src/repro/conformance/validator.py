@@ -108,7 +108,6 @@ class WireValidator:
         carrier_num_prb: Optional[int] = None,
         numerology: Optional[Numerology] = None,
         obs=None,
-        report: Optional[ConformanceReport] = None,
         allowed_compressions=None,
     ):
         self.name = name
@@ -129,7 +128,7 @@ class WireValidator:
         self.carrier_num_prb = carrier_num_prb
         self.numerology = numerology or Numerology()
         self.obs = obs if obs is not None else obs_module.DEFAULT_OBSERVABILITY
-        self.report = report if report is not None else ConformanceReport()
+        self.report = ConformanceReport()
         self._tracker = SequenceTracker(name=f"{name}-seq", obs=self.obs)
         #: direction -> {(frame, subframe, slot, ru_port): [(start, end)]}
         self._windows = {

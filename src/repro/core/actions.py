@@ -28,7 +28,7 @@ from typing import Any, Dict, Hashable, Iterator, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from repro.core.latency import DEFAULT_COST_MODEL, ActionCostModel
+from repro.core.latency import DEFAULT_COST_MODEL
 from repro.fronthaul.cplane import CPlaneMessage
 from repro.fronthaul.ethernet import MacAddress
 from repro.fronthaul.packet import FronthaulPacket
@@ -229,13 +229,9 @@ class ActionContext:
         "traffic_class", "_total",
     )
 
-    def __init__(
-        self,
-        cache: PacketCache,
-        cost_model: ActionCostModel = DEFAULT_COST_MODEL,
-    ):
+    def __init__(self, cache: PacketCache):
         self.cache_store = cache
-        self.cost = cost_model
+        self.cost = DEFAULT_COST_MODEL
         self.emissions: List[FronthaulPacket] = []
         self.events: List[SpanEvent] = []
         self.wire_bytes = 0

@@ -103,9 +103,6 @@ class MiddleboxChain:
         self.obs = obs if obs is not None else obs_module.DEFAULT_OBSERVABILITY
         self.stage_faults = [0] * len(self.middleboxes)
         self.stage_bypassed = [0] * len(self.middleboxes)
-        #: Packets that skipped a hold-capable stage because the caller
-        #: passed ``deadline_flush=False`` (see :meth:`process_uplink`).
-        self.hold_bypassed = 0
         #: Bounded log of ``(stage, middlebox, repr(exc))`` for post-mortems.
         self.fault_log: Deque[Tuple[int, str, str]] = deque(maxlen=64)
         #: Bounded log of ``(stage, from, to)`` breaker transitions.
@@ -203,36 +200,29 @@ class MiddleboxChain:
         packets: List[FronthaulPacket],
         *,
         source: Optional[int] = None,
-        deadline_flush: bool = True,
     ) -> List[FronthaulPacket]:
         """Run packets towards the DUs (reverse stage order).
 
-        ``source`` is the index of the stage that *emitted* the packets.
-        Only stages below it (the uplink tail) run; ``None`` runs the full
-        chain, the path of packets entering from the RU side.
-
-        ``deadline_flush`` controls whether hold-capable stages — those
-        declaring ``deadline_hold``, like the DAS merge — may capture
-        packets from this burst.  The default ``True`` is normal
-        traversal.  Deadline sweeps pass ``False`` so a merge that was
-        already force-flushed at the slot boundary is never re-captured
-        (and re-delayed) by another merge stage further down the chain;
-        such stages are bypassed and counted in ``hold_bypassed``.
+        ``source=None`` runs the full chain, the path of packets entering
+        from the RU side.  Otherwise the burst is a deadline release:
+        ``source`` is the index of the stage that let it go at the slot
+        boundary, and only the stages below it (the uplink tail) run,
+        except the hold-capable ones (``deadline_hold``, like the DAS
+        merge), so a merge already forced out is never re-captured (and
+        re-delayed) by another merge stage further down the chain.
         """
         if source is None:
             boxes = list(reversed(self.middleboxes))
         elif 0 <= source <= len(self.middleboxes):
-            boxes = list(reversed(self.middleboxes[:source]))
+            boxes = [
+                box for box in reversed(self.middleboxes[:source])
+                if not box.deadline_hold
+            ]
         else:
             raise IndexError(
                 f"stage {source} out of range for a "
                 f"{len(self.middleboxes)}-stage chain"
             )
-        if not deadline_flush:
-            holding = sum(box.deadline_hold for box in boxes)
-            if holding:
-                self.hold_bypassed += holding * len(packets)
-                boxes = [box for box in boxes if not box.deadline_hold]
         if not boxes:
             return list(packets)
         return self._run(packets, boxes, "UL")

@@ -26,7 +26,7 @@ from repro.core.actions import (
     SlotRing,
     shared_event,
 )
-from repro.core.latency import DEFAULT_COST_MODEL, ActionCostModel
+from repro.core.latency import DEFAULT_COST_MODEL
 from repro.fronthaul.cplane import Direction
 from repro.fronthaul.packet import FronthaulPacket
 from repro.obs import Observability
@@ -183,12 +183,10 @@ class Middlebox:
     def __init__(
         self,
         name: str = "",
-        cost_model: ActionCostModel = DEFAULT_COST_MODEL,
         obs: Optional[Observability] = None,
         stack_profile=None,
     ):
         self.name = name or self.app_name
-        self.cost_model = cost_model
         self.obs = obs if obs is not None else obs_module.DEFAULT_OBSERVABILITY
         self.stack_profile = stack_profile
         self.cache = PacketCache()
@@ -207,16 +205,14 @@ class Middlebox:
     def on_uplane(self, ctx: ActionContext, packet: FronthaulPacket) -> None:
         ctx.forward(packet)
 
-    def end_slot(
-        self, deadline_flush: bool = False
-    ) -> Tuple[List[FronthaulPacket], int]:
+    def end_slot(self) -> Tuple[List[FronthaulPacket], int]:
         """Close the slot, once all its packets went through: the one
         place per-slot state ages out (the cache and ``slot_state`` are
         the only per-slot stores a middlebox has).
 
         Returns ``(packets released towards the DUs, symbols abandoned)``
-        — nothing and 0 unless a stage holds packets at the deadline;
-        ``deadline_flush`` says whether such a stage should sweep them.
+        — nothing and 0 unless a stage holds packets at the deadline,
+        which it sweeps here.
         """
         self.cache.ring.close()
         self.slot_state.close()
@@ -267,8 +263,8 @@ class Middlebox:
         closed = BreakerState.CLOSED
         stats, obs = self.stats, self.obs
         recording = obs.enabled
-        cache, cost_model = self.cache, self.cost_model
-        forward_ns = cost_model.forward_ns
+        cache = self.cache
+        forward_ns = DEFAULT_COST_MODEL.forward_ns
         total_ns = stats.processing_ns_total
         if on_cplane is None and on_uplane is None and not recording and (
             breaker is None or breaker.state is closed
@@ -315,7 +311,7 @@ class Middlebox:
                     emitted.append(packet)
                     emitted_sizes.append(size)
                 else:
-                    ctx = ActionContext(cache, cost_model)
+                    ctx = ActionContext(cache)
                     ctx.wire_bytes = size
                     try:
                         handler(ctx, packet)

@@ -35,7 +35,6 @@ the registry or recorder, and the overhead is pinned by
 from __future__ import annotations
 
 import time
-from typing import Optional
 
 from repro.obs.deadline import (
     DeadlineAccountant,
@@ -102,16 +101,13 @@ class Observability:
         self,
         enabled: bool = False,
         sample_every: int = 1,
-        max_spans: Optional[int] = None,
         clock=time.perf_counter_ns,
     ):
         if sample_every < 1:
             raise ValueError("sample_every must be >= 1")
         self.enabled = enabled
         self.registry = MetricsRegistry()
-        self.recorder = FlightRecorder(
-            capacity=max_spans if max_spans is not None else 4096
-        )
+        self.recorder = FlightRecorder()
         self.sample_every = sample_every
         self.clock = clock
         self._ticket = 0

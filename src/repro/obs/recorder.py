@@ -27,6 +27,8 @@ from repro.fronthaul.timing import time_fields
 
 #: Events (alerts, failovers, SLO edges, applied deltas) a holder keeps.
 _EVENTS_KEPT = 256
+#: Span rows a flight recorder keeps: each group's, and the stream fold's.
+_SPANS_KEPT = 4096
 
 
 def event_ring() -> Deque:
@@ -142,7 +144,8 @@ class FlightRecorder:
     ``evicted`` counts how many rolled off.
     """
 
-    capacity: int = 4096
+    #: :data:`_SPANS_KEPT`, read when the recorder is built.
+    capacity: int = field(default_factory=lambda: _SPANS_KEPT)
     _rows: Deque[tuple] = field(init=False, repr=False)
     _stamps: Deque[tuple] = field(init=False, repr=False)
     evicted: int = field(init=False, default=0)

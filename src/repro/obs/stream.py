@@ -173,15 +173,11 @@ class TelemetryStream:
     nothing left to forget.
     """
 
-    def __init__(
-        self,
-        slo_specs: Sequence[SloSpec] = (),
-        max_spans: int = 4096,
-    ):
+    def __init__(self, slo_specs: Sequence[SloSpec] = ()):
         #: The last fold's group snapshots, by group in sorted order.
         self._snapshots: Dict[str, Dict[str, Dict[str, Any]]] = {}
         self._registry: Optional[MetricsRegistry] = None
-        self.recorder = FlightRecorder(capacity=max_spans)
+        self.recorder = FlightRecorder()
         self.slo = SloEngine(slo_specs)
         #: The last fold's summary record (``None`` before the first).
         self.summary: Optional[Dict[str, Any]] = None

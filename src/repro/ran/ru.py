@@ -117,8 +117,10 @@ class RadioUnit:
 
     def _receive_cplane(self, packet: FronthaulPacket) -> None:
         self.counters.cplane_received += 1
-        message: CPlaneMessage = packet.message
         port = packet.eaxc.ru_port
+        if port >= self.config.n_antennas:
+            return  # no such antenna: nothing to transmit or to answer
+        message: CPlaneMessage = packet.message
         key = (slot_id(message.time), port)
         if message.direction is Direction.DOWNLINK:
             windows = self._dl_windows.setdefault(key, [])

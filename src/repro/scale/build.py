@@ -163,11 +163,7 @@ def build_group(
     from repro.scale.registry import StageBuildContext, build_stage
 
     obs = (
-        Observability(
-            enabled=True,
-            sample_every=spec.obs.sample_every,
-            max_spans=spec.obs.max_spans,
-        )
+        Observability(enabled=True, sample_every=spec.obs.sample_every)
         if spec.obs.enabled
         else obs_module.DEFAULT_OBSERVABILITY
     )
@@ -242,7 +238,6 @@ def build_group(
         middleboxes=middleboxes,
         deadline_accountant=accountant,
         wire=wire,
-        deadline_flush=any(cell.deadline_flush for cell in members),
         obs=obs,
         name=group_name,
         validator=validator,

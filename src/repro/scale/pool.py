@@ -72,6 +72,8 @@ from repro.scale.supervisor import (
 #: How long any teardown path waits for a worker to exit before
 #: escalating (graceful join -> SIGTERM -> SIGKILL, each bounded).
 JOIN_TIMEOUT_S = 10.0
+#: Each respawn of a worker waits this many times longer than the last.
+_BACKOFF_FACTOR = 2.0
 
 
 def _serve(engine: ShardEngine, command: Tuple) -> Tuple:
@@ -94,7 +96,7 @@ def _serve(engine: ShardEngine, command: Tuple) -> Tuple:
       (:meth:`~repro.scale.runner.ShardEngine.rebase`) and replies
       ``("ok", 0, None, hb)``.
 
-    The trailing heartbeat (``{"pid", "clock"}``) lets the coordinator
+    The trailing heartbeat (``{"pid"}``) lets the coordinator
     reject replies that cannot have come from the process it is
     barriering on.
     """
@@ -113,7 +115,7 @@ def _serve(engine: ShardEngine, command: Tuple) -> Tuple:
         )
     else:
         raise ValueError(f"unknown command {command!r}")
-    heartbeat = {"pid": os.getpid(), "clock": time.monotonic()}
+    heartbeat = {"pid": os.getpid()}
     return (tag, slots, bulk, heartbeat)
 
 
@@ -186,9 +188,7 @@ def _worker_loop(
                 if kind == "poison":
                     # Protocol-violating reply: alien heartbeat, wrong
                     # slot count, no work done.
-                    conn.send(
-                        ("ok", command[1], None, {"pid": -1, "clock": 0.0})
-                    )
+                    conn.send(("ok", command[1], None, {"pid": -1}))
                     continue
             reply = _serve(engine, command)
             if kind == "corrupt_frame":
@@ -404,13 +404,9 @@ class WorkerPool:
 
     def _fresh_run(self) -> None:
         """Per-run coordinator state (set at construction and ``begin``)."""
-        obs = self.spec.obs
         #: The live coordinator fold of every epoch's telemetry payloads
         #: (see :mod:`repro.obs.stream`).
-        self.telemetry = TelemetryStream(
-            slo_specs=obs.slo_specs(),
-            max_spans=obs.max_spans if obs.max_spans is not None else 4096,
-        )
+        self.telemetry = TelemetryStream(slo_specs=self.spec.obs.slo_specs())
         #: Recovery state: respawns per worker, the failure log,
         #: group-slots replayed into replacements.
         self.restarts: List[int] = [0] * self.workers
@@ -622,10 +618,7 @@ class WorkerPool:
                 ],
                 partial=self._partial_collect(exclude=index),
             )
-        backoff = (
-            policy.backoff_base_s
-            * policy.backoff_factor ** self.restarts[index]
-        )
+        backoff = policy.backoff_base_s * _BACKOFF_FACTOR ** self.restarts[index]
         if backoff:
             time.sleep(backoff)
         self._respawn(index)

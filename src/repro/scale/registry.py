@@ -122,7 +122,9 @@ def build_stage(stage: "StageSpec", ctx: StageBuildContext) -> Middlebox:
 @register_stage("das")
 def _build_das(stage: "StageSpec", ctx: StageBuildContext) -> Middlebox:
     """Params: ``cell`` (default: declaring cell), ``rus`` (names,
-    default: all of the cell's RUs), ``partial_merge``."""
+    default: all of the cell's RUs), ``partial_merge`` (a merge still
+    waiting at its slot's end is merged from the RUs that arrived, not
+    abandoned)."""
     params = dict(stage.params)
     cell = ctx.cell(params.pop("cell", None))
     ru_names = params.pop("rus", None) or [ru.name for ru in cell.spec.rus]
@@ -202,7 +204,7 @@ def _build_ru_sharing(stage: "StageSpec", ctx: StageBuildContext) -> Middlebox:
 
 @register_stage("prb_monitor")
 def _build_prb_monitor(stage: "StageSpec", ctx: StageBuildContext) -> Middlebox:
-    """Params: ``cell``, ``thr_dl``, ``thr_ul``, ``monitor_port``."""
+    """Params: ``cell``, ``thr_dl``, ``thr_ul``."""
     params = dict(stage.params)
     cell = ctx.cell(params.pop("cell", None))
     return PrbMonitorMiddlebox(
@@ -245,10 +247,10 @@ def _build_resilience(stage: "StageSpec", ctx: StageBuildContext) -> Middlebox:
 
 @register_stage("fronthaul_guard")
 def _build_guard(stage: "StageSpec", ctx: StageBuildContext) -> Middlebox:
-    """Params: ``cell``, ``max_slot_skew``.  The group's DUs and RUs are
-    allowed sources, and so is every chain stage with a MAC of its own
-    (added by :func:`~repro.scale.build.build_group` once the whole chain
-    is built)."""
+    """Params: ``cell``.  The group's DUs and RUs are allowed sources,
+    and so is every chain stage with a MAC of its own (added by
+    :func:`~repro.scale.build.build_group` once the whole chain is
+    built)."""
     params = dict(stage.params)
     cell = ctx.cell(params.pop("cell", None))
     allowed = [built.du.mac for built in ctx.cells()]
@@ -264,7 +266,7 @@ def _build_guard(stage: "StageSpec", ctx: StageBuildContext) -> Middlebox:
 
 @register_stage("spectrum_sensor")
 def _build_sensor(stage: "StageSpec", ctx: StageBuildContext) -> Middlebox:
-    """Params: ``cell``, ``noise_exponent_threshold``."""
+    """Params: ``cell``."""
     params = dict(stage.params)
     cell = ctx.cell(params.pop("cell", None))
     return SpectrumSensorMiddlebox(

@@ -156,7 +156,6 @@ class CellSpec:
     #: one shard (their chains concatenate in spec order).  ``None`` puts
     #: the cell in its own singleton group.
     group: Optional[str] = None
-    deadline_flush: bool = False
     #: Declarative fault spec for the access wire (repro.faults.registry).
     wire: Optional[Dict[str, Any]] = None
     rus: Tuple[RuSpec, ...] = ()
@@ -204,9 +203,6 @@ class ObsSpec:
     #: samples and SLOs flow whenever ``enabled`` is True.  Implies
     #: nothing when ``enabled`` is False.
     stream: bool = False
-    #: Flight-recorder ring size per group (and for the coordinator's
-    #: stream fold); ``None`` keeps the recorder default (4096).
-    max_spans: Optional[int] = None
     #: Override the deadline budget (ns); ``None`` keeps the paper's
     #: 30 us allowance.  Chaos/SLO tests pin a tiny budget here to make
     #: burn-rate alerts deterministic.
@@ -216,8 +212,6 @@ class ObsSpec:
     slo: Tuple[Dict[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.max_spans is not None and self.max_spans < 1:
-            raise ValueError("max_spans must be >= 1 when set")
         if self.deadline_budget_ns is not None and self.deadline_budget_ns <= 0:
             raise ValueError("deadline_budget_ns must be positive when set")
 
@@ -247,14 +241,13 @@ class SupervisorSpec:
     one run; exceeding it raises
     :class:`~repro.scale.supervisor.ShardRecoveryExhausted` instead of
     retrying forever.  Respawn attempts back off geometrically
-    (``backoff_base_s * backoff_factor ** restarts_so_far``).
+    (``backoff_base_s * 2 ** restarts_so_far``).
     """
 
     barrier_timeout_s: float = 30.0
     poll_interval_s: float = 0.05
     max_restarts_per_worker: int = 2
     backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
 
     def __post_init__(self) -> None:
         if self.barrier_timeout_s <= 0:
@@ -265,8 +258,6 @@ class SupervisorSpec:
             raise ValueError("max_restarts_per_worker must be >= 0")
         if self.backoff_base_s < 0:
             raise ValueError("backoff_base_s must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "SupervisorSpec":

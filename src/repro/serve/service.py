@@ -100,14 +100,12 @@ class ServeService:
         host: str = "127.0.0.1",
         port: int = 0,
         auto_drive: bool = False,
-        pace_s: float = 0.0,
     ):
         self.spec = spec
         self.workers = workers
         self.host = host
         self.port = port
         self.auto_drive = auto_drive
-        self.pace_s = pace_s
         self.live: Optional[LiveRun] = None
         self.sessions: Set[ControlSession] = set()
         self._server: Optional[asyncio.AbstractServer] = None
@@ -140,13 +138,6 @@ class ServeService:
             finished = await self._step_once()
             if finished:
                 return
-            if self.pace_s:
-                try:
-                    await asyncio.wait_for(
-                        self._stopping.wait(), timeout=self.pace_s
-                    )
-                except asyncio.TimeoutError:
-                    pass
 
     async def _step_once(self) -> bool:
         loop = asyncio.get_running_loop()

@@ -66,7 +66,6 @@ class FronthaulNetwork:
         middleboxes: Sequence[Middlebox] = (),
         deadline_accountant: Optional["DeadlineAccountant"] = None,
         wire: Optional["ImpairedLink"] = None,
-        deadline_flush: bool = False,
         obs=None,
         name: str = "network",
         validator=None,
@@ -91,14 +90,10 @@ class FronthaulNetwork:
         #: traffic entering the middlebox chain passes through it, in
         #: both directions.
         self.wire = wire
-        #: When set, every slot ends with a deadline sweep: stages that
-        #: hold packets for their peers (the DAS) merge-or-abandon symbols
-        #: still waiting when the slot closes.
-        self.deadline_flush = deadline_flush
         #: Optional conformance validator
         #: (:class:`repro.conformance.WireValidator`): one call per
         #: post-chain burst at RU ingress (downlink) and DU ingress
-        #: (uplink, deadline flushes included) — a pure observer, never
+        #: (uplink, deadline releases included) — a pure observer, never
         #: drops or mutates frames.
         self.validator = validator
         #: The middleboxes run inside a fault-isolating chain: a raising
@@ -258,20 +253,15 @@ class FronthaulNetwork:
         ages out.  A stage may release what it held for the deadline —
         partial merges, and a count of symbols abandoned."""
         for stage, middlebox in enumerate(self.middleboxes):
-            flushed, abandoned = middlebox.end_slot(self.deadline_flush)
+            flushed, abandoned = middlebox.end_slot()
             report.abandoned_merges += abandoned
             if not flushed:
                 continue
             report.degraded_merges += len(flushed)
             # A degraded merge leaves the DAS mid-chain: it still has to
             # traverse the uplink tail of the chain towards the DUs.
-            # deadline_flush=False keeps lower hold-capable stages from
-            # re-capturing a merge already forced out at the boundary.
             self._deliver_uplink(
-                self.chain.process_uplink(
-                    flushed, source=stage, deadline_flush=False
-                ),
-                report,
+                self.chain.process_uplink(flushed, source=stage), report
             )
         for du in self._dus.values():
             du.end_slot()

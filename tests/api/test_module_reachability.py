@@ -1,7 +1,7 @@
 """Every module is crossed by a slot or asserted by a figure, or it is gone.
 
 A static pass over the import graph — files are parsed with :mod:`ast`,
-nothing under ``src/repro`` is executed — that keeps five promises:
+nothing under ``src/repro`` is executed — that keeps six promises:
 
 (a) every module under ``src/repro`` is *reached*: starting from what
     runs the twin (every file under ``bench/``, ``benchmarks/`` and
@@ -23,32 +23,48 @@ nothing under ``src/repro`` is executed — that keeps five promises:
     re-export is not a reference.
 (e) every defaulted parameter of a public function or method (or of a
     class's ``__init__``, called by the class name or a subclass's
-    ``super().__init__``) is passed, by keyword or by position, by at
-    least one call in ``src/``, ``bench/``, ``benchmarks/`` or
-    ``examples/``, or is named in :data:`KNOBS_ALLOWED`.  ``tests/`` does
-    not count: a knob only a test sets is a constant.  A keep is one of
-    two kinds: a paper figure's resolution, which tier-1 runs coarse to
-    stay within its wall-time budget, or a test's stand-in for time.
+    ``super().__init__``; the classes :mod:`repro.api` re-exports
+    included) is set somewhere in ``src/``, ``bench/``, ``benchmarks/``
+    or ``examples/``: a call passes it, by keyword or by position, or a
+    dict literal or a subscript store uses its name as a string key — the
+    way a stage's ``params`` and a spec dict reach a constructor's
+    ``**params``.  A ``**`` argument passes no keyword by itself.  Else
+    it is named in :data:`KNOBS_ALLOWED`.  ``tests/`` does not count: a
+    knob only a test sets is a constant.  A keep is one of three kinds:
+    a paper figure's resolution, which tier-1 runs coarse to stay within
+    its wall-time budget, a test's stand-in for time, or a deployment
+    address.
+(f) every field of a ``*Spec`` dataclass in ``scale/spec.py`` is set
+    outside ``tests/`` and ``spec.py``: as a dict key, a subscript key,
+    or a keyword that sets a value (a literal, or any value in a call
+    that builds or replaces a spec), or it is named in
+    :data:`SPEC_FIELDS_ALLOWED`.
 
-All five are by name, so they are coarse; what they catch is code only
+All six are by name, so they are coarse; what they catch is code only
 ``tests/`` still calls and values only ``tests/`` sets.  Test oracles
-and wire probes live under ``tests/``, not in ``src/``.  Two blind spots
-follow, and a review has to cover them by hand:
+and wire probes live under ``tests/``, not in ``src/``.  Three blind
+spots follow, and a review has to cover them by hand:
 
-- checks (c)-(e) skip the classes and functions :mod:`repro.api`
-  re-exports (``tests/api/api_surface.txt`` locks that facade,
-  signatures included), so a test-only method of one of them — as
+- checks (c) and (d) skip the classes and functions :mod:`repro.api`
+  re-exports, and (e) their methods other than ``__init__``
+  (``tests/api/api_surface.txt`` locks that facade, signatures
+  included), so a test-only method of one of them — as
   ``PrbMonitorMiddlebox.utilization_timeseries`` and ``.reset`` were —
   passes;
-- a method passes (c) when *any* method of the same name is called: a
+- a method passes (c) when *any* method of the same name is called (a
   test-only ``DasMiddlebox.add_ru`` passed on the calls of
-  ``FronthaulNetwork.add_ru``.
+  ``FronthaulNetwork.add_ru``), and a default or a spec field passes
+  (e) or (f) when *any* dict uses its name as a key;
+- (e) sees no dataclass field and (f) only the ``*Spec`` classes of
+  ``scale/spec.py``, so a field of another dataclass that only tests
+  set (``FlightRecorder.capacity``) passes.
 
 A new module therefore needs an importer outside ``tests/`` or a line in
 :data:`ALLOWED` saying why it has none; a method or top-level name
 nothing but tests calls needs a line in :data:`METHODS_ALLOWED`; a
 defaulted parameter only tests pass needs a line in
-:data:`KNOBS_ALLOWED`.
+:data:`KNOBS_ALLOWED`; a spec field only tests set needs a line in
+:data:`SPEC_FIELDS_ALLOWED`.
 """
 
 from __future__ import annotations
@@ -105,11 +121,13 @@ METHOD_CALLER_DIRS = ("src", "bench", "examples")
 DEFAULT_CALLER_DIRS = ("src", "bench", "benchmarks", "examples")
 
 #: ``callee(parameter=)`` defaults only tests pass, on purpose, and why.
-#: A reason is one of two kinds: a paper figure's resolution, which
-#: tier-1 runs coarse to stay within its wall-time budget, or a test's
-#: stand-in for time.  Any other knob only a test sets is a constant.
+#: A reason is one of three kinds: a paper figure's resolution, which
+#: tier-1 runs coarse to stay within its wall-time budget, a test's
+#: stand-in for time, or a deployment address, which a deployment
+#: configures.  Any other knob only a test sets is a constant.
 _RESOLUTION = "a paper figure's resolution, run coarse by tier-1"
 _TIME = "a test's stand-in for time"
+_ADDRESS = "a deployment address"
 KNOBS_ALLOWED = {
     # Paper figures' resolution.
     "run_fig11(step_m=)": _RESOLUTION,
@@ -124,6 +142,23 @@ KNOBS_ALLOWED = {
     # Tests' stand-ins for time.
     "Observability.__init__(clock=)": _TIME,
     "SlotClock.__init__(start_slot=)": _TIME,
+    # Deployment addresses.
+    "DasMiddlebox.__init__(mac=)": _ADDRESS,
+    "DmimoMiddlebox.__init__(mac=)": _ADDRESS,
+    "ResilienceMiddlebox.__init__(mac=)": _ADDRESS,
+    "RuSharingMiddlebox.__init__(mac=)": _ADDRESS,
+    "ServeService.__init__(host=)": _ADDRESS,
+    "ServeService.__init__(port=)": _ADDRESS,
+}
+
+#: ``Spec.field``s only tests set, on purpose, and why.
+SPEC_FIELDS_ALLOWED = {
+    "CellSpec.profile":
+        "Section 6.2's multi-stack claim, asserted by "
+        "tests/integration/test_interop.py",
+    "ObsSpec.deadline_budget_ns":
+        "a test's stand-in for a slow stage, until per-packet receive "
+        "windows replace the flat budget",
 }
 
 
@@ -427,12 +462,13 @@ def test_method_allow_list_names_uncalled_methods_that_exist():
 
 
 @functools.lru_cache(maxsize=None)
-def _passed() -> Dict[str, Tuple[float, Set[Optional[str]]]]:
+def _passed() -> Dict[str, Tuple[float, Set[str]]]:
     """Callee name -> (most positional arguments, keywords) over every
-    call.  ``*args`` counts as every position and ``**kwargs`` as the
-    keyword ``None``; ``super().__init__(...)`` is filed under the
-    enclosing class's bases and ``cls(...)`` under the class."""
-    passed: Dict[str, Tuple[float, Set[Optional[str]]]] = {}
+    call.  ``*args`` counts as every position; ``**kwargs`` names no
+    keyword (what it carries is a dict, counted by :func:`_keys`);
+    ``super().__init__(...)`` is filed under the enclosing class's bases
+    and ``cls(...)`` under the class."""
+    passed: Dict[str, Tuple[float, Set[str]]] = {}
 
     def visit(node: ast.AST, cls: Optional[ast.ClassDef]) -> None:
         if isinstance(node, ast.ClassDef):
@@ -458,22 +494,81 @@ def _passed() -> Dict[str, Tuple[float, Set[Optional[str]]]]:
                 if any(isinstance(a, ast.Starred) for a in node.args)
                 else len(node.args)
             )
-            keywords = {keyword.arg for keyword in node.keywords}
+            keywords = {k.arg for k in node.keywords if k.arg is not None}
             for callee in filter(None, callees):
                 most, seen = passed.get(callee, (0, set()))
                 passed[callee] = (max(most, positional), seen | keywords)
         for child in ast.iter_child_nodes(node):
             visit(child, cls)
 
-    for directory in DEFAULT_CALLER_DIRS:
-        for path in sorted((REPO / directory).rglob("*.py")):
-            visit(_tree(path), None)
+    for path in _caller_files():
+        visit(_tree(path), None)
     return passed
 
 
+@functools.lru_cache(maxsize=None)
+def _caller_files(exclude: Optional[Path] = None) -> Tuple[Path, ...]:
+    """Every file a call, a dict key or a spec value may come from."""
+    return tuple(
+        path
+        for directory in DEFAULT_CALLER_DIRS
+        for path in sorted((REPO / directory).rglob("*.py"))
+        if path != exclude
+    )
+
+
+def _string_key(node: ast.AST) -> Optional[str]:
+    """The string a key node names, if it is a string constant."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def _sets_spec_value(call: ast.Call, keyword: ast.keyword) -> bool:
+    """Does the keyword set a value?  A literal always does; any value
+    does in a call that builds or replaces a spec (``ObsSpec(...)``,
+    ``dataclasses.replace(spec, ...)``).  Elsewhere a computed value is
+    a forward (``max_spans=obs.max_spans``), not a setting."""
+    callee = getattr(call.func, "attr", getattr(call.func, "id", ""))
+    if callee.endswith("Spec") or callee == "replace":
+        return True
+    try:
+        ast.literal_eval(keyword.value)
+    except ValueError:
+        return False
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def _keys(files: Tuple[Path, ...], keywords: bool) -> Set[str]:
+    """Every string a dict literal in ``files`` uses as a key or a
+    subscript store writes to — how a stage's ``params`` and a spec dict
+    set a value — plus, with ``keywords``, every keyword that sets a
+    spec value (:func:`_sets_spec_value`)."""
+    keys: Set[str] = set()
+    for path in files:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Dict):
+                keys.update(map(_string_key, filter(None, node.keys)))
+            elif isinstance(node, ast.Subscript) and isinstance(
+                node.ctx, ast.Store
+            ):
+                keys.add(_string_key(node.slice))
+            elif isinstance(node, ast.Call) and keywords:
+                keys.update(
+                    keyword.arg
+                    for keyword in node.keywords
+                    if _sets_spec_value(node, keyword)
+                )
+    keys.discard(None)
+    return keys
+
+
 def _never_passed(node: ast.FunctionDef, callee: str, bound: bool) -> List[str]:
-    """The defaulted parameters of ``node`` no call of ``callee`` passes."""
+    """The defaulted parameters of ``node`` no call of ``callee`` passes
+    and no dict outside tests/ sets by key."""
     most, keywords = _passed().get(callee, (0, set()))
+    keys = _keys(_caller_files(), False)
     args = node.args
     positional = args.posonlyargs + args.args
     first_default = len(positional) - len(args.defaults)
@@ -490,9 +585,21 @@ def _never_passed(node: ast.FunctionDef, callee: str, bound: bool) -> List[str]:
         name
         for name, index in defaulted
         if name not in keywords
-        and None not in keywords
+        and name not in keys
         and (index is None or most <= index)
     ]
+
+
+def _facade_inits() -> Iterator[Tuple[str, ast.FunctionDef]]:
+    """``(class name, __init__)`` of every class :mod:`repro.api`
+    re-exports: (c) and (d) leave the facade to its lockfile, (e) not."""
+    facade = _facade()
+    for path in MODULES.values():
+        for node in _tree(path).body:
+            if isinstance(node, ast.ClassDef) and node.name in facade:
+                for item in _functions(node.body):
+                    if item.name == "__init__":
+                        yield node.name, item
 
 
 @functools.lru_cache(maxsize=None)
@@ -509,19 +616,24 @@ def _constants() -> Tuple[str, ...]:
                     f"{node.name}({name}=)"
                     for name in _never_passed(node, node.name, False)
                 ]
+    inits = [
+        (f"{cls}.__init__", cls, node) for cls, node in _facade_inits()
+    ]
     for qualified, (cls, node) in methods.items():
         if node.name == "__init__":
-            callee = cls
-        elif node.name.startswith("_"):
-            continue
-        else:
-            callee = node.name
-        static = any(
-            getattr(d, "id", None) == "staticmethod" for d in node.decorator_list
-        )
+            inits.append((qualified, cls, node))
+        elif not node.name.startswith("_"):
+            static = any(
+                getattr(d, "id", None) == "staticmethod"
+                for d in node.decorator_list
+            )
+            constants += [
+                f"{qualified}({name}=)"
+                for name in _never_passed(node, node.name, not static)
+            ]
+    for qualified, cls, node in inits:
         constants += [
-            f"{qualified}({name}=)"
-            for name in _never_passed(node, callee, not static)
+            f"{qualified}({name}=)" for name in _never_passed(node, cls, True)
         ]
     return tuple(sorted(constants))
 
@@ -532,17 +644,65 @@ def test_every_default_is_passed_somewhere():
         "no call in src/, bench/, benchmarks/ or examples/ passes these "
         f"defaulted parameters (tests/ does not count): {constants}; a "
         "value only a test sets is a constant — inline it, or add it to "
-        "KNOBS_ALLOWED with one of its two reasons"
+        "KNOBS_ALLOWED with one of its three reasons"
     )
 
 
-def test_knob_allow_list_is_eleven_entries_only_tests_set():
+def test_knob_allow_list_is_seventeen_entries_only_tests_set():
     stale = sorted(set(KNOBS_ALLOWED) - set(_constants()))
     assert not stale, f"KNOBS_ALLOWED entries that are gone or now passed: {stale}"
-    assert set(KNOBS_ALLOWED.values()) == {_RESOLUTION, _TIME}
-    assert len(KNOBS_ALLOWED) == 11, (
+    assert set(KNOBS_ALLOWED.values()) == {_RESOLUTION, _TIME, _ADDRESS}
+    assert len(KNOBS_ALLOWED) == 17, (
         f"the knob allow-list grew to {len(KNOBS_ALLOWED)} entries: a "
         "default only tests pass is a constant unless it is a figure's "
-        "resolution or a test's stand-in for time; update this count only "
-        "together with the reason the new entry states"
+        "resolution, a test's stand-in for time or a deployment address; "
+        "update this count only together with the reason the new entry "
+        "states"
+    )
+
+
+SPEC_MODULE = MODULES["repro.scale.spec"]
+
+
+def _spec_fields() -> Iterator[Tuple[str, str]]:
+    """``(Spec class, field)`` of every ``*Spec`` dataclass field."""
+    for node in _tree(SPEC_MODULE).body:
+        if isinstance(node, ast.ClassDef) and node.name.endswith("Spec"):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(
+                    item.target, ast.Name
+                ):
+                    yield node.name, item.target.id
+
+
+@functools.lru_cache(maxsize=None)
+def _unset_spec_fields() -> Tuple[str, ...]:
+    """Check (f): every ``Spec.field`` nothing outside tests/ and
+    ``scale/spec.py`` sets, allow-listed ones included."""
+    keys = _keys(_caller_files(exclude=SPEC_MODULE), True)
+    return tuple(
+        f"{cls}.{name}" for cls, name in _spec_fields() if name not in keys
+    )
+
+
+def test_every_spec_field_is_set_outside_tests():
+    unset = [f for f in _unset_spec_fields() if f not in SPEC_FIELDS_ALLOWED]
+    assert not unset, (
+        "nothing in src/, bench/, benchmarks/ or examples/ (scale/spec.py "
+        "aside) sets these spec fields as a dict key, a subscript key or "
+        f"a keyword that sets a value: {unset}; a field only a test "
+        "sets is a constant — delete it, or add it to SPEC_FIELDS_ALLOWED "
+        "with the reason"
+    )
+
+
+def test_spec_field_allow_list_is_two_fields_only_tests_set():
+    stale = sorted(set(SPEC_FIELDS_ALLOWED) - set(_unset_spec_fields()))
+    assert not stale, (
+        f"SPEC_FIELDS_ALLOWED entries that are gone or now set: {stale}"
+    )
+    assert len(SPEC_FIELDS_ALLOWED) == 2, (
+        f"the spec-field allow-list grew to {len(SPEC_FIELDS_ALLOWED)} "
+        "entries: update this count only together with the reason the new "
+        "entry states"
     )

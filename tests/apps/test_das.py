@@ -164,7 +164,7 @@ class TestEndSlot:
         self, das, rng, du_mac, ru_macs
     ):
         das.process(ul_uplane(rng, ru_macs[0], du_mac, time=self.LAST))
-        assert das.end_slot(deadline_flush=True) == ([], 1)
+        assert das.end_slot() == ([], 1)
         assert len(das.cache) == 0 and das.missed_merge_deadlines == 1
 
     def test_sweep_merges_the_partial_subset_across_the_frame_wrap(
@@ -173,22 +173,24 @@ class TestEndSlot:
         das = DasMiddlebox(du_mac=du_mac, ru_macs=ru_macs, partial_merge=True)
         for mac in ru_macs[:2]:
             das.process(ul_uplane(rng, mac, du_mac, time=self.LAST))
-        (degraded,), abandoned = das.end_slot(deadline_flush=True)
+        (degraded,), abandoned = das.end_slot()
         assert abandoned == 0 and das.degraded_merges == 1
         assert degraded.time == self.LAST and degraded.eth.dst == du_mac
         # The third RU's packet is a straggler now, not a new merge.
         late = das.process(ul_uplane(rng, ru_macs[2], du_mac, time=self.LAST))
         assert late.emissions == [] and das.late_uplink_packets == 1
 
-    def test_without_the_sweep_a_merge_waits_until_the_ring_drops_it(
+    def test_a_waiting_merge_never_outlives_its_slot(
         self, das, rng, du_mac, ru_macs
     ):
+        """Every slot end sweeps, so the ring never drops a merge
+        uncounted."""
         das.process(ul_uplane(rng, ru_macs[0], du_mac))
-        for _ in range(_RETAINED_SLOTS):
+        assert das.end_slot() == ([], 1)
+        assert len(das.cache) == 0
+        for _ in range(_RETAINED_SLOTS + 1):
             assert das.end_slot() == ([], 0)
-        assert len(das.cache) == 1
-        das.end_slot()
-        assert len(das.cache) == 0 and das.missed_merge_deadlines == 0
+        assert das.missed_merge_deadlines == 1
 
     def test_a_merged_symbol_is_remembered_only_while_its_slot_is(
         self, das, rng, du_mac, ru_macs

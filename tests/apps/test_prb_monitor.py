@@ -234,15 +234,15 @@ class TestFoldIsThePerEstimateOracle:
         )
         network = testbed.network(
             [du], rus, [monitor, das],
-            wire=ImpairedLink(injector), deadline_flush=True,
+            wire=ImpairedLink(injector),
         )
         records = record_estimates(monitor)
         closed_at = []
         end_slot = monitor.end_slot
 
-        def closing(deadline_flush=False):
+        def closing():
             closed_at.append(len(records))
-            return end_slot(deadline_flush)
+            return end_slot()
 
         monitor.end_slot = closing
 

@@ -295,7 +295,6 @@ def cell_specs(draw, name: str = None, group=None) -> CellSpec:
             st.one_of(st.none(), st.integers(min_value=0, max_value=2**31 - 1))
         ),
         group=group,
-        deadline_flush=draw(st.booleans()),
         wire=draw(
             st.one_of(
                 st.none(),
@@ -375,7 +374,6 @@ def scenario_specs(draw, max_cells: int = 4) -> ScenarioSpec:
                         min_value=0, max_value=8
                     ),
                     backoff_base_s=_finite(0.0, 2.0),
-                    backoff_factor=_finite(1.0, 4.0),
                 ),
             )
         ),

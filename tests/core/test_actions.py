@@ -516,7 +516,8 @@ class TestTraceContract:
         self, cost_model, calls
     ):
         packet = make_cplane(MacAddress.from_int(1), MacAddress.from_int(2))
-        ctx = ActionContext(PacketCache(), cost_model)
+        with mock.patch.object(actions, "DEFAULT_COST_MODEL", cost_model):
+            ctx = ActionContext(PacketCache())
         for call in calls:
             _perform(ctx, packet, call)
         costs = [event.cost_ns for event in ctx.events]

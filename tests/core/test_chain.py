@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.chain import MiddleboxChain
+from repro.core.latency import DEFAULT_COST_MODEL
 from repro.core.middlebox import Middlebox
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
 from repro.fronthaul.packet import make_packet
@@ -57,7 +58,7 @@ class TestMiddleboxChain:
     def test_total_processing(self, du_mac, ru_mac):
         chain = MiddleboxChain([Tagger(), Tagger()])
         chain.process_downlink([packet(du_mac, ru_mac)])
-        forward_ns = chain.middleboxes[0].cost_model.forward_ns
+        forward_ns = DEFAULT_COST_MODEL.forward_ns
         assert [box.stats.processing_ns_total for box in chain.middleboxes] == [
             forward_ns, forward_ns
         ]

@@ -60,7 +60,7 @@ def _network(plan, sample_every, per_packet):
         boxes.insert(position % (len(boxes) + 1), box)
     net = testbed.network(
         [built.du], [radio for radio, _ in built.rus.values()], boxes,
-        obs=obs, deadline_flush=plan["deadline_flush"],
+        obs=obs,
     )
     if per_packet:
         for box in boxes:
@@ -109,7 +109,6 @@ def _outcome(plan, sample_every, per_packet):
         "stats": [(box.name, box.stats) for box in chain.middleboxes],
         "faults": chain.stage_faults,
         "bypassed": chain.stage_bypassed,
-        "hold_bypassed": chain.hold_bypassed,
         "fault_log": list(chain.fault_log),
         "breaker_events": list(chain.breaker_events),
         "breakers": [
@@ -133,7 +132,6 @@ plans = st.fixed_dictionaries({
     "fail_every": st.integers(2, 9),
     "positions": st.tuples(st.integers(0, 5), st.integers(0, 5)),
     "cuts": st.lists(st.integers(1, 9), min_size=1, max_size=4),
-    "deadline_flush": st.booleans(),
     "slots": st.integers(1, 6),
 })
 

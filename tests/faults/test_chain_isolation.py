@@ -139,7 +139,7 @@ def _per_packet_process(box, pkt):
     recording = obs.enabled
     start_ns = obs.clock() if recording else 0
     stats = box.stats
-    ctx = ActionContext(box.cache, box.cost_model)
+    ctx = ActionContext(box.cache)
     ctx.wire_bytes = pkt.wire_size
     stats.rx_packets += 1
     stats.rx_bytes += ctx.wire_bytes

@@ -171,9 +171,7 @@ def _sweep_row(name, config, seed, slots):
             carrier_num_prb=du.cell.num_prb,
         )
         wire = ImpairedLink(injector)
-    reports = testbed.network(
-        [du], rus, [das], wire=wire, deadline_flush=True
-    ).run(slots)
+    reports = testbed.network([du], rus, [das], wire=wire).run(slots)
     return (
         name,
         injector.stats.offered if injector else 0,
@@ -240,7 +238,6 @@ def _chain_chaos(seed, slots):
         [ru],
         [resilience, das, sharing, faulty],
         wire=ImpairedLink(injector),
-        deadline_flush=True,
         obs=obs,
     )
     reports = network.run(slots)

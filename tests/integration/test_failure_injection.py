@@ -78,14 +78,14 @@ class TestDasUnderLoss:
         network.add_du(du)
         for ru in rus:
             network.add_ru(ru)
-        network.run(10)
-        # Some merges completed (odd slots), some are stuck in the cache.
+        reports = network.run(10)
+        # Some merges completed (odd slots); every slot's sweep abandoned
+        # the symbols the lost RU left waiting (even slots), so nothing
+        # stays in the cache.
         assert das.merged_uplink_symbols > 0
-        assert len(das.cache) > 0
-        _, stuck = das.end_slot(deadline_flush=True)
-        assert stuck > 0
-        assert das.missed_merge_deadlines == stuck
         assert len(das.cache) == 0
+        abandoned = sum(report.abandoned_merges for report in reports)
+        assert das.missed_merge_deadlines == abandoned > 0
 
     def test_total_ru_loss_stalls_all_merges(self):
         cell, du, rus, das = build_das()

@@ -68,7 +68,7 @@ def _spec():
         "translation", SLOTS, 1,
         _campus_pair() + [
             kit.cell(
-                "das", 1, _flows(1), rus=_radios("das"), deadline_flush=True,
+                "das", 1, _flows(1), rus=_radios("das"),
                 chain=[_stage("prb_monitor"),
                        _stage("das", partial_merge=True)],
             ),

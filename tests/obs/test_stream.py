@@ -46,11 +46,9 @@ def make_span(seq, middlebox="das", stage=0):
 class FakeGroup:
     """The duck-typed slice of BuiltGroup the stream source reads."""
 
-    def __init__(self, name, capacity=64, budget_ns=1000.0):
+    def __init__(self, name, budget_ns=1000.0):
         self.name = name
-        self.obs = Observability(
-            enabled=True, max_spans=capacity, clock=lambda: 0
-        )
+        self.obs = Observability(enabled=True, clock=lambda: 0)
         self.accountant = DeadlineAccountant(
             budget_ns=budget_ns, obs=self.obs
         )
@@ -106,9 +104,11 @@ class TestDrain:
 
 
 class TestObservabilityMaxSpans:
-    def test_max_spans_caps_the_ring(self):
-        obs = Observability(enabled=True, max_spans=2)
+    def test_max_spans_caps_the_ring(self, monkeypatch):
+        monkeypatch.setattr("repro.obs.recorder._SPANS_KEPT", 2)
+        obs = Observability(enabled=True)
         assert obs.recorder.capacity == 2
+        assert TelemetryStream().recorder.capacity == 2
 
 
 class TestGroupStreamSource:
@@ -151,8 +151,9 @@ class TestGroupStreamSource:
         # The worker-side span is untouched (the fold stamps its copy).
         assert group.obs.recorder.spans()[0].key.group == ""
 
-    def test_ring_overflow_bumps_the_dropped_counter(self):
-        group = FakeGroup("g1", capacity=2)
+    def test_ring_overflow_bumps_the_dropped_counter(self, monkeypatch):
+        monkeypatch.setattr("repro.obs.recorder._SPANS_KEPT", 2)
+        group = FakeGroup("g1")
         source = GroupStreamSource(group, shard=0)
         for seq in range(6):
             group.obs.recorder.record([make_span(seq)])
@@ -216,7 +217,8 @@ class TestTelemetryStreamFold:
                 expected.merge_snapshot(group.obs.registry.snapshot())
             assert stream.live_snapshot() == expected.snapshot()
 
-    def test_a_group_absent_from_the_fold_is_forgotten(self):
+    def test_a_group_absent_from_the_fold_is_forgotten(self, monkeypatch):
+        monkeypatch.setattr("repro.obs.recorder._SPANS_KEPT", 64)
         groups, sources = self._sources()
         stream = TelemetryStream()
         for group in groups:

@@ -9,6 +9,7 @@ import pytest
 from repro.core import actions
 from repro.fronthaul.compression import MOD_COMP_METH, NO_COMP_METH, CompressionConfig
 from repro.fronthaul.cplane import CPlaneMessage, CPlaneSection, Direction
+from repro.fronthaul.ecpri import EAxCId
 from repro.fronthaul.packet import make_packet, parse_packet
 from repro.fronthaul.timing import slot_id, symbol_time
 from repro.fronthaul.uplane import UPlaneMessage, UPlaneSection
@@ -165,6 +166,22 @@ class TestUplink:
         time, port = ru.pending_uplink_symbols()[0]
         with pytest.raises(ValueError):
             ru.build_uplink([(time, port, np.ones(10, dtype=complex))])
+
+    def test_cplane_for_a_port_it_lacks_is_counted_and_ignored(self, pair):
+        """A 2-antenna RU asked for ports 0-3 answers ports 0-1 only: it
+        makes up no uplink for antennas it does not have."""
+        du, ru = pair
+        time = symbol_time(0, 0, 4, 0)
+        for port in range(4):
+            ru.receive(make_packet(du.mac, ru.mac, CPlaneMessage(
+                direction=Direction.UPLINK, time=time,
+                sections=[CPlaneSection(0, 0, 10)],
+            ), eaxc=EAxCId(0, ru_port=port)))
+        assert ru.counters.cplane_received == 4
+        owed = ru.pending_uplink_symbols()
+        assert {port for _, port in owed} == {0, 1}
+        packets = ru.build_uplink([(t, port, None) for t, port in owed])
+        assert {packet.eaxc.ru_port for packet in packets} == {0, 1}
 
     def test_end_slot_drops_answered_requests(self, pair):
         du, ru = pair

@@ -6,6 +6,7 @@ from repro.apps.das import DasMiddlebox
 from repro.apps.dmimo import DmimoMiddlebox
 from repro.apps.prb_monitor import PrbMonitorMiddlebox
 from repro.apps.ru_sharing import RuSharingMiddlebox
+from repro.eval import kit
 from repro.scale import ScenarioSpec, register_stage, stage_names
 from repro.scale.build import build_groups
 from repro.scale.registry import STAGE_REGISTRY
@@ -38,11 +39,35 @@ def test_das_builds_by_name_with_cell_defaults():
 
 
 @pytest.mark.parametrize(
+    "partial_merge, counter",
+    [(True, "degraded_merges"), (False, "abandoned_merges")],
+)
+def test_partial_merge_decides_what_a_lossy_uplink_becomes(
+    partial_merge, counter
+):
+    """A spec wire fault drops part of the RU uplink: every slot's sweep
+    merges the RUs that arrived (``partial_merge``) or gives the symbol
+    up, and the slot reports count which."""
+    spec = kit.scenario("lossy", 20, 1, [kit.cell(
+        "das", 1, [kit.flow("ul", 40.0)], rus=kit.radios(2, seed=3),
+        chain=[{"stage": "das", "params": {"partial_merge": partial_merge}}],
+        wire={"kind": "iid_loss", "rate": 0.2, "seed": 7,
+              "scope": {"direction": "ul"}},
+    )])
+    (group,) = build_groups(spec)
+    reports = group.network.run(spec.slots)
+    (das,) = group.middleboxes
+    swept = sum(getattr(report, counter) for report in reports)
+    assert swept > 0
+    assert das.degraded_merges + das.missed_merge_deadlines == swept
+    assert len(das.cache) == 0
+
+
+@pytest.mark.parametrize(
     "stage, knob, value",
     [
         ("prb_monitor", "thr_dl", 99),
         ("prb_monitor", "thr_ul", -1),
-        ("spectrum_sensor", "noise_exponent_threshold", -4),
         ("das", "partial_merge", "false"),
         ("resilience", "silence_threshold_ns", 0),
     ],

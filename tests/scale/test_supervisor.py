@@ -26,7 +26,6 @@ FAST_SUPERVISOR = {
     "poll_interval_s": 0.01,
     "max_restarts_per_worker": 2,
     "backoff_base_s": 0.01,
-    "backoff_factor": 2.0,
 }
 
 
@@ -235,7 +234,5 @@ def test_supervisor_spec_round_trip_and_validation():
         SupervisorSpec(barrier_timeout_s=0.0)
     with pytest.raises(ValueError):
         SupervisorSpec(max_restarts_per_worker=-1)
-    with pytest.raises(ValueError):
-        SupervisorSpec(backoff_factor=0.5)
     with pytest.raises(KeyError):
         SupervisorSpec.from_dict({"barrier_timeout_s": 1.0, "nope": 2})

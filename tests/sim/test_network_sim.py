@@ -172,7 +172,7 @@ class TestRuRetention:
             cell("das", 1, rus=radios("das"),
                  chain=[stage("prb_monitor"), stage("spectrum_sensor"),
                         stage("das")],
-                 symbols_per_slot=1 if steady else None, deadline_flush=True),
+                 symbols_per_slot=1 if steady else None),
             cell("dmimo", 2, rus=radios("dmimo"), chain=[stage("dmimo")]),
             shared,
             cell("guest", 4, group="campus",
@@ -293,10 +293,11 @@ class TestFlatAtSteadyState:
         from repro.conformance import validator
 
         monkeypatch.setattr(validator, "_WINDOW_CAP", 16)
+        monkeypatch.setattr("repro.obs.recorder._SPANS_KEPT", 64)
         spec = TestRuRetention.spec(1, steady=True)
         groups = dataclasses.replace(spec, obs=dataclasses.replace(
             spec.obs, enabled=True, deadline_accounting=True,
-            conformance=True, max_spans=64,
+            conformance=True,
         )).build()
         assert self._chain_blocks(groups) <= self.ARMED_BOUND
         for group in groups:
